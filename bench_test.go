@@ -345,26 +345,24 @@ func BenchmarkLinkerScorePair(b *testing.B) {
 	}
 }
 
-// BenchmarkRunEdgesLSH measures repeated RunEdges over a prepared, clean
-// linker with the LSH filter enabled — the hot loop of a relinking service
-// shard (no matching/thresholding, no history builds). Since the edge
-// store landed, a clean rerun retains every scored pair, so this measures
-// the fixed per-run overhead of the incremental path; see
-// BenchmarkRelinkIncrementalDirtyBurst / BenchmarkRelinkFullRescore
-// (relink_bench_test.go) for the dirty-burst scoring costs.
-func BenchmarkRunEdgesLSH(b *testing.B) {
-	w := benchWorkload(b, 24)
+// BenchmarkLinkerBuildLSH measures NewLinker with the LSH filter on a
+// 2k-user SM sample at the benchmark's linkage settings: the four history
+// builds plus the candidate index's first (epoch) build — the layers that
+// dominate link_sm_lsh. B/op tracks what construction allocates per
+// linker.
+func BenchmarkLinkerBuildLSH(b *testing.B) {
+	ground := slim.GenerateSM(slim.SMOptions{NumUsers: 2000, Seed: 99})
+	w := slim.SampleWorkload(&ground, slim.SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 100,
+	})
 	cfg := slim.Defaults()
-	cfg.LSH = &slim.LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
-	lk, err := slim.NewLinker(w.E, w.I, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lk.RunEdges() // warm caches and compiled state
+	cfg.LSH = &slim.LSHConfig{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = lk.RunEdges()
+		if _, err := slim.NewLinker(w.E, w.I, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -160,10 +160,15 @@ func newEdgeStore() edgeStore {
 // mergeDelta folds one candidate-index Delta into the pending work set.
 // Later deltas win: a pair removed after being queued for rescore is
 // dropped, and vice versa, so the pending sets always describe the net
-// transition from the store's last synced state to the current one.
+// transition from the store's last synced state to the current one. A
+// Rebuilt delta supersedes them: the next run rescores the whole candidate
+// set, so nothing pair-level is worth remembering.
 func (es *edgeStore) mergeDelta(d candidates.Delta) {
 	if d.Rebuilt {
 		es.pendFull = true
+		clear(es.pendRescore)
+		clear(es.pendRemoved)
+		return
 	}
 	for _, p := range d.Removed {
 		delete(es.pendRescore, p)

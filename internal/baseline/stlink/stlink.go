@@ -120,18 +120,18 @@ func Link(dsE, dsI *model.Dataset, p Params) Result {
 		ps := PairScore{U: pk.u, V: pk.v}
 		diverse := make(map[geo.CellID]bool)
 		commonWindows(hu.Windows(), hv.Windows(), func(w int64) {
-			cu := hu.CellsAt(w)
-			cv := hv.CellsAt(w)
+			cu, nu := hu.WindowBins(w)
+			cv, nv := hv.WindowBins(w)
 			var ru, rv float64
-			for _, n := range cu {
+			for _, n := range nu {
 				ru += n
 			}
-			for _, n := range cv {
+			for _, n := range nv {
 				rv += n
 			}
 			res.RecordComparisons += int64(ru*rv + 0.5)
-			for cellU := range cu {
-				for cellV := range cv {
+			for _, cellU := range cu {
+				for _, cellV := range cv {
 					if cellU == cellV {
 						ps.Cooccurrences++
 						diverse[cellU] = true

@@ -34,6 +34,7 @@ import (
 	"slim/internal/history"
 	"slim/internal/lsh"
 	"slim/internal/model"
+	"slim/internal/par"
 )
 
 // Stats is a point-in-time snapshot of the index.
@@ -78,8 +79,11 @@ type Stats struct {
 // per-run output: a caller holding pair→score only has to rescore
 // Added ∪ Dirty and drop Removed; every other pair's endpoints are
 // untouched histories, so its score is unchanged by construction (see the
-// root package's edge store). Rebuilt marks an epoch rebuild; the delta is
-// still exact (computed by diffing the old and new candidate sets).
+// root package's edge store).
+//
+// Rebuilt marks an epoch rebuild. It carries no pair lists: every
+// signature was recomputed over a new grid, so the caller discards what it
+// derived from the previous candidate set and re-reads Pairs().
 type Delta struct {
 	Added   []lsh.Pair
 	Removed []lsh.Pair
@@ -114,6 +118,11 @@ type bucket struct {
 // for concurrent use; callers serialize Update/Pairs/Stats like any other
 // linker mutation.
 type Index struct {
+	// Workers bounds the goroutines of an epoch rebuild's per-entity
+	// signature pass (below 1 means 1). The index is identical for every
+	// value.
+	Workers int
+
 	params         lsh.Params
 	storeE, storeI *history.Store
 
@@ -184,8 +193,7 @@ func New(storeE, storeI *history.Store, p lsh.Params) *Index {
 // skipped, so over-reporting is harmless — under-reporting is not). When
 // the union window range still fits the current grid the index applies
 // per-entity deltas; otherwise it bumps the epoch and rebuilds from
-// scratch (Delta.Rebuilt, with Added/Removed diffed against the previous
-// candidate set so the delta stays exact).
+// scratch (Delta.Rebuilt).
 func (x *Index) Update(dirtyE, dirtyI map[model.EntityID]struct{}) Delta {
 	start := time.Now()
 	clear(x.touched)
@@ -209,7 +217,8 @@ func (x *Index) Update(dirtyE, dirtyI map[model.EntityID]struct{}) Delta {
 	}
 	sigLen := lsh.SignatureLength(minW, maxW, x.params.StepWindows)
 	if sigLen != x.banding.SigLen || minW != x.gridMin {
-		d = x.rebuild(minW, maxW, sigLen)
+		x.rebuild(minW, maxW, sigLen)
+		d = Delta{Rebuilt: true}
 	} else {
 		// The grid anchor and length are unchanged; a larger gridMax only
 		// moves the (semantically inert) clamp of the final query window,
@@ -300,15 +309,8 @@ func (x *Index) visitPartners(id model.EntityID, isE bool, fn func(model.EntityI
 }
 
 // rebuild starts a new epoch: fresh buckets and pair counts, every
-// signature recomputed over the new grid. The returned Delta diffs the new
-// candidate set against the pre-rebuild one (an O(P) pass — rebuilds are
-// already O(everything)), with Dirty restricted to kept pairs that have an
-// endpoint whose history version moved since its previous signature.
-func (x *Index) rebuild(minW, maxW int64, sigLen int) Delta {
-	old := make(map[lsh.Pair]struct{}, len(x.paircount))
-	for p := range x.paircount {
-		old[p] = struct{}{}
-	}
+// signature recomputed over the new grid.
+func (x *Index) rebuild(minW, maxW int64, sigLen int) {
 	x.epoch++
 	x.gridMin, x.gridMax = minW, maxW
 	x.banding = lsh.NewBanding(sigLen, x.params)
@@ -321,61 +323,19 @@ func (x *Index) rebuild(minW, maxW int64, sigLen int) Delta {
 	x.pairsStale = true
 	x.lastRebuild = true
 	x.lastDirty = 0
-	d := Delta{Rebuilt: true}
 	if x.banding.Bands == 0 {
 		// Degenerate geometry (zero-length signatures): mirror the batch
 		// path, which enumerates nothing.
 		clear(x.sigE)
 		clear(x.sigI)
-		for p := range old {
-			d.Removed = append(d.Removed, p)
-		}
-		lsh.SortPairs(d.Removed)
-		return d
+		return
 	}
+	x.fill(x.storeE, x.sigE, true)
+	x.fill(x.storeI, x.sigI, false)
 
-	// Insert every entity's band hashes. Membership lists are built first
-	// and pair counts accumulated per bucket afterwards, which is the same
-	// O(Σ|bucket_E|·|bucket_I|) enumeration the batch path performs.
-	fill := func(store *history.Store, sigs map[model.EntityID]*entitySig, changed map[model.EntityID]struct{}, isE bool) {
-		for _, id := range store.Entities() {
-			es := sigs[id]
-			h := store.History(id)
-			if es == nil {
-				es = &entitySig{}
-				sigs[id] = es
-				changed[id] = struct{}{}
-			} else if es.version != h.Version() {
-				changed[id] = struct{}{}
-			}
-			es.version = h.Version()
-			es.sig = lsh.AppendSignature(es.sig, h, x.params.StepWindows, x.gridMin, x.gridMax, sigLen)
-			es.bandHash = resize(es.bandHash, x.banding.Bands)
-			es.hasBand = resize(es.hasBand, x.banding.Bands)
-			for band := 0; band < x.banding.Bands; band++ {
-				hv, ok := x.banding.BandHash(es.sig, band)
-				es.bandHash[band], es.hasBand[band] = hv, ok
-				if !ok {
-					continue
-				}
-				bkt := x.buckets[band][hv]
-				if bkt == nil {
-					bkt = &bucket{}
-					x.buckets[band][hv] = bkt
-				}
-				if isE {
-					bkt.e = append(bkt.e, id)
-				} else {
-					bkt.i = append(bkt.i, id)
-				}
-				x.memberships++
-			}
-			x.lastDirty++
-		}
-	}
-	fill(x.storeE, x.sigE, x.changedE, true)
-	fill(x.storeI, x.sigI, x.changedI, false)
-
+	// Pair counts are accumulated per bucket once every membership list is
+	// complete, which is the same O(Σ|bucket_E|·|bucket_I|) enumeration the
+	// batch path performs.
 	for _, byHash := range x.buckets {
 		for _, bkt := range byHash {
 			for _, u := range bkt.e {
@@ -385,26 +345,53 @@ func (x *Index) rebuild(minW, maxW int64, sigLen int) Delta {
 			}
 		}
 	}
+}
 
-	for p := range x.paircount {
-		if _, was := old[p]; !was {
-			d.Added = append(d.Added, p)
-			continue
-		}
-		delete(old, p)
-		_, cu := x.changedE[p.U]
-		_, cv := x.changedI[p.V]
-		if cu || cv {
-			d.Dirty = append(d.Dirty, p)
+// fill re-signs every entity of one side over the current grid and inserts
+// its band hashes. Signatures and band hashes are per-entity work over
+// read-only histories and fan out over x.Workers; bucket insertion stays
+// serial, in sorted-entity order.
+func (x *Index) fill(store *history.Store, sigs map[model.EntityID]*entitySig, isE bool) {
+	ids := store.Entities()
+	ess := make([]*entitySig, len(ids))
+	for k, id := range ids {
+		if ess[k] = sigs[id]; ess[k] == nil {
+			ess[k] = &entitySig{}
+			sigs[id] = ess[k]
 		}
 	}
-	for p := range old {
-		d.Removed = append(d.Removed, p)
+	par.Chunks(x.Workers, len(ids), func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			es, h := ess[k], store.History(ids[k])
+			es.version = h.Version()
+			es.sig = lsh.AppendSignature(es.sig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
+			es.bandHash = resize(es.bandHash, x.banding.Bands)
+			es.hasBand = resize(es.hasBand, x.banding.Bands)
+			for band := range es.bandHash {
+				es.bandHash[band], es.hasBand[band] = x.banding.BandHash(es.sig, band)
+			}
+		}
+	})
+	for k, id := range ids {
+		for band, ok := range ess[k].hasBand {
+			if !ok {
+				continue
+			}
+			hv := ess[k].bandHash[band]
+			bkt := x.buckets[band][hv]
+			if bkt == nil {
+				bkt = &bucket{}
+				x.buckets[band][hv] = bkt
+			}
+			if isE {
+				bkt.e = append(bkt.e, id)
+			} else {
+				bkt.i = append(bkt.i, id)
+			}
+			x.memberships++
+		}
 	}
-	lsh.SortPairs(d.Added)
-	lsh.SortPairs(d.Removed)
-	lsh.SortPairs(d.Dirty)
-	return d
+	x.lastDirty += len(ids)
 }
 
 // applySide delta-updates one side's dirty entities and returns how many

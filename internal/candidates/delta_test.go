@@ -71,9 +71,12 @@ func requireDeltaExact(t *testing.T, step string, d Delta, before, after []lsh.P
 // TestIndexDeltaExactSetDifference is the Delta API's exactness suite:
 // under randomized interleaved E/I bursts of point and region records —
 // including in-grid churn (delta updates), range growth in both directions
-// (epoch rebuilds), and over-reported dirty entities — every Update's
-// Delta must equal the set difference of the before/after candidate sets,
-// with Dirty naming exactly the kept pairs of changed entities.
+// (epoch rebuilds), and over-reported dirty entities — every in-grid
+// Update's Delta must equal the set difference of the before/after
+// candidate sets, with Dirty naming exactly the kept pairs of changed
+// entities. A Rebuilt delta carries no pair lists: the caller re-reads
+// Pairs(), which requireParity holds to the from-scratch
+// lsh.CandidatePairs set after every burst, rebuilds included.
 func TestIndexDeltaExactSetDifference(t *testing.T) {
 	for _, seed := range []int64{5, 23, 77} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -136,8 +139,12 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 				}
 				if d.Rebuilt {
 					rebuilds++
+					if len(d.Added)+len(d.Removed)+len(d.Dirty) != 0 {
+						t.Fatalf("burst %d: Rebuilt delta carries pair lists: %+v", burst, d)
+					}
+				} else {
+					requireDeltaExact(t, fmt.Sprintf("burst %d", burst), d, before, after, burstE, burstI)
 				}
-				requireDeltaExact(t, fmt.Sprintf("burst %d", burst), d, before, after, burstE, burstI)
 				requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
 			}
 			if rebuilds == 0 {
@@ -167,8 +174,8 @@ func changedOnly(store *history.Store, sigs map[model.EntityID]*entitySig, dirty
 }
 
 // TestIndexDeltaAcrossOneSideEmpty pins the empty-store transitions: no
-// delta while one side is empty, and the first build reports the full
-// candidate set as Added.
+// delta while one side is empty, and the first build is a bare Rebuilt
+// whose Pairs() is the from-scratch candidate set.
 func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
@@ -188,7 +195,11 @@ func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	if !d.Rebuilt {
 		t.Fatal("first build must report Rebuilt")
 	}
-	if !slices.Equal(d.Added, x.Pairs()) || len(d.Removed) != 0 || len(d.Dirty) != 0 {
-		t.Fatalf("first build delta: %+v, want Added == Pairs() only", d)
+	if len(d.Added)+len(d.Removed)+len(d.Dirty) != 0 {
+		t.Fatalf("first build delta: %+v, want Rebuilt only", d)
+	}
+	requireParity(t, x, se, si, p, "first build")
+	if len(x.Pairs()) == 0 {
+		t.Fatal("co-located e0/i0 must be candidates after the first build")
 	}
 }

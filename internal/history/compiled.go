@@ -8,13 +8,13 @@ import (
 )
 
 // Compiled is the flat, read-optimized view of one entity's history that
-// the similarity scorer runs on. Where History stores per-window
-// map[CellID]float64 leaves, Compiled lays the same bins out as parallel
-// arrays: window k's bins occupy Cells/Counts/IDF[Off[k]:Off[k+1]], sorted
-// by ascending cell id — exactly the iteration order the map-based scorer
-// derived per call with sortedCells. Cell ids are interned into the owning
-// Store's dense index space (see Store.CompiledView) so scorers can key
-// distance caches on small integers instead of hashing 64-bit id pairs.
+// the similarity scorer runs on. It shares History's column layout —
+// window k's bins occupy Cells/Counts/IDF[Off[k]:Off[k+1]], sorted by
+// ascending cell id — and adds what scoring needs on top: the store's IDF
+// weight of every bin, per-window weight sums, and cell ids interned into
+// the owning Store's dense index space (see Store.CompiledView) so scorers
+// can key distance caches on small integers instead of hashing 64-bit id
+// pairs.
 //
 // A Compiled view is immutable once published. Store.Add invalidates it by
 // bumping version counters, never by mutating it, so a scorer holding a
@@ -111,24 +111,17 @@ func (s *Store) compileLocked(e model.EntityID, h *History) *Compiled {
 	c := &Compiled{
 		Windows:     slices.Clone(h.windows),
 		Off:         make([]int32, 1, len(h.windows)+1),
-		Cells:       make([]int32, 0, h.numBins),
-		Counts:      make([]float64, 0, h.numBins),
-		IDF:         make([]float64, 0, h.numBins),
+		Cells:       make([]int32, 0, h.NumBins()),
+		Counts:      make([]float64, 0, h.NumBins()),
+		IDF:         make([]float64, 0, h.NumBins()),
 		WinRecs:     make([]float64, 0, len(h.windows)),
 		storeEpoch:  s.epoch,
 		histVersion: h.version,
 	}
-	var cellBuf []geo.CellID
-	for _, win := range h.windows {
-		cells := h.leaves[win]
-		cellBuf = cellBuf[:0]
-		for id := range cells {
-			cellBuf = append(cellBuf, id)
-		}
-		slices.Sort(cellBuf)
+	for k, win := range h.windows {
 		var recs float64
-		for _, id := range cellBuf {
-			cnt := cells[id]
+		for j := h.off[k]; j < h.off[k+1]; j++ {
+			id, cnt := h.cells[j], h.counts[j]
 			c.Cells = append(c.Cells, s.internLocked(id))
 			c.Counts = append(c.Counts, cnt)
 			c.IDF = append(c.IDF, s.IDF(Bin{Window: win, Cell: id}))

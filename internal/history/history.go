@@ -1,9 +1,10 @@
 // Package history implements SLIM's mobility-history representation
-// (Sec. 2.3): per-entity temporal segment trees whose leaves are fixed-width
-// time windows holding spatial grid-cell ids with record counts, and whose
-// interior nodes aggregate the occurrence counts of the cell ids in their
-// sub-tree. The aggregated nodes answer the dominating-grid-cell range
-// queries that drive the LSH signatures (Sec. 4).
+// (Sec. 2.3): per entity, the ordered set of time-location bins — fixed-width
+// time windows holding spatial grid-cell ids with record weights — laid out
+// as flat sorted columns. The dominating-grid-cell range queries that drive
+// the LSH signatures (Sec. 4) are a binary search plus a scan of the range's
+// contiguous bins; the paper's Fig. 1 segment tree is deliberately not
+// materialized (DESIGN.md §5).
 //
 // A Store holds the histories of one location dataset together with the
 // dataset-level statistics the similarity score needs: the bin→entity
@@ -12,12 +13,14 @@
 package history
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
 
 	"slim/internal/geo"
 	"slim/internal/model"
+	"slim/internal/par"
 )
 
 // Bin is a time-location bin: one leaf entry of a mobility history.
@@ -26,62 +29,113 @@ type Bin struct {
 	Cell   geo.CellID
 }
 
-// History is the mobility history of a single entity: a hierarchical
-// temporal partitioning whose leaves map spatial cells to record counts.
+// History is the mobility history of a single entity, stored as columns
+// sorted by (window, cell): window k = windows[k] owns the bins
+// cells/counts[off[k]:off[k+1]], cells ascending. len(off) is always
+// len(windows)+1.
 type History struct {
 	Entity model.EntityID
 
-	leaves  map[int64]map[geo.CellID]float64
-	windows []int64 // sorted leaf window indices
-	numBins int
+	windows []int64
+	off     []int32
+	cells   []geo.CellID
+	counts  []float64
 	numRecs int
 
 	// version counts mutations of this history; the compiled read path
 	// (compiled.go) uses it to detect stale per-entity views.
 	version uint64
-
-	// Lazily-built dyadic aggregation levels; levels[0] aliases leaves.
-	// Guarded by mu so concurrent scorers can share one History.
-	mu     sync.Mutex
-	levels []map[int64]map[geo.CellID]float64
 }
 
-// newHistory builds a history from an entity's records. Point records add
-// weight 1 to their containing cell; region records (RadiusKm > 0) are
+// binWeight is one (bin, weight) contribution of a record.
+type binWeight struct {
+	Bin
+	weight float64
+}
+
+// appendBinWeights appends the record's bin contributions: a point record
+// adds weight 1 to its containing cell; a region record (RadiusKm > 0) is
 // copied into every cell covering the region, each receiving an equal
 // fraction of the record's unit weight (the Sec. 2.1 extension).
-func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, level int) *History {
-	h := &History{Entity: entity, leaves: make(map[int64]map[geo.CellID]float64)}
-	add := func(win int64, cell geo.CellID, weight float64) {
-		cells := h.leaves[win]
-		if cells == nil {
-			cells = make(map[geo.CellID]float64)
-			h.leaves[win] = cells
-		}
-		if cells[cell] == 0 {
-			h.numBins++
-		}
-		cells[cell] += weight
+func appendBinWeights(dst []binWeight, r model.Record, win int64, level int) []binWeight {
+	if r.RadiusKm <= 0 {
+		cell := geo.CellIDFromLatLngLevel(r.LatLng, level)
+		return append(dst, binWeight{Bin{Window: win, Cell: cell}, 1})
 	}
+	cover := geo.CoverCapCells(r.LatLng, r.RadiusKm, level)
+	weight := 1 / float64(len(cover))
+	for _, cell := range cover {
+		dst = append(dst, binWeight{Bin{Window: win, Cell: cell}, weight})
+	}
+	return dst
+}
+
+// newHistory builds a history from an entity's records: every contribution
+// is collected, sorted once by (window, cell), and folded into exactly
+// sized columns. The sort is stable, so the weights of one bin are summed
+// in record order — the order Store.Add sums them in.
+func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, level int) *History {
+	bws := make([]binWeight, 0, len(recs))
 	for _, r := range recs {
-		win := w.Window(r.Unix)
-		h.numRecs++
-		if r.RadiusKm <= 0 {
-			add(win, geo.CellIDFromLatLngLevel(r.LatLng, level), 1)
+		bws = appendBinWeights(bws, r, w.Window(r.Unix), level)
+	}
+	slices.SortStableFunc(bws, func(a, b binWeight) int {
+		return cmp.Or(cmp.Compare(a.Window, b.Window), cmp.Compare(a.Cell, b.Cell))
+	})
+	nWin, nBin := 0, 0
+	for i, b := range bws {
+		if i == 0 || b.Window != bws[i-1].Window {
+			nWin++
+		}
+		if i == 0 || b.Bin != bws[i-1].Bin {
+			nBin++
+		}
+	}
+	h := &History{
+		Entity:  entity,
+		windows: make([]int64, 0, nWin),
+		off:     make([]int32, 0, nWin+1),
+		cells:   make([]geo.CellID, 0, nBin),
+		counts:  make([]float64, 0, nBin),
+		numRecs: len(recs),
+	}
+	for i, b := range bws {
+		if i > 0 && b.Bin == bws[i-1].Bin {
+			h.counts[len(h.counts)-1] += b.weight
 			continue
 		}
-		cover := geo.CoverCapCells(r.LatLng, r.RadiusKm, level)
-		weight := 1 / float64(len(cover))
-		for _, cell := range cover {
-			add(win, cell, weight)
+		if i == 0 || b.Window != bws[i-1].Window {
+			h.windows = append(h.windows, b.Window)
+			h.off = append(h.off, int32(len(h.cells)))
 		}
+		h.cells = append(h.cells, b.Cell)
+		h.counts = append(h.counts, b.weight)
 	}
-	h.windows = make([]int64, 0, len(h.leaves))
-	for win := range h.leaves {
-		h.windows = append(h.windows, win)
-	}
-	slices.Sort(h.windows)
+	h.off = append(h.off, int32(len(h.cells)))
 	return h
+}
+
+// add folds weight into the bin, inserting its window and cell in place
+// when they are new, and reports whether the bin is new.
+func (h *History) add(b Bin, weight float64) bool {
+	k, ok := slices.BinarySearch(h.windows, b.Window)
+	if !ok {
+		h.windows = slices.Insert(h.windows, k, b.Window)
+		h.off = slices.Insert(h.off, k, h.off[k]) // an empty window k
+	}
+	lo, hi := int(h.off[k]), int(h.off[k+1])
+	j, ok := slices.BinarySearch(h.cells[lo:hi], b.Cell)
+	j += lo
+	if ok {
+		h.counts[j] += weight
+		return false
+	}
+	h.cells = slices.Insert(h.cells, j, b.Cell)
+	h.counts = slices.Insert(h.counts, j, weight)
+	for i := k + 1; i < len(h.off); i++ {
+		h.off[i]++
+	}
+	return true
 }
 
 // Windows returns the sorted leaf window indices with at least one record.
@@ -94,156 +148,114 @@ func (h *History) Windows() []int64 { return h.windows }
 // (internal/candidates) both key their stale-entity checks on it.
 func (h *History) Version() uint64 { return h.version }
 
-// CellsAt returns the cell→record-count map of the given leaf window (nil
-// if the entity has no records there). The returned map must not be
-// modified.
-func (h *History) CellsAt(window int64) map[geo.CellID]float64 { return h.leaves[window] }
+// WindowBins returns the cells (ascending) and record weights of the given
+// leaf window as views into the history's columns, empty if the entity has
+// no records there. The returned slices must not be modified and are
+// invalidated by the next Store.Add to this entity.
+func (h *History) WindowBins(window int64) ([]geo.CellID, []float64) {
+	k, ok := slices.BinarySearch(h.windows, window)
+	if !ok {
+		return nil, nil
+	}
+	lo, hi := h.off[k], h.off[k+1]
+	return h.cells[lo:hi:hi], h.counts[lo:hi:hi]
+}
+
+// CellsAt returns a freshly built cell→record-weight map of the given leaf
+// window (nil if the entity has no records there). It is the convenience
+// form for reference implementations; hot paths read WindowBins.
+func (h *History) CellsAt(window int64) map[geo.CellID]float64 {
+	cells, counts := h.WindowBins(window)
+	if len(cells) == 0 {
+		return nil
+	}
+	m := make(map[geo.CellID]float64, len(cells))
+	for i, c := range cells {
+		m[c] = counts[i]
+	}
+	return m
+}
 
 // NumBins returns |H_u|: the number of distinct time-location bins.
-func (h *History) NumBins() int { return h.numBins }
+func (h *History) NumBins() int { return len(h.cells) }
 
 // NumRecords returns the number of records aggregated into the history.
 func (h *History) NumRecords() int { return h.numRecs }
 
-// Bins calls fn for every time-location bin with its record count, in
-// deterministic order (windows ascending, cells ascending).
+// Bins calls fn for every time-location bin with its record weight, in
+// column order (windows ascending, cells ascending).
 func (h *History) Bins(fn func(Bin, float64)) {
-	for _, win := range h.windows {
-		cells := h.leaves[win]
-		ids := make([]geo.CellID, 0, len(cells))
-		for c := range cells {
-			ids = append(ids, c)
-		}
-		slices.Sort(ids)
-		for _, c := range ids {
-			fn(Bin{Window: win, Cell: c}, cells[c])
+	for k, win := range h.windows {
+		for j := h.off[k]; j < h.off[k+1]; j++ {
+			fn(Bin{Window: win, Cell: h.cells[j]}, h.counts[j])
 		}
 	}
 }
 
-// ensureLevels builds the dyadic aggregation levels up to the given height
-// and returns the level slice. Level h holds, for each aligned group of
-// 2^h consecutive windows, the merged cell→count map — exactly the
-// "non-leaf nodes keep the occurrence counts of the cell ids in their
-// sub-tree" structure of Fig. 1. Callers must read from the returned
-// snapshot, never from h.levels: an interleaved Store.Add invalidates
-// h.levels (sets it nil), and reading the field after the lock is dropped
-// would race with that reset.
-func (h *History) ensureLevels(height int) []map[int64]map[geo.CellID]float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.levels) == 0 {
-		h.levels = append(h.levels, h.leaves)
-	}
-	for len(h.levels) <= height {
-		prev := h.levels[len(h.levels)-1]
-		next := make(map[int64]map[geo.CellID]float64, (len(prev)+1)/2)
-		for idx, cells := range prev {
-			parent := floorDiv2(idx)
-			dst := next[parent]
-			if dst == nil {
-				dst = make(map[geo.CellID]float64, len(cells))
-				next[parent] = dst
-			}
-			for c, n := range cells {
-				dst[c] += n
-			}
-		}
-		h.levels = append(h.levels, next)
-	}
-	return h.levels
+// cellAt is one bin of a dominating-cell query range: its cell and its
+// position in the history's columns.
+type cellAt struct {
+	cell geo.CellID
+	at   int32
 }
 
-func floorDiv2(x int64) int64 {
-	if x >= 0 {
-		return x / 2
-	}
-	return -((-x + 1) / 2)
-}
+// domScratch pools the sort buffer of multi-window dominating-cell queries,
+// so concurrent queries over shared histories allocate nothing once warm.
+var domScratch = sync.Pool{New: func() any { return new([]cellAt) }}
 
-// DominatingCell returns the cell with the highest record count within the
-// window range [start, end), using the canonical dyadic decomposition of
-// the range over the aggregated tree levels. Ties break toward the smaller
-// cell id so signatures are deterministic. ok is false when the entity has
-// no records in the range.
+// DominatingCell returns the cell with the highest record weight within
+// the window range [start, end). Ties break toward the smaller cell id so
+// signatures are deterministic. ok is false when the entity has no records
+// in the range.
 func (h *History) DominatingCell(start, end int64) (cell geo.CellID, ok bool) {
-	if start >= end || len(h.windows) == 0 {
+	if start >= end {
 		return 0, false
 	}
-	// Height needed: largest power of two that can appear in the
-	// decomposition of a range of this length.
-	height := 0
-	for int64(1)<<uint(height+1) <= end-start {
-		height++
-	}
-	levels := h.ensureLevels(height)
-
-	var counts map[geo.CellID]float64
-	addNode := func(level int, idx int64) {
-		cells := levels[level][idx]
-		if cells == nil {
-			return
-		}
-		if counts == nil {
-			counts = make(map[geo.CellID]float64, len(cells))
-		}
-		for c, n := range cells {
-			counts[c] += n
-		}
-	}
-	for start < end {
-		level := 0
-		// Grow the block while it stays aligned and inside the range.
-		for level < height &&
-			start&((int64(1)<<uint(level+1))-1) == 0 &&
-			start+int64(1)<<uint(level+1) <= end {
-			level++
-		}
-		// For negative starts the bit trick above is unsafe; fall back to
-		// leaf accumulation (negative windows only occur in adversarial
-		// inputs; all generators produce non-negative windows).
-		if start < 0 {
-			level = 0
-		}
-		addNode(level, start>>uint(level))
-		start += int64(1) << uint(level)
-	}
-	if len(counts) == 0 {
-		return 0, false
-	}
-	var best geo.CellID
-	bestN := -1.0
-	for c, n := range counts {
-		if n > bestN || (n == bestN && c < best) {
-			best, bestN = c, n
-		}
-	}
-	return best, true
+	lo, _ := slices.BinarySearch(h.windows, start)
+	hi, _ := slices.BinarySearch(h.windows, end)
+	return h.DominatingCellAt(lo, hi)
 }
 
-// dominatingCellNaive recomputes the dominating cell by scanning leaves;
-// used by tests to validate the tree-based query.
-func (h *History) dominatingCellNaive(start, end int64) (geo.CellID, bool) {
-	counts := make(map[geo.CellID]float64)
-	for _, win := range h.windows {
-		if win < start || win >= end {
-			continue
-		}
-		for c, n := range h.leaves[win] {
-			counts[c] += n
-		}
-	}
-	if len(counts) == 0 {
+// DominatingCellAt is DominatingCell over window positions: the range is
+// the leaves Windows()[lo:hi], 0 <= lo <= hi <= len(Windows()). Each
+// cell's weights are summed in window order, a fixed order, so the result
+// is a pure function of the history.
+func (h *History) DominatingCellAt(lo, hi int) (cell geo.CellID, ok bool) {
+	if lo >= hi {
 		return 0, false
 	}
-	var best geo.CellID
+	b0, b1 := h.off[lo], h.off[hi]
 	bestN := -1.0
-	for c, n := range counts {
-		if n > bestN || (n == bestN && c < best) {
-			best, bestN = c, n
+	// Cells are visited in ascending id order below, so keeping the first
+	// strict maximum is the smaller-id tie-break.
+	if hi-lo == 1 {
+		for j := b0; j < b1; j++ {
+			if h.counts[j] > bestN {
+				cell, bestN = h.cells[j], h.counts[j]
+			}
+		}
+		return cell, true
+	}
+	sp := domScratch.Get().(*[]cellAt)
+	buf := (*sp)[:0]
+	for j := b0; j < b1; j++ {
+		buf = append(buf, cellAt{h.cells[j], j})
+	}
+	slices.SortFunc(buf, func(a, b cellAt) int {
+		return cmp.Or(cmp.Compare(a.cell, b.cell), cmp.Compare(a.at, b.at))
+	})
+	for i := 0; i < len(buf); {
+		c, n := buf[i].cell, 0.0
+		for ; i < len(buf) && buf[i].cell == c; i++ {
+			n += h.counts[buf[i].at]
+		}
+		if n > bestN {
+			cell, bestN = c, n
 		}
 	}
-	return best, true
+	*sp = buf
+	domScratch.Put(sp)
+	return cell, true
 }
 
 // Store holds the mobility histories of one location dataset plus the
@@ -273,6 +285,9 @@ type Store struct {
 	// compiled.go.
 	epoch uint64
 
+	// addScratch is Add's reused bin-contribution buffer.
+	addScratch []binWeight
+
 	// Compiled read path: per-entity flat views plus the dense cell-id
 	// interner shared by all of them. compMu lets concurrent scorers take
 	// the read path while lazy recompiles serialize on the write side.
@@ -285,45 +300,57 @@ type Store struct {
 // Build constructs the histories of every entity of the dataset at the
 // given spatial level, under the given shared windowing.
 func Build(d *model.Dataset, w model.Windowing, spatialLevel int) *Store {
+	return BuildParallel(d, w, spatialLevel, 1)
+}
+
+// BuildParallel is Build with the per-entity history construction fanned
+// out over the given number of workers. The dataset-level statistics are
+// folded in serially, in sorted-entity order, so the store is identical
+// for every worker count.
+func BuildParallel(d *model.Dataset, w model.Windowing, spatialLevel, workers int) *Store {
+	byEntity := d.ByEntity()
 	s := &Store{
 		Name:        d.Name,
 		Windowing:   w,
 		Level:       spatialLevel,
-		histories:   make(map[model.EntityID]*History),
+		histories:   make(map[model.EntityID]*History, len(byEntity)),
 		binEntities: make(map[Bin]int32),
 		compiled:    make(map[model.EntityID]*Compiled),
 		cellIndex:   make(map[geo.CellID]int32),
+		entities:    make([]model.EntityID, 0, len(byEntity)),
 	}
-	byEntity := d.ByEntity()
-	s.entities = make([]model.EntityID, 0, len(byEntity))
 	for e := range byEntity {
 		s.entities = append(s.entities, e)
 	}
 	slices.Sort(s.entities)
 
-	first := true
-	for _, e := range s.entities {
-		h := newHistory(e, byEntity[e], w, spatialLevel)
-		s.histories[e] = h
-		s.totalBins += h.numBins
-		for win, cells := range h.leaves {
-			if first || win < s.minWindow {
-				s.minWindow = win
-			}
-			if first || win > s.maxWindow {
-				s.maxWindow = win
-			}
-			first = false
-			for c := range cells {
-				s.binEntities[Bin{Window: win, Cell: c}]++
-			}
+	built := make([]*History, len(s.entities))
+	par.Chunks(workers, len(built), func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			e := s.entities[k]
+			built[k] = newHistory(e, byEntity[e], w, spatialLevel)
 		}
+	})
+	for k, h := range built {
+		s.histories[s.entities[k]] = h
+		s.totalBins += h.NumBins()
+		s.noteWindows(h.windows[0], h.windows[len(h.windows)-1])
+		h.Bins(func(b Bin, _ float64) { s.binEntities[b]++ })
 	}
-	s.hasData = !first
 	if len(s.entities) > 0 {
 		s.avgBins = float64(s.totalBins) / float64(len(s.entities))
 	}
 	return s
+}
+
+// noteWindows widens the store's window range to include [lo, hi].
+func (s *Store) noteWindows(lo, hi int64) {
+	if !s.hasData {
+		s.minWindow, s.maxWindow, s.hasData = lo, hi, true
+		return
+	}
+	s.minWindow = min(s.minWindow, lo)
+	s.maxWindow = max(s.maxWindow, hi)
 }
 
 // NumEntities returns the number of entities with a history.
@@ -397,5 +424,5 @@ func (s *Store) NormFactor(e model.EntityID, b float64) float64 {
 	if h == nil || s.avgBins == 0 {
 		return 1
 	}
-	return (1 - b) + b*float64(h.numBins)/s.avgBins
+	return (1 - b) + b*float64(h.NumBins())/s.avgBins
 }

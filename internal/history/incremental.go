@@ -1,18 +1,17 @@
 package history
 
 import (
-	"sort"
+	"slices"
 
-	"slim/internal/geo"
 	"slim/internal/model"
 )
 
-// Add ingests one record into the store incrementally, updating the
-// entity's history, the bin→entity IDF index, the average-history-size
-// statistic and the window range, and invalidating the history's cached
-// aggregation levels. After any sequence of Add calls the store is
-// indistinguishable from one built with Build on the concatenated records
-// (see TestIncrementalAddMatchesBuild).
+// Add ingests one record into the store incrementally, inserting its bins
+// into the entity's columns in place and updating the bin→entity IDF
+// index, the average-history-size statistic and the window range. After
+// any sequence of Add calls the store is indistinguishable from one built
+// with Build on the concatenated records (see
+// TestIncrementalAddMatchesBuild).
 //
 // Add supports the dynamic-feed setting the paper motivates (Sec. 1:
 // "the scale and dynamic nature of location datasets"). It is not safe for
@@ -20,75 +19,24 @@ import (
 func (s *Store) Add(rec model.Record) {
 	h := s.histories[rec.Entity]
 	if h == nil {
-		h = &History{Entity: rec.Entity, leaves: make(map[int64]map[geo.CellID]float64)}
+		h = &History{Entity: rec.Entity, off: []int32{0}}
 		s.histories[rec.Entity] = h
-		s.insertEntity(rec.Entity)
+		i, _ := slices.BinarySearch(s.entities, rec.Entity)
+		s.entities = slices.Insert(s.entities, i, rec.Entity)
 		s.epoch++ // |U| changed: every baked IDF weight is stale
 	}
-	prevBins := h.numBins
 	h.version++ // invalidate this entity's compiled view
+	h.numRecs++
 
 	win := s.Windowing.Window(rec.Unix)
-	newWindow := h.leaves[win] == nil
-
-	h.mu.Lock()
-	h.levels = nil // invalidate cached aggregation levels
-	h.mu.Unlock()
-
-	addCell := func(cell geo.CellID, weight float64) {
-		cells := h.leaves[win]
-		if cells == nil {
-			cells = make(map[geo.CellID]float64)
-			h.leaves[win] = cells
-		}
-		if cells[cell] == 0 {
-			h.numBins++
-			s.binEntities[Bin{Window: win, Cell: cell}]++
+	s.addScratch = appendBinWeights(s.addScratch[:0], rec, win, s.Level)
+	for _, bw := range s.addScratch {
+		if h.add(bw.Bin, bw.weight) {
+			s.binEntities[bw.Bin]++
+			s.totalBins++
 			s.epoch++ // bin frequency changed: baked IDF weights are stale
 		}
-		cells[cell] += weight
 	}
-	h.numRecs++
-	if rec.RadiusKm <= 0 {
-		addCell(geo.CellIDFromLatLngLevel(rec.LatLng, s.Level), 1)
-	} else {
-		cover := geo.CoverCapCells(rec.LatLng, rec.RadiusKm, s.Level)
-		weight := 1 / float64(len(cover))
-		for _, cell := range cover {
-			addCell(cell, weight)
-		}
-	}
-
-	if newWindow {
-		h.insertWindow(win)
-	}
-	s.totalBins += h.numBins - prevBins
 	s.avgBins = float64(s.totalBins) / float64(len(s.entities))
-	if !s.hasData {
-		s.minWindow, s.maxWindow = win, win
-		s.hasData = true
-		return
-	}
-	if win < s.minWindow {
-		s.minWindow = win
-	}
-	if win > s.maxWindow {
-		s.maxWindow = win
-	}
-}
-
-// insertEntity keeps the entity list sorted.
-func (s *Store) insertEntity(e model.EntityID) {
-	i := sort.Search(len(s.entities), func(k int) bool { return s.entities[k] >= e })
-	s.entities = append(s.entities, "")
-	copy(s.entities[i+1:], s.entities[i:])
-	s.entities[i] = e
-}
-
-// insertWindow keeps the history's window list sorted.
-func (h *History) insertWindow(win int64) {
-	i := sort.Search(len(h.windows), func(k int) bool { return h.windows[k] >= win })
-	h.windows = append(h.windows, 0)
-	copy(h.windows[i+1:], h.windows[i:])
-	h.windows[i] = win
+	s.noteWindows(win, win)
 }

@@ -1,0 +1,269 @@
+package history_test
+
+// Model-based property test of the columnar history: random Build + Add
+// interleavings are mirrored into a plain map-of-maps reference (the
+// representation the columns replaced), and every observable of the store
+// is held to it — bit-exactly, since both sides sum a bin's weights in
+// record order and a range's weights in window order.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"slim/internal/geo"
+	"slim/internal/history"
+	"slim/internal/lsh"
+	"slim/internal/model"
+)
+
+const refLevel = 13
+
+var refWindowing = model.Windowing{Epoch: 900 * 50, WidthSeconds: 900}
+
+// refStore is the reference model: entity → window → cell → weight.
+type refStore struct {
+	leaves  map[model.EntityID]map[int64]map[geo.CellID]float64
+	recs    map[model.EntityID]int
+	version map[model.EntityID]uint64
+	epoch   uint64
+}
+
+func newRefStore() *refStore {
+	return &refStore{
+		leaves:  map[model.EntityID]map[int64]map[geo.CellID]float64{},
+		recs:    map[model.EntityID]int{},
+		version: map[model.EntityID]uint64{},
+	}
+}
+
+// add mirrors one record into the model. counted says whether the record
+// arrives through Store.Add (which moves Version and Epoch) or Build
+// (which starts both at zero).
+func (m *refStore) add(r model.Record, counted bool) {
+	wins := m.leaves[r.Entity]
+	if wins == nil {
+		wins = map[int64]map[geo.CellID]float64{}
+		m.leaves[r.Entity] = wins
+		if counted {
+			m.epoch++
+		}
+	}
+	m.recs[r.Entity]++
+	if counted {
+		m.version[r.Entity]++
+	}
+	win := refWindowing.Window(r.Unix)
+	cells := wins[win]
+	if cells == nil {
+		cells = map[geo.CellID]float64{}
+		wins[win] = cells
+	}
+	cover := []geo.CellID{geo.CellIDFromLatLngLevel(r.LatLng, refLevel)}
+	if r.RadiusKm > 0 {
+		cover = geo.CoverCapCells(r.LatLng, r.RadiusKm, refLevel)
+	}
+	for _, c := range cover {
+		if _, ok := cells[c]; !ok && counted {
+			m.epoch++
+		}
+		cells[c] += 1 / float64(len(cover))
+	}
+}
+
+func sortedKeys[K int64 | geo.CellID | model.EntityID, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// dominating is the naive scan: per-cell sums accumulated in window order,
+// ties toward the smaller cell id.
+func (m *refStore) dominating(e model.EntityID, start, end int64) (geo.CellID, bool) {
+	sums := map[geo.CellID]float64{}
+	for _, w := range sortedKeys(m.leaves[e]) {
+		if w < start || w >= end {
+			continue
+		}
+		for c, n := range m.leaves[e][w] {
+			sums[c] += n
+		}
+	}
+	var best geo.CellID
+	bestN := -1.0
+	for c, n := range sums {
+		if n > bestN || (n == bestN && c < best) {
+			best, bestN = c, n
+		}
+	}
+	return best, len(sums) > 0
+}
+
+// check holds every observable of the store to the model.
+func (m *refStore) check(t *testing.T, step string, s *history.Store, rng *rand.Rand) {
+	t.Helper()
+	ents := sortedKeys(m.leaves)
+	if !slices.Equal(s.Entities(), ents) {
+		t.Fatalf("%s: Entities = %v, want %v", step, s.Entities(), ents)
+	}
+	if s.Epoch() != m.epoch {
+		t.Fatalf("%s: Epoch = %d, want %d", step, s.Epoch(), m.epoch)
+	}
+	binEntities := map[history.Bin]int{}
+	var minW, maxW int64
+	totalBins, first := 0, true
+	for _, e := range ents {
+		for w, cells := range m.leaves[e] {
+			if first || w < minW {
+				minW = w
+			}
+			if first || w > maxW {
+				maxW = w
+			}
+			first = false
+			for c := range cells {
+				binEntities[history.Bin{Window: w, Cell: c}]++
+				totalBins++
+			}
+		}
+	}
+	gotMin, gotMax, ok := s.WindowRange()
+	if ok != !first || (ok && (gotMin != minW || gotMax != maxW)) {
+		t.Fatalf("%s: WindowRange = (%d,%d,%v), want (%d,%d,%v)", step, gotMin, gotMax, ok, minW, maxW, !first)
+	}
+	if len(ents) > 0 {
+		if want := float64(totalBins) / float64(len(ents)); s.AvgBins() != want {
+			t.Fatalf("%s: AvgBins = %g, want %g", step, s.AvgBins(), want)
+		}
+	}
+	for b, n := range binEntities {
+		if got, want := s.IDF(b), math.Log(float64(len(ents))/float64(n)); got != want {
+			t.Fatalf("%s: IDF(%v) = %g, want %g", step, b, got, want)
+		}
+	}
+
+	for _, e := range ents {
+		h, ref := s.History(e), m.leaves[e]
+		wins := sortedKeys(ref)
+		if !slices.Equal(h.Windows(), wins) {
+			t.Fatalf("%s: %s Windows = %v, want %v", step, e, h.Windows(), wins)
+		}
+		if h.NumRecords() != m.recs[e] || h.Version() != m.version[e] {
+			t.Fatalf("%s: %s NumRecords/Version = %d/%d, want %d/%d",
+				step, e, h.NumRecords(), h.Version(), m.recs[e], m.version[e])
+		}
+		var wantBins []history.Bin
+		var wantWeights []float64
+		for _, w := range wins {
+			cells, counts := h.WindowBins(w)
+			refCells := sortedKeys(ref[w])
+			if !slices.Equal(cells, refCells) {
+				t.Fatalf("%s: %s WindowBins(%d) cells = %v, want %v", step, e, w, cells, refCells)
+			}
+			for i, c := range refCells {
+				if counts[i] != ref[w][c] {
+					t.Fatalf("%s: %s bin (%d,%v) weight %g, want %g", step, e, w, c, counts[i], ref[w][c])
+				}
+				wantBins = append(wantBins, history.Bin{Window: w, Cell: c})
+				wantWeights = append(wantWeights, ref[w][c])
+			}
+		}
+		var gotBins []history.Bin
+		var gotWeights []float64
+		h.Bins(func(b history.Bin, n float64) {
+			gotBins = append(gotBins, b)
+			gotWeights = append(gotWeights, n)
+		})
+		if !slices.Equal(gotBins, wantBins) || !slices.Equal(gotWeights, wantWeights) {
+			t.Fatalf("%s: %s Bins = %v %v, want %v %v", step, e, gotBins, gotWeights, wantBins, wantWeights)
+		}
+		if h.NumBins() != len(wantBins) {
+			t.Fatalf("%s: %s NumBins = %d, want %d", step, e, h.NumBins(), len(wantBins))
+		}
+		if cells, _ := h.WindowBins(maxW + 1); cells != nil {
+			t.Fatalf("%s: %s WindowBins of an absent window = %v", step, e, cells)
+		}
+
+		// Dominating-cell queries: random ranges against the naive scan,
+		// then a whole signature (one sweep) against per-query answers.
+		for q := 0; q < 8; q++ {
+			start := minW - 3 + rng.Int63n(maxW-minW+6)
+			end := start + rng.Int63n(12)
+			got, gotOK := h.DominatingCell(start, end)
+			want, wantOK := m.dominating(e, start, end)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%s: %s DominatingCell[%d,%d) = (%v,%v), naive (%v,%v)", step, e, start, end, got, gotOK, want, wantOK)
+			}
+		}
+		step64 := 1 + rng.Intn(7)
+		gridMin := minW - rng.Int63n(3)
+		n := lsh.SignatureLength(gridMin, maxW, step64)
+		sig := lsh.AppendSignature(nil, h, step64, gridMin, maxW, n)
+		if len(sig) != n {
+			t.Fatalf("%s: %s signature length %d, want %d", step, e, len(sig), n)
+		}
+		for q := range sig {
+			lo := gridMin + int64(q)*int64(step64)
+			want, ok := h.DominatingCell(lo, min(lo+int64(step64), maxW+1))
+			if !ok {
+				want = lsh.Placeholder
+			}
+			if sig[q] != want {
+				t.Fatalf("%s: %s signature[%d] = %v, per-query DominatingCell %v", step, e, q, sig[q], want)
+			}
+		}
+	}
+}
+
+func TestColumnarHistoryMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			record := func() model.Record {
+				r := model.Record{
+					// A small pool, so adds hit new entities early and
+					// existing ones (and existing bins) later.
+					Entity: model.EntityID(fmt.Sprintf("u%02d", rng.Intn(9))),
+					// A coarse position lattice makes duplicate bins common.
+					LatLng: geo.LatLng{Lat: 37.5 + 0.02*float64(rng.Intn(12)), Lng: -122.5 + 0.02*float64(rng.Intn(12))},
+					// Windows [-50, 70): the windowing epoch sits inside the span.
+					Unix: int64(rng.Intn(900 * 120)),
+				}
+				if rng.Intn(4) == 0 {
+					r.RadiusKm = 0.5 + 4*rng.Float64()
+				}
+				return r
+			}
+
+			m := newRefStore()
+			var initial []model.Record
+			for k := rng.Intn(3) * 60; k > 0; k-- { // a third of the seeds start empty
+				initial = append(initial, record())
+			}
+			d := model.Dataset{Name: "p", Records: initial}
+			// Build folds an entity's records in ByEntity's order.
+			byEntity := d.ByEntity()
+			for _, e := range d.Entities() {
+				for _, r := range byEntity[e] {
+					m.add(r, false)
+				}
+			}
+			s := history.BuildParallel(&d, refWindowing, refLevel, 1+rng.Intn(4))
+			m.check(t, "after Build", s, rng)
+
+			for k := 0; k < 240; k++ {
+				r := record()
+				s.Add(r)
+				m.add(r, true)
+				if k%20 == 19 {
+					m.check(t, fmt.Sprintf("after Add %d", k), s, rng)
+				}
+			}
+		})
+	}
+}

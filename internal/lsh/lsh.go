@@ -198,6 +198,9 @@ func (g Banding) BandHash(sig Signature, band int) (uint64, bool) {
 // is appended to dst[:0] (pass nil to allocate) so incremental callers can
 // reuse one buffer.
 //
+// Query windows do not overlap, so the whole signature is one forward
+// sweep over the history's sorted windows: each leaf is read exactly once.
+//
 // The clamp matches the historical batch behavior but is semantically
 // inert: DominatingCell sums record counts, and a history holds no records
 // past its dataset's max window ≤ maxWin, so extending the final query
@@ -206,17 +209,19 @@ func (g Banding) BandHash(sig Signature, band int) (uint64, bool) {
 // when later ingest grows the range without growing n.
 func AppendSignature(dst Signature, h *history.History, stepWindows int, minWin, maxWin int64, n int) Signature {
 	dst = dst[:0]
-	for q := 0; q < n; q++ {
-		start := minWin + int64(q)*int64(stepWindows)
-		end := start + int64(stepWindows)
-		if end > maxWin+1 {
-			end = maxWin + 1
+	wins := h.Windows()
+	k, _ := slices.BinarySearch(wins, minWin)
+	for q := 1; q <= n; q++ {
+		end := min(minWin+int64(q)*int64(stepWindows), maxWin+1)
+		lo := k
+		for k < len(wins) && wins[k] < end {
+			k++
 		}
-		if cell, ok := h.DominatingCell(start, end); ok {
-			dst = append(dst, cell)
-		} else {
-			dst = append(dst, Placeholder)
+		cell, ok := h.DominatingCellAt(lo, k)
+		if !ok {
+			cell = Placeholder
 		}
+		dst = append(dst, cell)
 	}
 	return dst
 }

@@ -410,6 +410,28 @@ func TestAppendSignatureMatchesBuildSignatures(t *testing.T) {
 	}
 }
 
+// TestAppendSignatureZeroAllocs is the allocation gate of the signature
+// sweep: with a reused destination, signing an entity whose query windows
+// span several leaf windows and cells (the sort-scratch path of
+// DominatingCellAt) must not touch the heap once the scratch pool is warm.
+func TestAppendSignatureZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items; gate runs in non-race CI")
+	}
+	var recs []model.Record
+	for k := 0; k < 400; k++ {
+		recs = append(recs, rec("a", 37+float64(k%17)*0.05, -122.4+float64(k%5)*0.05, int64(900*(k/2))))
+	}
+	s := history.Build(&model.Dataset{Name: "E", Records: recs}, wnd, 13)
+	h := s.History("a")
+	minW, maxW, _ := s.WindowRange()
+	n := SignatureLength(minW, maxW, 12)
+	buf := AppendSignature(nil, h, 12, minW, maxW, n)
+	if avg := testing.AllocsPerRun(100, func() { buf = AppendSignature(buf, h, 12, minW, maxW, n) }); avg != 0 {
+		t.Fatalf("AppendSignature with a reused dst allocates %v times per call, want 0", avg)
+	}
+}
+
 // TestNewBandingDefaults checks the bucket-count default and range clamp.
 func TestNewBandingDefaults(t *testing.T) {
 	g := NewBanding(10, Params{Threshold: 0.6})

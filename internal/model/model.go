@@ -4,7 +4,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -55,14 +57,12 @@ func (d *Dataset) ByEntity() map[EntityID][]Record {
 }
 
 func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Unix != recs[j].Unix {
-			return recs[i].Unix < recs[j].Unix
-		}
-		if recs[i].LatLng.Lat != recs[j].LatLng.Lat {
-			return recs[i].LatLng.Lat < recs[j].LatLng.Lat
-		}
-		return recs[i].LatLng.Lng < recs[j].LatLng.Lng
+	slices.SortFunc(recs, func(a, b Record) int {
+		return cmp.Or(
+			cmp.Compare(a.Unix, b.Unix),
+			cmp.Compare(a.LatLng.Lat, b.LatLng.Lat),
+			cmp.Compare(a.LatLng.Lng, b.LatLng.Lng),
+		)
 	})
 }
 
@@ -106,7 +106,17 @@ func (d *Dataset) FilterMinRecords(minRecords int) Dataset {
 	for _, r := range d.Records {
 		counts[r.Entity]++
 	}
+	kept := 0
+	for _, n := range counts {
+		if n > minRecords {
+			kept += n
+		}
+	}
 	out := Dataset{Name: d.Name}
+	if kept == 0 {
+		return out
+	}
+	out.Records = make([]Record, 0, kept)
 	for _, r := range d.Records {
 		if counts[r.Entity] > minRecords {
 			out.Records = append(out.Records, r)

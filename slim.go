@@ -3,8 +3,8 @@
 //
 // SLIM links entities across two mobility datasets using only their
 // spatio-temporal records: it summarizes each entity as a mobility history
-// (a temporal segment tree of spatial grid cells), filters candidate pairs
-// with an LSH over dominating-cell signatures, scores pairs with an
+// (its ordered time-location bins over a spatial grid), filters candidate
+// pairs with an LSH over dominating-cell signatures, scores pairs with an
 // alibi-aware, IDF- and length-normalized proximity aggregation, matches
 // them with maximum-sum bipartite matching, and cuts the matching at an
 // automatically detected stop threshold.
@@ -31,6 +31,7 @@ import (
 	"slim/internal/lsh"
 	"slim/internal/matching"
 	"slim/internal/model"
+	"slim/internal/par"
 	"slim/internal/similarity"
 	"slim/internal/threshold"
 	"slim/internal/tuning"
@@ -252,8 +253,8 @@ func buildLinker(fe, fi Dataset, cfg Config, wnd model.Windowing) (*Linker, erro
 		dirtyI: make(map[EntityID]struct{}),
 		edges:  newEdgeStore(),
 	}
-	lk.storeE = history.Build(&fe, wnd, cfg.SpatialLevel)
-	lk.storeI = history.Build(&fi, wnd, cfg.SpatialLevel)
+	lk.storeE = history.BuildParallel(&fe, wnd, cfg.SpatialLevel, cfg.Workers)
+	lk.storeI = history.BuildParallel(&fi, wnd, cfg.SpatialLevel, cfg.Workers)
 
 	widthSec := wnd.WidthSeconds
 	params := similarity.DefaultParams(float64(widthSec)/60, cfg.MaxSpeedKmPerMin)
@@ -281,8 +282,8 @@ func (lk *Linker) buildLSHCandidates(fe, fi *model.Dataset) error {
 	lk.sigStoreE = lk.storeE
 	lk.sigStoreI = lk.storeI
 	if c.SpatialLevel != lk.cfg.SpatialLevel {
-		lk.sigStoreE = history.Build(fe, lk.wnd, c.SpatialLevel)
-		lk.sigStoreI = history.Build(fi, lk.wnd, c.SpatialLevel)
+		lk.sigStoreE = history.BuildParallel(fe, lk.wnd, c.SpatialLevel, lk.cfg.Workers)
+		lk.sigStoreI = history.BuildParallel(fi, lk.wnd, c.SpatialLevel, lk.cfg.Workers)
 	}
 	lk.candIndex = candidates.New(lk.sigStoreE, lk.sigStoreI, lsh.Params{
 		Threshold:    c.Threshold,
@@ -290,6 +291,7 @@ func (lk *Linker) buildLSHCandidates(fe, fi *model.Dataset) error {
 		SpatialLevel: c.SpatialLevel,
 		NumBuckets:   c.NumBuckets,
 	})
+	lk.candIndex.Workers = lk.cfg.Workers
 	lk.refreshLSHCandidates()
 	return nil
 }
@@ -637,50 +639,12 @@ func (lk *Linker) bruteDeltaPairs() []lsh.Pair {
 // index range of the output, so the result is deterministic.
 func (lk *Linker) scorePairs(pairs []lsh.Pair) []float64 {
 	out := make([]float64, len(pairs))
-	workers := lk.workerCount(len(pairs))
-	runChunks(workers, len(pairs), func(_, lo, hi int) {
+	par.Chunks(lk.cfg.Workers, len(pairs), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			out[k] = lk.scorer.Score(pairs[k].U, pairs[k].V)
 		}
 	})
 	return out
-}
-
-// workerCount clamps the configured scoring parallelism to the work size.
-func (lk *Linker) workerCount(total int) int {
-	workers := lk.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > total {
-		workers = total
-	}
-	return workers
-}
-
-// runChunks partitions [0, total) into contiguous per-worker ranges and
-// calls fn(w, lo, hi) concurrently, returning after all workers finish.
-// Both scoring paths (full scoreIndexed and delta scorePairs) run on it,
-// so worker policy cannot drift between them.
-func runChunks(workers, total int, fn func(w, lo, hi int)) {
-	if workers <= 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (total + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, total)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }
 
 // EdgeStoreStats returns a snapshot of the incremental edge store (zero
@@ -837,12 +801,12 @@ func FilterLinks(links []Link, thr float64) []Link {
 // writes into its own result slot; slots are concatenated in worker order
 // after the barrier, so the merge is deterministic and lock-free.
 func (lk *Linker) scoreIndexed(total int, pairAt func(int) (EntityID, EntityID)) []matching.Edge {
-	workers := lk.workerCount(total)
-	if workers == 0 {
+	workers := min(lk.cfg.Workers, total) // Workers is normalized to >= 1
+	if workers <= 0 {
 		return nil
 	}
 	results := make([][]matching.Edge, workers)
-	runChunks(workers, total, func(w, lo, hi int) {
+	par.Chunks(workers, total, func(w, lo, hi int) {
 		local := make([]matching.Edge, 0, (hi-lo)/4)
 		for k := lo; k < hi; k++ {
 			u, v := pairAt(k)
