@@ -203,7 +203,7 @@ func TestCLISlimd(t *testing.T) {
 	}
 
 	cmd, base := startSlimd(t, slimdBin,
-		"-addr", "127.0.0.1:0", "-shards", "2", "-debounce", "100ms",
+		"-addr", "127.0.0.1:0", "-debounce", "100ms",
 		"-e", filepath.Join(dir, "E.csv"), "-i", filepath.Join(dir, "I.csv"))
 
 	get := func(path string, v any) int {
@@ -231,10 +231,10 @@ func TestCLISlimd(t *testing.T) {
 		t.Fatalf("GET /v1/links = %d, total %d; want seeded links", code, links.Total)
 	}
 	var stats struct {
-		Shards int    `json:"shards"`
-		Runs   uint64 `json:"runs"`
+		EntitiesE int    `json:"entities_e"`
+		Runs      uint64 `json:"runs"`
 	}
-	if code := get("/v1/stats", &stats); code != 200 || stats.Shards != 2 || stats.Runs == 0 {
+	if code := get("/v1/stats", &stats); code != 200 || stats.EntitiesE == 0 || stats.Runs == 0 {
 		t.Fatalf("GET /v1/stats = %d, %+v", code, stats)
 	}
 
@@ -326,7 +326,7 @@ func TestCLISlimdChaos(t *testing.T) {
 	// fault skips the boot checkpoint and lands on an early WAL append;
 	// the relink panic fires on the first forced run (a fresh seedless
 	// boot never runs on its own with a 1h debounce, so that run is ours).
-	baseArgs := []string{"-addr", "127.0.0.1:0", "-shards", "2", "-debounce", "1h",
+	baseArgs := []string{"-addr", "127.0.0.1:0", "-debounce", "1h",
 		"-threshold", "none", "-data-dir", dataDir, "-fsync-interval", "0",
 		"-snapshot-every", "-1", "-snapshot-bytes", "-1"}
 	chaosArgs := append(append([]string{}, baseArgs...),
@@ -603,7 +603,7 @@ func TestCLISlimdCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	slimdBin := build(t, dir, "slimd")
 	dataDir := filepath.Join(dir, "data")
-	args := []string{"-addr", "127.0.0.1:0", "-shards", "2", "-debounce", "1h",
+	args := []string{"-addr", "127.0.0.1:0", "-debounce", "1h",
 		"-threshold", "none", "-data-dir", dataDir, "-fsync-interval", "1ms"}
 
 	cmd1, base1 := startSlimd(t, slimdBin, args...)

@@ -1,11 +1,11 @@
-// Command slimd serves SLIM linkage as a long-running sharded HTTP
-// service: records stream in over JSON, a debounced background scheduler
-// re-links the dirty shards, and the current links are queryable at any
-// time. See DESIGN.md for the API and curl examples.
+// Command slimd serves SLIM linkage as a long-running HTTP service:
+// records stream in over JSON or binary frames, a debounced background
+// scheduler re-links what they dirtied, and the current links are
+// queryable at any time. See DESIGN.md for the API and curl examples.
 //
 // Usage:
 //
-//	slimd [-addr :8080] [-shards 4] [-debounce 2s] [-e seed.csv -i seed.csv]
+//	slimd [-addr :8080] [-debounce 2s] [-e seed.csv -i seed.csv]
 //	      [-data-dir ./data] [-fsync-interval 2ms] [-snapshot-every 8]
 //	      [-ingest-queue-depth 262144] [-ingest-shed-after 10s]
 //	      [-max-ingest-body 16777216] [-debug-addr localhost:6060]
@@ -60,7 +60,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof, expvar, and /metrics (e.g. localhost:6060)")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
-		shards     = flag.Int("shards", 4, "number of linker shards")
 		debounce   = flag.Duration("debounce", 2*time.Second, "quiet period after ingest before a background relink")
 		runJournal = flag.Int("run-journal", engine.DefaultRunJournal, "relink flight-recorder size: how many recent runs GET /v1/runs retains")
 		ePath      = flag.String("e", "", "optional seed CSV for the first dataset")
@@ -82,7 +81,7 @@ func main() {
 		maxSpeed     = flag.Float64("max-speed", 2, "maximum entity speed in km/min (runaway bound)")
 		b            = flag.Float64("b", 0.5, "history-length normalization strength [0,1]")
 		minRecords   = flag.Int("min-records", 5, "drop seed entities with <= this many records")
-		workers      = flag.Int("workers", 0, "scoring goroutines per shard (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "scoring goroutines (0 = GOMAXPROCS)")
 		matcher      = flag.String("matcher", "greedy", "matching algorithm: greedy | hungarian")
 		thresholdM   = flag.String("threshold", "gmm", "stop threshold: gmm | otsu | 2means | none")
 		useLSH       = flag.Bool("lsh", false, "enable the LSH candidate filter")
@@ -156,7 +155,6 @@ func main() {
 	}
 
 	engCfg := engine.Config{
-		Shards:     *shards,
 		Link:       cfg,
 		Debounce:   *debounce,
 		Registry:   registry,
@@ -287,12 +285,11 @@ func main() {
 		expvar.Publish("slim_relink", expvar.Func(func() any {
 			st := eng.Stats()
 			return map[string]uint64{
-				"pairs_rescored_total":  st.EdgeRescoredTotal,
-				"pairs_retained_total":  st.EdgeRetainedTotal,
-				"pairs_dropped_total":   st.EdgeDroppedTotal,
-				"runs_short_circuited":  st.RunsShortCircuited,
-				"runs_total":            st.Runs,
-				"dirty_shards_last_run": uint64(st.DirtyShardsLastRun),
+				"pairs_rescored_total": st.EdgeRescoredTotal,
+				"pairs_retained_total": st.EdgeRetainedTotal,
+				"pairs_dropped_total":  st.EdgeDroppedTotal,
+				"runs_short_circuited": st.RunsShortCircuited,
+				"runs_total":           st.Runs,
 			}
 		}))
 		// slim_ingest is the backpressure odometer: queue occupancy and
@@ -368,7 +365,6 @@ func main() {
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	logger.Info("listening",
 		"addr", ln.Addr().String(),
-		"shards", eng.NumShards(),
 		"spatial_level", eng.SpatialLevel(),
 		"debounce", *debounce)
 

@@ -119,18 +119,6 @@ func Defaults() Config {
 	}
 }
 
-// Normalized returns a copy of the configuration with unset fields filled
-// with defaults and all ranges validated — the effective configuration a
-// linkage will run with. Engines that partition one logical linkage across
-// several Linkers resolve the configuration once with Normalized and hand
-// the same copy to every shard.
-func (c Config) Normalized() (Config, error) {
-	if err := c.normalize(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
-}
-
 // normalize fills unset fields with defaults and validates ranges.
 func (c *Config) normalize() error {
 	if c.WindowMinutes == 0 {

@@ -41,9 +41,9 @@ type EdgeStoreStats struct {
 
 // EdgeLineage is the provenance of one pair in the edge store: whether it
 // is currently a retained edge, its score, and which runs produced it.
-// Run sequence numbers are the ones stamped by RunEdges — inside a
-// partitioned engine they are the engine's published result versions, so
-// a lineage seq can be joined against the engine's run journal.
+// Run sequence numbers are the ones stamped by RunEdges — inside
+// internal/engine they are the engine's published result versions, so a
+// lineage seq can be joined against the engine's run journal.
 type EdgeLineage struct {
 	// Linked reports whether the pair is currently a retained (positive
 	// scored) edge; the remaining fields are zero when it is not.
@@ -97,12 +97,11 @@ func pairBytes(p lsh.Pair) int64 {
 // a pair's score is a pure function of its two histories, the similarity
 // parameters, and the stores' dataset-level statistics (IDF weights and
 // the average history size). The latter are versioned by history.Store's
-// IDF epoch — new bin, new entity, SetIDFTotalEntities change — so while
-// both epochs stand still, a retained edge's score is bit-identical to
-// what a rescore would produce, and any epoch movement forces a full
-// rescore (amortized exactly like candidate-index rebuilds: dataset-level
-// shifts grow ever rarer as a feed ages, while per-entity churn never
-// stops).
+// IDF epoch — new bin, new entity — so while both epochs stand still, a
+// retained edge's score is bit-identical to what a rescore would produce,
+// and any epoch movement forces a full rescore (amortized exactly like
+// candidate-index rebuilds: dataset-level shifts grow ever rarer as a
+// feed ages, while per-entity churn never stops).
 type edgeStore struct {
 	built bool
 	// epochE / epochI are the history-store IDF epochs the retained scores
@@ -124,9 +123,9 @@ type edgeStore struct {
 	linksStale bool
 
 	// Pending work accumulated between runs: pairs to (re)score, pairs to
-	// drop, and a forced-full flag (set on candidate-index rebuilds as
-	// defense in depth — the epoch check already catches every known
-	// score-shifting change).
+	// drop, and a forced-full flag, set on candidate-index rebuilds (the
+	// pair lists are not tracked across one) and by
+	// Linker.ForceFullRescore.
 	pendFull    bool
 	pendRescore map[lsh.Pair]struct{}
 	pendRemoved map[lsh.Pair]struct{}

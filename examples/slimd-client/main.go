@@ -201,7 +201,6 @@ func printMetricsExcerpt(addr string) {
 // candidate-index blocks (the incremental-relink observability surface).
 func printIncrementalStats(addr, when string) {
 	var stats struct {
-		DirtyShardsLastRun int    `json:"dirty_shards_last_run"`
 		RunsShortCircuited uint64 `json:"runs_short_circuited"`
 		EdgeStore          *struct {
 			Pairs           int64   `json:"pairs"`
@@ -223,8 +222,7 @@ func printIncrementalStats(addr, when string) {
 		} `json:"candidate_index"`
 	}
 	get(addr + "/v1/stats")(&stats)
-	fmt.Printf("%s (dirty shards last run: %d, short-circuited runs: %d)\n",
-		when, stats.DirtyShardsLastRun, stats.RunsShortCircuited)
+	fmt.Printf("%s (short-circuited runs: %d)\n", when, stats.RunsShortCircuited)
 	if es := stats.EdgeStore; es != nil {
 		fmt.Printf("  edge_store: %d pairs held, last relink retained %d / rescored %d / dropped %d (full=%v) in %.2fms\n",
 			es.Pairs, es.RetainedLast, es.RescoredLast, es.DroppedLast, es.FullRescoreLast, es.LastUpdateMs)

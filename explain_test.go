@@ -71,19 +71,14 @@ func TestScoreBreakdownRecomposesBitIdentically(t *testing.T) {
 				w := SampleWorkload(&ground, SampleOptions{
 					IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: seed + 1,
 				})
-				p, err := PrepareLinkage(w.E, w.I, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt := ShardOptions{EpochUnix: p.EpochUnix, SpatialLevel: p.Config.SpatialLevel}
-				lk, err := NewShardLinker(p.E, p.I, p.Config, opt)
+				lk, err := NewLinker(w.E, w.I, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				lk.Run()
 				requireBreakdownParity(t, lk, "seed")
 
-				lo, hi, _ := p.E.TimeRange()
+				lo, hi, _ := w.E.TimeRange()
 				es := lk.EntitiesE()
 				is := lk.EntitiesI()
 				// The same churn kinds as the relink parity suite:

@@ -9,13 +9,13 @@ import (
 
 // TestBufferBypassesPersister: BufferE/BufferI are the already-durable
 // ingest path (the binary plane logs first, then buffers), so they must
-// enqueue into the per-shard pending queues without calling the
+// enqueue into the pending buffers without calling the
 // persister, and the next run must apply them exactly like AddE/AddI.
 func TestBufferAndOldestPending(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Shards: 2, Link: cfg, Debounce: time.Hour})
+		Config{Link: cfg, Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +45,9 @@ func TestBufferAndOldestPending(t *testing.T) {
 	if got := p.loggedE + p.loggedI; got != 0 {
 		t.Fatalf("Buffer* called the persister (%d records logged)", got)
 	}
-	// E records land on their owning shard; I records replicate to all.
-	if want := 60 + 60*eng.NumShards(); eng.Pending() != want {
-		t.Fatalf("Pending = %d, want %d", eng.Pending(), want)
+	// Queue depth counts every record exactly once, E and I alike.
+	if eng.Pending() != 120 {
+		t.Fatalf("Pending = %d, want 120", eng.Pending())
 	}
 	oldest, ok := eng.OldestPending()
 	if !ok || oldest.Before(before) || oldest.After(time.Now()) {

@@ -1,32 +1,33 @@
 // Package engine turns the batch slim.Linker into the core of a
-// long-running linkage service: a thread-safe, shard-partitioned engine
-// that owns N Linker shards hash-partitioned by first-dataset entity id,
-// accepts concurrent streaming ingest, schedules debounced background
-// re-link runs, and merges per-shard scored edges into one globally
-// matched, thresholded slim.Result.
+// long-running linkage service: a thread-safe engine that owns one
+// Linker, accepts concurrent streaming ingest, schedules debounced
+// background re-link runs, and publishes each run's matched, thresholded
+// slim.Result for lock-free reads.
 //
-// Partitioning scheme. Linkage scores every cross pair E×I, so the engine
-// hash-partitions the E entities across shards and replicates the I
-// dataset into each shard: shard s scores E_s × I, and the union of the
-// shards' positive edges equals the full edge set. Matching and the stop
-// threshold then run once, globally, over the merged edges, preserving
-// the bipartite-matching semantics of the single Linker. The one
-// deliberate approximation is that E-side IDF and length-normalization
-// statistics are shard-local (|U_s| instead of |U|), the standard
-// local-statistics trade-off of sharded retrieval systems; quality parity
-// is exercised by TestEngineQualityMatchesBaseline.
+// One Linker, exact semantics. SLIM's uniqueness weights (Eq. 3) and
+// length normalisation are defined over the whole dataset, so the engine
+// keeps both datasets in a single Linker and a run is literally the
+// Linker's own pipeline: drain the pending ingest buffers, AddE/AddI,
+// RunEdges, Publish. The published links are therefore a pure function of
+// the acknowledged records — Float64bits-identical to slim.LinkDatasets
+// over the min-records-filtered seed plus every streamed record (see
+// TestEngineParityWithLinkDatasets in the root package).
 //
-// Why shard at all: a record batch only dirties the shards owning the
-// touched E entities (an I record dirties every shard), so a streaming
-// re-link re-scores |E_s|×|I| pairs instead of |E|×|I| — the property
-// behind the engine's relink benchmarks — and on multi-core hosts shard
-// construction and re-scoring proceed in parallel.
+// What keeps a relink cheap is the Linker's own incremental state, not
+// partitioning: a record batch dirties only the pairs its entities take
+// part in (the edge store rescores those and retains the rest), the
+// candidate index re-signs only dirty entities, the publish tail re-walks
+// only below the first changed edge, and the per-entity and per-pair
+// passes fan out over slim.Config.Workers.
+//
+// Locking. pendMu guards only the pending ingest buffers, so ingest never
+// waits behind a relink; runMu serializes everything that touches the
+// Linker (whole runs and Explain); mu guards the published result. Stats
+// and /metrics read atomics and an immutable per-run view, never runMu.
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"runtime/debug"
 	"sync"
@@ -37,9 +38,6 @@ import (
 	"slim/internal/fault"
 	"slim/internal/obs"
 )
-
-// DefaultShards is the shard count used when Config.Shards is zero.
-const DefaultShards = 4
 
 // DefaultDebounce is the background relink debounce used when
 // Config.Debounce is zero.
@@ -58,11 +56,11 @@ const DefaultRunJournal = 256
 // injected signal at these sites panics the goroutine that hit it —
 // they exist to prove the containment below, not to model I/O errors.
 const (
-	// FaultApply fires in each shard's pending-drain goroutine.
+	// FaultApply fires before a run drains the pending buffers.
 	FaultApply = "engine.apply"
-	// FaultRescore fires in each dirty shard's rescore goroutine.
+	// FaultRescore fires before a run rescores (after the drain applied).
 	FaultRescore = "engine.rescore"
-	// FaultRelink fires once per run on the merge/match path.
+	// FaultRelink fires between rescoring and the publish tail.
 	FaultRelink = "engine.relink"
 	// FaultLoop fires in the background scheduler itself, outside Run's
 	// containment — the handle for exercising the supervisor restart.
@@ -71,11 +69,9 @@ const (
 
 // Config parameterizes the engine.
 type Config struct {
-	// Shards is the number of Linker shards (default DefaultShards).
-	Shards int
-	// Link is the per-shard linkage configuration. SpatialLevel 0 triggers
-	// one global auto-tune over the seed datasets before partitioning (an
-	// engine seeded with empty datasets falls back to level 12).
+	// Link is the linkage configuration. SpatialLevel 0 auto-tunes over the
+	// seed datasets (an engine seeded with empty datasets falls back to
+	// level 12).
 	Link slim.Config
 	// Debounce is how long ingest must stay quiet before a started
 	// background scheduler triggers a relink (default DefaultDebounce).
@@ -110,100 +106,6 @@ func (c Config) runDeadline() time.Duration {
 	return c.RunDeadline
 }
 
-// shard owns one Linker over a hash partition of the E entities plus a
-// replica of the I dataset.
-//
-// Locking: pendMu guards only the pending ingest buffers, so ingest never
-// blocks behind a running linkage; runMu serializes everything that
-// touches the linker (draining pending records into it and re-scoring).
-type shard struct {
-	pendMu sync.Mutex
-	pendE  []slim.Record
-	pendI  []slim.Record
-	// pendSince is when the pending buffers last went empty→non-empty:
-	// the enqueue time of the shard's oldest queued record, the ingest
-	// plane's relink-lag signal (zero while the queue is empty).
-	pendSince time.Time
-
-	runMu sync.Mutex
-	lk    *slim.Linker
-	edges []slim.Link
-	stats slim.Stats
-
-	// ran and the entity counts are mirrored atomically so Stats and
-	// ingest responses never wait behind a relink holding runMu.
-	ran  atomic.Bool
-	entE atomic.Int64
-	entI atomic.Int64
-	// forceDirty marks the shard for an unconditional rescore on the
-	// next run — set when a relink panicked, because the panicked run's
-	// cached edges (or partially applied state) can no longer be
-	// trusted as clean.
-	forceDirty atomic.Bool
-	// idx mirrors the shard's incremental LSH candidate-index snapshot
-	// (nil when LSH is disabled), refreshed after every rescore so Stats
-	// can aggregate it without taking runMu.
-	idx atomic.Pointer[slim.CandidateIndexStats]
-	// edge mirrors the shard's edge-store snapshot the same way (nil until
-	// the first rescore).
-	edge atomic.Pointer[slim.EdgeStoreStats]
-}
-
-// pending reports how many ingested records the shard has not yet applied.
-func (sh *shard) pending() int {
-	sh.pendMu.Lock()
-	defer sh.pendMu.Unlock()
-	return len(sh.pendE) + len(sh.pendI)
-}
-
-// buffer enqueues one batch onto the shard's pending queue for the given
-// dataset side, stamping pendSince on an empty→non-empty transition.
-func (sh *shard) buffer(e bool, recs []slim.Record) {
-	sh.pendMu.Lock()
-	if len(sh.pendE)+len(sh.pendI) == 0 {
-		sh.pendSince = time.Now()
-	}
-	if e {
-		sh.pendE = append(sh.pendE, recs...)
-	} else {
-		sh.pendI = append(sh.pendI, recs...)
-	}
-	sh.pendMu.Unlock()
-}
-
-// applyPending drains the ingest buffers into the shard linker and
-// reports whether the shard needs re-scoring. Callers must hold runMu.
-func (sh *shard) applyPending() (dirty bool) {
-	sh.pendMu.Lock()
-	pe, pi := sh.pendE, sh.pendI
-	sh.pendE, sh.pendI = nil, nil
-	sh.pendSince = time.Time{}
-	sh.pendMu.Unlock()
-	sh.lk.AddE(pe...)
-	sh.lk.AddI(pi...)
-	sh.syncCounts()
-	return sh.forceDirty.Swap(false) || !sh.ran.Load() || len(pe) > 0 || len(pi) > 0
-}
-
-// syncCounts refreshes the atomic entity-count mirrors. Callers must hold
-// runMu (or be the constructor, before the shard is shared).
-func (sh *shard) syncCounts() {
-	sh.entE.Store(int64(len(sh.lk.EntitiesE())))
-	sh.entI.Store(int64(len(sh.lk.EntitiesI())))
-}
-
-// rescore re-runs the shard's scoring under the given global E entity
-// count (see Linker.SetTotalEntitiesE) and caches the edges, stamping
-// edge lineage with the given run seq. Callers must hold runMu.
-func (sh *shard) rescore(totalE int, seq uint64) {
-	sh.lk.SetTotalEntitiesE(totalE)
-	sh.lk.SetNextRunSeq(seq)
-	sh.edges, sh.stats = sh.lk.RunEdges()
-	sh.idx.Store(sh.lk.CandidateIndexStats())
-	sh.edge.Store(sh.stats.EdgeStore)
-	sh.ran.Store(true)
-}
-
 // Persister is the engine's durability hook, implemented by
 // internal/storage. LogE/LogI are called before a batch is buffered:
 // a batch is acknowledged to the caller only after it is durable, and a
@@ -218,18 +120,30 @@ type Persister interface {
 	AfterRun(res slim.Result, version uint64)
 }
 
-// Engine is a sharded, concurrent linkage engine. All methods are safe for
-// concurrent use.
+// Engine is a concurrent linkage engine over one slim.Linker. All methods
+// are safe for concurrent use.
 type Engine struct {
 	cfg   Config
 	level int
-	epoch int64
 
-	shards []*shard
+	// pendMu guards the pending ingest buffers: records acknowledged but
+	// not yet applied to the linker. pendSince is when they last went
+	// empty→non-empty — the enqueue time of the oldest queued record, the
+	// ingest plane's relink-lag signal.
+	pendMu    sync.Mutex
+	pendE     []slim.Record
+	pendI     []slim.Record
+	pendSince time.Time
 
-	// runMu serializes whole relink runs (manual Run calls and the
-	// background scheduler); ingest and queries never take it.
-	runMu sync.Mutex
+	// runMu serializes everything that touches the linker: whole relink
+	// runs (manual Run calls and the background scheduler) and Explain.
+	// Ingest and result queries never take it. synced reports that the
+	// last run completed, i.e. the published result reflects every record
+	// the linker holds; a run that finds it set and drains nothing
+	// short-circuits.
+	runMu  sync.Mutex
+	lk     *slim.Linker
+	synced bool
 
 	// mu guards the published result and run bookkeeping.
 	mu      sync.Mutex
@@ -242,17 +156,17 @@ type Engine struct {
 	pMu     sync.RWMutex
 	persist Persister
 
+	// view mirrors the linker-side state Stats and /metrics report, so
+	// neither waits behind a relink holding runMu. Every completed run
+	// stores a fresh value; stored values are never mutated.
+	view atomic.Pointer[linkerView]
+
 	ingestedE atomic.Uint64
 	ingestedI atomic.Uint64
 	runs      atomic.Uint64
-	// lastDirtyShards mirrors how many shards the latest relink actually
-	// re-scored (ingest-driven observability next to the candidate-index
-	// counters).
-	lastDirtyShards atomic.Int64
-	// shortCircuits counts fully-clean Run calls that republished the
-	// cached result without re-matching; the edge* counters accumulate the
-	// relink-delta work of every rescored shard since construction (the
-	// numbers behind the expvar relink counters).
+	// shortCircuits counts clean Run calls that republished the cached
+	// result without re-matching; the edge* counters accumulate the
+	// relink-delta work of every run since construction.
 	shortCircuits atomic.Uint64
 	edgeRescored  atomic.Uint64
 	edgeRetained  atomic.Uint64
@@ -275,21 +189,6 @@ type Engine struct {
 	runSeq  atomic.Uint64
 	journal *journal
 
-	// tail is the engine-global incremental publish tail: the maintained
-	// sorted edge order, prefix-reusing greedy matching and cached
-	// threshold fit the merge/match/threshold stages run through (nil when
-	// the configured matcher is Hungarian, which has no incremental
-	// structure). tailValid marks the tail's maintained state consistent
-	// with the shards' edge stores; it is cleared before every tail
-	// mutation and after any failed run, so a panicked run — whose
-	// completed shard rescores produced deltas the tail never consumed —
-	// degrades the next publish to a full rebuild instead of publishing
-	// from a stale order. Both are guarded by runMu; tailStats mirrors the
-	// tail's snapshot for lock-free Stats and /metrics reads.
-	tail      *slim.PublishTail
-	tailValid bool
-	tailStats atomic.Pointer[slim.PublishTailStats]
-
 	metrics *engMetrics
 
 	kick   chan struct{}
@@ -303,17 +202,54 @@ type Engine struct {
 	closed  bool
 }
 
+// linkerView is one immutable snapshot of the linker-side state: entity
+// counts plus the candidate-index (nil without LSH), edge-store (nil
+// before the first run) and publish-tail (nil with the Hungarian matcher
+// or before the first run) snapshots.
+type linkerView struct {
+	entE, entI int
+	idx        *slim.CandidateIndexStats
+	edge       *slim.EdgeStoreStats
+	tail       *slim.PublishTailStats
+}
+
+// idle returns a copy of the view whose last-run work fields read zero —
+// what a short-circuited run stores, so /v1/stats does not echo an older
+// relink's work next to runs_short_circuited. State fields (signatures,
+// buckets, candidates, retained pairs, tail size) stay as-is; the
+// republished matching counts as reused in full.
+func (v linkerView) idle() *linkerView {
+	if v.idx != nil {
+		idx := *v.idx
+		idx.LastDirty, idx.LastRebuild, idx.LastUpdate = 0, false, 0
+		v.idx = &idx
+	}
+	if v.edge != nil {
+		edge := *v.edge
+		edge.Rescored, edge.Retained, edge.Dropped, edge.FullRescore, edge.LastUpdate = 0, 0, 0, false, 0
+		v.edge = &edge
+	}
+	if v.tail != nil {
+		tail := *v.tail
+		tail.ReusedPrefixLen, tail.SuffixWalked, tail.LastFull = tail.Matched, 0, false
+		tail.LastUpdate, tail.LastMatch, tail.LastThreshold = 0, 0, 0
+		v.tail = &tail
+	}
+	return &v
+}
+
 // engMetrics are the engine's native instruments: run and stage latency
 // histograms plus the freshness tracer. Counter/gauge views over the
 // engine's existing atomics are registered alongside them (newEngMetrics)
 // so /metrics and Stats read the same state.
 type engMetrics struct {
 	relinkSeconds *obs.Histogram
-	// Stage histograms cover one relink each: draining pending ingest
-	// (apply), the incremental candidate-index updates inside the dirty
-	// shards (candidate_index, carved out of rescore), the parallel
-	// dirty-shard rescoring wall time (rescore), edge merging (merge),
-	// global matching (match), and threshold selection (threshold).
+	// Stage histograms cover one relink each: draining pending ingest into
+	// the linker (apply), the incremental candidate-index update
+	// (candidate_index, carved out of rescore), compiling and rescoring
+	// (rescore), folding the rescore's outcome into the engine's view,
+	// counters and journal entry (merge — microseconds with one linker),
+	// matching (match), and threshold selection (threshold).
 	stageApply, stageIndex, stageRescore   *obs.Histogram
 	stageMerge, stageMatch, stageThreshold *obs.Histogram
 	ingestToVisible                        *obs.Histogram
@@ -322,7 +258,7 @@ type engMetrics struct {
 
 func stageHist(reg *obs.Registry, stage string) *obs.Histogram {
 	return reg.Histogram("slim_relink_stage_seconds",
-		"Wall time of one relink stage (labelled); candidate_index is the summed incremental index update time inside rescore.",
+		"Wall time of one relink stage (labelled); candidate_index is the incremental index update time inside rescore.",
 		nil, obs.L("stage", stage))
 }
 
@@ -360,16 +296,13 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 	reg.CounterFunc("slim_relink_short_circuits_total",
 		"Fully-clean relink runs that republished the cached result.", e.shortCircuits.Load)
 	reg.CounterFunc("slim_relink_pairs_rescored_total",
-		"Candidate pairs rescored across all rescored shards since boot.", e.edgeRescored.Load)
+		"Candidate pairs rescored since boot.", e.edgeRescored.Load)
 	reg.CounterFunc("slim_relink_pairs_retained_total",
 		"Edge-store pairs retained without rescoring since boot (scoring work avoided).", e.edgeRetained.Load)
 	reg.CounterFunc("slim_relink_pairs_dropped_total",
 		"Edge-store pairs dropped since boot.", e.edgeDropped.Load)
-	reg.GaugeFunc("slim_relink_dirty_shards",
-		"Shards the latest relink actually rescored.",
-		func() float64 { return float64(e.lastDirtyShards.Load()) })
 	reg.GaugeFunc("slim_pending_records",
-		"Buffered records awaiting the next relink (an I record pending on k shards counts k times).",
+		"Buffered records awaiting the next relink.",
 		func() float64 { return float64(e.Pending()) })
 	reg.GaugeFunc("slim_pending_oldest_seconds",
 		"Age of the oldest buffered record awaiting a relink.",
@@ -388,16 +321,10 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 		e.ingestedI.Load, obs.L("dataset", "i"))
 	reg.GaugeFunc("slim_entities",
 		"Entities with applied histories, by dataset.",
-		func() float64 {
-			n := 0
-			for _, sh := range e.shards {
-				n += int(sh.entE.Load())
-			}
-			return float64(n)
-		}, obs.L("dataset", "e"))
+		func() float64 { return float64(e.view.Load().entE) }, obs.L("dataset", "e"))
 	reg.GaugeFunc("slim_entities",
 		"Entities with applied histories, by dataset.",
-		func() float64 { return float64(e.shards[0].entI.Load()) }, obs.L("dataset", "i"))
+		func() float64 { return float64(e.view.Load().entI) }, obs.L("dataset", "i"))
 	reg.GaugeFunc("slim_links",
 		"Links in the current published result.",
 		func() float64 {
@@ -417,38 +344,30 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 		})
 	// Edge-store memory visibility: materialize's output is the only place
 	// links exist between runs, so its size must be observable before any
-	// tiering/retention lands. Both read the lock-free shard mirrors.
+	// tiering/retention lands.
+	edgeGauge := func(f func(*slim.EdgeStoreStats) int64) func() float64 {
+		return func() float64 {
+			if es := e.view.Load().edge; es != nil {
+				return float64(f(es))
+			}
+			return 0
+		}
+	}
 	reg.GaugeFunc("slim_edge_store_pairs",
-		"Retained scored edges across all shard edge stores.",
-		func() float64 {
-			var n int64
-			for _, sh := range e.shards {
-				if es := sh.edge.Load(); es != nil {
-					n += es.Pairs
-				}
-			}
-			return float64(n)
-		})
+		"Retained scored edges in the edge store.",
+		edgeGauge(func(es *slim.EdgeStoreStats) int64 { return es.Pairs }))
 	reg.GaugeFunc("slim_edge_store_resident_bytes",
-		"Estimated resident bytes of all shard edge stores (scores, lineage and link caches).",
-		func() float64 {
-			var n int64
-			for _, sh := range e.shards {
-				if es := sh.edge.Load(); es != nil {
-					n += es.ResidentBytes
-				}
-			}
-			return float64(n)
-		})
+		"Estimated resident bytes of the edge store (scores, lineage and link caches).",
+		edgeGauge(func(es *slim.EdgeStoreStats) int64 { return es.ResidentBytes }))
 	reg.GaugeFunc("slim_run_journal_records",
 		"Relink runs currently retained in the flight-recorder ring.",
 		func() float64 { return float64(e.journal.size()) })
 	// Publish-tail visibility (always registered; zeros until the first
 	// published greedy run). Gauges describe the latest publish, counters
-	// accumulate since boot — all read the lock-free tailStats mirror.
+	// accumulate since boot.
 	tailGauge := func(f func(*slim.PublishTailStats) float64) func() float64 {
 		return func() float64 {
-			if p := e.tailStats.Load(); p != nil {
+			if p := e.view.Load().tail; p != nil {
 				return f(p)
 			}
 			return 0
@@ -456,7 +375,7 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 	}
 	tailCounter := func(f func(*slim.PublishTailStats) uint64) func() uint64 {
 		return func() uint64 {
-			if p := e.tailStats.Load(); p != nil {
+			if p := e.view.Load().tail; p != nil {
 				return f(p)
 			}
 			return 0
@@ -490,98 +409,30 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 
 // New builds an engine seeded with the given datasets (either may be
 // empty: a service typically starts empty and is fed over ingest). The
-// seed datasets are validated and min-records filtered once, the temporal
-// grid and spatial level are resolved once, and the shards are built in
-// parallel.
+// seed is validated, min-records filtered and gridded exactly as
+// slim.NewLinker does it — the engine's linker is one.
 func New(dsE, dsI slim.Dataset, cfg Config) (*Engine, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = DefaultShards
-	}
-	if cfg.Shards < 1 {
-		return nil, errors.New("engine: Shards must be >= 1")
-	}
 	if cfg.Debounce == 0 {
 		cfg.Debounce = DefaultDebounce
 	}
-	// One-time global preparation: validation, min-records filtering, and
-	// grid resolution (shared epoch + spatial level) all happen in the
-	// root package so shards and single Linkers can never disagree.
-	p, err := slim.PrepareLinkage(dsE, dsI, cfg.Link)
+	lk, err := slim.NewLinker(dsE, dsI, cfg.Link)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Link = p.Config
-	level := p.Config.SpatialLevel
-
-	// Hash-partition the E records; every shard links its partition
-	// against the full I dataset.
-	parts := make([]slim.Dataset, cfg.Shards)
-	for s := range parts {
-		parts[s].Name = fmt.Sprintf("%s/shard%d", p.E.Name, s)
-	}
-	for _, r := range p.E.Records {
-		s := shardOf(r.Entity, cfg.Shards)
-		parts[s].Records = append(parts[s].Records, r)
-	}
-
 	e := &Engine{
 		cfg:     cfg,
-		level:   level,
-		epoch:   p.EpochUnix,
-		shards:  make([]*shard, cfg.Shards),
+		level:   lk.SpatialLevel(),
+		lk:      lk,
 		journal: newJournal(cfg.RunJournal),
 		kick:    make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	opt := slim.ShardOptions{EpochUnix: p.EpochUnix, SpatialLevel: level}
-	errs := make([]error, cfg.Shards)
-	var wg sync.WaitGroup
-	for s := 0; s < cfg.Shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lk, err := slim.NewShardLinker(parts[s], p.I, cfg.Link, opt)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			sh := &shard{lk: lk}
-			sh.syncCounts()
-			// Shard construction already built the candidate index (one
-			// initial epoch per shard, in parallel with the others);
-			// publish its stats before the shard is shared.
-			sh.idx.Store(lk.CandidateIndexStats())
-			e.shards[s] = sh
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Compile every shard's scoring read path now, while construction is
-	// already parallel, so the first relink starts scoring immediately.
-	// The global E entity count must be pinned first: the first rescore
-	// passes it to SetTotalEntitiesE, and pinning it after compiling would
-	// move the IDF epoch and throw all of this work away.
-	totalE := 0
-	for _, sh := range e.shards {
-		totalE += len(sh.lk.EntitiesE())
-	}
-	for _, sh := range e.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.lk.SetTotalEntitiesE(totalE)
-			sh.lk.Precompile()
-		}(sh)
-	}
-	wg.Wait()
-	if cfg.Link.Matcher != slim.MatcherHungarian {
-		e.tail = slim.NewPublishTail(cfg.Link.Threshold)
-	}
+	e.view.Store(&linkerView{
+		entE: len(lk.EntitiesE()),
+		entI: len(lk.EntitiesI()),
+		idx:  lk.CandidateIndexStats(),
+	})
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -591,17 +442,7 @@ func New(dsE, dsI slim.Dataset, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// shardOf maps an E entity to its owning shard.
-func shardOf(id slim.EntityID, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(n))
-}
-
-// NumShards returns the shard count.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
-// SpatialLevel returns the history grid level shared by every shard.
+// SpatialLevel returns the history grid level.
 func (e *Engine) SpatialLevel() int { return e.level }
 
 // SetPersister attaches the durability hook. Recovery attaches it after
@@ -619,11 +460,11 @@ func (e *Engine) persister() Persister {
 	return e.persist
 }
 
-// AddE ingests records of the first dataset. Records are buffered on their
-// owning shard and applied by the next relink; ingest never blocks behind
-// a running linkage. Like Linker.AddE, streamed records bypass the
-// MinRecords seed filter. With a persister attached, the batch is durably
-// logged first; an error rejects the whole batch (nothing is buffered).
+// AddE ingests records of the first dataset. Records are buffered and
+// applied by the next relink; ingest never blocks behind a running
+// linkage. Like Linker.AddE, streamed records bypass the MinRecords seed
+// filter. With a persister attached, the batch is durably logged first; an
+// error rejects the whole batch (nothing is buffered).
 func (e *Engine) AddE(recs ...slim.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -637,9 +478,7 @@ func (e *Engine) AddE(recs ...slim.Record) error {
 	return nil
 }
 
-// AddI ingests records of the second dataset. Every shard scores its E
-// partition against the full I dataset, so an I record fans out to all
-// shards (and dirties them all).
+// AddI ingests records of the second dataset; see AddE.
 func (e *Engine) AddI(recs ...slim.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -653,80 +492,72 @@ func (e *Engine) AddI(recs ...slim.Record) error {
 	return nil
 }
 
-// BufferE enqueues first-dataset records onto their owning shards'
-// pending queues WITHOUT consulting the persister. It exists for callers
-// that have already made the batch durable through another path — the
-// binary ingest plane logs the wire bytes verbatim (storage.LogEncoded)
-// and recovery re-feeds records the WAL already holds. Everything else
-// must go through AddE.
+// BufferE enqueues first-dataset records onto the pending buffer WITHOUT
+// consulting the persister. It exists for callers that have already made
+// the batch durable through another path — the binary ingest plane logs
+// the wire bytes verbatim (storage.LogEncoded) and recovery re-feeds
+// records the WAL already holds. Everything else must go through AddE.
 func (e *Engine) BufferE(recs ...slim.Record) {
+	e.buffer(&e.pendE, &e.ingestedE, recs)
+}
+
+// BufferI enqueues second-dataset records without consulting the
+// persister (see BufferE).
+func (e *Engine) BufferI(recs ...slim.Record) {
+	e.buffer(&e.pendI, &e.ingestedI, recs)
+}
+
+func (e *Engine) buffer(pend *[]slim.Record, ingested *atomic.Uint64, recs []slim.Record) {
 	if len(recs) == 0 {
 		return
 	}
-	if len(e.shards) == 1 {
-		e.shards[0].buffer(true, recs)
-	} else {
-		// Group per shard first so each queue is taken once per batch, not
-		// once per record — the ingest plane's hot path.
-		parts := make([][]slim.Record, len(e.shards))
-		for _, r := range recs {
-			s := shardOf(r.Entity, len(e.shards))
-			parts[s] = append(parts[s], r)
-		}
-		for s, part := range parts {
-			if len(part) > 0 {
-				e.shards[s].buffer(true, part)
-			}
-		}
+	e.pendMu.Lock()
+	if len(e.pendE)+len(e.pendI) == 0 {
+		e.pendSince = time.Now()
 	}
-	e.ingestedE.Add(uint64(len(recs)))
+	*pend = append(*pend, recs...)
+	e.pendMu.Unlock()
+	ingested.Add(uint64(len(recs)))
 	// Acked AFTER buffering: every sequence at or below a freshness mark
-	// taken before a drain is guaranteed to be in the shard queues, so the
-	// relink that drains them may legally declare them link-visible.
+	// taken before a drain is guaranteed to be in the pending buffers, so
+	// the relink that drains them may legally declare them link-visible.
 	e.metrics.fresh.Acked(time.Now())
 	e.scheduleRelink()
 }
 
-// BufferI enqueues second-dataset records, replicated to every shard's
-// pending queue, without consulting the persister (see BufferE).
-func (e *Engine) BufferI(recs ...slim.Record) {
-	if len(recs) == 0 {
-		return
-	}
-	for _, sh := range e.shards {
-		sh.buffer(false, recs)
-	}
-	e.ingestedI.Add(uint64(len(recs)))
-	e.metrics.fresh.Acked(time.Now()) // after buffering; see BufferE
-	e.scheduleRelink()
+// Pending counts buffered records not yet applied by a relink, each record
+// once. Together with OldestPending it is the engine's queue/backpressure
+// state: the ingest plane sheds load when the depth or the age exceeds its
+// budget. Both only touch the ingest buffers, so they never wait behind a
+// running linkage.
+func (e *Engine) Pending() int {
+	e.pendMu.Lock()
+	defer e.pendMu.Unlock()
+	return len(e.pendE) + len(e.pendI)
 }
 
 // OldestPending returns the enqueue time of the oldest record still
 // buffered for a future relink; ok is false when nothing is pending.
-// Together with Pending it is the engine's queue/backpressure state: the
-// ingest plane sheds load when the depth or this age exceeds its budget.
 func (e *Engine) OldestPending() (oldest time.Time, ok bool) {
-	for _, sh := range e.shards {
-		sh.pendMu.Lock()
-		if len(sh.pendE)+len(sh.pendI) > 0 && (oldest.IsZero() || sh.pendSince.Before(oldest)) {
-			oldest = sh.pendSince
-		}
-		sh.pendMu.Unlock()
+	e.pendMu.Lock()
+	defer e.pendMu.Unlock()
+	if len(e.pendE)+len(e.pendI) == 0 {
+		return time.Time{}, false
 	}
-	return oldest, !oldest.IsZero()
+	return e.pendSince, true
 }
 
-// Run drains pending ingest, re-scores every dirty shard (clean shards
-// reuse their cached edges), and publishes the merged, globally matched
-// and thresholded result. Runs are serialized; ingest and queries proceed
-// concurrently.
+// Run drains pending ingest into the linker, rescores what the drained
+// records dirtied (every other pair keeps its retained score), and
+// publishes the matched and thresholded result. Runs are serialized;
+// ingest and queries proceed concurrently.
 //
-// A panic anywhere in the run — a shard goroutine or the merge/match
-// path — is contained: the run is marked failed, the previous published
-// result is returned unchanged (version not bumped, persister not
-// notified, freshness watermark not advanced), every shard is marked
-// for an unconditional rescore, slim_relink_panics_total increments,
-// and the relink health domain degrades until the next successful run.
+// A panic anywhere in the run is contained: the run is marked failed, the
+// previous published result is returned unchanged (version not bumped,
+// persister not notified, freshness watermark not advanced), the next run
+// is forced to rescore the whole candidate set, slim_relink_panics_total
+// increments, and the relink health domain degrades until the next
+// successful run.
 func (e *Engine) Run() slim.Result { return e.run("manual") }
 
 // run is the shared body of manual and background relinks; trigger is
@@ -755,7 +586,8 @@ func (e *Engine) run(trigger string) slim.Result {
 		e.journal.add(rec)
 	}()
 
-	res, err := e.runContained(&rec)
+	var res slim.Result
+	err := guarded("relink", func() { res = e.relink(&rec) })
 	if err == nil {
 		e.health.Recover()
 		return res
@@ -763,19 +595,16 @@ func (e *Engine) run(trigger string) slim.Result {
 	rec.Panicked = true
 	rec.PanicMsg = err.Error()
 	e.relinkPanics.Add(1)
-	// Shards the failed run did rescore produced edge deltas the publish
-	// tail never consumed; its maintained order can no longer be trusted.
-	e.tailValid = false
+	// Whatever the failed run left half-applied in the edge store can no
+	// longer be trusted: the next run rescores every candidate pair (and
+	// the full delta that produces rebuilds the publish tail). Pending
+	// buffers are intact if the run never got to drain.
+	e.synced = false
+	e.lk.ForceFullRescore()
 	e.health.Degrade(err.Error())
 	if e.cfg.Logger != nil {
 		e.cfg.Logger.Error("relink run panicked; previous result republished",
 			"component", "engine", "error", err)
-	}
-	// The failed run's shard state can no longer be trusted as clean:
-	// force a full rescore next run (pending buffers are intact for
-	// shards that never got to drain).
-	for _, sh := range e.shards {
-		sh.forceDirty.Store(true)
 	}
 	e.mu.Lock()
 	cur := e.cur
@@ -821,10 +650,7 @@ func (e *Engine) hitFault(site string) {
 	}
 }
 
-// guarded runs fn, converting a panic into an error carried back to the
-// spawning goroutine (a panic that stayed in a shard goroutine would
-// kill the process — recover only works on the panicking goroutine's
-// own stack).
+// guarded runs fn, converting a panic into an error carrying the stack.
 func guarded(what string, fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -835,295 +661,107 @@ func guarded(what string, fn func()) (err error) {
 	return nil
 }
 
-// shardUnlocker releases the shards' runMu exactly once, whether the
-// run completes, short-circuits, or panics.
-type shardUnlocker struct {
-	shards   []*shard
-	released bool
-}
-
-func (u *shardUnlocker) release() {
-	if u.released {
-		return
-	}
-	u.released = true
-	for _, sh := range u.shards {
-		sh.runMu.Unlock()
-	}
-}
-
-// runContained is the relink body; a panic on any participating
-// goroutine surfaces as err (never as a crash). It fills rec — the
-// run's flight-recorder entry — as it goes; the caller stamps the final
-// version/duration and journals it on every exit path.
-func (e *Engine) runContained(rec *RunRecord) (res slim.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("relink: panic: %v\n%s", r, debug.Stack())
-		}
-	}()
+// relink is the run body. It fills rec — the run's flight-recorder entry —
+// as it goes; the caller contains its panics, stamps the final
+// version/duration and journals it on every exit path. Callers hold runMu.
+func (e *Engine) relink(rec *RunRecord) slim.Result {
 	start := time.Now()
 
-	// Phase 1: apply pending ingest on every shard in parallel, so the
-	// global entity count below reflects this run's records.
-	for _, sh := range e.shards {
-		sh.runMu.Lock()
-	}
-	locks := &shardUnlocker{shards: e.shards}
-	defer locks.release()
-	// The freshness mark is taken before the drain below, so every batch
-	// acknowledged at or below it is already sitting in the shard queues
-	// and will be link-visible once this run publishes.
+	// Apply: drain the pending buffers into the linker. The freshness mark
+	// is taken before the drain, so every batch acknowledged at or below it
+	// is already buffered and will be link-visible once this run publishes.
 	mark := e.metrics.fresh.Mark()
-	dirty := make([]bool, len(e.shards))
-	panics := make([]error, len(e.shards))
-	var wg sync.WaitGroup
-	for s, sh := range e.shards {
-		wg.Add(1)
-		go func(s int, sh *shard) {
-			defer wg.Done()
-			panics[s] = guarded("apply shard", func() {
-				e.hitFault(FaultApply)
-				dirty[s] = sh.applyPending()
-			})
-		}(s, sh)
-	}
-	wg.Wait()
-	for _, perr := range panics {
-		if perr != nil {
-			return slim.Result{}, perr
-		}
-	}
+	e.hitFault(FaultApply)
+	e.pendMu.Lock()
+	pe, pi := e.pendE, e.pendI
+	e.pendE, e.pendI = nil, nil
+	e.pendMu.Unlock()
+	e.lk.AddE(pe...)
+	e.lk.AddI(pi...)
 	e.metrics.stageApply.ObserveSince(start)
 	rec.ApplyDur = time.Since(start)
-	for _, d := range dirty {
-		if d {
-			rec.DirtyShards++
-		}
-	}
 
-	// Fully-clean short-circuit: when no shard has work and a result is
-	// already published, re-matching and re-thresholding the identical
-	// edge set would reproduce it bit for bit — republish it instead. The
-	// version is NOT bumped (the published links did not change), and the
-	// persister is not notified (there is nothing new to checkpoint).
-	allClean := true
-	for _, d := range dirty {
-		allClean = allClean && !d
-	}
-	if allClean {
+	// Clean short-circuit: nothing was drained and the published result
+	// already reflects the linker, so re-matching and re-thresholding the
+	// identical edge set would reproduce it bit for bit — republish it
+	// instead. The version is NOT bumped (the published links did not
+	// change), and the persister is not notified (there is nothing new to
+	// checkpoint).
+	if e.synced && len(pe)+len(pi) == 0 {
 		e.mu.Lock()
 		cur := e.cur
+		e.lastRun = time.Now()
 		e.mu.Unlock()
-		if cur != nil {
-			// This run performed no index or edge-store work at all: zero
-			// every mirror's last-* fields (see the equivalent pass on the
-			// normal path) so /v1/stats does not echo an older relink's
-			// work next to runs_short_circuited. The publish-tail mirror
-			// gets the same treatment: the republished matching was reused
-			// in full, with no suffix walk and no threshold refit.
-			e.zeroWorkMirrors(nil)
-			if p := e.tailStats.Load(); p != nil {
-				cp := *p
-				cp.ReusedPrefixLen, cp.SuffixWalked = cp.Matched, 0
-				cp.LastFull = false
-				cp.LastUpdate, cp.LastMatch, cp.LastThreshold = 0, 0, 0
-				e.tailStats.Store(&cp)
-			}
-			locks.release()
-			rec.ShortCircuit = true
-			rec.Links = int64(len(cur.Links))
-			e.lastDirtyShards.Store(0)
-			e.runs.Add(1)
-			e.shortCircuits.Add(1)
-			e.mu.Lock()
-			e.lastRun = time.Now()
-			e.mu.Unlock()
-			// The republished result still covers every drained batch, so
-			// the freshness watermark advances here too — staleness must
-			// return to zero after a quiesce, not stick at the last ack.
-			now := time.Now()
-			e.metrics.fresh.Visible(mark, now)
-			e.metrics.relinkSeconds.Observe(now.Sub(start).Seconds())
-			return *cur, nil
-		}
+		e.view.Store(e.view.Load().idle())
+		rec.ShortCircuit = true
+		rec.Links = int64(len(cur.Links))
+		e.runs.Add(1)
+		e.shortCircuits.Add(1)
+		// Every batch acknowledged up to the mark was drained by an earlier
+		// run, so the republished result covers it: the freshness watermark
+		// advances here too — staleness must return to zero after a
+		// quiesce, not stick at the last ack.
+		now := time.Now()
+		e.metrics.fresh.Visible(mark, now)
+		e.metrics.relinkSeconds.Observe(now.Sub(start).Seconds())
+		return *cur
 	}
 
-	// Phase 2: re-score the dirty shards in parallel under the refreshed
-	// global E entity count; clean shards keep their cached edges (scored
-	// under the count at their last rescore — a deliberately stale but
-	// bounded approximation that preserves the dirty-shard optimization).
-	totalE := 0
-	for _, sh := range e.shards {
-		totalE += len(sh.lk.EntitiesE())
-	}
-	// Edge lineage is stamped with the version this run will publish on
-	// success (version+1), so a pair's RescoredSeq joins directly against
-	// /v1/stats versions and the run journal. A panicked run leaves some
-	// lineage stamped one version ahead, but forceDirty guarantees the
-	// next successful run re-stamps everything it touched.
+	// Rescore. Edge lineage is stamped with the version this run will
+	// publish on success (version+1), so a pair's RescoredSeq joins
+	// directly against /v1/stats versions and the run journal. A panicked
+	// run leaves some lineage stamped one version ahead, but the forced
+	// full rescore of the next run re-stamps everything.
 	e.mu.Lock()
 	lineageSeq := e.version + 1
 	e.mu.Unlock()
 	rescoreStart := time.Now()
-	nDirty := 0
-	for s, sh := range e.shards {
-		if !dirty[s] {
-			continue
-		}
-		nDirty++
-		wg.Add(1)
-		go func(s int, sh *shard) {
-			defer wg.Done()
-			panics[s] = guarded("rescore shard", func() {
-				e.hitFault(FaultRescore)
-				sh.rescore(totalE, lineageSeq)
-			})
-		}(s, sh)
-	}
-	wg.Wait()
-	for _, perr := range panics {
-		if perr != nil {
-			return slim.Result{}, perr
-		}
-	}
+	e.hitFault(FaultRescore)
+	e.lk.SetNextRunSeq(lineageSeq)
+	_, stats := e.lk.RunEdges()
 	e.metrics.stageRescore.ObserveSince(rescoreStart)
 	rec.RescoreDur = time.Since(rescoreStart)
-	// The incremental candidate-index update runs inside rescore; its cost
-	// is reported separately as the sum of the dirty shards' index update
-	// times (serial work, a subset of the parallel rescore wall time).
-	var idxTime time.Duration
-	for s, sh := range e.shards {
-		if dirty[s] {
-			if ix := sh.idx.Load(); ix != nil {
-				idxTime += ix.LastUpdate
-			}
-		}
-	}
-	e.metrics.stageIndex.Observe(idxTime.Seconds())
-	rec.IndexDur = idxTime
-	e.lastDirtyShards.Store(int64(nDirty))
-	// Clean shards performed no index or edge-store update this run: zero
-	// the last-* fields of their mirrors so the aggregated CandidateIndex
-	// and EdgeStore blocks report this relink's work, not a stale echo of
-	// an older one (state fields — signatures, buckets, candidates,
-	// retained pairs — stay as-is).
-	e.zeroWorkMirrors(dirty)
-	// Accumulate the relink-delta counters of the shards this run actually
-	// re-scored (the cumulative numbers behind /debug/vars).
-	for s, sh := range e.shards {
-		if !dirty[s] || sh.stats.EdgeStore == nil {
-			continue
-		}
-		es := sh.stats.EdgeStore
-		e.edgeRescored.Add(uint64(es.Rescored))
-		e.edgeRetained.Add(uint64(es.Retained))
-		e.edgeDropped.Add(uint64(es.Dropped))
-		rec.Rescored += es.Rescored
-		rec.Retained += es.Retained
-		rec.Dropped += es.Dropped
-		rec.FullRescore = rec.FullRescore || es.FullRescore
-	}
 
-	// Merge. CandidatePairs / PositiveEdges / LSH describe the published
-	// result and sum over every shard; the comparison counters report work
-	// and sum only over the shards this run actually re-scored. With the
-	// publish tail active, the merge stage collects only the dirty shards'
-	// exact edge deltas (captured here, while the shard locks are held)
-	// instead of concatenating every shard's edge list — the full
-	// concatenation happens lazily, only when the tail must rebuild.
+	// Merge: fold the rescore's outcome into the next view, the odometer
+	// counters and the journal entry.
 	mergeStart := time.Now()
-	var deltas []slim.EdgeDelta
-	shardEdges := make([][]slim.Link, len(e.shards))
-	var stats slim.Stats
-	for s, sh := range e.shards {
-		shardEdges[s] = sh.edges
-		if e.tail != nil && dirty[s] {
-			deltas = append(deltas, sh.lk.LastEdgeDelta())
-		}
-		stats.CandidatePairs += sh.stats.CandidatePairs
-		stats.PositiveEdges += sh.stats.PositiveEdges
-		if dirty[s] {
-			stats.BinComparisons += sh.stats.BinComparisons
-			stats.RecordComparisons += sh.stats.RecordComparisons
-			stats.AlibiBinPairs += sh.stats.AlibiBinPairs
-		}
-		if sh.stats.LSH != nil {
-			if stats.LSH == nil {
-				lshCopy := *sh.stats.LSH
-				stats.LSH = &lshCopy
-			} else {
-				stats.LSH.Candidates += sh.stats.LSH.Candidates
-				if sh.stats.LSH.SignatureLen > stats.LSH.SignatureLen {
-					stats.LSH.SignatureLen = sh.stats.LSH.SignatureLen
-					stats.LSH.Bands = sh.stats.LSH.Bands
-					stats.LSH.Rows = sh.stats.LSH.Rows
-				}
-			}
-		}
-		if sh.stats.EdgeStore != nil {
-			if stats.EdgeStore == nil {
-				stats.EdgeStore = &slim.EdgeStoreStats{}
-			}
-			// State fields (Pairs, Epoch) describe the published result and
-			// sum over every shard; the work fields sum only over the shards
-			// this run actually re-scored, mirroring the comparison counters.
-			stats.EdgeStore.Pairs += sh.stats.EdgeStore.Pairs
-			stats.EdgeStore.Epoch += sh.stats.EdgeStore.Epoch
-			stats.EdgeStore.ResidentBytes += sh.stats.EdgeStore.ResidentBytes
-			if dirty[s] {
-				stats.EdgeStore.Retained += sh.stats.EdgeStore.Retained
-				stats.EdgeStore.Rescored += sh.stats.EdgeStore.Rescored
-				stats.EdgeStore.Dropped += sh.stats.EdgeStore.Dropped
-				stats.EdgeStore.FullRescore = stats.EdgeStore.FullRescore || sh.stats.EdgeStore.FullRescore
-				stats.EdgeStore.LastUpdate += sh.stats.EdgeStore.LastUpdate
-			}
-		}
+	view := &linkerView{
+		entE: len(e.lk.EntitiesE()),
+		entI: len(e.lk.EntitiesI()),
+		idx:  e.lk.CandidateIndexStats(),
+		edge: stats.EdgeStore,
 	}
-	locks.release()
+	// The incremental candidate-index update runs inside RunEdges; its cost
+	// is reported separately, as a subset of the rescore wall time.
+	if view.idx != nil {
+		rec.IndexDur = view.idx.LastUpdate
+	}
+	e.metrics.stageIndex.Observe(rec.IndexDur.Seconds())
+	es := stats.EdgeStore
+	e.edgeRescored.Add(uint64(es.Rescored))
+	e.edgeRetained.Add(uint64(es.Retained))
+	e.edgeDropped.Add(uint64(es.Dropped))
+	rec.Rescored, rec.Retained, rec.Dropped = es.Rescored, es.Retained, es.Dropped
+	rec.FullRescore = es.FullRescore
+	rec.CandidatePairs = stats.CandidatePairs
 	e.metrics.stageMerge.ObserveSince(mergeStart)
 	rec.MergeDur = time.Since(mergeStart)
-	rec.CandidatePairs = stats.CandidatePairs
 
+	// Publish tail: match and threshold.
 	e.hitFault(FaultRelink)
-	concat := func() []slim.Link {
-		var all []slim.Link
-		for _, part := range shardEdges {
-			all = append(all, part...)
-		}
-		return all
+	pubStart := time.Now()
+	matched, links, thr := e.lk.Publish()
+	// The tail times its own stages; the from-scratch Hungarian path has
+	// no tail, so its whole publish is booked as match.
+	rec.MatchDur = time.Since(pubStart)
+	if view.tail = e.lk.PublishTailStats(); view.tail != nil {
+		rec.MatchDur, rec.ThresholdDur = view.tail.LastMatch, view.tail.LastThreshold
+		rec.TailReusedPrefix = view.tail.ReusedPrefixLen
+		rec.TailFullRebuild = view.tail.LastFull
 	}
-	var matched, links []slim.Link
-	var thr slim.StopThreshold
-	if e.tail != nil {
-		if !e.tailValid {
-			deltas = append(deltas, slim.EdgeDelta{Full: true})
-		}
-		// Invalid while mutating: a panic inside Publish leaves the tail
-		// half-updated, and the flag stays false until the next success.
-		e.tailValid = false
-		matched, links, thr = e.tail.Publish(deltas, concat)
-		e.tailValid = true
-		ts := e.tail.Stats()
-		e.tailStats.Store(&ts)
-		e.metrics.stageMatch.Observe(ts.LastMatch.Seconds())
-		rec.MatchDur = ts.LastMatch
-		e.metrics.stageThreshold.Observe(ts.LastThreshold.Seconds())
-		rec.ThresholdDur = ts.LastThreshold
-		rec.TailReusedPrefix = ts.ReusedPrefixLen
-		rec.TailFullRebuild = ts.LastFull
-	} else {
-		matchStart := time.Now()
-		matched = slim.MatchLinks(e.cfg.Link.Matcher, concat())
-		e.metrics.stageMatch.ObserveSince(matchStart)
-		rec.MatchDur = time.Since(matchStart)
-		thrStart := time.Now()
-		thr = slim.SelectStopThreshold(e.cfg.Link.Threshold, slim.LinkScores(matched))
-		e.metrics.stageThreshold.ObserveSince(thrStart)
-		rec.ThresholdDur = time.Since(thrStart)
-		links = slim.FilterLinks(matched, thr.Threshold)
-	}
-	res = slim.Result{
+	e.metrics.stageMatch.Observe(rec.MatchDur.Seconds())
+	e.metrics.stageThreshold.Observe(rec.ThresholdDur.Seconds())
+	res := slim.Result{
 		Links:           links,
 		Matched:         matched,
 		Threshold:       thr.Threshold,
@@ -1134,6 +772,8 @@ func (e *Engine) runContained(rec *RunRecord) (res slim.Result, err error) {
 	}
 
 	rec.Links = int64(len(res.Links))
+	e.view.Store(view)
+	e.synced = true
 	e.runs.Add(1)
 	e.mu.Lock()
 	e.cur = &res
@@ -1153,7 +793,7 @@ func (e *Engine) runContained(rec *RunRecord) (res slim.Result, err error) {
 	if p := e.persister(); p != nil {
 		p.AfterRun(res, version)
 	}
-	return res, nil
+	return res
 }
 
 // RestoreResult installs a previously published result, e.g. one loaded
@@ -1199,14 +839,12 @@ func (e *Engine) LinksFor(id slim.EntityID) []slim.Link {
 }
 
 // Explanation joins every provenance layer for one (u, v) pair: the
-// shard-local score decomposition, candidate lineage and edge lineage,
-// the engine's current published version, and — when it is still in the
+// linker's score decomposition, candidate lineage and edge lineage, the
+// engine's current published version, and — when it is still in the
 // flight recorder — the journal entry of the run that last rescored the
 // pair.
 type Explanation struct {
 	slim.PairExplanation
-	// Shard is the shard that owns u (and answered the query).
-	Shard int
 	// Version is the published result version at query time. Lineage run
 	// sequences are stamped with to-be-published versions, so for a pair
 	// rescored by a successful run Edge.RescoredSeq <= Version.
@@ -1217,22 +855,18 @@ type Explanation struct {
 	Run *RunRecord
 }
 
-// Explain reports the full provenance of one pair, routed to the shard
-// owning u. It briefly takes that shard's runMu (serializing with
-// relinks, not with ingest or queries), so the answer is consistent
-// with the shard's current linker state.
+// Explain reports the full provenance of one pair. It briefly takes runMu
+// (serializing with relinks, not with ingest or queries), so the answer is
+// consistent with the linker state behind the last completed run.
 func (e *Engine) Explain(u, v slim.EntityID) Explanation {
-	s := shardOf(u, len(e.shards))
-	sh := e.shards[s]
-	sh.runMu.Lock()
-	pex := sh.lk.Explain(u, v)
-	sh.runMu.Unlock()
-	ex := Explanation{PairExplanation: pex, Shard: s}
+	e.runMu.Lock()
+	ex := Explanation{PairExplanation: e.lk.Explain(u, v)}
+	e.runMu.Unlock()
 	e.mu.Lock()
 	ex.Version = e.version
 	e.mu.Unlock()
-	if pex.Edge.Linked {
-		if rec, ok := e.journal.byVersion(pex.Edge.RescoredSeq); ok {
+	if ex.Edge.Linked {
+		if rec, ok := e.journal.byVersion(ex.Edge.RescoredSeq); ok {
 			ex.Run = &rec
 		}
 	}
@@ -1256,51 +890,38 @@ func (e *Engine) RunJournalLen() int { return e.journal.size() }
 
 // Stats is a point-in-time snapshot of the engine's operational state.
 type Stats struct {
-	Shards       int
 	SpatialLevel int
-	// EntitiesE / EntitiesI count entities with applied histories, summed
-	// over shards (I entities are counted once; they are replicated).
+	// EntitiesE / EntitiesI count entities with applied histories.
 	EntitiesE int
 	EntitiesI int
 	// IngestedE / IngestedI count records accepted since construction.
 	IngestedE uint64
 	IngestedI uint64
-	// PendingRecords counts buffered records not yet applied by a relink
-	// (an I record pending on k shards counts k times).
+	// PendingRecords counts buffered records not yet applied by a relink.
 	PendingRecords int
 	// PendingOldestAge is how long the oldest buffered record has been
 	// waiting for a relink (zero when nothing is pending) — the relink-lag
 	// signal behind the ingest plane's latency-budget shedding.
 	PendingOldestAge time.Duration
-	// DirtyShards counts shards that the next run will re-score.
-	DirtyShards int
-	// DirtyShardsLastRun counts shards the latest relink actually
-	// re-scored (clean shards reused their cached edges).
-	DirtyShardsLastRun int
-	// CandidateIndex aggregates the shards' incremental LSH
-	// candidate-index snapshots; nil when LSH is disabled. Counters are
-	// summed across shards (each shard indexes its E partition against a
-	// full I replica, so SignaturesI counts every replica and LastUpdate
-	// is the summed per-shard index time of the last relink); geometry
-	// fields and Epoch come from the widest shard grid.
+	// CandidateIndex is the linker's incremental LSH candidate-index
+	// snapshot as of the latest run; nil when LSH is disabled.
 	CandidateIndex *slim.CandidateIndexStats
-	// EdgeStore aggregates the shards' incremental edge-store snapshots
-	// (nil before the first rescore). Pairs and Epoch sum over every
-	// shard; the per-run work fields (Retained/Rescored/Dropped/
-	// FullRescore/LastUpdate) describe the latest relink — clean shards
-	// contribute zeros, so the block reports that relink's actual work.
+	// EdgeStore is the linker's incremental edge-store snapshot as of the
+	// latest run (nil before the first): Pairs and Epoch are state, the
+	// work fields (Retained/Rescored/Dropped/FullRescore/LastUpdate)
+	// describe the latest relink and read zero after a short circuit.
 	EdgeStore *slim.EdgeStoreStats
-	// PublishTail reports the incremental merge/match/threshold pipeline:
+	// PublishTail reports the incremental match/threshold pipeline:
 	// maintained edge-order size, the matched-prefix reuse and suffix walk
 	// of the latest publish, full-rebuild and delta-apply counts, and
 	// threshold fit-vs-reuse counters. Nil with the Hungarian matcher or
 	// before the first published run.
 	PublishTail *slim.PublishTailStats
 	// EdgeRescoredTotal / EdgeRetainedTotal / EdgeDroppedTotal accumulate
-	// the relink-delta work across every rescored shard since
-	// construction; RunsShortCircuited counts fully-clean Run calls that
-	// republished the cached result without re-matching. These are the
-	// service's incremental-savings odometer (exported over expvar).
+	// the relink-delta work of every run since construction;
+	// RunsShortCircuited counts clean Run calls that republished the
+	// cached result without re-matching. These are the service's
+	// incremental-savings odometer (exported over expvar).
 	EdgeRescoredTotal  uint64
 	EdgeRetainedTotal  uint64
 	EdgeDroppedTotal   uint64
@@ -1322,67 +943,36 @@ type Stats struct {
 	Threshold float64
 }
 
-// Pending counts buffered records not yet applied by a relink. It only
-// touches the ingest buffers, so it never waits behind a running linkage.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, sh := range e.shards {
-		n += sh.pending()
-	}
-	return n
-}
-
-// Stats returns an operational snapshot. It reads only ingest buffers and
-// atomic mirrors, so it never waits behind a running linkage (entity
-// counts may trail a relink in flight by one run).
+// Stats returns an operational snapshot. It reads only the ingest buffers,
+// atomics and the per-run linker view, so it never waits behind a running
+// linkage (entity counts may trail a relink in flight by one run). The
+// snapshot blocks it points to are shared with later callers — treat them
+// as read-only.
 func (e *Engine) Stats() Stats {
+	v := e.view.Load()
 	st := Stats{
-		Shards:             len(e.shards),
 		SpatialLevel:       e.level,
+		EntitiesE:          v.entE,
+		EntitiesI:          v.entI,
 		IngestedE:          e.ingestedE.Load(),
 		IngestedI:          e.ingestedI.Load(),
+		CandidateIndex:     v.idx,
+		EdgeStore:          v.edge,
+		PublishTail:        v.tail,
 		Runs:               e.runs.Load(),
 		RelinkPanics:       e.relinkPanics.Load(),
 		LoopRestarts:       e.loopRestarts.Load(),
-		DirtyShardsLastRun: int(e.lastDirtyShards.Load()),
 		EdgeRescoredTotal:  e.edgeRescored.Load(),
 		EdgeRetainedTotal:  e.edgeRetained.Load(),
 		EdgeDroppedTotal:   e.edgeDropped.Load(),
 		RunsShortCircuited: e.shortCircuits.Load(),
 	}
-	var oldestPend time.Time
-	for s, sh := range e.shards {
-		sh.pendMu.Lock()
-		pending := len(sh.pendE) + len(sh.pendI)
-		since := sh.pendSince
-		sh.pendMu.Unlock()
-		st.PendingRecords += pending
-		if pending > 0 && (oldestPend.IsZero() || since.Before(oldestPend)) {
-			oldestPend = since
-		}
-		if pending > 0 || !sh.ran.Load() {
-			st.DirtyShards++
-		}
-		st.EntitiesE += int(sh.entE.Load())
-		if s == 0 {
-			st.EntitiesI = int(sh.entI.Load())
-		}
-		if ix := sh.idx.Load(); ix != nil {
-			st.CandidateIndex = mergeIndexStats(st.CandidateIndex, ix)
-		}
-		if es := sh.edge.Load(); es != nil {
-			st.EdgeStore = mergeEdgeStats(st.EdgeStore, es)
-		}
-	}
-	if !oldestPend.IsZero() {
-		st.PendingOldestAge = time.Since(oldestPend)
-	}
-	if p := e.tailStats.Load(); p != nil {
-		cp := *p
-		st.PublishTail = &cp
-	}
-	if ci := st.CandidateIndex; ci != nil && ci.Buckets > 0 {
-		ci.Occupancy = float64(ci.Memberships) / float64(ci.Buckets)
+	e.pendMu.Lock()
+	st.PendingRecords = len(e.pendE) + len(e.pendI)
+	since := e.pendSince
+	e.pendMu.Unlock()
+	if st.PendingRecords > 0 {
+		st.PendingOldestAge = time.Since(since)
 	}
 	e.mu.Lock()
 	st.Version = e.version
@@ -1393,77 +983,6 @@ func (e *Engine) Stats() Stats {
 	}
 	e.mu.Unlock()
 	return st
-}
-
-// mergeIndexStats folds one shard's candidate-index snapshot into the
-// aggregate (see the Stats.CandidateIndex doc for the summation rules).
-// The snapshot pointers themselves are never mutated — agg is a private
-// accumulator.
-func mergeIndexStats(agg, ix *slim.CandidateIndexStats) *slim.CandidateIndexStats {
-	if agg == nil {
-		cp := *ix
-		return &cp
-	}
-	if ix.SignatureLen > agg.SignatureLen {
-		agg.SignatureLen = ix.SignatureLen
-		agg.Bands = ix.Bands
-		agg.Rows = ix.Rows
-		agg.NumBuckets = ix.NumBuckets
-	}
-	if ix.Epoch > agg.Epoch {
-		agg.Epoch = ix.Epoch
-	}
-	agg.SignaturesE += ix.SignaturesE
-	agg.SignaturesI += ix.SignaturesI
-	agg.Buckets += ix.Buckets
-	agg.Memberships += ix.Memberships
-	agg.Candidates += ix.Candidates
-	agg.LastDirty += ix.LastDirty
-	agg.LastRebuild = agg.LastRebuild || ix.LastRebuild
-	agg.LastUpdate += ix.LastUpdate
-	return agg
-}
-
-// zeroWorkMirrors zeroes the last-relink work fields of every shard's
-// index and edge-store stat mirrors except the shards marked dirty (nil
-// dirty = zero them all, the fully-clean short-circuit case). State
-// fields — signatures, buckets, candidates, retained pairs — stay as-is.
-// Callers hold the shards' runMu.
-func (e *Engine) zeroWorkMirrors(dirty []bool) {
-	for s, sh := range e.shards {
-		if dirty != nil && dirty[s] {
-			continue
-		}
-		if p := sh.idx.Load(); p != nil && (p.LastDirty != 0 || p.LastRebuild || p.LastUpdate != 0) {
-			cp := *p
-			cp.LastDirty, cp.LastRebuild, cp.LastUpdate = 0, false, 0
-			sh.idx.Store(&cp)
-		}
-		if p := sh.edge.Load(); p != nil && (p.Rescored != 0 || p.Retained != 0 || p.Dropped != 0 || p.FullRescore || p.LastUpdate != 0) {
-			cp := *p
-			cp.Rescored, cp.Retained, cp.Dropped, cp.FullRescore, cp.LastUpdate = 0, 0, 0, false, 0
-			sh.edge.Store(&cp)
-		}
-	}
-}
-
-// mergeEdgeStats folds one shard's edge-store snapshot into the aggregate
-// (see Stats.EdgeStore for the summation rules). Snapshot pointers are
-// never mutated — agg is a private accumulator.
-func mergeEdgeStats(agg, es *slim.EdgeStoreStats) *slim.EdgeStoreStats {
-	if agg == nil {
-		cp := *es
-		return &cp
-	}
-	agg.Pairs += es.Pairs
-	agg.Epoch += es.Epoch
-	agg.ResidentBytes += es.ResidentBytes
-	agg.Retained += es.Retained
-	agg.Rescored += es.Rescored
-	agg.Dropped += es.Dropped
-	agg.FullRescore = agg.FullRescore || es.FullRescore
-	agg.LastUpdate += es.LastUpdate
-	return agg
 }
 
 // scheduleRelink nudges the background scheduler (no-op when not started;

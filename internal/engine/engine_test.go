@@ -44,40 +44,6 @@ func sortLinks(ls []slim.Link) {
 	})
 }
 
-// TestEngineQualityMatchesBaseline links the standard workload with the
-// sharded engine and with a single Linker and verifies the engine's
-// quality is not materially worse despite shard-local E-side statistics.
-func TestEngineQualityMatchesBaseline(t *testing.T) {
-	w := standardWorkload(24)
-	cfg := slim.Defaults()
-
-	base, err := slim.LinkDatasets(w.E, w.I, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(w.E, w.I, Config{Shards: 4, Link: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := eng.Run()
-
-	if len(res.Links) == 0 {
-		t.Fatal("engine produced no links")
-	}
-	mBase := slim.Evaluate(base.Links, w.Truth)
-	mEng := slim.Evaluate(res.Links, w.Truth)
-	t.Logf("baseline F1=%.3f engine F1=%.3f (links %d vs %d)",
-		mBase.F1, mEng.F1, len(base.Links), len(res.Links))
-	if mEng.F1 < mBase.F1-0.15 {
-		t.Errorf("engine F1 %.3f much worse than baseline %.3f", mEng.F1, mBase.F1)
-	}
-	// The merged candidate workload must cover the full cross product.
-	if res.Stats.CandidatePairs != base.Stats.CandidatePairs {
-		t.Errorf("candidate pairs: engine %d, baseline %d",
-			res.Stats.CandidatePairs, base.Stats.CandidatePairs)
-	}
-}
-
 // TestEngineIncrementalMatchesFullLoad streams the tail of the workload
 // into an engine seeded with the head and verifies the relinked result is
 // identical to an engine seeded with everything.
@@ -93,7 +59,7 @@ func TestEngineIncrementalMatchesFullLoad(t *testing.T) {
 	inc, err := New(
 		slim.Dataset{Name: "E", Records: beforeE},
 		slim.Dataset{Name: "I", Records: beforeI},
-		Config{Shards: 4, Link: cfg},
+		Config{Link: cfg},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +69,7 @@ func TestEngineIncrementalMatchesFullLoad(t *testing.T) {
 	inc.AddI(afterI...)
 	streamed := inc.Run()
 
-	full, err := New(w.E, w.I, Config{Shards: 4, Link: cfg})
+	full, err := New(w.E, w.I, Config{Link: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,41 +88,6 @@ func TestEngineIncrementalMatchesFullLoad(t *testing.T) {
 	}
 }
 
-// TestEngineDirtyShardTracking verifies that ingest only dirties the
-// owning shard (E side) or all shards (I side), and that clean shards
-// reuse cached edges across runs.
-func TestEngineDirtyShardTracking(t *testing.T) {
-	w := standardWorkload(20)
-	eng, err := New(w.E, w.I, Config{Shards: 4, Link: slim.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if st := eng.Stats(); st.DirtyShards != 0 {
-		t.Fatalf("dirty shards after run: %d", st.DirtyShards)
-	}
-
-	// One E record dirties exactly its owning shard.
-	u := eng.shards[0].lk.EntitiesE()
-	for s := 1; s < len(eng.shards) && len(u) == 0; s++ {
-		u = eng.shards[s].lk.EntitiesE()
-	}
-	if len(u) == 0 {
-		t.Fatal("no entities in any shard")
-	}
-	eng.AddE(slim.NewRecord(u[0], 37.7, -122.4, 1_300_000))
-	if st := eng.Stats(); st.DirtyShards != 1 {
-		t.Errorf("dirty shards after one E record: %d, want 1", st.DirtyShards)
-	}
-	eng.Run()
-
-	// One I record dirties every shard (I is replicated).
-	eng.AddI(slim.NewRecord("brand-new-i", 37.7, -122.4, 1_300_000))
-	if st := eng.Stats(); st.DirtyShards != 4 {
-		t.Errorf("dirty shards after one I record: %d, want 4", st.DirtyShards)
-	}
-}
-
 // TestEngineEmptyStartAndBackgroundRelink boots an empty engine, streams
 // three linkable pairs through it, and waits for the debounced background
 // scheduler to publish the linkage without any manual Run call.
@@ -172,7 +103,7 @@ func TestEngineEmptyStartAndBackgroundRelink(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone // tiny instance: keep the full matching
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Shards: 4, Link: cfg, Debounce: 20 * time.Millisecond})
+		Config{Link: cfg, Debounce: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +153,7 @@ func TestEngineConcurrentIngestWhileRun(t *testing.T) {
 	eng, err := New(
 		slim.Dataset{Name: "E", Records: beforeE},
 		slim.Dataset{Name: "I", Records: beforeI},
-		Config{Shards: 4, Link: slim.Defaults(), Debounce: time.Millisecond},
+		Config{Link: slim.Defaults(), Debounce: time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -270,97 +201,13 @@ func TestEngineConcurrentIngestWhileRun(t *testing.T) {
 		t.Fatal("no links after concurrent ingest")
 	}
 	st := eng.Stats()
-	if st.PendingRecords != 0 || st.DirtyShards != 0 {
+	if st.PendingRecords != 0 {
 		t.Errorf("engine not clean after final run: %+v", st)
 	}
 	if st.IngestedE != uint64(len(afterE)) || st.IngestedI != uint64(len(afterI)) {
 		t.Errorf("ingest counters %d/%d, want %d/%d",
 			st.IngestedE, st.IngestedI, len(afterE), len(afterI))
 	}
-}
-
-// TestShardedRelinkSpeedup measures the engine's headline property: after
-// a localized ingest burst, a 4-shard engine re-links by re-scoring only
-// the dirty shard and must beat a single Linker's full re-run by >= 1.5x
-// wall-clock on the standard datagen workload. The burst is split into
-// three sub-bursts and the ratio taken over median relink times, so one
-// scheduler hiccup on a loaded CI machine cannot flip the gate.
-func TestShardedRelinkSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test; skipped in -short")
-	}
-	baseE, baseI, tail := relinkFixture(32)
-	cfg := slim.Defaults()
-
-	// Contiguous thirds, preserving record order: every sub-burst brings
-	// records its entities have not seen (new bins), so the single Linker
-	// pays a full rescore each time — the exact cost the engine's
-	// dirty-shard isolation is gated against. A shuffled split could make
-	// a later sub-burst weight-only, where both sides take equally cheap
-	// pair-level delta paths and the ratio would measure nothing.
-	var chunks [][]slim.Record
-	for i := 0; i < 3; i++ {
-		chunks = append(chunks, tail[i*len(tail)/3:(i+1)*len(tail)/3])
-	}
-
-	lk, err := slim.NewLinker(baseE, baseI, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lk.Run()
-	var baseDurs []time.Duration
-	for _, chunk := range chunks {
-		t0 := time.Now()
-		lk.AddE(chunk...)
-		lk.Run()
-		baseDurs = append(baseDurs, time.Since(t0))
-	}
-
-	eng, err := New(baseE, baseI, Config{Shards: 4, Link: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	var engDurs []time.Duration
-	for _, chunk := range chunks {
-		t1 := time.Now()
-		eng.AddE(chunk...)
-		eng.Run()
-		engDurs = append(engDurs, time.Since(t1))
-	}
-
-	med := func(ds []time.Duration) time.Duration {
-		s := append([]time.Duration(nil), ds...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		return s[len(s)/2]
-	}
-	baseDur, engDur := med(baseDurs), med(engDurs)
-	speedup := float64(baseDur) / float64(engDur)
-	t.Logf("relink after localized burst: single-linker median %v %v, 4-shard engine median %v %v (%.2fx)",
-		baseDur, baseDurs, engDur, engDurs, speedup)
-	if speedup < 1.5 {
-		t.Errorf("sharded relink speedup %.2fx < 1.5x", speedup)
-	}
-}
-
-// relinkFixture builds the streaming-relink scenario shared by the
-// speedup test and the benchmarks: the standard workload split into a
-// bulk-loaded head plus a tail burst of E records that all belong to one
-// shard of a 4-shard engine (a localized update, the common case for a
-// service where only some users are active between relinks).
-func relinkFixture(taxis int) (baseE, baseI slim.Dataset, tail []slim.Record) {
-	w := standardWorkload(taxis)
-	lo, _, _ := w.E.TimeRange()
-	cut := lo + 130000
-	beforeE, afterE := splitByTime(w.E, cut)
-	for _, r := range afterE {
-		if shardOf(r.Entity, 4) == 0 {
-			tail = append(tail, r)
-		}
-	}
-	baseE = slim.Dataset{Name: "E", Records: beforeE}
-	baseI = w.I
-	return baseE, baseI, tail
 }
 
 // TestEngineCloseIdempotentAndRaced is the lifecycle -race gate: Close
@@ -380,7 +227,7 @@ func TestEngineCloseIdempotentAndRaced(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Shards: 2, Link: cfg, Debounce: time.Microsecond})
+		Config{Link: cfg, Debounce: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,13 +274,12 @@ func TestEngineCloseIdempotentAndRaced(t *testing.T) {
 }
 
 // TestEngineRunShortCircuitsWhenClean is the regression gate for the
-// fully-clean fast path: a Run with no dirty shard and nothing pending
-// must republish the previous result without re-matching (version
+// clean fast path: a Run with nothing pending must republish the previous result without re-matching (version
 // unchanged, persister not re-notified), and the next real ingest must
 // take the full path again.
 func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 	w := standardWorkload(16)
-	eng, err := New(w.E, w.I, Config{Shards: 4, Link: slim.Defaults()})
+	eng, err := New(w.E, w.I, Config{Link: slim.Defaults()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +302,7 @@ func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 		t.Fatalf("short-circuited run diverged: %d vs %d links", len(second.Links), len(first.Links))
 	}
 	st := eng.Stats()
-	if st.RunsShortCircuited != 1 || st.Runs != 2 || st.DirtyShardsLastRun != 0 {
+	if st.RunsShortCircuited != 1 || st.Runs != 2 {
 		t.Fatalf("short-circuit counters: %+v", st)
 	}
 	// A short-circuited run did no edge-store work: the last-* mirror
@@ -467,9 +313,9 @@ func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 	}
 
 	// Real ingest resumes the full path and notifies the persister. A
-	// duplicate of an existing record is weight-only churn, so the dirty
-	// shard's edge store must take the pair-level delta path (retained
-	// pairs, no full rescore) while clean shards contribute zero work.
+	// duplicate of an existing record is weight-only churn, so the edge
+	// store must take the pair-level delta path: only the touched
+	// entity's pairs rescored, everything else retained.
 	eng.AddE(w.E.Records[0])
 	third := eng.Run()
 	_, v3, _ := eng.Result()
@@ -483,8 +329,8 @@ func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 	if es.FullRescore || es.Retained == 0 || es.Rescored == 0 {
 		t.Fatalf("weight-only burst did not take the delta path: %+v", es)
 	}
-	if es.Rescored+es.Retained >= third.Stats.CandidatePairs {
-		t.Fatalf("delta run rescanned every candidate: rescored %d + retained %d vs %d total (clean shards must contribute zero work)",
+	if es.Rescored+es.Retained != third.Stats.CandidatePairs || es.Rescored >= es.Retained {
+		t.Fatalf("delta run: rescored %d + retained %d vs %d candidates (want a small rescored share summing to all)",
 			es.Rescored, es.Retained, third.Stats.CandidatePairs)
 	}
 	st = eng.Stats()
@@ -548,7 +394,7 @@ func TestEnginePersisterContract(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Shards: 2, Link: cfg})
+		Config{Link: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,10 +419,10 @@ func TestEnginePersisterContract(t *testing.T) {
 	if st.IngestedE != 20 {
 		t.Fatalf("rejected batch counted as ingested: %d", st.IngestedE)
 	}
-	// 20 E + 20 I (counted once per shard, 2 shards) = 60; the rejected
-	// 5-record batch must not appear.
-	if eng.Pending() != 60 {
-		t.Fatalf("rejected batch buffered: pending=%d, want 60", eng.Pending())
+	// 20 E + 20 I, each counted once; the rejected 5-record batch must
+	// not appear.
+	if eng.Pending() != 40 {
+		t.Fatalf("rejected batch buffered: pending=%d, want 40", eng.Pending())
 	}
 
 	eng.Run()
@@ -586,7 +432,7 @@ func TestEnginePersisterContract(t *testing.T) {
 }
 
 // TestEngineConcurrentIngestWithLSHIndex is the -race gate for the
-// incremental candidate index: every shard maintains its index under
+// incremental candidate index: the linker maintains its index under
 // concurrent AddE/AddI + Run + Stats traffic, and the final relink must
 // match a from-scratch engine built over the union datasets (the engine-
 // level version of the candidates parity suite).
@@ -602,7 +448,7 @@ func TestEngineConcurrentIngestWithLSHIndex(t *testing.T) {
 	eng, err := New(
 		slim.Dataset{Name: "E", Records: beforeE},
 		slim.Dataset{Name: "I", Records: beforeI},
-		Config{Shards: 4, Link: cfg, Debounce: time.Millisecond},
+		Config{Link: cfg, Debounce: time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -634,7 +480,7 @@ func TestEngineConcurrentIngestWithLSHIndex(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			st := eng.Stats() // races index-stat mirrors against relinks
+			st := eng.Stats() // races the linker view against relinks
 			_ = st.CandidateIndex
 		}
 	}()
@@ -650,7 +496,7 @@ func TestEngineConcurrentIngestWithLSHIndex(t *testing.T) {
 		t.Fatalf("candidate index looks unbuilt after ingest: %+v", st.CandidateIndex)
 	}
 
-	fresh, err := New(w.E, w.I, Config{Shards: 4, Link: cfg})
+	fresh, err := New(w.E, w.I, Config{Link: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

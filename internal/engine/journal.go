@@ -24,20 +24,19 @@ type RunRecord struct {
 	// Start / Duration are the run's wall-clock bounds.
 	Start    time.Time
 	Duration time.Duration
-	// DirtyShards counts shards with pending ingest at run start;
-	// ShortCircuit reports the zero-work fast path (no dirty shards, no
-	// forced work — stats mirrors zeroed, no relink).
-	DirtyShards  int
+	// ShortCircuit reports the zero-work fast path (nothing drained, no
+	// forced work — the cached result republished, no relink).
 	ShortCircuit bool
-	// FullRescore reports whether any shard took the epoch full-rescore
-	// path this run.
+	// FullRescore reports whether the run rescored the whole candidate
+	// set (first run, IDF-epoch move, candidate-index rebuild, or the run
+	// after a contained panic) instead of the dirty pairs only.
 	FullRescore bool
-	// Panicked / PanicMsg record contained shard panics (the engine
-	// degrades rather than crashing; see runContained).
+	// Panicked / PanicMsg record a contained panic (the engine degrades
+	// rather than crashing; see Engine.Run).
 	Panicked bool
 	PanicMsg string
-	// Rescored / Retained / Dropped aggregate the shards' edge-store
-	// deltas; CandidatePairs and Links are the run's published totals.
+	// Rescored / Retained / Dropped are the run's edge-store delta;
+	// CandidatePairs and Links are the run's published totals.
 	Rescored       int64
 	Retained       int64
 	Dropped        int64
@@ -45,11 +44,12 @@ type RunRecord struct {
 	Links          int64
 	// TailReusedPrefix is how many matched links the publish tail reused
 	// verbatim from the previous run; TailFullRebuild reports whether the
-	// tail fell back to a full merge+match rebuild. Both are zero on the
+	// tail fell back to a full sort+match rebuild. Both are zero on the
 	// from-scratch (Hungarian) path.
 	TailReusedPrefix int64
 	TailFullRebuild  bool
-	// Per-stage wall-clock durations (see Stats stage timings).
+	// Per-stage wall-clock durations, one per slim_relink_stage_seconds
+	// label; IndexDur is a subset of RescoreDur.
 	ApplyDur     time.Duration
 	IndexDur     time.Duration
 	RescoreDur   time.Duration

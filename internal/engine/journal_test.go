@@ -19,7 +19,7 @@ func TestRunJournalRecordsEveryRun(t *testing.T) {
 	w := slim.SampleWorkload(&ground, slim.SampleOptions{
 		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 100,
 	})
-	eng, err := New(w.E, w.I, Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour})
+	eng, err := New(w.E, w.I, Config{Link: slim.Defaults(), Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestRunJournalRecordsEveryRun(t *testing.T) {
 	if first.Trigger != "manual" || first.ShortCircuit || !first.FullRescore {
 		t.Fatalf("first run record %+v, want manual full rescore", first)
 	}
-	if first.Version != 1 || first.Rescored == 0 || first.DirtyShards != 2 {
-		t.Fatalf("first run record %+v, want version 1 with rescored work on 2 shards", first)
+	if first.Version != 1 || first.Rescored == 0 || first.Rescored != first.CandidatePairs {
+		t.Fatalf("first run record %+v, want version 1 with every candidate rescored", first)
 	}
-	if !second.ShortCircuit || second.Version != 1 || second.DirtyShards != 0 {
+	if !second.ShortCircuit || second.Version != 1 || second.Rescored != 0 {
 		t.Fatalf("second run record %+v, want short circuit at version 1", second)
 	}
 	if second.Links != int64(len(res.Links)) {
@@ -73,7 +73,7 @@ func TestRunJournalBoundedUnderHammer(t *testing.T) {
 	})
 	const journalSize = 4
 	eng, err := New(w.E, w.I, Config{
-		Shards: 2, Link: slim.Defaults(), Debounce: time.Millisecond, RunJournal: journalSize,
+		Link: slim.Defaults(), Debounce: time.Millisecond, RunJournal: journalSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestEngineExplainJoinsJournal(t *testing.T) {
 	w := slim.SampleWorkload(&ground, slim.SampleOptions{
 		IntersectionRatio: 0.6, InclusionProbE: 0.6, InclusionProbI: 0.6, Seed: 22,
 	})
-	eng, err := New(w.E, w.I, Config{Shards: 4, Link: slim.Defaults(), Debounce: time.Hour})
+	eng, err := New(w.E, w.I, Config{Link: slim.Defaults(), Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +180,6 @@ func TestEngineExplainJoinsJournal(t *testing.T) {
 		if ex.Run.Version != ex.Edge.RescoredSeq || ex.Run.Panicked {
 			t.Fatalf("link (%s, %s): joined run %+v does not match lineage seq %d",
 				l.U, l.V, ex.Run, ex.Edge.RescoredSeq)
-		}
-		if ex.Shard != shardOf(l.U, eng.NumShards()) {
-			t.Fatalf("link (%s, %s): explained by shard %d, want %d",
-				l.U, l.V, ex.Shard, shardOf(l.U, eng.NumShards()))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,12 +12,11 @@ import (
 )
 
 // faultedEngine builds a small seeded engine with an armed-able injector.
-func faultedEngine(t *testing.T) (*Engine, *fault.Injector) {
+func faultedEngine(t *testing.T) (*Engine, *fault.Injector, slim.SampledWorkload) {
 	t.Helper()
 	w := standardWorkload(12)
 	inj := fault.New()
 	eng, err := New(w.E, w.I, Config{
-		Shards:   4,
 		Link:     slim.Defaults(),
 		Debounce: 5 * time.Millisecond,
 		Fault:    inj,
@@ -24,7 +24,7 @@ func faultedEngine(t *testing.T) (*Engine, *fault.Injector) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, inj
+	return eng, inj, w
 }
 
 // extraRecs returns a few fresh records for one new E entity so a run has
@@ -41,18 +41,22 @@ func extraRecs(n int, seed int64) []slim.Record {
 // turn and verifies the failure is contained: Run returns the previous
 // published result unchanged, the version is not bumped, the panic is
 // counted, the relink health domain degrades, and the next (fault-free)
-// run fully recovers — rescoring every shard and publishing fresh links.
+// run fully recovers — a forced full rescore that publishes links equal
+// to a from-scratch LinkDatasets over the same records.
 func TestEngineRunPanicContained(t *testing.T) {
 	for _, site := range []string{FaultApply, FaultRescore, FaultRelink} {
 		t.Run(site, func(t *testing.T) {
-			eng, inj := faultedEngine(t)
+			eng, inj, w := faultedEngine(t)
 			base := eng.Run()
 			_, v1, _ := eng.Result()
 			if len(base.Links) == 0 {
 				t.Fatal("baseline run produced no links")
 			}
 
-			if err := eng.AddE(extraRecs(6, 1)...); err != nil {
+			// Weight-only re-observations: without the forced full rescore
+			// the recovery run would take the pair-level delta path.
+			extra := slices.Clone(w.E.Records[:6])
+			if err := eng.AddE(extra...); err != nil {
 				t.Fatal(err)
 			}
 			inj.Arm(site, fault.Rule{Panic: "injected " + site, Count: 1})
@@ -74,22 +78,29 @@ func TestEngineRunPanicContained(t *testing.T) {
 			}
 
 			// Fault exhausted (Count:1): the next run must succeed, rescore
-			// every shard (forceDirty), and publish the pending records.
+			// the whole candidate set rather than trust what the failed run
+			// left in the edge store, and publish the pending records.
 			res := eng.Run()
 			if _, v3, _ := eng.Result(); v3 != v1+1 {
 				t.Fatalf("recovery run version = %d, want %d", v3, v1+1)
 			}
-			if got := eng.Stats().DirtyShardsLastRun; got != eng.NumShards() {
-				t.Fatalf("recovery run rescored %d shards, want all %d (forceDirty)",
-					got, eng.NumShards())
+			recs, _ := eng.Runs(1, 0)
+			if len(recs) != 1 || !recs[0].FullRescore || recs[0].Rescored != recs[0].CandidatePairs {
+				t.Fatalf("recovery run did not fully rescore: %+v", recs)
 			}
 			if state, _, _ := eng.Health(); state != obs.Healthy {
 				t.Fatalf("health after recovery = %v, want healthy", state)
 			}
-			_ = res
 			if st := eng.Stats(); st.PendingRecords != 0 {
 				t.Fatalf("records still pending after recovery run: %d", st.PendingRecords)
 			}
+			want, err := slim.LinkDatasets(
+				slim.Dataset{Name: "E", Records: append(slices.Clone(w.E.Records), extra...)},
+				w.I, slim.Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdenticalLinks(t, "recovery run", res.Links, want.Links)
 		})
 	}
 }
@@ -97,7 +108,7 @@ func TestEngineRunPanicContained(t *testing.T) {
 // TestEngineFailedRunSkipsPersister verifies a panicked run never reaches
 // the persister: no AfterRun, so no checkpoint can capture poisoned state.
 func TestEngineFailedRunSkipsPersister(t *testing.T) {
-	eng, inj := faultedEngine(t)
+	eng, inj, _ := faultedEngine(t)
 	p := &recordingPersister{}
 	eng.SetPersister(p)
 	afterRuns := func() int {
@@ -128,7 +139,7 @@ func TestEngineFailedRunSkipsPersister(t *testing.T) {
 // the loop restarts, the restart is counted, and a later ingest still
 // triggers a debounced relink.
 func TestEngineSupervisorRestartsLoop(t *testing.T) {
-	eng, inj := faultedEngine(t)
+	eng, inj, _ := faultedEngine(t)
 	eng.Start()
 	defer eng.Close()
 
@@ -170,7 +181,7 @@ func TestEngineSupervisorRestartsLoop(t *testing.T) {
 // run is within its deadline, the overage once past it, and 0 when the
 // watchdog is disabled.
 func TestEngineStuckSeconds(t *testing.T) {
-	eng, _ := faultedEngine(t)
+	eng, _, _ := faultedEngine(t)
 	if got := eng.StuckSeconds(); got != 0 {
 		t.Fatalf("idle StuckSeconds = %v, want 0", got)
 	}

@@ -26,7 +26,7 @@ func requireBitIdenticalLinks(t *testing.T, step string, got, want []slim.Link) 
 
 // TestEnginePublishTailReuseAndPanicRecovery pins the engine's publish
 // tail discipline: a weight-only ingest burst (re-observations of
-// existing records, which rescore dirty shards to identical scores) must
+// existing records, which rescore dirty pairs to identical scores) must
 // flow through the delta path — whole matched prefix reused, threshold
 // fit reused, no full rebuild — while a panicked run must poison the
 // tail so the next run full-rebuilds it, both publishing links
@@ -35,7 +35,7 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 	w := standardWorkload(16)
 	inj := fault.New()
 	eng, err := New(w.E, w.I, Config{
-		Shards: 4, Link: slim.Defaults(), Debounce: time.Hour, Fault: inj,
+		Link: slim.Defaults(), Debounce: time.Hour, Fault: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +52,8 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 	}
 
 	// Weight-only burst: re-ingesting existing records dirties their
-	// shards but moves no IDF epoch, so every rescored pair keeps its
-	// exact score and the per-shard deltas are empty.
+	// entities but moves no IDF epoch, so every rescored pair keeps its
+	// exact score and the edge delta is empty.
 	if err := eng.AddE(w.E.Records[:8]...); err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 		t.Fatalf("journal tail fields wrong: %+v", recs[0])
 	}
 
-	// A panicked run may have consumed per-shard deltas before dying, so
-	// the tail's synced state is unknown; the recovery run must force a
-	// full tail rebuild and still publish the exact links.
+	// The panicked run rescored but never published, so the tail missed
+	// its delta; the recovery run (a forced full rescore) must rebuild the
+	// tail in full and still publish the exact links.
 	if err := eng.AddE(w.E.Records[8:16]...); err != nil {
 		t.Fatal(err)
 	}

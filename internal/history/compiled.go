@@ -5,6 +5,7 @@ import (
 
 	"slim/internal/geo"
 	"slim/internal/model"
+	"slim/internal/par"
 )
 
 // Compiled is the flat, read-optimized view of one entity's history that
@@ -53,25 +54,40 @@ func (c *Compiled) current(epoch uint64, h *History) bool {
 // changed — or whose dataset-level IDF inputs changed — since its last
 // compilation, and returns how many entities were recompiled. Weight-only
 // updates (records landing in existing bins) dirty just the touched
-// entities; a new bin, a new entity, or a SetIDFTotalEntities change moves
-// the store's IDF epoch and recompiles everything, because the IDF weights
-// baked into every view may have shifted.
+// entities; a new bin or a new entity moves the store's IDF epoch and
+// recompiles everything, because the IDF weights baked into every view may
+// have shifted.
+//
+// The stale entities' cells are interned serially, in sorted-entity then
+// column order, so dense indices are assigned identically for every
+// worker count; the rest of each view (the bulk of the work: IDF lookups
+// and column copies over read-only store state) is then built across the
+// given number of workers (below 1 means 1).
 //
 // RunEdges calls Compile before fanning scoring across workers, so the
 // parallel phase only ever takes the cheap read-lock path of CompiledView.
-func (s *Store) Compile() int {
+func (s *Store) Compile(workers int) int {
 	s.compMu.Lock()
 	defer s.compMu.Unlock()
-	n := 0
+	var stale []*History
+	var views []*Compiled
 	for _, e := range s.entities {
 		h := s.histories[e]
 		if s.compiled[e].current(s.epoch, h) {
 			continue
 		}
-		s.compileLocked(e, h)
-		n++
+		stale = append(stale, h)
+		views = append(views, s.internLocked(h))
 	}
-	return n
+	par.Chunks(workers, len(stale), func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			s.fill(views[k], stale[k])
+		}
+	})
+	for k, h := range stale {
+		s.compiled[h.Entity] = views[k]
+	}
+	return len(stale)
 }
 
 // CompiledView returns the up-to-date compiled history of e (nil if e is
@@ -105,43 +121,53 @@ func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellID) {
 }
 
 // compileLocked rebuilds the compiled view of one entity. Callers hold
-// compMu. A fresh Compiled is always allocated: concurrent scorers may
-// still hold the previous view.
+// compMu for writing.
 func (s *Store) compileLocked(e model.EntityID, h *History) *Compiled {
-	c := &Compiled{
-		Windows:     slices.Clone(h.windows),
-		Off:         make([]int32, 1, len(h.windows)+1),
-		Cells:       make([]int32, 0, h.NumBins()),
-		Counts:      make([]float64, 0, h.NumBins()),
-		IDF:         make([]float64, 0, h.NumBins()),
-		WinRecs:     make([]float64, 0, len(h.windows)),
-		storeEpoch:  s.epoch,
-		histVersion: h.version,
-	}
-	for k, win := range h.windows {
-		var recs float64
-		for j := h.off[k]; j < h.off[k+1]; j++ {
-			id, cnt := h.cells[j], h.counts[j]
-			c.Cells = append(c.Cells, s.internLocked(id))
-			c.Counts = append(c.Counts, cnt)
-			c.IDF = append(c.IDF, s.IDF(Bin{Window: win, Cell: id}))
-			recs += cnt
-		}
-		c.WinRecs = append(c.WinRecs, recs)
-		c.Off = append(c.Off, int32(len(c.Cells)))
-	}
+	c := s.internLocked(h)
+	s.fill(c, h)
 	s.compiled[e] = c
 	return c
 }
 
-// internLocked maps a cell id to its dense index, assigning the next index
-// on first sight. Callers hold compMu for writing.
-func (s *Store) internLocked(id geo.CellID) int32 {
-	if i, ok := s.cellIndex[id]; ok {
-		return i
+// internLocked starts a fresh view of h — a fresh Compiled is always
+// allocated, since concurrent scorers may still hold the previous one —
+// holding h's cells as dense indices, each cell id assigned the next index
+// on first sight. It is the only part of a view build that writes store
+// state; callers hold compMu for writing.
+func (s *Store) internLocked(h *History) *Compiled {
+	c := &Compiled{
+		Cells:       make([]int32, len(h.cells)),
+		storeEpoch:  s.epoch,
+		histVersion: h.version,
 	}
-	i := int32(len(s.cellIDs))
-	s.cellIndex[id] = i
-	s.cellIDs = append(s.cellIDs, id)
-	return i
+	for j, id := range h.cells {
+		i, ok := s.cellIndex[id]
+		if !ok {
+			i = int32(len(s.cellIDs))
+			s.cellIndex[id] = i
+			s.cellIDs = append(s.cellIDs, id)
+		}
+		c.Cells[j] = i
+	}
+	return c
+}
+
+// fill completes a view started by internLocked: window and offset
+// columns, record weights, the IDF weight of every bin and the per-window
+// weight sums. It only reads the store and the history, so views of
+// distinct entities fill concurrently.
+func (s *Store) fill(c *Compiled, h *History) {
+	c.Windows = slices.Clone(h.windows)
+	c.Off = slices.Clone(h.off)
+	c.Counts = slices.Clone(h.counts)
+	c.IDF = make([]float64, len(h.cells))
+	c.WinRecs = make([]float64, len(h.windows))
+	for k, win := range h.windows {
+		var recs float64
+		for j := h.off[k]; j < h.off[k+1]; j++ {
+			c.IDF[j] = s.IDF(Bin{Window: win, Cell: h.cells[j]})
+			recs += h.counts[j]
+		}
+		c.WinRecs[k] = recs
+	}
 }

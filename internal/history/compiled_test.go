@@ -1,6 +1,8 @@
 package history
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"slim/internal/geo"
@@ -26,7 +28,7 @@ func compiledTestStore(t testing.TB) *Store {
 // weights equal to the store's IDF, and per-window record sums consistent.
 func TestCompiledViewMatchesBins(t *testing.T) {
 	s := compiledTestStore(t)
-	if n := s.Compile(); n != s.NumEntities() {
+	if n := s.Compile(1); n != s.NumEntities() {
 		t.Fatalf("first Compile recompiled %d entities, want %d", n, s.NumEntities())
 	}
 	for _, e := range s.Entities() {
@@ -75,44 +77,32 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 
 // TestCompileInvalidation pins the recompilation granularity: clean stores
 // recompile nothing, weight-only adds recompile one entity, and anything
-// that can shift baked IDF weights (new bin, new entity, IDF total
-// override) recompiles all.
+// that can shift baked IDF weights (new bin, new entity) recompiles all.
 func TestCompileInvalidation(t *testing.T) {
 	s := compiledTestStore(t)
 	all := s.NumEntities()
-	s.Compile()
-	if n := s.Compile(); n != 0 {
+	s.Compile(1)
+	if n := s.Compile(1); n != 0 {
 		t.Fatalf("clean Compile recompiled %d entities, want 0", n)
 	}
 
 	// Weight-only add: a duplicate of an existing record lands in an
 	// existing bin, so only entity "a" goes stale.
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 110})
-	if n := s.Compile(); n != 1 {
+	if n := s.Compile(1); n != 1 {
 		t.Fatalf("weight-only add recompiled %d entities, want 1", n)
 	}
 
 	// New bin: bin frequencies changed, every baked IDF may be stale.
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 36.0, Lng: -121.0}, Unix: 50000})
-	if n := s.Compile(); n != all {
+	if n := s.Compile(1); n != all {
 		t.Fatalf("new-bin add recompiled %d entities, want %d", n, all)
 	}
 
 	// New entity: |U| changed.
 	s.Add(model.Record{Entity: "z", LatLng: geo.LatLng{Lat: 37.0, Lng: -122.0}, Unix: 42})
-	if n := s.Compile(); n != all+1 {
+	if n := s.Compile(1); n != all+1 {
 		t.Fatalf("new-entity add recompiled %d entities, want %d", n, all+1)
-	}
-
-	// IDF numerator override: all stale; setting the same value again is
-	// a no-op.
-	s.SetIDFTotalEntities(100)
-	if n := s.Compile(); n != all+1 {
-		t.Fatalf("SetIDFTotalEntities recompiled %d entities, want %d", n, all+1)
-	}
-	s.SetIDFTotalEntities(100)
-	if n := s.Compile(); n != 0 {
-		t.Fatalf("no-op SetIDFTotalEntities recompiled %d entities, want 0", n)
 	}
 }
 
@@ -141,6 +131,67 @@ func TestCompiledViewLazyRecompile(t *testing.T) {
 	}
 }
 
+// TestCompileParallelMatchesSerial requires the parallel build to equal
+// the serial one view for view — windows, offsets, weights, IDF, window
+// sums and the dense cell indices with their id table — across a cold
+// compile, a weight-only add (one stale entity) and an epoch move that
+// brings new cells (everything stale). Run under -race it is also the
+// data-race gate of the fan-out.
+func TestCompileParallelMatchesSerial(t *testing.T) {
+	build := func() *Store {
+		var recs []model.Record
+		for e := 0; e < 37; e++ {
+			for k := 0; k < 40+e; k++ {
+				r := model.Record{
+					Entity: model.EntityID(fmt.Sprintf("e%02d", e)),
+					LatLng: geo.LatLng{Lat: 37.5 + float64((k*7+e)%23)*0.01, Lng: -122.5 + float64((e+k)%17)*0.01},
+					Unix:   int64(450 * k),
+				}
+				if k%11 == 0 {
+					r.RadiusKm = 1.2 // region record: fractional weights over several cells
+				}
+				recs = append(recs, r)
+			}
+		}
+		d := model.Dataset{Name: "D", Records: recs}
+		return Build(&d, model.Windowing{Epoch: 0, WidthSeconds: 900}, 12)
+	}
+	serial, parallel := build(), build()
+	mutate := []func(s *Store){
+		func(*Store) {},
+		func(s *Store) { // weight-only: an existing bin of e03
+			s.Add(model.Record{Entity: "e03", LatLng: geo.LatLng{Lat: 37.5 + 0.03, Lng: -122.5 + 0.03}, Unix: 0})
+		},
+		func(s *Store) { // new entity in new cells: epoch moves, new dense indices
+			s.Add(model.Record{Entity: "zz", LatLng: geo.LatLng{Lat: 40.1, Lng: -74.2}, Unix: 5000})
+			s.Add(model.Record{Entity: "e10", LatLng: geo.LatLng{Lat: 40.2, Lng: -74.3}, Unix: 7000, RadiusKm: 2})
+		},
+	}
+	wantStale := []int{37, 1, 38}
+	for step, mut := range mutate {
+		mut(serial)
+		mut(parallel)
+		ns, np := serial.Compile(1), parallel.Compile(4)
+		if ns != wantStale[step] || np != wantStale[step] {
+			t.Fatalf("step %d: serial recompiled %d entities, parallel %d, want %d", step, ns, np, wantStale[step])
+		}
+		if !slices.Equal(serial.cellIDs, parallel.cellIDs) {
+			t.Fatalf("step %d: dense cell-id tables differ", step)
+		}
+		for _, e := range serial.Entities() {
+			a, b := serial.compiled[e], parallel.compiled[e]
+			if a == nil || b == nil {
+				t.Fatalf("step %d: %s has no compiled view", step, e)
+			}
+			if !slices.Equal(a.Windows, b.Windows) || !slices.Equal(a.Off, b.Off) ||
+				!slices.Equal(a.Cells, b.Cells) || !slices.Equal(a.Counts, b.Counts) ||
+				!slices.Equal(a.IDF, b.IDF) || !slices.Equal(a.WinRecs, b.WinRecs) {
+				t.Fatalf("step %d: compiled views of %s differ", step, e)
+			}
+		}
+	}
+}
+
 // BenchmarkCompile measures a full store compilation after an
 // IDF-epoch-invalidating change — the worst-case recompile a relink pays
 // after ingest creates new bins.
@@ -157,11 +208,11 @@ func BenchmarkCompile(b *testing.B) {
 	}
 	d := model.Dataset{Name: "bench", Records: recs}
 	s := Build(&d, model.Windowing{Epoch: 0, WidthSeconds: 900}, 12)
-	s.Compile()
+	s.Compile(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		s.epoch++ // invalidate every compiled view
-		s.Compile()
+		s.Compile(1)
 	}
 }

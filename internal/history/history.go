@@ -275,12 +275,8 @@ type Store struct {
 	maxWindow   int64
 	hasData     bool
 
-	// idfTotal, when positive, overrides the |U| numerator of the IDF for
-	// stores holding one partition of a larger logical dataset.
-	idfTotal int
-
 	// epoch versions the dataset-level IDF inputs (entity count, bin
-	// frequencies, idfTotal). Any change invalidates every compiled view,
+	// frequencies). Any change invalidates every compiled view,
 	// because the IDF weights baked into them may have shifted; see
 	// compiled.go.
 	epoch uint64
@@ -376,37 +372,19 @@ func (s *Store) WindowRange() (minWin, maxWin int64, ok bool) {
 
 // Epoch returns the store's IDF-input version: it moves whenever a
 // dataset-level score input changes — a new entity (|U| and the average
-// history size shift), a new time-location bin (bin→entity frequencies and
-// the average history size shift), or a SetIDFTotalEntities change. While
-// the epoch stands still, the score of any pair of unchanged histories is
-// unchanged too: weight-only adds touch exactly the histories they land
-// in. The compiled scoring views (compiled.go) and the root package's
-// incremental edge store both key their invalidation on this counter.
+// history size shift) or a new time-location bin (bin→entity frequencies
+// and the average history size shift). While the epoch stands still, the
+// score of any pair of unchanged histories is unchanged too: weight-only
+// adds touch exactly the histories they land in. The compiled scoring
+// views (compiled.go) and the root package's incremental edge store both
+// key their invalidation on this counter.
 func (s *Store) Epoch() uint64 { return s.epoch }
-
-// SetIDFTotalEntities overrides the |U| numerator of the IDF (Eq. 3) for
-// stores that hold one hash partition of a larger logical dataset: the
-// bin→entity frequencies in the denominator stay partition-local (the
-// standard distributed-retrieval approximation), but the entity-count
-// numerator reflects the whole dataset, so a shard with few entities does
-// not degenerate to zero IDF weights. n <= the local entity count restores
-// purely local statistics.
-func (s *Store) SetIDFTotalEntities(n int) {
-	if s.idfTotal == n {
-		return
-	}
-	s.idfTotal = n
-	s.epoch++
-}
 
 // IDF returns the inverse-document-frequency weight of a time-location bin
 // (Eq. 3): log(|U| / |{u : bin ∈ H_u}|). Bins absent from the dataset get
 // the maximum weight log(|U|), consistent with the limit of Eq. 3.
 func (s *Store) IDF(b Bin) float64 {
 	n := len(s.entities)
-	if s.idfTotal > n {
-		n = s.idfTotal
-	}
 	if n == 0 {
 		return 0
 	}

@@ -14,12 +14,12 @@ import (
 // benchPlane boots a durable plane (real WAL in a temp dir, group-commit
 // fsync) with budgets wide enough that the benchmark measures the
 // pipeline, not the shed policy.
-func benchPlane(tb testing.TB, shards int) (*Plane, *engine.Engine) {
+func benchPlane(tb testing.TB) (*Plane, *engine.Engine) {
 	tb.Helper()
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
 	eng, store, _, err := storage.Recover(tb.TempDir(), slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: shards, Link: cfg, Debounce: time.Hour}, storage.Options{})
+		engine.Config{Link: cfg, Debounce: time.Hour}, storage.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func benchBody(batches, perBatch, entities int) (body []byte, records int) {
 // per-shard buffering — in records/s. This is the number the 1M
 // records/s target and the CI floor refer to.
 func BenchmarkIngestBinary(b *testing.B) {
-	p, _ := benchPlane(b, 4)
+	p, _ := benchPlane(b)
 	body, records := benchBody(16, 4096, 4096)
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
@@ -81,7 +81,7 @@ func BenchmarkIngestBinary(b *testing.B) {
 // relink has applied it (the records are queryable). Reports p50/p99
 // across iterations.
 func BenchmarkIngestToVisible(b *testing.B) {
-	p, eng := benchPlane(b, 4)
+	p, eng := benchPlane(b)
 	// Seed a resident population so the relink is not a no-op, then keep
 	// re-observing the same entities: state stays bounded and each
 	// iteration exercises the incremental dirty-shard path.
@@ -139,7 +139,7 @@ func TestIngestThroughputFloor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation costs ~10x on this path; CI gates the floor in a dedicated non-race step")
 	}
-	p, _ := benchPlane(t, 4)
+	p, _ := benchPlane(t)
 	body, records := benchBody(16, 4096, 4096)
 	const rounds = 4
 	start := time.Now()

@@ -15,9 +15,8 @@
 //
 //   - queue depth: records resident in the ingest pipeline — admitted
 //     batches still waiting on WAL durability plus records buffered in
-//     the engine's per-shard pending queues awaiting a relink (an I
-//     record replicated onto k shards counts k times; the budget bounds
-//     real memory).
+//     the engine's pending buffers awaiting a relink, every record
+//     counted exactly once whichever dataset it belongs to.
 //   - latency: the age of the oldest record still queued anywhere in the
 //     pipeline — when WAL fsync or relink lags this far behind, new work
 //     is shed.
@@ -389,7 +388,7 @@ type Stats struct {
 	RetryAfter time.Duration
 	// InflightRecords counts admitted records not yet released (waiting on
 	// WAL durability); PendingRecords counts records buffered in the
-	// engine's per-shard queues awaiting a relink.
+	// engine awaiting a relink (each once).
 	InflightRecords int
 	PendingRecords  int
 	// OldestWait is the age of the oldest record queued anywhere in the

@@ -12,12 +12,12 @@ import (
 	"slim/internal/storage"
 )
 
-func testEngine(t *testing.T, shards int) *engine.Engine {
+func testEngine(t *testing.T) *engine.Engine {
 	t.Helper()
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
 	eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: shards, Link: cfg, Debounce: time.Hour})
+		engine.Config{Link: cfg, Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestParseRequest(t *testing.T) {
 }
 
 func TestAdmitQueueDepth(t *testing.T) {
-	p := NewPlane(testEngine(t, 2), Config{QueueDepth: 100})
+	p := NewPlane(testEngine(t), Config{QueueDepth: 100})
 
 	rel1, err := p.Admit(60)
 	if err != nil {
@@ -113,14 +113,18 @@ func TestAdmitQueueDepth(t *testing.T) {
 	}
 }
 
-// TestAdmitCountsEnginePending: records sitting in the engine's per-shard
-// relink queues occupy the same budget as in-flight admissions — an I
-// record replicated onto k shards counts k times.
+// TestAdmitCountsEnginePending: records sitting in the engine's pending
+// buffers occupy the same budget as in-flight admissions, each record
+// once — N pending I records read as N, so I-heavy traffic sheds at the
+// documented depth, not a fraction of it.
 func TestAdmitCountsEnginePending(t *testing.T) {
-	eng := testEngine(t, 2)
+	eng := testEngine(t)
 	p := NewPlane(eng, Config{QueueDepth: 100})
 
-	eng.BufferI(mkRecs("i", 45)...) // 45 x 2 shards = 90 resident records
+	eng.BufferI(mkRecs("i", 90)...)
+	if st := p.Stats(); st.PendingRecords != 90 {
+		t.Fatalf("90 pending I records read as %d", st.PendingRecords)
+	}
 	if _, err := p.Admit(11); err == nil {
 		t.Fatal("admit over engine-pending budget succeeded")
 	}
@@ -138,7 +142,7 @@ func TestAdmitCountsEnginePending(t *testing.T) {
 }
 
 func TestAdmitLatency(t *testing.T) {
-	eng := testEngine(t, 2)
+	eng := testEngine(t)
 	p := NewPlane(eng, Config{QueueDepth: 1 << 20, ShedAfter: time.Millisecond})
 
 	// An in-flight admission that outlives the budget (a stuck fsync)
@@ -195,7 +199,7 @@ func TestAdmitLatency(t *testing.T) {
 // like the JSON path without -data-dir — records go straight to the
 // engine's pending queues.
 func TestSubmitBuffersWithoutLogger(t *testing.T) {
-	eng := testEngine(t, 2)
+	eng := testEngine(t)
 	p := NewPlane(eng, Config{})
 
 	body := wireBody(t,
@@ -210,8 +214,8 @@ func TestSubmitBuffersWithoutLogger(t *testing.T) {
 	if err != nil || applied != 2 {
 		t.Fatalf("Submit = %d, %v; want 2, nil", applied, err)
 	}
-	if want := 10 + 4*eng.NumShards(); eng.Pending() != want {
-		t.Fatalf("Pending = %d, want %d", eng.Pending(), want)
+	if eng.Pending() != 14 {
+		t.Fatalf("Pending = %d, want 14", eng.Pending())
 	}
 	if st := p.Stats(); st.AcceptedBatches != 2 || st.AcceptedRecords != uint64(records) {
 		t.Fatalf("accepted counters %+v, want 2 batches / %d records", st, records)
@@ -236,7 +240,7 @@ func (l *failLogger) LogEncoded(tag byte, recordBytes []byte, recs []slim.Record
 // prefix is buffered (it will be replayed on recovery, so it must be
 // visible) and the tail is neither acknowledged nor buffered.
 func TestSubmitDurablePrefix(t *testing.T) {
-	eng := testEngine(t, 2)
+	eng := testEngine(t)
 	p := NewPlane(eng, Config{})
 	p.AttachLogger(&failLogger{failAt: 2})
 

@@ -35,7 +35,7 @@ func TestServerChaos(t *testing.T) {
 	dir := t.TempDir()
 	eng, store, _, err := storage.Recover(dir,
 		slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 4, Link: slim.Defaults(), Debounce: 2 * time.Millisecond, Fault: inj},
+		engine.Config{Link: slim.Defaults(), Debounce: 2 * time.Millisecond, Fault: inj},
 		storage.Options{
 			FS:            storage.NewFaultFS(storage.OSFS, inj),
 			FsyncInterval: 0, // inline: a nacked append is never re-logged,

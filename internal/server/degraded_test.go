@@ -20,7 +20,7 @@ func newFaultedServer(t *testing.T) (*httptest.Server, *storage.Store, *fault.In
 	inj := fault.New()
 	eng, store, _, err := storage.Recover(t.TempDir(),
 		slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour},
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour},
 		storage.Options{
 			FS:                storage.NewFaultFS(storage.OSFS, inj),
 			SnapshotEveryRuns: -1,

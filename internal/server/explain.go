@@ -92,21 +92,20 @@ type stageDurationsJSON struct {
 }
 
 type runRecordJSON struct {
-	Seq            uint64             `json:"seq"`
-	Version        uint64             `json:"version"`
-	Trigger        string             `json:"trigger"`
-	StartUnixMs    int64              `json:"start_unix_ms"`
-	DurationMs     float64            `json:"duration_ms"`
-	DirtyShards    int                `json:"dirty_shards"`
-	ShortCircuit   bool               `json:"short_circuit"`
-	FullRescore    bool               `json:"full_rescore"`
-	Panicked       bool               `json:"panicked"`
-	PanicMsg       string             `json:"panic_msg,omitempty"`
-	Rescored       int64              `json:"rescored"`
-	Retained       int64              `json:"retained"`
-	Dropped        int64              `json:"dropped"`
-	CandidatePairs int64              `json:"candidate_pairs"`
-	Links          int64              `json:"links"`
+	Seq            uint64  `json:"seq"`
+	Version        uint64  `json:"version"`
+	Trigger        string  `json:"trigger"`
+	StartUnixMs    int64   `json:"start_unix_ms"`
+	DurationMs     float64 `json:"duration_ms"`
+	ShortCircuit   bool    `json:"short_circuit"`
+	FullRescore    bool    `json:"full_rescore"`
+	Panicked       bool    `json:"panicked"`
+	PanicMsg       string  `json:"panic_msg,omitempty"`
+	Rescored       int64   `json:"rescored"`
+	Retained       int64   `json:"retained"`
+	Dropped        int64   `json:"dropped"`
+	CandidatePairs int64   `json:"candidate_pairs"`
+	Links          int64   `json:"links"`
 	// TailReusedPrefix / TailFullRebuild describe the publish tail's work
 	// for this run (zero / false on the from-scratch Hungarian path).
 	TailReusedPrefix int64              `json:"tail_reused_prefix"`
@@ -118,19 +117,18 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func toRunRecordJSON(r engine.RunRecord) runRecordJSON {
 	return runRecordJSON{
-		Seq:            r.Seq,
-		Version:        r.Version,
-		Trigger:        r.Trigger,
-		StartUnixMs:    r.Start.UnixMilli(),
-		DurationMs:     ms(r.Duration),
-		DirtyShards:    r.DirtyShards,
-		ShortCircuit:   r.ShortCircuit,
-		FullRescore:    r.FullRescore,
-		Panicked:       r.Panicked,
-		PanicMsg:       r.PanicMsg,
-		Rescored:       r.Rescored,
-		Retained:       r.Retained,
-		Dropped:        r.Dropped,
+		Seq:              r.Seq,
+		Version:          r.Version,
+		Trigger:          r.Trigger,
+		StartUnixMs:      r.Start.UnixMilli(),
+		DurationMs:       ms(r.Duration),
+		ShortCircuit:     r.ShortCircuit,
+		FullRescore:      r.FullRescore,
+		Panicked:         r.Panicked,
+		PanicMsg:         r.PanicMsg,
+		Rescored:         r.Rescored,
+		Retained:         r.Retained,
+		Dropped:          r.Dropped,
 		CandidatePairs:   r.CandidatePairs,
 		Links:            r.Links,
 		TailReusedPrefix: r.TailReusedPrefix,
@@ -150,7 +148,6 @@ func toRunRecordJSON(r engine.RunRecord) runRecordJSON {
 type explainResponse struct {
 	E       string        `json:"e"`
 	I       string        `json:"i"`
-	Shard   int           `json:"shard"`
 	Version uint64        `json:"version"`
 	Score   breakdownJSON `json:"score"`
 	// Candidates is omitted when the engine runs brute force (every pair
@@ -173,7 +170,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, req *http.Request) {
 	resp := explainResponse{
 		E:       u,
 		I:       v,
-		Shard:   ex.Shard,
 		Version: ex.Version,
 		Edge: edgeLineageJSON{
 			Linked:           ex.Edge.Linked,

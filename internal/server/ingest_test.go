@@ -17,11 +17,11 @@ import (
 )
 
 // newDurableServer boots an empty engine over a fresh data directory.
-func newDurableServer(t *testing.T, shards int, opts ...Option) (*httptest.Server, string) {
+func newDurableServer(t *testing.T, opts ...Option) (*httptest.Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	eng, store, _, err := storage.Recover(dir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: shards, Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestBinaryJSONIngestParity(t *testing.T) {
 		IntersectionRatio: 0.5, InclusionProbE: 0.6, InclusionProbI: 0.6, Seed: 22,
 	})
 
-	tsJSON, dirJSON := newDurableServer(t, 2)
-	tsBin, dirBin := newDurableServer(t, 2)
+	tsJSON, dirJSON := newDurableServer(t)
+	tsBin, dirBin := newDurableServer(t)
 
 	const batch = 500
 	for i := 0; i < len(w.E.Records); i += batch {
@@ -157,7 +157,7 @@ func TestBinaryJSONIngestParity(t *testing.T) {
 // TestBinaryIngestErrorSurface: the binary endpoint's full rejection
 // matrix, plus the shared 413 limit on the JSON path.
 func TestBinaryIngestErrorSurface(t *testing.T) {
-	ts, _ := newDurableServer(t, 2, WithMaxIngestBody(2048))
+	ts, _ := newDurableServer(t, WithMaxIngestBody(2048))
 
 	good := frameBatches(storage.TagE, mkBurst("e-a", 10), 10)
 
@@ -217,7 +217,7 @@ func mkBurst(e string, n int) []slim.Record {
 func TestIngestShedLosslessOrRejected(t *testing.T) {
 	dir := t.TempDir()
 	eng, store, _, err := storage.Recover(dir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func newObsServer(t *testing.T, logger *slog.Logger, opts ...Option) (*httptest.
 	t.Helper()
 	reg := obs.NewRegistry()
 	eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour, Registry: reg})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRequestLogOutcome(t *testing.T) {
 	// accepted, a two-record batch can never be admitted.
 	reg := obs.NewRegistry()
 	eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour, Registry: reg})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

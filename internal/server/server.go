@@ -23,7 +23,7 @@
 //	GET  /readyz                      readiness probe: 503 until recovery and
 //	                                  the initial seed link have completed
 //
-// Ingested records are buffered per shard and applied by the next relink
+// Ingested records are buffered and applied by the next relink
 // (debounced in the background when the engine's scheduler is started, or
 // forced via POST /v1/link), so ingest responds quickly even while a
 // linkage run is in flight.
@@ -765,19 +765,16 @@ type runJournalJSON struct {
 }
 
 type statsResponse struct {
-	Shards         int    `json:"shards"`
 	SpatialLevel   int    `json:"spatial_level"`
 	EntitiesE      int    `json:"entities_e"`
 	EntitiesI      int    `json:"entities_i"`
 	IngestedE      uint64 `json:"ingested_e"`
 	IngestedI      uint64 `json:"ingested_i"`
 	PendingRecords int    `json:"pending_records"`
-	DirtyShards    int    `json:"dirty_shards"`
-	// DirtyShardsLastRun counts shards the latest relink re-scored;
-	// CandidateIndex reports the incremental LSH index behind them and
-	// EdgeStore the incremental scored-edge state; RunsShortCircuited
-	// counts fully-clean relinks that republished the cached result.
-	DirtyShardsLastRun int    `json:"dirty_shards_last_run"`
+	// CandidateIndex reports the incremental LSH index and EdgeStore the
+	// incremental scored-edge state as of the latest relink;
+	// RunsShortCircuited counts clean relinks that republished the cached
+	// result.
 	RunsShortCircuited uint64 `json:"runs_short_circuited"`
 	Runs               uint64 `json:"runs"`
 	// RelinkPanics counts contained relink-run panics (failed runs that
@@ -818,15 +815,12 @@ type ingestStatsJSON struct {
 func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 	st := s.eng.Stats()
 	resp := statsResponse{
-		Shards:             st.Shards,
 		SpatialLevel:       st.SpatialLevel,
 		EntitiesE:          st.EntitiesE,
 		EntitiesI:          st.EntitiesI,
 		IngestedE:          st.IngestedE,
 		IngestedI:          st.IngestedI,
 		PendingRecords:     st.PendingRecords,
-		DirtyShards:        st.DirtyShards,
-		DirtyShardsLastRun: st.DirtyShardsLastRun,
 		RunsShortCircuited: st.RunsShortCircuited,
 		Runs:               st.Runs,
 		RelinkPanics:       st.RelinkPanics,

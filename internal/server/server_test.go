@@ -14,11 +14,11 @@ import (
 	"slim/internal/storage"
 )
 
-// newTestServer boots an empty 4-shard engine behind an httptest server.
+// newTestServer boots an empty engine behind an httptest server.
 func newTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 4, Link: slim.Defaults(), Debounce: time.Hour})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,6 @@ func TestServerIngestLinkQuery(t *testing.T) {
 
 	var stats struct {
 		PendingRecords int `json:"pending_records"`
-		DirtyShards    int `json:"dirty_shards"`
 		IngestedE      int `json:"ingested_e"`
 		PublishTail    *struct {
 			Matched      int64  `json:"matched"`
@@ -115,8 +114,9 @@ func TestServerIngestLinkQuery(t *testing.T) {
 	if stats.IngestedE != len(w.E.Records) {
 		t.Fatalf("ingested_e = %d, want %d", stats.IngestedE, len(w.E.Records))
 	}
-	if stats.PendingRecords == 0 || stats.DirtyShards != 4 {
-		t.Fatalf("expected pending ingest on all shards, got %+v", stats)
+	if want := len(w.E.Records) + len(w.I.Records); stats.PendingRecords != want {
+		t.Fatalf("pending_records = %d before the first link, want every ingested record once (%d)",
+			stats.PendingRecords, want)
 	}
 
 	var run struct {
@@ -189,7 +189,7 @@ func TestServerIngestLinkQuery(t *testing.T) {
 	}
 
 	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if stats.PendingRecords != 0 || stats.DirtyShards != 0 {
+	if stats.PendingRecords != 0 {
 		t.Errorf("stats after run not clean: %+v", stats)
 	}
 	if stats.PublishTail == nil || stats.PublishTail.FullRebuilds == 0 ||
@@ -252,7 +252,7 @@ func TestServerErrors(t *testing.T) {
 // its own once the engine scheduler is started — no POST /v1/link needed.
 func TestServerBackgroundRelink(t *testing.T) {
 	eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: func() slim.Config {
+		engine.Config{Link: func() slim.Config {
 			c := slim.Defaults()
 			c.Threshold = slim.ThresholdNone
 			return c
@@ -296,7 +296,7 @@ func TestServerBackgroundRelink(t *testing.T) {
 // recovery + seed linkage done; /healthz stays live throughout.
 func TestServerReadiness(t *testing.T) {
 	eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 
 	dir := t.TempDir()
 	eng, store, _, err := storage.Recover(dir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 func TestServerIngestFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	eng, store, _, err := storage.Recover(dir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,14 +506,14 @@ func TestServerLinksPaginationStableAcrossRelinks(t *testing.T) {
 }
 
 // TestServerCandidateIndexStats boots an LSH-enabled engine, streams a
-// burst, and verifies /v1/stats surfaces the aggregated candidate-index
-// metrics (signatures, buckets, dirty entities, last-update time) plus the
-// last relink's dirty-shard count.
+// burst, and verifies /v1/stats surfaces the candidate-index metrics
+// (signatures, buckets, dirty entities, last-update time), which a no-op
+// relink then reports as zero work.
 func TestServerCandidateIndexStats(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.LSH = &slim.LSHConfig{Threshold: 0.2, StepWindows: 8, SpatialLevel: 12, NumBuckets: 1 << 10}
 	eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: cfg, Debounce: time.Hour})
+		engine.Config{Link: cfg, Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,26 +544,26 @@ func TestServerCandidateIndexStats(t *testing.T) {
 	if ci == nil {
 		t.Fatal("stats response has no candidate_index despite LSH being enabled")
 	}
-	if ci.SignaturesE != 6 || ci.SignaturesI != 6*eng.NumShards() {
-		t.Errorf("signatures %d/%d, want 6 E and %d replicated I", ci.SignaturesE, ci.SignaturesI, 6*eng.NumShards())
+	if ci.SignaturesE != 6 || ci.SignaturesI != 6 {
+		t.Errorf("signatures %d/%d, want 6 per side", ci.SignaturesE, ci.SignaturesI)
 	}
 	if ci.Epoch == 0 || ci.Buckets == 0 || ci.Occupancy <= 0 {
 		t.Errorf("index looks unbuilt: %+v", ci)
 	}
-	if st.DirtyShardsLastRun == 0 {
-		t.Error("dirty_shards_last_run = 0 after the first relink")
+	if ci.DirtyEntitiesLast == 0 && !ci.LastRebuild {
+		t.Errorf("first relink reports no index work: %+v", ci)
 	}
 
-	// A second relink with nothing pending re-scores nothing.
+	// A second relink with nothing pending re-signs and re-scores nothing.
 	postJSON(t, ts.URL+"/v1/link", nil)
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.DirtyShardsLastRun != 0 {
-		t.Errorf("dirty_shards_last_run = %d after a no-op relink, want 0", st.DirtyShardsLastRun)
+	if ci := st.CandidateIndex; ci.DirtyEntitiesLast != 0 || ci.LastRebuild || st.RunsShortCircuited != 1 {
+		t.Errorf("no-op relink reports index work: %+v (short circuits %d)", ci, st.RunsShortCircuited)
 	}
 
 	// Disabled LSH must omit the block entirely.
 	eng2, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Shards: 2, Link: slim.Defaults(), Debounce: time.Hour})
+		engine.Config{Link: slim.Defaults(), Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func testEngineCfg() engine.Config {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone // tiny instances: keep the full matching
-	return engine.Config{Shards: 2, Link: cfg, Debounce: time.Hour}
+	return engine.Config{Link: cfg, Debounce: time.Hour}
 }
 
 // mkRecs builds n clustered records for one entity (same shape as the

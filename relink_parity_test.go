@@ -1,4 +1,4 @@
-package slim
+package slim_test
 
 import (
 	"fmt"
@@ -6,25 +6,22 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
+
+	"slim"
+	"slim/internal/engine"
 )
 
 // sameLinksBits reports whether two link lists are bit-identical:
 // same pairs in the same order with Float64bits-equal scores.
-func sameLinksBits(a, b []Link) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].U != b[i].U || a[i].V != b[i].V ||
-			math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-			return false
-		}
-	}
-	return true
+func sameLinksBits(a, b []slim.Link) bool {
+	return slices.EqualFunc(a, b, func(x, y slim.Link) bool {
+		return x.U == y.U && x.V == y.V && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
 }
 
-// requireSameResult asserts two Run results are bit-identical in
-// everything the edge store and publish tail are responsible for: the
+// requireSameResult asserts two results are bit-identical in everything
+// the edge store and publish tail are responsible for: the
 // retained/rescored edge set (via Matched, which is the full
 // positive-edge matching), the published links, and the thresholding
 // derived from them — scores and threshold compared via Float64bits, so
@@ -32,7 +29,7 @@ func sameLinksBits(a, b []Link) bool {
 // pipelines fails. Work counters (bin/record comparisons) are
 // deliberately excluded — saving that work is the whole point of the
 // incremental path.
-func requireSameResult(t *testing.T, step string, got, want Result) {
+func requireSameResult(t *testing.T, step string, got, want slim.Result) {
 	t.Helper()
 	if got.Stats.CandidatePairs != want.Stats.CandidatePairs {
 		t.Fatalf("%s: candidate pairs %d, want %d", step, got.Stats.CandidatePairs, want.Stats.CandidatePairs)
@@ -52,197 +49,247 @@ func requireSameResult(t *testing.T, step string, got, want Result) {
 	}
 }
 
-// TestRelinkParityIncrementalVsFromScratch is the edge store's exactness
-// gate: an incrementally maintained Linker fed interleaved E/I ingest
-// bursts must produce Run output bit-identical to a from-scratch Linker
-// built over the union records on the same pinned grid — across
-// weight-only churn (the pair-level delta path), new-bin and new-entity
-// bursts (IDF-epoch full rescores), window-range growth in both
-// directions (candidate-grid epoch rebuilds), point and region records,
-// and SetTotalEntitiesE changes. It also asserts that both the delta path
-// and the full-rescore path actually ran, so parity cannot pass by
-// rescoring everything every time.
+// relinker is what the parity scenario drives: something that takes
+// streamed records and re-links on demand. The standalone Linker and the
+// service engine both fit.
+type relinker struct {
+	addE, addI func(...slim.Record)
+	run        func() slim.Result
+	// refresh forces a candidate refresh between two bursts of one run, so
+	// the edge store's pending delta survives being merged across several
+	// refreshes (nil when the subject has no such hook).
+	refresh func()
+	tail    func() *slim.PublishTailStats
+}
+
+func linkerSubject(t *testing.T, e, i slim.Dataset, cfg slim.Config) relinker {
+	lk, err := slim.NewLinker(e, i, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return relinker{
+		addE:    lk.AddE,
+		addI:    lk.AddI,
+		run:     lk.Run,
+		refresh: func() { _ = lk.NumCandidatePairs() },
+		tail:    lk.PublishTailStats,
+	}
+}
+
+func engineSubject(t *testing.T, e, i slim.Dataset, cfg slim.Config) (relinker, *engine.Engine) {
+	eng, err := engine.New(e, i, engine.Config{Link: cfg, Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return relinker{
+		addE: func(recs ...slim.Record) { must(eng.AddE(recs...)) },
+		addI: func(recs ...slim.Record) { must(eng.AddI(recs...)) },
+		run:  eng.Run,
+		tail: func() *slim.PublishTailStats { return eng.Stats().PublishTail },
+	}, eng
+}
+
+// TestRelinkParityIncrementalVsFromScratch is the exactness gate of
+// incremental relinking, at both levels that do it: a standalone Linker
+// and the service's engine.Engine, each fed randomised interleaved E/I
+// ingest bursts, must after every run publish a result bit-identical —
+// links, matching, threshold, every score by Float64bits — to
+// slim.LinkDatasets over the union records. The bursts cover weight-only
+// churn (the pair-level delta path), new-bin and new-entity bursts
+// (IDF-epoch full rescores), window-range growth in both directions
+// (candidate-grid epoch rebuilds; LinkDatasets then grids the union from a
+// different epoch, which must not matter), point and region records, with
+// LSH on and off. It also asserts that the delta path, the full-rescore
+// path and the publish tail's prefix reuse all actually ran, so parity
+// cannot pass by redoing everything every time.
 func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 	scenarios := []struct {
 		name string
-		lsh  *LSHConfig
+		lsh  *slim.LSHConfig
 	}{
 		{"brute", nil},
 		// Signature level 13 != history level 12 exercises the separate
 		// signature stores.
-		{"lsh", &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}},
+		{"lsh", &slim.LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}},
 	}
 	for _, sc := range scenarios {
 		for _, seed := range []int64{3, 19} {
-			t.Run(fmt.Sprintf("%s/seed%d", sc.name, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				cfg := Defaults()
-				cfg.LSH = sc.lsh
-
-				ground := GenerateCab(CabOptions{NumTaxis: 14, Days: 2, MeanRecordIntervalSec: 420, Seed: seed})
-				w := SampleWorkload(&ground, SampleOptions{
-					IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: seed + 1,
+			for _, subject := range []string{"linker", "engine"} {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", subject, sc.name, seed), func(t *testing.T) {
+					cfg := slim.Defaults()
+					cfg.LSH = sc.lsh
+					runParityScenario(t, subject, cfg, seed)
 				})
-				p, err := PrepareLinkage(w.E, w.I, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Pin the grid for both linkers so union rebuilds live on the
-				// same windows even after backward range growth.
-				opt := ShardOptions{EpochUnix: p.EpochUnix, SpatialLevel: p.Config.SpatialLevel}
-				inc, err := NewShardLinker(p.E, p.I, p.Config, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				unionE := slices.Clone(p.E.Records)
-				unionI := slices.Clone(p.I.Records)
-				lo, hi, _ := p.E.TimeRange()
-
-				// mutate applies one burst to the incremental linker and the
-				// union records. Kinds: 0 = weight-only re-observations
-				// (records duplicated into existing bins: the only churn that
-				// leaves both IDF epochs untouched), 1 = new cells inside the
-				// time range, 2/3 = range growth right/left, 4 = brand-new
-				// entity pair. (Score changes without an epoch move cannot be
-				// provoked from ingest — scores are pure functions of bin
-				// sets, and any bin-set change moves an IDF epoch — so the
-				// publish tail's partial-reuse path is covered by the
-				// synthetic-delta parity suite in tail_test.go instead.)
-				mutate := func(kind int) {
-					switch kind {
-					case 0:
-						for k := 0; k < 6; k++ {
-							r := unionE[rng.Intn(len(unionE))]
-							inc.AddE(r)
-							unionE = append(unionE, r)
-							r = unionI[rng.Intn(len(unionI))]
-							inc.AddI(r)
-							unionI = append(unionI, r)
-						}
-					case 1:
-						r := unionE[rng.Intn(len(unionE))]
-						r.LatLng.Lat += 0.3 + rng.Float64()
-						if rng.Intn(2) == 0 {
-							r.RadiusKm = 0.5 + rng.Float64()
-						}
-						inc.AddE(r)
-						unionE = append(unionE, r)
-					case 2:
-						r := unionI[rng.Intn(len(unionI))]
-						hi += 86400
-						r.Unix = hi
-						inc.AddI(r)
-						unionI = append(unionI, r)
-					case 3:
-						r := unionE[rng.Intn(len(unionE))]
-						lo -= 86400
-						r.Unix = lo
-						inc.AddE(r)
-						unionE = append(unionE, r)
-					case 4:
-						for k := 0; k < 8; k++ {
-							unix := lo + rng.Int63n(hi-lo)
-							re := NewRecord("fresh-e", 37.2+float64(k%3)*0.05, -121.9, unix)
-							ri := NewRecord("fresh-i", 37.2+float64(k%3)*0.05, -121.9, unix+40)
-							inc.AddE(re)
-							inc.AddI(ri)
-							unionE = append(unionE, re)
-							unionI = append(unionI, ri)
-						}
-					}
-				}
-
-				sawDelta, sawFull := false, false
-				sawTailReuse := false
-				kinds := []int{0, 0, 2, 0, 1, 3, 4, 0}
-				for burst, kind := range kinds {
-					mutate(kind)
-					if rng.Intn(2) == 0 {
-						// Force a mid-cycle candidate refresh so the edge
-						// store's pending delta survives being merged across
-						// several refreshes before one Run consumes it.
-						_ = inc.NumCandidatePairs()
-						mutate(0)
-					}
-					got := inc.Run()
-					es := got.Stats.EdgeStore
-					if es == nil {
-						t.Fatal("run stats carry no edge-store block")
-					}
-					if es.FullRescore {
-						sawFull = true
-					} else if es.Retained > 0 {
-						sawDelta = true
-						if es.Rescored+es.Retained < got.Stats.CandidatePairs {
-							t.Fatalf("burst %d: rescored %d + retained %d < candidates %d",
-								burst, es.Rescored, es.Retained, got.Stats.CandidatePairs)
-						}
-					}
-					if ts := inc.PublishTailStats(); ts != nil &&
-						!ts.LastFull && ts.ReusedPrefixLen > 0 {
-						sawTailReuse = true
-					}
-					fresh, err := NewShardLinker(
-						Dataset{Name: "E", Records: unionE},
-						Dataset{Name: "I", Records: unionI},
-						p.Config, opt,
-					)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameResult(t, fmt.Sprintf("burst %d (kind %d)", burst, kind), got, fresh.Run())
-				}
-				if !sawDelta || !sawFull {
-					t.Fatalf("workload must exercise both paths: delta=%v full=%v", sawDelta, sawFull)
-				}
-				if !sawTailReuse {
-					t.Fatal("no delta burst reused the tail's matched prefix")
-				}
-
-				// SetTotalEntitiesE moves the E-side IDF epoch: the next run
-				// must full-rescore and still match a from-scratch linker
-				// under the same override.
-				total := len(inc.EntitiesE()) + 16
-				inc.SetTotalEntitiesE(total)
-				got := inc.Run()
-				if !got.Stats.EdgeStore.FullRescore {
-					t.Fatal("SetTotalEntitiesE did not force a full rescore")
-				}
-				fresh, err := NewShardLinker(
-					Dataset{Name: "E", Records: unionE},
-					Dataset{Name: "I", Records: unionI},
-					p.Config, opt,
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh.SetTotalEntitiesE(total)
-				requireSameResult(t, "idf-total override", got, fresh.Run())
-
-				// A run with no ingest at all retains everything — and the
-				// publish tail must reuse the entire matched prefix and the
-				// cached threshold fit rather than redoing either.
-				clean := inc.Run()
-				es := clean.Stats.EdgeStore
-				if es.Rescored != 0 || es.FullRescore || es.Retained != clean.Stats.CandidatePairs {
-					t.Fatalf("clean run rescored work: %+v", es)
-				}
-				requireSameResult(t, "clean rerun", clean, got)
-				ts := inc.PublishTailStats()
-				if ts == nil {
-					t.Fatal("greedy runs must maintain a publish tail")
-				}
-				if ts.Applies == 0 || ts.FullRebuilds == 0 {
-					t.Fatalf("workload must exercise both tail paths: %+v", ts)
-				}
-				if int(ts.ReusedPrefixLen) != len(clean.Matched) || ts.SuffixWalked != 0 {
-					t.Fatalf("clean rerun must reuse the whole matched prefix: %+v (matched %d)",
-						ts, len(clean.Matched))
-				}
-				if ts.ThresholdReuses == 0 {
-					t.Fatalf("clean rerun must reuse the cached threshold fit: %+v", ts)
-				}
-			})
+			}
 		}
+	}
+}
+
+func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	ground := slim.GenerateCab(slim.CabOptions{NumTaxis: 14, Days: 2, MeanRecordIntervalSec: 420, Seed: seed})
+	w := slim.SampleWorkload(&ground, slim.SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: seed + 1,
+	})
+	// The seed goes through the min-records filter once, up front: the
+	// incremental side filters only its seed (streamed records bypass it),
+	// so the union stays comparable as long as LinkDatasets' own filter is
+	// a no-op — every burst below keeps each entity above the floor.
+	seedE := w.E.FilterMinRecords(cfg.MinRecords)
+	seedI := w.I.FilterMinRecords(cfg.MinRecords)
+	unionE := slices.Clone(seedE.Records)
+	unionI := slices.Clone(seedI.Records)
+	lo, hi, _ := seedE.TimeRange()
+
+	var inc relinker
+	var eng *engine.Engine
+	if subject == "engine" {
+		inc, eng = engineSubject(t, seedE, seedI, cfg)
+	} else {
+		inc = linkerSubject(t, seedE, seedI, cfg)
+	}
+	fromScratch := func() slim.Result {
+		res, err := slim.LinkDatasets(
+			slim.Dataset{Name: "E", Records: unionE},
+			slim.Dataset{Name: "I", Records: unionI}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// mutate applies one burst to the incremental side and the union
+	// records. Kinds: 0 = weight-only re-observations (records duplicated
+	// into existing bins: the only churn that leaves both IDF epochs
+	// untouched), 1 = new cells inside the time range, 2/3 = range growth
+	// right/left, 4 = brand-new entity pair. (Score changes without an
+	// epoch move cannot be provoked from ingest — scores are pure
+	// functions of bin sets, and any bin-set change moves an IDF epoch —
+	// so the publish tail's partial-reuse path is covered by the
+	// synthetic-delta parity suite in tail_test.go instead.)
+	mutate := func(kind int) {
+		switch kind {
+		case 0:
+			for k := 0; k < 6; k++ {
+				r := unionE[rng.Intn(len(unionE))]
+				inc.addE(r)
+				unionE = append(unionE, r)
+				r = unionI[rng.Intn(len(unionI))]
+				inc.addI(r)
+				unionI = append(unionI, r)
+			}
+		case 1:
+			r := unionE[rng.Intn(len(unionE))]
+			r.LatLng.Lat += 0.3 + rng.Float64()
+			if rng.Intn(2) == 0 {
+				r.RadiusKm = 0.5 + rng.Float64()
+			}
+			inc.addE(r)
+			unionE = append(unionE, r)
+		case 2:
+			r := unionI[rng.Intn(len(unionI))]
+			hi += 86400
+			r.Unix = hi
+			inc.addI(r)
+			unionI = append(unionI, r)
+		case 3:
+			r := unionE[rng.Intn(len(unionE))]
+			lo -= 86400
+			r.Unix = lo
+			inc.addE(r)
+			unionE = append(unionE, r)
+		case 4:
+			var es, is []slim.Record
+			for k := 0; k < 8; k++ {
+				unix := lo + rng.Int63n(hi-lo)
+				es = append(es, slim.NewRecord("fresh-e", 37.2+float64(k%3)*0.05, -121.9, unix))
+				is = append(is, slim.NewRecord("fresh-i", 37.2+float64(k%3)*0.05, -121.9, unix+40))
+			}
+			inc.addE(es...)
+			inc.addI(is...)
+			unionE = append(unionE, es...)
+			unionI = append(unionI, is...)
+		}
+	}
+
+	requireSameResult(t, "seed", inc.run(), fromScratch())
+
+	sawDelta, sawFull, sawTailReuse := false, false, false
+	kinds := []int{0, 0, 2, 0, 1, 3, 4, 0}
+	// A randomised tail after the fixed prefix that guarantees coverage.
+	for k := 0; k < 6; k++ {
+		kinds = append(kinds, []int{0, 0, 0, 1, 2, 3}[rng.Intn(6)])
+	}
+	for burst, kind := range kinds {
+		mutate(kind)
+		if rng.Intn(2) == 0 {
+			if inc.refresh != nil {
+				inc.refresh()
+			}
+			mutate(0)
+		}
+		got := inc.run()
+		es := got.Stats.EdgeStore
+		if es == nil {
+			t.Fatal("run stats carry no edge-store block")
+		}
+		if es.FullRescore {
+			sawFull = true
+		} else if es.Retained > 0 {
+			sawDelta = true
+			if es.Rescored+es.Retained < got.Stats.CandidatePairs {
+				t.Fatalf("burst %d: rescored %d + retained %d < candidates %d",
+					burst, es.Rescored, es.Retained, got.Stats.CandidatePairs)
+			}
+		}
+		if ts := inc.tail(); ts != nil && !ts.LastFull && ts.ReusedPrefixLen > 0 {
+			sawTailReuse = true
+		}
+		requireSameResult(t, fmt.Sprintf("burst %d (kind %d)", burst, kind), got, fromScratch())
+	}
+	if !sawDelta || !sawFull {
+		t.Fatalf("workload must exercise both paths: delta=%v full=%v", sawDelta, sawFull)
+	}
+	if !sawTailReuse {
+		t.Fatal("no delta burst reused the tail's matched prefix")
+	}
+
+	// A run with no ingest at all redoes nothing and publishes the same
+	// result: the linker retains every pair and reuses the whole matched
+	// prefix and the cached threshold fit; the engine does not even get
+	// that far — it short-circuits.
+	want := fromScratch()
+	clean := inc.run()
+	requireSameResult(t, "clean rerun", clean, want)
+	if eng != nil {
+		recs, _ := eng.Runs(1, 0)
+		if len(recs) != 1 || !recs[0].ShortCircuit {
+			t.Fatalf("clean engine rerun did not short-circuit: %+v", recs)
+		}
+		return
+	}
+	es := clean.Stats.EdgeStore
+	if es.Rescored != 0 || es.FullRescore || es.Retained != clean.Stats.CandidatePairs {
+		t.Fatalf("clean run rescored work: %+v", es)
+	}
+	ts := inc.tail()
+	if ts == nil {
+		t.Fatal("greedy runs must maintain a publish tail")
+	}
+	if ts.Applies == 0 || ts.FullRebuilds == 0 {
+		t.Fatalf("workload must exercise both tail paths: %+v", ts)
+	}
+	if int(ts.ReusedPrefixLen) != len(clean.Matched) || ts.SuffixWalked != 0 {
+		t.Fatalf("clean rerun must reuse the whole matched prefix: %+v (matched %d)",
+			ts, len(clean.Matched))
+	}
+	if ts.ThresholdReuses == 0 {
+		t.Fatalf("clean rerun must reuse the cached threshold fit: %+v", ts)
 	}
 }

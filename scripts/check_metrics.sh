@@ -29,7 +29,7 @@ go build -o "$workdir/slimd" ./cmd/slimd
 echo "== booting slimd"
 # -data-dir: the storage families (health, reopen retries) only register
 # when a store is attached.
-"$workdir/slimd" -addr 127.0.0.1:0 -shards 2 -debounce 50ms \
+"$workdir/slimd" -addr 127.0.0.1:0 -debounce 50ms \
   -data-dir "$workdir/data" \
   >"$workdir/slimd.log" 2>&1 &
 slimd_pid=$!

@@ -105,15 +105,13 @@ type Linker struct {
 	// similarity level (otherwise they alias storeE/storeI).
 	sigStoreE *history.Store
 	sigStoreI *history.Store
-	// candidates enumerated by LSH; nil means brute force (all pairs),
-	// which is streamed by index rather than materialized.
-	candidates []lsh.Pair
-	lshStats   *LSHStats
 	// candIndex incrementally maintains the LSH candidate set (non-nil
-	// exactly when cfg.LSH is set); dirtyE/dirtyI collect the entities
-	// touched by AddE/AddI since the last run in every mode, so a relink
-	// re-signs O(dirty) index entries and — via the edge store — rescores
-	// O(dirty) pairs instead of rescanning the world.
+	// exactly when cfg.LSH is set; nil means brute force, where the cross
+	// product is streamed by index, never materialized); dirtyE/dirtyI
+	// collect the entities touched by AddE/AddI since the last run in
+	// every mode, so a relink re-signs O(dirty) index entries and — via
+	// the edge store — rescores O(dirty) pairs instead of rescanning the
+	// world.
 	candIndex *candidates.Index
 	dirtyE    map[EntityID]struct{}
 	dirtyI    map[EntityID]struct{}
@@ -125,12 +123,12 @@ type Linker struct {
 	// own runs.
 	nextRunSeq    uint64
 	nextRunSeqSet bool
-	// tail is the incremental publish tail Run maintains for the greedy
+	// tail is the incremental publish tail Publish maintains for the greedy
 	// matcher (lazily built; Hungarian keeps the from-scratch path).
 	// tailSynced is the edge-store update counter the tail last consumed,
-	// so a RunEdges driven outside Run (whose delta the tail never saw)
-	// degrades the next Run to a full tail rebuild instead of silently
-	// publishing from a stale maintained order.
+	// so a RunEdges whose delta the tail never saw degrades the next
+	// Publish to a full tail rebuild instead of silently publishing from a
+	// stale maintained order.
 	tail       *PublishTail
 	tailSynced uint64
 	// prevStats snapshots the scorer counters so repeated Run calls report
@@ -138,114 +136,38 @@ type Linker struct {
 	prevStats similarity.Stats
 }
 
-// PreparedLinkage holds the seed inputs of one logical linkage after
-// one-time preparation: datasets validated and min-records filtered, the
-// configuration normalized, and the shared temporal grid and spatial
-// level resolved. Partitioned engines call PrepareLinkage once and hand
-// every shard the same grid via ShardOptions.
-type PreparedLinkage struct {
-	// E and I are the validated, min-records-filtered datasets.
-	E, I Dataset
-	// Config is the normalized configuration with the resolved (possibly
-	// auto-tuned) spatial level filled in.
-	Config Config
-	// EpochUnix is the unix time of the left edge of temporal window 0.
-	EpochUnix int64
-}
-
-// PrepareLinkage validates and min-records-filters both datasets and
-// resolves the shared temporal grid and spatial level (auto-tuning when
-// cfg.SpatialLevel is 0, with level 12 as the degenerate-input fallback).
-// It is the single place grid resolution happens: NewLinker and the
-// sharded engine both build on it.
-func PrepareLinkage(dsE, dsI Dataset, cfg Config) (PreparedLinkage, error) {
+// NewLinker validates the configuration and both datasets, drops entities
+// at or below cfg.MinRecords, resolves the shared temporal grid and the
+// spatial level (auto-tuning when cfg.SpatialLevel is 0, with level 12 as
+// the degenerate-input fallback), builds both datasets' mobility histories
+// and, when LSH is enabled, the candidate pair set.
+func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	if err := cfg.normalize(); err != nil {
-		return PreparedLinkage{}, err
+		return nil, err
 	}
 	if err := dsE.Validate(); err != nil {
-		return PreparedLinkage{}, fmt.Errorf("slim: dataset E: %w", err)
+		return nil, fmt.Errorf("slim: dataset E: %w", err)
 	}
 	if err := dsI.Validate(); err != nil {
-		return PreparedLinkage{}, fmt.Errorf("slim: dataset I: %w", err)
+		return nil, fmt.Errorf("slim: dataset I: %w", err)
 	}
 	fe := dsE.FilterMinRecords(cfg.MinRecords)
 	fi := dsI.FilterMinRecords(cfg.MinRecords)
 
-	widthSec := windowSeconds(cfg)
+	widthSec := max(int64(cfg.WindowMinutes*60), 1)
 	wnd := model.NewWindowing(widthSec, &fe, &fi)
 
-	level := cfg.SpatialLevel
-	if level == 0 {
+	if cfg.SpatialLevel == 0 {
 		opt := tuning.DefaultOptions()
 		opt.WindowSeconds = widthSec
 		opt.MaxSpeedKmPerMin = cfg.MaxSpeedKmPerMin
 		opt.B = cfg.B
-		level, _, _ = tuning.AutoSpatialLevelPair(&fe, &fi, opt)
-		if level == 0 {
-			level = 12
+		cfg.SpatialLevel, _, _ = tuning.AutoSpatialLevelPair(&fe, &fi, opt)
+		if cfg.SpatialLevel == 0 {
+			cfg.SpatialLevel = 12
 		}
 	}
-	cfg.SpatialLevel = level
-	return PreparedLinkage{E: fe, I: fi, Config: cfg, EpochUnix: wnd.Epoch}, nil
-}
 
-// windowSeconds returns the temporal window width in whole seconds,
-// clamped to at least 1.
-func windowSeconds(cfg Config) int64 {
-	w := int64(cfg.WindowMinutes * 60)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// NewLinker validates the configuration, builds both datasets' mobility
-// histories (auto-tuning the spatial level if requested) and, when LSH is
-// enabled, the candidate pair set.
-func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
-	p, err := PrepareLinkage(dsE, dsI, cfg)
-	if err != nil {
-		return nil, err
-	}
-	wnd := model.Windowing{Epoch: p.EpochUnix, WidthSeconds: windowSeconds(p.Config)}
-	return buildLinker(p.E, p.I, p.Config, wnd)
-}
-
-// ShardOptions pins the shared linkage grid when a Linker is built as one
-// shard of a larger partitioned linkage: every shard must agree on the
-// window epoch and the spatial level or their scores would live on
-// different bins.
-type ShardOptions struct {
-	// EpochUnix is the unix time of the left edge of temporal window 0,
-	// shared across the whole partition.
-	EpochUnix int64
-	// SpatialLevel pins the history grid level; 0 keeps cfg.SpatialLevel,
-	// which must then be non-zero (shards never auto-tune).
-	SpatialLevel int
-}
-
-// NewShardLinker builds a Linker over one partition of a larger linkage.
-// The caller (e.g. internal/engine) is expected to have validated and
-// min-records-filtered the inputs once globally, and to pass the grid
-// parameters it resolved for the whole linkage; no auto-tuning or
-// re-filtering happens here. Empty partitions are allowed.
-func NewShardLinker(dsE, dsI Dataset, cfg Config, opt ShardOptions) (*Linker, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	if opt.SpatialLevel > 0 {
-		cfg.SpatialLevel = opt.SpatialLevel
-	}
-	if cfg.SpatialLevel == 0 {
-		return nil, fmt.Errorf("slim: shard linker requires a pinned spatial level")
-	}
-	wnd := model.Windowing{Epoch: opt.EpochUnix, WidthSeconds: windowSeconds(cfg)}
-	return buildLinker(dsE, dsI, cfg, wnd)
-}
-
-// buildLinker assembles stores, scorer and LSH candidates from prepared
-// datasets under an already-resolved configuration and windowing.
-func buildLinker(fe, fi Dataset, cfg Config, wnd model.Windowing) (*Linker, error) {
 	lk := &Linker{
 		cfg:    cfg,
 		wnd:    wnd,
@@ -256,7 +178,6 @@ func buildLinker(fe, fi Dataset, cfg Config, wnd model.Windowing) (*Linker, erro
 	lk.storeE = history.BuildParallel(&fe, wnd, cfg.SpatialLevel, cfg.Workers)
 	lk.storeI = history.BuildParallel(&fi, wnd, cfg.SpatialLevel, cfg.Workers)
 
-	widthSec := wnd.WidthSeconds
 	params := similarity.DefaultParams(float64(widthSec)/60, cfg.MaxSpeedKmPerMin)
 	params.B = cfg.B
 	params.UseMFN = !cfg.Ablation.DisableMFN
@@ -268,16 +189,14 @@ func buildLinker(fe, fi Dataset, cfg Config, wnd model.Windowing) (*Linker, erro
 	lk.scorer = similarity.NewScorer(lk.storeE, lk.storeI, params)
 
 	if cfg.LSH != nil {
-		if err := lk.buildLSHCandidates(&fe, &fi); err != nil {
-			return nil, err
-		}
+		lk.buildLSHCandidates(&fe, &fi)
 	}
 	return lk, nil
 }
 
 // buildLSHCandidates constructs dominating-cell signature stores (at the
 // LSH's own spatial level) and the incremental candidate index over them.
-func (lk *Linker) buildLSHCandidates(fe, fi *model.Dataset) error {
+func (lk *Linker) buildLSHCandidates(fe, fi *model.Dataset) {
 	c := lk.cfg.LSH
 	lk.sigStoreE = lk.storeE
 	lk.sigStoreI = lk.storeI
@@ -292,8 +211,7 @@ func (lk *Linker) buildLSHCandidates(fe, fi *model.Dataset) error {
 		NumBuckets:   c.NumBuckets,
 	})
 	lk.candIndex.Workers = lk.cfg.Workers
-	lk.refreshLSHCandidates()
-	return nil
+	lk.refreshLSHCandidates() // the initial build
 }
 
 // lshStale reports whether incremental adds have outdated the candidate
@@ -303,30 +221,20 @@ func (lk *Linker) lshStale() bool {
 	return lk.candIndex != nil && (len(lk.dirtyE) > 0 || len(lk.dirtyI) > 0)
 }
 
-// refreshLSHCandidates brings the candidate index up to date with the
-// signature stores. Where this used to rebuild every signature and
-// re-enumerate every band-bucket collision, it now forwards the dirty
-// entity set to the index, which updates by delta (an epoch rebuild only
-// when the window range outgrew the signature grid); the resulting pair
-// set is identical to a from-scratch rebuild (see internal/candidates).
-// The candidate Delta is folded into the edge store's pending work, so
-// the next RunEdges rescores exactly the added/dirty pairs and drops the
-// removed ones — the refresh consumes the dirty entity sets.
+// refreshLSHCandidates forwards the dirty entity sets to the candidate
+// index, which updates by delta (an epoch rebuild only when the window
+// range outgrew the signature grid); the resulting pair set is identical
+// to a from-scratch rebuild (see internal/candidates). The candidate Delta
+// is folded into the edge store's pending work, so the next RunEdges
+// rescores exactly the added/dirty pairs and drops the removed ones — the
+// refresh consumes the dirty entity sets. The sorted pair list itself is
+// not materialized here: the delta path needs only its length, so a pair
+// entering or leaving costs no O(P log P) re-sort per relink.
 func (lk *Linker) refreshLSHCandidates() {
 	d := lk.candIndex.Update(lk.dirtyE, lk.dirtyI)
 	clear(lk.dirtyE)
 	clear(lk.dirtyI)
 	lk.edges.mergeDelta(d)
-	// Pairs is never nil: zero survivors must stay distinguishable from
-	// "LSH disabled", where a nil candidate set means brute force.
-	lk.candidates = lk.candIndex.Pairs()
-	st := lk.candIndex.Stats()
-	lk.lshStats = &LSHStats{
-		SignatureLen: st.SignatureLen,
-		Bands:        st.Bands,
-		Rows:         st.Rows,
-		Candidates:   st.Candidates,
-	}
 }
 
 // CandidateIndexStats reports the state of the incremental LSH candidate
@@ -387,14 +295,6 @@ func (lk *Linker) add(store, sigStore *history.Store, dirty map[EntityID]struct{
 	}
 }
 
-// SetTotalEntitiesE tells a shard linker how many E entities the whole
-// partitioned linkage holds, so its IDF uniqueness weights (Eq. 3) use the
-// global entity count as numerator instead of the shard-local one (the
-// bin frequencies in the denominator stay shard-local). Without this, a
-// shard that owns a single entity would weight every bin log(1/1) = 0 and
-// score nothing. No-op for n at or below the shard's own entity count.
-func (lk *Linker) SetTotalEntitiesE(n int) { lk.storeE.SetIDFTotalEntities(n) }
-
 // Windowing exposes the shared temporal grid of the linkage.
 func (lk *Linker) Windowing() model.Windowing { return lk.wnd }
 
@@ -421,10 +321,10 @@ func (lk *Linker) ScoreBreakdown(u, v EntityID) *similarity.Breakdown {
 }
 
 // SetNextRunSeq pins the run sequence the next RunEdges stamps onto edge
-// lineage. Partitioned engines call it with their next published result
-// version just before driving a shard's RunEdges, so lineage sequence
-// numbers line up with the versions reported by /v1/stats and the run
-// journal. Without it RunEdges counts its own updates.
+// lineage. internal/engine calls it with its next published result
+// version just before RunEdges, so lineage sequence numbers line up with
+// the versions reported by /v1/stats and the run journal. Without it
+// RunEdges counts its own updates.
 func (lk *Linker) SetNextRunSeq(seq uint64) {
 	lk.nextRunSeq = seq
 	lk.nextRunSeqSet = true
@@ -458,15 +358,16 @@ func (lk *Linker) Explain(u, v EntityID) PairExplanation {
 	return ex
 }
 
-// CandidatePairs returns the pairs that will be scored: the LSH survivors,
-// or every cross pair when LSH is disabled. In the brute-force case the
-// cross product is materialized afresh on every call — the scoring path
-// itself streams (u, v) index ranges and never builds this slice, so only
-// callers that explicitly want the full list pay for it. The returned
-// slice must not be modified when LSH is enabled.
+// CandidatePairs returns the pairs that will be scored: the LSH survivors
+// as of the last candidate refresh, or every cross pair when LSH is
+// disabled. Either way the list is materialized for this call only — the
+// scoring path streams the brute-force cross product by index and reads
+// the LSH survivors only on a full rescore — so only callers that
+// explicitly want the list pay for it. The returned slice must not be
+// modified when LSH is enabled.
 func (lk *Linker) CandidatePairs() []lsh.Pair {
-	if lk.candidates != nil {
-		return lk.candidates
+	if lk.candIndex != nil {
+		return lk.candIndex.Pairs()
 	}
 	es := lk.storeE.Entities()
 	is := lk.storeI.Entities()
@@ -487,29 +388,33 @@ func (lk *Linker) NumCandidatePairs() int64 {
 	if lk.lshStale() {
 		lk.refreshLSHCandidates()
 	}
-	if lk.candidates != nil {
-		return int64(len(lk.candidates))
+	if lk.candIndex != nil {
+		return lk.candIndex.NumCandidates()
 	}
 	return int64(lk.storeE.NumEntities()) * int64(lk.storeI.NumEntities())
 }
 
 // Precompile eagerly builds the compiled read path of both history stores
-// (see history.Store.Compile), so the first Run after construction or
-// ingest pays compilation outside the scoring fan-out. RunEdges compiles
-// lazily anyway; Precompile just moves the cost, e.g. onto the parallel
-// shard-construction phase of a partitioned engine.
+// (see history.Store.Compile), fanning the per-entity view builds out over
+// the configured workers. RunEdges calls it before scoring, so callers
+// only need it to move the cost (e.g. to time it separately).
 func (lk *Linker) Precompile() {
-	lk.storeE.Compile()
-	lk.storeI.Compile()
+	lk.storeE.Compile(lk.cfg.Workers)
+	lk.storeI.Compile(lk.cfg.Workers)
 }
+
+// ForceFullRescore makes the next RunEdges rescore the whole candidate set
+// instead of trusting the edge store's retained scores. It is the recovery
+// hook for a caller whose previous run died part-way (internal/engine
+// after a contained panic): whatever that run left half-applied is
+// replaced wholesale, and the full delta it produces rebuilds the publish
+// tail too.
+func (lk *Linker) ForceFullRescore() { lk.edges.pendFull = true }
 
 // RunEdges brings the edge store up to date with the current candidate
 // set and returns the retained positive scored pairs together with the
-// per-call work stats, without matching or thresholding. It is the
-// building block partitioned engines use: each shard contributes its
-// edges, and the caller merges them with MatchLinks and
-// SelectStopThreshold. Run composes the same pieces for the single-linker
-// pipeline.
+// per-call work stats, without matching or thresholding; Publish is the
+// other half, and Run composes the two.
 //
 // Scoring is incremental: while both history stores' IDF epochs stand
 // still, only the pairs whose candidate membership or endpoint histories
@@ -517,26 +422,23 @@ func (lk *Linker) Precompile() {
 // cached score, which is bit-identical to what a rescore would produce
 // (scores are pure functions of the two histories and the epoch-versioned
 // dataset statistics — see edges.go). Any epoch movement (new bin, new
-// entity, SetTotalEntitiesE change) forces a full rescore of the whole
-// candidate set, restoring exactly the old per-run behavior.
+// entity) forces a full rescore of the whole candidate set, restoring
+// exactly the old per-run behavior.
 //
 // The returned Stats carry private LSHStats/EdgeStoreStats copies, so a
 // later refresh never mutates results a caller still holds. The returned
 // link slice is shared with the store's cache until the edge set next
 // changes; callers must not modify it.
 func (lk *Linker) RunEdges() ([]Link, Stats) {
-	if lk.lshStale() {
-		lk.refreshLSHCandidates()
-	}
-	// Refresh the compiled read path once, single-threaded, so the scoring
-	// fan-out below runs on immutable views: entities untouched since the
-	// last run keep their compiled state.
+	// Refresh the compiled read path first, so the scoring fan-out below
+	// runs on immutable views: entities untouched since the last run keep
+	// their compiled state.
 	lk.Precompile()
-	nPairs := lk.NumCandidatePairs()
+	nPairs := lk.NumCandidatePairs() // refreshes a stale LSH candidate set
 
 	start := time.Now()
-	// Run sequence stamped onto edge lineage: a partitioned engine pins it
-	// to its next published result version (SetNextRunSeq); standalone
+	// Run sequence stamped onto edge lineage: internal/engine pins it to
+	// its next published result version (SetNextRunSeq); standalone
 	// linkers just count their own updates.
 	seq := lk.edges.seq + 1
 	if lk.nextRunSeqSet {
@@ -548,8 +450,8 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 		epochE != lk.edges.epochE || epochI != lk.edges.epochI
 	if full {
 		var edges []matching.Edge
-		if lk.candidates != nil {
-			pairs := lk.candidates
+		if lk.candIndex != nil {
+			pairs := lk.candIndex.Pairs()
 			edges = lk.scoreIndexed(len(pairs), func(k int) (EntityID, EntityID) {
 				return pairs[k].U, pairs[k].V
 			})
@@ -587,23 +489,23 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 	lk.edges.lastUpdate = time.Since(start)
 
 	st := lk.scorer.Stats()
-	delta := similarity.Stats{
-		BinComparisons:    st.BinComparisons - lk.prevStats.BinComparisons,
-		RecordComparisons: st.RecordComparisons - lk.prevStats.RecordComparisons,
-		AlibiBinPairs:     st.AlibiBinPairs - lk.prevStats.AlibiBinPairs,
-	}
-	lk.prevStats = st
 	stats := Stats{
 		CandidatePairs:    nPairs,
 		PositiveEdges:     int64(len(links)),
-		BinComparisons:    delta.BinComparisons,
-		RecordComparisons: delta.RecordComparisons,
-		AlibiBinPairs:     delta.AlibiBinPairs,
+		BinComparisons:    st.BinComparisons - lk.prevStats.BinComparisons,
+		RecordComparisons: st.RecordComparisons - lk.prevStats.RecordComparisons,
+		AlibiBinPairs:     st.AlibiBinPairs - lk.prevStats.AlibiBinPairs,
 		EdgeStore:         lk.edges.statsSnapshot(),
 	}
-	if lk.lshStats != nil {
-		lshCopy := *lk.lshStats
-		stats.LSH = &lshCopy
+	lk.prevStats = st
+	if lk.candIndex != nil {
+		ix := lk.candIndex.Stats()
+		stats.LSH = &LSHStats{
+			SignatureLen: ix.SignatureLen,
+			Bands:        ix.Bands,
+			Rows:         ix.Rows,
+			Candidates:   ix.Candidates,
+		}
 	}
 	return links, stats
 }
@@ -656,35 +558,10 @@ func (lk *Linker) EdgeStoreStats() *EdgeStoreStats {
 // Run executes scoring, matching and thresholding and returns the result.
 // It can be called repeatedly, interleaved with AddE/AddI, to re-link a
 // dynamic feed; stats report per-run work.
-//
-// With the greedy matcher (the default), matching and thresholding go
-// through an incremental publish tail fed by the edge store's exact
-// per-run delta: the maintained sorted order, greedy matching and
-// threshold fit are updated in O(delta log n) and are bit-identical to
-// the from-scratch MatchLinks/SelectStopThreshold/FilterLinks path (see
-// tail.go). Hungarian runs keep the from-scratch path.
 func (lk *Linker) Run() Result {
 	start := time.Now()
-	edges, stats := lk.RunEdges()
-	var matched, links []Link
-	var thr StopThreshold
-	if lk.cfg.Matcher == MatcherHungarian {
-		matched = MatchLinks(lk.cfg.Matcher, edges)
-		thr = SelectStopThreshold(lk.cfg.Threshold, LinkScores(matched))
-		links = FilterLinks(matched, thr.Threshold)
-	} else {
-		if lk.tail == nil {
-			lk.tail = NewPublishTail(lk.cfg.Threshold)
-		}
-		d := lk.edges.delta()
-		if d.Seq != lk.tailSynced+1 {
-			// The tail missed an update (RunEdges driven directly between
-			// Runs); its maintained order is stale.
-			d.Full = true
-		}
-		matched, links, thr = lk.tail.Publish([]EdgeDelta{d}, func() []Link { return edges })
-		lk.tailSynced = d.Seq
-	}
+	_, stats := lk.RunEdges()
+	matched, links, thr := lk.Publish()
 	return Result{
 		Links:           links,
 		Matched:         matched,
@@ -696,8 +573,42 @@ func (lk *Linker) Run() Result {
 	}
 }
 
+// Publish matches and thresholds the edge store as the latest RunEdges
+// left it, returning the maximum-sum matching (descending score), the
+// links above the selected stop threshold and the threshold decision. It
+// is the second half of Run, split out so a caller can time and
+// instrument the halves separately (internal/engine does).
+//
+// With the greedy matcher (the default), matching and thresholding go
+// through an incremental publish tail fed by the edge store's exact
+// per-run delta: the maintained sorted order, greedy matching and
+// threshold fit are updated in O(delta log n) and are bit-identical to
+// the from-scratch MatchLinks/SelectStopThreshold/FilterLinks path (see
+// tail.go). A RunEdges whose delta the tail never consumed — Publish
+// skipped, or died part-way — is detected by sequence and degrades the
+// next Publish to a full tail rebuild. Hungarian runs keep the
+// from-scratch path.
+func (lk *Linker) Publish() (matched, links []Link, thr StopThreshold) {
+	edges := lk.edges.materialize()
+	if lk.cfg.Matcher == MatcherHungarian {
+		matched = MatchLinks(lk.cfg.Matcher, edges)
+		thr = SelectStopThreshold(lk.cfg.Threshold, LinkScores(matched))
+		return matched, FilterLinks(matched, thr.Threshold), thr
+	}
+	if lk.tail == nil {
+		lk.tail = NewPublishTail(lk.cfg.Threshold)
+	}
+	d := lk.edges.delta()
+	if d.Seq != lk.tailSynced+1 {
+		d.Full = true // the tail missed an update; its order is stale
+	}
+	matched, links, thr = lk.tail.Publish(d, func() []Link { return edges })
+	lk.tailSynced = d.Seq
+	return matched, links, thr
+}
+
 // PublishTailStats returns the incremental publish tail snapshot, or nil
-// before the first greedy Run (Hungarian linkers never build a tail).
+// before the first greedy Publish (Hungarian linkers never build a tail).
 // Not safe concurrently with Run or Add.
 func (lk *Linker) PublishTailStats() *PublishTailStats {
 	if lk.tail == nil {
@@ -706,12 +617,6 @@ func (lk *Linker) PublishTailStats() *PublishTailStats {
 	st := lk.tail.Stats()
 	return &st
 }
-
-// LastEdgeDelta returns the edge-level delta of the most recent RunEdges,
-// for feeding an externally owned PublishTail (partitioned engines merge
-// one tail across shards). The slices alias the store's reused buffers —
-// valid only until the next run.
-func (lk *Linker) LastEdgeDelta() EdgeDelta { return lk.edges.delta() }
 
 // StopThreshold is the outcome of a stop-threshold detection.
 type StopThreshold struct {

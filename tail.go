@@ -106,34 +106,25 @@ func NewPublishTail(method ThresholdMethod) *PublishTail {
 	}
 }
 
-// Publish folds the given edge-store deltas into the maintained pipeline
-// and returns the updated matching (descending score), the links above
-// the selected stop threshold, and the threshold decision. all is called
-// only when a full rebuild is needed (any delta marked Full, a missed
-// update, or the first Publish) and must return the complete current edge
-// set. Deltas from different producers must be pair-disjoint (true for
-// partition shards). The returned matched/links slices are immutable;
-// links aliases a prefix of matched.
-func (t *PublishTail) Publish(deltas []EdgeDelta, all func() []Link) (matched, links []Link, thr StopThreshold) {
+// Publish folds one edge-store delta into the maintained pipeline and
+// returns the updated matching (descending score), the links above the
+// selected stop threshold, and the threshold decision. all is called only
+// when a full rebuild is needed (a delta marked Full, an inconsistent
+// delta, or the first Publish) and must return the complete current edge
+// set. The returned matched/links slices are immutable; links aliases a
+// prefix of matched.
+func (t *PublishTail) Publish(d EdgeDelta, all func() []Link) (matched, links []Link, thr StopThreshold) {
 	start := time.Now()
-	full := !t.built()
-	for _, d := range deltas {
-		if d.Full {
-			full = true
-			break
-		}
-	}
+	full := d.Full || !t.built()
 	var me []matching.Edge
 	if !full {
 		t.removeBuf = t.removeBuf[:0]
 		t.insertBuf = t.insertBuf[:0]
-		for _, d := range deltas {
-			for _, l := range d.Removed {
-				t.removeBuf = append(t.removeBuf, matching.Edge{U: l.U, V: l.V, W: l.Score})
-			}
-			for _, l := range d.Changed {
-				t.insertBuf = append(t.insertBuf, matching.Edge{U: l.U, V: l.V, W: l.Score})
-			}
+		for _, l := range d.Removed {
+			t.removeBuf = append(t.removeBuf, matching.Edge{U: l.U, V: l.V, W: l.Score})
+		}
+		for _, l := range d.Changed {
+			t.insertBuf = append(t.insertBuf, matching.Edge{U: l.U, V: l.V, W: l.Score})
 		}
 		var ok bool
 		me, ok = t.m.Apply(t.removeBuf, t.insertBuf)

@@ -19,7 +19,7 @@ func tailBurstFixture(tb testing.TB) (tail *PublishTail, step func(k int) ([]Lin
 	lk, byEntity := relinkFixture(tb, 64)
 	tail = NewPublishTail(ThresholdGMM)
 	edges, _ := lk.RunEdges()
-	tail.Publish([]EdgeDelta{{Full: true}}, func() []Link { return edges })
+	tail.Publish(EdgeDelta{Full: true}, func() []Link { return edges })
 	step = func(k int) ([]Link, EdgeDelta) {
 		weightOnlyBurst(lk, byEntity, k)
 		edges, _ := lk.RunEdges()
@@ -45,7 +45,7 @@ func BenchmarkPublishTailIncremental(b *testing.B) {
 		b.StopTimer()
 		edges, d := step(i)
 		b.StartTimer()
-		if _, _, _ = tail.Publish([]EdgeDelta{d}, func() []Link { return edges }); tail.Stats().LastFull {
+		if _, _, _ = tail.Publish(d, func() []Link { return edges }); tail.Stats().LastFull {
 			b.Fatal("delta publish fell back to a full rebuild")
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkPublishTailFull(b *testing.B) {
 		edges, _ := step(i)
 		scratch := NewPublishTail(ThresholdGMM)
 		b.StartTimer()
-		scratch.Publish([]EdgeDelta{{Full: true}}, func() []Link { return edges })
+		scratch.Publish(EdgeDelta{Full: true}, func() []Link { return edges })
 	}
 }
 
@@ -88,7 +88,7 @@ func TestPublishTailIncrementalSpeedupOverFull(t *testing.T) {
 		edges, d := step(k)
 		all := func() []Link { return edges }
 		start := time.Now()
-		m, l, thr := tail.Publish([]EdgeDelta{d}, all)
+		m, l, thr := tail.Publish(d, all)
 		incr = append(incr, time.Since(start))
 		if tail.Stats().LastFull {
 			t.Fatalf("rep %d: delta publish fell back to a full rebuild", k)
@@ -96,7 +96,7 @@ func TestPublishTailIncrementalSpeedupOverFull(t *testing.T) {
 
 		scratch := NewPublishTail(ThresholdGMM)
 		start = time.Now()
-		fm, fl, fthr := scratch.Publish([]EdgeDelta{{Full: true}}, all)
+		fm, fl, fthr := scratch.Publish(EdgeDelta{Full: true}, all)
 		full = append(full, time.Since(start))
 
 		if !sameLinksBits(m, fm) || !sameLinksBits(l, fl) ||

@@ -7,6 +7,21 @@ import (
 	"testing"
 )
 
+// sameLinksBits reports whether two link lists are bit-identical:
+// same pairs in the same order with Float64bits-equal scores.
+func sameLinksBits(a, b []Link) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].U != b[i].U || a[i].V != b[i].V ||
+			math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
 // tailPair identifies one edge in the synthetic edge-set model.
 type tailPair struct{ u, v string }
 
@@ -17,8 +32,7 @@ type tailPair struct{ u, v string }
 // sorted rank order, ties at the reuse boundary — only reach the tail in
 // systems that relax that discipline. This suite feeds the tail synthetic
 // EdgeDelta bursts over a quantized score palette (ties everywhere,
-// including at reuse boundaries), folds multiple deltas per publish the
-// way the partitioned engine does, injects inconsistent deltas (the
+// including at reuse boundaries), injects inconsistent deltas (the
 // full-rebuild fallback) and explicit epoch rebuilds, and checks every
 // publish bit-identically (math.Float64bits) against the from-scratch
 // pipeline: MatchLinks + SelectStopThreshold + FilterLinks.
@@ -66,12 +80,12 @@ func TestPublishTailParityRandomized(t *testing.T) {
 			}
 
 			tail := NewPublishTail(ThresholdGMM)
-			m, l, thr := tail.Publish([]EdgeDelta{{Full: true}}, edges)
+			m, l, thr := tail.Publish(EdgeDelta{Full: true}, edges)
 			check("initial full", m, l, thr)
 
 			sawPartialReuse, sawFallback := false, false
 			for burst := 0; burst < 60; burst++ {
-				var deltas []EdgeDelta
+				var d EdgeDelta
 				switch kind := rng.Intn(10); {
 				case kind == 0:
 					// Epoch rebuild: the whole edge set is rescored.
@@ -80,53 +94,45 @@ func TestPublishTailParityRandomized(t *testing.T) {
 							set[p] = score()
 						}
 					}
-					deltas = []EdgeDelta{{Full: true}}
+					d = EdgeDelta{Full: true}
 				case kind == 1:
 					// No-op burst (a dirty rescore that changed nothing):
 					// the tail must reuse everything, including the fit.
-					deltas = []EdgeDelta{{}}
 				case kind == 2:
 					// Inconsistent delta — a removal naming a score the
 					// matcher doesn't hold. The tail must fall back to a
 					// full rebuild and still publish the exact answer.
-					deltas = []EdgeDelta{{Removed: []Link{{U: "u00", V: "v00", Score: -1}}}}
+					d = EdgeDelta{Removed: []Link{{U: "u00", V: "v00", Score: -1}}}
 					sawFallback = true
 				default:
-					// One or two partial deltas (two models the engine
-					// folding per-shard deltas into a single publish).
-					parts := 1 + rng.Intn(2)
 					touched := map[tailPair]bool{}
-					for i := 0; i < parts; i++ {
-						var d EdgeDelta
-						for j := 0; j < 1+rng.Intn(4); j++ {
-							p := pair()
-							if touched[p] {
+					for j := 0; j < 1+rng.Intn(8); j++ {
+						p := pair()
+						if touched[p] {
+							continue
+						}
+						touched[p] = true
+						old, had := set[p]
+						switch {
+						case had && rng.Intn(3) == 0: // removal
+							d.Removed = append(d.Removed, Link{U: EntityID(p.u), V: EntityID(p.v), Score: old})
+							delete(set, p)
+						case had: // score change (both sides of the delta)
+							nw := score()
+							if nw == old {
 								continue
 							}
-							touched[p] = true
-							old, had := set[p]
-							switch {
-							case had && rng.Intn(3) == 0: // removal
-								d.Removed = append(d.Removed, Link{U: EntityID(p.u), V: EntityID(p.v), Score: old})
-								delete(set, p)
-							case had: // score change (both sides of the delta)
-								nw := score()
-								if nw == old {
-									continue
-								}
-								d.Removed = append(d.Removed, Link{U: EntityID(p.u), V: EntityID(p.v), Score: old})
-								d.Changed = append(d.Changed, Link{U: EntityID(p.u), V: EntityID(p.v), Score: nw})
-								set[p] = nw
-							default: // insert
-								nw := score()
-								d.Changed = append(d.Changed, Link{U: EntityID(p.u), V: EntityID(p.v), Score: nw})
-								set[p] = nw
-							}
+							d.Removed = append(d.Removed, Link{U: EntityID(p.u), V: EntityID(p.v), Score: old})
+							d.Changed = append(d.Changed, Link{U: EntityID(p.u), V: EntityID(p.v), Score: nw})
+							set[p] = nw
+						default: // insert
+							nw := score()
+							d.Changed = append(d.Changed, Link{U: EntityID(p.u), V: EntityID(p.v), Score: nw})
+							set[p] = nw
 						}
-						deltas = append(deltas, d)
 					}
 				}
-				m, l, thr := tail.Publish(deltas, edges)
+				m, l, thr := tail.Publish(d, edges)
 				check(fmt.Sprintf("burst %d", burst), m, l, thr)
 				if ts := tail.Stats(); !ts.LastFull && ts.ReusedPrefixLen > 0 && ts.SuffixWalked > 0 {
 					sawPartialReuse = true
@@ -159,7 +165,7 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 	}
 	tail := NewPublishTail(ThresholdGMM)
 	edges := func() []Link { return all }
-	m, _, _ := tail.Publish([]EdgeDelta{{Full: true}}, edges)
+	m, _, _ := tail.Publish(EdgeDelta{Full: true}, edges)
 	if len(m) == 0 || m[0].Score != 0.95 {
 		t.Fatalf("unexpected initial matching: %v", m)
 	}
@@ -167,7 +173,7 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 	// Drop the top link: e1 falls to i2, which was previously free for no
 	// one — the cascade rewrites the matching from position zero.
 	all = all[1:]
-	m2, l2, thr := tail.Publish([]EdgeDelta{{Removed: []Link{{U: "e1", V: "i1", Score: 0.95}}}}, edges)
+	m2, l2, thr := tail.Publish(EdgeDelta{Removed: []Link{{U: "e1", V: "i1", Score: 0.95}}}, edges)
 	wantM := MatchLinks(MatcherGreedy, all)
 	wantT := SelectStopThreshold(ThresholdGMM, LinkScores(wantM))
 	if !sameLinksBits(m2, wantM) {
