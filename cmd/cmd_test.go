@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -202,9 +203,30 @@ func TestCLISlimd(t *testing.T) {
 		t.Fatalf("slim-gen summary missing: %s", genErr)
 	}
 
+	// A free loopback port for the debug listener (it logs its own line,
+	// which startSlimd does not parse).
+	dl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	debugAddr := dl.Addr().String()
+	dl.Close()
+
 	cmd, base := startSlimd(t, slimdBin,
-		"-addr", "127.0.0.1:0", "-debounce", "100ms",
+		"-addr", "127.0.0.1:0", "-debounce", "100ms", "-debug-addr", debugAddr,
 		"-e", filepath.Join(dir, "E.csv"), "-i", filepath.Join(dir, "I.csv"))
+
+	// The debug address serves pprof and nothing else.
+	for path, want := range map[string]int{"/debug/pprof/": 200, "/debug/vars": 404} {
+		resp, err := http.Get("http://" + debugAddr + path)
+		if err != nil {
+			t.Fatalf("GET debug %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET debug %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
 
 	get := func(path string, v any) int {
 		resp, err := http.Get(base + path)

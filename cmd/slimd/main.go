@@ -25,7 +25,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -58,7 +57,7 @@ func fatal(logger *slog.Logger, msg string, args ...any) {
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof, expvar, and /metrics (e.g. localhost:6060)")
+		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof (e.g. localhost:6060)")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
 		debounce   = flag.Duration("debounce", 2*time.Second, "quiet period after ingest before a background relink")
 		runJournal = flag.Int("run-journal", engine.DefaultRunJournal, "relink flight-recorder size: how many recent runs GET /v1/runs retains")
@@ -104,8 +103,7 @@ func main() {
 	logger := slog.New(handler)
 
 	// One registry for the whole process: engine, storage, ingest plane,
-	// and HTTP server all record into it, and both the serving address
-	// (GET /metrics) and the debug address expose it.
+	// and HTTP server all record into it, and GET /metrics exposes it.
 	registry := obs.NewRegistry()
 	obs.RegisterRuntime(registry)
 
@@ -272,60 +270,15 @@ func main() {
 	}
 	srv.SetReady()
 
-	// Optional debug endpoint: pprof profiles plus expvar counters
-	// (engine, candidate index, and — when durable — storage), so a live
-	// service's candidate-index behavior is observable without touching
-	// the serving address. Both packages register on the default mux.
+	// Optional debug endpoint: the pprof profiles net/http/pprof registers
+	// on the default mux, kept off the serving address. Relink stages run
+	// under a stage=<name> profiler label, so CPU profiles split by stage.
 	if *debugAddr != "" {
-		expvar.Publish("slim_engine", expvar.Func(func() any { return eng.Stats() }))
-		// slim_relink is the incremental-savings odometer: cumulative
-		// pair-level delta counters (retained = scoring work avoided) plus
-		// the short-circuited fully-clean relinks, kept as a small flat map
-		// so dashboards can scrape it without digging through slim_engine.
-		expvar.Publish("slim_relink", expvar.Func(func() any {
-			st := eng.Stats()
-			return map[string]uint64{
-				"pairs_rescored_total": st.EdgeRescoredTotal,
-				"pairs_retained_total": st.EdgeRetainedTotal,
-				"pairs_dropped_total":  st.EdgeDroppedTotal,
-				"runs_short_circuited": st.RunsShortCircuited,
-				"runs_total":           st.Runs,
-			}
-		}))
-		// slim_ingest is the backpressure odometer: queue occupancy and
-		// accept/shed counters for both ingest planes, flat for scraping.
-		expvar.Publish("slim_ingest", expvar.Func(func() any {
-			ist := plane.Stats()
-			return map[string]any{
-				"queue_depth":      ist.QueueDepth,
-				"shed_after_ms":    float64(ist.ShedAfter.Microseconds()) / 1000,
-				"inflight_records": ist.InflightRecords,
-				"pending_records":  ist.PendingRecords,
-				"oldest_wait_ms":   float64(ist.OldestWait.Microseconds()) / 1000,
-				"accepted_batches": ist.AcceptedBatches,
-				"accepted_records": ist.AcceptedRecords,
-				"shed_requests":    ist.ShedRequests,
-				"shed_records":     ist.ShedRecords,
-				"shed_queue_depth": ist.ShedQueueDepth,
-				"shed_latency":     ist.ShedLatency,
-			}
-		}))
-		if store != nil {
-			expvar.Publish("slim_storage", expvar.Func(func() any { return store.Stats() }))
-		}
-		// The Prometheus exposition rides the debug mux too, so operators
-		// scraping only the debug port see the same registry as /metrics on
-		// the serving address — and so do the provenance endpoints, so a
-		// link can be explained without touching the serving port.
-		http.DefaultServeMux.Handle("GET /metrics", registry.Handler())
-		http.DefaultServeMux.Handle("GET /v1/explain", srv.ExplainHandler())
-		http.DefaultServeMux.Handle("GET /v1/runs", srv.RunsHandler())
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fatal(logger, "debug listen failed", "addr", *debugAddr, "error", err)
 		}
-		logger.Info("debug server listening", "addr", dln.Addr().String(),
-			"endpoints", "/debug/pprof/ /debug/vars /metrics")
+		logger.Info("debug server listening", "addr", dln.Addr().String(), "endpoints", "/debug/pprof/")
 		go func() {
 			dbg := &http.Server{
 				Handler:           http.DefaultServeMux,

@@ -22,14 +22,20 @@
 //
 // Locking. pendMu guards only the pending ingest buffers, so ingest never
 // waits behind a relink; runMu serializes everything that touches the
-// Linker (whole runs and Explain); mu guards the published result. Stats
-// and /metrics read atomics and an immutable per-run view, never runMu.
+// Linker (whole runs and Explain); mu guards the published result and the
+// latest run's record. Stats and /metrics read those, never runMu.
+//
+// Telemetry. A run fills one RunRecord and every exit path hands it to
+// finish; Stats, /v1/stats, /v1/runs and the engine's /metrics families are
+// all views of what finish stores (see finish).
 package engine
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,9 +84,9 @@ type Config struct {
 	Debounce time.Duration
 	// Registry, when set, receives the engine metrics: relink run and
 	// per-stage latency histograms, the ingest-to-link-visible freshness
-	// histogram and staleness gauge, and counter/gauge views over the
-	// same atomics Stats reports. A nil Registry wires the metrics to a
-	// private, unscraped registry, so instrumentation is always on.
+	// histogram and staleness gauge, and counter/gauge views of Stats. A
+	// nil Registry wires the metrics to a private, unscraped registry, so
+	// instrumentation is always on.
 	Registry *obs.Registry
 	// RunDeadline is the relink watchdog deadline: a run exceeding it is
 	// reported by the slim_relink_stuck_seconds gauge (0 =
@@ -126,14 +132,15 @@ type Engine struct {
 	cfg   Config
 	level int
 
-	// pendMu guards the pending ingest buffers: records acknowledged but
-	// not yet applied to the linker. pendSince is when they last went
-	// empty→non-empty — the enqueue time of the oldest queued record, the
-	// ingest plane's relink-lag signal.
-	pendMu    sync.Mutex
-	pendE     []slim.Record
-	pendI     []slim.Record
-	pendSince time.Time
+	// pendMu guards the ingest side: the pending buffers (records
+	// acknowledged but not yet applied to the linker), pendSince — when they
+	// last went empty→non-empty, i.e. the enqueue time of the oldest queued
+	// record, the ingest plane's relink-lag signal — and the since-boot
+	// accepted-record counts.
+	pendMu               sync.Mutex
+	pendE, pendI         []slim.Record
+	pendSince            time.Time
+	ingestedE, ingestedI uint64
 
 	// runMu serializes everything that touches the linker: whole relink
 	// runs (manual Run calls and the background scheduler) and Explain.
@@ -145,49 +152,31 @@ type Engine struct {
 	lk     *slim.Linker
 	synced bool
 
-	// mu guards the published result and run bookkeeping.
+	// mu guards the published result and the engine's account of its runs:
+	// the latest finished run's record (Seq 0 before the first; last.layers
+	// is never nil), the totals folded from every record, and the bounded
+	// ring of recent records behind /v1/runs and Explain. Only finish and
+	// RestoreResult write them.
 	mu      sync.Mutex
 	cur     *slim.Result
 	version uint64
-	lastRun time.Time
+	last    RunRecord
+	totals  Totals
+	journal journal
 
 	// pMu guards the persistence hook (attached once, after recovery
 	// feeding, before serving).
 	pMu     sync.RWMutex
 	persist Persister
 
-	// view mirrors the linker-side state Stats and /metrics report, so
-	// neither waits behind a relink holding runMu. Every completed run
-	// stores a fresh value; stored values are never mutated.
-	view atomic.Pointer[linkerView]
-
-	ingestedE atomic.Uint64
-	ingestedI atomic.Uint64
-	runs      atomic.Uint64
-	// shortCircuits counts clean Run calls that republished the cached
-	// result without re-matching; the edge* counters accumulate the
-	// relink-delta work of every run since construction.
-	shortCircuits atomic.Uint64
-	edgeRescored  atomic.Uint64
-	edgeRetained  atomic.Uint64
-	edgeDropped   atomic.Uint64
-
-	// Supervision state: relinkPanics counts recovered panics anywhere
-	// in the relink path; loopRestarts counts supervisor restarts of the
+	// Supervision state: loopRestarts counts supervisor restarts of the
 	// background scheduler; runStartNano is the wall-clock start of the
 	// run in flight (0 when idle), the watchdog's input; health is the
 	// relink failure domain (degraded after a panicked run, healthy
 	// again after the next successful publish).
-	relinkPanics atomic.Uint64
 	loopRestarts atomic.Uint64
 	runStartNano atomic.Int64
 	health       *obs.Health
-
-	// runSeq numbers every run attempt (including short circuits and
-	// contained panics) — the flight recorder's Seq; journal is the
-	// bounded ring of recent RunRecords behind /v1/runs and Explain.
-	runSeq  atomic.Uint64
-	journal *journal
 
 	metrics *engMetrics
 
@@ -202,80 +191,88 @@ type Engine struct {
 	closed  bool
 }
 
-// linkerView is one immutable snapshot of the linker-side state: entity
-// counts plus the candidate-index (nil without LSH), edge-store (nil
-// before the first run) and publish-tail (nil with the Hungarian matcher
-// or before the first run) snapshots.
-type linkerView struct {
+// layers is one immutable snapshot of the linker-side state a published
+// run left behind: entity counts plus the candidate-index (nil without
+// LSH), edge-store (nil before the first run) and publish-tail (nil with
+// the Hungarian matcher or before the first run) snapshots. Runs that
+// publish nothing carry the previous run's snapshot forward.
+type layers struct {
 	entE, entI int
 	idx        *slim.CandidateIndexStats
 	edge       *slim.EdgeStoreStats
 	tail       *slim.PublishTailStats
 }
 
-// idle returns a copy of the view whose last-run work fields read zero —
-// what a short-circuited run stores, so /v1/stats does not echo an older
-// relink's work next to runs_short_circuited. State fields (signatures,
-// buckets, candidates, retained pairs, tail size) stay as-is; the
-// republished matching counts as reused in full.
-func (v linkerView) idle() *linkerView {
-	if v.idx != nil {
-		idx := *v.idx
-		idx.LastDirty, idx.LastRebuild, idx.LastUpdate = 0, false, 0
-		v.idx = &idx
+// orZero dereferences a layer snapshot that may not exist yet.
+func orZero[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
 	}
-	if v.edge != nil {
-		edge := *v.edge
-		edge.Rescored, edge.Retained, edge.Dropped, edge.FullRescore, edge.LastUpdate = 0, 0, 0, false, 0
-		v.edge = &edge
-	}
-	if v.tail != nil {
-		tail := *v.tail
-		tail.ReusedPrefixLen, tail.SuffixWalked, tail.LastFull = tail.Matched, 0, false
-		tail.LastUpdate, tail.LastMatch, tail.LastThreshold = 0, 0, 0
-		v.tail = &tail
-	}
-	return &v
+	return *p
 }
+
+// Totals are the since-boot odometers: every finished run's record folded
+// in, by finish and nowhere else.
+type Totals struct {
+	// Runs counts completed relinks, RunsShortCircuited those among them
+	// that found nothing to do and republished the cached result;
+	// RelinkPanics counts panics recovered in the relink path (each failed
+	// run republished the previous result).
+	Runs               uint64
+	RunsShortCircuited uint64
+	RelinkPanics       uint64
+	// EdgeRescoredTotal / EdgeRetainedTotal / EdgeDroppedTotal accumulate
+	// every run's edge-store delta — the incremental-savings odometer.
+	EdgeRescoredTotal uint64
+	EdgeRetainedTotal uint64
+	EdgeDroppedTotal  uint64
+}
+
+func (t *Totals) fold(r *RunRecord) {
+	if r.Panicked {
+		t.RelinkPanics++
+	} else {
+		t.Runs++
+	}
+	if r.ShortCircuit {
+		t.RunsShortCircuited++
+	}
+	t.EdgeRescoredTotal += uint64(r.Rescored)
+	t.EdgeRetainedTotal += uint64(r.Retained)
+	t.EdgeDroppedTotal += uint64(r.Dropped)
+}
+
+// stageNames are the slim_relink_stage_seconds labels, in RunRecord.stages
+// order: draining pending ingest into the linker (apply), the incremental
+// candidate-index update (candidate_index, carved out of rescore),
+// compiling and rescoring (rescore), folding the rescore's outcome into
+// the record (merge — microseconds), matching (match), and threshold
+// selection (threshold).
+var stageNames = [...]string{"apply", "candidate_index", "rescore", "merge", "match", "threshold"}
 
 // engMetrics are the engine's native instruments: run and stage latency
-// histograms plus the freshness tracer. Counter/gauge views over the
-// engine's existing atomics are registered alongside them (newEngMetrics)
-// so /metrics and Stats read the same state.
+// histograms, observed by finish from each record, plus the freshness
+// tracer. Every other run fact registered next to them (newEngMetrics) is
+// a view of Stats, so /metrics and /v1/stats cannot disagree.
 type engMetrics struct {
 	relinkSeconds *obs.Histogram
-	// Stage histograms cover one relink each: draining pending ingest into
-	// the linker (apply), the incremental candidate-index update
-	// (candidate_index, carved out of rescore), compiling and rescoring
-	// (rescore), folding the rescore's outcome into the engine's view,
-	// counters and journal entry (merge — microseconds with one linker),
-	// matching (match), and threshold selection (threshold).
-	stageApply, stageIndex, stageRescore   *obs.Histogram
-	stageMerge, stageMatch, stageThreshold *obs.Histogram
-	ingestToVisible                        *obs.Histogram
-	fresh                                  *obs.Freshness
-}
-
-func stageHist(reg *obs.Registry, stage string) *obs.Histogram {
-	return reg.Histogram("slim_relink_stage_seconds",
-		"Wall time of one relink stage (labelled); candidate_index is the incremental index update time inside rescore.",
-		nil, obs.L("stage", stage))
+	stages        [len(stageNames)]*obs.Histogram
+	fresh         *obs.Freshness
 }
 
 func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 	m := &engMetrics{
 		relinkSeconds: reg.Histogram("slim_relink_seconds",
 			"Wall time of one complete relink run (drain, rescore, merge, match, threshold, publish).", nil),
-		stageApply:     stageHist(reg, "apply"),
-		stageIndex:     stageHist(reg, "candidate_index"),
-		stageRescore:   stageHist(reg, "rescore"),
-		stageMerge:     stageHist(reg, "merge"),
-		stageMatch:     stageHist(reg, "match"),
-		stageThreshold: stageHist(reg, "threshold"),
-		ingestToVisible: reg.Histogram("slim_ingest_to_visible_seconds",
-			"Time from a batch's acknowledged ingest until a published relink made it link-visible.", nil),
+		fresh: obs.NewFreshness(reg.Histogram("slim_ingest_to_visible_seconds",
+			"Time from a batch's acknowledged ingest until a published relink made it link-visible.", nil)),
 	}
-	m.fresh = obs.NewFreshness(m.ingestToVisible)
+	for i, stage := range stageNames {
+		m.stages[i] = reg.Histogram("slim_relink_stage_seconds",
+			"Wall time of one relink stage (labelled); candidate_index is the incremental index update time inside rescore.",
+			nil, obs.L("stage", stage))
+	}
 	reg.GaugeFunc("slim_link_staleness_seconds",
 		"Age of the oldest acknowledged batch not yet link-visible (0 when the pipeline is drained).",
 		m.fresh.Staleness)
@@ -285,125 +282,88 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 	reg.GaugeFunc("slim_link_visible_seq",
 		"Newest ingest batch sequence whose records are link-visible.",
 		func() float64 { return float64(m.fresh.VisibleSeq()) })
-	reg.CounterFunc("slim_relink_runs_total",
-		"Completed relink runs (including short-circuited ones).", e.runs.Load)
-	reg.CounterFunc("slim_relink_panics_total",
-		"Panics recovered in the relink path (failed runs and supervisor restarts).",
-		e.relinkPanics.Load)
 	reg.GaugeFunc("slim_relink_stuck_seconds",
 		"How far the relink in flight is past its watchdog deadline (0 when idle or on time).",
 		e.StuckSeconds)
-	reg.CounterFunc("slim_relink_short_circuits_total",
-		"Fully-clean relink runs that republished the cached result.", e.shortCircuits.Load)
-	reg.CounterFunc("slim_relink_pairs_rescored_total",
-		"Candidate pairs rescored since boot.", e.edgeRescored.Load)
-	reg.CounterFunc("slim_relink_pairs_retained_total",
-		"Edge-store pairs retained without rescoring since boot (scoring work avoided).", e.edgeRetained.Load)
-	reg.CounterFunc("slim_relink_pairs_dropped_total",
-		"Edge-store pairs dropped since boot.", e.edgeDropped.Load)
+	reg.GaugeFunc("slim_run_journal_records",
+		"Relink runs currently retained in the flight-recorder ring.",
+		func() float64 { return float64(e.RunJournalLen()) })
+
+	// Everything below is a view of Stats: since-boot totals are counters;
+	// the queue, the published result, the latest run and the layer
+	// snapshots are gauges (zeros until the first published run).
 	reg.GaugeFunc("slim_pending_records",
 		"Buffered records awaiting the next relink.",
-		func() float64 { return float64(e.Pending()) })
+		func() float64 { return float64(e.Stats().PendingRecords) })
 	reg.GaugeFunc("slim_pending_oldest_seconds",
 		"Age of the oldest buffered record awaiting a relink.",
-		func() float64 {
-			oldest, ok := e.OldestPending()
-			if !ok {
-				return 0
-			}
-			return time.Since(oldest).Seconds()
-		})
+		func() float64 { return e.Stats().PendingOldestAge.Seconds() })
 	reg.CounterFunc("slim_ingested_records_total",
 		"Records accepted since construction, by dataset.",
-		e.ingestedE.Load, obs.L("dataset", "e"))
+		func() uint64 { return e.Stats().IngestedE }, obs.L("dataset", "e"))
 	reg.CounterFunc("slim_ingested_records_total",
 		"Records accepted since construction, by dataset.",
-		e.ingestedI.Load, obs.L("dataset", "i"))
+		func() uint64 { return e.Stats().IngestedI }, obs.L("dataset", "i"))
+	reg.CounterFunc("slim_relink_runs_total",
+		"Completed relink runs (including short-circuited ones).",
+		func() uint64 { return e.Stats().Runs })
+	reg.CounterFunc("slim_relink_panics_total",
+		"Panics recovered in the relink path (failed runs and supervisor restarts).",
+		func() uint64 { return e.Stats().RelinkPanics })
+	reg.CounterFunc("slim_relink_short_circuits_total",
+		"Fully-clean relink runs that republished the cached result.",
+		func() uint64 { return e.Stats().RunsShortCircuited })
+	reg.CounterFunc("slim_relink_pairs_rescored_total",
+		"Candidate pairs rescored since boot.",
+		func() uint64 { return e.Stats().EdgeRescoredTotal })
+	reg.CounterFunc("slim_relink_pairs_retained_total",
+		"Edge-store pairs retained without rescoring since boot (scoring work avoided).",
+		func() uint64 { return e.Stats().EdgeRetainedTotal })
+	reg.CounterFunc("slim_relink_pairs_dropped_total",
+		"Edge-store pairs dropped since boot.",
+		func() uint64 { return e.Stats().EdgeDroppedTotal })
 	reg.GaugeFunc("slim_entities",
 		"Entities with applied histories, by dataset.",
-		func() float64 { return float64(e.view.Load().entE) }, obs.L("dataset", "e"))
+		func() float64 { return float64(e.Stats().EntitiesE) }, obs.L("dataset", "e"))
 	reg.GaugeFunc("slim_entities",
 		"Entities with applied histories, by dataset.",
-		func() float64 { return float64(e.view.Load().entI) }, obs.L("dataset", "i"))
+		func() float64 { return float64(e.Stats().EntitiesI) }, obs.L("dataset", "i"))
 	reg.GaugeFunc("slim_links",
 		"Links in the current published result.",
-		func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if e.cur == nil {
-				return 0
-			}
-			return float64(len(e.cur.Links))
-		})
+		func() float64 { return float64(e.Stats().Links) })
 	reg.GaugeFunc("slim_link_version",
 		"Version of the current published result.",
-		func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return float64(e.version)
-		})
+		func() float64 { return float64(e.Stats().Version) })
 	// Edge-store memory visibility: materialize's output is the only place
 	// links exist between runs, so its size must be observable before any
 	// tiering/retention lands.
-	edgeGauge := func(f func(*slim.EdgeStoreStats) int64) func() float64 {
-		return func() float64 {
-			if es := e.view.Load().edge; es != nil {
-				return float64(f(es))
-			}
-			return 0
-		}
-	}
 	reg.GaugeFunc("slim_edge_store_pairs",
 		"Retained scored edges in the edge store.",
-		edgeGauge(func(es *slim.EdgeStoreStats) int64 { return es.Pairs }))
+		func() float64 { return float64(orZero(e.Stats().EdgeStore).Pairs) })
 	reg.GaugeFunc("slim_edge_store_resident_bytes",
 		"Estimated resident bytes of the edge store (scores, lineage and link caches).",
-		edgeGauge(func(es *slim.EdgeStoreStats) int64 { return es.ResidentBytes }))
-	reg.GaugeFunc("slim_run_journal_records",
-		"Relink runs currently retained in the flight-recorder ring.",
-		func() float64 { return float64(e.journal.size()) })
-	// Publish-tail visibility (always registered; zeros until the first
-	// published greedy run). Gauges describe the latest publish, counters
-	// accumulate since boot.
-	tailGauge := func(f func(*slim.PublishTailStats) float64) func() float64 {
-		return func() float64 {
-			if p := e.view.Load().tail; p != nil {
-				return f(p)
-			}
-			return 0
-		}
-	}
-	tailCounter := func(f func(*slim.PublishTailStats) uint64) func() uint64 {
-		return func() uint64 {
-			if p := e.view.Load().tail; p != nil {
-				return f(p)
-			}
-			return 0
-		}
-	}
+		func() float64 { return float64(orZero(e.Stats().EdgeStore).ResidentBytes) })
 	reg.GaugeFunc("slim_publish_tail_edges",
 		"Edges in the publish tail's maintained sorted order.",
-		tailGauge(func(t *slim.PublishTailStats) float64 { return float64(t.Edges) }))
+		func() float64 { return float64(orZero(e.Stats().PublishTail).Edges) })
 	reg.GaugeFunc("slim_publish_tail_reused_prefix_len",
 		"Matched links the latest publish reused verbatim from the previous run.",
-		tailGauge(func(t *slim.PublishTailStats) float64 { return float64(t.ReusedPrefixLen) }))
+		func() float64 { return float64(orZero(e.Stats().PublishTail).ReusedPrefixLen) })
 	reg.GaugeFunc("slim_publish_tail_suffix_walked",
 		"Sorted-order entries the latest publish re-walked below the first changed position.",
-		tailGauge(func(t *slim.PublishTailStats) float64 { return float64(t.SuffixWalked) }))
+		func() float64 { return float64(orZero(e.Stats().PublishTail).SuffixWalked) })
 	reg.CounterFunc("slim_publish_tail_full_rebuilds_total",
 		"Publish-tail full merge+match rebuilds (first build, epoch invalidations, failed runs).",
-		tailCounter(func(t *slim.PublishTailStats) uint64 { return t.FullRebuilds }))
+		func() uint64 { return orZero(e.Stats().PublishTail).FullRebuilds })
 	reg.CounterFunc("slim_publish_tail_applies_total",
 		"Publish-tail incremental delta applies.",
-		tailCounter(func(t *slim.PublishTailStats) uint64 { return t.Applies }))
+		func() uint64 { return orZero(e.Stats().PublishTail).Applies })
 	reg.CounterFunc("slim_threshold_fit_total",
 		"Stop-threshold selections, by whether the detector ran or the cached fit was reused bit-identically.",
-		tailCounter(func(t *slim.PublishTailStats) uint64 { return t.ThresholdFits }),
-		obs.L("result", "fit"))
+		func() uint64 { return orZero(e.Stats().PublishTail).ThresholdFits }, obs.L("result", "fit"))
 	reg.CounterFunc("slim_threshold_fit_total",
 		"Stop-threshold selections, by whether the detector ran or the cached fit was reused bit-identically.",
-		tailCounter(func(t *slim.PublishTailStats) uint64 { return t.ThresholdReuses }),
-		obs.L("result", "reused"))
+		func() uint64 { return orZero(e.Stats().PublishTail).ThresholdReuses }, obs.L("result", "reused"))
 	return m
 }
 
@@ -428,11 +388,11 @@ func New(dsE, dsI slim.Dataset, cfg Config) (*Engine, error) {
 		stopCh:  make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	e.view.Store(&linkerView{
+	e.last.layers = &layers{
 		entE: len(lk.EntitiesE()),
 		entI: len(lk.EntitiesI()),
 		idx:  lk.CandidateIndexStats(),
-	})
+	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -507,7 +467,7 @@ func (e *Engine) BufferI(recs ...slim.Record) {
 	e.buffer(&e.pendI, &e.ingestedI, recs)
 }
 
-func (e *Engine) buffer(pend *[]slim.Record, ingested *atomic.Uint64, recs []slim.Record) {
+func (e *Engine) buffer(pend *[]slim.Record, ingested *uint64, recs []slim.Record) {
 	if len(recs) == 0 {
 		return
 	}
@@ -516,8 +476,8 @@ func (e *Engine) buffer(pend *[]slim.Record, ingested *atomic.Uint64, recs []sli
 		e.pendSince = time.Now()
 	}
 	*pend = append(*pend, recs...)
+	*ingested += uint64(len(recs))
 	e.pendMu.Unlock()
-	ingested.Add(uint64(len(recs)))
 	// Acked AFTER buffering: every sequence at or below a freshness mark
 	// taken before a drain is guaranteed to be in the pending buffers, so
 	// the relink that drains them may legally declare them link-visible.
@@ -558,11 +518,19 @@ func (e *Engine) OldestPending() (oldest time.Time, ok bool) {
 // is forced to rescore the whole candidate set, slim_relink_panics_total
 // increments, and the relink health domain degrades until the next
 // successful run.
-func (e *Engine) Run() slim.Result { return e.run("manual") }
+func (e *Engine) Run() slim.Result {
+	res, _ := e.run("manual")
+	return res
+}
+
+// RunRecorded is Run returning the run's flight-recorder entry as well, so
+// a caller can pair the result with the version that same run left
+// published (a second Result call could already see a later run's).
+func (e *Engine) RunRecorded() (slim.Result, RunRecord) { return e.run("manual") }
 
 // run is the shared body of manual and background relinks; trigger is
 // recorded verbatim in the flight-recorder entry this run appends.
-func (e *Engine) run(trigger string) slim.Result {
+func (e *Engine) run(trigger string) (slim.Result, RunRecord) {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	// Arm the watchdog: slim_relink_stuck_seconds reads this while the
@@ -570,49 +538,77 @@ func (e *Engine) run(trigger string) slim.Result {
 	e.runStartNano.Store(time.Now().UnixNano())
 	defer e.runStartNano.Store(0)
 
-	rec := RunRecord{
-		Seq:     e.runSeq.Add(1),
-		Trigger: trigger,
-		Start:   time.Now(),
-	}
-	// Every attempt lands in the journal — successes, short circuits and
-	// contained panics alike — so the ring replays the engine's recent
-	// decision history without gaps.
-	defer func() {
-		rec.Duration = time.Since(rec.Start)
-		e.mu.Lock()
-		rec.Version = e.version
-		e.mu.Unlock()
-		e.journal.add(rec)
-	}()
-
-	var res slim.Result
-	err := guarded("relink", func() { res = e.relink(&rec) })
+	// The freshness mark is taken before the drain, so every batch
+	// acknowledged at or below it is already buffered and will be
+	// link-visible once this run publishes.
+	rec := RunRecord{Trigger: trigger, Start: time.Now(), mark: e.metrics.fresh.Mark()}
+	var pub *slim.Result
+	err := guarded("relink", func() { pub = e.relink(&rec) })
+	e.synced = err == nil
 	if err == nil {
 		e.health.Recover()
-		return res
+	} else {
+		rec.Panicked, rec.PanicMsg = true, err.Error()
+		// Whatever the failed run left half-applied in the edge store can no
+		// longer be trusted: the next run rescores every candidate pair (and
+		// the full delta that produces rebuilds the publish tail). Pending
+		// buffers are intact if the run never got to drain.
+		e.lk.ForceFullRescore()
+		e.health.Degrade(err.Error())
+		if e.cfg.Logger != nil {
+			e.cfg.Logger.Error("relink run panicked; previous result republished",
+				"component", "engine", "error", err)
+		}
 	}
-	rec.Panicked = true
-	rec.PanicMsg = err.Error()
-	e.relinkPanics.Add(1)
-	// Whatever the failed run left half-applied in the edge store can no
-	// longer be trusted: the next run rescores every candidate pair (and
-	// the full delta that produces rebuilds the publish tail). Pending
-	// buffers are intact if the run never got to drain.
-	e.synced = false
-	e.lk.ForceFullRescore()
-	e.health.Degrade(err.Error())
-	if e.cfg.Logger != nil {
-		e.cfg.Logger.Error("relink run panicked; previous result republished",
-			"component", "engine", "error", err)
+	res := e.finish(&rec, pub)
+	// Give the persister the published result (still under runMu, so
+	// checkpoints are serialized against the next relink).
+	if p := e.persister(); p != nil && pub != nil {
+		p.AfterRun(res, rec.Version)
 	}
+	return res, rec
+}
+
+// finish is the one exit of every run — publish, short circuit and
+// contained panic alike. It publishes pub (nil when the run produced no
+// new result: the previous one stands, the version does not move), stamps
+// the record with the outcome, and advances every other telemetry surface
+// from the finished record: the latest-run view and since-boot totals
+// behind Stats and /metrics, the journal, the run and stage histograms,
+// and — unless the run failed — the freshness watermark. It returns the
+// result now published.
+func (e *Engine) finish(rec *RunRecord, pub *slim.Result) slim.Result {
+	res := slim.Result{SpatialLevel: e.level}
 	e.mu.Lock()
-	cur := e.cur
-	e.mu.Unlock()
-	if cur != nil {
-		return *cur
+	if pub != nil {
+		e.cur = pub
+		e.version++
+	} else {
+		rec.layers = e.last.layers
 	}
-	return slim.Result{SpatialLevel: e.level}
+	if e.cur != nil {
+		res = *e.cur
+	}
+	rec.Seq, rec.Version = e.last.Seq+1, e.version
+	rec.Links = int64(len(res.Links))
+	rec.Duration = time.Since(rec.Start)
+	e.last = *rec
+	e.totals.fold(rec)
+	e.journal.add(*rec)
+	e.mu.Unlock()
+
+	e.metrics.relinkSeconds.Observe(rec.Duration.Seconds())
+	for i, d := range rec.stages() {
+		e.metrics.stages[i].Observe(d.Seconds())
+	}
+	// Every batch acknowledged up to the mark is covered by the result now
+	// published — by this run, or (short circuit) drained by an earlier
+	// one: staleness must return to zero after a quiesce, not stick at the
+	// last ack.
+	if !rec.Panicked {
+		e.metrics.fresh.Visible(rec.mark, rec.Start.Add(rec.Duration))
+	}
+	return res
 }
 
 // StuckSeconds reports how far the relink in flight is past the
@@ -661,139 +657,101 @@ func guarded(what string, fn func()) (err error) {
 	return nil
 }
 
-// relink is the run body. It fills rec — the run's flight-recorder entry —
-// as it goes; the caller contains its panics, stamps the final
-// version/duration and journals it on every exit path. Callers hold runMu.
-func (e *Engine) relink(rec *RunRecord) slim.Result {
+// stage runs one named stage of a relink: it is the single place that
+// labels the goroutine (and every goroutine the body starts) with
+// stage=name for CPU profiles, hits the stage's fault site (none when
+// empty), and takes the stage's wall time — stored even when the body
+// panics, so a failed run's record still says where the time went.
+func (e *Engine) stage(name, site string, dur *time.Duration, body func(context.Context)) {
 	start := time.Now()
+	defer func() { *dur = time.Since(start) }()
+	pprof.Do(context.Background(), pprof.Labels("stage", name), func(ctx context.Context) {
+		if site != "" {
+			e.hitFault(site)
+		}
+		body(ctx)
+	})
+}
 
-	// Apply: drain the pending buffers into the linker. The freshness mark
-	// is taken before the drain, so every batch acknowledged at or below it
-	// is already buffered and will be link-visible once this run publishes.
-	mark := e.metrics.fresh.Mark()
-	e.hitFault(FaultApply)
-	e.pendMu.Lock()
-	pe, pi := e.pendE, e.pendI
-	e.pendE, e.pendI = nil, nil
-	e.pendMu.Unlock()
-	e.lk.AddE(pe...)
-	e.lk.AddI(pi...)
-	e.metrics.stageApply.ObserveSince(start)
-	rec.ApplyDur = time.Since(start)
+// relink is the run body. It fills rec — the run's flight-recorder entry —
+// as it goes and returns the result to publish, or nil when the run short
+// circuits; the caller contains its panics. Callers hold runMu.
+func (e *Engine) relink(rec *RunRecord) *slim.Result {
+	drained := 0
+	e.stage("apply", FaultApply, &rec.ApplyDur, func(context.Context) {
+		e.pendMu.Lock()
+		pe, pi := e.pendE, e.pendI
+		e.pendE, e.pendI = nil, nil
+		e.pendMu.Unlock()
+		e.lk.AddE(pe...)
+		e.lk.AddI(pi...)
+		drained = len(pe) + len(pi)
+	})
 
 	// Clean short-circuit: nothing was drained and the published result
 	// already reflects the linker, so re-matching and re-thresholding the
-	// identical edge set would reproduce it bit for bit — republish it
-	// instead. The version is NOT bumped (the published links did not
-	// change), and the persister is not notified (there is nothing new to
-	// checkpoint).
-	if e.synced && len(pe)+len(pi) == 0 {
-		e.mu.Lock()
-		cur := e.cur
-		e.lastRun = time.Now()
-		e.mu.Unlock()
-		e.view.Store(e.view.Load().idle())
+	// identical edge set would reproduce it bit for bit. The record simply
+	// has no work in it; the version is not bumped and the persister is not
+	// notified (there is nothing new to checkpoint).
+	if e.synced && drained == 0 {
 		rec.ShortCircuit = true
-		rec.Links = int64(len(cur.Links))
-		e.runs.Add(1)
-		e.shortCircuits.Add(1)
-		// Every batch acknowledged up to the mark was drained by an earlier
-		// run, so the republished result covers it: the freshness watermark
-		// advances here too — staleness must return to zero after a
-		// quiesce, not stick at the last ack.
-		now := time.Now()
-		e.metrics.fresh.Visible(mark, now)
-		e.metrics.relinkSeconds.Observe(now.Sub(start).Seconds())
-		return *cur
+		return nil
 	}
 
-	// Rescore. Edge lineage is stamped with the version this run will
-	// publish on success (version+1), so a pair's RescoredSeq joins
-	// directly against /v1/stats versions and the run journal. A panicked
-	// run leaves some lineage stamped one version ahead, but the forced
-	// full rescore of the next run re-stamps everything.
-	e.mu.Lock()
-	lineageSeq := e.version + 1
-	e.mu.Unlock()
-	rescoreStart := time.Now()
-	e.hitFault(FaultRescore)
-	e.lk.SetNextRunSeq(lineageSeq)
-	_, stats := e.lk.RunEdges()
-	e.metrics.stageRescore.ObserveSince(rescoreStart)
-	rec.RescoreDur = time.Since(rescoreStart)
+	// Edge lineage is stamped with the version this run will publish on
+	// success (version+1), so a pair's RescoredSeq joins directly against
+	// /v1/stats versions and the run journal. A panicked run leaves some
+	// lineage stamped one version ahead, but the forced full rescore of the
+	// next run re-stamps everything.
+	var stats slim.Stats
+	e.stage("rescore", FaultRescore, &rec.RescoreDur, func(context.Context) {
+		e.mu.Lock()
+		lineageSeq := e.version + 1
+		e.mu.Unlock()
+		e.lk.SetNextRunSeq(lineageSeq)
+		_, stats = e.lk.RunEdges()
+	})
 
-	// Merge: fold the rescore's outcome into the next view, the odometer
-	// counters and the journal entry.
-	mergeStart := time.Now()
-	view := &linkerView{
-		entE: len(e.lk.EntitiesE()),
-		entI: len(e.lk.EntitiesI()),
-		idx:  e.lk.CandidateIndexStats(),
-		edge: stats.EdgeStore,
-	}
-	// The incremental candidate-index update runs inside RunEdges; its cost
-	// is reported separately, as a subset of the rescore wall time.
-	if view.idx != nil {
-		rec.IndexDur = view.idx.LastUpdate
-	}
-	e.metrics.stageIndex.Observe(rec.IndexDur.Seconds())
-	es := stats.EdgeStore
-	e.edgeRescored.Add(uint64(es.Rescored))
-	e.edgeRetained.Add(uint64(es.Retained))
-	e.edgeDropped.Add(uint64(es.Dropped))
-	rec.Rescored, rec.Retained, rec.Dropped = es.Rescored, es.Retained, es.Dropped
-	rec.FullRescore = es.FullRescore
-	rec.CandidatePairs = stats.CandidatePairs
-	e.metrics.stageMerge.ObserveSince(mergeStart)
-	rec.MergeDur = time.Since(mergeStart)
+	// Merge: snapshot the layers and fold the rescore's outcome into the
+	// record. The incremental candidate-index update ran inside RunEdges;
+	// its cost is reported separately, as a subset of the rescore time.
+	e.stage("merge", "", &rec.MergeDur, func(context.Context) {
+		rec.layers = &layers{
+			entE: len(e.lk.EntitiesE()),
+			entI: len(e.lk.EntitiesI()),
+			idx:  e.lk.CandidateIndexStats(),
+			edge: stats.EdgeStore,
+		}
+		idx, es := orZero(rec.layers.idx), stats.EdgeStore
+		rec.IndexDur, rec.indexDirty, rec.indexRebuild = idx.LastUpdate, idx.LastDirty, idx.LastRebuild
+		rec.Rescored, rec.Retained, rec.Dropped = es.Rescored, es.Retained, es.Dropped
+		rec.FullRescore, rec.edgeDur = es.FullRescore, es.LastUpdate
+		rec.CandidatePairs = stats.CandidatePairs
+	})
 
-	// Publish tail: match and threshold.
-	e.hitFault(FaultRelink)
-	pubStart := time.Now()
-	matched, links, thr := e.lk.Publish()
-	// The tail times its own stages; the from-scratch Hungarian path has
-	// no tail, so its whole publish is booked as match.
-	rec.MatchDur = time.Since(pubStart)
-	if view.tail = e.lk.PublishTailStats(); view.tail != nil {
-		rec.MatchDur, rec.ThresholdDur = view.tail.LastMatch, view.tail.LastThreshold
-		rec.TailReusedPrefix = view.tail.ReusedPrefixLen
-		rec.TailFullRebuild = view.tail.LastFull
+	// Publish tail: match and threshold. The tail times its own stages; the
+	// from-scratch Hungarian path has no tail, so its whole publish is
+	// booked as match.
+	var res slim.Result
+	e.stage("publish", FaultRelink, &rec.MatchDur, func(context.Context) {
+		matched, links, thr := e.lk.Publish()
+		res = slim.Result{
+			Links:           links,
+			Matched:         matched,
+			Threshold:       thr.Threshold,
+			ThresholdMethod: thr.Method,
+			SpatialLevel:    e.level,
+			Stats:           stats,
+			Elapsed:         time.Since(rec.Start),
+		}
+	})
+	if tail := e.lk.PublishTailStats(); tail != nil {
+		rec.layers.tail = tail
+		rec.MatchDur, rec.ThresholdDur, rec.tailDur = tail.LastMatch, tail.LastThreshold, tail.LastUpdate
+		rec.TailReusedPrefix, rec.tailSuffix = tail.ReusedPrefixLen, tail.SuffixWalked
+		rec.TailFullRebuild = tail.LastFull
 	}
-	e.metrics.stageMatch.Observe(rec.MatchDur.Seconds())
-	e.metrics.stageThreshold.Observe(rec.ThresholdDur.Seconds())
-	res := slim.Result{
-		Links:           links,
-		Matched:         matched,
-		Threshold:       thr.Threshold,
-		ThresholdMethod: thr.Method,
-		SpatialLevel:    e.level,
-		Stats:           stats,
-		Elapsed:         time.Since(start),
-	}
-
-	rec.Links = int64(len(res.Links))
-	e.view.Store(view)
-	e.synced = true
-	e.runs.Add(1)
-	e.mu.Lock()
-	e.cur = &res
-	e.version++
-	version := e.version
-	e.lastRun = time.Now()
-	e.mu.Unlock()
-
-	// The result is published: every batch acknowledged before the drain
-	// is now link-visible to queries.
-	now := time.Now()
-	e.metrics.fresh.Visible(mark, now)
-	e.metrics.relinkSeconds.Observe(now.Sub(start).Seconds())
-
-	// Give the persister the published result (still under runMu, so
-	// checkpoints are serialized against the next relink).
-	if p := e.persister(); p != nil {
-		p.AfterRun(res, version)
-	}
-	return res
+	return &res
 }
 
 // RestoreResult installs a previously published result, e.g. one loaded
@@ -863,8 +821,8 @@ func (e *Engine) Explain(u, v slim.EntityID) Explanation {
 	ex := Explanation{PairExplanation: e.lk.Explain(u, v)}
 	e.runMu.Unlock()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	ex.Version = e.version
-	e.mu.Unlock()
 	if ex.Edge.Linked {
 		if rec, ok := e.journal.byVersion(ex.Edge.RescoredSeq); ok {
 			ex.Run = &rec
@@ -878,15 +836,21 @@ func (e *Engine) Explain(u, v slim.EntityID) Explanation {
 // counts runs ever recorded, including entries already overwritten —
 // the pagination contract behind /v1/runs.
 func (e *Engine) Runs(limit, offset int) (recs []RunRecord, total uint64) {
-	return e.journal.snapshot(limit, offset)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.journal.snapshot(limit, offset), e.last.Seq
 }
 
 // RunJournalCap returns the flight-recorder ring capacity.
-func (e *Engine) RunJournalCap() int { return e.journal.capacity() }
+func (e *Engine) RunJournalCap() int { return cap(e.journal.buf) }
 
 // RunJournalLen returns how many runs the flight recorder currently
 // retains (at most RunJournalCap).
-func (e *Engine) RunJournalLen() int { return e.journal.size() }
+func (e *Engine) RunJournalLen() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.journal.buf)
+}
 
 // Stats is a point-in-time snapshot of the engine's operational state.
 type Stats struct {
@@ -903,38 +867,21 @@ type Stats struct {
 	// waiting for a relink (zero when nothing is pending) — the relink-lag
 	// signal behind the ingest plane's latency-budget shedding.
 	PendingOldestAge time.Duration
-	// CandidateIndex is the linker's incremental LSH candidate-index
-	// snapshot as of the latest run; nil when LSH is disabled.
+	// CandidateIndex (nil when LSH is disabled), EdgeStore (nil before the
+	// first run) and PublishTail (nil with the Hungarian matcher or before
+	// the first published run) are the linker's layer snapshots. Their
+	// state fields (sizes, epochs, since-boot counts) are as of the latest
+	// published run; their last-run fields are the latest run's record, so
+	// they read zero after a short circuit.
 	CandidateIndex *slim.CandidateIndexStats
-	// EdgeStore is the linker's incremental edge-store snapshot as of the
-	// latest run (nil before the first): Pairs and Epoch are state, the
-	// work fields (Retained/Rescored/Dropped/FullRescore/LastUpdate)
-	// describe the latest relink and read zero after a short circuit.
-	EdgeStore *slim.EdgeStoreStats
-	// PublishTail reports the incremental match/threshold pipeline:
-	// maintained edge-order size, the matched-prefix reuse and suffix walk
-	// of the latest publish, full-rebuild and delta-apply counts, and
-	// threshold fit-vs-reuse counters. Nil with the Hungarian matcher or
-	// before the first published run.
-	PublishTail *slim.PublishTailStats
-	// EdgeRescoredTotal / EdgeRetainedTotal / EdgeDroppedTotal accumulate
-	// the relink-delta work of every run since construction;
-	// RunsShortCircuited counts clean Run calls that republished the
-	// cached result without re-matching. These are the service's
-	// incremental-savings odometer (exported over expvar).
-	EdgeRescoredTotal  uint64
-	EdgeRetainedTotal  uint64
-	EdgeDroppedTotal   uint64
-	RunsShortCircuited uint64
-	// RelinkPanics counts panics recovered anywhere in the relink path
-	// (each one is a failed run that republished the previous result);
-	// LoopRestarts counts supervisor restarts of the background
-	// scheduler after it panicked.
-	RelinkPanics uint64
+	EdgeStore      *slim.EdgeStoreStats
+	PublishTail    *slim.PublishTailStats
+	// Totals are the since-boot run odometers; here RelinkPanics also
+	// includes LoopRestarts, the supervisor restarts of the background
+	// scheduler after it panicked. Version counts published results.
+	Totals
 	LoopRestarts uint64
-	// Runs and Version count completed relinks and published results.
-	Runs    uint64
-	Version uint64
+	Version      uint64
 	// LastRun is the completion time of the latest relink (zero before the
 	// first).
 	LastRun time.Time
@@ -943,45 +890,54 @@ type Stats struct {
 	Threshold float64
 }
 
-// Stats returns an operational snapshot. It reads only the ingest buffers,
-// atomics and the per-run linker view, so it never waits behind a running
-// linkage (entity counts may trail a relink in flight by one run). The
-// snapshot blocks it points to are shared with later callers — treat them
-// as read-only.
+// Stats returns an operational snapshot: the ingest buffers, the published
+// result, the latest run's record and the since-boot totals. It never waits
+// behind a running linkage (entity counts may trail a relink in flight by
+// one run).
 func (e *Engine) Stats() Stats {
-	v := e.view.Load()
+	e.mu.Lock()
+	cur, version, r, tot := e.cur, e.version, e.last, e.totals
+	e.mu.Unlock()
 	st := Stats{
-		SpatialLevel:       e.level,
-		EntitiesE:          v.entE,
-		EntitiesI:          v.entI,
-		IngestedE:          e.ingestedE.Load(),
-		IngestedI:          e.ingestedI.Load(),
-		CandidateIndex:     v.idx,
-		EdgeStore:          v.edge,
-		PublishTail:        v.tail,
-		Runs:               e.runs.Load(),
-		RelinkPanics:       e.relinkPanics.Load(),
-		LoopRestarts:       e.loopRestarts.Load(),
-		EdgeRescoredTotal:  e.edgeRescored.Load(),
-		EdgeRetainedTotal:  e.edgeRetained.Load(),
-		EdgeDroppedTotal:   e.edgeDropped.Load(),
-		RunsShortCircuited: e.shortCircuits.Load(),
+		SpatialLevel: e.level,
+		EntitiesE:    r.layers.entE,
+		EntitiesI:    r.layers.entI,
+		Totals:       tot,
+		LoopRestarts: e.loopRestarts.Load(),
+		Version:      version,
+	}
+	st.RelinkPanics += st.LoopRestarts
+	if r.Seq > 0 {
+		st.LastRun = r.Start.Add(r.Duration)
+	}
+	if cur != nil {
+		st.Links = len(cur.Links)
+		st.Threshold = cur.Threshold
+	}
+	if r.layers.idx != nil {
+		idx := *r.layers.idx
+		idx.LastDirty, idx.LastRebuild, idx.LastUpdate = r.indexDirty, r.indexRebuild, r.IndexDur
+		st.CandidateIndex = &idx
+	}
+	if r.layers.edge != nil {
+		edge := *r.layers.edge
+		edge.Rescored, edge.Retained, edge.Dropped = r.Rescored, r.Retained, r.Dropped
+		edge.FullRescore, edge.LastUpdate = r.FullRescore, r.edgeDur
+		st.EdgeStore = &edge
+	}
+	if r.layers.tail != nil {
+		tail := *r.layers.tail
+		tail.ReusedPrefixLen, tail.SuffixWalked, tail.LastFull = r.TailReusedPrefix, r.tailSuffix, r.TailFullRebuild
+		tail.LastUpdate, tail.LastMatch, tail.LastThreshold = r.tailDur, r.MatchDur, r.ThresholdDur
+		st.PublishTail = &tail
 	}
 	e.pendMu.Lock()
+	st.IngestedE, st.IngestedI = e.ingestedE, e.ingestedI
 	st.PendingRecords = len(e.pendE) + len(e.pendI)
-	since := e.pendSince
-	e.pendMu.Unlock()
 	if st.PendingRecords > 0 {
-		st.PendingOldestAge = time.Since(since)
+		st.PendingOldestAge = time.Since(e.pendSince)
 	}
-	e.mu.Lock()
-	st.Version = e.version
-	st.LastRun = e.lastRun
-	if e.cur != nil {
-		st.Links = len(e.cur.Links)
-		st.Threshold = e.cur.Threshold
-	}
-	e.mu.Unlock()
+	e.pendMu.Unlock()
 	return st
 }
 
@@ -1022,7 +978,6 @@ func (e *Engine) supervise() {
 		if err == nil {
 			return // clean stop via Close
 		}
-		e.relinkPanics.Add(1)
 		e.loopRestarts.Add(1)
 		if e.cfg.Logger != nil {
 			e.cfg.Logger.Error("relink scheduler panicked; restarting",

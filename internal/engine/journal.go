@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // RunRecord is one flight-recorder entry: everything the engine knew
 // about one relink run at the moment it finished — what triggered it,
@@ -13,9 +10,10 @@ import (
 // so the journal replays the engine's recent decision history exactly.
 type RunRecord struct {
 	// Seq is the run's sequence number (monotonic per engine). Version is
-	// the result version published by the run — equal to Seq for
-	// successful runs, the previous version when the run panicked and
-	// published nothing.
+	// the result version the run left published: one above the previous
+	// run's when the run published, unchanged when it short-circuited or
+	// panicked. Versions trail Seq by the runs that published nothing, and
+	// a RestoreResult moves the version without any run.
 	Seq     uint64
 	Version uint64
 	// Trigger names what started the run: "manual" (Run call) or
@@ -35,8 +33,9 @@ type RunRecord struct {
 	// rather than crashing; see Engine.Run).
 	Panicked bool
 	PanicMsg string
-	// Rescored / Retained / Dropped are the run's edge-store delta;
-	// CandidatePairs and Links are the run's published totals.
+	// Rescored / Retained / Dropped are the run's edge-store delta and
+	// CandidatePairs the pairs it considered (all zero when it did no
+	// rescoring); Links counts the links published when it finished.
 	Rescored       int64
 	Retained       int64
 	Dropped        int64
@@ -56,48 +55,56 @@ type RunRecord struct {
 	MergeDur     time.Duration
 	MatchDur     time.Duration
 	ThresholdDur time.Duration
+
+	// The rest of the run's work — last-run facts /v1/stats reports and
+	// /v1/runs does not: entity signatures the candidate index recomputed
+	// and whether it rebuilt, tail entries re-walked, and the edge store's
+	// and publish tail's own wall times.
+	indexDirty       int
+	indexRebuild     bool
+	tailSuffix       int64
+	edgeDur, tailDur time.Duration
+	// mark is the freshness watermark taken before the run drained: the
+	// ack sequence the run makes link-visible if it does not fail.
+	mark uint64
+	// layers are the linker-side snapshots as of this run (see layers).
+	layers *layers
+}
+
+// stages returns the per-stage durations in stageNames order.
+func (r *RunRecord) stages() [len(stageNames)]time.Duration {
+	return [...]time.Duration{r.ApplyDur, r.IndexDur, r.RescoreDur, r.MergeDur, r.MatchDur, r.ThresholdDur}
 }
 
 // journal is a bounded ring of the engine's most recent RunRecords — the
 // relink flight recorder. Appends overwrite the oldest entry once the
 // ring is full, so memory is fixed at construction no matter how long
-// the engine runs.
+// the engine runs. The engine's mu guards it.
 type journal struct {
-	mu    sync.Mutex
-	buf   []RunRecord
-	next  int
-	total uint64
+	buf  []RunRecord
+	next int
 }
 
-func newJournal(size int) *journal {
+func newJournal(size int) journal {
 	if size <= 0 {
 		size = DefaultRunJournal
 	}
-	return &journal{buf: make([]RunRecord, 0, size)}
+	return journal{buf: make([]RunRecord, 0, size)}
 }
 
 func (j *journal) add(r RunRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if len(j.buf) < cap(j.buf) {
 		j.buf = append(j.buf, r)
 	} else {
 		j.buf[j.next] = r
 	}
 	j.next = (j.next + 1) % cap(j.buf)
-	j.total++
 }
 
 // snapshot returns up to limit records, newest first, skipping offset
-// newest records — the pagination contract of /v1/runs. total is the
-// count of runs ever recorded (including ones already overwritten).
-func (j *journal) snapshot(limit, offset int) (recs []RunRecord, total uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// newest records — the pagination contract of /v1/runs.
+func (j *journal) snapshot(limit, offset int) (recs []RunRecord) {
 	n := len(j.buf)
-	if n == 0 {
-		return nil, j.total
-	}
 	if limit <= 0 || limit > n {
 		limit = n
 	}
@@ -109,41 +116,19 @@ func (j *journal) snapshot(limit, offset int) (recs []RunRecord, total uint64) {
 		idx := (j.next - 1 - k + 2*n) % n
 		recs = append(recs, j.buf[idx])
 	}
-	return recs, j.total
+	return recs
 }
 
-// byVersion returns the journal entry whose published Version matches v
-// (the "run that produced it" join behind /v1/explain), or false when
-// the run has aged out of the ring. Panicked runs republish the previous
-// version, so on a tie the successful (non-panicked) run wins — at most
-// one exists per version, since versions only advance on success.
+// byVersion returns the journal entry of the run that published version v
+// (the "run that produced it" join behind /v1/explain), or false when it
+// has aged out of the ring. Short circuits and panicked runs carry the
+// version they left standing, not one they produced, so they never match;
+// at most one run publishes any version.
 func (j *journal) byVersion(v uint64) (RunRecord, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var hit RunRecord
-	found := false
-	for k := range j.buf {
-		if j.buf[k].Version != v {
-			continue
-		}
-		if !j.buf[k].Panicked {
-			return j.buf[k], true
-		}
-		if !found {
-			hit, found = j.buf[k], true
+	for _, r := range j.buf {
+		if r.Version == v && !r.ShortCircuit && !r.Panicked {
+			return r, true
 		}
 	}
-	return hit, found
-}
-
-func (j *journal) size() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.buf)
-}
-
-func (j *journal) capacity() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return cap(j.buf)
+	return RunRecord{}, false
 }

@@ -183,3 +183,41 @@ func TestEngineExplainJoinsJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainNeverJoinsShortCircuit is the regression test for the journal
+// join: short circuits are journaled with the version they left standing,
+// so once the ring wraps a version lookup could land on one of them. The
+// join must return the run that published the edge, or nothing.
+func TestExplainNeverJoinsShortCircuit(t *testing.T) {
+	w := standardWorkload(12)
+	eng, err := New(w.E, w.I, Config{Link: slim.Defaults(), Debounce: time.Hour, RunJournal: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	eng.Run()
+	// Re-observing every E record dirties every pair, so run #2 rescores
+	// (and stamps its version on) every published link.
+	if err := eng.AddE(w.E.Records...); err != nil {
+		t.Fatal(err)
+	}
+	res := eng.Run()
+	if len(res.Links) == 0 {
+		t.Fatal("workload produced no links")
+	}
+	u, v := res.Links[0].U, res.Links[0].V
+	if ex := eng.Explain(u, v); ex.Edge.RescoredSeq != 2 {
+		t.Fatalf("link lineage seq %d, want 2 (rescored by run #2)", ex.Edge.RescoredSeq)
+	}
+
+	eng.Run() // short circuit; the ring now holds run #2 and the short circuit
+	ex := eng.Explain(u, v)
+	if ex.Run == nil || ex.Run.Seq != 2 || ex.Run.ShortCircuit {
+		t.Fatalf("explain joined %+v, want run #2", ex.Run)
+	}
+	eng.Run() // a second short circuit evicts run #2
+	if ex := eng.Explain(u, v); ex.Run != nil {
+		t.Fatalf("explain joined %+v after the producing run aged out, want nil", ex.Run)
+	}
+}

@@ -1,14 +1,21 @@
 package engine
 
 import (
+	"bytes"
+	"context"
+	"regexp"
+	"runtime/pprof"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"slim"
 	"slim/internal/fault"
 	"slim/internal/obs"
+	"slim/internal/par"
 )
 
 // faultedEngine builds a small seeded engine with an armed-able injector.
@@ -75,6 +82,18 @@ func TestEngineRunPanicContained(t *testing.T) {
 			}
 			if state, cause, _ := eng.Health(); state != obs.Degraded || !strings.Contains(cause, site) {
 				t.Fatalf("health after panic = %v (%q), want degraded naming %s", state, cause, site)
+			}
+			// The failed run is observed like any other: every stage histogram
+			// has one sample per run, so the layers still sum to end-to-end.
+			runs := eng.metrics.relinkSeconds.Count()
+			if runs != 2 {
+				t.Fatalf("slim_relink_seconds_count = %d after a published and a panicked run, want 2", runs)
+			}
+			for i, h := range eng.metrics.stages {
+				if h.Count() != runs {
+					t.Fatalf("stage %q histogram has %d samples, slim_relink_seconds has %d",
+						stageNames[i], h.Count(), runs)
+				}
 			}
 
 			// Fault exhausted (Count:1): the next run must succeed, rescore
@@ -201,4 +220,49 @@ func TestEngineStuckSeconds(t *testing.T) {
 		t.Fatalf("disabled-watchdog StuckSeconds = %v, want 0", got)
 	}
 	eng.runStartNano.Store(0)
+}
+
+// TestStageLabelsReachWorkers pins the profiler attribution of a relink
+// stage: inside the stage body the context carries stage=<name>, and the
+// goroutines the body fans out to (par.Chunks workers, as the linker's
+// scoring passes use) inherit the label, so CPU profiles split by stage.
+func TestStageLabelsReachWorkers(t *testing.T) {
+	eng, _, _ := faultedEngine(t)
+	const workers = 3
+	var dur time.Duration
+	var label, profile string
+	eng.stage("rescore", "", &dur, func(ctx context.Context) {
+		label, _ = pprof.Label(ctx, "stage")
+		// Worker 0 dumps the goroutine profile once every worker is running.
+		var arrived sync.WaitGroup
+		arrived.Add(workers - 1)
+		release := make(chan struct{})
+		par.Chunks(workers, workers, func(w, _, _ int) {
+			if w != 0 {
+				arrived.Done()
+				<-release
+				return
+			}
+			arrived.Wait()
+			var buf bytes.Buffer
+			_ = pprof.Lookup("goroutine").WriteTo(&buf, 1) // a bytes.Buffer write cannot fail
+			profile = buf.String()
+			close(release)
+		})
+	})
+	if label != "rescore" {
+		t.Fatalf("stage label inside the body = %q, want rescore", label)
+	}
+	// debug=1 groups goroutines by stack and labels: "N @ pcs...\n# labels: {...}".
+	labelled := 0
+	for _, m := range regexp.MustCompile(`(?m)^(\d+) @.*\n# labels: \{"stage":"rescore"\}`).FindAllStringSubmatch(profile, -1) {
+		n, _ := strconv.Atoi(m[1]) // the pattern admits digits only
+		labelled += n
+	}
+	if labelled < workers {
+		t.Fatalf("%d goroutines carry stage=rescore, want the %d workers:\n%s", labelled, workers, profile)
+	}
+	if dur <= 0 {
+		t.Fatal("stage did not record its wall time")
+	}
 }

@@ -277,11 +277,3 @@ func (s *Server) handleRuns(w http.ResponseWriter, req *http.Request) {
 	}
 	s.json(w, http.StatusOK, resp)
 }
-
-// ExplainHandler returns the /v1/explain handler for mounting on an
-// auxiliary mux (slimd re-exports it on -debug-addr next to pprof).
-func (s *Server) ExplainHandler() http.Handler { return http.HandlerFunc(s.handleExplain) }
-
-// RunsHandler returns the /v1/runs handler for mounting on an auxiliary
-// mux.
-func (s *Server) RunsHandler() http.Handler { return http.HandlerFunc(s.handleRuns) }

@@ -57,17 +57,34 @@ func metricValue(body, sample string) (float64, bool) {
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _, _ := newObsServer(t, nil)
 
+	// Two entities on different routes, mirrored into both datasets, so the
+	// first run scores pairs; re-observing one entity makes the second a
+	// delta run (retained pairs, a tail apply); the third short-circuits.
 	recs := []map[string]any{
 		{"entity": "u1", "lat": 40.0, "lng": -74.0, "unix": int64(1000)},
 		{"entity": "u1", "lat": 40.1, "lng": -74.1, "unix": int64(2000)},
+		{"entity": "u2", "lat": 41.2, "lng": -73.5, "unix": int64(1000)},
+		{"entity": "u2", "lat": 41.3, "lng": -73.6, "unix": int64(2000)},
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/datasets/e/records", map[string]any{"records": recs})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest status %d", resp.StatusCode)
+	ingest := func(ds string, recs []map[string]any) {
+		t.Helper()
+		resp, _ := postJSON(t, ts.URL+"/v1/datasets/"+ds+"/records", map[string]any{"records": recs})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest %s status %d", ds, resp.StatusCode)
+		}
 	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/link", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("link status %d", resp.StatusCode)
+	link := func() {
+		t.Helper()
+		if resp, _ := postJSON(t, ts.URL+"/v1/link", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("link status %d", resp.StatusCode)
+		}
 	}
+	ingest("e", recs)
+	ingest("i", recs)
+	link()
+	ingest("e", recs[:2])
+	link()
+	link()
 
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -105,21 +122,54 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := metricValue(body, "slim_link_staleness_seconds"); !ok || v > 1 {
 		t.Errorf("post-relink staleness = %v (present=%v), want ~0", v, ok)
 	}
-	if v, ok := metricValue(body, `slim_http_requests_total{route="POST /v1/link",status="200"}`); !ok || v != 1 {
-		t.Errorf("per-route counter = %v (present=%v), want 1", v, ok)
+	if v, ok := metricValue(body, `slim_http_requests_total{route="POST /v1/link",status="200"}`); !ok || v != 3 {
+		t.Errorf("per-route counter = %v (present=%v), want 3", v, ok)
 	}
 
-	// Bit-compatibility: /v1/stats and /metrics read the same atomics.
+	// One source of truth: every fact both /v1/stats and /metrics report
+	// must read the same on both.
 	var stats struct {
-		IngestedE uint64 `json:"ingested_e"`
-		Runs      uint64 `json:"runs"`
+		IngestedE     uint64 `json:"ingested_e"`
+		Runs          uint64 `json:"runs"`
+		ShortCircuits uint64 `json:"runs_short_circuited"`
+		Panics        uint64 `json:"relink_panics"`
+		Links         uint64 `json:"links"`
+		Version       uint64 `json:"version"`
+		EdgeStore     struct {
+			Pairs    uint64 `json:"pairs"`
+			Rescored uint64 `json:"rescored_total"`
+			Retained uint64 `json:"retained_total"`
+			Dropped  uint64 `json:"dropped_total"`
+		} `json:"edge_store"`
+		PublishTail struct {
+			FullRebuilds uint64 `json:"full_rebuilds_total"`
+			Applies      uint64 `json:"applies_total"`
+		} `json:"publish_tail"`
 	}
 	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if v, _ := metricValue(body, `slim_ingested_records_total{dataset="e"}`); uint64(v) != stats.IngestedE {
-		t.Errorf("ingested_e: metrics=%v stats=%d", v, stats.IngestedE)
+	if stats.ShortCircuits != 1 || stats.EdgeStore.Retained == 0 || stats.PublishTail.Applies == 0 {
+		t.Fatalf("workload too thin to compare surfaces: %+v", stats)
 	}
-	if v, _ := metricValue(body, "slim_relink_runs_total"); uint64(v) != stats.Runs {
-		t.Errorf("runs: metrics=%v stats=%d", v, stats.Runs)
+	for _, c := range []struct {
+		sample string
+		want   uint64
+	}{
+		{`slim_ingested_records_total{dataset="e"}`, stats.IngestedE},
+		{"slim_relink_runs_total", stats.Runs},
+		{"slim_relink_short_circuits_total", stats.ShortCircuits},
+		{"slim_relink_panics_total", stats.Panics},
+		{"slim_links", stats.Links},
+		{"slim_link_version", stats.Version},
+		{"slim_edge_store_pairs", stats.EdgeStore.Pairs},
+		{"slim_relink_pairs_rescored_total", stats.EdgeStore.Rescored},
+		{"slim_relink_pairs_retained_total", stats.EdgeStore.Retained},
+		{"slim_relink_pairs_dropped_total", stats.EdgeStore.Dropped},
+		{"slim_publish_tail_full_rebuilds_total", stats.PublishTail.FullRebuilds},
+		{"slim_publish_tail_applies_total", stats.PublishTail.Applies},
+	} {
+		if v, ok := metricValue(body, c.sample); !ok || uint64(v) != c.want {
+			t.Errorf("%s: metrics=%v (present=%v) stats=%d", c.sample, v, ok, c.want)
+		}
 	}
 }
 

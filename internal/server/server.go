@@ -98,7 +98,7 @@ func WithMaxIngestBody(n int64) Option {
 }
 
 // WithIngestPlane installs a caller-built ingest plane (custom queue
-// depth / shed budgets, or one the process also exports over expvar).
+// depth / shed budgets, or one sharing the process-wide registry).
 // Without this option the server builds a plane with default budgets.
 func WithIngestPlane(p *ingest.Plane) Option {
 	return func(s *Server) { s.plane = p }
@@ -608,10 +608,9 @@ type runResponse struct {
 }
 
 func (s *Server) handleLink(w http.ResponseWriter, req *http.Request) {
-	res := s.eng.Run()
-	_, version, _ := s.eng.Result()
+	res, run := s.eng.RunRecorded()
 	s.json(w, http.StatusOK, runResponse{
-		Version:         version,
+		Version:         run.Version,
 		Links:           len(res.Links),
 		Matched:         len(res.Matched),
 		Threshold:       res.Threshold,
