@@ -34,7 +34,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -163,13 +162,6 @@ func main() {
 	var eng *engine.Engine
 	var store *storage.Store
 	if *dataDir != "" {
-		// OnRelog re-buffers batches the degraded-mode quarantine re-logged
-		// into the fresh segment: they are durable again (a recovery would
-		// replay them), so the live engine must hold them too. The engine
-		// does not exist yet at Options time, so the hook goes through an
-		// atomic set after Recover returns; a degraded reopen cannot
-		// complete before the store has even finished opening.
-		var engRef atomic.Pointer[engine.Engine]
 		fs := storage.OSFS
 		if inj != nil {
 			fs = storage.NewFaultFS(storage.OSFS, inj)
@@ -182,21 +174,7 @@ func main() {
 			Logger:            logger,
 			Registry:          registry,
 			FS:                fs,
-			OnRelog: func(tag byte, recs []slim.Record) {
-				e := engRef.Load()
-				if e == nil {
-					return
-				}
-				if tag == storage.TagE {
-					e.BufferE(recs...)
-				} else {
-					e.BufferI(recs...)
-				}
-			},
 		})
-		if eng != nil {
-			engRef.Store(eng)
-		}
 		if err != nil {
 			fatal(logger, "recovering data directory", "dir", *dataDir, "error", err)
 		}

@@ -7,10 +7,9 @@ import (
 	"slim"
 )
 
-// TestBufferBypassesPersister: BufferE/BufferI are the already-durable
-// ingest path (the binary plane logs first, then buffers), so they must
-// enqueue into the pending buffers without calling the
-// persister, and the next run must apply them exactly like AddE/AddI.
+// TestBufferAndOldestPending: AddE/AddI enqueue into the pending buffers
+// (each record counted once, the oldest enqueue time kept), the next run
+// drains and applies them, and each published run reaches AfterRun once.
 func TestBufferAndOldestPending(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
@@ -38,13 +37,10 @@ func TestBufferAndOldestPending(t *testing.T) {
 	before := time.Now()
 	for i, off := range []float64{0, 0.8, 1.6} {
 		e := string(rune('a' + i))
-		eng.BufferE(mk("e-"+e, off, 20)...)
-		eng.BufferI(mk("i-"+e, off, 20)...)
+		eng.AddE(mk("e-"+e, off, 20)...)
+		eng.AddI(mk("i-"+e, off, 20)...)
 	}
 
-	if got := p.loggedE + p.loggedI; got != 0 {
-		t.Fatalf("Buffer* called the persister (%d records logged)", got)
-	}
 	// Queue depth counts every record exactly once, E and I alike.
 	if eng.Pending() != 120 {
 		t.Fatalf("Pending = %d, want 120", eng.Pending())
@@ -59,7 +55,10 @@ func TestBufferAndOldestPending(t *testing.T) {
 
 	res := eng.Run()
 	if len(res.Links) != 3 {
-		t.Fatalf("run after Buffer* produced %d links, want 3", len(res.Links))
+		t.Fatalf("run produced %d links, want 3", len(res.Links))
+	}
+	if p.runs != 1 {
+		t.Fatalf("AfterRun called %d times, want 1", p.runs)
 	}
 	if eng.Pending() != 0 {
 		t.Fatalf("Pending = %d after run, want 0", eng.Pending())

@@ -112,17 +112,12 @@ func (c Config) runDeadline() time.Duration {
 	return c.RunDeadline
 }
 
-// Persister is the engine's durability hook, implemented by
-// internal/storage. LogE/LogI are called before a batch is buffered:
-// a batch is acknowledged to the caller only after it is durable, and a
-// log error rejects the batch entirely. The persister may canonicalize
-// records in place (e.g. quantize coordinates to the codec's fixed-point
-// resolution) so the live engine state matches what a recovery would
-// rebuild. AfterRun is called after each published relink so the
-// persister can capture the result and decide whether to checkpoint.
+// Persister is the engine's checkpoint hook, implemented by
+// internal/storage: AfterRun is called after each published relink so the
+// persister can capture the result and decide whether to checkpoint. The
+// engine logs nothing itself — a record is durable before it reaches AddE/
+// AddI (see ingest.Plane.Submit).
 type Persister interface {
-	LogE(recs []slim.Record) error
-	LogI(recs []slim.Record) error
 	AfterRun(res slim.Result, version uint64)
 }
 
@@ -164,8 +159,7 @@ type Engine struct {
 	totals  Totals
 	journal journal
 
-	// pMu guards the persistence hook (attached once, after recovery
-	// feeding, before serving).
+	// pMu guards the checkpoint hook (attached once, before serving).
 	pMu     sync.RWMutex
 	persist Persister
 
@@ -405,9 +399,7 @@ func New(dsE, dsI slim.Dataset, cfg Config) (*Engine, error) {
 // SpatialLevel returns the history grid level.
 func (e *Engine) SpatialLevel() int { return e.level }
 
-// SetPersister attaches the durability hook. Recovery attaches it after
-// re-feeding persisted records (so they are not logged twice); from then
-// on every AddE/AddI batch is logged before it is buffered.
+// SetPersister attaches the checkpoint hook. Call before serving.
 func (e *Engine) SetPersister(p Persister) {
 	e.pMu.Lock()
 	e.persist = p
@@ -420,52 +412,18 @@ func (e *Engine) persister() Persister {
 	return e.persist
 }
 
-// AddE ingests records of the first dataset. Records are buffered and
-// applied by the next relink; ingest never blocks behind a running
-// linkage. Like Linker.AddE, streamed records bypass the MinRecords seed
-// filter. With a persister attached, the batch is durably logged first; an
-// error rejects the whole batch (nothing is buffered).
-func (e *Engine) AddE(recs ...slim.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	if p := e.persister(); p != nil {
-		if err := p.LogE(recs); err != nil {
-			return err
-		}
-	}
-	e.BufferE(recs...)
-	return nil
-}
+// AddE buffers records of the first dataset for the next relink; ingest
+// never blocks behind a running linkage. Like Linker.AddE, streamed records
+// bypass the MinRecords seed filter. It cannot fail and logs nothing: the
+// records must already be durable (or the process runs without a data
+// directory). Its only callers are ingest.Plane.Submit, which acknowledges
+// a batch by logging it and then calling this, and the storage layer
+// feeding back what the WAL already holds (recovery replay, degraded-mode
+// re-log).
+func (e *Engine) AddE(recs ...slim.Record) { e.buffer(&e.pendE, &e.ingestedE, recs) }
 
-// AddI ingests records of the second dataset; see AddE.
-func (e *Engine) AddI(recs ...slim.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	if p := e.persister(); p != nil {
-		if err := p.LogI(recs); err != nil {
-			return err
-		}
-	}
-	e.BufferI(recs...)
-	return nil
-}
-
-// BufferE enqueues first-dataset records onto the pending buffer WITHOUT
-// consulting the persister. It exists for callers that have already made
-// the batch durable through another path — the binary ingest plane logs
-// the wire bytes verbatim (storage.LogEncoded) and recovery re-feeds
-// records the WAL already holds. Everything else must go through AddE.
-func (e *Engine) BufferE(recs ...slim.Record) {
-	e.buffer(&e.pendE, &e.ingestedE, recs)
-}
-
-// BufferI enqueues second-dataset records without consulting the
-// persister (see BufferE).
-func (e *Engine) BufferI(recs ...slim.Record) {
-	e.buffer(&e.pendI, &e.ingestedI, recs)
-}
+// AddI buffers records of the second dataset; see AddE.
+func (e *Engine) AddI(recs ...slim.Record) { e.buffer(&e.pendI, &e.ingestedI, recs) }
 
 func (e *Engine) buffer(pend *[]slim.Record, ingested *uint64, recs []slim.Record) {
 	if len(recs) == 0 {

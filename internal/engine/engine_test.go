@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"slices"
 	"sort"
 	"sync"
@@ -346,89 +345,16 @@ func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 	}
 }
 
-// recordingPersister is a test double for the storage hook.
+// recordingPersister is a test double for the checkpoint hook.
 type recordingPersister struct {
-	mu               sync.Mutex
-	loggedE, loggedI int
-	runs             int
-	failE            bool
-}
-
-func (p *recordingPersister) LogE(recs []slim.Record) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.failE {
-		return errFailE
-	}
-	p.loggedE += len(recs)
-	return nil
-}
-
-func (p *recordingPersister) LogI(recs []slim.Record) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.loggedI += len(recs)
-	return nil
+	mu   sync.Mutex
+	runs int
 }
 
 func (p *recordingPersister) AfterRun(res slim.Result, version uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.runs++
-}
-
-var errFailE = errors.New("injected log failure")
-
-// TestEnginePersisterContract: batches are logged before they are
-// buffered, a log failure rejects the batch entirely, and every
-// published run reaches AfterRun.
-func TestEnginePersisterContract(t *testing.T) {
-	mk := func(e string, latOff float64, n int) []slim.Record {
-		var out []slim.Record
-		for k := 0; k < n; k++ {
-			out = append(out, slim.NewRecord(slim.EntityID(e),
-				37.5+latOff+float64(k%4)*0.06, -122.3, 1_000_000+int64(k)*900))
-		}
-		return out
-	}
-	cfg := slim.Defaults()
-	cfg.Threshold = slim.ThresholdNone
-	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Link: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &recordingPersister{}
-	eng.SetPersister(p)
-
-	if err := eng.AddE(mk("e-a", 0, 20)...); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddI(mk("i-a", 0, 20)...); err != nil {
-		t.Fatal(err)
-	}
-	if p.loggedE != 20 || p.loggedI != 20 {
-		t.Fatalf("logged %d/%d, want 20/20", p.loggedE, p.loggedI)
-	}
-
-	p.failE = true
-	if err := eng.AddE(mk("e-bad", 1.6, 5)...); err == nil {
-		t.Fatal("AddE with failing persister succeeded")
-	}
-	st := eng.Stats()
-	if st.IngestedE != 20 {
-		t.Fatalf("rejected batch counted as ingested: %d", st.IngestedE)
-	}
-	// 20 E + 20 I, each counted once; the rejected 5-record batch must
-	// not appear.
-	if eng.Pending() != 40 {
-		t.Fatalf("rejected batch buffered: pending=%d, want 40", eng.Pending())
-	}
-
-	eng.Run()
-	if p.runs != 1 {
-		t.Fatalf("AfterRun called %d times, want 1", p.runs)
-	}
 }
 
 // TestEngineConcurrentIngestWithLSHIndex is the -race gate for the

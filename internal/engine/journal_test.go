@@ -99,7 +99,7 @@ func TestRunJournalBoundedUnderHammer(t *testing.T) {
 			i++
 			rec := slim.NewRecord(slim.EntityID(fmt.Sprintf("hammer-%d", i%5)),
 				37.2+float64(i%7)*0.01, -121.9, lo+int64(i)%(hi-lo))
-			_ = eng.AddE(rec)
+			eng.AddE(rec)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -199,9 +199,7 @@ func TestExplainNeverJoinsShortCircuit(t *testing.T) {
 	eng.Run()
 	// Re-observing every E record dirties every pair, so run #2 rescores
 	// (and stamps its version on) every published link.
-	if err := eng.AddE(w.E.Records...); err != nil {
-		t.Fatal(err)
-	}
+	eng.AddE(w.E.Records...)
 	res := eng.Run()
 	if len(res.Links) == 0 {
 		t.Fatal("workload produced no links")

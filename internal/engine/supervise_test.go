@@ -63,9 +63,7 @@ func TestEngineRunPanicContained(t *testing.T) {
 			// Weight-only re-observations: without the forced full rescore
 			// the recovery run would take the pair-level delta path.
 			extra := slices.Clone(w.E.Records[:6])
-			if err := eng.AddE(extra...); err != nil {
-				t.Fatal(err)
-			}
+			eng.AddE(extra...)
 			inj.Arm(site, fault.Rule{Panic: "injected " + site, Count: 1})
 			got := eng.Run()
 
@@ -139,9 +137,7 @@ func TestEngineFailedRunSkipsPersister(t *testing.T) {
 	eng.Run()
 	after1 := afterRuns()
 
-	if err := eng.AddE(extraRecs(4, 500)...); err != nil {
-		t.Fatal(err)
-	}
+	eng.AddE(extraRecs(4, 500)...)
 	inj.Arm(FaultRelink, fault.Rule{Panic: "boom", Count: 1})
 	eng.Run()
 	if got := afterRuns(); got != after1 {
@@ -163,9 +159,7 @@ func TestEngineSupervisorRestartsLoop(t *testing.T) {
 	defer eng.Close()
 
 	inj.Arm(FaultLoop, fault.Rule{Panic: "scheduler down", Count: 1})
-	if err := eng.AddE(extraRecs(3, 900)...); err != nil {
-		t.Fatal(err)
-	}
+	eng.AddE(extraRecs(3, 900)...)
 	deadline := time.Now().Add(5 * time.Second)
 	for eng.Stats().LoopRestarts == 0 {
 		if time.Now().After(deadline) {
@@ -175,9 +169,7 @@ func TestEngineSupervisorRestartsLoop(t *testing.T) {
 	}
 
 	// The restarted loop must still serve: new ingest leads to a publish.
-	if err := eng.AddE(extraRecs(3, 1800)...); err != nil {
-		t.Fatal(err)
-	}
+	eng.AddE(extraRecs(3, 1800)...)
 	for {
 		if st := eng.Stats(); st.PendingRecords == 0 && st.Runs > 0 {
 			break

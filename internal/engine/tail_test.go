@@ -54,9 +54,7 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 	// Weight-only burst: re-ingesting existing records dirties their
 	// entities but moves no IDF epoch, so every rescored pair keeps its
 	// exact score and the edge delta is empty.
-	if err := eng.AddE(w.E.Records[:8]...); err != nil {
-		t.Fatal(err)
-	}
+	eng.AddE(w.E.Records[:8]...)
 	res := eng.Run()
 	requireBitIdenticalLinks(t, "weight-only burst", res.Links, base.Links)
 	ts := eng.Stats().PublishTail
@@ -76,9 +74,7 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 	// The panicked run rescored but never published, so the tail missed
 	// its delta; the recovery run (a forced full rescore) must rebuild the
 	// tail in full and still publish the exact links.
-	if err := eng.AddE(w.E.Records[8:16]...); err != nil {
-		t.Fatal(err)
-	}
+	eng.AddE(w.E.Records[8:16]...)
 	inj.Arm(FaultRelink, fault.Rule{Panic: "injected relink", Count: 1})
 	eng.Run() // contained failure: previous result republished
 	rec := eng.Run()

@@ -1,15 +1,24 @@
-// Package ingest is slimd's high-throughput ingest plane: it accepts
-// record batches in the storage frame wire format, applies explicit
-// admission control, and sheds load instead of buffering unboundedly.
+// Package ingest is slimd's write path: every record the service
+// acknowledges, on either wire format and with or without a data
+// directory, goes wire batch → Plane.Submit → WAL → engine. The plane
+// applies explicit admission control in front of that path and sheds load
+// instead of buffering unboundedly.
 //
-// Wire format (Content-Type application/x-slim-frame): a request body is
-// a sequence of CRC32C frames — u32le length | u32le CRC | payload —
-// each payload one wire batch: a dataset tag byte ('E' or 'I') followed
-// by the storage codec's record-batch encoding. A wire batch is exactly
-// the WAL batch payload minus its sequence prefix, so an accepted batch
-// is appended to the WAL verbatim (storage.Store.LogEncoded): the CRC is
-// checked once at the edge and no record is ever re-encoded between the
-// wire and the log.
+// Wire batch. A storage.WireBatch is a dataset tag, the records on the
+// codec's E7 grid, and their encoded bytes — exactly the WAL batch payload
+// minus its sequence prefix. The binary route (Content-Type
+// application/x-slim-frame: a sequence of CRC32C frames, u32le length |
+// u32le CRC | payload, each payload one wire batch) decodes them from the
+// request body (ParseRequest), so the CRC is checked once at the edge and
+// no record is re-encoded between the wire and the log; the JSON route
+// encodes one from its decoded records (storage.EncodeWireBatch). Both
+// validate with ValidateRecord and hand the batches to Submit.
+//
+// Acknowledgement. Submit is the one place a record is acknowledged: it
+// appends every batch to the WAL (storage.Store.LogEncoded), waits out
+// the group commit, and buffers only the durable prefix into the engine.
+// Acked ⇒ durable ⇒ buffered ⇒ visible to the next relink; a batch that
+// failed to log is neither acknowledged nor buffered.
 //
 // Backpressure. Two budgets guard the plane, both configurable:
 //
@@ -24,8 +33,7 @@
 // A request that would exceed either budget is rejected whole with a
 // *ShedError before anything is logged or buffered: every record is
 // either durably logged and eventually link-visible, or cleanly refused
-// with 429 + Retry-After. Admission is shared with the JSON ingest path
-// (Admit/NoteAccepted), so both planes shed under one policy.
+// with 429 + Retry-After.
 package ingest
 
 import (
@@ -119,7 +127,7 @@ type admitToken struct {
 }
 
 // Plane is the ingest plane over one engine: admission control plus the
-// decode→log→buffer pipeline of the binary wire format. All methods are
+// log→wait→buffer write path both ingest routes share. All methods are
 // safe for concurrent use.
 type Plane struct {
 	eng *engine.Engine
@@ -139,9 +147,8 @@ type Plane struct {
 }
 
 // NewPlane builds a plane over the engine. Attach a BatchLogger before
-// serving when ingest must be durable (AttachLogger); without one the
-// binary path buffers records exactly like the JSON path without a data
-// directory.
+// serving when ingest must be durable (AttachLogger); without one Submit
+// buffers straight into the engine.
 func NewPlane(eng *engine.Engine, cfg Config) *Plane {
 	p := &Plane{eng: eng, cfg: cfg}
 	reg := cfg.Registry
@@ -149,10 +156,10 @@ func NewPlane(eng *engine.Engine, cfg Config) *Plane {
 		reg = obs.NewRegistry()
 	}
 	reg.CounterFunc("slim_ingest_accepted_batches_total",
-		"Ingest batches durably applied, across the binary and JSON planes.",
+		"Ingest batches durably applied, across the binary and JSON routes.",
 		p.acceptedBatches.Load)
 	reg.CounterFunc("slim_ingest_accepted_records_total",
-		"Ingest records durably applied, across the binary and JSON planes.",
+		"Ingest records durably applied, across the binary and JSON routes.",
 		p.acceptedRecords.Load)
 	reg.CounterFunc("slim_ingest_shed_requests_total",
 		"Requests refused whole by admission control, by exceeded budget.",
@@ -219,8 +226,8 @@ func ParseRequest(body []byte) (batches []storage.WireBatch, records int, err er
 }
 
 // ValidateRecord rejects records an attacker could use to poison the
-// stores — the wire layer is where untrusted input is stopped, on both
-// the JSON and the binary plane.
+// stores. Ingest bypasses Dataset.Validate (which only guards seed loads),
+// so this is where untrusted coordinates are stopped, on both routes.
 func ValidateRecord(r slim.Record) error {
 	if r.Entity == "" {
 		return errors.New("empty entity id")
@@ -240,9 +247,8 @@ func ValidateRecord(r slim.Record) error {
 
 // Admit reserves pipeline capacity for n records, or returns a
 // *ShedError when a budget is exceeded. On success the caller MUST call
-// release exactly once, after the records are durable (or rejected for
-// another reason). Shared by the binary and JSON ingest handlers so both
-// planes shed under one policy.
+// release exactly once, after Submit returned (the records are durable, or
+// rejected for another reason).
 func (p *Plane) Admit(n int) (release func(), err error) {
 	now := time.Now()
 	pending := p.eng.Pending()
@@ -299,13 +305,13 @@ func (p *Plane) shed(cause *atomic.Uint64, n int) {
 	p.shedRecords.Add(uint64(n))
 }
 
-// Submit applies admitted wire batches: every batch is appended to the
-// WAL (zero re-encode), the whole request rides one group-commit window,
-// and only durable batches are buffered toward the next relink — the
-// same log-before-buffer contract as the JSON path. Without a logger it
-// buffers directly. It returns how many batches were fully applied; on
-// error the applied prefix is durable AND buffered (never half-applied),
-// while the failed tail is neither acknowledged nor visible.
+// Submit acknowledges admitted wire batches — the only way a record
+// enters the service. Every batch is appended to the WAL, the whole
+// request rides one group-commit window, and only durable batches are
+// buffered toward the next relink. Without a logger it buffers directly.
+// It returns how many batches were fully applied; on error the applied
+// prefix is durable AND buffered (never half-applied), while the failed
+// tail is neither acknowledged nor visible.
 func (p *Plane) Submit(batches []storage.WireBatch) (applied int, err error) {
 	p.mu.Lock()
 	logger := p.logger
@@ -339,9 +345,9 @@ func (p *Plane) Submit(batches []storage.WireBatch) (applied int, err error) {
 	}
 	for _, b := range batches[:durable] {
 		if b.Tag == storage.TagE {
-			p.eng.BufferE(b.Recs...)
+			p.eng.AddE(b.Recs...)
 		} else {
-			p.eng.BufferI(b.Recs...)
+			p.eng.AddI(b.Recs...)
 		}
 		applied++
 		p.acceptedBatches.Add(1)
@@ -372,13 +378,6 @@ func (p *Plane) Drain(ctx context.Context) error {
 	}
 }
 
-// NoteAccepted counts records the JSON plane accepted, so the plane's
-// accepted/shed counters describe all ingest regardless of wire format.
-func (p *Plane) NoteAccepted(batches, records int) {
-	p.acceptedBatches.Add(uint64(batches))
-	p.acceptedRecords.Add(uint64(records))
-}
-
 // Stats is a point-in-time snapshot of the plane's queue and
 // backpressure state.
 type Stats struct {
@@ -394,8 +393,8 @@ type Stats struct {
 	// OldestWait is the age of the oldest record queued anywhere in the
 	// pipeline (zero when idle) — the latency-budget input.
 	OldestWait time.Duration
-	// AcceptedBatches/AcceptedRecords count successfully applied ingest
-	// across both planes; the Shed* counters count rejections, split by
+	// AcceptedBatches/AcceptedRecords count what Submit applied, whichever
+	// route it came in on; the Shed* counters count rejections, split by
 	// which budget fired.
 	AcceptedBatches uint64
 	AcceptedRecords uint64

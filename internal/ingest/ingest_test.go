@@ -121,7 +121,7 @@ func TestAdmitCountsEnginePending(t *testing.T) {
 	eng := testEngine(t)
 	p := NewPlane(eng, Config{QueueDepth: 100})
 
-	eng.BufferI(mkRecs("i", 90)...)
+	eng.AddI(mkRecs("i", 90)...)
 	if st := p.Stats(); st.PendingRecords != 90 {
 		t.Fatalf("90 pending I records read as %d", st.PendingRecords)
 	}
@@ -165,7 +165,7 @@ func TestAdmitLatency(t *testing.T) {
 
 	// Engine pending queues older than the budget (a lagging relink) shed
 	// the same way.
-	eng.BufferE(mkRecs("e", 3)...)
+	eng.AddE(mkRecs("e", 3)...)
 	time.Sleep(5 * time.Millisecond)
 	if _, err := p.Admit(1); !errors.As(err, &se) || se.Cause != "latency" {
 		t.Fatalf("admit with stale engine pending = %v, want latency ShedError", err)
@@ -195,9 +195,9 @@ func TestAdmitLatency(t *testing.T) {
 	}
 }
 
-// TestSubmitBuffersWithoutLogger: a plane with no durable store behaves
-// like the JSON path without -data-dir — records go straight to the
-// engine's pending queues.
+// TestSubmitBuffersWithoutLogger: a plane with no durable store (slimd
+// without -data-dir) acknowledges by buffering — records go straight to
+// the engine's pending queues.
 func TestSubmitBuffersWithoutLogger(t *testing.T) {
 	eng := testEngine(t)
 	p := NewPlane(eng, Config{})
@@ -222,47 +222,73 @@ func TestSubmitBuffersWithoutLogger(t *testing.T) {
 	}
 }
 
-// failLogger accepts appends until failAt (0-indexed), then errors.
+// failLogger accepts appends until batch appendFailAt, and fails the
+// durability wait of batch waitFailAt (0-indexed; -1 = never).
 type failLogger struct {
-	n      int
-	failAt int
+	n                        int
+	appendFailAt, waitFailAt int
 }
 
 func (l *failLogger) LogEncoded(tag byte, recordBytes []byte, recs []slim.Record) (func() error, error) {
-	if l.n == l.failAt {
-		return nil, fmt.Errorf("injected append failure at batch %d", l.n)
+	i := l.n
+	if i == l.appendFailAt {
+		return nil, fmt.Errorf("injected append failure at batch %d", i)
 	}
 	l.n++
-	return func() error { return nil }, nil
+	return func() error {
+		if i == l.waitFailAt {
+			return fmt.Errorf("injected fsync failure at batch %d", i)
+		}
+		return nil
+	}, nil
 }
 
-// TestSubmitDurablePrefix: when an append fails mid-request, the durable
-// prefix is buffered (it will be replayed on recovery, so it must be
-// visible) and the tail is neither acknowledged nor buffered.
+// TestSubmitDurablePrefix: a log error rejects the batch entirely. When an
+// append or a group-commit wait fails mid-request, the durable prefix is
+// buffered (it will be replayed on recovery, so it must be visible) and
+// the batches at and after the failure are neither acknowledged nor
+// buffered — even the ones whose own append succeeded.
 func TestSubmitDurablePrefix(t *testing.T) {
-	eng := testEngine(t)
-	p := NewPlane(eng, Config{})
-	p.AttachLogger(&failLogger{failAt: 2})
+	for _, tc := range []struct {
+		name        string
+		logger      *failLogger
+		wantApplied int
+	}{
+		{"append fails at batch 2", &failLogger{appendFailAt: 2, waitFailAt: -1}, 2},
+		{"append fails at batch 0", &failLogger{appendFailAt: 0, waitFailAt: -1}, 0},
+		{"wait fails at batch 1", &failLogger{appendFailAt: -1, waitFailAt: 1}, 1},
+		{"wait fails at batch 0", &failLogger{appendFailAt: -1, waitFailAt: 0}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := testEngine(t)
+			p := NewPlane(eng, Config{})
+			p.AttachLogger(tc.logger)
 
-	var raw [][]byte
-	for i := 0; i < 4; i++ {
-		raw = append(raw, storage.AppendWireBatch(nil, storage.TagE, mkRecs(fmt.Sprintf("e%d", i), 5)))
-	}
-	batches, _, err := ParseRequest(wireBody(t, raw...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, err := p.Submit(batches)
-	if err == nil {
-		t.Fatal("Submit with failing logger returned no error")
-	}
-	if applied != 2 {
-		t.Fatalf("applied = %d, want the 2-batch durable prefix", applied)
-	}
-	if eng.Pending() != 10 {
-		t.Fatalf("Pending = %d, want exactly the durable prefix's 10 records", eng.Pending())
-	}
-	if st := p.Stats(); st.AcceptedBatches != 2 || st.AcceptedRecords != 10 {
-		t.Fatalf("accepted counters %+v, want the prefix only", st)
+			var raw [][]byte
+			for i := 0; i < 4; i++ {
+				raw = append(raw, storage.AppendWireBatch(nil, storage.TagE, mkRecs(fmt.Sprintf("e%d", i), 5)))
+			}
+			batches, _, err := ParseRequest(wireBody(t, raw...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied, err := p.Submit(batches)
+			if err == nil {
+				t.Fatal("Submit with failing logger returned no error")
+			}
+			if applied != tc.wantApplied {
+				t.Fatalf("applied = %d, want the %d-batch durable prefix", applied, tc.wantApplied)
+			}
+			if want := 5 * tc.wantApplied; eng.Pending() != want {
+				t.Fatalf("Pending = %d, want exactly the durable prefix's %d records", eng.Pending(), want)
+			}
+			st := p.Stats()
+			if st.AcceptedBatches != uint64(tc.wantApplied) || st.AcceptedRecords != uint64(5*tc.wantApplied) {
+				t.Fatalf("accepted counters %+v, want the prefix only", st)
+			}
+			if es := eng.Stats(); es.IngestedE != uint64(5*tc.wantApplied) {
+				t.Fatalf("rejected batches counted as ingested: %d", es.IngestedE)
+			}
+		})
 	}
 }

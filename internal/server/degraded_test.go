@@ -8,37 +8,30 @@ import (
 	"time"
 
 	"slim"
-	"slim/internal/engine"
 	"slim/internal/fault"
 	"slim/internal/storage"
 )
 
 // newFaultedServer boots a durable server whose storage runs on a
-// fault-injectable filesystem.
+// fault-injectable filesystem, with no automatic checkpoints and a fast
+// reopen loop.
 func newFaultedServer(t *testing.T) (*httptest.Server, *storage.Store, *fault.Injector) {
 	t.Helper()
-	inj := fault.New()
-	eng, store, _, err := storage.Recover(t.TempDir(),
-		slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Link: slim.Defaults(), Debounce: time.Hour},
-		storage.Options{
-			FS:                storage.NewFaultFS(storage.OSFS, inj),
-			SnapshotEveryRuns: -1,
-			SnapshotBytes:     -1,
-			ReopenBackoff:     time.Millisecond,
-			ReopenMaxBackoff:  5 * time.Millisecond,
-		})
-	if err != nil {
-		t.Fatal(err)
+	n := bootNode(t, nodeOpts{storage: faultedStorage(0)})
+	return n.ts, n.store, n.inj
+}
+
+// faultedStorage is the storage configuration of the fault tests: the
+// given fsync policy, no automatic checkpoints (the WAL keeps every batch,
+// so a replay audits all of them) and a fast reopen loop.
+func faultedStorage(fsync time.Duration) storage.Options {
+	return storage.Options{
+		FsyncInterval:     fsync,
+		SnapshotEveryRuns: -1,
+		SnapshotBytes:     -1,
+		ReopenBackoff:     time.Millisecond,
+		ReopenMaxBackoff:  5 * time.Millisecond,
 	}
-	srv := New(eng, nil)
-	srv.AttachStore(store)
-	srv.SetReady()
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(eng.Close)
-	t.Cleanup(func() { store.Close() })
-	return ts, store, inj
 }
 
 func ingestBody(entity string, n int) map[string]any {

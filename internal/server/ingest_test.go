@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"testing"
@@ -12,27 +15,89 @@ import (
 
 	"slim"
 	"slim/internal/engine"
+	"slim/internal/fault"
+	"slim/internal/geo"
 	"slim/internal/ingest"
+	"slim/internal/obs"
 	"slim/internal/storage"
 )
+
+// nodeOpts parameterizes bootNode; the zero value is a durable node with
+// default budgets and inline fsync (storage.Options' zero value).
+type nodeOpts struct {
+	memoryOnly bool            // no data directory: Submit buffers without logging
+	link       *slim.Config    // nil = slim.Defaults()
+	storage    storage.Options // FS and Registry are filled in by bootNode
+	plane      ingest.Config   // Registry is filled in by bootNode
+	server     []Option
+}
+
+// node is one in-process slimd, wired the way cmd/slimd wires the
+// process: engine, store, ingest plane and server over one registry, the
+// store on a fault-injectable filesystem (an unarmed injector is
+// byte-transparent, see storage.TestFaultFSQuietParity).
+type node struct {
+	ts    *httptest.Server
+	eng   *engine.Engine
+	store *storage.Store // nil when memoryOnly
+	inj   *fault.Injector
+	dir   string
+}
+
+func bootNode(t *testing.T, o nodeOpts) *node {
+	t.Helper()
+	n := &node{inj: fault.New()}
+	reg := obs.NewRegistry()
+	link := slim.Defaults()
+	if o.link != nil {
+		link = *o.link
+	}
+	engCfg := engine.Config{Link: link, Debounce: time.Hour, Registry: reg}
+	var err error
+	if o.memoryOnly {
+		n.eng, err = engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"}, engCfg)
+	} else {
+		n.dir = t.TempDir()
+		o.storage.FS = storage.NewFaultFS(storage.OSFS, n.inj)
+		o.storage.Registry = reg
+		n.eng, n.store, _, err = storage.Recover(n.dir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"}, engCfg, o.storage)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.plane.Registry = reg
+	plane := ingest.NewPlane(n.eng, o.plane)
+	srv := New(n.eng, nil, append([]Option{WithRegistry(reg), WithIngestPlane(plane)}, o.server...)...)
+	if n.store != nil {
+		srv.AttachStore(n.store)
+	}
+	srv.SetReady()
+	n.ts = httptest.NewServer(srv.Handler())
+	t.Cleanup(n.ts.Close)
+	t.Cleanup(n.eng.Close)
+	if n.store != nil {
+		t.Cleanup(func() { n.store.Close() })
+	}
+	return n
+}
+
+// waitHealthy blocks until the node's store has left degraded mode.
+func (n *node) waitHealthy(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for n.store.Degraded() {
+		if time.Now().After(deadline) {
+			t.Fatal("store never recovered after the faults cleared")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // newDurableServer boots an empty engine over a fresh data directory.
 func newDurableServer(t *testing.T, opts ...Option) (*httptest.Server, string) {
 	t.Helper()
-	dir := t.TempDir()
-	eng, store, _, err := storage.Recover(dir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		engine.Config{Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(eng, nil, opts...)
-	srv.AttachStore(store)
-	srv.SetReady()
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(eng.Close)
-	t.Cleanup(func() { store.Close() })
-	return ts, dir
+	n := bootNode(t, nodeOpts{server: opts})
+	return n.ts, n.dir
 }
 
 func postBinary(t *testing.T, url string, body []byte) (*http.Response, []byte) {
@@ -59,10 +124,15 @@ func frameBatches(tag byte, recs []slim.Record, batchLen int) []byte {
 	return body
 }
 
-// TestBinaryJSONIngestParity is the cross-plane equivalence proof: the
-// same workload ingested over JSON and over the binary wire must produce
-// byte-identical /v1/links output AND an identical WAL modulo framing —
-// the same sequence of (tag, records) batches on disk.
+// TestBinaryJSONIngestParity is the cross-route equivalence proof of the
+// one write path: the same workload ingested over JSON without a data
+// directory, over JSON with one, and over the binary wire must produce
+// Float64bits-identical links, and the two durable runs must leave
+// byte-identical WAL segments. Every fifth E record sits within 1e-12
+// degrees of a history-grid cell edge, on the side E7 rounding pulls it
+// off (onCellEdge), so a route that buffered unquantized positions — as
+// JSON ingest without a data directory did before Submit became its only
+// path — bins those records into different cells and scores differently.
 func TestBinaryJSONIngestParity(t *testing.T) {
 	ground := slim.GenerateCab(slim.CabOptions{
 		NumTaxis: 12, Days: 2, MeanRecordIntervalSec: 420, Seed: 21,
@@ -70,27 +140,36 @@ func TestBinaryJSONIngestParity(t *testing.T) {
 	w := slim.SampleWorkload(&ground, slim.SampleOptions{
 		IntersectionRatio: 0.5, InclusionProbE: 0.6, InclusionProbI: 0.6, Seed: 22,
 	})
+	for i := range w.E.Records {
+		switch i % 5 {
+		case 0:
+			w.E.Records[i].LatLng = onCellEdge(t, w.E.Records[i].LatLng, slim.Defaults().SpatialLevel)
+		case 1: // regions too: the codec carries their radius verbatim
+			w.E.Records[i].RadiusKm = 0.4
+		}
+	}
 
-	tsJSON, dirJSON := newDurableServer(t)
-	tsBin, dirBin := newDurableServer(t)
-
+	// E before I on every node, so the durable runs' sequence numbers line up.
 	const batch = 500
-	for i := 0; i < len(w.E.Records); i += batch {
-		hi := min(i+batch, len(w.E.Records))
-		resp, body := postJSON(t, tsJSON.URL+"/v1/datasets/e/records",
-			map[string]any{"records": toWire(w.E.Records[i:hi])})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("json ingest: %d %s", resp.StatusCode, body)
+	ingestJSON := func(n *node) {
+		for _, ds := range []struct {
+			name string
+			recs []slim.Record
+		}{{"e", w.E.Records}, {"i", w.I.Records}} {
+			for i := 0; i < len(ds.recs); i += batch {
+				resp, body := postJSON(t, n.ts.URL+"/v1/datasets/"+ds.name+"/records",
+					map[string]any{"records": toWire(ds.recs[i:min(i+batch, len(ds.recs))])})
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("json ingest: %d %s", resp.StatusCode, body)
+				}
+			}
 		}
 	}
-	for i := 0; i < len(w.I.Records); i += batch {
-		hi := min(i+batch, len(w.I.Records))
-		resp, body := postJSON(t, tsJSON.URL+"/v1/datasets/i/records",
-			map[string]any{"records": toWire(w.I.Records[i:hi])})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("json ingest: %d %s", resp.StatusCode, body)
-		}
-	}
+	memJSON := bootNode(t, nodeOpts{memoryOnly: true})
+	durJSON := bootNode(t, nodeOpts{})
+	durBin := bootNode(t, nodeOpts{})
+	ingestJSON(memJSON)
+	ingestJSON(durJSON)
 
 	// Same records, same batch boundaries, over the binary wire (several
 	// frames per request — request framing must not affect the log).
@@ -99,7 +178,7 @@ func TestBinaryJSONIngestParity(t *testing.T) {
 		frameBatches(storage.TagE, w.E.Records, batch),
 		frameBatches(storage.TagI, w.I.Records, batch),
 	} {
-		resp, body := postBinary(t, tsBin.URL, req)
+		resp, body := postBinary(t, durBin.ts.URL, req)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("binary ingest: %d %s", resp.StatusCode, body)
 		}
@@ -113,45 +192,82 @@ func TestBinaryJSONIngestParity(t *testing.T) {
 		t.Fatalf("binary plane accepted %d records, want %d", accepted, len(w.E.Records)+len(w.I.Records))
 	}
 
-	// Identical linkage output.
-	type linksPage struct {
-		Total int        `json:"total"`
-		Links []linkJSON `json:"links"`
-	}
-	var a, b linksPage
-	postJSON(t, tsJSON.URL+"/v1/link", nil)
-	postJSON(t, tsBin.URL+"/v1/link", nil)
-	getJSON(t, tsJSON.URL+"/v1/links", &a)
-	getJSON(t, tsBin.URL+"/v1/links", &b)
-	if a.Total == 0 {
+	// Identical linkage output, bit for bit.
+	want := durBin.eng.Run().Links
+	if len(want) == 0 {
 		t.Fatal("workload produced no links; parity test is vacuous")
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("links diverge between planes: %d vs %d links", a.Total, b.Total)
+	for name, n := range map[string]*node{"json, memory only": memJSON, "json, durable": durJSON} {
+		got := n.eng.Run().Links
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d links, binary route %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].U != want[i].U || got[i].V != want[i].V ||
+				math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("%s: link %d = %+v, binary route %+v", name, i, got[i], want[i])
+			}
+		}
 	}
 
-	// Identical WAL modulo framing: same (tag, records) batch sequence.
-	type walBatch struct {
-		Tag  byte
-		Recs []slim.Record
-	}
-	replay := func(dir string) []walBatch {
-		var out []walBatch
-		if _, _, err := storage.ReplayWAL(dir, 0, func(bt storage.Batch) error {
-			out = append(out, walBatch{Tag: bt.Tag, Recs: bt.Recs})
-			return nil
-		}); err != nil {
+	// Identical WAL, byte for byte: same segment files, same contents.
+	segments := func(dir string) map[string][]byte {
+		paths, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
 			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, p := range paths {
+			buf, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(p)] = buf
 		}
 		return out
 	}
-	wa, wb := replay(dirJSON), replay(dirBin)
-	if len(wa) == 0 {
-		t.Fatal("JSON plane logged nothing")
+	wa, wb := segments(durJSON.dir), segments(durBin.dir)
+	logged := 0
+	for _, buf := range wa {
+		logged += len(buf)
+	}
+	if logged == 0 {
+		t.Fatal("JSON route logged nothing")
 	}
 	if !reflect.DeepEqual(wa, wb) {
-		t.Fatalf("WAL content diverges between planes: %d vs %d batches", len(wa), len(wb))
+		t.Fatalf("WAL segments diverge between routes: %d vs %d files", len(wa), len(wb))
 	}
+}
+
+// onCellEdge moves ll north to the next cell edge of the given grid level
+// and returns a position within 1e-12 degrees of it whose E7 rounding lies
+// in the neighbouring cell: quantizing it changes the cell it bins into.
+func onCellEdge(t *testing.T, ll slim.LatLng, level int) slim.LatLng {
+	t.Helper()
+	cell := func(lat float64) geo.CellID {
+		return geo.CellIDFromLatLngLevel(geo.LatLng{Lat: lat, Lng: ll.Lng}, level)
+	}
+	lo, hi := ll.Lat, ll.Lat+0.1 // level-12 cells are ~0.02 degrees tall
+	if cell(lo) == cell(hi) {
+		t.Fatalf("no cell edge within 0.1 degrees north of %+v", ll)
+	}
+	for hi-lo > 1e-12 {
+		if mid := (lo + hi) / 2; cell(mid) == cell(lo) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	// The nearest E7 grid point is on one side of the edge; the bracket end
+	// on the other side is the position rounding carries across.
+	for _, lat := range []float64{lo, hi} {
+		q := storage.QuantizeRecord(slim.Record{LatLng: slim.LatLng{Lat: lat, Lng: ll.Lng}})
+		if cell(q.LatLng.Lat) != cell(lat) {
+			return slim.LatLng{Lat: lat, Lng: ll.Lng}
+		}
+	}
+	t.Fatalf("cell edge north of %+v lies on the E7 grid", ll)
+	return ll
 }
 
 // TestBinaryIngestErrorSurface: the binary endpoint's full rejection

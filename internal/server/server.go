@@ -23,13 +23,15 @@
 //	GET  /readyz                      readiness probe: 503 until recovery and
 //	                                  the initial seed link have completed
 //
-// Ingested records are buffered and applied by the next relink
-// (debounced in the background when the engine's scheduler is started, or
-// forced via POST /v1/link), so ingest responds quickly even while a
-// linkage run is in flight.
+// The two ingest routes differ only in how they decode a request into
+// wire batches; both then run one tail (Server.submit): admit against the
+// ingest.Plane's budgets, acknowledge through Plane.Submit — logged,
+// durable, then buffered — and answer 202. Ingested records are applied by
+// the next relink (debounced in the background when the engine's scheduler
+// is started, or forced via POST /v1/link), so ingest responds quickly
+// even while a linkage run is in flight.
 //
-// Both ingest paths share one backpressure policy (the ingest.Plane):
-// when the plane's queue-depth or latency budget is exceeded — WAL fsync
+// When the plane's queue-depth or latency budget is exceeded — WAL fsync
 // or relink lagging — requests are shed with 429 Too Many Requests and a
 // Retry-After hint instead of buffering unboundedly. A body larger than
 // the configured ingest limit is refused with 413.
@@ -37,10 +39,10 @@
 // Degraded mode is different from overload: when the storage layer has
 // quarantined its WAL after a persistent write/fsync failure
 // (storage.ErrDegraded), accepting ingest would mean acknowledging
-// records that cannot be made durable, so both ingest paths answer 503
-// Service Unavailable + Retry-After (not 429 — the client must not
-// interpret a disk failure as its own send rate). Reads — /v1/links,
-// /v1/stats, /metrics, /healthz — keep serving throughout.
+// records that cannot be made durable, so ingest answers 503 Service
+// Unavailable + Retry-After (not 429 — the client must not interpret a
+// disk failure as its own send rate). Reads — /v1/links, /v1/stats,
+// /metrics, /healthz — keep serving throughout.
 package server
 
 import (
@@ -75,7 +77,7 @@ const MaxIngestBody = 16 << 20
 type Server struct {
 	eng     *engine.Engine
 	store   *storage.Store // nil when running without a data directory
-	plane   *ingest.Plane  // shared ingest admission + binary pipeline
+	plane   *ingest.Plane  // admission + the one write path (Plane.Submit)
 	maxBody int64
 	mux     *http.ServeMux
 	log     *slog.Logger
@@ -146,8 +148,8 @@ func New(eng *engine.Engine, logger *slog.Logger, opts ...Option) *Server {
 }
 
 // AttachStore wires the durable storage layer in: /v1/snapshot becomes
-// operational, /v1/stats grows storage counters, and binary ingest is
-// logged to the WAL before it is acknowledged. Call before serving.
+// operational, /v1/stats grows storage counters, and every ingest batch
+// is logged to the WAL before it is acknowledged. Call before serving.
 func (s *Server) AttachStore(st *storage.Store) {
 	s.store = st
 	s.plane.AttachLogger(st)
@@ -367,9 +369,18 @@ type ingestResponse struct {
 	Pending int `json:"pending"`
 }
 
+// handleIngest is the JSON route: it decodes and validates the records,
+// wraps them in one wire batch (quantized and encoded exactly as a binary
+// client would have sent them) and hands it to the shared write path.
 func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 	ds := req.PathValue("dataset")
-	if ds != "e" && ds != "i" {
+	var tag byte
+	switch ds {
+	case "e":
+		tag = storage.TagE
+	case "i":
+		tag = storage.TagI
+	default:
 		s.error(w, req, http.StatusNotFound, fmt.Sprintf("unknown dataset %q (want e or i)", ds))
 		return
 	}
@@ -384,49 +395,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 	}
 	recs := make([]slim.Record, len(body.Records))
 	for i, r := range body.Records {
-		if err := r.validate(); err != nil {
+		recs[i] = slim.Record{
+			Entity:   slim.EntityID(r.Entity),
+			LatLng:   slim.LatLng{Lat: r.Lat, Lng: r.Lng},
+			Unix:     r.Unix,
+			RadiusKm: r.RadiusKm,
+		}
+		if err := ingest.ValidateRecord(recs[i]); err != nil {
 			s.error(w, req, http.StatusBadRequest, fmt.Sprintf("record %d: %v", i, err))
 			return
 		}
-		rec := slim.NewRecord(slim.EntityID(r.Entity), r.Lat, r.Lng, r.Unix)
-		rec.RadiusKm = r.RadiusKm
-		recs[i] = rec
 	}
-	if s.degraded(w, req) {
-		return
+	batches := []storage.WireBatch{storage.EncodeWireBatch(tag, recs)}
+	if s.submit(w, req, batches, len(recs)) {
+		s.json(w, http.StatusAccepted, ingestResponse{
+			Accepted: len(recs),
+			Dataset:  ds,
+			Pending:  s.eng.Pending(),
+		})
 	}
-	// Same backpressure policy as the binary plane: shed before anything
-	// is logged or buffered, so a 429'd batch is cleanly rejected.
-	release, err := s.plane.Admit(len(recs))
-	if err != nil {
-		s.shed(w, req, err)
-		return
-	}
-	defer release()
-	if ds == "e" {
-		err = s.eng.AddE(recs...)
-	} else {
-		err = s.eng.AddI(recs...)
-	}
-	if errors.Is(err, storage.ErrDegraded) {
-		// Storage quarantined its WAL between the check above and the
-		// append: same answer, the batch was not acknowledged.
-		s.serveDegraded(w, req, err)
-		return
-	}
-	if err != nil {
-		// The batch was not durably logged and was not buffered: the
-		// client must not treat it as accepted.
-		s.error(w, req, http.StatusInternalServerError, fmt.Sprintf("persisting batch: %v", err))
-		return
-	}
-	s.plane.NoteAccepted(1, len(recs))
-	s.setOutcome(req, "accepted")
-	s.json(w, http.StatusAccepted, ingestResponse{
-		Accepted: len(recs),
-		Dataset:  ds,
-		Pending:  s.eng.Pending(),
-	})
 }
 
 // binaryIngestResponse acknowledges one binary ingest request: every
@@ -438,7 +425,7 @@ type binaryIngestResponse struct {
 	Pending  int `json:"pending"`
 }
 
-// handleIngestBinary is the high-throughput plane: CRC-framed wire
+// handleIngestBinary is the high-throughput route: CRC-framed wire
 // batches, checked once at the edge and appended to the WAL with zero
 // re-encode. The whole request is admitted or shed atomically.
 func (s *Server) handleIngestBinary(w http.ResponseWriter, req *http.Request) {
@@ -456,33 +443,49 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, req *http.Request) {
 		s.error(w, req, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.degraded(w, req) {
-		return
+	if s.submit(w, req, batches, records) {
+		s.json(w, http.StatusAccepted, binaryIngestResponse{
+			Accepted: records,
+			Batches:  len(batches),
+			Pending:  s.eng.Pending(),
+		})
+	}
+}
+
+// submit is the tail both ingest routes share — what a 202 means. It
+// refuses with 503 while storage is degraded (checked before admission, so
+// a disk failure never reads as client-rate 429), admits the request
+// against the plane's budgets (429 when shed, before anything is logged or
+// buffered), and acknowledges it through Plane.Submit: logged, durable,
+// then buffered. It reports true when every batch was applied and the
+// caller should answer 202; otherwise it has written the rejection.
+func (s *Server) submit(w http.ResponseWriter, req *http.Request, batches []storage.WireBatch, records int) bool {
+	if s.store != nil && s.store.Degraded() {
+		s.serveDegraded(w, req, storage.ErrDegraded)
+		return false
 	}
 	release, err := s.plane.Admit(records)
 	if err != nil {
 		s.shed(w, req, err)
-		return
+		return false
 	}
 	defer release()
 	applied, err := s.plane.Submit(batches)
 	if errors.Is(err, storage.ErrDegraded) && applied == 0 {
+		// Storage quarantined its WAL between the check above and the
+		// append: same answer, nothing was acknowledged.
 		s.serveDegraded(w, req, err)
-		return
+		return false
 	}
 	if err != nil {
 		// The applied prefix is durable and buffered; the failed tail is
 		// neither logged nor visible and must be retried by the client.
 		s.error(w, req, http.StatusInternalServerError,
 			fmt.Sprintf("persisting: %v (%d of %d batches applied)", err, applied, len(batches)))
-		return
+		return false
 	}
 	s.setOutcome(req, "accepted")
-	s.json(w, http.StatusAccepted, binaryIngestResponse{
-		Accepted: records,
-		Batches:  len(batches),
-		Pending:  s.eng.Pending(),
-	})
+	return true
 }
 
 // degradedRetryAfter is the client retry hint while storage is
@@ -491,33 +494,12 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, req *http.Request) {
 // keeps well-behaved clients probing without hammering.
 const degradedRetryAfter = 1 // seconds
 
-// degraded answers the request with 503 when the storage layer is in
-// degraded read-only mode, reporting whether it did. Checked before
-// admission on both ingest paths so a disk failure reads as "service
-// unavailable, retry", never as client-rate 429.
-func (s *Server) degraded(w http.ResponseWriter, req *http.Request) bool {
-	if s.store == nil || !s.store.Degraded() {
-		return false
-	}
-	s.serveDegraded(w, req, storage.ErrDegraded)
-	return true
-}
-
 // serveDegraded is the degraded-mode rejection: 503 + Retry-After with
 // a JSON body naming the failing domain. Distinct from shed (429): the
 // client's send rate is not the problem, the node's disk is.
 func (s *Server) serveDegraded(w http.ResponseWriter, req *http.Request, err error) {
 	s.setOutcome(req, "degraded")
-	w.Header().Set("Retry-After", strconv.Itoa(degradedRetryAfter))
-	body := map[string]any{
-		"error":               err.Error(),
-		"domain":              "storage",
-		"retry_after_seconds": degradedRetryAfter,
-	}
-	if id := requestID(req); id != "" {
-		body["request_id"] = id
-	}
-	s.json(w, http.StatusServiceUnavailable, body)
+	s.retryLater(w, req, http.StatusServiceUnavailable, degradedRetryAfter, err.Error(), "domain", "storage")
 }
 
 // shed answers a load-shed rejection: 429 with a Retry-After header and
@@ -534,20 +516,21 @@ func (s *Server) shed(w http.ResponseWriter, req *http.Request, err error) {
 	case "latency":
 		s.setOutcome(req, "shed_latency")
 	}
-	secs := int(math.Ceil(se.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
+	secs := max(1, int(math.Ceil(se.RetryAfter.Seconds())))
+	s.retryLater(w, req, http.StatusTooManyRequests, secs, se.Error(), "cause", se.Cause)
+}
+
+// retryLater writes one of the write path's two retryable rejections: a
+// Retry-After header and a JSON body carrying the error, the field naming
+// what refused the request (the failing domain, the exceeded budget), the
+// same hint in seconds and the request id.
+func (s *Server) retryLater(w http.ResponseWriter, req *http.Request, code, secs int, msg, field, value string) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	body := map[string]any{
-		"error":               se.Error(),
-		"cause":               se.Cause,
-		"retry_after_seconds": secs,
-	}
+	body := map[string]any{"error": msg, field: value, "retry_after_seconds": secs}
 	if id := requestID(req); id != "" {
 		body["request_id"] = id
 	}
-	s.json(w, http.StatusTooManyRequests, body)
+	s.json(w, code, body)
 }
 
 // requestError maps a body-read failure to its status: 413 when the
@@ -561,25 +544,6 @@ func (s *Server) requestError(w http.ResponseWriter, req *http.Request, err erro
 		return
 	}
 	s.error(w, req, http.StatusBadRequest, err.Error())
-}
-
-// validate rejects records an attacker could use to poison the stores:
-// ingest bypasses Dataset.Validate (which only guards seed loads), so the
-// wire layer is where untrusted coordinates are stopped.
-func (r recordJSON) validate() error {
-	if r.Entity == "" {
-		return errors.New("empty entity id")
-	}
-	if math.IsNaN(r.Lat) || math.IsInf(r.Lat, 0) || r.Lat < -90 || r.Lat > 90 {
-		return fmt.Errorf("latitude %g outside [-90, 90]", r.Lat)
-	}
-	if math.IsNaN(r.Lng) || math.IsInf(r.Lng, 0) || r.Lng < -180 || r.Lng > 180 {
-		return fmt.Errorf("longitude %g outside [-180, 180]", r.Lng)
-	}
-	if math.IsNaN(r.RadiusKm) || math.IsInf(r.RadiusKm, 0) || r.RadiusKm < 0 {
-		return fmt.Errorf("radius_km %g must be a finite non-negative number", r.RadiusKm)
-	}
-	return nil
 }
 
 type linkJSON struct {

@@ -66,6 +66,9 @@ func toWire(recs []slim.Record) []map[string]any {
 	for i, r := range recs {
 		lat, lng := r.LatLng.Lat, r.LatLng.Lng
 		out[i] = map[string]any{"entity": string(r.Entity), "lat": lat, "lng": lng, "unix": r.Unix}
+		if r.RadiusKm != 0 {
+			out[i]["radius_km"] = r.RadiusKm
+		}
 	}
 	return out
 }

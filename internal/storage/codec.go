@@ -4,10 +4,12 @@
 // rebuilds a ready engine.Engine from the newest valid snapshot plus the
 // WAL tail.
 //
-// Layering: the engine calls the Store through the narrow
-// engine.Persister interface (log-before-buffer on ingest, a snapshot
-// trigger after each relink); Recover composes the loaded state back
-// into an engine. Nothing in the scoring pipeline knows storage exists.
+// Layering: the ingest plane appends acknowledged batches through
+// Store.LogEncoded before it buffers them (ingest.Plane.Submit), the
+// engine calls the Store through the one-method engine.Persister hook (a
+// snapshot trigger after each relink), and Recover composes the loaded
+// state back into an engine. Nothing in the scoring pipeline knows storage
+// exists.
 //
 // On-disk layout of a data directory:
 //
@@ -237,9 +239,12 @@ func appendBatch(dst []byte, b Batch) []byte {
 	return appendRecords(dst, b.Recs)
 }
 
-// WireBatch is one batch of the binary ingest wire format: the dataset
-// tag plus the records, with RecordBytes holding the records' encoded
-// form exactly as it will be appended to the WAL (Store.LogEncoded).
+// WireBatch is one ingest batch in the form the write path carries it:
+// the dataset tag, the records on the codec's E7 grid, and RecordBytes,
+// their encoded form exactly as it will be appended to the WAL
+// (Store.LogEncoded). Recs must be what RecordBytes decodes to, so the
+// live engine holds bit for bit what a recovery would rebuild; both
+// constructors (DecodeWireBatch, EncodeWireBatch) guarantee it.
 type WireBatch struct {
 	Tag         byte // TagE or TagI
 	RecordBytes []byte
@@ -252,11 +257,22 @@ type WireBatch struct {
 // what lets the server turn an accepted wire batch into a WAL append
 // without re-encoding a single record. Encoding quantizes coordinates to
 // the codec's E7 fixed point, so a decoded wire batch is already on the
-// QuantizeRecord grid — binary and JSON ingest of the same records
-// converge on identical engine state.
+// QuantizeRecord grid.
 func AppendWireBatch(dst []byte, tag byte, recs []slim.Record) []byte {
 	dst = append(dst, tag)
 	return appendRecords(dst, recs)
+}
+
+// EncodeWireBatch builds the wire batch of records that did not arrive
+// encoded (the JSON ingest route, Store.LogE/LogI): it quantizes recs in
+// place to the E7 grid and encodes them, the same bytes a client of the
+// binary route would have sent — so both routes, with or without a data
+// directory, converge on identical engine state and identical WAL bytes.
+func EncodeWireBatch(tag byte, recs []slim.Record) WireBatch {
+	for i := range recs {
+		recs[i] = QuantizeRecord(recs[i])
+	}
+	return WireBatch{Tag: tag, RecordBytes: appendRecords(nil, recs), Recs: recs}
 }
 
 // DecodeWireBatch decodes one binary-ingest wire batch payload (the

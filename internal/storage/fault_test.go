@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
-	"slim"
 	"slim/internal/fault"
 )
 
@@ -170,26 +168,14 @@ func TestDegradedInlineFailedAppendNotRelogged(t *testing.T) {
 }
 
 // TestDegradedGroupCommitRelogsNackedBatch: under group commit a failed
-// batched fsync nacks the client but the store already buffered the
+// batched fsync nacks the caller but the store already buffered the
 // batch. The reopen must re-log it exactly once (old copy truncated
-// away, one fresh copy) and hand it to OnRelog so the serving layer can
-// re-buffer what the engine rejected.
+// away, one fresh copy) and buffer it into the engine Recover built —
+// the caller, having been nacked, never did.
 func TestDegradedGroupCommitRelogsNackedBatch(t *testing.T) {
 	inj := fault.New()
-	// OnRelog fires on the reopen goroutine; guard the capture.
-	var (
-		relogMu  sync.Mutex
-		relogged []slim.Record
-	)
 	opts := faultOpts(NewFaultFS(OSFS, inj))
 	opts.FsyncInterval = time.Millisecond
-	opts.OnRelog = func(tag byte, recs []slim.Record) {
-		if tag == TagE {
-			relogMu.Lock()
-			relogged = append(relogged, recs...)
-			relogMu.Unlock()
-		}
-	}
 	dir := t.TempDir()
 	eng, st, _, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), opts)
 	if err != nil {
@@ -197,35 +183,37 @@ func TestDegradedGroupCommitRelogsNackedBatch(t *testing.T) {
 	}
 	defer eng.Close()
 
-	if err := st.LogE(mkRecs("e-acked", 0, 4, 1_000_000)); err != nil {
-		t.Fatal(err)
-	}
+	ingestE(t, eng, st, mkRecs("e-acked", 0, 4, 1_000_000))
 	inj.Arm(SiteFSSync, fault.Rule{Count: 1})
 	err = st.LogE(mkRecs("e-nacked", 0.5, 4, 1_000_000))
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("failed group-commit error = %v, want ErrDegraded", err)
 	}
+	if eng.Pending() != 4 {
+		t.Fatalf("pending = %d before the reopen, want only the 4 acked records", eng.Pending())
+	}
 	waitHealthy(t, st)
-	relogMu.Lock()
-	if len(relogged) != 4 || string(relogged[0].Entity) != "e-nacked" {
-		t.Fatalf("OnRelog saw %d records (%v), want the 4 nacked ones", len(relogged), relogged)
+	if eng.Pending() != 8 {
+		t.Fatalf("pending = %d once healthy, want 8 (acked + re-logged, each once)", eng.Pending())
 	}
-	relogMu.Unlock()
-	if err := st.LogE(mkRecs("e-post", 1, 4, 1_000_000)); err != nil {
-		t.Fatalf("post-recovery append failed: %v", err)
-	}
+	ingestE(t, eng, st, mkRecs("e-post", 1, 4, 1_000_000))
 	st.crashClose()
 
-	_, st2, _, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
+	eng2, st2, _, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
 	if err != nil {
 		t.Fatalf("recovery after degraded episode failed: %v", err)
 	}
+	defer eng2.Close()
 	defer st2.crashClose()
 	have := streamEntities(st2)
 	for _, id := range []string{"e-acked", "e-nacked", "e-post"} {
 		if have[id] != 4 {
 			t.Errorf("%s recovered %d times, want exactly 4 records once", id, have[id])
 		}
+	}
+	// The live engine and the recovered one hold the same record set.
+	if eng2.Pending() != eng.Pending() {
+		t.Fatalf("recovered engine holds %d records, live engine %d", eng2.Pending(), eng.Pending())
 	}
 }
 

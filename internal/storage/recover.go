@@ -38,9 +38,10 @@ type RecoverInfo struct {
 // of it (tolerating a torn final entry, the expected artifact of a
 // crash mid-append), and the last published result is installed.
 //
-// The returned engine has the Store attached as its persister: every
-// subsequent AddE/AddI is logged before it is acknowledged. The caller
-// owns both lifetimes: Engine.Close first, then Store.Close (which
+// The returned engine holds the replayed records in its pending buffers
+// and has the Store attached as its checkpoint hook; new ingest goes
+// through an ingest.Plane with the Store attached as its logger. The
+// caller owns both lifetimes: Engine.Close first, then Store.Close (which
 // takes a final checkpoint). The engine configuration is not persisted;
 // callers must boot with the same linkage configuration across restarts.
 func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Options) (*engine.Engine, *Store, RecoverInfo, error) {
@@ -122,6 +123,7 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 		streamE:    snap.streamE,
 		streamI:    snap.streamI,
 		nextSeq:    lastSeq + 1,
+		lastResult: snap.result,
 		health:     obs.NewHealth(reg, "storage"),
 		stopReopen: make(chan struct{}),
 	}
@@ -134,10 +136,12 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 		_ = w.Close()
 		return nil, nil, info, err
 	}
-	// Re-feed the streamed records before attaching the persister, so
-	// they are buffered without being logged a second time.
-	_ = eng.AddE(st.streamE...)
-	_ = eng.AddI(st.streamI...)
+	st.eng = eng
+	eng.SetPersister(st)
+	// The replay feed: the WAL already holds these records, so they are
+	// buffered, not logged.
+	eng.AddE(st.streamE...)
+	eng.AddI(st.streamI...)
 	if snap.result != nil {
 		eng.RestoreResult(slim.Result{
 			Links:           snap.result.links,
@@ -146,12 +150,8 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 			ThresholdMethod: snap.result.method,
 			SpatialLevel:    snap.result.spatialLevel,
 		}, snap.result.version)
-		st.mu.Lock()
-		st.lastResult = snap.result
-		st.mu.Unlock()
 		info.HasResult = true
 	}
-	eng.SetPersister(st)
 
 	// A fresh directory gets an initial checkpoint immediately, so the
 	// seed datasets are durable from boot: every later recovery finds a
@@ -172,6 +172,3 @@ func quantizeDataset(d slim.Dataset) slim.Dataset {
 	}
 	return out
 }
-
-// ensure Store satisfies the engine hook at compile time.
-var _ engine.Persister = (*Store)(nil)

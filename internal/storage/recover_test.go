@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,6 +31,26 @@ func mkRecs(e string, latOff float64, n int, start int64) []slim.Record {
 }
 
 func emptyDS(name string) slim.Dataset { return slim.Dataset{Name: name} }
+
+// ingestE acknowledges one first-dataset batch the way ingest.Plane.Submit
+// does — log it, then buffer it — without the plane, which imports this
+// package.
+func ingestE(t *testing.T, eng *engine.Engine, st *Store, recs []slim.Record) {
+	t.Helper()
+	if err := st.LogE(recs); err != nil {
+		t.Fatal(err)
+	}
+	eng.AddE(recs...)
+}
+
+// ingestI is ingestE for the second dataset.
+func ingestI(t *testing.T, eng *engine.Engine, st *Store, recs []slim.Record) {
+	t.Helper()
+	if err := st.LogI(recs); err != nil {
+		t.Fatal(err)
+	}
+	eng.AddI(recs...)
+}
 
 func copyDirInto(t *testing.T, src, dst string) {
 	t.Helper()
@@ -61,12 +82,8 @@ func TestRecoverRoundTripAfterCrash(t *testing.T) {
 	}
 	for i, off := range []float64{0, 0.8, 1.6} {
 		e := string(rune('a' + i))
-		if err := eng.AddE(mkRecs("e-"+e, off, 20, 1_000_000)...); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.AddI(mkRecs("i-"+e, off, 20, 1_000_030)...); err != nil {
-			t.Fatal(err)
-		}
+		ingestE(t, eng, st, mkRecs("e-"+e, off, 20, 1_000_000))
+		ingestI(t, eng, st, mkRecs("i-"+e, off, 20, 1_000_030))
 	}
 	res := eng.Run()
 	if len(res.Links) != 3 {
@@ -82,6 +99,14 @@ func TestRecoverRoundTripAfterCrash(t *testing.T) {
 	defer st2.crashClose()
 	if !info2.Recovered || info2.ReplayedBatches != 6 || info2.ReplayedRecords != 120 {
 		t.Fatalf("recover info = %+v, want 6 batches / 120 records replayed", info2)
+	}
+	// The replay feed buffers what the WAL already holds and logs nothing:
+	// every replayed record is pending exactly once and the log did not grow.
+	if eng2.Pending() != info2.ReplayedRecords {
+		t.Fatalf("recovered engine has %d records pending, want the %d replayed", eng2.Pending(), info2.ReplayedRecords)
+	}
+	if sst := st2.Stats(); sst.BatchesLogged != 0 || sst.WALBytesAppended != 0 || sst.NextSeq != 7 {
+		t.Fatalf("recovery appended to the WAL: %+v", sst)
 	}
 	res2 := eng2.Run()
 	if !reflect.DeepEqual(res2.Links, res.Links) {
@@ -139,12 +164,8 @@ func TestRecoverAfterCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AddE(mkRecs("e-a", 0, 20, 1_000_000)...); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddI(mkRecs("i-a", 0, 20, 1_000_030)...); err != nil {
-		t.Fatal(err)
-	}
+	ingestE(t, eng, st, mkRecs("e-a", 0, 20, 1_000_000))
+	ingestI(t, eng, st, mkRecs("i-a", 0, 20, 1_000_030))
 	eng.Run()
 	before, err := st.Checkpoint()
 	if err != nil {
@@ -154,12 +175,8 @@ func TestRecoverAfterCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint covers %d streamed records, want 40", before.StreamedRecords)
 	}
 	// The WAL tail after the snapshot.
-	if err := eng.AddE(mkRecs("e-b", 0.8, 20, 1_000_000)...); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddI(mkRecs("i-b", 0.8, 20, 1_000_030)...); err != nil {
-		t.Fatal(err)
-	}
+	ingestE(t, eng, st, mkRecs("e-b", 0.8, 20, 1_000_000))
+	ingestI(t, eng, st, mkRecs("i-b", 0.8, 20, 1_000_030))
 	st.crashClose()
 	eng.Close()
 
@@ -193,12 +210,8 @@ func TestRecoverInstallsResult(t *testing.T) {
 	}
 	for i, off := range []float64{0, 0.8} {
 		e := string(rune('a' + i))
-		if err := eng.AddE(mkRecs("e-"+e, off, 20, 1_000_000)...); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.AddI(mkRecs("i-"+e, off, 20, 1_000_030)...); err != nil {
-			t.Fatal(err)
-		}
+		ingestE(t, eng, st, mkRecs("e-"+e, off, 20, 1_000_000))
+		ingestI(t, eng, st, mkRecs("i-"+e, off, 20, 1_000_030))
 	}
 	res := eng.Run()
 	if len(res.Links) != 2 {
@@ -239,12 +252,9 @@ func TestRecoverTornWAL(t *testing.T) {
 	for i := 0; i < batches; i++ {
 		recs := mkRecs(fmt.Sprintf("e-%d", i), float64(i)*0.5, perBatch, 1_000_000)
 		if i%2 == 0 {
-			err = eng.AddE(recs...)
+			ingestE(t, eng, st, recs)
 		} else {
-			err = eng.AddI(recs...)
-		}
-		if err != nil {
-			t.Fatal(err)
+			ingestI(t, eng, st, recs)
 		}
 	}
 	st.crashClose()
@@ -318,12 +328,8 @@ func TestStoreAutoCheckpoint(t *testing.T) {
 	if got := st.Stats().Snapshots; got != 1 { // the initial checkpoint
 		t.Fatalf("snapshots after init = %d, want 1", got)
 	}
-	if err := eng.AddE(mkRecs("e-a", 0, 20, 1_000_000)...); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddI(mkRecs("i-a", 0, 20, 1_000_030)...); err != nil {
-		t.Fatal(err)
-	}
+	ingestE(t, eng, st, mkRecs("e-a", 0, 20, 1_000_000))
+	ingestI(t, eng, st, mkRecs("i-a", 0, 20, 1_000_030))
 	eng.Run()
 	// The auto-checkpoint is asynchronous (it must not stall the relink
 	// publish path): poll for it.
@@ -337,13 +343,10 @@ func TestStoreAutoCheckpoint(t *testing.T) {
 	if seq := st.Stats().LastSnapshotSeq; seq != 2 {
 		t.Fatalf("last snapshot seq = %d, want 2", seq)
 	}
-	// Ingest after the store is closed must be rejected, not silently
-	// dropped, and must not reach the engine buffers.
+	// A log after the store is closed must be rejected, not silently
+	// dropped (Plane.Submit buffers nothing on a log error).
 	st.crashClose()
-	if err := eng.AddE(mkRecs("e-late", 1, 5, 1_000_000)...); err == nil {
-		t.Fatal("AddE after store close succeeded")
-	}
-	if eng.Pending() != 0 {
-		t.Fatalf("rejected batch was buffered: pending=%d", eng.Pending())
+	if err := st.LogE(mkRecs("e-late", 1, 5, 1_000_000)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("LogE after store close = %v, want ErrClosed", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"slim"
+	"slim/internal/engine"
 	"slim/internal/obs"
 )
 
@@ -62,13 +63,6 @@ type Options struct {
 	// FS overrides the filesystem implementation (nil = OSFS). Tests use
 	// NewFaultFS to fail any Write/Sync/Rename/Close at any call index.
 	FS FS
-	// OnRelog, when set, is called once per quarantined batch that a
-	// successful degraded-mode reopen re-logged into the fresh segment.
-	// These are batches the store buffered but whose group-commit fsync
-	// failed — the engine rejected them at ingest time, so the serving
-	// layer uses this hook to re-buffer them and keep engine state
-	// converged with the store (at-least-once; see reopenLoop).
-	OnRelog func(tag byte, recs []slim.Record)
 	// ReopenBackoff is the initial degraded-mode reopen retry delay
 	// (0 = DefaultReopenBackoff); it doubles per attempt up to
 	// ReopenMaxBackoff (0 = DefaultReopenMaxBackoff).
@@ -111,16 +105,20 @@ func (o Options) reopenMaxBackoff() time.Duration {
 	return o.ReopenMaxBackoff
 }
 
-// Store is the durable home of one engine's state: it logs every ingest
-// batch to the WAL before the engine buffers it, keeps the authoritative
-// in-memory copy of the seed datasets and all streamed records, and
-// periodically compacts WAL history into an atomic snapshot. It
-// implements engine.Persister.
+// Store is the durable home of one engine's state: the ingest plane logs
+// every batch to its WAL before the engine buffers it, it keeps the
+// authoritative in-memory copy of the seed datasets and all streamed
+// records, and periodically compacts WAL history into an atomic snapshot.
+// It implements engine.Persister and ingest.BatchLogger.
 type Store struct {
 	dir  string
 	opts Options
 	fs   FS
 	walm walMetrics
+	// eng is the engine Recover built over this store's state: the one the
+	// replayed WAL tail was fed to, and the one a degraded-mode reopen
+	// re-buffers re-logged batches into.
+	eng *engine.Engine
 
 	mu               sync.Mutex
 	wal              *wal
@@ -202,55 +200,42 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 		"Size of the newest snapshot file.")
 }
 
-// LogE durably logs a first-dataset batch (engine.Persister).
-func (s *Store) LogE(recs []slim.Record) error { return s.log(TagE, recs) }
+// LogE durably logs a first-dataset batch given as records: the
+// record-level convenience over LogEncoded for callers that bypass the
+// ingest plane (storage tests, replay tooling). It quantizes recs in place
+// and logs nothing into the engine.
+func (s *Store) LogE(recs []slim.Record) error { return s.logRecords(TagE, recs) }
 
-// LogI durably logs a second-dataset batch (engine.Persister).
-func (s *Store) LogI(recs []slim.Record) error { return s.log(TagI, recs) }
+// LogI durably logs a second-dataset batch; see LogE.
+func (s *Store) LogI(recs []slim.Record) error { return s.logRecords(TagI, recs) }
 
-// log appends one batch frame and blocks until it is durable per the
-// fsync policy. Records are quantized in place to the codec's fixed
-// point first, so the engine's live state is bit-identical to what a
-// crash recovery would rebuild.
-//
-// The in-memory buffers and nextSeq advance before the group-commit
-// wait: under fsync-interval > 0 a failed batched fsync therefore
-// leaves the store holding a batch the engine rejected. That divergence
-// can never reach disk — a failed fsync poisons the WAL (sticky ioErr),
-// so every later Append and Checkpoint/Rotate on it fails; the store
-// flips to degraded read-only mode and a background loop quarantines
-// the poisoned segment and reopens a fresh one, re-logging exactly
-// these buffered-but-nacked batches so the divergence heals instead of
-// persisting (at-least-once — never trust a failed fsync).
-func (s *Store) log(tag byte, recs []slim.Record) error {
-	for i := range recs {
-		recs[i] = QuantizeRecord(recs[i])
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.degraded.Load() {
-		s.mu.Unlock()
-		return ErrDegraded
-	}
-	payload := appendBatch(nil, Batch{Seq: s.nextSeq, Tag: tag, Recs: recs})
-	wait, err := s.appendLocked(payload, tag, recs)
+func (s *Store) logRecords(tag byte, recs []slim.Record) error {
+	b := EncodeWireBatch(tag, recs)
+	wait, err := s.LogEncoded(b.Tag, b.RecordBytes, b.Recs)
 	if err != nil {
 		return err
 	}
 	return wait()
 }
 
-// LogEncoded durably logs one pre-encoded record batch — the binary
-// ingest plane's zero re-encode path. recordBytes is a wire batch's
-// record section (storage.WireBatch.RecordBytes), appended to the WAL
-// verbatim under a fresh sequence prefix; recs must be its decoded form
-// (the codec quantizes at encode time, so they are already on the
-// QuantizeRecord grid — see AppendWireBatch). The returned wait blocks
-// until the batch is durable per the fsync policy, letting a caller
-// append several batches under one group-commit window before waiting.
+// LogEncoded appends one wire batch to the WAL — the store's one append
+// path, called by ingest.Plane.Submit. recordBytes is the batch's record
+// section (WireBatch.RecordBytes), appended verbatim under a fresh
+// sequence prefix; recs must be its decoded form (see WireBatch). The
+// returned wait blocks until the batch is durable per the fsync policy,
+// letting a caller append several batches under one group-commit window
+// before waiting.
+//
+// The in-memory stream buffers and nextSeq advance before the wait: under
+// fsync-interval > 0 a failed batched fsync therefore leaves the store
+// holding a batch the caller nacked and never buffered into the engine.
+// That divergence can never reach disk — a failed fsync poisons the WAL
+// (sticky ioErr), so every later Append and Checkpoint/Rotate on it fails;
+// the store flips to degraded read-only mode and a background loop
+// quarantines the poisoned segment and reopens a fresh one, re-logging
+// exactly these buffered-but-nacked batches and buffering them into the
+// engine, so the divergence heals instead of persisting (at-least-once —
+// never trust a failed fsync).
 func (s *Store) LogEncoded(tag byte, recordBytes []byte, recs []slim.Record) (wait func() error, err error) {
 	s.mu.Lock()
 	if s.closed {
@@ -380,8 +365,9 @@ func (s *Store) reopenLoop() {
 //     batches — appends the store acknowledged in memory whose covering
 //     fsync failed — from our own buffers, verbatim with their original
 //     sequence numbers, then wait for their durability.
-//  4. Swap the WAL in, flip healthy, and hand the re-logged batches to
-//     Options.OnRelog so the engine re-buffers what it nacked.
+//  4. Swap the WAL in, buffer the re-logged batches into the engine —
+//     they are durable now (a recovery would replay them), so the live
+//     engine must hold them too — and flip healthy.
 func (s *Store) tryReopen(segIdx uint64, synced int64, quarantined [][]byte) bool {
 	s.reopenRetries.Add(1)
 	s.mu.Lock()
@@ -443,6 +429,24 @@ func (s *Store) tryReopen(segIdx uint64, synced int64, quarantined [][]byte) boo
 	}
 	s.wal = w
 	s.mu.Unlock()
+	// Only group commit quarantines batches the engine never saw: its
+	// failed wait nacked them before Submit buffered anything. (Under the
+	// never-fsync policy the append itself was the acknowledgement, so the
+	// engine already holds every quarantined batch.) Buffered before the
+	// store reads healthy, so healthy implies the engine has converged.
+	if s.opts.FsyncInterval > 0 {
+		for _, payload := range quarantined {
+			b, err := decodeBatch(payload)
+			if err != nil {
+				continue // unreachable: the store encoded this payload itself
+			}
+			if b.Tag == TagE {
+				s.eng.AddE(b.Recs...)
+			} else {
+				s.eng.AddI(b.Recs...)
+			}
+		}
+	}
 	// Order matters: the fresh WAL must be visible before writers stop
 	// seeing ErrDegraded.
 	s.degraded.Store(false)
@@ -451,13 +455,6 @@ func (s *Store) tryReopen(segIdx uint64, synced int64, quarantined [][]byte) boo
 		s.opts.Logger.Info("storage recovered: fresh WAL segment open",
 			"component", "storage", "segment", segIdx+1,
 			"relogged_batches", len(quarantined), "retries", s.reopenRetries.Load())
-	}
-	if cb := s.opts.OnRelog; cb != nil {
-		for _, payload := range quarantined {
-			if b, err := decodeBatch(payload); err == nil {
-				cb(b.Tag, b.Recs)
-			}
-		}
 	}
 	return true
 }

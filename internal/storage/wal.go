@@ -71,8 +71,8 @@ type wal struct {
 	f          File
 	segIndex   uint64
 	segWritten int64
-	ioErr      error         // sticky: first write/sync failure poisons the log
-	gen        chan struct{} // closed when all bytes written so far are durable
+	ioErr      error    // sticky: first write/sync failure poisons the log
+	gen        *syncGen // the group-commit generation collecting waiters
 	closed     bool
 
 	// Quarantine bookkeeping for degraded-mode recovery (see
@@ -89,6 +89,25 @@ type wal struct {
 	wantSync   chan struct{}
 	stop       chan struct{}
 	syncerDone chan struct{}
+}
+
+// syncGen is one group-commit generation: the appends written since the
+// previous generation was released. done closes when the generation is
+// released, and err is the log's sticky error at that moment — nil exactly
+// when an fsync covered every member, so a waiter's verdict is the outcome
+// of its own covering fsync and cannot be changed by a later failure.
+type syncGen struct {
+	done chan struct{}
+	err  error
+}
+
+// releaseGenLocked ends the current generation with the log's state as of
+// now and starts the next one. Callers hold mu.
+func (w *wal) releaseGenLocked() {
+	g := w.gen
+	g.err = w.ioErr
+	w.gen = &syncGen{done: make(chan struct{})}
+	close(g.done)
 }
 
 // openWAL starts a fresh segment with the given index and, for group
@@ -110,7 +129,7 @@ func openWAL(fs FS, dir string, segIndex uint64, segBytes int64, interval time.D
 		interval:   interval,
 		metrics:    metrics,
 		segIndex:   segIndex,
-		gen:        make(chan struct{}),
+		gen:        &syncGen{done: make(chan struct{})},
 		wantSync:   make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		syncerDone: make(chan struct{}),
@@ -195,17 +214,15 @@ func (w *wal) Append(payload []byte) (wait func() error, err error) {
 		return noWait, nil
 	}
 	// Group commit: wait for the generation covering this write.
-	ch := w.gen
+	g := w.gen
 	w.mu.Unlock()
 	select {
 	case w.wantSync <- struct{}{}:
 	default:
 	}
 	return func() error {
-		<-ch
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.ioErr
+		<-g.done
+		return g.err
 	}, nil
 }
 
@@ -249,10 +266,8 @@ func (w *wal) syncNow() {
 			w.markDurableLocked()
 		}
 	}
-	ch := w.gen
-	w.gen = make(chan struct{})
+	w.releaseGenLocked()
 	w.mu.Unlock()
-	close(ch)
 }
 
 // markDurableLocked retires the quarantine bookkeeping after a
@@ -280,9 +295,7 @@ func (w *wal) rotateLocked() error {
 		return err
 	}
 	// Everything before the rotation is durable: release waiters.
-	ch := w.gen
-	w.gen = make(chan struct{})
-	close(ch)
+	w.releaseGenLocked()
 	return nil
 }
 
@@ -337,9 +350,7 @@ func (w *wal) Close() error {
 		}
 		w.f = nil
 	}
-	ch := w.gen
-	w.gen = make(chan struct{})
-	close(ch)
+	w.releaseGenLocked()
 	return w.ioErr
 }
 

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,80 +76,35 @@ func TestDecodeWireBatchErrors(t *testing.T) {
 	}
 }
 
-// TestLogEncodedMatchesLog: appending a pre-encoded wire batch
-// (LogEncoded, the zero re-encode ingest path) must leave exactly the
-// log the record-level API (LogE/LogI) writes — identical replayed
-// batches, sequence numbers, tags, and records.
-func TestLogEncodedMatchesLog(t *testing.T) {
+// TestEncodeWireBatchMatchesWire: a wire batch built from records (the
+// JSON route, LogE/LogI) must be the batch a binary client sending the
+// same records produces — same bytes, same records bit for bit — with the
+// caller's slice left on the codec grid. Both routes then reach
+// LogEncoded with identical arguments, so their logs cannot differ.
+func TestEncodeWireBatchMatchesWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	batchesIn := [][]slim.Record{
-		randRecords(rng, 50),
-		randRecords(rng, 1),
-		randRecords(rng, 200),
-	}
-
-	replayAll := func(dir string) []Batch {
-		var out []Batch
-		if _, _, err := ReplayWAL(dir, 0, func(b Batch) error {
-			out = append(out, b)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	dirA := t.TempDir()
-	_, stA, _, err := Recover(dirA, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, recs := range batchesIn {
-		tag := byte(TagE)
-		if i%2 == 1 {
-			tag = TagI
-		}
-		if tag == TagE {
-			err = stA.LogE(recs)
-		} else {
-			err = stA.LogI(recs)
-		}
+	for _, n := range []int{1, 50, 200} {
+		recs := randRecords(rng, n)
+		want, err := DecodeWireBatch(AppendWireBatch(nil, TagI, recs))
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	stA.crashClose() // a clean Close would checkpoint and truncate the WAL
-
-	dirB := t.TempDir()
-	_, stB, _, err := Recover(dirB, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, recs := range batchesIn {
-		tag := byte(TagE)
-		if i%2 == 1 {
-			tag = TagI
+		got := EncodeWireBatch(TagI, recs)
+		if got.Tag != want.Tag || !bytes.Equal(got.RecordBytes, want.RecordBytes) {
+			t.Fatalf("n=%d: encoded batch differs from the wire form", n)
 		}
-		wire, err := DecodeWireBatch(AppendWireBatch(nil, tag, recs))
-		if err != nil {
-			t.Fatal(err)
+		for i := range want.Recs {
+			g, w := got.Recs[i], want.Recs[i]
+			if g.Entity != w.Entity || g.Unix != w.Unix ||
+				math.Float64bits(g.LatLng.Lat) != math.Float64bits(w.LatLng.Lat) ||
+				math.Float64bits(g.LatLng.Lng) != math.Float64bits(w.LatLng.Lng) ||
+				math.Float64bits(g.RadiusKm) != math.Float64bits(w.RadiusKm) {
+				t.Fatalf("n=%d record %d: %+v, want %+v", n, i, g, w)
+			}
+			if recs[i] != g {
+				t.Fatalf("n=%d record %d: caller's slice not quantized in place", n, i)
+			}
 		}
-		wait, err := stB.LogEncoded(wire.Tag, wire.RecordBytes, wire.Recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stB.crashClose()
-
-	a, b := replayAll(dirA), replayAll(dirB)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("LogEncoded log diverges from LogE/LogI log:\n  %d vs %d batches", len(a), len(b))
-	}
-	if len(a) != len(batchesIn) {
-		t.Fatalf("replayed %d batches, want %d", len(a), len(batchesIn))
 	}
 }
 

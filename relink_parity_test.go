@@ -82,14 +82,9 @@ func engineSubject(t *testing.T, e, i slim.Dataset, cfg slim.Config) (relinker, 
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	return relinker{
-		addE: func(recs ...slim.Record) { must(eng.AddE(recs...)) },
-		addI: func(recs ...slim.Record) { must(eng.AddI(recs...)) },
+		addE: eng.AddE,
+		addI: eng.AddI,
 		run:  eng.Run,
 		tail: func() *slim.PublishTailStats { return eng.Stats().PublishTail },
 	}, eng
@@ -291,5 +286,65 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 	}
 	if ts.ThresholdReuses == 0 {
 		t.Fatalf("clean rerun must reuse the cached threshold fit: %+v", ts)
+	}
+}
+
+// TestRunEdgesCanonicalOrder: RunEdges returns its edges strictly sorted by
+// (U, V) on the full-rescore path — which adopts the parallel scoring
+// pass's concatenated per-worker output as is, so this pins that both pair
+// enumerations (the sorted candidate list, the sorted E × sorted I walk)
+// and the ascending worker chunks are canonical — and on the delta path.
+func TestRunEdgesCanonicalOrder(t *testing.T) {
+	ground := slim.GenerateCab(slim.CabOptions{NumTaxis: 14, Days: 2, MeanRecordIntervalSec: 420, Seed: 7})
+	w := slim.SampleWorkload(&ground, slim.SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 8,
+	})
+	byPair := func(a, b slim.Link) int {
+		if a.U != b.U {
+			if a.U < b.U {
+				return -1
+			}
+			return 1
+		}
+		if a.V < b.V {
+			return -1
+		}
+		if a.V > b.V {
+			return 1
+		}
+		return 0
+	}
+	for name, lsh := range map[string]*slim.LSHConfig{
+		"brute": nil,
+		"lsh":   {Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := slim.Defaults()
+			cfg.LSH = lsh
+			cfg.Workers = 3 // several chunks, uneven against the pair count
+			half := len(w.E.Records) / 2
+			lk, err := slim.NewLinker(slim.Dataset{Name: "E", Records: w.E.Records[:half]}, w.I, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(step string, wantFull bool) {
+				t.Helper()
+				edges, stats := lk.RunEdges()
+				if len(edges) < 2 {
+					t.Fatalf("%s: %d edges; the order check is vacuous", step, len(edges))
+				}
+				if stats.EdgeStore.FullRescore != wantFull {
+					t.Fatalf("%s: full rescore = %v, want %v", step, stats.EdgeStore.FullRescore, wantFull)
+				}
+				if !slices.IsSortedFunc(edges, byPair) {
+					t.Fatalf("%s: RunEdges output is not in canonical (U, V) order", step)
+				}
+			}
+			check("first run", true)
+			lk.AddE(w.E.Records[half:]...) // new entities and bins: an IDF-epoch full rescore
+			check("after new entities", true)
+			lk.AddE(w.E.Records[:5]...) // repeats of known bins: the delta path
+			check("weight-only burst", false)
+		})
 	}
 }

@@ -22,7 +22,6 @@ package slim
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -240,25 +239,8 @@ func (lk *Linker) refreshLSHCandidates() {
 // CandidateIndexStats reports the state of the incremental LSH candidate
 // index: maintained signatures, bucket occupancy, candidate count, and
 // the dirty-entity count, rebuild flag and wall-clock duration of the
-// most recent index update. It is field-identical to candidates.Stats
-// (see that type for per-field docs) so the snapshot is a plain type
-// conversion rather than a hand-maintained copy.
-type CandidateIndexStats struct {
-	SignatureLen int
-	Bands        int
-	Rows         int
-	NumBuckets   int
-	Epoch        uint64
-	SignaturesE  int
-	SignaturesI  int
-	Buckets      int
-	Memberships  int
-	Occupancy    float64
-	Candidates   int64
-	LastDirty    int
-	LastRebuild  bool
-	LastUpdate   time.Duration
-}
+// most recent index update (see candidates.Stats for per-field docs).
+type CandidateIndexStats = candidates.Stats
 
 // CandidateIndexStats returns the incremental candidate index snapshot,
 // or nil when LSH is disabled. Not safe concurrently with Run or Add.
@@ -266,7 +248,7 @@ func (lk *Linker) CandidateIndexStats() *CandidateIndexStats {
 	if lk.candIndex == nil {
 		return nil
 	}
-	st := CandidateIndexStats(lk.candIndex.Stats())
+	st := lk.candIndex.Stats()
 	return &st
 }
 
@@ -704,7 +686,9 @@ func FilterLinks(links []Link, thr float64) []Link {
 // scoreIndexed fans the candidate pairs pairAt(0..total-1) across workers
 // and keeps positive edges. Each worker owns a contiguous index range and
 // writes into its own result slot; slots are concatenated in worker order
-// after the barrier, so the merge is deterministic and lock-free.
+// after the barrier, so the merge is deterministic and lock-free — and
+// the edges come out in pairAt's order, which both callers make the
+// canonical (U, V) order.
 func (lk *Linker) scoreIndexed(total int, pairAt func(int) (EntityID, EntityID)) []matching.Edge {
 	workers := min(lk.cfg.Workers, total) // Workers is normalized to >= 1
 	if workers <= 0 {
@@ -725,21 +709,6 @@ func (lk *Linker) scoreIndexed(total int, pairAt func(int) (EntityID, EntityID))
 	for _, part := range results {
 		edges = append(edges, part...)
 	}
-	slices.SortFunc(edges, func(a, b matching.Edge) int {
-		if a.U != b.U {
-			if a.U < b.U {
-				return -1
-			}
-			return 1
-		}
-		if a.V < b.V {
-			return -1
-		}
-		if a.V > b.V {
-			return 1
-		}
-		return 0
-	})
 	return edges
 }
 
