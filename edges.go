@@ -1,11 +1,12 @@
 package slim
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
 	"slim/internal/candidates"
-	"slim/internal/lsh"
+	"slim/internal/history"
 )
 
 // EdgeStoreStats reports the state of a Linker's incremental edge store
@@ -32,10 +33,9 @@ type EdgeStoreStats struct {
 	// LastUpdate is the wall-clock duration of the last update (scoring,
 	// store maintenance and edge materialization; excludes matching).
 	LastUpdate time.Duration
-	// ResidentBytes estimates the store's resident memory: per retained
-	// pair, a fixed map/cache overhead plus the entity id bytes. It is an
-	// estimate (Go map internals are not directly measurable), maintained
-	// incrementally so reading it costs nothing.
+	// ResidentBytes estimates the store's resident memory: a fixed
+	// map/cache cost per retained pair (Go map internals are not directly
+	// measurable; see edgePairBytes).
 	ResidentBytes int64
 }
 
@@ -75,15 +75,20 @@ type edgeMeta struct {
 	fullScore   float64
 }
 
-// edgePairOverheadBytes is the estimated fixed per-pair cost of one
-// retained edge: the scores map entry (two string headers + float64),
-// the meta map entry, a links-cache slot, and amortized map bucket
-// overhead. Entity id bytes are counted separately (once — the map keys
-// and cache entries share the same string backing).
-const edgePairOverheadBytes = 176
+// edgePairBytes is the estimated resident cost of one retained edge: a
+// 40-byte slot of the materialised links cache, a 17-byte scores map slot
+// (8-byte packed pair, float64, control byte) and a 41-byte meta map slot
+// (packed pair, 32 bytes of provenance, control byte). Go sizes a map to a
+// power of two, so the two slots cost between 8/7 and 16/7 of that per
+// live entry — 106 to 173 B per edge in all; the constant is the middle.
+// Entity ids cost nothing here: a Link's strings share the bytes the
+// side's entity table already holds.
+const edgePairBytes = 140
 
-func pairBytes(p lsh.Pair) int64 {
-	return edgePairOverheadBytes + int64(len(p.U)) + int64(len(p.V))
+// scoredPair is one candidate pair (candidates.Key) with its score.
+type scoredPair struct {
+	key   uint64
+	score float64
 }
 
 // edgeStore is the maintained pair→score state behind Linker.RunEdges.
@@ -108,12 +113,15 @@ type edgeStore struct {
 	// were computed under; any movement invalidates them all.
 	epochE, epochI uint64
 
+	// idsE / idsI are the two sides' entity tables: every map below is
+	// keyed by the packed ordinal pair (candidates.Key), and names are
+	// resolved only where an edge becomes a Link.
+	idsE, idsI *history.Ordinals
+
 	// scores holds every candidate pair with a positive score; meta holds
-	// the matching per-pair provenance (same key set as scores), and bytes
-	// is the incrementally maintained resident-size estimate.
-	scores map[lsh.Pair]float64
-	meta   map[lsh.Pair]edgeMeta
-	bytes  int64
+	// the matching per-pair provenance (same key set as scores).
+	scores map[uint64]float64
+	meta   map[uint64]edgeMeta
 	// seq is the run sequence of the last update (see Linker.RunEdges for
 	// how it is assigned).
 	seq uint64
@@ -127,8 +135,8 @@ type edgeStore struct {
 	// pair lists are not tracked across one) and by
 	// Linker.ForceFullRescore.
 	pendFull    bool
-	pendRescore map[lsh.Pair]struct{}
-	pendRemoved map[lsh.Pair]struct{}
+	pendRescore map[uint64]struct{}
+	pendRemoved map[uint64]struct{}
 
 	fullRescores                            uint64
 	lastRetained, lastRescored, lastDropped int64
@@ -147,13 +155,31 @@ type edgeStore struct {
 	updates      uint64
 }
 
-func newEdgeStore() edgeStore {
+func newEdgeStore(idsE, idsI *history.Ordinals) edgeStore {
 	return edgeStore{
-		scores:      make(map[lsh.Pair]float64),
-		meta:        make(map[lsh.Pair]edgeMeta),
-		pendRescore: make(map[lsh.Pair]struct{}),
-		pendRemoved: make(map[lsh.Pair]struct{}),
+		idsE:        idsE,
+		idsI:        idsI,
+		scores:      make(map[uint64]float64),
+		meta:        make(map[uint64]edgeMeta),
+		pendRescore: make(map[uint64]struct{}),
+		pendRemoved: make(map[uint64]struct{}),
 	}
+}
+
+// link materialises one edge: the only place a packed pair is resolved
+// back to entity ids.
+func (es *edgeStore) link(p uint64, score float64) Link {
+	u, v := candidates.Ends(p)
+	return Link{U: es.idsE.ID(u), V: es.idsI.ID(v), Score: score}
+}
+
+// sortLinks imposes the canonical (U, V) id order on materialised edges.
+// Candidates and scores are enumerated in packed-pair order, which agrees
+// with it only while ordinals happen to be in id order.
+func sortLinks(links []Link) {
+	slices.SortFunc(links, func(a, b Link) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
 }
 
 // mergeDelta folds one candidate-index Delta into the pending work set.
@@ -184,27 +210,27 @@ func (es *edgeStore) mergeDelta(d candidates.Delta) {
 }
 
 // resetFull replaces the whole store with a freshly scored edge set (the
-// full-rescore path), stamped with the given run seq. edges must be
-// sorted in canonical (U, V) order; the links cache adopts it directly.
-// Pairs that were already retained keep their RetainedSinceSeq tenure;
-// everything is (by definition) rescored, so every pair's rescored-seq,
-// last-full-seq and score-at-last-full move to this run.
-func (es *edgeStore) resetFull(edges []Link, seq uint64) {
+// full-rescore path), stamped with the given run seq, and materialises it
+// in canonical order for the links cache. Pairs that were already retained
+// keep their RetainedSinceSeq tenure; everything is (by definition)
+// rescored, so every pair's rescored-seq, last-full-seq and
+// score-at-last-full move to this run.
+func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
 	clear(es.scores)
 	old := es.meta
-	es.meta = make(map[lsh.Pair]edgeMeta, len(edges))
-	es.bytes = 0
-	for _, e := range edges {
-		p := lsh.Pair{U: e.U, V: e.V}
-		es.scores[p] = e.Score
-		m := edgeMeta{rescoredSeq: seq, sinceSeq: seq, fullSeq: seq, fullScore: e.Score}
-		if prev, ok := old[p]; ok {
+	es.meta = make(map[uint64]edgeMeta, len(edges))
+	links := make([]Link, len(edges))
+	for k, e := range edges {
+		es.scores[e.key] = e.score
+		m := edgeMeta{rescoredSeq: seq, sinceSeq: seq, fullSeq: seq, fullScore: e.score}
+		if prev, ok := old[e.key]; ok {
 			m.sinceSeq = prev.sinceSeq
 		}
-		es.meta[p] = m
-		es.bytes += pairBytes(p)
+		es.meta[e.key] = m
+		links[k] = es.link(e.key, e.score)
 	}
-	es.links = edges
+	sortLinks(links)
+	es.links = links
 	es.linksStale = false
 	es.pendFull = false
 	clear(es.pendRescore)
@@ -221,17 +247,19 @@ func (es *edgeStore) resetFull(edges []Link, seq uint64) {
 // the pending removals, then install the fresh scores of the rescored
 // pairs (deleting pairs that scored non-positive). It returns how many
 // edges were dropped from the store.
-func (es *edgeStore) apply(pairs []lsh.Pair, scores []float64, seq uint64) (dropped int64) {
+func (es *edgeStore) apply(pairs []uint64, scores []float64, seq uint64) (dropped int64) {
 	es.deltaChanged = es.deltaChanged[:0]
 	es.deltaRemoved = es.deltaRemoved[:0]
+	drop := func(p uint64, old float64) {
+		delete(es.scores, p)
+		delete(es.meta, p)
+		es.linksStale = true
+		es.deltaRemoved = append(es.deltaRemoved, es.link(p, old))
+		dropped++
+	}
 	for p := range es.pendRemoved {
 		if old, ok := es.scores[p]; ok {
-			delete(es.scores, p)
-			delete(es.meta, p)
-			es.bytes -= pairBytes(p)
-			es.linksStale = true
-			es.deltaRemoved = append(es.deltaRemoved, Link{U: p.U, V: p.V, Score: old})
-			dropped++
+			drop(p, old)
 		}
 	}
 	for i, p := range pairs {
@@ -242,24 +270,18 @@ func (es *edgeStore) apply(pairs []lsh.Pair, scores []float64, seq uint64) (drop
 				es.scores[p] = s
 				es.linksStale = true
 				if had {
-					es.deltaRemoved = append(es.deltaRemoved, Link{U: p.U, V: p.V, Score: old})
+					es.deltaRemoved = append(es.deltaRemoved, es.link(p, old))
 				}
-				es.deltaChanged = append(es.deltaChanged, Link{U: p.U, V: p.V, Score: s})
+				es.deltaChanged = append(es.deltaChanged, es.link(p, s))
 			}
 			m, hadMeta := es.meta[p]
 			if !hadMeta {
 				m.sinceSeq = seq
-				es.bytes += pairBytes(p)
 			}
 			m.rescoredSeq = seq
 			es.meta[p] = m
 		} else if had {
-			delete(es.scores, p)
-			delete(es.meta, p)
-			es.bytes -= pairBytes(p)
-			es.linksStale = true
-			es.deltaRemoved = append(es.deltaRemoved, Link{U: p.U, V: p.V, Score: old})
-			dropped++
+			drop(p, old)
 		}
 	}
 	clear(es.pendRescore)
@@ -272,7 +294,7 @@ func (es *edgeStore) apply(pairs []lsh.Pair, scores []float64, seq uint64) (drop
 
 // lineage returns the provenance of one pair (zero-valued, Linked=false,
 // when the pair is not a retained edge).
-func (es *edgeStore) lineage(p lsh.Pair) EdgeLineage {
+func (es *edgeStore) lineage(p uint64) EdgeLineage {
 	s, ok := es.scores[p]
 	if !ok {
 		return EdgeLineage{StoreEpoch: es.fullRescores}
@@ -297,23 +319,9 @@ func (es *edgeStore) materialize() []Link {
 	if es.linksStale {
 		links := make([]Link, 0, len(es.scores))
 		for p, s := range es.scores {
-			links = append(links, Link{U: p.U, V: p.V, Score: s})
+			links = append(links, es.link(p, s))
 		}
-		slices.SortFunc(links, func(a, b Link) int {
-			if a.U != b.U {
-				if a.U < b.U {
-					return -1
-				}
-				return 1
-			}
-			if a.V < b.V {
-				return -1
-			}
-			if a.V > b.V {
-				return 1
-			}
-			return 0
-		})
+		sortLinks(links)
 		es.links = links
 		es.linksStale = false
 	}
@@ -346,6 +354,6 @@ func (es *edgeStore) statsSnapshot() *EdgeStoreStats {
 		Dropped:       es.lastDropped,
 		FullRescore:   es.lastFull,
 		LastUpdate:    es.lastUpdate,
-		ResidentBytes: es.bytes,
+		ResidentBytes: int64(len(es.scores)) * edgePairBytes,
 	}
 }

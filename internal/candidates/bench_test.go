@@ -35,17 +35,18 @@ func benchFixture(taxis int) (se, si *history.Store, midUnix int64) {
 // records for every ~100th E entity, timestamped inside the existing
 // window range so the signature grid (and thus the index epoch) is
 // unchanged — the streaming steady state the index exists for.
-func dirtyBurst(se *history.Store, midUnix int64, k int) ([]model.Record, map[model.EntityID]struct{}) {
+func dirtyBurst(se *history.Store, midUnix int64, k int) ([]model.Record, map[uint32]struct{}) {
 	entities := se.Entities()
 	n := len(entities) / 100
 	if n < 1 {
 		n = 1
 	}
-	dirty := make(map[model.EntityID]struct{}, n)
+	dirty := make(map[uint32]struct{}, n)
 	var recs []model.Record
 	for j := 0; j < n; j++ {
 		id := entities[(j*100+k*7)%len(entities)]
-		dirty[id] = struct{}{}
+		ord, _ := se.Ordinals().Lookup(id)
+		dirty[ord] = struct{}{}
 		for r := 0; r < 4; r++ {
 			recs = append(recs, model.Record{
 				Entity: id,
@@ -117,8 +118,9 @@ func TestIndexIncrementalSpeedupOverFullRefresh(t *testing.T) {
 		}
 		start := time.Now()
 		x.Update(dirty, nil)
-		got := x.Pairs()
+		keys := x.Pairs()
 		incr = append(incr, time.Since(start))
+		got := named(se, si, keys)
 		if st := x.Stats(); st.LastRebuild {
 			t.Fatalf("burst %d unexpectedly rebuilt the index; the gate must measure the delta path", k)
 		}

@@ -3,21 +3,31 @@
 // every signature and re-enumerates every band-bucket collision on each
 // call — an O(|E|+|I|) cost even when a single entity's history changed.
 // This package keeps the filter state alive between relinks: per-entity
-// signatures with history-version counters (mirroring the stale-entity
+// band hashes with history-version counters (mirroring the stale-entity
 // recompile discipline of internal/history's compiled views), band→bucket
 // hash maps, and a per-pair collision count. A dirty entity removes its
 // old band hashes and inserts its new ones, touching only the buckets it
 // left or entered, so a relink after a small ingest burst costs O(dirty)
 // instead of O(everything).
 //
+// Entities are named by the ordinals of their side's entity table
+// (history.Ordinals) and a pair by one packed uint64 (Key): per-entity
+// state is slices indexed by ordinal, bucket members are 4-byte ordinals,
+// and every per-pair structure is keyed by the packed pair, so nothing in
+// this package hashes, compares or stores an entity id. The candidate
+// order is the numeric key order; it equals the canonical (U, V) id order
+// only while ordinals happen to be in id order, and nothing downstream
+// relies on it — scores are pure functions of the pair, and the canonical
+// order is imposed where edges are materialised (the root package).
+//
 // The contract is exactness, not approximation: after any interleaving of
-// ingest, Pairs() equals a from-scratch lsh.CandidatePairs rebuild
-// pair-for-pair (see the parity suite). The invariant that delivers this
-// is simple: paircount[{u,v}] always equals the number of bands in which
-// u and v currently share a bucket, and every bucket insert/remove updates
-// it against the opposite side's current membership. The candidate set is
-// the keys with positive count — exactly the batch path's "share a bucket
-// in at least one band".
+// ingest, Pairs() names exactly the pairs of a from-scratch
+// lsh.CandidatePairs rebuild (see the parity suite). The invariant that
+// delivers this is simple: paircount[Key(u,v)] always equals the number of
+// bands in which u and v currently share a bucket, and every bucket
+// insert/remove updates it against the opposite side's current
+// membership. The candidate set is the keys with positive count — exactly
+// the batch path's "share a bucket in at least one band".
 //
 // Signature-geometry changes cannot be handled by delta: when the union
 // window range grows past the current grid (a new minimum window shifts
@@ -29,13 +39,20 @@
 package candidates
 
 import (
+	"slices"
 	"time"
 
 	"slim/internal/history"
 	"slim/internal/lsh"
-	"slim/internal/model"
 	"slim/internal/par"
 )
+
+// Key packs a cross-dataset pair — u an ordinal of the E side, v of the I
+// side — into the one word every pair-scale structure is keyed by.
+func Key(u, v uint32) uint64 { return uint64(u)<<32 | uint64(v) }
+
+// Ends unpacks a Key.
+func Ends(key uint64) (u, v uint32) { return uint32(key >> 32), uint32(key) }
 
 // Stats is a point-in-time snapshot of the index.
 type Stats struct {
@@ -72,8 +89,8 @@ type Stats struct {
 // the pairs that stayed candidates but have at least one endpoint whose
 // signature was actually recomputed this Update — i.e. an endpoint whose
 // history changed, so any score derived from the pair is stale. The three
-// slices are disjoint, sorted in canonical (U, V) order, and freshly
-// allocated per Update (callers may retain them).
+// slices hold packed pairs (Key), are disjoint, sorted ascending, and
+// freshly allocated per Update (callers may retain them).
 //
 // Delta is what makes scored edges maintainable as state rather than
 // per-run output: a caller holding pair→score only has to rescore
@@ -85,9 +102,9 @@ type Stats struct {
 // signature was recomputed over a new grid, so the caller discards what it
 // derived from the previous candidate set and re-reads Pairs().
 type Delta struct {
-	Added   []lsh.Pair
-	Removed []lsh.Pair
-	Dirty   []lsh.Pair
+	Added   []uint64
+	Removed []uint64
+	Dirty   []uint64
 	Rebuilt bool
 }
 
@@ -96,21 +113,63 @@ func (d Delta) Empty() bool {
 	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.Dirty) == 0 && !d.Rebuilt
 }
 
-// entitySig is the maintained filter state of one entity: its signature
-// over the current grid, the bucket hash of each band (hasBand false for
-// placeholder-only bands, which are never hashed or bucketed), and the
-// history version the signature was computed from.
-type entitySig struct {
-	version  uint64
-	sig      lsh.Signature
-	bandHash []uint64
-	hasBand  []bool
+// The two sides of a pair: a side indexes Index.sides and bucket.members.
+const (
+	sideE = 0
+	sideI = 1
+)
+
+// pairKey is Key for an entity of the given side and a partner of the
+// opposite side.
+func pairKey(side int, ord, partner uint32) uint64 {
+	if side == sideE {
+		return Key(ord, partner)
+	}
+	return Key(partner, ord)
 }
 
-// bucket holds one band bucket's members from each side.
+// sideState is the maintained filter state of one side, indexed by entity
+// ordinal: whether the entity is signed in the current epoch, the history
+// version its signature was computed from, and — flat, Bands entries per
+// ordinal — the bucket hash of each band (hasBand false for
+// placeholder-only bands, which are never hashed or bucketed). The
+// signatures themselves are not kept: a band hash is all a later delta
+// compares against.
+type sideState struct {
+	store    *history.Store
+	signed   []bool
+	version  []uint64
+	bandHash []uint64
+	hasBand  []bool
+	numSigs  int
+	// changed lists the ordinals whose signatures the current Update
+	// actually recomputed.
+	changed []uint32
+}
+
+// reset drops every signature and sizes the state for n ordinals of the
+// given band count.
+func (s *sideState) reset(n, bands int) {
+	s.signed = make([]bool, n)
+	s.version = make([]uint64, n)
+	s.bandHash = make([]uint64, n*bands)
+	s.hasBand = make([]bool, n*bands)
+	s.numSigs = 0
+}
+
+// cover extends the state to hold ordinal ord.
+func (s *sideState) cover(ord uint32, bands int) {
+	if n := int(ord) + 1 - len(s.signed); n > 0 {
+		s.signed = append(s.signed, make([]bool, n)...)
+		s.version = append(s.version, make([]uint64, n)...)
+		s.bandHash = append(s.bandHash, make([]uint64, n*bands)...)
+		s.hasBand = append(s.hasBand, make([]bool, n*bands)...)
+	}
+}
+
+// bucket holds one band bucket's members from each side, as ordinals.
 type bucket struct {
-	e []model.EntityID
-	i []model.EntityID
+	members [2][]uint32
 }
 
 // Index is an incrementally maintained banded-LSH candidate index over two
@@ -123,8 +182,7 @@ type Index struct {
 	// value.
 	Workers int
 
-	params         lsh.Params
-	storeE, storeI *history.Store
+	params lsh.Params
 
 	// Grid of the current epoch: query window q covers leaf windows
 	// [gridMin + q·step, …) and the final window clamps to gridMax+1.
@@ -135,18 +193,18 @@ type Index struct {
 	banding lsh.Banding
 	epoch   uint64
 
-	sigE, sigI map[model.EntityID]*entitySig
+	sides [2]sideState
 
 	// buckets[band] maps bucket hash → members. memberships counts all
 	// (entity, band) entries for the occupancy stat.
 	buckets     []map[uint64]*bucket
 	memberships int
 
-	// paircount[p] = number of bands in which p currently collides; keys
-	// with positive count are the candidate set. pairs caches the sorted
-	// materialization; pairsStale marks it outdated.
-	paircount  map[lsh.Pair]int32
-	pairs      []lsh.Pair
+	// paircount[Key(u,v)] = number of bands in which the pair currently
+	// collides; keys with positive count are the candidate set. pairs
+	// caches the sorted materialization; pairsStale marks it outdated.
+	paircount  map[uint64]int32
+	pairs      []uint64
 	pairsStale bool
 
 	// Scratch buffers so delta updates allocate nothing per entity.
@@ -156,13 +214,10 @@ type Index struct {
 
 	// Per-Update delta tracking (cleared at the start of every Update).
 	// touched records, for every pair whose collision count moved this
-	// Update, whether it was a candidate before the Update; changedE and
-	// changedI record the entities whose signatures were actually
-	// recomputed; dirtySeen dedupes Dirty pairs reached through several
-	// bands or both endpoints.
-	touched            map[lsh.Pair]bool
-	changedE, changedI map[model.EntityID]struct{}
-	dirtySeen          map[lsh.Pair]struct{}
+	// Update, whether it was a candidate before the Update; dirtySeen
+	// dedupes Dirty pairs reached through several bands or both endpoints.
+	touched   map[uint64]bool
+	dirtySeen map[uint64]struct{}
 
 	lastDirty   int
 	lastRebuild bool
@@ -172,49 +227,41 @@ type Index struct {
 // New creates an empty index over the two signature stores. Call Update
 // once to perform the initial build.
 func New(storeE, storeI *history.Store, p lsh.Params) *Index {
-	return &Index{
+	x := &Index{
 		params:    p,
-		storeE:    storeE,
-		storeI:    storeI,
-		sigE:      make(map[model.EntityID]*entitySig),
-		sigI:      make(map[model.EntityID]*entitySig),
-		paircount: make(map[lsh.Pair]int32),
-		touched:   make(map[lsh.Pair]bool),
-		changedE:  make(map[model.EntityID]struct{}),
-		changedI:  make(map[model.EntityID]struct{}),
-		dirtySeen: make(map[lsh.Pair]struct{}),
+		paircount: make(map[uint64]int32),
+		touched:   make(map[uint64]bool),
+		dirtySeen: make(map[uint64]struct{}),
 	}
+	x.sides[sideE].store = storeE
+	x.sides[sideI].store = storeI
+	return x
 }
 
 // Update brings the index up to date with its stores and returns the
-// exact Delta of the candidate set (see Delta). dirtyE and dirtyI name the
-// entities whose histories may have changed since the previous Update
-// (nil on the first call; entities whose history version is unchanged are
-// skipped, so over-reporting is harmless — under-reporting is not). When
-// the union window range still fits the current grid the index applies
-// per-entity deltas; otherwise it bumps the epoch and rebuilds from
-// scratch (Delta.Rebuilt).
-func (x *Index) Update(dirtyE, dirtyI map[model.EntityID]struct{}) Delta {
+// exact Delta of the candidate set (see Delta). dirtyE and dirtyI name, by
+// ordinal, the entities whose histories may have changed since the
+// previous Update (nil on the first call; entities whose history version
+// is unchanged are skipped, so over-reporting is harmless —
+// under-reporting is not). When the union window range still fits the
+// current grid the index applies per-entity deltas; otherwise it bumps the
+// epoch and rebuilds from scratch (Delta.Rebuilt).
+func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) Delta {
 	start := time.Now()
 	clear(x.touched)
-	clear(x.changedE)
-	clear(x.changedI)
+	for side := range x.sides {
+		x.sides[side].changed = x.sides[side].changed[:0]
+	}
 	var d Delta
-	minE, maxE, okE := x.storeE.WindowRange()
-	minI, maxI, okI := x.storeI.WindowRange()
+	minE, maxE, okE := x.sides[sideE].store.WindowRange()
+	minI, maxI, okI := x.sides[sideI].store.WindowRange()
 	if !okE || !okI {
 		// Batch semantics: no candidates until both sides hold data. Both
 		// stores only ever grow, so nothing can have been built yet.
 		x.lastDirty, x.lastRebuild, x.lastUpdate = 0, false, time.Since(start)
 		return d
 	}
-	minW, maxW := minE, maxE
-	if minI < minW {
-		minW = minI
-	}
-	if maxI > maxW {
-		maxW = maxI
-	}
+	minW, maxW := min(minE, minI), max(maxE, maxI)
 	sigLen := lsh.SignatureLength(minW, maxW, x.params.StepWindows)
 	if sigLen != x.banding.SigLen || minW != x.gridMin {
 		x.rebuild(minW, maxW, sigLen)
@@ -225,9 +272,7 @@ func (x *Index) Update(dirtyE, dirtyI map[model.EntityID]struct{}) Delta {
 		// so clean entities' signatures remain exact. See the
 		// AppendSignature doc comment for the argument.
 		x.gridMax = maxW
-		n := 0
-		n += x.applySide(dirtyE, true)
-		n += x.applySide(dirtyI, false)
+		n := x.applySide(dirtyE, sideE) + x.applySide(dirtyI, sideI)
 		x.lastDirty, x.lastRebuild = n, false
 		d = x.deltaFromTouches()
 	}
@@ -252,58 +297,53 @@ func (x *Index) deltaFromTouches() Delta {
 		}
 	}
 	clear(x.dirtySeen)
-	addDirty := func(p lsh.Pair) {
-		// Kept pairs only: currently a candidate and not newly added
-		// (a touched pair whose pre-Update membership was false is Added).
-		if x.paircount[p] <= 0 {
-			return
+	for side := range x.sides {
+		for _, ord := range x.sides[side].changed {
+			x.visitPartners(side, ord, func(partner uint32) {
+				// Kept pairs only: currently a candidate and not newly added
+				// (a touched pair whose pre-Update membership was false is
+				// Added).
+				p := pairKey(side, ord, partner)
+				if x.paircount[p] <= 0 {
+					return
+				}
+				if was, ok := x.touched[p]; ok && !was {
+					return
+				}
+				if _, ok := x.dirtySeen[p]; ok {
+					return
+				}
+				x.dirtySeen[p] = struct{}{}
+				d.Dirty = append(d.Dirty, p)
+			})
 		}
-		if was, ok := x.touched[p]; ok && !was {
-			return
-		}
-		if _, ok := x.dirtySeen[p]; ok {
-			return
-		}
-		x.dirtySeen[p] = struct{}{}
-		d.Dirty = append(d.Dirty, p)
 	}
-	for id := range x.changedE {
-		x.visitPartners(id, true, func(v model.EntityID) { addDirty(lsh.Pair{U: id, V: v}) })
-	}
-	for id := range x.changedI {
-		x.visitPartners(id, false, func(u model.EntityID) { addDirty(lsh.Pair{U: u, V: id}) })
-	}
-	lsh.SortPairs(d.Added)
-	lsh.SortPairs(d.Removed)
-	lsh.SortPairs(d.Dirty)
+	slices.Sort(d.Added)
+	slices.Sort(d.Removed)
+	slices.Sort(d.Dirty)
 	return d
 }
 
 // visitPartners calls fn for every opposite-side member currently sharing
-// a band bucket with id (with repeats across bands; callers dedupe).
-func (x *Index) visitPartners(id model.EntityID, isE bool, fn func(model.EntityID)) {
-	sigs := x.sigE
-	if !isE {
-		sigs = x.sigI
-	}
-	es := sigs[id]
-	if es == nil {
+// a band bucket with the given entity (with repeats across bands; callers
+// dedupe).
+func (x *Index) visitPartners(side int, ord uint32, fn func(uint32)) {
+	s := &x.sides[side]
+	if int(ord) >= len(s.signed) || !s.signed[ord] {
 		return
 	}
-	for band := 0; band < x.banding.Bands && band < len(es.hasBand); band++ {
-		if !es.hasBand[band] {
+	bands := x.banding.Bands
+	for band := 0; band < bands; band++ {
+		at := int(ord)*bands + band
+		if !s.hasBand[at] {
 			continue
 		}
-		bkt := x.buckets[band][es.bandHash[band]]
+		bkt := x.buckets[band][s.bandHash[at]]
 		if bkt == nil {
 			continue
 		}
-		members := bkt.i
-		if !isE {
-			members = bkt.e
-		}
-		for _, other := range members {
-			fn(other)
+		for _, partner := range bkt.members[1-side] {
+			fn(partner)
 		}
 	}
 }
@@ -319,28 +359,37 @@ func (x *Index) rebuild(minW, maxW int64, sigLen int) {
 		x.buckets[band] = make(map[uint64]*bucket)
 	}
 	x.memberships = 0
-	clear(x.paircount)
+	x.paircount = nil // garbage before its successor is allocated
 	x.pairsStale = true
 	x.lastRebuild = true
 	x.lastDirty = 0
 	if x.banding.Bands == 0 {
 		// Degenerate geometry (zero-length signatures): mirror the batch
 		// path, which enumerates nothing.
-		clear(x.sigE)
-		clear(x.sigI)
+		x.sides[sideE].reset(0, 0)
+		x.sides[sideI].reset(0, 0)
+		x.paircount = make(map[uint64]int32)
 		return
 	}
-	x.fill(x.storeE, x.sigE, true)
-	x.fill(x.storeI, x.sigI, false)
+	x.fill(sideE)
+	x.fill(sideI)
 
 	// Pair counts are accumulated per bucket once every membership list is
 	// complete, which is the same O(Σ|bucket_E|·|bucket_I|) enumeration the
-	// batch path performs.
+	// batch path performs. That sum bounds the number of distinct pairs
+	// from above, so a map sized by it never grows while it is filled.
+	collisions := 0
 	for _, byHash := range x.buckets {
 		for _, bkt := range byHash {
-			for _, u := range bkt.e {
-				for _, v := range bkt.i {
-					x.paircount[lsh.Pair{U: u, V: v}]++
+			collisions += len(bkt.members[sideE]) * len(bkt.members[sideI])
+		}
+	}
+	x.paircount = make(map[uint64]int32, collisions)
+	for _, byHash := range x.buckets {
+		for _, bkt := range byHash {
+			for _, u := range bkt.members[sideE] {
+				for _, v := range bkt.members[sideI] {
+					x.paircount[Key(u, v)]++
 				}
 			}
 		}
@@ -350,153 +399,127 @@ func (x *Index) rebuild(minW, maxW int64, sigLen int) {
 // fill re-signs every entity of one side over the current grid and inserts
 // its band hashes. Signatures and band hashes are per-entity work over
 // read-only histories and fan out over x.Workers; bucket insertion stays
-// serial, in sorted-entity order.
-func (x *Index) fill(store *history.Store, sigs map[model.EntityID]*entitySig, isE bool) {
-	ids := store.Entities()
-	ess := make([]*entitySig, len(ids))
-	for k, id := range ids {
-		if ess[k] = sigs[id]; ess[k] == nil {
-			ess[k] = &entitySig{}
-			sigs[id] = ess[k]
-		}
-	}
-	par.Chunks(x.Workers, len(ids), func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			es, h := ess[k], store.History(ids[k])
-			es.version = h.Version()
-			es.sig = lsh.AppendSignature(es.sig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
-			es.bandHash = resize(es.bandHash, x.banding.Bands)
-			es.hasBand = resize(es.hasBand, x.banding.Bands)
-			for band := range es.bandHash {
-				es.bandHash[band], es.hasBand[band] = x.banding.BandHash(es.sig, band)
+// serial, in ordinal order.
+func (x *Index) fill(side int) {
+	s := &x.sides[side]
+	n, bands := s.store.Ordinals().Len(), x.banding.Bands
+	s.reset(n, bands)
+	par.Chunks(x.Workers, n, func(_, lo, hi int) {
+		var sig lsh.Signature
+		for ord := lo; ord < hi; ord++ {
+			h := s.store.HistoryAt(uint32(ord))
+			if h == nil {
+				continue
+			}
+			s.signed[ord], s.version[ord] = true, h.Version()
+			sig = lsh.AppendSignature(sig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
+			for band := 0; band < bands; band++ {
+				s.bandHash[ord*bands+band], s.hasBand[ord*bands+band] = x.banding.BandHash(sig, band)
 			}
 		}
 	})
-	for k, id := range ids {
-		for band, ok := range ess[k].hasBand {
-			if !ok {
-				continue
-			}
-			hv := ess[k].bandHash[band]
-			bkt := x.buckets[band][hv]
-			if bkt == nil {
-				bkt = &bucket{}
-				x.buckets[band][hv] = bkt
-			}
-			if isE {
-				bkt.e = append(bkt.e, id)
-			} else {
-				bkt.i = append(bkt.i, id)
-			}
-			x.memberships++
-		}
-	}
-	x.lastDirty += len(ids)
-}
-
-// applySide delta-updates one side's dirty entities and returns how many
-// signatures were actually recomputed.
-func (x *Index) applySide(dirty map[model.EntityID]struct{}, isE bool) int {
-	if len(dirty) == 0 || x.banding.Bands == 0 {
-		return 0
-	}
-	store, sigs := x.storeE, x.sigE
-	if !isE {
-		store, sigs = x.storeI, x.sigI
-	}
-	changed := x.changedE
-	if !isE {
-		changed = x.changedI
-	}
-	n := 0
-	for id := range dirty {
-		h := store.History(id)
-		if h == nil {
+	for ord := 0; ord < n; ord++ {
+		if !s.signed[ord] {
 			continue
 		}
-		es := sigs[id]
-		if es != nil && es.version == h.Version() {
-			continue // marked dirty but unchanged since its last compute
-		}
-		changed[id] = struct{}{}
-		fresh := es == nil
-		if fresh {
-			es = &entitySig{
-				bandHash: make([]uint64, x.banding.Bands),
-				hasBand:  make([]bool, x.banding.Bands),
-			}
-			sigs[id] = es
-		}
-		x.scratchSig = lsh.AppendSignature(x.scratchSig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
-		x.scratchHash = resize(x.scratchHash, x.banding.Bands)
-		x.scratchOK = resize(x.scratchOK, x.banding.Bands)
-		for band := 0; band < x.banding.Bands; band++ {
-			x.scratchHash[band], x.scratchOK[band] = x.banding.BandHash(x.scratchSig, band)
-		}
-		for band := 0; band < x.banding.Bands; band++ {
-			oldOK, newOK := !fresh && es.hasBand[band], x.scratchOK[band]
-			oldH, newH := es.bandHash[band], x.scratchHash[band]
-			if oldOK == newOK && (!oldOK || oldH == newH) {
-				continue // this band's bucket did not change
-			}
-			if oldOK {
-				x.removeBand(band, oldH, id, isE)
-			}
-			if newOK {
-				x.insertBand(band, newH, id, isE)
+		s.numSigs++
+		for band := 0; band < bands; band++ {
+			if s.hasBand[ord*bands+band] {
+				bkt := x.bucketAt(band, s.bandHash[ord*bands+band])
+				bkt.members[side] = append(bkt.members[side], uint32(ord))
+				x.memberships++
 			}
 		}
-		copy(es.bandHash, x.scratchHash)
-		copy(es.hasBand, x.scratchOK)
-		es.sig = append(es.sig[:0], x.scratchSig...)
-		es.version = h.Version()
-		n++
 	}
-	return n
+	x.lastDirty += s.numSigs
 }
 
-// insertBand adds id to one band bucket, counting the new collisions
-// against the opposite side's current members.
-func (x *Index) insertBand(band int, hash uint64, id model.EntityID, isE bool) {
+// bucketAt returns one band's bucket for a hash, creating it when absent.
+func (x *Index) bucketAt(band int, hash uint64) *bucket {
 	bkt := x.buckets[band][hash]
 	if bkt == nil {
 		bkt = &bucket{}
 		x.buckets[band][hash] = bkt
 	}
-	if isE {
-		for _, v := range bkt.i {
-			x.bumpPair(lsh.Pair{U: id, V: v}, 1)
-		}
-		bkt.e = append(bkt.e, id)
-	} else {
-		for _, u := range bkt.e {
-			x.bumpPair(lsh.Pair{U: u, V: id}, 1)
-		}
-		bkt.i = append(bkt.i, id)
+	return bkt
+}
+
+// applySide delta-updates one side's dirty entities and returns how many
+// signatures were actually recomputed.
+func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
+	bands := x.banding.Bands
+	if len(dirty) == 0 || bands == 0 {
+		return 0
 	}
+	s := &x.sides[side]
+	n := 0
+	for ord := range dirty {
+		h := s.store.HistoryAt(ord)
+		if h == nil {
+			continue
+		}
+		s.cover(ord, bands)
+		fresh := !s.signed[ord]
+		if !fresh && s.version[ord] == h.Version() {
+			continue // marked dirty but unchanged since its last compute
+		}
+		s.changed = append(s.changed, ord)
+		x.scratchSig = lsh.AppendSignature(x.scratchSig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
+		x.scratchHash = resize(x.scratchHash, bands)
+		x.scratchOK = resize(x.scratchOK, bands)
+		for band := 0; band < bands; band++ {
+			x.scratchHash[band], x.scratchOK[band] = x.banding.BandHash(x.scratchSig, band)
+		}
+		oldHash := s.bandHash[int(ord)*bands : (int(ord)+1)*bands]
+		oldOK := s.hasBand[int(ord)*bands : (int(ord)+1)*bands]
+		for band := 0; band < bands; band++ {
+			wasOK, isOK := !fresh && oldOK[band], x.scratchOK[band]
+			if wasOK == isOK && (!wasOK || oldHash[band] == x.scratchHash[band]) {
+				continue // this band's bucket did not change
+			}
+			if wasOK {
+				x.removeBand(band, oldHash[band], ord, side)
+			}
+			if isOK {
+				x.insertBand(band, x.scratchHash[band], ord, side)
+			}
+		}
+		copy(oldHash, x.scratchHash)
+		copy(oldOK, x.scratchOK)
+		if fresh {
+			s.signed[ord] = true
+			s.numSigs++
+		}
+		s.version[ord] = h.Version()
+		n++
+	}
+	return n
+}
+
+// insertBand adds an entity to one band bucket, counting the new
+// collisions against the opposite side's current members.
+func (x *Index) insertBand(band int, hash uint64, ord uint32, side int) {
+	bkt := x.bucketAt(band, hash)
+	for _, partner := range bkt.members[1-side] {
+		x.bumpPair(pairKey(side, ord, partner), 1)
+	}
+	bkt.members[side] = append(bkt.members[side], ord)
 	x.memberships++
 }
 
-// removeBand removes id from one band bucket, releasing its collisions
-// against the opposite side's current members.
-func (x *Index) removeBand(band int, hash uint64, id model.EntityID, isE bool) {
+// removeBand removes an entity from one band bucket, releasing its
+// collisions against the opposite side's current members.
+func (x *Index) removeBand(band int, hash uint64, ord uint32, side int) {
 	bkt := x.buckets[band][hash]
 	if bkt == nil {
 		return
 	}
-	if isE {
-		bkt.e = cut(bkt.e, id)
-		for _, v := range bkt.i {
-			x.bumpPair(lsh.Pair{U: id, V: v}, -1)
-		}
-	} else {
-		bkt.i = cut(bkt.i, id)
-		for _, u := range bkt.e {
-			x.bumpPair(lsh.Pair{U: u, V: id}, -1)
-		}
+	bkt.members[side] = cut(bkt.members[side], ord)
+	for _, partner := range bkt.members[1-side] {
+		x.bumpPair(pairKey(side, ord, partner), -1)
 	}
 	x.memberships--
-	if len(bkt.e) == 0 && len(bkt.i) == 0 {
+	if len(bkt.members[sideE]) == 0 && len(bkt.members[sideI]) == 0 {
 		delete(x.buckets[band], hash)
 	}
 }
@@ -509,7 +532,7 @@ func (x *Index) removeBand(band int, hash uint64, id model.EntityID, isE bool) {
 // and must not trigger an O(P log P) re-materialization. The first touch
 // of a pair per Update records its pre-Update membership, the raw material
 // of Delta.Added/Removed.
-func (x *Index) bumpPair(p lsh.Pair, d int32) {
+func (x *Index) bumpPair(p uint64, d int32) {
 	old := x.paircount[p]
 	if _, seen := x.touched[p]; !seen {
 		x.touched[p] = old > 0
@@ -528,15 +551,13 @@ func (x *Index) bumpPair(p lsh.Pair, d int32) {
 	}
 }
 
-// cut removes the first occurrence of id (each entity appears at most once
-// per bucket) with an order-destroying swap-delete; bucket member order is
-// irrelevant to the pair set.
-func cut(s []model.EntityID, id model.EntityID) []model.EntityID {
-	for k, v := range s {
-		if v == id {
-			s[k] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
+// cut removes the first occurrence of ord (each entity appears at most
+// once per bucket) with an order-destroying swap-delete; bucket member
+// order is irrelevant to the pair set.
+func cut(s []uint32, ord uint32) []uint32 {
+	if k := slices.Index(s, ord); k >= 0 {
+		s[k] = s[len(s)-1]
+		return s[:len(s)-1]
 	}
 	return s
 }
@@ -550,22 +571,22 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// Pairs returns the current candidate set sorted by (U, V) — the same
-// order as lsh.CandidatePairs. The slice is freshly allocated whenever the
-// set changed, so callers may hold a previous return value across later
+// Pairs returns the current candidate set as packed pairs (Key) in
+// ascending order. The slice is freshly allocated whenever the set
+// changed, so callers may hold a previous return value across later
 // Updates; they must not modify it.
-func (x *Index) Pairs() []lsh.Pair {
+func (x *Index) Pairs() []uint64 {
 	if x.pairsStale {
-		pairs := make([]lsh.Pair, 0, len(x.paircount))
+		pairs := make([]uint64, 0, len(x.paircount))
 		for p := range x.paircount {
 			pairs = append(pairs, p)
 		}
-		lsh.SortPairs(pairs)
+		slices.Sort(pairs)
 		x.pairs = pairs
 		x.pairsStale = false
 	}
 	if x.pairs == nil {
-		x.pairs = []lsh.Pair{}
+		x.pairs = []uint64{}
 	}
 	return x.pairs
 }
@@ -585,8 +606,8 @@ func (x *Index) Stats() Stats {
 		Rows:         x.banding.Rows,
 		NumBuckets:   x.banding.NumBuckets,
 		Epoch:        x.epoch,
-		SignaturesE:  len(x.sigE),
-		SignaturesI:  len(x.sigI),
+		SignaturesE:  x.sides[sideE].numSigs,
+		SignaturesI:  x.sides[sideI].numSigs,
 		Buckets:      nonEmpty,
 		Memberships:  x.memberships,
 		Candidates:   int64(len(x.paircount)),

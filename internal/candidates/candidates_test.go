@@ -1,6 +1,7 @@
 package candidates
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -44,10 +45,39 @@ func batchPairs(se, si *history.Store, p lsh.Params) []lsh.Pair {
 	return pairs
 }
 
+// named resolves packed pairs to entity ids through the two stores'
+// entity tables, in the canonical (U, V) id order of lsh.CandidatePairs.
+func named(se, si *history.Store, keys []uint64) []lsh.Pair {
+	pairs := make([]lsh.Pair, len(keys))
+	for k, key := range keys {
+		u, v := Ends(key)
+		pairs[k] = lsh.Pair{U: se.Ordinals().ID(u), V: si.Ordinals().ID(v)}
+	}
+	lsh.SortPairs(pairs)
+	return pairs
+}
+
+// ords builds a dirty set from entity ids; an id the store's table has
+// never seen becomes an ordinal no table assigns (over-reporting).
+func ords(s *history.Store, ids ...model.EntityID) map[uint32]struct{} {
+	set := make(map[uint32]struct{}, len(ids))
+	for _, id := range ids {
+		ord, ok := s.Ordinals().Lookup(id)
+		if !ok {
+			ord = 1 << 30
+		}
+		set[ord] = struct{}{}
+	}
+	return set
+}
+
 func requireParity(t *testing.T, x *Index, se, si *history.Store, p lsh.Params, step string) {
 	t.Helper()
 	want := batchPairs(se, si, p)
-	got := x.Pairs()
+	if !slices.IsSorted(x.Pairs()) {
+		t.Fatalf("%s: Pairs() is not in ascending packed-pair order", step)
+	}
+	got := named(se, si, x.Pairs())
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: incremental candidate set diverged from batch rebuild:\n  incremental %d pairs: %v\n  batch %d pairs: %v",
 			step, len(got), got, len(want), want)
@@ -57,61 +87,90 @@ func requireParity(t *testing.T, x *Index, se, si *history.Store, p lsh.Params, 
 	}
 }
 
+// burstGen draws the randomized ingest of the parity and delta suites:
+// point and region records on twelve entities a side, with timestamps
+// that now and then stretch the window range forward (the signature
+// grows) or backward (the grid anchor shifts). With descending set, each
+// side's entities first appear in descending id order, so every ordinal
+// order is the exact reverse of the id order — packed-pair order and the
+// canonical (U, V) order then disagree on every pair of pairs.
+type burstGen struct {
+	rng        *rand.Rand
+	base, span int64
+	descending bool
+	seen       [2]int
+}
+
+func newBurstGen(seed int64, descending bool) *burstGen {
+	// Timestamps start mid-range so later bursts can extend the grid on
+	// both ends.
+	return &burstGen{rng: rand.New(rand.NewSource(seed)), base: 900 * 100, span: 900 * 40, descending: descending}
+}
+
+func (g *burstGen) next() (side int, r model.Record) {
+	rng := g.rng
+	side = rng.Intn(2)
+	n := rng.Intn(12)
+	id := fmt.Sprintf("%c%d", "ei"[side], n)
+	if g.descending {
+		n = min(n, g.seen[side])
+		g.seen[side] = max(g.seen[side], n+1)
+		id = fmt.Sprintf("%c%02d", "ei"[side], 11-n)
+	}
+	unix := g.base + rng.Int63n(g.span)
+	switch rng.Intn(8) {
+	case 0: // stretch the range forward: sigLen grows
+		unix = g.base + g.span + rng.Int63n(g.span)
+		g.span += 900 * 10
+	case 1: // stretch backward: the grid anchor shifts
+		unix = g.base - rng.Int63n(900*20) - 1
+		g.base -= 900 * 5
+	}
+	r = rec(id, 37.6+float64(rng.Intn(50))*0.01, -122.4+float64(rng.Intn(50))*0.01, unix)
+	if rng.Intn(4) == 0 {
+		r.RadiusKm = 0.2 + rng.Float64()*2 // region record
+	}
+	return side, r
+}
+
+// suiteCases are the schedules both randomized suites run.
+var suiteCases = []struct {
+	seed       int64
+	descending bool
+}{{1, false}, {7, false}, {42, false}, {5, true}, {23, true}}
+
 // TestIndexRandomizedParity is the core exactness suite: random bursts of
 // point and region records interleaved across both sides, including
 // timestamps that stretch the window range forward and backward (forcing
 // epoch rebuilds), must leave the index pair-for-pair equal to a
 // from-scratch batch enumeration after every burst.
 func TestIndexRandomizedParity(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
+	for _, tc := range suiteCases {
+		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
+			gen := newBurstGen(tc.seed, tc.descending)
 			p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 
 			se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
 			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
+			stores := [2]*history.Store{se, si}
 			x := New(se, si, p)
 			x.Update(nil, nil)
 			requireParity(t, x, se, si, p, "empty")
 
-			// Timestamps start mid-range so later bursts can extend the
-			// grid on both ends.
-			base := int64(900 * 100)
-			span := int64(900 * 40)
 			for burst := 0; burst < 30; burst++ {
-				dirtyE := map[model.EntityID]struct{}{}
-				dirtyI := map[model.EntityID]struct{}{}
-				nRecs := 1 + rng.Intn(8)
-				for k := 0; k < nRecs; k++ {
-					side := rng.Intn(2)
-					id := fmt.Sprintf("%c%d", "ei"[side], rng.Intn(12))
-					unix := base + rng.Int63n(span)
-					switch rng.Intn(8) {
-					case 0: // stretch the range forward: sigLen grows
-						unix = base + span + rng.Int63n(span)
-						span += 900 * 10
-					case 1: // stretch backward: the grid anchor shifts
-						unix = base - rng.Int63n(900*20) - 1
-						base -= 900 * 5
-					}
-					r := rec(id, 37.6+float64(rng.Intn(50))*0.01, -122.4+float64(rng.Intn(50))*0.01, unix)
-					if rng.Intn(4) == 0 {
-						r.RadiusKm = 0.2 + rng.Float64()*2 // region record
-					}
-					if side == 0 {
-						se.Add(r)
-						dirtyE[r.Entity] = struct{}{}
-					} else {
-						si.Add(r)
-						dirtyI[r.Entity] = struct{}{}
-					}
+				dirty := [2]map[uint32]struct{}{{}, {}}
+				for k, nRecs := 0, 1+gen.rng.Intn(8); k < nRecs; k++ {
+					side, r := gen.next()
+					dirty[side][stores[side].Add(r)] = struct{}{}
 				}
-				x.Update(dirtyE, dirtyI)
+				x.Update(dirty[0], dirty[1])
 				requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
 			}
 			if x.Stats().Epoch < 2 {
 				t.Fatalf("workload never forced an epoch rebuild (epoch=%d); the suite must exercise both paths", x.Stats().Epoch)
+			}
+			if tc.descending && !slices.IsSortedFunc(se.Ordinals().IDs(), func(a, b model.EntityID) int { return -cmp.Compare(a, b) }) {
+				t.Fatal("descending schedule did not produce anti-sorted ordinals")
 			}
 		})
 	}
@@ -142,7 +201,7 @@ func TestIndexDeltaPathIsExercised(t *testing.T) {
 	// Move one entity inside the existing grid: the update must be a
 	// delta (same epoch, one dirty signature) and stay exact.
 	se.Add(rec("e3", 37.9, -122.1, 900*7))
-	x.Update(map[model.EntityID]struct{}{"e3": {}}, nil)
+	x.Update(ords(se, "e3"), nil)
 	st := x.Stats()
 	if st.Epoch != 1 {
 		t.Fatalf("in-grid churn bumped the epoch to %d; expected a delta update", st.Epoch)
@@ -154,7 +213,7 @@ func TestIndexDeltaPathIsExercised(t *testing.T) {
 
 	// A record before the grid start must rebuild.
 	si.Add(rec("i0", 37.6, -122.4, -900*3))
-	x.Update(nil, map[model.EntityID]struct{}{"i0": {}})
+	x.Update(nil, ords(si, "i0"))
 	st = x.Stats()
 	if st.Epoch != 2 || !st.LastRebuild {
 		t.Fatalf("backward range growth: epoch=%d LastRebuild=%v, want 2/true", st.Epoch, st.LastRebuild)
@@ -177,7 +236,7 @@ func TestIndexSkipsUnchangedDirtyEntities(t *testing.T) {
 	x := New(se, si, p)
 	x.Update(nil, nil)
 
-	x.Update(map[model.EntityID]struct{}{"e0": {}}, map[model.EntityID]struct{}{"i0": {}, "ghost": {}})
+	x.Update(ords(se, "e0"), ords(si, "i0", "ghost"))
 	st := x.Stats()
 	if st.LastDirty != 0 {
 		t.Fatalf("LastDirty = %d after a no-op dirty report, want 0 (version check must skip)", st.LastDirty)
@@ -194,12 +253,12 @@ func TestIndexOneSideEmpty(t *testing.T) {
 	x := New(se, si, p)
 
 	se.Add(rec("e0", 37.6, -122.4, 900))
-	x.Update(map[model.EntityID]struct{}{"e0": {}}, nil)
+	x.Update(ords(se, "e0"), nil)
 	if len(x.Pairs()) != 0 || x.Stats().Epoch != 0 {
 		t.Fatalf("one-side-empty index built anyway: %d pairs, epoch %d", len(x.Pairs()), x.Stats().Epoch)
 	}
 	si.Add(rec("i0", 37.6, -122.4, 930))
-	x.Update(nil, map[model.EntityID]struct{}{"i0": {}})
+	x.Update(nil, ords(si, "i0"))
 	if x.Stats().Epoch != 1 {
 		t.Fatalf("epoch after both sides filled = %d, want 1", x.Stats().Epoch)
 	}
@@ -225,7 +284,7 @@ func TestIndexPairsSliceStability(t *testing.T) {
 	snapshot := slices.Clone(held)
 
 	se.Add(rec("e1", 38.2, -121.9, 900*5))
-	x.Update(map[model.EntityID]struct{}{"e1": {}}, nil)
+	x.Update(ords(se, "e1"), nil)
 	x.Pairs()
 	if !slices.Equal(held, snapshot) {
 		t.Fatal("a held Pairs() slice was mutated by a later Update")
@@ -248,7 +307,7 @@ func TestIndexStatsShape(t *testing.T) {
 	x := New(se, si, p)
 	x.Update(nil, nil)
 	se.Add(rec("e2", 38.0, -122.0, 900*9))
-	x.Update(map[model.EntityID]struct{}{"e2": {}}, nil)
+	x.Update(ords(se, "e2"), nil)
 
 	st := x.Stats()
 	if st.SignaturesE != 8 || st.SignaturesI != 8 {
@@ -258,7 +317,7 @@ func TestIndexStatsShape(t *testing.T) {
 	for _, byHash := range x.buckets {
 		nonEmpty += len(byHash)
 		for _, bkt := range byHash {
-			members += len(bkt.e) + len(bkt.i)
+			members += len(bkt.members[sideE]) + len(bkt.members[sideI])
 		}
 	}
 	if st.Buckets != nonEmpty || st.Memberships != members {
@@ -301,7 +360,7 @@ func TestIndexCountOnlyChurnKeepsPairCache(t *testing.T) {
 	for n := 0; n < 3; n++ {
 		se.Add(rec("e0", 37.9, -121.9, int64(n)))
 	}
-	x.Update(map[model.EntityID]struct{}{"e0": {}}, nil)
+	x.Update(ords(se, "e0"), nil)
 	after := x.Pairs()
 	if &after[0] != &before[0] {
 		t.Fatal("count-only churn re-materialized the pair cache")

@@ -2,7 +2,6 @@ package candidates
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -35,18 +34,25 @@ func diffPairs(a []lsh.Pair, b map[lsh.Pair]struct{}) []lsh.Pair {
 // requireDeltaExact checks one Update's Delta against the ground truth:
 // Added/Removed must equal the set difference of the before/after Pairs()
 // snapshots, and Dirty must equal exactly the kept pairs with an endpoint
-// among the entities whose histories changed this burst.
-func requireDeltaExact(t *testing.T, step string, d Delta, before, after []lsh.Pair,
+// among the entities whose histories changed this burst. All lists are
+// compared by entity id, in canonical order.
+func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta, before, after []lsh.Pair,
 	burstE, burstI map[model.EntityID]struct{}) {
 	t.Helper()
+	for _, keys := range [][]uint64{d.Added, d.Removed, d.Dirty} {
+		if !slices.IsSorted(keys) {
+			t.Fatalf("%s: a Delta list is not in ascending packed-pair order: %v", step, keys)
+		}
+	}
+	added, removed, dirty := named(se, si, d.Added), named(se, si, d.Removed), named(se, si, d.Dirty)
 	beforeSet, afterSet := pairSet(before), pairSet(after)
-	if wantAdded := diffPairs(after, beforeSet); !slices.Equal(d.Added, wantAdded) {
-		t.Fatalf("%s: Added = %v, want set-difference %v", step, d.Added, wantAdded)
+	if wantAdded := diffPairs(after, beforeSet); !slices.Equal(added, wantAdded) {
+		t.Fatalf("%s: Added = %v, want set-difference %v", step, added, wantAdded)
 	}
-	if wantRemoved := diffPairs(before, afterSet); !slices.Equal(d.Removed, wantRemoved) {
-		t.Fatalf("%s: Removed = %v, want set-difference %v", step, d.Removed, wantRemoved)
+	if wantRemoved := diffPairs(before, afterSet); !slices.Equal(removed, wantRemoved) {
+		t.Fatalf("%s: Removed = %v, want set-difference %v", step, removed, wantRemoved)
 	}
-	var wantDirty []lsh.Pair
+	wantDirty := []lsh.Pair{}
 	for _, p := range after {
 		if _, kept := beforeSet[p]; !kept {
 			continue
@@ -58,82 +64,56 @@ func requireDeltaExact(t *testing.T, step string, d Delta, before, after []lsh.P
 		}
 	}
 	lsh.SortPairs(wantDirty)
-	if !slices.Equal(d.Dirty, wantDirty) {
-		t.Fatalf("%s: Dirty = %v, want kept-pairs-of-changed-entities %v", step, d.Dirty, wantDirty)
-	}
-	for _, p := range d.Dirty {
-		if _, ok := afterSet[p]; !ok {
-			t.Fatalf("%s: Dirty pair %v is not a current candidate", step, p)
-		}
+	if !slices.Equal(dirty, wantDirty) {
+		t.Fatalf("%s: Dirty = %v, want kept-pairs-of-changed-entities %v", step, dirty, wantDirty)
 	}
 }
 
 // TestIndexDeltaExactSetDifference is the Delta API's exactness suite:
 // under randomized interleaved E/I bursts of point and region records —
 // including in-grid churn (delta updates), range growth in both directions
-// (epoch rebuilds), and over-reported dirty entities — every in-grid
-// Update's Delta must equal the set difference of the before/after
+// (epoch rebuilds), over-reported dirty entities, and schedules whose
+// entities arrive in descending id order (ordinals anti-sorted) — every
+// in-grid Update's Delta must equal the set difference of the before/after
 // candidate sets, with Dirty naming exactly the kept pairs of changed
 // entities. A Rebuilt delta carries no pair lists: the caller re-reads
 // Pairs(), which requireParity holds to the from-scratch
 // lsh.CandidatePairs set after every burst, rebuilds included.
 func TestIndexDeltaExactSetDifference(t *testing.T) {
-	for _, seed := range []int64{5, 23, 77} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
+	for _, tc := range suiteCases {
+		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
+			gen := newBurstGen(tc.seed, tc.descending)
+			rng := gen.rng
 			p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 
 			se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
 			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
+			stores := [2]*history.Store{se, si}
 			x := New(se, si, p)
 			if d := x.Update(nil, nil); !d.Empty() {
 				t.Fatalf("empty-store update produced a delta: %+v", d)
 			}
 
-			base := int64(900 * 100)
-			span := int64(900 * 40)
 			rebuilds := 0
 			for burst := 0; burst < 30; burst++ {
-				before := slices.Clone(x.Pairs())
+				before := named(se, si, x.Pairs())
 				epochBefore := x.Stats().Epoch
-				dirtyE := map[model.EntityID]struct{}{}
-				dirtyI := map[model.EntityID]struct{}{}
-				nRecs := 1 + rng.Intn(8)
-				for k := 0; k < nRecs; k++ {
-					side := rng.Intn(2)
-					id := fmt.Sprintf("%c%d", "ei"[side], rng.Intn(12))
-					unix := base + rng.Int63n(span)
-					switch rng.Intn(8) {
-					case 0: // stretch the range forward: sigLen grows
-						unix = base + span + rng.Int63n(span)
-						span += 900 * 10
-					case 1: // stretch backward: the grid anchor shifts
-						unix = base - rng.Int63n(900*20) - 1
-						base -= 900 * 5
-					}
-					r := rec(id, 37.6+float64(rng.Intn(50))*0.01, -122.4+float64(rng.Intn(50))*0.01, unix)
-					if rng.Intn(4) == 0 {
-						r.RadiusKm = 0.2 + rng.Float64()*2
-					}
-					if side == 0 {
-						se.Add(r)
-						dirtyE[r.Entity] = struct{}{}
-					} else {
-						si.Add(r)
-						dirtyI[r.Entity] = struct{}{}
-					}
+				dirty := [2]map[uint32]struct{}{{}, {}}
+				for k, nRecs := 0, 1+rng.Intn(8); k < nRecs; k++ {
+					side, r := gen.next()
+					dirty[side][stores[side].Add(r)] = struct{}{}
 				}
 				// Over-report: an unchanged (or unknown) entity in the dirty
 				// set must not surface in the Delta.
 				if rng.Intn(3) == 0 {
-					if ents := se.Entities(); len(ents) > 0 {
-						dirtyE[ents[rng.Intn(len(ents))]] = struct{}{}
+					if n := se.Ordinals().Len(); n > 0 {
+						dirty[0][uint32(rng.Intn(n))] = struct{}{}
 					}
-					dirtyI["ghost"] = struct{}{}
+					dirty[1][1<<30] = struct{}{}
 				}
-				burstE, burstI := changedOnly(se, x.sigE, dirtyE), changedOnly(si, x.sigI, dirtyI)
-				d := x.Update(dirtyE, dirtyI)
-				after := x.Pairs()
+				burstE, burstI := changedOnly(x, sideE, dirty[0]), changedOnly(x, sideI, dirty[1])
+				d := x.Update(dirty[0], dirty[1])
+				after := named(se, si, x.Pairs())
 				if wantRebuilt := x.Stats().Epoch != epochBefore; d.Rebuilt != wantRebuilt {
 					t.Fatalf("burst %d: Rebuilt = %v, epoch moved = %v", burst, d.Rebuilt, wantRebuilt)
 				}
@@ -143,7 +123,7 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 						t.Fatalf("burst %d: Rebuilt delta carries pair lists: %+v", burst, d)
 					}
 				} else {
-					requireDeltaExact(t, fmt.Sprintf("burst %d", burst), d, before, after, burstE, burstI)
+					requireDeltaExact(t, fmt.Sprintf("burst %d", burst), se, si, d, before, after, burstE, burstI)
 				}
 				requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
 			}
@@ -154,20 +134,20 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 	}
 }
 
-// changedOnly filters a dirty set down to the entities whose history
-// version actually moved since their maintained signature — the ground
-// truth for Delta.Dirty membership (over-reported entities are skipped by
-// the index's version check).
-func changedOnly(store *history.Store, sigs map[model.EntityID]*entitySig, dirty map[model.EntityID]struct{}) map[model.EntityID]struct{} {
+// changedOnly filters a dirty set down to the ids of the entities whose
+// history version actually moved since their maintained signature — the
+// ground truth for Delta.Dirty membership (over-reported entities are
+// skipped by the index's version check).
+func changedOnly(x *Index, side int, dirty map[uint32]struct{}) map[model.EntityID]struct{} {
+	s := &x.sides[side]
 	out := make(map[model.EntityID]struct{}, len(dirty))
-	for id := range dirty {
-		h := store.History(id)
+	for ord := range dirty {
+		h := s.store.HistoryAt(ord)
 		if h == nil {
 			continue
 		}
-		es := sigs[id]
-		if es == nil || es.version != h.Version() {
-			out[id] = struct{}{}
+		if int(ord) >= len(s.signed) || !s.signed[ord] || s.version[ord] != h.Version() {
+			out[h.Entity] = struct{}{}
 		}
 	}
 	return out
@@ -185,13 +165,13 @@ func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		se.Add(rec("e0", 37.6, -122.4, int64(900*k)))
 	}
-	if d := x.Update(map[model.EntityID]struct{}{"e0": {}}, nil); !d.Empty() {
+	if d := x.Update(ords(se, "e0"), nil); !d.Empty() {
 		t.Fatalf("one-side-empty update produced a delta: %+v", d)
 	}
 	for k := 0; k < 8; k++ {
 		si.Add(rec("i0", 37.6, -122.4, int64(900*k+30)))
 	}
-	d := x.Update(nil, map[model.EntityID]struct{}{"i0": {}})
+	d := x.Update(nil, ords(si, "i0"))
 	if !d.Rebuilt {
 		t.Fatal("first build must report Rebuilt")
 	}

@@ -41,15 +41,14 @@ func TestRegionSignaturesAreReproducible(t *testing.T) {
 	p := lsh.Params{Threshold: 0.4, StepWindows: 8, SpatialLevel: level, NumBuckets: 64}
 	dsE := model.Dataset{Name: "E", Records: regionHeavyRecords("e")}
 	dsI := model.Dataset{Name: "I", Records: regionHeavyRecords("i")}
-	build := func() (sigs []lsh.Signature, pairs []lsh.Pair) {
+	build := func() (sigs []lsh.Signature, pairs []uint64) {
 		se, si := history.Build(&dsE, wnd, level), history.Build(&dsI, wnd, level)
 		x := New(se, si, p)
 		x.Update(nil, nil)
-		for _, id := range se.Entities() {
-			sigs = append(sigs, x.sigE[id].sig)
-		}
-		for _, id := range si.Entities() {
-			sigs = append(sigs, x.sigI[id].sig)
+		for _, s := range []*history.Store{se, si} {
+			for _, id := range s.Entities() {
+				sigs = append(sigs, lsh.AppendSignature(nil, s.History(id), p.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen))
+			}
 		}
 		return sigs, x.Pairs()
 	}

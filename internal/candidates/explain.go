@@ -1,7 +1,5 @@
 package candidates
 
-import "slim/internal/lsh"
-
 // BandCollision names one band in which a pair's two entities currently
 // hash into the same bucket, with the bucket's occupancy on both sides —
 // the "why is this pair a candidate" evidence (a collision in a crowded
@@ -44,35 +42,39 @@ type PairExplain struct {
 	SigVersionU, SigVersionV uint64
 }
 
-// Explain reports the candidate lineage of one pair. Like every other
+// Explain reports the candidate lineage of one pair, named by the two
+// sides' entity ordinals; an ordinal the index has never signed (or that
+// no table has assigned) reports HasU / HasV false. Like every other
 // index read it is not safe concurrently with Update; callers serialize
 // it with linker mutations.
-func (x *Index) Explain(p lsh.Pair) PairExplain {
+func (x *Index) Explain(u, v uint32) PairExplain {
 	ex := PairExplain{
 		Epoch:        x.epoch,
 		SignatureLen: x.banding.SigLen,
 		Bands:        x.banding.Bands,
 		Rows:         x.banding.Rows,
-		BandCount:    x.paircount[p],
+		BandCount:    x.paircount[Key(u, v)],
 	}
 	ex.Candidate = ex.BandCount > 0
-	eu, ev := x.sigE[p.U], x.sigI[p.V]
-	if eu != nil {
-		ex.HasU, ex.SigVersionU = true, eu.version
+	su, sv := &x.sides[sideE], &x.sides[sideI]
+	if int(u) < len(su.signed) && su.signed[u] {
+		ex.HasU, ex.SigVersionU = true, su.version[u]
 	}
-	if ev != nil {
-		ex.HasV, ex.SigVersionV = true, ev.version
+	if int(v) < len(sv.signed) && sv.signed[v] {
+		ex.HasV, ex.SigVersionV = true, sv.version[v]
 	}
-	if eu == nil || ev == nil {
+	if !ex.HasU || !ex.HasV {
 		return ex
 	}
-	for band := 0; band < x.banding.Bands && band < len(eu.hasBand) && band < len(ev.hasBand); band++ {
-		if !eu.hasBand[band] || !ev.hasBand[band] || eu.bandHash[band] != ev.bandHash[band] {
+	bands := x.banding.Bands
+	for band := 0; band < bands; band++ {
+		atU, atV := int(u)*bands+band, int(v)*bands+band
+		if !su.hasBand[atU] || !sv.hasBand[atV] || su.bandHash[atU] != sv.bandHash[atV] {
 			continue
 		}
-		bc := BandCollision{Band: band, Hash: eu.bandHash[band]}
+		bc := BandCollision{Band: band, Hash: su.bandHash[atU]}
 		if bkt := x.buckets[band][bc.Hash]; bkt != nil {
-			bc.BucketE, bc.BucketI = len(bkt.e), len(bkt.i)
+			bc.BucketE, bc.BucketI = len(bkt.members[sideE]), len(bkt.members[sideI])
 		}
 		ex.Collisions = append(ex.Collisions, bc)
 	}

@@ -1,0 +1,55 @@
+package candidates
+
+import (
+	"runtime"
+	"testing"
+
+	"slim/internal/datagen"
+	"slim/internal/history"
+	"slim/internal/lsh"
+	"slim/internal/model"
+	"slim/internal/testenv"
+)
+
+// TestCandidateIndexBytesPerPair budgets what the index retains per
+// candidate pair after an epoch rebuild plus one materialisation of the
+// sorted list, on two 2k-user SM sides at the paper's record density and
+// LSH settings. The bucket count is scaled down with the entity count
+// (256 for 2k entities a side where the paper-scale run has 4,096 for
+// 30k), so buckets are as crowded as at paper scale and chance collisions,
+// not per-entity state, make up the candidate set there as here.
+//
+// A pair costs a 16-byte slot plus a control byte of the presized
+// collision-count map — at a load factor between 7/16 and 7/8, because Go
+// sizes a map to a power of two: 29 B here, 35 B at paper scale — and 8 B
+// in the sorted list; band hashes and bucket members add ≈ 200 B per
+// entity, ≈ 12 B per pair at this density. Keyed by two entity-id strings,
+// with signatures retained, the same state was 164 B per pair.
+func TestCandidateIndexBytesPerPair(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("heap budgets are meaningless under the race detector")
+	}
+	ground := datagen.SM(datagen.SMConfig{NumUsers: 3070, Seed: 7})
+	w := datagen.Sample(&ground, datagen.SampleConfig{
+		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 8,
+	})
+	wnd := model.NewWindowing(900, &w.E, &w.I)
+	ge, gi := w.E.GroupByEntity(-1), w.I.GroupByEntity(-1)
+	se := history.BuildGrouped(&ge, wnd, 12, 1).SignatureStore(&ge, 16, 1)
+	si := history.BuildGrouped(&gi, wnd, 12, 1).SignatureStore(&gi, 16, 1)
+	before := testenv.LiveHeap()
+	x := New(se, si, lsh.Params{Threshold: 0.6, StepWindows: 48, SpatialLevel: 16, NumBuckets: 256})
+	x.Update(nil, nil)
+	pairs := x.Pairs()
+	after := testenv.LiveHeap()
+
+	if len(pairs) < 50_000 {
+		t.Fatalf("%d candidate pairs; the per-pair figure would measure per-entity state", len(pairs))
+	}
+	perPair := float64(after-before) / float64(len(pairs))
+	t.Logf("%d + %d entities, %d candidate pairs, %.1f B retained per pair", se.NumEntities(), si.NumEntities(), len(pairs), perPair)
+	if perPair > 56 {
+		t.Errorf("index retains %.1f B per candidate pair, budget 56", perPair)
+	}
+	runtime.KeepAlive(x)
+}

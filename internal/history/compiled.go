@@ -58,7 +58,7 @@ func (c *Compiled) current(epoch uint64, h *History) bool {
 // recompiles everything, because the IDF weights baked into every view may
 // have shifted.
 //
-// The stale entities' cells are interned serially, in sorted-entity then
+// The stale entities' cells are interned serially, in ordinal then
 // column order, so dense indices are assigned identically for every
 // worker count; the rest of each view (the bulk of the work: IDF lookups
 // and column copies over read-only store state) is then built across the
@@ -67,66 +67,81 @@ func (c *Compiled) current(epoch uint64, h *History) bool {
 // RunEdges calls Compile before fanning scoring across workers, so the
 // parallel phase only ever takes the cheap read-lock path of CompiledView.
 func (s *Store) Compile(workers int) int {
+	s.mustScore("Compile")
 	s.compMu.Lock()
 	defer s.compMu.Unlock()
-	var stale []*History
+	s.growCompiledLocked()
+	var stale []uint32
 	var views []*Compiled
-	for _, e := range s.entities {
-		h := s.histories[e]
-		if s.compiled[e].current(s.epoch, h) {
+	for ord, h := range s.histories {
+		if h == nil || s.compiled[ord].current(s.epoch, h) {
 			continue
 		}
-		stale = append(stale, h)
+		stale = append(stale, uint32(ord))
 		views = append(views, s.internLocked(h))
 	}
 	par.Chunks(workers, len(stale), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
-			s.fill(views[k], stale[k])
+			s.fill(views[k], s.histories[stale[k]])
 		}
 	})
-	for k, h := range stale {
-		s.compiled[h.Entity] = views[k]
+	for k, ord := range stale {
+		s.compiled[ord] = views[k]
 	}
 	return len(stale)
 }
 
-// CompiledView returns the up-to-date compiled history of e (nil if e is
-// unknown) together with the store's dense-index→cell-id table. A stale or
-// missing view is compiled on the spot, so callers need no prior Compile;
-// the table is append-only, so indices held by any returned view remain
-// valid in every later table. Safe for concurrent use by scorers; like all
+// growCompiledLocked extends the view table to cover every ordinal the
+// store holds. Callers hold compMu for writing.
+func (s *Store) growCompiledLocked() {
+	if n := len(s.histories) - len(s.compiled); n > 0 {
+		s.compiled = append(s.compiled, make([]*Compiled, n)...)
+	}
+}
+
+// CompiledViewAt returns the up-to-date compiled history of the entity
+// with the given ordinal (nil if the store holds no history for it)
+// together with the store's dense-index→cell-id table. A stale or missing
+// view is compiled on the spot, so callers need no prior Compile; the
+// table is append-only, so indices held by any returned view remain valid
+// in every later table. Safe for concurrent use by scorers; like all
 // reads, not safe concurrently with Add.
-func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellID) {
-	h := s.histories[e]
+func (s *Store) CompiledViewAt(ord uint32) (*Compiled, []geo.CellID) {
+	s.mustScore("CompiledViewAt")
+	h := s.HistoryAt(ord)
 	if h == nil {
 		return nil, nil
 	}
 	s.compMu.RLock()
-	c := s.compiled[e]
-	if c.current(s.epoch, h) {
-		ids := s.cellIDs
-		s.compMu.RUnlock()
-		return c, ids
+	if int(ord) < len(s.compiled) {
+		if c := s.compiled[ord]; c.current(s.epoch, h) {
+			ids := s.cellIDs
+			s.compMu.RUnlock()
+			return c, ids
+		}
 	}
 	s.compMu.RUnlock()
 
 	s.compMu.Lock()
-	c = s.compiled[e]
+	s.growCompiledLocked()
+	c := s.compiled[ord]
 	if !c.current(s.epoch, h) {
-		c = s.compileLocked(e, h)
+		c = s.internLocked(h)
+		s.fill(c, h)
+		s.compiled[ord] = c
 	}
 	ids := s.cellIDs
 	s.compMu.Unlock()
 	return c, ids
 }
 
-// compileLocked rebuilds the compiled view of one entity. Callers hold
-// compMu for writing.
-func (s *Store) compileLocked(e model.EntityID, h *History) *Compiled {
-	c := s.internLocked(h)
-	s.fill(c, h)
-	s.compiled[e] = c
-	return c
+// CompiledView is CompiledViewAt by entity id (nil if e is unknown).
+func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellID) {
+	ord, ok := s.ords.Lookup(e)
+	if !ok {
+		return nil, nil
+	}
+	return s.CompiledViewAt(ord)
 }
 
 // internLocked starts a fresh view of h — a fresh Compiled is always

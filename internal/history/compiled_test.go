@@ -178,8 +178,9 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 		if !slices.Equal(serial.cellIDs, parallel.cellIDs) {
 			t.Fatalf("step %d: dense cell-id tables differ", step)
 		}
-		for _, e := range serial.Entities() {
-			a, b := serial.compiled[e], parallel.compiled[e]
+		for ord := range serial.histories {
+			e := serial.ords.ID(uint32(ord))
+			a, b := serial.compiled[ord], parallel.compiled[ord]
 			if a == nil || b == nil {
 				t.Fatalf("step %d: %s has no compiled view", step, e)
 			}

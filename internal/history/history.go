@@ -10,6 +10,15 @@
 // dataset-level statistics the similarity score needs: the bin→entity
 // frequency index behind the IDF component (Eq. 3) and the average history
 // size behind the BM25-style length normalization (Eq. 2).
+//
+// Entities are numbered. Each linkage side has one append-only entity
+// table (Ordinals: EntityID ↔ uint32), shared by the side's scoring store
+// and its signature store; a store's histories and compiled views are
+// slices indexed by ordinal, and the *At accessors take one. That is what
+// lets every pair-scale structure downstream — the candidate index, the
+// scorer's hot entry point, the edge store — refer to an entity in four
+// bytes and never hash its id; the EntityID accessors here resolve an id
+// once and delegate (DESIGN.md §5.7).
 package history
 
 import (
@@ -259,15 +268,29 @@ func (h *History) DominatingCellAt(lo, hi int) (cell geo.CellID, ok bool) {
 }
 
 // Store holds the mobility histories of one location dataset plus the
-// dataset-level statistics used by the similarity score.
+// dataset-level statistics used by the similarity score. Histories are
+// addressed by the ordinals of the side's entity table (see Ordinals);
+// the EntityID accessors resolve the id once and delegate.
+//
+// A store comes in two kinds. A scoring store (Build, BuildParallel,
+// BuildGrouped) additionally maintains the bin→entity frequency index
+// behind IDF and the compiled read path. A signature store
+// (Store.SignatureStore) is the side's second store at the LSH spatial
+// level: the candidate index reads only its columns and history versions,
+// so it keeps neither, and IDF, Compile and CompiledViewAt panic on it.
 type Store struct {
 	Name      string
 	Windowing model.Windowing
 	Level     int
 
-	histories map[model.EntityID]*History
+	// ords is the side's entity table. histories is indexed by its
+	// ordinals; an entry is nil while only the side's other store has been
+	// told about the entity. entities lists the ids with a history, sorted.
+	ords      *Ordinals
+	histories []*History
 	entities  []model.EntityID
 
+	// binEntities is nil on a signature store.
 	binEntities map[Bin]int32
 	avgBins     float64
 	totalBins   int
@@ -284,11 +307,11 @@ type Store struct {
 	// addScratch is Add's reused bin-contribution buffer.
 	addScratch []binWeight
 
-	// Compiled read path: per-entity flat views plus the dense cell-id
+	// Compiled read path: per-ordinal flat views plus the dense cell-id
 	// interner shared by all of them. compMu lets concurrent scorers take
 	// the read path while lazy recompiles serialize on the write side.
 	compMu    sync.RWMutex
-	compiled  map[model.EntityID]*Compiled
+	compiled  []*Compiled
 	cellIndex map[geo.CellID]int32
 	cellIDs   []geo.CellID
 }
@@ -304,34 +327,52 @@ func Build(d *model.Dataset, w model.Windowing, spatialLevel int) *Store {
 // folded in serially, in sorted-entity order, so the store is identical
 // for every worker count.
 func BuildParallel(d *model.Dataset, w model.Windowing, spatialLevel, workers int) *Store {
-	byEntity := d.ByEntity()
-	s := &Store{
-		Name:        d.Name,
-		Windowing:   w,
-		Level:       spatialLevel,
-		histories:   make(map[model.EntityID]*History, len(byEntity)),
-		binEntities: make(map[Bin]int32),
-		compiled:    make(map[model.EntityID]*Compiled),
-		cellIndex:   make(map[geo.CellID]int32),
-		entities:    make([]model.EntityID, 0, len(byEntity)),
-	}
-	for e := range byEntity {
-		s.entities = append(s.entities, e)
-	}
-	slices.Sort(s.entities)
+	g := d.GroupByEntity(-1)
+	return BuildGrouped(&g, w, spatialLevel, workers)
+}
 
-	built := make([]*History, len(s.entities))
-	par.Chunks(workers, len(built), func(_, lo, hi int) {
+// BuildGrouped is BuildParallel over records already grouped by entity.
+// It starts the side's entity table: ordinal k is g.Entities[k].
+func BuildGrouped(g *model.Grouped, w model.Windowing, spatialLevel, workers int) *Store {
+	return build(g, NewOrdinals(), w, spatialLevel, workers, true)
+}
+
+// SignatureStore builds the side's signature store at another spatial
+// level from the grouped records s itself was built from. It shares s's
+// entity table and windowing and holds columns and versions only.
+func (s *Store) SignatureStore(g *model.Grouped, spatialLevel, workers int) *Store {
+	return build(g, s.ords, s.Windowing, spatialLevel, workers, false)
+}
+
+func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, workers int, scoring bool) *Store {
+	s := &Store{
+		Name:      g.Name,
+		Windowing: w,
+		Level:     spatialLevel,
+		ords:      ords,
+		histories: make([]*History, len(g.Entities)),
+		entities:  slices.Clone(g.Entities),
+	}
+	if scoring {
+		s.binEntities = make(map[Bin]int32)
+		s.cellIndex = make(map[geo.CellID]int32)
+	}
+	for k, e := range g.Entities {
+		if ord := ords.intern(e); int(ord) != k {
+			panic("history: grouped entities do not line up with the side's ordinals")
+		}
+	}
+	par.Chunks(workers, len(s.histories), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
-			e := s.entities[k]
-			built[k] = newHistory(e, byEntity[e], w, spatialLevel)
+			s.histories[k] = newHistory(g.Entities[k], g.Of(k), w, spatialLevel)
 		}
 	})
-	for k, h := range built {
-		s.histories[s.entities[k]] = h
+	for _, h := range s.histories {
 		s.totalBins += h.NumBins()
 		s.noteWindows(h.windows[0], h.windows[len(h.windows)-1])
-		h.Bins(func(b Bin, _ float64) { s.binEntities[b]++ })
+		if scoring {
+			h.Bins(func(b Bin, _ float64) { s.binEntities[b]++ })
+		}
 	}
 	if len(s.entities) > 0 {
 		s.avgBins = float64(s.totalBins) / float64(len(s.entities))
@@ -349,14 +390,40 @@ func (s *Store) noteWindows(lo, hi int64) {
 	s.maxWindow = max(s.maxWindow, hi)
 }
 
+// mustScore panics on a signature store: a zero IDF weight or an empty
+// compiled view there would be a silently wrong score, not a missing one.
+func (s *Store) mustScore(op string) {
+	if s.binEntities == nil {
+		panic("history: " + op + " on a signature store (columns and versions only)")
+	}
+}
+
 // NumEntities returns the number of entities with a history.
 func (s *Store) NumEntities() int { return len(s.entities) }
 
 // Entities returns the sorted entity ids. The slice must not be modified.
 func (s *Store) Entities() []model.EntityID { return s.entities }
 
+// Ordinals returns the side's entity table.
+func (s *Store) Ordinals() *Ordinals { return s.ords }
+
+// HistoryAt returns the history of the entity with the given ordinal, or
+// nil if the store holds none.
+func (s *Store) HistoryAt(ord uint32) *History {
+	if int(ord) >= len(s.histories) {
+		return nil
+	}
+	return s.histories[ord]
+}
+
 // History returns the history of the given entity, or nil.
-func (s *Store) History(e model.EntityID) *History { return s.histories[e] }
+func (s *Store) History(e model.EntityID) *History {
+	ord, ok := s.ords.Lookup(e)
+	if !ok {
+		return nil
+	}
+	return s.HistoryAt(ord)
+}
 
 // AvgBins returns the average number of time-location bins per history.
 func (s *Store) AvgBins() float64 { return s.avgBins }
@@ -384,6 +451,7 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 // (Eq. 3): log(|U| / |{u : bin ∈ H_u}|). Bins absent from the dataset get
 // the maximum weight log(|U|), consistent with the limit of Eq. 3.
 func (s *Store) IDF(b Bin) float64 {
+	s.mustScore("IDF")
 	n := len(s.entities)
 	if n == 0 {
 		return 0
@@ -395,12 +463,21 @@ func (s *Store) IDF(b Bin) float64 {
 	return math.Log(float64(n) / float64(c))
 }
 
-// NormFactor returns the BM25-style length normalization L(u) of Eq. 2 for
-// parameter b in [0, 1].
-func (s *Store) NormFactor(e model.EntityID, b float64) float64 {
-	h := s.histories[e]
+// NormFactorAt returns the BM25-style length normalization L(u) of Eq. 2
+// for parameter b in [0, 1]; 1 for an ordinal without a history.
+func (s *Store) NormFactorAt(ord uint32, b float64) float64 {
+	h := s.HistoryAt(ord)
 	if h == nil || s.avgBins == 0 {
 		return 1
 	}
 	return (1 - b) + b*float64(h.NumBins())/s.avgBins
+}
+
+// NormFactor is NormFactorAt by entity id; 1 for an unknown entity.
+func (s *Store) NormFactor(e model.EntityID, b float64) float64 {
+	ord, ok := s.ords.Lookup(e)
+	if !ok {
+		return 1
+	}
+	return s.NormFactorAt(ord, b)
 }

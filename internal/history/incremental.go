@@ -8,21 +8,27 @@ import (
 
 // Add ingests one record into the store incrementally, inserting its bins
 // into the entity's columns in place and updating the bin→entity IDF
-// index, the average-history-size statistic and the window range. After
-// any sequence of Add calls the store is indistinguishable from one built
-// with Build on the concatenated records (see
-// TestIncrementalAddMatchesBuild).
+// index, the average-history-size statistic and the window range, and
+// returns the entity's ordinal. An entity the side's table has not seen
+// gets the next ordinal; one its other store already added keeps the
+// ordinal it was given there. After any sequence of Add calls the store's
+// histories and statistics are indistinguishable from one built with Build
+// on the concatenated records (see TestIncrementalAddMatchesBuild).
 //
 // Add supports the dynamic-feed setting the paper motivates (Sec. 1:
 // "the scale and dynamic nature of location datasets"). It is not safe for
 // concurrent use with readers; quiesce scoring before adding.
-func (s *Store) Add(rec model.Record) {
-	h := s.histories[rec.Entity]
+func (s *Store) Add(rec model.Record) uint32 {
+	ord := s.ords.intern(rec.Entity)
+	if n := int(ord) + 1; n > len(s.histories) {
+		s.histories = append(s.histories, make([]*History, n-len(s.histories))...)
+	}
+	h := s.histories[ord]
 	if h == nil {
-		h = &History{Entity: rec.Entity, off: []int32{0}}
-		s.histories[rec.Entity] = h
-		i, _ := slices.BinarySearch(s.entities, rec.Entity)
-		s.entities = slices.Insert(s.entities, i, rec.Entity)
+		h = &History{Entity: s.ords.ID(ord), off: []int32{0}}
+		s.histories[ord] = h
+		i, _ := slices.BinarySearch(s.entities, h.Entity)
+		s.entities = slices.Insert(s.entities, i, h.Entity)
 		s.epoch++ // |U| changed: every baked IDF weight is stale
 	}
 	h.version++ // invalidate this entity's compiled view
@@ -32,11 +38,14 @@ func (s *Store) Add(rec model.Record) {
 	s.addScratch = appendBinWeights(s.addScratch[:0], rec, win, s.Level)
 	for _, bw := range s.addScratch {
 		if h.add(bw.Bin, bw.weight) {
-			s.binEntities[bw.Bin]++
+			if s.binEntities != nil {
+				s.binEntities[bw.Bin]++
+			}
 			s.totalBins++
 			s.epoch++ // bin frequency changed: baked IDF weights are stale
 		}
 	}
 	s.avgBins = float64(s.totalBins) / float64(len(s.entities))
 	s.noteWindows(win, win)
+	return ord
 }

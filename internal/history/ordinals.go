@@ -1,0 +1,48 @@
+package history
+
+import "slim/internal/model"
+
+// Ordinals is one linkage side's entity table: every entity id the side
+// has seen, numbered densely in first-seen order. A build assigns ordinals
+// in sorted-id order, Store.Add in arrival order. The table is append-only
+// — an ordinal is never reused or reassigned — and is shared by the
+// side's similarity-level and signature-level stores, so one ordinal names
+// the same entity in both. Everything at candidate-pair scale (the
+// candidate index, the scorer's hot entry point, the edge store) refers to
+// entities by ordinal; ids are resolved at the boundary only.
+type Ordinals struct {
+	ids   []model.EntityID
+	index map[model.EntityID]uint32
+}
+
+// NewOrdinals returns an empty table.
+func NewOrdinals() *Ordinals {
+	return &Ordinals{index: make(map[model.EntityID]uint32)}
+}
+
+// Len returns the number of ordinals assigned so far.
+func (t *Ordinals) Len() int { return len(t.ids) }
+
+// ID returns the entity id of an assigned ordinal.
+func (t *Ordinals) ID(ord uint32) model.EntityID { return t.ids[ord] }
+
+// IDs returns every assigned id, indexed by ordinal. The slice must not be
+// modified.
+func (t *Ordinals) IDs() []model.EntityID { return t.ids }
+
+// Lookup returns the ordinal of an entity id, if it has one.
+func (t *Ordinals) Lookup(id model.EntityID) (uint32, bool) {
+	ord, ok := t.index[id]
+	return ord, ok
+}
+
+// intern returns the ordinal of id, assigning the next one on first sight.
+func (t *Ordinals) intern(id model.EntityID) uint32 {
+	ord, ok := t.index[id]
+	if !ok {
+		ord = uint32(len(t.ids))
+		t.ids = append(t.ids, id)
+		t.index[id] = ord
+	}
+	return ord
+}

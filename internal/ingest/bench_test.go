@@ -8,6 +8,7 @@ import (
 	"slim"
 	"slim/internal/engine"
 	"slim/internal/storage"
+	"slim/internal/testenv"
 )
 
 // benchPlane boots a durable plane (real WAL in a temp dir, group-commit
@@ -84,7 +85,7 @@ func TestIngestThroughputFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement; skipped in -short")
 	}
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("race instrumentation costs ~10x on this path; CI gates the floor in a dedicated non-race step")
 	}
 	p := benchPlane(t)

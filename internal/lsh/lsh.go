@@ -11,6 +11,12 @@
 // between the batch enumeration below and the incremental candidate index
 // in internal/candidates, so both paths hash exactly the same bytes and
 // can never disagree on which pairs collide.
+//
+// The batch enumeration (BuildSignatures, CandidatePairs, Pair, SortPairs)
+// is keyed by entity id on purpose: it is the from-scratch oracle the
+// index's parity suites compare against, and shares no representation
+// with it — the index names entities by ordinal and pairs by a packed
+// uint64, and no linker path calls the batch form.
 package lsh
 
 import (

@@ -11,6 +11,7 @@ import (
 	"slim/internal/geo"
 	"slim/internal/history"
 	"slim/internal/model"
+	"slim/internal/testenv"
 )
 
 var wnd = model.Windowing{Epoch: 0, WidthSeconds: 900}
@@ -415,7 +416,7 @@ func TestAppendSignatureMatchesBuildSignatures(t *testing.T) {
 // span several leaf windows and cells (the sort-scratch path of
 // DominatingCellAt) must not touch the heap once the scratch pool is warm.
 func TestAppendSignatureZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items; gate runs in non-race CI")
 	}
 	var recs []model.Record

@@ -125,6 +125,58 @@ func (d *Dataset) FilterMinRecords(minRecords int) Dataset {
 	return out
 }
 
+// Grouped is a dataset regrouped by entity: entity k (sorted-id order)
+// owns Records[Off[k]:Off[k+1]], sorted the way ByEntity sorts them.
+// len(Off) is len(Entities)+1.
+type Grouped struct {
+	Name     string
+	Entities []EntityID
+	Off      []int
+	Records  []Record
+}
+
+// Of returns entity k's records.
+func (g *Grouped) Of(k int) []Record { return g.Records[g.Off[k]:g.Off[k+1]] }
+
+// Dataset views the grouped records as a dataset (sharing them).
+func (g *Grouped) Dataset() Dataset { return Dataset{Name: g.Name, Records: g.Records} }
+
+// GroupByEntity groups the records of every entity holding strictly more
+// than minRecords of them (a negative minRecords keeps every entity) into
+// one exactly sized record slice: the MinRecords filter and the per-entity
+// grouping of a history build in one pass over the dataset.
+func (d *Dataset) GroupByEntity(minRecords int) Grouped {
+	counts := make(map[EntityID]int)
+	for _, r := range d.Records {
+		counts[r.Entity]++
+	}
+	g := Grouped{Name: d.Name}
+	for e, n := range counts {
+		if n > minRecords {
+			g.Entities = append(g.Entities, e)
+		} else {
+			counts[e] = -1
+		}
+	}
+	slices.Sort(g.Entities)
+	g.Off = make([]int, len(g.Entities)+1)
+	for k, e := range g.Entities {
+		g.Off[k+1] = g.Off[k] + counts[e]
+		counts[e] = g.Off[k] // from here on, the entity's next write position
+	}
+	g.Records = make([]Record, g.Off[len(g.Entities)])
+	for _, r := range d.Records {
+		if at := counts[r.Entity]; at >= 0 {
+			g.Records[at] = r
+			counts[r.Entity] = at + 1
+		}
+	}
+	for k := range g.Entities {
+		sortRecords(g.Of(k))
+	}
+	return g
+}
+
 // Validate checks every record for a valid position and entity id.
 func (d *Dataset) Validate() error {
 	for i, r := range d.Records {

@@ -2,11 +2,16 @@ package model
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"slim/internal/geo"
+	"slim/internal/testenv"
 )
 
 func rec(e string, lat, lng float64, unix int64) Record {
@@ -79,6 +84,40 @@ func TestFilterMinRecords(t *testing.T) {
 	for _, r := range out.Records {
 		if r.Entity != "keep" {
 			t.Errorf("unexpected entity %q survived filter", r.Entity)
+		}
+	}
+}
+
+// TestGroupByEntityMatchesFilterThenByEntity: the one-pass grouping is the
+// MinRecords filter followed by ByEntity — same entities, sorted, each with
+// the same records in the same order.
+func TestGroupByEntityMatchesFilterThenByEntity(t *testing.T) {
+	var d Dataset
+	for k := 0; k < 400; k++ {
+		e := fmt.Sprintf("e%02d", (k*k)%23)
+		// Duplicate timestamps and positions exercise the tie-break.
+		d.Records = append(d.Records, rec(e, float64(k%5), float64(k%3), int64(k%17)))
+	}
+	for _, minRecords := range []int{-1, 0, 5, 17, 1000} {
+		g := d.GroupByEntity(minRecords)
+		want := d.ByEntity()
+		if minRecords >= 0 {
+			f := d.FilterMinRecords(minRecords)
+			want = f.ByEntity()
+		}
+		if len(g.Entities) != len(want) || len(g.Off) != len(g.Entities)+1 {
+			t.Fatalf("min %d: %d entities (%d offsets), want %d", minRecords, len(g.Entities), len(g.Off), len(want))
+		}
+		if !slices.IsSorted(g.Entities) {
+			t.Fatalf("min %d: entities not sorted", minRecords)
+		}
+		for k, e := range g.Entities {
+			if !slices.Equal(g.Of(k), want[e]) {
+				t.Fatalf("min %d: records of %s differ from FilterMinRecords + ByEntity", minRecords, e)
+			}
+		}
+		if gd := g.Dataset(); len(gd.Records) != g.Off[len(g.Entities)] {
+			t.Fatalf("min %d: dataset view holds %d records, offsets end at %d", minRecords, len(gd.Records), g.Off[len(g.Entities)])
 		}
 	}
 }
@@ -181,6 +220,44 @@ func TestCSVRoundTrip(t *testing.T) {
 			t.Errorf("record %d mismatch: %+v vs %+v", i, got.Records[i], d.Records[i])
 		}
 	}
+}
+
+// TestReadCSVInternsEntityIDs: encoding/csv hands out fields as substrings
+// of one string per line, so an id taken as is would keep its whole line
+// alive. Every record of an entity must share one backing string, and a
+// load must retain little beyond the records themselves.
+func TestReadCSVInternsEntityIDs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("heap budgets are meaningless under the race detector")
+	}
+	const records, perEntity = 50_000, 12
+	var buf bytes.Buffer
+	buf.WriteString("entity,lat,lng,unix\n")
+	for k := 0; k < records; k++ {
+		fmt.Fprintf(&buf, "user-%06d,%.7f,%.7f,%d\n", k/perEntity, 37.5+float64(k%997)*1e-4, -122.3-float64(k%991)*1e-4, 1_200_000_000+k)
+	}
+	before := testenv.LiveHeap()
+	d, err := ReadCSV(&buf, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := testenv.LiveHeap()
+	runtime.KeepAlive(&buf) // live across both readings, so it cancels out
+	if len(d.Records) != records {
+		t.Fatalf("read %d records, want %d", len(d.Records), records)
+	}
+	for k := 1; k < records; k++ {
+		a, b := d.Records[k-1].Entity, d.Records[k].Entity
+		if a == b && unsafe.StringData(string(a)) != unsafe.StringData(string(b)) {
+			t.Fatalf("records %d and %d of %s do not share their id's bytes", k-1, k, a)
+		}
+	}
+	perRecord := float64(after-before) / records
+	t.Logf("%.1f B retained per record (a Record is %d B)", perRecord, unsafe.Sizeof(Record{}))
+	if perRecord >= 60 {
+		t.Errorf("load retains %.1f B per record, want < 60", perRecord)
+	}
+	runtime.KeepAlive(d)
 }
 
 func TestReadCSVErrors(t *testing.T) {

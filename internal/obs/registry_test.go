@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"slim/internal/testenv"
 )
 
 // parseExposition splits a Prometheus text exposition into samples,
@@ -201,7 +203,7 @@ func TestRegistryConcurrent(t *testing.T) {
 // TestUpdateZeroAllocs gates the hot-path cost contract: counter adds,
 // gauge sets, and histogram observations must never touch the heap.
 func TestUpdateZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; gate runs in non-race CI")
 	}
 	r := NewRegistry()

@@ -18,6 +18,7 @@ import (
 	"slim/internal/geo"
 	"slim/internal/history"
 	"slim/internal/model"
+	"slim/internal/testenv"
 )
 
 // refStats mirrors the scorer's batched work counters.
@@ -389,7 +390,7 @@ func TestCompiledProbeRatioParity(t *testing.T) {
 // TestScoreWarmZeroAllocs is the allocation-regression gate of the scoring
 // kernel: once warm, Score must not touch the heap at all.
 func TestScoreWarmZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; gate runs in non-race CI")
 	}
 	s, u, v := warmWorkloadStores(t)

@@ -16,6 +16,11 @@
 // TestScoreWarmZeroAllocs) while producing bit-identical scores to the
 // original map-walking implementation (enforced by the compiled-vs-map
 // parity tests).
+//
+// The pair-scale entry point is ScoreOrd, over the two sides' entity
+// ordinals (history.Ordinals): it reaches both compiled views and both
+// normalization factors by slice index. Score, ProbeRatio and
+// ScoreBreakdown take entity ids, resolve them once and run the same code.
 package similarity
 
 import (
@@ -219,18 +224,31 @@ func (s *Scorer) flush(sc *scratch) {
 }
 
 // Score computes S(u, v) per Eq. 2 / Alg. 1 for u in store E and v in
-// store I. Unknown entities score 0.
+// store I. Unknown entities score 0. It resolves the two ids once and
+// delegates to ScoreOrd.
 func (s *Scorer) Score(u, v model.EntityID) float64 {
-	cu, idsU := s.E.CompiledView(u)
-	cv, idsV := s.I.CompiledView(v)
+	ou, okU := s.E.Ordinals().Lookup(u)
+	ov, okV := s.I.Ordinals().Lookup(v)
+	if !okU || !okV {
+		return 0
+	}
+	return s.ScoreOrd(ou, ov)
+}
+
+// ScoreOrd is Score over the two sides' entity ordinals (see
+// history.Ordinals): the entry point of every pair-scale caller, which
+// hashes no entity id. Ordinals without a history score 0.
+func (s *Scorer) ScoreOrd(u, v uint32) float64 {
+	cu, idsU := s.E.CompiledViewAt(u)
+	cv, idsV := s.I.CompiledViewAt(v)
 	if cu == nil || cv == nil {
 		return 0
 	}
 
 	lu, lv := 1.0, 1.0
 	if s.Par.UseNorm {
-		lu = s.E.NormFactor(u, s.Par.B)
-		lv = s.I.NormFactor(v, s.Par.B)
+		lu = s.E.NormFactorAt(u, s.Par.B)
+		lv = s.I.NormFactorAt(v, s.Par.B)
 	}
 	norm := lu * lv
 	if norm <= 0 {

@@ -1,0 +1,6 @@
+//go:build race
+
+package testenv
+
+// RaceEnabled reports that the race detector is compiled in.
+const RaceEnabled = true

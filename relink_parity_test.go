@@ -1,6 +1,7 @@
 package slim_test
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -114,15 +115,95 @@ func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 		{"lsh", &slim.LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}},
 	}
 	for _, sc := range scenarios {
-		for _, seed := range []int64{3, 19} {
-			for _, subject := range []string{"linker", "engine"} {
+		for _, subject := range []string{"linker", "engine"} {
+			for _, seed := range []int64{3, 19} {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", subject, sc.name, seed), func(t *testing.T) {
 					cfg := slim.Defaults()
 					cfg.LSH = sc.lsh
 					runParityScenario(t, subject, cfg, seed)
 				})
 			}
+			t.Run(fmt.Sprintf("%s/%s/descending", subject, sc.name), func(t *testing.T) {
+				cfg := slim.Defaults()
+				cfg.LSH = sc.lsh
+				runDescendingScenario(t, subject, cfg)
+			})
 		}
+	}
+}
+
+// descendingArrival returns the workload's records grouped by entity, the
+// entities in descending id order. Streamed into an empty linker in that
+// order, every entity gets an ordinal that reverses its id rank, so the
+// packed-pair order the candidates and scores are enumerated in is the
+// exact reverse of the canonical (U, V) order on both sides.
+func descendingArrival(d slim.Dataset) [][]slim.Record {
+	byEntity := d.ByEntity()
+	ids := d.Entities()
+	slices.Reverse(ids)
+	out := make([][]slim.Record, len(ids))
+	for k, id := range ids {
+		out[k] = byEntity[id]
+	}
+	return out
+}
+
+// runDescendingScenario streams a workload into an empty subject, both
+// sides' entities arriving in descending id order, and holds every run —
+// full rescores while entities arrive, then the delta path — to
+// LinkDatasets over the union, which numbers the same entities in
+// ascending id order.
+func runDescendingScenario(t *testing.T, subject string, cfg slim.Config) {
+	ground := slim.GenerateCab(slim.CabOptions{NumTaxis: 14, Days: 2, MeanRecordIntervalSec: 420, Seed: 11})
+	w := slim.SampleWorkload(&ground, slim.SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 12,
+	})
+	arriveE := descendingArrival(w.E.FilterMinRecords(cfg.MinRecords))
+	arriveI := descendingArrival(w.I.FilterMinRecords(cfg.MinRecords))
+
+	var inc relinker
+	if subject == "engine" {
+		inc, _ = engineSubject(t, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"}, cfg)
+	} else {
+		inc = linkerSubject(t, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"}, cfg)
+	}
+	var unionE, unionI []slim.Record
+	check := func(step string) slim.Result {
+		t.Helper()
+		want, err := slim.LinkDatasets(
+			slim.Dataset{Name: "E", Records: unionE},
+			slim.Dataset{Name: "I", Records: unionI}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := inc.run()
+		requireSameResult(t, step, got, want)
+		return got
+	}
+	for k := 0; k < max(len(arriveE), len(arriveI)); k++ {
+		if k < len(arriveE) {
+			inc.addE(arriveE[k]...)
+			unionE = append(unionE, arriveE[k]...)
+		}
+		if k < len(arriveI) {
+			inc.addI(arriveI[k]...)
+			unionI = append(unionI, arriveI[k]...)
+		}
+		if k%3 == 2 {
+			check(fmt.Sprintf("after %d entities a side", k+1))
+		}
+	}
+	if got := check("all entities"); len(got.Links) == 0 {
+		t.Fatal("workload produced no links; the parity check is vacuous")
+	}
+	// Re-observations of known bins: the pair-level delta path, over
+	// anti-sorted ordinals.
+	for k := 0; k < 6; k++ {
+		inc.addE(unionE[k*7])
+		unionE = append(unionE, unionE[k*7])
+	}
+	if got := check("weight-only burst"); got.Stats.EdgeStore.FullRescore {
+		t.Fatal("weight-only burst took the full-rescore path; the delta path went untested")
 	}
 }
 
@@ -290,29 +371,19 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 }
 
 // TestRunEdgesCanonicalOrder: RunEdges returns its edges strictly sorted by
-// (U, V) on the full-rescore path — which adopts the parallel scoring
-// pass's concatenated per-worker output as is, so this pins that both pair
-// enumerations (the sorted candidate list, the sorted E × sorted I walk)
-// and the ascending worker chunks are canonical — and on the delta path.
+// (U, V) on the full-rescore path and on the delta path, whatever order
+// the entities' ordinals are in. Candidates and scores are enumerated in
+// packed-ordinal order, which is the canonical order only while ordinals
+// follow id order: the second linker is fed both sides in descending id
+// order, so there the two orders are exact opposites and only the edge
+// store's sort restores the canonical one.
 func TestRunEdgesCanonicalOrder(t *testing.T) {
 	ground := slim.GenerateCab(slim.CabOptions{NumTaxis: 14, Days: 2, MeanRecordIntervalSec: 420, Seed: 7})
 	w := slim.SampleWorkload(&ground, slim.SampleOptions{
 		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 8,
 	})
 	byPair := func(a, b slim.Link) int {
-		if a.U != b.U {
-			if a.U < b.U {
-				return -1
-			}
-			return 1
-		}
-		if a.V < b.V {
-			return -1
-		}
-		if a.V > b.V {
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	}
 	for name, lsh := range map[string]*slim.LSHConfig{
 		"brute": nil,
@@ -322,12 +393,7 @@ func TestRunEdgesCanonicalOrder(t *testing.T) {
 			cfg := slim.Defaults()
 			cfg.LSH = lsh
 			cfg.Workers = 3 // several chunks, uneven against the pair count
-			half := len(w.E.Records) / 2
-			lk, err := slim.NewLinker(slim.Dataset{Name: "E", Records: w.E.Records[:half]}, w.I, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(step string, wantFull bool) {
+			check := func(lk *slim.Linker, step string, wantFull bool) {
 				t.Helper()
 				edges, stats := lk.RunEdges()
 				if len(edges) < 2 {
@@ -340,11 +406,31 @@ func TestRunEdgesCanonicalOrder(t *testing.T) {
 					t.Fatalf("%s: RunEdges output is not in canonical (U, V) order", step)
 				}
 			}
-			check("first run", true)
+
+			half := len(w.E.Records) / 2
+			lk, err := slim.NewLinker(slim.Dataset{Name: "E", Records: w.E.Records[:half]}, w.I, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(lk, "first run", true)
 			lk.AddE(w.E.Records[half:]...) // new entities and bins: an IDF-epoch full rescore
-			check("after new entities", true)
+			check(lk, "after new entities", true)
 			lk.AddE(w.E.Records[:5]...) // repeats of known bins: the delta path
-			check("weight-only burst", false)
+			check(lk, "weight-only burst", false)
+
+			desc, err := slim.NewLinker(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, recs := range descendingArrival(w.E) {
+				desc.AddE(recs...)
+			}
+			for _, recs := range descendingArrival(w.I) {
+				desc.AddI(recs...)
+			}
+			check(desc, "descending arrival", true)
+			desc.AddE(w.E.Records[:5]...)
+			check(desc, "descending arrival, weight-only burst", false)
 		})
 	}
 }

@@ -22,6 +22,7 @@ package slim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -107,13 +108,18 @@ type Linker struct {
 	// candIndex incrementally maintains the LSH candidate set (non-nil
 	// exactly when cfg.LSH is set; nil means brute force, where the cross
 	// product is streamed by index, never materialized); dirtyE/dirtyI
-	// collect the entities touched by AddE/AddI since the last run in
-	// every mode, so a relink re-signs O(dirty) index entries and — via
-	// the edge store — rescores O(dirty) pairs instead of rescanning the
-	// world.
+	// collect, by ordinal, the entities touched by AddE/AddI since the
+	// last run in every mode, so a relink re-signs O(dirty) index entries
+	// and — via the edge store — rescores O(dirty) pairs instead of
+	// rescanning the world.
+	//
+	// Inside the linker an entity is the ordinal of its side's entity table
+	// (history.Ordinals, shared by the side's two stores) and a pair one
+	// packed uint64 (candidates.Key). Ids come in through the table at
+	// Add/Score/Explain and go out where the edge store materialises Links.
 	candIndex *candidates.Index
-	dirtyE    map[EntityID]struct{}
-	dirtyI    map[EntityID]struct{}
+	dirtyE    map[uint32]struct{}
+	dirtyI    map[uint32]struct{}
 	// edges is the maintained pair→score state RunEdges updates by delta;
 	// see edges.go for the epoch-invalidation discipline.
 	edges edgeStore
@@ -150,8 +156,11 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	if err := dsI.Validate(); err != nil {
 		return nil, fmt.Errorf("slim: dataset I: %w", err)
 	}
-	fe := dsE.FilterMinRecords(cfg.MinRecords)
-	fi := dsI.FilterMinRecords(cfg.MinRecords)
+	// Filter and group each side once; both spatial levels are built from
+	// the grouped form.
+	ge := dsE.GroupByEntity(cfg.MinRecords)
+	gi := dsI.GroupByEntity(cfg.MinRecords)
+	fe, fi := ge.Dataset(), gi.Dataset()
 
 	widthSec := max(int64(cfg.WindowMinutes*60), 1)
 	wnd := model.NewWindowing(widthSec, &fe, &fi)
@@ -170,12 +179,12 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	lk := &Linker{
 		cfg:    cfg,
 		wnd:    wnd,
-		dirtyE: make(map[EntityID]struct{}),
-		dirtyI: make(map[EntityID]struct{}),
-		edges:  newEdgeStore(),
+		dirtyE: make(map[uint32]struct{}),
+		dirtyI: make(map[uint32]struct{}),
 	}
-	lk.storeE = history.BuildParallel(&fe, wnd, cfg.SpatialLevel, cfg.Workers)
-	lk.storeI = history.BuildParallel(&fi, wnd, cfg.SpatialLevel, cfg.Workers)
+	lk.storeE = history.BuildGrouped(&ge, wnd, cfg.SpatialLevel, cfg.Workers)
+	lk.storeI = history.BuildGrouped(&gi, wnd, cfg.SpatialLevel, cfg.Workers)
+	lk.edges = newEdgeStore(lk.storeE.Ordinals(), lk.storeI.Ordinals())
 
 	params := similarity.DefaultParams(float64(widthSec)/60, cfg.MaxSpeedKmPerMin)
 	params.B = cfg.B
@@ -188,20 +197,20 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	lk.scorer = similarity.NewScorer(lk.storeE, lk.storeI, params)
 
 	if cfg.LSH != nil {
-		lk.buildLSHCandidates(&fe, &fi)
+		lk.buildLSHCandidates(&ge, &gi)
 	}
 	return lk, nil
 }
 
 // buildLSHCandidates constructs dominating-cell signature stores (at the
 // LSH's own spatial level) and the incremental candidate index over them.
-func (lk *Linker) buildLSHCandidates(fe, fi *model.Dataset) {
+func (lk *Linker) buildLSHCandidates(ge, gi *model.Grouped) {
 	c := lk.cfg.LSH
 	lk.sigStoreE = lk.storeE
 	lk.sigStoreI = lk.storeI
 	if c.SpatialLevel != lk.cfg.SpatialLevel {
-		lk.sigStoreE = history.BuildParallel(fe, lk.wnd, c.SpatialLevel, lk.cfg.Workers)
-		lk.sigStoreI = history.BuildParallel(fi, lk.wnd, c.SpatialLevel, lk.cfg.Workers)
+		lk.sigStoreE = lk.storeE.SignatureStore(ge, c.SpatialLevel, lk.cfg.Workers)
+		lk.sigStoreI = lk.storeI.SignatureStore(gi, c.SpatialLevel, lk.cfg.Workers)
 	}
 	lk.candIndex = candidates.New(lk.sigStoreE, lk.sigStoreI, lsh.Params{
 		Threshold:    c.Threshold,
@@ -263,17 +272,17 @@ func (lk *Linker) AddE(recs ...Record) { lk.add(lk.storeE, lk.sigStoreE, lk.dirt
 // AddI ingests new records of the second dataset; see AddE.
 func (lk *Linker) AddI(recs ...Record) { lk.add(lk.storeI, lk.sigStoreI, lk.dirtyI, recs) }
 
-func (lk *Linker) add(store, sigStore *history.Store, dirty map[EntityID]struct{}, recs []Record) {
+func (lk *Linker) add(store, sigStore *history.Store, dirty map[uint32]struct{}, recs []Record) {
 	for _, r := range recs {
-		store.Add(r)
+		ord := store.Add(r)
 		if sigStore != nil && sigStore != store {
-			sigStore.Add(r)
+			sigStore.Add(r) // the side's shared table hands out the same ordinal
 		}
 		// Remember which entities changed: the next candidate refresh
 		// re-signs exactly these (LSH mode), and the next RunEdges rescores
 		// exactly their pairs (brute-force mode) unless an IDF-epoch bump
 		// forces a full rescore anyway.
-		dirty[r.Entity] = struct{}{}
+		dirty[ord] = struct{}{}
 	}
 }
 
@@ -329,37 +338,26 @@ type PairExplanation struct {
 // the current stores — call it after RunEdges for answers consistent with
 // the last published links. Not safe concurrently with ingest or runs.
 func (lk *Linker) Explain(u, v EntityID) PairExplanation {
+	ou, ov := ordOf(lk.storeE.Ordinals(), u), ordOf(lk.storeI.Ordinals(), v)
 	ex := PairExplanation{
 		Breakdown: lk.ScoreBreakdown(u, v),
-		Edge:      lk.edges.lineage(lsh.Pair{U: u, V: v}),
+		Edge:      lk.edges.lineage(candidates.Key(ou, ov)),
 	}
 	if lk.candIndex != nil {
-		ce := lk.candIndex.Explain(lsh.Pair{U: u, V: v})
+		ce := lk.candIndex.Explain(ou, ov)
 		ex.Candidates = &ce
 	}
 	return ex
 }
 
-// CandidatePairs returns the pairs that will be scored: the LSH survivors
-// as of the last candidate refresh, or every cross pair when LSH is
-// disabled. Either way the list is materialized for this call only — the
-// scoring path streams the brute-force cross product by index and reads
-// the LSH survivors only on a full rescore — so only callers that
-// explicitly want the list pay for it. The returned slice must not be
-// modified when LSH is enabled.
-func (lk *Linker) CandidatePairs() []lsh.Pair {
-	if lk.candIndex != nil {
-		return lk.candIndex.Pairs()
+// ordOf resolves an entity id at the API boundary. An unknown id gets an
+// ordinal no table ever assigns, which every ordinal-keyed structure treats
+// as "no such entity".
+func ordOf(t *history.Ordinals, id EntityID) uint32 {
+	if ord, ok := t.Lookup(id); ok {
+		return ord
 	}
-	es := lk.storeE.Entities()
-	is := lk.storeI.Entities()
-	pairs := make([]lsh.Pair, 0, len(es)*len(is))
-	for _, u := range es {
-		for _, v := range is {
-			pairs = append(pairs, lsh.Pair{U: u, V: v})
-		}
-	}
-	return pairs
+	return math.MaxUint32
 }
 
 // NumCandidatePairs returns how many pairs the next RunEdges will score,
@@ -431,27 +429,24 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 	full := !lk.edges.built || lk.edges.pendFull ||
 		epochE != lk.edges.epochE || epochI != lk.edges.epochI
 	if full {
-		var edges []matching.Edge
+		var pairAt func(int) uint64
+		total := int(nPairs)
 		if lk.candIndex != nil {
 			pairs := lk.candIndex.Pairs()
-			edges = lk.scoreIndexed(len(pairs), func(k int) (EntityID, EntityID) {
-				return pairs[k].U, pairs[k].V
-			})
+			pairAt = func(k int) uint64 { return pairs[k] }
 		} else {
 			// Brute force: enumerate the |E|×|I| cross product by index
-			// instead of materializing multi-GiB pair slices.
-			es := lk.storeE.Entities()
-			is := lk.storeI.Entities()
-			edges = lk.scoreIndexed(len(es)*len(is), func(k int) (EntityID, EntityID) {
-				return es[k/len(is)], is[k%len(is)]
-			})
+			// instead of materializing multi-GiB pair slices. The similarity
+			// stores hold a history for every ordinal of their tables.
+			nI := lk.storeI.NumEntities()
+			pairAt = func(k int) uint64 { return candidates.Key(uint32(k/nI), uint32(k%nI)) }
 		}
-		lk.edges.resetFull(toLinks(edges), seq)
+		lk.edges.resetFull(lk.scoreIndexed(total, pairAt), seq)
 		lk.edges.lastRescored, lk.edges.lastRetained, lk.edges.lastDropped = nPairs, 0, 0
 	} else {
-		var pairs []lsh.Pair
+		var pairs []uint64
 		if lk.candIndex != nil {
-			pairs = make([]lsh.Pair, 0, len(lk.edges.pendRescore))
+			pairs = make([]uint64, 0, len(lk.edges.pendRescore))
 			for p := range lk.edges.pendRescore {
 				pairs = append(pairs, p)
 			}
@@ -497,21 +492,20 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 // here — a new entity bumps its store's IDF epoch, which forces a full
 // rescore before this path is taken — so the enumeration only ever names
 // pairs whose counterpart lists are unchanged since the last run.
-func (lk *Linker) bruteDeltaPairs() []lsh.Pair {
-	es := lk.storeE.Entities()
-	is := lk.storeI.Entities()
-	pairs := make([]lsh.Pair, 0, len(lk.dirtyE)*len(is)+len(lk.dirtyI)*len(es))
+func (lk *Linker) bruteDeltaPairs() []uint64 {
+	nE, nI := uint32(lk.storeE.NumEntities()), uint32(lk.storeI.NumEntities())
+	pairs := make([]uint64, 0, len(lk.dirtyE)*int(nI)+len(lk.dirtyI)*int(nE))
 	for u := range lk.dirtyE {
-		for _, v := range is {
-			pairs = append(pairs, lsh.Pair{U: u, V: v})
+		for v := uint32(0); v < nI; v++ {
+			pairs = append(pairs, candidates.Key(u, v))
 		}
 	}
 	for v := range lk.dirtyI {
-		for _, u := range es {
+		for u := uint32(0); u < nE; u++ {
 			if _, dup := lk.dirtyE[u]; dup {
 				continue // already enumerated against the full I side
 			}
-			pairs = append(pairs, lsh.Pair{U: u, V: v})
+			pairs = append(pairs, candidates.Key(u, v))
 		}
 	}
 	return pairs
@@ -521,11 +515,11 @@ func (lk *Linker) bruteDeltaPairs() []lsh.Pair {
 // returns the per-pair scores (including non-positive ones, which the
 // edge store needs to drop stale edges). Each worker owns a contiguous
 // index range of the output, so the result is deterministic.
-func (lk *Linker) scorePairs(pairs []lsh.Pair) []float64 {
+func (lk *Linker) scorePairs(pairs []uint64) []float64 {
 	out := make([]float64, len(pairs))
 	par.Chunks(lk.cfg.Workers, len(pairs), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
-			out[k] = lk.scorer.Score(pairs[k].U, pairs[k].V)
+			out[k] = lk.scorer.ScoreOrd(candidates.Ends(pairs[k]))
 		}
 	})
 	return out
@@ -684,28 +678,28 @@ func FilterLinks(links []Link, thr float64) []Link {
 }
 
 // scoreIndexed fans the candidate pairs pairAt(0..total-1) across workers
-// and keeps positive edges. Each worker owns a contiguous index range and
-// writes into its own result slot; slots are concatenated in worker order
-// after the barrier, so the merge is deterministic and lock-free — and
-// the edges come out in pairAt's order, which both callers make the
-// canonical (U, V) order.
-func (lk *Linker) scoreIndexed(total int, pairAt func(int) (EntityID, EntityID)) []matching.Edge {
+// and keeps the positive ones. Each worker owns a contiguous index range
+// and writes into its own result slot; slots are concatenated in worker
+// order after the barrier, so the merge is deterministic and lock-free.
+// The result is in pairAt's order — packed-ordinal order for both callers;
+// the edge store imposes the canonical id order when it materialises it.
+func (lk *Linker) scoreIndexed(total int, pairAt func(int) uint64) []scoredPair {
 	workers := min(lk.cfg.Workers, total) // Workers is normalized to >= 1
 	if workers <= 0 {
 		return nil
 	}
-	results := make([][]matching.Edge, workers)
+	results := make([][]scoredPair, workers)
 	par.Chunks(workers, total, func(w, lo, hi int) {
-		local := make([]matching.Edge, 0, (hi-lo)/4)
+		local := make([]scoredPair, 0, (hi-lo)/4)
 		for k := lo; k < hi; k++ {
-			u, v := pairAt(k)
-			if s := lk.scorer.Score(u, v); s > 0 {
-				local = append(local, matching.Edge{U: u, V: v, W: s})
+			p := pairAt(k)
+			if s := lk.scorer.ScoreOrd(candidates.Ends(p)); s > 0 {
+				local = append(local, scoredPair{key: p, score: s})
 			}
 		}
 		results[w] = local
 	})
-	var edges []matching.Edge
+	var edges []scoredPair
 	for _, part := range results {
 		edges = append(edges, part...)
 	}
