@@ -344,8 +344,10 @@ func TestCLISlimdChaos(t *testing.T) {
 	slimdBin := build(t, dir, "slimd")
 	dataDir := filepath.Join(dir, "data")
 	// Inline fsync so a nacked append never consumes a sequence number;
-	// snapshots off so the WAL alone accounts for every batch. The sync
-	// fault skips the boot checkpoint and lands on an early WAL append;
+	// checkpoints off so the fault schedule counts WAL fsyncs only (the
+	// log accounts for every batch either way: nothing truncates it). The
+	// sync fault skips the boot write of the base and lands on an early
+	// WAL append;
 	// the relink panic fires on the first forced run (a fresh seedless
 	// boot never runs on its own with a 1h debounce, so that run is ours).
 	baseArgs := []string{"-addr", "127.0.0.1:0", "-debounce", "1h",

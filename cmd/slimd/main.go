@@ -13,11 +13,14 @@
 //
 // The service may start empty (stream everything over the API) or seeded
 // with two CSV datasets (entity,lat,lng,unix), which are linked once at
-// boot. With -data-dir, every acknowledged ingest batch is durably logged
-// to a write-ahead log before it is accepted, the engine state is
-// periodically compacted into snapshots, and a restart (even after
-// kill -9) recovers the full state and replays the WAL tail before
-// /readyz reports ready. Linkage flags mirror slim-link: -window, -level,
+// boot. With -data-dir, the seed datasets are written to the directory
+// once, every acknowledged ingest batch is durably logged to a write-ahead
+// log before it is accepted, a checkpoint (-snapshot-every,
+// -snapshot-bytes, POST /v1/snapshot, shutdown) persists the published
+// links beside the log, and a restart (even after kill -9) rebuilds the
+// full state from the seeds and the whole log before /readyz reports
+// ready. The directory is the only copy of the records and nothing in it
+// is truncated. Linkage flags mirror slim-link: -window, -level,
 // -max-speed, -b, -min-records, -workers, -matcher, -threshold, and the
 // -lsh family.
 package main
@@ -69,7 +72,7 @@ func main() {
 
 		faultSpecs = flag.String("fault", "", "comma-separated fault-injection specs, site:action[:trigger]... (e.g. fs.sync:error:after=20, engine.rescore:panic:count=1) — chaos testing only; the process must survive every armed fault")
 
-		dataDir       = flag.String("data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory only")
+		dataDir       = flag.String("data-dir", "", "durable data directory (seed base + WAL + result checkpoints); empty = in-memory only")
 		fsyncInterval = flag.Duration("fsync-interval", storage.DefaultFsyncInterval, "WAL group-commit window (0 = fsync every append, <0 = never fsync)")
 		snapshotEvery = flag.Int("snapshot-every", storage.DefaultSnapshotEveryRuns, "checkpoint after this many relinks (<0 = only on WAL growth/shutdown)")
 		snapshotBytes = flag.Int64("snapshot-bytes", storage.DefaultSnapshotBytes, "checkpoint once this many WAL bytes were appended (<0 = never on bytes)")
@@ -222,11 +225,11 @@ func main() {
 		}
 	}()
 
-	// Serve the recovered result when there is one (a clean shutdown's
-	// checkpoint; the background scheduler refreshes it shortly after
-	// boot). Otherwise link once at boot when there is anything to link:
-	// seed datasets, or recovered state whose replayed WAL tail
-	// invalidated the snapshot result.
+	// Serve the recovered result when there is one (a checkpoint taken at
+	// the log's last batch, e.g. a clean shutdown's; the background
+	// scheduler refreshes it shortly after boot). Otherwise link once at
+	// boot when there is anything to link: seed datasets, or recovered
+	// state whose log runs past the last result checkpoint.
 	if res, _, ok := eng.Result(); ok {
 		logger.Info("serving recovered linkage", "links", len(res.Links), "threshold", res.Threshold)
 	} else if st := eng.Stats(); st.EntitiesE+st.EntitiesI > 0 || eng.Pending() > 0 {

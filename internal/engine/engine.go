@@ -713,8 +713,8 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 }
 
 // RestoreResult installs a previously published result, e.g. one loaded
-// from a snapshot during recovery, so queries can be served before the
-// first fresh relink. Subsequent runs continue the version sequence.
+// from a result checkpoint during recovery, so queries can be served before
+// the first fresh relink. Subsequent runs continue the version sequence.
 func (e *Engine) RestoreResult(res slim.Result, version uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -767,7 +767,7 @@ type Explanation struct {
 	Version uint64
 	// Run is the journal entry of the run that last rescored the pair;
 	// nil when that run has aged out of the ring (or never journaled —
-	// e.g. a result restored from a snapshot).
+	// e.g. a result restored from a checkpoint).
 	Run *RunRecord
 }
 

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"slim/internal/ingest"
 	"slim/internal/obs"
 	"slim/internal/storage"
+	"slim/internal/testenv"
 )
 
 // nodeOpts parameterizes bootNode; the zero value is a durable node with
@@ -428,5 +431,54 @@ func TestIngestShedLosslessOrRejected(t *testing.T) {
 	}
 	if replayed != acceptedRecords+500 {
 		t.Fatalf("post-recovery WAL holds %d records, want %d", replayed, acceptedRecords+500)
+	}
+}
+
+// TestReadBodySizedFromContentLength: the binary route's body read makes
+// one buffer from the declared Content-Length instead of regrowing from
+// 512 B — a 1,000-record request allocates at most twice its body — and
+// a missing, understated or overstated length changes nothing about what
+// is read or refused.
+func TestReadBodySizedFromContentLength(t *testing.T) {
+	recs := make([]slim.Record, 1000)
+	for k := range recs {
+		recs[k] = slim.NewRecord(slim.EntityID("e-"+strconv.Itoa(k%40)), 37.5+float64(k%7)*0.01, -122.3, 1_000_000+int64(k)*60)
+	}
+	body := frameBatches(storage.TagE, recs, len(recs))
+	read := func(declared, limit int64) ([]byte, error) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest/batch", bytes.NewReader(body))
+		req.ContentLength = declared
+		return readBody(httptest.NewRecorder(), req, limit)
+	}
+	for _, declared := range []int64{int64(len(body)), -1, 0, 10, 1 << 30} {
+		got, err := read(declared, MaxIngestBody)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("Content-Length %d: read %d bytes, %v; want the %d-byte body", declared, len(got), err, len(body))
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if _, err := read(int64(len(body)), int64(len(body))-1); !errors.As(err, &tooLarge) {
+		t.Fatalf("body over the limit: %v, want MaxBytesError", err)
+	}
+
+	if testenv.RaceEnabled {
+		t.Skip("allocation budget; skipped under the race detector")
+	}
+	const runs = 50
+	reqs := make([]*http.Request, runs)
+	for k := range reqs {
+		reqs[k] = httptest.NewRequest(http.MethodPost, "/v1/ingest/batch", bytes.NewReader(body))
+	}
+	w := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, req := range reqs {
+		if _, err := readBody(w, req, MaxIngestBody); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / runs; perRead > 2*uint64(len(body)) {
+		t.Fatalf("reading a %d-byte body allocated %d bytes, want at most twice the body", len(body), perRead)
 	}
 }

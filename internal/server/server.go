@@ -46,13 +46,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -433,7 +433,7 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, req *http.Request) {
 		s.error(w, req, http.StatusUnsupportedMediaType, fmt.Sprintf("content type %q, want %s", ct, ingest.ContentType))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.maxBody))
+	body, err := readBody(w, req, s.maxBody)
 	if err != nil {
 		s.requestError(w, req, err)
 		return
@@ -450,6 +450,20 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, req *http.Request) {
 			Pending:  s.eng.Pending(),
 		})
 	}
+}
+
+// readBody reads a request body of at most limit bytes. A declared
+// Content-Length sizes the buffer once (clamped to limit, plus the slack
+// that lets the read reach EOF without growing it) instead of regrowing
+// it from 512 B on every request; without one the buffer grows as the
+// body arrives. The limit is enforced either way, by MaxBytesReader.
+func readBody(w http.ResponseWriter, req *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := min(req.ContentLength, limit); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, limit))
+	return buf.Bytes(), err
 }
 
 // submit is the tail both ingest routes share — what a 202 means. It

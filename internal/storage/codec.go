@@ -1,30 +1,40 @@
 // Package storage is slimd's durability layer: a compact binary codec
 // for mobility records, an append-only segmented write-ahead log with
-// group-commit fsync, atomic engine snapshots, and crash recovery that
-// rebuilds a ready engine.Engine from the newest valid snapshot plus the
-// WAL tail.
+// group-commit fsync, a base file holding the seed datasets, result
+// checkpoints, and crash recovery that rebuilds a ready engine.Engine
+// from the base plus every batch the log holds past it.
 //
 // Layering: the ingest plane appends acknowledged batches through
 // Store.LogEncoded before it buffers them (ingest.Plane.Submit), the
 // engine calls the Store through the one-method engine.Persister hook (a
-// snapshot trigger after each relink), and Recover composes the loaded
-// state back into an engine. Nothing in the scoring pipeline knows storage
-// exists.
+// checkpoint trigger after each relink), and Recover composes the
+// directory back into an engine. Nothing in the scoring pipeline knows
+// storage exists, and the Store keeps no record in memory: the directory
+// is the only copy.
 //
 // On-disk layout of a data directory:
 //
-//	wal-00000001.seg     CRC32C-framed record batches (see Frame format)
-//	wal-00000002.seg     ... one file per segment, strictly ordered
-//	snapshot-<seq>.snap  full engine state through WAL sequence <seq>
+//	snapshot-<seq>.snap  the base: seed datasets, written once when the
+//	                     directory is initialised (seq 0) and never again;
+//	                     in a directory an older release compacted, its last
+//	                     full snapshot (seeds + batches 1..seq + a result)
+//	wal-00000001.seg     CRC32C-framed record batches (see Frame format):
+//	wal-00000002.seg     every batch past the base, sequence-contiguous,
+//	...                  one file per 16 MiB and per process start, never
+//	                     truncated
+//	result-<seq>.snap    the links published as of WAL sequence <seq>; each
+//	                     checkpoint writes one and removes its predecessor
 //
-// Frame format (shared by WAL segments and snapshot sections):
+// Frame format (shared by WAL segments, base sections and result files):
 //
 //	u32le payload length | u32le CRC32C(payload) | payload
 //
 // A torn final frame (short header, short payload, or CRC mismatch at a
-// segment tail) marks the end of the committed log; it is tolerated on
-// replay and never acknowledged to a client, because Append only returns
-// after the frame's fsync policy is satisfied.
+// segment tail) marks the end of that segment's committed log; it is
+// tolerated on replay and never acknowledged to a client, because Append
+// only returns after the frame's fsync policy is satisfied. A frame that
+// fails in the middle of the log leaves a hole in the batch sequence,
+// which replay refuses (see replayWAL).
 package storage
 
 import (

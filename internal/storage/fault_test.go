@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"slim"
 	"slim/internal/fault"
 )
 
@@ -36,21 +37,6 @@ func waitHealthy(t *testing.T, st *Store) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// streamEntities collects the entity ids in a recovered store's stream
-// buffers (both datasets).
-func streamEntities(st *Store) map[string]int {
-	out := map[string]int{}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, r := range st.streamE {
-		out[string(r.Entity)]++
-	}
-	for _, r := range st.streamI {
-		out[string(r.Entity)]++
-	}
-	return out
 }
 
 // TestFaultFSQuietParity pins the seam refactor: the byte stream an
@@ -153,25 +139,29 @@ func TestDegradedInlineFailedAppendNotRelogged(t *testing.T) {
 	}
 	st.crashClose()
 
-	_, st2, _, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
+	eng2, st2, _, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
 	if err != nil {
 		t.Fatalf("recovery after degraded episode failed: %v", err)
 	}
 	defer st2.crashClose()
-	have := streamEntities(st2)
+	have := loggedEntities(t, dir)
 	if have["e-acked"] != 4 || have["e-post"] != 4 {
 		t.Fatalf("acked batches lost: %v", have)
 	}
 	if have["e-failed"] != 0 || have["e-while-degraded"] != 0 {
 		t.Fatalf("nacked batches surfaced after recovery: %v", have)
 	}
+	if eng2.Pending() != 8 {
+		t.Fatalf("recovered engine holds %d records, want the 8 acked", eng2.Pending())
+	}
 }
 
 // TestDegradedGroupCommitRelogsNackedBatch: under group commit a failed
-// batched fsync nacks the caller but the store already buffered the
-// batch. The reopen must re-log it exactly once (old copy truncated
-// away, one fresh copy) and buffer it into the engine Recover built —
-// the caller, having been nacked, never did.
+// batched fsync nacks the caller but the batch already consumed its
+// sequence number. The reopen must re-log it exactly once (old copy
+// truncated away, one fresh copy under the same number, so the log has
+// no hole) and buffer it into the engine Recover built — the caller,
+// having been nacked, never did.
 func TestDegradedGroupCommitRelogsNackedBatch(t *testing.T) {
 	inj := fault.New()
 	opts := faultOpts(NewFaultFS(OSFS, inj))
@@ -205,7 +195,7 @@ func TestDegradedGroupCommitRelogsNackedBatch(t *testing.T) {
 	}
 	defer eng2.Close()
 	defer st2.crashClose()
-	have := streamEntities(st2)
+	have := loggedEntities(t, dir)
 	for _, id := range []string{"e-acked", "e-nacked", "e-post"} {
 		if have[id] != 4 {
 			t.Errorf("%s recovered %d times, want exactly 4 records once", id, have[id])
@@ -253,36 +243,48 @@ func TestReopenRetriesUntilFaultClears(t *testing.T) {
 // TestFSFailureSweep fails every FS call site at every call index of a
 // fixed workload and asserts the two invariants the storage layer
 // promises under arbitrary single I/O faults: the process never panics,
-// and a later fault-free recovery of the directory succeeds and holds
-// every batch the workload acked.
+// and a later fault-free recovery of the directory succeeds and links
+// exactly the batches the workload acked — Float64bits-identical to
+// LinkDatasets over them, both in the result it installs (if the fault
+// left one that describes the whole log) and in its first relink.
 //
 // The workload covers the whole I/O footprint: it boots against a
-// pre-seeded directory (snapshot load + WAL replay reads), appends with
-// a mid-cycle checkpoint and segment rotation, provokes one degraded
-// episode via a separate always-armed episode injector (so the
-// quarantine truncate + reopen path is part of the swept surface), and
-// closes cleanly.
+// pre-seeded directory (base load + WAL replay reads), appends with a
+// relink and a mid-cycle checkpoint and segment rotation, provokes one
+// degraded episode via a separate always-armed episode injector (so the
+// quarantine truncate + reopen path is part of the swept surface), relinks
+// and closes cleanly — so every FS call of a checkpoint (temp create,
+// write, fsync, close, rename, directory fsync, listing, removal of the
+// superseded file, stat) is failed once.
 func TestFSFailureSweep(t *testing.T) {
+	const entities = 8
+	eRecs := func(i int) []slim.Record { return mkRecs(fmt.Sprintf("e-%d", i), float64(i)*0.3, 6, 1_000_000) }
+	iRecs := func(i int) []slim.Record { return mkRecs(fmt.Sprintf("i-%d", i), float64(i)*0.3, 6, 1_000_030) }
+
 	// seed populates dir fault-free so the workload's boot replays real
-	// state (snapshot + WAL tail).
+	// state: the second-dataset partner of every entity the workload will
+	// stream, so each batch it gets acked adds a link.
 	seed := func(dir string) {
 		eng, st, _, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), faultOpts(OSFS))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.LogE(mkRecs("e-seed", 2.4, 6, 1_000_000)); err != nil {
-			t.Fatal(err)
+		for i := 0; i < entities; i++ {
+			if err := st.LogI(iRecs(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		st.crashClose()
 		eng.Close()
 	}
 
-	// workload runs the probe against dir; acked collects the entity ids
-	// of batches LogE acknowledged. The episode injector (fresh per run,
-	// outermost) fails the 7th fsync — deterministically a WAL append
-	// fsync after the mid-cycle checkpoint — forcing a degraded episode
-	// whose repair hits the truncate/reopen sites on the swept fs.
-	workload := func(dir string, fs FS) (acked []string) {
+	// workload runs the probe against dir; acked collects the indexes of
+	// the batches LogE acknowledged (and the workload then buffered, as
+	// Plane.Submit does). The episode injector (fresh per run, outermost)
+	// fails the 7th fsync — deterministically a WAL append fsync after the
+	// mid-cycle checkpoint — forcing a degraded episode whose repair hits
+	// the truncate/reopen sites on the swept fs.
+	workload := func(dir string, fs FS) (acked []int) {
 		episode := fault.New()
 		episode.Arm(SiteFSSync, fault.Rule{After: 6, Count: 1})
 		opts := faultOpts(NewFaultFS(fs, episode))
@@ -292,10 +294,11 @@ func TestFSFailureSweep(t *testing.T) {
 			return nil // boot-time fail-stop: a legal outcome under injection
 		}
 		defer eng.Close()
-		for i := 0; i < 8; i++ {
-			id := fmt.Sprintf("e-%d", i)
-			if err := st.LogE(mkRecs(id, float64(i)*0.3, 6, 1_000_000)); err == nil {
-				acked = append(acked, id)
+		for i := 0; i < entities; i++ {
+			recs := eRecs(i)
+			if err := st.LogE(recs); err == nil {
+				eng.AddE(recs...)
+				acked = append(acked, i)
 			} else if errors.Is(err, ErrDegraded) {
 				// Wait out the reopen so later batches exercise the recovered
 				// path too.
@@ -305,9 +308,11 @@ func TestFSFailureSweep(t *testing.T) {
 				}
 			}
 			if i == 3 {
+				eng.Run()
 				_, _ = st.Checkpoint()
 			}
 		}
+		eng.Run()
 		_ = st.Close()
 		return acked
 	}
@@ -319,27 +324,40 @@ func TestFSFailureSweep(t *testing.T) {
 	baseDir := t.TempDir()
 	seed(baseDir)
 	ackedBase := workload(baseDir, NewFaultFS(OSFS, baseline))
-	if len(ackedBase) != 7 { // one batch is nacked by the provoked episode
-		t.Fatalf("baseline acked %d/7 batches: %v", len(ackedBase), ackedBase)
+	if len(ackedBase) != entities-1 { // one batch is nacked by the provoked episode
+		t.Fatalf("baseline acked %d/%d batches: %v", len(ackedBase), entities-1, ackedBase)
 	}
 
-	verify := func(name, dir string, acked []string) {
+	verify := func(name, dir string, acked []int) (installed bool) {
 		t.Helper()
-		eng2, st2, _, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
+		var e, i []slim.Record
+		for k := 0; k < entities; k++ {
+			i = append(i, iRecs(k)...)
+		}
+		for _, k := range acked {
+			e = append(e, eRecs(k)...)
+		}
+		want := oracleLinks(t, e, i)
+		if len(want) != len(acked) {
+			t.Fatalf("%s: oracle links %d of %d acked entities", name, len(want), len(acked))
+		}
+		eng2, st2, info, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
 		if err != nil {
 			t.Errorf("%s: recovery after fault failed: %v", name, err)
-			return
+			return false
 		}
-		have := streamEntities(st2)
-		for _, id := range append([]string{"e-seed"}, acked...) {
-			if have[id] != 6 {
-				t.Errorf("%s: acked batch %s recovered %d records, want 6", name, id, have[id])
-			}
+		defer eng2.Close()
+		defer st2.crashClose()
+		if info.HasResult {
+			res, _, _ := eng2.Result()
+			requireLinksBits(t, name+": installed result", res.Links, want)
 		}
-		st2.crashClose()
-		eng2.Close()
+		requireLinksBits(t, name+": first relink", eng2.Run().Links, want)
+		return info.HasResult
 	}
-	verify("baseline", baseDir, ackedBase)
+	if !verify("baseline", baseDir, ackedBase) {
+		t.Error("baseline: the clean close's result checkpoint was not installed")
+	}
 
 	for _, site := range FaultSites {
 		hits := baseline.Hits(site)
@@ -354,7 +372,7 @@ func TestFSFailureSweep(t *testing.T) {
 			dir := t.TempDir()
 			seed(dir)
 			acked := workload(dir, NewFaultFS(OSFS, inj)) // must not panic
-			// Fault-free recovery must succeed and hold every acked batch.
+			// Fault-free recovery must succeed and link every acked batch.
 			verify(name, dir, acked)
 		}
 	}

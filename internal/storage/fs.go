@@ -5,7 +5,7 @@ import (
 )
 
 // FS is the storage layer's filesystem seam: every file operation the
-// WAL and snapshot code perform goes through this interface instead of
+// WAL and checkpoint code perform goes through this interface instead of
 // calling os.* directly, so tests can fail any Write/Sync/Rename/Close
 // at any call index (NewFaultFS) while production uses the passthrough
 // OSFS. The surface is exactly what the durability protocol needs — no
@@ -14,20 +14,21 @@ type FS interface {
 	// OpenFile opens a file for the WAL's segment writer (the only
 	// consumer; flags are O_CREATE|O_EXCL|O_WRONLY).
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	// CreateTemp creates the snapshot temp file (os.CreateTemp semantics).
+	// CreateTemp creates the temp file a base or result checkpoint is
+	// written to (os.CreateTemp semantics).
 	CreateTemp(dir, pattern string) (File, error)
-	// Rename atomically publishes a snapshot temp file.
+	// Rename atomically publishes that temp file.
 	Rename(oldpath, newpath string) error
-	// Remove deletes retired segments, superseded snapshots, and orphan
-	// temp files.
+	// Remove deletes superseded result checkpoints, partial segments of a
+	// failed reopen attempt, and orphan temp files.
 	Remove(name string) error
 	// Truncate cuts a quarantined segment back to its last durable byte.
 	Truncate(name string, size int64) error
-	// ReadDir lists a data directory (segment and snapshot discovery).
+	// ReadDir lists a data directory (segment, base and result discovery).
 	ReadDir(name string) ([]os.DirEntry, error)
-	// ReadFile slurps one segment or snapshot for replay.
+	// ReadFile slurps one segment, base or result for recovery.
 	ReadFile(name string) ([]byte, error)
-	// Stat sizes live segments and snapshots for Stats reporting.
+	// Stat sizes live segments and checkpoint files for Stats reporting.
 	Stat(name string) (os.FileInfo, error)
 	// MkdirAll creates the data directory on first open.
 	MkdirAll(path string, perm os.FileMode) error
@@ -36,12 +37,12 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// File is the writable-file subset the WAL and snapshot writers use.
+// File is the writable-file subset the WAL and checkpoint writers use.
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error
 	Close() error
-	// Name returns the path the file was opened with (snapshot temp
+	// Name returns the path the file was opened with (checkpoint temp
 	// files learn their generated name through it).
 	Name() string
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"time"
 
 	"slim"
 	"slim/internal/engine"
@@ -10,14 +11,15 @@ import (
 
 // RecoverInfo describes what recovery found in a data directory.
 type RecoverInfo struct {
-	// Recovered is true when the directory held prior state (a snapshot
+	// Recovered is true when the directory held prior state (a base
 	// and/or WAL batches); the caller's seed datasets were ignored then.
 	Recovered bool
-	// SnapshotSeq is the last WAL sequence covered by the loaded
-	// snapshot (0 when none was found).
+	// SnapshotSeq is the WAL sequence the base file stands at: 0 for a
+	// directory this release initialised, N for one whose base is the last
+	// full snapshot of a release that compacted batches 1..N into it.
 	SnapshotSeq uint64
-	// ReplayedBatches / ReplayedRecords count the WAL tail replayed on
-	// top of the snapshot.
+	// ReplayedBatches / ReplayedRecords count every batch past the base —
+	// the whole retained log, not a tail above the last checkpoint.
 	ReplayedBatches int
 	ReplayedRecords int
 	// SeedRecords / StreamedRecords describe the recovered engine state.
@@ -32,53 +34,65 @@ type RecoverInfo struct {
 // engine wired to its Store.
 //
 // On an empty directory the caller's seed datasets become the persistent
-// seeds. On a directory with prior state the persisted seeds win (the
-// caller's are ignored — flags cannot silently fork a data directory),
-// the newest valid snapshot is loaded, the WAL tail is replayed on top
-// of it (tolerating a torn final entry, the expected artifact of a
-// crash mid-append), and the last published result is installed.
+// seeds: they are written once, as the base file, before Recover returns.
+// On a directory with prior state the persisted seeds win (the caller's
+// are ignored — flags cannot silently fork a data directory): the base is
+// decoded, the engine is built over its seeds, and every batch past it is
+// replayed from the WAL straight into the engine, batch by batch
+// (tolerating a torn final entry in a segment, the expected artifact of a
+// crash mid-append, and failing stop on a hole in the sequence). A
+// persisted result is installed only when it was checkpointed at exactly
+// the last replayed sequence; otherwise the caller relinks before serving.
 //
 // The returned engine holds the replayed records in its pending buffers
 // and has the Store attached as its checkpoint hook; new ingest goes
-// through an ingest.Plane with the Store attached as its logger. The
-// caller owns both lifetimes: Engine.Close first, then Store.Close (which
-// takes a final checkpoint). The engine configuration is not persisted;
-// callers must boot with the same linkage configuration across restarts.
+// through an ingest.Plane with the Store attached as its logger. Nothing
+// Recover decoded stays reachable from the Store. The caller owns both
+// lifetimes: Engine.Close first, then Store.Close (which takes a final
+// checkpoint). The engine configuration is not persisted; callers must
+// boot with the same linkage configuration across restarts.
 func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Options) (*engine.Engine, *Store, RecoverInfo, error) {
 	var info RecoverInfo
 	fs := opts.fs()
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, info, err
 	}
-	// Sweep snapshot temp files orphaned by a crash mid-write, so a
-	// process crash-looping during checkpoints cannot fill the disk with
-	// full-state-sized leftovers.
+	// Sweep temp files orphaned by a crash mid-write, so a process
+	// crash-looping during checkpoints cannot fill the disk with leftovers.
 	if err := removeOrphanTemps(fs, dir); err != nil {
 		return nil, nil, info, err
 	}
 
-	snap, err := loadNewestSnapshot(fs, dir)
+	base, err := loadNewestSnapshot(fs, dir)
 	if err != nil {
 		return nil, nil, info, err
 	}
-	fresh := snap == nil
+	fresh := base == nil
 	if !fresh {
 		info.Recovered = true
-		info.SnapshotSeq = snap.lastSeq
+		info.SnapshotSeq = base.lastSeq
 	} else {
 		// Fresh directory: the caller's seeds are quantized exactly like
 		// every other persisted record so that state is restart-stable.
-		snap = &snapshotData{
+		base = &snapshotData{
 			seedE: quantizeDataset(seedE),
 			seedI: quantizeDataset(seedI),
 		}
 	}
 
-	lastSeq, batches, err := replayWAL(fs, dir, snap.lastSeq, func(b Batch) error {
+	eng, err := engine.New(base.seedE, base.seedI, cfg)
+	if err != nil {
+		return nil, nil, info, err
+	}
+	// The replay feed: the directory already holds these records, so they
+	// are buffered, not logged.
+	eng.AddE(base.streamE...)
+	eng.AddI(base.streamI...)
+	lastSeq, batches, err := replayWAL(fs, dir, base.lastSeq, func(b Batch) error {
 		if b.Tag == TagE {
-			snap.streamE = append(snap.streamE, b.Recs...)
+			eng.AddE(b.Recs...)
 		} else {
-			snap.streamI = append(snap.streamI, b.Recs...)
+			eng.AddI(b.Recs...)
 		}
 		info.ReplayedRecords += len(b.Recs)
 		return nil
@@ -89,9 +103,30 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 	info.ReplayedBatches = batches
 	if batches > 0 {
 		info.Recovered = true
-		// Replayed batches invalidate the snapshot's result: it predates
-		// them, and serving it would un-acknowledge recovered ingest.
-		snap.result = nil
+	}
+	info.SeedRecords = len(base.seedE.Records) + len(base.seedI.Records)
+	info.StreamedRecords = len(base.streamE) + len(base.streamI) + info.ReplayedRecords
+
+	// The newest result that describes exactly the replayed log: a result
+	// checkpoint, else the result section of a base nothing was logged
+	// after. Anything older predates replayed batches, and serving it would
+	// un-acknowledge recovered ingest.
+	result, err := loadResult(fs, dir, lastSeq)
+	if err != nil {
+		return nil, nil, info, err
+	}
+	if result == nil && base.lastSeq == lastSeq {
+		result = base.result
+	}
+	if result != nil {
+		eng.RestoreResult(slim.Result{
+			Links:           result.links,
+			Matched:         result.links,
+			Threshold:       result.threshold,
+			ThresholdMethod: result.method,
+			SpatialLevel:    result.spatialLevel,
+		}, result.version)
+		info.HasResult = true
 	}
 
 	// Each process generation appends to a fresh segment, past any torn
@@ -113,54 +148,34 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 	}
 
 	st := &Store{
-		dir:        dir,
-		opts:       opts,
-		fs:         fs,
-		walm:       walm,
-		wal:        w,
-		seedE:      snap.seedE,
-		seedI:      snap.seedI,
-		streamE:    snap.streamE,
-		streamI:    snap.streamI,
-		nextSeq:    lastSeq + 1,
-		lastResult: snap.result,
-		health:     obs.NewHealth(reg, "storage"),
-		stopReopen: make(chan struct{}),
+		dir:             dir,
+		opts:            opts,
+		fs:              fs,
+		walm:            walm,
+		eng:             eng,
+		wal:             w,
+		seedRecords:     info.SeedRecords,
+		streamedRecords: info.StreamedRecords,
+		nextSeq:         lastSeq + 1,
+		lastResult:      result,
+		health:          obs.NewHealth(reg, "storage"),
+		stopReopen:      make(chan struct{}),
 	}
 	st.registerMetrics(reg)
-	info.SeedRecords = len(st.seedE.Records) + len(st.seedI.Records)
-	info.StreamedRecords = len(st.streamE) + len(st.streamI)
-
-	eng, err := engine.New(st.seedE, st.seedI, cfg)
-	if err != nil {
-		_ = w.Close()
-		return nil, nil, info, err
-	}
-	st.eng = eng
 	eng.SetPersister(st)
-	// The replay feed: the WAL already holds these records, so they are
-	// buffered, not logged.
-	eng.AddE(st.streamE...)
-	eng.AddI(st.streamI...)
-	if snap.result != nil {
-		eng.RestoreResult(slim.Result{
-			Links:           snap.result.links,
-			Matched:         snap.result.links,
-			Threshold:       snap.result.threshold,
-			ThresholdMethod: snap.result.method,
-			SpatialLevel:    snap.result.spatialLevel,
-		}, snap.result.version)
-		info.HasResult = true
-	}
 
-	// A fresh directory gets an initial checkpoint immediately, so the
-	// seed datasets are durable from boot: every later recovery finds a
-	// snapshot and the caller's seed flags are never needed again.
+	// A fresh directory gets its base immediately, so the seed datasets are
+	// durable from boot: every later recovery finds them and the caller's
+	// seed flags are never needed again. It is the one checkpoint that
+	// writes records, and the only time this file is written.
 	if fresh {
-		if _, err := st.Checkpoint(); err != nil {
+		start := time.Now()
+		path, err := writeSnapshot(fs, dir, base)
+		if err != nil {
 			_ = w.Close()
 			return nil, nil, info, err
 		}
+		st.noteCheckpoint(base.lastSeq, path, start)
 	}
 	return eng, st, info, nil
 }

@@ -12,23 +12,39 @@ import (
 	"slim"
 )
 
-// Snapshot file layout: a sequence of CRC frames (same framing as the
-// WAL) — header, seedE, seedI, streamE, streamI, result, footer. The
-// footer frame proves the snapshot was written to completion; a snapshot
-// missing it (crash mid-write before the atomic rename could even
-// happen) is ignored by the loader. Files are written to a temp name and
-// renamed into place, so a data directory never holds a partially
-// visible snapshot under the real name.
+// Two kinds of file sit beside the WAL segments, both sequences of CRC
+// frames (same framing as the WAL), both written to a temp name, fsynced
+// and renamed into place, so a data directory never holds a partially
+// visible one under its real name:
+//
+// The base, snapshot-<seq>.snap — header, seedE, seedI, streamE, streamI,
+// result, footer. It is written once, when a directory is initialised
+// (the seeds, seq 0, empty stream sections, no result), and never again.
+// A directory last written by a release that compacted the log into full
+// snapshots has a base at seq N whose stream sections hold the records of
+// batches 1..N and whose result section may be set; it reads the same way.
+// The footer frame proves the file was written to completion.
+//
+// The result checkpoint, result-<seq>.snap — one frame: magic, seq, the
+// published result as of WAL sequence seq. Rewritten at every checkpoint;
+// its only use is to serve links before the first relink after a restart.
 
 const (
 	snapMagic  = "slimsnap1"
 	snapFooter = "slimsnapend"
 	snapPrefix = "snapshot-"
 	snapSuffix = ".snap"
+
+	resultMagic  = "slimres1"
+	resultPrefix = "result-"
 )
 
 func snapName(lastSeq uint64) string {
 	return fmt.Sprintf("%s%016d%s", snapPrefix, lastSeq, snapSuffix)
+}
+
+func resultName(seq uint64) string {
+	return fmt.Sprintf("%s%016d%s", resultPrefix, seq, snapSuffix)
 }
 
 // resultData is the persisted slice of a slim.Result: enough to serve
@@ -41,9 +57,9 @@ type resultData struct {
 	version      uint64
 }
 
-// snapshotData is the full persisted engine state: the immutable seed
-// datasets, every streamed (WAL-logged) record through lastSeq, and the
-// last published result.
+// snapshotData is a decoded base: the immutable seed datasets and, in a
+// base written by a release that compacted the log, every record streamed
+// through lastSeq plus the result published then.
 type snapshotData struct {
 	lastSeq          uint64
 	seedE, seedI     slim.Dataset
@@ -70,40 +86,71 @@ func (b *byteReader) readDataset() slim.Dataset {
 	return slim.Dataset{Name: name, Records: b.readRecords()}
 }
 
-// encodeSnapshot serializes the snapshot as framed sections.
+// appendResult appends the result section shared by both file kinds: a
+// presence byte, then links, threshold, method, spatial level, version.
+func appendResult(dst []byte, res *resultData) []byte {
+	if res == nil {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(len(res.links)))
+	for _, l := range res.links {
+		dst = appendString(dst, string(l.U))
+		dst = appendString(dst, string(l.V))
+		dst = binary.AppendUvarint(dst, math.Float64bits(l.Score))
+	}
+	dst = binary.AppendUvarint(dst, math.Float64bits(res.threshold))
+	dst = appendString(dst, res.method)
+	dst = binary.AppendUvarint(dst, uint64(res.spatialLevel))
+	return binary.AppendUvarint(dst, res.version)
+}
+
+// readResult decodes a section written by appendResult (nil when the
+// presence byte says none was published yet).
+func (b *byteReader) readResult() *resultData {
+	present := b.bytes(1)
+	if b.err != nil || present[0] != 1 {
+		return nil
+	}
+	n := b.uvarint()
+	// Guard the allocation: each link costs at least 3 payload bytes.
+	if b.err != nil || n > uint64(len(b.buf)) {
+		b.err = errCorrupt
+		return nil
+	}
+	res := &resultData{links: make([]slim.Link, 0, n)}
+	for i := uint64(0); i < n; i++ {
+		u := b.readString()
+		v := b.readString()
+		score := math.Float64frombits(b.uvarint())
+		res.links = append(res.links, slim.Link{U: slim.EntityID(u), V: slim.EntityID(v), Score: score})
+	}
+	res.threshold = math.Float64frombits(b.uvarint())
+	res.method = b.readString()
+	res.spatialLevel = int(b.uvarint())
+	res.version = b.uvarint()
+	if b.err != nil {
+		return nil
+	}
+	return res
+}
+
+// encodeSnapshot serializes a base as framed sections.
 func encodeSnapshot(d *snapshotData) []byte {
 	hdr := appendString(nil, snapMagic)
 	hdr = binary.AppendUvarint(hdr, d.lastSeq)
-
-	var res []byte
-	if d.result != nil {
-		res = append(res, 1)
-		res = binary.AppendUvarint(res, uint64(len(d.result.links)))
-		for _, l := range d.result.links {
-			res = appendString(res, string(l.U))
-			res = appendString(res, string(l.V))
-			res = binary.AppendUvarint(res, math.Float64bits(l.Score))
-		}
-		res = binary.AppendUvarint(res, math.Float64bits(d.result.threshold))
-		res = appendString(res, d.result.method)
-		res = binary.AppendUvarint(res, uint64(d.result.spatialLevel))
-		res = binary.AppendUvarint(res, d.result.version)
-	} else {
-		res = append(res, 0)
-	}
 
 	out := appendFrame(nil, hdr)
 	out = appendFrame(out, appendDataset(nil, d.seedE))
 	out = appendFrame(out, appendDataset(nil, d.seedI))
 	out = appendFrame(out, appendRecords(nil, d.streamE))
 	out = appendFrame(out, appendRecords(nil, d.streamI))
-	out = appendFrame(out, res)
+	out = appendFrame(out, appendResult(nil, d.result))
 	return appendFrame(out, []byte(snapFooter))
 }
 
-// decodeSnapshot parses a snapshot file; any framing, checksum, or
-// structural fault is an error (the loader then falls back to an older
-// snapshot).
+// decodeSnapshot parses a base; any framing, checksum, or structural
+// fault is an error.
 func decodeSnapshot(buf []byte) (*snapshotData, error) {
 	frames := make([][]byte, 0, 7)
 	for len(buf) > 0 && len(frames) < 7 {
@@ -138,47 +185,50 @@ func decodeSnapshot(buf []byte) (*snapshotData, error) {
 	d.streamE = sE.readRecords()
 	sI := &byteReader{buf: frames[4]}
 	d.streamI = sI.readRecords()
-	for _, r := range []*byteReader{rE, rI, sE, sI} {
+	rr := &byteReader{buf: frames[5]}
+	d.result = rr.readResult()
+	for _, r := range []*byteReader{rE, rI, sE, sI, rr} {
 		if r.err != nil {
 			return nil, r.err
 		}
 	}
-
-	rr := &byteReader{buf: frames[5]}
-	present := rr.bytes(1)
-	if rr.err != nil {
-		return nil, rr.err
-	}
-	if present[0] == 1 {
-		n := rr.uvarint()
-		if rr.err != nil || n > uint64(len(rr.buf)) {
-			return nil, errCorrupt
-		}
-		res := &resultData{links: make([]slim.Link, 0, n)}
-		for i := uint64(0); i < n; i++ {
-			u := rr.readString()
-			v := rr.readString()
-			score := math.Float64frombits(rr.uvarint())
-			res.links = append(res.links, slim.Link{U: slim.EntityID(u), V: slim.EntityID(v), Score: score})
-		}
-		res.threshold = math.Float64frombits(rr.uvarint())
-		res.method = rr.readString()
-		res.spatialLevel = int(rr.uvarint())
-		res.version = rr.uvarint()
-		if rr.err != nil {
-			return nil, rr.err
-		}
-		d.result = res
-	}
 	return d, nil
 }
 
-// writeSnapshot durably writes the snapshot: temp file, fsync, atomic
+// encodeResult serializes one result checkpoint.
+func encodeResult(seq uint64, res *resultData) []byte {
+	payload := appendString(nil, resultMagic)
+	payload = binary.AppendUvarint(payload, seq)
+	return appendFrame(nil, appendResult(payload, res))
+}
+
+// decodeResult parses a result checkpoint. res is nil when the checkpoint
+// was taken before anything was published.
+func decodeResult(buf []byte) (seq uint64, res *resultData, err error) {
+	payload, rest, err := nextFrame(buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	r := &byteReader{buf: payload}
+	if r.readString() != resultMagic {
+		return 0, nil, fmt.Errorf("%w: bad magic", errCorrupt)
+	}
+	seq = r.uvarint()
+	res = r.readResult()
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	if len(r.buf) != 0 || len(rest) != 0 {
+		return 0, nil, fmt.Errorf("%w: trailing bytes", errCorrupt)
+	}
+	return seq, res, nil
+}
+
+// writeAtomic durably publishes buf as dir/name: temp file, fsync, atomic
 // rename, directory fsync. Returns the final path.
-func writeSnapshot(fs FS, dir string, d *snapshotData) (string, error) {
-	buf := encodeSnapshot(d)
-	final := filepath.Join(dir, snapName(d.lastSeq))
-	tmp, err := fs.CreateTemp(dir, snapPrefix+"*.tmp")
+func writeAtomic(fs FS, dir, tmpPattern, name string, buf []byte) (string, error) {
+	final := filepath.Join(dir, name)
+	tmp, err := fs.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return "", err
 	}
@@ -205,45 +255,55 @@ func writeSnapshot(fs FS, dir string, d *snapshotData) (string, error) {
 	return final, fs.SyncDir(dir)
 }
 
-// snapshotFile is one snapshot found on disk.
-type snapshotFile struct {
-	lastSeq uint64
-	path    string
+// writeSnapshot durably writes a base.
+func writeSnapshot(fs FS, dir string, d *snapshotData) (string, error) {
+	return writeAtomic(fs, dir, snapPrefix+"*.tmp", snapName(d.lastSeq), encodeSnapshot(d))
 }
 
-// listSnapshots returns the directory's snapshots, newest (highest
-// lastSeq) first. Leftover temp files are ignored.
-func listSnapshots(fs FS, dir string) ([]snapshotFile, error) {
+// writeResult durably writes the result checkpoint for WAL sequence seq.
+func writeResult(fs FS, dir string, seq uint64, res *resultData) (string, error) {
+	return writeAtomic(fs, dir, resultPrefix+"*.tmp", resultName(seq), encodeResult(seq, res))
+}
+
+// seqFile is one base or result checkpoint found on disk.
+type seqFile struct {
+	seq  uint64
+	path string
+}
+
+// listSeqFiles returns the directory's <prefix><seq>.snap files, newest
+// (highest seq) first. Leftover temp files are ignored.
+func listSeqFiles(fs FS, dir, prefix string) ([]seqFile, error) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var snaps []snapshotFile
+	var files []seqFile
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, snapSuffix) {
 			continue
 		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 10, 64)
+		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), snapSuffix), 10, 64)
 		if err != nil {
 			continue
 		}
-		snaps = append(snaps, snapshotFile{lastSeq: seq, path: filepath.Join(dir, name)})
+		files = append(files, seqFile{seq: seq, path: filepath.Join(dir, name)})
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lastSeq > snaps[j].lastSeq })
-	return snaps, nil
+	sort.Slice(files, func(i, j int) bool { return files[i].seq > files[j].seq })
+	return files, nil
 }
 
-// loadNewestSnapshot returns the newest snapshot (nil if the directory
-// has none). It fails stop rather than fail open: the temp-rename write
-// protocol means a *.snap that does not read and decode cleanly is real
-// corruption, never a crash artifact, and silently falling back — to an
-// older snapshot or to nothing — would serve time-traveled state and
-// then permanently destroy the damaged history at the next checkpoint
-// truncation. The operator must remove the named file to accept that
-// loss explicitly.
+// loadNewestSnapshot returns the directory's base (nil if it has none; the
+// newest when an interrupted compaction of an older release left two). It
+// fails stop rather than fail open: the temp-rename write protocol means a
+// *.snap that does not read and decode cleanly is real corruption, never a
+// crash artifact, and the base is the only copy of the seeds (and, in a
+// directory an older release compacted, of every batch up to its
+// sequence). Nothing can be rebuilt around it silently; the operator must
+// restore the named file.
 func loadNewestSnapshot(fs FS, dir string) (*snapshotData, error) {
-	snaps, err := listSnapshots(fs, dir)
+	snaps, err := listSeqFiles(fs, dir, snapPrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -257,14 +317,44 @@ func loadNewestSnapshot(fs FS, dir string) (*snapshotData, error) {
 	}
 	d, err := decodeSnapshot(buf)
 	if err != nil {
-		return nil, fmt.Errorf("storage: %s is corrupt (%w); remove it to recover from an older snapshot or the WAL alone, accepting the loss it covered", sf.path, err)
+		return nil, fmt.Errorf("storage: %s is corrupt (%w); restore it from a copy — removing it only helps when the log still starts at batch 1, and then loses the seed datasets it held", sf.path, err)
 	}
 	return d, nil
 }
 
-// removeOrphanTemps deletes snapshot temp files left by a crash between
-// CreateTemp and the atomic rename. Called from Recover, before any
-// concurrent checkpoint can be writing a live temp file.
+// loadResult returns the result checkpointed at exactly lastSeq, the last
+// sequence recovery replayed, or nil: a checkpoint taken before later
+// batches were logged is stale, and one that cannot be read or decoded is
+// worth no more than a missing one — either way the caller relinks, which
+// is always correct. A checkpoint ahead of the log (its tail was lost, as
+// -fsync-interval <0 allows on a host crash) is removed, because the
+// sequences it claims will be assigned again, to different batches.
+func loadResult(fs FS, dir string, lastSeq uint64) (*resultData, error) {
+	files, err := listSeqFiles(fs, dir, resultPrefix)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range files {
+		switch {
+		case f.seq > lastSeq:
+			if err := fs.Remove(f.path); err != nil {
+				return nil, err
+			}
+		case f.seq == lastSeq:
+			if buf, err := fs.ReadFile(f.path); err == nil {
+				if seq, res, err := decodeResult(buf); err == nil && seq == lastSeq {
+					return res, nil
+				}
+			}
+			return nil, nil
+		}
+	}
+	return nil, nil
+}
+
+// removeOrphanTemps deletes base and result temp files left by a crash
+// between CreateTemp and the atomic rename. Called from Recover, before
+// any concurrent checkpoint can be writing a live temp file.
 func removeOrphanTemps(fs FS, dir string) error {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
@@ -272,7 +362,7 @@ func removeOrphanTemps(fs FS, dir string) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, ".tmp") {
+		if strings.HasSuffix(name, ".tmp") && (strings.HasPrefix(name, snapPrefix) || strings.HasPrefix(name, resultPrefix)) {
 			if err := fs.Remove(filepath.Join(dir, name)); err != nil {
 				return err
 			}
@@ -281,19 +371,22 @@ func removeOrphanTemps(fs FS, dir string) error {
 	return nil
 }
 
-// removeSnapshotsBefore deletes snapshots older than keepSeq (called
-// after a newer snapshot is durable).
-func removeSnapshotsBefore(fs FS, dir string, keepSeq uint64) error {
-	snaps, err := listSnapshots(fs, dir)
+// removeResultsBefore deletes result checkpoints older than keepSeq
+// (called after a newer one is durable). The removals are not fsynced: one
+// that a host crash undoes brings back a file recovery either ignores (its
+// sequence is behind the log) or may use (the log lost its tail back to
+// exactly that sequence, and the file says what was published then).
+func removeResultsBefore(fs FS, dir string, keepSeq uint64) error {
+	files, err := listSeqFiles(fs, dir, resultPrefix)
 	if err != nil {
 		return err
 	}
-	for _, sf := range snaps {
-		if sf.lastSeq < keepSeq {
-			if err := fs.Remove(sf.path); err != nil {
+	for _, f := range files {
+		if f.seq < keepSeq {
+			if err := fs.Remove(f.path); err != nil {
 				return err
 			}
 		}
 	}
-	return fs.SyncDir(dir)
+	return nil
 }

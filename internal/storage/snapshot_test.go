@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -68,10 +69,10 @@ func TestSnapshotNoResult(t *testing.T) {
 }
 
 // TestSnapshotLoaderFailsStopOnCorruption: the loader serves the newest
-// snapshot, and a corrupt newest is a hard error (never a silent
-// fallback that would time-travel state and destroy the damaged history
-// at the next truncation); removing the corrupt file is the explicit
-// operator action that re-enables recovery from the older snapshot.
+// base, and a corrupt newest is a hard error naming the file (never a
+// silent fallback that would time-travel state); removing the corrupt
+// file is an explicit operator action, after which an older base — if an
+// interrupted compaction of an older release left one — is what loads.
 func TestSnapshotLoaderFailsStopOnCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	dir := t.TempDir()
@@ -128,24 +129,58 @@ func TestSnapshotIgnoresTempFiles(t *testing.T) {
 	}
 }
 
-func TestRemoveSnapshotsBefore(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+// TestResultRoundTrip: a result checkpoint decodes to what was written,
+// bit for bit, with and without a published result, and anything but the
+// whole file is an error.
+func TestResultRoundTrip(t *testing.T) {
+	in := testSnapshotData(rand.New(rand.NewSource(4))).result
+	in.links[0].Score = math.Nextafter(in.links[0].Score, 4)
+	buf := encodeResult(42, in)
+	seq, out, err := decodeResult(buf)
+	if err != nil || seq != 42 || !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip = seq %d, %+v, %v; want seq 42, %+v", seq, out, err, in)
+	}
+	if math.Float64bits(out.links[0].Score) != math.Float64bits(in.links[0].Score) {
+		t.Fatal("score not bit-identical")
+	}
+	if seq, out, err := decodeResult(encodeResult(7, nil)); err != nil || seq != 7 || out != nil {
+		t.Fatalf("no-result round trip = seq %d, %+v, %v", seq, out, err)
+	}
+	for cut := 0; cut < len(buf); cut++ {
+		if _, _, err := decodeResult(buf[:cut]); err == nil {
+			t.Fatalf("decoded a result cut at byte %d of %d", cut, len(buf))
+		}
+	}
+	if _, _, err := decodeResult(append(buf, 0)); err == nil {
+		t.Fatal("decoded a result with trailing bytes")
+	}
+	if _, _, err := decodeResult(encodeSnapshot(&snapshotData{})); err == nil {
+		t.Fatal("decoded a base file as a result")
+	}
+}
+
+func TestRemoveResultsBefore(t *testing.T) {
 	dir := t.TempDir()
 	for _, seq := range []uint64{5, 10, 15} {
-		d := testSnapshotData(rng)
-		d.lastSeq = seq
-		if _, err := writeSnapshot(OSFS, dir, d); err != nil {
+		if _, err := writeResult(OSFS, dir, seq, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := removeSnapshotsBefore(OSFS, dir, 15); err != nil {
+	// A base is never a checkpoint's to remove, whatever its sequence.
+	if _, err := writeSnapshot(OSFS, dir, &snapshotData{lastSeq: 3}); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := listSnapshots(OSFS, dir)
+	if err := removeResultsBefore(OSFS, dir, 15); err != nil {
+		t.Fatal(err)
+	}
+	results, err := listSeqFiles(OSFS, dir, resultPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 1 || snaps[0].lastSeq != 15 {
-		t.Fatalf("kept %+v, want only seq 15", snaps)
+	if len(results) != 1 || results[0].seq != 15 {
+		t.Fatalf("kept %+v, want only seq 15", results)
+	}
+	if snaps, err := listSeqFiles(OSFS, dir, snapPrefix); err != nil || len(snaps) != 1 {
+		t.Fatalf("bases = %+v (%v), want the one written", snaps, err)
 	}
 }

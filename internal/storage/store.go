@@ -34,7 +34,7 @@ const DefaultReopenMaxBackoff = 5 * time.Second
 const DefaultSnapshotEveryRuns = 8
 
 // DefaultSnapshotBytes is the auto-checkpoint WAL-growth trigger (64 MiB
-// appended since the last snapshot).
+// appended since the last checkpoint).
 const DefaultSnapshotBytes = 64 << 20
 
 // Options parameterizes a data directory.
@@ -49,7 +49,7 @@ type Options struct {
 	// DefaultSnapshotEveryRuns, <0 = never on run count).
 	SnapshotEveryRuns int
 	// SnapshotBytes checkpoints once this many WAL bytes were appended
-	// since the last snapshot (0 = DefaultSnapshotBytes, <0 = never on
+	// since the last checkpoint (0 = DefaultSnapshotBytes, <0 = never on
 	// bytes).
 	SnapshotBytes int64
 	// Logger, when set, receives auto-checkpoint failures (which have no
@@ -106,29 +106,36 @@ func (o Options) reopenMaxBackoff() time.Duration {
 }
 
 // Store is the durable home of one engine's state: the ingest plane logs
-// every batch to its WAL before the engine buffers it, it keeps the
-// authoritative in-memory copy of the seed datasets and all streamed
-// records, and periodically compacts WAL history into an atomic snapshot.
-// It implements engine.Persister and ingest.BatchLogger.
+// every batch to its WAL before the engine buffers it, and a checkpoint
+// persists the last published result next to the log. The data directory
+// is the only holder of raw records — the base file has the seeds, the WAL
+// segments every streamed batch, and nothing is truncated — so the Store
+// itself keeps counters, never a record: its footprint does not grow with
+// what it has logged. It implements engine.Persister and
+// ingest.BatchLogger.
 type Store struct {
 	dir  string
 	opts Options
 	fs   FS
 	walm walMetrics
 	// eng is the engine Recover built over this store's state: the one the
-	// replayed WAL tail was fed to, and the one a degraded-mode reopen
+	// replayed log was fed to, and the one a degraded-mode reopen
 	// re-buffers re-logged batches into.
 	eng *engine.Engine
 
-	mu               sync.Mutex
-	wal              *wal
-	seedE, seedI     slim.Dataset
-	streamE, streamI []slim.Record
-	nextSeq          uint64
-	lastResult       *resultData
-	runsSinceSnap    int
-	bytesSinceSnap   int64
-	closed           bool
+	mu  sync.Mutex
+	wal *wal
+	// seedRecords / streamedRecords count what the directory holds: the
+	// base's seed records, and every record streamed since (the base's own
+	// stream sections, if an older release wrote any, plus every batch
+	// logged after it).
+	seedRecords     int
+	streamedRecords int
+	nextSeq         uint64
+	lastResult      *resultData
+	runsSinceSnap   int
+	bytesSinceSnap  int64
+	closed          bool
 
 	// Degraded read-only mode: set by the first persistent WAL failure,
 	// cleared when the supervised reopen loop brings a fresh segment up.
@@ -192,12 +199,12 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("slim_storage_snapshots_total",
 		"Checkpoints completed by this process.", s.snapshots.Load)
 	reg.GaugeFunc("slim_storage_last_snapshot_seq",
-		"Last WAL sequence covered by the newest checkpoint.",
+		"Last WAL sequence logged when the newest checkpoint was taken.",
 		func() float64 { return float64(s.lastSnapSeq.Load()) })
 	s.snapshotSeconds = reg.Histogram("slim_storage_snapshot_seconds",
-		"Duration of one checkpoint: state capture, snapshot write, and WAL truncation.", nil)
+		"Duration of one checkpoint: result capture, file write, and removal of the file it supersedes.", nil)
 	s.snapshotBytes = reg.Gauge("slim_storage_snapshot_bytes",
-		"Size of the newest snapshot file.")
+		"Size of the file the newest checkpoint wrote.")
 }
 
 // LogE durably logs a first-dataset batch given as records: the
@@ -221,21 +228,21 @@ func (s *Store) logRecords(tag byte, recs []slim.Record) error {
 // LogEncoded appends one wire batch to the WAL — the store's one append
 // path, called by ingest.Plane.Submit. recordBytes is the batch's record
 // section (WireBatch.RecordBytes), appended verbatim under a fresh
-// sequence prefix; recs must be its decoded form (see WireBatch). The
-// returned wait blocks until the batch is durable per the fsync policy,
-// letting a caller append several batches under one group-commit window
-// before waiting.
+// sequence prefix; recs is its decoded form (see WireBatch), which the
+// store only counts. The returned wait blocks until the batch is durable
+// per the fsync policy, letting a caller append several batches under one
+// group-commit window before waiting.
 //
-// The in-memory stream buffers and nextSeq advance before the wait: under
-// fsync-interval > 0 a failed batched fsync therefore leaves the store
-// holding a batch the caller nacked and never buffered into the engine.
-// That divergence can never reach disk — a failed fsync poisons the WAL
-// (sticky ioErr), so every later Append and Checkpoint/Rotate on it fails;
-// the store flips to degraded read-only mode and a background loop
-// quarantines the poisoned segment and reopens a fresh one, re-logging
-// exactly these buffered-but-nacked batches and buffering them into the
-// engine, so the divergence heals instead of persisting (at-least-once —
-// never trust a failed fsync).
+// Any WAL failure — at the append itself or later at the group-commit
+// wait — triggers the degraded-mode transition, and the error the caller
+// sees is marked ErrDegraded so the serving layer can answer 503 +
+// Retry-After. The sequence and the counters advance before the wait:
+// under fsync-interval > 0 a batch whose covering fsync failed was nacked
+// to the caller but has consumed its number. The WAL keeps that batch's
+// payload in its quarantine, and the reopen loop re-logs it into a fresh
+// segment under the same number and buffers it into the engine, so the
+// log has no hole and counters, log and engine agree again once the store
+// reads healthy (at-least-once — never trust a failed fsync).
 func (s *Store) LogEncoded(tag byte, recordBytes []byte, recs []slim.Record) (wait func() error, err error) {
 	s.mu.Lock()
 	if s.closed {
@@ -250,34 +257,20 @@ func (s *Store) LogEncoded(tag byte, recordBytes []byte, recs []slim.Record) (wa
 	payload = binary.AppendUvarint(payload, s.nextSeq)
 	payload = append(payload, tag)
 	payload = append(payload, recordBytes...)
-	return s.appendLocked(payload, tag, recs)
-}
-
-// appendLocked appends one already-sequenced batch payload to the WAL
-// and advances the in-memory state (stream buffers, sequence, counters).
-// Called with mu held; unlocks it on every path. Any WAL failure — at
-// the append itself or later at the group-commit wait — triggers the
-// degraded-mode transition, and the error the caller sees is marked
-// ErrDegraded so the serving layer can answer 503 + Retry-After.
-func (s *Store) appendLocked(payload []byte, tag byte, recs []slim.Record) (wait func() error, err error) {
-	wait, err = s.wal.Append(payload)
+	walWait, err := s.wal.Append(payload)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, s.failWrite(err)
 	}
+	frameBytes := int64(len(payload)) + frameHeaderLen
 	s.nextSeq++
-	if tag == TagE {
-		s.streamE = append(s.streamE, recs...)
-	} else {
-		s.streamI = append(s.streamI, recs...)
-	}
-	s.bytesSinceSnap += int64(len(payload)) + frameHeaderLen
+	s.streamedRecords += len(recs)
+	s.bytesSinceSnap += frameBytes
 	s.mu.Unlock()
 
 	s.batchesLogged.Add(1)
 	s.recordsLogged.Add(uint64(len(recs)))
-	s.walBytes.Add(int64(len(payload)) + frameHeaderLen)
-	walWait := wait
+	s.walBytes.Add(frameBytes)
 	return func() error {
 		if err := walWait(); err != nil {
 			return s.failWrite(err)
@@ -362,9 +355,10 @@ func (s *Store) reopenLoop() {
 //     fsync says nothing about what reached the platter), so replay
 //     must never see those bytes.
 //  3. Open a fresh segment one index up and re-log the quarantined
-//     batches — appends the store acknowledged in memory whose covering
-//     fsync failed — from our own buffers, verbatim with their original
-//     sequence numbers, then wait for their durability.
+//     batches — appends that consumed a sequence number but whose
+//     covering fsync failed — from the dead WAL's quarantine buffers,
+//     verbatim with their original sequence numbers, then wait for their
+//     durability.
 //  4. Swap the WAL in, buffer the re-logged batches into the engine —
 //     they are durable now (a recovery would replay them), so the live
 //     engine must hold them too — and flip healthy.
@@ -497,7 +491,7 @@ func (s *Store) AfterRun(res slim.Result, version uint64) {
 		return
 	}
 	// Checkpoint asynchronously: AfterRun is called from Engine.Run under
-	// its run lock, and a full-state snapshot write must not stall the
+	// its run lock, and a file write with two fsyncs must not stall the
 	// relink publish path. At most one auto-checkpoint runs at a time;
 	// growth during it stays counted (Checkpoint retires only what it
 	// captured), so the next relink re-triggers if needed. Store.Close's
@@ -513,7 +507,10 @@ func (s *Store) AfterRun(res slim.Result, version uint64) {
 	}()
 }
 
-// CheckpointInfo describes one completed checkpoint.
+// CheckpointInfo describes one completed checkpoint: the file it wrote,
+// the last WAL sequence logged when it was taken, and how many records the
+// data directory held then (in the base and the log, not in the
+// checkpoint).
 type CheckpointInfo struct {
 	Path            string
 	LastSeq         uint64
@@ -521,8 +518,12 @@ type CheckpointInfo struct {
 	StreamedRecords int
 }
 
-// Checkpoint writes a snapshot of the current state and truncates WAL
-// segments it covers. Safe for concurrent use; checkpoints serialize.
+// Checkpoint persists the last published result, tagged with the last
+// logged WAL sequence, as result-<seq>.snap and removes the result file it
+// supersedes. Its cost depends on the number of links only: no record is
+// copied or encoded and the WAL is neither rotated nor truncated (the
+// segments are the stream; see DESIGN.md §6). Safe for concurrent use;
+// checkpoints serialize.
 func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -537,60 +538,46 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 		s.mu.Unlock()
 		return CheckpointInfo{}, ErrDegraded
 	}
-	d := &snapshotData{
-		lastSeq: s.nextSeq - 1,
-		seedE:   s.seedE,
-		seedI:   s.seedI,
-		streamE: append([]slim.Record(nil), s.streamE...),
-		streamI: append([]slim.Record(nil), s.streamI...),
-		result:  s.lastResult,
+	info := CheckpointInfo{
+		LastSeq:         s.nextSeq - 1,
+		SeedRecords:     s.seedRecords,
+		StreamedRecords: s.streamedRecords,
 	}
-	// Rotate so every covered frame lives in a segment below keepIdx;
-	// rotation is atomic with the state capture (both under mu), so the
-	// new segment holds only batches the snapshot does not cover.
-	keepIdx, err := s.wal.Rotate()
-	if err != nil {
-		s.mu.Unlock()
-		return CheckpointInfo{}, s.failWrite(err)
-	}
+	res := s.lastResult
 	coveredRuns, coveredBytes := s.runsSinceSnap, s.bytesSinceSnap
 	s.mu.Unlock()
 
-	path, err := writeSnapshot(s.fs, s.dir, d)
+	path, err := writeResult(s.fs, s.dir, info.LastSeq, res)
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	// Retire the covered trigger amounts only now that the snapshot is
+	info.Path = path
+	// Retire the covered trigger amounts only now that the checkpoint is
 	// durable: a failed attempt keeps them armed so the next relink
 	// retries instead of waiting out another full trigger window, and
-	// anything logged while the snapshot was being written still counts
+	// anything logged while the file was being written still counts
 	// toward the next one.
 	s.mu.Lock()
 	s.runsSinceSnap -= coveredRuns
 	s.bytesSinceSnap -= coveredBytes
 	s.mu.Unlock()
-	// Truncate history only after the covering snapshot is durable.
-	if err := removeSnapshotsBefore(s.fs, s.dir, d.lastSeq); err != nil {
+	if err := removeResultsBefore(s.fs, s.dir, info.LastSeq); err != nil {
 		return CheckpointInfo{}, err
 	}
-	if err := removeSegmentsBefore(s.fs, s.dir, keepIdx); err != nil {
-		return CheckpointInfo{}, err
-	}
+	s.noteCheckpoint(info.LastSeq, path, start)
+	return info, nil
+}
+
+// noteCheckpoint accounts one completed checkpoint — a result file, or
+// the base Recover writes when it initialises a directory.
+func (s *Store) noteCheckpoint(seq uint64, path string, start time.Time) {
 	s.snapshots.Add(1)
-	s.lastSnapSeq.Store(d.lastSeq)
+	s.lastSnapSeq.Store(seq)
 	s.lastSnapUnixMs.Store(time.Now().UnixMilli())
-	if s.snapshotSeconds != nil {
-		s.snapshotSeconds.ObserveSince(start)
-		if fi, err := s.fs.Stat(path); err == nil {
-			s.snapshotBytes.Set(float64(fi.Size()))
-		}
+	s.snapshotSeconds.ObserveSince(start)
+	if fi, err := s.fs.Stat(path); err == nil {
+		s.snapshotBytes.Set(float64(fi.Size()))
 	}
-	return CheckpointInfo{
-		Path:            path,
-		LastSeq:         d.lastSeq,
-		SeedRecords:     len(d.seedE.Records) + len(d.seedI.Records),
-		StreamedRecords: len(d.streamE) + len(d.streamI),
-	}, nil
 }
 
 // Stats is a point-in-time snapshot of the storage layer's state.
@@ -656,10 +643,11 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close takes a final checkpoint (so a clean restart replays nothing)
-// and seals the WAL. A store closed while degraded returns ErrDegraded:
-// the final checkpoint could not be taken, so the next boot replays the
-// WAL (including any re-logged quarantine). Idempotent.
+// Close takes a final checkpoint (so a clean restart serves the last
+// published links before its first relink) and seals the WAL. A store
+// closed while degraded returns ErrDegraded: the final checkpoint could
+// not be taken, so the next boot relinks what it replays (including any
+// re-logged quarantine) before it serves. Idempotent.
 func (s *Store) Close() error {
 	_, cpErr := s.Checkpoint()
 	if errors.Is(cpErr, ErrClosed) {
@@ -683,8 +671,8 @@ func (s *Store) Close() error {
 
 // crashClose abandons the store without a final checkpoint — test
 // helper simulating a crash (the WAL file is closed so tests on
-// platforms with mandatory locks can truncate it, but no snapshot is
-// taken and no segment is truncated).
+// platforms with mandatory locks can truncate it, but no result is
+// persisted).
 func (s *Store) crashClose() {
 	s.mu.Lock()
 	s.closed = true

@@ -82,7 +82,10 @@ type wal struct {
 	// After a sticky ioErr these freeze: the segment tail past
 	// syncedBytes is non-durable (fsyncgate — a failed fsync says
 	// nothing about what reached disk) and unsynced is exactly what a
-	// fresh segment must re-log.
+	// fresh segment must re-log. These payloads are the only record bytes
+	// the storage layer keeps in memory: one group-commit window's worth,
+	// or under the never-fsync policy, where only a rotation's fsync
+	// retires them, at most one segment's.
 	syncedBytes int64
 	unsynced    [][]byte
 
@@ -299,24 +302,6 @@ func (w *wal) rotateLocked() error {
 	return nil
 }
 
-// Rotate seals the active segment and returns the new segment's index:
-// every payload appended before the call lives in a segment with a
-// smaller index (the snapshot truncation boundary).
-func (w *wal) Rotate() (newIndex uint64, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrClosed
-	}
-	if w.ioErr != nil {
-		return 0, w.ioErr
-	}
-	if err := w.rotateLocked(); err != nil {
-		return 0, err
-	}
-	return w.segIndex, nil
-}
-
 // Close seals the log: stops the syncer, fsyncs and closes the active
 // segment, and releases any waiters. Idempotent.
 func (w *wal) Close() error {
@@ -405,25 +390,35 @@ func ReplayWAL(dir string, fromSeq uint64, fn func(Batch) error) (lastSeq uint64
 // batch with Seq > fromSeq. A torn frame ends a segment's replay (the
 // expected crash artifact — appends are sequential, so nothing committed
 // can follow it within that segment); replay continues with the next
-// segment, which a healthy process only starts after a clean rotation.
-// Decoded sequence numbers must be strictly increasing; a violation
-// means real corruption and fails the replay.
+// segment, which the next process generation starts past the torn tail.
+//
+// The replayed sequence must be contiguous: the first batch is fromSeq+1
+// and each next one its predecessor+1. Every logged batch takes the next
+// number, a re-logged quarantine batch keeps its own and a failed inline
+// append never consumed one, so a legitimate log has no hole; a hole
+// means a frame in the middle of a segment stopped checksumming and took
+// the rest of that segment with it. That is corruption of acknowledged
+// records, not a torn tail, and fails the replay naming the segment.
 func replayWAL(fs FS, dir string, fromSeq uint64, fn func(Batch) error) (lastSeq uint64, batches int, err error) {
 	segs, err := listSegments(fs, dir)
 	if err != nil {
 		return 0, 0, err
 	}
 	lastSeq = fromSeq
-	sawAny := false
+	// torn describes the bad frame that cut the previous segment's replay
+	// short, until the next batch proves nothing was lost behind it: it is
+	// where the batches a gap is missing were.
+	torn := ""
 	for _, seg := range segs {
 		buf, err := fs.ReadFile(seg.path)
 		if err != nil {
 			return lastSeq, batches, err
 		}
+		size := len(buf)
 		for len(buf) > 0 {
 			payload, rest, err := nextFrame(buf)
 			if err != nil {
-				// Torn tail: stop this segment, continue with the next.
+				torn = fmt.Sprintf("%s is unreadable from byte %d of %d", seg.path, size-len(buf), size)
 				break
 			}
 			buf = rest
@@ -431,16 +426,22 @@ func replayWAL(fs FS, dir string, fromSeq uint64, fn func(Batch) error) (lastSeq
 			if err != nil {
 				return lastSeq, batches, fmt.Errorf("%s: %w", seg.path, err)
 			}
-			if sawAny && b.Seq <= lastSeq {
+			if b.Seq <= fromSeq && batches == 0 {
+				// Covered by the base; skip.
+				continue
+			}
+			if b.Seq <= lastSeq {
 				return lastSeq, batches, fmt.Errorf("%s: %w: sequence %d after %d",
 					seg.path, errCorrupt, b.Seq, lastSeq)
 			}
-			if b.Seq <= fromSeq && !sawAny {
-				// Covered by the snapshot; skip.
-				continue
+			if b.Seq != lastSeq+1 {
+				if torn == "" {
+					torn = "no segment holds them"
+				}
+				return lastSeq, batches, fmt.Errorf("%s: %w: sequence %d follows %d, batches %d-%d are missing (%s)",
+					seg.path, errCorrupt, b.Seq, lastSeq, lastSeq+1, b.Seq-1, torn)
 			}
-			sawAny = true
-			lastSeq = b.Seq
+			lastSeq, torn = b.Seq, ""
 			if fn != nil {
 				if err := fn(b); err != nil {
 					return lastSeq, batches, err
@@ -450,23 +451,4 @@ func replayWAL(fs FS, dir string, fromSeq uint64, fn func(Batch) error) (lastSeq
 		}
 	}
 	return lastSeq, batches, nil
-}
-
-// removeSegmentsBefore deletes every segment with index < keepIndex —
-// the snapshot truncation step, called only after the covering snapshot
-// is durably on disk.
-func removeSegmentsBefore(fs FS, dir string, keepIndex uint64) error {
-	segs, err := listSegments(fs, dir)
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		if seg.index >= keepIndex {
-			break
-		}
-		if err := fs.Remove(seg.path); err != nil {
-			return err
-		}
-	}
-	return fs.SyncDir(dir)
 }

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -112,34 +114,45 @@ func TestWALSegmentRotation(t *testing.T) {
 	}
 }
 
-func TestWALRotateAndTruncate(t *testing.T) {
-	dir := t.TempDir()
-	w, err := openWAL(OSFS, dir, 1, 0, -1, walMetrics{})
-	if err != nil {
-		t.Fatal(err)
+// TestReplayRequiresContiguousSequence: replay skips what the base
+// covers, then accepts exactly fromSeq+1, +2, ...; a jump or a repeat
+// fails it, naming the segment.
+func TestReplayRequiresContiguousSequence(t *testing.T) {
+	write := func(t *testing.T, seqs ...uint64) string {
+		dir := t.TempDir()
+		w, err := openWAL(OSFS, dir, 1, 0, -1, walMetrics{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range seqs {
+			appendBatches(t, w, []Batch{mkBatch(seq, TagE, "a", 2)})
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
-	appendBatches(t, w, []Batch{mkBatch(1, TagE, "a", 2), mkBatch(2, TagE, "b", 2)})
-	keep, err := w.Rotate()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		seqs    []uint64
+		fromSeq uint64
+		want    int // batches replayed; <0 = error
+	}{
+		{"whole log", []uint64{1, 2, 3}, 0, 3},
+		{"leftovers below the base are skipped", []uint64{2, 3, 4, 5}, 3, 2},
+		{"log does not reach back to the base", []uint64{3, 4}, 1, -1},
+		{"hole", []uint64{1, 2, 4}, 0, -1},
+		{"repeat", []uint64{1, 2, 2}, 0, -1},
 	}
-	appendBatches(t, w, []Batch{mkBatch(3, TagI, "c", 2)})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := removeSegmentsBefore(OSFS, dir, keep); err != nil {
-		t.Fatal(err)
-	}
-	var seqs []uint64
-	_, _, err = replayWAL(OSFS, dir, 0, func(b Batch) error {
-		seqs = append(seqs, b.Seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != 1 || seqs[0] != 3 {
-		t.Fatalf("after truncation replay saw %v, want [3]", seqs)
+	for _, c := range cases {
+		dir := write(t, c.seqs...)
+		_, n, err := replayWAL(OSFS, dir, c.fromSeq, nil)
+		switch {
+		case c.want >= 0 && (err != nil || n != c.want):
+			t.Errorf("%s: replayed %d batches, %v; want %d", c.name, n, err, c.want)
+		case c.want < 0 && (!errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), segName(1))):
+			t.Errorf("%s: error %v, want a corruption error naming %s", c.name, err, segName(1))
+		}
 	}
 }
 
