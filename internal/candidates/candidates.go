@@ -4,30 +4,34 @@
 // call — an O(|E|+|I|) cost even when a single entity's history changed.
 // This package keeps the filter state alive between relinks: per-entity
 // band hashes with history-version counters (mirroring the stale-entity
-// recompile discipline of internal/history's compiled views), band→bucket
-// hash maps, and a per-pair collision count. A dirty entity removes its
-// old band hashes and inserts its new ones, touching only the buckets it
-// left or entered, so a relink after a small ingest burst costs O(dirty)
-// instead of O(everything).
+// recompile discipline of internal/history's compiled views) and
+// band→bucket hash maps. A dirty entity removes its old band hashes and
+// inserts its new ones, touching only the buckets it left or entered, so a
+// relink after a small ingest burst costs O(dirty) instead of
+// O(everything).
 //
 // Entities are named by the ordinals of their side's entity table
 // (history.Ordinals) and a pair by one packed uint64 (Key): per-entity
 // state is slices indexed by ordinal, bucket members are 4-byte ordinals,
-// and every per-pair structure is keyed by the packed pair, so nothing in
-// this package hashes, compares or stores an entity id. The candidate
-// order is the numeric key order; it equals the canonical (U, V) id order
-// only while ordinals happen to be in id order, and nothing downstream
-// relies on it — scores are pure functions of the pair, and the canonical
-// order is imposed where edges are materialised (the root package).
+// and a pair appears only as a packed word in the lists handed out, so
+// nothing in this package hashes, compares or stores an entity id. The
+// candidate order is the numeric key order; it equals the canonical (U, V)
+// id order only while ordinals happen to be in id order, and nothing
+// downstream relies on it — scores are pure functions of the pair, and the
+// canonical order is imposed where edges are materialised (the root
+// package).
 //
 // The contract is exactness, not approximation: after any interleaving of
 // ingest, Pairs() names exactly the pairs of a from-scratch
-// lsh.CandidatePairs rebuild (see the parity suite). The invariant that
-// delivers this is simple: paircount[Key(u,v)] always equals the number of
-// bands in which u and v currently share a bucket, and every bucket
-// insert/remove updates it against the opposite side's current
-// membership. The candidate set is the keys with positive count — exactly
-// the batch path's "share a bucket in at least one band".
+// lsh.CandidatePairs rebuild (see the parity suite). It holds by
+// definition rather than by bookkeeping: a pair is a candidate iff its two
+// entities' maintained band hashes agree in some band (collides) — the
+// batch path's "share a bucket in at least one band" — and nothing is
+// stored per pair that could drift from that. The pair list is enumerated
+// from the buckets, which hold an entity under exactly its current band
+// hashes; a delta update evaluates the definition under the old and the
+// new hashes for the partners of the buckets a re-signed entity left or
+// entered.
 //
 // Signature-geometry changes cannot be handled by delta: when the union
 // window range grows past the current grid (a new minimum window shifts
@@ -147,6 +151,23 @@ type sideState struct {
 	changed []uint32
 }
 
+// bandsOf returns one ordinal's band hashes and which of them exist.
+func (s *sideState) bandsOf(ord uint32, bands int) ([]uint64, []bool) {
+	lo, hi := int(ord)*bands, (int(ord)+1)*bands
+	return s.bandHash[lo:hi], s.hasBand[lo:hi]
+}
+
+// sharesBand reports whether two entities' band hashes agree in some band
+// both of them have: the definition of a candidate pair.
+func sharesBand(hashA []uint64, okA []bool, hashB []uint64, okB []bool) bool {
+	for band, ok := range okA {
+		if ok && okB[band] && hashA[band] == hashB[band] {
+			return true
+		}
+	}
+	return false
+}
+
 // reset drops every signature and sizes the state for n ordinals of the
 // given band count.
 func (s *sideState) reset(n, bands int) {
@@ -200,22 +221,23 @@ type Index struct {
 	buckets     []map[uint64]*bucket
 	memberships int
 
-	// paircount[Key(u,v)] = number of bands in which the pair currently
-	// collides; keys with positive count are the candidate set. pairs
-	// caches the sorted materialization; pairsStale marks it outdated.
-	paircount  map[uint64]int32
-	pairs      []uint64
-	pairsStale bool
+	// The candidate set is not stored: it is the pairs that collide (see
+	// collides). numPairs is its size, kept exact by every delta; pairs
+	// caches its ascending enumeration, nil once the set has changed.
+	numPairs int64
+	pairs    []uint64
 
 	// Scratch buffers so delta updates allocate nothing per entity.
-	scratchSig  lsh.Signature
-	scratchHash []uint64
-	scratchOK   []bool
+	scratchSig      lsh.Signature
+	scratchHash     []uint64
+	scratchOK       []bool
+	scratchPartners []uint32
 
 	// Per-Update delta tracking (cleared at the start of every Update).
-	// touched records, for every pair whose collision count moved this
-	// Update, whether it was a candidate before the Update; dirtySeen
-	// dedupes Dirty pairs reached through several bands or both endpoints.
+	// touched records, for every pair that entered or left the candidate
+	// set at some step of this Update, whether it was a candidate before
+	// the Update; dirtySeen dedupes Dirty pairs reached through several
+	// bands or both endpoints.
 	touched   map[uint64]bool
 	dirtySeen map[uint64]struct{}
 
@@ -229,7 +251,6 @@ type Index struct {
 func New(storeE, storeI *history.Store, p lsh.Params) *Index {
 	x := &Index{
 		params:    p,
-		paircount: make(map[uint64]int32),
 		touched:   make(map[uint64]bool),
 		dirtySeen: make(map[uint64]struct{}),
 	}
@@ -280,16 +301,16 @@ func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) Delta {
 	return d
 }
 
-// deltaFromTouches classifies this Update's pair-count movements (recorded
-// by bumpPair in x.touched) into Added/Removed, then walks the recomputed
-// entities' current band buckets to collect the kept-but-dirty pairs. The
-// walk costs O(current collisions of the recomputed entities) — the same
-// order of work the bucket updates themselves just paid.
+// deltaFromTouches classifies the pairs whose candidacy moved during this
+// Update (recorded by applySide in x.touched) into Added/Removed by what
+// they are now, then walks the recomputed entities' current band buckets
+// to collect the kept-but-dirty pairs. The walk costs O(current collisions
+// of the recomputed entities) — the same order of work the bucket updates
+// themselves just paid.
 func (x *Index) deltaFromTouches() Delta {
 	var d Delta
 	for p, was := range x.touched {
-		is := x.paircount[p] > 0
-		switch {
+		switch is := x.collides(Ends(p)); {
 		case !was && is:
 			d.Added = append(d.Added, p)
 		case was && !is:
@@ -300,13 +321,10 @@ func (x *Index) deltaFromTouches() Delta {
 	for side := range x.sides {
 		for _, ord := range x.sides[side].changed {
 			x.visitPartners(side, ord, func(partner uint32) {
-				// Kept pairs only: currently a candidate and not newly added
-				// (a touched pair whose pre-Update membership was false is
-				// Added).
+				// A partner sharing a bucket is a candidate by definition.
+				// Kept pairs only: not newly added (a touched pair that was
+				// no candidate before the Update is Added).
 				p := pairKey(side, ord, partner)
-				if x.paircount[p] <= 0 {
-					return
-				}
 				if was, ok := x.touched[p]; ok && !was {
 					return
 				}
@@ -322,6 +340,14 @@ func (x *Index) deltaFromTouches() Delta {
 	slices.Sort(d.Removed)
 	slices.Sort(d.Dirty)
 	return d
+}
+
+// collides reports whether E ordinal u and I ordinal v, both signed, are
+// currently a candidate pair.
+func (x *Index) collides(u, v uint32) bool {
+	hashU, okU := x.sides[sideE].bandsOf(u, x.banding.Bands)
+	hashV, okV := x.sides[sideI].bandsOf(v, x.banding.Bands)
+	return sharesBand(hashU, okU, hashV, okV)
 }
 
 // visitPartners calls fn for every opposite-side member currently sharing
@@ -348,8 +374,8 @@ func (x *Index) visitPartners(side int, ord uint32, fn func(uint32)) {
 	}
 }
 
-// rebuild starts a new epoch: fresh buckets and pair counts, every
-// signature recomputed over the new grid.
+// rebuild starts a new epoch: fresh buckets, every signature recomputed
+// over the new grid, and the candidate list enumerated from them.
 func (x *Index) rebuild(minW, maxW int64, sigLen int) {
 	x.epoch++
 	x.gridMin, x.gridMax = minW, maxW
@@ -359,8 +385,7 @@ func (x *Index) rebuild(minW, maxW int64, sigLen int) {
 		x.buckets[band] = make(map[uint64]*bucket)
 	}
 	x.memberships = 0
-	x.paircount = nil // garbage before its successor is allocated
-	x.pairsStale = true
+	x.pairs = nil // garbage before its successor is allocated
 	x.lastRebuild = true
 	x.lastDirty = 0
 	if x.banding.Bands == 0 {
@@ -368,32 +393,52 @@ func (x *Index) rebuild(minW, maxW int64, sigLen int) {
 		// path, which enumerates nothing.
 		x.sides[sideE].reset(0, 0)
 		x.sides[sideI].reset(0, 0)
-		x.paircount = make(map[uint64]int32)
-		return
+	} else {
+		x.fill(sideE)
+		x.fill(sideI)
 	}
-	x.fill(sideE)
-	x.fill(sideI)
+	x.pairs = x.enumerate()
+	x.numPairs = int64(len(x.pairs))
+}
 
-	// Pair counts are accumulated per bucket once every membership list is
-	// complete, which is the same O(Σ|bucket_E|·|bucket_I|) enumeration the
-	// batch path performs. That sum bounds the number of distinct pairs
-	// from above, so a map sized by it never grows while it is filled.
-	collisions := 0
-	for _, byHash := range x.buckets {
-		for _, bkt := range byHash {
-			collisions += len(bkt.members[sideE]) * len(bkt.members[sideI])
-		}
-	}
-	x.paircount = make(map[uint64]int32, collisions)
-	for _, byHash := range x.buckets {
-		for _, bkt := range byHash {
-			for _, u := range bkt.members[sideE] {
-				for _, v := range bkt.members[sideI] {
-					x.paircount[Key(u, v)]++
-				}
+// enumerate lists the candidate set in ascending order from the buckets:
+// per E ordinal, the distinct I members of its bands' buckets — the same
+// O(Σ|bucket_E|·|bucket_I|) walk the batch path performs. Two passes over
+// contiguous ordinal ranges across x.Workers (count, prefix offsets, write)
+// fill one exactly sized slice; an ordinal's keys are sorted where they
+// land and the ranges ascend, so the slice does.
+func (x *Index) enumerate() []uint64 {
+	nE, nI := len(x.sides[sideE].signed), len(x.sides[sideI].signed)
+	walk := func(visit func(u uint32, partners []uint32)) {
+		par.Chunks(x.Workers, nE, func(_, lo, hi int) {
+			// stamp[v] == u+1 marks v as already listed for u.
+			stamp, partners := make([]uint32, nI), []uint32(nil)
+			for u := uint32(lo); u < uint32(hi); u++ {
+				partners = partners[:0]
+				x.visitPartners(sideE, u, func(v uint32) {
+					if stamp[v] != u+1 {
+						stamp[v] = u + 1
+						partners = append(partners, v)
+					}
+				})
+				visit(u, partners)
 			}
-		}
+		})
 	}
+	off := make([]int, nE+1)
+	walk(func(u uint32, partners []uint32) { off[u+1] = len(partners) })
+	for u := 0; u < nE; u++ {
+		off[u+1] += off[u]
+	}
+	pairs := make([]uint64, off[nE])
+	walk(func(u uint32, partners []uint32) {
+		keys := pairs[off[u]:off[u+1]]
+		for k, v := range partners {
+			keys[k] = Key(u, v)
+		}
+		slices.Sort(keys)
+	})
+	return pairs
 }
 
 // fill re-signs every entity of one side over the current grid and inserts
@@ -470,20 +515,49 @@ func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
 		for band := 0; band < bands; band++ {
 			x.scratchHash[band], x.scratchOK[band] = x.banding.BandHash(x.scratchSig, band)
 		}
-		oldHash := s.bandHash[int(ord)*bands : (int(ord)+1)*bands]
-		oldOK := s.hasBand[int(ord)*bands : (int(ord)+1)*bands]
+		// A never-signed ordinal has no bands: oldOK is all false.
+		oldHash, oldOK := s.bandsOf(ord, bands)
+		partners := x.scratchPartners[:0]
 		for band := 0; band < bands; band++ {
-			wasOK, isOK := !fresh && oldOK[band], x.scratchOK[band]
+			wasOK, isOK := oldOK[band], x.scratchOK[band]
 			if wasOK == isOK && (!wasOK || oldHash[band] == x.scratchHash[band]) {
 				continue // this band's bucket did not change
 			}
 			if wasOK {
-				x.removeBand(band, oldHash[band], ord, side)
+				partners = x.removeBand(band, oldHash[band], ord, side, partners)
 			}
 			if isOK {
-				x.insertBand(band, x.scratchHash[band], ord, side)
+				partners = x.insertBand(band, x.scratchHash[band], ord, side, partners)
 			}
 		}
+		// Only a member of a bucket the entity left or entered can have
+		// changed candidacy with it: towards anyone else, every band that
+		// collided still does and no other one has started to. Count-only
+		// churn — hopping between buckets while another band keeps the pair
+		// — is was == is, and must not drop the enumerated list.
+		slices.Sort(partners)
+		partners = slices.Compact(partners)
+		for _, partner := range partners {
+			hash, ok := x.sides[1-side].bandsOf(partner, bands)
+			was := sharesBand(oldHash, oldOK, hash, ok)
+			is := sharesBand(x.scratchHash, x.scratchOK, hash, ok)
+			if was == is {
+				continue
+			}
+			// The first move of a pair per Update records its pre-Update
+			// membership, the raw material of Delta.Added/Removed.
+			p := pairKey(side, ord, partner)
+			if _, seen := x.touched[p]; !seen {
+				x.touched[p] = was
+			}
+			if is {
+				x.numPairs++
+			} else {
+				x.numPairs--
+			}
+			x.pairs = nil
+		}
+		x.scratchPartners = partners
 		copy(oldHash, x.scratchHash)
 		copy(oldOK, x.scratchOK)
 		if fresh {
@@ -496,59 +570,28 @@ func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
 	return n
 }
 
-// insertBand adds an entity to one band bucket, counting the new
-// collisions against the opposite side's current members.
-func (x *Index) insertBand(band int, hash uint64, ord uint32, side int) {
+// insertBand adds an entity to one band bucket and appends the bucket's
+// opposite-side members to partners.
+func (x *Index) insertBand(band int, hash uint64, ord uint32, side int, partners []uint32) []uint32 {
 	bkt := x.bucketAt(band, hash)
-	for _, partner := range bkt.members[1-side] {
-		x.bumpPair(pairKey(side, ord, partner), 1)
-	}
 	bkt.members[side] = append(bkt.members[side], ord)
 	x.memberships++
+	return append(partners, bkt.members[1-side]...)
 }
 
-// removeBand removes an entity from one band bucket, releasing its
-// collisions against the opposite side's current members.
-func (x *Index) removeBand(band int, hash uint64, ord uint32, side int) {
+// removeBand removes an entity from one band bucket and appends the
+// bucket's opposite-side members to partners.
+func (x *Index) removeBand(band int, hash uint64, ord uint32, side int, partners []uint32) []uint32 {
 	bkt := x.buckets[band][hash]
 	if bkt == nil {
-		return
+		return partners
 	}
 	bkt.members[side] = cut(bkt.members[side], ord)
-	for _, partner := range bkt.members[1-side] {
-		x.bumpPair(pairKey(side, ord, partner), -1)
-	}
 	x.memberships--
 	if len(bkt.members[sideE]) == 0 && len(bkt.members[sideI]) == 0 {
 		delete(x.buckets[band], hash)
 	}
-}
-
-// bumpPair adjusts one pair's band-collision count, dropping the key at
-// zero so len(paircount) stays the candidate count. Only membership
-// changes (a count moving from or to zero) stale the sorted pair cache:
-// count-only churn — an entity hopping between buckets it already shares
-// with a counterpart in other bands — leaves the candidate set untouched
-// and must not trigger an O(P log P) re-materialization. The first touch
-// of a pair per Update records its pre-Update membership, the raw material
-// of Delta.Added/Removed.
-func (x *Index) bumpPair(p uint64, d int32) {
-	old := x.paircount[p]
-	if _, seen := x.touched[p]; !seen {
-		x.touched[p] = old > 0
-	}
-	c := old + d
-	if c <= 0 {
-		if old > 0 {
-			delete(x.paircount, p)
-			x.pairsStale = true
-		}
-		return
-	}
-	x.paircount[p] = c
-	if old == 0 {
-		x.pairsStale = true
-	}
+	return append(partners, bkt.members[1-side]...)
 }
 
 // cut removes the first occurrence of ord (each entity appears at most
@@ -576,23 +619,14 @@ func resize[T any](s []T, n int) []T {
 // changed, so callers may hold a previous return value across later
 // Updates; they must not modify it.
 func (x *Index) Pairs() []uint64 {
-	if x.pairsStale {
-		pairs := make([]uint64, 0, len(x.paircount))
-		for p := range x.paircount {
-			pairs = append(pairs, p)
-		}
-		slices.Sort(pairs)
-		x.pairs = pairs
-		x.pairsStale = false
-	}
 	if x.pairs == nil {
-		x.pairs = []uint64{}
+		x.pairs = x.enumerate() // never nil, so an empty set is cached too
 	}
 	return x.pairs
 }
 
 // NumCandidates returns the candidate count without materializing Pairs.
-func (x *Index) NumCandidates() int64 { return int64(len(x.paircount)) }
+func (x *Index) NumCandidates() int64 { return x.numPairs }
 
 // Stats returns an observability snapshot of the index.
 func (x *Index) Stats() Stats {
@@ -610,7 +644,7 @@ func (x *Index) Stats() Stats {
 		SignaturesI:  x.sides[sideI].numSigs,
 		Buckets:      nonEmpty,
 		Memberships:  x.memberships,
-		Candidates:   int64(len(x.paircount)),
+		Candidates:   x.numPairs,
 		LastDirty:    x.lastDirty,
 		LastRebuild:  x.lastRebuild,
 		LastUpdate:   x.lastUpdate,

@@ -154,6 +154,7 @@ func TestIndexRandomizedParity(t *testing.T) {
 			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
 			stores := [2]*history.Store{se, si}
 			x := New(se, si, p)
+			x.Workers = 1 + int(tc.seed)%3 // fills and enumerations fan out; the set must not depend on it
 			x.Update(nil, nil)
 			requireParity(t, x, se, si, p, "empty")
 

@@ -2,6 +2,7 @@ package candidates
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -181,5 +182,103 @@ func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	requireParity(t, x, se, si, p, "first build")
 	if len(x.Pairs()) == 0 {
 		t.Fatal("co-located e0/i0 must be candidates after the first build")
+	}
+}
+
+// TestIndexDeltaThroughBothEndpoints pins the two transitions a per-pair
+// collision count used to absorb and the definition now has to get right
+// on its own: inside one Update a pair stops colliding when its E endpoint
+// is re-signed and collides again once its I endpoint is (kept all along:
+// Dirty, never Removed then Added), and the mirror — it starts colliding
+// through E and stops through I (never a candidate at either end of the
+// Update: in no list). A fixed-seed stream of bursts that each re-sign
+// entities of both sides, over a handful of cells so band hashes agree
+// often, must produce both; the test fails if it does not.
+func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
+	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	const entities, windows = 6, 32
+	rng := rand.New(rand.NewSource(5))
+	record := func(side, weight int) (int, []model.Record) {
+		id := fmt.Sprintf("%c%d", "ei"[side], rng.Intn(entities))
+		lat, unix := 37.6+0.05*float64(rng.Intn(3)), int64(900*rng.Intn(windows))
+		recs := make([]model.Record, weight)
+		for k := range recs {
+			recs[k] = rec(id, lat, -122.4, unix)
+		}
+		return side, recs
+	}
+	// Every entity spans the whole window range up front, so no burst can
+	// move the grid and every Update below is a delta.
+	var seed [2][]model.Record
+	for side := range seed {
+		for e := 0; e < entities; e++ {
+			id := fmt.Sprintf("%c%d", "ei"[side], e)
+			seed[side] = append(seed[side], rec(id, 37.6, -122.4, 0), rec(id, 37.6, -122.4, 900*(windows-1)))
+		}
+	}
+	se := history.Build(&model.Dataset{Name: "E", Records: seed[sideE]}, wnd, level)
+	si := history.Build(&model.Dataset{Name: "I", Records: seed[sideI]}, wnd, level)
+	stores := [2]*history.Store{se, si}
+	x := New(se, si, p)
+	x.Update(nil, nil)
+	bands := x.Stats().Bands
+	if bands < 2 {
+		t.Fatalf("geometry yielded %d band(s); a pair needs two to change hands", bands)
+	}
+
+	lostAndRegained, gainedAndLost := 0, 0
+	for burst := 0; burst < 400; burst++ {
+		var old [2]sideState
+		for side := range old {
+			old[side].bandHash = slices.Clone(x.sides[side].bandHash)
+			old[side].hasBand = slices.Clone(x.sides[side].hasBand)
+		}
+		dirty := [2]map[uint32]struct{}{{}, {}}
+		for k := 0; k < 4; k++ {
+			// Heavier and heavier records, so a burst keeps overturning
+			// dominating cells however much weight a window already holds.
+			side, recs := record(k%2, 1+burst)
+			for _, r := range recs {
+				dirty[side][stores[side].Add(r)] = struct{}{}
+			}
+		}
+		d := x.Update(dirty[sideE], dirty[sideI])
+		if d.Rebuilt {
+			t.Fatalf("burst %d moved the grid; the fixture must stay on the delta path", burst)
+		}
+		for u := uint32(0); u < entities; u++ {
+			for v := uint32(0); v < entities; v++ {
+				oldU, oldUOK := old[sideE].bandsOf(u, bands)
+				oldV, oldVOK := old[sideI].bandsOf(v, bands)
+				newU, newUOK := x.sides[sideE].bandsOf(u, bands)
+				newV, newVOK := x.sides[sideI].bandsOf(v, bands)
+				before := sharesBand(oldU, oldUOK, oldV, oldVOK)
+				between := sharesBand(newU, newUOK, oldV, oldVOK) // E is re-signed first
+				after := sharesBand(newU, newUOK, newV, newVOK)
+				key := Key(u, v)
+				_, added := slices.BinarySearch(d.Added, key)
+				_, removed := slices.BinarySearch(d.Removed, key)
+				_, kept := slices.BinarySearch(d.Dirty, key)
+				switch {
+				case before && !between && after:
+					lostAndRegained++
+					if added || removed || !kept {
+						t.Fatalf("burst %d: pair (%d,%d) lost its last band through E and regained one through I: added=%v removed=%v dirty=%v, want Dirty only",
+							burst, u, v, added, removed, kept)
+					}
+				case !before && between && !after:
+					gainedAndLost++
+					if added || removed || kept {
+						t.Fatalf("burst %d: pair (%d,%d) collided only between the two endpoints' updates: added=%v removed=%v dirty=%v, want no list",
+							burst, u, v, added, removed, kept)
+					}
+				}
+			}
+		}
+		requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
+	}
+	t.Logf("%d pairs lost and regained, %d gained and lost within one Update", lostAndRegained, gainedAndLost)
+	if lostAndRegained == 0 || gainedAndLost == 0 {
+		t.Fatalf("the bursts produced %d lost-and-regained and %d gained-and-lost pairs; the test needs both", lostAndRegained, gainedAndLost)
 	}
 }

@@ -25,8 +25,8 @@ type PairExplain struct {
 	// endpoint (false for unknown or never-signed entities).
 	HasU, HasV bool
 	// Candidate reports whether the pair is currently in the candidate
-	// set; BandCount is its current band-collision count (the index
-	// invariant: Candidate == BandCount > 0 == len(Collisions) > 0).
+	// set, which by definition is BandCount > 0; BandCount is its current
+	// band-collision count, len(Collisions).
 	Candidate bool
 	BandCount int32
 	// Collisions lists the currently colliding bands in band order.
@@ -53,9 +53,7 @@ func (x *Index) Explain(u, v uint32) PairExplain {
 		SignatureLen: x.banding.SigLen,
 		Bands:        x.banding.Bands,
 		Rows:         x.banding.Rows,
-		BandCount:    x.paircount[Key(u, v)],
 	}
-	ex.Candidate = ex.BandCount > 0
 	su, sv := &x.sides[sideE], &x.sides[sideI]
 	if int(u) < len(su.signed) && su.signed[u] {
 		ex.HasU, ex.SigVersionU = true, su.version[u]
@@ -78,5 +76,7 @@ func (x *Index) Explain(u, v uint32) PairExplain {
 		}
 		ex.Collisions = append(ex.Collisions, bc)
 	}
+	ex.BandCount = int32(len(ex.Collisions))
+	ex.Candidate = ex.BandCount > 0
 	return ex
 }

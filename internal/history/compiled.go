@@ -1,8 +1,6 @@
 package history
 
 import (
-	"slices"
-
 	"slim/internal/geo"
 	"slim/internal/model"
 	"slim/internal/par"
@@ -11,27 +9,30 @@ import (
 // Compiled is the flat, read-optimized view of one entity's history that
 // the similarity scorer runs on. It shares History's column layout —
 // window k's bins occupy Cells/Counts/IDF[Off[k]:Off[k+1]], sorted by
-// ascending cell id — and adds what scoring needs on top: the store's IDF
-// weight of every bin, per-window weight sums, and cell ids interned into
-// the owning Store's dense index space (see Store.CompiledView) so scorers
-// can key distance caches on small integers instead of hashing 64-bit id
-// pairs.
+// ascending cell id — and its columns: Windows, Off and Counts are the
+// history's own slices, not copies. On top it adds what scoring derives:
+// the store's IDF weight of every bin, per-window weight sums, and cell
+// ids interned into the owning Store's dense index space (see
+// Store.CompiledView) so scorers can key distance caches on small integers
+// instead of hashing 64-bit id pairs.
 //
-// A Compiled view is immutable once published. Store.Add invalidates it by
-// bumping version counters, never by mutating it, so a scorer holding a
-// view keeps reading consistent (if stale) data.
+// A view is valid until the next Store.Add to its entity, which shifts the
+// shared columns in place; Add is not safe concurrently with readers, so a
+// reader never sees the shift happen. A view must not be held across an
+// Add: fetch it per use, as every scorer entry point does. The store never
+// hands out a stale one — Add bumps the history's version, so the view
+// fails current() and is rebuilt before CompiledViewAt returns it.
 type Compiled struct {
-	// Windows are the sorted leaf window indices (a copy: the history's
-	// own window slice is shifted in place by later Adds, which would
-	// corrupt a held view rather than merely staling it).
+	// Windows are the sorted leaf window indices (the history's slice).
 	Windows []int64
 	// Off bounds each window's bin range: window k owns indices
-	// [Off[k], Off[k+1]) of the parallel arrays below.
+	// [Off[k], Off[k+1]) of the parallel arrays below (the history's
+	// slice).
 	Off []int32
 	// Cells holds store-dense cell indices, ascending cell-id order within
 	// each window.
 	Cells []int32
-	// Counts holds the record weight of each bin.
+	// Counts holds the record weight of each bin (the history's slice).
 	Counts []float64
 	// IDF holds the owning store's IDF weight (Eq. 3) of each bin, baked in
 	// at compile time.
@@ -61,7 +62,7 @@ func (c *Compiled) current(epoch uint64, h *History) bool {
 // The stale entities' cells are interned serially, in ordinal then
 // column order, so dense indices are assigned identically for every
 // worker count; the rest of each view (the bulk of the work: IDF lookups
-// and column copies over read-only store state) is then built across the
+// and window sums over read-only store state) is then built across the
 // given number of workers (below 1 means 1).
 //
 // RunEdges calls Compile before fanning scoring across workers, so the
@@ -144,9 +145,7 @@ func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellID) {
 	return s.CompiledViewAt(ord)
 }
 
-// internLocked starts a fresh view of h — a fresh Compiled is always
-// allocated, since concurrent scorers may still hold the previous one —
-// holding h's cells as dense indices, each cell id assigned the next index
+// internLocked starts a fresh view of h, holding h's cells as dense indices, each cell id assigned the next index
 // on first sight. It is the only part of a view build that writes store
 // state; callers hold compMu for writing.
 func (s *Store) internLocked(h *History) *Compiled {
@@ -167,20 +166,20 @@ func (s *Store) internLocked(h *History) *Compiled {
 	return c
 }
 
-// fill completes a view started by internLocked: window and offset
-// columns, record weights, the IDF weight of every bin and the per-window
-// weight sums. It only reads the store and the history, so views of
-// distinct entities fill concurrently.
+// fill completes a view started by internLocked: it points the view at
+// the history's window, offset and weight columns and computes the IDF
+// weight of every bin and the per-window weight sums. It only reads the
+// store and the history, so views of distinct entities fill concurrently.
 func (s *Store) fill(c *Compiled, h *History) {
-	c.Windows = slices.Clone(h.windows)
-	c.Off = slices.Clone(h.off)
-	c.Counts = slices.Clone(h.counts)
+	c.Windows, c.Off, c.Counts = h.windows, h.off, h.counts
 	c.IDF = make([]float64, len(h.cells))
 	c.WinRecs = make([]float64, len(h.windows))
+	n := len(s.entities)
 	for k, win := range h.windows {
+		fw := s.freq.window(win)
 		var recs float64
 		for j := h.off[k]; j < h.off[k+1]; j++ {
-			c.IDF[j] = s.IDF(Bin{Window: win, Cell: h.cells[j]})
+			c.IDF[j] = idf(n, fw.count(h.cells[j]))
 			recs += h.counts[j]
 		}
 		c.WinRecs[k] = recs

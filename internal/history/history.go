@@ -8,8 +8,14 @@
 //
 // A Store holds the histories of one location dataset together with the
 // dataset-level statistics the similarity score needs: the bin→entity
-// frequency index behind the IDF component (Eq. 3) and the average history
-// size behind the BM25-style length normalization (Eq. 2).
+// frequency index behind the IDF component (Eq. 3) — itself sorted columns,
+// one pair per window (freq.go) — and the average history size behind the
+// BM25-style length normalization (Eq. 2).
+//
+// Each fact is stored once. A history's columns are the only copy of its
+// windows, offsets and weights: the compiled scoring views (compiled.go)
+// point at them and add only what scoring derives — interned cells, baked
+// IDF weights, per-window sums.
 //
 // Entities are numbered. Each linkage side has one append-only entity
 // table (Ordinals: EntityID ↔ uint32), shared by the side's scoring store
@@ -82,9 +88,11 @@ func appendBinWeights(dst []binWeight, r model.Record, win int64, level int) []b
 // newHistory builds a history from an entity's records: every contribution
 // is collected, sorted once by (window, cell), and folded into exactly
 // sized columns. The sort is stable, so the weights of one bin are summed
-// in record order — the order Store.Add sums them in.
-func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, level int) *History {
-	bws := make([]binWeight, 0, len(recs))
+// in record order — the order Store.Add sums them in. The contributions
+// are collected in scratch, which is returned (possibly grown) for the
+// caller's next history; nothing of it is retained.
+func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, level int, scratch []binWeight) (*History, []binWeight) {
+	bws := scratch[:0]
 	for _, r := range recs {
 		bws = appendBinWeights(bws, r, w.Window(r.Unix), level)
 	}
@@ -121,7 +129,7 @@ func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, l
 		h.counts = append(h.counts, b.weight)
 	}
 	h.off = append(h.off, int32(len(h.cells)))
-	return h
+	return h, bws
 }
 
 // add folds weight into the bin, inserting its window and cell in place
@@ -290,13 +298,13 @@ type Store struct {
 	histories []*History
 	entities  []model.EntityID
 
-	// binEntities is nil on a signature store.
-	binEntities map[Bin]int32
-	avgBins     float64
-	totalBins   int
-	minWindow   int64
-	maxWindow   int64
-	hasData     bool
+	// freq is the bin→entity frequency index; nil on a signature store.
+	freq      *freqIndex
+	avgBins   float64
+	totalBins int
+	minWindow int64
+	maxWindow int64
+	hasData   bool
 
 	// epoch versions the dataset-level IDF inputs (entity count, bin
 	// frequencies). Any change invalidates every compiled view,
@@ -334,7 +342,7 @@ func BuildParallel(d *model.Dataset, w model.Windowing, spatialLevel, workers in
 // BuildGrouped is BuildParallel over records already grouped by entity.
 // It starts the side's entity table: ordinal k is g.Entities[k].
 func BuildGrouped(g *model.Grouped, w model.Windowing, spatialLevel, workers int) *Store {
-	return build(g, NewOrdinals(), w, spatialLevel, workers, true)
+	return build(g, newOrdinals(len(g.Entities)), w, spatialLevel, workers, true)
 }
 
 // SignatureStore builds the side's signature store at another spatial
@@ -353,26 +361,24 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 		histories: make([]*History, len(g.Entities)),
 		entities:  slices.Clone(g.Entities),
 	}
-	if scoring {
-		s.binEntities = make(map[Bin]int32)
-		s.cellIndex = make(map[geo.CellID]int32)
-	}
 	for k, e := range g.Entities {
 		if ord := ords.intern(e); int(ord) != k {
 			panic("history: grouped entities do not line up with the side's ordinals")
 		}
 	}
 	par.Chunks(workers, len(s.histories), func(_, lo, hi int) {
+		var scratch []binWeight // one per worker, reused across its histories
 		for k := lo; k < hi; k++ {
-			s.histories[k] = newHistory(g.Entities[k], g.Of(k), w, spatialLevel)
+			s.histories[k], scratch = newHistory(g.Entities[k], g.Of(k), w, spatialLevel, scratch)
 		}
 	})
 	for _, h := range s.histories {
 		s.totalBins += h.NumBins()
 		s.noteWindows(h.windows[0], h.windows[len(h.windows)-1])
-		if scoring {
-			h.Bins(func(b Bin, _ float64) { s.binEntities[b]++ })
-		}
+	}
+	if scoring {
+		s.freq = newFreqIndex(s.histories, s.totalBins)
+		s.cellIndex = make(map[geo.CellID]int32)
 	}
 	if len(s.entities) > 0 {
 		s.avgBins = float64(s.totalBins) / float64(len(s.entities))
@@ -393,7 +399,7 @@ func (s *Store) noteWindows(lo, hi int64) {
 // mustScore panics on a signature store: a zero IDF weight or an empty
 // compiled view there would be a silently wrong score, not a missing one.
 func (s *Store) mustScore(op string) {
-	if s.binEntities == nil {
+	if s.freq == nil {
 		panic("history: " + op + " on a signature store (columns and versions only)")
 	}
 }
@@ -456,11 +462,13 @@ func (s *Store) IDF(b Bin) float64 {
 	if n == 0 {
 		return 0
 	}
-	c := s.binEntities[b]
-	if c == 0 {
-		c = 1
-	}
-	return math.Log(float64(n) / float64(c))
+	return idf(n, s.freq.window(b.Window).count(b.Cell))
+}
+
+// idf is Eq. 3 for a bin that df of n entities hold; a bin no entity
+// holds weighs like one a single entity does.
+func idf(n int, df int32) float64 {
+	return math.Log(float64(n) / float64(max(df, 1)))
 }
 
 // NormFactorAt returns the BM25-style length normalization L(u) of Eq. 2

@@ -38,8 +38,8 @@ func (s *Store) Add(rec model.Record) uint32 {
 	s.addScratch = appendBinWeights(s.addScratch[:0], rec, win, s.Level)
 	for _, bw := range s.addScratch {
 		if h.add(bw.Bin, bw.weight) {
-			if s.binEntities != nil {
-				s.binEntities[bw.Bin]++
+			if s.freq != nil {
+				s.freq.add(bw.Bin)
 			}
 			s.totalBins++
 			s.epoch++ // bin frequency changed: baked IDF weights are stale

@@ -15,9 +15,10 @@ type Ordinals struct {
 	index map[model.EntityID]uint32
 }
 
-// NewOrdinals returns an empty table.
-func NewOrdinals() *Ordinals {
-	return &Ordinals{index: make(map[model.EntityID]uint32)}
+// newOrdinals returns an empty table with room for n entities, so a build
+// that knows its entity count never regrows the map.
+func newOrdinals(n int) *Ordinals {
+	return &Ordinals{ids: make([]model.EntityID, 0, n), index: make(map[model.EntityID]uint32, n)}
 }
 
 // Len returns the number of ordinals assigned so far.

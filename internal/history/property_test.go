@@ -73,6 +73,20 @@ func (m *refStore) add(r model.Record, counted bool) {
 	}
 }
 
+// binEntities counts, per bin, the entities holding it: the oracle of the
+// store's frequency index.
+func (m *refStore) binEntities() map[history.Bin]int {
+	out := map[history.Bin]int{}
+	for _, wins := range m.leaves {
+		for w, cells := range wins {
+			for c := range cells {
+				out[history.Bin{Window: w, Cell: c}]++
+			}
+		}
+	}
+	return out
+}
+
 func sortedKeys[K int64 | geo.CellID | model.EntityID, V any](m map[K]V) []K {
 	out := make([]K, 0, len(m))
 	for k := range m {
@@ -114,7 +128,7 @@ func (m *refStore) check(t *testing.T, step string, s *history.Store, rng *rand.
 	if s.Epoch() != m.epoch {
 		t.Fatalf("%s: Epoch = %d, want %d", step, s.Epoch(), m.epoch)
 	}
-	binEntities := map[history.Bin]int{}
+	binEntities := m.binEntities()
 	var minW, maxW int64
 	totalBins, first := 0, true
 	for _, e := range ents {
@@ -126,10 +140,7 @@ func (m *refStore) check(t *testing.T, step string, s *history.Store, rng *rand.
 				maxW = w
 			}
 			first = false
-			for c := range cells {
-				binEntities[history.Bin{Window: w, Cell: c}]++
-				totalBins++
-			}
+			totalBins += len(cells)
 		}
 	}
 	gotMin, gotMax, ok := s.WindowRange()
@@ -262,6 +273,91 @@ func TestColumnarHistoryMatchesMapModel(t *testing.T) {
 				m.add(r, true)
 				if k%20 == 19 {
 					m.check(t, fmt.Sprintf("after Add %d", k), s, rng)
+				}
+			}
+		})
+	}
+}
+
+// TestFrequencyIndexMatchesMapOracle holds the sorted-column frequency
+// index to a map[Bin]int: under seeded streams of point and region records
+// whose windows keep opening before the first and after the last one held,
+// with the store now and then rebuilt by BuildGrouped from everything seen
+// so far and the stream continuing on the rebuilt store, Store.IDF must
+// equal log(|U|/df) for every bin some entity holds and log(|U|) for bins
+// none does — in a window the index has, in a gap between its windows, and
+// on either side of its range.
+func TestFrequencyIndexMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			loWin, hiWin := int64(0), int64(8) // windows drawn so far: [loWin, hiWin)
+			record := func() model.Record {
+				win := loWin + 2*rng.Int63n((hiWin-loWin)/2) // even windows: odd ones stay gaps
+				switch rng.Intn(10) {
+				case 0:
+					loWin -= 2
+					win = loWin
+				case 1:
+					win = hiWin
+					hiWin += 2
+				}
+				r := model.Record{
+					Entity: model.EntityID(fmt.Sprintf("u%02d", rng.Intn(9))),
+					LatLng: geo.LatLng{Lat: 37.5 + 0.02*float64(rng.Intn(6)), Lng: -122.5 + 0.02*float64(rng.Intn(6))},
+					Unix:   refWindowing.Epoch + win*refWindowing.WidthSeconds + rng.Int63n(refWindowing.WidthSeconds),
+				}
+				if rng.Intn(4) == 0 {
+					r.RadiusKm = 0.5 + 4*rng.Float64()
+				}
+				return r
+			}
+			m := newRefStore()
+			var seen []model.Record
+			build := func() *history.Store {
+				d := model.Dataset{Name: "p", Records: seen}
+				g := d.GroupByEntity(-1)
+				return history.BuildGrouped(&g, refWindowing, refLevel, 1+rng.Intn(3))
+			}
+			check := func(step string, s *history.Store) {
+				t.Helper()
+				n := float64(len(m.leaves))
+				oracle := m.binEntities()
+				for b, df := range oracle {
+					if got, want := s.IDF(b), math.Log(n/float64(df)); got != want {
+						t.Fatalf("%s: IDF(%v) = %g, want %g (df %d of %g)", step, b, got, want, df, n)
+					}
+				}
+				absentCell := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: -33.9, Lng: 151.2}, refLevel)
+				for _, win := range []int64{loWin - 1, loWin, loWin + 1, hiWin - 2, hiWin - 1, hiWin} {
+					b := history.Bin{Window: win, Cell: absentCell}
+					if _, held := oracle[b]; held {
+						t.Fatalf("%s: the absent cell is held in window %d", step, win)
+					}
+					if got, want := s.IDF(b), math.Log(n); n > 0 && got != want {
+						t.Fatalf("%s: IDF of absent bin %v = %g, want log|U| = %g", step, b, got, want)
+					}
+				}
+			}
+			for k := rng.Intn(3) * 40; k > 0; k-- { // a third of the seeds start empty
+				seen = append(seen, record())
+			}
+			for _, r := range seen {
+				m.add(r, false)
+			}
+			s := build()
+			check("after the first build", s)
+			for k := 0; k < 300; k++ {
+				r := record()
+				seen = append(seen, r)
+				s.Add(r)
+				m.add(r, true)
+				if k%25 == 24 {
+					check(fmt.Sprintf("after Add %d", k), s)
+					if rng.Intn(2) == 0 {
+						s = build()
+						check(fmt.Sprintf("rebuilt after Add %d", k), s)
+					}
 				}
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -62,12 +61,19 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 // keeping a field keeps its whole line alive. Entity ids are therefore
 // interned: every record of one entity shares a single backing string
 // cloned off the first line that named it.
+//
+// The record count is unknown until the input ends, so records accumulate
+// in fixed-size chunks that are concatenated once into an exactly sized
+// slice: a load allocates twice what it returns, where growing one slice
+// by append allocated five times that and left a quarter of it unused.
 func ReadCSV(r io.Reader, name string) (Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
 	d := Dataset{Name: name}
 	ids := make(map[string]EntityID)
+	var full [][]Record
+	chunk := make([]Record, 0, csvChunkRecords)
 	line := 0
 	for {
 		row, err := cr.Read()
@@ -111,17 +117,33 @@ func ReadCSV(r io.Reader, name string) (Dataset, error) {
 			id = EntityID(strings.Clone(row[0]))
 			ids[string(id)] = id
 		}
-		d.Records = append(d.Records, Record{
+		if len(chunk) == cap(chunk) {
+			full = append(full, chunk)
+			chunk = make([]Record, 0, csvChunkRecords)
+		}
+		chunk = append(chunk, Record{
 			Entity:   id,
 			LatLng:   geo.LatLngFromDegrees(lat, lng),
 			Unix:     unix,
 			RadiusKm: radius,
 		})
 	}
+	if n := len(full)*csvChunkRecords + len(chunk); n > 0 { // no rows leave Records nil
+		d.Records = make([]Record, 0, n)
+	}
+	for k, c := range full {
+		d.Records = append(d.Records, c...)
+		full[k] = nil // collectable before the next one is copied
+	}
+	d.Records = append(d.Records, chunk...)
 	if err := d.Validate(); err != nil {
 		return Dataset{}, err
 	}
-	// Growing by append leaves up to a quarter of the capacity unused.
-	d.Records = slices.Clone(d.Records)
 	return d, nil
 }
+
+// csvChunkRecords is how many records ReadCSV accumulates per chunk
+// (192 KiB): large enough that the chunk list stays a few hundred entries
+// at the paper's dataset size, small enough that a short file wastes
+// little.
+const csvChunkRecords = 4096

@@ -230,19 +230,15 @@ func TestReadCSVInternsEntityIDs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
 	}
-	const records, perEntity = 50_000, 12
-	var buf bytes.Buffer
-	buf.WriteString("entity,lat,lng,unix\n")
-	for k := 0; k < records; k++ {
-		fmt.Fprintf(&buf, "user-%06d,%.7f,%.7f,%d\n", k/perEntity, 37.5+float64(k%997)*1e-4, -122.3-float64(k%991)*1e-4, 1_200_000_000+k)
-	}
+	const records = 50_000
+	buf := csvFixture(records)
 	before := testenv.LiveHeap()
-	d, err := ReadCSV(&buf, "x")
+	d, err := ReadCSV(buf, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := testenv.LiveHeap()
-	runtime.KeepAlive(&buf) // live across both readings, so it cancels out
+	runtime.KeepAlive(buf) // live across both readings, so it cancels out
 	if len(d.Records) != records {
 		t.Fatalf("read %d records, want %d", len(d.Records), records)
 	}
@@ -258,6 +254,44 @@ func TestReadCSVInternsEntityIDs(t *testing.T) {
 		t.Errorf("load retains %.1f B per record, want < 60", perRecord)
 	}
 	runtime.KeepAlive(d)
+}
+
+// csvFixture is a headed CSV of n point records, twelve per entity (the
+// paper's SM density), in the shape the generators write.
+func csvFixture(n int) *bytes.Buffer {
+	var buf bytes.Buffer
+	buf.WriteString("entity,lat,lng,unix\n")
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&buf, "user-%06d,%.7f,%.7f,%d\n", k/12, 37.5+float64(k%997)*1e-4, -122.3-float64(k%991)*1e-4, 1_200_000_000+k)
+	}
+	return &buf
+}
+
+// TestReadCSVAllocatesLittleBeyondItsResult budgets what a load allocates
+// in total, garbage included — it is what sets a process's peak while two
+// 17 MB sides load at the paper's scale. encoding/csv allocates one string
+// per line, ≈ 1.3× the records returned; the chunks the records accumulate
+// in are 1× and the result itself 1×. Growing one slice by append and
+// cloning it to size allocated 7.3×.
+func TestReadCSVAllocatesLittleBeyondItsResult(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	const records = 200_000
+	buf := csvFixture(records)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := ReadCSV(buf, "x")
+	runtime.ReadMemStats(&after)
+	if err != nil || len(d.Records) != records {
+		t.Fatalf("read %d records, err %v; want %d", len(d.Records), err, records)
+	}
+	returned := float64(records) * float64(unsafe.Sizeof(Record{}))
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / returned
+	t.Logf("allocated %.2fx the %.1f MB returned", ratio, returned/1e6)
+	if ratio > 4 {
+		t.Errorf("load allocates %.2fx the bytes it returns, budget 4x", ratio)
+	}
 }
 
 func TestReadCSVErrors(t *testing.T) {
