@@ -16,25 +16,14 @@ import (
 	"os"
 
 	"slim"
+	"slim/cmd/internal/linkflags"
 )
 
 func main() {
 	var (
-		ePath        = flag.String("e", "", "first dataset CSV (required)")
-		iPath        = flag.String("i", "", "second dataset CSV (required)")
-		window       = flag.Float64("window", 15, "temporal window width in minutes")
-		level        = flag.Int("level", 12, "spatial grid level (0 = auto-tune)")
-		maxSpeed     = flag.Float64("max-speed", 2, "maximum entity speed in km/min (runaway bound)")
-		b            = flag.Float64("b", 0.5, "history-length normalization strength [0,1]")
-		minRecords   = flag.Int("min-records", 5, "drop entities with <= this many records")
-		workers      = flag.Int("workers", 0, "scoring goroutines (0 = GOMAXPROCS)")
-		matcher      = flag.String("matcher", "greedy", "matching algorithm: greedy | hungarian")
-		thresholdM   = flag.String("threshold", "gmm", "stop threshold: gmm | otsu | 2means | none")
-		useLSH       = flag.Bool("lsh", false, "enable the LSH candidate filter")
-		lshThreshold = flag.Float64("lsh-threshold", 0.6, "LSH signature similarity threshold t")
-		lshStep      = flag.Int("lsh-step", 48, "LSH query window size in temporal windows")
-		lshLevel     = flag.Int("lsh-level", 16, "LSH dominating-cell spatial level")
-		lshBuckets   = flag.Int("lsh-buckets", 4096, "LSH buckets per band")
+		ePath   = flag.String("e", "", "first dataset CSV (required)")
+		iPath   = flag.String("i", "", "second dataset CSV (required)")
+		linkage = linkflags.Bind(flag.CommandLine)
 	)
 	flag.Parse()
 	if *ePath == "" || *iPath == "" {
@@ -52,26 +41,7 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := slim.Config{
-		WindowMinutes:    *window,
-		SpatialLevel:     *level,
-		MaxSpeedKmPerMin: *maxSpeed,
-		B:                *b,
-		MinRecords:       *minRecords,
-		Workers:          *workers,
-		Matcher:          slim.MatcherKind(*matcher),
-		Threshold:        slim.ThresholdMethod(*thresholdM),
-	}
-	if *useLSH {
-		cfg.LSH = &slim.LSHConfig{
-			Threshold:    *lshThreshold,
-			StepWindows:  *lshStep,
-			SpatialLevel: *lshLevel,
-			NumBuckets:   *lshBuckets,
-		}
-	}
-
-	res, err := slim.LinkDatasets(dsE, dsI, cfg)
+	res, err := slim.LinkDatasets(dsE, dsI, linkage())
 	if err != nil {
 		fatal(err)
 	}

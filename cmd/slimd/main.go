@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"slim"
+	"slim/cmd/internal/linkflags"
 	"slim/internal/engine"
 	"slim/internal/fault"
 	"slim/internal/ingest"
@@ -77,19 +78,7 @@ func main() {
 		snapshotEvery = flag.Int("snapshot-every", storage.DefaultSnapshotEveryRuns, "checkpoint after this many relinks (<0 = only on WAL growth/shutdown)")
 		snapshotBytes = flag.Int64("snapshot-bytes", storage.DefaultSnapshotBytes, "checkpoint once this many WAL bytes were appended (<0 = never on bytes)")
 
-		window       = flag.Float64("window", 15, "temporal window width in minutes")
-		level        = flag.Int("level", 12, "spatial grid level (0 = auto-tune over the seed datasets)")
-		maxSpeed     = flag.Float64("max-speed", 2, "maximum entity speed in km/min (runaway bound)")
-		b            = flag.Float64("b", 0.5, "history-length normalization strength [0,1]")
-		minRecords   = flag.Int("min-records", 5, "drop seed entities with <= this many records")
-		workers      = flag.Int("workers", 0, "scoring goroutines (0 = GOMAXPROCS)")
-		matcher      = flag.String("matcher", "greedy", "matching algorithm: greedy | hungarian")
-		thresholdM   = flag.String("threshold", "gmm", "stop threshold: gmm | otsu | 2means | none")
-		useLSH       = flag.Bool("lsh", false, "enable the LSH candidate filter")
-		lshThreshold = flag.Float64("lsh-threshold", 0.6, "LSH signature similarity threshold t")
-		lshStep      = flag.Int("lsh-step", 48, "LSH query window size in temporal windows")
-		lshLevel     = flag.Int("lsh-level", 16, "LSH dominating-cell spatial level")
-		lshBuckets   = flag.Int("lsh-buckets", 4096, "LSH buckets per band")
+		linkage = linkflags.Bind(flag.CommandLine)
 	)
 	flag.Parse()
 	var handler slog.Handler
@@ -109,24 +98,7 @@ func main() {
 	registry := obs.NewRegistry()
 	obs.RegisterRuntime(registry)
 
-	cfg := slim.Config{
-		WindowMinutes:    *window,
-		SpatialLevel:     *level,
-		MaxSpeedKmPerMin: *maxSpeed,
-		B:                *b,
-		MinRecords:       *minRecords,
-		Workers:          *workers,
-		Matcher:          slim.MatcherKind(*matcher),
-		Threshold:        slim.ThresholdMethod(*thresholdM),
-	}
-	if *useLSH {
-		cfg.LSH = &slim.LSHConfig{
-			Threshold:    *lshThreshold,
-			StepWindows:  *lshStep,
-			SpatialLevel: *lshLevel,
-			NumBuckets:   *lshBuckets,
-		}
-	}
+	cfg := linkage()
 
 	dsE, err := readSeed(*ePath, "E")
 	if err != nil {

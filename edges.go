@@ -30,18 +30,17 @@ type EdgeStoreStats struct {
 	Dropped  int64
 	// FullRescore reports whether the last update was an epoch rebuild.
 	FullRescore bool
-	// LastUpdate is the wall-clock duration of the last update (scoring,
-	// store maintenance and edge materialization; excludes matching).
+	// LastUpdate is the wall-clock duration of the last update (scoring and
+	// store maintenance; excludes matching).
 	LastUpdate time.Duration
-	// ResidentBytes estimates the store's resident memory: a fixed
-	// map/cache cost per retained pair (Go map internals are not directly
-	// measurable; see edgePairBytes).
+	// ResidentBytes estimates the store's resident memory: a fixed map cost
+	// per retained pair (see edgePairBytes) plus the link list while cached.
 	ResidentBytes int64
 }
 
 // EdgeLineage is the provenance of one pair in the edge store: whether it
 // is currently a retained edge, its score, and which runs produced it.
-// Run sequence numbers are the ones stamped by RunEdges — inside
+// Run sequence numbers are the ones stamped by Rescore — inside
 // internal/engine they are the engine's published result versions, so a
 // lineage seq can be joined against the engine's run journal.
 type EdgeLineage struct {
@@ -66,24 +65,28 @@ type EdgeLineage struct {
 	StoreEpoch uint64
 }
 
-// edgeMeta is the per-pair provenance behind EdgeLineage, stamped by
-// resetFull/apply as scores are installed.
-type edgeMeta struct {
+// edge is the one record the store keeps per retained pair: its score and
+// the provenance behind EdgeLineage, stamped by resetFull/apply as the
+// score is installed.
+type edge struct {
+	score       float64
 	rescoredSeq uint64
 	sinceSeq    uint64
 	fullSeq     uint64
 	fullScore   float64
 }
 
-// edgePairBytes is the estimated resident cost of one retained edge: a
-// 40-byte slot of the materialised links cache, a 17-byte scores map slot
-// (8-byte packed pair, float64, control byte) and a 41-byte meta map slot
-// (packed pair, 32 bytes of provenance, control byte). Go sizes a map to a
-// power of two, so the two slots cost between 8/7 and 16/7 of that per
-// live entry — 106 to 173 B per edge in all; the constant is the middle.
-// Entity ids cost nothing here: a Link's strings share the bytes the
-// side's entity table already holds.
-const edgePairBytes = 140
+// edgePairBytes is the estimated resident cost of one retained edge: one
+// 49-byte map slot (8-byte packed pair, the 40-byte edge, control byte). Go
+// sizes a map to a power of two, so a live entry costs between 8/7 and 16/7
+// of its slot — 56 to 112 B; the constant is the middle. The link list adds
+// edgeLinkBytes per edge (two string headers and the score) only while it
+// is cached. Entity ids cost nothing either way: a Link's strings share
+// the bytes the side's entity table already holds.
+const (
+	edgePairBytes = 84
+	edgeLinkBytes = 40
+)
 
 // scoredPair is one candidate pair (candidates.Key) with its score.
 type scoredPair struct {
@@ -91,7 +94,7 @@ type scoredPair struct {
 	score float64
 }
 
-// edgeStore is the maintained pair→score state behind Linker.RunEdges.
+// edgeStore is the maintained pair→score state behind Linker.Rescore.
 // Where scoring used to be per-run output (every candidate rescanned on
 // every run), the store keeps the scored edges alive between runs and
 // updates them by delta: rescore the added/dirty pairs, drop the removed
@@ -104,9 +107,11 @@ type scoredPair struct {
 // the average history size). The latter are versioned by history.Store's
 // IDF epoch — new bin, new entity — so while both epochs stand still, a
 // retained edge's score is bit-identical to what a rescore would produce,
-// and any epoch movement forces a full rescore (amortized exactly like
-// candidate-index rebuilds: dataset-level shifts grow ever rarer as a
-// feed ages, while per-entity churn never stops).
+// and any epoch movement forces a full rescore. How often is the feed's
+// property: re-observations of known bins leave the epochs alone (≈ 98 % of
+// pairs retained on serve_revisit), while a feed whose time range advances
+// opens a new bin at every flush, so every run is a full rescore
+// (serve_fresh: retained_ratio 0 on every seed; ROADMAP item 3).
 type edgeStore struct {
 	built bool
 	// epochE / epochI are the history-store IDF epochs the retained scores
@@ -118,17 +123,15 @@ type edgeStore struct {
 	// resolved only where an edge becomes a Link.
 	idsE, idsI *history.Ordinals
 
-	// scores holds every candidate pair with a positive score; meta holds
-	// the matching per-pair provenance (same key set as scores).
-	scores map[uint64]float64
-	meta   map[uint64]edgeMeta
-	// seq is the run sequence of the last update (see Linker.RunEdges for
+	// pairs holds every candidate pair with a positive score.
+	pairs map[uint64]edge
+	// seq is the run sequence of the last update (see Linker.Rescore for
 	// how it is assigned).
 	seq uint64
-	// links caches the sorted materialization of scores; linksStale marks
-	// it outdated.
-	links      []Link
-	linksStale bool
+	// links caches the sorted materialization of pairs: built by a full
+	// rescore, dropped by the first delta update that changes the edge set
+	// (nil means none is current) and rebuilt on demand (see materialize).
+	links []Link
 
 	// Pending work accumulated between runs: pairs to (re)score, pairs to
 	// drop, and a forced-full flag, set on candidate-index rebuilds (the
@@ -159,8 +162,7 @@ func newEdgeStore(idsE, idsI *history.Ordinals) edgeStore {
 	return edgeStore{
 		idsE:        idsE,
 		idsI:        idsI,
-		scores:      make(map[uint64]float64),
-		meta:        make(map[uint64]edgeMeta),
+		pairs:       make(map[uint64]edge),
 		pendRescore: make(map[uint64]struct{}),
 		pendRemoved: make(map[uint64]struct{}),
 	}
@@ -210,28 +212,29 @@ func (es *edgeStore) mergeDelta(d candidates.Delta) {
 }
 
 // resetFull replaces the whole store with a freshly scored edge set (the
-// full-rescore path), stamped with the given run seq, and materialises it
-// in canonical order for the links cache. Pairs that were already retained
-// keep their RetainedSinceSeq tenure; everything is (by definition)
-// rescored, so every pair's rescored-seq, last-full-seq and
+// full-rescore path), stamped with the given run seq. Pairs that were
+// already retained keep their RetainedSinceSeq tenure; everything is (by
+// definition) rescored, so every pair's rescored-seq, last-full-seq and
 // score-at-last-full move to this run.
+//
+// It is the one update that builds the link list itself: the reader is
+// certain (the next Publish rebuilds the tail from the whole list) and the
+// pairs arrive in packed-key order — the id order whenever ordinals follow
+// it — so the sort finds its input sorted; the map would hand them back in
+// hash order.
 func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
-	clear(es.scores)
-	old := es.meta
-	es.meta = make(map[uint64]edgeMeta, len(edges))
-	links := make([]Link, len(edges))
-	for k, e := range edges {
-		es.scores[e.key] = e.score
-		m := edgeMeta{rescoredSeq: seq, sinceSeq: seq, fullSeq: seq, fullScore: e.score}
-		if prev, ok := old[e.key]; ok {
-			m.sinceSeq = prev.sinceSeq
+	old := es.pairs
+	es.pairs = make(map[uint64]edge, len(edges))
+	es.links = make([]Link, len(edges))
+	for k, sp := range edges {
+		e := edge{score: sp.score, rescoredSeq: seq, sinceSeq: seq, fullSeq: seq, fullScore: sp.score}
+		if prev, ok := old[sp.key]; ok {
+			e.sinceSeq = prev.sinceSeq
 		}
-		es.meta[e.key] = m
-		links[k] = es.link(e.key, e.score)
+		es.pairs[sp.key] = e
+		es.links[k] = es.link(sp.key, sp.score)
 	}
-	sortLinks(links)
-	es.links = links
-	es.linksStale = false
+	sortLinks(es.links)
 	es.pendFull = false
 	clear(es.pendRescore)
 	clear(es.pendRemoved)
@@ -251,37 +254,34 @@ func (es *edgeStore) apply(pairs []uint64, scores []float64, seq uint64) (droppe
 	es.deltaChanged = es.deltaChanged[:0]
 	es.deltaRemoved = es.deltaRemoved[:0]
 	drop := func(p uint64, old float64) {
-		delete(es.scores, p)
-		delete(es.meta, p)
-		es.linksStale = true
+		delete(es.pairs, p)
+		es.links = nil
 		es.deltaRemoved = append(es.deltaRemoved, es.link(p, old))
 		dropped++
 	}
 	for p := range es.pendRemoved {
-		if old, ok := es.scores[p]; ok {
-			drop(p, old)
+		if old, ok := es.pairs[p]; ok {
+			drop(p, old.score)
 		}
 	}
 	for i, p := range pairs {
 		s := scores[i]
-		old, had := es.scores[p]
+		e, had := es.pairs[p]
 		if s > 0 {
-			if !had || old != s {
-				es.scores[p] = s
-				es.linksStale = true
+			if !had || e.score != s {
+				es.links = nil
 				if had {
-					es.deltaRemoved = append(es.deltaRemoved, es.link(p, old))
+					es.deltaRemoved = append(es.deltaRemoved, es.link(p, e.score))
 				}
 				es.deltaChanged = append(es.deltaChanged, es.link(p, s))
 			}
-			m, hadMeta := es.meta[p]
-			if !hadMeta {
-				m.sinceSeq = seq
+			if !had {
+				e.sinceSeq = seq
 			}
-			m.rescoredSeq = seq
-			es.meta[p] = m
+			e.score, e.rescoredSeq = s, seq
+			es.pairs[p] = e
 		} else if had {
-			drop(p, old)
+			drop(p, e.score)
 		}
 	}
 	clear(es.pendRescore)
@@ -295,38 +295,34 @@ func (es *edgeStore) apply(pairs []uint64, scores []float64, seq uint64) (droppe
 // lineage returns the provenance of one pair (zero-valued, Linked=false,
 // when the pair is not a retained edge).
 func (es *edgeStore) lineage(p uint64) EdgeLineage {
-	s, ok := es.scores[p]
+	e, ok := es.pairs[p]
 	if !ok {
 		return EdgeLineage{StoreEpoch: es.fullRescores}
 	}
-	m := es.meta[p]
 	return EdgeLineage{
 		Linked:           true,
-		Score:            s,
-		RescoredSeq:      m.rescoredSeq,
-		RetainedSinceSeq: m.sinceSeq,
-		LastFullSeq:      m.fullSeq,
-		ScoreAtLastFull:  m.fullScore,
+		Score:            e.score,
+		RescoredSeq:      e.rescoredSeq,
+		RetainedSinceSeq: e.sinceSeq,
+		LastFullSeq:      e.fullSeq,
+		ScoreAtLastFull:  e.fullScore,
 		StoreEpoch:       es.fullRescores,
 	}
 }
 
-// materialize returns the retained edges sorted by (U, V) — the exact
-// order the per-run scoring path used to produce — rebuilding the cache
-// only when the edge set changed. The returned slice is shared across
-// runs until the next change; callers must not modify it.
+// materialize returns the retained edges in canonical (U, V) order,
+// building the list only when none is cached, i.e. after a delta update
+// changed the edge set. The relink path does not need it then (the publish
+// tail consumes delta()); RunEdges' callers, a tail that missed a delta and
+// the Hungarian matcher do. The returned slice (never nil) is shared until
+// the edge set next changes; callers must not modify it.
 func (es *edgeStore) materialize() []Link {
-	if es.linksStale {
-		links := make([]Link, 0, len(es.scores))
-		for p, s := range es.scores {
-			links = append(links, es.link(p, s))
-		}
-		sortLinks(links)
-		es.links = links
-		es.linksStale = false
-	}
 	if es.links == nil {
-		es.links = []Link{}
+		es.links = make([]Link, 0, len(es.pairs))
+		for p, e := range es.pairs {
+			es.links = append(es.links, es.link(p, e.score))
+		}
+		sortLinks(es.links)
 	}
 	return es.links
 }
@@ -347,13 +343,13 @@ func (es *edgeStore) delta() EdgeDelta {
 // across later runs).
 func (es *edgeStore) statsSnapshot() *EdgeStoreStats {
 	return &EdgeStoreStats{
-		Pairs:         int64(len(es.scores)),
+		Pairs:         int64(len(es.pairs)),
 		Epoch:         es.fullRescores,
 		Retained:      es.lastRetained,
 		Rescored:      es.lastRescored,
 		Dropped:       es.lastDropped,
 		FullRescore:   es.lastFull,
 		LastUpdate:    es.lastUpdate,
-		ResidentBytes: int64(len(es.scores)) * edgePairBytes,
+		ResidentBytes: int64(len(es.pairs))*edgePairBytes + int64(len(es.links))*edgeLinkBytes,
 	}
 }

@@ -8,7 +8,7 @@
 // length normalisation are defined over the whole dataset, so the engine
 // keeps both datasets in a single Linker and a run is literally the
 // Linker's own pipeline: drain the pending ingest buffers, AddE/AddI,
-// RunEdges, Publish. The published links are therefore a pure function of
+// Rescore, Publish. The published links are therefore a pure function of
 // the acknowledged records — Float64bits-identical to slim.LinkDatasets
 // over the min-records-filtered seed plus every streamed record (see
 // TestEngineParityWithLinkDatasets in the root package).
@@ -667,11 +667,11 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 		lineageSeq := e.version + 1
 		e.mu.Unlock()
 		e.lk.SetNextRunSeq(lineageSeq)
-		_, stats = e.lk.RunEdges()
+		stats = e.lk.Rescore()
 	})
 
 	// Merge: snapshot the layers and fold the rescore's outcome into the
-	// record. The incremental candidate-index update ran inside RunEdges;
+	// record. The incremental candidate-index update ran inside Rescore;
 	// its cost is reported separately, as a subset of the rescore time.
 	e.stage("merge", "", &rec.MergeDur, func(context.Context) {
 		rec.layers = &layers{

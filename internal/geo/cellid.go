@@ -60,14 +60,6 @@ func CellIDFromLatLngLevel(ll LatLng, level int) CellID {
 	return CellIDFromLatLng(ll).Parent(level)
 }
 
-// CellIDFromFacePosLevel assembles a cell id from its face, its 60-bit
-// Hilbert position (only the bits above the level's marker are kept), and
-// level. Mostly useful for tests.
-func CellIDFromFacePosLevel(face int, pos uint64, level int) CellID {
-	id := CellID(uint64(face)<<posBits | pos | 1)
-	return id.Parent(level)
-}
-
 func cellIDFromFaceIJ(face, i, j int) CellID {
 	orientation := face & swapMask
 	var pos uint64

@@ -23,12 +23,6 @@ func CellDistanceKm(a, b CellID) float64 {
 	return angle * EarthRadiusKm
 }
 
-// CellCenterDistanceKm returns the great-circle distance between the two
-// cell centers in kilometers (no circumradius correction).
-func CellCenterDistanceKm(a, b CellID) float64 {
-	return a.Center().Angle(b.Center()) * EarthRadiusKm
-}
-
 // ApproxCellEdgeKm returns the approximate edge length in kilometers of a
 // cell at the given level. Useful for choosing spatial detail levels: each
 // level halves the edge length, level 12 cells are roughly 2 km across.

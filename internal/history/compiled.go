@@ -65,7 +65,7 @@ func (c *Compiled) current(epoch uint64, h *History) bool {
 // and window sums over read-only store state) is then built across the
 // given number of workers (below 1 means 1).
 //
-// RunEdges calls Compile before fanning scoring across workers, so the
+// Rescore calls Compile before fanning scoring across workers, so the
 // parallel phase only ever takes the cheap read-lock path of CompiledView.
 func (s *Store) Compile(workers int) int {
 	s.mustScore("Compile")

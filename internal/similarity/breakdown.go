@@ -1,10 +1,14 @@
+// This file is /v1/explain's view of the kernel: the Breakdown types and
+// the recorder through which ScoreBreakdown (here) and ProbeRatio
+// (similarity.go) read one observed run of scoreWindow. It holds no pairing
+// logic of its own.
+
 package similarity
 
 import (
 	"math"
 
 	"slim/internal/geo"
-	"slim/internal/history"
 	"slim/internal/model"
 )
 
@@ -37,16 +41,16 @@ type WindowBreakdown struct {
 	// pass only appends pairs that actually contributed (negative,
 	// non-selected), mirroring the kernel.
 	Pairs []PairContribution
-	// Sum is the window's total contribution, accumulated over Pairs in
-	// order — bit-identical to the kernel's per-window sum.
+	// Sum is the window's total contribution as the kernel returned it;
+	// Pairs' contributions added in order reproduce it bit for bit.
 	Sum float64
 }
 
 // Breakdown is the full decomposition of one Score(u, v) call. Total is
-// recomposed by adding Windows[k].Sum in window order, replicating the
-// kernel's accumulation sequence exactly, so Total (and the re-summed
-// window sums) equal Score(u, v) bit for bit — the property gated by
-// TestScoreBreakdownRecomposesBitIdentically.
+// what the observed kernel run returned; adding Windows[k].Sum in window
+// order replicates its accumulation sequence exactly, so Total (and the
+// re-summed window sums) equal Score(u, v) bit for bit — the property
+// gated by TestScoreBreakdownRecomposesBitIdentically.
 type Breakdown struct {
 	U, V model.EntityID
 	// Known is false when either entity has no history (Score returns 0).
@@ -57,181 +61,83 @@ type Breakdown struct {
 	NormU, NormV, Norm float64
 	// Windows decomposes every common temporal window, in window order.
 	Windows []WindowBreakdown
-	// Total is the recomposed score.
+	// Total is the score.
 	Total float64
 }
 
 // ScoreBreakdown computes the full per-window decomposition of
-// Score(u, v). It is the explainability slow path: it walks the same
-// compiled views and replicates the kernel's pairing and floating-point
-// accumulation order exactly — same distances (canonical CellDistanceKm
-// argument order), same argsorted MNN sweep, same MFN alibi pass, same
-// per-window and cross-window summation sequence — so the recomposed
-// Total is bit-identical to Score(u, v). Unlike Score it allocates
-// freely (fresh buffers, no pooled scratch) and leaves the scorer's work
-// counters untouched: calling it never perturbs Stats() or the 0 alloc/op
-// hot path.
+// Score(u, v). It is the explainability slow path, and it is the kernel
+// itself: one observed run of the code Score runs (same views, same pooled
+// scratch and distance cache, same sweeps) with a recorder attached, so
+// Total and every window Sum are the values that run returned and each
+// pair is a term it added — bit-identical to Score(u, v) by construction.
+// Unlike Score it allocates (the recorded windows and pairs), and it
+// leaves the scorer's work counters untouched: calling it never perturbs
+// Stats().
 func (s *Scorer) ScoreBreakdown(u, v model.EntityID) *Breakdown {
 	bd := &Breakdown{U: u, V: v, NormU: 1, NormV: 1, Norm: 1}
-	cu, idsU := s.E.CompiledView(u)
-	cv, idsV := s.I.CompiledView(v)
-	if cu == nil || cv == nil {
+	var pv pairViews
+	if !s.fetchByID(&pv, u, v) {
 		return bd
 	}
 	bd.Known = true
-
-	lu, lv := 1.0, 1.0
-	if s.Par.UseNorm {
-		lu = s.E.NormFactor(u, s.Par.B)
-		lv = s.I.NormFactor(v, s.Par.B)
-	}
-	bd.NormU, bd.NormV = lu, lv
-	norm := lu * lv
-	if norm <= 0 {
-		norm = 1
-	}
-	bd.Norm = norm
-
-	wu, wv := cu.Windows, cv.Windows
-	for i, j := 0, 0; i < len(wu) && j < len(wv); {
-		switch {
-		case wu[i] < wv[j]:
-			i++
-		case wu[i] > wv[j]:
-			j++
-		default:
-			wb := s.breakdownWindow(cu, cv, i, j, idsU, idsV, norm)
-			// Add even an empty window's (zero) sum: Score adds every
-			// common window's return value, and the accumulation sequence
-			// must match term for term.
-			bd.Total += wb.Sum
-			bd.Windows = append(bd.Windows, wb)
-			i++
-			j++
-		}
-	}
+	bd.NormU, bd.NormV, bd.Norm = pv.lu, pv.lv, pv.norm
+	rec := recorder{par: &s.Par, pv: &pv}
+	bd.Total = s.run(&s.Par, &pv, &rec)
+	bd.Windows = rec.windows
 	return bd
 }
 
-// breakdownWindow decomposes one common window, mirroring scoreWindow's
-// control flow with recording added and pooled scratch replaced by fresh
-// buffers.
-func (s *Scorer) breakdownWindow(cu, cv *history.Compiled, ku, kv int, idsU, idsV []geo.CellID, norm float64) WindowBreakdown {
-	wb := WindowBreakdown{Window: cu.Windows[ku]}
-	loU, hiU := cu.Off[ku], cu.Off[ku+1]
-	loV, hiV := cv.Off[kv], cv.Off[kv+1]
-	nU, nV := int(hiU-loU), int(hiV-loV)
-	wb.BinsU, wb.BinsV = nU, nV
-	if nU == 0 || nV == 0 {
-		return wb
-	}
-	cellsU, cellsV := cu.Cells[loU:hiU], cv.Cells[loV:hiV]
-	idfU, idfV := cu.IDF[loU:hiU], cv.IDF[loV:hiV]
+// recorder is how ScoreBreakdown and ProbeRatio read the kernel (see run
+// and scoreWindow): a common window is opened before its pairing, receives
+// every term in accumulation order, and is closed with the sum the kernel
+// returned for it. Scoring passes a nil recorder; the methods are kept out
+// of line so that path carries only the nil checks.
+type recorder struct {
+	par *Params
+	pv  *pairViews
+	// loU / loV are the open window's first bin in each view.
+	loU, loV int32
+	windows  []WindowBreakdown
+}
 
-	n := nU * nV
-	dist := make([]float64, n)
-	for i, ci := range cellsU {
-		a := idsU[ci]
-		row := dist[i*nV : (i+1)*nV]
-		for j, cj := range cellsV {
-			b := idsV[cj]
-			if a == b {
-				row[j] = 0
-				continue
-			}
-			// Canonical argument order, as in fillDistances: CellDistanceKm
-			// is not bit-symmetric in its arguments.
-			if b < a {
-				row[j] = geo.CellDistanceKm(b, a)
-			} else {
-				row[j] = geo.CellDistanceKm(a, b)
-			}
-		}
-	}
+//go:noinline
+func (r *recorder) open(ku, kv int) {
+	cu, cv := r.pv.cu, r.pv.cv
+	r.loU, r.loV = cu.Off[ku], cv.Off[kv]
+	r.windows = append(r.windows, WindowBreakdown{
+		Window: cu.Windows[ku],
+		BinsU:  int(cu.Off[ku+1] - r.loU),
+		BinsV:  int(cv.Off[kv+1] - r.loV),
+	})
+}
 
-	contrib := func(i, j int, mfn bool) PairContribution {
-		d := dist[i*nV+j]
-		p := Proximity(d, s.Par.RunawayKm, s.Par.MinLogArg)
-		weight := 1.0
-		if s.Par.UseIDF {
-			weight = math.Min(idfU[i], idfV[j])
-		}
-		return PairContribution{
-			CellU:        idsU[cellsU[i]],
-			CellV:        idsV[cellsV[j]],
-			DistanceKm:   d,
-			Proximity:    p,
-			IDFWeight:    weight,
-			Contribution: p * weight / norm,
-			Alibi:        p < 0,
-			MFN:          mfn,
-		}
-	}
+//go:noinline
+func (r *recorder) close(sum float64) {
+	r.windows[len(r.windows)-1].Sum = sum
+}
 
-	if s.Par.Pairing == PairingAllPairs {
-		for i := 0; i < nU; i++ {
-			for j := 0; j < nV; j++ {
-				pc := contrib(i, j, false)
-				wb.Sum += pc.Contribution
-				wb.Pairs = append(wb.Pairs, pc)
-			}
-		}
-		return wb
+// term records the open window's bin pair (i, j), which the kernel just
+// added contribution for. Proximity and weight are re-derived from the
+// distance and IDF weights the kernel's delta read — the same pure
+// functions of the same inputs.
+func (r *recorder) term(i, j int, distKm, contribution float64, mfn bool) {
+	pv := r.pv
+	bu, bv := int(r.loU)+i, int(r.loV)+j
+	p := Proximity(distKm, r.par.RunawayKm, r.par.MinLogArg)
+	weight := 1.0
+	if r.par.UseIDF {
+		weight = math.Min(pv.cu.IDF[bu], pv.cv.IDF[bv])
 	}
-
-	nPairs := min(nU, nV)
-	order := make([]int32, n)
-	sortPairOrder(order, dist)
-
-	usedU := make([]bool, nU)
-	usedV := make([]bool, nV)
-	var sel []bool
-	if s.Par.UseMFN {
-		sel = make([]bool, n)
-	}
-	taken := 0
-	for _, k := range order {
-		if taken == nPairs {
-			break
-		}
-		i, j := int(k)/nV, int(k)%nV
-		if usedU[i] || usedV[j] {
-			continue
-		}
-		usedU[i], usedV[j] = true, true
-		if sel != nil {
-			sel[k] = true
-		}
-		pc := contrib(i, j, false)
-		wb.Sum += pc.Contribution
-		wb.Pairs = append(wb.Pairs, pc)
-		taken++
-	}
-
-	if !s.Par.UseMFN {
-		return wb
-	}
-	clear(usedU)
-	clear(usedV)
-	taken = 0
-	for k := n - 1; k >= 0 && taken < nPairs; k-- {
-		id := order[k]
-		i, j := int(id)/nV, int(id)%nV
-		if usedU[i] || usedV[j] {
-			continue
-		}
-		usedU[i], usedV[j] = true, true
-		taken++
-		if sel[id] {
-			continue
-		}
-		// Only strictly negative normalized deltas contribute, exactly as
-		// in the kernel (a zero-weight alibi pair produces -0.0, which is
-		// not < 0 and is skipped there too).
-		if pc := contrib(i, j, true); pc.Contribution < 0 {
-			wb.Sum += pc.Contribution
-			wb.Pairs = append(wb.Pairs, pc)
-		}
-	}
-	return wb
+	wb := &r.windows[len(r.windows)-1]
+	wb.Pairs = append(wb.Pairs, PairContribution{
+		CellU:        pv.idsU[pv.cu.Cells[bu]],
+		CellV:        pv.idsV[pv.cv.Cells[bv]],
+		DistanceKm:   distKm,
+		Proximity:    p,
+		IDFWeight:    weight,
+		Contribution: contribution,
+		Alibi:        p < 0,
+		MFN:          mfn,
+	})
 }

@@ -46,6 +46,24 @@ func refCellDistance(a, b geo.CellID) float64 {
 	return d
 }
 
+// forEachCommonWindow walks two sorted window slices and invokes fn for
+// every window index present in both.
+func forEachCommonWindow(a, b []int64, fn func(int64)) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			fn(a[i])
+			i++
+			j++
+		}
+	}
+}
+
 // refScore is the pre-compiled-path scorer, kept as the parity oracle.
 func refScore(e, i *history.Store, p Params, u, v model.EntityID, st *refStats) float64 {
 	hu, hv := e.History(u), i.History(v)

@@ -20,7 +20,14 @@
 // The pair-scale entry point is ScoreOrd, over the two sides' entity
 // ordinals (history.Ordinals): it reaches both compiled views and both
 // normalization factors by slice index. Score, ProbeRatio and
-// ScoreBreakdown take entity ids, resolve them once and run the same code.
+// ScoreBreakdown take entity ids and resolve them once.
+//
+// There is one implementation of the window pairing, scoreWindow, reached
+// through one fetch of a pair's views (fetch) and one walk over its common
+// windows (run). ScoreOrd runs it bare; ScoreBreakdown and ProbeRatio run
+// the same code with a recorder attached and read what it added, so the
+// three cannot drift. The map-walking port in parity_test.go is the
+// independent oracle.
 package similarity
 
 import (
@@ -224,40 +231,74 @@ func (s *Scorer) flush(sc *scratch) {
 }
 
 // Score computes S(u, v) per Eq. 2 / Alg. 1 for u in store E and v in
-// store I. Unknown entities score 0. It resolves the two ids once and
-// delegates to ScoreOrd.
+// store I. Unknown entities score 0. It is ScoreOrd by entity id: the two
+// ids are resolved once.
 func (s *Scorer) Score(u, v model.EntityID) float64 {
-	ou, okU := s.E.Ordinals().Lookup(u)
-	ov, okV := s.I.Ordinals().Lookup(v)
-	if !okU || !okV {
+	var pv pairViews
+	if !s.fetchByID(&pv, u, v) {
 		return 0
 	}
-	return s.ScoreOrd(ou, ov)
+	return s.run(&s.Par, &pv, nil)
+}
+
+// pairViews is everything the kernel reads of one pair: both compiled
+// views with their stores' cell-id tables, and the length normalization
+// (lu, lv and the product the terms are divided by, clamped to 1 when
+// non-positive).
+type pairViews struct {
+	cu, cv       *history.Compiled
+	idsU, idsV   []geo.CellID
+	lu, lv, norm float64
+}
+
+// fetch loads the pair's views into pv; it reports false when either
+// ordinal has no history.
+func (s *Scorer) fetch(pv *pairViews, u, v uint32) bool {
+	pv.cu, pv.idsU = s.E.CompiledViewAt(u)
+	pv.cv, pv.idsV = s.I.CompiledViewAt(v)
+	if pv.cu == nil || pv.cv == nil {
+		return false
+	}
+	pv.lu, pv.lv = 1, 1
+	if s.Par.UseNorm {
+		pv.lu = s.E.NormFactorAt(u, s.Par.B)
+		pv.lv = s.I.NormFactorAt(v, s.Par.B)
+	}
+	pv.norm = pv.lu * pv.lv
+	if pv.norm <= 0 {
+		pv.norm = 1
+	}
+	return true
+}
+
+// fetchByID is fetch for a pair named by entity ids, resolved once; it
+// also reports false when either id is unknown.
+func (s *Scorer) fetchByID(pv *pairViews, u, v model.EntityID) bool {
+	ou, okU := s.E.Ordinals().Lookup(u)
+	ov, okV := s.I.Ordinals().Lookup(v)
+	return okU && okV && s.fetch(pv, ou, ov)
 }
 
 // ScoreOrd is Score over the two sides' entity ordinals (see
 // history.Ordinals): the entry point of every pair-scale caller, which
 // hashes no entity id. Ordinals without a history score 0.
 func (s *Scorer) ScoreOrd(u, v uint32) float64 {
-	cu, idsU := s.E.CompiledViewAt(u)
-	cv, idsV := s.I.CompiledViewAt(v)
-	if cu == nil || cv == nil {
+	var pv pairViews
+	if !s.fetch(&pv, u, v) {
 		return 0
 	}
+	return s.run(&s.Par, &pv, nil)
+}
 
-	lu, lv := 1.0, 1.0
-	if s.Par.UseNorm {
-		lu = s.E.NormFactorAt(u, s.Par.B)
-		lv = s.I.NormFactorAt(v, s.Par.B)
-	}
-	norm := lu * lv
-	if norm <= 0 {
-		norm = 1
-	}
-
+// run is the package's one walk over a pair's common temporal windows: it
+// adds scoreWindow's contribution of each, in window order, under par.
+// Scoring passes a nil rec and the pair's work counters are flushed; a run
+// observed through a recorder is not scoring work, so what it counted in
+// the pooled scratch is dropped and Stats() never moves.
+func (s *Scorer) run(par *Params, pv *pairViews, rec *recorder) float64 {
 	sc := s.pool.Get().(*scratch)
 	var total float64
-	wu, wv := cu.Windows, cv.Windows
+	wu, wv := pv.cu.Windows, pv.cv.Windows
 	for i, j := 0, 0; i < len(wu) && j < len(wv); {
 		switch {
 		case wu[i] < wv[j]:
@@ -265,12 +306,25 @@ func (s *Scorer) ScoreOrd(u, v uint32) float64 {
 		case wu[i] > wv[j]:
 			j++
 		default:
-			total += s.scoreWindow(sc, cu, cv, i, j, idsU, idsV, norm)
+			if rec != nil {
+				rec.open(i, j)
+			}
+			// Even an empty window's zero is added, so a recorded run
+			// recomposes term for term.
+			sum := s.scoreWindow(sc, par, pv, i, j, rec)
+			total += sum
+			if rec != nil {
+				rec.close(sum)
+			}
 			i++
 			j++
 		}
 	}
-	s.flush(sc)
+	if rec == nil {
+		s.flush(sc)
+	} else {
+		sc.binCmp, sc.recCmp, sc.alibi = 0, 0, 0
+	}
 	s.pool.Put(sc)
 	return total
 }
@@ -326,9 +380,14 @@ func sortPairOrder(order []int32, dist []float64) {
 	})
 }
 
-// scoreWindow computes the contribution of the common temporal window at
-// index ku of cu and kv of cv.
-func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, idsU, idsV []geo.CellID, norm float64) float64 {
+// scoreWindow is the package's one implementation of Sec. 3.1.2's window
+// pairing — distance fill, argsort, MNN sweep, MFN sweep, and the all-pairs
+// ablation: it returns the contribution of the common temporal window at
+// index ku of pv.cu and kv of pv.cv under par. A non-nil rec is told every
+// term the moment it is added to the sum (ScoreBreakdown and ProbeRatio
+// read the kernel this way); scoring passes nil and pays the nil checks.
+func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int, rec *recorder) float64 {
+	cu, cv := pv.cu, pv.cv
 	loU, hiU := cu.Off[ku], cu.Off[ku+1]
 	loV, hiV := cv.Off[kv], cv.Off[kv+1]
 	nU, nV := int(hiU-loU), int(hiV-loV)
@@ -337,6 +396,7 @@ func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, 
 	}
 	cellsU, cellsV := cu.Cells[loU:hiU], cv.Cells[loV:hiV]
 	idfU, idfV := cu.IDF[loU:hiU], cv.IDF[loV:hiV]
+	norm := pv.norm
 
 	// Work accounting: every cross bin pair gets a distance evaluation,
 	// and each corresponds to countU×countV record comparisons. The
@@ -348,25 +408,29 @@ func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, 
 
 	n := nU * nV
 	dist := sc.floats(n)
-	s.fillDistances(sc, dist, cellsU, cellsV, idsU, idsV)
+	s.fillDistances(sc, dist, cellsU, cellsV, pv.idsU, pv.idsV)
 
 	delta := func(i, j int) float64 {
-		p := Proximity(dist[i*nV+j], s.Par.RunawayKm, s.Par.MinLogArg)
+		p := Proximity(dist[i*nV+j], par.RunawayKm, par.MinLogArg)
 		if p < 0 {
 			sc.alibi++
 		}
 		weight := 1.0
-		if s.Par.UseIDF {
+		if par.UseIDF {
 			weight = math.Min(idfU[i], idfV[j])
 		}
 		return p * weight / norm
 	}
 
-	if s.Par.Pairing == PairingAllPairs {
+	if par.Pairing == PairingAllPairs {
 		var sum float64
 		for i := 0; i < nU; i++ {
 			for j := 0; j < nV; j++ {
-				sum += delta(i, j)
+				d := delta(i, j)
+				sum += d
+				if rec != nil {
+					rec.term(i, j, dist[i*nV+j], d, false)
+				}
 			}
 		}
 		return sum
@@ -385,7 +449,7 @@ func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, 
 	usedV := grownBools(&sc.usedV, nV)
 	var sel []bool
 	selIDs := sc.selIDs[:0]
-	if s.Par.UseMFN {
+	if par.UseMFN {
 		sel = sc.selMask(n)
 	}
 
@@ -404,18 +468,24 @@ func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, 
 			sel[k] = true
 			selIDs = append(selIDs, k)
 		}
-		sum += delta(i, j)
+		d := delta(i, j)
+		sum += d
+		if rec != nil {
+			rec.term(i, j, dist[k], d, false)
+		}
 		taken++
 	}
 	sc.selIDs = selIDs
 
-	if !s.Par.UseMFN {
+	if !par.UseMFN {
 		return sum
 	}
 
 	// Mutually-furthest-neighbor pass N′_w: same sweep from the far end,
 	// adding only alibi (negative) deltas. Pairs already selected by MNN
 	// are skipped so an alibi is never double counted (Design decision 2).
+	// A zero-weight alibi pair yields -0.0, which is not < 0: it is neither
+	// added nor recorded.
 	clear(usedU)
 	clear(usedV)
 	taken = 0
@@ -432,6 +502,9 @@ func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, 
 		}
 		if d := delta(i, j); d < 0 {
 			sum += d
+			if rec != nil {
+				rec.term(i, j, dist[id], d, true)
+			}
 		}
 	}
 	for _, id := range selIDs {
@@ -447,89 +520,27 @@ func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, 
 // entities the ratio is 1; it decreases as detail separates them. ok is
 // false when the pair shares no usable evidence (no common windows or all
 // IDF weights zero).
+//
+// It observes one kernel run restricted to the MNN pass and folds the
+// recorded terms: Σ p·w over Σ w, since Proximity(0) == 1.
 func (s *Scorer) ProbeRatio(u, v model.EntityID) (ratio float64, ok bool) {
-	cu, idsU := s.E.CompiledView(u)
-	cv, idsV := s.I.CompiledView(v)
-	if cu == nil || cv == nil {
+	var pv pairViews
+	if !s.fetchByID(&pv, u, v) {
 		return 0, false
 	}
-	sc := s.pool.Get().(*scratch)
+	par := s.Par
+	par.Pairing, par.UseMFN = PairingMNN, false
+	rec := recorder{par: &par, pv: &pv}
+	s.run(&par, &pv, &rec)
 	var num, den float64
-	wu, wv := cu.Windows, cv.Windows
-	for i, j := 0, 0; i < len(wu) && j < len(wv); {
-		switch {
-		case wu[i] < wv[j]:
-			i++
-		case wu[i] > wv[j]:
-			j++
-		default:
-			s.probeWindow(sc, cu, cv, i, j, idsU, idsV, &num, &den)
-			i++
-			j++
+	for _, wb := range rec.windows {
+		for _, pc := range wb.Pairs {
+			num += pc.Proximity * pc.IDFWeight
+			den += pc.IDFWeight
 		}
 	}
-	s.pool.Put(sc)
 	if den <= 0 {
 		return 0, false
 	}
 	return num / den, true
-}
-
-// probeWindow runs the MNN sweep of one common window, accumulating the
-// actual (num) and idealized (den) contributions.
-func (s *Scorer) probeWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, idsU, idsV []geo.CellID, num, den *float64) {
-	loU, hiU := cu.Off[ku], cu.Off[ku+1]
-	loV, hiV := cv.Off[kv], cv.Off[kv+1]
-	nU, nV := int(hiU-loU), int(hiV-loV)
-	if nU == 0 || nV == 0 {
-		return
-	}
-	cellsU, cellsV := cu.Cells[loU:hiU], cv.Cells[loV:hiV]
-	idfU, idfV := cu.IDF[loU:hiU], cv.IDF[loV:hiV]
-
-	n := nU * nV
-	dist := sc.floats(n)
-	s.fillDistances(sc, dist, cellsU, cellsV, idsU, idsV)
-	order := sc.ints(n)
-	sortPairOrder(order, dist)
-
-	usedU := grownBools(&sc.usedU, nU)
-	usedV := grownBools(&sc.usedV, nV)
-	nPairs := min(nU, nV)
-	taken := 0
-	for _, k := range order {
-		if taken == nPairs {
-			break
-		}
-		i, j := int(k)/nV, int(k)%nV
-		if usedU[i] || usedV[j] {
-			continue
-		}
-		usedU[i], usedV[j] = true, true
-		taken++
-		weight := 1.0
-		if s.Par.UseIDF {
-			weight = math.Min(idfU[i], idfV[j])
-		}
-		*num += Proximity(dist[int(k)], s.Par.RunawayKm, s.Par.MinLogArg) * weight
-		*den += weight // Proximity(0) == 1
-	}
-}
-
-// forEachCommonWindow walks two sorted window slices and invokes fn for
-// every window index present in both.
-func forEachCommonWindow(a, b []int64, fn func(int64)) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			fn(a[i])
-			i++
-			j++
-		}
-	}
 }

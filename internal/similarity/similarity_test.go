@@ -286,6 +286,49 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestObservedRunsLeaveStatsAlone holds what ScoreBreakdown and ProbeRatio
+// document: they run the scoring kernel on the pooled scratch, and what
+// that run counted must neither reach Stats() nor stay behind in the
+// scratch for the next Score on this goroutine to flush.
+func TestObservedRunsLeaveStatsAlone(t *testing.T) {
+	eRecs := []model.Record{rec("u", sf, 100), rec("u", sfNear, 200), rec("u", oakland, 1000), fill("zf")}
+	iRecs := []model.Record{rec("v", sf, 100), rec("v", la, 200), rec("v", oakland, 1000), fill("zf")}
+	e, i := stores(14, eRecs, iRecs)
+	for variant, p := range paramVariants() {
+		s := NewScorer(e, i, p)
+		_ = s.Score("u", "v")
+		one := s.Stats()
+		if one.PairsScored != 1 || one.BinComparisons == 0 || one.RecordComparisons == 0 || one.AlibiBinPairs == 0 {
+			t.Fatalf("%s: fixture must move every counter, got %+v", variant, one)
+		}
+		for round := int64(1); round <= 3; round++ {
+			before := s.Stats()
+			if bd := s.ScoreBreakdown("u", "v"); !bd.Known || len(bd.Windows) == 0 {
+				t.Fatalf("%s: breakdown saw no evidence", variant)
+			}
+			if got := s.Stats(); got != before {
+				t.Fatalf("%s: ScoreBreakdown moved Stats: %+v -> %+v", variant, before, got)
+			}
+			if _, ok := s.ProbeRatio("u", "v"); !ok {
+				t.Fatalf("%s: probe saw no evidence", variant)
+			}
+			if got := s.Stats(); got != before {
+				t.Fatalf("%s: ProbeRatio moved Stats: %+v -> %+v", variant, before, got)
+			}
+			_ = s.Score("u", "v")
+			want := Stats{
+				BinComparisons:    (round + 1) * one.BinComparisons,
+				RecordComparisons: (round + 1) * one.RecordComparisons,
+				AlibiBinPairs:     (round + 1) * one.AlibiBinPairs,
+				PairsScored:       round + 1,
+			}
+			if got := s.Stats(); got != want {
+				t.Fatalf("%s: Score after observed runs added more than one pair: %+v, want %+v", variant, got, want)
+			}
+		}
+	}
+}
+
 func TestSelfSimilarityIsMaximal(t *testing.T) {
 	// An entity compared to itself (same store on both sides) should not
 	// score below its comparison with a different entity — the property

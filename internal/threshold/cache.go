@@ -55,9 +55,5 @@ func (c *Cache) Select(scores []float64, fit func([]float64) Result) Result {
 	return r
 }
 
-// Invalidate drops the cached fit (e.g. when the selection method
-// changes), forcing the next Select to refit.
-func (c *Cache) Invalidate() { c.valid = false }
-
 // Stats returns fit/reuse counts since the cache was created.
 func (c *Cache) Stats() CacheStats { return CacheStats{Fits: c.fits, Reuses: c.reuses} }

@@ -120,18 +120,18 @@ type Linker struct {
 	candIndex *candidates.Index
 	dirtyE    map[uint32]struct{}
 	dirtyI    map[uint32]struct{}
-	// edges is the maintained pair→score state RunEdges updates by delta;
+	// edges is the maintained pair→score state Rescore updates by delta;
 	// see edges.go for the epoch-invalidation discipline.
 	edges edgeStore
-	// nextRunSeq, when set, pins the run sequence the next RunEdges stamps
-	// onto edge lineage (see SetNextRunSeq); otherwise RunEdges counts its
+	// nextRunSeq, when set, pins the run sequence the next Rescore stamps
+	// onto edge lineage (see SetNextRunSeq); otherwise Rescore counts its
 	// own runs.
 	nextRunSeq    uint64
 	nextRunSeqSet bool
 	// tail is the incremental publish tail Publish maintains for the greedy
 	// matcher (lazily built; Hungarian keeps the from-scratch path).
 	// tailSynced is the edge-store update counter the tail last consumed,
-	// so a RunEdges whose delta the tail never saw degrades the next
+	// so a Rescore whose delta the tail never saw degrades the next
 	// Publish to a full tail rebuild instead of silently publishing from a
 	// stale maintained order.
 	tail       *PublishTail
@@ -224,7 +224,7 @@ func (lk *Linker) buildLSHCandidates(ge, gi *model.Grouped) {
 
 // lshStale reports whether incremental adds have outdated the candidate
 // set since the last refresh (always false with LSH disabled: brute-force
-// dirty entities are consumed by RunEdges itself).
+// dirty entities are consumed by Rescore itself).
 func (lk *Linker) lshStale() bool {
 	return lk.candIndex != nil && (len(lk.dirtyE) > 0 || len(lk.dirtyI) > 0)
 }
@@ -233,7 +233,7 @@ func (lk *Linker) lshStale() bool {
 // index, which updates by delta (an epoch rebuild only when the window
 // range outgrew the signature grid); the resulting pair set is identical
 // to a from-scratch rebuild (see internal/candidates). The candidate Delta
-// is folded into the edge store's pending work, so the next RunEdges
+// is folded into the edge store's pending work, so the next Rescore
 // rescores exactly the added/dirty pairs and drops the removed ones — the
 // refresh consumes the dirty entity sets. The sorted pair list itself is
 // not materialized here: the delta path needs only its length, so a pair
@@ -279,7 +279,7 @@ func (lk *Linker) add(store, sigStore *history.Store, dirty map[uint32]struct{},
 			sigStore.Add(r) // the side's shared table hands out the same ordinal
 		}
 		// Remember which entities changed: the next candidate refresh
-		// re-signs exactly these (LSH mode), and the next RunEdges rescores
+		// re-signs exactly these (LSH mode), and the next Rescore rescores
 		// exactly their pairs (brute-force mode) unless an IDF-epoch bump
 		// forces a full rescore anyway.
 		dirty[ord] = struct{}{}
@@ -305,17 +305,18 @@ func (lk *Linker) Score(u, v EntityID) float64 { return lk.scorer.Score(u, v) }
 // Score(u, v): every common temporal window with the bin pairs the
 // pairing selected, their distances, proximities and IDF weights, and
 // per-window sums that recompose to Score(u, v) bit-identically. It is
-// the explainability slow path — it allocates freely and never perturbs
-// the scorer's pooled scratch or work counters.
+// the explainability slow path — one recorded run of the scoring kernel
+// that allocates what it records and never perturbs the scorer's work
+// counters.
 func (lk *Linker) ScoreBreakdown(u, v EntityID) *similarity.Breakdown {
 	return lk.scorer.ScoreBreakdown(u, v)
 }
 
-// SetNextRunSeq pins the run sequence the next RunEdges stamps onto edge
+// SetNextRunSeq pins the run sequence the next Rescore stamps onto edge
 // lineage. internal/engine calls it with its next published result
-// version just before RunEdges, so lineage sequence numbers line up with
+// version just before Rescore, so lineage sequence numbers line up with
 // the versions reported by /v1/stats and the run journal. Without it
-// RunEdges counts its own updates.
+// Rescore counts its own updates.
 func (lk *Linker) SetNextRunSeq(seq uint64) {
 	lk.nextRunSeq = seq
 	lk.nextRunSeqSet = true
@@ -335,7 +336,7 @@ type PairExplanation struct {
 }
 
 // Explain reports the full provenance of one pair. Like Score it reads
-// the current stores — call it after RunEdges for answers consistent with
+// the current stores — call it after Rescore for answers consistent with
 // the last published links. Not safe concurrently with ingest or runs.
 func (lk *Linker) Explain(u, v EntityID) PairExplanation {
 	ou, ov := ordOf(lk.storeE.Ordinals(), u), ordOf(lk.storeI.Ordinals(), v)
@@ -360,8 +361,8 @@ func ordOf(t *history.Ordinals, id EntityID) uint32 {
 	return math.MaxUint32
 }
 
-// NumCandidatePairs returns how many pairs the next RunEdges will score,
-// without materializing them. Like RunEdges, it refreshes the LSH
+// NumCandidatePairs returns how many pairs the next Rescore will score,
+// without materializing them. Like Rescore, it refreshes the LSH
 // candidate set if incremental adds left it stale; not safe concurrently
 // with Run.
 func (lk *Linker) NumCandidatePairs() int64 {
@@ -376,14 +377,14 @@ func (lk *Linker) NumCandidatePairs() int64 {
 
 // Precompile eagerly builds the compiled read path of both history stores
 // (see history.Store.Compile), fanning the per-entity view builds out over
-// the configured workers. RunEdges calls it before scoring, so callers
+// the configured workers. Rescore calls it before scoring, so callers
 // only need it to move the cost (e.g. to time it separately).
 func (lk *Linker) Precompile() {
 	lk.storeE.Compile(lk.cfg.Workers)
 	lk.storeI.Compile(lk.cfg.Workers)
 }
 
-// ForceFullRescore makes the next RunEdges rescore the whole candidate set
+// ForceFullRescore makes the next Rescore rescore the whole candidate set
 // instead of trusting the edge store's retained scores. It is the recovery
 // hook for a caller whose previous run died part-way (internal/engine
 // after a contained panic): whatever that run left half-applied is
@@ -391,10 +392,9 @@ func (lk *Linker) Precompile() {
 // tail too.
 func (lk *Linker) ForceFullRescore() { lk.edges.pendFull = true }
 
-// RunEdges brings the edge store up to date with the current candidate
-// set and returns the retained positive scored pairs together with the
-// per-call work stats, without matching or thresholding; Publish is the
-// other half, and Run composes the two.
+// Rescore brings the edge store up to date with the current candidate set
+// and returns the per-call work stats, without matching or thresholding;
+// Publish is the other half, and Run composes the two.
 //
 // Scoring is incremental: while both history stores' IDF epochs stand
 // still, only the pairs whose candidate membership or endpoint histories
@@ -406,10 +406,8 @@ func (lk *Linker) ForceFullRescore() { lk.edges.pendFull = true }
 // exactly the old per-run behavior.
 //
 // The returned Stats carry private LSHStats/EdgeStoreStats copies, so a
-// later refresh never mutates results a caller still holds. The returned
-// link slice is shared with the store's cache until the edge set next
-// changes; callers must not modify it.
-func (lk *Linker) RunEdges() ([]Link, Stats) {
+// later refresh never mutates results a caller still holds.
+func (lk *Linker) Rescore() Stats {
 	// Refresh the compiled read path first, so the scoring fan-out below
 	// runs on immutable views: entities untouched since the last run keep
 	// their compiled state.
@@ -462,13 +460,12 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 	lk.edges.epochE, lk.edges.epochI = epochE, epochI
 	clear(lk.dirtyE)
 	clear(lk.dirtyI)
-	links := lk.edges.materialize()
 	lk.edges.lastUpdate = time.Since(start)
 
 	st := lk.scorer.Stats()
 	stats := Stats{
 		CandidatePairs:    nPairs,
-		PositiveEdges:     int64(len(links)),
+		PositiveEdges:     int64(len(lk.edges.pairs)),
 		BinComparisons:    st.BinComparisons - lk.prevStats.BinComparisons,
 		RecordComparisons: st.RecordComparisons - lk.prevStats.RecordComparisons,
 		AlibiBinPairs:     st.AlibiBinPairs - lk.prevStats.AlibiBinPairs,
@@ -484,7 +481,16 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 			Candidates:   ix.Candidates,
 		}
 	}
-	return links, stats
+	return stats
+}
+
+// RunEdges is Rescore plus the retained positive scored pairs themselves,
+// in canonical (U, V) order, for callers that match or inspect the edge
+// set on their own. The slice is shared with the store's cache until the
+// edge set next changes; callers must not modify it.
+func (lk *Linker) RunEdges() ([]Link, Stats) {
+	stats := lk.Rescore()
+	return lk.edges.materialize(), stats
 }
 
 // bruteDeltaPairs enumerates the pairs a brute-force (LSH-disabled) delta
@@ -526,7 +532,7 @@ func (lk *Linker) scorePairs(pairs []uint64) []float64 {
 }
 
 // EdgeStoreStats returns a snapshot of the incremental edge store (zero
-// before the first RunEdges). Not safe concurrently with Run or Add.
+// before the first Rescore). Not safe concurrently with Run or Add.
 func (lk *Linker) EdgeStoreStats() *EdgeStoreStats {
 	return lk.edges.statsSnapshot()
 }
@@ -536,7 +542,7 @@ func (lk *Linker) EdgeStoreStats() *EdgeStoreStats {
 // dynamic feed; stats report per-run work.
 func (lk *Linker) Run() Result {
 	start := time.Now()
-	_, stats := lk.RunEdges()
+	stats := lk.Rescore()
 	matched, links, thr := lk.Publish()
 	return Result{
 		Links:           links,
@@ -549,7 +555,7 @@ func (lk *Linker) Run() Result {
 	}
 }
 
-// Publish matches and thresholds the edge store as the latest RunEdges
+// Publish matches and thresholds the edge store as the latest Rescore
 // left it, returning the maximum-sum matching (descending score), the
 // links above the selected stop threshold and the threshold decision. It
 // is the second half of Run, split out so a caller can time and
@@ -560,14 +566,13 @@ func (lk *Linker) Run() Result {
 // per-run delta: the maintained sorted order, greedy matching and
 // threshold fit are updated in O(delta log n) and are bit-identical to
 // the from-scratch MatchLinks/SelectStopThreshold/FilterLinks path (see
-// tail.go). A RunEdges whose delta the tail never consumed — Publish
+// tail.go). A Rescore whose delta the tail never consumed — Publish
 // skipped, or died part-way — is detected by sequence and degrades the
-// next Publish to a full tail rebuild. Hungarian runs keep the
-// from-scratch path.
+// next Publish to a full tail rebuild, the only greedy path that reads the
+// store's whole link list. Hungarian runs keep the from-scratch path.
 func (lk *Linker) Publish() (matched, links []Link, thr StopThreshold) {
-	edges := lk.edges.materialize()
 	if lk.cfg.Matcher == MatcherHungarian {
-		matched = MatchLinks(lk.cfg.Matcher, edges)
+		matched = MatchLinks(lk.cfg.Matcher, lk.edges.materialize())
 		thr = SelectStopThreshold(lk.cfg.Threshold, LinkScores(matched))
 		return matched, FilterLinks(matched, thr.Threshold), thr
 	}
@@ -578,7 +583,7 @@ func (lk *Linker) Publish() (matched, links []Link, thr StopThreshold) {
 	if d.Seq != lk.tailSynced+1 {
 		d.Full = true // the tail missed an update; its order is stale
 	}
-	matched, links, thr = lk.tail.Publish(d, func() []Link { return edges })
+	matched, links, thr = lk.tail.Publish(d, lk.edges.materialize)
 	lk.tailSynced = d.Seq
 	return matched, links, thr
 }
