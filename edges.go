@@ -13,29 +13,31 @@ import (
 // and the work profile of its most recent update. The headline ratio is
 // Retained vs Rescored: retained pairs kept their cached score without
 // touching the scorer, which is exactly the work an incremental relink
-// saves over the full rescan it replaced.
+// saves over the full rescan it replaced. The json tags are its keys in
+// /v1/stats' edge_store block (internal/server's wire encoder prints a
+// Duration as milliseconds, hence "_ms").
 type EdgeStoreStats struct {
 	// Pairs is the number of retained scored edges (candidate pairs with a
 	// positive score) — the store's state size.
-	Pairs int64
+	Pairs int64 `json:"pairs"`
 	// Epoch counts full rescores: 1 after the first run, bumped every time
 	// an IDF-epoch or grid change invalidated every cached score.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Retained / Rescored / Dropped describe the last update: candidate
 	// pairs kept with their cached score, pairs (re)scored, and edges
 	// removed from the store (candidate-set removals plus pairs whose
 	// fresh score was no longer positive).
-	Retained int64
-	Rescored int64
-	Dropped  int64
+	Retained int64 `json:"retained_last"`
+	Rescored int64 `json:"rescored_last"`
+	Dropped  int64 `json:"dropped_last"`
 	// FullRescore reports whether the last update was an epoch rebuild.
-	FullRescore bool
+	FullRescore bool `json:"full_rescore_last"`
 	// LastUpdate is the wall-clock duration of the last update (scoring and
 	// store maintenance; excludes matching).
-	LastUpdate time.Duration
+	LastUpdate time.Duration `json:"last_update_ms"`
 	// ResidentBytes estimates the store's resident memory: a fixed map cost
 	// per retained pair (see edgePairBytes) plus the link list while cached.
-	ResidentBytes int64
+	ResidentBytes int64 `json:"resident_bytes"`
 }
 
 // EdgeLineage is the provenance of one pair in the edge store: whether it

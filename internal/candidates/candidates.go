@@ -58,33 +58,35 @@ func Key(u, v uint32) uint64 { return uint64(u)<<32 | uint64(v) }
 // Ends unpacks a Key.
 func Ends(key uint64) (u, v uint32) { return uint32(key >> 32), uint32(key) }
 
-// Stats is a point-in-time snapshot of the index.
+// Stats is a point-in-time snapshot of the index. The json tags are its
+// keys in /v1/stats' candidate_index block, rendered by internal/server's
+// wire encoder (which prints a Duration as milliseconds, hence "_ms").
 type Stats struct {
 	// SignatureLen / Bands / Rows / NumBuckets describe the current
 	// epoch's grid geometry (all zero while either store is empty).
-	SignatureLen int
-	Bands        int
-	Rows         int
-	NumBuckets   int
+	SignatureLen int `json:"signature_len"`
+	Bands        int `json:"bands"`
+	Rows         int `json:"rows"`
+	NumBuckets   int `json:"num_buckets"`
 	// Epoch counts full rebuilds: 1 after the initial build, bumped every
 	// time signature geometry forces the index to start over.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// SignaturesE / SignaturesI count maintained per-entity signatures.
-	SignaturesE int
-	SignaturesI int
+	SignaturesE int `json:"signatures_e"`
+	SignaturesI int `json:"signatures_i"`
 	// Buckets counts non-empty (band, hash) buckets; Memberships counts
 	// (entity, band) bucket entries; Occupancy is Memberships/Buckets.
-	Buckets     int
-	Memberships int
-	Occupancy   float64
+	Buckets     int     `json:"buckets"`
+	Memberships int     `json:"memberships"`
+	Occupancy   float64 `json:"occupancy"`
 	// Candidates is the number of distinct cross-dataset candidate pairs.
-	Candidates int64
+	Candidates int64 `json:"candidates"`
 	// LastDirty is how many entity signatures the last Update actually
 	// recomputed; LastRebuild reports whether it was a full rebuild;
 	// LastUpdate is its wall-clock duration.
-	LastDirty   int
-	LastRebuild bool
-	LastUpdate  time.Duration
+	LastDirty   int           `json:"dirty_entities_last"`
+	LastRebuild bool          `json:"last_rebuild"`
+	LastUpdate  time.Duration `json:"last_update_ms"`
 }
 
 // Delta reports how one Update changed the candidate set, in the exact

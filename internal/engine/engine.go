@@ -207,20 +207,22 @@ func orZero[T any](p *T) T {
 }
 
 // Totals are the since-boot odometers: every finished run's record folded
-// in, by finish and nowhere else.
+// in, by finish and nowhere else. The three edge odometers carry no wire
+// name of their own: /v1/stats reports them inside the edge_store block,
+// next to the last-run deltas they accumulate.
 type Totals struct {
 	// Runs counts completed relinks, RunsShortCircuited those among them
 	// that found nothing to do and republished the cached result;
 	// RelinkPanics counts panics recovered in the relink path (each failed
 	// run republished the previous result).
-	Runs               uint64
-	RunsShortCircuited uint64
-	RelinkPanics       uint64
+	Runs               uint64 `json:"runs"`
+	RunsShortCircuited uint64 `json:"runs_short_circuited"`
+	RelinkPanics       uint64 `json:"relink_panics"`
 	// EdgeRescoredTotal / EdgeRetainedTotal / EdgeDroppedTotal accumulate
 	// every run's edge-store delta — the incremental-savings odometer.
-	EdgeRescoredTotal uint64
-	EdgeRetainedTotal uint64
-	EdgeDroppedTotal  uint64
+	EdgeRescoredTotal uint64 `json:"-"`
+	EdgeRetainedTotal uint64 `json:"-"`
+	EdgeDroppedTotal  uint64 `json:"-"`
 }
 
 func (t *Totals) fold(r *RunRecord) {
@@ -281,7 +283,7 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 		e.StuckSeconds)
 	reg.GaugeFunc("slim_run_journal_records",
 		"Relink runs currently retained in the flight-recorder ring.",
-		func() float64 { return float64(e.RunJournalLen()) })
+		func() float64 { return float64(e.RunJournal().Records) })
 
 	// Everything below is a view of Stats: since-boot totals are counters;
 	// the queue, the published result, the latest run and the layer
@@ -678,7 +680,6 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 			entE: len(e.lk.EntitiesE()),
 			entI: len(e.lk.EntitiesI()),
 			idx:  e.lk.CandidateIndexStats(),
-			edge: stats.EdgeStore,
 		}
 		idx, es := orZero(rec.layers.idx), stats.EdgeStore
 		rec.IndexDur, rec.indexDirty, rec.indexRebuild = idx.LastUpdate, idx.LastDirty, idx.LastRebuild
@@ -703,6 +704,10 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 			Elapsed:         time.Since(rec.Start),
 		}
 	})
+	// The edge store is snapshotted after Publish, which may have built its
+	// link list (the tail missed a delta, or the matcher is Hungarian): the
+	// snapshot supplies the sizes, the record above the last-run fields.
+	rec.layers.edge = e.lk.EdgeStoreStats()
 	if tail := e.lk.PublishTailStats(); tail != nil {
 		rec.layers.tail = tail
 		rec.MatchDur, rec.ThresholdDur, rec.tailDur = tail.LastMatch, tail.LastThreshold, tail.LastUpdate
@@ -799,53 +804,62 @@ func (e *Engine) Runs(limit, offset int) (recs []RunRecord, total uint64) {
 	return e.journal.snapshot(limit, offset), e.last.Seq
 }
 
-// RunJournalCap returns the flight-recorder ring capacity.
-func (e *Engine) RunJournalCap() int { return cap(e.journal.buf) }
-
-// RunJournalLen returns how many runs the flight recorder currently
-// retains (at most RunJournalCap).
-func (e *Engine) RunJournalLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.journal.buf)
+// JournalStats summarizes the flight recorder: the ring's capacity, how
+// many runs it retains right now (at most Capacity) and how many were ever
+// recorded, including entries already overwritten.
+type JournalStats struct {
+	Capacity  int    `json:"capacity"`
+	Records   int    `json:"records"`
+	TotalRuns uint64 `json:"total_runs"`
 }
 
-// Stats is a point-in-time snapshot of the engine's operational state.
+// RunJournal returns the flight recorder's summary, all three figures
+// from the same side of a run.
+func (e *Engine) RunJournal() JournalStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return JournalStats{Capacity: cap(e.journal.buf), Records: len(e.journal.buf), TotalRuns: e.last.Seq}
+}
+
+// Stats is a point-in-time snapshot of the engine's operational state. The
+// json tags are the keys of /v1/stats, which internal/server renders from
+// this struct with its wire encoder (a Duration prints as milliseconds, a
+// Time as Unix milliseconds); a field tagged "-" is not published there.
 type Stats struct {
-	SpatialLevel int
+	SpatialLevel int `json:"spatial_level"`
 	// EntitiesE / EntitiesI count entities with applied histories.
-	EntitiesE int
-	EntitiesI int
+	EntitiesE int `json:"entities_e"`
+	EntitiesI int `json:"entities_i"`
 	// IngestedE / IngestedI count records accepted since construction.
-	IngestedE uint64
-	IngestedI uint64
+	IngestedE uint64 `json:"ingested_e"`
+	IngestedI uint64 `json:"ingested_i"`
 	// PendingRecords counts buffered records not yet applied by a relink.
-	PendingRecords int
+	PendingRecords int `json:"pending_records"`
 	// PendingOldestAge is how long the oldest buffered record has been
 	// waiting for a relink (zero when nothing is pending) — the relink-lag
 	// signal behind the ingest plane's latency-budget shedding.
-	PendingOldestAge time.Duration
+	PendingOldestAge time.Duration `json:"-"`
 	// CandidateIndex (nil when LSH is disabled), EdgeStore (nil before the
 	// first run) and PublishTail (nil with the Hungarian matcher or before
 	// the first published run) are the linker's layer snapshots. Their
 	// state fields (sizes, epochs, since-boot counts) are as of the latest
 	// published run; their last-run fields are the latest run's record, so
 	// they read zero after a short circuit.
-	CandidateIndex *slim.CandidateIndexStats
-	EdgeStore      *slim.EdgeStoreStats
-	PublishTail    *slim.PublishTailStats
+	CandidateIndex *slim.CandidateIndexStats `json:"candidate_index,omitempty"`
+	EdgeStore      *slim.EdgeStoreStats      `json:"edge_store,omitempty"`
+	PublishTail    *slim.PublishTailStats    `json:"publish_tail,omitempty"`
 	// Totals are the since-boot run odometers; here RelinkPanics also
 	// includes LoopRestarts, the supervisor restarts of the background
 	// scheduler after it panicked. Version counts published results.
 	Totals
-	LoopRestarts uint64
-	Version      uint64
+	LoopRestarts uint64 `json:"loop_restarts"`
+	Version      uint64 `json:"version"`
 	// LastRun is the completion time of the latest relink (zero before the
 	// first).
-	LastRun time.Time
+	LastRun time.Time `json:"last_run_unix_ms,omitempty"`
 	// Links and Threshold summarize the current result.
-	Links     int
-	Threshold float64
+	Links     int     `json:"links"`
+	Threshold float64 `json:"threshold"`
 }
 
 // Stats returns an operational snapshot: the ingest buffers, the published

@@ -8,53 +8,56 @@ import "time"
 // short-circuited, fully rescored, or panicked. Records are written for
 // every run, including zero-work short circuits and contained panics,
 // so the journal replays the engine's recent decision history exactly.
+// The json tags are the keys of a /v1/runs entry (internal/server's wire
+// encoder: a Duration prints as milliseconds, Start as Unix milliseconds,
+// and the "stages." prefix nests the six stage times in one object).
 type RunRecord struct {
 	// Seq is the run's sequence number (monotonic per engine). Version is
 	// the result version the run left published: one above the previous
 	// run's when the run published, unchanged when it short-circuited or
 	// panicked. Versions trail Seq by the runs that published nothing, and
 	// a RestoreResult moves the version without any run.
-	Seq     uint64
-	Version uint64
+	Seq     uint64 `json:"seq"`
+	Version uint64 `json:"version"`
 	// Trigger names what started the run: "manual" (Run call) or
 	// "background" (debounce loop).
-	Trigger string
+	Trigger string `json:"trigger"`
 	// Start / Duration are the run's wall-clock bounds.
-	Start    time.Time
-	Duration time.Duration
+	Start    time.Time     `json:"start_unix_ms"`
+	Duration time.Duration `json:"duration_ms"`
 	// ShortCircuit reports the zero-work fast path (nothing drained, no
 	// forced work — the cached result republished, no relink).
-	ShortCircuit bool
+	ShortCircuit bool `json:"short_circuit"`
 	// FullRescore reports whether the run rescored the whole candidate
 	// set (first run, IDF-epoch move, candidate-index rebuild, or the run
 	// after a contained panic) instead of the dirty pairs only.
-	FullRescore bool
+	FullRescore bool `json:"full_rescore"`
 	// Panicked / PanicMsg record a contained panic (the engine degrades
 	// rather than crashing; see Engine.Run).
-	Panicked bool
-	PanicMsg string
+	Panicked bool   `json:"panicked"`
+	PanicMsg string `json:"panic_msg,omitempty"`
 	// Rescored / Retained / Dropped are the run's edge-store delta and
 	// CandidatePairs the pairs it considered (all zero when it did no
 	// rescoring); Links counts the links published when it finished.
-	Rescored       int64
-	Retained       int64
-	Dropped        int64
-	CandidatePairs int64
-	Links          int64
+	Rescored       int64 `json:"rescored"`
+	Retained       int64 `json:"retained"`
+	Dropped        int64 `json:"dropped"`
+	CandidatePairs int64 `json:"candidate_pairs"`
+	Links          int64 `json:"links"`
 	// TailReusedPrefix is how many matched links the publish tail reused
 	// verbatim from the previous run; TailFullRebuild reports whether the
 	// tail fell back to a full sort+match rebuild. Both are zero on the
 	// from-scratch (Hungarian) path.
-	TailReusedPrefix int64
-	TailFullRebuild  bool
+	TailReusedPrefix int64 `json:"tail_reused_prefix"`
+	TailFullRebuild  bool  `json:"tail_full_rebuild"`
 	// Per-stage wall-clock durations, one per slim_relink_stage_seconds
 	// label; IndexDur is a subset of RescoreDur.
-	ApplyDur     time.Duration
-	IndexDur     time.Duration
-	RescoreDur   time.Duration
-	MergeDur     time.Duration
-	MatchDur     time.Duration
-	ThresholdDur time.Duration
+	ApplyDur     time.Duration `json:"stages.apply_ms"`
+	IndexDur     time.Duration `json:"stages.candidate_index_ms"`
+	RescoreDur   time.Duration `json:"stages.rescore_ms"`
+	MergeDur     time.Duration `json:"stages.merge_ms"`
+	MatchDur     time.Duration `json:"stages.match_ms"`
+	ThresholdDur time.Duration `json:"stages.threshold_ms"`
 
 	// The rest of the run's work — last-run facts /v1/stats reports and
 	// /v1/runs does not: entity signatures the candidate index recomputed

@@ -123,7 +123,7 @@ func TestRunJournalBoundedUnderHammer(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		eng.Run()
-		if n := eng.RunJournalLen(); n > journalSize {
+		if n := eng.RunJournal().Records; n > journalSize {
 			t.Fatalf("journal retains %d records, bound is %d", n, journalSize)
 		}
 	}
@@ -137,8 +137,8 @@ func TestRunJournalBoundedUnderHammer(t *testing.T) {
 	if total < 30 {
 		t.Fatalf("total runs %d, want at least the 30 manual ones", total)
 	}
-	if eng.RunJournalCap() != journalSize {
-		t.Fatalf("journal capacity %d, want %d", eng.RunJournalCap(), journalSize)
+	if eng.RunJournal().Capacity != journalSize {
+		t.Fatalf("journal capacity %d, want %d", eng.RunJournal().Capacity, journalSize)
 	}
 }
 

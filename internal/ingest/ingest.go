@@ -379,29 +379,31 @@ func (p *Plane) Drain(ctx context.Context) error {
 }
 
 // Stats is a point-in-time snapshot of the plane's queue and
-// backpressure state.
+// backpressure state. The json tags are its keys in /v1/stats' ingest
+// block, rendered by internal/server's wire encoder (which prints a
+// Duration as milliseconds, hence "_ms").
 type Stats struct {
 	// QueueDepth and ShedAfter echo the configured budgets.
-	QueueDepth int
-	ShedAfter  time.Duration
-	RetryAfter time.Duration
+	QueueDepth int           `json:"queue_depth"`
+	ShedAfter  time.Duration `json:"shed_after_ms"`
+	RetryAfter time.Duration `json:"retry_after_ms"`
 	// InflightRecords counts admitted records not yet released (waiting on
 	// WAL durability); PendingRecords counts records buffered in the
 	// engine awaiting a relink (each once).
-	InflightRecords int
-	PendingRecords  int
+	InflightRecords int `json:"inflight_records"`
+	PendingRecords  int `json:"pending_records"`
 	// OldestWait is the age of the oldest record queued anywhere in the
 	// pipeline (zero when idle) — the latency-budget input.
-	OldestWait time.Duration
+	OldestWait time.Duration `json:"oldest_wait_ms"`
 	// AcceptedBatches/AcceptedRecords count what Submit applied, whichever
 	// route it came in on; the Shed* counters count rejections, split by
 	// which budget fired.
-	AcceptedBatches uint64
-	AcceptedRecords uint64
-	ShedRequests    uint64
-	ShedRecords     uint64
-	ShedQueueDepth  uint64
-	ShedLatency     uint64
+	AcceptedBatches uint64 `json:"accepted_batches"`
+	AcceptedRecords uint64 `json:"accepted_records"`
+	ShedRequests    uint64 `json:"shed_requests"`
+	ShedRecords     uint64 `json:"shed_records"`
+	ShedQueueDepth  uint64 `json:"shed_queue_depth"`
+	ShedLatency     uint64 `json:"shed_latency"`
 }
 
 // Stats returns an operational snapshot.

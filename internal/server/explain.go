@@ -9,10 +9,8 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"time"
 
 	"slim"
-	"slim/internal/engine"
 )
 
 // cellHex renders a 64-bit cell or bucket hash as a hex string: the
@@ -80,70 +78,6 @@ type edgeLineageJSON struct {
 	StoreEpoch       uint64  `json:"store_epoch"`
 }
 
-// stageDurationsJSON carries one run's per-stage wall times (the same
-// stages as the slim_relink_stage_seconds histograms).
-type stageDurationsJSON struct {
-	ApplyMs          float64 `json:"apply_ms"`
-	CandidateIndexMs float64 `json:"candidate_index_ms"`
-	RescoreMs        float64 `json:"rescore_ms"`
-	MergeMs          float64 `json:"merge_ms"`
-	MatchMs          float64 `json:"match_ms"`
-	ThresholdMs      float64 `json:"threshold_ms"`
-}
-
-type runRecordJSON struct {
-	Seq            uint64  `json:"seq"`
-	Version        uint64  `json:"version"`
-	Trigger        string  `json:"trigger"`
-	StartUnixMs    int64   `json:"start_unix_ms"`
-	DurationMs     float64 `json:"duration_ms"`
-	ShortCircuit   bool    `json:"short_circuit"`
-	FullRescore    bool    `json:"full_rescore"`
-	Panicked       bool    `json:"panicked"`
-	PanicMsg       string  `json:"panic_msg,omitempty"`
-	Rescored       int64   `json:"rescored"`
-	Retained       int64   `json:"retained"`
-	Dropped        int64   `json:"dropped"`
-	CandidatePairs int64   `json:"candidate_pairs"`
-	Links          int64   `json:"links"`
-	// TailReusedPrefix / TailFullRebuild describe the publish tail's work
-	// for this run (zero / false on the from-scratch Hungarian path).
-	TailReusedPrefix int64              `json:"tail_reused_prefix"`
-	TailFullRebuild  bool               `json:"tail_full_rebuild"`
-	Stages           stageDurationsJSON `json:"stages"`
-}
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-func toRunRecordJSON(r engine.RunRecord) runRecordJSON {
-	return runRecordJSON{
-		Seq:              r.Seq,
-		Version:          r.Version,
-		Trigger:          r.Trigger,
-		StartUnixMs:      r.Start.UnixMilli(),
-		DurationMs:       ms(r.Duration),
-		ShortCircuit:     r.ShortCircuit,
-		FullRescore:      r.FullRescore,
-		Panicked:         r.Panicked,
-		PanicMsg:         r.PanicMsg,
-		Rescored:         r.Rescored,
-		Retained:         r.Retained,
-		Dropped:          r.Dropped,
-		CandidatePairs:   r.CandidatePairs,
-		Links:            r.Links,
-		TailReusedPrefix: r.TailReusedPrefix,
-		TailFullRebuild:  r.TailFullRebuild,
-		Stages: stageDurationsJSON{
-			ApplyMs:          ms(r.ApplyDur),
-			CandidateIndexMs: ms(r.IndexDur),
-			RescoreMs:        ms(r.RescoreDur),
-			MergeMs:          ms(r.MergeDur),
-			MatchMs:          ms(r.MatchDur),
-			ThresholdMs:      ms(r.ThresholdDur),
-		},
-	}
-}
-
 // explainResponse is the one-stop provenance document for a pair.
 type explainResponse struct {
 	E       string        `json:"e"`
@@ -155,8 +89,8 @@ type explainResponse struct {
 	Candidates *candidateExplainJSON `json:"candidates,omitempty"`
 	Edge       edgeLineageJSON       `json:"edge"`
 	// Run is the flight-recorder entry of the run that last rescored the
-	// pair, when it is still in the ring.
-	Run *runRecordJSON `json:"run,omitempty"`
+	// pair, when it is still in the ring (an engine.RunRecord, see wire).
+	Run map[string]any `json:"run,omitempty"`
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, req *http.Request) {
@@ -235,8 +169,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, req *http.Request) {
 		resp.Candidates = cj
 	}
 	if ex.Run != nil {
-		rj := toRunRecordJSON(*ex.Run)
-		resp.Run = &rj
+		resp.Run = wire(ex.Run)
 	}
 	s.json(w, http.StatusOK, resp)
 }
@@ -247,10 +180,10 @@ const defaultRunsLimit = 50
 type runsResponse struct {
 	// TotalRuns counts runs ever recorded (including entries the ring has
 	// already overwritten); Capacity is the ring size.
-	TotalRuns uint64          `json:"total_runs"`
-	Capacity  int             `json:"capacity"`
-	Count     int             `json:"count"`
-	Runs      []runRecordJSON `json:"runs"`
+	TotalRuns uint64           `json:"total_runs"`
+	Capacity  int              `json:"capacity"`
+	Count     int              `json:"count"`
+	Runs      []map[string]any `json:"runs"`
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, req *http.Request) {
@@ -268,12 +201,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, req *http.Request) {
 	recs, total := s.eng.Runs(limit, offset)
 	resp := runsResponse{
 		TotalRuns: total,
-		Capacity:  s.eng.RunJournalCap(),
+		Capacity:  s.eng.RunJournal().Capacity,
 		Count:     len(recs),
-		Runs:      make([]runRecordJSON, 0, len(recs)),
+		Runs:      make([]map[string]any, 0, len(recs)),
 	}
 	for _, r := range recs {
-		resp.Runs = append(resp.Runs, toRunRecordJSON(r))
+		resp.Runs = append(resp.Runs, wire(r))
 	}
 	s.json(w, http.StatusOK, resp)
 }

@@ -312,7 +312,12 @@ func TestBinaryIngestErrorSurface(t *testing.T) {
 	}
 
 	// Nothing above may have reached the log or the queues.
-	var st statsResponse
+	var st struct {
+		PendingRecords int `json:"pending_records"`
+		Storage        struct {
+			RecordsLogged uint64 `json:"records_logged"`
+		} `json:"storage"`
+	}
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.PendingRecords != 0 || st.Storage.RecordsLogged != 0 {
 		t.Fatalf("rejected requests leaked records: %+v %+v", st.PendingRecords, st.Storage)
@@ -400,7 +405,16 @@ func TestIngestShedLosslessOrRejected(t *testing.T) {
 	}
 
 	// The stats block tells the same story.
-	var st statsResponse
+	var st struct {
+		Ingest *struct {
+			QueueDepth      int    `json:"queue_depth"`
+			InflightRecords int    `json:"inflight_records"`
+			PendingRecords  int    `json:"pending_records"`
+			AcceptedRecords uint64 `json:"accepted_records"`
+			ShedRequests    uint64 `json:"shed_requests"`
+			ShedQueueDepth  uint64 `json:"shed_queue_depth"`
+		} `json:"ingest"`
+	}
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Ingest == nil {
 		t.Fatal("stats response has no ingest block")

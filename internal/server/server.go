@@ -36,6 +36,11 @@
 // Retry-After hint instead of buffering unboundedly. A body larger than
 // the configured ingest limit is refused with 413.
 //
+// /v1/stats, /v1/runs and the run block of /v1/explain have no response
+// types here: the engine, linker, ingest and storage stats structs carry
+// their wire names as json tags and one reflective encoder (wire) renders
+// them, converting durations to milliseconds and times to Unix ms.
+//
 // Degraded mode is different from overload: when the storage layer has
 // quarantined its WAL after a persistent write/fsync failure
 // (storage.ErrDegraded), accepting ingest would mean acknowledging
@@ -595,7 +600,7 @@ func (s *Server) handleLink(w http.ResponseWriter, req *http.Request) {
 		ThresholdMethod: res.ThresholdMethod,
 		SpatialLevel:    res.SpatialLevel,
 		CandidatePairs:  res.Stats.CandidatePairs,
-		ElapsedMs:       float64(res.Elapsed.Microseconds()) / 1000,
+		ElapsedMs:       ms(res.Elapsed),
 	})
 }
 
@@ -661,241 +666,25 @@ func (s *Server) handleLinksFor(w http.ResponseWriter, req *http.Request) {
 	}{Entity: entity, Links: toLinkJSON(links)})
 }
 
-type storageStatsJSON struct {
-	Dir                string  `json:"dir"`
-	FsyncIntervalMs    float64 `json:"fsync_interval_ms"`
-	BatchesLogged      uint64  `json:"batches_logged"`
-	RecordsLogged      uint64  `json:"records_logged"`
-	WALBytesAppended   int64   `json:"wal_bytes_appended"`
-	WALSegments        int     `json:"wal_segments"`
-	WALDiskBytes       int64   `json:"wal_disk_bytes"`
-	Snapshots          uint64  `json:"snapshots"`
-	LastSnapshotSeq    uint64  `json:"last_snapshot_seq"`
-	LastSnapshotUnixMs int64   `json:"last_snapshot_unix_ms,omitempty"`
-	NextSeq            uint64  `json:"next_seq"`
-}
-
-// candidateIndexJSON is the wire form of the aggregated incremental LSH
-// candidate-index statistics (omitted when LSH is disabled).
-type candidateIndexJSON struct {
-	SignatureLen      int     `json:"signature_len"`
-	Bands             int     `json:"bands"`
-	Rows              int     `json:"rows"`
-	NumBuckets        int     `json:"num_buckets"`
-	Epoch             uint64  `json:"epoch"`
-	SignaturesE       int     `json:"signatures_e"`
-	SignaturesI       int     `json:"signatures_i"`
-	Buckets           int     `json:"buckets"`
-	Memberships       int     `json:"memberships"`
-	Occupancy         float64 `json:"occupancy"`
-	Candidates        int64   `json:"candidates"`
-	DirtyEntitiesLast int     `json:"dirty_entities_last"`
-	LastRebuild       bool    `json:"last_rebuild"`
-	LastUpdateMs      float64 `json:"last_update_ms"`
-}
-
-// edgeStoreJSON is the wire form of the aggregated incremental edge-store
-// statistics: retained/rescored/dropped describe the latest relink, the
-// *_total counters accumulate since boot, and pairs/epoch describe the
-// maintained state (see slim.EdgeStoreStats).
-type edgeStoreJSON struct {
-	Pairs           int64   `json:"pairs"`
-	Epoch           uint64  `json:"epoch"`
-	RetainedLast    int64   `json:"retained_last"`
-	RescoredLast    int64   `json:"rescored_last"`
-	DroppedLast     int64   `json:"dropped_last"`
-	FullRescoreLast bool    `json:"full_rescore_last"`
-	LastUpdateMs    float64 `json:"last_update_ms"`
-	RetainedTotal   uint64  `json:"retained_total"`
-	RescoredTotal   uint64  `json:"rescored_total"`
-	DroppedTotal    uint64  `json:"dropped_total"`
-	ResidentBytes   int64   `json:"resident_bytes"`
-}
-
-// publishTailJSON is the wire form of the incremental publish-tail
-// statistics: edges/matched describe the maintained state,
-// reused_prefix_len / suffix_walked / last_full_rebuild the latest
-// publish, and the *_total counters accumulate since boot (see
-// slim.PublishTailStats). Omitted with the Hungarian matcher or before
-// the first published run.
-type publishTailJSON struct {
-	Edges                int64   `json:"edges"`
-	Matched              int64   `json:"matched"`
-	ReusedPrefixLen      int64   `json:"reused_prefix_len"`
-	SuffixWalked         int64   `json:"suffix_walked"`
-	FullRebuildsTotal    uint64  `json:"full_rebuilds_total"`
-	AppliesTotal         uint64  `json:"applies_total"`
-	ThresholdFitsTotal   uint64  `json:"threshold_fits_total"`
-	ThresholdReusesTotal uint64  `json:"threshold_reuses_total"`
-	LastFullRebuild      bool    `json:"last_full_rebuild"`
-	LastUpdateMs         float64 `json:"last_update_ms"`
-	LastMatchMs          float64 `json:"last_match_ms"`
-	LastThresholdMs      float64 `json:"last_threshold_ms"`
-}
-
-// runJournalJSON summarizes the relink flight recorder on /v1/stats
+// handleStats renders the engine's, the ingest plane's and (when attached)
+// the store's stats structs as they name themselves (see wire). Two blocks
+// are composed here: edge_store gains the three since-boot odometers that
+// live in engine.Totals, and run_journal summarizes the flight recorder
 // (page through the entries themselves on /v1/runs).
-type runJournalJSON struct {
-	Capacity  int    `json:"capacity"`
-	Records   int    `json:"records"`
-	TotalRuns uint64 `json:"total_runs"`
-}
-
-type statsResponse struct {
-	SpatialLevel   int    `json:"spatial_level"`
-	EntitiesE      int    `json:"entities_e"`
-	EntitiesI      int    `json:"entities_i"`
-	IngestedE      uint64 `json:"ingested_e"`
-	IngestedI      uint64 `json:"ingested_i"`
-	PendingRecords int    `json:"pending_records"`
-	// CandidateIndex reports the incremental LSH index and EdgeStore the
-	// incremental scored-edge state as of the latest relink;
-	// RunsShortCircuited counts clean relinks that republished the cached
-	// result.
-	RunsShortCircuited uint64 `json:"runs_short_circuited"`
-	Runs               uint64 `json:"runs"`
-	// RelinkPanics counts contained relink-run panics (failed runs that
-	// republished the previous result); LoopRestarts counts supervisor
-	// restarts of the background scheduler after it died.
-	RelinkPanics   uint64              `json:"relink_panics"`
-	LoopRestarts   uint64              `json:"loop_restarts"`
-	Version        uint64              `json:"version"`
-	LastRunUnixMs  int64               `json:"last_run_unix_ms,omitempty"`
-	Links          int                 `json:"links"`
-	Threshold      float64             `json:"threshold"`
-	CandidateIndex *candidateIndexJSON `json:"candidate_index,omitempty"`
-	EdgeStore      *edgeStoreJSON      `json:"edge_store,omitempty"`
-	PublishTail    *publishTailJSON    `json:"publish_tail,omitempty"`
-	RunJournal     *runJournalJSON     `json:"run_journal,omitempty"`
-	Storage        *storageStatsJSON   `json:"storage,omitempty"`
-	Ingest         *ingestStatsJSON    `json:"ingest,omitempty"`
-}
-
-// ingestStatsJSON is the wire form of the shared ingest-plane state:
-// configured budgets, instantaneous queue occupancy, and accept/shed
-// counters since boot (see ingest.Plane).
-type ingestStatsJSON struct {
-	QueueDepth      int     `json:"queue_depth"`
-	ShedAfterMs     float64 `json:"shed_after_ms"`
-	RetryAfterMs    float64 `json:"retry_after_ms"`
-	InflightRecords int     `json:"inflight_records"`
-	PendingRecords  int     `json:"pending_records"`
-	OldestWaitMs    float64 `json:"oldest_wait_ms"`
-	AcceptedBatches uint64  `json:"accepted_batches"`
-	AcceptedRecords uint64  `json:"accepted_records"`
-	ShedRequests    uint64  `json:"shed_requests"`
-	ShedRecords     uint64  `json:"shed_records"`
-	ShedQueueDepth  uint64  `json:"shed_queue_depth"`
-	ShedLatency     uint64  `json:"shed_latency"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 	st := s.eng.Stats()
-	resp := statsResponse{
-		SpatialLevel:       st.SpatialLevel,
-		EntitiesE:          st.EntitiesE,
-		EntitiesI:          st.EntitiesI,
-		IngestedE:          st.IngestedE,
-		IngestedI:          st.IngestedI,
-		PendingRecords:     st.PendingRecords,
-		RunsShortCircuited: st.RunsShortCircuited,
-		Runs:               st.Runs,
-		RelinkPanics:       st.RelinkPanics,
-		LoopRestarts:       st.LoopRestarts,
-		Version:            st.Version,
-		Links:              st.Links,
-		Threshold:          st.Threshold,
+	doc := wire(st)
+	if es, ok := doc["edge_store"].(map[string]any); ok {
+		es["retained_total"] = st.EdgeRetainedTotal
+		es["rescored_total"] = st.EdgeRescoredTotal
+		es["dropped_total"] = st.EdgeDroppedTotal
 	}
-	if !st.LastRun.IsZero() {
-		resp.LastRunUnixMs = st.LastRun.UnixMilli()
-	}
-	if ci := st.CandidateIndex; ci != nil {
-		resp.CandidateIndex = &candidateIndexJSON{
-			SignatureLen:      ci.SignatureLen,
-			Bands:             ci.Bands,
-			Rows:              ci.Rows,
-			NumBuckets:        ci.NumBuckets,
-			Epoch:             ci.Epoch,
-			SignaturesE:       ci.SignaturesE,
-			SignaturesI:       ci.SignaturesI,
-			Buckets:           ci.Buckets,
-			Memberships:       ci.Memberships,
-			Occupancy:         ci.Occupancy,
-			Candidates:        ci.Candidates,
-			DirtyEntitiesLast: ci.LastDirty,
-			LastRebuild:       ci.LastRebuild,
-			LastUpdateMs:      float64(ci.LastUpdate.Microseconds()) / 1000,
-		}
-	}
-	if es := st.EdgeStore; es != nil {
-		resp.EdgeStore = &edgeStoreJSON{
-			Pairs:           es.Pairs,
-			Epoch:           es.Epoch,
-			RetainedLast:    es.Retained,
-			RescoredLast:    es.Rescored,
-			DroppedLast:     es.Dropped,
-			FullRescoreLast: es.FullRescore,
-			LastUpdateMs:    float64(es.LastUpdate.Microseconds()) / 1000,
-			RetainedTotal:   st.EdgeRetainedTotal,
-			RescoredTotal:   st.EdgeRescoredTotal,
-			DroppedTotal:    st.EdgeDroppedTotal,
-			ResidentBytes:   es.ResidentBytes,
-		}
-	}
-	if pt := st.PublishTail; pt != nil {
-		resp.PublishTail = &publishTailJSON{
-			Edges:                pt.Edges,
-			Matched:              pt.Matched,
-			ReusedPrefixLen:      pt.ReusedPrefixLen,
-			SuffixWalked:         pt.SuffixWalked,
-			FullRebuildsTotal:    pt.FullRebuilds,
-			AppliesTotal:         pt.Applies,
-			ThresholdFitsTotal:   pt.ThresholdFits,
-			ThresholdReusesTotal: pt.ThresholdReuses,
-			LastFullRebuild:      pt.LastFull,
-			LastUpdateMs:         float64(pt.LastUpdate.Microseconds()) / 1000,
-			LastMatchMs:          float64(pt.LastMatch.Microseconds()) / 1000,
-			LastThresholdMs:      float64(pt.LastThreshold.Microseconds()) / 1000,
-		}
-	}
-	_, totalRuns := s.eng.Runs(1, 0)
-	resp.RunJournal = &runJournalJSON{
-		Capacity:  s.eng.RunJournalCap(),
-		Records:   s.eng.RunJournalLen(),
-		TotalRuns: totalRuns,
-	}
-	ist := s.plane.Stats()
-	resp.Ingest = &ingestStatsJSON{
-		QueueDepth:      ist.QueueDepth,
-		ShedAfterMs:     float64(ist.ShedAfter.Microseconds()) / 1000,
-		RetryAfterMs:    float64(ist.RetryAfter.Microseconds()) / 1000,
-		InflightRecords: ist.InflightRecords,
-		PendingRecords:  ist.PendingRecords,
-		OldestWaitMs:    float64(ist.OldestWait.Microseconds()) / 1000,
-		AcceptedBatches: ist.AcceptedBatches,
-		AcceptedRecords: ist.AcceptedRecords,
-		ShedRequests:    ist.ShedRequests,
-		ShedRecords:     ist.ShedRecords,
-		ShedQueueDepth:  ist.ShedQueueDepth,
-		ShedLatency:     ist.ShedLatency,
-	}
+	doc["run_journal"] = wire(s.eng.RunJournal())
+	doc["ingest"] = wire(s.plane.Stats())
 	if s.store != nil {
-		sst := s.store.Stats()
-		resp.Storage = &storageStatsJSON{
-			Dir:                sst.Dir,
-			FsyncIntervalMs:    sst.FsyncIntervalMs,
-			BatchesLogged:      sst.BatchesLogged,
-			RecordsLogged:      sst.RecordsLogged,
-			WALBytesAppended:   sst.WALBytesAppended,
-			WALSegments:        sst.WALSegments,
-			WALDiskBytes:       sst.WALDiskBytes,
-			Snapshots:          sst.Snapshots,
-			LastSnapshotSeq:    sst.LastSnapshotSeq,
-			LastSnapshotUnixMs: sst.LastSnapshotUnixMs,
-			NextSeq:            sst.NextSeq,
-		}
+		doc["storage"] = wire(s.store.Stats())
 	}
-	s.json(w, http.StatusOK, resp)
+	s.json(w, http.StatusOK, doc)
 }
 
 type snapshotResponse struct {

@@ -492,7 +492,15 @@ func TestServerLinksPaginationStableAcrossRelinks(t *testing.T) {
 	// The interleaved identical relinks were fully clean: they must have
 	// short-circuited, left the version alone, and surfaced the edge-store
 	// block with retained pairs.
-	var st statsResponse
+	var st struct {
+		RunsShortCircuited uint64 `json:"runs_short_circuited"`
+		Version            uint64 `json:"version"`
+		EdgeStore          *struct {
+			Pairs         int64  `json:"pairs"`
+			Epoch         uint64 `json:"epoch"`
+			RescoredTotal uint64 `json:"rescored_total"`
+		} `json:"edge_store"`
+	}
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.RunsShortCircuited == 0 {
 		t.Error("no-op relinks did not short-circuit")
@@ -541,7 +549,19 @@ func TestServerCandidateIndexStats(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/datasets/i/records", map[string]any{"records": recs})
 	postJSON(t, ts.URL+"/v1/link", nil)
 
-	var st statsResponse
+	type candidateStats struct {
+		RunsShortCircuited uint64 `json:"runs_short_circuited"`
+		CandidateIndex     *struct {
+			Epoch             uint64  `json:"epoch"`
+			SignaturesE       int     `json:"signatures_e"`
+			SignaturesI       int     `json:"signatures_i"`
+			Buckets           int     `json:"buckets"`
+			Occupancy         float64 `json:"occupancy"`
+			DirtyEntitiesLast int     `json:"dirty_entities_last"`
+			LastRebuild       bool    `json:"last_rebuild"`
+		} `json:"candidate_index"`
+	}
+	var st candidateStats
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	ci := st.CandidateIndex
 	if ci == nil {
@@ -573,7 +593,7 @@ func TestServerCandidateIndexStats(t *testing.T) {
 	ts2 := httptest.NewServer(New(eng2, nil).Handler())
 	t.Cleanup(ts2.Close)
 	t.Cleanup(eng2.Close)
-	var st2 statsResponse
+	var st2 candidateStats
 	getJSON(t, ts2.URL+"/v1/stats", &st2)
 	if st2.CandidateIndex != nil {
 		t.Error("candidate_index present with LSH disabled")

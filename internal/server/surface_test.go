@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -37,6 +38,91 @@ func jsonKeys(v any) []string {
 		}
 	}
 	walk("", v)
+	sort.Strings(out)
+	return out
+}
+
+// jsonTypes is jsonKeys with each path's JSON type attached
+// ("path=number|string|bool|object|array|null").
+func jsonTypes(v any) []string {
+	var out []string
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, child := range x {
+				typ := "null"
+				switch child.(type) {
+				case float64:
+					typ = "number"
+				case string:
+					typ = "string"
+				case bool:
+					typ = "bool"
+				case map[string]any:
+					typ = "object"
+				case []any:
+					typ = "array"
+				}
+				out = append(out, prefix+k+"="+typ)
+				walk(prefix+k+".", child)
+			}
+		case []any:
+			if len(x) > 0 {
+				walk(prefix, x[0])
+			}
+		}
+	}
+	walk("", v)
+	sort.Strings(out)
+	return out
+}
+
+var metricLabelRE = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="(?:\\.|[^"\\])*"`)
+
+// metricShapes reduces a Prometheus exposition to one sorted line per
+// family: "name kind labelkeys help", labelkeys being the comma-joined
+// sorted union of label keys over the family's samples ("-" when none).
+func metricShapes(text string) []string {
+	help, kind, labels := map[string]string{}, map[string]string{}, map[string]map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, h, _ := strings.Cut(rest, " ")
+			help[name] = h
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, k, _ := strings.Cut(rest, " ")
+			kind[name], labels[name] = k, map[string]bool{}
+			continue
+		}
+		open, shut := strings.IndexByte(line, '{'), strings.LastIndexByte(line, '}')
+		if open < 0 || shut < open {
+			continue
+		}
+		name := line[:open]
+		if _, ok := kind[name]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				name = strings.TrimSuffix(name, suffix)
+			}
+		}
+		for _, m := range metricLabelRE.FindAllStringSubmatch(line[open+1:shut], -1) {
+			labels[name][m[1]] = true
+		}
+	}
+	var out []string
+	for name, k := range kind {
+		keys := "-"
+		if len(labels[name]) > 0 {
+			var ks []string
+			for l := range labels[name] {
+				ks = append(ks, l)
+			}
+			sort.Strings(ks)
+			keys = strings.Join(ks, ",")
+		}
+		out = append(out, name+" "+k+" "+keys+" "+help[name])
+	}
 	sort.Strings(out)
 	return out
 }
@@ -209,6 +295,138 @@ func TestWireSurfacesPinned(t *testing.T) {
 			if !slices.Equal(families, wantFamilies) {
 				t.Errorf("/metrics families changed:\n got %v\nwant %v", families, wantFamilies)
 			}
+
+			// The shape behind the names: the JSON type of every key, and
+			// each family's kind, label keys and help text.
+			wantTypes := slices.Clone(statsCoreTypes)
+			if tc.lsh {
+				wantTypes = append(wantTypes, statsLSHTypes...)
+			}
+			if tc.store {
+				wantTypes = append(wantTypes, statsStoreTypes...)
+			}
+			sort.Strings(wantTypes)
+			if got := jsonTypes(stats); !slices.Equal(got, wantTypes) {
+				t.Errorf("/v1/stats value types changed:\n got %v\nwant %v", got, wantTypes)
+			}
+			if got := jsonTypes(runs); !slices.Equal(got, runsTypes) {
+				t.Errorf("/v1/runs value types changed:\n got %v\nwant %v", got, runsTypes)
+			}
+			wantShapes := slices.Clone(baseShapes)
+			if tc.store {
+				wantShapes = append(wantShapes, storeShapes...)
+			}
+			sort.Strings(wantShapes)
+			if got := metricShapes(buf.String()); !slices.Equal(got, wantShapes) {
+				t.Errorf("/metrics kinds, label keys or help changed:\n got\n%s\nwant\n%s",
+					strings.Join(got, "\n"), strings.Join(wantShapes, "\n"))
+			}
 		})
 	}
 }
+
+// The shape blocks pin what the name blocks above cannot see: the JSON
+// type of every /v1/stats and /v1/runs key, and per /metrics family its
+// kind, its sorted label keys ("-" for none) and its help text. Captured
+// at PR 20, before the surfaces were rendered from the tagged structs.
+var (
+	statsCoreTypes = strings.Fields(`
+		edge_store.dropped_last=number edge_store.dropped_total=number edge_store.epoch=number
+		edge_store.full_rescore_last=bool edge_store.last_update_ms=number edge_store.pairs=number
+		edge_store.rescored_last=number edge_store.rescored_total=number
+		edge_store.resident_bytes=number edge_store.retained_last=number
+		edge_store.retained_total=number edge_store=object entities_e=number entities_i=number
+		ingest.accepted_batches=number ingest.accepted_records=number ingest.inflight_records=number
+		ingest.oldest_wait_ms=number ingest.pending_records=number ingest.queue_depth=number
+		ingest.retry_after_ms=number ingest.shed_after_ms=number ingest.shed_latency=number
+		ingest.shed_queue_depth=number ingest.shed_records=number ingest.shed_requests=number
+		ingest=object ingested_e=number ingested_i=number last_run_unix_ms=number links=number
+		loop_restarts=number pending_records=number publish_tail.applies_total=number
+		publish_tail.edges=number publish_tail.full_rebuilds_total=number
+		publish_tail.last_full_rebuild=bool publish_tail.last_match_ms=number
+		publish_tail.last_threshold_ms=number publish_tail.last_update_ms=number
+		publish_tail.matched=number publish_tail.reused_prefix_len=number
+		publish_tail.suffix_walked=number publish_tail.threshold_fits_total=number
+		publish_tail.threshold_reuses_total=number publish_tail=object relink_panics=number
+		run_journal.capacity=number run_journal.records=number run_journal.total_runs=number
+		run_journal=object runs=number runs_short_circuited=number spatial_level=number
+		threshold=number version=number`)
+	statsLSHTypes = strings.Fields(`
+		candidate_index.bands=number candidate_index.buckets=number
+		candidate_index.candidates=number candidate_index.dirty_entities_last=number
+		candidate_index.epoch=number candidate_index.last_rebuild=bool
+		candidate_index.last_update_ms=number candidate_index.memberships=number
+		candidate_index.num_buckets=number candidate_index.occupancy=number
+		candidate_index.rows=number candidate_index.signature_len=number
+		candidate_index.signatures_e=number candidate_index.signatures_i=number
+		candidate_index=object`)
+	statsStoreTypes = strings.Fields(`
+		storage.batches_logged=number storage.dir=string storage.fsync_interval_ms=number
+		storage.last_snapshot_seq=number storage.last_snapshot_unix_ms=number
+		storage.next_seq=number storage.records_logged=number storage.snapshots=number
+		storage.wal_bytes_appended=number storage.wal_disk_bytes=number storage.wal_segments=number
+		storage=object`)
+	runsTypes = strings.Fields(`
+		capacity=number count=number runs.candidate_pairs=number runs.dropped=number
+		runs.duration_ms=number runs.full_rescore=bool runs.links=number runs.panicked=bool
+		runs.rescored=number runs.retained=number runs.seq=number runs.short_circuit=bool
+		runs.stages.apply_ms=number runs.stages.candidate_index_ms=number
+		runs.stages.match_ms=number runs.stages.merge_ms=number runs.stages.rescore_ms=number
+		runs.stages.threshold_ms=number runs.stages=object runs.start_unix_ms=number
+		runs.tail_full_rebuild=bool runs.tail_reused_prefix=number runs.trigger=string
+		runs.version=number runs=array total_runs=number`)
+	baseShapes = strings.Split(strings.TrimSpace(`
+slim_edge_store_pairs gauge - Retained scored edges in the edge store.
+slim_edge_store_resident_bytes gauge - Estimated resident bytes of the edge store (scores, lineage and link caches).
+slim_entities gauge dataset Entities with applied histories, by dataset.
+slim_health_state gauge domain Domain health: 1 healthy, 0 degraded (write path down, repair in progress).
+slim_http_inflight_requests gauge - Requests currently being served.
+slim_http_request_bytes_total counter - Request body bytes received (per declared Content-Length).
+slim_http_request_seconds histogram le,route Request latency by route pattern.
+slim_http_requests_total counter route,status Requests served, by route pattern and status code.
+slim_http_response_bytes_total counter - Response body bytes written.
+slim_ingest_accepted_batches_total counter - Ingest batches durably applied, across the binary and JSON routes.
+slim_ingest_accepted_records_total counter - Ingest records durably applied, across the binary and JSON routes.
+slim_ingest_acked_seq gauge - Latest acknowledged-and-buffered ingest batch sequence.
+slim_ingest_inflight_records gauge - Admitted records not yet released (waiting on WAL durability).
+slim_ingest_oldest_wait_seconds gauge - Age of the oldest record queued anywhere in the pipeline (the latency-budget input).
+slim_ingest_queue_depth_limit gauge - Configured admission budget in resident records.
+slim_ingest_shed_records_total counter - Records inside shed requests (nothing was logged or buffered).
+slim_ingest_shed_requests_total counter cause Requests refused whole by admission control, by exceeded budget.
+slim_ingest_to_visible_seconds histogram le Time from a batch's acknowledged ingest until a published relink made it link-visible.
+slim_ingested_records_total counter dataset Records accepted since construction, by dataset.
+slim_link_staleness_seconds gauge - Age of the oldest acknowledged batch not yet link-visible (0 when the pipeline is drained).
+slim_link_version gauge - Version of the current published result.
+slim_link_visible_seq gauge - Newest ingest batch sequence whose records are link-visible.
+slim_links gauge - Links in the current published result.
+slim_pending_oldest_seconds gauge - Age of the oldest buffered record awaiting a relink.
+slim_pending_records gauge - Buffered records awaiting the next relink.
+slim_publish_tail_applies_total counter - Publish-tail incremental delta applies.
+slim_publish_tail_edges gauge - Edges in the publish tail's maintained sorted order.
+slim_publish_tail_full_rebuilds_total counter - Publish-tail full merge+match rebuilds (first build, epoch invalidations, failed runs).
+slim_publish_tail_reused_prefix_len gauge - Matched links the latest publish reused verbatim from the previous run.
+slim_publish_tail_suffix_walked gauge - Sorted-order entries the latest publish re-walked below the first changed position.
+slim_relink_pairs_dropped_total counter - Edge-store pairs dropped since boot.
+slim_relink_pairs_rescored_total counter - Candidate pairs rescored since boot.
+slim_relink_pairs_retained_total counter - Edge-store pairs retained without rescoring since boot (scoring work avoided).
+slim_relink_panics_total counter - Panics recovered in the relink path (failed runs and supervisor restarts).
+slim_relink_runs_total counter - Completed relink runs (including short-circuited ones).
+slim_relink_seconds histogram le Wall time of one complete relink run (drain, rescore, merge, match, threshold, publish).
+slim_relink_short_circuits_total counter - Fully-clean relink runs that republished the cached result.
+slim_relink_stage_seconds histogram le,stage Wall time of one relink stage (labelled); candidate_index is the incremental index update time inside rescore.
+slim_relink_stuck_seconds gauge - How far the relink in flight is past its watchdog deadline (0 when idle or on time).
+slim_run_journal_records gauge - Relink runs currently retained in the flight-recorder ring.
+slim_threshold_fit_total counter result Stop-threshold selections, by whether the detector ran or the cached fit was reused bit-identically.`), "\n")
+	storeShapes = strings.Split(strings.TrimSpace(`
+slim_storage_last_snapshot_seq gauge - Last WAL sequence logged when the newest checkpoint was taken.
+slim_storage_reopen_retries_total counter - Degraded-mode WAL reopen attempts (successful or not) since this process started.
+slim_storage_snapshot_bytes gauge - Size of the file the newest checkpoint wrote.
+slim_storage_snapshot_seconds histogram le Duration of one checkpoint: result capture, file write, and removal of the file it supersedes.
+slim_storage_snapshots_total counter - Checkpoints completed by this process.
+slim_wal_append_seconds histogram le Latency of one WAL append call (framed write, plus the fsync under the inline policy).
+slim_wal_appended_bytes_total counter - WAL bytes appended since this process opened the directory.
+slim_wal_batches_total counter - Record batches appended to the WAL since this process opened the directory.
+slim_wal_fsync_seconds histogram le Latency of each WAL fsync, whichever policy issued it.
+slim_wal_next_seq gauge - Sequence number the next logged batch will carry.
+slim_wal_records_total counter - Records appended to the WAL since this process opened the directory.`), "\n")
+)

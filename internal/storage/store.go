@@ -580,34 +580,36 @@ func (s *Store) noteCheckpoint(seq uint64, path string, start time.Time) {
 	}
 }
 
-// Stats is a point-in-time snapshot of the storage layer's state.
+// Stats is a point-in-time snapshot of the storage layer's state. The json
+// tags are its keys in /v1/stats' storage block; the health fields are
+// published on /healthz instead and stay off it.
 type Stats struct {
-	Dir string
+	Dir string `json:"dir"`
 	// FsyncIntervalMs reflects the WAL durability policy (see Options).
-	FsyncIntervalMs float64
+	FsyncIntervalMs float64 `json:"fsync_interval_ms"`
 	// BatchesLogged / RecordsLogged / WALBytesAppended count WAL appends
 	// since this process opened the directory.
-	BatchesLogged    uint64
-	RecordsLogged    uint64
-	WALBytesAppended int64
+	BatchesLogged    uint64 `json:"batches_logged"`
+	RecordsLogged    uint64 `json:"records_logged"`
+	WALBytesAppended int64  `json:"wal_bytes_appended"`
 	// WALSegments / WALDiskBytes describe the on-disk log right now.
-	WALSegments  int
-	WALDiskBytes int64
+	WALSegments  int   `json:"wal_segments"`
+	WALDiskBytes int64 `json:"wal_disk_bytes"`
 	// Snapshots counts checkpoints completed by this process;
 	// LastSnapshotSeq / LastSnapshotUnixMs describe the newest one.
-	Snapshots          uint64
-	LastSnapshotSeq    uint64
-	LastSnapshotUnixMs int64
+	Snapshots          uint64 `json:"snapshots"`
+	LastSnapshotSeq    uint64 `json:"last_snapshot_seq"`
+	LastSnapshotUnixMs int64  `json:"last_snapshot_unix_ms,omitempty"`
 	// NextSeq is the sequence number the next logged batch will carry.
-	NextSeq uint64
+	NextSeq uint64 `json:"next_seq"`
 	// Health is the storage failure domain's state ("healthy" or
 	// "degraded"); DegradedSinceUnixMs and DegradedCause describe the
 	// active episode (zero/empty when healthy). ReopenRetries counts
 	// degraded-mode WAL reopen attempts since this process started.
-	Health              string
-	DegradedCause       string
-	DegradedSinceUnixMs int64
-	ReopenRetries       uint64
+	Health              string `json:"-"`
+	DegradedCause       string `json:"-"`
+	DegradedSinceUnixMs int64  `json:"-"`
+	ReopenRetries       uint64 `json:"-"`
 }
 
 // Stats reports storage counters plus a directory scan of live segments.

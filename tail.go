@@ -32,34 +32,36 @@ type EdgeDelta struct {
 // ReusedPrefixLen vs SuffixWalked: reused matched links were adopted from
 // the previous run without re-examining any edge above the first changed
 // position, and ThresholdReuses counts runs that skipped the GMM refit
-// entirely because the matched score list was bit-unchanged.
+// entirely because the matched score list was bit-unchanged. The json tags
+// are its keys in /v1/stats' publish_tail block (internal/server's wire
+// encoder prints a Duration as milliseconds, hence "_ms").
 type PublishTailStats struct {
 	// Edges is the size of the maintained sorted edge list; Matched the
 	// size of the current matching.
-	Edges   int64
-	Matched int64
+	Edges   int64 `json:"edges"`
+	Matched int64 `json:"matched"`
 	// ReusedPrefixLen / SuffixWalked describe the last matcher update:
 	// matched links reused verbatim, and sorted-order entries re-walked
 	// below the first changed position.
-	ReusedPrefixLen int64
-	SuffixWalked    int64
+	ReusedPrefixLen int64 `json:"reused_prefix_len"`
+	SuffixWalked    int64 `json:"suffix_walked"`
 	// FullRebuilds counts full sort+walk rebuilds (first build, epoch
 	// invalidations, missed deltas); Applies counts delta updates.
-	FullRebuilds uint64
-	Applies      uint64
+	FullRebuilds uint64 `json:"full_rebuilds_total"`
+	Applies      uint64 `json:"applies_total"`
 	// ThresholdFits / ThresholdReuses count threshold selections that ran
 	// the detector vs reused the cached fit (bit-identical score list).
-	ThresholdFits   uint64
-	ThresholdReuses uint64
+	ThresholdFits   uint64 `json:"threshold_fits_total"`
+	ThresholdReuses uint64 `json:"threshold_reuses_total"`
 	// LastFull reports whether the last Publish was a full rebuild.
-	LastFull bool
+	LastFull bool `json:"last_full_rebuild"`
 	// LastUpdate is the wall-clock duration of the last Publish;
 	// LastMatch and LastThreshold split out the matching and threshold
 	// stages (LastUpdate additionally covers delta conversion and link
 	// materialization).
-	LastUpdate    time.Duration
-	LastMatch     time.Duration
-	LastThreshold time.Duration
+	LastUpdate    time.Duration `json:"last_update_ms"`
+	LastMatch     time.Duration `json:"last_match_ms"`
+	LastThreshold time.Duration `json:"last_threshold_ms"`
 }
 
 // PublishTail maintains the merge→match→threshold pipeline of a linkage
