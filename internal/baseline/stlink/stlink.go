@@ -114,30 +114,28 @@ func Link(dsE, dsI *model.Dataset, p Params) Result {
 		return pairs[i].v < pairs[j].v
 	})
 
+	// The pair loop runs on the stores' compiled views: their cells index
+	// the store's cell table, which derives each cell's geometry once — as
+	// SLIM's kernel reads it — so the runtime comparison charges both sides
+	// the same constant per cell distance.
 	res := Result{}
 	for _, pk := range pairs {
-		hu, hv := se.History(pk.u), si.History(pk.v)
+		cu, geomU := se.CompiledView(pk.u)
+		cv, geomV := si.CompiledView(pk.v)
 		ps := PairScore{U: pk.u, V: pk.v}
 		diverse := make(map[geo.CellID]bool)
-		commonWindows(hu.Windows(), hv.Windows(), func(w int64) {
-			cu, nu := hu.WindowBins(w)
-			cv, nv := hv.WindowBins(w)
-			var ru, rv float64
-			for _, n := range nu {
-				ru += n
-			}
-			for _, n := range nv {
-				rv += n
-			}
-			res.RecordComparisons += int64(ru*rv + 0.5)
-			for _, cellU := range cu {
-				for _, cellV := range cv {
-					if cellU == cellV {
+		commonWindows(cu.Windows, cv.Windows, func(ku, kv int) {
+			res.RecordComparisons += int64(cu.WinRecs[ku]*cv.WinRecs[kv] + 0.5)
+			for _, ci := range cu.Cells[cu.Off[ku]:cu.Off[ku+1]] {
+				a := &geomU[ci]
+				for _, cj := range cv.Cells[cv.Off[kv]:cv.Off[kv+1]] {
+					b := &geomV[cj]
+					if a.ID == b.ID {
 						ps.Cooccurrences++
-						diverse[cellU] = true
+						diverse[a.ID] = true
 						continue
 					}
-					if geo.CellDistanceKm(cellU, cellV) > runawayKm {
+					if a.DistanceKm(b) > runawayKm {
 						ps.AlibiPairs++
 					}
 				}
@@ -232,7 +230,9 @@ func (r *Result) Scores(u model.EntityID) []PairScore {
 	return out
 }
 
-func commonWindows(a, b []int64, fn func(int64)) {
+// commonWindows calls fn with the positions in a and b of every window
+// both sorted lists hold.
+func commonWindows(a, b []int64, fn func(ka, kb int)) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -241,7 +241,7 @@ func commonWindows(a, b []int64, fn func(int64)) {
 		case a[i] > b[j]:
 			j++
 		default:
-			fn(a[i])
+			fn(i, j)
 			i++
 			j++
 		}

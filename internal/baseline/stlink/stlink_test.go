@@ -5,6 +5,7 @@ import (
 
 	"slim/internal/datagen"
 	"slim/internal/geo"
+	"slim/internal/history"
 	"slim/internal/matching"
 	"slim/internal/model"
 )
@@ -82,8 +83,9 @@ func TestAmbiguityElimination(t *testing.T) {
 	}
 }
 
-func TestAlibiDisqualifies(t *testing.T) {
-	var dsE, dsI model.Dataset
+// alibied builds one co-moving pair whose I side also appears across the
+// country in six of the shared windows.
+func alibied() (dsE, dsI model.Dataset) {
 	for k := 0; k < 12; k++ {
 		unix := int64(900 * k)
 		lat := 37.0 + float64(k%4)*0.05
@@ -95,6 +97,11 @@ func TestAlibiDisqualifies(t *testing.T) {
 			dsI.Records = append(dsI.Records, rec("v", 40.7, -74.0, unix+20))
 		}
 	}
+	return dsE, dsI
+}
+
+func TestAlibiDisqualifies(t *testing.T) {
+	dsE, dsI := alibied()
 	p := DefaultParams(wnd, 12)
 	p.K, p.L = 2, 2
 	res := Link(&dsE, &dsI, p)
@@ -159,6 +166,62 @@ func TestLinkOnSampledCab(t *testing.T) {
 	}
 	if len(res.Links) > 0 && correct == 0 {
 		t.Errorf("ST-Link linked %d pairs but none correct", len(res.Links))
+	}
+}
+
+// TestEvidenceMatchesDirectDistance recounts every candidate's evidence
+// from the two histories with geo.CellDistanceKm called per cell pair —
+// what Link did before it read the stores' cell tables — on the fixtures
+// above: co-occurrences and alibi pairs must be the same counts.
+func TestEvidenceMatchesDirectDistance(t *testing.T) {
+	cab := datagen.Cab(datagen.CabConfig{NumTaxis: 24, Days: 2, MeanRecordIntervalSec: 400, Seed: 21})
+	sampled := datagen.Sample(&cab, datagen.SampleConfig{IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 22})
+	moversE, moversI := movers(6, 20)
+	alibiE, alibiI := alibied()
+	alibis := 0
+	for _, fx := range []struct {
+		name     string
+		dsE, dsI *model.Dataset
+		w        model.Windowing
+	}{
+		{"movers", &moversE, &moversI, wnd},
+		{"alibied", &alibiE, &alibiI, wnd},
+		{"sampled cab", &sampled.E, &sampled.I, model.NewWindowing(900, &sampled.E, &sampled.I)},
+	} {
+		p := DefaultParams(fx.w, 12)
+		res := Link(fx.dsE, fx.dsI, p)
+		if len(res.Candidates) == 0 {
+			t.Fatalf("%s: no candidates", fx.name)
+		}
+		runawayKm := p.Windowing.WidthMinutes() * p.MaxSpeedKmPerMin
+		se := history.Build(fx.dsE, p.Windowing, p.SpatialLevel)
+		si := history.Build(fx.dsI, p.Windowing, p.SpatialLevel)
+		for _, c := range res.Candidates {
+			hu, hv := se.History(c.U), si.History(c.V)
+			co, alibi := 0, 0
+			commonWindows(hu.Windows(), hv.Windows(), func(ku, kv int) {
+				cu, _ := hu.WindowBins(hu.Windows()[ku])
+				cv, _ := hv.WindowBins(hv.Windows()[kv])
+				for _, a := range cu {
+					for _, b := range cv {
+						switch {
+						case a == b:
+							co++
+						case geo.CellDistanceKm(a, b) > runawayKm:
+							alibi++
+						}
+					}
+				}
+			})
+			if c.Cooccurrences != co || c.AlibiPairs != alibi {
+				t.Errorf("%s: %s-%s has %d co-occurrences and %d alibi pairs, direct count %d and %d",
+					fx.name, c.U, c.V, c.Cooccurrences, c.AlibiPairs, co, alibi)
+			}
+			alibis += alibi
+		}
+	}
+	if alibis == 0 {
+		t.Fatal("no fixture produced an alibi pair: the distance path went unexercised")
 	}
 }
 

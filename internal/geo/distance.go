@@ -1,6 +1,21 @@
 package geo
 
-// CellDistanceKm returns a lower bound on the minimum geographical distance
+// CellGeom is everything the cell distance reads of one cell: its id, its
+// centre unit vector and its circumradius. The last two are derived from
+// the id alone, so a table of cells computes them once per cell (GeomOf)
+// instead of once per distance.
+type CellGeom struct {
+	ID     CellID
+	Center Point
+	Radius float64 // CircumradiusRad
+}
+
+// GeomOf derives the geometry of cell c.
+func GeomOf(c CellID) CellGeom {
+	return CellGeom{ID: c, Center: c.Center(), Radius: c.CircumradiusRad()}
+}
+
+// DistanceKm returns a lower bound on the minimum geographical distance
 // between any point of cell a and any point of cell b, in kilometers.
 //
 // SLIM uses this as the distance d(e.c, i.c) in the proximity function
@@ -11,16 +26,26 @@ package geo
 //
 // The bound is computed as the great-circle distance between cell centers
 // minus both circumradii, clamped at zero. Identical cells and
-// ancestor/descendant pairs are at distance zero by definition.
-func CellDistanceKm(a, b CellID) float64 {
-	if a == b || a.Contains(b) || b.Contains(a) {
+// ancestor/descendant pairs are at distance zero by definition. The two
+// radii are subtracted in argument order, so the result is not
+// bit-symmetric in a and b: callers that need one value per unordered pair
+// fix the order themselves.
+func (a *CellGeom) DistanceKm(b *CellGeom) float64 {
+	if a.ID == b.ID || a.ID.Contains(b.ID) || b.ID.Contains(a.ID) {
 		return 0
 	}
-	angle := a.Center().Angle(b.Center()) - a.CircumradiusRad() - b.CircumradiusRad()
+	angle := a.Center.Angle(b.Center) - a.Radius - b.Radius
 	if angle <= 0 {
 		return 0
 	}
 	return angle * EarthRadiusKm
+}
+
+// CellDistanceKm is DistanceKm over the geometry of two cell ids, derived
+// on the spot.
+func CellDistanceKm(a, b CellID) float64 {
+	ga, gb := GeomOf(a), GeomOf(b)
+	return ga.DistanceKm(&gb)
 }
 
 // ApproxCellEdgeKm returns the approximate edge length in kilometers of a

@@ -13,8 +13,8 @@ import (
 // history's own slices, not copies. On top it adds what scoring derives:
 // the store's IDF weight of every bin, per-window weight sums, and cell
 // ids interned into the owning Store's dense index space (see
-// Store.CompiledView) so scorers can key distance caches on small integers
-// instead of hashing 64-bit id pairs.
+// Store.CompiledView): a bin's cell is a small integer into the store's
+// cell table, whose entries carry the geometry the cell distance reads.
 //
 // A view is valid until the next Store.Add to its entity, which shifts the
 // shared columns in place; Add is not safe concurrently with readers, so a
@@ -102,12 +102,13 @@ func (s *Store) growCompiledLocked() {
 
 // CompiledViewAt returns the up-to-date compiled history of the entity
 // with the given ordinal (nil if the store holds no history for it)
-// together with the store's dense-index→cell-id table. A stale or missing
-// view is compiled on the spot, so callers need no prior Compile; the
-// table is append-only, so indices held by any returned view remain valid
-// in every later table. Safe for concurrent use by scorers; like all
+// together with the store's cell table: entry i is the id, centre and
+// circumradius of the cell with dense index i. A stale or missing view is
+// compiled on the spot, so callers need no prior Compile; the table is
+// append-only, so indices held by any returned view remain valid in every
+// later table. Safe for concurrent use by scorers; like all
 // reads, not safe concurrently with Add.
-func (s *Store) CompiledViewAt(ord uint32) (*Compiled, []geo.CellID) {
+func (s *Store) CompiledViewAt(ord uint32) (*Compiled, []geo.CellGeom) {
 	s.mustScore("CompiledViewAt")
 	h := s.HistoryAt(ord)
 	if h == nil {
@@ -116,9 +117,9 @@ func (s *Store) CompiledViewAt(ord uint32) (*Compiled, []geo.CellID) {
 	s.compMu.RLock()
 	if int(ord) < len(s.compiled) {
 		if c := s.compiled[ord]; c.current(s.epoch, h) {
-			ids := s.cellIDs
+			cells := s.cells
 			s.compMu.RUnlock()
-			return c, ids
+			return c, cells
 		}
 	}
 	s.compMu.RUnlock()
@@ -131,13 +132,13 @@ func (s *Store) CompiledViewAt(ord uint32) (*Compiled, []geo.CellID) {
 		s.fill(c, h)
 		s.compiled[ord] = c
 	}
-	ids := s.cellIDs
+	cells := s.cells
 	s.compMu.Unlock()
-	return c, ids
+	return c, cells
 }
 
 // CompiledView is CompiledViewAt by entity id (nil if e is unknown).
-func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellID) {
+func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellGeom) {
 	ord, ok := s.ords.Lookup(e)
 	if !ok {
 		return nil, nil
@@ -145,9 +146,10 @@ func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellID) {
 	return s.CompiledViewAt(ord)
 }
 
-// internLocked starts a fresh view of h, holding h's cells as dense indices, each cell id assigned the next index
-// on first sight. It is the only part of a view build that writes store
-// state; callers hold compMu for writing.
+// internLocked starts a fresh view of h, holding h's cells as dense
+// indices, each cell id assigned the next index — and its geometry derived,
+// once for the life of the store — on first sight. It is the only part of
+// a view build that writes store state; callers hold compMu for writing.
 func (s *Store) internLocked(h *History) *Compiled {
 	c := &Compiled{
 		Cells:       make([]int32, len(h.cells)),
@@ -157,9 +159,9 @@ func (s *Store) internLocked(h *History) *Compiled {
 	for j, id := range h.cells {
 		i, ok := s.cellIndex[id]
 		if !ok {
-			i = int32(len(s.cellIDs))
+			i = int32(len(s.cells))
 			s.cellIndex[id] = i
-			s.cellIDs = append(s.cellIDs, id)
+			s.cells = append(s.cells, geo.GeomOf(id))
 		}
 		c.Cells[j] = i
 	}

@@ -32,7 +32,7 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 		t.Fatalf("first Compile recompiled %d entities, want %d", n, s.NumEntities())
 	}
 	for _, e := range s.Entities() {
-		c, ids := s.CompiledView(e)
+		c, cells := s.CompiledView(e)
 		if c == nil {
 			t.Fatalf("no compiled view for %s", e)
 		}
@@ -49,7 +49,7 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 			if k >= int(c.Off[wi+1]) || k < int(c.Off[wi]) {
 				t.Fatalf("%s: bin %d outside window %d range [%d,%d)", e, k, wi, c.Off[wi], c.Off[wi+1])
 			}
-			if got := ids[c.Cells[k]]; got != b.Cell {
+			if got := cells[c.Cells[k]]; got != geo.GeomOf(b.Cell) {
 				t.Fatalf("%s: compiled cell %v at %d, want %v", e, got, k, b.Cell)
 			}
 			if c.Counts[k] != count {
@@ -175,7 +175,7 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 		if ns != wantStale[step] || np != wantStale[step] {
 			t.Fatalf("step %d: serial recompiled %d entities, parallel %d, want %d", step, ns, np, wantStale[step])
 		}
-		if !slices.Equal(serial.cellIDs, parallel.cellIDs) {
+		if !slices.Equal(serial.cells, parallel.cells) {
 			t.Fatalf("step %d: dense cell-id tables differ", step)
 		}
 		for ord := range serial.histories {

@@ -1,7 +1,7 @@
 package history
 
 import (
-	"cmp"
+	"maps"
 	"slices"
 
 	"slim/internal/geo"
@@ -14,7 +14,7 @@ import (
 // columns, so Store.Add shifts one window's short column and nothing else.
 // A bin costs 12 B of column where an entry of a hash map keyed by the bin
 // costs ≈ 75 B, and a window's columns are where bin → entity postings
-// would hang (ROADMAP item 3).
+// would hang (ROADMAP item 4).
 type freqIndex struct {
 	windows []int64
 	cols    []freqWindow // cols[k] belongs to windows[k]
@@ -27,40 +27,58 @@ type freqWindow struct {
 }
 
 // newFreqIndex counts, for every bin of the given histories, the histories
-// holding it: all bins are gathered into one buffer, sorted once and
-// folded, run by run, into exactly sized columns. A history lists a bin
-// once, so a run's length is the bin's entity count.
+// holding it, one window at a time: the windows' bin counts size one run
+// each of a shared cell buffer (totalBins long), every history copies its
+// cells into its windows' runs, and each run is sorted and folded into
+// exactly sized columns. A history lists a bin once, so a cell's
+// multiplicity in a run is the bin's entity count. Everything is indexed
+// by the distinct windows seen, never by the range they span: timestamps
+// are untrusted, and two records a century apart occupy two windows.
 func newFreqIndex(histories []*History, totalBins int) *freqIndex {
-	bins := make([]Bin, 0, totalBins)
+	count := make(map[int64]int32) // window → its bins over all histories
 	for _, h := range histories {
-		h.Bins(func(b Bin, _ float64) { bins = append(bins, b) })
-	}
-	slices.SortFunc(bins, func(a, b Bin) int {
-		if a.Window != b.Window {
-			return cmp.Compare(a.Window, b.Window)
+		for k, win := range h.windows {
+			count[win] += h.off[k+1] - h.off[k]
 		}
-		return cmp.Compare(a.Cell, b.Cell)
-	})
-	f := &freqIndex{}
-	for lo := 0; lo < len(bins); {
-		hi, nCells := lo, 0
-		for ; hi < len(bins) && bins[hi].Window == bins[lo].Window; hi++ {
-			if hi == lo || bins[hi].Cell != bins[hi-1].Cell {
+	}
+	f := &freqIndex{windows: slices.Sorted(maps.Keys(count))}
+	f.cols = make([]freqWindow, len(f.windows))
+	// next[k] is where window k's next cell goes in buf: the start of its
+	// run until the histories are copied in, the end of it afterwards.
+	next := make([]int32, len(f.windows))
+	for k := 1; k < len(next); k++ {
+		next[k] = next[k-1] + count[f.windows[k-1]]
+	}
+	buf := make([]geo.CellID, totalBins)
+	for _, h := range histories {
+		i := 0 // a history's windows ascend, so each search starts at the last hit
+		for k, win := range h.windows {
+			j, _ := slices.BinarySearch(f.windows[i:], win)
+			i += j
+			next[i] += int32(copy(buf[next[i]:], h.cells[h.off[k]:h.off[k+1]]))
+		}
+	}
+	var lo int32
+	for k := range f.windows {
+		run := buf[lo:next[k]]
+		lo = next[k]
+		slices.Sort(run)
+		nCells := 0
+		for j, c := range run {
+			if j == 0 || c != run[j-1] {
 				nCells++
 			}
 		}
 		w := freqWindow{cells: make([]geo.CellID, 0, nCells), df: make([]int32, 0, nCells)}
-		for i := lo; i < hi; i++ {
-			if i > lo && bins[i].Cell == bins[i-1].Cell {
+		for j, c := range run {
+			if j > 0 && c == run[j-1] {
 				w.df[len(w.df)-1]++
 				continue
 			}
-			w.cells = append(w.cells, bins[i].Cell)
+			w.cells = append(w.cells, c)
 			w.df = append(w.df, 1)
 		}
-		f.windows = append(f.windows, bins[lo].Window)
-		f.cols = append(f.cols, w)
-		lo = hi
+		f.cols[k] = w
 	}
 	return f
 }

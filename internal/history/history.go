@@ -315,13 +315,14 @@ type Store struct {
 	// addScratch is Add's reused bin-contribution buffer.
 	addScratch []binWeight
 
-	// Compiled read path: per-ordinal flat views plus the dense cell-id
-	// interner shared by all of them. compMu lets concurrent scorers take
-	// the read path while lazy recompiles serialize on the write side.
+	// Compiled read path: per-ordinal flat views plus the dense cell
+	// interner shared by all of them (cells[i] is the cell with index i).
+	// compMu lets concurrent scorers take the read path while lazy
+	// recompiles serialize on the write side.
 	compMu    sync.RWMutex
 	compiled  []*Compiled
 	cellIndex map[geo.CellID]int32
-	cellIDs   []geo.CellID
+	cells     []geo.CellGeom
 }
 
 // Build constructs the histories of every entity of the dataset at the

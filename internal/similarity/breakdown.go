@@ -68,7 +68,7 @@ type Breakdown struct {
 // ScoreBreakdown computes the full per-window decomposition of
 // Score(u, v). It is the explainability slow path, and it is the kernel
 // itself: one observed run of the code Score runs (same views, same pooled
-// scratch and distance cache, same sweeps) with a recorder attached, so
+// scratch, same distances, same sweeps) with a recorder attached, so
 // Total and every window Sum are the values that run returned and each
 // pair is a term it added — bit-identical to Score(u, v) by construction.
 // Unlike Score it allocates (the recorded windows and pairs), and it
@@ -131,8 +131,8 @@ func (r *recorder) term(i, j int, distKm, contribution float64, mfn bool) {
 	}
 	wb := &r.windows[len(r.windows)-1]
 	wb.Pairs = append(wb.Pairs, PairContribution{
-		CellU:        pv.idsU[pv.cu.Cells[bu]],
-		CellV:        pv.idsV[pv.cv.Cells[bv]],
+		CellU:        pv.geomU[pv.cu.Cells[bu]].ID,
+		CellV:        pv.geomV[pv.cv.Cells[bv]].ID,
 		DistanceKm:   distKm,
 		Proximity:    p,
 		IDFWeight:    weight,

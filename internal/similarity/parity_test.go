@@ -412,7 +412,7 @@ func TestScoreWarmZeroAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; gate runs in non-race CI")
 	}
 	s, u, v := warmWorkloadStores(t)
-	_ = s.Score(u, v) // warm compiled views, scratch buffers, distance cache
+	_ = s.Score(u, v) // warm compiled views and scratch buffers
 	if avg := testing.AllocsPerRun(200, func() { _ = s.Score(u, v) }); avg != 0 {
 		t.Fatalf("warm Score allocates %v times per call, want 0", avg)
 	}

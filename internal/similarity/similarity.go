@@ -11,7 +11,10 @@
 //
 // Scoring runs on the compiled read path of internal/history: flat
 // per-window cell/weight/IDF arrays instead of the build-time maps, with
-// all per-call state held in pooled per-goroutine scratch buffers. A warm
+// all per-call state held in pooled per-goroutine scratch buffers. A cell
+// distance is arithmetic on two entries of the stores' cell tables, which
+// carry each cell's centre and circumradius; the kernel remembers nothing
+// from one window pair to the next. A warm
 // Score call performs zero heap allocations (enforced by
 // TestScoreWarmZeroAllocs) while producing bit-identical scores to the
 // original map-walking implementation (enforced by the compiled-vs-map
@@ -95,7 +98,8 @@ func DefaultParams(windowMinutes, maxSpeedKmPerMin float64) Params {
 // Proximity evaluates Eq. 1 for a pair of same-window bins at the given
 // cell distance: log2(2 − min(d/R, 2)), with the log argument clamped at
 // minLogArg. The result is 1 for identical cells, 0 at the runaway
-// distance, and negative (an alibi) beyond it.
+// distance, and negative (an alibi) beyond it: for minLogArg < 1 its sign
+// is isAlibi's answer, which must change with it.
 func Proximity(distKm, runawayKm, minLogArg float64) float64 {
 	if runawayKm <= 0 {
 		if distKm == 0 {
@@ -112,6 +116,16 @@ func Proximity(distKm, runawayKm, minLogArg float64) float64 {
 		arg = minLogArg
 	}
 	return math.Log2(arg)
+}
+
+// isAlibi reports whether Proximity is negative at the given distance
+// (for minLogArg < 1; at or above 1 it never is), without the logarithm:
+// the ratio it tests is the expression Proximity clamps.
+func isAlibi(distKm, runawayKm float64) bool {
+	if runawayKm <= 0 {
+		return distKm != 0
+	}
+	return distKm/runawayKm > 1
 }
 
 // Stats accumulates the work counters the paper's evaluation reports.
@@ -137,16 +151,15 @@ type Scorer struct {
 	stats Stats
 
 	// pool holds per-goroutine scratch state (distance matrix, argsort
-	// order, pairing masks, distance cache) so warm Score calls allocate
-	// nothing and share no locks.
+	// order, pairing masks) so warm Score calls allocate nothing and share
+	// no locks.
 	pool sync.Pool
 }
 
 // scratch is the per-goroutine working state of one scoring call. Buffers
-// grow to the largest window pair seen and are reused; dcache memoizes
-// cell-pair distances keyed by the stores' dense interned cell indices
-// (E-side index in the high half, I-side in the low half), so it stays
-// valid across pairs and recompiles — interned indices are never reused.
+// grow to the largest window pair seen and are reused; nothing in it
+// outlives a window pair, so what a scratch retains is bounded by the
+// largest window pair, not by how many distinct cells were ever scored.
 type scratch struct {
 	dist   []float64
 	order  []int32
@@ -154,7 +167,6 @@ type scratch struct {
 	usedV  []bool
 	sel    []bool // all-false between windows; reset via selIDs
 	selIDs []int32
-	dcache map[uint64]float64
 
 	// Batched stat counters, flushed once per scored pair.
 	binCmp, recCmp, alibi int64
@@ -198,7 +210,7 @@ func grownBools(buf *[]bool, n int) []bool {
 // object (used for the self-similarity queries of the auto-tuner).
 func NewScorer(e, i *history.Store, p Params) *Scorer {
 	s := &Scorer{E: e, I: i, Par: p}
-	s.pool.New = func() any { return &scratch{dcache: make(map[uint64]float64)} }
+	s.pool.New = func() any { return new(scratch) }
 	return s
 }
 
@@ -242,20 +254,20 @@ func (s *Scorer) Score(u, v model.EntityID) float64 {
 }
 
 // pairViews is everything the kernel reads of one pair: both compiled
-// views with their stores' cell-id tables, and the length normalization
+// views with their stores' cell tables, and the length normalization
 // (lu, lv and the product the terms are divided by, clamped to 1 when
 // non-positive).
 type pairViews struct {
 	cu, cv       *history.Compiled
-	idsU, idsV   []geo.CellID
+	geomU, geomV []geo.CellGeom
 	lu, lv, norm float64
 }
 
 // fetch loads the pair's views into pv; it reports false when either
 // ordinal has no history.
 func (s *Scorer) fetch(pv *pairViews, u, v uint32) bool {
-	pv.cu, pv.idsU = s.E.CompiledViewAt(u)
-	pv.cv, pv.idsV = s.I.CompiledViewAt(v)
+	pv.cu, pv.geomU = s.E.CompiledViewAt(u)
+	pv.cv, pv.geomV = s.I.CompiledViewAt(v)
 	if pv.cu == nil || pv.cv == nil {
 		return false
 	}
@@ -330,32 +342,25 @@ func (s *Scorer) run(par *Params, pv *pairViews, rec *recorder) float64 {
 }
 
 // fillDistances writes the nU×nV cell-distance matrix for one window pair
-// into dist (row-major over the V side), memoizing through the scratch
-// cache keyed by dense interned cell indices.
-func (s *Scorer) fillDistances(sc *scratch, dist []float64, cellsU, cellsV []int32, idsU, idsV []geo.CellID) {
+// into dist (row-major over the V side): every entry is computed from the
+// two cells' table entries.
+func fillDistances(dist []float64, cellsU, cellsV []int32, geomU, geomV []geo.CellGeom) {
 	nV := len(cellsV)
 	for i, ci := range cellsU {
-		a := idsU[ci]
+		a := &geomU[ci]
 		row := dist[i*nV : (i+1)*nV]
 		for j, cj := range cellsV {
-			b := idsV[cj]
-			if a == b {
+			b := &geomV[cj]
+			// Canonical argument order: the distance subtracts both
+			// circumradii, which is not bit-symmetric in its arguments.
+			switch {
+			case a.ID == b.ID:
 				row[j] = 0
-				continue
+			case b.ID < a.ID:
+				row[j] = b.DistanceKm(a)
+			default:
+				row[j] = a.DistanceKm(b)
 			}
-			key := uint64(uint32(ci))<<32 | uint64(uint32(cj))
-			d, ok := sc.dcache[key]
-			if !ok {
-				// Canonical argument order: CellDistanceKm subtracts both
-				// circumradii, which is not bit-symmetric in its arguments.
-				if b < a {
-					d = geo.CellDistanceKm(b, a)
-				} else {
-					d = geo.CellDistanceKm(a, b)
-				}
-				sc.dcache[key] = d
-			}
-			row[j] = d
 		}
 	}
 }
@@ -408,7 +413,7 @@ func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int
 
 	n := nU * nV
 	dist := sc.floats(n)
-	s.fillDistances(sc, dist, cellsU, cellsV, pv.idsU, pv.idsV)
+	fillDistances(dist, cellsU, cellsV, pv.geomU, pv.geomV)
 
 	delta := func(i, j int) float64 {
 		p := Proximity(dist[i*nV+j], par.RunawayKm, par.MinLogArg)
@@ -498,6 +503,11 @@ func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int
 		usedU[i], usedV[j] = true, true
 		taken++
 		if sel[id] {
+			continue
+		}
+		// Only a negative delta contributes here; the log2 of anything
+		// else is skipped.
+		if !isAlibi(dist[id], par.RunawayKm) {
 			continue
 		}
 		if d := delta(i, j); d < 0 {

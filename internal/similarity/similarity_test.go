@@ -90,6 +90,32 @@ func TestProximityZeroRunaway(t *testing.T) {
 	}
 }
 
+// TestIsAlibiIsProximitySign pins the MFN sweep's shortcut to the function
+// it shortcuts: isAlibi answers Proximity < 0 at every distance, the
+// boundary ones (the neighbouring floats of R and 2R) included, and with a
+// clamp at or above 1 Proximity is never negative whatever isAlibi says.
+func TestIsAlibiIsProximitySign(t *testing.T) {
+	for _, r := range []float64{-1, 0, 1e-9, 0.3, 1, 7.5, 30, 1e6} {
+		dists := []float64{0, math.SmallestNonzeroFloat64, 1e-12, 5, math.MaxFloat64, math.Inf(1)}
+		for _, m := range []float64{0.5, 1, 1.5, 2, 2.5} {
+			d := m * math.Abs(r)
+			dists = append(dists, math.Nextafter(d, 0), d, math.Nextafter(d, math.Inf(1)))
+		}
+		for _, d := range dists {
+			for _, minArg := range []float64{DefaultMinLogArg, 1e-300, 0.999} {
+				if got, want := isAlibi(d, r), Proximity(d, r, minArg) < 0; got != want {
+					t.Errorf("isAlibi(%g, %g) = %v, Proximity(…, %g) < 0 is %v", d, r, got, minArg, want)
+				}
+			}
+			for _, minArg := range []float64{1, 2} {
+				if p := Proximity(d, r, minArg); p < 0 {
+					t.Errorf("Proximity(%g, %g, %g) = %g, want non-negative", d, r, minArg, p)
+				}
+			}
+		}
+	}
+}
+
 func TestScoreIdenticalHistoriesPositive(t *testing.T) {
 	recs := []model.Record{rec("u", sf, 100), rec("u", oakland, 1000), rec("u", sfNear, 2000), fill("zf")}
 	recsV := []model.Record{rec("v", sf, 100), rec("v", oakland, 1000), rec("v", sfNear, 2000), fill("zf")}
