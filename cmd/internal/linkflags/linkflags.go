@@ -1,5 +1,5 @@
 // Package linkflags is the one definition of the linkage flags that
-// slim-link and slimd share: the thirteen flags that make up a slim.Config.
+// slim-link and slimd share: the twelve flags that make up a slim.Config.
 package linkflags
 
 import (
@@ -18,7 +18,6 @@ func Bind(fs *flag.FlagSet) func() slim.Config {
 		b            = fs.Float64("b", 0.5, "history-length normalization strength [0,1]")
 		minRecords   = fs.Int("min-records", 5, "drop entities of the -e/-i datasets with <= this many records")
 		workers      = fs.Int("workers", 0, "scoring goroutines (0 = GOMAXPROCS)")
-		matcher      = fs.String("matcher", "greedy", "matching algorithm: greedy | hungarian")
 		thresholdM   = fs.String("threshold", "gmm", "stop threshold: gmm | otsu | 2means | none")
 		useLSH       = fs.Bool("lsh", false, "enable the LSH candidate filter")
 		lshThreshold = fs.Float64("lsh-threshold", 0.6, "LSH signature similarity threshold t")
@@ -34,7 +33,6 @@ func Bind(fs *flag.FlagSet) func() slim.Config {
 			B:                *b,
 			MinRecords:       *minRecords,
 			Workers:          *workers,
-			Matcher:          slim.MatcherKind(*matcher),
 			Threshold:        slim.ThresholdMethod(*thresholdM),
 		}
 		if *useLSH {

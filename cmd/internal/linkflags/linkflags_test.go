@@ -25,7 +25,7 @@ func parse(t *testing.T, line string) slim.Config {
 // requires each to land in its Config field.
 func TestFullFlagLine(t *testing.T) {
 	got := parse(t, "-window 30 -level 14 -max-speed 1.5 -b 0.25 -min-records 3 -workers 2 "+
-		"-matcher hungarian -threshold otsu "+
+		"-threshold otsu "+
 		"-lsh -lsh-threshold 0.4 -lsh-step 24 -lsh-level 13 -lsh-buckets 1024")
 	want := slim.Config{
 		WindowMinutes:    30,
@@ -34,7 +34,6 @@ func TestFullFlagLine(t *testing.T) {
 		B:                0.25,
 		MinRecords:       3,
 		Workers:          2,
-		Matcher:          slim.MatcherHungarian,
 		Threshold:        slim.ThresholdOtsu,
 		LSH:              &slim.LSHConfig{Threshold: 0.4, StepWindows: 24, SpatialLevel: 13, NumBuckets: 1024},
 	}
@@ -52,12 +51,24 @@ func TestLSHOffLeavesConfigNil(t *testing.T) {
 	}
 	want := slim.Config{
 		WindowMinutes: 15, SpatialLevel: 12, MaxSpeedKmPerMin: 2, B: 0.5, MinRecords: 5,
-		Matcher: slim.MatcherGreedy, Threshold: slim.ThresholdGMM,
+		Threshold: slim.ThresholdGMM,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("defaults = %+v, want %+v", got, want)
 	}
 	if on := parse(t, "-lsh"); on.LSH == nil || *on.LSH != (slim.LSHConfig{Threshold: 0.6, StepWindows: 48, SpatialLevel: 16, NumBuckets: 4096}) {
 		t.Fatalf("-lsh defaults = %+v", on.LSH)
+	}
+}
+
+// TestNoMatcherFlag: greedy is the only matcher, so slim-link and slimd —
+// both take their linkage flags from Bind — have no flag to choose one.
+func TestNoMatcherFlag(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Bind(fs)
+	err := fs.Parse([]string{"-matcher", "greedy"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -matcher") {
+		t.Errorf("-matcher greedy: %v, want an unknown-flag error", err)
 	}
 }

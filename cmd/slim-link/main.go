@@ -7,7 +7,7 @@
 //	slim-link -e serviceA.csv -i serviceB.csv [flags]
 //
 // Useful flags: -window (minutes), -level (0 = auto-tune), -lsh,
-// -lsh-threshold, -lsh-step, -lsh-level, -lsh-buckets, -matcher, -threshold.
+// -lsh-threshold, -lsh-step, -lsh-level, -lsh-buckets, -threshold.
 package main
 
 import (

@@ -21,8 +21,7 @@
 // full state from the seeds and the whole log before /readyz reports
 // ready. The directory is the only copy of the records and nothing in it
 // is truncated. Linkage flags mirror slim-link: -window, -level,
-// -max-speed, -b, -min-records, -workers, -matcher, -threshold, and the
-// -lsh family.
+// -max-speed, -b, -min-records, -workers, -threshold, and the -lsh family.
 package main
 
 import (

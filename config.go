@@ -6,16 +6,14 @@ import (
 	"runtime"
 )
 
-// MatcherKind selects the bipartite matching algorithm.
+// MatcherKind names the bipartite matching algorithm. There is one — the
+// paper's greedy maximum-sum heuristic (Sec. 3.2). The type, its constant,
+// Config.Matcher and MatchLinks' first parameter select nothing and remain
+// only because the read-only cmd/slim-bench names them (ROADMAP item 8).
 type MatcherKind string
 
-const (
-	// MatcherGreedy is the paper's greedy maximum-sum heuristic (default).
-	MatcherGreedy MatcherKind = "greedy"
-	// MatcherHungarian computes the exact maximum-weight matching. Cubic
-	// cost; intended for small instances.
-	MatcherHungarian MatcherKind = "hungarian"
-)
+// MatcherGreedy is the only legal value of Config.Matcher.
+const MatcherGreedy MatcherKind = "greedy"
 
 // ThresholdMethod selects the automated linkage stop-threshold detector.
 type ThresholdMethod string
@@ -96,7 +94,8 @@ type Config struct {
 	MinRecords int
 	// Workers bounds scoring parallelism (default GOMAXPROCS).
 	Workers int
-	// Matcher selects greedy (default) or exact matching.
+	// Matcher is MatcherGreedy or empty (see MatcherKind); anything else is
+	// rejected.
 	Matcher MatcherKind
 	// Threshold selects the stop-threshold detector (default GMM).
 	Threshold ThresholdMethod
@@ -151,9 +150,7 @@ func (c *Config) normalize() error {
 	if c.Matcher == "" {
 		c.Matcher = MatcherGreedy
 	}
-	switch c.Matcher {
-	case MatcherGreedy, MatcherHungarian:
-	default:
+	if c.Matcher != MatcherGreedy {
 		return fmt.Errorf("slim: unknown matcher %q", c.Matcher)
 	}
 	if c.Threshold == "" {

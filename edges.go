@@ -44,27 +44,28 @@ type EdgeStoreStats struct {
 // is currently a retained edge, its score, and which runs produced it.
 // Run sequence numbers are the ones stamped by Rescore — inside
 // internal/engine they are the engine's published result versions, so a
-// lineage seq can be joined against the engine's run journal.
+// lineage seq can be joined against the engine's run journal. The json
+// tags are its keys in /v1/explain's edge block.
 type EdgeLineage struct {
 	// Linked reports whether the pair is currently a retained (positive
 	// scored) edge; the remaining fields are zero when it is not.
-	Linked bool
+	Linked bool `json:"linked"`
 	// Score is the retained score.
-	Score float64
+	Score float64 `json:"score,omitempty"`
 	// RescoredSeq is the run that last actually scored this pair (every
 	// later run retained the cached value).
-	RescoredSeq uint64
+	RescoredSeq uint64 `json:"rescored_seq,omitempty"`
 	// RetainedSinceSeq is the run the pair first entered the store in its
 	// current tenure (dropping and re-adding a pair restarts it).
-	RetainedSinceSeq uint64
+	RetainedSinceSeq uint64 `json:"retained_since_seq,omitempty"`
 	// LastFullSeq / ScoreAtLastFull are the most recent full (epoch)
 	// rescore that scored this pair and the score it produced then — the
 	// anchor for "has this edge drifted since the last global rescore".
 	// Both are zero for pairs added after the last full rescore.
-	LastFullSeq     uint64
-	ScoreAtLastFull float64
+	LastFullSeq     uint64  `json:"last_full_seq,omitempty"`
+	ScoreAtLastFull float64 `json:"score_at_last_full,omitempty"`
 	// StoreEpoch counts the store's full rescores (see EdgeStoreStats).
-	StoreEpoch uint64
+	StoreEpoch uint64 `json:"store_epoch"`
 }
 
 // edge is the one record the store keeps per retained pair: its score and
@@ -152,9 +153,10 @@ type edgeStore struct {
 	// last update for the incremental publish tail: edges that entered the
 	// store or changed score (with their fresh scores) and edges that left
 	// it (with the scores they held). A score change records both. The
-	// buffers are reused across updates — consumers must not retain them —
-	// and updates counts every resetFull/apply so a consumer can detect a
-	// missed delta and fall back to a full rebuild.
+	// buffers are reused across updates — consumers must not retain them,
+	// and may reorder them: every update truncates before it appends — and
+	// updates counts every resetFull/apply so a consumer can detect a missed
+	// delta and fall back to a full rebuild.
 	deltaChanged []Link
 	deltaRemoved []Link
 	updates      uint64
@@ -315,9 +317,9 @@ func (es *edgeStore) lineage(p uint64) EdgeLineage {
 // materialize returns the retained edges in canonical (U, V) order,
 // building the list only when none is cached, i.e. after a delta update
 // changed the edge set. The relink path does not need it then (the publish
-// tail consumes delta()); RunEdges' callers, a tail that missed a delta and
-// the Hungarian matcher do. The returned slice (never nil) is shared until
-// the edge set next changes; callers must not modify it.
+// tail consumes delta()); RunEdges' callers and a tail that missed a delta
+// do. The returned slice (never nil) is shared until the edge set next
+// changes; callers must not modify it.
 func (es *edgeStore) materialize() []Link {
 	if es.links == nil {
 		es.links = make([]Link, 0, len(es.pairs))
@@ -331,7 +333,7 @@ func (es *edgeStore) materialize() []Link {
 
 // delta returns the edge-level delta of the last update, for the
 // incremental publish tail. The slices alias the store's reused buffers:
-// consumers must fold them in before the next update.
+// consumers must fold them in before the next update, and may reorder them.
 func (es *edgeStore) delta() EdgeDelta {
 	return EdgeDelta{
 		Full:    es.lastFull,

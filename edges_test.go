@@ -151,3 +151,47 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 		t.Fatal("RunEdges after delta relinks differs from the twin's")
 	}
 }
+
+// TestResidentBytesCoverListBuiltByPublish: Publish reads the store's whole
+// link list when its tail missed a delta, and what it built must show in
+// EdgeStoreStats — internal/engine snapshots the store after Publish for
+// this reason. A first Rescore goes unpublished; re-observations then
+// change an edge on the delta path, which drops the list; the Publish that
+// follows finds a sequence gap, rebuilds the tail from the whole list and
+// so materialises it.
+func TestResidentBytesCoverListBuiltByPublish(t *testing.T) {
+	w := cabWorkload(t, 30, 1)
+	cfg := Defaults()
+	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	lk, err := NewLinker(w.E, w.I, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk.Rescore()
+	for burst := 0; lk.edges.links != nil; burst++ {
+		if burst == 8 {
+			t.Fatal("no burst changed an edge on the delta path; the test is vacuous")
+		}
+		// Pile weight onto one known bin of every fourth record's entity.
+		for k := burst; k < len(w.E.Records); k += 4 {
+			lk.AddE(w.E.Records[k], w.E.Records[k], w.E.Records[k])
+		}
+		if lk.Rescore().EdgeStore.FullRescore {
+			t.Fatalf("burst %d: re-observations forced a full rescore", burst)
+		}
+	}
+	es := lk.EdgeStoreStats()
+	if es.Pairs == 0 || es.ResidentBytes != es.Pairs*edgePairBytes {
+		t.Fatalf("after the delta rescore: %d B for %d pairs, want the map alone (%d B a pair)",
+			es.ResidentBytes, es.Pairs, edgePairBytes)
+	}
+	lk.Publish()
+	if ts := lk.PublishTailStats(); !ts.LastFull {
+		t.Fatalf("a tail that missed a delta must rebuild in full: %+v", ts)
+	}
+	es = lk.EdgeStoreStats()
+	if es.ResidentBytes != es.Pairs*(edgePairBytes+edgeLinkBytes) {
+		t.Fatalf("after Publish built the list: %d B for %d pairs, want %d B a pair",
+			es.ResidentBytes, es.Pairs, edgePairBytes+edgeLinkBytes)
+	}
+}

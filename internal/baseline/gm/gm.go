@@ -277,13 +277,13 @@ func Link(dsE, dsI *model.Dataset, p Params) Result {
 			if math.IsInf(s, -1) {
 				continue
 			}
-			res.PairScores = append(res.PairScores, matching.Edge{U: u, V: v, W: s})
+			res.PairScores = append(res.PairScores, matching.Edge{U: u, V: v, Score: s})
 		}
 	}
 	res.Matched = matching.Greedy(res.PairScores)
 	weights := make([]float64, len(res.Matched))
 	for i, e := range res.Matched {
-		weights[i] = e.W
+		weights[i] = e.Score
 	}
 	thr := threshold.SelectThreshold(weights)
 	res.Threshold = thr.Threshold

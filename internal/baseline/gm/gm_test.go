@@ -137,7 +137,7 @@ func TestLinkOnSampledCab(t *testing.T) {
 	// Cab entities share one metro and GM is weak there (the paper's
 	// point); just require the pipeline to run and produce sane output.
 	for _, l := range res.Links {
-		if math.IsNaN(l.W) {
+		if math.IsNaN(l.Score) {
 			t.Fatal("NaN link weight")
 		}
 	}
@@ -145,8 +145,8 @@ func TestLinkOnSampledCab(t *testing.T) {
 		// Threshold must lie within the matched score range.
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, e := range res.Matched {
-			lo = math.Min(lo, e.W)
-			hi = math.Max(hi, e.W)
+			lo = math.Min(lo, e.Score)
+			hi = math.Max(hi, e.Score)
 		}
 		if res.Threshold < lo-1e-9 || res.Threshold > hi+1e-9 {
 			t.Errorf("threshold %g outside matched range [%g, %g]", res.Threshold, lo, hi)

@@ -172,11 +172,11 @@ func Link(dsE, dsI *model.Dataset, p Params) Result {
 		if len(qualifiedByV[ps.V]) != 1 {
 			continue // ambiguous on the I side
 		}
-		res.Links = append(res.Links, matching.Edge{U: ps.U, V: ps.V, W: float64(ps.Cooccurrences)})
+		res.Links = append(res.Links, matching.Edge{U: ps.U, V: ps.V, Score: float64(ps.Cooccurrences)})
 	}
 	sort.Slice(res.Links, func(i, j int) bool {
-		if res.Links[i].W != res.Links[j].W {
-			return res.Links[i].W > res.Links[j].W
+		if res.Links[i].Score != res.Links[j].Score {
+			return res.Links[i].Score > res.Links[j].Score
 		}
 		return res.Links[i].U < res.Links[j].U
 	})

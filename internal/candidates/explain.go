@@ -1,17 +1,31 @@
 package candidates
 
+import "fmt"
+
+// BucketHash is a band's 64-bit bucket hash. It exceeds 2^53, so as text
+// (and so in JSON) it is 16 hex digits rather than a number a JavaScript
+// consumer would silently round.
+type BucketHash uint64
+
+func (h BucketHash) MarshalText() ([]byte, error) {
+	return fmt.Appendf(nil, "%016x", uint64(h)), nil
+}
+
 // BandCollision names one band in which a pair's two entities currently
 // hash into the same bucket, with the bucket's occupancy on both sides —
 // the "why is this pair a candidate" evidence (a collision in a crowded
 // bucket is weaker evidence of similarity than one in a tight bucket).
+// The json tags here and on PairExplain are the keys of /v1/explain's
+// candidates block, which encodes a PairExplain as it is.
 type BandCollision struct {
 	// Band is the band index in [0, Bands).
-	Band int
+	Band int `json:"band"`
 	// Hash is the shared bucket hash within the band.
-	Hash uint64
+	Hash BucketHash `json:"hash"`
 	// BucketE / BucketI are the bucket's current member counts per side
 	// (both include the pair's own endpoints).
-	BucketE, BucketI int
+	BucketE int `json:"bucket_e"`
+	BucketI int `json:"bucket_i"`
 }
 
 // PairExplain is the lineage of one pair through the incremental LSH
@@ -23,23 +37,25 @@ type BandCollision struct {
 type PairExplain struct {
 	// HasU / HasV report whether the index maintains a signature for each
 	// endpoint (false for unknown or never-signed entities).
-	HasU, HasV bool
+	HasU bool `json:"has_u"`
+	HasV bool `json:"has_v"`
 	// Candidate reports whether the pair is currently in the candidate
 	// set, which by definition is BandCount > 0; BandCount is its current
 	// band-collision count, len(Collisions).
-	Candidate bool
-	BandCount int32
+	Candidate bool  `json:"candidate"`
+	BandCount int32 `json:"band_count"`
 	// Collisions lists the currently colliding bands in band order.
-	Collisions []BandCollision
+	Collisions []BandCollision `json:"collisions,omitempty"`
 	// Epoch / SignatureLen / Bands / Rows describe the index grid the
 	// lineage was read under (see Stats).
-	Epoch        uint64
-	SignatureLen int
-	Bands        int
-	Rows         int
+	Epoch        uint64 `json:"epoch"`
+	SignatureLen int    `json:"signature_len"`
+	Bands        int    `json:"bands"`
+	Rows         int    `json:"rows"`
 	// SigVersionU / SigVersionV are the history versions the endpoints'
 	// signatures were computed from (0 when the endpoint has none).
-	SigVersionU, SigVersionV uint64
+	SigVersionU uint64 `json:"sig_version_u,omitempty"`
+	SigVersionV uint64 `json:"sig_version_v,omitempty"`
 }
 
 // Explain reports the candidate lineage of one pair, named by the two
@@ -70,8 +86,9 @@ func (x *Index) Explain(u, v uint32) PairExplain {
 		if !su.hasBand[atU] || !sv.hasBand[atV] || su.bandHash[atU] != sv.bandHash[atV] {
 			continue
 		}
-		bc := BandCollision{Band: band, Hash: su.bandHash[atU]}
-		if bkt := x.buckets[band][bc.Hash]; bkt != nil {
+		hash := su.bandHash[atU]
+		bc := BandCollision{Band: band, Hash: BucketHash(hash)}
+		if bkt := x.buckets[band][hash]; bkt != nil {
 			bc.BucketE, bc.BucketI = len(bkt.members[sideE]), len(bkt.members[sideI])
 		}
 		ex.Collisions = append(ex.Collisions, bc)

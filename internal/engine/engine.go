@@ -187,9 +187,9 @@ type Engine struct {
 
 // layers is one immutable snapshot of the linker-side state a published
 // run left behind: entity counts plus the candidate-index (nil without
-// LSH), edge-store (nil before the first run) and publish-tail (nil with
-// the Hungarian matcher or before the first run) snapshots. Runs that
-// publish nothing carry the previous run's snapshot forward.
+// LSH), edge-store and publish-tail (both nil before the first run)
+// snapshots. Runs that publish nothing carry the previous run's snapshot
+// forward.
 type layers struct {
 	entE, entI int
 	idx        *slim.CandidateIndexStats
@@ -688,9 +688,9 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 		rec.CandidatePairs = stats.CandidatePairs
 	})
 
-	// Publish tail: match and threshold. The tail times its own stages; the
-	// from-scratch Hungarian path has no tail, so its whole publish is
-	// booked as match.
+	// Publish tail: match and threshold. The stage takes the whole publish
+	// (all a panicked run's record has); the tail times its own two stages,
+	// which replace that figure below.
 	var res slim.Result
 	e.stage("publish", FaultRelink, &rec.MatchDur, func(context.Context) {
 		matched, links, thr := e.lk.Publish()
@@ -704,16 +704,15 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 			Elapsed:         time.Since(rec.Start),
 		}
 	})
-	// The edge store is snapshotted after Publish, which may have built its
-	// link list (the tail missed a delta, or the matcher is Hungarian): the
-	// snapshot supplies the sizes, the record above the last-run fields.
+	// The edge store is snapshotted after Publish, which builds its link
+	// list when the tail missed a delta: the snapshot supplies the sizes, the
+	// record above the last-run fields.
 	rec.layers.edge = e.lk.EdgeStoreStats()
-	if tail := e.lk.PublishTailStats(); tail != nil {
-		rec.layers.tail = tail
-		rec.MatchDur, rec.ThresholdDur, rec.tailDur = tail.LastMatch, tail.LastThreshold, tail.LastUpdate
-		rec.TailReusedPrefix, rec.tailSuffix = tail.ReusedPrefixLen, tail.SuffixWalked
-		rec.TailFullRebuild = tail.LastFull
-	}
+	tail := e.lk.PublishTailStats()
+	rec.layers.tail = tail
+	rec.MatchDur, rec.ThresholdDur, rec.tailDur = tail.LastMatch, tail.LastThreshold, tail.LastUpdate
+	rec.TailReusedPrefix, rec.tailSuffix = tail.ReusedPrefixLen, tail.SuffixWalked
+	rec.TailFullRebuild = tail.LastFull
 	return &res
 }
 
@@ -839,12 +838,11 @@ type Stats struct {
 	// waiting for a relink (zero when nothing is pending) — the relink-lag
 	// signal behind the ingest plane's latency-budget shedding.
 	PendingOldestAge time.Duration `json:"-"`
-	// CandidateIndex (nil when LSH is disabled), EdgeStore (nil before the
-	// first run) and PublishTail (nil with the Hungarian matcher or before
-	// the first published run) are the linker's layer snapshots. Their
-	// state fields (sizes, epochs, since-boot counts) are as of the latest
-	// published run; their last-run fields are the latest run's record, so
-	// they read zero after a short circuit.
+	// CandidateIndex (nil when LSH is disabled), EdgeStore and PublishTail
+	// (both nil before the first published run) are the linker's layer
+	// snapshots. Their state fields (sizes, epochs, since-boot counts) are
+	// as of the latest published run; their last-run fields are the latest
+	// run's record, so they read zero after a short circuit.
 	CandidateIndex *slim.CandidateIndexStats `json:"candidate_index,omitempty"`
 	EdgeStore      *slim.EdgeStoreStats      `json:"edge_store,omitempty"`
 	PublishTail    *slim.PublishTailStats    `json:"publish_tail,omitempty"`

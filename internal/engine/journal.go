@@ -46,8 +46,7 @@ type RunRecord struct {
 	Links          int64 `json:"links"`
 	// TailReusedPrefix is how many matched links the publish tail reused
 	// verbatim from the previous run; TailFullRebuild reports whether the
-	// tail fell back to a full sort+match rebuild. Both are zero on the
-	// from-scratch (Hungarian) path.
+	// tail fell back to a full sort+match rebuild.
 	TailReusedPrefix int64 `json:"tail_reused_prefix"`
 	TailFullRebuild  bool  `json:"tail_full_rebuild"`
 	// Per-stage wall-clock durations, one per slim_relink_stage_seconds

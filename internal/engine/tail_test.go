@@ -102,47 +102,3 @@ func requireResidentBytesCurrent(t *testing.T, eng *Engine) {
 			got.ResidentBytes, got.Pairs, now.ResidentBytes)
 	}
 }
-
-// TestEngineResidentBytesCoverListBuiltByPublish: the Hungarian matcher
-// reads the store's whole link list in Publish, after Rescore snapshotted
-// the store. On a delta run that changed an edge (re-observations that
-// shift dominating cells move pairs in and out of the LSH candidate set
-// without moving an IDF epoch) Rescore drops the list and Publish rebuilds
-// it, and the reported size must include it.
-func TestEngineResidentBytesCoverListBuiltByPublish(t *testing.T) {
-	ground := slim.GenerateCab(slim.CabOptions{NumTaxis: 30, Days: 2, MeanRecordIntervalSec: 360, Seed: 1})
-	w := slim.SampleWorkload(&ground, slim.SampleOptions{
-		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 2,
-	})
-	cfg := slim.Defaults()
-	cfg.Matcher = slim.MatcherHungarian
-	cfg.LSH = &slim.LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
-	eng, err := New(w.E, w.I, Config{Link: cfg, Debounce: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	eng.Run()
-	requireResidentBytesCurrent(t, eng)
-
-	changed := 0
-	for burst := 0; burst < 8; burst++ {
-		// Pile weight onto one known bin of every fourth record's entity.
-		for k := burst; k < len(w.E.Records); k += 4 {
-			eng.AddE(w.E.Records[k], w.E.Records[k], w.E.Records[k])
-		}
-		before := eng.Stats().EdgeStore.Pairs
-		eng.Run()
-		st := eng.Stats().EdgeStore
-		if st.FullRescore {
-			t.Fatalf("burst %d: re-observations forced a full rescore", burst)
-		}
-		if st.Dropped > 0 || st.Pairs != before {
-			changed++
-		}
-		requireResidentBytesCurrent(t, eng)
-	}
-	if changed == 0 {
-		t.Fatal("no burst changed the edge set on the delta path; the test is vacuous")
-	}
-}

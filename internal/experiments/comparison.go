@@ -197,10 +197,8 @@ func comparisonCell(w slim.SampledWorkload, sc Scale, opt ComparisonOptions, rat
 	stRes := stlink.Link(&w.E, &w.I, stlink.DefaultParams(wnd, 12))
 	elapsedST := time.Since(startST)
 	stLinks := make([]eval.LinkPair, len(stRes.Links))
-	stSlimLinks := make([]slim.Link, len(stRes.Links))
 	for i, l := range stRes.Links {
 		stLinks[i] = eval.LinkPair{U: l.U, V: l.V}
-		stSlimLinks[i] = slim.Link{U: l.U, V: l.V, Score: l.W}
 	}
 	stPRF := eval.Score(stLinks, truth)
 	stRank := make(map[model.EntityID][]eval.RankedCandidate)
@@ -230,7 +228,7 @@ func comparisonCell(w slim.SampledWorkload, sc Scale, opt ComparisonOptions, rat
 		gmPRF := eval.Score(gmLinks, truth)
 		gmRank := make(map[model.EntityID][]eval.RankedCandidate)
 		for _, e := range gmRes.PairScores {
-			gmRank[e.U] = append(gmRank[e.U], eval.RankedCandidate{V: e.V, Score: e.W})
+			gmRank[e.U] = append(gmRank[e.U], eval.RankedCandidate{V: e.V, Score: e.Score})
 		}
 		cell.Methods = append(cell.Methods, MethodMeasurement{
 			Method: "gm", Ran: true,

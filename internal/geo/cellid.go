@@ -225,6 +225,12 @@ func (c CellID) String() string {
 	return fmt.Sprintf("%d/%d/0x%016x", c.Face(), c.Level(), uint64(c))
 }
 
+// MarshalText renders the id as 16 hex digits — its form in JSON, where a
+// number above 2^53 would be silently rounded by JavaScript consumers.
+func (c CellID) MarshalText() ([]byte, error) {
+	return fmt.Appendf(nil, "%016x", uint64(c)), nil
+}
+
 // ---- cube-face projection ----
 
 // uvToST applies the inverse quadratic transform, mapping [-1,1] to [0,1]

@@ -14,8 +14,8 @@ import (
 // outcome a pure function of the edge SET (and the incremental matcher's
 // prefix reuse sound).
 func cmpGreedy(a, b Edge) int {
-	if a.W != b.W {
-		if a.W > b.W {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
 			return -1
 		}
 		return 1
@@ -123,9 +123,10 @@ type Incremental struct {
 	// the double buffer Apply splices into (the two swap every apply).
 	order   []Edge
 	scratch []Edge
-	// matched is the greedy matching over order (returned to callers and
-	// treated as immutable once returned: every update allocates a fresh
-	// slice unless the matching is provably unchanged). matchedPos[k] is
+	// matched is the greedy matching over order. It is returned to callers
+	// — the publish tail hands this very slice out as the published links —
+	// and is never written again once returned: every update allocates a
+	// fresh slice unless the matching is provably unchanged. matchedPos[k] is
 	// the position in order that produced matched[k]; it is strictly
 	// increasing, so the reusable prefix for a boundary b is found by
 	// binary search.
@@ -150,7 +151,7 @@ func (m *Incremental) Rebuild(edges []Edge) []Edge {
 
 // Apply folds one delta into the maintained order and returns the
 // updated matching. remove must name edges currently present (exact U,
-// V, W — score changes are a remove of the old value plus an insert of
+// V, Score — score changes are a remove of the old value plus an insert of
 // the new); insert must name pairs absent after the removals. Both
 // slices are sorted in place. ok is false when the delta is inconsistent
 // with the maintained state (or Rebuild was never called): the matcher
@@ -255,8 +256,10 @@ func (m *Incremental) walk(from, keep int) []Edge {
 	}
 	m.lastReused = keep
 	m.lastWalked = len(m.order) - from
-	m.matched = out
-	return out
+	// Callers retain the result: clip it so an append on their side cannot
+	// reach memory another holder sees.
+	m.matched = slices.Clip(out)
+	return m.matched
 }
 
 // Len returns the size of the maintained edge list.

@@ -21,7 +21,7 @@ type edgeSet map[edgeKey]float64
 func (s edgeSet) slice() []Edge {
 	out := make([]Edge, 0, len(s))
 	for k, w := range s {
-		out = append(out, Edge{U: k.u, V: k.v, W: w})
+		out = append(out, Edge{U: k.u, V: k.v, Score: w})
 	}
 	return out
 }
@@ -35,7 +35,7 @@ func requireSameMatching(t *testing.T, got, want []Edge) {
 	}
 	for i := range got {
 		if got[i].U != want[i].U || got[i].V != want[i].V ||
-			math.Float64bits(got[i].W) != math.Float64bits(want[i].W) {
+			math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
 			t.Fatalf("matching diverges at %d: got %+v want %+v", i, got[i], want[i])
 		}
 	}
@@ -104,8 +104,8 @@ func TestIncrementalMatchesGreedyRandomized(t *testing.T) {
 					if nw == old || slices.ContainsFunc(remove, func(e Edge) bool { return e.U == k.u && e.V == k.v }) {
 						continue
 					}
-					remove = append(remove, Edge{U: k.u, V: k.v, W: old})
-					insert = append(insert, Edge{U: k.u, V: k.v, W: nw})
+					remove = append(remove, Edge{U: k.u, V: k.v, Score: old})
+					insert = append(insert, Edge{U: k.u, V: k.v, Score: nw})
 					set[k] = nw
 				}
 				// Pure removals.
@@ -115,7 +115,7 @@ func TestIncrementalMatchesGreedyRandomized(t *testing.T) {
 						if slices.ContainsFunc(remove, func(e Edge) bool { return e.U == k.u && e.V == k.v }) {
 							continue
 						}
-						remove = append(remove, Edge{U: k.u, V: k.v, W: w})
+						remove = append(remove, Edge{U: k.u, V: k.v, Score: w})
 						delete(set, k)
 					}
 				}
@@ -129,7 +129,7 @@ func TestIncrementalMatchesGreedyRandomized(t *testing.T) {
 						continue
 					}
 					w := quantWeight(rng)
-					insert = append(insert, Edge{U: k.u, V: k.v, W: w})
+					insert = append(insert, Edge{U: k.u, V: k.v, Score: w})
 					set[k] = w
 				}
 				got, ok := m.Apply(remove, insert)
@@ -154,16 +154,16 @@ func TestIncrementalMatchesGreedyRandomized(t *testing.T) {
 // and its endpoints cascade into different downstream decisions.
 func TestIncrementalRemovesMatchedEdgeHighInOrder(t *testing.T) {
 	edges := []Edge{
-		{U: "u1", V: "v1", W: 0.9},
-		{U: "u1", V: "v2", W: 0.8},
-		{U: "u2", V: "v1", W: 0.7},
-		{U: "u2", V: "v2", W: 0.6},
-		{U: "u3", V: "v3", W: 0.5},
+		{U: "u1", V: "v1", Score: 0.9},
+		{U: "u1", V: "v2", Score: 0.8},
+		{U: "u2", V: "v1", Score: 0.7},
+		{U: "u2", V: "v2", Score: 0.6},
+		{U: "u3", V: "v3", Score: 0.5},
 	}
 	var m Incremental
 	got := m.Rebuild(edges)
 	requireSameMatching(t, got, Greedy(edges))
-	if got[0].W != 0.9 {
+	if got[0].Score != 0.9 {
 		t.Fatalf("expected top edge matched first, got %+v", got[0])
 	}
 
@@ -172,7 +172,7 @@ func TestIncrementalRemovesMatchedEdgeHighInOrder(t *testing.T) {
 	// order.
 	after := []Edge{edges[1], edges[2], edges[4]}
 	want := Greedy(append(append([]Edge(nil), after...), edges[3]))
-	got, ok := m.Apply([]Edge{{U: "u1", V: "v1", W: 0.9}}, nil)
+	got, ok := m.Apply([]Edge{{U: "u1", V: "v1", Score: 0.9}}, nil)
 	if !ok {
 		t.Fatal("Apply rejected a consistent removal")
 	}
@@ -206,7 +206,7 @@ func TestIncrementalTiesAtReuseBoundary(t *testing.T) {
 	// higher weights on disjoint endpoints).
 	k := edgeKey{entity("u", 10), entity("v", 10)}
 	delete(set, k)
-	got, ok := m.Apply([]Edge{{U: k.u, V: k.v, W: 0.5}}, nil)
+	got, ok := m.Apply([]Edge{{U: k.u, V: k.v, Score: 0.5}}, nil)
 	if !ok {
 		t.Fatal("Apply rejected a consistent removal")
 	}
@@ -220,7 +220,7 @@ func TestIncrementalTiesAtReuseBoundary(t *testing.T) {
 	// block; the boundary is the insertion point, amid equal weights.
 	k = edgeKey{entity("u", 14), entity("v", 19)}
 	set[k] = 0.5
-	got, ok = m.Apply(nil, []Edge{{U: k.u, V: k.v, W: 0.5}})
+	got, ok = m.Apply(nil, []Edge{{U: k.u, V: k.v, Score: 0.5}})
 	if !ok {
 		t.Fatal("Apply rejected a consistent insert")
 	}
@@ -232,29 +232,29 @@ func TestIncrementalTiesAtReuseBoundary(t *testing.T) {
 // wrong weight) and inserts duplicating retained pairs must be rejected
 // with the state unchanged.
 func TestIncrementalApplyRejectsInconsistentDeltas(t *testing.T) {
-	edges := []Edge{{U: "u1", V: "v1", W: 0.9}, {U: "u2", V: "v2", W: 0.5}}
+	edges := []Edge{{U: "u1", V: "v1", Score: 0.9}, {U: "u2", V: "v2", Score: 0.5}}
 	var m Incremental
 	m.Rebuild(edges)
 
-	if _, ok := m.Apply([]Edge{{U: "u9", V: "v9", W: 0.4}}, nil); ok {
+	if _, ok := m.Apply([]Edge{{U: "u9", V: "v9", Score: 0.4}}, nil); ok {
 		t.Fatal("Apply accepted a removal of an absent pair")
 	}
-	if _, ok := m.Apply([]Edge{{U: "u1", V: "v1", W: 0.8}}, nil); ok {
+	if _, ok := m.Apply([]Edge{{U: "u1", V: "v1", Score: 0.8}}, nil); ok {
 		t.Fatal("Apply accepted a removal with the wrong weight")
 	}
-	if _, ok := m.Apply(nil, []Edge{{U: "u2", V: "v2", W: 0.5}}); ok {
+	if _, ok := m.Apply(nil, []Edge{{U: "u2", V: "v2", Score: 0.5}}); ok {
 		t.Fatal("Apply accepted an insert duplicating a retained pair")
 	}
 	// State must be intact after the rejections.
-	got, ok := m.Apply(nil, []Edge{{U: "u3", V: "v3", W: 0.7}})
+	got, ok := m.Apply(nil, []Edge{{U: "u3", V: "v3", Score: 0.7}})
 	if !ok {
 		t.Fatal("Apply rejected a consistent insert after failed deltas")
 	}
-	want := Greedy([]Edge{edges[0], edges[1], {U: "u3", V: "v3", W: 0.7}})
+	want := Greedy([]Edge{edges[0], edges[1], {U: "u3", V: "v3", Score: 0.7}})
 	requireSameMatching(t, got, want)
 
 	var unbuilt Incremental
-	if _, ok := unbuilt.Apply(nil, []Edge{{U: "u1", V: "v1", W: 0.9}}); ok {
+	if _, ok := unbuilt.Apply(nil, []Edge{{U: "u1", V: "v1", Score: 0.9}}); ok {
 		t.Fatal("Apply before Rebuild must be rejected")
 	}
 }
@@ -267,7 +267,7 @@ func TestGreedyInPlaceMatchesGreedy(t *testing.T) {
 	edges := make([]Edge, 0, 64)
 	for i := 0; i < 64; i++ {
 		edges = append(edges, Edge{
-			U: entity("u", rng.Intn(12)), V: entity("v", rng.Intn(12)), W: quantWeight(rng),
+			U: entity("u", rng.Intn(12)), V: entity("v", rng.Intn(12)), Score: quantWeight(rng),
 		})
 	}
 	orig := append([]Edge(nil), edges...)

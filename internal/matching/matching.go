@@ -1,23 +1,23 @@
 // Package matching implements the maximum-sum bipartite matching step of
-// SLIM's final linkage (Sec. 3.2). The paper adopts a simple greedy
-// heuristic, which we implement as the default; an exact Hungarian solver
-// is provided for small instances as a validation oracle and extension.
+// SLIM's final linkage (Sec. 3.2): the paper's greedy heuristic, from
+// scratch (Greedy) and maintained across edge deltas (Incremental).
 package matching
 
 import (
-	"math"
 	"slices"
 	"sync"
 
 	"slim/internal/model"
 )
 
-// Edge is a weighted candidate link between an entity of dataset E and one
-// of dataset I.
+// Edge is a scored pair of entity ids, one from dataset E and one from
+// dataset I. It is the one declaration of a link: slim.Link is this type,
+// the edge store, the matcher and the publish tail hand the same values
+// on, and the json tags are its keys on /v1/links.
 type Edge struct {
-	U model.EntityID // entity from the first dataset
-	V model.EntityID // entity from the second dataset
-	W float64        // similarity score
+	U     model.EntityID `json:"u"`     // entity from the first dataset
+	V     model.EntityID `json:"v"`     // entity from the second dataset
+	Score float64        `json:"score"` // similarity score
 }
 
 // Greedy performs the paper's greedy maximum-sum matching: repeatedly link
@@ -30,12 +30,12 @@ func Greedy(edges []Edge) []Edge {
 	return GreedyInPlace(sorted)
 }
 
-// FilterThreshold returns the edges with weight strictly above thr,
-// preserving order.
+// FilterThreshold returns the edges scoring strictly above thr, preserving
+// order (nil when there are none).
 func FilterThreshold(edges []Edge, thr float64) []Edge {
 	var out []Edge
 	for _, e := range edges {
-		if e.W > thr {
+		if e.Score > thr {
 			out = append(out, e)
 		}
 	}
@@ -46,7 +46,7 @@ func FilterThreshold(edges []Edge, thr float64) []Edge {
 func TotalWeight(edges []Edge) float64 {
 	var s float64
 	for _, e := range edges {
-		s += e.W
+		s += e.Score
 	}
 	return s
 }
@@ -86,163 +86,4 @@ func Valid(edges []Edge) bool {
 	*p = ids
 	validScratch.Put(p)
 	return ok
-}
-
-// Hungarian computes an exact maximum-weight bipartite matching using the
-// O(n³) Jonker-style shortest augmenting path formulation. Only edges with
-// positive weight participate (matching a non-edge is never beneficial for
-// SLIM). Intended for small instances (validation, exact-mode linkage);
-// cost grows cubically.
-func Hungarian(edges []Edge) []Edge {
-	if len(edges) == 0 {
-		return nil
-	}
-	uIDs, vIDs := collectIDs(edges)
-	n, m := len(uIDs), len(vIDs)
-	uIdx := make(map[model.EntityID]int, n)
-	vIdx := make(map[model.EntityID]int, m)
-	for i, id := range uIDs {
-		uIdx[id] = i
-	}
-	for j, id := range vIDs {
-		vIdx[id] = j
-	}
-	// Cost matrix: we minimize cost = maxW - w; absent edges get cost maxW
-	// (equivalent to weight 0) so they are never preferred over real edges.
-	var maxW float64
-	for _, e := range edges {
-		if e.W > maxW {
-			maxW = e.W
-		}
-	}
-	// Square the matrix by padding with dummy rows/columns of weight 0.
-	size := n
-	if m > size {
-		size = m
-	}
-	cost := make([][]float64, size)
-	for i := range cost {
-		cost[i] = make([]float64, size)
-		for j := range cost[i] {
-			cost[i][j] = maxW // weight-0 default
-		}
-	}
-	weight := make(map[[2]int]float64, len(edges))
-	for _, e := range edges {
-		i, j := uIdx[e.U], vIdx[e.V]
-		w := e.W
-		if w < 0 {
-			w = 0
-		}
-		if maxW-w < cost[i][j] {
-			cost[i][j] = maxW - w
-			weight[[2]int{i, j}] = e.W
-		}
-	}
-
-	assignment := solveAssignment(cost)
-	var out []Edge
-	for i, j := range assignment {
-		if i >= n || j >= m {
-			continue
-		}
-		if w, ok := weight[[2]int{i, j}]; ok && w > 0 {
-			out = append(out, Edge{U: uIDs[i], V: vIDs[j], W: w})
-		}
-	}
-	slices.SortFunc(out, func(a, b Edge) int {
-		switch {
-		case a.W > b.W:
-			return -1
-		case a.W < b.W:
-			return 1
-		}
-		return 0
-	})
-	return out
-}
-
-func collectIDs(edges []Edge) (us, vs []model.EntityID) {
-	su := make(map[model.EntityID]bool)
-	sv := make(map[model.EntityID]bool)
-	for _, e := range edges {
-		su[e.U] = true
-		sv[e.V] = true
-	}
-	for id := range su {
-		us = append(us, id)
-	}
-	for id := range sv {
-		vs = append(vs, id)
-	}
-	slices.Sort(us)
-	slices.Sort(vs)
-	return us, vs
-}
-
-// solveAssignment is the classic Hungarian algorithm with potentials on a
-// square cost matrix; returns for each row the assigned column.
-func solveAssignment(cost [][]float64) []int {
-	n := len(cost)
-	const inf = math.MaxFloat64
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1) // p[j] = row matched to column j (1-based)
-	way := make([]int, n+1)
-	for i := 1; i <= n; i++ {
-		p[0] = i
-		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
-		for j := 0; j <= n; j++ {
-			minv[j] = inf
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := inf
-			j1 := 0
-			for j := 1; j <= n; j++ {
-				if used[j] {
-					continue
-				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
-			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		for {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-			if j0 == 0 {
-				break
-			}
-		}
-	}
-	out := make([]int, n)
-	for j := 1; j <= n; j++ {
-		if p[j] > 0 {
-			out[p[j]-1] = j - 1
-		}
-	}
-	return out
 }

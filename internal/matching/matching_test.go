@@ -2,7 +2,6 @@ package matching
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,7 +10,7 @@ import (
 )
 
 func edge(u, v string, w float64) Edge {
-	return Edge{U: model.EntityID(u), V: model.EntityID(v), W: w}
+	return Edge{U: model.EntityID(u), V: model.EntityID(v), Score: w}
 }
 
 func TestGreedyPicksHighestFirst(t *testing.T) {
@@ -71,7 +70,7 @@ func TestGreedyEmptyAndSingle(t *testing.T) {
 		t.Error("empty input should give empty matching")
 	}
 	got := Greedy([]Edge{edge("u", "v", 3)})
-	if len(got) != 1 || got[0].W != 3 {
+	if len(got) != 1 || got[0].Score != 3 {
 		t.Errorf("single edge mishandled: %v", got)
 	}
 }
@@ -101,72 +100,6 @@ func TestValidDetectsConflicts(t *testing.T) {
 	}
 }
 
-func TestHungarianBeatsGreedyWhenGreedyIsSuboptimal(t *testing.T) {
-	// Classic greedy trap: greedy takes (u1,v1,10) and is left with
-	// (u2,v2,1): total 11. Optimal is (u1,v2,9)+(u2,v1,8) = 17.
-	edges := []Edge{
-		edge("u1", "v1", 10),
-		edge("u1", "v2", 9),
-		edge("u2", "v1", 8),
-		edge("u2", "v2", 1),
-	}
-	greedy := Greedy(edges)
-	exact := Hungarian(edges)
-	if !Valid(exact) {
-		t.Fatal("hungarian produced invalid matching")
-	}
-	gw, ew := TotalWeight(greedy), TotalWeight(exact)
-	if math.Abs(ew-17) > 1e-9 {
-		t.Errorf("hungarian total = %g, want 17", ew)
-	}
-	if ew < gw {
-		t.Errorf("exact matching %g worse than greedy %g", ew, gw)
-	}
-}
-
-func TestHungarianRectangular(t *testing.T) {
-	// More U entities than V: only |V| links possible.
-	edges := []Edge{
-		edge("u1", "v1", 4),
-		edge("u2", "v1", 6),
-		edge("u3", "v1", 5),
-	}
-	got := Hungarian(edges)
-	if len(got) != 1 || got[0].U != "u2" {
-		t.Errorf("hungarian rectangular = %v, want single edge u2-v1", got)
-	}
-}
-
-func TestHungarianEmpty(t *testing.T) {
-	if got := Hungarian(nil); got != nil {
-		t.Errorf("empty input should give nil, got %v", got)
-	}
-}
-
-func TestHungarianNeverWorseThanGreedyQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(6)
-		m := 2 + r.Intn(6)
-		var edges []Edge
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				if r.Float64() < 0.7 {
-					edges = append(edges, edge(
-						fmt.Sprintf("u%d", i), fmt.Sprintf("v%d", j),
-						math.Round(r.Float64()*100)/10))
-				}
-			}
-		}
-		g := Greedy(edges)
-		h := Hungarian(edges)
-		return Valid(h) && TotalWeight(h) >= TotalWeight(g)-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGreedyMatchingPropertyQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -183,13 +116,13 @@ func TestGreedyMatchingPropertyQuick(t *testing.T) {
 		}
 		// Greedy must at least match the single best edge.
 		if len(edges) > 0 {
-			best := edges[0].W
+			best := edges[0].Score
 			for _, e := range edges {
-				if e.W > best {
-					best = e.W
+				if e.Score > best {
+					best = e.Score
 				}
 			}
-			if len(m) == 0 || m[0].W != best {
+			if len(m) == 0 || m[0].Score != best {
 				return false
 			}
 		}
@@ -222,19 +155,5 @@ func BenchmarkGreedy(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		_ = Greedy(edges)
-	}
-}
-
-func BenchmarkHungarian(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	var edges []Edge
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 40; j++ {
-			edges = append(edges, edge(fmt.Sprintf("u%d", i), fmt.Sprintf("v%d", j), r.Float64()))
-		}
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		_ = Hungarian(edges)
 	}
 }

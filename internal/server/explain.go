@@ -7,87 +7,21 @@ package server
 // recorder.
 
 import (
-	"fmt"
 	"net/http"
 
 	"slim"
 )
 
-// cellHex renders a 64-bit cell or bucket hash as a hex string: the
-// values exceed 2^53, so emitting them as JSON numbers would silently
-// lose precision in JavaScript consumers.
-func cellHex(v uint64) string { return fmt.Sprintf("%016x", v) }
-
-// pairContributionJSON is one bin pair's term in a window's score.
-type pairContributionJSON struct {
-	CellU        string  `json:"cell_u"`
-	CellV        string  `json:"cell_v"`
-	DistanceKm   float64 `json:"distance_km"`
-	Proximity    float64 `json:"proximity"`
-	IDFWeight    float64 `json:"idf_weight"`
-	Contribution float64 `json:"contribution"`
-	Alibi        bool    `json:"alibi,omitempty"`
-	MFN          bool    `json:"mfn,omitempty"`
-}
-
-type windowBreakdownJSON struct {
-	Window int64                  `json:"window"`
-	BinsU  int                    `json:"bins_u"`
-	BinsV  int                    `json:"bins_v"`
-	Sum    float64                `json:"sum"`
-	Pairs  []pairContributionJSON `json:"pairs,omitempty"`
-}
-
-type breakdownJSON struct {
-	Known   bool                  `json:"known"`
-	NormU   float64               `json:"norm_u"`
-	NormV   float64               `json:"norm_v"`
-	Norm    float64               `json:"norm"`
-	Total   float64               `json:"total"`
-	Windows []windowBreakdownJSON `json:"windows,omitempty"`
-}
-
-type bandCollisionJSON struct {
-	Band    int    `json:"band"`
-	Hash    string `json:"hash"`
-	BucketE int    `json:"bucket_e"`
-	BucketI int    `json:"bucket_i"`
-}
-
-type candidateExplainJSON struct {
-	HasU         bool                `json:"has_u"`
-	HasV         bool                `json:"has_v"`
-	Candidate    bool                `json:"candidate"`
-	BandCount    int32               `json:"band_count"`
-	Collisions   []bandCollisionJSON `json:"collisions,omitempty"`
-	Epoch        uint64              `json:"epoch"`
-	SignatureLen int                 `json:"signature_len"`
-	Bands        int                 `json:"bands"`
-	Rows         int                 `json:"rows"`
-	SigVersionU  uint64              `json:"sig_version_u,omitempty"`
-	SigVersionV  uint64              `json:"sig_version_v,omitempty"`
-}
-
-type edgeLineageJSON struct {
-	Linked           bool    `json:"linked"`
-	Score            float64 `json:"score,omitempty"`
-	RescoredSeq      uint64  `json:"rescored_seq,omitempty"`
-	RetainedSinceSeq uint64  `json:"retained_since_seq,omitempty"`
-	LastFullSeq      uint64  `json:"last_full_seq,omitempty"`
-	ScoreAtLastFull  float64 `json:"score_at_last_full,omitempty"`
-	StoreEpoch       uint64  `json:"store_epoch"`
-}
-
-// explainResponse is the one-stop provenance document for a pair.
+// explainResponse is the one-stop provenance document for a pair: the
+// linker's three provenance blocks as their structs name them (score,
+// candidates — absent when the engine runs brute force and there is no
+// filter lineage to report — and edge), after the query's ids and the
+// published version.
 type explainResponse struct {
-	E       string        `json:"e"`
-	I       string        `json:"i"`
-	Version uint64        `json:"version"`
-	Score   breakdownJSON `json:"score"`
-	// Candidates is omitted when the engine runs brute force (every pair
-	// is a candidate; there is no filter lineage to report).
-	Candidates *candidateExplainJSON `json:"candidates,omitempty"`
-	Edge       edgeLineageJSON       `json:"edge"`
+	E       string `json:"e"`
+	I       string `json:"i"`
+	Version uint64 `json:"version"`
+	slim.PairExplanation
 	// Run is the flight-recorder entry of the run that last rescored the
 	// pair, when it is still in the ring (an engine.RunRecord, see wire).
 	Run map[string]any `json:"run,omitempty"`
@@ -101,73 +35,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	ex := s.eng.Explain(slim.EntityID(u), slim.EntityID(v))
-	resp := explainResponse{
-		E:       u,
-		I:       v,
-		Version: ex.Version,
-		Edge: edgeLineageJSON{
-			Linked:           ex.Edge.Linked,
-			Score:            ex.Edge.Score,
-			RescoredSeq:      ex.Edge.RescoredSeq,
-			RetainedSinceSeq: ex.Edge.RetainedSinceSeq,
-			LastFullSeq:      ex.Edge.LastFullSeq,
-			ScoreAtLastFull:  ex.Edge.ScoreAtLastFull,
-			StoreEpoch:       ex.Edge.StoreEpoch,
-		},
-	}
-	if bd := ex.Breakdown; bd != nil {
-		resp.Score = breakdownJSON{
-			Known: bd.Known,
-			NormU: bd.NormU,
-			NormV: bd.NormV,
-			Norm:  bd.Norm,
-			Total: bd.Total,
-		}
-		for _, wb := range bd.Windows {
-			wj := windowBreakdownJSON{
-				Window: wb.Window,
-				BinsU:  wb.BinsU,
-				BinsV:  wb.BinsV,
-				Sum:    wb.Sum,
-			}
-			for _, pc := range wb.Pairs {
-				wj.Pairs = append(wj.Pairs, pairContributionJSON{
-					CellU:        cellHex(uint64(pc.CellU)),
-					CellV:        cellHex(uint64(pc.CellV)),
-					DistanceKm:   pc.DistanceKm,
-					Proximity:    pc.Proximity,
-					IDFWeight:    pc.IDFWeight,
-					Contribution: pc.Contribution,
-					Alibi:        pc.Alibi,
-					MFN:          pc.MFN,
-				})
-			}
-			resp.Score.Windows = append(resp.Score.Windows, wj)
-		}
-	}
-	if ce := ex.Candidates; ce != nil {
-		cj := &candidateExplainJSON{
-			HasU:         ce.HasU,
-			HasV:         ce.HasV,
-			Candidate:    ce.Candidate,
-			BandCount:    ce.BandCount,
-			Epoch:        ce.Epoch,
-			SignatureLen: ce.SignatureLen,
-			Bands:        ce.Bands,
-			Rows:         ce.Rows,
-			SigVersionU:  ce.SigVersionU,
-			SigVersionV:  ce.SigVersionV,
-		}
-		for _, bc := range ce.Collisions {
-			cj.Collisions = append(cj.Collisions, bandCollisionJSON{
-				Band:    bc.Band,
-				Hash:    cellHex(bc.Hash),
-				BucketE: bc.BucketE,
-				BucketI: bc.BucketI,
-			})
-		}
-		resp.Candidates = cj
-	}
+	resp := explainResponse{E: u, I: v, Version: ex.Version, PairExplanation: ex.PairExplanation}
 	if ex.Run != nil {
 		resp.Run = wire(ex.Run)
 	}

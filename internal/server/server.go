@@ -565,20 +565,6 @@ func (s *Server) requestError(w http.ResponseWriter, req *http.Request, err erro
 	s.error(w, req, http.StatusBadRequest, err.Error())
 }
 
-type linkJSON struct {
-	U     string  `json:"u"`
-	V     string  `json:"v"`
-	Score float64 `json:"score"`
-}
-
-func toLinkJSON(ls []slim.Link) []linkJSON {
-	out := make([]linkJSON, len(ls))
-	for i, l := range ls {
-		out[i] = linkJSON{U: string(l.U), V: string(l.V), Score: l.Score}
-	}
-	return out
-}
-
 type runResponse struct {
 	Version         uint64  `json:"version"`
 	Links           int     `json:"links"`
@@ -605,10 +591,19 @@ func (s *Server) handleLink(w http.ResponseWriter, req *http.Request) {
 }
 
 type linksResponse struct {
-	Version   uint64     `json:"version"`
-	Threshold float64    `json:"threshold"`
-	Total     int        `json:"total"`
-	Links     []linkJSON `json:"links"`
+	Version   uint64      `json:"version"`
+	Threshold float64     `json:"threshold"`
+	Total     int         `json:"total"`
+	Links     []slim.Link `json:"links"`
+}
+
+// orEmpty keeps an empty link list on the wire as [] (a nil slice renders
+// as null). Links are encoded as they are: their json tags are the keys.
+func orEmpty(links []slim.Link) []slim.Link {
+	if links == nil {
+		return []slim.Link{}
+	}
+	return links
 }
 
 func (s *Server) handleLinks(w http.ResponseWriter, req *http.Request) {
@@ -649,7 +644,7 @@ func (s *Server) handleLinks(w http.ResponseWriter, req *http.Request) {
 		Version:   version,
 		Threshold: res.Threshold,
 		Total:     total,
-		Links:     toLinkJSON(links),
+		Links:     orEmpty(links),
 	})
 }
 
@@ -661,9 +656,9 @@ func (s *Server) handleLinksFor(w http.ResponseWriter, req *http.Request) {
 	entity := req.PathValue("entity")
 	links := s.eng.LinksFor(slim.EntityID(entity))
 	s.json(w, http.StatusOK, struct {
-		Entity string     `json:"entity"`
-		Links  []linkJSON `json:"links"`
-	}{Entity: entity, Links: toLinkJSON(links)})
+		Entity string      `json:"entity"`
+		Links  []slim.Link `json:"links"`
+	}{Entity: entity, Links: orEmpty(links)})
 }
 
 // handleStats renders the engine's, the ingest plane's and (when attached)

@@ -448,9 +448,9 @@ func TestServerLinksPaginationStableAcrossRelinks(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/link", nil)
 
 	type page struct {
-		Version uint64     `json:"version"`
-		Total   int        `json:"total"`
-		Links   []linkJSON `json:"links"`
+		Version uint64      `json:"version"`
+		Total   int         `json:"total"`
+		Links   []slim.Link `json:"links"`
 	}
 	var all page
 	getJSON(t, ts.URL+"/v1/links", &all)
@@ -460,8 +460,8 @@ func TestServerLinksPaginationStableAcrossRelinks(t *testing.T) {
 
 	// Walk the pages twice, firing an identical relink before every fetch
 	// on the second pass.
-	walk := func(relinkBetween bool) []linkJSON {
-		var out []linkJSON
+	walk := func(relinkBetween bool) []slim.Link {
+		var out []slim.Link
 		const limit = 3
 		for offset := 0; ; offset += limit {
 			if relinkBetween {
@@ -478,7 +478,7 @@ func TestServerLinksPaginationStableAcrossRelinks(t *testing.T) {
 			}
 		}
 	}
-	for pass, links := range [][]linkJSON{walk(false), walk(true)} {
+	for pass, links := range [][]slim.Link{walk(false), walk(true)} {
 		if len(links) != all.Total {
 			t.Fatalf("pass %d: pages concatenated to %d links, want %d (duplicates or gaps)", pass, len(links), all.Total)
 		}

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"slices"
 	"sort"
@@ -42,6 +44,23 @@ func jsonKeys(v any) []string {
 	return out
 }
 
+// jsonTypeName names the JSON type of a decoded value.
+func jsonTypeName(v any) string {
+	switch v.(type) {
+	case float64:
+		return "number"
+	case string:
+		return "string"
+	case bool:
+		return "bool"
+	case map[string]any:
+		return "object"
+	case []any:
+		return "array"
+	}
+	return "null"
+}
+
 // jsonTypes is jsonKeys with each path's JSON type attached
 // ("path=number|string|bool|object|array|null").
 func jsonTypes(v any) []string {
@@ -51,20 +70,7 @@ func jsonTypes(v any) []string {
 		switch x := v.(type) {
 		case map[string]any:
 			for k, child := range x {
-				typ := "null"
-				switch child.(type) {
-				case float64:
-					typ = "number"
-				case string:
-					typ = "string"
-				case bool:
-					typ = "bool"
-				case map[string]any:
-					typ = "object"
-				case []any:
-					typ = "array"
-				}
-				out = append(out, prefix+k+"="+typ)
+				out = append(out, prefix+k+"="+jsonTypeName(child))
 				walk(prefix+k+".", child)
 			}
 		case []any:
@@ -430,3 +436,234 @@ slim_wal_fsync_seconds histogram le Latency of each WAL fsync, whichever policy 
 slim_wal_next_seq gauge - Sequence number the next logged batch will carry.
 slim_wal_records_total counter - Records appended to the WAL since this process opened the directory.`), "\n")
 )
+
+// jsonTypesAll is jsonTypes over every element of every array, so a key
+// that omitempty drops from the first element is still seen.
+func jsonTypesAll(v any) []string {
+	seen := map[string]bool{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, child := range x {
+				seen[prefix+k+"="+jsonTypeName(child)] = true
+				walk(prefix+k+".", child)
+			}
+		case []any:
+			for _, el := range x {
+				walk(prefix, el)
+			}
+		}
+	}
+	walk("", v)
+	out := make([]string, 0, len(seen))
+	for s := range seen {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// The link-bearing wires, captured at PR 22 before /v1/links and
+// /v1/explain were rendered from the linker's own structs: the JSON type
+// of every key of a links page, a per-entity answer and an explain
+// document (over every array element, so the omitempty keys count).
+var (
+	linksTypes = strings.Fields(`
+		links.score=number links.u=string links.v=string links=array
+		threshold=number total=number version=number`)
+	linksForTypes = strings.Fields(`
+		entity=string links.score=number links.u=string links.v=string links=array`)
+	explainCoreTypes = strings.Fields(`
+		e=string edge.last_full_seq=number edge.linked=bool edge.rescored_seq=number
+		edge.retained_since_seq=number edge.score=number edge.score_at_last_full=number
+		edge.store_epoch=number edge=object i=string
+		run.candidate_pairs=number run.dropped=number run.duration_ms=number run.full_rescore=bool
+		run.links=number run.panicked=bool run.rescored=number run.retained=number run.seq=number
+		run.short_circuit=bool run.stages.apply_ms=number run.stages.candidate_index_ms=number
+		run.stages.match_ms=number run.stages.merge_ms=number run.stages.rescore_ms=number
+		run.stages.threshold_ms=number run.stages=object run.start_unix_ms=number
+		run.tail_full_rebuild=bool run.tail_reused_prefix=number run.trigger=string
+		run.version=number run=object
+		score.known=bool score.norm=number score.norm_u=number score.norm_v=number
+		score.total=number score.windows.bins_u=number score.windows.bins_v=number
+		score.windows.pairs.cell_u=string score.windows.pairs.cell_v=string
+		score.windows.pairs.contribution=number score.windows.pairs.distance_km=number
+		score.windows.pairs.idf_weight=number score.windows.pairs.proximity=number
+		score.windows.pairs=array score.windows.sum=number score.windows.window=number
+		score.windows=array score=object version=number`)
+	explainLSHTypes = strings.Fields(`
+		candidates.band_count=number candidates.bands=number candidates.candidate=bool
+		candidates.collisions.band=number candidates.collisions.bucket_e=number
+		candidates.collisions.bucket_i=number candidates.collisions.hash=string
+		candidates.collisions=array candidates.epoch=number candidates.has_u=bool
+		candidates.has_v=bool candidates.rows=number candidates.sig_version_u=number
+		candidates.sig_version_v=number candidates.signature_len=number candidates=object`)
+	explainFlagTypes    = strings.Fields(`score.windows.pairs.alibi=bool score.windows.pairs.mfn=bool`)
+	explainUnknownTypes = strings.Fields(`
+		e=string edge.linked=bool edge.store_epoch=number edge=object i=string score.known=bool
+		score.norm=number score.norm_u=number score.norm_v=number score.total=number score=object
+		version=number`)
+	explainUnknownLSHTypes = strings.Fields(`
+		candidates.band_count=number candidates.bands=number candidates.candidate=bool
+		candidates.epoch=number candidates.has_u=bool candidates.has_v=bool candidates.rows=number
+		candidates.signature_len=number candidates=object`)
+)
+
+var (
+	hex16RE   = regexp.MustCompile(`^[0-9a-f]{16}$`)
+	jsonKeyRE = regexp.MustCompile(`"([a-z_]+)":`)
+	// The order keys first appear in an explain document, up to the run
+	// block (whose keys are a map's): a struct's keys come out in
+	// declaration order, so moving a tag moves the wire.
+	explainKeyOrder = strings.Fields(`
+		e i version score known norm_u norm_v norm total windows window bins_u bins_v sum pairs
+		cell_u cell_v distance_km proximity idf_weight contribution`)
+	explainLSHKeyOrder = strings.Fields(`
+		candidates has_u has_v candidate band_count collisions band hash bucket_e bucket_i epoch
+		signature_len bands rows sig_version_u sig_version_v`)
+	explainEdgeKeyOrder = strings.Fields(`
+		edge linked rescored_seq retained_since_seq last_full_seq score_at_last_full store_epoch`)
+)
+
+// TestLinkWiresPinned holds GET /v1/links, GET /v1/links/{entity} and GET
+// /v1/explain to the shapes above in the brute-force and the LSH
+// configuration. An empty link list is the array [], never null, and the
+// two 64-bit values that exceed 2^53 — cell ids and bucket hashes — are
+// 16-digit hex strings.
+func TestLinkWiresPinned(t *testing.T) {
+	for _, lsh := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lsh=%v", lsh), func(t *testing.T) {
+			cfg := slim.Defaults()
+			if lsh {
+				cfg.LSH = &slim.LSHConfig{Threshold: 0.2, StepWindows: 8, SpatialLevel: 12, NumBuckets: 1 << 10}
+			}
+			eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
+				engine.Config{Link: cfg, Debounce: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(New(eng, nil).Handler())
+			t.Cleanup(ts.Close)
+			t.Cleanup(eng.Close)
+			get := func(path string) (any, string) {
+				t.Helper()
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var buf bytes.Buffer
+				if _, err := buf.ReadFrom(resp.Body); err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s: %d %s", path, resp.StatusCode, buf.String())
+				}
+				var doc any
+				if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+				return doc, buf.String()
+			}
+			check := func(path string, doc any, want []string) {
+				t.Helper()
+				want = slices.Clone(want)
+				sort.Strings(want)
+				if got := jsonTypesAll(doc); !slices.Equal(got, want) {
+					t.Errorf("GET %s value types changed:\n got %v\nwant %v", path, got, want)
+				}
+			}
+
+			wantEmpty := func(path string) {
+				t.Helper()
+				doc, body := get(path)
+				if l, ok := doc.(map[string]any)["links"].([]any); !ok || len(l) != 0 {
+					t.Errorf("GET %s: %s, want \"links\": []", path, body)
+				}
+			}
+
+			// A run that links nothing publishes an empty array.
+			postJSON(t, ts.URL+"/v1/link", nil)
+			for _, path := range []string{"/v1/links", "/v1/links/nobody"} {
+				wantEmpty(path)
+			}
+
+			ground := slim.GenerateCab(slim.CabOptions{
+				NumTaxis: 12, Days: 2, MeanRecordIntervalSec: 420, Seed: 31,
+			})
+			w := slim.SampleWorkload(&ground, slim.SampleOptions{
+				IntersectionRatio: 0.6, InclusionProbE: 0.6, InclusionProbI: 0.6, Seed: 32,
+			})
+			for ds, recs := range map[string][]slim.Record{"e": w.E.Records, "i": w.I.Records} {
+				if resp, body := postJSON(t, ts.URL+"/v1/datasets/"+ds+"/records",
+					map[string]any{"records": toWire(recs)}); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("ingest %s: %d %s", ds, resp.StatusCode, body)
+				}
+			}
+			postJSON(t, ts.URL+"/v1/link", nil)
+
+			page, _ := get("/v1/links")
+			check("/v1/links", page, linksTypes)
+			first := page.(map[string]any)["links"].([]any)[0].(map[string]any)
+			u, v := first["u"].(string), first["v"].(string)
+
+			known, _ := get("/v1/links/" + url.PathEscape(u))
+			check("/v1/links/{entity}", known, linksForTypes)
+			wantEmpty("/v1/links/nobody")
+			wantEmpty("/v1/links?min_score=1e300")
+
+			ex, exBody := get("/v1/explain?e=" + url.QueryEscape(u) + "&i=" + url.QueryEscape(v))
+			var order []string
+			for _, m := range jsonKeyRE.FindAllStringSubmatch(exBody[:strings.Index(exBody, `"run"`)], -1) {
+				if !slices.Contains(order, m[1]) {
+					order = append(order, m[1])
+				}
+			}
+			wantOrder := slices.Concat(explainKeyOrder, explainEdgeKeyOrder)
+			if lsh {
+				wantOrder = slices.Concat(explainKeyOrder, explainLSHKeyOrder, explainEdgeKeyOrder)
+			}
+			if !slices.Equal(order, wantOrder) {
+				t.Errorf("GET /v1/explain key order changed:\n got %v\nwant %v", order, wantOrder)
+			}
+			wantEx := explainCoreTypes
+			if lsh {
+				wantEx = append(slices.Clone(wantEx), explainLSHTypes...)
+			}
+			check("/v1/explain", ex, wantEx)
+			// Two entities the matching did not pair carry the alibi / mfn terms
+			// a link has none of; ids nobody ingested shrink every block to its
+			// unconditional keys.
+			v2 := page.(map[string]any)["links"].([]any)[1].(map[string]any)["v"].(string)
+			crossed, _ := get("/v1/explain?e=" + url.QueryEscape(u) + "&i=" + url.QueryEscape(v2))
+			check("/v1/explain (linked and unlinked pair)", []any{ex, crossed}, append(slices.Clone(wantEx), explainFlagTypes...))
+			unknown, _ := get("/v1/explain?e=nobody&i=nobody")
+			wantUnknown := explainUnknownTypes
+			if lsh {
+				wantUnknown = append(slices.Clone(wantUnknown), explainUnknownLSHTypes...)
+			}
+			check("/v1/explain (unknown ids)", unknown, wantUnknown)
+			doc := ex.(map[string]any)
+			var hexes []any
+			for _, wb := range doc["score"].(map[string]any)["windows"].([]any) {
+				for _, pc := range wb.(map[string]any)["pairs"].([]any) {
+					hexes = append(hexes, pc.(map[string]any)["cell_u"], pc.(map[string]any)["cell_v"])
+				}
+			}
+			if lsh {
+				for _, bc := range doc["candidates"].(map[string]any)["collisions"].([]any) {
+					hexes = append(hexes, bc.(map[string]any)["hash"])
+				}
+			}
+			if len(hexes) == 0 {
+				t.Fatal("explain document names no cell")
+			}
+			for _, h := range hexes {
+				if s, _ := h.(string); !hex16RE.MatchString(s) {
+					t.Fatalf("explain renders a 64-bit id as %v, want 16 hex digits", h)
+				}
+			}
+		})
+	}
+}

@@ -17,14 +17,17 @@ import (
 // and the exact normalized value added to the window sum
 // (proximity × weight / norm). MFN marks terms contributed by the
 // mutually-furthest-neighbor alibi pass; Alibi marks negative proximity.
+// The json tags here and below are the keys of /v1/explain's score block,
+// which encodes a Breakdown as it is (field order is wire order).
 type PairContribution struct {
-	CellU, CellV geo.CellID
-	DistanceKm   float64
-	Proximity    float64
-	IDFWeight    float64
-	Contribution float64
-	Alibi        bool
-	MFN          bool
+	CellU        geo.CellID `json:"cell_u"`
+	CellV        geo.CellID `json:"cell_v"`
+	DistanceKm   float64    `json:"distance_km"`
+	Proximity    float64    `json:"proximity"`
+	IDFWeight    float64    `json:"idf_weight"`
+	Contribution float64    `json:"contribution"`
+	Alibi        bool       `json:"alibi,omitempty"`
+	MFN          bool       `json:"mfn,omitempty"`
 }
 
 // WindowBreakdown is the decomposition of one common temporal window:
@@ -33,17 +36,18 @@ type PairContribution struct {
 // bit-identical to the window's contribution inside Score.
 type WindowBreakdown struct {
 	// Window is the leaf temporal window index.
-	Window int64
+	Window int64 `json:"window"`
 	// BinsU / BinsV count the two entities' time-location bins in this
 	// window.
-	BinsU, BinsV int
+	BinsU int `json:"bins_u"`
+	BinsV int `json:"bins_v"`
+	// Sum is the window's total contribution as the kernel returned it;
+	// Pairs' contributions added in order reproduce it bit for bit.
+	Sum float64 `json:"sum"`
 	// Pairs are the contributing bin pairs in accumulation order. The MFN
 	// pass only appends pairs that actually contributed (negative,
 	// non-selected), mirroring the kernel.
-	Pairs []PairContribution
-	// Sum is the window's total contribution as the kernel returned it;
-	// Pairs' contributions added in order reproduce it bit for bit.
-	Sum float64
+	Pairs []PairContribution `json:"pairs,omitempty"`
 }
 
 // Breakdown is the full decomposition of one Score(u, v) call. Total is
@@ -52,17 +56,20 @@ type WindowBreakdown struct {
 // re-summed window sums) equal Score(u, v) bit for bit — the property
 // gated by TestScoreBreakdownRecomposesBitIdentically.
 type Breakdown struct {
-	U, V model.EntityID
+	U model.EntityID `json:"-"`
+	V model.EntityID `json:"-"`
 	// Known is false when either entity has no history (Score returns 0).
-	Known bool
+	Known bool `json:"known"`
 	// NormU / NormV are the BM25-style length factors L(u), L(v) (1 when
 	// normalization is disabled); Norm is the product actually divided by
 	// (clamped to 1 when non-positive, exactly as in Score).
-	NormU, NormV, Norm float64
-	// Windows decomposes every common temporal window, in window order.
-	Windows []WindowBreakdown
+	NormU float64 `json:"norm_u"`
+	NormV float64 `json:"norm_v"`
+	Norm  float64 `json:"norm"`
 	// Total is the score.
-	Total float64
+	Total float64 `json:"total"`
+	// Windows decomposes every common temporal window, in window order.
+	Windows []WindowBreakdown `json:"windows,omitempty"`
 }
 
 // ScoreBreakdown computes the full per-window decomposition of

@@ -23,7 +23,6 @@ package slim
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"slim/internal/candidates"
@@ -37,12 +36,10 @@ import (
 	"slim/internal/tuning"
 )
 
-// Link is one linked entity pair with its similarity score.
-type Link struct {
-	U     EntityID
-	V     EntityID
-	Score float64
-}
+// Link is one linked entity pair with its similarity score: the matcher's
+// edge itself, so a link is the same value from the edge store through the
+// publish tail to the /v1/links wire (its json tags are the keys there).
+type Link = matching.Edge
 
 // Stats aggregates the work counters of one linkage run.
 type Stats struct {
@@ -128,9 +125,8 @@ type Linker struct {
 	// own runs.
 	nextRunSeq    uint64
 	nextRunSeqSet bool
-	// tail is the incremental publish tail Publish maintains for the greedy
-	// matcher (lazily built; Hungarian keeps the from-scratch path).
-	// tailSynced is the edge-store update counter the tail last consumed,
+	// tail is the incremental publish tail behind Publish (built by the
+	// first one). tailSynced is the edge-store update counter it last consumed,
 	// so a Rescore whose delta the tail never saw degrades the next
 	// Publish to a full tail rebuild instead of silently publishing from a
 	// stale maintained order.
@@ -325,14 +321,15 @@ func (lk *Linker) SetNextRunSeq(seq uint64) {
 // PairExplanation joins the three provenance layers for one (u, v) pair:
 // the score decomposition, the candidate-filter lineage (nil when LSH is
 // disabled — every pair is a candidate then), and the edge-store lineage.
+// The json tags name the three blocks in /v1/explain's document.
 type PairExplanation struct {
 	// Breakdown decomposes the current Score(u, v).
-	Breakdown *similarity.Breakdown
+	Breakdown *similarity.Breakdown `json:"score"`
 	// Candidates explains the pair's LSH lineage; nil when the linker runs
 	// brute force (no candidate filter to explain).
-	Candidates *candidates.PairExplain
+	Candidates *candidates.PairExplain `json:"candidates,omitempty"`
 	// Edge is the pair's edge-store provenance.
-	Edge EdgeLineage
+	Edge EdgeLineage `json:"edge"`
 }
 
 // Explain reports the full provenance of one pair. Like Score it reads
@@ -561,21 +558,17 @@ func (lk *Linker) Run() Result {
 // is the second half of Run, split out so a caller can time and
 // instrument the halves separately (internal/engine does).
 //
-// With the greedy matcher (the default), matching and thresholding go
-// through an incremental publish tail fed by the edge store's exact
-// per-run delta: the maintained sorted order, greedy matching and
-// threshold fit are updated in O(delta log n) and are bit-identical to
-// the from-scratch MatchLinks/SelectStopThreshold/FilterLinks path (see
-// tail.go). A Rescore whose delta the tail never consumed — Publish
-// skipped, or died part-way — is detected by sequence and degrades the
-// next Publish to a full tail rebuild, the only greedy path that reads the
-// store's whole link list. Hungarian runs keep the from-scratch path.
+// Matching and thresholding go through the incremental publish tail, fed
+// by the edge store's exact per-run delta: the maintained sorted order,
+// greedy matching and threshold fit are updated in O(delta log n) and are
+// bit-identical to the from-scratch MatchLinks/SelectStopThreshold/
+// FilterLinks reference (see tail.go). A Rescore whose delta the tail
+// never consumed — Publish skipped, or died part-way — is detected by
+// sequence and degrades the next Publish to a full tail rebuild, the only
+// path that reads the store's whole link list. The returned slices are the
+// tail's (see PublishTail.Publish): never written again, not to be
+// modified.
 func (lk *Linker) Publish() (matched, links []Link, thr StopThreshold) {
-	if lk.cfg.Matcher == MatcherHungarian {
-		matched = MatchLinks(lk.cfg.Matcher, lk.edges.materialize())
-		thr = SelectStopThreshold(lk.cfg.Threshold, LinkScores(matched))
-		return matched, FilterLinks(matched, thr.Threshold), thr
-	}
 	if lk.tail == nil {
 		lk.tail = NewPublishTail(lk.cfg.Threshold)
 	}
@@ -589,8 +582,7 @@ func (lk *Linker) Publish() (matched, links []Link, thr StopThreshold) {
 }
 
 // PublishTailStats returns the incremental publish tail snapshot, or nil
-// before the first greedy Publish (Hungarian linkers never build a tail).
-// Not safe concurrently with Run or Add.
+// before the first Publish. Not safe concurrently with Run or Add.
 func (lk *Linker) PublishTailStats() *PublishTailStats {
 	if lk.tail == nil {
 		return nil
@@ -608,32 +600,14 @@ type StopThreshold struct {
 	Method string
 }
 
-// matchEdgeBuf pools the Link→matching.Edge conversion buffer of
-// MatchLinks, so the only per-call allocation left on the matching path
-// is the returned link slice (which callers retain).
-var matchEdgeBuf = sync.Pool{New: func() any { return new([]matching.Edge) }}
-
-// MatchLinks runs the configured bipartite matcher over positive scored
-// edges and returns the maximum-sum matching, sorted by descending score.
-func MatchLinks(matcher MatcherKind, edges []Link) []Link {
-	bp := matchEdgeBuf.Get().(*[]matching.Edge)
-	in := (*bp)[:0]
-	for _, e := range edges {
-		in = append(in, matching.Edge{U: e.U, V: e.V, W: e.Score})
-	}
-	var matched []matching.Edge
-	switch matcher {
-	case MatcherHungarian:
-		matched = matching.Hungarian(in)
-	default:
-		// The buffer is scratch, so the greedy matcher may sort it in
-		// place instead of taking a defensive copy.
-		matched = matching.GreedyInPlace(in)
-	}
-	out := toLinks(matched)
-	*bp = in
-	matchEdgeBuf.Put(bp)
-	return out
+// MatchLinks runs the greedy maximum-sum matcher over positive scored edges
+// from scratch and returns the matching, sorted by descending score; edges
+// is not modified. It is the reference Publish's tail is compared against.
+// The first parameter is ignored: greedy is the only matcher, and the
+// parameter stays only because the read-only cmd/slim-bench passes one
+// (ROADMAP item 8).
+func MatchLinks(_ MatcherKind, edges []Link) []Link {
+	return matching.Greedy(edges)
 }
 
 // selectThresholdResult runs the configured stop-threshold detector and
@@ -673,13 +647,7 @@ func LinkScores(links []Link) []float64 {
 // FilterLinks returns the links scoring strictly above thr, preserving
 // order.
 func FilterLinks(links []Link, thr float64) []Link {
-	var out []Link
-	for _, l := range links {
-		if l.Score > thr {
-			out = append(out, l)
-		}
-	}
-	return out
+	return matching.FilterThreshold(links, thr)
 }
 
 // scoreIndexed fans the candidate pairs pairAt(0..total-1) across workers
@@ -709,14 +677,6 @@ func (lk *Linker) scoreIndexed(total int, pairAt func(int) uint64) []scoredPair 
 		edges = append(edges, part...)
 	}
 	return edges
-}
-
-func toLinks(edges []matching.Edge) []Link {
-	out := make([]Link, len(edges))
-	for i, e := range edges {
-		out[i] = Link{U: e.U, V: e.V, Score: e.W}
-	}
-	return out
 }
 
 // LinkDatasets runs the full pipeline with one call.

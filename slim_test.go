@@ -104,20 +104,6 @@ func TestLinkWithLSHPreservesQuality(t *testing.T) {
 	}
 }
 
-func TestLinkHungarianMatcherRuns(t *testing.T) {
-	w := cabWorkload(t, 12, 4)
-	cfg := Defaults()
-	cfg.Matcher = MatcherHungarian
-	res, err := LinkDatasets(w.E, w.I, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Evaluate(res.Links, w.Truth)
-	if m.F1 == 0 && len(w.Truth) > 0 {
-		t.Errorf("hungarian matcher produced no correct links")
-	}
-}
-
 func TestLinkAblationsRun(t *testing.T) {
 	w := cabWorkload(t, 12, 5)
 	for _, abl := range []Ablation{

@@ -21,8 +21,9 @@ type EdgeDelta struct {
 	// detect that it missed an intermediate update (and must treat the
 	// delta as Full).
 	Seq uint64
-	// Changed and Removed may alias the producer's reused buffers; they
-	// are only valid until that store's next update.
+	// Changed and Removed may alias the producer's reused buffers: they
+	// are only valid until that store's next update, and a consumer may
+	// reorder them (the matcher sorts them in place).
 	Changed []Link
 	Removed []Link
 }
@@ -57,8 +58,7 @@ type PublishTailStats struct {
 	LastFull bool `json:"last_full_rebuild"`
 	// LastUpdate is the wall-clock duration of the last Publish;
 	// LastMatch and LastThreshold split out the matching and threshold
-	// stages (LastUpdate additionally covers delta conversion and link
-	// materialization).
+	// stages.
 	LastUpdate    time.Duration `json:"last_update_ms"`
 	LastMatch     time.Duration `json:"last_match_ms"`
 	LastThreshold time.Duration `json:"last_threshold_ms"`
@@ -71,34 +71,22 @@ type PublishTailStats struct {
 // threshold fit cache keyed on the matched score list (see
 // threshold.Cache). Its published output is bit-identical to the
 // from-scratch MatchLinks → SelectStopThreshold → FilterLinks pipeline
-// over the same edge set.
-//
-// The tail only supports the greedy matcher — Hungarian has no prefix
-// structure to reuse — and callers keep using the from-scratch path for
-// it. Not safe for concurrent use.
+// over the same edge set, which stays in the tree as the reference the
+// parity tests compare it against. Not safe for concurrent use.
 type PublishTail struct {
 	method ThresholdMethod
 	fit    func([]float64) threshold.Result
 	m      matching.Incremental
 	thr    threshold.Cache
-
-	// Pooled conversion buffers: Link→matching.Edge for deltas and full
-	// rebuilds, and the matched score column. They make the steady-state
-	// Publish allocate only the returned matched slice (which callers
-	// retain), and not even that when the matching is unchanged.
-	removeBuf, insertBuf []matching.Edge
-	edgesBuf             []matching.Edge
-	scoresBuf            []float64
-	// lastMatched is the previous Publish's returned matching; its prefix
-	// is reused verbatim instead of reconverting reused matched edges.
-	lastMatched []Link
+	// scoresBuf is the matched score column handed to the fit cache.
+	scoresBuf []float64
 
 	lastFull                             bool
 	lastUpdate, lastMatch, lastThreshold time.Duration
 }
 
 // NewPublishTail returns a tail publishing with the given stop-threshold
-// method (greedy matching is implied).
+// method.
 func NewPublishTail(method ThresholdMethod) *PublishTail {
 	return &PublishTail{
 		method: method,
@@ -113,50 +101,25 @@ func NewPublishTail(method ThresholdMethod) *PublishTail {
 // selected stop threshold, and the threshold decision. all is called only
 // when a full rebuild is needed (a delta marked Full, an inconsistent
 // delta, or the first Publish) and must return the complete current edge
-// set. The returned matched/links slices are immutable; links aliases a
-// prefix of matched.
+// set; it is copied, not adopted. d.Changed and d.Removed are reordered in
+// place. matched is the matcher's own slice and links a prefix of it:
+// neither is written again once returned — an update that changes the
+// matching allocates a fresh slice — so callers may retain and read them
+// while later Publish calls proceed, and must not modify them.
 func (t *PublishTail) Publish(d EdgeDelta, all func() []Link) (matched, links []Link, thr StopThreshold) {
 	start := time.Now()
 	full := d.Full || !t.built()
-	var me []matching.Edge
 	if !full {
-		t.removeBuf = t.removeBuf[:0]
-		t.insertBuf = t.insertBuf[:0]
-		for _, l := range d.Removed {
-			t.removeBuf = append(t.removeBuf, matching.Edge{U: l.U, V: l.V, W: l.Score})
-		}
-		for _, l := range d.Changed {
-			t.insertBuf = append(t.insertBuf, matching.Edge{U: l.U, V: l.V, W: l.Score})
-		}
 		var ok bool
-		me, ok = t.m.Apply(t.removeBuf, t.insertBuf)
+		matched, ok = t.m.Apply(d.Removed, d.Changed)
 		// An inconsistent delta (producer out of sync) degrades to a full
 		// rebuild rather than failing: exactness first, speed second.
 		full = !ok
 	}
 	if full {
-		t.edgesBuf = t.edgesBuf[:0]
-		for _, l := range all() {
-			t.edgesBuf = append(t.edgesBuf, matching.Edge{U: l.U, V: l.V, W: l.Score})
-		}
-		me = t.m.Rebuild(t.edgesBuf)
+		matched = t.m.Rebuild(all())
 	}
 	t.lastMatch = time.Since(start)
-
-	// Materialize the matching, reusing the reused prefix's Link values
-	// verbatim (and the whole previous slice when nothing changed).
-	ms := t.m.Stats()
-	reused := min(ms.ReusedPrefix, len(t.lastMatched))
-	if reused == len(me) && len(t.lastMatched) == len(me) {
-		matched = t.lastMatched
-	} else {
-		matched = make([]Link, len(me))
-		copy(matched, t.lastMatched[:reused])
-		for i := reused; i < len(me); i++ {
-			matched[i] = Link{U: me[i].U, V: me[i].V, Score: me[i].W}
-		}
-	}
-	t.lastMatched = matched
 
 	thrStart := time.Now()
 	t.scoresBuf = t.scoresBuf[:0]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -188,5 +189,66 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 	ts := tail.Stats()
 	if ts.LastFull || ts.ReusedPrefixLen != 0 {
 		t.Fatalf("removal of the top link must reuse nothing without a rebuild: %+v", ts)
+	}
+}
+
+// TestPublishedSlicesAreNeverWrittenAgain holds Publish's immutability
+// contract now that nothing is copied on the way out: matched is the
+// matcher's own slice and links a prefix of it. A churning LSH linker
+// (re-observations that move pairs in and out of the candidate set on the
+// delta path, as in TestDeltaRelinkBuildsNoLinkList) publishes 60 times;
+// every slice it ever returned is kept beside a copy taken at return time
+// and must still equal it bit for bit at the end, and each run proceeds
+// while another goroutine reads the previous result — what GET /v1/links
+// does to the engine's published result — which must be clean under -race.
+func TestPublishedSlicesAreNeverWrittenAgain(t *testing.T) {
+	w := cabWorkload(t, 30, 1)
+	cfg := Defaults()
+	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	lk, err := NewLinker(w.E, w.I, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type held struct{ got, want []Link }
+	var all []held
+	hold := func(res Result) {
+		all = append(all, held{res.Matched, slices.Clone(res.Matched)}, held{res.Links, slices.Clone(res.Links)})
+	}
+	prev := lk.Run()
+	hold(prev)
+
+	deltas, changed := 0, 0
+	for burst := 0; burst < 60; burst++ {
+		// Pile weight onto one known bin of every fourth record's entity.
+		for k := burst; k < len(w.E.Records); k += 4 {
+			lk.AddE(w.E.Records[k], w.E.Records[k], w.E.Records[k])
+		}
+		read := make(chan float64)
+		go func(published []Link) { // Links is a prefix of Matched
+			var sum float64
+			for _, l := range published {
+				sum += l.Score + float64(len(l.U)+len(l.V))
+			}
+			read <- sum
+		}(prev.Matched)
+		res := lk.Run()
+		<-read
+		if !res.Stats.EdgeStore.FullRescore {
+			deltas++
+		}
+		if !sameLinksBits(res.Matched, prev.Matched) {
+			changed++
+		}
+		hold(res)
+		prev = res
+	}
+	t.Logf("%d delta publishes, %d changed the matching", deltas, changed)
+	if deltas < 50 || changed == 0 {
+		t.Fatalf("%d delta publishes, %d of them changed the matching; the test is vacuous", deltas, changed)
+	}
+	for k, h := range all {
+		if !sameLinksBits(h.got, h.want) {
+			t.Fatalf("slice %d (publish %d) was written after it was returned", k, k/2)
+		}
 	}
 }
