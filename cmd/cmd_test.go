@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -613,6 +614,25 @@ func TestCLIErrorPaths(t *testing.T) {
 	// Nonexistent input file.
 	if err := exec.Command(linkBin, "-e", "nope.csv", "-i", "nope2.csv").Run(); err == nil {
 		t.Error("slim-link with missing files should fail")
+	}
+
+	// slim-experiments without a figure, or with an unknown one, exits 2
+	// with a usage line naming every figure, in run order, and "all".
+	expBin := build(t, dir, "slim-experiments")
+	want := []string{"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "tuning", "thresholds", "all"}
+	for _, args := range [][]string{nil, {"fig3"}} {
+		var stderr strings.Builder
+		cmd := exec.Command(expBin, args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("slim-experiments %v: %v, want exit status 2", args, err)
+		}
+		_, names, _ := strings.Cut(stderr.String(), "<")
+		names, _, _ = strings.Cut(names, ">")
+		if got := strings.Split(names, "|"); !slices.Equal(got, want) {
+			t.Errorf("slim-experiments %v: usage names %q, want %q", args, got, want)
+		}
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 	"os"
 
 	"slim"
-	"slim/internal/eval"
-	"slim/internal/model"
 )
 
 func main() {
@@ -42,7 +40,7 @@ func main() {
 	for _, p := range truthPairs {
 		truth[p.U] = p.V
 	}
-	m := eval.Score(links, eval.Truth(truth))
+	m := slim.Evaluate(links, truth)
 	fmt.Printf("links:     %d\n", len(links))
 	fmt.Printf("truth:     %d\n", len(truth))
 	fmt.Printf("tp/fp/fn:  %d/%d/%d\n", m.TP, m.FP, m.FN)
@@ -51,9 +49,10 @@ func main() {
 	fmt.Printf("f1:        %.4f\n", m.F1)
 }
 
-// readPairs parses two-or-more-column CSV rows into link pairs, skipping a
-// header row whose first cell matches headerFirst.
-func readPairs(path, headerFirst string) ([]eval.LinkPair, error) {
+// readPairs parses two-or-more-column CSV rows into links (a third column,
+// the score, is not read), skipping a header row whose first cell matches
+// headerFirst.
+func readPairs(path, headerFirst string) ([]slim.Link, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -61,7 +60,7 @@ func readPairs(path, headerFirst string) ([]eval.LinkPair, error) {
 	defer f.Close()
 	cr := csv.NewReader(f)
 	cr.FieldsPerRecord = -1
-	var out []eval.LinkPair
+	var out []slim.Link
 	line := 0
 	for {
 		row, err := cr.Read()
@@ -78,7 +77,7 @@ func readPairs(path, headerFirst string) ([]eval.LinkPair, error) {
 		if line == 1 && row[0] == headerFirst {
 			continue
 		}
-		out = append(out, eval.LinkPair{U: model.EntityID(row[0]), V: model.EntityID(row[1])})
+		out = append(out, slim.Link{U: slim.EntityID(row[0]), V: slim.EntityID(row[1])})
 	}
 	return out, nil
 }

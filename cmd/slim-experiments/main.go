@@ -1,11 +1,12 @@
-// Command slim-experiments regenerates every table and figure of the SLIM
-// paper's evaluation (Sec. 5) on the synthetic workloads. Each subcommand
-// reproduces one figure; "all" runs everything. Results are printed as
-// aligned-text tables; EXPERIMENTS.md records a paper-vs-measured digest.
+// Command slim-experiments regenerates every table of the SLIM paper's
+// evaluation (Sec. 5) on the synthetic workloads. Each subcommand prints
+// one entry of experiments.Figures — the one list of the figure names, in
+// the order "all" runs them — as aligned-text tables; EXPERIMENTS.md is the
+// paper-vs-measured digest of "slim-experiments all".
 //
 // Usage:
 //
-//	slim-experiments [flags] <fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|tuning|all>
+//	slim-experiments [flags] <figure|all>
 //
 // Scale flags: -cab-taxis, -cab-days, -sm-users, -sm-days, -seed, -workers,
 // -tiny (smoke-test scale).
@@ -15,9 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
-	"slim/internal/eval"
 	"slim/internal/experiments"
 )
 
@@ -32,7 +33,15 @@ func main() {
 		workers  = flag.Int("workers", 0, "override: scoring goroutines")
 	)
 	flag.Parse()
-	if flag.NArg() != 1 {
+	var figures []experiments.Figure
+	if flag.NArg() == 1 {
+		for _, f := range experiments.Figures {
+			if flag.Arg(0) == "all" || flag.Arg(0) == f.Name {
+				figures = append(figures, f)
+			}
+		}
+	}
+	if len(figures) == 0 {
 		usage()
 	}
 
@@ -59,191 +68,24 @@ func main() {
 		sc.Workers = *workers
 	}
 
-	runners := map[string]func(experiments.Scale) error{
-		"fig2":       runFig2,
-		"fig4":       runFig4,
-		"fig5":       runFig5,
-		"fig6":       runFig6,
-		"fig7":       runFig7,
-		"fig8":       runFig8,
-		"fig9":       runFig9,
-		"fig10":      runFig10,
-		"fig11":      runFig11,
-		"tuning":     runTuning,
-		"thresholds": runThresholds,
-	}
-	name := flag.Arg(0)
-	if name == "all" {
-		for _, n := range []string{"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "tuning", "thresholds"} {
-			if err := timed(n, runners[n], sc); err != nil {
-				fatal(err)
-			}
+	for _, f := range figures {
+		fmt.Printf("==== %s ====\n", f.Name)
+		start := time.Now()
+		text, err := f.Run(sc)
+		if err != nil {
+			fatal(err)
 		}
-		return
-	}
-	fn, ok := runners[name]
-	if !ok {
-		usage()
-	}
-	if err := timed(name, fn, sc); err != nil {
-		fatal(err)
-	}
-}
-
-func timed(name string, fn func(experiments.Scale) error, sc experiments.Scale) error {
-	fmt.Printf("==== %s ====\n", name)
-	start := time.Now()
-	err := fn(sc)
-	fmt.Printf("(%s finished in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	return err
-}
-
-func runFig2(sc experiments.Scale) error {
-	r, err := experiments.Fig2GMMFit(sc)
-	if err != nil {
-		return err
-	}
-	printTables(r.Table())
-	fmt.Printf("threshold separation accuracy: %.3f\n", r.ThresholdAccuracy())
-	return nil
-}
-
-func runFig4(sc experiments.Scale) error {
-	r, err := experiments.Fig4SpatioTemporalCab(sc, experiments.DefaultSpatioTemporalOptions())
-	if err != nil {
-		return err
-	}
-	printTables(r.Tables()...)
-	return nil
-}
-
-func runFig5(sc experiments.Scale) error {
-	r, err := experiments.Fig5SpatioTemporalSM(sc, experiments.DefaultSpatioTemporalOptions())
-	if err != nil {
-		return err
-	}
-	printTables(r.Tables()...)
-	return nil
-}
-
-func runFig6(sc experiments.Scale) error {
-	rs, err := experiments.Fig6ScoreHistograms(sc)
-	if err != nil {
-		return err
-	}
-	for _, r := range rs {
-		printTables(r.Table())
-		fmt.Printf("threshold separation accuracy @ level %d: %.3f\n\n", r.Level, r.ThresholdAccuracy())
-	}
-	return nil
-}
-
-func runFig7(sc experiments.Scale) error {
-	cab, err := experiments.Fig7WorkloadCab(sc, experiments.DefaultWorkloadOptions())
-	if err != nil {
-		return err
-	}
-	printTables(cab.Tables()...)
-	sm, err := experiments.Fig7WorkloadSM(sc, experiments.DefaultWorkloadOptions())
-	if err != nil {
-		return err
-	}
-	printTables(sm.Tables()...)
-	return nil
-}
-
-func runFig8(sc experiments.Scale) error {
-	opt := experiments.DefaultLSHLevelOptions()
-	// The synthetic cab trace needs a more permissive threshold than the
-	// paper's real trace (see EXPERIMENTS.md "LSH calibration").
-	opt.Threshold = 0.2
-	cab, err := experiments.Fig8LSHLevelsCab(sc, opt)
-	if err != nil {
-		return err
-	}
-	printTables(cab.Tables()...)
-	optSM := experiments.DefaultLSHLevelOptions()
-	sm, err := experiments.Fig8LSHLevelsSM(sc, optSM)
-	if err != nil {
-		return err
-	}
-	printTables(sm.Tables()...)
-	return nil
-}
-
-func runFig9(sc experiments.Scale) error {
-	opt := experiments.DefaultLSHBucketOptions()
-	opt.SigLevel = 12
-	opt.Thresholds = []float64{0.2, 0.4, 0.6}
-	cab, err := experiments.Fig9LSHBucketsCab(sc, opt)
-	if err != nil {
-		return err
-	}
-	printTables(cab.Table())
-	optSM := experiments.DefaultLSHBucketOptions()
-	sm, err := experiments.Fig9LSHBucketsSM(sc, optSM)
-	if err != nil {
-		return err
-	}
-	printTables(sm.Table())
-	return nil
-}
-
-func runFig10(sc experiments.Scale) error {
-	spatial, err := experiments.Fig10AblationSpatial(sc, experiments.DefaultAblationOptions())
-	if err != nil {
-		return err
-	}
-	printTables(spatial.Table())
-	window, err := experiments.Fig10AblationWindow(sc, experiments.DefaultAblationOptions())
-	if err != nil {
-		return err
-	}
-	printTables(window.Table())
-	return nil
-}
-
-func runFig11(sc experiments.Scale) error {
-	r, err := experiments.Fig11Comparison(sc, experiments.DefaultComparisonOptions())
-	if err != nil {
-		return err
-	}
-	printTables(r.Tables()...)
-	return nil
-}
-
-func runTuning(sc experiments.Scale) error {
-	cab, err := experiments.TuningCab(sc)
-	if err != nil {
-		return err
-	}
-	printTables(cab.Table())
-	sm, err := experiments.TuningSM(sc)
-	if err != nil {
-		return err
-	}
-	printTables(sm.Table())
-	return nil
-}
-
-func runThresholds(sc experiments.Scale) error {
-	r, err := experiments.ThresholdMethods(sc)
-	if err != nil {
-		return err
-	}
-	printTables(r.Table())
-	fmt.Printf("F1 spread across methods: cab=%.3f sm=%.3f\n", r.F1Spread("cab"), r.F1Spread("sm"))
-	return nil
-}
-
-func printTables(tables ...eval.Table) {
-	for _, t := range tables {
-		fmt.Println(t.Render())
+		fmt.Print(text)
+		fmt.Printf("(%s finished in %v)\n\n", f.Name, time.Since(start).Round(time.Millisecond))
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: slim-experiments [flags] <fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|tuning|thresholds|all>")
+	var names []string
+	for _, f := range experiments.Figures {
+		names = append(names, f.Name)
+	}
+	fmt.Fprintf(os.Stderr, "usage: slim-experiments [flags] <%s|all>\n", strings.Join(names, "|"))
 	flag.PrintDefaults()
 	os.Exit(2)
 }

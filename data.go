@@ -38,8 +38,8 @@ func WriteDatasetCSV(w io.Writer, d *Dataset) error {
 	return model.WriteCSV(w, d)
 }
 
-// Synthetic workload generation (see DESIGN.md §3 for how these stand in
-// for the paper's proprietary traces).
+// Synthetic workload generation (EXPERIMENTS.md "Where this reproduction
+// departs" has how these stand in for the paper's proprietary traces).
 type (
 	// CabOptions parameterizes the synthetic San Francisco taxi trace.
 	CabOptions = datagen.CabConfig
@@ -65,24 +65,9 @@ func SampleWorkload(src *Dataset, opts SampleOptions) SampledWorkload {
 	return datagen.Sample(src, opts)
 }
 
-// Metrics holds precision/recall/F1 of produced links against ground truth.
-type Metrics struct {
-	Precision float64
-	Recall    float64
-	F1        float64
-	TP, FP    int
-	FN        int
-}
+// Metrics holds precision/recall/F1 of produced links against ground truth,
+// with the TP/FP/FN counts behind them.
+type Metrics = eval.PRF
 
 // Evaluate scores links against a ground-truth map (E entity → I entity).
-func Evaluate(links []Link, truth map[EntityID]EntityID) Metrics {
-	pairs := make([]eval.LinkPair, len(links))
-	for i, l := range links {
-		pairs[i] = eval.LinkPair{U: l.U, V: l.V}
-	}
-	p := eval.Score(pairs, eval.Truth(truth))
-	return Metrics{
-		Precision: p.Precision, Recall: p.Recall, F1: p.F1,
-		TP: p.TP, FP: p.FP, FN: p.FN,
-	}
-}
+func Evaluate(links []Link, truth map[EntityID]EntityID) Metrics { return eval.Score(links, truth) }

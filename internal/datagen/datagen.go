@@ -3,7 +3,8 @@
 // The paper evaluates on two real datasets that are not redistributable:
 // the San Francisco cab trace (~530 taxis, 24 days, 11M GPS records) and a
 // Foursquare+Twitter check-in crawl (~470k users, ~5M records, 26 days).
-// This package builds the closest synthetic equivalents (see DESIGN.md §3):
+// This package builds the closest synthetic equivalents (see EXPERIMENTS.md
+// "Where this reproduction departs"):
 //
 //   - Cab: taxis moving between random waypoints over an SF-like street
 //     area at bounded speed, emitting records at Poisson times. Dense

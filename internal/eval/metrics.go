@@ -6,16 +6,19 @@ package eval
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
+	"slim/internal/matching"
 	"slim/internal/model"
 )
 
 // Truth maps entities of dataset E to their true counterparts in dataset I.
 type Truth map[model.EntityID]model.EntityID
 
-// PRF holds precision, recall and F1.
+// PRF holds precision, recall and F1 with the counts behind them.
 type PRF struct {
 	Precision float64
 	Recall    float64
@@ -25,16 +28,10 @@ type PRF struct {
 	FN        int
 }
 
-// LinkPair is the minimal view of a produced link that metrics need.
-type LinkPair struct {
-	U model.EntityID
-	V model.EntityID
-}
-
-// Score computes precision/recall/F1 of links against the truth. Recall's
-// denominator is the number of true pairs (entities present in both
-// datasets after sampling/filtering).
-func Score(links []LinkPair, truth Truth) PRF {
+// Score computes precision/recall/F1 of links against the truth; a link's
+// score plays no part. Recall's denominator is the number of true pairs
+// (entities present in both datasets after sampling/filtering).
+func Score(links []matching.Edge, truth Truth) PRF {
 	var p PRF
 	for _, l := range links {
 		if truth[l.U] == l.V {
@@ -66,17 +63,19 @@ type RankedCandidate struct {
 // E entity with a true match, find the 1-based rank of the true I entity in
 // its descending score list and credit max(0, 1 − (rank−1)/k); entities
 // whose true match is absent from the ranking score 0. The average over
-// all truth entities is returned.
+// all truth entities is returned; the credits are summed in entity-id
+// order, so the result does not depend on map iteration order.
 //
 // (The paper's formula "1 − max(rank/k, 1)" is degenerate — constant 0 —
-// and is corrected here to the standard form; see DESIGN.md §6.4.)
+// and is corrected here to the standard form; see EXPERIMENTS.md "Where
+// this reproduction departs".)
 func HitPrecisionAtK(rankings map[model.EntityID][]RankedCandidate, truth Truth, k int) float64 {
 	if len(truth) == 0 || k <= 0 {
 		return 0
 	}
 	var sum float64
-	for u, want := range truth {
-		cands := rankings[u]
+	for _, u := range slices.Sorted(maps.Keys(truth)) {
+		want, cands := truth[u], rankings[u]
 		// Sort defensively (stable order: score desc, id asc).
 		sorted := append([]RankedCandidate(nil), cands...)
 		sort.Slice(sorted, func(i, j int) bool {

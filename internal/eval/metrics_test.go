@@ -1,16 +1,18 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"slim/internal/matching"
 	"slim/internal/model"
 )
 
 func TestScoreCounts(t *testing.T) {
 	truth := Truth{"e1": "i1", "e2": "i2", "e3": "i3"}
-	links := []LinkPair{
+	links := []matching.Edge{
 		{U: "e1", V: "i1"},
 		{U: "e2", V: "iX"},
 	}
@@ -33,7 +35,7 @@ func TestScoreEdgeCases(t *testing.T) {
 	if p := Score(nil, Truth{}); p.Precision != 0 || p.Recall != 0 || p.F1 != 0 {
 		t.Error("empty everything should be all zeros")
 	}
-	p := Score([]LinkPair{{U: "a", V: "b"}}, Truth{})
+	p := Score([]matching.Edge{{U: "a", V: "b"}}, Truth{})
 	if p.Precision != 0 || p.FP != 1 {
 		t.Error("links against empty truth are all FPs")
 	}
@@ -93,6 +95,32 @@ func TestHitPrecisionTieBreakDeterministic(t *testing.T) {
 	// With ids tie-broken ascending, i1 ranks before i2 → full credit.
 	if first != 1 {
 		t.Errorf("tie-break should rank i1 first, credit 1; got %g", first)
+	}
+}
+
+// TestHitPrecisionIsAPureFunction holds the float sum's order fixed: summed
+// in map-iteration order, 500 credits gave a different last bit from call
+// to call.
+func TestHitPrecisionIsAPureFunction(t *testing.T) {
+	truth := Truth{}
+	rankings := map[model.EntityID][]RankedCandidate{}
+	for e := 0; e < 500; e++ {
+		u, want := model.EntityID(fmt.Sprintf("e%d", e)), model.EntityID(fmt.Sprintf("i%d", e))
+		truth[u] = want
+		rank := e%7 + 1 // the true match sits at rank 1..7
+		for r := 1; r <= rank; r++ {
+			v := model.EntityID(fmt.Sprintf("x%d-%d", e, r))
+			if r == rank {
+				v = want
+			}
+			rankings[u] = append(rankings[u], RankedCandidate{V: v, Score: float64(10 - r)})
+		}
+	}
+	first := math.Float64bits(HitPrecisionAtK(rankings, truth, 40))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(HitPrecisionAtK(rankings, truth, 40)); got != first {
+			t.Fatalf("call %d returned bits %#x, first call %#x", i+2, got, first)
+		}
 	}
 }
 

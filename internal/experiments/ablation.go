@@ -49,38 +49,15 @@ type AblationResult struct {
 	Cells   []AblationCell
 }
 
-// Table renders the panel: one row per variant, one column per x.
+// Table renders the panel: one row per variant that has a cell (the sweeps
+// run the variants in ablationVariants order), one column per x.
 func (r AblationResult) Table() eval.Table {
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, c := range r.Cells {
-		if !seen[c.X] {
-			seen[c.X] = true
-			xs = append(xs, c.X)
-		}
-	}
-	t := eval.Table{
-		Title:  fmt.Sprintf("%s: F1 vs %s per variant", r.Dataset, r.Axis),
-		Header: append([]string{"variant\\" + r.Axis}, floatsToStrings(xs)...),
-	}
-	for _, v := range ablationVariants {
-		row := []string{v.Name}
-		for _, x := range xs {
-			found := false
-			for _, c := range r.Cells {
-				if c.Variant == v.Name && c.X == x {
-					row = append(row, fmt.Sprintf("%.3f", c.F1))
-					found = true
-					break
-				}
-			}
-			if !found {
-				row = append(row, "-")
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	return grid(r.Cells, "variant\\"+r.Axis,
+		func(c AblationCell) string { return c.Variant },
+		func(c AblationCell) string { return fmt.Sprintf("%g", c.X) },
+		panel[AblationCell]{fmt.Sprintf("%s: F1 vs %s per variant", r.Dataset, r.Axis),
+			func(c AblationCell) string { return fmt.Sprintf("%.3f", c.F1) }},
+	)[0]
 }
 
 // F1 returns the measured F1 of a variant at x (ok=false if absent).

@@ -30,7 +30,8 @@ type ComparisonOptions struct {
 	HitK int
 	// LSHThreshold/SigLevel/Step/Buckets configure SLIM's filter. The
 	// paper uses t=0.6 with 4096 buckets on the real traces; the synthetic
-	// cab trace needs a more permissive threshold (see EXPERIMENTS.md).
+	// cab trace needs a more permissive threshold (see EXPERIMENTS.md "LSH
+	// calibration").
 	LSHThreshold float64
 	SigLevel     int
 	Step         int
@@ -196,11 +197,7 @@ func comparisonCell(w slim.SampledWorkload, sc Scale, opt ComparisonOptions, rat
 	startST := time.Now()
 	stRes := stlink.Link(&w.E, &w.I, stlink.DefaultParams(wnd, 12))
 	elapsedST := time.Since(startST)
-	stLinks := make([]eval.LinkPair, len(stRes.Links))
-	for i, l := range stRes.Links {
-		stLinks[i] = eval.LinkPair{U: l.U, V: l.V}
-	}
-	stPRF := eval.Score(stLinks, truth)
+	stPRF := eval.Score(stRes.Links, truth)
 	stRank := make(map[model.EntityID][]eval.RankedCandidate)
 	for _, ps := range stRes.Candidates {
 		stRank[ps.U] = append(stRank[ps.U], eval.RankedCandidate{
@@ -221,11 +218,7 @@ func comparisonCell(w slim.SampledWorkload, sc Scale, opt ComparisonOptions, rat
 		startGM := time.Now()
 		gmRes := gm.Link(&w.E, &w.I, gm.DefaultParams())
 		elapsedGM := time.Since(startGM)
-		gmLinks := make([]eval.LinkPair, len(gmRes.Links))
-		for i, l := range gmRes.Links {
-			gmLinks[i] = eval.LinkPair{U: l.U, V: l.V}
-		}
-		gmPRF := eval.Score(gmLinks, truth)
+		gmPRF := eval.Score(gmRes.Links, truth)
 		gmRank := make(map[model.EntityID][]eval.RankedCandidate)
 		for _, e := range gmRes.PairScores {
 			gmRank[e.U] = append(gmRank[e.U], eval.RankedCandidate{V: e.V, Score: e.Score})

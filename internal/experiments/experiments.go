@@ -1,9 +1,10 @@
 // Package experiments contains one runner per figure of the paper's
 // evaluation (Sec. 5), each regenerating the corresponding table/series on
 // the synthetic workloads. Runners return typed results (for tests and
-// benchmarks) that render to aligned-text tables (for the
-// slim-experiments CLI). EXPERIMENTS.md records a paper-vs-measured
-// comparison produced by these runners.
+// benchmarks) that render to aligned-text tables; a sweep's tables are one
+// grid renderer's panels. Figures lists what the slim-experiments CLI
+// prints, and is the one place the figure names are written.
+// EXPERIMENTS.md records a paper-vs-measured comparison produced from it.
 //
 // Scale controls workload sizes. Defaults are laptop-scale; the CLI can
 // raise them toward the paper's sizes (265 cabs / 30k SM users per side).
@@ -38,7 +39,9 @@ type Scale struct {
 	Workers int
 }
 
-// DefaultScale returns the laptop-scale defaults used by the benchmarks.
+// DefaultScale returns the laptop-scale defaults slim-experiments runs at
+// (and EXPERIMENTS.md was generated at); the root package's BenchmarkFig*
+// and the tests run TinyScale.
 func DefaultScale() Scale {
 	return Scale{
 		CabTaxis:       56,

@@ -45,53 +45,17 @@ type LSHLevelResult struct {
 	Cells               []LSHCell
 }
 
-// Tables renders the relative-F1 and speed-up panels.
+// Tables renders the relative-F1 and speed-up panels: rows are temporal
+// steps, columns signature levels.
 func (r LSHLevelResult) Tables() []eval.Table {
-	var levels, steps []int
-	seenL := map[int]bool{}
-	seenS := map[int]bool{}
-	for _, c := range r.Cells {
-		if !seenL[c.SigLevel] {
-			seenL[c.SigLevel] = true
-			levels = append(levels, c.SigLevel)
-		}
-		if !seenS[c.Step] {
-			seenS[c.Step] = true
-			steps = append(steps, c.Step)
-		}
-	}
-	cell := func(l, s int) (LSHCell, bool) {
-		for _, c := range r.Cells {
-			if c.SigLevel == l && c.Step == s {
-				return c, true
-			}
-		}
-		return LSHCell{}, false
-	}
-	rel := eval.Table{
-		Title:  fmt.Sprintf("%s: relative F1 vs (signature level x temporal step), baseline F1=%.3f", r.Dataset, r.BaselineF1),
-		Header: append([]string{"step\\level"}, intsToStrings(levels)...),
-	}
-	sp := eval.Table{
-		Title:  fmt.Sprintf("%s: speed-up vs (signature level x temporal step)", r.Dataset),
-		Header: append([]string{"step\\level"}, intsToStrings(levels)...),
-	}
-	for _, s := range steps {
-		rowRel := []string{fmt.Sprintf("%d", s)}
-		rowSp := []string{fmt.Sprintf("%d", s)}
-		for _, l := range levels {
-			if c, ok := cell(l, s); ok {
-				rowRel = append(rowRel, fmt.Sprintf("%.3f", c.RelativeF1))
-				rowSp = append(rowSp, fmt.Sprintf("%.1fx", c.SpeedUp))
-			} else {
-				rowRel = append(rowRel, "-")
-				rowSp = append(rowSp, "-")
-			}
-		}
-		rel.Rows = append(rel.Rows, rowRel)
-		sp.Rows = append(sp.Rows, rowSp)
-	}
-	return []eval.Table{rel, sp}
+	return grid(r.Cells, "step\\level",
+		func(c LSHCell) string { return fmt.Sprintf("%d", c.Step) },
+		func(c LSHCell) string { return fmt.Sprintf("%d", c.SigLevel) },
+		panel[LSHCell]{fmt.Sprintf("%s: relative F1 vs (signature level x temporal step), baseline F1=%.3f", r.Dataset, r.BaselineF1),
+			func(c LSHCell) string { return fmt.Sprintf("%.3f", c.RelativeF1) }},
+		panel[LSHCell]{fmt.Sprintf("%s: speed-up vs (signature level x temporal step)", r.Dataset),
+			func(c LSHCell) string { return fmt.Sprintf("%.1fx", c.SpeedUp) }},
+	)
 }
 
 // Fig8LSHLevelsCab reproduces Fig. 8a/8b on Cab.
@@ -179,52 +143,15 @@ type LSHBucketResult struct {
 	Cells      []LSHBucketCell
 }
 
-// Table renders the speed-up panel (relative F1 in parentheses).
+// Table renders the speed-up panel (relative F1 in parentheses): rows are
+// LSH thresholds, columns bucket counts.
 func (r LSHBucketResult) Table() eval.Table {
-	var exps []int
-	var thrs []float64
-	seenE := map[int]bool{}
-	seenT := map[float64]bool{}
-	for _, c := range r.Cells {
-		if !seenE[c.BucketExp] {
-			seenE[c.BucketExp] = true
-			exps = append(exps, c.BucketExp)
-		}
-		if !seenT[c.Threshold] {
-			seenT[c.Threshold] = true
-			thrs = append(thrs, c.Threshold)
-		}
-	}
-	t := eval.Table{
-		Title:  fmt.Sprintf("%s: speed-up (relF1) vs number of buckets, series = LSH threshold", r.Dataset),
-		Header: append([]string{"t\\buckets"}, expHeaders(exps)...),
-	}
-	for _, thr := range thrs {
-		row := []string{fmt.Sprintf("%g", thr)}
-		for _, e := range exps {
-			found := false
-			for _, c := range r.Cells {
-				if c.BucketExp == e && c.Threshold == thr {
-					row = append(row, fmt.Sprintf("%.1fx (%.2f)", c.SpeedUp, c.RelativeF1))
-					found = true
-					break
-				}
-			}
-			if !found {
-				row = append(row, "-")
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-func expHeaders(exps []int) []string {
-	out := make([]string, len(exps))
-	for i, e := range exps {
-		out[i] = fmt.Sprintf("2^%d", e)
-	}
-	return out
+	return grid(r.Cells, "t\\buckets",
+		func(c LSHBucketCell) string { return fmt.Sprintf("%g", c.Threshold) },
+		func(c LSHBucketCell) string { return fmt.Sprintf("2^%d", c.BucketExp) },
+		panel[LSHBucketCell]{fmt.Sprintf("%s: speed-up (relF1) vs number of buckets, series = LSH threshold", r.Dataset),
+			func(c LSHBucketCell) string { return fmt.Sprintf("%.1fx (%.2f)", c.SpeedUp, c.RelativeF1) }},
+	)[0]
 }
 
 // Fig9LSHBucketsCab reproduces Fig. 9a on Cab.

@@ -47,68 +47,20 @@ type STResult struct {
 	Cells   []STCell
 }
 
-// Tables renders the four panels of the figure.
+// Tables renders the four panels of the figure: rows are window widths,
+// columns spatial levels.
 func (r STResult) Tables() []eval.Table {
-	panels := []struct {
-		name string
-		get  func(STCell) string
-	}{
-		{"precision", func(c STCell) string { return fmt.Sprintf("%.3f", c.Precision) }},
-		{"recall", func(c STCell) string { return fmt.Sprintf("%.3f", c.Recall) }},
-		{"alibi-pairs", func(c STCell) string { return fmt.Sprintf("%d", c.AlibiPairs) }},
-		{"bin-comparisons (pairing work)", func(c STCell) string { return fmt.Sprintf("%d", c.BinComparisons) }},
+	title := func(quantity string) string {
+		return fmt.Sprintf("%s: %s vs (spatial level x window width)", r.Dataset, quantity)
 	}
-	// Collect the axes in first-seen order.
-	var levels []int
-	var windows []float64
-	seenL := map[int]bool{}
-	seenW := map[float64]bool{}
-	for _, c := range r.Cells {
-		if !seenL[c.Level] {
-			seenL[c.Level] = true
-			levels = append(levels, c.Level)
-		}
-		if !seenW[c.WindowMin] {
-			seenW[c.WindowMin] = true
-			windows = append(windows, c.WindowMin)
-		}
-	}
-	cell := func(l int, w float64) (STCell, bool) {
-		for _, c := range r.Cells {
-			if c.Level == l && c.WindowMin == w {
-				return c, true
-			}
-		}
-		return STCell{}, false
-	}
-	var tables []eval.Table
-	for _, p := range panels {
-		t := eval.Table{
-			Title:  fmt.Sprintf("%s: %s vs (spatial level x window width)", r.Dataset, p.name),
-			Header: append([]string{"window\\level"}, intsToStrings(levels)...),
-		}
-		for _, w := range windows {
-			row := []string{fmt.Sprintf("%gmin", w)}
-			for _, l := range levels {
-				if c, ok := cell(l, w); ok {
-					row = append(row, p.get(c))
-				} else {
-					row = append(row, "-")
-				}
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		tables = append(tables, t)
-	}
-	return tables
-}
-
-func intsToStrings(xs []int) []string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = fmt.Sprintf("%d", x)
-	}
-	return out
+	return grid(r.Cells, "window\\level",
+		func(c STCell) string { return fmt.Sprintf("%gmin", c.WindowMin) },
+		func(c STCell) string { return fmt.Sprintf("%d", c.Level) },
+		panel[STCell]{title("precision"), func(c STCell) string { return fmt.Sprintf("%.3f", c.Precision) }},
+		panel[STCell]{title("recall"), func(c STCell) string { return fmt.Sprintf("%.3f", c.Recall) }},
+		panel[STCell]{title("alibi-pairs"), func(c STCell) string { return fmt.Sprintf("%d", c.AlibiPairs) }},
+		panel[STCell]{title("bin-comparisons (pairing work)"), func(c STCell) string { return fmt.Sprintf("%d", c.BinComparisons) }},
+	)
 }
 
 // Fig4SpatioTemporalCab reproduces Fig. 4: the spatio-temporal sweep on

@@ -40,61 +40,18 @@ type WorkloadResult struct {
 	Cells   []WorkloadCell
 }
 
-// Tables renders the F1 and runtime panels.
+// Tables renders the F1 and runtime panels: rows are intersection ratios,
+// columns inclusion probabilities.
 func (r WorkloadResult) Tables() []eval.Table {
-	var ratios, probs []float64
-	seenR := map[float64]bool{}
-	seenP := map[float64]bool{}
-	for _, c := range r.Cells {
-		if !seenR[c.Ratio] {
-			seenR[c.Ratio] = true
-			ratios = append(ratios, c.Ratio)
-		}
-		if !seenP[c.InclusionProb] {
-			seenP[c.InclusionProb] = true
-			probs = append(probs, c.InclusionProb)
-		}
+	title := func(quantity string) string {
+		return fmt.Sprintf("%s: %s vs inclusion probability (series = intersection ratio)", r.Dataset, quantity)
 	}
-	cell := func(ratio, prob float64) (WorkloadCell, bool) {
-		for _, c := range r.Cells {
-			if c.Ratio == ratio && c.InclusionProb == prob {
-				return c, true
-			}
-		}
-		return WorkloadCell{}, false
-	}
-	f1 := eval.Table{
-		Title:  fmt.Sprintf("%s: F1 vs inclusion probability (series = intersection ratio)", r.Dataset),
-		Header: append([]string{"ratio\\incl"}, floatsToStrings(probs)...),
-	}
-	rt := eval.Table{
-		Title:  fmt.Sprintf("%s: runtime (ms) vs inclusion probability (series = intersection ratio)", r.Dataset),
-		Header: append([]string{"ratio\\incl"}, floatsToStrings(probs)...),
-	}
-	for _, ratio := range ratios {
-		rowF1 := []string{fmt.Sprintf("%g", ratio)}
-		rowRT := []string{fmt.Sprintf("%g", ratio)}
-		for _, prob := range probs {
-			if c, ok := cell(ratio, prob); ok {
-				rowF1 = append(rowF1, fmt.Sprintf("%.3f", c.F1))
-				rowRT = append(rowRT, fmt.Sprintf("%d", c.Runtime.Milliseconds()))
-			} else {
-				rowF1 = append(rowF1, "-")
-				rowRT = append(rowRT, "-")
-			}
-		}
-		f1.Rows = append(f1.Rows, rowF1)
-		rt.Rows = append(rt.Rows, rowRT)
-	}
-	return []eval.Table{f1, rt}
-}
-
-func floatsToStrings(xs []float64) []string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = fmt.Sprintf("%g", x)
-	}
-	return out
+	return grid(r.Cells, "ratio\\incl",
+		func(c WorkloadCell) string { return fmt.Sprintf("%g", c.Ratio) },
+		func(c WorkloadCell) string { return fmt.Sprintf("%g", c.InclusionProb) },
+		panel[WorkloadCell]{title("F1"), func(c WorkloadCell) string { return fmt.Sprintf("%.3f", c.F1) }},
+		panel[WorkloadCell]{title("runtime (ms)"), func(c WorkloadCell) string { return fmt.Sprintf("%d", c.Runtime.Milliseconds()) }},
+	)
 }
 
 // Fig7WorkloadCab reproduces Fig. 7a/7b on the Cab workload.
