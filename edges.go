@@ -114,7 +114,7 @@ type scoredPair struct {
 // property: re-observations of known bins leave the epochs alone (≈ 98 % of
 // pairs retained on serve_revisit), while a feed whose time range advances
 // opens a new bin at every flush, so every run is a full rescore
-// (serve_fresh: retained_ratio 0 on every seed; ROADMAP item 3).
+// (serve_fresh: retained_ratio 0 on every seed; ROADMAP item 4).
 type edgeStore struct {
 	built bool
 	// epochE / epochI are the history-store IDF epochs the retained scores

@@ -817,7 +817,7 @@ type JournalStats struct {
 func (e *Engine) RunJournal() JournalStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return JournalStats{Capacity: cap(e.journal.buf), Records: len(e.journal.buf), TotalRuns: e.last.Seq}
+	return JournalStats{Capacity: e.journal.size, Records: len(e.journal.buf), TotalRuns: e.last.Seq}
 }
 
 // Stats is a point-in-time snapshot of the engine's operational state. The

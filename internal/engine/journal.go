@@ -79,11 +79,14 @@ func (r *RunRecord) stages() [len(stageNames)]time.Duration {
 }
 
 // journal is a bounded ring of the engine's most recent RunRecords — the
-// relink flight recorder. Appends overwrite the oldest entry once the
-// ring is full, so memory is fixed at construction no matter how long
-// the engine runs. The engine's mu guards it.
+// relink flight recorder. It grows as runs arrive until it holds size of
+// them; from then on appends overwrite the oldest entry, so its memory is
+// bounded by the ring however long the engine runs, and an engine that
+// runs a few times holds a few records, not size. The engine's mu guards
+// it.
 type journal struct {
 	buf  []RunRecord
+	size int
 	next int
 }
 
@@ -91,16 +94,16 @@ func newJournal(size int) journal {
 	if size <= 0 {
 		size = DefaultRunJournal
 	}
-	return journal{buf: make([]RunRecord, 0, size)}
+	return journal{size: size}
 }
 
 func (j *journal) add(r RunRecord) {
-	if len(j.buf) < cap(j.buf) {
+	if len(j.buf) < j.size {
 		j.buf = append(j.buf, r)
 	} else {
 		j.buf[j.next] = r
 	}
-	j.next = (j.next + 1) % cap(j.buf)
+	j.next = (j.next + 1) % j.size
 }
 
 // snapshot returns up to limit records, newest first, skipping offset

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"slim"
+	"slim/internal/testenv"
 )
 
 // TestRunJournalRecordsEveryRun drives manual and clean runs through a
@@ -139,6 +142,32 @@ func TestRunJournalBoundedUnderHammer(t *testing.T) {
 	}
 	if eng.RunJournal().Capacity != journalSize {
 		t.Fatalf("journal capacity %d, want %d", eng.RunJournal().Capacity, journalSize)
+	}
+}
+
+// TestRunJournalGrowsToItsBound checks that a journal holds what it has
+// recorded, not its bound — a 16,384-run ring retains almost nothing
+// before its first run — and still wraps at exactly its size, newest
+// first. The heap reading skips itself under -race.
+func TestRunJournalGrowsToItsBound(t *testing.T) {
+	if !testenv.RaceEnabled {
+		before := testenv.LiveHeap()
+		j := newJournal(16384)
+		if retained := int64(testenv.LiveHeap()) - int64(before); retained >= 4<<10 {
+			t.Fatalf("an empty 16384-run journal retains %d B, budget 4 KB", retained)
+		}
+		runtime.KeepAlive(&j)
+	}
+	j := newJournal(3)
+	for seq := uint64(1); seq <= 5; seq++ {
+		j.add(RunRecord{Seq: seq})
+	}
+	var got []uint64
+	for _, r := range j.snapshot(0, 0) {
+		got = append(got, r.Seq)
+	}
+	if len(j.buf) != 3 || !slices.Equal(got, []uint64{5, 4, 3}) {
+		t.Fatalf("3-run journal after 5 runs holds %d records %v, want [5 4 3]", len(j.buf), got)
 	}
 }
 

@@ -16,12 +16,15 @@ import (
 // Store.CompiledView): a bin's cell is a small integer into the store's
 // cell table, whose entries carry the geometry the cell distance reads.
 //
-// A view is valid until the next Store.Add to its entity, which shifts the
-// shared columns in place; Add is not safe concurrently with readers, so a
-// reader never sees the shift happen. A view must not be held across an
-// Add: fetch it per use, as every scorer entry point does. The store never
-// hands out a stale one — Add bumps the history's version, so the view
-// fails current() and is rebuilt before CompiledViewAt returns it.
+// A view is valid until the next Store.Add to any entity of the store: an
+// Add to its own entity shifts the shared columns in place, and one that
+// moves the store's epoch leaves its IDF weights stale, to be rewritten in
+// place by the next Compile or CompiledViewAt. Add is not safe concurrently
+// with readers, so a reader never sees either happen. A view must not be
+// held across an Add, nor across the Compile that follows it: fetch it per
+// use, as every scorer entry point does. The store never hands out a stale
+// one — Add bumps the history's version or the store's epoch, so the view
+// fails current() and is refreshed before CompiledViewAt returns it.
 type Compiled struct {
 	// Windows are the sorted leaf window indices (the history's slice).
 	Windows []int64
@@ -53,16 +56,18 @@ func (c *Compiled) current(epoch uint64, h *History) bool {
 
 // Compile refreshes the compiled read path of every entity whose history
 // changed — or whose dataset-level IDF inputs changed — since its last
-// compilation, and returns how many entities were recompiled. Weight-only
+// compilation, and returns how many entities were refreshed. Weight-only
 // updates (records landing in existing bins) dirty just the touched
 // entities; a new bin or a new entity moves the store's IDF epoch and
-// recompiles everything, because the IDF weights baked into every view may
-// have shifted.
+// dirties everything, because the IDF weights baked into every view may
+// have shifted. An epoch move leaves the rest of a view standing while
+// its history is unchanged, so such a view only has its IDF weights
+// rewritten, in place; the views of changed histories are rebuilt.
 //
-// The stale entities' cells are interned serially, in ordinal then
+// The rebuilt entities' cells are interned serially, in ordinal then
 // column order, so dense indices are assigned identically for every
-// worker count; the rest of each view (the bulk of the work: IDF lookups
-// and window sums over read-only store state) is then built across the
+// worker count; the IDF weights of every stale view (the bulk of the
+// work: lookups over read-only store state) are then written across the
 // given number of workers (below 1 means 1).
 //
 // Rescore calls Compile before fanning scoring across workers, so the
@@ -72,23 +77,21 @@ func (s *Store) Compile(workers int) int {
 	s.compMu.Lock()
 	defer s.compMu.Unlock()
 	s.growCompiledLocked()
-	var stale []uint32
-	var views []*Compiled
+	stale := s.stale[:0]
 	for ord, h := range s.histories {
 		if h == nil || s.compiled[ord].current(s.epoch, h) {
 			continue
 		}
 		stale = append(stale, uint32(ord))
-		views = append(views, s.internLocked(h))
+		s.compiled[ord] = s.internLocked(s.compiled[ord], h)
 	}
+	s.stale = stale
+	idfs := s.idfTableLocked()
 	par.Chunks(workers, len(stale), func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			s.fill(views[k], s.histories[stale[k]])
+		for _, ord := range stale[lo:hi] {
+			s.fill(s.compiled[ord], s.histories[ord], idfs)
 		}
 	})
-	for k, ord := range stale {
-		s.compiled[ord] = views[k]
-	}
 	return len(stale)
 }
 
@@ -128,8 +131,8 @@ func (s *Store) CompiledViewAt(ord uint32) (*Compiled, []geo.CellGeom) {
 	s.growCompiledLocked()
 	c := s.compiled[ord]
 	if !c.current(s.epoch, h) {
-		c = s.internLocked(h)
-		s.fill(c, h)
+		c = s.internLocked(c, h)
+		s.fill(c, h, s.idfTableLocked())
 		s.compiled[ord] = c
 	}
 	cells := s.cells
@@ -146,16 +149,27 @@ func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellGeom) {
 	return s.CompiledViewAt(ord)
 }
 
-// internLocked starts a fresh view of h, holding h's cells as dense
-// indices, each cell id assigned the next index — and its geometry derived,
-// once for the life of the store — on first sight. It is the only part of
-// a view build that writes store state; callers hold compMu for writing.
-func (s *Store) internLocked(h *History) *Compiled {
-	c := &Compiled{
-		Cells:       make([]int32, len(h.cells)),
-		storeEpoch:  s.epoch,
-		histVersion: h.version,
+// internLocked readies the stale view old of h (nil if h has none) for
+// fill, which writes its IDF weights. If h is unchanged since old was
+// built — only the store's epoch moved — old already holds the rest and is
+// returned as it is. Otherwise a fresh view of h is started, on old's
+// slices where their lengths still fit: h's cells as dense indices, each
+// cell id assigned the next index — and its geometry derived, once for the
+// life of the store — on first sight, and h's per-window weight sums,
+// accumulated in bin order. It is the only part of a view build that
+// writes store state; callers hold compMu for writing.
+func (s *Store) internLocked(old *Compiled, h *History) *Compiled {
+	if old != nil && old.histVersion == h.version {
+		old.storeEpoch = s.epoch
+		return old
 	}
+	c := &Compiled{Windows: h.windows, Off: h.off, Counts: h.counts, storeEpoch: s.epoch, histVersion: h.version}
+	if old != nil {
+		c.Cells, c.IDF, c.WinRecs = old.Cells, old.IDF, old.WinRecs
+	}
+	c.Cells = resize(c.Cells, len(h.cells))
+	c.IDF = resize(c.IDF, len(h.cells))
+	c.WinRecs = resize(c.WinRecs, len(h.windows))
 	for j, id := range h.cells {
 		i, ok := s.cellIndex[id]
 		if !ok {
@@ -165,25 +179,50 @@ func (s *Store) internLocked(h *History) *Compiled {
 		}
 		c.Cells[j] = i
 	}
-	return c
-}
-
-// fill completes a view started by internLocked: it points the view at
-// the history's window, offset and weight columns and computes the IDF
-// weight of every bin and the per-window weight sums. It only reads the
-// store and the history, so views of distinct entities fill concurrently.
-func (s *Store) fill(c *Compiled, h *History) {
-	c.Windows, c.Off, c.Counts = h.windows, h.off, h.counts
-	c.IDF = make([]float64, len(h.cells))
-	c.WinRecs = make([]float64, len(h.windows))
-	n := len(s.entities)
-	for k, win := range h.windows {
-		fw := s.freq.window(win)
+	for k := range h.windows {
 		var recs float64
 		for j := h.off[k]; j < h.off[k+1]; j++ {
-			c.IDF[j] = idf(n, fw.count(h.cells[j]))
 			recs += h.counts[j]
 		}
 		c.WinRecs[k] = recs
+	}
+	return c
+}
+
+// resize returns s at length n, reusing its array when it is large enough.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// idfTableLocked returns idf(n, df) for every df from 0 to the store's
+// largest, n its entity count, extending or rebuilding the table the
+// last call left only when either moved. Each entry is idf's own result,
+// so a weight read from the table is bit-identical to one computed per
+// bin. Callers hold compMu for writing.
+func (s *Store) idfTableLocked() []float64 {
+	if n := len(s.entities); n != s.idfsN {
+		s.idfs, s.idfsN = s.idfs[:0], n
+	}
+	for df := int32(len(s.idfs)); df <= s.freq.maxDF; df++ {
+		s.idfs = append(s.idfs, idf(s.idfsN, df))
+	}
+	return s.idfs
+}
+
+// fill writes the IDF weight of every bin of c, a view of h readied by
+// internLocked, reading idf(n, df) from idfs (see idfTableLocked). It only
+// reads the store and the history, so views of distinct entities fill
+// concurrently.
+func (s *Store) fill(c *Compiled, h *History, idfs []float64) {
+	i := 0 // h's windows ascend, so each search starts at the last hit
+	for k, win := range h.windows {
+		var fw freqWindow
+		fw, i = s.freq.window(i, win)
+		for j := h.off[k]; j < h.off[k+1]; j++ {
+			c.IDF[j] = idfs[fw.count(h.cells[j])]
+		}
 	}
 }

@@ -2,11 +2,13 @@ package history
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"slim/internal/geo"
 	"slim/internal/model"
+	"slim/internal/testenv"
 )
 
 func compiledTestStore(t testing.TB) *Store {
@@ -189,6 +191,119 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 				!slices.Equal(a.IDF, b.IDF) || !slices.Equal(a.WinRecs, b.WinRecs) {
 				t.Fatalf("step %d: compiled views of %s differ", step, e)
 			}
+		}
+	}
+}
+
+// TestCompileEpochOnlyRefreshesInPlace pins what an epoch move costs the
+// views it leaves standing. On an SM side with region records mixed in,
+// one Add opens a new bin for one entity: every view is stale, yet only
+// the touched entity's is rebuilt — every other keeps its *Compiled — and
+// every view's IDF weights and window sums are bit for bit those of a
+// fresh Build over the same records. What a Compile after such an Add
+// allocates is bounded by the touched entity alone, not by the store's
+// size.
+func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
+	e := freqTestSide()
+	w := model.Windowing{Epoch: 0, WidthSeconds: 900}
+	s := Build(&e, w, 12)
+	s.Compile(1)
+	before := slices.Clone(s.compiled)
+
+	touched := e.Records[0].Entity
+	ord, _ := s.Ordinals().Lookup(touched)
+	nextWindow := s.maxWindow + 1
+	opensBin := func() model.Record {
+		r := e.Records[0]
+		r.Unix = nextWindow * w.WidthSeconds
+		nextWindow++
+		return r
+	}
+	added := opensBin()
+	epoch := s.Epoch()
+	s.Add(added)
+	if s.Epoch() == epoch {
+		t.Fatal("the added record opened no bin")
+	}
+	if n := s.Compile(1); n != s.NumEntities() {
+		t.Fatalf("Compile after an epoch move refreshed %d views, want all %d", n, s.NumEntities())
+	}
+	for k, c := range s.compiled {
+		if kept := c == before[k]; kept == (uint32(k) == ord) {
+			t.Fatalf("ordinal %d (touched: %v): view kept = %v", k, uint32(k) == ord, kept)
+		}
+	}
+
+	assertViewsMatchBuild(t, s, append(slices.Clone(e.Records), added))
+
+	if testenv.RaceEnabled {
+		return // allocation counts are meaningless under the race detector
+	}
+	// The touched entity's share: its columns and the frequency index's
+	// (a new window each time), a new view of three slices, the goroutine
+	// par.Chunks starts. A rebuild of every view would be ≥ 3 per entity.
+	const budget = 16
+	allocs := testing.AllocsPerRun(20, func() {
+		s.Add(opensBin())
+		s.Compile(1)
+	})
+	t.Logf("Add + Compile over %d entities: %.1f allocations", s.NumEntities(), allocs)
+	if allocs > budget {
+		t.Fatalf("Add + Compile allocate %.1f times, budget %d (the store has %d entities)", allocs, budget, s.NumEntities())
+	}
+}
+
+// TestCompiledViewAtRefreshesConcurrently lets scorers race the lazy
+// refresh: after an epoch move and no Compile, goroutines fetch every view
+// from different starting points, reading each as they go, and every view
+// must then match a fresh Build's. Run under -race it is the
+// data-race gate of refreshing views in place.
+func TestCompiledViewAtRefreshesConcurrently(t *testing.T) {
+	e := freqTestSide()
+	w := model.Windowing{Epoch: 0, WidthSeconds: 900}
+	s := Build(&e, w, 12)
+	s.Compile(1)
+	added := e.Records[0]
+	added.Unix = (s.maxWindow + 1) * w.WidthSeconds
+	s.Add(added)
+
+	n := len(s.histories)
+	done := make(chan float64)
+	for g := range 4 {
+		go func() {
+			var sum float64
+			for k := range n {
+				c, _ := s.CompiledViewAt(uint32((k + g*n/4) % n))
+				for _, x := range c.IDF {
+					sum += x
+				}
+			}
+			done <- sum
+		}()
+	}
+	for range 4 {
+		<-done
+	}
+	assertViewsMatchBuild(t, s, append(slices.Clone(e.Records), added))
+}
+
+// assertViewsMatchBuild requires every view of s to carry IDF weights and
+// window sums Float64bits-equal to those of a fresh Build over recs.
+func assertViewsMatchBuild(t *testing.T, s *Store, recs []model.Record) {
+	t.Helper()
+	fresh := Build(&model.Dataset{Name: "D", Records: recs}, s.Windowing, s.Level)
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, id := range s.Entities() {
+		got, _ := s.CompiledView(id)
+		want, _ := fresh.CompiledView(id)
+		if !slices.Equal(bits(got.IDF), bits(want.IDF)) || !slices.Equal(bits(got.WinRecs), bits(want.WinRecs)) {
+			t.Fatalf("%s: the refreshed view's IDF weights or window sums differ from a fresh build's", id)
 		}
 	}
 }

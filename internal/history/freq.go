@@ -18,6 +18,7 @@ import (
 type freqIndex struct {
 	windows []int64
 	cols    []freqWindow // cols[k] belongs to windows[k]
+	maxDF   int32        // the largest df of any bin
 }
 
 // freqWindow is one window's frequencies: df[j] entities hold cells[j].
@@ -79,18 +80,21 @@ func newFreqIndex(histories []*History, totalBins int) *freqIndex {
 			w.df = append(w.df, 1)
 		}
 		f.cols[k] = w
+		f.maxDF = max(f.maxDF, slices.Max(w.df)) // a window holds at least one bin
 	}
 	return f
 }
 
 // window returns the frequencies of one window (empty when no entity has
-// a bin there).
-func (f *freqIndex) window(win int64) freqWindow {
-	k, ok := slices.BinarySearch(f.windows, win)
+// a bin there) and its position, searching from position i on: a caller
+// walking ascending windows passes the position the last one returned.
+func (f *freqIndex) window(i int, win int64) (freqWindow, int) {
+	j, ok := slices.BinarySearch(f.windows[i:], win)
+	i += j
 	if !ok {
-		return freqWindow{}
+		return freqWindow{}, i
 	}
-	return f.cols[k]
+	return f.cols[i], i
 }
 
 // count returns how many entities hold the cell in this window.
@@ -114,8 +118,10 @@ func (f *freqIndex) add(b Bin) {
 	j, ok := slices.BinarySearch(w.cells, b.Cell)
 	if ok {
 		w.df[j]++
+		f.maxDF = max(f.maxDF, w.df[j])
 		return
 	}
 	w.cells = slices.Insert(w.cells, j, b.Cell)
 	w.df = slices.Insert(w.df, j, 1)
+	f.maxDF = max(f.maxDF, 1)
 }

@@ -31,10 +31,11 @@ func sortBuildFreqIndex(histories []*History) *freqIndex {
 		w := &f.cols[len(f.cols)-1]
 		if n := len(w.cells); n > 0 && w.cells[n-1] == b.Cell {
 			w.df[n-1]++
-			continue
+		} else {
+			w.cells = append(w.cells, b.Cell)
+			w.df = append(w.df, 1)
 		}
-		w.cells = append(w.cells, b.Cell)
-		w.df = append(w.df, 1)
+		f.maxDF = max(f.maxDF, w.df[len(w.df)-1])
 	}
 	return f
 }

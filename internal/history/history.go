@@ -137,8 +137,8 @@ func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, l
 func (h *History) add(b Bin, weight float64) bool {
 	k, ok := slices.BinarySearch(h.windows, b.Window)
 	if !ok {
-		h.windows = slices.Insert(h.windows, k, b.Window)
-		h.off = slices.Insert(h.off, k, h.off[k]) // an empty window k
+		h.windows = insert(h.windows, k, b.Window)
+		h.off = insert(h.off, k, h.off[k]) // an empty window k
 	}
 	lo, hi := int(h.off[k]), int(h.off[k+1])
 	j, ok := slices.BinarySearch(h.cells[lo:hi], b.Cell)
@@ -147,12 +147,24 @@ func (h *History) add(b Bin, weight float64) bool {
 		h.counts[j] += weight
 		return false
 	}
-	h.cells = slices.Insert(h.cells, j, b.Cell)
-	h.counts = slices.Insert(h.counts, j, weight)
+	h.cells = insert(h.cells, j, b.Cell)
+	h.counts = insert(h.counts, j, weight)
 	for i := k + 1; i < len(h.off); i++ {
 		h.off[i]++
 	}
 	return true
+}
+
+// insert is slices.Insert of one element, except that a full column grows
+// by a quarter (plus one) where append would double it — as it does every
+// slice under 256 elements. A streamed history gains a bin or two per
+// flush, so doubling its exactly sized columns would leave most of each
+// empty.
+func insert[S ~[]E, E any](s S, i int, v E) S {
+	if len(s) == cap(s) {
+		s = append(make(S, 0, len(s)+len(s)/4+1), s...)
+	}
+	return slices.Insert(s, i, v)
 }
 
 // Windows returns the sorted leaf window indices with at least one record.
@@ -176,21 +188,6 @@ func (h *History) WindowBins(window int64) ([]geo.CellID, []float64) {
 	}
 	lo, hi := h.off[k], h.off[k+1]
 	return h.cells[lo:hi:hi], h.counts[lo:hi:hi]
-}
-
-// CellsAt returns a freshly built cell→record-weight map of the given leaf
-// window (nil if the entity has no records there). It is the convenience
-// form for reference implementations; hot paths read WindowBins.
-func (h *History) CellsAt(window int64) map[geo.CellID]float64 {
-	cells, counts := h.WindowBins(window)
-	if len(cells) == 0 {
-		return nil
-	}
-	m := make(map[geo.CellID]float64, len(cells))
-	for i, c := range cells {
-		m[c] = counts[i]
-	}
-	return m
 }
 
 // NumBins returns |H_u|: the number of distinct time-location bins.
@@ -318,11 +315,15 @@ type Store struct {
 	// Compiled read path: per-ordinal flat views plus the dense cell
 	// interner shared by all of them (cells[i] is the cell with index i).
 	// compMu lets concurrent scorers take the read path while lazy
-	// recompiles serialize on the write side.
+	// recompiles serialize on the write side; it also guards Compile's
+	// reused list of stale ordinals and the IDF table (see idfTableLocked).
 	compMu    sync.RWMutex
 	compiled  []*Compiled
 	cellIndex map[geo.CellID]int32
 	cells     []geo.CellGeom
+	stale     []uint32
+	idfs      []float64
+	idfsN     int
 }
 
 // Build constructs the histories of every entity of the dataset at the
@@ -463,7 +464,8 @@ func (s *Store) IDF(b Bin) float64 {
 	if n == 0 {
 		return 0
 	}
-	return idf(n, s.freq.window(b.Window).count(b.Cell))
+	fw, _ := s.freq.window(0, b.Window)
+	return idf(n, fw.count(b.Cell))
 }
 
 // idf is Eq. 3 for a bin that df of n entities hold; a bin no entity

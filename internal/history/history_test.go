@@ -26,6 +26,21 @@ func buildSingle(t *testing.T, recs []model.Record, level int) *History {
 	return s.History(s.Entities()[0])
 }
 
+// cellsAt rebuilds a window's cell→record-weight map from WindowBins (nil
+// if the entity has no records there): the form the tests' reference
+// walks read.
+func cellsAt(h *History, window int64) map[geo.CellID]float64 {
+	cells, counts := h.WindowBins(window)
+	if len(cells) == 0 {
+		return nil
+	}
+	m := make(map[geo.CellID]float64, len(cells))
+	for i, c := range cells {
+		m[c] = counts[i]
+	}
+	return m
+}
+
 func TestHistoryBasicShape(t *testing.T) {
 	recs := []model.Record{
 		rec("a", 37.7749, -122.4194, 0),    // window 0
@@ -44,7 +59,7 @@ func TestHistoryBasicShape(t *testing.T) {
 	if len(wins) != 3 || wins[0] != 0 || wins[1] != 1 || wins[2] != 2 {
 		t.Errorf("Windows = %v", wins)
 	}
-	cells := h.CellsAt(0)
+	cells := cellsAt(h, 0)
 	if len(cells) != 1 {
 		t.Fatalf("window 0 cells = %d, want 1", len(cells))
 	}
@@ -53,7 +68,7 @@ func TestHistoryBasicShape(t *testing.T) {
 			t.Errorf("window 0 weight = %g, want 2", n)
 		}
 	}
-	if h.CellsAt(99) != nil {
+	if cellsAt(h, 99) != nil {
 		t.Error("missing window should return nil")
 	}
 }

@@ -99,6 +99,25 @@ func TestIncrementalAddMatchesBuild(t *testing.T) {
 	assertStoresEqual(t, inc, full)
 }
 
+// TestIncrementalAddGrowsColumnsByAQuarter streams records into a built
+// store and holds every column of every history to at most a quarter (plus
+// one) of slack after each Add: a full column grows by a quarter, where
+// append would double a short one.
+func TestIncrementalAddGrowsColumnsByAQuarter(t *testing.T) {
+	recs := randomRecords(2000, 3)
+	s := Build(&model.Dataset{Name: "s", Records: recs[:200]}, testWindowing, 13)
+	bounded := func(n, c int) bool { return c <= n+n/4+1 }
+	for i, r := range recs[200:] {
+		h := s.HistoryAt(s.Add(r))
+		if !bounded(len(h.windows), cap(h.windows)) || !bounded(len(h.off), cap(h.off)) ||
+			!bounded(len(h.cells), cap(h.cells)) || !bounded(len(h.counts), cap(h.counts)) {
+			t.Fatalf("add %d: %s's columns (len/cap) windows %d/%d, off %d/%d, cells %d/%d, counts %d/%d",
+				i, h.Entity, len(h.windows), cap(h.windows), len(h.off), cap(h.off),
+				len(h.cells), cap(h.cells), len(h.counts), cap(h.counts))
+		}
+	}
+}
+
 func TestIncrementalAddFromEmpty(t *testing.T) {
 	recs := randomRecords(200, 2)
 	full := Build(&model.Dataset{Name: "f", Records: recs}, testWindowing, 12)

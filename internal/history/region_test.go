@@ -28,7 +28,7 @@ func TestRegionRecordSpreadsWeight(t *testing.T) {
 	if h.NumRecords() != 1 {
 		t.Fatalf("NumRecords = %d, want 1", h.NumRecords())
 	}
-	cells := h.CellsAt(0)
+	cells := cellsAt(h, 0)
 	if len(cells) < 4 {
 		t.Fatalf("region spread over %d cells, want several", len(cells))
 	}
@@ -92,7 +92,7 @@ func TestRegionZeroRadiusIsPoint(t *testing.T) {
 	}}
 	s := Build(&p, testWindowing, 13)
 	h := s.History("a")
-	cells := h.CellsAt(0)
+	cells := cellsAt(h, 0)
 	if len(cells) != 1 {
 		t.Fatalf("point record spread over %d cells", len(cells))
 	}

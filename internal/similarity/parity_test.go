@@ -87,6 +87,20 @@ func refScore(e, i *history.Store, p Params, u, v model.EntityID, st *refStats) 
 	return total
 }
 
+// cellsAt rebuilds a window's cell→record-weight map from WindowBins (nil
+// if the entity has no records there): the form the map walks read.
+func cellsAt(h *history.History, window int64) map[geo.CellID]float64 {
+	cells, counts := h.WindowBins(window)
+	if len(cells) == 0 {
+		return nil
+	}
+	m := make(map[geo.CellID]float64, len(cells))
+	for i, c := range cells {
+		m[c] = counts[i]
+	}
+	return m
+}
+
 func refSortedCells(cells map[geo.CellID]float64) []geo.CellID {
 	out := make([]geo.CellID, 0, len(cells))
 	for c := range cells {
@@ -101,18 +115,18 @@ func refSortedCells(cells map[geo.CellID]float64) []geo.CellID {
 }
 
 func refScoreWindow(e, i *history.Store, p Params, hu, hv *history.History, w int64, norm float64, st *refStats) float64 {
-	cellsU := refSortedCells(hu.CellsAt(w))
-	cellsV := refSortedCells(hv.CellsAt(w))
+	cellsU := refSortedCells(cellsAt(hu, w))
+	cellsV := refSortedCells(cellsAt(hv, w))
 	if len(cellsU) == 0 || len(cellsV) == 0 {
 		return 0
 	}
 	st.binCmp += int64(len(cellsU) * len(cellsV))
 	var recsU, recsV float64
 	for _, c := range cellsU {
-		recsU += hu.CellsAt(w)[c]
+		recsU += cellsAt(hu, w)[c]
 	}
 	for _, c := range cellsV {
-		recsV += hv.CellsAt(w)[c]
+		recsV += cellsAt(hv, w)[c]
 	}
 	st.recCmp += int64(recsU*recsV + 0.5)
 
@@ -217,8 +231,8 @@ func refProbeRatio(e, i *history.Store, p Params, u, v model.EntityID) (float64,
 	}
 	var num, den float64
 	forEachCommonWindow(hu.Windows(), hv.Windows(), func(w int64) {
-		cellsU := refSortedCells(hu.CellsAt(w))
-		cellsV := refSortedCells(hv.CellsAt(w))
+		cellsU := refSortedCells(cellsAt(hu, w))
+		cellsV := refSortedCells(cellsAt(hv, w))
 		if len(cellsU) == 0 || len(cellsV) == 0 {
 			return
 		}
