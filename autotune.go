@@ -5,13 +5,9 @@ import (
 )
 
 // TuneCurve is the spatial-level probe curve of one dataset: the average
-// pair/self-similarity ratio per candidate level and the detected elbow.
-type TuneCurve struct {
-	Levels []int
-	Ratios []float64
-	Elbow  int
-	Level  int
-}
+// pair/self-similarity ratio per candidate level and the detected elbow
+// (Level() is the level at it).
+type TuneCurve = tuning.Curve
 
 // AutoTuneSpatialLevel runs the Sec. 3.3 probe on both datasets and
 // returns the level SLIM should use (the higher of the two elbows),
@@ -25,14 +21,5 @@ func AutoTuneSpatialLevel(dsE, dsI Dataset, cfg Config) (int, TuneCurve, TuneCur
 	opt.MaxSpeedKmPerMin = cfg.MaxSpeedKmPerMin
 	opt.B = cfg.B
 	level, c1, c2 := tuning.AutoSpatialLevelPair(&dsE, &dsI, opt)
-	return level, toTuneCurve(c1), toTuneCurve(c2), nil
-}
-
-func toTuneCurve(c tuning.Curve) TuneCurve {
-	return TuneCurve{
-		Levels: c.Levels,
-		Ratios: c.Ratio,
-		Elbow:  c.Elbow,
-		Level:  c.Level(),
-	}
+	return level, c1, c2, nil
 }

@@ -353,7 +353,7 @@ func TestCLISlimdChaos(t *testing.T) {
 	// boot never runs on its own with a 1h debounce, so that run is ours).
 	baseArgs := []string{"-addr", "127.0.0.1:0", "-debounce", "1h",
 		"-threshold", "none", "-data-dir", dataDir, "-fsync-interval", "0",
-		"-snapshot-every", "-1", "-snapshot-bytes", "-1"}
+		"-snapshot-every", "-1"}
 	chaosArgs := append(append([]string{}, baseArgs...),
 		"-fault", "fs.sync:error:after=3:count=1,engine.relink:panic=chaos:count=1")
 

@@ -15,9 +15,9 @@
 // with two CSV datasets (entity,lat,lng,unix), which are linked once at
 // boot. With -data-dir, the seed datasets are written to the directory
 // once, every acknowledged ingest batch is durably logged to a write-ahead
-// log before it is accepted, a checkpoint (-snapshot-every,
-// -snapshot-bytes, POST /v1/snapshot, shutdown) persists the published
-// links beside the log, and a restart (even after kill -9) rebuilds the
+// log before it is accepted, a checkpoint (every -snapshot-every relinks,
+// POST /v1/snapshot, shutdown) persists the published links beside the
+// log, and a restart (even after kill -9) rebuilds the
 // full state from the seeds and the whole log before /readyz reports
 // ready. The directory is the only copy of the records and nothing in it
 // is truncated. Linkage flags mirror slim-link: -window, -level,
@@ -74,8 +74,7 @@ func main() {
 
 		dataDir       = flag.String("data-dir", "", "durable data directory (seed base + WAL + result checkpoints); empty = in-memory only")
 		fsyncInterval = flag.Duration("fsync-interval", storage.DefaultFsyncInterval, "WAL group-commit window (0 = fsync every append, <0 = never fsync)")
-		snapshotEvery = flag.Int("snapshot-every", storage.DefaultSnapshotEveryRuns, "checkpoint after this many relinks (<0 = only on WAL growth/shutdown)")
-		snapshotBytes = flag.Int64("snapshot-bytes", storage.DefaultSnapshotBytes, "checkpoint once this many WAL bytes were appended (<0 = never on bytes)")
+		snapshotEvery = flag.Int("snapshot-every", storage.DefaultSnapshotEveryRuns, "checkpoint after this many relinks (<0 = only on POST /v1/snapshot and shutdown)")
 
 		linkage = linkflags.Bind(flag.CommandLine)
 	)
@@ -144,7 +143,6 @@ func main() {
 		eng, store, info, err = storage.Recover(*dataDir, dsE, dsI, engCfg, storage.Options{
 			FsyncInterval:     *fsyncInterval,
 			SnapshotEveryRuns: *snapshotEvery,
-			SnapshotBytes:     *snapshotBytes,
 			Logger:            logger,
 			Registry:          registry,
 			FS:                fs,

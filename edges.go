@@ -1,8 +1,6 @@
 package slim
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"slim/internal/candidates"
@@ -36,7 +34,7 @@ type EdgeStoreStats struct {
 	// store maintenance; excludes matching).
 	LastUpdate time.Duration `json:"last_update_ms"`
 	// ResidentBytes estimates the store's resident memory: a fixed map cost
-	// per retained pair (see edgePairBytes) plus the link list while cached.
+	// per retained pair (see edgePairBytes).
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
@@ -82,14 +80,9 @@ type edge struct {
 // edgePairBytes is the estimated resident cost of one retained edge: one
 // 49-byte map slot (8-byte packed pair, the 40-byte edge, control byte). Go
 // sizes a map to a power of two, so a live entry costs between 8/7 and 16/7
-// of its slot — 56 to 112 B; the constant is the middle. The link list adds
-// edgeLinkBytes per edge (two string headers and the score) only while it
-// is cached. Entity ids cost nothing either way: a Link's strings share
-// the bytes the side's entity table already holds.
-const (
-	edgePairBytes = 84
-	edgeLinkBytes = 40
-)
+// of its slot — 56 to 112 B; the constant is the middle. The store keeps
+// no link list: materialize builds one for its caller and keeps nothing.
+const edgePairBytes = 84
 
 // scoredPair is one candidate pair (candidates.Key) with its score.
 type scoredPair struct {
@@ -131,10 +124,6 @@ type edgeStore struct {
 	// seq is the run sequence of the last update (see Linker.Rescore for
 	// how it is assigned).
 	seq uint64
-	// links caches the sorted materialization of pairs: built by a full
-	// rescore, dropped by the first delta update that changes the edge set
-	// (nil means none is current) and rebuilt on demand (see materialize).
-	links []Link
 
 	// Pending work accumulated between runs: pairs to (re)score, pairs to
 	// drop, and a forced-full flag, set on candidate-index rebuilds (the
@@ -179,15 +168,6 @@ func (es *edgeStore) link(p uint64, score float64) Link {
 	return Link{U: es.idsE.ID(u), V: es.idsI.ID(v), Score: score}
 }
 
-// sortLinks imposes the canonical (U, V) id order on materialised edges.
-// Candidates and scores are enumerated in packed-pair order, which agrees
-// with it only while ordinals happen to be in id order.
-func sortLinks(links []Link) {
-	slices.SortFunc(links, func(a, b Link) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
-}
-
 // mergeDelta folds one candidate-index Delta into the pending work set.
 // Later deltas win: a pair removed after being queued for rescore is
 // dropped, and vice versa, so the pending sets always describe the net
@@ -220,25 +200,16 @@ func (es *edgeStore) mergeDelta(d candidates.Delta) {
 // already retained keep their RetainedSinceSeq tenure; everything is (by
 // definition) rescored, so every pair's rescored-seq, last-full-seq and
 // score-at-last-full move to this run.
-//
-// It is the one update that builds the link list itself: the reader is
-// certain (the next Publish rebuilds the tail from the whole list) and the
-// pairs arrive in packed-key order — the id order whenever ordinals follow
-// it — so the sort finds its input sorted; the map would hand them back in
-// hash order.
 func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
 	old := es.pairs
 	es.pairs = make(map[uint64]edge, len(edges))
-	es.links = make([]Link, len(edges))
-	for k, sp := range edges {
+	for _, sp := range edges {
 		e := edge{score: sp.score, rescoredSeq: seq, sinceSeq: seq, fullSeq: seq, fullScore: sp.score}
 		if prev, ok := old[sp.key]; ok {
 			e.sinceSeq = prev.sinceSeq
 		}
 		es.pairs[sp.key] = e
-		es.links[k] = es.link(sp.key, sp.score)
 	}
-	sortLinks(es.links)
 	es.pendFull = false
 	clear(es.pendRescore)
 	clear(es.pendRemoved)
@@ -259,7 +230,6 @@ func (es *edgeStore) apply(pairs []uint64, scores []float64, seq uint64) (droppe
 	es.deltaRemoved = es.deltaRemoved[:0]
 	drop := func(p uint64, old float64) {
 		delete(es.pairs, p)
-		es.links = nil
 		es.deltaRemoved = append(es.deltaRemoved, es.link(p, old))
 		dropped++
 	}
@@ -273,7 +243,6 @@ func (es *edgeStore) apply(pairs []uint64, scores []float64, seq uint64) (droppe
 		e, had := es.pairs[p]
 		if s > 0 {
 			if !had || e.score != s {
-				es.links = nil
 				if had {
 					es.deltaRemoved = append(es.deltaRemoved, es.link(p, e.score))
 				}
@@ -314,21 +283,17 @@ func (es *edgeStore) lineage(p uint64) EdgeLineage {
 	}
 }
 
-// materialize returns the retained edges in canonical (U, V) order,
-// building the list only when none is cached, i.e. after a delta update
-// changed the edge set. The relink path does not need it then (the publish
-// tail consumes delta()); RunEdges' callers and a tail that missed a delta
-// do. The returned slice (never nil) is shared until the edge set next
-// changes; callers must not modify it.
+// materialize returns the retained edges in a freshly allocated slice
+// (never nil) the caller owns, in the map's hash order. Its readers are a
+// publish tail rebuilding in full, which sorts it into greedy order
+// itself, and RunEdges, which sorts it by id; a delta relink reads
+// delta() instead.
 func (es *edgeStore) materialize() []Link {
-	if es.links == nil {
-		es.links = make([]Link, 0, len(es.pairs))
-		for p, e := range es.pairs {
-			es.links = append(es.links, es.link(p, e.score))
-		}
-		sortLinks(es.links)
+	links := make([]Link, 0, len(es.pairs))
+	for p, e := range es.pairs {
+		links = append(links, es.link(p, e.score))
 	}
-	return es.links
+	return links
 }
 
 // delta returns the edge-level delta of the last update, for the
@@ -354,6 +319,6 @@ func (es *edgeStore) statsSnapshot() *EdgeStoreStats {
 		Dropped:       es.lastDropped,
 		FullRescore:   es.lastFull,
 		LastUpdate:    es.lastUpdate,
-		ResidentBytes: int64(len(es.pairs))*edgePairBytes + int64(len(es.links))*edgeLinkBytes,
+		ResidentBytes: int64(len(es.pairs)) * edgePairBytes,
 	}
 }

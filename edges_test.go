@@ -24,10 +24,11 @@ func sideTable(prefix string, n int) *history.Ordinals {
 }
 
 // TestEdgeStoreResidentBytesEstimate holds EdgeStoreStats.ResidentBytes —
-// slim_edge_store_resident_bytes on /metrics — to within 2× of what a
-// 20k-edge store actually retains after a full rescore and a delta update
-// that touches a tenth of the edges: first as a relink leaves it (no link
-// list), then with the list materialised.
+// slim_edge_store_resident_bytes on /metrics — to the pair map alone
+// (Pairs × edgePairBytes) after a full rescore and after a delta update
+// that touches a tenth of the edges, and to within 2× of what the 20k-edge
+// store actually retains. Materialising the edge set, as RunEdges and a
+// full tail rebuild do, leaves the store's footprint unchanged.
 func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
@@ -42,13 +43,22 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 			full = append(full, scoredPair{key: candidates.Key(u, v), score: 1 + float64(u*nI+v)})
 		}
 	}
+	mapOnly := func(state string) {
+		t.Helper()
+		if st := es.statsSnapshot(); st.Pairs != nE*nI || st.ResidentBytes != st.Pairs*edgePairBytes {
+			t.Fatalf("%s: %d B for %d pairs, want the map alone (%d B a pair)",
+				state, st.ResidentBytes, st.Pairs, edgePairBytes)
+		}
+	}
 	es.resetFull(full, 1)
+	mapOnly("after a full update")
 	var pairs []uint64
 	var scores []float64
 	for k := 0; k < len(full); k += 10 {
 		pairs, scores = append(pairs, full[k].key), append(scores, full[k].score+0.5)
 	}
 	es.apply(pairs, scores, 2)
+	mapOnly("after a delta update")
 	full, pairs, scores = nil, nil, nil
 
 	check := func(state string) {
@@ -60,14 +70,12 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 			t.Errorf("%s: ResidentBytes estimate %d is not within 2x of the measured %d", state, estimate, measured)
 		}
 	}
-	if es.links != nil {
-		t.Fatal("a relink must leave no link list behind")
-	}
-	check("no link list")
+	check("after a delta update")
 	if links := es.materialize(); len(links) != nE*nI {
 		t.Fatalf("store holds %d edges, want %d", len(links), nE*nI)
 	}
-	check("list cached")
+	mapOnly("after materialize")
+	check("after materialize")
 	runtime.KeepAlive(es)
 }
 
@@ -75,10 +83,10 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 // edge store through its delta alone. Re-observations that shift
 // dominating cells move pairs in and out of the LSH candidate set without
 // touching an IDF epoch, so edges change on the delta path; after such a
-// Rescore + Publish the store must hold no materialised link list, the
-// published result must equal Run's on a twin linker bit for bit, and a
-// later RunEdges must still hand out the whole edge set in canonical
-// (U, V) order.
+// Rescore + Publish the tail must not have rebuilt from a materialised
+// list, the published result must equal Run's on a twin linker bit for
+// bit, and a later RunEdges must still hand out the whole edge set in
+// canonical (U, V) order — in a fresh slice per call.
 func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
@@ -92,9 +100,6 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 		return lk
 	}
 	lk, twin := newWarm(), newWarm()
-	if lk.edges.links == nil {
-		t.Fatal("a full rescore builds the link list its Publish rebuilds the tail from")
-	}
 
 	changed := 0
 	for burst := 0; burst < 8; burst++ {
@@ -116,14 +121,14 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 		}
 		if d := lk.edges.delta(); len(d.Changed)+len(d.Removed) > 0 {
 			changed++
-			if lk.edges.links != nil {
-				t.Fatalf("burst %d: a delta relink that changed %d edges materialised the link list",
+			if ts := lk.PublishTailStats(); ts.LastFull {
+				t.Fatalf("burst %d: a delta relink that changed %d edges rebuilt the tail from the whole list",
 					burst, len(d.Changed)+len(d.Removed))
 			}
 		}
 		want := twin.Run()
 		if !sameLinksBits(matched, want.Matched) || !sameLinksBits(links, want.Links) ||
-			math.Float64bits(thr.Threshold) != math.Float64bits(want.Threshold) || thr.Method != want.ThresholdMethod {
+			math.Float64bits(thr.Threshold) != math.Float64bits(want.Threshold) || string(thr.Method) != want.ThresholdMethod {
 			t.Fatalf("burst %d: Rescore+Publish diverged from Run on the twin", burst)
 		}
 		wes := want.Stats.EdgeStore
@@ -150,16 +155,27 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 	if !sameLinksBits(edges, wantEdges) {
 		t.Fatal("RunEdges after delta relinks differs from the twin's")
 	}
+
+	// Every RunEdges call hands out its own slice: the two are equal and
+	// distinct, and writing into one leaves the other as it was.
+	again, _ := lk.RunEdges()
+	if len(again) == 0 || &again[0] == &edges[0] || !sameLinksBits(again, edges) {
+		t.Fatalf("two RunEdges calls must return distinct, equal slices (%d and %d edges)", len(edges), len(again))
+	}
+	kept := slices.Clone(again)
+	edges[0] = Link{U: "overwritten", V: "overwritten", Score: -1}
+	if !sameLinksBits(again, kept) {
+		t.Fatal("writing into one RunEdges slice changed another")
+	}
 }
 
-// TestResidentBytesCoverListBuiltByPublish: Publish reads the store's whole
-// link list when its tail missed a delta, and what it built must show in
-// EdgeStoreStats — internal/engine snapshots the store after Publish for
-// this reason. A first Rescore goes unpublished; re-observations then
-// change an edge on the delta path, which drops the list; the Publish that
-// follows finds a sequence gap, rebuilds the tail from the whole list and
-// so materialises it.
-func TestResidentBytesCoverListBuiltByPublish(t *testing.T) {
+// TestResidentBytesExcludeListHandedToTail: a Publish whose tail missed a
+// delta rebuilds it from the whole edge set, and the tail adopts that
+// list; the store keeps none, so its reported size stays the pair map
+// alone. A first Rescore goes unpublished; re-observations then change an
+// edge on the delta path; the Publish that follows finds a sequence gap
+// and rebuilds the tail in full.
+func TestResidentBytesExcludeListHandedToTail(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
 	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
@@ -168,7 +184,7 @@ func TestResidentBytesCoverListBuiltByPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	lk.Rescore()
-	for burst := 0; lk.edges.links != nil; burst++ {
+	for burst := 0; ; burst++ {
 		if burst == 8 {
 			t.Fatal("no burst changed an edge on the delta path; the test is vacuous")
 		}
@@ -179,19 +195,21 @@ func TestResidentBytesCoverListBuiltByPublish(t *testing.T) {
 		if lk.Rescore().EdgeStore.FullRescore {
 			t.Fatalf("burst %d: re-observations forced a full rescore", burst)
 		}
+		if d := lk.edges.delta(); len(d.Changed)+len(d.Removed) > 0 {
+			break
+		}
 	}
-	es := lk.EdgeStoreStats()
-	if es.Pairs == 0 || es.ResidentBytes != es.Pairs*edgePairBytes {
+	before := lk.EdgeStoreStats()
+	if before.Pairs == 0 || before.ResidentBytes != before.Pairs*edgePairBytes {
 		t.Fatalf("after the delta rescore: %d B for %d pairs, want the map alone (%d B a pair)",
-			es.ResidentBytes, es.Pairs, edgePairBytes)
+			before.ResidentBytes, before.Pairs, edgePairBytes)
 	}
 	lk.Publish()
-	if ts := lk.PublishTailStats(); !ts.LastFull {
-		t.Fatalf("a tail that missed a delta must rebuild in full: %+v", ts)
+	if ts := lk.PublishTailStats(); !ts.LastFull || ts.Edges != int(before.Pairs) {
+		t.Fatalf("a tail that missed a delta must rebuild in full from all %d edges: %+v", before.Pairs, ts)
 	}
-	es = lk.EdgeStoreStats()
-	if es.ResidentBytes != es.Pairs*(edgePairBytes+edgeLinkBytes) {
-		t.Fatalf("after Publish built the list: %d B for %d pairs, want %d B a pair",
-			es.ResidentBytes, es.Pairs, edgePairBytes+edgeLinkBytes)
+	if after := lk.EdgeStoreStats(); after.ResidentBytes != before.ResidentBytes {
+		t.Fatalf("after Publish handed the list to the tail: %d B, want the map alone (%d B)",
+			after.ResidentBytes, before.ResidentBytes)
 	}
 }

@@ -330,8 +330,8 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 	reg.GaugeFunc("slim_link_version",
 		"Version of the current published result.",
 		func() float64 { return float64(e.Stats().Version) })
-	// Edge-store memory visibility: materialize's output is the only place
-	// links exist between runs, so its size must be observable before any
+	// Edge-store memory visibility: the pair map is where scored edges live
+	// between runs, so its size must be observable before any
 	// tiering/retention lands.
 	reg.GaugeFunc("slim_edge_store_pairs",
 		"Retained scored edges in the edge store.",
@@ -344,22 +344,22 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 		func() float64 { return float64(orZero(e.Stats().PublishTail).Edges) })
 	reg.GaugeFunc("slim_publish_tail_reused_prefix_len",
 		"Matched links the latest publish reused verbatim from the previous run.",
-		func() float64 { return float64(orZero(e.Stats().PublishTail).ReusedPrefixLen) })
+		func() float64 { return float64(orZero(e.Stats().PublishTail).ReusedPrefix) })
 	reg.GaugeFunc("slim_publish_tail_suffix_walked",
 		"Sorted-order entries the latest publish re-walked below the first changed position.",
 		func() float64 { return float64(orZero(e.Stats().PublishTail).SuffixWalked) })
 	reg.CounterFunc("slim_publish_tail_full_rebuilds_total",
 		"Publish-tail full merge+match rebuilds (first build, epoch invalidations, failed runs).",
-		func() uint64 { return orZero(e.Stats().PublishTail).FullRebuilds })
+		func() uint64 { return orZero(e.Stats().PublishTail).Rebuilds })
 	reg.CounterFunc("slim_publish_tail_applies_total",
 		"Publish-tail incremental delta applies.",
 		func() uint64 { return orZero(e.Stats().PublishTail).Applies })
 	reg.CounterFunc("slim_threshold_fit_total",
 		"Stop-threshold selections, by whether the detector ran or the cached fit was reused bit-identically.",
-		func() uint64 { return orZero(e.Stats().PublishTail).ThresholdFits }, obs.L("result", "fit"))
+		func() uint64 { return orZero(e.Stats().PublishTail).Fits }, obs.L("result", "fit"))
 	reg.CounterFunc("slim_threshold_fit_total",
 		"Stop-threshold selections, by whether the detector ran or the cached fit was reused bit-identically.",
-		func() uint64 { return orZero(e.Stats().PublishTail).ThresholdReuses }, obs.L("result", "reused"))
+		func() uint64 { return orZero(e.Stats().PublishTail).Reuses }, obs.L("result", "reused"))
 	return m
 }
 
@@ -698,20 +698,19 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 			Links:           links,
 			Matched:         matched,
 			Threshold:       thr.Threshold,
-			ThresholdMethod: thr.Method,
+			ThresholdMethod: string(thr.Method),
 			SpatialLevel:    e.level,
 			Stats:           stats,
 			Elapsed:         time.Since(rec.Start),
 		}
 	})
-	// The edge store is snapshotted after Publish, which builds its link
-	// list when the tail missed a delta: the snapshot supplies the sizes, the
-	// record above the last-run fields.
+	// The layer snapshots supply the sizes, the record above the last-run
+	// fields.
 	rec.layers.edge = e.lk.EdgeStoreStats()
 	tail := e.lk.PublishTailStats()
 	rec.layers.tail = tail
 	rec.MatchDur, rec.ThresholdDur, rec.tailDur = tail.LastMatch, tail.LastThreshold, tail.LastUpdate
-	rec.TailReusedPrefix, rec.tailSuffix = tail.ReusedPrefixLen, tail.SuffixWalked
+	rec.TailReusedPrefix, rec.tailSuffix = tail.ReusedPrefix, tail.SuffixWalked
 	rec.TailFullRebuild = tail.LastFull
 	return &res
 }
@@ -897,7 +896,7 @@ func (e *Engine) Stats() Stats {
 	}
 	if r.layers.tail != nil {
 		tail := *r.layers.tail
-		tail.ReusedPrefixLen, tail.SuffixWalked, tail.LastFull = r.TailReusedPrefix, r.tailSuffix, r.TailFullRebuild
+		tail.ReusedPrefix, tail.SuffixWalked, tail.LastFull = r.TailReusedPrefix, r.tailSuffix, r.TailFullRebuild
 		tail.LastUpdate, tail.LastMatch, tail.LastThreshold = r.tailDur, r.MatchDur, r.ThresholdDur
 		st.PublishTail = &tail
 	}

@@ -47,8 +47,8 @@ type RunRecord struct {
 	// TailReusedPrefix is how many matched links the publish tail reused
 	// verbatim from the previous run; TailFullRebuild reports whether the
 	// tail fell back to a full sort+match rebuild.
-	TailReusedPrefix int64 `json:"tail_reused_prefix"`
-	TailFullRebuild  bool  `json:"tail_full_rebuild"`
+	TailReusedPrefix int  `json:"tail_reused_prefix"`
+	TailFullRebuild  bool `json:"tail_full_rebuild"`
 	// Per-stage wall-clock durations, one per slim_relink_stage_seconds
 	// label; IndexDur is a subset of RescoreDur.
 	ApplyDur     time.Duration `json:"stages.apply_ms"`
@@ -64,7 +64,7 @@ type RunRecord struct {
 	// and publish tail's own wall times.
 	indexDirty       int
 	indexRebuild     bool
-	tailSuffix       int64
+	tailSuffix       int
 	edgeDur, tailDur time.Duration
 	// mark is the freshness watermark taken before the run drained: the
 	// ack sequence the run makes link-visible if it does not fail.

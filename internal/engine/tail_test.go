@@ -47,7 +47,7 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 		t.Fatal("baseline run produced no links")
 	}
 	st := eng.Stats()
-	if st.PublishTail == nil || st.PublishTail.FullRebuilds == 0 || !st.PublishTail.LastFull {
+	if st.PublishTail == nil || st.PublishTail.Rebuilds == 0 || !st.PublishTail.LastFull {
 		t.Fatalf("first run must full-build the tail: %+v", st.PublishTail)
 	}
 
@@ -59,15 +59,15 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 	requireBitIdenticalLinks(t, "weight-only burst", res.Links, base.Links)
 	ts := eng.Stats().PublishTail
 	if ts == nil || ts.LastFull || ts.Applies == 0 ||
-		ts.ReusedPrefixLen != int64(len(res.Matched)) || ts.SuffixWalked != 0 {
+		ts.ReusedPrefix != len(res.Matched) || ts.SuffixWalked != 0 {
 		t.Fatalf("weight-only burst did not ride the delta path: %+v", ts)
 	}
-	if ts.ThresholdReuses == 0 {
+	if ts.Reuses == 0 {
 		t.Fatalf("identical matched scores must reuse the threshold fit: %+v", ts)
 	}
 	recs, _ := eng.Runs(1, 0)
 	if len(recs) != 1 || recs[0].TailFullRebuild ||
-		recs[0].TailReusedPrefix != int64(len(res.Matched)) {
+		recs[0].TailReusedPrefix != len(res.Matched) {
 		t.Fatalf("journal tail fields wrong: %+v", recs[0])
 	}
 
@@ -87,8 +87,8 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 	if len(recs) != 1 || !recs[0].TailFullRebuild {
 		t.Fatalf("recovery journal record must flag the tail rebuild: %+v", recs[0])
 	}
-	// The rebuild read the store's whole link list, so the reported store
-	// size includes it: it is what the linker holds now.
+	// The rebuild materialised the whole edge set for the tail; the reported
+	// store size is still what the linker holds now.
 	requireResidentBytesCurrent(t, eng)
 }
 

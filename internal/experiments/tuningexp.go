@@ -59,8 +59,8 @@ func tuningRun(name string, w slim.SampledWorkload) (TuningResult, error) {
 	return TuningResult{
 		Dataset:     name,
 		Levels:      cE.Levels,
-		RatiosE:     cE.Ratios,
-		RatiosI:     cI.Ratios,
+		RatiosE:     cE.Ratio,
+		RatiosI:     cI.Ratio,
 		ChosenLevel: level,
 	}, nil
 }

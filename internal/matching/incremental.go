@@ -2,7 +2,6 @@ package matching
 
 import (
 	"slices"
-	"sync"
 
 	"slim/internal/model"
 )
@@ -85,21 +84,23 @@ func (s *denseSet) set(i int) {
 // IncrementalStats describes an Incremental matcher's state and the work
 // profile of its most recent update. ReusedPrefix vs SuffixWalked is the
 // headline: reused matched edges were adopted verbatim from the previous
-// run without touching the used-sets or the edge order above them.
+// run without touching the used-sets or the edge order above them. The
+// json tags are its keys in /v1/stats' publish_tail block (slim's
+// PublishTailStats embeds it).
 type IncrementalStats struct {
 	// Edges is the size of the maintained sorted edge list.
-	Edges int
+	Edges int `json:"edges"`
 	// Matched is the size of the current greedy matching.
-	Matched int
+	Matched int `json:"matched"`
 	// ReusedPrefix is how many matched edges the last update reused
 	// verbatim; SuffixWalked is how many sorted-order entries it
 	// re-walked below the first changed position.
-	ReusedPrefix int
-	SuffixWalked int
+	ReusedPrefix int `json:"reused_prefix_len"`
+	SuffixWalked int `json:"suffix_walked"`
 	// Rebuilds counts full sort+walk rebuilds (first build, epoch
 	// invalidations, inconsistent deltas); Applies counts delta updates.
-	Rebuilds uint64
-	Applies  uint64
+	Rebuilds uint64 `json:"full_rebuilds_total"`
+	Applies  uint64 `json:"applies_total"`
 }
 
 // Incremental maintains the greedy maximum-sum matching of an edge set
@@ -139,10 +140,12 @@ type Incremental struct {
 }
 
 // Rebuild replaces the maintained state with a from-scratch sort and
-// greedy walk over edges (the input is copied, not adopted). It returns
-// the matching, sorted by descending weight; callers may retain it.
+// greedy walk over edges. The input is adopted, not copied: the matcher
+// sorts it in place and keeps it as its order, so the caller must not
+// touch it again. It returns the matching, sorted by descending weight;
+// callers may retain it.
 func (m *Incremental) Rebuild(edges []Edge) []Edge {
-	m.order = append(m.order[:0], edges...)
+	m.order = edges
 	slices.SortFunc(m.order, cmpGreedy)
 	m.built = true
 	m.rebuilds++
@@ -275,34 +278,4 @@ func (m *Incremental) Stats() IncrementalStats {
 		Rebuilds:     m.rebuilds,
 		Applies:      m.applies,
 	}
-}
-
-// greedyScratch pools the dense used-sets of GreedyInPlace so the
-// from-scratch path pays no per-call map allocations either.
-var greedyScratch = sync.Pool{New: func() any { return new(struct{ u, v denseSet }) }}
-
-// GreedyInPlace is Greedy without the defensive copy: it sorts edges in
-// place and runs the greedy scan over pooled dense used-sets. The
-// returned matching is freshly allocated (callers retain it); the input
-// slice is left in cmpGreedy order.
-func GreedyInPlace(edges []Edge) []Edge {
-	slices.SortFunc(edges, cmpGreedy)
-	s := greedyScratch.Get().(*struct{ u, v denseSet })
-	s.u.clear()
-	s.v.clear()
-	// Matched size is bounded by the smaller endpoint set; len/4 matches
-	// the density heuristic of the scoring fan-out's result slots.
-	out := make([]Edge, 0, len(edges)/4+4)
-	for _, e := range edges {
-		ui := s.u.intern(e.U)
-		vi := s.v.intern(e.V)
-		if s.u.has(ui) || s.v.has(vi) {
-			continue
-		}
-		s.u.set(ui)
-		s.v.set(vi)
-		out = append(out, e)
-	}
-	greedyScratch.Put(s)
-	return out
 }

@@ -161,7 +161,7 @@ func TestIncrementalRemovesMatchedEdgeHighInOrder(t *testing.T) {
 		{U: "u3", V: "v3", Score: 0.5},
 	}
 	var m Incremental
-	got := m.Rebuild(edges)
+	got := m.Rebuild(slices.Clone(edges))
 	requireSameMatching(t, got, Greedy(edges))
 	if got[0].Score != 0.9 {
 		t.Fatalf("expected top edge matched first, got %+v", got[0])
@@ -234,7 +234,7 @@ func TestIncrementalTiesAtReuseBoundary(t *testing.T) {
 func TestIncrementalApplyRejectsInconsistentDeltas(t *testing.T) {
 	edges := []Edge{{U: "u1", V: "v1", Score: 0.9}, {U: "u2", V: "v2", Score: 0.5}}
 	var m Incremental
-	m.Rebuild(edges)
+	m.Rebuild(slices.Clone(edges))
 
 	if _, ok := m.Apply([]Edge{{U: "u9", V: "v9", Score: 0.4}}, nil); ok {
 		t.Fatal("Apply accepted a removal of an absent pair")
@@ -259,22 +259,32 @@ func TestIncrementalApplyRejectsInconsistentDeltas(t *testing.T) {
 	}
 }
 
-// TestGreedyInPlaceMatchesGreedy pins the satellite refactor: the pooled
-// in-place variant must produce the identical matching, and Greedy must
-// still leave its input untouched.
-func TestGreedyInPlaceMatchesGreedy(t *testing.T) {
+// TestGreedyPooledScratchIsStateless: Greedy runs on pooled used-sets, so
+// a call must not see what an earlier call on another edge set interned or
+// marked. Alternating two edge sets must reproduce each set's matching
+// bit for bit, equal to a from-scratch Incremental.Rebuild, and leave the
+// input untouched.
+func TestGreedyPooledScratchIsStateless(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	edges := make([]Edge, 0, 64)
-	for i := 0; i < 64; i++ {
-		edges = append(edges, Edge{
-			U: entity("u", rng.Intn(12)), V: entity("v", rng.Intn(12)), Score: quantWeight(rng),
-		})
+	gen := func(prefix string) []Edge {
+		edges := make([]Edge, 0, 64)
+		for i := 0; i < 64; i++ {
+			edges = append(edges, Edge{
+				U: entity(prefix+"u", rng.Intn(12)), V: entity(prefix+"v", rng.Intn(12)), Score: quantWeight(rng),
+			})
+		}
+		return edges
 	}
-	orig := append([]Edge(nil), edges...)
-	want := Greedy(edges)
-	if !slices.Equal(edges, orig) {
+	a, b := gen("a"), gen("b")
+	orig := slices.Clone(a)
+	var m Incremental
+	want := m.Rebuild(slices.Clone(a))
+	first := Greedy(a)
+	Greedy(b)
+	again := Greedy(a)
+	if !slices.Equal(a, orig) {
 		t.Fatal("Greedy modified its input")
 	}
-	scratch := append([]Edge(nil), edges...)
-	requireSameMatching(t, GreedyInPlace(scratch), want)
+	requireSameMatching(t, first, want)
+	requireSameMatching(t, again, want)
 }

@@ -20,14 +20,36 @@ type Edge struct {
 	Score float64        `json:"score"` // similarity score
 }
 
+// greedyScratch pools the dense used-sets of Greedy so a from-scratch
+// matching pays no per-call map allocations.
+var greedyScratch = sync.Pool{New: func() any { return new(struct{ u, v denseSet }) }}
+
 // Greedy performs the paper's greedy maximum-sum matching: repeatedly link
 // the highest-weight remaining edge whose endpoints are both unmatched.
 // Ties are broken by (U, V) id order so the result is deterministic. The
-// input slice is not modified. The returned edges are sorted by descending
-// weight.
+// input slice is not modified. The returned edges are freshly allocated
+// and sorted by descending weight.
 func Greedy(edges []Edge) []Edge {
-	sorted := append([]Edge(nil), edges...)
-	return GreedyInPlace(sorted)
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, cmpGreedy)
+	s := greedyScratch.Get().(*struct{ u, v denseSet })
+	s.u.clear()
+	s.v.clear()
+	// Matched size is bounded by the smaller endpoint set; len/4 matches
+	// the density heuristic of the scoring fan-out's result slots.
+	out := make([]Edge, 0, len(sorted)/4+4)
+	for _, e := range sorted {
+		ui := s.u.intern(e.U)
+		vi := s.v.intern(e.V)
+		if s.u.has(ui) || s.v.has(vi) {
+			continue
+		}
+		s.u.set(ui)
+		s.v.set(vi)
+		out = append(out, e)
+	}
+	greedyScratch.Put(s)
+	return out
 }
 
 // FilterThreshold returns the edges scoring strictly above thr, preserving

@@ -49,8 +49,7 @@ func runServerChaos(t *testing.T, fsyncInterval time.Duration) {
 		storage.Options{
 			FS:                storage.NewFaultFS(storage.OSFS, inj),
 			FsyncInterval:     fsyncInterval,
-			SnapshotEveryRuns: -1, // no checkpoints: every injected disk fault lands on
-			SnapshotBytes:     -1, // the WAL (which retains every batch either way).
+			SnapshotEveryRuns: -1, // no checkpoints: every injected disk fault lands on the WAL
 			ReopenBackoff:     time.Millisecond,
 			ReopenMaxBackoff:  5 * time.Millisecond,
 		})

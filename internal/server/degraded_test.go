@@ -28,7 +28,6 @@ func faultedStorage(fsync time.Duration) storage.Options {
 	return storage.Options{
 		FsyncInterval:     fsync,
 		SnapshotEveryRuns: -1,
-		SnapshotBytes:     -1,
 		ReopenBackoff:     time.Millisecond,
 		ReopenMaxBackoff:  5 * time.Millisecond,
 	}

@@ -58,8 +58,10 @@ const frameHeaderLen = 8
 // castagnoli is the CRC32C table used for every frame checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one CRC-framed payload to dst.
-func appendFrame(dst, payload []byte) []byte {
+// AppendFrame appends one CRC-framed payload to dst — the frame format
+// shared by WAL segments, snapshot sections, and the binary ingest wire
+// (application/x-slim-frame request bodies are a sequence of these).
+func AppendFrame(dst, payload []byte) []byte {
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
@@ -67,44 +69,31 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// AppendFrame appends one CRC-framed payload to dst — the frame format
-// shared by WAL segments, snapshot sections, and the binary ingest wire
-// (application/x-slim-frame request bodies are a sequence of these).
-func AppendFrame(dst, payload []byte) []byte { return appendFrame(dst, payload) }
-
 // ErrTornFrame reports an incomplete or corrupt frame — the expected
 // shape of a crash mid-append at a log tail, or of a truncated ingest
 // request body.
 var ErrTornFrame = errors.New("storage: torn frame")
 
-// errTornFrame is the internal alias (predates the export).
-var errTornFrame = ErrTornFrame
-
 // NextFrame slices one frame off buf, returning the payload and the
 // rest. It returns ErrTornFrame when buf ends mid-frame or the checksum
 // does not match: replay treats that as end-of-log, the ingest edge as a
 // malformed request.
-func NextFrame(buf []byte) (payload, rest []byte, err error) { return nextFrame(buf) }
-
-// nextFrame slices one frame off buf, returning the payload and the rest.
-// It returns errTornFrame when buf ends mid-frame or the checksum does
-// not match: callers replaying a log tail treat that as end-of-log.
-func nextFrame(buf []byte) (payload, rest []byte, err error) {
+func NextFrame(buf []byte) (payload, rest []byte, err error) {
 	if len(buf) < frameHeaderLen {
-		return nil, nil, errTornFrame
+		return nil, nil, ErrTornFrame
 	}
 	n := binary.LittleEndian.Uint32(buf[0:4])
 	if n > maxFramePayload {
-		return nil, nil, errTornFrame
+		return nil, nil, ErrTornFrame
 	}
 	want := binary.LittleEndian.Uint32(buf[4:8])
 	body := buf[frameHeaderLen:]
 	if uint32(len(body)) < n {
-		return nil, nil, errTornFrame
+		return nil, nil, ErrTornFrame
 	}
 	payload = body[:n]
 	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, nil, errTornFrame
+		return nil, nil, ErrTornFrame
 	}
 	return payload, body[n:], nil
 }
@@ -241,12 +230,14 @@ type Batch struct {
 	Recs []slim.Record
 }
 
-// appendBatch appends the payload form of one WAL batch (framing is the
-// WAL's job): uvarint seq | tag byte | records.
-func appendBatch(dst []byte, b Batch) []byte {
-	dst = binary.AppendUvarint(dst, b.Seq)
-	dst = append(dst, b.Tag)
-	return appendRecords(dst, b.Recs)
+// walPayload builds the payload of one WAL batch (framing is the WAL's
+// job): uvarint(seq) followed by the batch's wire form, the tag byte and
+// the record section recordBytes, copied verbatim.
+func walPayload(seq uint64, tag byte, recordBytes []byte) []byte {
+	payload := make([]byte, 0, binary.MaxVarintLen64+1+len(recordBytes))
+	payload = binary.AppendUvarint(payload, seq)
+	payload = append(payload, tag)
+	return append(payload, recordBytes...)
 }
 
 // WireBatch is one ingest batch in the form the write path carries it:
@@ -307,25 +298,16 @@ func DecodeWireBatch(payload []byte) (WireBatch, error) {
 	return b, nil
 }
 
-// decodeBatch decodes a WAL batch payload.
+// decodeBatch decodes a WAL batch payload (see walPayload): the sequence
+// number, then the wire batch DecodeWireBatch reads.
 func decodeBatch(payload []byte) (Batch, error) {
-	r := &byteReader{buf: payload}
-	var b Batch
-	b.Seq = r.uvarint()
-	tag := r.bytes(1)
-	if r.err != nil {
-		return Batch{}, r.err
+	seq, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return Batch{}, errCorrupt
 	}
-	b.Tag = tag[0]
-	if b.Tag != TagE && b.Tag != TagI {
-		return Batch{}, fmt.Errorf("%w: unknown dataset tag %q", errCorrupt, b.Tag)
+	wb, err := DecodeWireBatch(payload[n:])
+	if err != nil {
+		return Batch{}, err
 	}
-	b.Recs = r.readRecords()
-	if r.err != nil {
-		return Batch{}, r.err
-	}
-	if len(r.buf) != 0 {
-		return Batch{}, fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(r.buf))
-	}
-	return b, nil
+	return Batch{Seq: seq, Tag: wb.Tag, Recs: wb.Recs}, nil
 }

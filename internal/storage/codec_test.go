@@ -38,11 +38,17 @@ func quantizeAll(recs []slim.Record) []slim.Record {
 	return out
 }
 
+// batchPayload is the WAL payload of b, built by walPayload as
+// Store.LogEncoded builds it.
+func batchPayload(b Batch) []byte {
+	return walPayload(b.Seq, b.Tag, appendRecords(nil, b.Recs))
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{0, 1, 7, 500} {
 		in := Batch{Seq: uint64(n) + 3, Tag: TagE, Recs: randRecords(rng, n)}
-		payload := appendBatch(nil, in)
+		payload := batchPayload(in)
 		out, err := decodeBatch(payload)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
@@ -65,7 +71,7 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestQuantizeIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	recs := quantizeAll(randRecords(rng, 200))
-	payload := appendBatch(nil, Batch{Seq: 1, Tag: TagI, Recs: recs})
+	payload := batchPayload(Batch{Seq: 1, Tag: TagI, Recs: recs})
 	out, err := decodeBatch(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +94,7 @@ func TestQuantizeResolution(t *testing.T) {
 
 func TestDecodeBatchRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	payload := appendBatch(nil, Batch{Seq: 5, Tag: TagE, Recs: randRecords(rng, 20)})
+	payload := batchPayload(Batch{Seq: 5, Tag: TagE, Recs: randRecords(rng, 20)})
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad tag":   append(append([]byte{5}, 'X'), payload[2:]...),
@@ -109,14 +115,14 @@ func TestDecodeBatchRejectsCorruption(t *testing.T) {
 
 func TestFrameRoundTripAndTearing(t *testing.T) {
 	payload := []byte("hello frames")
-	buf := appendFrame(nil, payload)
-	buf = appendFrame(buf, []byte{})
+	buf := AppendFrame(nil, payload)
+	buf = AppendFrame(buf, []byte{})
 
-	got, rest, err := nextFrame(buf)
+	got, rest, err := NextFrame(buf)
 	if err != nil || string(got) != string(payload) {
 		t.Fatalf("first frame: %q, %v", got, err)
 	}
-	got, rest, err = nextFrame(rest)
+	got, rest, err = NextFrame(rest)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty frame: %q, %v", got, err)
 	}
@@ -124,16 +130,16 @@ func TestFrameRoundTripAndTearing(t *testing.T) {
 		t.Fatalf("leftover bytes: %d", len(rest))
 	}
 
-	full := appendFrame(nil, payload)
+	full := AppendFrame(nil, payload)
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := nextFrame(full[:cut]); err == nil {
+		if _, _, err := NextFrame(full[:cut]); err == nil {
 			t.Fatalf("cut=%d: torn frame accepted", cut)
 		}
 	}
 	// Flip one payload byte: CRC must catch it.
 	bad := append([]byte{}, full...)
 	bad[frameHeaderLen] ^= 0x01
-	if _, _, err := nextFrame(bad); err == nil {
+	if _, _, err := NextFrame(bad); err == nil {
 		t.Fatal("bit flip accepted")
 	}
 }

@@ -20,7 +20,6 @@ func faultOpts(fs FS) Options {
 	return Options{
 		FsyncInterval:     0,
 		SnapshotEveryRuns: -1,
-		SnapshotBytes:     -1,
 		ReopenBackoff:     time.Millisecond,
 		ReopenMaxBackoff:  20 * time.Millisecond,
 		FS:                fs,

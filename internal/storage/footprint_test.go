@@ -53,7 +53,6 @@ func TestStoreHoldsNoRecords(t *testing.T) {
 	eng, st, _, err := Recover(t.TempDir(), emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{
 		FsyncInterval:     DefaultFsyncInterval,
 		SnapshotEveryRuns: -1,
-		SnapshotBytes:     -1,
 		FS:                fs,
 	})
 	if err != nil {

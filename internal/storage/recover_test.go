@@ -334,7 +334,7 @@ func TestRecoverTornWAL(t *testing.T) {
 	// Locate the final frame's start offset by walking the frames.
 	var offsets []int
 	for off, rest := 0, buf; len(rest) > 0; {
-		payload, r, err := nextFrame(rest)
+		payload, r, err := NextFrame(rest)
 		if err != nil {
 			t.Fatalf("healthy log has torn frame at %d", off)
 		}
@@ -433,7 +433,7 @@ func TestRecoverFailsStopOnLogHole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _, err := nextFrame(buf)
+	first, _, err := NextFrame(buf)
 	if err != nil || len(buf) <= 2*(frameHeaderLen+len(first)) {
 		t.Fatalf("segment 1 holds fewer than three frames (%v)", err)
 	}
@@ -543,7 +543,7 @@ func TestRecoverDiscardsResultAheadOfLog(t *testing.T) {
 	}
 	keep := 0
 	for n, rest := 0, buf; n < 4; n++ {
-		payload, r, err := nextFrame(rest)
+		payload, r, err := NextFrame(rest)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,13 +140,13 @@ func encodeSnapshot(d *snapshotData) []byte {
 	hdr := appendString(nil, snapMagic)
 	hdr = binary.AppendUvarint(hdr, d.lastSeq)
 
-	out := appendFrame(nil, hdr)
-	out = appendFrame(out, appendDataset(nil, d.seedE))
-	out = appendFrame(out, appendDataset(nil, d.seedI))
-	out = appendFrame(out, appendRecords(nil, d.streamE))
-	out = appendFrame(out, appendRecords(nil, d.streamI))
-	out = appendFrame(out, appendResult(nil, d.result))
-	return appendFrame(out, []byte(snapFooter))
+	out := AppendFrame(nil, hdr)
+	out = AppendFrame(out, appendDataset(nil, d.seedE))
+	out = AppendFrame(out, appendDataset(nil, d.seedI))
+	out = AppendFrame(out, appendRecords(nil, d.streamE))
+	out = AppendFrame(out, appendRecords(nil, d.streamI))
+	out = AppendFrame(out, appendResult(nil, d.result))
+	return AppendFrame(out, []byte(snapFooter))
 }
 
 // decodeSnapshot parses a base; any framing, checksum, or structural
@@ -154,7 +154,7 @@ func encodeSnapshot(d *snapshotData) []byte {
 func decodeSnapshot(buf []byte) (*snapshotData, error) {
 	frames := make([][]byte, 0, 7)
 	for len(buf) > 0 && len(frames) < 7 {
-		payload, rest, err := nextFrame(buf)
+		payload, rest, err := NextFrame(buf)
 		if err != nil {
 			return nil, err
 		}
@@ -199,13 +199,13 @@ func decodeSnapshot(buf []byte) (*snapshotData, error) {
 func encodeResult(seq uint64, res *resultData) []byte {
 	payload := appendString(nil, resultMagic)
 	payload = binary.AppendUvarint(payload, seq)
-	return appendFrame(nil, appendResult(payload, res))
+	return AppendFrame(nil, appendResult(payload, res))
 }
 
 // decodeResult parses a result checkpoint. res is nil when the checkpoint
 // was taken before anything was published.
 func decodeResult(buf []byte) (seq uint64, res *resultData, err error) {
-	payload, rest, err := nextFrame(buf)
+	payload, rest, err := NextFrame(buf)
 	if err != nil {
 		return 0, nil, err
 	}

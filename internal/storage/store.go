@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -33,10 +32,6 @@ const DefaultReopenMaxBackoff = 5 * time.Second
 // DefaultSnapshotEveryRuns is the auto-checkpoint relink cadence.
 const DefaultSnapshotEveryRuns = 8
 
-// DefaultSnapshotBytes is the auto-checkpoint WAL-growth trigger (64 MiB
-// appended since the last checkpoint).
-const DefaultSnapshotBytes = 64 << 20
-
 // Options parameterizes a data directory.
 type Options struct {
 	// FsyncInterval selects the WAL durability policy: 0 fsyncs inline on
@@ -48,10 +43,6 @@ type Options struct {
 	// SnapshotEveryRuns checkpoints after this many relinks (0 =
 	// DefaultSnapshotEveryRuns, <0 = never on run count).
 	SnapshotEveryRuns int
-	// SnapshotBytes checkpoints once this many WAL bytes were appended
-	// since the last checkpoint (0 = DefaultSnapshotBytes, <0 = never on
-	// bytes).
-	SnapshotBytes int64
 	// Logger, when set, receives auto-checkpoint failures (which have no
 	// caller to report to).
 	Logger *slog.Logger
@@ -75,13 +66,6 @@ func (o Options) snapshotEveryRuns() int {
 		return DefaultSnapshotEveryRuns
 	}
 	return o.SnapshotEveryRuns
-}
-
-func (o Options) snapshotBytes() int64 {
-	if o.SnapshotBytes == 0 {
-		return DefaultSnapshotBytes
-	}
-	return o.SnapshotBytes
 }
 
 func (o Options) fs() FS {
@@ -134,7 +118,6 @@ type Store struct {
 	nextSeq         uint64
 	lastResult      *resultData
 	runsSinceSnap   int
-	bytesSinceSnap  int64
 	closed          bool
 
 	// Degraded read-only mode: set by the first persistent WAL failure,
@@ -253,10 +236,7 @@ func (s *Store) LogEncoded(tag byte, recordBytes []byte, recs []slim.Record) (wa
 		s.mu.Unlock()
 		return nil, ErrDegraded
 	}
-	payload := make([]byte, 0, binary.MaxVarintLen64+1+len(recordBytes))
-	payload = binary.AppendUvarint(payload, s.nextSeq)
-	payload = append(payload, tag)
-	payload = append(payload, recordBytes...)
+	payload := walPayload(s.nextSeq, tag, recordBytes)
 	walWait, err := s.wal.Append(payload)
 	if err != nil {
 		s.mu.Unlock()
@@ -265,7 +245,6 @@ func (s *Store) LogEncoded(tag byte, recordBytes []byte, recs []slim.Record) (wa
 	frameBytes := int64(len(payload)) + frameHeaderLen
 	s.nextSeq++
 	s.streamedRecords += len(recs)
-	s.bytesSinceSnap += frameBytes
 	s.mu.Unlock()
 
 	s.batchesLogged.Add(1)
@@ -463,7 +442,7 @@ func (s *Store) Health() (state obs.HealthState, cause string, since time.Time) 
 }
 
 // AfterRun captures the published result and auto-checkpoints when the
-// relink-count or WAL-growth trigger fires (engine.Persister).
+// relink-count trigger fires (engine.Persister).
 func (s *Store) AfterRun(res slim.Result, version uint64) {
 	s.mu.Lock()
 	s.lastResult = &resultData{
@@ -474,17 +453,12 @@ func (s *Store) AfterRun(res slim.Result, version uint64) {
 		version:      version,
 	}
 	s.runsSinceSnap++
-	need := false
-	if every := s.opts.snapshotEveryRuns(); every > 0 && s.runsSinceSnap >= every {
-		need = true
-	}
-	if maxBytes := s.opts.snapshotBytes(); maxBytes > 0 && s.bytesSinceSnap >= maxBytes {
-		need = true
-	}
+	every := s.opts.snapshotEveryRuns()
+	need := every > 0 && s.runsSinceSnap >= every
 	s.mu.Unlock()
 	if s.degraded.Load() {
-		// The WAL is down; a checkpoint would only fail. The trigger
-		// amounts stay armed, so the next relink after recovery retries.
+		// The WAL is down; a checkpoint would only fail. The run count
+		// stays armed, so the next relink after recovery retries.
 		return
 	}
 	if !need {
@@ -493,7 +467,7 @@ func (s *Store) AfterRun(res slim.Result, version uint64) {
 	// Checkpoint asynchronously: AfterRun is called from Engine.Run under
 	// its run lock, and a file write with two fsyncs must not stall the
 	// relink publish path. At most one auto-checkpoint runs at a time;
-	// growth during it stays counted (Checkpoint retires only what it
+	// relinks during it stay counted (Checkpoint retires only what it
 	// captured), so the next relink re-triggers if needed. Store.Close's
 	// final checkpoint serializes behind an in-flight one via snapMu.
 	if !s.autoCP.CompareAndSwap(false, true) {
@@ -544,7 +518,7 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 		StreamedRecords: s.streamedRecords,
 	}
 	res := s.lastResult
-	coveredRuns, coveredBytes := s.runsSinceSnap, s.bytesSinceSnap
+	coveredRuns := s.runsSinceSnap
 	s.mu.Unlock()
 
 	path, err := writeResult(s.fs, s.dir, info.LastSeq, res)
@@ -552,14 +526,13 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	info.Path = path
-	// Retire the covered trigger amounts only now that the checkpoint is
-	// durable: a failed attempt keeps them armed so the next relink
-	// retries instead of waiting out another full trigger window, and
-	// anything logged while the file was being written still counts
-	// toward the next one.
+	// Retire the covered run count only now that the checkpoint is
+	// durable: a failed attempt keeps it armed so the next relink retries
+	// instead of waiting out another full trigger window, and any relink
+	// that finished while the file was being written still counts toward
+	// the next one.
 	s.mu.Lock()
 	s.runsSinceSnap -= coveredRuns
-	s.bytesSinceSnap -= coveredBytes
 	s.mu.Unlock()
 	if err := removeResultsBefore(s.fs, s.dir, info.LastSeq); err != nil {
 		return CheckpointInfo{}, err

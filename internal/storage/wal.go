@@ -169,7 +169,7 @@ func (w *wal) openSegment(index uint64) error {
 func (w *wal) Append(payload []byte) (wait func() error, err error) {
 	start := time.Now()
 	defer w.metrics.appendSeconds.ObserveSince(start)
-	frame := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
+	frame := AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
 
 	w.mu.Lock()
 	if w.closed {
@@ -416,7 +416,7 @@ func replayWAL(fs FS, dir string, fromSeq uint64, fn func(Batch) error) (lastSeq
 		}
 		size := len(buf)
 		for len(buf) > 0 {
-			payload, rest, err := nextFrame(buf)
+			payload, rest, err := NextFrame(buf)
 			if err != nil {
 				torn = fmt.Sprintf("%s is unreadable from byte %d of %d", seg.path, size-len(buf), size)
 				break

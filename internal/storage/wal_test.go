@@ -29,7 +29,7 @@ func mkBatch(seq uint64, tag byte, base string, n int) Batch {
 func appendBatches(t *testing.T, w *wal, batches []Batch) {
 	t.Helper()
 	for _, b := range batches {
-		wait, err := w.Append(appendBatch(nil, b))
+		wait, err := w.Append(batchPayload(b))
 		if err != nil {
 			t.Fatalf("append seq %d: %v", b.Seq, err)
 		}
@@ -177,7 +177,7 @@ func TestWALGroupCommit(t *testing.T) {
 				mu.Lock()
 				seq++
 				b := mkBatch(seq, TagE, fmt.Sprintf("w%d-%d", g, k), 1)
-				wait, err := w.Append(appendBatch(nil, b))
+				wait, err := w.Append(batchPayload(b))
 				mu.Unlock()
 				if err != nil {
 					t.Errorf("append: %v", err)
@@ -236,7 +236,7 @@ func TestReplayThroughputFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for seq := uint64(1); seq <= batches; seq++ {
 		b := Batch{Seq: seq, Tag: TagE, Recs: quantizeAll(randRecords(rng, perBatch))}
-		wait, err := w.Append(appendBatch(nil, b))
+		wait, err := w.Append(batchPayload(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestReplayThroughputFloor(t *testing.T) {
 // benchRecords returns one reusable batch payload of n records.
 func benchPayload(seq uint64, n int) []byte {
 	rng := rand.New(rand.NewSource(int64(seq)))
-	return appendBatch(nil, Batch{Seq: seq, Tag: TagE, Recs: randRecords(rng, n)})
+	return batchPayload(Batch{Seq: seq, Tag: TagE, Recs: randRecords(rng, n)})
 }
 
 // BenchmarkWALAppend measures the append path (codec framing + write)

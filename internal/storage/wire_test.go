@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -140,5 +142,86 @@ func TestLogEncodedWaitIsDurable(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("replayed %d records after crash, want 10", total)
+	}
+}
+
+// TestWALPayloadIsSeqThenWireBatch pins the one WAL payload layout. For
+// random batches of both tags, the frames Store.LogEncoded writes to a
+// segment hold uvarint(seq) followed by AppendWireBatch(tag, recs) byte for
+// byte, and replayWAL hands back the tag and records DecodeWireBatch reads
+// from that wire batch.
+func TestWALPayloadIsSeqThenWireBatch(t *testing.T) {
+	dir := t.TempDir()
+	_, st, _, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(),
+		Options{FsyncInterval: -1, SnapshotEveryRuns: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	var wantPayloads [][]byte
+	var wantBatches []WireBatch
+	for k := 0; k < 16; k++ {
+		tag := byte(TagE)
+		if rng.Intn(2) == 0 {
+			tag = TagI
+		}
+		wire := AppendWireBatch(nil, tag, randRecords(rng, rng.Intn(40)))
+		b, err := DecodeWireBatch(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := st.Stats().NextSeq
+		wait, err := st.LogEncoded(b.Tag, b.RecordBytes, b.Recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		wantPayloads = append(wantPayloads, append(binary.AppendUvarint(nil, seq), wire...))
+		wantBatches = append(wantBatches, b)
+	}
+	st.crashClose()
+
+	segs, err := listSegments(OSFS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, seg := range segs {
+		buf, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(buf) > 0 {
+			payload, rest, err := NextFrame(buf)
+			if err != nil {
+				t.Fatalf("%s: %v", seg.path, err)
+			}
+			payloads, buf = append(payloads, payload), rest
+		}
+	}
+	if len(payloads) != len(wantPayloads) {
+		t.Fatalf("segments hold %d frames, want %d", len(payloads), len(wantPayloads))
+	}
+	for k := range payloads {
+		if !bytes.Equal(payloads[k], wantPayloads[k]) {
+			t.Fatalf("frame %d is not uvarint(seq) followed by the wire batch", k)
+		}
+	}
+
+	k := 0
+	if _, _, err := replayWAL(OSFS, dir, 0, func(b Batch) error {
+		if w := wantBatches[k]; b.Tag != w.Tag || !reflect.DeepEqual(b.Recs, w.Recs) {
+			t.Fatalf("replayed batch %d: tag %q with %d records, DecodeWireBatch gives %q with %d",
+				k, b.Tag, len(b.Recs), w.Tag, len(w.Recs))
+		}
+		k++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if k != len(wantBatches) {
+		t.Fatalf("replayed %d batches, want %d", k, len(wantBatches))
 	}
 }

@@ -3,10 +3,11 @@ package threshold
 import "math"
 
 // CacheStats counts how often a Cache had to run the underlying fit vs
-// how often it reused the previous result.
+// how often it reused the previous result. The json tags are its keys in
+// /v1/stats' publish_tail block (slim's PublishTailStats embeds it).
 type CacheStats struct {
-	Fits   uint64
-	Reuses uint64
+	Fits   uint64 `json:"threshold_fits_total"`
+	Reuses uint64 `json:"threshold_reuses_total"`
 }
 
 // Cache memoizes the most recent threshold fit, keyed on the exact score

@@ -324,7 +324,7 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 					burst, es.Rescored, es.Retained, got.Stats.CandidatePairs)
 			}
 		}
-		if ts := inc.tail(); ts != nil && !ts.LastFull && ts.ReusedPrefixLen > 0 {
+		if ts := inc.tail(); ts != nil && !ts.LastFull && ts.ReusedPrefix > 0 {
 			sawTailReuse = true
 		}
 		requireSameResult(t, fmt.Sprintf("burst %d (kind %d)", burst, kind), got, fromScratch())
@@ -358,14 +358,14 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 	if ts == nil {
 		t.Fatal("greedy runs must maintain a publish tail")
 	}
-	if ts.Applies == 0 || ts.FullRebuilds == 0 {
+	if ts.Applies == 0 || ts.Rebuilds == 0 {
 		t.Fatalf("workload must exercise both tail paths: %+v", ts)
 	}
-	if int(ts.ReusedPrefixLen) != len(clean.Matched) || ts.SuffixWalked != 0 {
+	if ts.ReusedPrefix != len(clean.Matched) || ts.SuffixWalked != 0 {
 		t.Fatalf("clean rerun must reuse the whole matched prefix: %+v (matched %d)",
 			ts, len(clean.Matched))
 	}
-	if ts.ThresholdReuses == 0 {
+	if ts.Reuses == 0 {
 		t.Fatalf("clean rerun must reuse the cached threshold fit: %+v", ts)
 	}
 }

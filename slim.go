@@ -21,8 +21,10 @@
 package slim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"slim/internal/candidates"
@@ -52,20 +54,12 @@ type Stats struct {
 	BinComparisons    int64
 	RecordComparisons int64
 	AlibiBinPairs     int64
-	// LSH holds filter statistics when the filter was enabled.
-	LSH *LSHStats
+	// LSH is the candidate index's snapshot when the filter was enabled.
+	LSH *CandidateIndexStats
 	// EdgeStore reports the incremental edge store behind this run: how
 	// many scored pairs were retained from the previous run versus
 	// rescored or dropped (see EdgeStoreStats).
 	EdgeStore *EdgeStoreStats
-}
-
-// LSHStats reports the candidate filter's effectiveness.
-type LSHStats struct {
-	SignatureLen int
-	Bands        int
-	Rows         int
-	Candidates   int64
 }
 
 // Result is the outcome of a linkage run.
@@ -402,8 +396,8 @@ func (lk *Linker) ForceFullRescore() { lk.edges.pendFull = true }
 // entity) forces a full rescore of the whole candidate set, restoring
 // exactly the old per-run behavior.
 //
-// The returned Stats carry private LSHStats/EdgeStoreStats copies, so a
-// later refresh never mutates results a caller still holds.
+// The returned Stats carry private candidate-index and edge-store
+// snapshots, so a later refresh never mutates results a caller still holds.
 func (lk *Linker) Rescore() Stats {
 	// Refresh the compiled read path first, so the scoring fan-out below
 	// runs on immutable views: entities untouched since the last run keep
@@ -466,28 +460,26 @@ func (lk *Linker) Rescore() Stats {
 		BinComparisons:    st.BinComparisons - lk.prevStats.BinComparisons,
 		RecordComparisons: st.RecordComparisons - lk.prevStats.RecordComparisons,
 		AlibiBinPairs:     st.AlibiBinPairs - lk.prevStats.AlibiBinPairs,
+		LSH:               lk.CandidateIndexStats(),
 		EdgeStore:         lk.edges.statsSnapshot(),
 	}
 	lk.prevStats = st
-	if lk.candIndex != nil {
-		ix := lk.candIndex.Stats()
-		stats.LSH = &LSHStats{
-			SignatureLen: ix.SignatureLen,
-			Bands:        ix.Bands,
-			Rows:         ix.Rows,
-			Candidates:   ix.Candidates,
-		}
-	}
 	return stats
 }
 
 // RunEdges is Rescore plus the retained positive scored pairs themselves,
 // in canonical (U, V) order, for callers that match or inspect the edge
-// set on their own. The slice is shared with the store's cache until the
-// edge set next changes; callers must not modify it.
+// set on their own. The slice is freshly allocated on every call; the
+// caller owns it. The order is imposed here: the store holds pairs by
+// packed ordinals, whose order agrees with the ids' only while ordinals
+// happen to follow them.
 func (lk *Linker) RunEdges() ([]Link, Stats) {
 	stats := lk.Rescore()
-	return lk.edges.materialize(), stats
+	links := lk.edges.materialize()
+	slices.SortFunc(links, func(a, b Link) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return links, stats
 }
 
 // bruteDeltaPairs enumerates the pairs a brute-force (LSH-disabled) delta
@@ -545,7 +537,7 @@ func (lk *Linker) Run() Result {
 		Links:           links,
 		Matched:         matched,
 		Threshold:       thr.Threshold,
-		ThresholdMethod: thr.Method,
+		ThresholdMethod: string(thr.Method),
 		SpatialLevel:    lk.cfg.SpatialLevel,
 		Stats:           stats,
 		Elapsed:         time.Since(start),
@@ -565,7 +557,8 @@ func (lk *Linker) Run() Result {
 // FilterLinks reference (see tail.go). A Rescore whose delta the tail
 // never consumed — Publish skipped, or died part-way — is detected by
 // sequence and degrades the next Publish to a full tail rebuild, the only
-// path that reads the store's whole link list. The returned slices are the
+// path that materialises the whole edge set (the tail adopts that list;
+// the store keeps none). The returned slices are the
 // tail's (see PublishTail.Publish): never written again, not to be
 // modified.
 func (lk *Linker) Publish() (matched, links []Link, thr StopThreshold) {
@@ -591,14 +584,10 @@ func (lk *Linker) PublishTailStats() *PublishTailStats {
 	return &st
 }
 
-// StopThreshold is the outcome of a stop-threshold detection.
-type StopThreshold struct {
-	// Threshold is the selected stop score; links strictly above it are
-	// kept.
-	Threshold float64
-	// Method reports which detector produced the threshold.
-	Method string
-}
+// StopThreshold is the outcome of a stop-threshold detection: the stop
+// score (links strictly above it are kept), the detector that produced it
+// and, for the GMM detector, the fitted mixture.
+type StopThreshold = threshold.Result
 
 // MatchLinks runs the greedy maximum-sum matcher over positive scored edges
 // from scratch and returns the matching, sorted by descending score; edges
@@ -610,15 +599,15 @@ func MatchLinks(_ MatcherKind, edges []Link) []Link {
 	return matching.Greedy(edges)
 }
 
-// selectThresholdResult runs the configured stop-threshold detector and
-// returns the full decision (shared by SelectStopThreshold and the
-// publish tail's fit cache).
-func selectThresholdResult(method ThresholdMethod, scores []float64) threshold.Result {
+// SelectStopThreshold applies the given stop-threshold detector to the
+// matched scores (Sec. 3.2 of the paper). The publish tail's fit cache
+// calls it too.
+func SelectStopThreshold(method ThresholdMethod, scores []float64) StopThreshold {
 	switch method {
 	case ThresholdNone:
 		// Keep every matched edge: edges only exist for positive scores,
 		// so any negative threshold is a no-op filter.
-		return threshold.Result{Threshold: -1, Method: "none"}
+		return StopThreshold{Threshold: -1, Method: "none"}
 	case ThresholdOtsu:
 		return threshold.SelectThresholdOtsu(scores)
 	case ThresholdKMeans:
@@ -626,13 +615,6 @@ func selectThresholdResult(method ThresholdMethod, scores []float64) threshold.R
 	default:
 		return threshold.SelectThreshold(scores)
 	}
-}
-
-// SelectStopThreshold applies the given stop-threshold detector to the
-// matched scores (Sec. 3.2 of the paper).
-func SelectStopThreshold(method ThresholdMethod, scores []float64) StopThreshold {
-	thr := selectThresholdResult(method, scores)
-	return StopThreshold{Threshold: thr.Threshold, Method: string(thr.Method)}
 }
 
 // LinkScores extracts the score column of a link list.
@@ -655,7 +637,7 @@ func FilterLinks(links []Link, thr float64) []Link {
 // and writes into its own result slot; slots are concatenated in worker
 // order after the barrier, so the merge is deterministic and lock-free.
 // The result is in pairAt's order — packed-ordinal order for both callers;
-// the edge store imposes the canonical id order when it materialises it.
+// RunEdges imposes the canonical id order on what it hands out.
 func (lk *Linker) scoreIndexed(total int, pairAt func(int) uint64) []scoredPair {
 	workers := min(lk.cfg.Workers, total) // Workers is normalized to >= 1
 	if workers <= 0 {

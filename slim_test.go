@@ -196,7 +196,7 @@ func TestAutoTuneSpatialLevelAPI(t *testing.T) {
 	if len(c1.Levels) == 0 || len(c2.Levels) == 0 {
 		t.Error("curves not populated")
 	}
-	if level != c1.Level && level != c2.Level {
+	if level != c1.Level() && level != c2.Level() {
 		t.Error("chosen level must come from one curve")
 	}
 	// And the auto-tuned pipeline must run.

@@ -29,31 +29,18 @@ type EdgeDelta struct {
 }
 
 // PublishTailStats reports the incremental publish tail's state and the
-// work profile of its most recent Publish. The headline is
-// ReusedPrefixLen vs SuffixWalked: reused matched links were adopted from
-// the previous run without re-examining any edge above the first changed
-// position, and ThresholdReuses counts runs that skipped the GMM refit
-// entirely because the matched score list was bit-unchanged. The json tags
-// are its keys in /v1/stats' publish_tail block (internal/server's wire
-// encoder prints a Duration as milliseconds, hence "_ms").
+// work profile of its most recent Publish: the matcher's counters and the
+// threshold fit cache's, embedded as they are, plus the tail's own. The
+// headline is ReusedPrefix vs SuffixWalked: reused matched links were
+// adopted from the previous run without re-examining any edge above the
+// first changed position, and Reuses counts runs that skipped the GMM
+// refit entirely because the matched score list was bit-unchanged. The
+// json tags (the embedded structs' included) are its keys in /v1/stats'
+// publish_tail block (internal/server's wire encoder flattens an embedded
+// struct and prints a Duration as milliseconds, hence "_ms").
 type PublishTailStats struct {
-	// Edges is the size of the maintained sorted edge list; Matched the
-	// size of the current matching.
-	Edges   int64 `json:"edges"`
-	Matched int64 `json:"matched"`
-	// ReusedPrefixLen / SuffixWalked describe the last matcher update:
-	// matched links reused verbatim, and sorted-order entries re-walked
-	// below the first changed position.
-	ReusedPrefixLen int64 `json:"reused_prefix_len"`
-	SuffixWalked    int64 `json:"suffix_walked"`
-	// FullRebuilds counts full sort+walk rebuilds (first build, epoch
-	// invalidations, missed deltas); Applies counts delta updates.
-	FullRebuilds uint64 `json:"full_rebuilds_total"`
-	Applies      uint64 `json:"applies_total"`
-	// ThresholdFits / ThresholdReuses count threshold selections that ran
-	// the detector vs reused the cached fit (bit-identical score list).
-	ThresholdFits   uint64 `json:"threshold_fits_total"`
-	ThresholdReuses uint64 `json:"threshold_reuses_total"`
+	matching.IncrementalStats
+	threshold.CacheStats
 	// LastFull reports whether the last Publish was a full rebuild.
 	LastFull bool `json:"last_full_rebuild"`
 	// LastUpdate is the wall-clock duration of the last Publish;
@@ -74,10 +61,9 @@ type PublishTailStats struct {
 // over the same edge set, which stays in the tree as the reference the
 // parity tests compare it against. Not safe for concurrent use.
 type PublishTail struct {
-	method ThresholdMethod
-	fit    func([]float64) threshold.Result
-	m      matching.Incremental
-	thr    threshold.Cache
+	fit func([]float64) StopThreshold
+	m   matching.Incremental
+	thr threshold.Cache
 	// scoresBuf is the matched score column handed to the fit cache.
 	scoresBuf []float64
 
@@ -89,9 +75,8 @@ type PublishTail struct {
 // method.
 func NewPublishTail(method ThresholdMethod) *PublishTail {
 	return &PublishTail{
-		method: method,
-		fit: func(scores []float64) threshold.Result {
-			return selectThresholdResult(method, scores)
+		fit: func(scores []float64) StopThreshold {
+			return SelectStopThreshold(method, scores)
 		},
 	}
 }
@@ -101,11 +86,12 @@ func NewPublishTail(method ThresholdMethod) *PublishTail {
 // selected stop threshold, and the threshold decision. all is called only
 // when a full rebuild is needed (a delta marked Full, an inconsistent
 // delta, or the first Publish) and must return the complete current edge
-// set; it is copied, not adopted. d.Changed and d.Removed are reordered in
-// place. matched is the matcher's own slice and links a prefix of it:
-// neither is written again once returned — an update that changes the
-// matching allocates a fresh slice — so callers may retain and read them
-// while later Publish calls proceed, and must not modify them.
+// set, freshly allocated: the tail adopts it. d.Changed and d.Removed
+// are reordered in place. matched is the matcher's own slice and links a
+// prefix of it: neither is written again once returned — an update that
+// changes the matching allocates a fresh slice — so callers may retain
+// and read them while later Publish calls proceed, and must not modify
+// them.
 func (t *PublishTail) Publish(d EdgeDelta, all func() []Link) (matched, links []Link, thr StopThreshold) {
 	start := time.Now()
 	full := d.Full || !t.built()
@@ -126,8 +112,7 @@ func (t *PublishTail) Publish(d EdgeDelta, all func() []Link) (matched, links []
 	for _, l := range matched {
 		t.scoresBuf = append(t.scoresBuf, l.Score)
 	}
-	r := t.thr.Select(t.scoresBuf, t.fit)
-	thr = StopThreshold{Threshold: r.Threshold, Method: string(r.Method)}
+	thr = t.thr.Select(t.scoresBuf, t.fit)
 	t.lastThreshold = time.Since(thrStart)
 
 	// matched is in greedy order — descending score — so the links above
@@ -150,20 +135,12 @@ func (t *PublishTail) built() bool {
 
 // Stats returns the tail's state and last-Publish work profile.
 func (t *PublishTail) Stats() PublishTailStats {
-	ms := t.m.Stats()
-	cs := t.thr.Stats()
 	return PublishTailStats{
-		Edges:           int64(ms.Edges),
-		Matched:         int64(ms.Matched),
-		ReusedPrefixLen: int64(ms.ReusedPrefix),
-		SuffixWalked:    int64(ms.SuffixWalked),
-		FullRebuilds:    ms.Rebuilds,
-		Applies:         ms.Applies,
-		ThresholdFits:   cs.Fits,
-		ThresholdReuses: cs.Reuses,
-		LastFull:        t.lastFull,
-		LastUpdate:      t.lastUpdate,
-		LastMatch:       t.lastMatch,
-		LastThreshold:   t.lastThreshold,
+		IncrementalStats: t.m.Stats(),
+		CacheStats:       t.thr.Stats(),
+		LastFull:         t.lastFull,
+		LastUpdate:       t.lastUpdate,
+		LastMatch:        t.lastMatch,
+		LastThreshold:    t.lastThreshold,
 	}
 }

@@ -135,7 +135,7 @@ func TestPublishTailParityRandomized(t *testing.T) {
 				}
 				m, l, thr := tail.Publish(d, edges)
 				check(fmt.Sprintf("burst %d", burst), m, l, thr)
-				if ts := tail.Stats(); !ts.LastFull && ts.ReusedPrefixLen > 0 && ts.SuffixWalked > 0 {
+				if ts := tail.Stats(); !ts.LastFull && ts.ReusedPrefix > 0 && ts.SuffixWalked > 0 {
 					sawPartialReuse = true
 				}
 			}
@@ -143,10 +143,10 @@ func TestPublishTailParityRandomized(t *testing.T) {
 			if !sawPartialReuse {
 				t.Fatal("no burst exercised partial prefix reuse (reused > 0 with a suffix walk)")
 			}
-			if !sawFallback || ts.FullRebuilds < 2 {
+			if !sawFallback || ts.Rebuilds < 2 {
 				t.Fatalf("fallback path not exercised: %+v", ts)
 			}
-			if ts.Applies == 0 || ts.ThresholdReuses == 0 || ts.ThresholdFits == 0 {
+			if ts.Applies == 0 || ts.Reuses == 0 || ts.Fits == 0 {
 				t.Fatalf("stats show a path was never taken: %+v", ts)
 			}
 		})
@@ -165,7 +165,7 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 		{U: "e4", V: "i4", Score: 0.15},
 	}
 	tail := NewPublishTail(ThresholdGMM)
-	edges := func() []Link { return all }
+	edges := func() []Link { return slices.Clone(all) } // the tail adopts what it gets
 	m, _, _ := tail.Publish(EdgeDelta{Full: true}, edges)
 	if len(m) == 0 || m[0].Score != 0.95 {
 		t.Fatalf("unexpected initial matching: %v", m)
@@ -187,7 +187,7 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 		t.Fatalf("links after removal: %v", l2)
 	}
 	ts := tail.Stats()
-	if ts.LastFull || ts.ReusedPrefixLen != 0 {
+	if ts.LastFull || ts.ReusedPrefix != 0 {
 		t.Fatalf("removal of the top link must reuse nothing without a rebuild: %+v", ts)
 	}
 }
