@@ -61,6 +61,24 @@ func TestLSHOffLeavesConfigNil(t *testing.T) {
 	}
 }
 
+// TestLinkflagsDefaultsAreTheLibrarys: with no arguments Bind yields
+// slim.Defaults() itself, and -lsh adds the filter a zero LSHConfig
+// normalizes to — the flags spell no default of their own.
+func TestLinkflagsDefaultsAreTheLibrarys(t *testing.T) {
+	want := slim.Defaults()
+	if got := parse(t, ""); !reflect.DeepEqual(got, want) {
+		t.Fatalf("no flags = %+v, want slim.Defaults() %+v", got, want)
+	}
+	filter, err := slim.LSHConfig{}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.LSH = &filter
+	if got := parse(t, "-lsh"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("-lsh = %+v (LSH %+v), want %+v (LSH %+v)", got, got.LSH, want, want.LSH)
+	}
+}
+
 // TestNoMatcherFlag: greedy is the only matcher, so slim-link and slimd —
 // both take their linkage flags from Bind — have no flag to choose one.
 func TestNoMatcherFlag(t *testing.T) {

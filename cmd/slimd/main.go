@@ -61,7 +61,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof (e.g. localhost:6060)")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
-		debounce   = flag.Duration("debounce", 2*time.Second, "quiet period after ingest before a background relink")
+		debounce   = flag.Duration("debounce", engine.DefaultDebounce, "quiet period after ingest before a background relink")
 		runJournal = flag.Int("run-journal", engine.DefaultRunJournal, "relink flight-recorder size: how many recent runs GET /v1/runs retains")
 		ePath      = flag.String("e", "", "optional seed CSV for the first dataset")
 		iPath      = flag.String("i", "", "optional seed CSV for the second dataset")
@@ -165,7 +165,7 @@ func main() {
 			logger.Info("initialized data directory", "dir", *dataDir)
 		}
 	} else {
-		eng, err = engine.New(dsE, dsI, engCfg)
+		eng, err = engine.New(storage.QuantizeDataset(dsE), storage.QuantizeDataset(dsI), engCfg)
 		if err != nil {
 			fatal(logger, "building engine", "error", err)
 		}

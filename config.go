@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+
+	"slim/internal/candidates"
+	"slim/internal/threshold"
 )
 
 // MatcherKind names the bipartite matching algorithm. There is one — the
@@ -16,51 +19,28 @@ type MatcherKind string
 const MatcherGreedy MatcherKind = "greedy"
 
 // ThresholdMethod selects the automated linkage stop-threshold detector.
-type ThresholdMethod string
+type ThresholdMethod = threshold.Method
 
 const (
 	// ThresholdGMM is the paper's default: 2-component Gaussian mixture
 	// with expected-F1 maximization (falls back to Otsu / midpoint on
 	// degenerate fits).
-	ThresholdGMM ThresholdMethod = "gmm"
+	ThresholdGMM = threshold.MethodGMM
 	// ThresholdOtsu uses Otsu's method directly.
-	ThresholdOtsu ThresholdMethod = "otsu"
+	ThresholdOtsu = threshold.MethodOtsu
 	// ThresholdKMeans uses 2-means cluster centers' midpoint.
-	ThresholdKMeans ThresholdMethod = "2means"
+	ThresholdKMeans = threshold.MethodKMeans
 	// ThresholdNone disables the stop threshold: every matched pair with a
 	// positive score is linked (the "full matching" the paper warns
 	// against; useful for ablation).
-	ThresholdNone ThresholdMethod = "none"
+	ThresholdNone = threshold.MethodNone
 )
 
 // LSHConfig enables and parameterizes the locality-sensitive-hashing
-// candidate filter (Sec. 4).
-type LSHConfig struct {
-	// Threshold is the target signature similarity t (default 0.6).
-	Threshold float64
-	// StepWindows is the dominating-cell query size in temporal windows
-	// (default 48: 12h of 15-minute windows, the paper's sweet spot).
-	StepWindows int
-	// SpatialLevel is the dominating-cell grid level (default 16).
-	SpatialLevel int
-	// NumBuckets is the bucket-array size per band (default 4096).
-	NumBuckets int
-}
-
-func (c *LSHConfig) defaults() {
-	if c.Threshold == 0 {
-		c.Threshold = 0.6
-	}
-	if c.StepWindows == 0 {
-		c.StepWindows = 48
-	}
-	if c.SpatialLevel == 0 {
-		c.SpatialLevel = 16
-	}
-	if c.NumBuckets == 0 {
-		c.NumBuckets = 4096
-	}
-}
+// candidate filter (Sec. 4). A zero field takes the paper's default
+// (candidates.DefaultParams: t 0.6, step 48 windows, level 16, 4096
+// buckets).
+type LSHConfig = candidates.Params
 
 // Ablation switches off individual similarity components, mirroring the
 // paper's Sec. 5.4 study. The zero value is full SLIM.
@@ -105,7 +85,9 @@ type Config struct {
 	Ablation Ablation
 }
 
-// Defaults returns the paper's default configuration.
+// Defaults returns the paper's default configuration. It is the one place
+// the linkage defaults are written: normalize fills unset fields from it,
+// and slim-link and slimd take their flag defaults from it.
 func Defaults() Config {
 	return Config{
 		WindowMinutes:    15,
@@ -113,15 +95,15 @@ func Defaults() Config {
 		MaxSpeedKmPerMin: 2,
 		B:                0.5,
 		MinRecords:       5,
-		Matcher:          MatcherGreedy,
 		Threshold:        ThresholdGMM,
 	}
 }
 
 // normalize fills unset fields with defaults and validates ranges.
 func (c *Config) normalize() error {
+	d := Defaults()
 	if c.WindowMinutes == 0 {
-		c.WindowMinutes = 15
+		c.WindowMinutes = d.WindowMinutes
 	}
 	if c.WindowMinutes < 0 {
 		return errors.New("slim: WindowMinutes must be positive")
@@ -130,31 +112,28 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("slim: SpatialLevel %d outside [0, 30]", c.SpatialLevel)
 	}
 	if c.MaxSpeedKmPerMin == 0 {
-		c.MaxSpeedKmPerMin = 2
+		c.MaxSpeedKmPerMin = d.MaxSpeedKmPerMin
 	}
 	if c.MaxSpeedKmPerMin < 0 {
 		return errors.New("slim: MaxSpeedKmPerMin must be positive")
 	}
 	if c.B == 0 {
-		c.B = 0.5
+		c.B = d.B
 	}
 	if c.B < 0 || c.B > 1 {
 		return fmt.Errorf("slim: B %g outside [0, 1]", c.B)
 	}
 	if c.MinRecords == 0 {
-		c.MinRecords = 5
+		c.MinRecords = d.MinRecords
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Matcher == "" {
-		c.Matcher = MatcherGreedy
-	}
-	if c.Matcher != MatcherGreedy {
+	if c.Matcher != "" && c.Matcher != MatcherGreedy {
 		return fmt.Errorf("slim: unknown matcher %q", c.Matcher)
 	}
 	if c.Threshold == "" {
-		c.Threshold = ThresholdGMM
+		c.Threshold = d.Threshold
 	}
 	switch c.Threshold {
 	case ThresholdGMM, ThresholdOtsu, ThresholdKMeans, ThresholdNone:
@@ -162,15 +141,11 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("slim: unknown threshold method %q", c.Threshold)
 	}
 	if c.LSH != nil {
-		lshCopy := *c.LSH
-		lshCopy.defaults()
-		if lshCopy.Threshold <= 0 || lshCopy.Threshold >= 1 {
-			return fmt.Errorf("slim: LSH threshold %g outside (0, 1)", lshCopy.Threshold)
+		p, err := c.LSH.Normalize()
+		if err != nil {
+			return fmt.Errorf("slim: %w", err)
 		}
-		if lshCopy.SpatialLevel < 0 || lshCopy.SpatialLevel > 30 {
-			return fmt.Errorf("slim: LSH spatial level %d outside [0, 30]", lshCopy.SpatialLevel)
-		}
-		c.LSH = &lshCopy
+		c.LSH = &p
 	}
 	return nil
 }

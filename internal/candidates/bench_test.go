@@ -7,13 +7,12 @@ import (
 	"slim/internal/datagen"
 	"slim/internal/geo"
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/model"
 )
 
 // benchParams is the filter configuration of the standard candidate-index
 // workload (signature level 12, the repo's LSH sweep default).
-var benchParams = lsh.Params{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
+var benchParams = Params{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
 
 // benchFixture samples the standard datagen Cab workload into two sides
 // and builds their signature stores.

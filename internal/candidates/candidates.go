@@ -1,11 +1,21 @@
-// Package candidates maintains SLIM's banded-LSH candidate pair set
-// incrementally. The batch path (internal/lsh.CandidatePairs) rebuilds
-// every signature and re-enumerates every band-bucket collision on each
-// call — an O(|E|+|I|) cost even when a single entity's history changed.
-// This package keeps the filter state alive between relinks: per-entity
-// band hashes with history-version counters (mirroring the stale-entity
-// recompile discipline of internal/history's compiled views) and
-// band→bucket hash maps. A dirty entity removes its old band hashes and
+// Package candidates is SLIM's locality-sensitive-hashing filter (Sec. 4):
+// each mobility history is summarized as a signature of dominating grid
+// cells (one per non-overlapping query time window), the signatures are
+// divided into b bands of r rows with b solved from the Lambert W function,
+// and each band is hashed into a bucket array. Only cross-dataset pairs
+// that share a bucket in at least one band become linkage candidates,
+// which is what delivers the paper's two-to-four orders of magnitude
+// speedup. The package owns the filter's parameters and their defaults
+// (Params, DefaultParams), the banding primitives (banding.go) and the
+// candidate index below.
+//
+// The index maintains the candidate pair set incrementally. Rebuilding
+// every signature and re-enumerating every band-bucket collision on each
+// relink is an O(|E|+|I|) cost even when a single entity's history
+// changed. The index keeps the filter state alive between relinks:
+// per-entity band hashes with history-version counters (mirroring the
+// stale-entity recompile discipline of internal/history's compiled views)
+// and band→bucket hash maps. A dirty entity removes its old band hashes and
 // inserts its new ones, touching only the buckets it left or entered, so a
 // relink after a small ingest burst costs O(dirty) instead of
 // O(everything).
@@ -22,8 +32,9 @@
 // package).
 //
 // The contract is exactness, not approximation: after any interleaving of
-// ingest, Pairs() names exactly the pairs of a from-scratch
-// lsh.CandidatePairs rebuild (see the parity suite). It holds by
+// ingest, Pairs() names exactly the pairs of a from-scratch batch
+// enumeration keyed by entity id (the parity suite's oracle, which shares
+// only the banding primitives with the index). It holds by
 // definition rather than by bookkeeping: a pair is a candidate iff its two
 // entities' maintained band hashes agree in some band (collides) — the
 // batch path's "share a bucket in at least one band" — and nothing is
@@ -47,7 +58,6 @@ import (
 	"time"
 
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/par"
 )
 
@@ -205,7 +215,7 @@ type Index struct {
 	// value.
 	Workers int
 
-	params lsh.Params
+	params Params
 
 	// Grid of the current epoch: query window q covers leaf windows
 	// [gridMin + q·step, …) and the final window clamps to gridMax+1.
@@ -213,7 +223,7 @@ type Index struct {
 	// a degenerate step): no signatures, no pairs.
 	gridMin int64
 	gridMax int64
-	banding lsh.Banding
+	banding Banding
 	epoch   uint64
 
 	sides [2]sideState
@@ -230,7 +240,7 @@ type Index struct {
 	pairs    []uint64
 
 	// Scratch buffers so delta updates allocate nothing per entity.
-	scratchSig      lsh.Signature
+	scratchSig      Signature
 	scratchHash     []uint64
 	scratchOK       []bool
 	scratchPartners []uint32
@@ -250,7 +260,7 @@ type Index struct {
 
 // New creates an empty index over the two signature stores. Call Update
 // once to perform the initial build.
-func New(storeE, storeI *history.Store, p lsh.Params) *Index {
+func New(storeE, storeI *history.Store, p Params) *Index {
 	x := &Index{
 		params:    p,
 		touched:   make(map[uint64]bool),
@@ -285,7 +295,7 @@ func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) Delta {
 		return d
 	}
 	minW, maxW := min(minE, minI), max(maxE, maxI)
-	sigLen := lsh.SignatureLength(minW, maxW, x.params.StepWindows)
+	sigLen := SignatureLength(minW, maxW, x.params.StepWindows)
 	if sigLen != x.banding.SigLen || minW != x.gridMin {
 		x.rebuild(minW, maxW, sigLen)
 		d = Delta{Rebuilt: true}
@@ -381,7 +391,7 @@ func (x *Index) visitPartners(side int, ord uint32, fn func(uint32)) {
 func (x *Index) rebuild(minW, maxW int64, sigLen int) {
 	x.epoch++
 	x.gridMin, x.gridMax = minW, maxW
-	x.banding = lsh.NewBanding(sigLen, x.params)
+	x.banding = NewBanding(sigLen, x.params)
 	x.buckets = make([]map[uint64]*bucket, x.banding.Bands)
 	for band := range x.buckets {
 		x.buckets[band] = make(map[uint64]*bucket)
@@ -452,14 +462,14 @@ func (x *Index) fill(side int) {
 	n, bands := s.store.Ordinals().Len(), x.banding.Bands
 	s.reset(n, bands)
 	par.Chunks(x.Workers, n, func(_, lo, hi int) {
-		var sig lsh.Signature
+		var sig Signature
 		for ord := lo; ord < hi; ord++ {
 			h := s.store.HistoryAt(uint32(ord))
 			if h == nil {
 				continue
 			}
 			s.signed[ord], s.version[ord] = true, h.Version()
-			sig = lsh.AppendSignature(sig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
+			sig = AppendSignature(sig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
 			for band := 0; band < bands; band++ {
 				s.bandHash[ord*bands+band], s.hasBand[ord*bands+band] = x.banding.BandHash(sig, band)
 			}
@@ -511,7 +521,7 @@ func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
 			continue // marked dirty but unchanged since its last compute
 		}
 		s.changed = append(s.changed, ord)
-		x.scratchSig = lsh.AppendSignature(x.scratchSig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
+		x.scratchSig = AppendSignature(x.scratchSig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
 		x.scratchHash = resize(x.scratchHash, bands)
 		x.scratchOK = resize(x.scratchOK, bands)
 		for band := 0; band < bands; band++ {

@@ -9,7 +9,6 @@ import (
 
 	"slim/internal/geo"
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/model"
 )
 
@@ -23,11 +22,11 @@ func rec(e string, lat, lng float64, unix int64) model.Record {
 
 // batchPairs is the from-scratch oracle: exactly what
 // Linker.refreshLSHCandidates did before the index existed.
-func batchPairs(se, si *history.Store, p lsh.Params) []lsh.Pair {
+func batchPairs(se, si *history.Store, p Params) []Pair {
 	minE, maxE, okE := se.WindowRange()
 	minI, maxI, okI := si.WindowRange()
 	if !okE || !okI {
-		return []lsh.Pair{}
+		return []Pair{}
 	}
 	minW, maxW := minE, maxE
 	if minI < minW {
@@ -36,24 +35,24 @@ func batchPairs(se, si *history.Store, p lsh.Params) []lsh.Pair {
 	if maxI > maxW {
 		maxW = maxI
 	}
-	sigsE := lsh.BuildSignatures(se, p.StepWindows, minW, maxW)
-	sigsI := lsh.BuildSignatures(si, p.StepWindows, minW, maxW)
-	pairs, _ := lsh.CandidatePairs(sigsE, sigsI, p)
+	sigsE := BuildSignatures(se, p.StepWindows, minW, maxW)
+	sigsI := BuildSignatures(si, p.StepWindows, minW, maxW)
+	pairs := CandidatePairs(sigsE, sigsI, p)
 	if pairs == nil {
-		pairs = []lsh.Pair{}
+		pairs = []Pair{}
 	}
 	return pairs
 }
 
 // named resolves packed pairs to entity ids through the two stores'
-// entity tables, in the canonical (U, V) id order of lsh.CandidatePairs.
-func named(se, si *history.Store, keys []uint64) []lsh.Pair {
-	pairs := make([]lsh.Pair, len(keys))
+// entity tables, in the canonical (U, V) id order of CandidatePairs.
+func named(se, si *history.Store, keys []uint64) []Pair {
+	pairs := make([]Pair, len(keys))
 	for k, key := range keys {
 		u, v := Ends(key)
-		pairs[k] = lsh.Pair{U: se.Ordinals().ID(u), V: si.Ordinals().ID(v)}
+		pairs[k] = Pair{U: se.Ordinals().ID(u), V: si.Ordinals().ID(v)}
 	}
-	lsh.SortPairs(pairs)
+	SortPairs(pairs)
 	return pairs
 }
 
@@ -71,7 +70,7 @@ func ords(s *history.Store, ids ...model.EntityID) map[uint32]struct{} {
 	return set
 }
 
-func requireParity(t *testing.T, x *Index, se, si *history.Store, p lsh.Params, step string) {
+func requireParity(t *testing.T, x *Index, se, si *history.Store, p Params, step string) {
 	t.Helper()
 	want := batchPairs(se, si, p)
 	if !slices.IsSorted(x.Pairs()) {
@@ -148,7 +147,7 @@ func TestIndexRandomizedParity(t *testing.T) {
 	for _, tc := range suiteCases {
 		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
 			gen := newBurstGen(tc.seed, tc.descending)
-			p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+			p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 
 			se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
 			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
@@ -181,7 +180,7 @@ func TestIndexRandomizedParity(t *testing.T) {
 // takes the delta path (no epoch bump) and still matches the oracle —
 // otherwise the parity suite could pass by rebuilding every time.
 func TestIndexDeltaPathIsExercised(t *testing.T) {
-	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
 	for e := 0; e < 10; e++ {
 		for k := 0; k < 20; k++ {
@@ -226,7 +225,7 @@ func TestIndexDeltaPathIsExercised(t *testing.T) {
 // discipline: an entity reported dirty whose history version is unchanged
 // is not recomputed.
 func TestIndexSkipsUnchangedDirtyEntities(t *testing.T) {
-	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
 	for k := 0; k < 20; k++ {
 		eRecs = append(eRecs, rec("e0", 37.6, -122.4, int64(900*k)))
@@ -248,7 +247,7 @@ func TestIndexSkipsUnchangedDirtyEntities(t *testing.T) {
 // TestIndexOneSideEmpty mirrors the batch semantics: no candidates until
 // both stores hold data, then a first build on the transition.
 func TestIndexOneSideEmpty(t *testing.T) {
-	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
 	si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
 	x := New(se, si, p)
@@ -269,7 +268,7 @@ func TestIndexOneSideEmpty(t *testing.T) {
 // TestIndexPairsSliceStability: a Pairs() slice held across later updates
 // must not be mutated (fresh materialization per change).
 func TestIndexPairsSliceStability(t *testing.T) {
-	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
 	for e := 0; e < 6; e++ {
 		for k := 0; k < 10; k++ {
@@ -295,7 +294,7 @@ func TestIndexPairsSliceStability(t *testing.T) {
 // TestIndexStatsShape sanity-checks the occupancy bookkeeping against a
 // direct recount of the bucket maps.
 func TestIndexStatsShape(t *testing.T) {
-	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
 	for e := 0; e < 8; e++ {
 		for k := 0; k < 12; k++ {
@@ -337,7 +336,7 @@ func TestIndexStatsShape(t *testing.T) {
 // transition, no membership change), Pairs() must return the cached
 // slice instead of re-sorting the world.
 func TestIndexCountOnlyChurnKeepsPairCache(t *testing.T) {
-	p := lsh.Params{Threshold: 0.2, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	p := Params{Threshold: 0.2, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	// e0 and i0 share every dominating cell over 16 windows → sigLen 4.
 	var eRecs, iRecs []model.Record
 	for k := 0; k < 16; k++ {

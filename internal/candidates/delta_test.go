@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/model"
 )
 
 // pairSet builds a membership set from a pair slice.
-func pairSet(ps []lsh.Pair) map[lsh.Pair]struct{} {
-	s := make(map[lsh.Pair]struct{}, len(ps))
+func pairSet(ps []Pair) map[Pair]struct{} {
+	s := make(map[Pair]struct{}, len(ps))
 	for _, p := range ps {
 		s[p] = struct{}{}
 	}
@@ -21,14 +20,14 @@ func pairSet(ps []lsh.Pair) map[lsh.Pair]struct{} {
 }
 
 // diffPairs returns the sorted members of a that are absent from b.
-func diffPairs(a []lsh.Pair, b map[lsh.Pair]struct{}) []lsh.Pair {
-	var out []lsh.Pair
+func diffPairs(a []Pair, b map[Pair]struct{}) []Pair {
+	var out []Pair
 	for _, p := range a {
 		if _, ok := b[p]; !ok {
 			out = append(out, p)
 		}
 	}
-	lsh.SortPairs(out)
+	SortPairs(out)
 	return out
 }
 
@@ -37,7 +36,7 @@ func diffPairs(a []lsh.Pair, b map[lsh.Pair]struct{}) []lsh.Pair {
 // snapshots, and Dirty must equal exactly the kept pairs with an endpoint
 // among the entities whose histories changed this burst. All lists are
 // compared by entity id, in canonical order.
-func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta, before, after []lsh.Pair,
+func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta, before, after []Pair,
 	burstE, burstI map[model.EntityID]struct{}) {
 	t.Helper()
 	for _, keys := range [][]uint64{d.Added, d.Removed, d.Dirty} {
@@ -53,7 +52,7 @@ func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta
 	if wantRemoved := diffPairs(before, afterSet); !slices.Equal(removed, wantRemoved) {
 		t.Fatalf("%s: Removed = %v, want set-difference %v", step, removed, wantRemoved)
 	}
-	wantDirty := []lsh.Pair{}
+	wantDirty := []Pair{}
 	for _, p := range after {
 		if _, kept := beforeSet[p]; !kept {
 			continue
@@ -64,7 +63,7 @@ func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta
 			wantDirty = append(wantDirty, p)
 		}
 	}
-	lsh.SortPairs(wantDirty)
+	SortPairs(wantDirty)
 	if !slices.Equal(dirty, wantDirty) {
 		t.Fatalf("%s: Dirty = %v, want kept-pairs-of-changed-entities %v", step, dirty, wantDirty)
 	}
@@ -79,13 +78,13 @@ func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta
 // candidate sets, with Dirty naming exactly the kept pairs of changed
 // entities. A Rebuilt delta carries no pair lists: the caller re-reads
 // Pairs(), which requireParity holds to the from-scratch
-// lsh.CandidatePairs set after every burst, rebuilds included.
+// CandidatePairs set after every burst, rebuilds included.
 func TestIndexDeltaExactSetDifference(t *testing.T) {
 	for _, tc := range suiteCases {
 		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
 			gen := newBurstGen(tc.seed, tc.descending)
 			rng := gen.rng
-			p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+			p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 
 			se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
 			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
@@ -158,7 +157,7 @@ func changedOnly(x *Index, side int, dirty map[uint32]struct{}) map[model.Entity
 // delta while one side is empty, and the first build is a bare Rebuilt
 // whose Pairs() is the from-scratch candidate set.
 func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
-	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
 	si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
 	x := New(se, si, p)
@@ -195,7 +194,7 @@ func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 // entities of both sides, over a handful of cells so band hashes agree
 // often, must produce both; the test fails if it does not.
 func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
-	p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	const entities, windows = 6, 32
 	rng := rand.New(rand.NewSource(5))
 	record := func(side, weight int) (int, []model.Record) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/model"
 )
 
@@ -38,16 +37,16 @@ func regionHeavyRecords(side string) []model.Record {
 // DominatingCell: 50 builds of the same region-heavy stores must produce
 // identical signatures and an identical candidate set.
 func TestRegionSignaturesAreReproducible(t *testing.T) {
-	p := lsh.Params{Threshold: 0.4, StepWindows: 8, SpatialLevel: level, NumBuckets: 64}
+	p := Params{Threshold: 0.4, StepWindows: 8, SpatialLevel: level, NumBuckets: 64}
 	dsE := model.Dataset{Name: "E", Records: regionHeavyRecords("e")}
 	dsI := model.Dataset{Name: "I", Records: regionHeavyRecords("i")}
-	build := func() (sigs []lsh.Signature, pairs []uint64) {
+	build := func() (sigs []Signature, pairs []uint64) {
 		se, si := history.Build(&dsE, wnd, level), history.Build(&dsI, wnd, level)
 		x := New(se, si, p)
 		x.Update(nil, nil)
 		for _, s := range []*history.Store{se, si} {
 			for _, id := range s.Entities() {
-				sigs = append(sigs, lsh.AppendSignature(nil, s.History(id), p.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen))
+				sigs = append(sigs, AppendSignature(nil, s.History(id), p.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen))
 			}
 		}
 		return sigs, x.Pairs()

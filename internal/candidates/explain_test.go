@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/model"
 )
 
@@ -20,7 +19,7 @@ func TestExplainAgreesWithCandidateSet(t *testing.T) {
 	for _, tc := range suiteCases {
 		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
 			gen := newBurstGen(tc.seed, tc.descending)
-			p := lsh.Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+			p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 			se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
 			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
 			stores := [2]*history.Store{se, si}

@@ -6,7 +6,6 @@ import (
 
 	"slim/internal/datagen"
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/model"
 	"slim/internal/testenv"
 )
@@ -38,7 +37,7 @@ func TestCandidateIndexBytesPerPair(t *testing.T) {
 	se := history.BuildGrouped(&ge, wnd, 12, 1).SignatureStore(&ge, 16, 1)
 	si := history.BuildGrouped(&gi, wnd, 12, 1).SignatureStore(&gi, 16, 1)
 	before := testenv.LiveHeap()
-	x := New(se, si, lsh.Params{Threshold: 0.6, StepWindows: 48, SpatialLevel: 16, NumBuckets: 256})
+	x := New(se, si, Params{Threshold: 0.6, StepWindows: 48, SpatialLevel: 16, NumBuckets: 256})
 	x.Update(nil, nil)
 	pairs := x.Pairs()
 	after := testenv.LiveHeap()

@@ -46,8 +46,8 @@ import (
 )
 
 // DefaultDebounce is the background relink debounce used when
-// Config.Debounce is zero.
-const DefaultDebounce = 250 * time.Millisecond
+// Config.Debounce is zero, and the default of slimd's -debounce flag.
+const DefaultDebounce = 2 * time.Second
 
 // DefaultRunDeadline is the relink watchdog deadline used when
 // Config.RunDeadline is zero: a run exceeding it shows up on the

@@ -7,6 +7,7 @@ import (
 	"slim"
 	"slim/internal/baseline/gm"
 	"slim/internal/baseline/stlink"
+	"slim/internal/candidates"
 	"slim/internal/eval"
 	"slim/internal/model"
 )
@@ -28,18 +29,17 @@ type ComparisonOptions struct {
 	GMMaxAvgRecords float64
 	// HitK is the k of hit-precision@k (the paper uses 40).
 	HitK int
-	// LSHThreshold/SigLevel/Step/Buckets configure SLIM's filter. The
-	// paper uses t=0.6 with 4096 buckets on the real traces; the synthetic
-	// cab trace needs a more permissive threshold (see EXPERIMENTS.md "LSH
-	// calibration").
-	LSHThreshold float64
-	SigLevel     int
-	Step         int
-	Buckets      int
+	// LSH configures SLIM's filter.
+	LSH slim.LSHConfig
 }
 
-// DefaultComparisonOptions mirrors the paper's setup scaled down.
+// DefaultComparisonOptions mirrors the paper's setup scaled down. The
+// filter is the paper's on the real traces except for a more permissive
+// threshold and a coarser signature level, which the synthetic cab trace
+// needs (see EXPERIMENTS.md "LSH calibration").
 func DefaultComparisonOptions() ComparisonOptions {
+	lsh := candidates.DefaultParams()
+	lsh.Threshold, lsh.SpatialLevel = 0.2, 12
 	return ComparisonOptions{
 		TargetAvgRecords: []float64{20, 60, 150, 300, 600},
 		PivotInclusion:   0.9,
@@ -47,10 +47,7 @@ func DefaultComparisonOptions() ComparisonOptions {
 		IncludeGM:        true,
 		GMMaxAvgRecords:  200,
 		HitK:             40,
-		LSHThreshold:     0.2,
-		SigLevel:         12,
-		Step:             48,
-		Buckets:          4096,
+		LSH:              lsh,
 	}
 }
 
@@ -153,12 +150,7 @@ func comparisonCell(w slim.SampledWorkload, sc Scale, opt ComparisonOptions, rat
 
 	// SLIM with LSH.
 	cfgLSH := baseConfig(15, 12, sc.Workers)
-	cfgLSH.LSH = &slim.LSHConfig{
-		Threshold:    opt.LSHThreshold,
-		StepWindows:  opt.Step,
-		SpatialLevel: opt.SigLevel,
-		NumBuckets:   opt.Buckets,
-	}
+	cfgLSH.LSH = &opt.LSH
 	rrLSH, err := run(w, cfgLSH)
 	if err != nil {
 		return cell, err

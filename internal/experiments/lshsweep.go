@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"slim"
+	"slim/internal/candidates"
 	"slim/internal/eval"
 )
 
@@ -16,14 +17,15 @@ type LSHLevelOptions struct {
 	Buckets   int
 }
 
-// DefaultLSHLevelOptions mirrors the paper's axes (t=0.6, 4096 buckets),
-// subsampled.
+// DefaultLSHLevelOptions mirrors the paper's axes, subsampled, at the
+// paper's filter threshold and bucket count.
 func DefaultLSHLevelOptions() LSHLevelOptions {
+	p := candidates.DefaultParams()
 	return LSHLevelOptions{
 		SigLevels: []int{4, 8, 12, 16, 20},
 		Steps:     []int{8, 16, 48, 96},
-		Threshold: 0.6,
-		Buckets:   4096,
+		Threshold: p.Threshold,
+		Buckets:   p.NumBuckets,
 	}
 }
 
@@ -116,14 +118,15 @@ type LSHBucketOptions struct {
 	Step            int
 }
 
-// DefaultLSHBucketOptions mirrors the paper (buckets 2^8..2^20, t .4-.8,
-// signature level 16, step 48), subsampled.
+// DefaultLSHBucketOptions mirrors the paper (buckets 2^8..2^20, t .4-.8),
+// subsampled, at the paper's signature level and step.
 func DefaultLSHBucketOptions() LSHBucketOptions {
+	p := candidates.DefaultParams()
 	return LSHBucketOptions{
 		BucketExponents: []int{8, 10, 12, 14, 16, 18, 20},
 		Thresholds:      []float64{0.4, 0.6, 0.8},
-		SigLevel:        16,
-		Step:            48,
+		SigLevel:        p.SpatialLevel,
+		Step:            p.StepWindows,
 	}
 }
 

@@ -58,8 +58,9 @@ func (r ThresholdMethodsResult) F1Spread(dataset string) float64 {
 	return hi - lo
 }
 
-// ThresholdMethods runs the default Cab and SM workloads under each
-// detector.
+// ThresholdMethods links the default Cab and SM workloads once each and
+// cuts that one matching with each detector: the matching does not depend
+// on the stop threshold.
 func ThresholdMethods(sc Scale) (ThresholdMethodsResult, error) {
 	var res ThresholdMethodsResult
 	methods := []slim.ThresholdMethod{slim.ThresholdGMM, slim.ThresholdOtsu, slim.ThresholdKMeans}
@@ -74,20 +75,21 @@ func ThresholdMethods(sc Scale) (ThresholdMethodsResult, error) {
 		{"sm", workload(&smG, 0.5, 0.5, 0.5, sc.Seed+91)},
 	}
 	for _, wl := range workloads {
+		rr, err := run(wl.w, baseConfig(15, 12, sc.Workers))
+		if err != nil {
+			return ThresholdMethodsResult{}, err
+		}
+		scores := slim.LinkScores(rr.Res.Matched)
 		for _, m := range methods {
-			cfg := baseConfig(15, 12, sc.Workers)
-			cfg.Threshold = m
-			rr, err := run(wl.w, cfg)
-			if err != nil {
-				return ThresholdMethodsResult{}, err
-			}
+			thr := slim.SelectStopThreshold(m, scores)
+			metrics := slim.Evaluate(slim.FilterLinks(rr.Res.Matched, thr.Threshold), wl.w.Truth)
 			res.Cells = append(res.Cells, ThresholdMethodCell{
 				Method:    string(m),
 				Dataset:   wl.name,
-				F1:        rr.Metrics.F1,
-				Precision: rr.Metrics.Precision,
-				Recall:    rr.Metrics.Recall,
-				Threshold: rr.Res.Threshold,
+				F1:        metrics.F1,
+				Precision: metrics.Precision,
+				Recall:    metrics.Recall,
+				Threshold: thr.Threshold,
 			})
 		}
 	}

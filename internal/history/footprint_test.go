@@ -4,9 +4,9 @@ import (
 	"runtime"
 	"testing"
 
+	"slim/internal/candidates"
 	"slim/internal/datagen"
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/testenv"
 )
 
@@ -55,8 +55,11 @@ func TestStoreBytesPerBin(t *testing.T) {
 		{"signature store, level 16", 53, func() *history.Store {
 			s := sim.SignatureStore(&g, 16, 1)
 			minW, maxW, _ := s.WindowRange()
-			if n := len(lsh.BuildSignatures(s, 48, minW, maxW)); n != s.NumEntities() {
-				t.Fatalf("%d signatures for %d entities", n, s.NumEntities())
+			n := candidates.SignatureLength(minW, maxW, 48)
+			for _, id := range s.Entities() {
+				if sig := candidates.AppendSignature(nil, s.History(id), 48, minW, maxW, n); len(sig) != n {
+					t.Fatalf("%s: signature of %d rows, want %d", id, len(sig), n)
+				}
 			}
 			return s // the signatures are garbage by now; the store is not
 		}},

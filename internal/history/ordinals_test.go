@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"slim/internal/candidates"
 	"slim/internal/geo"
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/model"
 )
 
@@ -162,9 +162,10 @@ func TestSignatureStoreIsColumnsAndVersionsOnly(t *testing.T) {
 			t.Fatalf("%s: columns differ from a scoring store at the same level", id)
 		}
 	}
-	sigsS, sigsW := lsh.BuildSignatures(sig, 8, minW, maxW), lsh.BuildSignatures(want, 8, minW, maxW)
-	for id, s := range sigsW {
-		if !slices.Equal(sigsS[id], s) {
+	n := candidates.SignatureLength(minW, maxW, 8)
+	for _, id := range want.Entities() {
+		if !slices.Equal(candidates.AppendSignature(nil, sig.History(id), 8, minW, maxW, n),
+			candidates.AppendSignature(nil, want.History(id), 8, minW, maxW, n)) {
 			t.Fatalf("%s: signature differs from a scoring store at the same level", id)
 		}
 	}

@@ -13,9 +13,9 @@ import (
 	"slices"
 	"testing"
 
+	"slim/internal/candidates"
 	"slim/internal/geo"
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/model"
 )
 
@@ -213,8 +213,8 @@ func (m *refStore) check(t *testing.T, step string, s *history.Store, rng *rand.
 		}
 		step64 := 1 + rng.Intn(7)
 		gridMin := minW - rng.Int63n(3)
-		n := lsh.SignatureLength(gridMin, maxW, step64)
-		sig := lsh.AppendSignature(nil, h, step64, gridMin, maxW, n)
+		n := candidates.SignatureLength(gridMin, maxW, step64)
+		sig := candidates.AppendSignature(nil, h, step64, gridMin, maxW, n)
 		if len(sig) != n {
 			t.Fatalf("%s: %s signature length %d, want %d", step, e, len(sig), n)
 		}
@@ -222,7 +222,7 @@ func (m *refStore) check(t *testing.T, step string, s *history.Store, rng *rand.
 			lo := gridMin + int64(q)*int64(step64)
 			want, ok := h.DominatingCell(lo, min(lo+int64(step64), maxW+1))
 			if !ok {
-				want = lsh.Placeholder
+				want = candidates.Placeholder
 			}
 			if sig[q] != want {
 				t.Fatalf("%s: %s signature[%d] = %v, per-query DominatingCell %v", step, e, q, sig[q], want)

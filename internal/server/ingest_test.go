@@ -28,11 +28,12 @@ import (
 // nodeOpts parameterizes bootNode; the zero value is a durable node with
 // default budgets and inline fsync (storage.Options' zero value).
 type nodeOpts struct {
-	memoryOnly bool            // no data directory: Submit buffers without logging
-	link       *slim.Config    // nil = slim.Defaults()
-	storage    storage.Options // FS and Registry are filled in by bootNode
-	plane      ingest.Config   // Registry is filled in by bootNode
-	server     []Option
+	memoryOnly   bool            // no data directory: Submit buffers without logging
+	seedE, seedI []slim.Record   // the seed datasets' records (-e/-i)
+	link         *slim.Config    // nil = slim.Defaults()
+	storage      storage.Options // FS and Registry are filled in by bootNode
+	plane        ingest.Config   // Registry is filled in by bootNode
+	server       []Option
 }
 
 // node is one in-process slimd, wired the way cmd/slimd wires the
@@ -56,14 +57,15 @@ func bootNode(t *testing.T, o nodeOpts) *node {
 		link = *o.link
 	}
 	engCfg := engine.Config{Link: link, Debounce: time.Hour, Registry: reg}
+	seedE, seedI := slim.Dataset{Name: "E", Records: o.seedE}, slim.Dataset{Name: "I", Records: o.seedI}
 	var err error
 	if o.memoryOnly {
-		n.eng, err = engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"}, engCfg)
+		n.eng, err = engine.New(storage.QuantizeDataset(seedE), storage.QuantizeDataset(seedI), engCfg)
 	} else {
 		n.dir = t.TempDir()
 		o.storage.FS = storage.NewFaultFS(storage.OSFS, n.inj)
 		o.storage.Registry = reg
-		n.eng, n.store, _, err = storage.Recover(n.dir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"}, engCfg, o.storage)
+		n.eng, n.store, _, err = storage.Recover(n.dir, seedE, seedI, engCfg, o.storage)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -201,16 +203,7 @@ func TestBinaryJSONIngestParity(t *testing.T) {
 		t.Fatal("workload produced no links; parity test is vacuous")
 	}
 	for name, n := range map[string]*node{"json, memory only": memJSON, "json, durable": durJSON} {
-		got := n.eng.Run().Links
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d links, binary route %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].U != want[i].U || got[i].V != want[i].V ||
-				math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-				t.Fatalf("%s: link %d = %+v, binary route %+v", name, i, got[i], want[i])
-			}
-		}
+		requireSameLinks(t, name, n.eng.Run().Links, "binary route", want)
 	}
 
 	// Identical WAL, byte for byte: same segment files, same contents.
@@ -240,6 +233,46 @@ func TestBinaryJSONIngestParity(t *testing.T) {
 	if !reflect.DeepEqual(wa, wb) {
 		t.Fatalf("WAL segments diverge between routes: %d vs %d files", len(wa), len(wb))
 	}
+}
+
+// requireSameLinks fails unless two link lists are equal pair for pair
+// with Float64bits-identical scores.
+func requireSameLinks(t *testing.T, name string, got []slim.Link, wantName string, want []slim.Link) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d links, %s %d", name, len(got), wantName, len(want))
+	}
+	for i := range want {
+		if got[i].U != want[i].U || got[i].V != want[i].V ||
+			math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: link %d = %+v, %s %+v", name, i, got[i], wantName, want[i])
+		}
+	}
+}
+
+// TestSeedsLinkTheSameWithAndWithoutDataDir: slimd builds its engine over
+// the -e/-i seeds in memory, or through a fresh data directory that stores
+// them on the E7 grid, and the two must publish Float64bits-identical
+// links. Every third E record sits within 1e-12 degrees of a history-grid
+// cell edge, on the side E7 rounding pulls it off (onCellEdge), so an
+// engine built over the raw seeds bins those records into other cells.
+func TestSeedsLinkTheSameWithAndWithoutDataDir(t *testing.T) {
+	ground := slim.GenerateCab(slim.CabOptions{
+		NumTaxis: 20, Days: 2, MeanRecordIntervalSec: 420, Seed: 21,
+	})
+	w := slim.SampleWorkload(&ground, slim.SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.6, InclusionProbI: 0.6, Seed: 22,
+	})
+	for i := 0; i < len(w.E.Records); i += 3 {
+		w.E.Records[i].LatLng = onCellEdge(t, w.E.Records[i].LatLng, slim.Defaults().SpatialLevel)
+	}
+	durable := bootNode(t, nodeOpts{seedE: w.E.Records, seedI: w.I.Records})
+	memory := bootNode(t, nodeOpts{memoryOnly: true, seedE: w.E.Records, seedI: w.I.Records})
+	want := durable.eng.Run().Links
+	if len(want) == 0 {
+		t.Fatal("workload produced no links; the comparison is vacuous")
+	}
+	requireSameLinks(t, "memory only", memory.eng.Run().Links, "data directory", want)
 }
 
 // onCellEdge moves ll north to the next cell edge of the given grid level

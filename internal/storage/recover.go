@@ -75,8 +75,8 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 		// Fresh directory: the caller's seeds are quantized exactly like
 		// every other persisted record so that state is restart-stable.
 		base = &snapshotData{
-			seedE: quantizeDataset(seedE),
-			seedI: quantizeDataset(seedI),
+			seedE: QuantizeDataset(seedE),
+			seedI: QuantizeDataset(seedI),
 		}
 	}
 
@@ -180,7 +180,12 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 	return eng, st, info, nil
 }
 
-func quantizeDataset(d slim.Dataset) slim.Dataset {
+// QuantizeDataset returns a copy of a seed dataset on the codec's E7 grid
+// (QuantizeRecord): the records a data directory stores and every recovery
+// rebuilds. Both of slimd's boot paths build the engine over seeds passed
+// through it, so the same seeds link the same with and without a data
+// directory, as records ingested over either route do.
+func QuantizeDataset(d slim.Dataset) slim.Dataset {
 	out := slim.Dataset{Name: d.Name, Records: make([]slim.Record, len(d.Records))}
 	for i, r := range d.Records {
 		out.Records[i] = QuantizeRecord(r)

@@ -10,18 +10,22 @@ type CacheStats struct {
 	Reuses uint64 `json:"threshold_reuses_total"`
 }
 
-// Cache memoizes the most recent threshold fit, keyed on the exact score
-// sequence. Scores are compared via math.Float64bits, so reuse happens
-// only when the input is bit-identical to the previous call — the
+// Cache memoizes the most recent threshold fit of its Method, keyed on the
+// exact score sequence. Scores are compared via math.Float64bits, so reuse
+// happens only when the input is bit-identical to the previous call — the
 // returned Result is then byte-for-byte the same decision, which keeps
 // cached selection bit-compatible with always refitting. Callers pass the
 // matched score list in its published (descending-sorted) order, making
 // sequence equality equivalent to multiset equality.
 //
-// The zero value is ready to use; not safe for concurrent use. The cached
-// Result (including its *GMM model) is shared across calls and must be
-// treated as read-only.
+// The zero value is ready to use and runs the GMM detector; set Method
+// before the first Select. Not safe for concurrent use. The cached Result
+// (including its *GMM model) is shared across calls and must be treated
+// as read-only.
 type Cache struct {
+	// Method is the detector Select runs (see the package function Select).
+	Method Method
+
 	key    []uint64
 	result Result
 	valid  bool
@@ -29,9 +33,9 @@ type Cache struct {
 	fits, reuses uint64
 }
 
-// Select returns the threshold decision for scores, calling fit only when
-// the score sequence differs bitwise from the previous call.
-func (c *Cache) Select(scores []float64, fit func([]float64) Result) Result {
+// Select returns the threshold decision of c.Method for scores, fitting
+// only when the score sequence differs bitwise from the previous call.
+func (c *Cache) Select(scores []float64) Result {
 	if c.valid && len(scores) == len(c.key) {
 		same := true
 		for i, s := range scores {
@@ -45,7 +49,7 @@ func (c *Cache) Select(scores []float64, fit func([]float64) Result) Result {
 			return c.result
 		}
 	}
-	r := fit(scores)
+	r := Select(c.Method, scores)
 	c.key = c.key[:0]
 	for _, s := range scores {
 		c.key = append(c.key, math.Float64bits(s))

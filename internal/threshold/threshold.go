@@ -26,7 +26,9 @@ type GMM struct {
 	Std    [2]float64 // component standard deviations
 }
 
-// Method names a threshold detection strategy.
+// Method names a threshold detection strategy. MethodGMM, MethodOtsu,
+// MethodKMeans and MethodNone are the detectors a caller selects (Select);
+// MethodMidpoint only ever reports the GMM detector's last fallback.
 type Method string
 
 const (
@@ -34,7 +36,27 @@ const (
 	MethodOtsu     Method = "otsu"
 	MethodKMeans   Method = "2means"
 	MethodMidpoint Method = "midpoint"
+	MethodNone     Method = "none"
 )
+
+// Select applies the detector a method names to the matched weights:
+// MethodNone keeps every matched edge, MethodOtsu and MethodKMeans are the
+// paper's alternatives, and any other method is the GMM detector with its
+// fallbacks (SelectThreshold).
+func Select(method Method, weights []float64) Result {
+	switch method {
+	case MethodNone:
+		// Edges only exist for positive scores, so any negative threshold
+		// is a no-op filter.
+		return Result{Threshold: -1, Method: MethodNone}
+	case MethodOtsu:
+		return SelectThresholdOtsu(weights)
+	case MethodKMeans:
+		return SelectThresholdKMeans(weights)
+	default:
+		return SelectThreshold(weights)
+	}
+}
 
 // Result is a threshold decision together with the model that produced it.
 type Result struct {

@@ -29,7 +29,6 @@ import (
 
 	"slim/internal/candidates"
 	"slim/internal/history"
-	"slim/internal/lsh"
 	"slim/internal/matching"
 	"slim/internal/model"
 	"slim/internal/par"
@@ -133,9 +132,9 @@ type Linker struct {
 
 // NewLinker validates the configuration and both datasets, drops entities
 // at or below cfg.MinRecords, resolves the shared temporal grid and the
-// spatial level (auto-tuning when cfg.SpatialLevel is 0, with level 12 as
-// the degenerate-input fallback), builds both datasets' mobility histories
-// and, when LSH is enabled, the candidate pair set.
+// spatial level (auto-tuning when cfg.SpatialLevel is 0, with Defaults'
+// level as the degenerate-input fallback), builds both datasets' mobility
+// histories and, when LSH is enabled, the candidate pair set.
 func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -162,7 +161,7 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 		opt.B = cfg.B
 		cfg.SpatialLevel, _, _ = tuning.AutoSpatialLevelPair(&fe, &fi, opt)
 		if cfg.SpatialLevel == 0 {
-			cfg.SpatialLevel = 12
+			cfg.SpatialLevel = Defaults().SpatialLevel
 		}
 	}
 
@@ -202,12 +201,7 @@ func (lk *Linker) buildLSHCandidates(ge, gi *model.Grouped) {
 		lk.sigStoreE = lk.storeE.SignatureStore(ge, c.SpatialLevel, lk.cfg.Workers)
 		lk.sigStoreI = lk.storeI.SignatureStore(gi, c.SpatialLevel, lk.cfg.Workers)
 	}
-	lk.candIndex = candidates.New(lk.sigStoreE, lk.sigStoreI, lsh.Params{
-		Threshold:    c.Threshold,
-		StepWindows:  c.StepWindows,
-		SpatialLevel: c.SpatialLevel,
-		NumBuckets:   c.NumBuckets,
-	})
+	lk.candIndex = candidates.New(lk.sigStoreE, lk.sigStoreI, *c)
 	lk.candIndex.Workers = lk.cfg.Workers
 	lk.refreshLSHCandidates() // the initial build
 }
@@ -600,21 +594,10 @@ func MatchLinks(_ MatcherKind, edges []Link) []Link {
 }
 
 // SelectStopThreshold applies the given stop-threshold detector to the
-// matched scores (Sec. 3.2 of the paper). The publish tail's fit cache
-// calls it too.
+// matched scores (Sec. 3.2 of the paper): threshold.Select, the selector
+// the publish tail's fit cache runs too.
 func SelectStopThreshold(method ThresholdMethod, scores []float64) StopThreshold {
-	switch method {
-	case ThresholdNone:
-		// Keep every matched edge: edges only exist for positive scores,
-		// so any negative threshold is a no-op filter.
-		return StopThreshold{Threshold: -1, Method: "none"}
-	case ThresholdOtsu:
-		return threshold.SelectThresholdOtsu(scores)
-	case ThresholdKMeans:
-		return threshold.SelectThresholdKMeans(scores)
-	default:
-		return threshold.SelectThreshold(scores)
-	}
+	return threshold.Select(method, scores)
 }
 
 // LinkScores extracts the score column of a link list.

@@ -61,7 +61,6 @@ type PublishTailStats struct {
 // over the same edge set, which stays in the tree as the reference the
 // parity tests compare it against. Not safe for concurrent use.
 type PublishTail struct {
-	fit func([]float64) StopThreshold
 	m   matching.Incremental
 	thr threshold.Cache
 	// scoresBuf is the matched score column handed to the fit cache.
@@ -74,11 +73,7 @@ type PublishTail struct {
 // NewPublishTail returns a tail publishing with the given stop-threshold
 // method.
 func NewPublishTail(method ThresholdMethod) *PublishTail {
-	return &PublishTail{
-		fit: func(scores []float64) StopThreshold {
-			return SelectStopThreshold(method, scores)
-		},
-	}
+	return &PublishTail{thr: threshold.Cache{Method: method}}
 }
 
 // Publish folds one edge-store delta into the maintained pipeline and
@@ -112,7 +107,7 @@ func (t *PublishTail) Publish(d EdgeDelta, all func() []Link) (matched, links []
 	for _, l := range matched {
 		t.scoresBuf = append(t.scoresBuf, l.Score)
 	}
-	thr = t.thr.Select(t.scoresBuf, t.fit)
+	thr = t.thr.Select(t.scoresBuf)
 	t.lastThreshold = time.Since(thrStart)
 
 	// matched is in greedy order — descending score — so the links above
