@@ -89,14 +89,16 @@ func Link(dsE, dsI *model.Dataset, p Params) Result {
 	// window comparison only ever links such pairs.
 	binToI := make(map[history.Bin][]model.EntityID)
 	for _, v := range si.Entities() {
-		si.History(v).Bins(func(b history.Bin, _ float64) {
+		h := si.History(v)
+		h.Bins(func(b history.Bin, _ float64) {
 			binToI[b] = append(binToI[b], v)
 		})
 	}
 	type pairKey struct{ u, v model.EntityID }
 	cand := make(map[pairKey]bool)
 	for _, u := range se.Entities() {
-		se.History(u).Bins(func(b history.Bin, _ float64) {
+		h := se.History(u)
+		h.Bins(func(b history.Bin, _ float64) {
 			for _, v := range binToI[b] {
 				cand[pairKey{u, v}] = true
 			}
@@ -119,16 +121,18 @@ func Link(dsE, dsI *model.Dataset, p Params) Result {
 	// SLIM's kernel reads it — so the runtime comparison charges both sides
 	// the same constant per cell distance.
 	res := Result{}
+	var cu, cv history.View
 	for _, pk := range pairs {
-		cu, geomU := se.CompiledView(pk.u)
-		cv, geomV := si.CompiledView(pk.v)
+		geomU, _ := se.CompiledView(pk.u, &cu)
+		geomV, _ := si.CompiledView(pk.v, &cv)
 		ps := PairScore{U: pk.u, V: pk.v}
 		diverse := make(map[geo.CellID]bool)
 		commonWindows(cu.Windows, cv.Windows, func(ku, kv int) {
-			res.RecordComparisons += int64(cu.WinRecs[ku]*cv.WinRecs[kv] + 0.5)
-			for _, ci := range cu.Cells[cu.Off[ku]:cu.Off[ku+1]] {
+			loU, hiU, loV, hiV := cu.Off[ku], cu.Off[ku+1], cv.Off[kv], cv.Off[kv+1]
+			res.RecordComparisons += int64(history.SumWeights(cu.Counts[loU:hiU])*history.SumWeights(cv.Counts[loV:hiV]) + 0.5)
+			for _, ci := range cu.Cells[loU:hiU] {
 				a := &geomU[ci]
-				for _, cj := range cv.Cells[cv.Off[kv]:cv.Off[kv+1]] {
+				for _, cj := range cv.Cells[loV:hiV] {
 					b := &geomV[cj]
 					if a.ID == b.ID {
 						ps.Cooccurrences++

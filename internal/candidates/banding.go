@@ -187,7 +187,7 @@ func (g Banding) BandHash(sig Signature, band int) (uint64, bool) {
 // window past maxWin+1 could never change the outcome. This is what lets
 // the incremental index keep signatures computed under an older maxWin
 // when later ingest grows the range without growing n.
-func AppendSignature(dst Signature, h *history.History, stepWindows int, minWin, maxWin int64, n int) Signature {
+func AppendSignature(dst Signature, h history.History, stepWindows int, minWin, maxWin int64, n int) Signature {
 	dst = dst[:0]
 	wins := h.Windows()
 	k, _ := slices.BinarySearch(wins, minWin)

@@ -465,8 +465,8 @@ func (x *Index) fill(side int) {
 		var sig Signature
 		for ord := lo; ord < hi; ord++ {
 			h := s.store.HistoryAt(uint32(ord))
-			if h == nil {
-				continue
+			if h.NumBins() == 0 {
+				continue // no history in this store yet
 			}
 			s.signed[ord], s.version[ord] = true, h.Version()
 			sig = AppendSignature(sig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
@@ -512,7 +512,7 @@ func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
 	n := 0
 	for ord := range dirty {
 		h := s.store.HistoryAt(ord)
-		if h == nil {
+		if h.NumBins() == 0 {
 			continue
 		}
 		s.cover(ord, bands)

@@ -143,7 +143,7 @@ func changedOnly(x *Index, side int, dirty map[uint32]struct{}) map[model.Entity
 	out := make(map[model.EntityID]struct{}, len(dirty))
 	for ord := range dirty {
 		h := s.store.HistoryAt(ord)
-		if h == nil {
+		if h.NumBins() == 0 {
 			continue
 		}
 		if int(ord) >= len(s.signed) || !s.signed[ord] || s.version[ord] != h.Version() {

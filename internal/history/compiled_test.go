@@ -25,22 +25,23 @@ func compiledTestStore(t testing.TB) *Store {
 	return Build(&d, model.Windowing{Epoch: 0, WidthSeconds: 900}, 12)
 }
 
-// TestCompiledViewMatchesBins checks the flat layout against the map walk:
-// same windows, same cells in the same (sorted) order, same weights, IDF
-// weights equal to the store's IDF, and per-window record sums consistent.
+// TestCompiledViewMatchesBins checks the compiled view against the map
+// walk: same windows, same cells in the same (sorted) order, same weights,
+// and IDF weights equal to the store's IDF.
 func TestCompiledViewMatchesBins(t *testing.T) {
 	s := compiledTestStore(t)
 	if n := s.Compile(1); n != s.NumEntities() {
 		t.Fatalf("first Compile recompiled %d entities, want %d", n, s.NumEntities())
 	}
 	for _, e := range s.Entities() {
-		c, cells := s.CompiledView(e)
-		if c == nil {
+		var c View
+		cells, ok := s.CompiledView(e, &c)
+		if !ok {
 			t.Fatalf("no compiled view for %s", e)
 		}
 		h := s.History(e)
-		if len(c.Windows) != len(h.Windows()) {
-			t.Fatalf("%s: %d compiled windows, want %d", e, len(c.Windows), len(h.Windows()))
+		if !slices.Equal(c.Windows, h.Windows()) {
+			t.Fatalf("%s: compiled windows %v, want %v", e, c.Windows, h.Windows())
 		}
 		k := 0
 		wi := -1
@@ -62,17 +63,8 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 			}
 			k++
 		})
-		if k != h.NumBins() {
-			t.Fatalf("%s: compiled %d bins, history has %d", e, k, h.NumBins())
-		}
-		for w := range c.Windows {
-			var sum float64
-			for b := c.Off[w]; b < c.Off[w+1]; b++ {
-				sum += c.Counts[b]
-			}
-			if sum != c.WinRecs[w] {
-				t.Fatalf("%s: WinRecs[%d] = %v, bins sum to %v", e, w, c.WinRecs[w], sum)
-			}
+		if k != h.NumBins() || len(c.Cells) != k || len(c.IDF) != k {
+			t.Fatalf("%s: compiled %d bins (%d cells, %d weights), history has %d", e, k, len(c.Cells), len(c.IDF), h.NumBins())
 		}
 	}
 }
@@ -112,30 +104,35 @@ func TestCompileInvalidation(t *testing.T) {
 // Compile call) serves fresh views after an Add.
 func TestCompiledViewLazyRecompile(t *testing.T) {
 	s := compiledTestStore(t)
-	before, _ := s.CompiledView("a")
-	if before == nil {
-		t.Fatal("lazy CompiledView returned nil for a known entity")
+	var before View
+	if _, ok := s.CompiledView("a", &before); !ok {
+		t.Fatal("lazy CompiledView found no view for a known entity")
 	}
 	binsBefore := len(before.Cells)
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 36.5, Lng: -121.5}, Unix: 90000})
-	after, ids := s.CompiledView("a")
-	if after == before {
-		t.Fatal("CompiledView returned the stale view after Add")
-	}
-	if len(after.Cells) != binsBefore+1 {
+	var after View
+	ids, _ := s.CompiledView("a", &after)
+	if len(after.Cells) != binsBefore+1 || len(after.IDF) != binsBefore+1 {
 		t.Fatalf("recompiled view has %d bins, want %d", len(after.Cells), binsBefore+1)
 	}
-	// Dense indices must stay within the id table.
-	for _, ci := range after.Cells {
-		if int(ci) >= len(ids) {
-			t.Fatalf("dense index %d outside id table of %d", ci, len(ids))
+	// Dense indices must stay within the id table and name the history's
+	// cells, and the weights must be the refreshed store's.
+	h := s.History("a")
+	k := 0
+	h.Bins(func(b Bin, _ float64) {
+		if ci := after.Cells[k]; int(ci) >= len(ids) || ids[ci].ID != b.Cell {
+			t.Fatalf("bin %d: dense index %d does not name cell %v", k, ci, b.Cell)
 		}
-	}
+		if after.IDF[k] != s.IDF(b) {
+			t.Fatalf("bin %d: stale IDF %v, want %v", k, after.IDF[k], s.IDF(b))
+		}
+		k++
+	})
 }
 
 // TestCompileParallelMatchesSerial requires the parallel build to equal
-// the serial one view for view — windows, offsets, weights, IDF, window
-// sums and the dense cell indices with their id table — across a cold
+// the serial one view for view — windows, offsets, weights, IDF and the
+// dense cell indices with their id table — across a cold
 // compile, a weight-only add (one stale entity) and an epoch move that
 // brings new cells (everything stale). Run under -race it is also the
 // data-race gate of the fan-out.
@@ -177,18 +174,20 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 		if ns != wantStale[step] || np != wantStale[step] {
 			t.Fatalf("step %d: serial recompiled %d entities, parallel %d, want %d", step, ns, np, wantStale[step])
 		}
-		if !slices.Equal(serial.cells, parallel.cells) {
+		if !slices.Equal(serial.geoms, parallel.geoms) {
 			t.Fatalf("step %d: dense cell-id tables differ", step)
 		}
-		for ord := range serial.histories {
+		for ord := range serial.segs {
 			e := serial.ords.ID(uint32(ord))
-			a, b := serial.compiled[ord], parallel.compiled[ord]
-			if a == nil || b == nil {
-				t.Fatalf("step %d: %s has no compiled view", step, e)
+			if !serial.current(&serial.segs[ord]) || !parallel.current(&parallel.segs[ord]) {
+				t.Fatalf("step %d: %s has no current compiled view", step, e)
 			}
+			var a, b View
+			serial.CompiledViewAt(uint32(ord), &a)
+			parallel.CompiledViewAt(uint32(ord), &b)
 			if !slices.Equal(a.Windows, b.Windows) || !slices.Equal(a.Off, b.Off) ||
 				!slices.Equal(a.Cells, b.Cells) || !slices.Equal(a.Counts, b.Counts) ||
-				!slices.Equal(a.IDF, b.IDF) || !slices.Equal(a.WinRecs, b.WinRecs) {
+				!slices.Equal(a.IDF, b.IDF) {
 				t.Fatalf("step %d: compiled views of %s differ", step, e)
 			}
 		}
@@ -196,30 +195,25 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCompileEpochOnlyRefreshesInPlace pins what an epoch move costs the
-// views it leaves standing. On an SM side with region records mixed in,
-// one Add opens a new bin for one entity: every view is stale, yet only
-// the touched entity's is rebuilt — every other keeps its *Compiled — and
-// every view's IDF weights and window sums are bit for bit those of a
-// fresh Build over the same records. What a Compile after such an Add
-// allocates is bounded by the touched entity alone, not by the store's
-// size.
+// entities it leaves standing. On an SM side with region records mixed in,
+// one Add opens a new bin for one entity: every segment is stale, yet only
+// the touched entity's moves and is re-interned — every other keeps its
+// bin range and its interned cells — and every view's IDF weights are bit
+// for bit those of a fresh Build over the same records. A Compile after
+// nothing but an epoch move rewrites the IDF column in place and allocates
+// nothing.
 func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	e := freqTestSide()
 	w := model.Windowing{Epoch: 0, WidthSeconds: 900}
 	s := Build(&e, w, 12)
 	s.Compile(1)
-	before := slices.Clone(s.compiled)
+	before := slices.Clone(s.segs)
+	dense := slices.Clone(s.dense)
 
 	touched := e.Records[0].Entity
 	ord, _ := s.Ordinals().Lookup(touched)
-	nextWindow := s.maxWindow + 1
-	opensBin := func() model.Record {
-		r := e.Records[0]
-		r.Unix = nextWindow * w.WidthSeconds
-		nextWindow++
-		return r
-	}
-	added := opensBin()
+	added := e.Records[0]
+	added.Unix = (s.maxWindow + 1) * w.WidthSeconds
 	epoch := s.Epoch()
 	s.Add(added)
 	if s.Epoch() == epoch {
@@ -228,28 +222,27 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	if n := s.Compile(1); n != s.NumEntities() {
 		t.Fatalf("Compile after an epoch move refreshed %d views, want all %d", n, s.NumEntities())
 	}
-	for k, c := range s.compiled {
-		if kept := c == before[k]; kept == (uint32(k) == ord) {
-			t.Fatalf("ordinal %d (touched: %v): view kept = %v", k, uint32(k) == ord, kept)
+	for k, sg := range s.segs {
+		old := before[k]
+		kept := sg.bin == old.bin && sg.compVersion == old.compVersion &&
+			slices.Equal(s.dense[sg.bin:sg.bin+sg.nBin], dense[old.bin:old.bin+old.nBin])
+		if kept == (uint32(k) == ord) {
+			t.Fatalf("ordinal %d (touched: %v): bin range and interned cells kept = %v", k, uint32(k) == ord, kept)
 		}
 	}
-
 	assertViewsMatchBuild(t, s, append(slices.Clone(e.Records), added))
 
 	if testenv.RaceEnabled {
 		return // allocation counts are meaningless under the race detector
 	}
-	// The touched entity's share: its columns and the frequency index's
-	// (a new window each time), a new view of three slices, the goroutine
-	// par.Chunks starts. A rebuild of every view would be ≥ 3 per entity.
-	const budget = 16
 	allocs := testing.AllocsPerRun(20, func() {
-		s.Add(opensBin())
-		s.Compile(1)
+		s.epoch++
+		if n := s.Compile(1); n != s.NumEntities() {
+			t.Fatalf("an epoch-only Compile refreshed %d views, want all %d", n, s.NumEntities())
+		}
 	})
-	t.Logf("Add + Compile over %d entities: %.1f allocations", s.NumEntities(), allocs)
-	if allocs > budget {
-		t.Fatalf("Add + Compile allocate %.1f times, budget %d (the store has %d entities)", allocs, budget, s.NumEntities())
+	if allocs != 0 {
+		t.Fatalf("an epoch-only Compile over %d entities allocates %.1f times, want 0", s.NumEntities(), allocs)
 	}
 }
 
@@ -267,13 +260,14 @@ func TestCompiledViewAtRefreshesConcurrently(t *testing.T) {
 	added.Unix = (s.maxWindow + 1) * w.WidthSeconds
 	s.Add(added)
 
-	n := len(s.histories)
+	n := len(s.segs)
 	done := make(chan float64)
 	for g := range 4 {
 		go func() {
 			var sum float64
+			var c View
 			for k := range n {
-				c, _ := s.CompiledViewAt(uint32((k + g*n/4) % n))
+				s.CompiledViewAt(uint32((k+g*n/4)%n), &c)
 				for _, x := range c.IDF {
 					sum += x
 				}
@@ -287,8 +281,9 @@ func TestCompiledViewAtRefreshesConcurrently(t *testing.T) {
 	assertViewsMatchBuild(t, s, append(slices.Clone(e.Records), added))
 }
 
-// assertViewsMatchBuild requires every view of s to carry IDF weights and
-// window sums Float64bits-equal to those of a fresh Build over recs.
+// assertViewsMatchBuild requires every view of s to name the same cells
+// and carry record and IDF weights Float64bits-equal to those of a fresh
+// Build over recs.
 func assertViewsMatchBuild(t *testing.T, s *Store, recs []model.Record) {
 	t.Helper()
 	fresh := Build(&model.Dataset{Name: "D", Records: recs}, s.Windowing, s.Level)
@@ -299,11 +294,21 @@ func assertViewsMatchBuild(t *testing.T, s *Store, recs []model.Record) {
 		}
 		return out
 	}
+	ids := func(geoms []geo.CellGeom, dense []int32) []geo.CellID {
+		out := make([]geo.CellID, len(dense))
+		for i, d := range dense {
+			out[i] = geoms[d].ID
+		}
+		return out
+	}
 	for _, id := range s.Entities() {
-		got, _ := s.CompiledView(id)
-		want, _ := fresh.CompiledView(id)
-		if !slices.Equal(bits(got.IDF), bits(want.IDF)) || !slices.Equal(bits(got.WinRecs), bits(want.WinRecs)) {
-			t.Fatalf("%s: the refreshed view's IDF weights or window sums differ from a fresh build's", id)
+		var got, want View
+		gotGeoms, _ := s.CompiledView(id, &got)
+		wantGeoms, _ := fresh.CompiledView(id, &want)
+		if !slices.Equal(got.Windows, want.Windows) || !slices.Equal(got.Off, want.Off) ||
+			!slices.Equal(ids(gotGeoms, got.Cells), ids(wantGeoms, want.Cells)) ||
+			!slices.Equal(bits(got.Counts), bits(want.Counts)) || !slices.Equal(bits(got.IDF), bits(want.IDF)) {
+			t.Fatalf("%s: the refreshed view differs from a fresh build's", id)
 		}
 	}
 }

@@ -27,17 +27,19 @@ type freqWindow struct {
 	df    []int32
 }
 
-// newFreqIndex counts, for every bin of the given histories, the histories
-// holding it, one window at a time: the windows' bin counts size one run
-// each of a shared cell buffer (totalBins long), every history copies its
-// cells into its windows' runs, and each run is sorted and folded into
-// exactly sized columns. A history lists a bin once, so a cell's
-// multiplicity in a run is the bin's entity count. Everything is indexed
-// by the distinct windows seen, never by the range they span: timestamps
-// are untrusted, and two records a century apart occupy two windows.
-func newFreqIndex(histories []*History, totalBins int) *freqIndex {
+// newFreqIndex counts, for every bin of the store's histories, the
+// histories holding it, one window at a time: the windows' bin counts size
+// one run each of a shared cell buffer (totalBins long), every history
+// copies its cells into its windows' runs, and each run is sorted and
+// folded into exactly sized columns. A history lists a bin once, so a
+// cell's multiplicity in a run is the bin's entity count. Everything is
+// indexed by the distinct windows seen, never by the range they span:
+// timestamps are untrusted, and two records a century apart occupy two
+// windows.
+func newFreqIndex(s *Store) *freqIndex {
 	count := make(map[int64]int32) // window → its bins over all histories
-	for _, h := range histories {
+	for ord := range s.segs {
+		h := s.HistoryAt(uint32(ord))
 		for k, win := range h.windows {
 			count[win] += h.off[k+1] - h.off[k]
 		}
@@ -50,8 +52,9 @@ func newFreqIndex(histories []*History, totalBins int) *freqIndex {
 	for k := 1; k < len(next); k++ {
 		next[k] = next[k-1] + count[f.windows[k-1]]
 	}
-	buf := make([]geo.CellID, totalBins)
-	for _, h := range histories {
+	buf := make([]geo.CellID, s.totalBins)
+	for ord := range s.segs {
+		h := s.HistoryAt(uint32(ord))
 		i := 0 // a history's windows ascend, so each search starts at the last hit
 		for k, win := range h.windows {
 			j, _ := slices.BinarySearch(f.windows[i:], win)

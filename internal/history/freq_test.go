@@ -14,9 +14,10 @@ import (
 
 // sortBuildFreqIndex is the build newFreqIndex replaced, kept as its
 // oracle: every bin gathered into one buffer, one two-key sort, one fold.
-func sortBuildFreqIndex(histories []*History) *freqIndex {
+func sortBuildFreqIndex(s *Store) *freqIndex {
 	var bins []Bin
-	for _, h := range histories {
+	for _, e := range s.Entities() {
+		h := s.History(e)
 		h.Bins(func(b Bin, _ float64) { bins = append(bins, b) })
 	}
 	slices.SortFunc(bins, func(a, b Bin) int {
@@ -67,7 +68,7 @@ func TestFreqIndexWindowBuildEqualsSortBuild(t *testing.T) {
 	if len(s.freq.windows) < 100 || s.totalBins < 3000 {
 		t.Fatalf("fixture too small to mean anything: %d windows, %d bins", len(s.freq.windows), s.totalBins)
 	}
-	if want := sortBuildFreqIndex(s.histories); !reflect.DeepEqual(s.freq, want) {
+	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(s.freq, want) {
 		t.Fatal("per-window build differs from the sort build")
 	}
 
@@ -86,10 +87,10 @@ func TestFreqIndexWindowBuildEqualsSortBuild(t *testing.T) {
 		}
 		s.Add(r)
 	}
-	if want := sortBuildFreqIndex(s.histories); !reflect.DeepEqual(s.freq, want) {
+	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(s.freq, want) {
 		t.Fatal("index after Store.Add differs from a rebuild")
 	}
-	if got := newFreqIndex(s.histories, s.totalBins); !reflect.DeepEqual(got, s.freq) {
+	if got := newFreqIndex(s); !reflect.DeepEqual(got, s.freq) {
 		t.Fatal("per-window rebuild differs from the index Store.Add maintained")
 	}
 }
@@ -105,7 +106,7 @@ func TestFreqIndexSparseWindows(t *testing.T) {
 	if got := len(s.freq.windows); got != 2 {
 		t.Fatalf("%d windows indexed, want 2", got)
 	}
-	if want := sortBuildFreqIndex(s.histories); !reflect.DeepEqual(s.freq, want) {
+	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(s.freq, want) {
 		t.Fatal("per-window build differs from the sort build")
 	}
 }

@@ -12,19 +12,23 @@
 // one pair per window (freq.go) — and the average history size behind the
 // BM25-style length normalization (Eq. 2).
 //
-// Each fact is stored once. A history's columns are the only copy of its
-// windows, offsets and weights: the compiled scoring views (compiled.go)
-// point at them and add only what scoring derives — interned cells, baked
-// IDF weights, per-window sums.
+// A store is columns, not objects. Its per-window columns (window index,
+// bin offset) and per-bin columns (cell id, record weight) hold every
+// history back to back; an entity is a fixed-size segment record locating
+// its ranges in them, indexed by ordinal. A History is a small value of
+// subslices of those columns, made on request. A scoring store adds two
+// per-bin columns of its own — the interned cell and the baked IDF weight
+// (compiled.go) — so the compiled scoring view of an entity is five
+// subslices of one store, and no per-entity object exists anywhere.
 //
 // Entities are numbered. Each linkage side has one append-only entity
 // table (Ordinals: EntityID ↔ uint32), shared by the side's scoring store
-// and its signature store; a store's histories and compiled views are
-// slices indexed by ordinal, and the *At accessors take one. That is what
-// lets every pair-scale structure downstream — the candidate index, the
-// scorer's hot entry point, the edge store — refer to an entity in four
-// bytes and never hash its id; the EntityID accessors here resolve an id
-// once and delegate (DESIGN.md §5.7).
+// and its signature store; the segment table is indexed by its ordinals,
+// and the *At accessors take one. That is what lets every pair-scale
+// structure downstream — the candidate index, the scorer's hot entry
+// point, the edge store — refer to an entity in four bytes and never hash
+// its id; the EntityID accessors here resolve an id once and delegate
+// (DESIGN.md §5.7).
 package history
 
 import (
@@ -44,10 +48,13 @@ type Bin struct {
 	Cell   geo.CellID
 }
 
-// History is the mobility history of a single entity, stored as columns
-// sorted by (window, cell): window k = windows[k] owns the bins
-// cells/counts[off[k]:off[k+1]], cells ascending. len(off) is always
-// len(windows)+1.
+// History is the mobility history of a single entity: a view of its
+// store's columns, sorted by (window, cell). Window k = windows[k] owns the
+// bins cells/counts[off[k]:off[k+1]], cells ascending; len(off) is
+// len(windows)+1. A History is valid until the next Store.Add to its store,
+// which may move or shift the columns it views: fetch it per use. The zero
+// History holds no bins; it is what the accessors return for an entity the
+// store holds no history for.
 type History struct {
 	Entity model.EntityID
 
@@ -58,7 +65,7 @@ type History struct {
 	numRecs int
 
 	// version counts mutations of this history; the compiled read path
-	// (compiled.go) uses it to detect stale per-entity views.
+	// (compiled.go) and the candidate index use it to detect stale entities.
 	version uint64
 }
 
@@ -85,13 +92,12 @@ func appendBinWeights(dst []binWeight, r model.Record, win int64, level int) []b
 	return dst
 }
 
-// newHistory builds a history from an entity's records: every contribution
-// is collected, sorted once by (window, cell), and folded into exactly
-// sized columns. The sort is stable, so the weights of one bin are summed
-// in record order — the order Store.Add sums them in. The contributions
-// are collected in scratch, which is returned (possibly grown) for the
-// caller's next history; nothing of it is retained.
-func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, level int, scratch []binWeight) (*History, []binWeight) {
+// foldBins appends the distinct bins of one entity's records to dst,
+// sorted by (window, cell), each with its record weights summed. The
+// contributions are collected in scratch, which is returned (possibly
+// grown) for the caller's next entity, and sorted stably, so the weights of
+// one bin are summed in record order — the order Store.Add sums them in.
+func foldBins(dst, scratch []binWeight, recs []model.Record, w model.Windowing, level int) (folded, grown []binWeight) {
 	bws := scratch[:0]
 	for _, r := range recs {
 		bws = appendBinWeights(bws, r, w.Window(r.Unix), level)
@@ -99,72 +105,14 @@ func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, l
 	slices.SortStableFunc(bws, func(a, b binWeight) int {
 		return cmp.Or(cmp.Compare(a.Window, b.Window), cmp.Compare(a.Cell, b.Cell))
 	})
-	nWin, nBin := 0, 0
-	for i, b := range bws {
-		if i == 0 || b.Window != bws[i-1].Window {
-			nWin++
-		}
-		if i == 0 || b.Bin != bws[i-1].Bin {
-			nBin++
-		}
-	}
-	h := &History{
-		Entity:  entity,
-		windows: make([]int64, 0, nWin),
-		off:     make([]int32, 0, nWin+1),
-		cells:   make([]geo.CellID, 0, nBin),
-		counts:  make([]float64, 0, nBin),
-		numRecs: len(recs),
-	}
 	for i, b := range bws {
 		if i > 0 && b.Bin == bws[i-1].Bin {
-			h.counts[len(h.counts)-1] += b.weight
+			dst[len(dst)-1].weight += b.weight
 			continue
 		}
-		if i == 0 || b.Window != bws[i-1].Window {
-			h.windows = append(h.windows, b.Window)
-			h.off = append(h.off, int32(len(h.cells)))
-		}
-		h.cells = append(h.cells, b.Cell)
-		h.counts = append(h.counts, b.weight)
+		dst = append(dst, b)
 	}
-	h.off = append(h.off, int32(len(h.cells)))
-	return h, bws
-}
-
-// add folds weight into the bin, inserting its window and cell in place
-// when they are new, and reports whether the bin is new.
-func (h *History) add(b Bin, weight float64) bool {
-	k, ok := slices.BinarySearch(h.windows, b.Window)
-	if !ok {
-		h.windows = insert(h.windows, k, b.Window)
-		h.off = insert(h.off, k, h.off[k]) // an empty window k
-	}
-	lo, hi := int(h.off[k]), int(h.off[k+1])
-	j, ok := slices.BinarySearch(h.cells[lo:hi], b.Cell)
-	j += lo
-	if ok {
-		h.counts[j] += weight
-		return false
-	}
-	h.cells = insert(h.cells, j, b.Cell)
-	h.counts = insert(h.counts, j, weight)
-	for i := k + 1; i < len(h.off); i++ {
-		h.off[i]++
-	}
-	return true
-}
-
-// insert is slices.Insert of one element, except that a full column grows
-// by a quarter (plus one) where append would double it — as it does every
-// slice under 256 elements. A streamed history gains a bin or two per
-// flush, so doubling its exactly sized columns would leave most of each
-// empty.
-func insert[S ~[]E, E any](s S, i int, v E) S {
-	if len(s) == cap(s) {
-		s = append(make(S, 0, len(s)+len(s)/4+1), s...)
-	}
-	return slices.Insert(s, i, v)
+	return dst, bws
 }
 
 // Windows returns the sorted leaf window indices with at least one record.
@@ -173,14 +121,14 @@ func (h *History) Windows() []int64 { return h.windows }
 
 // Version returns the history's mutation counter: 0 for a freshly built
 // history, bumped by every Store.Add that touches the entity. The compiled
-// scoring views (compiled.go) and the incremental LSH candidate index
+// scoring columns (compiled.go) and the incremental LSH candidate index
 // (internal/candidates) both key their stale-entity checks on it.
 func (h *History) Version() uint64 { return h.version }
 
 // WindowBins returns the cells (ascending) and record weights of the given
-// leaf window as views into the history's columns, empty if the entity has
+// leaf window as views into the store's columns, empty if the entity has
 // no records there. The returned slices must not be modified and are
-// invalidated by the next Store.Add to this entity.
+// invalidated by the next Store.Add.
 func (h *History) WindowBins(window int64) ([]geo.CellID, []float64) {
 	k, ok := slices.BinarySearch(h.windows, window)
 	if !ok {
@@ -272,6 +220,29 @@ func (h *History) DominatingCellAt(lo, hi int) (cell geo.CellID, ok bool) {
 	return cell, true
 }
 
+// segment locates one entity's history in its store's columns. The
+// window range [win, win+winRoom) of the per-window columns holds the
+// nWin windows and the nWin+1 bin offsets, relative to the bin range; the
+// bin range [bin, bin+binRoom) of the per-bin columns holds the nBin bins.
+// The rest of each range is room to grow in place. An ordinal the store
+// holds no history for has nWin == 0. Positions are int32: a store holds
+// fewer than 2³¹ windows and bins.
+type segment struct {
+	win, nWin, winRoom int32
+	bin, nBin, binRoom int32
+	recs               int64
+	version            uint64
+	// compVersion and compEpoch stamp the compiled columns of the bin
+	// range (compiled.go): the history version its cells were interned at
+	// (notCompiled before the first time) and the store epoch its IDF
+	// weights were written at.
+	compVersion, compEpoch uint64
+}
+
+// notCompiled is the compVersion of a segment whose cells were never
+// interned; no history version reaches it.
+const notCompiled = ^uint64(0)
+
 // Store holds the mobility histories of one location dataset plus the
 // dataset-level statistics used by the similarity score. Histories are
 // addressed by the ordinals of the side's entity table (see Ordinals);
@@ -288,12 +259,19 @@ type Store struct {
 	Windowing model.Windowing
 	Level     int
 
-	// ords is the side's entity table. histories is indexed by its
-	// ordinals; an entry is nil while only the side's other store has been
-	// told about the entity. entities lists the ids with a history, sorted.
-	ords      *Ordinals
-	histories []*History
-	entities  []model.EntityID
+	// ords is the side's entity table; segs is indexed by its ordinals and
+	// may be shorter while only the side's other store has been told about
+	// an entity. entities lists the ids with a history, sorted.
+	ords     *Ordinals
+	segs     []segment
+	entities []model.EntityID
+
+	// The per-window and the per-bin column families (see segment); how a
+	// growing segment moves is in incremental.go.
+	windows []int64
+	off     []int32
+	cells   []geo.CellID
+	counts  []float64
 
 	// freq is the bin→entity frequency index; nil on a signature store.
 	freq      *freqIndex
@@ -304,23 +282,25 @@ type Store struct {
 	hasData   bool
 
 	// epoch versions the dataset-level IDF inputs (entity count, bin
-	// frequencies). Any change invalidates every compiled view,
-	// because the IDF weights baked into them may have shifted; see
-	// compiled.go.
+	// frequencies). Any change invalidates every compiled segment, because
+	// the IDF weights baked into them may have shifted; see compiled.go.
 	epoch uint64
 
 	// addScratch is Add's reused bin-contribution buffer.
 	addScratch []binWeight
 
-	// Compiled read path: per-ordinal flat views plus the dense cell
-	// interner shared by all of them (cells[i] is the cell with index i).
-	// compMu lets concurrent scorers take the read path while lazy
-	// recompiles serialize on the write side; it also guards Compile's
-	// reused list of stale ordinals and the IDF table (see idfTableLocked).
+	// Compiled read path (compiled.go): two more per-bin columns, the dense
+	// cell index and the IDF weight of every bin (nil until the first
+	// compile), plus the dense cell interner shared by all of them (geoms[i]
+	// is the cell with index i). compMu lets concurrent scorers take the
+	// read path while lazy recompiles serialize on the write side; it also
+	// guards Compile's reused list of stale ordinals and the IDF table (see
+	// idfTableLocked).
 	compMu    sync.RWMutex
-	compiled  []*Compiled
+	dense     []int32
+	idf       []float64
 	cellIndex map[geo.CellID]int32
-	cells     []geo.CellGeom
+	geoms     []geo.CellGeom
 	stale     []uint32
 	idfs      []float64
 	idfsN     int
@@ -354,13 +334,23 @@ func (s *Store) SignatureStore(g *model.Grouped, spatialLevel, workers int) *Sto
 	return build(g, s.ords, s.Windowing, spatialLevel, workers, false)
 }
 
+// build lays every entity out back to back, in ordinal order, in columns
+// it allocates once, so it allocates a fixed number of columns, not a set
+// per entity. A first pass bounds each entity's windows and bins from its
+// records alone — a record opens at most one window, a point record at most
+// one bin, a region record one per covering cell — and a second, fanned out
+// over the workers like the first, folds each entity's bins into its
+// bounded ranges. A serial slide then closes the gaps the folding left, in
+// place. Points rarely fold (SM: 365,445 bins of 365,738 records); where
+// they do, so much that the columns' spare capacity passes what a rewrite
+// leaves (see spareDiv), the columns are cloned to size.
 func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, workers int, scoring bool) *Store {
 	s := &Store{
 		Name:      g.Name,
 		Windowing: w,
 		Level:     spatialLevel,
 		ords:      ords,
-		histories: make([]*History, len(g.Entities)),
+		segs:      make([]segment, len(g.Entities)),
 		entities:  slices.Clone(g.Entities),
 	}
 	for k, e := range g.Entities {
@@ -368,24 +358,84 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 			panic("history: grouped entities do not line up with the side's ordinals")
 		}
 	}
-	par.Chunks(workers, len(s.histories), func(_, lo, hi int) {
-		var scratch []binWeight // one per worker, reused across its histories
+	par.Chunks(workers, len(s.segs), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
-			s.histories[k], scratch = newHistory(g.Entities[k], g.Of(k), w, spatialLevel, scratch)
+			sg := &s.segs[k]
+			sg.compVersion = notCompiled
+			var last int64
+			for i, r := range g.Of(k) {
+				if win := w.Window(r.Unix); i == 0 || win != last {
+					sg.winRoom++ // exact: an entity's records are in time order
+					last = win
+				}
+				if r.RadiusKm <= 0 {
+					sg.binRoom++
+				} else {
+					sg.binRoom += int32(len(geo.CoverCapCells(r.LatLng, r.RadiusKm, spatialLevel)))
+				}
+			}
+			sg.winRoom++ // the offset slot past the last window
 		}
 	})
-	for _, h := range s.histories {
-		s.totalBins += h.NumBins()
-		s.noteWindows(h.windows[0], h.windows[len(h.windows)-1])
+	var nWin, nBin int32
+	for k := range s.segs {
+		sg := &s.segs[k]
+		sg.win, sg.bin = nWin, nBin
+		nWin, nBin = nWin+sg.winRoom, nBin+sg.binRoom
 	}
+	s.windows, s.off = make([]int64, nWin), make([]int32, nWin)
+	s.cells, s.counts = make([]geo.CellID, nBin), make([]float64, nBin)
+	par.Chunks(workers, len(s.segs), func(_, lo, hi int) {
+		var bins, scratch []binWeight
+		for k := lo; k < hi; k++ {
+			bins, scratch = foldBins(bins[:0], scratch, g.Of(k), w, spatialLevel)
+			sg := &s.segs[k]
+			sg.recs, sg.nBin = int64(g.Off[k+1]-g.Off[k]), int32(len(bins))
+			for j, b := range bins {
+				if j == 0 || b.Window != bins[j-1].Window {
+					s.windows[sg.win+sg.nWin], s.off[sg.win+sg.nWin] = b.Window, int32(j)
+					sg.nWin++
+				}
+				s.cells[sg.bin+int32(j)], s.counts[sg.bin+int32(j)] = b.Cell, b.weight
+			}
+			s.off[sg.win+sg.nWin] = sg.nBin
+		}
+	})
+	nWin, nBin = 0, 0
+	for k := range s.segs {
+		sg := &s.segs[k]
+		copy(s.windows[nWin:], s.windows[sg.win:sg.win+sg.nWin])
+		copy(s.off[nWin:], s.off[sg.win:sg.win+sg.nWin+1])
+		copy(s.cells[nBin:], s.cells[sg.bin:sg.bin+sg.nBin])
+		copy(s.counts[nBin:], s.counts[sg.bin:sg.bin+sg.nBin])
+		sg.win, sg.winRoom, sg.bin, sg.binRoom = nWin, sg.nWin+1, nBin, sg.nBin
+		nWin, nBin = nWin+sg.winRoom, nBin+sg.binRoom
+		s.noteWindows(s.windows[sg.win], s.windows[sg.win+sg.nWin-1]) // a grouped entity has a record
+	}
+	s.windows, s.off = clipSpare(s.windows[:nWin]), clipSpare(s.off[:nWin])
+	s.cells, s.counts = clipSpare(s.cells[:nBin]), clipSpare(s.counts[:nBin])
+	s.totalBins = int(nBin)
 	if scoring {
-		s.freq = newFreqIndex(s.histories, s.totalBins)
+		s.freq = newFreqIndex(s)
 		s.cellIndex = make(map[geo.CellID]int32)
 	}
 	if len(s.entities) > 0 {
 		s.avgBins = float64(s.totalBins) / float64(len(s.entities))
 	}
 	return s
+}
+
+// clipSpare returns col, or a copy of exactly its length if its spare
+// capacity exceeds what a column-family rewrite leaves (see spareDiv). The
+// columns of a family share one capacity, so the copy is not an append,
+// which would round it up by element size.
+func clipSpare[E any](col []E) []E {
+	if cap(col)-len(col) <= len(col)/spareDiv {
+		return col
+	}
+	out := make([]E, len(col))
+	copy(out, col)
+	return out
 }
 
 // noteWindows widens the store's window range to include [lo, hi].
@@ -415,20 +465,39 @@ func (s *Store) Entities() []model.EntityID { return s.entities }
 // Ordinals returns the side's entity table.
 func (s *Store) Ordinals() *Ordinals { return s.ords }
 
-// HistoryAt returns the history of the entity with the given ordinal, or
-// nil if the store holds none.
-func (s *Store) HistoryAt(ord uint32) *History {
-	if int(ord) >= len(s.histories) {
+// segAt returns the segment of an ordinal, or nil if the store holds no
+// history for it.
+func (s *Store) segAt(ord uint32) *segment {
+	if int(ord) >= len(s.segs) || s.segs[ord].nWin == 0 {
 		return nil
 	}
-	return s.histories[ord]
+	return &s.segs[ord]
 }
 
-// History returns the history of the given entity, or nil.
-func (s *Store) History(e model.EntityID) *History {
+// HistoryAt returns the history of the entity with the given ordinal, or
+// the zero History if the store holds none.
+func (s *Store) HistoryAt(ord uint32) History {
+	sg := s.segAt(ord)
+	if sg == nil {
+		return History{}
+	}
+	w, nw, b, nb := sg.win, sg.nWin, sg.bin, sg.nBin
+	return History{
+		Entity:  s.ords.ID(ord),
+		windows: s.windows[w : w+nw : w+nw],
+		off:     s.off[w : w+nw+1 : w+nw+1],
+		cells:   s.cells[b : b+nb : b+nb],
+		counts:  s.counts[b : b+nb : b+nb],
+		numRecs: int(sg.recs),
+		version: sg.version,
+	}
+}
+
+// History returns the history of the given entity, or the zero History.
+func (s *Store) History(e model.EntityID) History {
 	ord, ok := s.ords.Lookup(e)
 	if !ok {
-		return nil
+		return History{}
 	}
 	return s.HistoryAt(ord)
 }
@@ -451,7 +520,7 @@ func (s *Store) WindowRange() (minWin, maxWin int64, ok bool) {
 // and the average history size shift). While the epoch stands still, the
 // score of any pair of unchanged histories is unchanged too: weight-only
 // adds touch exactly the histories they land in. The compiled scoring
-// views (compiled.go) and the root package's incremental edge store both
+// columns (compiled.go) and the root package's incremental edge store both
 // key their invalidation on this counter.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
@@ -477,11 +546,11 @@ func idf(n int, df int32) float64 {
 // NormFactorAt returns the BM25-style length normalization L(u) of Eq. 2
 // for parameter b in [0, 1]; 1 for an ordinal without a history.
 func (s *Store) NormFactorAt(ord uint32, b float64) float64 {
-	h := s.HistoryAt(ord)
-	if h == nil || s.avgBins == 0 {
+	sg := s.segAt(ord)
+	if sg == nil || s.avgBins == 0 {
 		return 1
 	}
-	return (1 - b) + b*float64(h.NumBins())/s.avgBins
+	return (1 - b) + b*float64(sg.nBin)/s.avgBins
 }
 
 // NormFactor is NormFactorAt by entity id; 1 for an unknown entity.

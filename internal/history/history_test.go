@@ -16,7 +16,7 @@ func rec(e string, lat, lng float64, unix int64) model.Record {
 	return model.Record{Entity: model.EntityID(e), LatLng: geo.LatLng{Lat: lat, Lng: lng}, Unix: unix}
 }
 
-func buildSingle(t *testing.T, recs []model.Record, level int) *History {
+func buildSingle(t *testing.T, recs []model.Record, level int) History {
 	t.Helper()
 	d := model.Dataset{Name: "t", Records: recs}
 	s := Build(&d, testWindowing, level)
@@ -29,7 +29,7 @@ func buildSingle(t *testing.T, recs []model.Record, level int) *History {
 // cellsAt rebuilds a window's cell→record-weight map from WindowBins (nil
 // if the entity has no records there): the form the tests' reference
 // walks read.
-func cellsAt(h *History, window int64) map[geo.CellID]float64 {
+func cellsAt(h History, window int64) map[geo.CellID]float64 {
 	cells, counts := h.WindowBins(window)
 	if len(cells) == 0 {
 		return nil
@@ -267,8 +267,8 @@ func TestEmptyStore(t *testing.T) {
 	if s.IDF(Bin{}) != 0 {
 		t.Error("IDF on empty store should be 0")
 	}
-	if s.History("x") != nil {
-		t.Error("missing history should be nil")
+	if h := s.History("x"); h.NumBins() != 0 || h.Entity != "" {
+		t.Error("missing history should be the zero History")
 	}
 }
 

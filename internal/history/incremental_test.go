@@ -100,20 +100,24 @@ func TestIncrementalAddMatchesBuild(t *testing.T) {
 }
 
 // TestIncrementalAddGrowsColumnsByAQuarter streams records into a built
-// store and holds every column of every history to at most a quarter (plus
-// one) of slack after each Add: a full column grows by a quarter, where
-// append would double a short one.
+// store and holds every entity's segment to at most a quarter (plus one)
+// of room beyond what it uses, in both column families, after each Add: a
+// full segment moves with a quarter more room, where append would double a
+// short one. A built segment has no room at all.
 func TestIncrementalAddGrowsColumnsByAQuarter(t *testing.T) {
 	recs := randomRecords(2000, 3)
 	s := Build(&model.Dataset{Name: "s", Records: recs[:200]}, testWindowing, 13)
-	bounded := func(n, c int) bool { return c <= n+n/4+1 }
+	for ord, sg := range s.segs {
+		if sg.winRoom != sg.nWin+1 || sg.binRoom != sg.nBin {
+			t.Fatalf("built ordinal %d: window room %d for %d windows, bin room %d for %d bins", ord, sg.winRoom, sg.nWin, sg.binRoom, sg.nBin)
+		}
+	}
+	bounded := func(n, room int32) bool { return n <= room && room <= n+n/4+1 }
 	for i, r := range recs[200:] {
-		h := s.HistoryAt(s.Add(r))
-		if !bounded(len(h.windows), cap(h.windows)) || !bounded(len(h.off), cap(h.off)) ||
-			!bounded(len(h.cells), cap(h.cells)) || !bounded(len(h.counts), cap(h.counts)) {
-			t.Fatalf("add %d: %s's columns (len/cap) windows %d/%d, off %d/%d, cells %d/%d, counts %d/%d",
-				i, h.Entity, len(h.windows), cap(h.windows), len(h.off), cap(h.off),
-				len(h.cells), cap(h.cells), len(h.counts), cap(h.counts))
+		sg := s.segs[s.Add(r)]
+		if !bounded(sg.nWin+1, sg.winRoom) || !bounded(sg.nBin, sg.binRoom) {
+			t.Fatalf("add %d: %s's segment (used/room) windows %d/%d, bins %d/%d",
+				i, r.Entity, sg.nWin+1, sg.winRoom, sg.nBin, sg.binRoom)
 		}
 	}
 }
@@ -145,6 +149,7 @@ func TestIncrementalAddInvalidatesDominatingCells(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		s.Add(rec("a", 37.5, -122.1, int64(1900+k*100)))
 	}
+	h = s.History("a") // a History is valid until the next Add
 	after, ok := h.DominatingCell(0, 8)
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.5, Lng: -122.1}, 12)
 	if !ok || after != want {

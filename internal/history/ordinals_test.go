@@ -3,6 +3,7 @@ package history_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -110,10 +111,10 @@ func TestOrdinalsAppendOnlyAndSharedAcrossASidesStores(t *testing.T) {
 		}
 		for ord, id := range table.IDs() {
 			hs, hg := sim.HistoryAt(uint32(ord)), sig.HistoryAt(uint32(ord))
-			if hs == nil || hg == nil || hs.Entity != id || hg.Entity != id {
+			if hs.NumBins() == 0 || hg.NumBins() == 0 || hs.Entity != id || hg.Entity != id {
 				t.Fatalf("seed %d: ordinal %d (%s) names different histories in the two stores", seed, ord, id)
 			}
-			if hs != sim.History(id) || hg != sig.History(id) {
+			if !reflect.DeepEqual(hs, sim.History(id)) || !reflect.DeepEqual(hg, sig.History(id)) {
 				t.Fatalf("seed %d: History(%s) and HistoryAt(%d) disagree", seed, id, ord)
 			}
 			if hs.NumRecords() != hg.NumRecords() {
@@ -173,8 +174,8 @@ func TestSignatureStoreIsColumnsAndVersionsOnly(t *testing.T) {
 	for op, call := range map[string]func(){
 		"IDF":            func() { sig.IDF(history.Bin{}) },
 		"Compile":        func() { sig.Compile(1) },
-		"CompiledViewAt": func() { sig.CompiledViewAt(0) },
-		"CompiledView":   func() { sig.CompiledView("u1") },
+		"CompiledViewAt": func() { sig.CompiledViewAt(0, new(history.View)) },
+		"CompiledView":   func() { sig.CompiledView("u1", new(history.View)) },
 	} {
 		func() {
 			defer func() {

@@ -144,31 +144,45 @@ func (g *Grouped) Dataset() Dataset { return Dataset{Name: g.Name, Records: g.Re
 // GroupByEntity groups the records of every entity holding strictly more
 // than minRecords of them (a negative minRecords keeps every entity) into
 // one exactly sized record slice: the MinRecords filter and the per-entity
-// grouping of a history build in one pass over the dataset.
+// grouping of a history build in one pass over the dataset. The counting
+// pass numbers the entities in first-seen order and notes each record's
+// number, so hashing an id is the only map operation a record costs; the
+// scatter pass reads the note.
 func (d *Dataset) GroupByEntity(minRecords int) Grouped {
-	counts := make(map[EntityID]int)
-	for _, r := range d.Records {
-		counts[r.Entity]++
+	slotOf := make(map[EntityID]int32)
+	slots := make([]int32, len(d.Records)) // record i belongs to entity slots[i]
+	var ids []EntityID
+	var next []int // per entity: its record count, then its next write position
+	for i, r := range d.Records {
+		slot, ok := slotOf[r.Entity]
+		if !ok {
+			slot = int32(len(ids))
+			slotOf[r.Entity] = slot
+			ids, next = append(ids, r.Entity), append(next, 0)
+		}
+		slots[i] = slot
+		next[slot]++
 	}
-	g := Grouped{Name: d.Name}
-	for e, n := range counts {
+	kept := make([]int32, 0, len(ids))
+	for slot, n := range next {
 		if n > minRecords {
-			g.Entities = append(g.Entities, e)
+			kept = append(kept, int32(slot))
 		} else {
-			counts[e] = -1
+			next[slot] = -1
 		}
 	}
-	slices.Sort(g.Entities)
-	g.Off = make([]int, len(g.Entities)+1)
-	for k, e := range g.Entities {
-		g.Off[k+1] = g.Off[k] + counts[e]
-		counts[e] = g.Off[k] // from here on, the entity's next write position
+	slices.SortFunc(kept, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	g := Grouped{Name: d.Name, Entities: make([]EntityID, len(kept)), Off: make([]int, len(kept)+1)}
+	for k, slot := range kept {
+		g.Entities[k] = ids[slot]
+		g.Off[k+1] = g.Off[k] + next[slot]
+		next[slot] = g.Off[k]
 	}
-	g.Records = make([]Record, g.Off[len(g.Entities)])
-	for _, r := range d.Records {
-		if at := counts[r.Entity]; at >= 0 {
+	g.Records = make([]Record, g.Off[len(kept)])
+	for i, r := range d.Records {
+		if at := next[slots[i]]; at >= 0 {
 			g.Records[at] = r
-			counts[r.Entity] = at + 1
+			next[slots[i]] = at + 1
 		}
 	}
 	for k := range g.Entities {

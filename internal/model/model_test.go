@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -118,6 +119,66 @@ func TestGroupByEntityMatchesFilterThenByEntity(t *testing.T) {
 		}
 		if gd := g.Dataset(); len(gd.Records) != g.Off[len(g.Entities)] {
 			t.Fatalf("min %d: dataset view holds %d records, offsets end at %d", minRecords, len(gd.Records), g.Off[len(g.Entities)])
+		}
+	}
+}
+
+// groupByEntityCounting is the GroupByEntity that counted records in a map
+// and looked the entity up again to scatter each: three map operations per
+// record. It is the oracle of the one-lookup grouping.
+func groupByEntityCounting(d *Dataset, minRecords int) Grouped {
+	counts := make(map[EntityID]int)
+	for _, r := range d.Records {
+		counts[r.Entity]++
+	}
+	g := Grouped{Name: d.Name}
+	for e, n := range counts {
+		if n > minRecords {
+			g.Entities = append(g.Entities, e)
+		} else {
+			counts[e] = -1
+		}
+	}
+	slices.Sort(g.Entities)
+	g.Off = make([]int, len(g.Entities)+1)
+	for k, e := range g.Entities {
+		g.Off[k+1] = g.Off[k] + counts[e]
+		counts[e] = g.Off[k]
+	}
+	g.Records = make([]Record, g.Off[len(g.Entities)])
+	for _, r := range d.Records {
+		if at := counts[r.Entity]; at >= 0 {
+			g.Records[at] = r
+			counts[r.Entity] = at + 1
+		}
+	}
+	for k := range g.Entities {
+		sortRecords(g.Of(k))
+	}
+	return g
+}
+
+// TestGroupByEntityMatchesCountingGrouping: on seeded shuffles of a dataset
+// whose entities hold 1 to 40 records, with duplicate timestamps and
+// positions, the slot-noting grouping returns what the map-counting one
+// did for every MinRecords cut — the same entities, offsets and records in
+// the same order.
+func TestGroupByEntityMatchesCountingGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var d Dataset
+	for e := 0; e < 60; e++ {
+		for k := 0; k <= e%40; k++ {
+			d.Records = append(d.Records, rec(fmt.Sprintf("u%03d", (e*37)%61), float64(k%4), float64(rng.Intn(3)), int64(rng.Intn(20))))
+		}
+	}
+	for trial := 0; trial < 5; trial++ {
+		rng.Shuffle(len(d.Records), func(i, j int) { d.Records[i], d.Records[j] = d.Records[j], d.Records[i] })
+		for _, minRecords := range []int{-1, 0, 5, 12, 39, 1000} {
+			got, want := d.GroupByEntity(minRecords), groupByEntityCounting(&d, minRecords)
+			if got.Name != want.Name || !slices.Equal(got.Entities, want.Entities) ||
+				!slices.Equal(got.Off, want.Off) || !slices.Equal(got.Records, want.Records) {
+				t.Fatalf("trial %d, min %d: grouping differs from the counting grouping", trial, minRecords)
+			}
 		}
 	}
 }

@@ -110,7 +110,7 @@ type recorder struct {
 
 //go:noinline
 func (r *recorder) open(ku, kv int) {
-	cu, cv := r.pv.cu, r.pv.cv
+	cu, cv := &r.pv.cu, &r.pv.cv
 	r.loU, r.loV = cu.Off[ku], cv.Off[kv]
 	r.windows = append(r.windows, WindowBreakdown{
 		Window: cu.Windows[ku],

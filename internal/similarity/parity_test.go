@@ -67,7 +67,7 @@ func forEachCommonWindow(a, b []int64, fn func(int64)) {
 // refScore is the pre-compiled-path scorer, kept as the parity oracle.
 func refScore(e, i *history.Store, p Params, u, v model.EntityID, st *refStats) float64 {
 	hu, hv := e.History(u), i.History(v)
-	if hu == nil || hv == nil {
+	if hu.NumBins() == 0 || hv.NumBins() == 0 {
 		return 0
 	}
 	st.pairs++
@@ -89,7 +89,7 @@ func refScore(e, i *history.Store, p Params, u, v model.EntityID, st *refStats) 
 
 // cellsAt rebuilds a window's cell→record-weight map from WindowBins (nil
 // if the entity has no records there): the form the map walks read.
-func cellsAt(h *history.History, window int64) map[geo.CellID]float64 {
+func cellsAt(h history.History, window int64) map[geo.CellID]float64 {
 	cells, counts := h.WindowBins(window)
 	if len(cells) == 0 {
 		return nil
@@ -114,7 +114,7 @@ func refSortedCells(cells map[geo.CellID]float64) []geo.CellID {
 	return out
 }
 
-func refScoreWindow(e, i *history.Store, p Params, hu, hv *history.History, w int64, norm float64, st *refStats) float64 {
+func refScoreWindow(e, i *history.Store, p Params, hu, hv history.History, w int64, norm float64, st *refStats) float64 {
 	cellsU := refSortedCells(cellsAt(hu, w))
 	cellsV := refSortedCells(cellsAt(hv, w))
 	if len(cellsU) == 0 || len(cellsV) == 0 {
@@ -226,7 +226,7 @@ func refScoreWindow(e, i *history.Store, p Params, hu, hv *history.History, w in
 // refProbeRatio ports the map-based ProbeRatio.
 func refProbeRatio(e, i *history.Store, p Params, u, v model.EntityID) (float64, bool) {
 	hu, hv := e.History(u), i.History(v)
-	if hu == nil || hv == nil {
+	if hu.NumBins() == 0 || hv.NumBins() == 0 {
 		return 0, false
 	}
 	var num, den float64

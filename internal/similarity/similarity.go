@@ -256,9 +256,10 @@ func (s *Scorer) Score(u, v model.EntityID) float64 {
 // pairViews is everything the kernel reads of one pair: both compiled
 // views with their stores' cell tables, and the length normalization
 // (lu, lv and the product the terms are divided by, clamped to 1 when
-// non-positive).
+// non-positive). The stores fill the views in place, so fetching a pair
+// allocates and copies nothing per entity.
 type pairViews struct {
-	cu, cv       *history.Compiled
+	cu, cv       history.View
 	geomU, geomV []geo.CellGeom
 	lu, lv, norm float64
 }
@@ -266,9 +267,10 @@ type pairViews struct {
 // fetch loads the pair's views into pv; it reports false when either
 // ordinal has no history.
 func (s *Scorer) fetch(pv *pairViews, u, v uint32) bool {
-	pv.cu, pv.geomU = s.E.CompiledViewAt(u)
-	pv.cv, pv.geomV = s.I.CompiledViewAt(v)
-	if pv.cu == nil || pv.cv == nil {
+	var okU, okV bool
+	pv.geomU, okU = s.E.CompiledViewAt(u, &pv.cu)
+	pv.geomV, okV = s.I.CompiledViewAt(v, &pv.cv)
+	if !okU || !okV {
 		return false
 	}
 	pv.lu, pv.lv = 1, 1
@@ -392,7 +394,7 @@ func sortPairOrder(order []int32, dist []float64) {
 // term the moment it is added to the sum (ScoreBreakdown and ProbeRatio
 // read the kernel this way); scoring passes nil and pays the nil checks.
 func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int, rec *recorder) float64 {
-	cu, cv := pv.cu, pv.cv
+	cu, cv := &pv.cu, &pv.cv
 	loU, hiU := cu.Off[ku], cu.Off[ku+1]
 	loV, hiV := cv.Off[kv], cv.Off[kv+1]
 	nU, nV := int(hiU-loU), int(hiV-loV)
@@ -405,11 +407,10 @@ func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int
 
 	// Work accounting: every cross bin pair gets a distance evaluation,
 	// and each corresponds to countU×countV record comparisons. The
-	// per-window record sums were accumulated at compile time in the same
-	// (sorted-cell) order the map scorer used, so the rounded product is
-	// bit-identical.
+	// per-window record sums are accumulated in the same (sorted-cell)
+	// order the map scorer used, so the rounded product is bit-identical.
 	sc.binCmp += int64(nU * nV)
-	sc.recCmp += int64(cu.WinRecs[ku]*cv.WinRecs[kv] + 0.5)
+	sc.recCmp += int64(history.SumWeights(cu.Counts[loU:hiU])*history.SumWeights(cv.Counts[loV:hiV]) + 0.5)
 
 	n := nU * nV
 	dist := sc.floats(n)
