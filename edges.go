@@ -93,8 +93,9 @@ type scoredPair struct {
 // edgeStore is the maintained pair→score state behind Linker.Rescore.
 // Where scoring used to be per-run output (every candidate rescanned on
 // every run), the store keeps the scored edges alive between runs and
-// updates them by delta: rescore the added/dirty pairs, drop the removed
-// ones, keep the rest untouched.
+// updates them by the delta each Rescore computes: rescore the added/dirty
+// pairs, drop the removed ones, keep the rest untouched. It carries no
+// pair-level work from one Rescore to the next.
 //
 // Soundness mirrors the epoch discipline of the compiled scoring views
 // (history/compiled.go) and the candidate index (internal/candidates):
@@ -125,13 +126,8 @@ type edgeStore struct {
 	// how it is assigned).
 	seq uint64
 
-	// Pending work accumulated between runs: pairs to (re)score, pairs to
-	// drop, and a forced-full flag, set on candidate-index rebuilds (the
-	// pair lists are not tracked across one) and by
-	// Linker.ForceFullRescore.
-	pendFull    bool
-	pendRescore map[uint64]struct{}
-	pendRemoved map[uint64]struct{}
+	// forceFull makes the next update a full one (Linker.ForceFullRescore).
+	forceFull bool
 
 	fullRescores                            uint64
 	lastRetained, lastRescored, lastDropped int64
@@ -152,13 +148,7 @@ type edgeStore struct {
 }
 
 func newEdgeStore(idsE, idsI *history.Ordinals) edgeStore {
-	return edgeStore{
-		idsE:        idsE,
-		idsI:        idsI,
-		pairs:       make(map[uint64]edge),
-		pendRescore: make(map[uint64]struct{}),
-		pendRemoved: make(map[uint64]struct{}),
-	}
+	return edgeStore{idsE: idsE, idsI: idsI, pairs: make(map[uint64]edge)}
 }
 
 // link materialises one edge: the only place a packed pair is resolved
@@ -166,33 +156,6 @@ func newEdgeStore(idsE, idsI *history.Ordinals) edgeStore {
 func (es *edgeStore) link(p uint64, score float64) Link {
 	u, v := candidates.Ends(p)
 	return Link{U: es.idsE.ID(u), V: es.idsI.ID(v), Score: score}
-}
-
-// mergeDelta folds one candidate-index Delta into the pending work set.
-// Later deltas win: a pair removed after being queued for rescore is
-// dropped, and vice versa, so the pending sets always describe the net
-// transition from the store's last synced state to the current one. A
-// Rebuilt delta supersedes them: the next run rescores the whole candidate
-// set, so nothing pair-level is worth remembering.
-func (es *edgeStore) mergeDelta(d candidates.Delta) {
-	if d.Rebuilt {
-		es.pendFull = true
-		clear(es.pendRescore)
-		clear(es.pendRemoved)
-		return
-	}
-	for _, p := range d.Removed {
-		delete(es.pendRescore, p)
-		es.pendRemoved[p] = struct{}{}
-	}
-	for _, p := range d.Added {
-		delete(es.pendRemoved, p)
-		es.pendRescore[p] = struct{}{}
-	}
-	for _, p := range d.Dirty {
-		delete(es.pendRemoved, p)
-		es.pendRescore[p] = struct{}{}
-	}
 }
 
 // resetFull replaces the whole store with a freshly scored edge set (the
@@ -210,9 +173,7 @@ func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
 		}
 		es.pairs[sp.key] = e
 	}
-	es.pendFull = false
-	clear(es.pendRescore)
-	clear(es.pendRemoved)
+	es.forceFull = false
 	es.fullRescores++
 	es.lastFull = true
 	es.seq = seq
@@ -222,10 +183,11 @@ func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
 }
 
 // apply performs one delta update stamped with the given run seq: drop
-// the pending removals, then install the fresh scores of the rescored
-// pairs (deleting pairs that scored non-positive). It returns how many
-// edges were dropped from the store.
-func (es *edgeStore) apply(pairs []uint64, scores []float64, seq uint64) (dropped int64) {
+// the removed pairs, then install the fresh scores of the rescored pairs.
+// positive is the scoring fan-out's output over rescored — its pairs that
+// scored positive, in rescored's order — so a rescored pair missing from it
+// is dropped if the store held it. It returns how many edges were dropped.
+func (es *edgeStore) apply(rescored []uint64, positive []scoredPair, removed []uint64, seq uint64) (dropped int64) {
 	es.deltaChanged = es.deltaChanged[:0]
 	es.deltaRemoved = es.deltaRemoved[:0]
 	drop := func(p uint64, old float64) {
@@ -233,32 +195,33 @@ func (es *edgeStore) apply(pairs []uint64, scores []float64, seq uint64) (droppe
 		es.deltaRemoved = append(es.deltaRemoved, es.link(p, old))
 		dropped++
 	}
-	for p := range es.pendRemoved {
+	for _, p := range removed {
 		if old, ok := es.pairs[p]; ok {
 			drop(p, old.score)
 		}
 	}
-	for i, p := range pairs {
-		s := scores[i]
+	for _, p := range rescored {
 		e, had := es.pairs[p]
-		if s > 0 {
-			if !had || e.score != s {
-				if had {
-					es.deltaRemoved = append(es.deltaRemoved, es.link(p, e.score))
-				}
-				es.deltaChanged = append(es.deltaChanged, es.link(p, s))
+		if len(positive) == 0 || positive[0].key != p {
+			if had {
+				drop(p, e.score)
 			}
-			if !had {
-				e.sinceSeq = seq
-			}
-			e.score, e.rescoredSeq = s, seq
-			es.pairs[p] = e
-		} else if had {
-			drop(p, e.score)
+			continue
 		}
+		s := positive[0].score
+		positive = positive[1:]
+		if !had || e.score != s {
+			if had {
+				es.deltaRemoved = append(es.deltaRemoved, es.link(p, e.score))
+			}
+			es.deltaChanged = append(es.deltaChanged, es.link(p, s))
+		}
+		if !had {
+			e.sinceSeq = seq
+		}
+		e.score, e.rescoredSeq = s, seq
+		es.pairs[p] = e
 	}
-	clear(es.pendRescore)
-	clear(es.pendRemoved)
 	es.lastFull = false
 	es.seq = seq
 	es.updates++

@@ -53,13 +53,14 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 	es.resetFull(full, 1)
 	mapOnly("after a full update")
 	var pairs []uint64
-	var scores []float64
+	var scored []scoredPair
 	for k := 0; k < len(full); k += 10 {
-		pairs, scores = append(pairs, full[k].key), append(scores, full[k].score+0.5)
+		pairs = append(pairs, full[k].key)
+		scored = append(scored, scoredPair{key: full[k].key, score: full[k].score + 0.5})
 	}
-	es.apply(pairs, scores, 2)
+	es.apply(pairs, scored, nil, 2)
 	mapOnly("after a delta update")
-	full, pairs, scores = nil, nil, nil
+	full, pairs, scored = nil, nil, nil
 
 	check := func(state string) {
 		t.Helper()
@@ -110,7 +111,7 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 				twin.AddE(w.E.Records[k])
 			}
 		}
-		stats := lk.Rescore()
+		stats := lk.Rescore(uint64(burst) + 2)
 		matched, links, thr := lk.Publish()
 		es := stats.EdgeStore
 		if es.FullRescore {
@@ -169,6 +170,59 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 	}
 }
 
+// TestDeltaRescoreScoresExactlyTheCandidateDelta: a weight-only burst that
+// re-adds every record of some entities doubles their bin weights, which
+// leaves their dominating cells, the candidate set, every bin set and so
+// every score as they were. The run's one candidate-index update therefore
+// reports the candidate pairs with a burst endpoint as Dirty and nothing
+// else, and Rescore scores exactly those pairs, retains every other one and
+// drops none.
+func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
+	w := cabWorkload(t, 30, 1)
+	cfg := Defaults()
+	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	lk, err := NewLinker(w.E, w.I, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk.Run()
+
+	burst := func(d Dataset, every int, store *history.Store, add func(...Record)) map[uint32]bool {
+		byEntity := d.ByEntity()
+		ords := make(map[uint32]bool)
+		for k, id := range store.Entities() {
+			if k%every == 0 {
+				add(byEntity[id]...)
+				ords[ordOf(store.Ordinals(), id)] = true
+			}
+		}
+		return ords
+	}
+	burstE := burst(w.E, 3, lk.storeE, lk.AddE)
+	burstI := burst(w.I, 4, lk.storeI, lk.AddI)
+	res := lk.Run()
+
+	pairs := lk.candIndex.Pairs()
+	withBurst := int64(0)
+	for _, p := range pairs {
+		if u, v := candidates.Ends(p); burstE[u] || burstI[v] {
+			withBurst++
+		}
+	}
+	es := res.Stats.EdgeStore
+	if es.FullRescore || res.Stats.CandidatePairs != int64(len(pairs)) {
+		t.Fatalf("weight-only burst: full rescore %v, %d candidates, Pairs() holds %d",
+			es.FullRescore, res.Stats.CandidatePairs, len(pairs))
+	}
+	if withBurst == 0 || withBurst == int64(len(pairs)) {
+		t.Fatalf("%d of %d candidate pairs have a burst endpoint; the test is vacuous", withBurst, len(pairs))
+	}
+	if es.Rescored != withBurst || es.Retained != int64(len(pairs))-withBurst || es.Dropped != 0 {
+		t.Fatalf("rescored %d, retained %d, dropped %d; want %d, %d, 0",
+			es.Rescored, es.Retained, es.Dropped, withBurst, int64(len(pairs))-withBurst)
+	}
+}
+
 // TestResidentBytesExcludeListHandedToTail: a Publish whose tail missed a
 // delta rebuilds it from the whole edge set, and the tail adopts that
 // list; the store keeps none, so its reported size stays the pair map
@@ -183,7 +237,7 @@ func TestResidentBytesExcludeListHandedToTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk.Rescore()
+	lk.Rescore(1)
 	for burst := 0; ; burst++ {
 		if burst == 8 {
 			t.Fatal("no burst changed an edge on the delta path; the test is vacuous")
@@ -192,14 +246,14 @@ func TestResidentBytesExcludeListHandedToTail(t *testing.T) {
 		for k := burst; k < len(w.E.Records); k += 4 {
 			lk.AddE(w.E.Records[k], w.E.Records[k], w.E.Records[k])
 		}
-		if lk.Rescore().EdgeStore.FullRescore {
+		if lk.Rescore(uint64(burst) + 2).EdgeStore.FullRescore {
 			t.Fatalf("burst %d: re-observations forced a full rescore", burst)
 		}
 		if d := lk.edges.delta(); len(d.Changed)+len(d.Removed) > 0 {
 			break
 		}
 	}
-	before := lk.EdgeStoreStats()
+	before := lk.edges.statsSnapshot()
 	if before.Pairs == 0 || before.ResidentBytes != before.Pairs*edgePairBytes {
 		t.Fatalf("after the delta rescore: %d B for %d pairs, want the map alone (%d B a pair)",
 			before.ResidentBytes, before.Pairs, edgePairBytes)
@@ -208,7 +262,7 @@ func TestResidentBytesExcludeListHandedToTail(t *testing.T) {
 	if ts := lk.PublishTailStats(); !ts.LastFull || ts.Edges != int(before.Pairs) {
 		t.Fatalf("a tail that missed a delta must rebuild in full from all %d edges: %+v", before.Pairs, ts)
 	}
-	if after := lk.EdgeStoreStats(); after.ResidentBytes != before.ResidentBytes {
+	if after := lk.edges.statsSnapshot(); after.ResidentBytes != before.ResidentBytes {
 		t.Fatalf("after Publish handed the list to the tail: %d B, want the map alone (%d B)",
 			after.ResidentBytes, before.ResidentBytes)
 	}

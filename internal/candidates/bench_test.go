@@ -60,7 +60,7 @@ func dirtyBurst(se *history.Store, midUnix int64, k int) ([]model.Record, map[ui
 	return recs, dirty
 }
 
-// BenchmarkCandidateRefreshFull measures what Linker.refreshLSHCandidates
+// BenchmarkCandidateRefreshFull measures what the linker's candidate refresh
 // cost before the index: rebuild every signature and re-enumerate every
 // band-bucket collision, regardless of how little changed.
 func BenchmarkCandidateRefreshFull(b *testing.B) {

@@ -124,11 +124,6 @@ type Delta struct {
 	Rebuilt bool
 }
 
-// Empty reports whether the delta carries no work at all.
-func (d Delta) Empty() bool {
-	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.Dirty) == 0 && !d.Rebuilt
-}
-
 // The two sides of a pair: a side indexes Index.sides and bucket.members.
 const (
 	sideE = 0

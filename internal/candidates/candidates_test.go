@@ -21,7 +21,7 @@ func rec(e string, lat, lng float64, unix int64) model.Record {
 }
 
 // batchPairs is the from-scratch oracle: exactly what
-// Linker.refreshLSHCandidates did before the index existed.
+// the linker's candidate refresh did before the index existed.
 func batchPairs(se, si *history.Store, p Params) []Pair {
 	minE, maxE, okE := se.WindowRange()
 	minI, maxI, okI := si.WindowRange()

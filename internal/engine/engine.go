@@ -668,20 +668,22 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 		e.mu.Lock()
 		lineageSeq := e.version + 1
 		e.mu.Unlock()
-		e.lk.SetNextRunSeq(lineageSeq)
-		stats = e.lk.Rescore()
+		stats = e.lk.Rescore(lineageSeq)
 	})
 
 	// Merge: snapshot the layers and fold the rescore's outcome into the
-	// record. The incremental candidate-index update ran inside Rescore;
-	// its cost is reported separately, as a subset of the rescore time.
+	// record. The index and edge-store snapshots are the run's own Stats:
+	// Publish touches neither. The incremental candidate-index update ran
+	// inside Rescore; its cost is reported separately, as a subset of the
+	// rescore time.
 	e.stage("merge", "", &rec.MergeDur, func(context.Context) {
 		rec.layers = &layers{
 			entE: len(e.lk.EntitiesE()),
 			entI: len(e.lk.EntitiesI()),
-			idx:  e.lk.CandidateIndexStats(),
+			idx:  stats.LSH,
+			edge: stats.EdgeStore,
 		}
-		idx, es := orZero(rec.layers.idx), stats.EdgeStore
+		idx, es := orZero(stats.LSH), stats.EdgeStore
 		rec.IndexDur, rec.indexDirty, rec.indexRebuild = idx.LastUpdate, idx.LastDirty, idx.LastRebuild
 		rec.Rescored, rec.Retained, rec.Dropped = es.Rescored, es.Retained, es.Dropped
 		rec.FullRescore, rec.edgeDur = es.FullRescore, es.LastUpdate
@@ -704,9 +706,7 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 			Elapsed:         time.Since(rec.Start),
 		}
 	})
-	// The layer snapshots supply the sizes, the record above the last-run
-	// fields.
-	rec.layers.edge = e.lk.EdgeStoreStats()
+	// The tail's snapshot supplies its sizes, the record its last-run fields.
 	tail := e.lk.PublishTailStats()
 	rec.layers.tail = tail
 	rec.MatchDur, rec.ThresholdDur, rec.tailDur = tail.LastMatch, tail.LastThreshold, tail.LastUpdate

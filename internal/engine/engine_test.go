@@ -421,6 +421,7 @@ func TestEngineConcurrentIngestWithLSHIndex(t *testing.T) {
 	if st.CandidateIndex.Epoch == 0 || st.CandidateIndex.SignaturesE == 0 {
 		t.Fatalf("candidate index looks unbuilt after ingest: %+v", st.CandidateIndex)
 	}
+	requireLayersAreTheRunsStats(t, eng, final)
 
 	fresh, err := New(w.E, w.I, Config{Link: cfg})
 	if err != nil {

@@ -88,17 +88,31 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 		t.Fatalf("recovery journal record must flag the tail rebuild: %+v", recs[0])
 	}
 	// The rebuild materialised the whole edge set for the tail; the reported
-	// store size is still what the linker holds now.
-	requireResidentBytesCurrent(t, eng)
+	// layers are still the run's own snapshots.
+	requireLayersAreTheRunsStats(t, eng, rec)
 }
 
-// requireResidentBytesCurrent fails unless /v1/stats' edge_store.resident_bytes
-// is the edge store's size as the latest run's Publish left it.
-func requireResidentBytesCurrent(t *testing.T, eng *Engine) {
+// requireLayersAreTheRunsStats fails unless the state fields (sizes and
+// epochs) of Stats' candidate-index and edge-store blocks are those of the
+// published run's own Result.Stats snapshots.
+func requireLayersAreTheRunsStats(t *testing.T, eng *Engine, res slim.Result) {
 	t.Helper()
-	got, now := eng.Stats().EdgeStore, eng.lk.EdgeStoreStats()
-	if got.ResidentBytes != now.ResidentBytes || got.ResidentBytes <= 0 {
-		t.Fatalf("resident bytes reported %d for %d pairs, the store holds %d",
-			got.ResidentBytes, got.Pairs, now.ResidentBytes)
+	st := eng.Stats()
+	idxState := func(s *slim.CandidateIndexStats) *slim.CandidateIndexStats {
+		if s == nil {
+			return nil
+		}
+		c := *s
+		c.LastDirty, c.LastRebuild, c.LastUpdate = 0, false, 0
+		return &c
+	}
+	got, want := idxState(st.CandidateIndex), idxState(res.Stats.LSH)
+	if (got == nil) != (want == nil) || got != nil && *got != *want {
+		t.Fatalf("candidate_index state %+v, the run's %+v", got, want)
+	}
+	es, wes := st.EdgeStore, res.Stats.EdgeStore
+	if es == nil || wes == nil || es.Pairs != wes.Pairs || es.Epoch != wes.Epoch ||
+		es.ResidentBytes != wes.ResidentBytes || es.ResidentBytes <= 0 {
+		t.Fatalf("edge_store state %+v, the run's %+v", es, wes)
 	}
 }

@@ -132,10 +132,10 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 	// Each process generation appends to a fresh segment, past any torn
 	// tail left by a crash.
 	nextIdx := uint64(1)
-	if segs, err := listSegments(fs, dir); err != nil {
+	if segs, err := listNumbered(fs, dir, segPrefix, segSuffix); err != nil {
 		return nil, nil, info, err
 	} else if len(segs) > 0 {
-		nextIdx = segs[len(segs)-1].index + 1
+		nextIdx = segs[len(segs)-1].n + 1
 	}
 	reg := opts.Registry
 	if reg == nil {

@@ -322,7 +322,7 @@ func TestRecoverTornWAL(t *testing.T) {
 	st.crashClose()
 	eng.Close()
 
-	segs, err := listSegments(OSFS, dir)
+	segs, err := listNumbered(OSFS, dir, segPrefix, segSuffix)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v, %v", segs, err)
 	}
@@ -425,7 +425,7 @@ func TestRecoverFailsStopOnLogHole(t *testing.T) {
 	}
 	st.crashClose()
 	eng.Close()
-	segs, err := listSegments(OSFS, dir)
+	segs, err := listNumbered(OSFS, dir, segPrefix, segSuffix)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("segments = %v (%v), want at least 3", segs, err)
 	}
@@ -533,7 +533,7 @@ func TestRecoverDiscardsResultAheadOfLog(t *testing.T) {
 	eng.Close()
 
 	// Lose the last pair's two batches off the end of the segment.
-	segs, err := listSegments(OSFS, dir)
+	segs, err := listNumbered(OSFS, dir, segPrefix, segSuffix)
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("segments = %v (%v)", segs, err)
 	}
@@ -629,7 +629,7 @@ func TestRecoverOlderReleaseDirectory(t *testing.T) {
 		if now, err := os.ReadFile(filepath.Join(dir, snapName(2))); err != nil || !bytes.Equal(now, base) {
 			t.Fatalf("the base file changed (%v)", err)
 		}
-		if snaps, err := listSeqFiles(OSFS, dir, snapPrefix); err != nil || len(snaps) != 1 {
+		if snaps, err := listNumbered(OSFS, dir, snapPrefix, snapSuffix); err != nil || len(snaps) != 1 {
 			t.Fatalf("base files = %v (%v), want the original alone", snaps, err)
 		}
 	}

@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"slim"
@@ -265,35 +264,6 @@ func writeResult(fs FS, dir string, seq uint64, res *resultData) (string, error)
 	return writeAtomic(fs, dir, resultPrefix+"*.tmp", resultName(seq), encodeResult(seq, res))
 }
 
-// seqFile is one base or result checkpoint found on disk.
-type seqFile struct {
-	seq  uint64
-	path string
-}
-
-// listSeqFiles returns the directory's <prefix><seq>.snap files, newest
-// (highest seq) first. Leftover temp files are ignored.
-func listSeqFiles(fs FS, dir, prefix string) ([]seqFile, error) {
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []seqFile
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), snapSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		files = append(files, seqFile{seq: seq, path: filepath.Join(dir, name)})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].seq > files[j].seq })
-	return files, nil
-}
-
 // loadNewestSnapshot returns the directory's base (nil if it has none; the
 // newest when an interrupted compaction of an older release left two). It
 // fails stop rather than fail open: the temp-rename write protocol means a
@@ -303,14 +273,14 @@ func listSeqFiles(fs FS, dir, prefix string) ([]seqFile, error) {
 // sequence). Nothing can be rebuilt around it silently; the operator must
 // restore the named file.
 func loadNewestSnapshot(fs FS, dir string) (*snapshotData, error) {
-	snaps, err := listSeqFiles(fs, dir, snapPrefix)
+	snaps, err := listNumbered(fs, dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return nil, err
 	}
 	if len(snaps) == 0 {
 		return nil, nil
 	}
-	sf := snaps[0]
+	sf := snaps[len(snaps)-1]
 	buf, err := fs.ReadFile(sf.path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: reading %s: %w", sf.path, err)
@@ -330,17 +300,17 @@ func loadNewestSnapshot(fs FS, dir string) (*snapshotData, error) {
 // -fsync-interval <0 allows on a host crash) is removed, because the
 // sequences it claims will be assigned again, to different batches.
 func loadResult(fs FS, dir string, lastSeq uint64) (*resultData, error) {
-	files, err := listSeqFiles(fs, dir, resultPrefix)
+	files, err := listNumbered(fs, dir, resultPrefix, snapSuffix)
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range files {
+	for _, f := range slices.Backward(files) {
 		switch {
-		case f.seq > lastSeq:
+		case f.n > lastSeq:
 			if err := fs.Remove(f.path); err != nil {
 				return nil, err
 			}
-		case f.seq == lastSeq:
+		case f.n == lastSeq:
 			if buf, err := fs.ReadFile(f.path); err == nil {
 				if seq, res, err := decodeResult(buf); err == nil && seq == lastSeq {
 					return res, nil
@@ -377,12 +347,12 @@ func removeOrphanTemps(fs FS, dir string) error {
 // sequence is behind the log) or may use (the log lost its tail back to
 // exactly that sequence, and the file says what was published then).
 func removeResultsBefore(fs FS, dir string, keepSeq uint64) error {
-	files, err := listSeqFiles(fs, dir, resultPrefix)
+	files, err := listNumbered(fs, dir, resultPrefix, snapSuffix)
 	if err != nil {
 		return err
 	}
 	for _, f := range files {
-		if f.seq < keepSeq {
+		if f.n < keepSeq {
 			if err := fs.Remove(f.path); err != nil {
 				return err
 			}

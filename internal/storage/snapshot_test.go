@@ -173,14 +173,14 @@ func TestRemoveResultsBefore(t *testing.T) {
 	if err := removeResultsBefore(OSFS, dir, 15); err != nil {
 		t.Fatal(err)
 	}
-	results, err := listSeqFiles(OSFS, dir, resultPrefix)
+	results, err := listNumbered(OSFS, dir, resultPrefix, snapSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || results[0].seq != 15 {
+	if len(results) != 1 || results[0].n != 15 {
 		t.Fatalf("kept %+v, want only seq 15", results)
 	}
-	if snaps, err := listSeqFiles(OSFS, dir, snapPrefix); err != nil || len(snaps) != 1 {
+	if snaps, err := listNumbered(OSFS, dir, snapPrefix, snapSuffix); err != nil || len(snaps) != 1 {
 		t.Fatalf("bases = %+v (%v), want the one written", snaps, err)
 	}
 }

@@ -359,12 +359,12 @@ func (s *Store) tryReopen(segIdx uint64, synced int64, quarantined [][]byte) boo
 		return false
 	}
 
-	segs, err := listSegments(s.fs, s.dir)
+	segs, err := listNumbered(s.fs, s.dir, segPrefix, segSuffix)
 	if err != nil {
 		return fail("list segments", err)
 	}
 	for _, seg := range segs {
-		if seg.index > segIdx {
+		if seg.n > segIdx {
 			if err := s.fs.Remove(seg.path); err != nil {
 				return fail("remove partial segment", err)
 			}
@@ -607,7 +607,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st.NextSeq = s.nextSeq
 	s.mu.Unlock()
-	if segs, err := listSegments(s.fs, s.dir); err == nil {
+	if segs, err := listNumbered(s.fs, s.dir, segPrefix, segSuffix); err == nil {
 		st.WALSegments = len(segs)
 		for _, seg := range segs {
 			if fi, err := s.fs.Stat(seg.path); err == nil {

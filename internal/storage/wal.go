@@ -350,32 +350,36 @@ func (w *wal) failState() (segIndex uint64, syncedBytes int64, unsynced [][]byte
 	return w.segIndex, w.syncedBytes, w.unsynced
 }
 
-// segmentFile is one WAL segment found on disk.
-type segmentFile struct {
-	index uint64
-	path  string
+// numberedFile is one <prefix><n><suffix> file found on disk: a WAL
+// segment (n is its index) or a base or result checkpoint (n is its
+// sequence).
+type numberedFile struct {
+	n    uint64
+	path string
 }
 
-// listSegments returns the data directory's WAL segments in index order.
-func listSegments(fs FS, dir string) ([]segmentFile, error) {
+// listNumbered returns the directory's <prefix><n><suffix> files in
+// ascending n; a reader that wants the newest walks it from the end. Names
+// whose middle is not a number, such as leftover temp files, are ignored.
+func listNumbered(fs FS, dir, prefix, suffix string) ([]numberedFile, error) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var segs []segmentFile
+	var files []numberedFile
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		idx, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 10, 64)
+		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
 		if err != nil {
 			continue
 		}
-		segs = append(segs, segmentFile{index: idx, path: filepath.Join(dir, name)})
+		files = append(files, numberedFile{n: n, path: filepath.Join(dir, name)})
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
-	return segs, nil
+	sort.Slice(files, func(i, j int) bool { return files[i].n < files[j].n })
+	return files, nil
 }
 
 // ReplayWAL walks every committed batch in dir's write-ahead log with
@@ -400,7 +404,7 @@ func ReplayWAL(dir string, fromSeq uint64, fn func(Batch) error) (lastSeq uint64
 // the rest of that segment with it. That is corruption of acknowledged
 // records, not a torn tail, and fails the replay naming the segment.
 func replayWAL(fs FS, dir string, fromSeq uint64, fn func(Batch) error) (lastSeq uint64, batches int, err error) {
-	segs, err := listSegments(fs, dir)
+	segs, err := listNumbered(fs, dir, segPrefix, segSuffix)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -101,7 +101,7 @@ func TestWALSegmentRotation(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(OSFS, dir)
+	segs, err := listNumbered(OSFS, dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestWALPayloadIsSeqThenWireBatch(t *testing.T) {
 	}
 	st.crashClose()
 
-	segs, err := listSegments(OSFS, dir)
+	segs, err := listNumbered(OSFS, dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,11 +56,7 @@ func requireSameResult(t *testing.T, step string, got, want slim.Result) {
 type relinker struct {
 	addE, addI func(...slim.Record)
 	run        func() slim.Result
-	// refresh forces a candidate refresh between two bursts of one run, so
-	// the edge store's pending delta survives being merged across several
-	// refreshes (nil when the subject has no such hook).
-	refresh func()
-	tail    func() *slim.PublishTailStats
+	tail       func() *slim.PublishTailStats
 }
 
 func linkerSubject(t *testing.T, e, i slim.Dataset, cfg slim.Config) relinker {
@@ -69,11 +65,10 @@ func linkerSubject(t *testing.T, e, i slim.Dataset, cfg slim.Config) relinker {
 		t.Fatal(err)
 	}
 	return relinker{
-		addE:    lk.AddE,
-		addI:    lk.AddI,
-		run:     lk.Run,
-		refresh: func() { _ = lk.NumCandidatePairs() },
-		tail:    lk.PublishTailStats,
+		addE: lk.AddE,
+		addI: lk.AddI,
+		run:  lk.Run,
+		tail: lk.PublishTailStats,
 	}
 }
 
@@ -305,9 +300,8 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 	for burst, kind := range kinds {
 		mutate(kind)
 		if rng.Intn(2) == 0 {
-			if inc.refresh != nil {
-				inc.refresh()
-			}
+			// A second burst before the run: one candidate-index update
+			// covers both.
 			mutate(0)
 		}
 		got := inc.run()

@@ -84,7 +84,8 @@ type Result struct {
 // Linker is a prepared linkage: histories built, candidates enumerable,
 // pairs scorable. Use NewLinker + Run for the full pipeline, Score for
 // targeted pair scoring (e.g. ranking experiments), and AddE/AddI + Run
-// for dynamic feeds (incremental re-linking).
+// for dynamic feeds (incremental re-linking): each Run, or Rescore,
+// consumes everything added since the previous one in a single pass.
 type Linker struct {
 	cfg    Config
 	wnd    model.Windowing
@@ -99,9 +100,10 @@ type Linker struct {
 	// exactly when cfg.LSH is set; nil means brute force, where the cross
 	// product is streamed by index, never materialized); dirtyE/dirtyI
 	// collect, by ordinal, the entities touched by AddE/AddI since the
-	// last run in every mode, so a relink re-signs O(dirty) index entries
-	// and — via the edge store — rescores O(dirty) pairs instead of
-	// rescanning the world.
+	// last Rescore in every mode. Rescore hands them to the index's one
+	// Update of the run, so a relink re-signs O(dirty) index entries and —
+	// via the edge store — rescores O(dirty) pairs instead of rescanning
+	// the world.
 	//
 	// Inside the linker an entity is the ordinal of its side's entity table
 	// (history.Ordinals, shared by the side's two stores) and a pair one
@@ -113,11 +115,6 @@ type Linker struct {
 	// edges is the maintained pair→score state Rescore updates by delta;
 	// see edges.go for the epoch-invalidation discipline.
 	edges edgeStore
-	// nextRunSeq, when set, pins the run sequence the next Rescore stamps
-	// onto edge lineage (see SetNextRunSeq); otherwise Rescore counts its
-	// own runs.
-	nextRunSeq    uint64
-	nextRunSeqSet bool
 	// tail is the incremental publish tail behind Publish (built by the
 	// first one). tailSynced is the edge-store update counter it last consumed,
 	// so a Rescore whose delta the tail never saw degrades the next
@@ -203,30 +200,9 @@ func (lk *Linker) buildLSHCandidates(ge, gi *model.Grouped) {
 	}
 	lk.candIndex = candidates.New(lk.sigStoreE, lk.sigStoreI, *c)
 	lk.candIndex.Workers = lk.cfg.Workers
-	lk.refreshLSHCandidates() // the initial build
-}
-
-// lshStale reports whether incremental adds have outdated the candidate
-// set since the last refresh (always false with LSH disabled: brute-force
-// dirty entities are consumed by Rescore itself).
-func (lk *Linker) lshStale() bool {
-	return lk.candIndex != nil && (len(lk.dirtyE) > 0 || len(lk.dirtyI) > 0)
-}
-
-// refreshLSHCandidates forwards the dirty entity sets to the candidate
-// index, which updates by delta (an epoch rebuild only when the window
-// range outgrew the signature grid); the resulting pair set is identical
-// to a from-scratch rebuild (see internal/candidates). The candidate Delta
-// is folded into the edge store's pending work, so the next Rescore
-// rescores exactly the added/dirty pairs and drops the removed ones — the
-// refresh consumes the dirty entity sets. The sorted pair list itself is
-// not materialized here: the delta path needs only its length, so a pair
-// entering or leaving costs no O(P log P) re-sort per relink.
-func (lk *Linker) refreshLSHCandidates() {
-	d := lk.candIndex.Update(lk.dirtyE, lk.dirtyI)
-	clear(lk.dirtyE)
-	clear(lk.dirtyI)
-	lk.edges.mergeDelta(d)
+	// The initial build. Its delta needs no bookkeeping: the first Rescore
+	// scores the whole candidate set.
+	lk.candIndex.Update(nil, nil)
 }
 
 // CandidateIndexStats reports the state of the incremental LSH candidate
@@ -262,10 +238,10 @@ func (lk *Linker) add(store, sigStore *history.Store, dirty map[uint32]struct{},
 		if sigStore != nil && sigStore != store {
 			sigStore.Add(r) // the side's shared table hands out the same ordinal
 		}
-		// Remember which entities changed: the next candidate refresh
-		// re-signs exactly these (LSH mode), and the next Rescore rescores
-		// exactly their pairs (brute-force mode) unless an IDF-epoch bump
-		// forces a full rescore anyway.
+		// Remember which entities changed: the next Rescore re-signs
+		// exactly these (LSH mode) or rescores exactly their pairs
+		// (brute-force mode), unless an IDF-epoch bump forces a full
+		// rescore anyway.
 		dirty[ord] = struct{}{}
 	}
 }
@@ -294,16 +270,6 @@ func (lk *Linker) Score(u, v EntityID) float64 { return lk.scorer.Score(u, v) }
 // counters.
 func (lk *Linker) ScoreBreakdown(u, v EntityID) *similarity.Breakdown {
 	return lk.scorer.ScoreBreakdown(u, v)
-}
-
-// SetNextRunSeq pins the run sequence the next Rescore stamps onto edge
-// lineage. internal/engine calls it with its next published result
-// version just before Rescore, so lineage sequence numbers line up with
-// the versions reported by /v1/stats and the run journal. Without it
-// Rescore counts its own updates.
-func (lk *Linker) SetNextRunSeq(seq uint64) {
-	lk.nextRunSeq = seq
-	lk.nextRunSeqSet = true
 }
 
 // PairExplanation joins the three provenance layers for one (u, v) pair:
@@ -346,20 +312,6 @@ func ordOf(t *history.Ordinals, id EntityID) uint32 {
 	return math.MaxUint32
 }
 
-// NumCandidatePairs returns how many pairs the next Rescore will score,
-// without materializing them. Like Rescore, it refreshes the LSH
-// candidate set if incremental adds left it stale; not safe concurrently
-// with Run.
-func (lk *Linker) NumCandidatePairs() int64 {
-	if lk.lshStale() {
-		lk.refreshLSHCandidates()
-	}
-	if lk.candIndex != nil {
-		return lk.candIndex.NumCandidates()
-	}
-	return int64(lk.storeE.NumEntities()) * int64(lk.storeI.NumEntities())
-}
-
 // Precompile eagerly builds the compiled read path of both history stores
 // (see history.Store.Compile), fanning the per-entity view builds out over
 // the configured workers. Rescore calls it before scoring, so callers
@@ -375,45 +327,49 @@ func (lk *Linker) Precompile() {
 // after a contained panic): whatever that run left half-applied is
 // replaced wholesale, and the full delta it produces rebuilds the publish
 // tail too.
-func (lk *Linker) ForceFullRescore() { lk.edges.pendFull = true }
+func (lk *Linker) ForceFullRescore() { lk.edges.forceFull = true }
 
 // Rescore brings the edge store up to date with the current candidate set
 // and returns the per-call work stats, without matching or thresholding;
-// Publish is the other half, and Run composes the two.
+// Publish is the other half, and Run composes the two. seq is the run
+// sequence stamped onto edge lineage: Run and RunEdges pass one more than
+// the last, internal/engine the result version the run will publish, so
+// lineage joins against /v1/stats versions and the run journal.
 //
-// Scoring is incremental: while both history stores' IDF epochs stand
-// still, only the pairs whose candidate membership or endpoint histories
-// changed since the last call are rescored; every other edge keeps its
-// cached score, which is bit-identical to what a rescore would produce
-// (scores are pure functions of the two histories and the epoch-versioned
-// dataset statistics — see edges.go). Any epoch movement (new bin, new
-// entity) forces a full rescore of the whole candidate set, restoring
-// exactly the old per-run behavior.
+// Each call is a single pass over what changed since the previous one.
+// With LSH it gives the entities AddE/AddI touched to the candidate index's
+// one Update of the run and applies the Delta it returns: Added and Dirty
+// pairs are rescored, Removed pairs dropped. Brute force rescores every
+// pair with a touched endpoint. Every other edge keeps its cached score,
+// which is bit-identical to what a rescore would produce (scores are pure
+// functions of the two histories and the epoch-versioned dataset
+// statistics — see edges.go). The first call, ForceFullRescore, a rebuilt
+// candidate index and any IDF-epoch movement (new bin, new entity) rescore
+// the whole candidate set instead.
 //
 // The returned Stats carry private candidate-index and edge-store
-// snapshots, so a later refresh never mutates results a caller still holds.
-func (lk *Linker) Rescore() Stats {
+// snapshots, so a later call never mutates results a caller still holds.
+func (lk *Linker) Rescore(seq uint64) Stats {
 	// Refresh the compiled read path first, so the scoring fan-out below
 	// runs on immutable views: entities untouched since the last run keep
 	// their compiled state.
 	lk.Precompile()
-	nPairs := lk.NumCandidatePairs() // refreshes a stale LSH candidate set
+	var cand candidates.Delta
+	nPairs := int64(lk.storeE.NumEntities()) * int64(lk.storeI.NumEntities())
+	if lk.candIndex != nil {
+		if len(lk.dirtyE) > 0 || len(lk.dirtyI) > 0 {
+			cand = lk.candIndex.Update(lk.dirtyE, lk.dirtyI)
+		}
+		nPairs = lk.candIndex.NumCandidates()
+	}
 
 	start := time.Now()
-	// Run sequence stamped onto edge lineage: internal/engine pins it to
-	// its next published result version (SetNextRunSeq); standalone
-	// linkers just count their own updates.
-	seq := lk.edges.seq + 1
-	if lk.nextRunSeqSet {
-		seq = lk.nextRunSeq
-		lk.nextRunSeqSet = false
-	}
 	epochE, epochI := lk.storeE.Epoch(), lk.storeI.Epoch()
-	full := !lk.edges.built || lk.edges.pendFull ||
+	full := !lk.edges.built || lk.edges.forceFull || cand.Rebuilt ||
 		epochE != lk.edges.epochE || epochI != lk.edges.epochI
+	rescored, dropped := nPairs, int64(0)
 	if full {
 		var pairAt func(int) uint64
-		total := int(nPairs)
 		if lk.candIndex != nil {
 			pairs := lk.candIndex.Pairs()
 			pairAt = func(k int) uint64 { return pairs[k] }
@@ -424,23 +380,21 @@ func (lk *Linker) Rescore() Stats {
 			nI := lk.storeI.NumEntities()
 			pairAt = func(k int) uint64 { return candidates.Key(uint32(k/nI), uint32(k%nI)) }
 		}
-		lk.edges.resetFull(lk.scoreIndexed(total, pairAt), seq)
-		lk.edges.lastRescored, lk.edges.lastRetained, lk.edges.lastDropped = nPairs, 0, 0
+		lk.edges.resetFull(lk.scorePositive(int(nPairs), pairAt), seq)
 	} else {
 		var pairs []uint64
 		if lk.candIndex != nil {
-			pairs = make([]uint64, 0, len(lk.edges.pendRescore))
-			for p := range lk.edges.pendRescore {
-				pairs = append(pairs, p)
-			}
+			// Added and Dirty are disjoint: the concatenation names each
+			// pair once.
+			pairs = slices.Concat(cand.Added, cand.Dirty)
 		} else {
 			pairs = lk.bruteDeltaPairs()
 		}
-		dropped := lk.edges.apply(pairs, lk.scorePairs(pairs), seq)
-		lk.edges.lastRescored = int64(len(pairs))
-		lk.edges.lastRetained = nPairs - int64(len(pairs))
-		lk.edges.lastDropped = dropped
+		positive := lk.scorePositive(len(pairs), func(k int) uint64 { return pairs[k] })
+		dropped = lk.edges.apply(pairs, positive, cand.Removed, seq)
+		rescored = int64(len(pairs))
 	}
+	lk.edges.lastRescored, lk.edges.lastRetained, lk.edges.lastDropped = rescored, nPairs-rescored, dropped
 	lk.edges.built = true
 	lk.edges.epochE, lk.edges.epochI = epochE, epochI
 	clear(lk.dirtyE)
@@ -468,7 +422,7 @@ func (lk *Linker) Rescore() Stats {
 // packed ordinals, whose order agrees with the ids' only while ordinals
 // happen to follow them.
 func (lk *Linker) RunEdges() ([]Link, Stats) {
-	stats := lk.Rescore()
+	stats := lk.Rescore(lk.edges.seq + 1)
 	links := lk.edges.materialize()
 	slices.SortFunc(links, func(a, b Link) int {
 		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
@@ -500,32 +454,12 @@ func (lk *Linker) bruteDeltaPairs() []uint64 {
 	return pairs
 }
 
-// scorePairs scores the given pairs across the configured workers and
-// returns the per-pair scores (including non-positive ones, which the
-// edge store needs to drop stale edges). Each worker owns a contiguous
-// index range of the output, so the result is deterministic.
-func (lk *Linker) scorePairs(pairs []uint64) []float64 {
-	out := make([]float64, len(pairs))
-	par.Chunks(lk.cfg.Workers, len(pairs), func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			out[k] = lk.scorer.ScoreOrd(candidates.Ends(pairs[k]))
-		}
-	})
-	return out
-}
-
-// EdgeStoreStats returns a snapshot of the incremental edge store (zero
-// before the first Rescore). Not safe concurrently with Run or Add.
-func (lk *Linker) EdgeStoreStats() *EdgeStoreStats {
-	return lk.edges.statsSnapshot()
-}
-
 // Run executes scoring, matching and thresholding and returns the result.
 // It can be called repeatedly, interleaved with AddE/AddI, to re-link a
 // dynamic feed; stats report per-run work.
 func (lk *Linker) Run() Result {
 	start := time.Now()
-	stats := lk.Rescore()
+	stats := lk.Rescore(lk.edges.seq + 1)
 	matched, links, thr := lk.Publish()
 	return Result{
 		Links:           links,
@@ -615,19 +549,19 @@ func FilterLinks(links []Link, thr float64) []Link {
 	return matching.FilterThreshold(links, thr)
 }
 
-// scoreIndexed fans the candidate pairs pairAt(0..total-1) across workers
-// and keeps the positive ones. Each worker owns a contiguous index range
-// and writes into its own result slot; slots are concatenated in worker
-// order after the barrier, so the merge is deterministic and lock-free.
-// The result is in pairAt's order — packed-ordinal order for both callers;
-// RunEdges imposes the canonical id order on what it hands out.
-func (lk *Linker) scoreIndexed(total int, pairAt func(int) uint64) []scoredPair {
-	workers := min(lk.cfg.Workers, total) // Workers is normalized to >= 1
-	if workers <= 0 {
-		return nil
-	}
-	results := make([][]scoredPair, workers)
-	par.Chunks(workers, total, func(w, lo, hi int) {
+// scorePositive is the one scoring fan-out: it scores the pairs
+// pairAt(0..total-1) across workers and keeps the positive ones, in
+// pairAt's order. Each worker owns a contiguous index range and its own
+// result slot; slots are concatenated in worker order after the barrier,
+// so the merge is deterministic and lock-free. A full rescore hands the
+// result to the edge store whole; a delta one walks it beside the pairs it
+// rescored, so a pair missing from it scored non-positive.
+func (lk *Linker) scorePositive(total int, pairAt func(int) uint64) []scoredPair {
+	parts := make([][]scoredPair, lk.cfg.Workers) // Workers is normalized to >= 1
+	par.Chunks(lk.cfg.Workers, total, func(w, lo, hi int) {
+		// Reserving a quarter of the range costs less at the peak than
+		// growing from empty: append's intermediate arrays, all garbage,
+		// sum to several times the final one.
 		local := make([]scoredPair, 0, (hi-lo)/4)
 		for k := lo; k < hi; k++ {
 			p := pairAt(k)
@@ -635,13 +569,9 @@ func (lk *Linker) scoreIndexed(total int, pairAt func(int) uint64) []scoredPair 
 				local = append(local, scoredPair{key: p, score: s})
 			}
 		}
-		results[w] = local
+		parts[w] = local
 	})
-	var edges []scoredPair
-	for _, part := range results {
-		edges = append(edges, part...)
-	}
-	return edges
+	return slices.Concat(parts...)
 }
 
 // LinkDatasets runs the full pipeline with one call.
