@@ -131,7 +131,7 @@ func BenchmarkFig8LSHLevelsCab(b *testing.B) {
 	opt := experiments.LSHLevelOptions{
 		SigLevels: []int{4, 12},
 		Steps:     []int{48},
-		Threshold: 0.2,
+		Threshold: 0.01,
 		Buckets:   1 << 14,
 	}
 	var speedup, rel float64
@@ -322,7 +322,7 @@ func BenchmarkPipelineBruteForce(b *testing.B) {
 func BenchmarkPipelineLSH(b *testing.B) {
 	w := benchWorkload(b, 24)
 	cfg := slim.Defaults()
-	cfg.LSH = &slim.LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
+	cfg.LSH = &slim.LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := slim.LinkDatasets(w.E, w.I, cfg); err != nil {

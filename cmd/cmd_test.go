@@ -98,8 +98,8 @@ func TestCLIWorkflow(t *testing.T) {
 	// 4. Link again with LSH; summary must include filter stats.
 	_, lshErr := runCmd(t, linkBin,
 		"-e", filepath.Join(dir, "E.csv"), "-i", filepath.Join(dir, "I.csv"),
-		"-lsh", "-lsh-threshold", "0.2", "-lsh-level", "12", "-lsh-step", "48")
-	if !strings.Contains(lshErr, "lsh: signature=") {
+		"-lsh", "-lsh-threshold", "0.01", "-lsh-level", "12", "-lsh-step", "48")
+	if !strings.Contains(lshErr, "lsh: rows=1 ") {
 		t.Fatalf("slim-link LSH summary missing:\n%s", lshErr)
 	}
 }

@@ -59,8 +59,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "  record compares:   %d\n", res.Stats.RecordComparisons)
 	fmt.Fprintf(os.Stderr, "  alibi bin pairs:   %d\n", res.Stats.AlibiBinPairs)
 	if res.Stats.LSH != nil {
-		fmt.Fprintf(os.Stderr, "  lsh: signature=%d bands=%d rows=%d candidates=%d\n",
-			res.Stats.LSH.SignatureLen, res.Stats.LSH.Bands, res.Stats.LSH.Rows, res.Stats.LSH.Candidates)
+		ix := res.Stats.LSH
+		fmt.Fprintf(os.Stderr, "  lsh: rows=%d signatures=%d+%d buckets=%d candidates=%d\n",
+			ix.Rows, ix.SignaturesE, ix.SignaturesI, ix.Buckets, ix.Candidates)
 	}
 }
 

@@ -28,7 +28,8 @@ type EdgeStoreStats struct {
 	Retained int64 `json:"retained_last"`
 	Rescored int64 `json:"rescored_last"`
 	Dropped  int64 `json:"dropped_last"`
-	// FullRescore reports whether the last update was an epoch rebuild.
+	// FullRescore reports whether the last update rescored every pair (the
+	// first run, an IDF-epoch move or a forced rescore).
 	FullRescore bool `json:"full_rescore_last"`
 	// LastUpdate is the wall-clock duration of the last update (scoring and
 	// store maintenance; excludes matching).

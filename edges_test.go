@@ -91,7 +91,7 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
 	newWarm := func() *Linker {
 		lk, err := NewLinker(w.E, w.I, cfg)
 		if err != nil {
@@ -180,7 +180,7 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
 	lk, err := NewLinker(w.E, w.I, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
 func TestResidentBytesExcludeListHandedToTail(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
 	lk, err := NewLinker(w.E, w.I, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -215,9 +215,7 @@ func printIncrementalStats(addr, when string) {
 			Candidates        int64   `json:"candidates"`
 			SignaturesE       int     `json:"signatures_e"`
 			SignaturesI       int     `json:"signatures_i"`
-			Epoch             uint64  `json:"epoch"`
 			DirtyEntitiesLast int     `json:"dirty_entities_last"`
-			LastRebuild       bool    `json:"last_rebuild"`
 			LastUpdateMs      float64 `json:"last_update_ms"`
 		} `json:"candidate_index"`
 	}
@@ -230,8 +228,8 @@ func printIncrementalStats(addr, when string) {
 		fmt.Println("  edge_store: (no relink yet)")
 	}
 	if ci := stats.CandidateIndex; ci != nil {
-		fmt.Printf("  candidate_index: %d candidates over %d+%d signatures, last update re-signed %d entities (rebuild=%v) in %.2fms\n",
-			ci.Candidates, ci.SignaturesE, ci.SignaturesI, ci.DirtyEntitiesLast, ci.LastRebuild, ci.LastUpdateMs)
+		fmt.Printf("  candidate_index: %d candidates over %d+%d signatures, last update re-signed %d entities in %.2fms\n",
+			ci.Candidates, ci.SignaturesE, ci.SignaturesI, ci.DirtyEntitiesLast, ci.LastUpdateMs)
 	} else {
 		fmt.Println("  candidate_index: (lsh disabled; start slimd with -lsh to enable the filter)")
 	}

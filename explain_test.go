@@ -124,7 +124,7 @@ func TestScoreBreakdownRecomposesBitIdentically(t *testing.T) {
 // included), and the edge lineage must carry the run stamps.
 func TestLinkerExplainJoinsAllLayers(t *testing.T) {
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
 	ground := GenerateCab(CabOptions{NumTaxis: 14, Days: 2, MeanRecordIntervalSec: 420, Seed: 5})
 	w := SampleWorkload(&ground, SampleOptions{
 		IntersectionRatio: 0.6, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 6,

@@ -3,17 +3,12 @@ package candidates
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"slim/internal/geo"
 	"slim/internal/history"
 	"slim/internal/mathx"
+	"slim/internal/model"
 )
-
-// Placeholder marks query windows in which the entity has no records. Per
-// the paper, placeholders keep signature structure aligned across entities
-// but are omitted when hashing.
-const Placeholder geo.CellID = 0
 
 // Params configures the LSH filter.
 type Params struct {
@@ -22,7 +17,7 @@ type Params struct {
 	// become candidates with high probability.
 	Threshold float64
 	// StepWindows is the query window size in leaf temporal windows (the
-	// "temporal step size" axis of Fig. 8).
+	// "temporal step size" axis of Fig. 8): one signature row.
 	StepWindows int
 	// SpatialLevel is the grid level of the dominating cells (independent
 	// of the similarity score's spatial level, per Sec. 5.3.1).
@@ -57,6 +52,8 @@ func (p Params) Normalize() (Params, error) {
 	switch {
 	case p.Threshold <= 0 || p.Threshold >= 1:
 		return p, fmt.Errorf("LSH threshold %g outside (0, 1)", p.Threshold)
+	case p.StepWindows < 0:
+		return p, fmt.Errorf("LSH step %d is negative", p.StepWindows)
 	case p.SpatialLevel < 0 || p.SpatialLevel > 30:
 		return p, fmt.Errorf("LSH spatial level %d outside [0, 30]", p.SpatialLevel)
 	case p.NumBuckets < 0:
@@ -65,23 +62,25 @@ func (p Params) Normalize() (Params, error) {
 	return p, nil
 }
 
-// Signature is the ordered list of dominating grid cells of one entity,
-// one entry per query window (Placeholder where the entity was silent).
-type Signature []geo.CellID
-
-// SignatureLength returns the number of query windows needed to span the
-// inclusive leaf-window range [minWin, maxWin] with the given step.
-func SignatureLength(minWin, maxWin int64, stepWindows int) int {
-	if stepWindows <= 0 || maxWin < minWin {
-		return 0
-	}
-	span := maxWin - minWin + 1
-	return int((span + int64(stepWindows) - 1) / int64(stepWindows))
+// RowWindowing is the windowing of a side's signature store: one window —
+// one signature row — per StepWindows leaf windows of the given leaf
+// windowing, anchored at Unix 0. Row q covers [q·width, (q+1)·width) for
+// every dataset and every ingest order, so a row's identity never depends
+// on the data's time range.
+func (p Params) RowWindowing(leaf model.Windowing) model.Windowing {
+	return model.Windowing{WidthSeconds: leaf.WidthSeconds * int64(max(p.StepWindows, 1))}
 }
+
+// NominalRows is the signature length L the rows per band are solved at:
+// 26 days of 12-hour rows, the span of the paper's SM workload. Bands
+// themselves are not counted — a band is any r consecutive absolute rows
+// — so L fixes r alone (DESIGN.md §8 says what t then means for spans
+// shorter or longer than L).
+const NominalRows = 52
 
 // Bands solves the banding parameters for a signature length s and target
 // threshold t: b = exp(W(-s·ln t)) rounded and clamped into [1, s], and
-// r = ceil(s/b) (the final band may be short; Design decision 6).
+// r = ceil(s/b).
 func Bands(sigLen int, t float64) (b, r int) {
 	if sigLen <= 0 {
 		return 0, 0
@@ -102,32 +101,48 @@ func Bands(sigLen int, t float64) (b, r int) {
 	return b, r
 }
 
-// Banding is the resolved banded-hashing geometry of one signature grid:
-// how many bands, how many rows per band, and how many buckets each band
-// hashes into. It is derived once per grid (NewBanding).
-type Banding struct {
-	SigLen     int
-	Bands      int
-	Rows       int
-	NumBuckets int
+// RowsPerBand is r for threshold t: Bands at the nominal length.
+func RowsPerBand(t float64) int {
+	_, r := Bands(NominalRows, t)
+	return r
 }
 
-// NewBanding resolves the banding geometry for a signature length under
-// the given params (Bands for b/r). p.NumBuckets must be positive.
-func NewBanding(sigLen int, p Params) Banding {
-	b, r := Bands(sigLen, p.Threshold)
-	return Banding{SigLen: sigLen, Bands: b, Rows: r, NumBuckets: p.NumBuckets}
+// Row is one observed row of a signature: a signature-store window and
+// the entity's dominating cell in it.
+type Row struct {
+	Row  int64
+	Cell geo.CellID
 }
 
-// BandRange returns the [lo, hi) signature row range of one band; the
-// final band may be short (Design decision 6).
-func (g Banding) BandRange(band int) (lo, hi int) {
-	lo = band * g.Rows
-	hi = lo + g.Rows
-	if hi > g.SigLen {
-		hi = g.SigLen
+// Signature is the sparse signature of one entity: its observed rows in
+// ascending order, one per window of its signature-store history. A row
+// the entity was silent in is simply absent.
+type Signature []Row
+
+// AppendSignature appends the signature of a signature-store history to
+// dst[:0] (pass nil to allocate), so incremental callers can reuse one
+// buffer.
+func AppendSignature(dst Signature, h history.History) Signature {
+	dst = dst[:0]
+	for k, row := range h.Windows() {
+		dst = append(dst, Row{Row: row, Cell: h.DominatingCellAt(k)})
 	}
-	return lo, hi
+	return dst
+}
+
+// bandKey names one bucket: an absolute band and a bucket hash within it.
+type bandKey struct {
+	band int64
+	hash uint64
+}
+
+// bandOf returns the band holding a row: band q holds rows [q·r, (q+1)·r).
+func bandOf(row, r int64) int64 {
+	q := row / r
+	if row%r < 0 {
+		q-- // floor division for rows before Unix 0
+	}
+	return q
 }
 
 // FNV-1a constants (identical to hash/fnv's 64a variant; inlined so band
@@ -147,61 +162,50 @@ func fnvWrite64(h, v uint64) uint64 {
 	return h
 }
 
-// BandHash hashes the non-placeholder rows of one band into the bucket
-// space; ok is false when the band holds only placeholders (such bands are
-// never hashed, so two entirely silent entities do not collide).
-func (g Banding) BandHash(sig Signature, band int) (uint64, bool) {
-	lo, hi := g.BandRange(band)
-	if lo >= hi {
-		return 0, false
-	}
-	h := uint64(fnvOffset64)
-	h = fnvWrite64(h, uint64(band))
-	any := false
-	for row := lo; row < hi && row < len(sig); row++ {
-		if sig[row] == Placeholder {
-			continue
+// appendBands appends the bucket keys of a signature to dst, one per band
+// the signature has a row in, ascending by band: the band's hash folds the
+// band and each of its observed rows (index and cell), reduced into
+// numBuckets buckets. A band without an observed row is never hashed, so
+// two entities silent there do not collide.
+func appendBands(dst []bandKey, sig Signature, r int64, numBuckets uint64) []bandKey {
+	for i := 0; i < len(sig); {
+		band := bandOf(sig[i].Row, r)
+		h := fnvWrite64(fnvOffset64, uint64(band))
+		for ; i < len(sig) && bandOf(sig[i].Row, r) == band; i++ {
+			h = fnvWrite64(h, uint64(sig[i].Row))
+			h = fnvWrite64(h, uint64(sig[i].Cell))
 		}
-		any = true
-		h = fnvWrite64(h, uint64(row))
-		h = fnvWrite64(h, uint64(sig[row]))
-	}
-	if !any {
-		return 0, false
-	}
-	return h % uint64(g.NumBuckets), true
-}
-
-// AppendSignature computes one entity's signature over the query grid that
-// starts at leaf window minWin, covers n query windows of stepWindows
-// leaves each, and clamps the final query window to maxWin+1. The result
-// is appended to dst[:0] (pass nil to allocate) so incremental callers can
-// reuse one buffer.
-//
-// Query windows do not overlap, so the whole signature is one forward
-// sweep over the history's sorted windows: each leaf is read exactly once.
-//
-// The clamp matches the historical batch behavior but is semantically
-// inert: DominatingCell sums record counts, and a history holds no records
-// past its dataset's max window ≤ maxWin, so extending the final query
-// window past maxWin+1 could never change the outcome. This is what lets
-// the incremental index keep signatures computed under an older maxWin
-// when later ingest grows the range without growing n.
-func AppendSignature(dst Signature, h history.History, stepWindows int, minWin, maxWin int64, n int) Signature {
-	dst = dst[:0]
-	wins := h.Windows()
-	k, _ := slices.BinarySearch(wins, minWin)
-	for q := 1; q <= n; q++ {
-		end := min(minWin+int64(q)*int64(stepWindows), maxWin+1)
-		lo := k
-		for k < len(wins) && wins[k] < end {
-			k++
-		}
-		cell, ok := h.DominatingCellAt(lo, k)
-		if !ok {
-			cell = Placeholder
-		}
-		dst = append(dst, cell)
+		dst = append(dst, bandKey{band: band, hash: h % numBuckets})
 	}
 	return dst
+}
+
+// countBands returns how many keys appendBands makes of a history's rows.
+func countBands(rows []int64, r int64) int {
+	n := 0
+	for i, row := range rows {
+		if i == 0 || bandOf(row, r) != bandOf(rows[i-1], r) {
+			n++
+		}
+	}
+	return n
+}
+
+// sharesBand reports whether two entities' band keys (each ascending by
+// band) agree in some band both of them have: the definition of a
+// candidate pair.
+func sharesBand(a, b []bandKey) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].band < b[j].band:
+			i++
+		case a[i].band > b[j].band:
+			j++
+		case a[i].hash == b[j].hash:
+			return true
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return false
 }

@@ -14,26 +14,6 @@ import (
 	"slim/internal/testenv"
 )
 
-func TestSignatureLength(t *testing.T) {
-	cases := []struct {
-		minW, maxW int64
-		step, want int
-	}{
-		{0, 11, 3, 4},
-		{0, 11, 4, 3},
-		{0, 12, 4, 4}, // 13 windows / 4 → 4 queries (last short)
-		{5, 5, 1, 1},
-		{0, 9, 0, 0}, // bad step
-		{9, 0, 3, 0}, // inverted range
-		{0, 99, 48, 3},
-	}
-	for _, c := range cases {
-		if got := SignatureLength(c.minW, c.maxW, c.step); got != c.want {
-			t.Errorf("SignatureLength(%d,%d,%d) = %d, want %d", c.minW, c.maxW, c.step, got, c.want)
-		}
-	}
-}
-
 func TestBandsMathMatchesLambertDerivation(t *testing.T) {
 	// For t = (1/b)^(r/s) with r = s/b, solving back must recover ~b.
 	for _, s := range []int{8, 16, 48, 100, 200} {
@@ -98,98 +78,94 @@ func TestBandsQuickProperties(t *testing.T) {
 	}
 }
 
-// TestNewBandingDefaults checks the banding of the paper's default params:
-// their bucket count, and bands that tile the signature.
-func TestNewBandingDefaults(t *testing.T) {
-	g := NewBanding(10, DefaultParams())
-	if g.NumBuckets != DefaultParams().NumBuckets {
-		t.Fatalf("NumBuckets = %d, want default %d", g.NumBuckets, DefaultParams().NumBuckets)
+// TestRowsPerBandAtNominalLength pins the banding of the paper's default
+// params: r = 5 rows per band at t = 0.6 over the nominal 52 rows, rows of
+// 48 fifteen-minute windows anchored at Unix 0, and r never shrinking as
+// the threshold rises (a stricter filter needs longer bands).
+func TestRowsPerBandAtNominalLength(t *testing.T) {
+	p := DefaultParams()
+	if r := RowsPerBand(p.Threshold); r != 5 {
+		t.Fatalf("RowsPerBand(%g) = %d, want 5", p.Threshold, r)
 	}
-	total := 0
-	for band := 0; band < g.Bands; band++ {
-		lo, hi := g.BandRange(band)
-		if lo >= hi && band < g.Bands-1 {
-			t.Fatalf("band %d empty before the final band", band)
-		}
-		if hi > g.SigLen {
-			t.Fatalf("band %d overruns the signature: hi=%d len=%d", band, hi, g.SigLen)
-		}
-		total += hi - lo
+	if w := p.RowWindowing(model.Windowing{Epoch: 12345, WidthSeconds: 900}); w != (model.Windowing{WidthSeconds: 43200}) {
+		t.Fatalf("RowWindowing = %+v, want 12-hour rows anchored at Unix 0", w)
 	}
-	if total != g.SigLen {
-		t.Fatalf("bands cover %d rows, want %d", total, g.SigLen)
+	prev := 0
+	for _, tThr := range []float64{0.1, 0.2, 0.4, 0.6, 0.8, 0.9} {
+		r := RowsPerBand(tThr)
+		if r < prev {
+			t.Fatalf("RowsPerBand(%g) = %d, below %d at a lower threshold", tThr, r, prev)
+		}
+		prev = r
 	}
 }
 
 // TestBandHashMatchesFNVReference pins the inlined FNV-1a band hashing to
-// the hash/fnv byte stream it replaced: any drift would silently reshuffle
-// every bucket and therefore every candidate set.
+// the hash/fnv byte stream it replaced — any drift would silently reshuffle
+// every bucket and therefore every candidate set — and the band of a row to
+// floor division, rows before Unix 0 included.
 func TestBandHashMatchesFNVReference(t *testing.T) {
-	ref := func(sig Signature, band, lo, hi, numBuckets int) (uint64, bool) {
-		h := fnv.New64a()
-		var buf [8]byte
-		write := func(v uint64) {
-			for k := 0; k < 8; k++ {
-				buf[k] = byte(v >> (8 * k))
+	ref := func(sig Signature, r int64, numBuckets uint64) []bandKey {
+		var out []bandKey
+		for i := 0; i < len(sig); {
+			band := int64(math.Floor(float64(sig[i].Row) / float64(r)))
+			h := fnv.New64a()
+			var buf [8]byte
+			write := func(v uint64) {
+				for k := 0; k < 8; k++ {
+					buf[k] = byte(v >> (8 * k))
+				}
+				_, _ = h.Write(buf[:])
 			}
-			_, _ = h.Write(buf[:])
-		}
-		write(uint64(band))
-		any := false
-		for row := lo; row < hi && row < len(sig); row++ {
-			if sig[row] == Placeholder {
-				continue
+			write(uint64(band))
+			for ; i < len(sig) && int64(math.Floor(float64(sig[i].Row)/float64(r))) == band; i++ {
+				write(uint64(sig[i].Row))
+				write(uint64(sig[i].Cell))
 			}
-			any = true
-			write(uint64(row))
-			write(uint64(sig[row]))
+			out = append(out, bandKey{band: band, hash: h.Sum64() % numBuckets})
 		}
-		if !any {
-			return 0, false
-		}
-		return h.Sum64() % uint64(numBuckets), true
+		return out
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(24)
-		sig := make(Signature, n)
-		for i := range sig {
-			if rng.Intn(3) == 0 {
-				sig[i] = Placeholder
-			} else {
-				sig[i] = geo.CellID(rng.Uint64())
-			}
+		var sig Signature
+		for row := int64(-30 + rng.Intn(20)); row < 30; row += int64(1 + rng.Intn(4)) {
+			sig = append(sig, Row{Row: row, Cell: geo.CellID(rng.Uint64())})
 		}
-		g := NewBanding(n, Params{Threshold: 0.2 + 0.6*rng.Float64(), NumBuckets: 1 << uint(6+rng.Intn(9))})
-		for band := 0; band < g.Bands; band++ {
-			lo, hi := g.BandRange(band)
-			want, wantOK := ref(sig, band, lo, hi, g.NumBuckets)
-			got, gotOK := g.BandHash(sig, band)
-			if got != want || gotOK != wantOK {
-				t.Fatalf("band %d of %d rows: BandHash=(%d,%v) fnv reference=(%d,%v)", band, n, got, gotOK, want, wantOK)
-			}
+		r, numBuckets := int64(1+rng.Intn(6)), uint64(1)<<uint(6+rng.Intn(9))
+		want, got := ref(sig, r, numBuckets), appendBands(nil, sig, r, numBuckets)
+		if !slices.Equal(got, want) {
+			t.Fatalf("r=%d: appendBands=%v fnv reference=%v", r, got, want)
+		}
+		if n := countBands(rowsOf(sig), r); n != len(want) {
+			t.Fatalf("r=%d: countBands=%d, appendBands made %d keys", r, n, len(want))
 		}
 	}
 }
 
+// rowsOf lists a signature's rows.
+func rowsOf(sig Signature) []int64 {
+	rows := make([]int64, len(sig))
+	for k, row := range sig {
+		rows[k] = row.Row
+	}
+	return rows
+}
+
 // TestAppendSignatureZeroAllocs is the allocation gate of the signature
-// sweep: with a reused destination, signing an entity whose query windows
-// span several leaf windows and cells (the sort-scratch path of
-// DominatingCellAt) must not touch the heap once the scratch pool is warm.
+// pass: with a reused destination, signing an entity whose rows hold
+// several cells must not touch the heap.
 func TestAppendSignatureZeroAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items; gate runs in non-race CI")
+		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	var recs []model.Record
 	for k := 0; k < 400; k++ {
 		recs = append(recs, rec("a", 37+float64(k%17)*0.05, -122.4+float64(k%5)*0.05, int64(900*(k/2))))
 	}
-	s := history.Build(&model.Dataset{Name: "E", Records: recs}, wnd, 13)
-	h := s.History("a")
-	minW, maxW, _ := s.WindowRange()
-	n := SignatureLength(minW, maxW, 12)
-	buf := AppendSignature(nil, h, 12, minW, maxW, n)
-	if avg := testing.AllocsPerRun(100, func() { buf = AppendSignature(buf, h, 12, minW, maxW, n) }); avg != 0 {
+	h := sigStore("E", recs, Params{StepWindows: 12, SpatialLevel: 13}).History("a")
+	buf := AppendSignature(nil, h)
+	if avg := testing.AllocsPerRun(100, func() { buf = AppendSignature(buf, h) }); avg != 0 {
 		t.Fatalf("AppendSignature with a reused dst allocates %v times per call, want 0", avg)
 	}
 }
@@ -213,16 +189,15 @@ func TestCandidatePairsIdenticalSignatures(t *testing.T) {
 		// A decoy with a totally different signature.
 		iRecs = append(iRecs, rec("w", 48.85+float64(k%4)*0.05, 2.35, unix))
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: eRecs}, wnd, 12)
-	si := history.Build(&model.Dataset{Name: "I", Records: iRecs}, wnd, 12)
-	pairs, st := indexPairs(se, si, Params{Threshold: 0.6, StepWindows: 4, SpatialLevel: 12, NumBuckets: 1 << 16})
+	p := Params{Threshold: 0.6, StepWindows: 4, SpatialLevel: 12, NumBuckets: 1 << 16}
+	pairs, st := indexPairs(sigStore("E", eRecs, p), sigStore("I", iRecs, p), p)
 	if !slices.Contains(pairs, Pair{U: "u", V: "v"}) {
 		t.Fatalf("identical signatures must collide; got pairs %v", pairs)
 	}
 	if st.Candidates != int64(len(pairs)) {
 		t.Error("stats candidate count mismatch")
 	}
-	if st.Bands <= 0 || st.Rows <= 0 {
+	if st.Rows != RowsPerBand(p.Threshold) || st.NumBuckets != p.NumBuckets {
 		t.Errorf("banding stats not populated: %+v", st)
 	}
 	// With 2^16 buckets the decoy should not collide with u.
@@ -242,10 +217,12 @@ func TestCandidatePairsFewerBucketsMoreCollisions(t *testing.T) {
 			iRecs = append(iRecs, rec("i"+string(rune('a'+e)), 37.0+float64(e)*0.3, -122.4, unix))
 		}
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: eRecs}, wnd, 12)
-	si := history.Build(&model.Dataset{Name: "I", Records: iRecs}, wnd, 12)
-	small, _ := indexPairs(se, si, Params{Threshold: 0.6, StepWindows: 3, SpatialLevel: 12, NumBuckets: 2})
-	large, _ := indexPairs(se, si, Params{Threshold: 0.6, StepWindows: 3, SpatialLevel: 12, NumBuckets: 1 << 20})
+	p := Params{Threshold: 0.6, StepWindows: 3, SpatialLevel: 12}
+	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
+	p.NumBuckets = 2
+	small, _ := indexPairs(se, si, p)
+	p.NumBuckets = 1 << 20
+	large, _ := indexPairs(se, si, p)
 	if len(small) < len(large) {
 		t.Errorf("fewer buckets produced fewer candidates: %d < %d", len(small), len(large))
 	}
@@ -265,11 +242,9 @@ func TestCandidatePairsDeterministic(t *testing.T) {
 		eRecs = append(eRecs, rec("a", 37.5, -122.4, unix), rec("b", 37.9, -122.0, unix))
 		iRecs = append(iRecs, rec("x", 37.5, -122.4, unix), rec("y", 37.9, -122.0, unix))
 	}
-	dsE := model.Dataset{Name: "E", Records: eRecs}
-	dsI := model.Dataset{Name: "I", Records: iRecs}
 	p := Params{Threshold: 0.6, StepWindows: 4, SpatialLevel: 12, NumBuckets: 4096}
 	build := func(workers int) []uint64 {
-		x := New(history.Build(&dsE, wnd, 12), history.Build(&dsI, wnd, 12), p)
+		x := New(sigStore("E", eRecs, p), sigStore("I", iRecs, p), p)
 		x.Workers = workers
 		x.Update(nil, nil)
 		return x.Pairs()
@@ -286,29 +261,31 @@ func TestCandidatePairsDeterministic(t *testing.T) {
 }
 
 func TestCandidatePairsEmptyInputs(t *testing.T) {
-	empty := func(name string) *history.Store { return history.Build(&model.Dataset{Name: name}, wnd, 12) }
-	pairs, st := indexPairs(empty("E"), empty("I"), Params{Threshold: 0.6, StepWindows: 4, NumBuckets: 16})
+	p := Params{Threshold: 0.6, StepWindows: 4, SpatialLevel: 12, NumBuckets: 16}
+	pairs, st := indexPairs(sigStore("E", nil, p), sigStore("I", nil, p), p)
 	if len(pairs) != 0 || st.Candidates != 0 {
 		t.Error("empty inputs should produce no candidates")
 	}
 }
 
 func TestSilentEntitiesNeverCollide(t *testing.T) {
-	// Over a three-query grid banded 2 + 1 rows, e and i are each active
-	// only in the first query window, in different cells: both are silent
-	// in the whole second band. Placeholder-only bands are never hashed,
-	// so that shared silence must not make them candidates. A third entity
-	// stretches the grid to three queries.
+	// At t = 0.2 a band holds two rows. e and i are each active only in
+	// row 0, in different cells, and silent in the rest of the data's span:
+	// a third entity stretches it over band 1 (row 2). Silent rows are not
+	// in a signature and a band with no observed row is never hashed, so
+	// e's and i's shared silence in band 1 must not make them candidates.
+	p := Params{Threshold: 0.2, StepWindows: 4, SpatialLevel: 12, NumBuckets: 1 << 20}
+	if r := RowsPerBand(p.Threshold); r != 2 {
+		t.Fatalf("RowsPerBand(%g) = %d, want 2", p.Threshold, r)
+	}
 	var eRecs, iRecs []model.Record
 	for k := 0; k < 4; k++ {
 		eRecs = append(eRecs, rec("e", 37.5, -122.4, int64(900*k)), rec("far", 40.7, -74.0, int64(900*(8+k))))
 		iRecs = append(iRecs, rec("i", 48.85, 2.35, int64(900*k)))
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: eRecs}, wnd, 12)
-	si := history.Build(&model.Dataset{Name: "I", Records: iRecs}, wnd, 12)
-	pairs, st := indexPairs(se, si, Params{Threshold: 0.6, StepWindows: 4, SpatialLevel: 12, NumBuckets: 1 << 20})
-	if st.SignatureLen != 3 || st.Bands != 2 {
-		t.Fatalf("grid = %d rows in %d bands, want 3 rows in 2 bands", st.SignatureLen, st.Bands)
+	pairs, st := indexPairs(sigStore("E", eRecs, p), sigStore("I", iRecs, p), p)
+	if st.Buckets != 3 || st.Memberships != 3 {
+		t.Fatalf("%d buckets, %d memberships; want one bucket per entity, none for a silent band", st.Buckets, st.Memberships)
 	}
 	if len(pairs) != 0 {
 		t.Errorf("entities silent in a shared band collided: %v", pairs)

@@ -1,28 +1,35 @@
 // Package candidates is SLIM's locality-sensitive-hashing filter (Sec. 4):
 // each mobility history is summarized as a signature of dominating grid
-// cells (one per non-overlapping query time window), the signatures are
-// divided into b bands of r rows with b solved from the Lambert W function,
-// and each band is hashed into a bucket array. Only cross-dataset pairs
-// that share a bucket in at least one band become linkage candidates,
-// which is what delivers the paper's two-to-four orders of magnitude
-// speedup. The package owns the filter's parameters and their defaults
-// (Params, DefaultParams), the banding primitives (banding.go) and the
-// candidate index below.
+// cells (one per non-overlapping query time window, a row), the rows are
+// grouped into bands of r consecutive rows with r solved from the Lambert W
+// function, and each band is hashed into a bucket array. Only
+// cross-dataset pairs that share a bucket in at least one band become
+// linkage candidates, which is what delivers the paper's two-to-four
+// orders of magnitude speedup. The package owns the filter's parameters
+// and their defaults (Params, DefaultParams), the banding primitives
+// (banding.go) and the candidate index below.
 //
-// The index maintains the candidate pair set incrementally. Rebuilding
-// every signature and re-enumerating every band-bucket collision on each
+// Rows and bands are absolute: row q covers the same span of Unix time on
+// both sides and in every run (Params.RowWindowing), band q holds rows
+// [q·r, (q+1)·r), and a signature lists only the rows its entity was
+// observed in. Nothing about the geometry depends on the data's time range,
+// so a record anywhere in time touches its own entity's rows and bands and
+// nothing else.
+//
+// The index maintains the candidate pair set incrementally. Re-signing
+// every entity and re-enumerating every band-bucket collision on each
 // relink is an O(|E|+|I|) cost even when a single entity's history
 // changed. The index keeps the filter state alive between relinks:
-// per-entity band hashes with history-version counters (mirroring the
+// per-entity band keys with history-version counters (mirroring the
 // stale-entity recompile discipline of internal/history's compiled views)
-// and band→bucket hash maps. A dirty entity removes its old band hashes and
-// inserts its new ones, touching only the buckets it left or entered, so a
-// relink after a small ingest burst costs O(dirty) instead of
-// O(everything).
+// and one (band, hash)→bucket map. A dirty entity removes its old band
+// keys and inserts its new ones, touching only the buckets it left or
+// entered, so a relink after a small ingest burst costs O(dirty) instead
+// of O(everything). There is no other update path.
 //
 // Entities are named by the ordinals of their side's entity table
 // (history.Ordinals) and a pair by one packed uint64 (Key): per-entity
-// state is slices indexed by ordinal, bucket members are 4-byte ordinals,
+// state is columns indexed by ordinal, bucket members are 4-byte ordinals,
 // and a pair appears only as a packed word in the lists handed out, so
 // nothing in this package hashes, compares or stores an entity id. The
 // candidate order is the numeric key order; it equals the canonical (U, V)
@@ -36,21 +43,13 @@
 // enumeration keyed by entity id (the parity suite's oracle, which shares
 // only the banding primitives with the index). It holds by
 // definition rather than by bookkeeping: a pair is a candidate iff its two
-// entities' maintained band hashes agree in some band (collides) — the
+// entities' maintained band keys agree in some band (collides) — the
 // batch path's "share a bucket in at least one band" — and nothing is
 // stored per pair that could drift from that. The pair list is enumerated
 // from the buckets, which hold an entity under exactly its current band
-// hashes; a delta update evaluates the definition under the old and the
-// new hashes for the partners of the buckets a re-signed entity left or
+// keys; a delta update evaluates the definition under the old and the
+// new keys for the partners of the buckets a re-signed entity left or
 // entered.
-//
-// Signature-geometry changes cannot be handled by delta: when the union
-// window range grows past the current grid (a new minimum window shifts
-// every query window; a signature-length change re-solves the Lambert-W
-// banding and re-partitions every band), the index bumps its epoch and
-// performs a full rebuild. Rebuilds are amortized — the range of a
-// mobility feed grows ever more rarely as it ages, while per-entity churn
-// never stops, which is exactly the case delta maintenance wins.
 package candidates
 
 import (
@@ -72,15 +71,9 @@ func Ends(key uint64) (u, v uint32) { return uint32(key >> 32), uint32(key) }
 // keys in /v1/stats' candidate_index block, rendered by internal/server's
 // wire encoder (which prints a Duration as milliseconds, hence "_ms").
 type Stats struct {
-	// SignatureLen / Bands / Rows / NumBuckets describe the current
-	// epoch's grid geometry (all zero while either store is empty).
-	SignatureLen int `json:"signature_len"`
-	Bands        int `json:"bands"`
-	Rows         int `json:"rows"`
-	NumBuckets   int `json:"num_buckets"`
-	// Epoch counts full rebuilds: 1 after the initial build, bumped every
-	// time signature geometry forces the index to start over.
-	Epoch uint64 `json:"epoch"`
+	// Rows is the rows per band r; NumBuckets the buckets per band.
+	Rows       int `json:"rows"`
+	NumBuckets int `json:"num_buckets"`
 	// SignaturesE / SignaturesI count maintained per-entity signatures.
 	SignaturesE int `json:"signatures_e"`
 	SignaturesI int `json:"signatures_i"`
@@ -92,36 +85,30 @@ type Stats struct {
 	// Candidates is the number of distinct cross-dataset candidate pairs.
 	Candidates int64 `json:"candidates"`
 	// LastDirty is how many entity signatures the last Update actually
-	// recomputed; LastRebuild reports whether it was a full rebuild;
-	// LastUpdate is its wall-clock duration.
-	LastDirty   int           `json:"dirty_entities_last"`
-	LastRebuild bool          `json:"last_rebuild"`
-	LastUpdate  time.Duration `json:"last_update_ms"`
+	// recomputed; LastUpdate is its wall-clock duration.
+	LastDirty  int           `json:"dirty_entities_last"`
+	LastUpdate time.Duration `json:"last_update_ms"`
 }
 
 // Delta reports how one Update changed the candidate set, in the exact
 // set-difference sense: Added/Removed are the pairs that entered/left the
-// set (Pairs() after == Pairs() before − Removed + Added), and Dirty are
-// the pairs that stayed candidates but have at least one endpoint whose
-// signature was actually recomputed this Update — i.e. an endpoint whose
-// history changed, so any score derived from the pair is stale. The three
-// slices hold packed pairs (Key), are disjoint, sorted ascending, and
-// freshly allocated per Update (callers may retain them).
+// set (Pairs() after == Pairs() before − Removed + Added; the first Update
+// starts from the empty set), and Dirty are the pairs that stayed
+// candidates but have at least one endpoint whose signature was actually
+// recomputed this Update — i.e. an endpoint whose history changed, so any
+// score derived from the pair is stale. The three slices hold packed pairs
+// (Key), are disjoint and sorted ascending; callers may retain them but
+// must not modify them.
 //
 // Delta is what makes scored edges maintainable as state rather than
 // per-run output: a caller holding pair→score only has to rescore
 // Added ∪ Dirty and drop Removed; every other pair's endpoints are
 // untouched histories, so its score is unchanged by construction (see the
 // root package's edge store).
-//
-// Rebuilt marks an epoch rebuild. It carries no pair lists: every
-// signature was recomputed over a new grid, so the caller discards what it
-// derived from the previous candidate set and re-reads Pairs().
 type Delta struct {
 	Added   []uint64
 	Removed []uint64
 	Dirty   []uint64
-	Rebuilt bool
 }
 
 // The two sides of a pair: a side indexes Index.sides and bucket.members.
@@ -139,60 +126,80 @@ func pairKey(side int, ord, partner uint32) uint64 {
 	return Key(partner, ord)
 }
 
+// span locates one entity's band keys in its side's keys column.
+type span struct{ at, n int32 }
+
 // sideState is the maintained filter state of one side, indexed by entity
-// ordinal: whether the entity is signed in the current epoch, the history
-// version its signature was computed from, and — flat, Bands entries per
-// ordinal — the bucket hash of each band (hasBand false for
-// placeholder-only bands, which are never hashed or bucketed). The
-// signatures themselves are not kept: a band hash is all a later delta
-// compares against.
+// ordinal: whether the entity is signed, the history version its signature
+// was computed from, and where its band keys lie in the keys column — one
+// key per band it has a row in, ascending by band. The signatures
+// themselves are not kept: a band key is all a later delta compares
+// against.
 type sideState struct {
-	store    *history.Store
-	signed   []bool
-	version  []uint64
-	bandHash []uint64
-	hasBand  []bool
-	numSigs  int
+	store   *history.Store
+	signed  []bool
+	version []uint64
+	spans   []span
+	// keys holds every entity's band keys back to back. An entity whose
+	// keys outgrow their range moves to the end and leaves the range dead;
+	// live counts the keys in use, and a column more than half dead is
+	// rewritten compactly (setBands).
+	keys    []bandKey
+	live    int
+	numSigs int
 	// changed lists the ordinals whose signatures the current Update
 	// actually recomputed.
 	changed []uint32
 }
 
-// bandsOf returns one ordinal's band hashes and which of them exist.
-func (s *sideState) bandsOf(ord uint32, bands int) ([]uint64, []bool) {
-	lo, hi := int(ord)*bands, (int(ord)+1)*bands
-	return s.bandHash[lo:hi], s.hasBand[lo:hi]
+// bandsOf returns one ordinal's band keys (none for an unsigned or
+// unassigned ordinal).
+func (s *sideState) bandsOf(ord uint32) []bandKey {
+	if int(ord) >= len(s.spans) {
+		return nil
+	}
+	sp := s.spans[ord]
+	return s.keys[sp.at : sp.at+sp.n : sp.at+sp.n]
 }
 
-// sharesBand reports whether two entities' band hashes agree in some band
-// both of them have: the definition of a candidate pair.
-func sharesBand(hashA []uint64, okA []bool, hashB []uint64, okB []bool) bool {
-	for band, ok := range okA {
-		if ok && okB[band] && hashA[band] == hashB[band] {
-			return true
+// cover extends the state to hold n ordinals.
+func (s *sideState) cover(n int) {
+	if n > len(s.signed) {
+		s.signed = append(s.signed, make([]bool, n-len(s.signed))...)
+		s.version = append(s.version, make([]uint64, n-len(s.version))...)
+		s.spans = append(s.spans, make([]span, n-len(s.spans))...)
+	}
+}
+
+// setBands stores an ordinal's new band keys: over its range when they
+// fit, else at the end of the column.
+func (s *sideState) setBands(ord uint32, keys []bandKey) {
+	sp := &s.spans[ord]
+	s.live += len(keys) - int(sp.n)
+	if len(keys) > int(sp.n) {
+		sp.n = 0
+		if len(s.keys) > 2*s.live {
+			s.compact()
 		}
+		sp.at = int32(len(s.keys))
+		s.keys = append(s.keys, keys...)
+	} else {
+		copy(s.keys[sp.at:], keys)
 	}
-	return false
+	sp.n = int32(len(keys))
 }
 
-// reset drops every signature and sizes the state for n ordinals of the
-// given band count.
-func (s *sideState) reset(n, bands int) {
-	s.signed = make([]bool, n)
-	s.version = make([]uint64, n)
-	s.bandHash = make([]uint64, n*bands)
-	s.hasBand = make([]bool, n*bands)
-	s.numSigs = 0
-}
-
-// cover extends the state to hold ordinal ord.
-func (s *sideState) cover(ord uint32, bands int) {
-	if n := int(ord) + 1 - len(s.signed); n > 0 {
-		s.signed = append(s.signed, make([]bool, n)...)
-		s.version = append(s.version, make([]uint64, n)...)
-		s.bandHash = append(s.bandHash, make([]uint64, n*bands)...)
-		s.hasBand = append(s.hasBand, make([]bool, n*bands)...)
+// compact rewrites the keys column without its dead ranges, in ordinal
+// order, with a quarter of spare room.
+func (s *sideState) compact() {
+	keys := make([]bandKey, 0, s.live+s.live/4)
+	for k := range s.spans {
+		sp := &s.spans[k]
+		at := len(keys)
+		keys = append(keys, s.keys[sp.at:sp.at+sp.n]...)
+		sp.at = int32(at)
 	}
+	s.keys = keys
 }
 
 // bucket holds one band bucket's members from each side, as ordinals.
@@ -201,31 +208,25 @@ type bucket struct {
 }
 
 // Index is an incrementally maintained banded-LSH candidate index over two
-// history stores (built at the signature spatial level). It is not safe
-// for concurrent use; callers serialize Update/Pairs/Stats like any other
-// linker mutation.
+// signature stores (history stores built at the signature spatial level
+// over Params.RowWindowing, so a store window is a signature row). It is
+// not safe for concurrent use; callers serialize Update/Pairs/Stats like
+// any other linker mutation.
 type Index struct {
-	// Workers bounds the goroutines of an epoch rebuild's per-entity
-	// signature pass (below 1 means 1). The index is identical for every
-	// value.
+	// Workers bounds the goroutines of the first Update's per-entity
+	// signature pass and of every pair enumeration (below 1 means 1). The
+	// index is identical for every value.
 	Workers int
 
-	params Params
-
-	// Grid of the current epoch: query window q covers leaf windows
-	// [gridMin + q·step, …) and the final window clamps to gridMax+1.
-	// banding.SigLen == 0 is the ungridded state (either store empty, or
-	// a degenerate step): no signatures, no pairs.
-	gridMin int64
-	gridMax int64
-	banding Banding
-	epoch   uint64
+	rows       int64 // r, rows per band
+	numBuckets uint64
+	built      bool
 
 	sides [2]sideState
 
-	// buckets[band] maps bucket hash → members. memberships counts all
+	// buckets maps (band, hash) → members. memberships counts all
 	// (entity, band) entries for the occupancy stat.
-	buckets     []map[uint64]*bucket
+	buckets     map[bandKey]*bucket
 	memberships int
 
 	// The candidate set is not stored: it is the pairs that collide (see
@@ -236,8 +237,7 @@ type Index struct {
 
 	// Scratch buffers so delta updates allocate nothing per entity.
 	scratchSig      Signature
-	scratchHash     []uint64
-	scratchOK       []bool
+	scratchKeys     []bandKey
 	scratchPartners []uint32
 
 	// Per-Update delta tracking (cleared at the start of every Update).
@@ -248,18 +248,19 @@ type Index struct {
 	touched   map[uint64]bool
 	dirtySeen map[uint64]struct{}
 
-	lastDirty   int
-	lastRebuild bool
-	lastUpdate  time.Duration
+	lastDirty  int
+	lastUpdate time.Duration
 }
 
 // New creates an empty index over the two signature stores. Call Update
 // once to perform the initial build.
 func New(storeE, storeI *history.Store, p Params) *Index {
 	x := &Index{
-		params:    p,
-		touched:   make(map[uint64]bool),
-		dirtySeen: make(map[uint64]struct{}),
+		rows:       int64(RowsPerBand(p.Threshold)),
+		numBuckets: uint64(p.NumBuckets),
+		buckets:    make(map[bandKey]*bucket),
+		touched:    make(map[uint64]bool),
+		dirtySeen:  make(map[uint64]struct{}),
 	}
 	x.sides[sideE].store = storeE
 	x.sides[sideI].store = storeI
@@ -269,39 +270,25 @@ func New(storeE, storeI *history.Store, p Params) *Index {
 // Update brings the index up to date with its stores and returns the
 // exact Delta of the candidate set (see Delta). dirtyE and dirtyI name, by
 // ordinal, the entities whose histories may have changed since the
-// previous Update (nil on the first call; entities whose history version
-// is unchanged are skipped, so over-reporting is harmless —
-// under-reporting is not). When the union window range still fits the
-// current grid the index applies per-entity deltas; otherwise it bumps the
-// epoch and rebuilds from scratch (Delta.Rebuilt).
+// previous Update (entities whose history version is unchanged are
+// skipped, so over-reporting is harmless — under-reporting is not). The
+// first call signs every entity of both stores, fanned out over Workers,
+// and ignores them; its Delta adds the whole candidate set.
 func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) Delta {
 	start := time.Now()
-	clear(x.touched)
-	for side := range x.sides {
-		x.sides[side].changed = x.sides[side].changed[:0]
-	}
 	var d Delta
-	minE, maxE, okE := x.sides[sideE].store.WindowRange()
-	minI, maxI, okI := x.sides[sideI].store.WindowRange()
-	if !okE || !okI {
-		// Batch semantics: no candidates until both sides hold data. Both
-		// stores only ever grow, so nothing can have been built yet.
-		x.lastDirty, x.lastRebuild, x.lastUpdate = 0, false, time.Since(start)
-		return d
-	}
-	minW, maxW := min(minE, minI), max(maxE, maxI)
-	sigLen := SignatureLength(minW, maxW, x.params.StepWindows)
-	if sigLen != x.banding.SigLen || minW != x.gridMin {
-		x.rebuild(minW, maxW, sigLen)
-		d = Delta{Rebuilt: true}
+	if !x.built {
+		x.built = true
+		x.lastDirty = x.fill(sideE) + x.fill(sideI)
+		x.pairs = x.enumerate()
+		x.numPairs = int64(len(x.pairs))
+		d.Added = x.pairs
 	} else {
-		// The grid anchor and length are unchanged; a larger gridMax only
-		// moves the (semantically inert) clamp of the final query window,
-		// so clean entities' signatures remain exact. See the
-		// AppendSignature doc comment for the argument.
-		x.gridMax = maxW
-		n := x.applySide(dirtyE, sideE) + x.applySide(dirtyI, sideI)
-		x.lastDirty, x.lastRebuild = n, false
+		clear(x.touched)
+		for side := range x.sides {
+			x.sides[side].changed = x.sides[side].changed[:0]
+		}
+		x.lastDirty = x.applySide(dirtyE, sideE) + x.applySide(dirtyI, sideI)
 		d = x.deltaFromTouches()
 	}
 	x.lastUpdate = time.Since(start)
@@ -349,63 +336,23 @@ func (x *Index) deltaFromTouches() Delta {
 	return d
 }
 
-// collides reports whether E ordinal u and I ordinal v, both signed, are
-// currently a candidate pair.
+// collides reports whether E ordinal u and I ordinal v are currently a
+// candidate pair.
 func (x *Index) collides(u, v uint32) bool {
-	hashU, okU := x.sides[sideE].bandsOf(u, x.banding.Bands)
-	hashV, okV := x.sides[sideI].bandsOf(v, x.banding.Bands)
-	return sharesBand(hashU, okU, hashV, okV)
+	return sharesBand(x.sides[sideE].bandsOf(u), x.sides[sideI].bandsOf(v))
 }
 
 // visitPartners calls fn for every opposite-side member currently sharing
 // a band bucket with the given entity (with repeats across bands; callers
 // dedupe).
 func (x *Index) visitPartners(side int, ord uint32, fn func(uint32)) {
-	s := &x.sides[side]
-	if int(ord) >= len(s.signed) || !s.signed[ord] {
-		return
-	}
-	bands := x.banding.Bands
-	for band := 0; band < bands; band++ {
-		at := int(ord)*bands + band
-		if !s.hasBand[at] {
-			continue
-		}
-		bkt := x.buckets[band][s.bandHash[at]]
-		if bkt == nil {
-			continue
-		}
-		for _, partner := range bkt.members[1-side] {
-			fn(partner)
+	for _, key := range x.sides[side].bandsOf(ord) {
+		if bkt := x.buckets[key]; bkt != nil {
+			for _, partner := range bkt.members[1-side] {
+				fn(partner)
+			}
 		}
 	}
-}
-
-// rebuild starts a new epoch: fresh buckets, every signature recomputed
-// over the new grid, and the candidate list enumerated from them.
-func (x *Index) rebuild(minW, maxW int64, sigLen int) {
-	x.epoch++
-	x.gridMin, x.gridMax = minW, maxW
-	x.banding = NewBanding(sigLen, x.params)
-	x.buckets = make([]map[uint64]*bucket, x.banding.Bands)
-	for band := range x.buckets {
-		x.buckets[band] = make(map[uint64]*bucket)
-	}
-	x.memberships = 0
-	x.pairs = nil // garbage before its successor is allocated
-	x.lastRebuild = true
-	x.lastDirty = 0
-	if x.banding.Bands == 0 {
-		// Degenerate geometry (zero-length signatures): mirror the batch
-		// path, which enumerates nothing.
-		x.sides[sideE].reset(0, 0)
-		x.sides[sideI].reset(0, 0)
-	} else {
-		x.fill(sideE)
-		x.fill(sideI)
-	}
-	x.pairs = x.enumerate()
-	x.numPairs = int64(len(x.pairs))
 }
 
 // enumerate lists the candidate set in ascending order from the buckets:
@@ -415,7 +362,7 @@ func (x *Index) rebuild(minW, maxW int64, sigLen int) {
 // fill one exactly sized slice; an ordinal's keys are sorted where they
 // land and the ranges ascend, so the slice does.
 func (x *Index) enumerate() []uint64 {
-	nE, nI := len(x.sides[sideE].signed), len(x.sides[sideI].signed)
+	nE, nI := len(x.sides[sideE].spans), len(x.sides[sideI].spans)
 	walk := func(visit func(u uint32, partners []uint32)) {
 		par.Chunks(x.Workers, nE, func(_, lo, hi int) {
 			// stamp[v] == u+1 marks v as already listed for u.
@@ -448,14 +395,26 @@ func (x *Index) enumerate() []uint64 {
 	return pairs
 }
 
-// fill re-signs every entity of one side over the current grid and inserts
-// its band hashes. Signatures and band hashes are per-entity work over
-// read-only histories and fan out over x.Workers; bucket insertion stays
-// serial, in ordinal order.
-func (x *Index) fill(side int) {
+// fill signs every entity of one side and inserts its band keys, returning
+// how many it signed. Signatures and band keys are per-entity work over
+// read-only histories and fan out over x.Workers in two passes (count the
+// keys, then write them into one exactly sized column); bucket insertion
+// stays serial, in ordinal order.
+func (x *Index) fill(side int) int {
 	s := &x.sides[side]
-	n, bands := s.store.Ordinals().Len(), x.banding.Bands
-	s.reset(n, bands)
+	n := s.store.Ordinals().Len()
+	s.cover(n)
+	par.Chunks(x.Workers, n, func(_, lo, hi int) {
+		for ord := lo; ord < hi; ord++ {
+			h := s.store.HistoryAt(uint32(ord))
+			s.spans[ord].n = int32(countBands(h.Windows(), x.rows))
+		}
+	})
+	for ord := range s.spans {
+		s.spans[ord].at = int32(s.live)
+		s.live += int(s.spans[ord].n)
+	}
+	s.keys = make([]bandKey, s.live)
 	par.Chunks(x.Workers, n, func(_, lo, hi int) {
 		var sig Signature
 		for ord := lo; ord < hi; ord++ {
@@ -464,45 +423,28 @@ func (x *Index) fill(side int) {
 				continue // no history in this store yet
 			}
 			s.signed[ord], s.version[ord] = true, h.Version()
-			sig = AppendSignature(sig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
-			for band := 0; band < bands; band++ {
-				s.bandHash[ord*bands+band], s.hasBand[ord*bands+band] = x.banding.BandHash(sig, band)
-			}
+			sig = AppendSignature(sig, h)
+			sp := s.spans[ord]
+			appendBands(s.keys[sp.at:sp.at:sp.at+sp.n], sig, x.rows, x.numBuckets) // fills the range in place
 		}
 	})
-	for ord := 0; ord < n; ord++ {
+	for ord := uint32(0); ord < uint32(n); ord++ {
 		if !s.signed[ord] {
 			continue
 		}
 		s.numSigs++
-		for band := 0; band < bands; band++ {
-			if s.hasBand[ord*bands+band] {
-				bkt := x.bucketAt(band, s.bandHash[ord*bands+band])
-				bkt.members[side] = append(bkt.members[side], uint32(ord))
-				x.memberships++
-			}
+		for _, key := range s.bandsOf(ord) {
+			bkt := x.bucketAt(key)
+			bkt.members[side] = append(bkt.members[side], ord)
+			x.memberships++
 		}
 	}
-	x.lastDirty += s.numSigs
-}
-
-// bucketAt returns one band's bucket for a hash, creating it when absent.
-func (x *Index) bucketAt(band int, hash uint64) *bucket {
-	bkt := x.buckets[band][hash]
-	if bkt == nil {
-		bkt = &bucket{}
-		x.buckets[band][hash] = bkt
-	}
-	return bkt
+	return s.numSigs
 }
 
 // applySide delta-updates one side's dirty entities and returns how many
 // signatures were actually recomputed.
 func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
-	bands := x.banding.Bands
-	if len(dirty) == 0 || bands == 0 {
-		return 0
-	}
 	s := &x.sides[side]
 	n := 0
 	for ord := range dirty {
@@ -510,31 +452,34 @@ func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
 		if h.NumBins() == 0 {
 			continue
 		}
-		s.cover(ord, bands)
+		s.cover(int(ord) + 1)
 		fresh := !s.signed[ord]
 		if !fresh && s.version[ord] == h.Version() {
 			continue // marked dirty but unchanged since its last compute
 		}
 		s.changed = append(s.changed, ord)
-		x.scratchSig = AppendSignature(x.scratchSig, h, x.params.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen)
-		x.scratchHash = resize(x.scratchHash, bands)
-		x.scratchOK = resize(x.scratchOK, bands)
-		for band := 0; band < bands; band++ {
-			x.scratchHash[band], x.scratchOK[band] = x.banding.BandHash(x.scratchSig, band)
-		}
-		// A never-signed ordinal has no bands: oldOK is all false.
-		oldHash, oldOK := s.bandsOf(ord, bands)
+		x.scratchSig = AppendSignature(x.scratchSig, h)
+		x.scratchKeys = appendBands(x.scratchKeys[:0], x.scratchSig, x.rows, x.numBuckets)
+		// A never-signed ordinal has no bands: old is empty.
+		old, cur := s.bandsOf(ord), x.scratchKeys
 		partners := x.scratchPartners[:0]
-		for band := 0; band < bands; band++ {
-			wasOK, isOK := oldOK[band], x.scratchOK[band]
-			if wasOK == isOK && (!wasOK || oldHash[band] == x.scratchHash[band]) {
-				continue // this band's bucket did not change
-			}
-			if wasOK {
-				partners = x.removeBand(band, oldHash[band], ord, side, partners)
-			}
-			if isOK {
-				partners = x.insertBand(band, x.scratchHash[band], ord, side, partners)
+		// Both key lists ascend by band: one merge walk leaves the bands the
+		// entity left, enters the ones it entered and moves the ones whose
+		// bucket changed.
+		for i, j := 0, 0; i < len(old) || j < len(cur); {
+			switch {
+			case j == len(cur) || i < len(old) && old[i].band < cur[j].band:
+				partners = x.removeBand(old[i], ord, side, partners)
+				i++
+			case i == len(old) || cur[j].band < old[i].band:
+				partners = x.insertBand(cur[j], ord, side, partners)
+				j++
+			default:
+				if old[i].hash != cur[j].hash {
+					partners = x.removeBand(old[i], ord, side, partners)
+					partners = x.insertBand(cur[j], ord, side, partners)
+				}
+				i, j = i+1, j+1
 			}
 		}
 		// Only a member of a bucket the entity left or entered can have
@@ -545,9 +490,8 @@ func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
 		slices.Sort(partners)
 		partners = slices.Compact(partners)
 		for _, partner := range partners {
-			hash, ok := x.sides[1-side].bandsOf(partner, bands)
-			was := sharesBand(oldHash, oldOK, hash, ok)
-			is := sharesBand(x.scratchHash, x.scratchOK, hash, ok)
+			keys := x.sides[1-side].bandsOf(partner)
+			was, is := sharesBand(old, keys), sharesBand(cur, keys)
 			if was == is {
 				continue
 			}
@@ -565,8 +509,7 @@ func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
 			x.pairs = nil
 		}
 		x.scratchPartners = partners
-		copy(oldHash, x.scratchHash)
-		copy(oldOK, x.scratchOK)
+		s.setBands(ord, cur)
 		if fresh {
 			s.signed[ord] = true
 			s.numSigs++
@@ -577,26 +520,36 @@ func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
 	return n
 }
 
-// insertBand adds an entity to one band bucket and appends the bucket's
+// bucketAt returns the bucket of a key, creating it when absent.
+func (x *Index) bucketAt(key bandKey) *bucket {
+	bkt := x.buckets[key]
+	if bkt == nil {
+		bkt = &bucket{}
+		x.buckets[key] = bkt
+	}
+	return bkt
+}
+
+// insertBand adds an entity to one bucket and appends the bucket's
 // opposite-side members to partners.
-func (x *Index) insertBand(band int, hash uint64, ord uint32, side int, partners []uint32) []uint32 {
-	bkt := x.bucketAt(band, hash)
+func (x *Index) insertBand(key bandKey, ord uint32, side int, partners []uint32) []uint32 {
+	bkt := x.bucketAt(key)
 	bkt.members[side] = append(bkt.members[side], ord)
 	x.memberships++
 	return append(partners, bkt.members[1-side]...)
 }
 
-// removeBand removes an entity from one band bucket and appends the
-// bucket's opposite-side members to partners.
-func (x *Index) removeBand(band int, hash uint64, ord uint32, side int, partners []uint32) []uint32 {
-	bkt := x.buckets[band][hash]
+// removeBand removes an entity from one bucket and appends the bucket's
+// opposite-side members to partners.
+func (x *Index) removeBand(key bandKey, ord uint32, side int, partners []uint32) []uint32 {
+	bkt := x.buckets[key]
 	if bkt == nil {
 		return partners
 	}
 	bkt.members[side] = cut(bkt.members[side], ord)
 	x.memberships--
 	if len(bkt.members[sideE]) == 0 && len(bkt.members[sideI]) == 0 {
-		delete(x.buckets[band], hash)
+		delete(x.buckets, key)
 	}
 	return append(partners, bkt.members[1-side]...)
 }
@@ -610,15 +563,6 @@ func cut(s []uint32, ord uint32) []uint32 {
 		return s[:len(s)-1]
 	}
 	return s
-}
-
-// resize returns a slice of exactly n elements, reusing s's backing array
-// when it is large enough (contents are unspecified).
-func resize[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
 }
 
 // Pairs returns the current candidate set as packed pairs (Key) in
@@ -637,27 +581,19 @@ func (x *Index) NumCandidates() int64 { return x.numPairs }
 
 // Stats returns an observability snapshot of the index.
 func (x *Index) Stats() Stats {
-	nonEmpty := 0
-	for _, byHash := range x.buckets {
-		nonEmpty += len(byHash)
-	}
 	st := Stats{
-		SignatureLen: x.banding.SigLen,
-		Bands:        x.banding.Bands,
-		Rows:         x.banding.Rows,
-		NumBuckets:   x.banding.NumBuckets,
-		Epoch:        x.epoch,
-		SignaturesE:  x.sides[sideE].numSigs,
-		SignaturesI:  x.sides[sideI].numSigs,
-		Buckets:      nonEmpty,
-		Memberships:  x.memberships,
-		Candidates:   x.numPairs,
-		LastDirty:    x.lastDirty,
-		LastRebuild:  x.lastRebuild,
-		LastUpdate:   x.lastUpdate,
+		Rows:        int(x.rows),
+		NumBuckets:  int(x.numBuckets),
+		SignaturesE: x.sides[sideE].numSigs,
+		SignaturesI: x.sides[sideI].numSigs,
+		Buckets:     len(x.buckets),
+		Memberships: x.memberships,
+		Candidates:  x.numPairs,
+		LastDirty:   x.lastDirty,
+		LastUpdate:  x.lastUpdate,
 	}
-	if nonEmpty > 0 {
-		st.Occupancy = float64(x.memberships) / float64(nonEmpty)
+	if st.Buckets > 0 {
+		st.Occupancy = float64(x.memberships) / float64(st.Buckets)
 	}
 	return st
 }

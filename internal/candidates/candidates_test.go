@@ -20,28 +20,15 @@ func rec(e string, lat, lng float64, unix int64) model.Record {
 	return model.Record{Entity: model.EntityID(e), LatLng: geo.LatLng{Lat: lat, Lng: lng}, Unix: unix}
 }
 
-// batchPairs is the from-scratch oracle: exactly what
-// the linker's candidate refresh did before the index existed.
+// sigStore builds a signature store of the given records: p's rows of
+// wnd's windows, cells at p's level.
+func sigStore(name string, recs []model.Record, p Params) *history.Store {
+	return history.Build(&model.Dataset{Name: name, Records: recs}, p.RowWindowing(wnd), p.SpatialLevel)
+}
+
+// batchPairs is the from-scratch oracle over two signature stores.
 func batchPairs(se, si *history.Store, p Params) []Pair {
-	minE, maxE, okE := se.WindowRange()
-	minI, maxI, okI := si.WindowRange()
-	if !okE || !okI {
-		return []Pair{}
-	}
-	minW, maxW := minE, maxE
-	if minI < minW {
-		minW = minI
-	}
-	if maxI > maxW {
-		maxW = maxI
-	}
-	sigsE := BuildSignatures(se, p.StepWindows, minW, maxW)
-	sigsI := BuildSignatures(si, p.StepWindows, minW, maxW)
-	pairs := CandidatePairs(sigsE, sigsI, p)
-	if pairs == nil {
-		pairs = []Pair{}
-	}
-	return pairs
+	return CandidatePairs(BuildSignatures(se), BuildSignatures(si), p)
 }
 
 // named resolves packed pairs to entity ids through the two stores'
@@ -88,11 +75,11 @@ func requireParity(t *testing.T, x *Index, se, si *history.Store, p Params, step
 
 // burstGen draws the randomized ingest of the parity and delta suites:
 // point and region records on twelve entities a side, with timestamps
-// that now and then stretch the window range forward (the signature
-// grows) or backward (the grid anchor shifts). With descending set, each
-// side's entities first appear in descending id order, so every ordinal
-// order is the exact reverse of the id order — packed-pair order and the
-// canonical (U, V) order then disagree on every pair of pairs.
+// that now and then stretch the data's time range forward or backward,
+// across Unix 0 into negative rows. With descending set, each side's
+// entities first appear in descending id order, so every ordinal order is
+// the exact reverse of the id order — packed-pair order and the canonical
+// (U, V) order then disagree on every pair of pairs.
 type burstGen struct {
 	rng        *rand.Rand
 	base, span int64
@@ -101,9 +88,9 @@ type burstGen struct {
 }
 
 func newBurstGen(seed int64, descending bool) *burstGen {
-	// Timestamps start mid-range so later bursts can extend the grid on
-	// both ends.
-	return &burstGen{rng: rand.New(rand.NewSource(seed)), base: 900 * 100, span: 900 * 40, descending: descending}
+	// Timestamps start a few rows past Unix 0, so later bursts can extend
+	// the range on both ends.
+	return &burstGen{rng: rand.New(rand.NewSource(seed)), base: 900 * 10, span: 900 * 40, descending: descending}
 }
 
 func (g *burstGen) next() (side int, r model.Record) {
@@ -118,10 +105,10 @@ func (g *burstGen) next() (side int, r model.Record) {
 	}
 	unix := g.base + rng.Int63n(g.span)
 	switch rng.Intn(8) {
-	case 0: // stretch the range forward: sigLen grows
+	case 0: // stretch the range forward
 		unix = g.base + g.span + rng.Int63n(g.span)
 		g.span += 900 * 10
-	case 1: // stretch backward: the grid anchor shifts
+	case 1: // stretch backward
 		unix = g.base - rng.Int63n(900*20) - 1
 		g.base -= 900 * 5
 	}
@@ -132,7 +119,11 @@ func (g *burstGen) next() (side int, r model.Record) {
 	return side, r
 }
 
-// suiteCases are the schedules both randomized suites run.
+// suiteParams is the filter of the randomized suites: few buckets, so
+// chance collisions keep pairs entering and leaving the set.
+var suiteParams = Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 16}
+
+// suiteCases are the schedules the randomized suites run.
 var suiteCases = []struct {
 	seed       int64
 	descending bool
@@ -140,20 +131,19 @@ var suiteCases = []struct {
 
 // TestIndexRandomizedParity is the core exactness suite: random bursts of
 // point and region records interleaved across both sides, including
-// timestamps that stretch the window range forward and backward (forcing
-// epoch rebuilds), must leave the index pair-for-pair equal to a
-// from-scratch batch enumeration after every burst.
+// timestamps that stretch the time range forward and backward, must leave
+// the index pair-for-pair equal to a from-scratch batch enumeration after
+// every burst.
 func TestIndexRandomizedParity(t *testing.T) {
 	for _, tc := range suiteCases {
 		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
 			gen := newBurstGen(tc.seed, tc.descending)
-			p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+			p := suiteParams
 
-			se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
-			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
+			se, si := sigStore("E", nil, p), sigStore("I", nil, p)
 			stores := [2]*history.Store{se, si}
 			x := New(se, si, p)
-			x.Workers = 1 + int(tc.seed)%3 // fills and enumerations fan out; the set must not depend on it
+			x.Workers = 1 + int(tc.seed)%3 // the first fill and enumerations fan out; the set must not depend on it
 			x.Update(nil, nil)
 			requireParity(t, x, se, si, p, "empty")
 
@@ -166,9 +156,6 @@ func TestIndexRandomizedParity(t *testing.T) {
 				x.Update(dirty[0], dirty[1])
 				requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
 			}
-			if x.Stats().Epoch < 2 {
-				t.Fatalf("workload never forced an epoch rebuild (epoch=%d); the suite must exercise both paths", x.Stats().Epoch)
-			}
 			if tc.descending && !slices.IsSortedFunc(se.Ordinals().IDs(), func(a, b model.EntityID) int { return -cmp.Compare(a, b) }) {
 				t.Fatal("descending schedule did not produce anti-sorted ordinals")
 			}
@@ -176,9 +163,8 @@ func TestIndexRandomizedParity(t *testing.T) {
 	}
 }
 
-// TestIndexDeltaPathIsExercised pins down that in-grid churn actually
-// takes the delta path (no epoch bump) and still matches the oracle —
-// otherwise the parity suite could pass by rebuilding every time.
+// TestIndexDeltaPathIsExercised pins down that churn re-signs exactly the
+// touched entities and stays exact, wherever in time the records land.
 func TestIndexDeltaPathIsExercised(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
@@ -189,36 +175,65 @@ func TestIndexDeltaPathIsExercised(t *testing.T) {
 			iRecs = append(iRecs, rec(fmt.Sprintf("i%d", e), 37.6+float64(e)*0.01, -122.4, unix+60))
 		}
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: eRecs}, wnd, level)
-	si := history.Build(&model.Dataset{Name: "I", Records: iRecs}, wnd, level)
+	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
-	if got := x.Stats().Epoch; got != 1 {
-		t.Fatalf("epoch after initial build = %d, want 1", got)
+	if st := x.Stats(); st.LastDirty != 20 {
+		t.Fatalf("first build signed %d entities, want 20", st.LastDirty)
 	}
 	requireParity(t, x, se, si, p, "initial")
 
-	// Move one entity inside the existing grid: the update must be a
-	// delta (same epoch, one dirty signature) and stay exact.
+	// Move one entity inside the data's range, then one far before it: both
+	// re-sign one signature and stay exact.
 	se.Add(rec("e3", 37.9, -122.1, 900*7))
 	x.Update(ords(se, "e3"), nil)
-	st := x.Stats()
-	if st.Epoch != 1 {
-		t.Fatalf("in-grid churn bumped the epoch to %d; expected a delta update", st.Epoch)
+	if st := x.Stats(); st.LastDirty != 1 {
+		t.Fatalf("in-range churn re-signed %d entities, want 1", st.LastDirty)
 	}
-	if st.LastRebuild || st.LastDirty != 1 {
-		t.Fatalf("delta update stats: LastRebuild=%v LastDirty=%d, want false/1", st.LastRebuild, st.LastDirty)
-	}
-	requireParity(t, x, se, si, p, "delta")
-
-	// A record before the grid start must rebuild.
-	si.Add(rec("i0", 37.6, -122.4, -900*3))
+	requireParity(t, x, se, si, p, "in range")
+	si.Add(rec("i0", 37.6, -122.4, -900*3000))
 	x.Update(nil, ords(si, "i0"))
-	st = x.Stats()
-	if st.Epoch != 2 || !st.LastRebuild {
-		t.Fatalf("backward range growth: epoch=%d LastRebuild=%v, want 2/true", st.Epoch, st.LastRebuild)
+	if st := x.Stats(); st.LastDirty != 1 {
+		t.Fatalf("a record before the range re-signed %d entities, want 1", st.LastDirty)
 	}
-	requireParity(t, x, se, si, p, "rebuild")
+	requireParity(t, x, se, si, p, "before the range")
+}
+
+// TestRangeGrowthIsADelta streams records that move the data's first row
+// one earlier and its last row past a band boundary, on both sides. The
+// next Update re-signs only the dirty entities and matches the batch
+// oracle: no record anywhere in time makes the index start over.
+func TestRangeGrowthIsADelta(t *testing.T) {
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	rowSec := p.RowWindowing(wnd).WidthSeconds
+	r := int64(RowsPerBand(p.Threshold))
+	var eRecs, iRecs []model.Record
+	for e := 0; e < 8; e++ {
+		for k := int64(0); k < 3*r; k++ {
+			unix := (10*r+k)*rowSec + int64(900*e)
+			eRecs = append(eRecs, rec(fmt.Sprintf("e%d", e), 37.6+float64(e%3)*0.02, -122.4, unix))
+			iRecs = append(iRecs, rec(fmt.Sprintf("i%d", e), 37.6+float64(e%3)*0.02, -122.4, unix+60))
+		}
+	}
+	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
+	x := New(se, si, p)
+	x.Update(nil, nil)
+	requireParity(t, x, se, si, p, "initial")
+
+	// Rows 10r … 13r−1 hold data: one row earlier, and one past the band
+	// boundary at 13r.
+	first, last := (10*r-1)*rowSec, (13*r+1)*rowSec
+	dirtyE, dirtyI := map[uint32]struct{}{}, map[uint32]struct{}{}
+	dirtyE[se.Add(rec("e2", 37.6, -122.4, first))] = struct{}{}
+	dirtyE[se.Add(rec("e5", 37.62, -122.4, last))] = struct{}{}
+	dirtyI[si.Add(rec("i5", 37.62, -122.4, last+60))] = struct{}{}
+	dirtyI[si.Add(rec("i7", 37.64, -122.4, first+60))] = struct{}{}
+	dirtyI[si.Add(rec("i-new", 37.6, -122.4, first+120))] = struct{}{}
+	x.Update(dirtyE, dirtyI)
+	if st := x.Stats(); st.LastDirty != len(dirtyE)+len(dirtyI) {
+		t.Fatalf("range growth re-signed %d entities, want the %d dirty ones", st.LastDirty, len(dirtyE)+len(dirtyI))
+	}
+	requireParity(t, x, se, si, p, "range growth")
 }
 
 // TestIndexSkipsUnchangedDirtyEntities verifies the version-counter
@@ -231,8 +246,7 @@ func TestIndexSkipsUnchangedDirtyEntities(t *testing.T) {
 		eRecs = append(eRecs, rec("e0", 37.6, -122.4, int64(900*k)))
 		iRecs = append(iRecs, rec("i0", 37.6, -122.4, int64(900*k)))
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: eRecs}, wnd, level)
-	si := history.Build(&model.Dataset{Name: "I", Records: iRecs}, wnd, level)
+	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
 
@@ -244,25 +258,25 @@ func TestIndexSkipsUnchangedDirtyEntities(t *testing.T) {
 	requireParity(t, x, se, si, p, "noop")
 }
 
-// TestIndexOneSideEmpty mirrors the batch semantics: no candidates until
-// both stores hold data, then a first build on the transition.
+// TestIndexOneSideEmpty mirrors the batch semantics: no candidates while
+// one store is empty, then exactly the batch set once both hold data.
 func TestIndexOneSideEmpty(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
-	se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
-	si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
+	se, si := sigStore("E", nil, p), sigStore("I", nil, p)
 	x := New(se, si, p)
+	x.Update(nil, nil)
 
 	se.Add(rec("e0", 37.6, -122.4, 900))
 	x.Update(ords(se, "e0"), nil)
-	if len(x.Pairs()) != 0 || x.Stats().Epoch != 0 {
-		t.Fatalf("one-side-empty index built anyway: %d pairs, epoch %d", len(x.Pairs()), x.Stats().Epoch)
+	if len(x.Pairs()) != 0 || x.Stats().SignaturesE != 1 {
+		t.Fatalf("one-side-empty index: %d pairs, stats %+v", len(x.Pairs()), x.Stats())
 	}
 	si.Add(rec("i0", 37.6, -122.4, 930))
 	x.Update(nil, ords(si, "i0"))
-	if x.Stats().Epoch != 1 {
-		t.Fatalf("epoch after both sides filled = %d, want 1", x.Stats().Epoch)
-	}
 	requireParity(t, x, se, si, p, "both sides")
+	if len(x.Pairs()) != 1 {
+		t.Fatalf("co-located e0/i0 must be candidates: %d pairs", len(x.Pairs()))
+	}
 }
 
 // TestIndexPairsSliceStability: a Pairs() slice held across later updates
@@ -276,8 +290,7 @@ func TestIndexPairsSliceStability(t *testing.T) {
 			iRecs = append(iRecs, rec(fmt.Sprintf("i%d", e), 37.6+float64(e)*0.02, -122.4, int64(900*k+60)))
 		}
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: eRecs}, wnd, level)
-	si := history.Build(&model.Dataset{Name: "I", Records: iRecs}, wnd, level)
+	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
 	held := x.Pairs()
@@ -292,7 +305,7 @@ func TestIndexPairsSliceStability(t *testing.T) {
 }
 
 // TestIndexStatsShape sanity-checks the occupancy bookkeeping against a
-// direct recount of the bucket maps.
+// direct recount of the bucket map.
 func TestIndexStatsShape(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
@@ -302,8 +315,7 @@ func TestIndexStatsShape(t *testing.T) {
 			iRecs = append(iRecs, rec(fmt.Sprintf("i%d", e), 37.6+float64(e)*0.03, -122.4, int64(900*(k*3+e)+60)))
 		}
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: eRecs}, wnd, level)
-	si := history.Build(&model.Dataset{Name: "I", Records: iRecs}, wnd, level)
+	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
 	se.Add(rec("e2", 38.0, -122.0, 900*9))
@@ -313,18 +325,15 @@ func TestIndexStatsShape(t *testing.T) {
 	if st.SignaturesE != 8 || st.SignaturesI != 8 {
 		t.Fatalf("signature counts = %d/%d, want 8/8", st.SignaturesE, st.SignaturesI)
 	}
-	members, nonEmpty := 0, 0
-	for _, byHash := range x.buckets {
-		nonEmpty += len(byHash)
-		for _, bkt := range byHash {
-			members += len(bkt.members[sideE]) + len(bkt.members[sideI])
-		}
+	members := 0
+	for _, bkt := range x.buckets {
+		members += len(bkt.members[sideE]) + len(bkt.members[sideI])
 	}
-	if st.Buckets != nonEmpty || st.Memberships != members {
-		t.Fatalf("stats buckets/memberships = %d/%d, recount = %d/%d", st.Buckets, st.Memberships, nonEmpty, members)
+	if st.Buckets != len(x.buckets) || st.Memberships != members {
+		t.Fatalf("stats buckets/memberships = %d/%d, recount = %d/%d", st.Buckets, st.Memberships, len(x.buckets), members)
 	}
-	if nonEmpty > 0 && st.Occupancy != float64(members)/float64(nonEmpty) {
-		t.Fatalf("occupancy = %g, want %g", st.Occupancy, float64(members)/float64(nonEmpty))
+	if st.Occupancy != float64(members)/float64(len(x.buckets)) {
+		t.Fatalf("occupancy = %g, want %g", st.Occupancy, float64(members)/float64(len(x.buckets)))
 	}
 	if st.LastUpdate <= 0 {
 		t.Fatal("LastUpdate duration not recorded")
@@ -337,26 +346,26 @@ func TestIndexStatsShape(t *testing.T) {
 // slice instead of re-sorting the world.
 func TestIndexCountOnlyChurnKeepsPairCache(t *testing.T) {
 	p := Params{Threshold: 0.2, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
-	// e0 and i0 share every dominating cell over 16 windows → sigLen 4.
+	// e0 and i0 share every dominating cell over 16 windows: four rows, two
+	// bands of two.
 	var eRecs, iRecs []model.Record
 	for k := 0; k < 16; k++ {
 		eRecs = append(eRecs, rec("e0", 37.6+float64(k)*0.02, -122.4, int64(900*k)))
 		iRecs = append(iRecs, rec("i0", 37.6+float64(k)*0.02, -122.4, int64(900*k)))
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: eRecs}, wnd, level)
-	si := history.Build(&model.Dataset{Name: "I", Records: iRecs}, wnd, level)
+	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
-	if b := x.Stats().Bands; b < 2 {
-		t.Skipf("geometry yielded %d band(s); need >= 2 for count-only churn", b)
+	if b := len(x.sides[sideE].bandsOf(0)); b < 2 {
+		t.Fatalf("fixture yielded %d band(s); need >= 2 for count-only churn", b)
 	}
 	before := x.Pairs()
 	if len(before) != 1 {
 		t.Fatalf("fixture should collide in every band: %d pairs", len(before))
 	}
 
-	// Overwhelm window 0's dominating cell: the first band's hash moves
-	// (count 2 -> 1 on the surviving pair) while later bands still match.
+	// Overwhelm row 0's dominating cell: the first band's hash moves while
+	// the later band still matches.
 	for n := 0; n < 3; n++ {
 		se.Add(rec("e0", 37.9, -121.9, int64(n)))
 	}
@@ -366,4 +375,33 @@ func TestIndexCountOnlyChurnKeepsPairCache(t *testing.T) {
 		t.Fatal("count-only churn re-materialized the pair cache")
 	}
 	requireParity(t, x, se, si, p, "count-only churn")
+}
+
+// TestBandKeysColumnStaysBounded streams bursts that keep growing every
+// entity's band list, so entities move to the end of their side's keys
+// column again and again: the column stays within twice the keys in use
+// plus one entity's keys, and the index stays exact.
+func TestBandKeysColumnStaysBounded(t *testing.T) {
+	p := Params{Threshold: 0.3, StepWindows: 1, SpatialLevel: level, NumBuckets: 256}
+	r := int64(RowsPerBand(p.Threshold))
+	se, si := sigStore("E", nil, p), sigStore("I", nil, p)
+	x := New(se, si, p)
+	x.Update(nil, nil)
+	for burst := int64(0); burst < 40; burst++ {
+		dirtyE, dirtyI := map[uint32]struct{}{}, map[uint32]struct{}{}
+		for e := 0; e < 10; e++ {
+			unix := (burst*r + int64(e%3)) * 900
+			dirtyE[se.Add(rec(fmt.Sprintf("e%d", e), 37.6+float64(e%4)*0.01, -122.4, unix))] = struct{}{}
+			dirtyI[si.Add(rec(fmt.Sprintf("i%d", e), 37.6+float64(e%4)*0.01, -122.4, unix+60))] = struct{}{}
+		}
+		x.Update(dirtyE, dirtyI)
+		for side := range x.sides {
+			s := &x.sides[side]
+			if len(s.keys) > 2*s.live+int(burst)+1 { // one entity's keys may land past the bound
+
+				t.Fatalf("burst %d: side %d's keys column holds %d slots for %d live keys", burst, side, len(s.keys), s.live)
+			}
+		}
+		requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
+	}
 }

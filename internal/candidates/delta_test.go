@@ -71,33 +71,28 @@ func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta
 
 // TestIndexDeltaExactSetDifference is the Delta API's exactness suite:
 // under randomized interleaved E/I bursts of point and region records —
-// including in-grid churn (delta updates), range growth in both directions
-// (epoch rebuilds), over-reported dirty entities, and schedules whose
-// entities arrive in descending id order (ordinals anti-sorted) — every
-// in-grid Update's Delta must equal the set difference of the before/after
-// candidate sets, with Dirty naming exactly the kept pairs of changed
-// entities. A Rebuilt delta carries no pair lists: the caller re-reads
-// Pairs(), which requireParity holds to the from-scratch
-// CandidatePairs set after every burst, rebuilds included.
+// including churn inside the data's time range, range growth in both
+// directions, over-reported dirty entities, and schedules whose entities
+// arrive in descending id order (ordinals anti-sorted) — every Update's
+// Delta, the first included, must equal the set difference of the
+// before/after candidate sets, with Dirty naming exactly the kept pairs of
+// changed entities, and Pairs() the from-scratch CandidatePairs set.
 func TestIndexDeltaExactSetDifference(t *testing.T) {
 	for _, tc := range suiteCases {
 		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
 			gen := newBurstGen(tc.seed, tc.descending)
 			rng := gen.rng
-			p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+			p := suiteParams
 
-			se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
-			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
+			se, si := sigStore("E", nil, p), sigStore("I", nil, p)
 			stores := [2]*history.Store{se, si}
 			x := New(se, si, p)
 			if d := x.Update(nil, nil); !noWork(d) {
 				t.Fatalf("empty-store update produced a delta: %+v", d)
 			}
 
-			rebuilds := 0
 			for burst := 0; burst < 30; burst++ {
 				before := named(se, si, x.Pairs())
-				epochBefore := x.Stats().Epoch
 				dirty := [2]map[uint32]struct{}{{}, {}}
 				for k, nRecs := 0, 1+rng.Intn(8); k < nRecs; k++ {
 					side, r := gen.next()
@@ -114,21 +109,8 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 				burstE, burstI := changedOnly(x, sideE, dirty[0]), changedOnly(x, sideI, dirty[1])
 				d := x.Update(dirty[0], dirty[1])
 				after := named(se, si, x.Pairs())
-				if wantRebuilt := x.Stats().Epoch != epochBefore; d.Rebuilt != wantRebuilt {
-					t.Fatalf("burst %d: Rebuilt = %v, epoch moved = %v", burst, d.Rebuilt, wantRebuilt)
-				}
-				if d.Rebuilt {
-					rebuilds++
-					if len(d.Added)+len(d.Removed)+len(d.Dirty) != 0 {
-						t.Fatalf("burst %d: Rebuilt delta carries pair lists: %+v", burst, d)
-					}
-				} else {
-					requireDeltaExact(t, fmt.Sprintf("burst %d", burst), se, si, d, before, after, burstE, burstI)
-				}
+				requireDeltaExact(t, fmt.Sprintf("burst %d", burst), se, si, d, before, after, burstE, burstI)
 				requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
-			}
-			if rebuilds == 0 {
-				t.Fatal("workload never forced an epoch rebuild; the suite must exercise both paths")
 			}
 		})
 	}
@@ -155,17 +137,17 @@ func changedOnly(x *Index, side int, dirty map[uint32]struct{}) map[model.Entity
 
 // noWork reports whether a Delta asks its consumer for no work at all.
 func noWork(d Delta) bool {
-	return len(d.Added)+len(d.Removed)+len(d.Dirty) == 0 && !d.Rebuilt
+	return len(d.Added)+len(d.Removed)+len(d.Dirty) == 0
 }
 
 // TestIndexDeltaAcrossOneSideEmpty pins the empty-store transitions: no
-// delta while one side is empty, and the first build is a bare Rebuilt
-// whose Pairs() is the from-scratch candidate set.
+// delta while one side is empty, and the first pair to appear arrives as
+// an exact Added delta, like any other.
 func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
-	se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
-	si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
+	se, si := sigStore("E", nil, p), sigStore("I", nil, p)
 	x := New(se, si, p)
+	x.Update(nil, nil)
 
 	for k := 0; k < 8; k++ {
 		se.Add(rec("e0", 37.6, -122.4, int64(900*k)))
@@ -177,16 +159,32 @@ func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 		si.Add(rec("i0", 37.6, -122.4, int64(900*k+30)))
 	}
 	d := x.Update(nil, ords(si, "i0"))
-	if !d.Rebuilt {
-		t.Fatal("first build must report Rebuilt")
+	requireDeltaExact(t, "both sides", se, si, d, nil, named(se, si, x.Pairs()), nil, map[model.EntityID]struct{}{"i0": {}})
+	requireParity(t, x, se, si, p, "both sides")
+	if len(d.Added) != 1 {
+		t.Fatalf("co-located e0/i0 must arrive as the one Added pair: %+v", d)
 	}
-	if len(d.Added)+len(d.Removed)+len(d.Dirty) != 0 {
-		t.Fatalf("first build delta: %+v, want Rebuilt only", d)
+}
+
+// TestFirstUpdateAddsTheCandidateSet: the first Update over filled stores
+// is a delta from the empty set like every later one — it adds exactly
+// Pairs() and names nothing removed or dirty.
+func TestFirstUpdateAddsTheCandidateSet(t *testing.T) {
+	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
+	var eRecs, iRecs []model.Record
+	for e := 0; e < 6; e++ {
+		for k := 0; k < 10; k++ {
+			eRecs = append(eRecs, rec(fmt.Sprintf("e%d", e), 37.6+float64(e%3)*0.02, -122.4, int64(900*k)))
+			iRecs = append(iRecs, rec(fmt.Sprintf("i%d", e), 37.6+float64(e%3)*0.02, -122.4, int64(900*k+60)))
+		}
+	}
+	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
+	x := New(se, si, p)
+	d := x.Update(nil, nil)
+	if len(d.Added) == 0 || !slices.Equal(d.Added, x.Pairs()) || len(d.Removed)+len(d.Dirty) != 0 {
+		t.Fatalf("first Update's delta %+v, want Added = Pairs() = %v", d, x.Pairs())
 	}
 	requireParity(t, x, se, si, p, "first build")
-	if len(x.Pairs()) == 0 {
-		t.Fatal("co-located e0/i0 must be candidates after the first build")
-	}
 }
 
 // TestIndexDeltaThroughBothEndpoints pins the two transitions a per-pair
@@ -211,8 +209,8 @@ func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 		}
 		return side, recs
 	}
-	// Every entity spans the whole window range up front, so no burst can
-	// move the grid and every Update below is a delta.
+	// Every entity spans the whole window range up front, so every band a
+	// burst touches already holds both sides.
 	var seed [2][]model.Record
 	for side := range seed {
 		for e := 0; e < entities; e++ {
@@ -220,22 +218,17 @@ func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 			seed[side] = append(seed[side], rec(id, 37.6, -122.4, 0), rec(id, 37.6, -122.4, 900*(windows-1)))
 		}
 	}
-	se := history.Build(&model.Dataset{Name: "E", Records: seed[sideE]}, wnd, level)
-	si := history.Build(&model.Dataset{Name: "I", Records: seed[sideI]}, wnd, level)
+	se, si := sigStore("E", seed[sideE], p), sigStore("I", seed[sideI], p)
 	stores := [2]*history.Store{se, si}
 	x := New(se, si, p)
 	x.Update(nil, nil)
-	bands := x.Stats().Bands
-	if bands < 2 {
-		t.Fatalf("geometry yielded %d band(s); a pair needs two to change hands", bands)
-	}
 
 	lostAndRegained, gainedAndLost := 0, 0
 	for burst := 0; burst < 400; burst++ {
 		var old [2]sideState
 		for side := range old {
-			old[side].bandHash = slices.Clone(x.sides[side].bandHash)
-			old[side].hasBand = slices.Clone(x.sides[side].hasBand)
+			old[side].spans = slices.Clone(x.sides[side].spans)
+			old[side].keys = slices.Clone(x.sides[side].keys)
 		}
 		dirty := [2]map[uint32]struct{}{{}, {}}
 		for k := 0; k < 4; k++ {
@@ -247,18 +240,13 @@ func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 			}
 		}
 		d := x.Update(dirty[sideE], dirty[sideI])
-		if d.Rebuilt {
-			t.Fatalf("burst %d moved the grid; the fixture must stay on the delta path", burst)
-		}
 		for u := uint32(0); u < entities; u++ {
 			for v := uint32(0); v < entities; v++ {
-				oldU, oldUOK := old[sideE].bandsOf(u, bands)
-				oldV, oldVOK := old[sideI].bandsOf(v, bands)
-				newU, newUOK := x.sides[sideE].bandsOf(u, bands)
-				newV, newVOK := x.sides[sideI].bandsOf(v, bands)
-				before := sharesBand(oldU, oldUOK, oldV, oldVOK)
-				between := sharesBand(newU, newUOK, oldV, oldVOK) // E is re-signed first
-				after := sharesBand(newU, newUOK, newV, newVOK)
+				oldU, oldV := old[sideE].bandsOf(u), old[sideI].bandsOf(v)
+				newU, newV := x.sides[sideE].bandsOf(u), x.sides[sideI].bandsOf(v)
+				before := sharesBand(oldU, oldV)
+				between := sharesBand(newU, oldV) // E is re-signed first
+				after := sharesBand(newU, newV)
 				key := Key(u, v)
 				_, added := slices.BinarySearch(d.Added, key)
 				_, removed := slices.BinarySearch(d.Removed, key)

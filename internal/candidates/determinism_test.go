@@ -33,20 +33,18 @@ func regionHeavyRecords(side string) []model.Record {
 	return recs
 }
 
-// TestRegionSignaturesAreReproducible pins the fixed summation order of
-// DominatingCell: 50 builds of the same region-heavy stores must produce
+// TestRegionSignaturesAreReproducible pins the fixed summation order of a
+// row's bin weights: 50 builds of the same region-heavy stores must produce
 // identical signatures and an identical candidate set.
 func TestRegionSignaturesAreReproducible(t *testing.T) {
 	p := Params{Threshold: 0.4, StepWindows: 8, SpatialLevel: level, NumBuckets: 64}
-	dsE := model.Dataset{Name: "E", Records: regionHeavyRecords("e")}
-	dsI := model.Dataset{Name: "I", Records: regionHeavyRecords("i")}
 	build := func() (sigs []Signature, pairs []uint64) {
-		se, si := history.Build(&dsE, wnd, level), history.Build(&dsI, wnd, level)
+		se, si := sigStore("E", regionHeavyRecords("e"), p), sigStore("I", regionHeavyRecords("i"), p)
 		x := New(se, si, p)
 		x.Update(nil, nil)
 		for _, s := range []*history.Store{se, si} {
 			for _, id := range s.Entities() {
-				sigs = append(sigs, AppendSignature(nil, s.History(id), p.StepWindows, x.gridMin, x.gridMax, x.banding.SigLen))
+				sigs = append(sigs, AppendSignature(nil, s.History(id)))
 			}
 		}
 		return sigs, x.Pairs()

@@ -18,8 +18,9 @@ func (h BucketHash) MarshalText() ([]byte, error) {
 // The json tags here and on PairExplain are the keys of /v1/explain's
 // candidates block, which encodes a PairExplain as it is.
 type BandCollision struct {
-	// Band is the band index in [0, Bands).
-	Band int `json:"band"`
+	// Band is the absolute band index: the band of rows
+	// [Band·Rows, (Band+1)·Rows).
+	Band int64 `json:"band"`
 	// Hash is the shared bucket hash within the band.
 	Hash BucketHash `json:"hash"`
 	// BucketE / BucketI are the bucket's current member counts per side
@@ -31,9 +32,9 @@ type BandCollision struct {
 // PairExplain is the lineage of one pair through the incremental LSH
 // filter: whether each endpoint has a maintained signature, whether the
 // pair is currently a candidate, which bands collide (with bucket sizes),
-// and the index geometry/epoch the answer is valid under. It is a pure
-// read over the maintained band-bucket maps — Explain adds no state to
-// the index and costs O(Bands).
+// and the rows per band the answer is read under. It is a pure read over
+// the maintained band keys and buckets — Explain adds no state to the
+// index and costs O(bands of the two endpoints).
 type PairExplain struct {
 	// HasU / HasV report whether the index maintains a signature for each
 	// endpoint (false for unknown or never-signed entities).
@@ -46,12 +47,8 @@ type PairExplain struct {
 	BandCount int32 `json:"band_count"`
 	// Collisions lists the currently colliding bands in band order.
 	Collisions []BandCollision `json:"collisions,omitempty"`
-	// Epoch / SignatureLen / Bands / Rows describe the index grid the
-	// lineage was read under (see Stats).
-	Epoch        uint64 `json:"epoch"`
-	SignatureLen int    `json:"signature_len"`
-	Bands        int    `json:"bands"`
-	Rows         int    `json:"rows"`
+	// Rows is the index's rows per band (see Stats).
+	Rows int `json:"rows"`
 	// SigVersionU / SigVersionV are the history versions the endpoints'
 	// signatures were computed from (0 when the endpoint has none).
 	SigVersionU uint64 `json:"sig_version_u,omitempty"`
@@ -64,12 +61,7 @@ type PairExplain struct {
 // index read it is not safe concurrently with Update; callers serialize
 // it with linker mutations.
 func (x *Index) Explain(u, v uint32) PairExplain {
-	ex := PairExplain{
-		Epoch:        x.epoch,
-		SignatureLen: x.banding.SigLen,
-		Bands:        x.banding.Bands,
-		Rows:         x.banding.Rows,
-	}
+	ex := PairExplain{Rows: int(x.rows)}
 	su, sv := &x.sides[sideE], &x.sides[sideI]
 	if int(u) < len(su.signed) && su.signed[u] {
 		ex.HasU, ex.SigVersionU = true, su.version[u]
@@ -77,21 +69,23 @@ func (x *Index) Explain(u, v uint32) PairExplain {
 	if int(v) < len(sv.signed) && sv.signed[v] {
 		ex.HasV, ex.SigVersionV = true, sv.version[v]
 	}
-	if !ex.HasU || !ex.HasV {
-		return ex
-	}
-	bands := x.banding.Bands
-	for band := 0; band < bands; band++ {
-		atU, atV := int(u)*bands+band, int(v)*bands+band
-		if !su.hasBand[atU] || !sv.hasBand[atV] || su.bandHash[atU] != sv.bandHash[atV] {
-			continue
+	keysU, keysV := su.bandsOf(u), sv.bandsOf(v)
+	for i, j := 0, 0; i < len(keysU) && j < len(keysV); {
+		switch a, b := keysU[i], keysV[j]; {
+		case a.band < b.band:
+			i++
+		case a.band > b.band:
+			j++
+		default:
+			if a.hash == b.hash {
+				bc := BandCollision{Band: a.band, Hash: BucketHash(a.hash)}
+				if bkt := x.buckets[a]; bkt != nil {
+					bc.BucketE, bc.BucketI = len(bkt.members[sideE]), len(bkt.members[sideI])
+				}
+				ex.Collisions = append(ex.Collisions, bc)
+			}
+			i, j = i+1, j+1
 		}
-		hash := su.bandHash[atU]
-		bc := BandCollision{Band: band, Hash: BucketHash(hash)}
-		if bkt := x.buckets[band][hash]; bkt != nil {
-			bc.BucketE, bc.BucketI = len(bkt.members[sideE]), len(bkt.members[sideI])
-		}
-		ex.Collisions = append(ex.Collisions, bc)
 	}
 	ex.BandCount = int32(len(ex.Collisions))
 	ex.Candidate = ex.BandCount > 0

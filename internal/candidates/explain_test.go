@@ -6,12 +6,10 @@ import (
 	"testing"
 
 	"slim/internal/history"
-	"slim/internal/model"
 )
 
 // TestExplainAgreesWithCandidateSet: the candidate set is defined by the
-// band hashes Explain reads, so after every random burst — delta updates
-// and epoch rebuilds alike — Explain must call a pair a candidate exactly
+// band keys Explain reads, so after every random burst Explain must call a pair a candidate exactly
 // when Pairs() lists it, with Candidate == (BandCount > 0) ==
 // (len(Collisions) > 0), for every pair of assigned ordinals and for
 // ordinals no table has assigned.
@@ -19,11 +17,11 @@ func TestExplainAgreesWithCandidateSet(t *testing.T) {
 	for _, tc := range suiteCases {
 		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
 			gen := newBurstGen(tc.seed, tc.descending)
-			p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
-			se := history.Build(&model.Dataset{Name: "E"}, wnd, level)
-			si := history.Build(&model.Dataset{Name: "I"}, wnd, level)
+			p := suiteParams
+			se, si := sigStore("E", nil, p), sigStore("I", nil, p)
 			stores := [2]*history.Store{se, si}
 			x := New(se, si, p)
+			x.Update(nil, nil)
 			candidates := 0
 			for burst := 0; burst < 30; burst++ {
 				dirty := [2]map[uint32]struct{}{{}, {}}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestCandidateIndexBytesPerPair budgets what the index retains per
-// candidate pair after an epoch rebuild plus one materialisation of the
+// candidate pair after its first Update plus one materialisation of the
 // sorted list, on two 2k-user SM sides at the paper's record density and
 // LSH settings. The bucket count is scaled down with the entity count
 // (256 for 2k entities a side where the paper-scale run has 4,096 for
@@ -20,10 +20,12 @@ import (
 //
 // A pair costs its 8 B in the enumerated list and nothing else: the
 // candidate set is a function of the band hashes, so no structure is keyed
-// by pair. Band hashes and bucket members add ≈ 200 B per entity, ≈ 11 B
-// per pair at this density. Measured 19.0 B; a map[uint64]int32 of
-// band-collision counts next to the same state made it 49.6 B, and keyed
-// by two entity-id strings, with signatures retained, 164 B.
+// by pair. Band keys and bucket members add ≈ 200 B per entity, ≈ 12 B
+// per pair at this density. Measured 20.2 B (19.0 B with dense band
+// columns over a grid relative to the data's first window); a
+// map[uint64]int32 of band-collision counts next to the same state made it
+// 49.6 B, and keyed by two entity-id strings, with signatures retained,
+// 164 B.
 func TestCandidateIndexBytesPerPair(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
@@ -33,11 +35,12 @@ func TestCandidateIndexBytesPerPair(t *testing.T) {
 		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 8,
 	})
 	wnd := model.NewWindowing(900, &w.E, &w.I)
+	p := Params{Threshold: 0.6, StepWindows: 48, SpatialLevel: 16, NumBuckets: 256}
 	ge, gi := w.E.GroupByEntity(-1), w.I.GroupByEntity(-1)
-	se := history.BuildGrouped(&ge, wnd, 12, 1).SignatureStore(&ge, 16, 1)
-	si := history.BuildGrouped(&gi, wnd, 12, 1).SignatureStore(&gi, 16, 1)
+	se := history.BuildGrouped(&ge, wnd, 12, 1).SignatureStore(&ge, p.RowWindowing(wnd), 16, 1)
+	si := history.BuildGrouped(&gi, wnd, 12, 1).SignatureStore(&gi, p.RowWindowing(wnd), 16, 1)
 	before := testenv.LiveHeap()
-	x := New(se, si, Params{Threshold: 0.6, StepWindows: 48, SpatialLevel: 16, NumBuckets: 256})
+	x := New(se, si, p)
 	x.Update(nil, nil)
 	pairs := x.Pairs()
 	after := testenv.LiveHeap()

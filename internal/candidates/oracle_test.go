@@ -11,10 +11,11 @@ import (
 )
 
 // The batch oracle: a from-scratch enumeration of the candidate set keyed
-// by entity id. It shares the banding primitives (Banding, BandHash,
-// AppendSignature) with the index, so both hash exactly the same bytes,
-// and nothing else — no ordinals, no packed keys, no maintained state — so
-// the parity suites compare the index against an independent definition.
+// by entity id. It shares the banding primitives (AppendSignature,
+// appendBands, RowsPerBand) with the index, so both hash exactly the same
+// bytes, and nothing else — no ordinals, no packed keys, no maintained
+// state — so the parity suites compare the index against an independent
+// definition.
 
 // Pair is a candidate entity pair surviving the filter.
 type Pair struct {
@@ -22,17 +23,13 @@ type Pair struct {
 	V model.EntityID
 }
 
-// BuildSignatures computes a signature for every entity of the store by
-// querying each history's dominating cell for consecutive non-overlapping
-// query windows covering [minWin, maxWin] (the union range of the two
-// datasets, so that query q means the same time span on both sides).
-//
-// The store must have been built at the desired signature spatial level.
-func BuildSignatures(s *history.Store, stepWindows int, minWin, maxWin int64) map[model.EntityID]Signature {
-	n := SignatureLength(minWin, maxWin, stepWindows)
+// BuildSignatures computes the signature of every entity of a signature
+// store: one (row, dominating cell) per row the entity was observed in.
+// Rows are absolute, so row q means the same time span on both sides.
+func BuildSignatures(s *history.Store) map[model.EntityID]Signature {
 	out := make(map[model.EntityID]Signature, s.NumEntities())
 	for _, e := range s.Entities() {
-		out[e] = AppendSignature(make(Signature, 0, n), s.History(e), stepWindows, minWin, maxWin, n)
+		out[e] = AppendSignature(nil, s.History(e))
 	}
 	return out
 }
@@ -41,40 +38,18 @@ func BuildSignatures(s *history.Store, stepWindows int, minWin, maxWin int64) ma
 // returns the distinct cross-dataset pairs that share a bucket in at least
 // one band, sorted for determinism.
 func CandidatePairs(sigsE, sigsI map[model.EntityID]Signature, p Params) []Pair {
-	if len(sigsE) == 0 || len(sigsI) == 0 {
-		return nil
-	}
-	sigLen := 0
-	for _, sig := range sigsE {
-		sigLen = len(sig)
-		break
-	}
-	g := NewBanding(sigLen, p)
-	if g.Bands == 0 {
-		return nil
-	}
-
-	// Deterministic iteration: both id lists sorted into one shared buffer.
-	ids := make([]model.EntityID, 0, len(sigsE)+len(sigsI))
-	esIDs := appendSortedIDs(ids, sigsE)
-	isIDs := appendSortedIDs(esIDs[len(esIDs):], sigsI)
-
-	seen := make(map[Pair]struct{})
-	var pairs []Pair
-	buckets := make(map[uint64][]model.EntityID)
-	for band := 0; band < g.Bands; band++ {
-		clear(buckets)
-		for _, e := range esIDs {
-			if h, ok := g.BandHash(sigsE[e], band); ok {
-				buckets[h] = append(buckets[h], e)
-			}
+	r, numBuckets := int64(RowsPerBand(p.Threshold)), uint64(p.NumBuckets)
+	buckets := make(map[bandKey][]model.EntityID)
+	for _, e := range sortedIDs(sigsE) {
+		for _, key := range appendBands(nil, sigsE[e], r, numBuckets) {
+			buckets[key] = append(buckets[key], e)
 		}
-		for _, i := range isIDs {
-			h, ok := g.BandHash(sigsI[i], band)
-			if !ok {
-				continue
-			}
-			for _, e := range buckets[h] {
+	}
+	seen := make(map[Pair]struct{})
+	pairs := []Pair{}
+	for _, i := range sortedIDs(sigsI) {
+		for _, key := range appendBands(nil, sigsI[i], r, numBuckets) {
+			for _, e := range buckets[key] {
 				pr := Pair{U: e, V: i}
 				if _, dup := seen[pr]; !dup {
 					seen[pr] = struct{}{}
@@ -107,32 +82,39 @@ func SortPairs(pairs []Pair) {
 	})
 }
 
-// appendSortedIDs appends the map's keys to dst[:0] and sorts them, so one
-// backing buffer can serve several id lists without per-call sort closures.
-func appendSortedIDs(dst []model.EntityID, sigs map[model.EntityID]Signature) []model.EntityID {
-	dst = dst[:0]
+// sortedIDs returns the map's keys, sorted.
+func sortedIDs(sigs map[model.EntityID]Signature) []model.EntityID {
+	ids := make([]model.EntityID, 0, len(sigs))
 	for id := range sigs {
-		dst = append(dst, id)
+		ids = append(ids, id)
 	}
-	slices.Sort(dst)
-	return dst
+	slices.Sort(ids)
+	return ids
 }
 
-// SignatureSimilarity is the fraction of positions on which both
-// signatures carry the same non-placeholder dominating cell, divided by
-// the signature size (Sec. 4: "the number of matching dominating cells,
-// divided by the signature size").
-func SignatureSimilarity(a, b Signature) float64 {
-	if len(a) == 0 || len(a) != len(b) {
+// SignatureSimilarity is the fraction of a span of rows on which both
+// signatures carry the same dominating cell (Sec. 4: "the number of
+// matching dominating cells, divided by the signature size"). A row absent
+// from either signature never matches: both silent is not the same place.
+func SignatureSimilarity(a, b Signature, span int) float64 {
+	if span <= 0 {
 		return 0
 	}
 	match := 0
-	for i := range a {
-		if a[i] != Placeholder && a[i] == b[i] {
-			match++
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].Row < b[j].Row:
+			i++
+		case a[i].Row > b[j].Row:
+			j++
+		default:
+			if a[i].Cell == b[j].Cell {
+				match++
+			}
+			i, j = i+1, j+1
 		}
 	}
-	return float64(match) / float64(len(a))
+	return float64(match) / float64(span)
 }
 
 // CandidateProbability returns the probability 1-(1-t^r)^b that two
@@ -174,25 +156,16 @@ func TestCandidateProbabilitySCurve(t *testing.T) {
 
 func TestBuildSignaturesShapes(t *testing.T) {
 	// Entity active in windows 0..2 and 9..11 of a 12-window span; step 3
-	// → 4 queries, middle two are placeholders.
+	// → rows 0 and 3 observed, rows 1 and 2 silent and absent.
 	var recs []model.Record
 	for k := 0; k < 3; k++ {
 		recs = append(recs, rec("a", 37.7749, -122.4194, int64(900*k)))
 		recs = append(recs, rec("a", 37.7749, -122.4194, int64(900*(9+k))))
 	}
-	d := model.Dataset{Name: "E", Records: recs}
-	s := history.Build(&d, wnd, 12)
-	sigs := BuildSignatures(s, 3, 0, 11)
-	sig := sigs["a"]
-	if len(sig) != 4 {
-		t.Fatalf("signature length = %d, want 4", len(sig))
-	}
+	sig := BuildSignatures(sigStore("E", recs, Params{StepWindows: 3, SpatialLevel: 12}))["a"]
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12)
-	if sig[0] != want || sig[3] != want {
-		t.Errorf("active queries should carry the dominating cell: %v", sig)
-	}
-	if sig[1] != Placeholder || sig[2] != Placeholder {
-		t.Errorf("silent queries should be placeholders: %v", sig)
+	if !slices.Equal(sig, Signature{{Row: 0, Cell: want}, {Row: 3, Cell: want}}) {
+		t.Errorf("signature = %v, want the dominating cell in rows 0 and 3 only", sig)
 	}
 }
 
@@ -206,39 +179,35 @@ func TestBuildSignaturesDominanceCount(t *testing.T) {
 		rec("a", 37.9, -122.1, 100),
 		rec("a", 37.9, -122.1, 1000),
 	}
-	d := model.Dataset{Name: "E", Records: recs}
-	s := history.Build(&d, wnd, 12)
-	sigs := BuildSignatures(s, 3, 0, 2)
+	sig := BuildSignatures(sigStore("E", recs, Params{StepWindows: 3, SpatialLevel: 12}))["a"]
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12)
-	if sigs["a"][0] != want {
-		t.Errorf("dominating cell = %v, want the 3-visit cell %v", sigs["a"][0], want)
+	if len(sig) != 1 || sig[0].Cell != want {
+		t.Errorf("signature = %v, want the 3-visit cell %v in row 0", sig, want)
 	}
 }
 
 func TestSignatureSimilarity(t *testing.T) {
 	c1 := geo.CellID(0x89c2589 | 1)
 	c2 := geo.CellID(0x89c25f1 | 1)
-	a := Signature{c1, c2, Placeholder, c1}
-	b := Signature{c1, c1, Placeholder, c1}
-	// Matching non-placeholder positions: 0 and 3 → 2/4.
-	if got := SignatureSimilarity(a, b); got != 0.5 {
+	a := Signature{{0, c1}, {1, c2}, {3, c1}}
+	b := Signature{{0, c1}, {1, c1}, {2, c2}, {3, c1}}
+	// Matching rows: 0 and 3 of a four-row span → 2/4.
+	if got := SignatureSimilarity(a, b, 4); got != 0.5 {
 		t.Errorf("similarity = %g, want 0.5", got)
 	}
-	// Placeholders never match (both silent ≠ same place).
-	allP := Signature{Placeholder, Placeholder}
-	if got := SignatureSimilarity(allP, allP); got != 0 {
-		t.Errorf("placeholder similarity = %g, want 0", got)
+	// Silent rows never match (both silent ≠ same place).
+	if got := SignatureSimilarity(nil, nil, 2); got != 0 {
+		t.Errorf("silent similarity = %g, want 0", got)
 	}
-	if SignatureSimilarity(a, Signature{c1}) != 0 {
-		t.Error("mismatched lengths should give 0")
-	}
-	if SignatureSimilarity(nil, nil) != 0 {
-		t.Error("empty signatures should give 0")
+	if SignatureSimilarity(a, a, 0) != 0 {
+		t.Error("an empty span should give 0")
 	}
 }
 
 // TestAppendSignatureMatchesBuildSignatures verifies the single-entity
-// primitive (with buffer reuse) agrees with the batch builder.
+// primitive, with buffer reuse, against a naive per-row scan of the
+// history's bins: the heaviest cell of each observed row, ties to the
+// smaller id.
 func TestAppendSignatureMatchesBuildSignatures(t *testing.T) {
 	var recs []model.Record
 	for e := 0; e < 8; e++ {
@@ -247,15 +216,28 @@ func TestAppendSignatureMatchesBuildSignatures(t *testing.T) {
 			recs = append(recs, rec(id, 37+float64((e*5+k)%11)*0.05, -122.4, int64(900*(k*3+e))))
 		}
 	}
-	s := history.Build(&model.Dataset{Name: "E", Records: recs}, wnd, 13)
-	minW, maxW, _ := s.WindowRange()
-	n := SignatureLength(minW, maxW, 4)
-	batch := BuildSignatures(s, 4, minW, maxW)
+	s := sigStore("E", recs, Params{StepWindows: 4, SpatialLevel: 13})
+	batch := BuildSignatures(s)
 	var buf Signature
 	for _, e := range s.Entities() {
-		buf = AppendSignature(buf, s.History(e), 4, minW, maxW, n)
+		h := s.History(e)
+		buf = AppendSignature(buf, h)
 		if !slices.Equal(buf, batch[e]) {
 			t.Fatalf("entity %s: AppendSignature %v != BuildSignatures %v", e, buf, batch[e])
+		}
+		var naive Signature
+		for _, row := range h.Windows() {
+			cells, weights := h.WindowBins(row)
+			best := 0
+			for j := range cells {
+				if weights[j] > weights[best] || weights[j] == weights[best] && cells[j] < cells[best] {
+					best = j
+				}
+			}
+			naive = append(naive, Row{Row: row, Cell: cells[best]})
+		}
+		if !slices.Equal(buf, naive) {
+			t.Fatalf("entity %s: AppendSignature %v, naive per-row scan %v", e, buf, naive)
 		}
 	}
 }

@@ -684,7 +684,7 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 			edge: stats.EdgeStore,
 		}
 		idx, es := orZero(stats.LSH), stats.EdgeStore
-		rec.IndexDur, rec.indexDirty, rec.indexRebuild = idx.LastUpdate, idx.LastDirty, idx.LastRebuild
+		rec.IndexDur, rec.indexDirty = idx.LastUpdate, idx.LastDirty
 		rec.Rescored, rec.Retained, rec.Dropped = es.Rescored, es.Retained, es.Dropped
 		rec.FullRescore, rec.edgeDur = es.FullRescore, es.LastUpdate
 		rec.CandidatePairs = stats.CandidatePairs
@@ -885,7 +885,7 @@ func (e *Engine) Stats() Stats {
 	}
 	if r.layers.idx != nil {
 		idx := *r.layers.idx
-		idx.LastDirty, idx.LastRebuild, idx.LastUpdate = r.indexDirty, r.indexRebuild, r.IndexDur
+		idx.LastDirty, idx.LastUpdate = r.indexDirty, r.IndexDur
 		st.CandidateIndex = &idx
 	}
 	if r.layers.edge != nil {

@@ -370,7 +370,7 @@ func TestEngineConcurrentIngestWithLSHIndex(t *testing.T) {
 	beforeI, afterI := splitByTime(w.I, cut)
 
 	cfg := slim.Defaults()
-	cfg.LSH = &slim.LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
+	cfg.LSH = &slim.LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
 	eng, err := New(
 		slim.Dataset{Name: "E", Records: beforeE},
 		slim.Dataset{Name: "I", Records: beforeI},
@@ -418,7 +418,7 @@ func TestEngineConcurrentIngestWithLSHIndex(t *testing.T) {
 	if st.CandidateIndex == nil {
 		t.Fatal("engine stats carry no candidate-index block with LSH enabled")
 	}
-	if st.CandidateIndex.Epoch == 0 || st.CandidateIndex.SignaturesE == 0 {
+	if st.CandidateIndex.SignaturesE == 0 || st.CandidateIndex.SignaturesI == 0 {
 		t.Fatalf("candidate index looks unbuilt after ingest: %+v", st.CandidateIndex)
 	}
 	requireLayersAreTheRunsStats(t, eng, final)

@@ -29,8 +29,9 @@ type RunRecord struct {
 	// forced work — the cached result republished, no relink).
 	ShortCircuit bool `json:"short_circuit"`
 	// FullRescore reports whether the run rescored the whole candidate
-	// set (first run, IDF-epoch move, candidate-index rebuild, or the run
-	// after a contained panic) instead of the dirty pairs only.
+	// set (first run, IDF-epoch move, or the run after a contained panic)
+	// instead of the dirty pairs only. The candidate index never forces
+	// one: it hands every run an exact delta.
 	FullRescore bool `json:"full_rescore"`
 	// Panicked / PanicMsg record a contained panic (the engine degrades
 	// rather than crashing; see Engine.Run).
@@ -59,11 +60,10 @@ type RunRecord struct {
 	ThresholdDur time.Duration `json:"stages.threshold_ms"`
 
 	// The rest of the run's work — last-run facts /v1/stats reports and
-	// /v1/runs does not: entity signatures the candidate index recomputed
-	// and whether it rebuilt, tail entries re-walked, and the edge store's
-	// and publish tail's own wall times.
+	// /v1/runs does not: entity signatures the candidate index recomputed,
+	// tail entries re-walked, and the edge store's and publish tail's own
+	// wall times.
 	indexDirty       int
-	indexRebuild     bool
 	tailSuffix       int
 	edgeDur, tailDur time.Duration
 	// mark is the freshness watermark taken before the run drained: the

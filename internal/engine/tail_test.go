@@ -103,7 +103,7 @@ func requireLayersAreTheRunsStats(t *testing.T, eng *Engine, res slim.Result) {
 			return nil
 		}
 		c := *s
-		c.LastDirty, c.LastRebuild, c.LastUpdate = 0, false, 0
+		c.LastDirty, c.LastUpdate = 0, 0
 		return &c
 	}
 	got, want := idxState(st.CandidateIndex), idxState(res.Stats.LSH)

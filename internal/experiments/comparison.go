@@ -33,13 +33,18 @@ type ComparisonOptions struct {
 	LSH slim.LSHConfig
 }
 
+// cabThreshold is the permissive LSH threshold the synthetic cab trace
+// needs (see EXPERIMENTS.md "LSH calibration"): one row per band, which at
+// the nominal signature length of candidates.Bands means t ≤ 1/52.
+const cabThreshold = 0.01
+
 // DefaultComparisonOptions mirrors the paper's setup scaled down. The
 // filter is the paper's on the real traces except for a more permissive
 // threshold and a coarser signature level, which the synthetic cab trace
 // needs (see EXPERIMENTS.md "LSH calibration").
 func DefaultComparisonOptions() ComparisonOptions {
 	lsh := candidates.DefaultParams()
-	lsh.Threshold, lsh.SpatialLevel = 0.2, 12
+	lsh.Threshold, lsh.SpatialLevel = cabThreshold, 12
 	return ComparisonOptions{
 		TargetAvgRecords: []float64{20, 60, 150, 300, 600},
 		PivotInclusion:   0.9,

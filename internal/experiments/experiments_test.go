@@ -174,7 +174,7 @@ func TestFig8LSHShapeCab(t *testing.T) {
 	opt := LSHLevelOptions{
 		SigLevels: []int{4, 12},
 		Steps:     []int{48},
-		Threshold: 0.2,
+		Threshold: cabThreshold,
 		Buckets:   1 << 14,
 	}
 	r, err := Fig8LSHLevelsCab(sc, opt)

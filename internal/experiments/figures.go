@@ -53,7 +53,7 @@ var Figures = []Figure{
 		// The synthetic cab trace needs a more permissive threshold than the
 		// paper's real trace (see EXPERIMENTS.md "LSH calibration").
 		opt := DefaultLSHLevelOptions()
-		opt.Threshold = 0.2
+		opt.Threshold = cabThreshold
 		cab, err := Fig8LSHLevelsCab(sc, opt)
 		if err != nil {
 			return "", err
@@ -64,7 +64,7 @@ var Figures = []Figure{
 	{"fig9", func(sc Scale) (string, error) {
 		opt := DefaultLSHBucketOptions()
 		opt.SigLevel = 12
-		opt.Thresholds = []float64{0.2, 0.4, 0.6}
+		opt.Thresholds = []float64{cabThreshold, 0.2, 0.4}
 		cab, err := Fig9LSHBucketsCab(sc, opt)
 		if err != nil {
 			return "", err

@@ -18,8 +18,7 @@ const (
 )
 
 // CellID identifies a cell of the hierarchical spatial grid. The zero value
-// is invalid and is used throughout SLIM as the "no cell / placeholder"
-// sentinel (for example in LSH signatures).
+// is invalid and is used throughout SLIM as the "no cell" sentinel.
 //
 // Bit layout (matching the S2 scheme): the top 3 bits hold the cube face,
 // followed by up to 60 bits of Hilbert-curve position (2 per level), and a

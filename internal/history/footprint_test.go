@@ -61,12 +61,11 @@ func TestStoreBytesPerBin(t *testing.T) {
 		// Measured 35.7 B per bin, plus 15 %; 42.3 B with a header object per
 		// history.
 		{"signature store, level 16", 41, func() *history.Store {
-			s := sim.SignatureStore(&g, 16, 1)
-			minW, maxW, _ := s.WindowRange()
-			n := candidates.SignatureLength(minW, maxW, 48)
+			s := sim.SignatureStore(&g, candidates.DefaultParams().RowWindowing(refWindowing), 16, 1)
 			for _, id := range s.Entities() {
-				if sig := candidates.AppendSignature(nil, s.History(id), 48, minW, maxW, n); len(sig) != n {
-					t.Fatalf("%s: signature of %d rows, want %d", id, len(sig), n)
+				h := s.History(id)
+				if sig := candidates.AppendSignature(nil, h); len(sig) != len(h.Windows()) {
+					t.Fatalf("%s: signature of %d rows, want %d", id, len(sig), len(h.Windows()))
 				}
 			}
 			return s // the signatures are garbage by now; the store is not

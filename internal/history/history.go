@@ -1,10 +1,11 @@
 // Package history implements SLIM's mobility-history representation
 // (Sec. 2.3): per entity, the ordered set of time-location bins — fixed-width
 // time windows holding spatial grid-cell ids with record weights — laid out
-// as flat sorted columns. The dominating-grid-cell range queries that drive
-// the LSH signatures (Sec. 4) are a binary search plus a scan of the range's
-// contiguous bins; the paper's Fig. 1 segment tree is deliberately not
-// materialized (DESIGN.md §5).
+// as flat sorted columns. The dominating-grid-cell queries that drive the
+// LSH signatures (Sec. 4) run on a signature store, whose windows are the
+// signature's query windows, so each is a scan of one window's contiguous
+// bins; the paper's Fig. 1 segment tree is deliberately not materialized
+// (DESIGN.md §5).
 //
 // A Store holds the histories of one location dataset together with the
 // dataset-level statistics the similarity score needs: the bin→entity
@@ -154,70 +155,22 @@ func (h *History) Bins(fn func(Bin, float64)) {
 	}
 }
 
-// cellAt is one bin of a dominating-cell query range: its cell and its
-// position in the history's columns.
-type cellAt struct {
-	cell geo.CellID
-	at   int32
-}
-
-// domScratch pools the sort buffer of multi-window dominating-cell queries,
-// so concurrent queries over shared histories allocate nothing once warm.
-var domScratch = sync.Pool{New: func() any { return new([]cellAt) }}
-
-// DominatingCell returns the cell with the highest record weight within
-// the window range [start, end). Ties break toward the smaller cell id so
-// signatures are deterministic. ok is false when the entity has no records
-// in the range.
-func (h *History) DominatingCell(start, end int64) (cell geo.CellID, ok bool) {
-	if start >= end {
-		return 0, false
-	}
-	lo, _ := slices.BinarySearch(h.windows, start)
-	hi, _ := slices.BinarySearch(h.windows, end)
-	return h.DominatingCellAt(lo, hi)
-}
-
-// DominatingCellAt is DominatingCell over window positions: the range is
-// the leaves Windows()[lo:hi], 0 <= lo <= hi <= len(Windows()). Each
-// cell's weights are summed in window order, a fixed order, so the result
-// is a pure function of the history.
-func (h *History) DominatingCellAt(lo, hi int) (cell geo.CellID, ok bool) {
-	if lo >= hi {
-		return 0, false
-	}
-	b0, b1 := h.off[lo], h.off[hi]
+// DominatingCellAt returns the cell with the highest record weight in the
+// window at position k of Windows(), 0 <= k < len(Windows()). Ties break
+// toward the smaller cell id so signatures are deterministic. On a
+// signature store a window is a signature row, so this is the row's
+// dominating cell (Sec. 4).
+func (h *History) DominatingCellAt(k int) geo.CellID {
+	var cell geo.CellID
 	bestN := -1.0
-	// Cells are visited in ascending id order below, so keeping the first
-	// strict maximum is the smaller-id tie-break.
-	if hi-lo == 1 {
-		for j := b0; j < b1; j++ {
-			if h.counts[j] > bestN {
-				cell, bestN = h.cells[j], h.counts[j]
-			}
-		}
-		return cell, true
-	}
-	sp := domScratch.Get().(*[]cellAt)
-	buf := (*sp)[:0]
-	for j := b0; j < b1; j++ {
-		buf = append(buf, cellAt{h.cells[j], j})
-	}
-	slices.SortFunc(buf, func(a, b cellAt) int {
-		return cmp.Or(cmp.Compare(a.cell, b.cell), cmp.Compare(a.at, b.at))
-	})
-	for i := 0; i < len(buf); {
-		c, n := buf[i].cell, 0.0
-		for ; i < len(buf) && buf[i].cell == c; i++ {
-			n += h.counts[buf[i].at]
-		}
-		if n > bestN {
-			cell, bestN = c, n
+	// Cells ascend within a window, so keeping the first strict maximum is
+	// the smaller-id tie-break.
+	for j := h.off[k]; j < h.off[k+1]; j++ {
+		if h.counts[j] > bestN {
+			cell, bestN = h.cells[j], h.counts[j]
 		}
 	}
-	*sp = buf
-	domScratch.Put(sp)
-	return cell, true
+	return cell
 }
 
 // segment locates one entity's history in its store's columns. The
@@ -251,9 +204,10 @@ const notCompiled = ^uint64(0)
 // A store comes in two kinds. A scoring store (Build, BuildParallel,
 // BuildGrouped) additionally maintains the bin→entity frequency index
 // behind IDF and the compiled read path. A signature store
-// (Store.SignatureStore) is the side's second store at the LSH spatial
-// level: the candidate index reads only its columns and history versions,
-// so it keeps neither, and IDF, Compile and CompiledViewAt panic on it.
+// (Store.SignatureStore) is the side's second store, at the LSH spatial
+// level and windowing: the candidate index reads only its columns and
+// history versions, so it keeps neither, and IDF, Compile and
+// CompiledViewAt panic on it.
 type Store struct {
 	Name      string
 	Windowing model.Windowing
@@ -327,11 +281,11 @@ func BuildGrouped(g *model.Grouped, w model.Windowing, spatialLevel, workers int
 	return build(g, newOrdinals(len(g.Entities)), w, spatialLevel, workers, true)
 }
 
-// SignatureStore builds the side's signature store at another spatial
-// level from the grouped records s itself was built from. It shares s's
-// entity table and windowing and holds columns and versions only.
-func (s *Store) SignatureStore(g *model.Grouped, spatialLevel, workers int) *Store {
-	return build(g, s.ords, s.Windowing, spatialLevel, workers, false)
+// SignatureStore builds the side's signature store, at another windowing
+// and spatial level, from the grouped records s itself was built from. It
+// shares s's entity table and holds columns and versions only.
+func (s *Store) SignatureStore(g *model.Grouped, w model.Windowing, spatialLevel, workers int) *Store {
+	return build(g, s.ords, w, spatialLevel, workers, false)
 }
 
 // build lays every entity out back to back, in ordinal order, in columns

@@ -3,6 +3,7 @@ package history
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,8 +102,18 @@ func TestBinsDeterministicOrder(t *testing.T) {
 	}
 }
 
+// windowOf returns the position of a window in a history's window list.
+func windowOf(t *testing.T, h History, window int64) int {
+	t.Helper()
+	k, ok := slices.BinarySearch(h.Windows(), window)
+	if !ok {
+		t.Fatalf("window %d not in the history", window)
+	}
+	return k
+}
+
 func TestDominatingCellSimple(t *testing.T) {
-	// 3 records in one cell, 2 in another, inside windows [0, 4).
+	// 3 records in one cell, 2 in another, inside one hour-wide window.
 	recs := []model.Record{
 		rec("a", 37.7749, -122.4194, 0),
 		rec("a", 37.7749, -122.4194, 1000),
@@ -110,55 +121,39 @@ func TestDominatingCellSimple(t *testing.T) {
 		rec("a", 37.9, -122.1, 100),
 		rec("a", 37.9, -122.1, 1100),
 	}
-	h := buildSingle(t, recs, 12)
+	s := Build(&model.Dataset{Name: "t", Records: recs}, model.Windowing{WidthSeconds: 3600}, 12)
+	h := s.History("a")
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12)
-	got, ok := h.DominatingCell(0, 4)
-	if !ok || got != want {
-		t.Errorf("DominatingCell = (%v, %v), want %v", got, ok, want)
-	}
-	if _, ok := h.DominatingCell(100, 200); ok {
-		t.Error("empty range should report ok=false")
-	}
-	if _, ok := h.DominatingCell(4, 4); ok {
-		t.Error("degenerate range should report ok=false")
+	if got := h.DominatingCellAt(0); len(h.Windows()) != 1 || got != want {
+		t.Errorf("DominatingCellAt(0) = %v over %d windows, want %v over one", got, len(h.Windows()), want)
 	}
 }
 
-func TestDominatingCellMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
+// randomHistory draws n records of one entity over windows [0, windows).
+func randomHistory(t *testing.T, r *rand.Rand, n, windows, level int) History {
 	var recs []model.Record
-	for i := 0; i < 3000; i++ {
-		lat := 37.5 + r.Float64()*0.5
-		lng := -122.5 + r.Float64()*0.5
-		unix := int64(r.Intn(900 * 512)) // windows [0, 512)
-		recs = append(recs, rec("a", lat, lng, unix))
+	for i := 0; i < n; i++ {
+		recs = append(recs, rec("a", 37.5+r.Float64()*0.5, -122.5+r.Float64()*0.5, int64(r.Intn(900*windows))))
 	}
-	h := buildSingle(t, recs, 13)
-	for trial := 0; trial < 300; trial++ {
-		start := int64(r.Intn(512))
-		end := start + int64(1+r.Intn(128))
-		gotCell, gotOK := h.DominatingCell(start, end)
-		wantCell, wantOK := h.dominatingCellNaive(start, end)
-		if gotOK != wantOK || gotCell != wantCell {
-			t.Fatalf("range [%d,%d): tree=(%v,%v) naive=(%v,%v)",
-				start, end, gotCell, gotOK, wantCell, wantOK)
+	return buildSingle(t, recs, level)
+}
+
+func TestDominatingCellMatchesNaive(t *testing.T) {
+	h := randomHistory(t, rand.New(rand.NewSource(42)), 3000, 64, 13)
+	for k, win := range h.Windows() {
+		want, _ := h.dominatingCellNaive(win)
+		if got := h.DominatingCellAt(k); got != want {
+			t.Fatalf("window %d: DominatingCellAt=%v naive=%v", win, got, want)
 		}
 	}
 }
 
 func TestDominatingCellQuickProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var recs []model.Record
-	for i := 0; i < 500; i++ {
-		recs = append(recs, rec("a", 37+r.Float64(), -122+r.Float64(), int64(r.Intn(900*100))))
-	}
-	h := buildSingle(t, recs, 11)
-	f := func(s uint16, span uint8) bool {
-		start := int64(s % 100)
-		end := start + int64(span%64) + 1
-		got, gotOK := h.DominatingCell(start, end)
-		want, wantOK := h.dominatingCellNaive(start, end)
-		return got == want && gotOK == wantOK
+	h := randomHistory(t, rand.New(rand.NewSource(7)), 500, 20, 11)
+	f := func(s uint16) bool {
+		k := int(s) % len(h.Windows())
+		want, ok := h.dominatingCellNaive(h.Windows()[k])
+		return ok && h.DominatingCellAt(k) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -174,13 +169,9 @@ func TestDominatingCellTieBreak(t *testing.T) {
 	h := buildSingle(t, recs, 12)
 	c1 := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12)
 	c2 := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.9, Lng: -122.1}, 12)
-	want := c1
-	if c2 < c1 {
-		want = c2
-	}
+	want := min(c1, c2)
 	for i := 0; i < 10; i++ {
-		got, ok := h.DominatingCell(0, 1)
-		if !ok || got != want {
+		if got := h.DominatingCellAt(windowOf(t, h, 0)); got != want {
 			t.Fatalf("tie-break not deterministic: got %v want %v", got, want)
 		}
 	}
@@ -273,20 +264,19 @@ func TestEmptyStore(t *testing.T) {
 }
 
 func TestConcurrentDominatingCellQueries(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	var recs []model.Record
-	for i := 0; i < 2000; i++ {
-		recs = append(recs, rec("a", 37+r.Float64(), -122+r.Float64(), int64(r.Intn(900*256))))
+	h := randomHistory(t, rand.New(rand.NewSource(9)), 2000, 16, 12)
+	want := make([]geo.CellID, len(h.Windows()))
+	for k, win := range h.Windows() {
+		want[k], _ = h.dominatingCellNaive(win)
 	}
-	h := buildSingle(t, recs, 12)
-	want, _ := h.dominatingCellNaive(0, 256)
 	done := make(chan bool, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
 			okAll := true
 			for i := 0; i < 50; i++ {
-				got, ok := h.DominatingCell(0, 256)
-				okAll = okAll && ok && got == want
+				for k := range want {
+					okAll = okAll && h.DominatingCellAt(k) == want[k]
+				}
 			}
 			done <- okAll
 		}()
@@ -295,39 +285,6 @@ func TestConcurrentDominatingCellQueries(t *testing.T) {
 		if !<-done {
 			t.Fatal("concurrent dominating-cell query returned a wrong answer")
 		}
-	}
-}
-
-func BenchmarkDominatingCellTree(b *testing.B) {
-	r := rand.New(rand.NewSource(10))
-	var recs []model.Record
-	for i := 0; i < 20000; i++ {
-		recs = append(recs, rec("a", 37+r.Float64(), -122+r.Float64(), int64(r.Intn(900*2048))))
-	}
-	d := model.Dataset{Name: "b", Records: recs}
-	s := Build(&d, testWindowing, 14)
-	h := s.History("a")
-	h.DominatingCell(0, 2048) // pre-build levels
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := int64((i * 37) % 1024)
-		_, _ = h.DominatingCell(start, start+512)
-	}
-}
-
-func BenchmarkDominatingCellNaive(b *testing.B) {
-	r := rand.New(rand.NewSource(10))
-	var recs []model.Record
-	for i := 0; i < 20000; i++ {
-		recs = append(recs, rec("a", 37+r.Float64(), -122+r.Float64(), int64(r.Intn(900*2048))))
-	}
-	d := model.Dataset{Name: "b", Records: recs}
-	s := Build(&d, testWindowing, 14)
-	h := s.History("a")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := int64((i * 37) % 1024)
-		_, _ = h.dominatingCellNaive(start, start+512)
 	}
 }
 

@@ -133,16 +133,16 @@ func TestIncrementalAddFromEmpty(t *testing.T) {
 }
 
 func TestIncrementalAddInvalidatesDominatingCells(t *testing.T) {
-	// Query first (builds the cached levels), then Add records that change
-	// the dominating cell; the query must see the new answer.
+	// Query first, then Add records that change the dominating cell of the
+	// same two-hour window; the query must see the new answer.
+	wnd := model.Windowing{WidthSeconds: 7200}
 	base := []model.Record{
 		rec("a", 37.7749, -122.4194, 0),
 		rec("a", 37.7749, -122.4194, 950),
 	}
-	s := Build(&model.Dataset{Name: "d", Records: base}, testWindowing, 12)
+	s := Build(&model.Dataset{Name: "d", Records: base}, wnd, 12)
 	h := s.History("a")
-	before, ok := h.DominatingCell(0, 8)
-	if !ok || before != geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12) {
+	if before := h.DominatingCellAt(0); before != geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12) {
 		t.Fatalf("unexpected initial dominating cell %v", before)
 	}
 	// Three records in a different cell now dominate.
@@ -150,15 +150,14 @@ func TestIncrementalAddInvalidatesDominatingCells(t *testing.T) {
 		s.Add(rec("a", 37.5, -122.1, int64(1900+k*100)))
 	}
 	h = s.History("a") // a History is valid until the next Add
-	after, ok := h.DominatingCell(0, 8)
+	after := h.DominatingCellAt(0)
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.5, Lng: -122.1}, 12)
-	if !ok || after != want {
+	if len(h.Windows()) != 1 || after != want {
 		t.Fatalf("dominating cell after Add = %v, want %v (stale cache?)", after, want)
 	}
 	// And the naive scan agrees.
-	naive, _ := h.dominatingCellNaive(0, 8)
-	if naive != after {
-		t.Fatalf("tree %v vs naive %v after invalidation", after, naive)
+	if naive, _ := h.dominatingCellNaive(0); naive != after {
+		t.Fatalf("naive %v != DominatingCellAt %v", naive, after)
 	}
 }
 

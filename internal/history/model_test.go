@@ -2,12 +2,13 @@ package history
 
 import "slim/internal/geo"
 
-// dominatingCellNaive recomputes the dominating cell from the public bin
-// iteration with a plain map; the tests validate DominatingCell against it.
-func (h *History) dominatingCellNaive(start, end int64) (geo.CellID, bool) {
+// dominatingCellNaive recomputes the dominating cell of one window from
+// the public bin iteration with a plain map; the tests validate
+// DominatingCellAt against it.
+func (h *History) dominatingCellNaive(window int64) (geo.CellID, bool) {
 	counts := make(map[geo.CellID]float64)
 	h.Bins(func(b Bin, n float64) {
-		if b.Window >= start && b.Window < end {
+		if b.Window == window {
 			counts[b.Cell] += n
 		}
 	})

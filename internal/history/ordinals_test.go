@@ -49,7 +49,7 @@ func TestOrdinalsAppendOnlyAndSharedAcrossASidesStores(t *testing.T) {
 		}
 		g := (&model.Dataset{Name: "E", Records: sideRecords(rng, built, 120)}).GroupByEntity(-1)
 		sim := history.BuildGrouped(&g, refWindowing, refLevel, 2)
-		sig := sim.SignatureStore(&g, refLevel+3, 2)
+		sig := sim.SignatureStore(&g, refWindowing, refLevel+3, 2)
 		table := sim.Ordinals()
 		if sig.Ordinals() != table {
 			t.Fatal("a side's two stores do not share one entity table")
@@ -126,17 +126,19 @@ func TestOrdinalsAppendOnlyAndSharedAcrossASidesStores(t *testing.T) {
 
 // TestSignatureStoreIsColumnsAndVersionsOnly: a signature store answers
 // everything the candidate index asks — columns, versions, the window
-// range — exactly like a scoring store built at the same level, through
-// builds and Adds alike, and refuses everything it does not maintain.
+// range — exactly like a scoring store built at the same windowing and
+// level, through builds and Adds alike, and refuses everything it does not
+// maintain.
 func TestSignatureStoreIsColumnsAndVersionsOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ids := []string{"u1", "u2", "u3", "u4", "u5", "u6"}
 	d := model.Dataset{Name: "E", Records: sideRecords(rng, ids, 150)}
 	g := d.GroupByEntity(-1)
 	const sigLevel = refLevel + 3
+	rows := candidates.Params{StepWindows: 8}.RowWindowing(refWindowing)
 	sim := history.BuildGrouped(&g, refWindowing, refLevel, 1)
-	sig := sim.SignatureStore(&g, sigLevel, 1)
-	want := history.Build(&d, refWindowing, sigLevel)
+	sig := sim.SignatureStore(&g, rows, sigLevel, 1)
+	want := history.Build(&d, rows, sigLevel)
 	for _, r := range sideRecords(rng, append(ids, "u0", "u9"), 80) {
 		sim.Add(r)
 		sig.Add(r)
@@ -163,10 +165,8 @@ func TestSignatureStoreIsColumnsAndVersionsOnly(t *testing.T) {
 			t.Fatalf("%s: columns differ from a scoring store at the same level", id)
 		}
 	}
-	n := candidates.SignatureLength(minW, maxW, 8)
 	for _, id := range want.Entities() {
-		if !slices.Equal(candidates.AppendSignature(nil, sig.History(id), 8, minW, maxW, n),
-			candidates.AppendSignature(nil, want.History(id), 8, minW, maxW, n)) {
+		if !slices.Equal(candidates.AppendSignature(nil, sig.History(id)), candidates.AppendSignature(nil, want.History(id))) {
 			t.Fatalf("%s: signature differs from a scoring store at the same level", id)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"testing"
 
-	"slim/internal/candidates"
 	"slim/internal/geo"
 	"slim/internal/history"
 	"slim/internal/model"
@@ -200,32 +199,11 @@ func (m *refStore) check(t *testing.T, step string, s *history.Store, rng *rand.
 			t.Fatalf("%s: %s WindowBins of an absent window = %v", step, e, cells)
 		}
 
-		// Dominating-cell queries: random ranges against the naive scan,
-		// then a whole signature (one sweep) against per-query answers.
-		for q := 0; q < 8; q++ {
-			start := minW - 3 + rng.Int63n(maxW-minW+6)
-			end := start + rng.Int63n(12)
-			got, gotOK := h.DominatingCell(start, end)
-			want, wantOK := m.dominating(e, start, end)
-			if got != want || gotOK != wantOK {
-				t.Fatalf("%s: %s DominatingCell[%d,%d) = (%v,%v), naive (%v,%v)", step, e, start, end, got, gotOK, want, wantOK)
-			}
-		}
-		step64 := 1 + rng.Intn(7)
-		gridMin := minW - rng.Int63n(3)
-		n := candidates.SignatureLength(gridMin, maxW, step64)
-		sig := candidates.AppendSignature(nil, h, step64, gridMin, maxW, n)
-		if len(sig) != n {
-			t.Fatalf("%s: %s signature length %d, want %d", step, e, len(sig), n)
-		}
-		for q := range sig {
-			lo := gridMin + int64(q)*int64(step64)
-			want, ok := h.DominatingCell(lo, min(lo+int64(step64), maxW+1))
-			if !ok {
-				want = candidates.Placeholder
-			}
-			if sig[q] != want {
-				t.Fatalf("%s: %s signature[%d] = %v, per-query DominatingCell %v", step, e, q, sig[q], want)
+		// Dominating-cell queries: every window against the naive scan.
+		for k, win := range h.Windows() {
+			want, _ := m.dominating(e, win, win+1)
+			if got := h.DominatingCellAt(k); got != want {
+				t.Fatalf("%s: %s DominatingCellAt(%d) = %v, naive %v", step, e, k, got, want)
 			}
 		}
 	}

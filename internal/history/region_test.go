@@ -61,11 +61,11 @@ func TestRegionRecordDominatingCell(t *testing.T) {
 	}
 	recs = append(recs, regionRec("a", 37.80, -122.40, 400, 6))
 	d := model.Dataset{Name: "r", Records: recs}
-	s := Build(&d, testWindowing, 13)
+	s := Build(&d, model.Windowing{WidthSeconds: 3600}, 13)
 	h := s.History("a")
-	got, ok := h.DominatingCell(0, 4)
+	got := h.DominatingCellAt(0)
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 13)
-	if !ok || got != want {
+	if len(h.Windows()) != 1 || got != want {
 		t.Errorf("dominating cell = %v, want the 3-point cell %v", got, want)
 	}
 }

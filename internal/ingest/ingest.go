@@ -47,6 +47,7 @@ import (
 
 	"slim"
 	"slim/internal/engine"
+	"slim/internal/model"
 	"slim/internal/obs"
 	"slim/internal/storage"
 )
@@ -227,7 +228,8 @@ func ParseRequest(body []byte) (batches []storage.WireBatch, records int, err er
 
 // ValidateRecord rejects records an attacker could use to poison the
 // stores. Ingest bypasses Dataset.Validate (which only guards seed loads),
-// so this is where untrusted coordinates are stopped, on both routes.
+// so this is where untrusted coordinates and timestamps (model.MaxUnix)
+// are stopped, on both routes.
 func ValidateRecord(r slim.Record) error {
 	if r.Entity == "" {
 		return errors.New("empty entity id")
@@ -242,7 +244,7 @@ func ValidateRecord(r slim.Record) error {
 	if math.IsNaN(r.RadiusKm) || math.IsInf(r.RadiusKm, 0) || r.RadiusKm < 0 {
 		return fmt.Errorf("radius_km %g must be a finite non-negative number", r.RadiusKm)
 	}
-	return nil
+	return model.ValidateUnix(r.Unix)
 }
 
 // Admit reserves pipeline capacity for n records, or returns a

@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -69,6 +70,7 @@ func TestParseRequest(t *testing.T) {
 		{"bad tag", wireBody(t, append([]byte{'Q'}, storage.AppendWireBatch(nil, storage.TagE, mkRecs("a", 1))[1:]...))},
 		{"empty batch", wireBody(t, storage.AppendWireBatch(nil, storage.TagE, nil))},
 		{"invalid record", wireBody(t, storage.AppendWireBatch(nil, storage.TagE, []slim.Record{bad}))},
+		{"overflowing timestamp", wireBody(t, storage.AppendWireBatch(nil, storage.TagE, []slim.Record{slim.NewRecord("x", 0, 0, math.MaxInt64)}))},
 		{"garbage", []byte("not a frame at all")},
 	}
 	for _, c := range cases {

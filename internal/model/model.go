@@ -191,7 +191,8 @@ func (d *Dataset) GroupByEntity(minRecords int) Grouped {
 	return g
 }
 
-// Validate checks every record for a valid position and entity id.
+// Validate checks every record for a valid position, entity id and
+// timestamp (ValidateUnix).
 func (d *Dataset) Validate() error {
 	for i, r := range d.Records {
 		if r.Entity == "" {
@@ -200,6 +201,27 @@ func (d *Dataset) Validate() error {
 		if !r.LatLng.IsValid() {
 			return fmt.Errorf("model: record %d of %q has invalid position %+v", i, d.Name, r.LatLng)
 		}
+		if err := ValidateUnix(r.Unix); err != nil {
+			return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
+		}
+	}
+	return nil
+}
+
+// MaxUnix bounds the magnitude of a record's timestamp, about 7.3·10¹⁰
+// years either side of Unix 0. The bound exists for the window arithmetic
+// only: with every timestamp in [−MaxUnix, MaxUnix], Windowing.Window's
+// unix − Epoch and its floor division stay inside int64 for any window
+// width up to 2⁶¹ s, where a time near ±2⁶³ wraps into a window on the
+// other side of the epoch. Nothing in a linkage is sized by the data's
+// time range, so a far-off time inside the bound costs no more than any
+// other.
+const MaxUnix = 1 << 61
+
+// ValidateUnix rejects a timestamp outside [−MaxUnix, MaxUnix].
+func ValidateUnix(unix int64) error {
+	if unix < -MaxUnix || unix > MaxUnix {
+		return fmt.Errorf("unix time %d outside [-%d, %d]", unix, int64(MaxUnix), int64(MaxUnix))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -195,6 +196,33 @@ func TestValidate(t *testing.T) {
 	badPos := Dataset{Records: []Record{rec("a", 91, 0, 0)}}
 	if err := badPos.Validate(); err == nil {
 		t.Error("out-of-range latitude should fail validation")
+	}
+}
+
+// TestValidateRejectsOverflowingTimestamps: timestamps inside ±MaxUnix
+// window exactly — each lands in the window whose span holds it, on either
+// side of an epoch at the far other end of the range — and a timestamp
+// past the bound, which the window arithmetic would wrap, fails
+// validation.
+func TestValidateRejectsOverflowingTimestamps(t *testing.T) {
+	for _, unix := range []int64{-MaxUnix, -1, 0, 4e17, MaxUnix} {
+		if err := (&Dataset{Records: []Record{rec("a", 1, 2, unix)}}).Validate(); err != nil {
+			t.Errorf("unix %d rejected: %v", unix, err)
+		}
+	}
+	const width = 900
+	for _, epochUnix := range []int64{-MaxUnix, MaxUnix} {
+		w := NewWindowing(width, &Dataset{Records: []Record{rec("a", 1, 2, epochUnix)}})
+		for _, unix := range []int64{-MaxUnix, -1, 0, MaxUnix} {
+			if start := w.Start(w.Window(unix)); start > unix || unix-start >= width {
+				t.Errorf("epoch %d: unix %d lands in window %d starting at %d", w.Epoch, unix, w.Window(unix), start)
+			}
+		}
+	}
+	for _, unix := range []int64{math.MinInt64, -MaxUnix - 1, MaxUnix + 1, math.MaxInt64} {
+		if err := (&Dataset{Records: []Record{rec("a", 1, 2, unix)}}).Validate(); err == nil {
+			t.Errorf("unix %d passed validation", unix)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package par holds the one fan-out primitive the linker's CPU-bound
 // per-entity and per-pair passes share, so worker policy cannot drift
-// between scoring, history construction and candidate-index rebuilds.
+// between scoring, history construction and the candidate index's first
+// fill.
 package par
 
 import "sync"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -229,6 +230,8 @@ func TestServerErrors(t *testing.T) {
 		{"huge longitude", "/v1/datasets/e/records", map[string]any{"records": []map[string]any{{"entity": "a", "lat": 0.0, "lng": 1e308, "unix": 0}}}, http.StatusBadRequest},
 		{"out-of-range latitude", "/v1/datasets/e/records", map[string]any{"records": []map[string]any{{"entity": "a", "lat": 91.0, "lng": 0.0, "unix": 0}}}, http.StatusBadRequest},
 		{"negative radius", "/v1/datasets/e/records", map[string]any{"records": []map[string]any{{"entity": "a", "lat": 0.0, "lng": 0.0, "unix": 0, "radius_km": -1.0}}}, http.StatusBadRequest},
+		// A time past model.MaxUnix would wrap the window arithmetic.
+		{"overflowing timestamp", "/v1/datasets/e/records", map[string]any{"records": []map[string]any{{"entity": "a", "lat": 0.0, "lng": 0.0, "unix": int64(math.MinInt64)}}}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+c.url, c.body)
@@ -552,13 +555,11 @@ func TestServerCandidateIndexStats(t *testing.T) {
 	type candidateStats struct {
 		RunsShortCircuited uint64 `json:"runs_short_circuited"`
 		CandidateIndex     *struct {
-			Epoch             uint64  `json:"epoch"`
 			SignaturesE       int     `json:"signatures_e"`
 			SignaturesI       int     `json:"signatures_i"`
 			Buckets           int     `json:"buckets"`
 			Occupancy         float64 `json:"occupancy"`
 			DirtyEntitiesLast int     `json:"dirty_entities_last"`
-			LastRebuild       bool    `json:"last_rebuild"`
 		} `json:"candidate_index"`
 	}
 	var st candidateStats
@@ -570,17 +571,17 @@ func TestServerCandidateIndexStats(t *testing.T) {
 	if ci.SignaturesE != 6 || ci.SignaturesI != 6 {
 		t.Errorf("signatures %d/%d, want 6 per side", ci.SignaturesE, ci.SignaturesI)
 	}
-	if ci.Epoch == 0 || ci.Buckets == 0 || ci.Occupancy <= 0 {
+	if ci.Buckets == 0 || ci.Occupancy <= 0 {
 		t.Errorf("index looks unbuilt: %+v", ci)
 	}
-	if ci.DirtyEntitiesLast == 0 && !ci.LastRebuild {
+	if ci.DirtyEntitiesLast == 0 {
 		t.Errorf("first relink reports no index work: %+v", ci)
 	}
 
 	// A second relink with nothing pending re-signs and re-scores nothing.
 	postJSON(t, ts.URL+"/v1/link", nil)
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if ci := st.CandidateIndex; ci.DirtyEntitiesLast != 0 || ci.LastRebuild || st.RunsShortCircuited != 1 {
+	if ci := st.CandidateIndex; ci.DirtyEntitiesLast != 0 || st.RunsShortCircuited != 1 {
 		t.Errorf("no-op relink reports index work: %+v (short circuits %d)", ci, st.RunsShortCircuited)
 	}
 

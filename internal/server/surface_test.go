@@ -154,11 +154,10 @@ var (
 		run_journal run_journal.capacity run_journal.records run_journal.total_runs
 		runs runs_short_circuited spatial_level threshold version`)
 	statsLSHKeys = strings.Fields(`
-		candidate_index candidate_index.bands candidate_index.buckets candidate_index.candidates
-		candidate_index.dirty_entities_last candidate_index.epoch candidate_index.last_rebuild
-		candidate_index.last_update_ms candidate_index.memberships candidate_index.num_buckets
-		candidate_index.occupancy candidate_index.rows candidate_index.signature_len
-		candidate_index.signatures_e candidate_index.signatures_i`)
+		candidate_index candidate_index.buckets candidate_index.candidates
+		candidate_index.dirty_entities_last candidate_index.last_update_ms
+		candidate_index.memberships candidate_index.num_buckets candidate_index.occupancy
+		candidate_index.rows candidate_index.signatures_e candidate_index.signatures_i`)
 	statsStoreKeys = strings.Fields(`
 		storage storage.batches_logged storage.dir storage.fsync_interval_ms
 		storage.last_snapshot_seq storage.last_snapshot_unix_ms storage.next_seq
@@ -358,12 +357,10 @@ var (
 		run_journal=object runs=number runs_short_circuited=number spatial_level=number
 		threshold=number version=number`)
 	statsLSHTypes = strings.Fields(`
-		candidate_index.bands=number candidate_index.buckets=number
-		candidate_index.candidates=number candidate_index.dirty_entities_last=number
-		candidate_index.epoch=number candidate_index.last_rebuild=bool
-		candidate_index.last_update_ms=number candidate_index.memberships=number
-		candidate_index.num_buckets=number candidate_index.occupancy=number
-		candidate_index.rows=number candidate_index.signature_len=number
+		candidate_index.buckets=number candidate_index.candidates=number
+		candidate_index.dirty_entities_last=number candidate_index.last_update_ms=number
+		candidate_index.memberships=number candidate_index.num_buckets=number
+		candidate_index.occupancy=number candidate_index.rows=number
 		candidate_index.signatures_e=number candidate_index.signatures_i=number
 		candidate_index=object`)
 	statsStoreTypes = strings.Fields(`
@@ -493,21 +490,20 @@ var (
 		score.windows.pairs=array score.windows.sum=number score.windows.window=number
 		score.windows=array score=object version=number`)
 	explainLSHTypes = strings.Fields(`
-		candidates.band_count=number candidates.bands=number candidates.candidate=bool
+		candidates.band_count=number candidates.candidate=bool
 		candidates.collisions.band=number candidates.collisions.bucket_e=number
 		candidates.collisions.bucket_i=number candidates.collisions.hash=string
-		candidates.collisions=array candidates.epoch=number candidates.has_u=bool
-		candidates.has_v=bool candidates.rows=number candidates.sig_version_u=number
-		candidates.sig_version_v=number candidates.signature_len=number candidates=object`)
+		candidates.collisions=array candidates.has_u=bool candidates.has_v=bool
+		candidates.rows=number candidates.sig_version_u=number
+		candidates.sig_version_v=number candidates=object`)
 	explainFlagTypes    = strings.Fields(`score.windows.pairs.alibi=bool score.windows.pairs.mfn=bool`)
 	explainUnknownTypes = strings.Fields(`
 		e=string edge.linked=bool edge.store_epoch=number edge=object i=string score.known=bool
 		score.norm=number score.norm_u=number score.norm_v=number score.total=number score=object
 		version=number`)
 	explainUnknownLSHTypes = strings.Fields(`
-		candidates.band_count=number candidates.bands=number candidates.candidate=bool
-		candidates.epoch=number candidates.has_u=bool candidates.has_v=bool candidates.rows=number
-		candidates.signature_len=number candidates=object`)
+		candidates.band_count=number candidates.candidate=bool candidates.has_u=bool
+		candidates.has_v=bool candidates.rows=number candidates=object`)
 )
 
 var (
@@ -520,8 +516,8 @@ var (
 		e i version score known norm_u norm_v norm total windows window bins_u bins_v sum pairs
 		cell_u cell_v distance_km proximity idf_weight contribution`)
 	explainLSHKeyOrder = strings.Fields(`
-		candidates has_u has_v candidate band_count collisions band hash bucket_e bucket_i epoch
-		signature_len bands rows sig_version_u sig_version_v`)
+		candidates has_u has_v candidate band_count collisions band hash bucket_e bucket_i rows
+		sig_version_u sig_version_v`)
 	explainEdgeKeyOrder = strings.Fields(`
 		edge linked rescored_seq retained_since_seq last_full_seq score_at_last_full store_epoch`)
 )

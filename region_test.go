@@ -34,7 +34,7 @@ func TestLinkRegionRecords(t *testing.T) {
 
 	// Region records must not blow up the work counters or crash LSH.
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
 	resLSH, err := LinkDatasets(w.E, w.I, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -94,8 +94,8 @@ func engineSubject(t *testing.T, e, i slim.Dataset, cfg slim.Config) (relinker, 
 // slim.LinkDatasets over the union records. The bursts cover weight-only
 // churn (the pair-level delta path), new-bin and new-entity bursts
 // (IDF-epoch full rescores), window-range growth in both directions
-// (candidate-grid epoch rebuilds; LinkDatasets then grids the union from a
-// different epoch, which must not matter), point and region records, with
+// (LinkDatasets then windows the union from a different epoch, which must
+// not matter), point and region records, with
 // LSH on and off. It also asserts that the delta path, the full-rescore
 // path and the publish tail's prefix reuse all actually ran, so parity
 // cannot pass by redoing everything every time.
@@ -107,7 +107,7 @@ func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 		{"brute", nil},
 		// Signature level 13 != history level 12 exercises the separate
 		// signature stores.
-		{"lsh", &slim.LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}},
+		{"lsh", &slim.LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}},
 	}
 	for _, sc := range scenarios {
 		for _, subject := range []string{"linker", "engine"} {
@@ -381,7 +381,7 @@ func TestRunEdgesCanonicalOrder(t *testing.T) {
 	}
 	for name, lsh := range map[string]*slim.LSHConfig{
 		"brute": nil,
-		"lsh":   {Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14},
+		"lsh":   {Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := slim.Defaults()

@@ -92,8 +92,8 @@ type Linker struct {
 	storeE *history.Store
 	storeI *history.Store
 	scorer *similarity.Scorer
-	// Signature stores for LSH when its spatial level differs from the
-	// similarity level (otherwise they alias storeE/storeI).
+	// Signature stores for LSH: each side's records at the LSH spatial
+	// level, one window per signature row (nil without LSH).
 	sigStoreE *history.Store
 	sigStoreI *history.Store
 	// candIndex incrementally maintains the LSH candidate set (non-nil
@@ -188,16 +188,14 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	return lk, nil
 }
 
-// buildLSHCandidates constructs dominating-cell signature stores (at the
-// LSH's own spatial level) and the incremental candidate index over them.
+// buildLSHCandidates constructs the dominating-cell signature stores (at
+// the LSH's own spatial level, over absolute signature rows) and the
+// incremental candidate index over them.
 func (lk *Linker) buildLSHCandidates(ge, gi *model.Grouped) {
 	c := lk.cfg.LSH
-	lk.sigStoreE = lk.storeE
-	lk.sigStoreI = lk.storeI
-	if c.SpatialLevel != lk.cfg.SpatialLevel {
-		lk.sigStoreE = lk.storeE.SignatureStore(ge, c.SpatialLevel, lk.cfg.Workers)
-		lk.sigStoreI = lk.storeI.SignatureStore(gi, c.SpatialLevel, lk.cfg.Workers)
-	}
+	rows := c.RowWindowing(lk.wnd)
+	lk.sigStoreE = lk.storeE.SignatureStore(ge, rows, c.SpatialLevel, lk.cfg.Workers)
+	lk.sigStoreI = lk.storeI.SignatureStore(gi, rows, c.SpatialLevel, lk.cfg.Workers)
 	lk.candIndex = candidates.New(lk.sigStoreE, lk.sigStoreI, *c)
 	lk.candIndex.Workers = lk.cfg.Workers
 	// The initial build. Its delta needs no bookkeeping: the first Rescore
@@ -207,8 +205,8 @@ func (lk *Linker) buildLSHCandidates(ge, gi *model.Grouped) {
 
 // CandidateIndexStats reports the state of the incremental LSH candidate
 // index: maintained signatures, bucket occupancy, candidate count, and
-// the dirty-entity count, rebuild flag and wall-clock duration of the
-// most recent index update (see candidates.Stats for per-field docs).
+// the dirty-entity count and wall-clock duration of the most recent index
+// update (see candidates.Stats for per-field docs).
 type CandidateIndexStats = candidates.Stats
 
 // CandidateIndexStats returns the incremental candidate index snapshot,
@@ -235,7 +233,7 @@ func (lk *Linker) AddI(recs ...Record) { lk.add(lk.storeI, lk.sigStoreI, lk.dirt
 func (lk *Linker) add(store, sigStore *history.Store, dirty map[uint32]struct{}, recs []Record) {
 	for _, r := range recs {
 		ord := store.Add(r)
-		if sigStore != nil && sigStore != store {
+		if sigStore != nil {
 			sigStore.Add(r) // the side's shared table hands out the same ordinal
 		}
 		// Remember which entities changed: the next Rescore re-signs
@@ -324,9 +322,11 @@ func (lk *Linker) Precompile() {
 // ForceFullRescore makes the next Rescore rescore the whole candidate set
 // instead of trusting the edge store's retained scores. It is the recovery
 // hook for a caller whose previous run died part-way (internal/engine
-// after a contained panic): whatever that run left half-applied is
-// replaced wholesale, and the full delta it produces rebuilds the publish
-// tail too.
+// after a contained panic): whatever that run left half-applied in the edge
+// store is replaced wholesale, and the full delta it produces rebuilds the
+// publish tail too. The candidate index has one update path and is not
+// redone: the dirty sets outlive a run that died, so the next Update
+// re-signs every entity the dead one did not reach.
 func (lk *Linker) ForceFullRescore() { lk.edges.forceFull = true }
 
 // Rescore brings the edge store up to date with the current candidate set
@@ -343,9 +343,9 @@ func (lk *Linker) ForceFullRescore() { lk.edges.forceFull = true }
 // pair with a touched endpoint. Every other edge keeps its cached score,
 // which is bit-identical to what a rescore would produce (scores are pure
 // functions of the two histories and the epoch-versioned dataset
-// statistics — see edges.go). The first call, ForceFullRescore, a rebuilt
-// candidate index and any IDF-epoch movement (new bin, new entity) rescore
-// the whole candidate set instead.
+// statistics — see edges.go). The first call, ForceFullRescore and any
+// IDF-epoch movement (new bin, new entity) rescore the whole candidate set
+// instead.
 //
 // The returned Stats carry private candidate-index and edge-store
 // snapshots, so a later call never mutates results a caller still holds.
@@ -365,7 +365,7 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 
 	start := time.Now()
 	epochE, epochI := lk.storeE.Epoch(), lk.storeI.Epoch()
-	full := !lk.edges.built || lk.edges.forceFull || cand.Rebuilt ||
+	full := !lk.edges.built || lk.edges.forceFull ||
 		epochE != lk.edges.epochE || epochI != lk.edges.epochI
 	rescored, dropped := nPairs, int64(0)
 	if full {

@@ -80,7 +80,7 @@ func TestLinkWithLSHPreservesQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
 	fast, err := LinkDatasets(w.E, w.I, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -84,13 +84,12 @@ func TestIncrementalRunWithLSH(t *testing.T) {
 		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 64,
 	})
 	lo, _, _ := w.E.TimeRange()
-	// Cut at one day: 96 windows → 2 signature queries; the streamed tail
-	// extends this to 4.
+	// Cut at one day; the streamed tail adds a second day of rows.
 	beforeE, afterE := splitByTime(w.E, lo+86400)
 	beforeI, afterI := splitByTime(w.I, lo+86400)
 
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
 	lk, err := NewLinker(
 		Dataset{Name: "E", Records: beforeE},
 		Dataset{Name: "I", Records: beforeI},
@@ -103,7 +102,6 @@ func TestIncrementalRunWithLSH(t *testing.T) {
 	if first.Stats.LSH == nil {
 		t.Fatal("LSH stats missing on first run")
 	}
-	sigLenBefore := first.Stats.LSH.SignatureLen
 
 	lk.AddE(afterE...)
 	lk.AddI(afterI...)
@@ -111,11 +109,10 @@ func TestIncrementalRunWithLSH(t *testing.T) {
 	if second.Stats.LSH == nil {
 		t.Fatal("LSH stats missing on second run")
 	}
-	// The streamed tail extends the time range, so signatures must have
-	// been rebuilt with more query windows.
-	if second.Stats.LSH.SignatureLen <= sigLenBefore {
-		t.Errorf("signature length did not grow after streaming: %d -> %d",
-			sigLenBefore, second.Stats.LSH.SignatureLen)
+	// The streamed tail extends the time range: the entities it touched
+	// are re-signed, and no one else.
+	if n, most := second.Stats.LSH.LastDirty, len(lk.EntitiesE())+len(lk.EntitiesI()); n == 0 || n > most {
+		t.Errorf("streaming re-signed %d entities, want between 1 and %d", n, most)
 	}
 	batch, err := LinkDatasets(w.E, w.I, cfg)
 	if err != nil {
@@ -170,16 +167,16 @@ func TestIncrementalNewEntityAppears(t *testing.T) {
 }
 
 // TestCandidateIndexIncrementalOnLinker verifies the Linker maintains its
-// LSH candidate set through the incremental index: in-grid churn takes the
-// delta path (epoch stable, only touched entities re-signed), range growth
-// rebuilds, and LSH-disabled linkers report no index at all.
+// LSH candidate set through the incremental index: churn inside the time
+// range and a record far past it both re-sign only the touched entity, and
+// LSH-disabled linkers report no index at all.
 func TestCandidateIndexIncrementalOnLinker(t *testing.T) {
 	ground := GenerateCab(CabOptions{NumTaxis: 20, Days: 2, MeanRecordIntervalSec: 420, Seed: 65})
 	w := SampleWorkload(&ground, SampleOptions{
 		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 66,
 	})
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
 	lk, err := NewLinker(w.E, w.I, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +186,7 @@ func TestCandidateIndexIncrementalOnLinker(t *testing.T) {
 	if ix == nil {
 		t.Fatal("no candidate-index stats with LSH enabled")
 	}
-	if ix.Epoch != 1 || ix.SignaturesE == 0 || ix.SignaturesI == 0 {
+	if ix.SignaturesE == 0 || ix.SignaturesI == 0 {
 		t.Fatalf("index after construction: %+v", ix)
 	}
 
@@ -199,22 +196,19 @@ func TestCandidateIndexIncrementalOnLinker(t *testing.T) {
 	lk.AddE(target)
 	lk.Run()
 	ix = lk.CandidateIndexStats()
-	if ix.Epoch != 1 || ix.LastRebuild {
-		t.Fatalf("in-range ingest forced an epoch rebuild: %+v", ix)
-	}
 	if ix.LastDirty != 1 {
 		t.Fatalf("LastDirty = %d after a one-entity burst, want 1", ix.LastDirty)
 	}
 
-	// A record far past the range grows the signature grid: epoch rebuild.
+	// A record far past the range opens new rows: still one re-signed entity.
 	_, hi, _ := w.E.TimeRange()
 	late := w.E.Records[0]
 	late.Unix = hi + 6*86400
 	lk.AddE(late)
 	lk.Run()
 	ix = lk.CandidateIndexStats()
-	if ix.Epoch != 2 || !ix.LastRebuild {
-		t.Fatalf("range growth did not rebuild the index: %+v", ix)
+	if ix.LastDirty != 1 {
+		t.Fatalf("range growth re-signed %d entities, want 1: %+v", ix.LastDirty, ix)
 	}
 
 	plain, err := NewLinker(w.E, w.I, Defaults())

@@ -13,7 +13,7 @@ import (
 // changed score (with their fresh scores) and the edges that left it
 // (with the scores they held — a score change contributes one of each).
 type EdgeDelta struct {
-	// Full marks an update that was a full rescore (epoch rebuild) or is
+	// Full marks an update that was a full rescore (IDF-epoch move) or is
 	// otherwise not describable incrementally; the tail must rebuild from
 	// the complete edge set.
 	Full bool

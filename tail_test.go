@@ -204,7 +204,7 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 func TestPublishedSlicesAreNeverWrittenAgain(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
-	cfg.LSH = &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
 	lk, err := NewLinker(w.E, w.I, cfg)
 	if err != nil {
 		t.Fatal(err)
