@@ -17,7 +17,7 @@ func AutoTuneSpatialLevel(dsE, dsI Dataset, cfg Config) (int, TuneCurve, TuneCur
 		return 0, TuneCurve{}, TuneCurve{}, err
 	}
 	opt := tuning.DefaultOptions()
-	opt.WindowSeconds = int64(cfg.WindowMinutes * 60)
+	opt.WindowSeconds = cfg.windowSeconds()
 	opt.MaxSpeedKmPerMin = cfg.MaxSpeedKmPerMin
 	opt.B = cfg.B
 	level, c1, c2 := tuning.AutoSpatialLevelPair(&dsE, &dsI, opt)

@@ -99,6 +99,9 @@ func Defaults() Config {
 	}
 }
 
+// windowSeconds is the leaf window width |w| in whole seconds, at least 1.
+func (c *Config) windowSeconds() int64 { return max(int64(c.WindowMinutes*60), 1) }
+
 // normalize fills unset fields with defaults and validates ranges.
 func (c *Config) normalize() error {
 	d := Defaults()

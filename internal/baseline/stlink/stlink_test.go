@@ -10,7 +10,7 @@ import (
 	"slim/internal/model"
 )
 
-var wnd = model.Windowing{Epoch: 0, WidthSeconds: 900}
+var wnd = model.Windowing{WidthSeconds: 900}
 
 func rec(e string, lat, lng float64, unix int64) model.Record {
 	return model.Record{Entity: model.EntityID(e), LatLng: geo.LatLng{Lat: lat, Lng: lng}, Unix: unix}
@@ -152,7 +152,7 @@ func TestScoresRankTrueMatchFirst(t *testing.T) {
 func TestLinkOnSampledCab(t *testing.T) {
 	src := datagen.Cab(datagen.CabConfig{NumTaxis: 24, Days: 2, MeanRecordIntervalSec: 400, Seed: 21})
 	s := datagen.Sample(&src, datagen.SampleConfig{IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 22})
-	res := Link(&s.E, &s.I, DefaultParams(model.NewWindowing(900, &s.E, &s.I), 12))
+	res := Link(&s.E, &s.I, DefaultParams(wnd, 12))
 	if !matching.Valid(res.Links) {
 		// ST-Link links can share endpoints only if ambiguity elimination
 		// failed — that would be a bug.
@@ -186,7 +186,7 @@ func TestEvidenceMatchesDirectDistance(t *testing.T) {
 	}{
 		{"movers", &moversE, &moversI, wnd},
 		{"alibied", &alibiE, &alibiI, wnd},
-		{"sampled cab", &sampled.E, &sampled.I, model.NewWindowing(900, &sampled.E, &sampled.I)},
+		{"sampled cab", &sampled.E, &sampled.I, wnd},
 	} {
 		p := DefaultParams(fx.w, 12)
 		res := Link(fx.dsE, fx.dsI, p)

@@ -64,9 +64,9 @@ func (p Params) Normalize() (Params, error) {
 
 // RowWindowing is the windowing of a side's signature store: one window —
 // one signature row — per StepWindows leaf windows of the given leaf
-// windowing, anchored at Unix 0. Row q covers [q·width, (q+1)·width) for
-// every dataset and every ingest order, so a row's identity never depends
-// on the data's time range.
+// windowing. Like every window grid it is absolute: row q covers
+// [q·width, (q+1)·width) of Unix time for every dataset and every ingest
+// order.
 func (p Params) RowWindowing(leaf model.Windowing) model.Windowing {
 	return model.Windowing{WidthSeconds: leaf.WidthSeconds * int64(max(p.StepWindows, 1))}
 }

@@ -87,7 +87,7 @@ func TestRowsPerBandAtNominalLength(t *testing.T) {
 	if r := RowsPerBand(p.Threshold); r != 5 {
 		t.Fatalf("RowsPerBand(%g) = %d, want 5", p.Threshold, r)
 	}
-	if w := p.RowWindowing(model.Windowing{Epoch: 12345, WidthSeconds: 900}); w != (model.Windowing{WidthSeconds: 43200}) {
+	if w := p.RowWindowing(model.Windowing{WidthSeconds: 900}); w != (model.Windowing{WidthSeconds: 43200}) {
 		t.Fatalf("RowWindowing = %+v, want 12-hour rows anchored at Unix 0", w)
 	}
 	prev := 0

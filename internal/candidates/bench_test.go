@@ -23,7 +23,7 @@ func benchFixture(taxis int) (se, si *history.Store, midUnix int64) {
 	w := datagen.Sample(&ground, datagen.SampleConfig{
 		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 100,
 	})
-	rows := benchParams.RowWindowing(model.NewWindowing(900, &w.E, &w.I))
+	rows := benchParams.RowWindowing(wnd)
 	se = history.Build(&w.E, rows, benchParams.SpatialLevel)
 	si = history.Build(&w.I, rows, benchParams.SpatialLevel)
 	lo, hi, _ := w.E.TimeRange()

@@ -12,7 +12,7 @@ import (
 	"slim/internal/model"
 )
 
-var wnd = model.Windowing{Epoch: 0, WidthSeconds: 900}
+var wnd = model.Windowing{WidthSeconds: 900}
 
 const level = 13
 

@@ -6,7 +6,6 @@ import (
 
 	"slim/internal/datagen"
 	"slim/internal/history"
-	"slim/internal/model"
 	"slim/internal/testenv"
 )
 
@@ -34,7 +33,6 @@ func TestCandidateIndexBytesPerPair(t *testing.T) {
 	w := datagen.Sample(&ground, datagen.SampleConfig{
 		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 8,
 	})
-	wnd := model.NewWindowing(900, &w.E, &w.I)
 	p := Params{Threshold: 0.6, StepWindows: 48, SpatialLevel: 16, NumBuckets: 256}
 	ge, gi := w.E.GroupByEntity(-1), w.I.GroupByEntity(-1)
 	se := history.BuildGrouped(&ge, wnd, 12, 1).SignatureStore(&ge, p.RowWindowing(wnd), 16, 1)

@@ -49,10 +49,10 @@ import (
 // Config.Debounce is zero, and the default of slimd's -debounce flag.
 const DefaultDebounce = 2 * time.Second
 
-// DefaultRunDeadline is the relink watchdog deadline used when
-// Config.RunDeadline is zero: a run exceeding it shows up on the
-// slim_relink_stuck_seconds gauge and flips /healthz's relink domain.
-const DefaultRunDeadline = 2 * time.Minute
+// RunDeadline is the relink watchdog deadline: a run exceeding it shows
+// up on the slim_relink_stuck_seconds gauge and flips /healthz's relink
+// domain.
+const RunDeadline = 2 * time.Minute
 
 // DefaultRunJournal is the flight-recorder ring size used when
 // Config.RunJournal is zero.
@@ -88,10 +88,6 @@ type Config struct {
 	// nil Registry wires the metrics to a private, unscraped registry, so
 	// instrumentation is always on.
 	Registry *obs.Registry
-	// RunDeadline is the relink watchdog deadline: a run exceeding it is
-	// reported by the slim_relink_stuck_seconds gauge (0 =
-	// DefaultRunDeadline, <0 = watchdog disabled).
-	RunDeadline time.Duration
 	// RunJournal is the flight-recorder ring size: how many of the most
 	// recent relink runs (including short circuits and contained panics)
 	// the engine keeps for /v1/runs and explain joins (0 =
@@ -103,13 +99,6 @@ type Config struct {
 	// Logger, when set, receives recovered relink panics and supervisor
 	// restarts (failures with no caller to report to).
 	Logger *slog.Logger
-}
-
-func (c Config) runDeadline() time.Duration {
-	if c.RunDeadline == 0 {
-		return DefaultRunDeadline
-	}
-	return c.RunDeadline
 }
 
 // Persister is the engine's checkpoint hook, implemented by
@@ -571,20 +560,15 @@ func (e *Engine) finish(rec *RunRecord, pub *slim.Result) slim.Result {
 	return res
 }
 
-// StuckSeconds reports how far the relink in flight is past the
-// watchdog deadline — the slim_relink_stuck_seconds gauge. It is 0 when
-// the engine is idle, the run is still within its deadline, or the
-// watchdog is disabled (RunDeadline < 0).
+// StuckSeconds reports how far the relink in flight is past RunDeadline
+// — the slim_relink_stuck_seconds gauge. It is 0 when the engine is idle
+// or the run is still within its deadline.
 func (e *Engine) StuckSeconds() float64 {
 	startNano := e.runStartNano.Load()
 	if startNano == 0 {
 		return 0
 	}
-	dl := e.cfg.runDeadline()
-	if dl < 0 {
-		return 0
-	}
-	over := time.Since(time.Unix(0, startNano)) - dl
+	over := time.Since(time.Unix(0, startNano)) - RunDeadline
 	if over <= 0 {
 		return 0
 	}

@@ -22,7 +22,7 @@ func compiledTestStore(t testing.TB) *Store {
 		{Entity: "c", LatLng: geo.LatLng{Lat: 34.05, Lng: -118.24}, Unix: 900},
 	}
 	d := model.Dataset{Name: "D", Records: recs}
-	return Build(&d, model.Windowing{Epoch: 0, WidthSeconds: 900}, 12)
+	return Build(&d, model.Windowing{WidthSeconds: 900}, 12)
 }
 
 // TestCompiledViewMatchesBins checks the compiled view against the map
@@ -153,7 +153,7 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 			}
 		}
 		d := model.Dataset{Name: "D", Records: recs}
-		return Build(&d, model.Windowing{Epoch: 0, WidthSeconds: 900}, 12)
+		return Build(&d, model.Windowing{WidthSeconds: 900}, 12)
 	}
 	serial, parallel := build(), build()
 	mutate := []func(s *Store){
@@ -204,7 +204,7 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 // nothing.
 func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	e := freqTestSide()
-	w := model.Windowing{Epoch: 0, WidthSeconds: 900}
+	w := model.Windowing{WidthSeconds: 900}
 	s := Build(&e, w, 12)
 	s.Compile(1)
 	before := slices.Clone(s.segs)
@@ -213,7 +213,7 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	touched := e.Records[0].Entity
 	ord, _ := s.Ordinals().Lookup(touched)
 	added := e.Records[0]
-	added.Unix = (s.maxWindow + 1) * w.WidthSeconds
+	added.Unix = (s.freq.windows[len(s.freq.windows)-1] + 1) * w.WidthSeconds
 	epoch := s.Epoch()
 	s.Add(added)
 	if s.Epoch() == epoch {
@@ -253,11 +253,11 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 // data-race gate of refreshing views in place.
 func TestCompiledViewAtRefreshesConcurrently(t *testing.T) {
 	e := freqTestSide()
-	w := model.Windowing{Epoch: 0, WidthSeconds: 900}
+	w := model.Windowing{WidthSeconds: 900}
 	s := Build(&e, w, 12)
 	s.Compile(1)
 	added := e.Records[0]
-	added.Unix = (s.maxWindow + 1) * w.WidthSeconds
+	added.Unix = (s.freq.windows[len(s.freq.windows)-1] + 1) * w.WidthSeconds
 	s.Add(added)
 
 	n := len(s.segs)
@@ -328,7 +328,7 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 	d := model.Dataset{Name: "bench", Records: recs}
-	s := Build(&d, model.Windowing{Epoch: 0, WidthSeconds: 900}, 12)
+	s := Build(&d, model.Windowing{WidthSeconds: 900}, 12)
 	s.Compile(1)
 	b.ReportAllocs()
 	b.ResetTimer()

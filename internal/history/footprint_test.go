@@ -22,7 +22,7 @@ import (
 // level after every signature has been built. A store is columns: 16 B per
 // bin (cell, weight) and 12 B per window (index, offset) — at this density
 // a window holds one bin — plus, per entity, one spare offset slot and a
-// 56 B segment record. The scoring store adds the frequency index — 12 B
+// 48 B segment record. The scoring store adds the frequency index — 12 B
 // of sorted column per distinct bin plus two slice headers per window,
 // which weigh more here (≈ 10 bins a window) than at paper scale (≈ 140) —
 // which the signature store does not keep. Compiling adds 12 B per bin
@@ -103,7 +103,7 @@ func gridSide(n int) model.Grouped {
 			d.Records = append(d.Records, model.Record{
 				Entity: model.EntityID(fmt.Sprintf("u%05d", e)),
 				LatLng: geo.LatLng{Lat: 37.5 + float64((e*7+k)%40)*0.01, Lng: -122.4 + float64((e+k*3)%40)*0.01},
-				Unix:   refWindowing.Epoch + int64(900*((e+2*k)%24)),
+				Unix:   int64(900 * ((e + 2*k) % 24)),
 			})
 		}
 	}
@@ -142,7 +142,7 @@ func TestStreamedColumnsStayBounded(t *testing.T) {
 		return model.Record{
 			Entity: model.EntityID(fmt.Sprintf("u%04d", e)),
 			LatLng: geo.LatLng{Lat: 37.5 + float64((e*5+k)%30)*0.01, Lng: -122.4 + float64((e+k*7)%30)*0.01},
-			Unix:   refWindowing.Epoch + int64(900*(2*k+e%2)),
+			Unix:   int64(900 * (2*k + e%2)),
 		}
 	}
 	var first, all []model.Record

@@ -63,7 +63,7 @@ func freqTestSide() model.Dataset {
 // the held ones included) it still equals a rebuild from scratch.
 func TestFreqIndexWindowBuildEqualsSortBuild(t *testing.T) {
 	e := freqTestSide()
-	w := model.Windowing{Epoch: 0, WidthSeconds: 900}
+	w := model.Windowing{WidthSeconds: 900}
 	s := Build(&e, w, 12)
 	if len(s.freq.windows) < 100 || s.totalBins < 3000 {
 		t.Fatalf("fixture too small to mean anything: %d windows, %d bins", len(s.freq.windows), s.totalBins)
@@ -73,7 +73,7 @@ func TestFreqIndexWindowBuildEqualsSortBuild(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(13))
-	lo, hi := s.minWindow, s.maxWindow
+	lo, hi := s.freq.windows[0], s.freq.windows[len(s.freq.windows)-1]
 	for k := 0; k < 400; k++ {
 		r := e.Records[rng.Intn(len(e.Records))]
 		switch rng.Intn(4) {
@@ -81,7 +81,7 @@ func TestFreqIndexWindowBuildEqualsSortBuild(t *testing.T) {
 			r.Entity = e.Records[rng.Intn(len(e.Records))].Entity
 		case 1: // a window of its own, on either side of the range
 			lo, hi = lo-3, hi+3
-			r.Unix = w.Epoch + []int64{lo, hi}[rng.Intn(2)]*w.WidthSeconds
+			r.Unix = []int64{lo, hi}[rng.Intn(2)] * w.WidthSeconds
 		case 2:
 			r.LatLng = geo.LatLng{Lat: r.LatLng.Lat + 0.3, Lng: r.LatLng.Lng - 0.3}
 		}
@@ -102,7 +102,7 @@ func TestFreqIndexSparseWindows(t *testing.T) {
 		{Entity: "a", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 1},
 		{Entity: "b", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 4102444800}, // 2100-01-01
 	}}
-	s := Build(&d, model.Windowing{Epoch: 0, WidthSeconds: 900}, 12)
+	s := Build(&d, model.Windowing{WidthSeconds: 900}, 12)
 	if got := len(s.freq.windows); got != 2 {
 		t.Fatalf("%d windows indexed, want 2", got)
 	}

@@ -63,7 +63,6 @@ type History struct {
 	off     []int32
 	cells   []geo.CellID
 	counts  []float64
-	numRecs int
 
 	// version counts mutations of this history; the compiled read path
 	// (compiled.go) and the candidate index use it to detect stale entities.
@@ -142,9 +141,6 @@ func (h *History) WindowBins(window int64) ([]geo.CellID, []float64) {
 // NumBins returns |H_u|: the number of distinct time-location bins.
 func (h *History) NumBins() int { return len(h.cells) }
 
-// NumRecords returns the number of records aggregated into the history.
-func (h *History) NumRecords() int { return h.numRecs }
-
 // Bins calls fn for every time-location bin with its record weight, in
 // column order (windows ascending, cells ascending).
 func (h *History) Bins(fn func(Bin, float64)) {
@@ -183,7 +179,6 @@ func (h *History) DominatingCellAt(k int) geo.CellID {
 type segment struct {
 	win, nWin, winRoom int32
 	bin, nBin, binRoom int32
-	recs               int64
 	version            uint64
 	// compVersion and compEpoch stamp the compiled columns of the bin
 	// range (compiled.go): the history version its cells were interned at
@@ -231,9 +226,6 @@ type Store struct {
 	freq      *freqIndex
 	avgBins   float64
 	totalBins int
-	minWindow int64
-	maxWindow int64
-	hasData   bool
 
 	// epoch versions the dataset-level IDF inputs (entity count, bin
 	// frequencies). Any change invalidates every compiled segment, because
@@ -344,7 +336,7 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 		for k := lo; k < hi; k++ {
 			bins, scratch = foldBins(bins[:0], scratch, g.Of(k), w, spatialLevel)
 			sg := &s.segs[k]
-			sg.recs, sg.nBin = int64(g.Off[k+1]-g.Off[k]), int32(len(bins))
+			sg.nBin = int32(len(bins))
 			for j, b := range bins {
 				if j == 0 || b.Window != bins[j-1].Window {
 					s.windows[sg.win+sg.nWin], s.off[sg.win+sg.nWin] = b.Window, int32(j)
@@ -364,7 +356,6 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 		copy(s.counts[nBin:], s.counts[sg.bin:sg.bin+sg.nBin])
 		sg.win, sg.winRoom, sg.bin, sg.binRoom = nWin, sg.nWin+1, nBin, sg.nBin
 		nWin, nBin = nWin+sg.winRoom, nBin+sg.binRoom
-		s.noteWindows(s.windows[sg.win], s.windows[sg.win+sg.nWin-1]) // a grouped entity has a record
 	}
 	s.windows, s.off = clipSpare(s.windows[:nWin]), clipSpare(s.off[:nWin])
 	s.cells, s.counts = clipSpare(s.cells[:nBin]), clipSpare(s.counts[:nBin])
@@ -390,16 +381,6 @@ func clipSpare[E any](col []E) []E {
 	out := make([]E, len(col))
 	copy(out, col)
 	return out
-}
-
-// noteWindows widens the store's window range to include [lo, hi].
-func (s *Store) noteWindows(lo, hi int64) {
-	if !s.hasData {
-		s.minWindow, s.maxWindow, s.hasData = lo, hi, true
-		return
-	}
-	s.minWindow = min(s.minWindow, lo)
-	s.maxWindow = max(s.maxWindow, hi)
 }
 
 // mustScore panics on a signature store: a zero IDF weight or an empty
@@ -442,7 +423,6 @@ func (s *Store) HistoryAt(ord uint32) History {
 		off:     s.off[w : w+nw+1 : w+nw+1],
 		cells:   s.cells[b : b+nb : b+nb],
 		counts:  s.counts[b : b+nb : b+nb],
-		numRecs: int(sg.recs),
 		version: sg.version,
 	}
 }
@@ -458,15 +438,6 @@ func (s *Store) History(e model.EntityID) History {
 
 // AvgBins returns the average number of time-location bins per history.
 func (s *Store) AvgBins() float64 { return s.avgBins }
-
-// WindowRange returns the inclusive [min, max] leaf window indices across
-// all histories; ok is false for an empty store.
-func (s *Store) WindowRange() (minWin, maxWin int64, ok bool) {
-	if len(s.entities) == 0 {
-		return 0, 0, false
-	}
-	return s.minWindow, s.maxWindow, true
-}
 
 // Epoch returns the store's IDF-input version: it moves whenever a
 // dataset-level score input changes — a new entity (|U| and the average

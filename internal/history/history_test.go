@@ -11,7 +11,7 @@ import (
 	"slim/internal/model"
 )
 
-var testWindowing = model.Windowing{Epoch: 0, WidthSeconds: 900}
+var testWindowing = model.Windowing{WidthSeconds: 900}
 
 func rec(e string, lat, lng float64, unix int64) model.Record {
 	return model.Record{Entity: model.EntityID(e), LatLng: geo.LatLng{Lat: lat, Lng: lng}, Unix: unix}
@@ -50,9 +50,6 @@ func TestHistoryBasicShape(t *testing.T) {
 		rec("a", 37.7749, -122.4194, 1900), // window 2
 	}
 	h := buildSingle(t, recs, 12)
-	if got := h.NumRecords(); got != 4 {
-		t.Errorf("NumRecords = %d", got)
-	}
 	if got := h.NumBins(); got != 3 {
 		t.Errorf("NumBins = %d, want 3", got)
 	}
@@ -210,10 +207,6 @@ func TestStoreStatistics(t *testing.T) {
 	if got := s.IDF(unknown); math.Abs(got-math.Log(3)) > 1e-12 {
 		t.Errorf("IDF unknown bin = %g, want ln(3)", got)
 	}
-	lo, hi, ok := s.WindowRange()
-	if !ok || lo != 0 || hi != 1 {
-		t.Errorf("WindowRange = (%d,%d,%v)", lo, hi, ok)
-	}
 }
 
 func TestNormFactor(t *testing.T) {
@@ -251,9 +244,6 @@ func TestEmptyStore(t *testing.T) {
 	s := Build(&d, testWindowing, 12)
 	if s.NumEntities() != 0 {
 		t.Error("empty store should have no entities")
-	}
-	if _, _, ok := s.WindowRange(); ok {
-		t.Error("empty store should report no window range")
 	}
 	if s.IDF(Bin{}) != 0 {
 		t.Error("IDF on empty store should be 0")

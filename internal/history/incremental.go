@@ -9,10 +9,9 @@ import (
 
 // Add ingests one record into the store incrementally, inserting its bins
 // into the entity's segment in place and updating the bin→entity IDF
-// index, the average-history-size statistic and the window range, and
-// returns the entity's ordinal. An entity the side's table has not seen
-// gets the next ordinal; one its other store already added keeps the
-// ordinal it was given there. After any sequence of Add calls the store's
+// index and the average-history-size statistic, and returns the entity's
+// ordinal. An entity the side's table has not seen gets the next ordinal;
+// one its other store already added keeps the ordinal it was given there. After any sequence of Add calls the store's
 // histories and statistics are indistinguishable from one built with Build
 // on the concatenated records (see TestIncrementalAddMatchesBuild).
 //
@@ -32,7 +31,6 @@ func (s *Store) Add(rec model.Record) uint32 {
 		s.epoch++ // |U| changed: every baked IDF weight is stale
 	}
 	sg.version++ // invalidate this entity's compiled columns
-	sg.recs++
 
 	win := s.Windowing.Window(rec.Unix)
 	s.addScratch = appendBinWeights(s.addScratch[:0], rec, win, s.Level)
@@ -46,7 +44,6 @@ func (s *Store) Add(rec model.Record) uint32 {
 		}
 	}
 	s.avgBins = float64(s.totalBins) / float64(len(s.entities))
-	s.noteWindows(win, win)
 	return ord
 }
 

@@ -45,17 +45,11 @@ func assertStoresEqual(t *testing.T, got, want *Store) {
 	if math.Abs(got.AvgBins()-want.AvgBins()) > 1e-9 {
 		t.Fatalf("avgBins: %g vs %g", got.AvgBins(), want.AvgBins())
 	}
-	gMin, gMax, gOK := got.WindowRange()
-	wMin, wMax, wOK := want.WindowRange()
-	if gMin != wMin || gMax != wMax || gOK != wOK {
-		t.Fatalf("window range: (%d,%d,%v) vs (%d,%d,%v)", gMin, gMax, gOK, wMin, wMax, wOK)
-	}
 	for _, e := range want.Entities() {
 		hw := want.History(e)
 		hg := got.History(e)
-		if hg.NumRecords() != hw.NumRecords() || hg.NumBins() != hw.NumBins() {
-			t.Fatalf("entity %s: recs/bins (%d,%d) vs (%d,%d)",
-				e, hg.NumRecords(), hg.NumBins(), hw.NumRecords(), hw.NumBins())
+		if hg.NumBins() != hw.NumBins() {
+			t.Fatalf("entity %s: bins %d vs %d", e, hg.NumBins(), hw.NumBins())
 		}
 		var wantBins []Bin
 		var wantWeights []float64

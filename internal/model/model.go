@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"slim/internal/geo"
 )
@@ -30,9 +29,6 @@ type Record struct {
 	// weights, per the extension described in Sec. 2.1 of the paper.
 	RadiusKm float64
 }
-
-// Time returns the record timestamp as a time.Time in UTC.
-func (r Record) Time() time.Time { return time.Unix(r.Unix, 0).UTC() }
 
 // Dataset is a collection of usage records from one location-based service.
 type Dataset struct {
@@ -209,13 +205,14 @@ func (d *Dataset) Validate() error {
 }
 
 // MaxUnix bounds the magnitude of a record's timestamp, about 7.3·10¹⁰
-// years either side of Unix 0. The bound exists for the window arithmetic
-// only: with every timestamp in [−MaxUnix, MaxUnix], Windowing.Window's
-// unix − Epoch and its floor division stay inside int64 for any window
-// width up to 2⁶¹ s, where a time near ±2⁶³ wraps into a window on the
-// other side of the epoch. Nothing in a linkage is sized by the data's
-// time range, so a far-off time inside the bound costs no more than any
-// other.
+// years either side of Unix 0. It is checked where records enter from
+// outside the program — Dataset.Validate and both ingest routes, which
+// answer 400 — and keeps what a linkage derives from a time inside int64:
+// the start k·|w| of its window for any width up to 2⁶¹ s, which is what
+// /v1/explain's window index times the width means. Windowing.Window needs
+// no bound; it is a floor division defined on every int64. Nothing in a
+// linkage is sized by the data's time range, so a far-off time inside the
+// bound costs no more than any other.
 const MaxUnix = 1 << 61
 
 // ValidateUnix rejects a timestamp outside [−MaxUnix, MaxUnix].
@@ -226,54 +223,25 @@ func ValidateUnix(unix int64) error {
 	return nil
 }
 
-// Windowing aligns timestamps onto a shared grid of fixed-width temporal
-// windows. Both datasets of a linkage share one Windowing so that "same
-// temporal window" is well-defined across them (Design decision 7).
+// Windowing is the grid of fixed-width temporal windows both datasets of
+// a linkage share, so that "same temporal window" means the same thing
+// across them (Sec. 2.2). It is absolute: window k covers
+// [k·|w|, (k+1)·|w|) of Unix time for every linkage, whatever records it
+// was seeded with or fed, so a window index is a function of the timestamp
+// and the width alone (DESIGN.md §5.9).
 type Windowing struct {
-	// Epoch is the unix time of the left edge of window 0.
-	Epoch int64
-	// WidthSeconds is the temporal window width |w|.
+	// WidthSeconds is the temporal window width |w|; it must be positive.
 	WidthSeconds int64
 }
 
-// NewWindowing builds a windowing whose epoch is the earliest record time
-// across the given datasets, rounded down to a width boundary.
-func NewWindowing(widthSeconds int64, datasets ...*Dataset) Windowing {
-	if widthSeconds <= 0 {
-		widthSeconds = 1
-	}
-	var minUnix int64
-	found := false
-	for _, d := range datasets {
-		lo, _, ok := d.TimeRange()
-		if !ok {
-			continue
-		}
-		if !found || lo < minUnix {
-			minUnix = lo
-			found = true
-		}
-	}
-	if !found {
-		minUnix = 0
-	}
-	epoch := minUnix - ((minUnix%widthSeconds)+widthSeconds)%widthSeconds
-	return Windowing{Epoch: epoch, WidthSeconds: widthSeconds}
-}
-
-// Window returns the index of the window containing the given unix time.
+// Window returns the index of the window containing the given unix time,
+// ⌊unix / |w|⌋, for every int64.
 func (w Windowing) Window(unix int64) int64 {
-	d := unix - w.Epoch
-	if d < 0 {
-		// Floor division for times before the epoch.
-		return -((-d + w.WidthSeconds - 1) / w.WidthSeconds)
+	q := unix / w.WidthSeconds
+	if unix%w.WidthSeconds < 0 {
+		q-- // floor division for times before Unix 0
 	}
-	return d / w.WidthSeconds
-}
-
-// Start returns the unix time of the left edge of the given window.
-func (w Windowing) Start(window int64) int64 {
-	return w.Epoch + window*w.WidthSeconds
+	return q
 }
 
 // WidthMinutes returns the window width in (possibly fractional) minutes.

@@ -200,23 +200,17 @@ func TestValidate(t *testing.T) {
 }
 
 // TestValidateRejectsOverflowingTimestamps: timestamps inside ±MaxUnix
-// window exactly — each lands in the window whose span holds it, on either
-// side of an epoch at the far other end of the range — and a timestamp
-// past the bound, which the window arithmetic would wrap, fails
-// validation.
+// validate, and each lies in its window with the window's start k·|w|
+// still an int64; a timestamp past the bound fails validation.
 func TestValidateRejectsOverflowingTimestamps(t *testing.T) {
+	const width = 900
+	w := Windowing{WidthSeconds: width}
 	for _, unix := range []int64{-MaxUnix, -1, 0, 4e17, MaxUnix} {
 		if err := (&Dataset{Records: []Record{rec("a", 1, 2, unix)}}).Validate(); err != nil {
 			t.Errorf("unix %d rejected: %v", unix, err)
 		}
-	}
-	const width = 900
-	for _, epochUnix := range []int64{-MaxUnix, MaxUnix} {
-		w := NewWindowing(width, &Dataset{Records: []Record{rec("a", 1, 2, epochUnix)}})
-		for _, unix := range []int64{-MaxUnix, -1, 0, MaxUnix} {
-			if start := w.Start(w.Window(unix)); start > unix || unix-start >= width {
-				t.Errorf("epoch %d: unix %d lands in window %d starting at %d", w.Epoch, unix, w.Window(unix), start)
-			}
+		if start := w.Window(unix) * width; start > unix || unix-start >= width {
+			t.Errorf("unix %d lands in window %d starting at %d", unix, w.Window(unix), start)
 		}
 	}
 	for _, unix := range []int64{math.MinInt64, -MaxUnix - 1, MaxUnix + 1, math.MaxInt64} {
@@ -226,24 +220,27 @@ func TestValidateRejectsOverflowingTimestamps(t *testing.T) {
 	}
 }
 
+// TestWindowingAlignment: window k covers [k·|w|, (k+1)·|w|) of Unix
+// time and nothing else anchors it. Window is ⌊unix / |w|⌋ on every int64,
+// the extremes included, where negating a time or subtracting an anchor
+// from it would wrap.
 func TestWindowingAlignment(t *testing.T) {
-	d1 := Dataset{Records: []Record{rec("a", 0, 0, 1000)}}
-	d2 := Dataset{Records: []Record{rec("b", 0, 0, 1900)}}
-	w := NewWindowing(900, &d1, &d2) // 15-minute windows
-	if w.Epoch%900 != 0 {
-		t.Errorf("epoch %d not aligned to width", w.Epoch)
-	}
-	if w.Epoch > 1000 {
-		t.Errorf("epoch %d after earliest record", w.Epoch)
-	}
-	if w.Window(1000) != 0 {
-		t.Errorf("earliest record should land in window 0, got %d", w.Window(1000))
-	}
-	if w.Window(1900) != w.Window(1000)+1 {
-		t.Errorf("records 900s apart should be one window apart")
-	}
-	if got := w.Start(w.Window(1000)); got > 1000 || got+900 <= 1000 {
-		t.Errorf("Start/Window inconsistent: start %d for t=1000", got)
+	const width = 900
+	w := Windowing{WidthSeconds: width} // 15-minute windows
+	for _, c := range []struct{ unix, want int64 }{
+		{0, 0},
+		{-1, -1},
+		{-width, -1},
+		{-width - 1, -2},
+		{1000, 1},
+		{1799, 1},
+		{1800, 2},
+		{math.MinInt64, -10248191152060863}, // ⌊−2⁶³ / 900⌋
+		{math.MaxInt64, 10248191152060862},
+	} {
+		if got := w.Window(c.unix); got != c.want {
+			t.Errorf("Window(%d) = %d, want %d", c.unix, got, c.want)
+		}
 	}
 	if w.WidthMinutes() != 15 {
 		t.Errorf("WidthMinutes = %g", w.WidthMinutes())
@@ -251,7 +248,7 @@ func TestWindowingAlignment(t *testing.T) {
 }
 
 func TestWindowingNegativeTimes(t *testing.T) {
-	w := Windowing{Epoch: 0, WidthSeconds: 60}
+	w := Windowing{WidthSeconds: 60}
 	if w.Window(-1) != -1 {
 		t.Errorf("Window(-1) = %d, want -1", w.Window(-1))
 	}
@@ -263,28 +260,17 @@ func TestWindowingNegativeTimes(t *testing.T) {
 	}
 }
 
+// TestWindowingQuickConsistency: every int64 time lies in its window,
+// unix − k·|w| ∈ [0, |w|). The subtraction wraps exactly where k·|w|
+// leaves int64, and the true remainder always fits.
 func TestWindowingQuickConsistency(t *testing.T) {
-	w := Windowing{Epoch: 86400, WidthSeconds: 900}
-	f := func(offset int32) bool {
-		unix := int64(offset)
-		win := w.Window(unix)
-		start := w.Start(win)
-		return start <= unix && unix < start+w.WidthSeconds
+	w := Windowing{WidthSeconds: 900}
+	f := func(unix int64) bool {
+		rem := unix - w.Window(unix)*w.WidthSeconds
+		return 0 <= rem && rem < w.WidthSeconds
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNewWindowingDegenerate(t *testing.T) {
-	w := NewWindowing(0)
-	if w.WidthSeconds != 1 {
-		t.Error("zero width should clamp to 1")
-	}
-	empty := Dataset{}
-	w = NewWindowing(900, &empty)
-	if w.Epoch != 0 {
-		t.Errorf("empty datasets should give epoch 0, got %d", w.Epoch)
 	}
 }
 
@@ -399,12 +385,5 @@ func TestReadCSVErrors(t *testing.T) {
 	d, err := ReadCSV(strings.NewReader("a,1,2,3\n"), "x")
 	if err != nil || len(d.Records) != 1 {
 		t.Errorf("headerless csv should parse: %v", err)
-	}
-}
-
-func TestRecordTime(t *testing.T) {
-	r := rec("a", 0, 0, 0)
-	if !r.Time().Equal(r.Time()) || r.Time().Unix() != 0 {
-		t.Error("Time() should reflect the unix stamp")
 	}
 }

@@ -39,13 +39,6 @@ var DefBuckets = []float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// SizeBuckets are byte-size buckets (256 B .. 64 MiB) for payload and
-// snapshot size distributions.
-var SizeBuckets = []float64{
-	256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
-	1 << 20, 4 << 20, 16 << 20, 64 << 20,
-}
-
 // Label is one metric dimension, rendered as name{key="value"}.
 type Label struct {
 	Key, Value string

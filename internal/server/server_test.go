@@ -230,7 +230,7 @@ func TestServerErrors(t *testing.T) {
 		{"huge longitude", "/v1/datasets/e/records", map[string]any{"records": []map[string]any{{"entity": "a", "lat": 0.0, "lng": 1e308, "unix": 0}}}, http.StatusBadRequest},
 		{"out-of-range latitude", "/v1/datasets/e/records", map[string]any{"records": []map[string]any{{"entity": "a", "lat": 91.0, "lng": 0.0, "unix": 0}}}, http.StatusBadRequest},
 		{"negative radius", "/v1/datasets/e/records", map[string]any{"records": []map[string]any{{"entity": "a", "lat": 0.0, "lng": 0.0, "unix": 0, "radius_km": -1.0}}}, http.StatusBadRequest},
-		// A time past model.MaxUnix would wrap the window arithmetic.
+		// A time past model.MaxUnix is outside input both routes refuse.
 		{"overflowing timestamp", "/v1/datasets/e/records", map[string]any{"records": []map[string]any{{"entity": "a", "lat": 0.0, "lng": 0.0, "unix": int64(math.MinInt64)}}}, http.StatusBadRequest},
 	}
 	for _, c := range cases {

@@ -35,7 +35,8 @@ type PairContribution struct {
 // order the kernel accumulated them) and their sum, which is
 // bit-identical to the window's contribution inside Score.
 type WindowBreakdown struct {
-	// Window is the leaf temporal window index.
+	// Window is the absolute leaf window index: the window covers
+	// [Window·|w|, (Window+1)·|w|) of Unix time.
 	Window int64 `json:"window"`
 	// BinsU / BinsV count the two entities' time-location bins in this
 	// window.

@@ -350,7 +350,6 @@ func assertParity(t *testing.T, variant string, e, i *history.Store, p Params) {
 
 func TestCompiledScoreParityDatagen(t *testing.T) {
 	dsE, dsI := parityWorkload(t)
-	wnd := model.NewWindowing(900, &dsE, &dsI)
 	for variant, p := range paramVariants() {
 		e := history.Build(&dsE, wnd, 12)
 		i := history.Build(&dsI, wnd, 12)
@@ -364,7 +363,6 @@ func TestCompiledScoreParityDatagen(t *testing.T) {
 // invalidation of the compiled read path.
 func TestCompiledScoreParityIncremental(t *testing.T) {
 	dsE, dsI := parityWorkload(t)
-	wnd := model.NewWindowing(900, &dsE, &dsI)
 	e := history.Build(&dsE, wnd, 12)
 	i := history.Build(&dsI, wnd, 12)
 	p := DefaultParams(15, 2)
@@ -401,7 +399,6 @@ func TestCompiledScoreParityIncremental(t *testing.T) {
 
 func TestCompiledProbeRatioParity(t *testing.T) {
 	dsE, dsI := parityWorkload(t)
-	wnd := model.NewWindowing(900, &dsE, &dsI)
 	for _, level := range []int{8, 12, 14} {
 		e := history.Build(&dsE, wnd, level)
 		i := history.Build(&dsI, wnd, level)

@@ -15,7 +15,7 @@ var (
 	sfNear  = geo.LatLng{Lat: 37.7849, Lng: -122.4294} // ~1.4 km from sf
 	oakland = geo.LatLng{Lat: 37.8044, Lng: -122.2712} // ~13 km from sf
 	la      = geo.LatLng{Lat: 34.0522, Lng: -118.2437} // ~560 km from sf
-	wnd     = model.Windowing{Epoch: 0, WidthSeconds: 900}
+	wnd     = model.Windowing{WidthSeconds: 900}
 )
 
 func rec(e string, ll geo.LatLng, unix int64) model.Record {

@@ -13,7 +13,6 @@ package threshold
 
 import (
 	"math"
-	"slices"
 
 	"slim/internal/mathx"
 )
@@ -271,11 +270,4 @@ func Histogram(values []float64, bins int) (edges []float64, counts []int) {
 		counts[b]++
 	}
 	return edges, counts
-}
-
-// SortedCopy returns a sorted copy of xs (ascending); helper for reports.
-func SortedCopy(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	slices.Sort(out)
-	return out
 }

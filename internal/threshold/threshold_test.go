@@ -210,17 +210,6 @@ func TestHistogram(t *testing.T) {
 	_, _ = Histogram([]float64{5, 5, 5}, 0)
 }
 
-func TestSortedCopy(t *testing.T) {
-	in := []float64{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[2] != 3 {
-		t.Errorf("SortedCopy = %v", out)
-	}
-	if in[0] != 3 {
-		t.Error("input mutated")
-	}
-}
-
 func BenchmarkFitGMM2(b *testing.B) {
 	xs := bimodal(7, 500, 100, 10, 500, 400, 30)
 	b.ResetTimer()

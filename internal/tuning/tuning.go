@@ -30,7 +30,8 @@ type Options struct {
 	PairsPerEntity int
 	// Seed makes the sampling reproducible.
 	Seed int64
-	// WindowSeconds is the temporal window width the linkage will use.
+	// WindowSeconds is the temporal window width the linkage will use;
+	// it must be positive.
 	WindowSeconds int64
 	// MaxSpeedKmPerMin bounds entity movement (runaway distance).
 	MaxSpeedKmPerMin float64
@@ -78,7 +79,7 @@ func AutoSpatialLevel(d *model.Dataset, opt Options) Curve {
 	if len(opt.Levels) == 0 {
 		opt.Levels = DefaultOptions().Levels
 	}
-	w := model.NewWindowing(opt.WindowSeconds, d)
+	w := model.Windowing{WidthSeconds: opt.WindowSeconds}
 	params := similarity.DefaultParams(w.WidthMinutes(), opt.MaxSpeedKmPerMin)
 	params.B = opt.B
 

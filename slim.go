@@ -128,10 +128,11 @@ type Linker struct {
 }
 
 // NewLinker validates the configuration and both datasets, drops entities
-// at or below cfg.MinRecords, resolves the shared temporal grid and the
-// spatial level (auto-tuning when cfg.SpatialLevel is 0, with Defaults'
-// level as the degenerate-input fallback), builds both datasets' mobility
-// histories and, when LSH is enabled, the candidate pair set.
+// at or below cfg.MinRecords, resolves the spatial level (auto-tuning when
+// cfg.SpatialLevel is 0, with Defaults' level as the degenerate-input
+// fallback), builds both datasets' mobility histories on the absolute
+// window grid (model.Windowing) and, when LSH is enabled, the candidate
+// pair set.
 func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -148,8 +149,8 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	gi := dsI.GroupByEntity(cfg.MinRecords)
 	fe, fi := ge.Dataset(), gi.Dataset()
 
-	widthSec := max(int64(cfg.WindowMinutes*60), 1)
-	wnd := model.NewWindowing(widthSec, &fe, &fi)
+	widthSec := cfg.windowSeconds()
+	wnd := model.Windowing{WidthSeconds: widthSec}
 
 	if cfg.SpatialLevel == 0 {
 		opt := tuning.DefaultOptions()
