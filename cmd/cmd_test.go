@@ -6,6 +6,7 @@ package cmd_test
 
 import (
 	"bufio"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -102,6 +103,73 @@ func TestCLIWorkflow(t *testing.T) {
 	if !strings.Contains(lshErr, "lsh: rows=1 ") {
 		t.Fatalf("slim-link LSH summary missing:\n%s", lshErr)
 	}
+}
+
+// TestCLILinkQuotesIDs: ids holding a comma and a quote survive the
+// whole pipeline. slim-link quotes them in its links CSV the way the
+// dataset CSV does, so slim-eval's csv.Reader parses every row and grades
+// the renamed workload exactly as it grades the original.
+func TestCLILinkQuotesIDs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	dir := t.TempDir()
+	genBin := build(t, dir, "slim-gen")
+	linkBin := build(t, dir, "slim-link")
+	evalBin := build(t, dir, "slim-eval")
+	runCmd(t, genBin, "-kind", "cab", "-taxis", "24", "-days", "2", "-interval", "420",
+		"-sample", "-inclusion", "0.6", "-dir", dir, "-seed", "5")
+	plain, _ := runCmd(t, linkBin, "-e", filepath.Join(dir, "E.csv"), "-i", filepath.Join(dir, "I.csv"))
+	gradePlain, _ := runCmd(t, evalBin, "-links", writeFile(t, dir, "links.csv", plain), "-truth", filepath.Join(dir, "truth.csv"))
+
+	// Rename every id x to `x,"q` in both sides and the truth.
+	rename := func(name string, cols ...int) string {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		rows, err := csv.NewReader(f).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows[1:] {
+			for _, c := range cols {
+				row[c] += `,"q`
+			}
+		}
+		var out strings.Builder
+		cw := csv.NewWriter(&out)
+		cw.WriteAll(rows)
+		return writeFile(t, dir, "quoted-"+name, out.String())
+	}
+	ePath, iPath, truthPath := rename("E.csv", 0), rename("I.csv", 0), rename("truth.csv", 0, 1)
+	quoted, _ := runCmd(t, linkBin, "-e", ePath, "-i", iPath)
+	rows, err := csv.NewReader(strings.NewReader(quoted)).ReadAll()
+	if err != nil {
+		t.Fatalf("links CSV does not parse: %v\n%s", err, quoted)
+	}
+	if want := strings.Count(plain, "\n"); len(rows) != want || len(rows) < 2 {
+		t.Fatalf("links CSV holds %d rows, want %d (the unrenamed run's)", len(rows), want)
+	}
+	for _, row := range rows[1:] {
+		if !strings.HasSuffix(row[0], `,"q`) || !strings.HasSuffix(row[1], `,"q`) {
+			t.Fatalf("link row %q lost its ids' comma or quote", row)
+		}
+	}
+	gradeQuoted, _ := runCmd(t, evalBin, "-links", writeFile(t, dir, "quoted-links.csv", quoted), "-truth", truthPath)
+	if gradeQuoted != gradePlain {
+		t.Fatalf("renamed ids grade\n%s\nwant\n%s", gradeQuoted, gradePlain)
+	}
+}
+
+func writeFile(t *testing.T, dir, name, content string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestCLIGenGroundDataset(t *testing.T) {

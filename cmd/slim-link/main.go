@@ -11,12 +11,16 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 
 	"slim"
 	"slim/cmd/internal/linkflags"
+	"slim/internal/model"
 )
 
 func main() {
@@ -46,9 +50,8 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Println("u,v,score")
-	for _, l := range res.Links {
-		fmt.Printf("%s,%s,%g\n", l.U, l.V, l.Score)
+	if err := writeLinks(os.Stdout, res.Links); err != nil {
+		fatal(err)
 	}
 
 	fmt.Fprintf(os.Stderr, "slim-link: %d links (of %d matched) in %v\n",
@@ -63,6 +66,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  lsh: rows=%d signatures=%d+%d buckets=%d candidates=%d\n",
 			ix.Rows, ix.SignaturesE, ix.SignaturesI, ix.Buckets, ix.Candidates)
 	}
+}
+
+// writeLinks writes the links CSV (u,v,score) through one buffer: the
+// ids quoted as the dataset CSV quotes them, so every csv.Reader parses
+// the rows, and the score as %g prints it.
+func writeLinks(w io.Writer, links []slim.Link) error {
+	out := bufio.NewWriter(w)
+	out.WriteString("u,v,score\n")
+	for _, l := range links {
+		row := model.AppendCSVField(out.AvailableBuffer(), string(l.U))
+		row = append(row, ',')
+		row = model.AppendCSVField(row, string(l.V))
+		row = append(row, ',')
+		row = strconv.AppendFloat(row, l.Score, 'g', -1, 64)
+		out.Write(append(row, '\n'))
+	}
+	return out.Flush()
 }
 
 func readDataset(path, name string) (slim.Dataset, error) {

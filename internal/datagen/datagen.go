@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"slim/internal/geo"
 	"slim/internal/model"
@@ -77,6 +77,10 @@ func Cab(cfg CabConfig) model.Dataset {
 	const latLo, latHi = 37.35, 37.93
 	const lngLo, lngHi = -122.70, -122.05
 	horizon := int64(cfg.Days) * secondsDay
+	// A taxi's records are a renewal count over the horizon with gaps of at
+	// least a second: about horizon / interval of them, Poisson spread.
+	perTaxi := float64(horizon) / max(cfg.MeanRecordIntervalSec, 1)
+	d.Records = make([]model.Record, 0, reserve(cfg.NumTaxis, perTaxi, perTaxi))
 
 	for taxi := 0; taxi < cfg.NumTaxis; taxi++ {
 		id := model.EntityID(fmt.Sprintf("cab-%04d", taxi))
@@ -212,15 +216,20 @@ func SM(cfg SMConfig) model.Dataset {
 	cfg.defaults()
 	r := rand.New(rand.NewSource(cfg.Seed))
 	d := model.Dataset{Name: "sm"}
-	horizon := int64(cfg.Days) * secondsDay
+	// A user's count is max(1, Poisson(AvgRecords)): mean λ + e^-λ,
+	// variance about λ.
+	lambda := cfg.AvgRecords
+	d.Records = make([]model.Record, 0, reserve(cfg.NumUsers, lambda+math.Exp(-lambda), lambda))
+	cityZipf, poiZipf := newZipfTable(len(worldCities)), newZipfTable(cfg.POIsPerUser)
+	type poi struct{ lat, lng float64 }
+	pois := make([]poi, cfg.POIsPerUser)
+	var times []int64
 
 	for u := 0; u < cfg.NumUsers; u++ {
 		id := model.EntityID(fmt.Sprintf("sm-%06d", u))
 		// Home city: zipf-ish preference for bigger indexes early.
-		home := worldCities[zipfIndex(r, len(worldCities))]
+		home := worldCities[cityZipf.draw(r)]
 		// Habitual POIs scattered within ~12 km of the center.
-		type poi struct{ lat, lng float64 }
-		pois := make([]poi, cfg.POIsPerUser)
 		for p := range pois {
 			pois[p] = poi{
 				lat: home.lat + r.NormFloat64()*0.05,
@@ -232,16 +241,16 @@ func SM(cfg SMConfig) model.Dataset {
 		if n < 1 {
 			n = 1
 		}
-		times := make([]int64, n)
+		times = slices.Grow(times[:0], n)[:n]
 		for k := range times {
 			day := int64(r.Intn(cfg.Days))
 			// Daytime bias: 08:00-23:00.
 			sec := int64(8*3600 + r.Intn(15*3600))
 			times[k] = cfg.StartUnix + day*secondsDay + sec
 		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+		slices.Sort(times)
 		for _, ts := range times {
-			p := pois[zipfIndex(r, len(pois))]
+			p := pois[poiZipf.draw(r)]
 			d.Records = append(d.Records, model.Record{
 				Entity: id,
 				LatLng: geo.LatLngFromDegrees(
@@ -250,7 +259,6 @@ func SM(cfg SMConfig) model.Dataset {
 				Unix: ts + int64(r.Intn(60)),
 			})
 		}
-		_ = horizon
 	}
 	return d
 }
@@ -265,24 +273,45 @@ func mathClamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// zipfIndex draws an index in [0, n) with probability ∝ 1/(i+1).
-func zipfIndex(r *rand.Rand, n int) int {
-	if n <= 1 {
+// reserve is a record capacity n independent counts of the given mean and
+// variance overrun with negligible probability: their total's mean plus
+// four standard deviations (none for a degenerate config). An overrun only
+// costs append a grow.
+func reserve(n int, mean, variance float64) int {
+	c := float64(n)*mean + 4*math.Sqrt(float64(n)*variance)
+	if !(c > 0) {
 		return 0
 	}
-	var norm float64
-	for i := 1; i <= n; i++ {
-		norm += 1 / float64(i)
+	return int(math.Ceil(c))
+}
+
+// zipfTable holds the running sums 1/1 + … + 1/i, i = 1 … n, of a zipf
+// draw over [0, n), added in that order.
+type zipfTable []float64
+
+// newZipfTable builds the table of a draw over [0, n); n ≤ 1 needs none.
+func newZipfTable(n int) zipfTable {
+	if n <= 1 {
+		return nil
 	}
-	x := r.Float64() * norm
+	t := make(zipfTable, n)
 	var acc float64
 	for i := 1; i <= n; i++ {
 		acc += 1 / float64(i)
-		if x <= acc {
-			return i - 1
-		}
+		t[i-1] = acc
 	}
-	return n - 1
+	return t
+}
+
+// draw returns an index in [0, n) with probability ∝ 1/(index+1): the
+// first whose running sum reaches a uniform draw scaled by the total. It
+// takes one r.Float64 when n > 1 and none otherwise.
+func (t zipfTable) draw(r *rand.Rand) int {
+	if len(t) == 0 {
+		return 0
+	}
+	i, _ := slices.BinarySearch(t, r.Float64()*t[len(t)-1])
+	return min(i, len(t)-1)
 }
 
 // poisson draws from a Poisson distribution (Knuth for small λ, normal

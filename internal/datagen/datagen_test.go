@@ -163,9 +163,10 @@ func TestPoissonMean(t *testing.T) {
 
 func TestZipfIndexSkewed(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
+	z := newZipfTable(10)
 	counts := make([]int, 10)
 	for i := 0; i < 20000; i++ {
-		counts[zipfIndex(r, 10)]++
+		counts[z.draw(r)]++
 	}
 	if counts[0] <= counts[9] {
 		t.Errorf("zipf not skewed: first=%d last=%d", counts[0], counts[9])
@@ -175,8 +176,47 @@ func TestZipfIndexSkewed(t *testing.T) {
 			t.Errorf("index %d never drawn", i)
 		}
 	}
-	if zipfIndex(r, 1) != 0 || zipfIndex(r, 0) != 0 {
+	if newZipfTable(1).draw(r) != 0 || newZipfTable(0).draw(r) != 0 {
 		t.Error("degenerate n should return 0")
+	}
+}
+
+// zipfIndexLoop is the zipf draw that summed the harmonic weights twice
+// per call, once for the total and once up to the index drawn. It is the
+// oracle of the table.
+func zipfIndexLoop(r *rand.Rand, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	var norm float64
+	for i := 1; i <= n; i++ {
+		norm += 1 / float64(i)
+	}
+	x := r.Float64() * norm
+	var acc float64
+	for i := 1; i <= n; i++ {
+		acc += 1 / float64(i)
+		if x <= acc {
+			return i - 1
+		}
+	}
+	return n - 1
+}
+
+// TestZipfTableMatchesLoop: the table draws the index the loop drew, from
+// the same RNG state, and leaves the RNG where the loop left it.
+func TestZipfTableMatchesLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 8, 20, 1000} {
+		z := newZipfTable(n)
+		rt, rl := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		for k := 0; k < 5000; k++ {
+			if got, want := z.draw(rt), zipfIndexLoop(rl, n); got != want {
+				t.Fatalf("n %d draw %d: table %d, loop %d", n, k, got, want)
+			}
+		}
+		if rt.Int63() != rl.Int63() {
+			t.Fatalf("n %d: the table and the loop consumed different draws", n)
+		}
 	}
 }
 

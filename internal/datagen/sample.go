@@ -60,12 +60,20 @@ type Sampled struct {
 // Sample draws the two overlapping subsets from the ground dataset and
 // downsamples records per side, relabeling entities with side-specific
 // anonymous ids.
+//
+// The ground is grouped once (entities in id order, each one's records in
+// time order); each side is reserved once, for every record its entities
+// hold, and an entity's records are truncated away as soon as they fail
+// the MinRecords filter.
 func Sample(src *model.Dataset, cfg SampleConfig) Sampled {
 	cfg.defaults()
 	r := rand.New(rand.NewSource(cfg.Seed))
-	entities := src.Entities()
-	byEntity := src.ByEntity()
-	n := len(entities)
+	g := src.GroupByEntity(-1)
+	n := len(g.Entities)
+	entities := make([]int, n) // entities of g, in drawn order
+	for k := range entities {
+		entities[k] = k
+	}
 	r.Shuffle(n, func(i, j int) { entities[i], entities[j] = entities[j], entities[i] })
 
 	ratio := cfg.IntersectionRatio
@@ -94,10 +102,17 @@ func Sample(src *model.Dataset, cfg SampleConfig) Sampled {
 	commonIDs := entities[:common]
 	eOnly := entities[common : common+exclusive]
 	iOnly := entities[common+exclusive : common+2*exclusive]
+	records := func(ks []int) int {
+		total := 0
+		for _, k := range ks {
+			total += g.Off[k+1] - g.Off[k]
+		}
+		return total
+	}
 
 	out := Sampled{
-		E:             model.Dataset{Name: src.Name + "-E"},
-		I:             model.Dataset{Name: src.Name + "-I"},
+		E:             model.Dataset{Name: src.Name + "-E", Records: make([]model.Record, 0, records(commonIDs)+records(eOnly))},
+		I:             model.Dataset{Name: src.Name + "-I", Records: make([]model.Record, 0, records(commonIDs)+records(iOnly))},
 		Truth:         make(map[model.EntityID]model.EntityID, common),
 		CommonPlanned: common,
 	}
@@ -107,40 +122,35 @@ func Sample(src *model.Dataset, cfg SampleConfig) Sampled {
 	eIDs := anonIDs(r, "e", common+len(eOnly))
 	iIDs := anonIDs(r, "i", common+len(iOnly))
 
-	keepE := make(map[model.EntityID]bool)
-	keepI := make(map[model.EntityID]bool)
-	addSide := func(ds *model.Dataset, srcID, dstID model.EntityID, prob float64, kept map[model.EntityID]bool) {
-		count := 0
-		for _, rec := range byEntity[srcID] {
+	// addSide appends the records of ground entity k that the side draws,
+	// relabeled dstID, and reports whether the entity passes the filter.
+	addSide := func(ds *model.Dataset, k int, dstID model.EntityID, prob float64) bool {
+		start := len(ds.Records)
+		for _, rec := range g.Of(k) {
 			if r.Float64() >= prob {
 				continue
 			}
 			rec.Entity = dstID
 			ds.Records = append(ds.Records, rec)
-			count++
 		}
-		if count > cfg.MinRecords {
-			kept[dstID] = true
+		if len(ds.Records)-start > cfg.MinRecords {
+			return true
 		}
+		ds.Records = ds.Records[:start]
+		return false
 	}
 
-	for k, srcID := range commonIDs {
-		addSide(&out.E, srcID, eIDs[k], cfg.InclusionProbE, keepE)
-		addSide(&out.I, srcID, iIDs[k], cfg.InclusionProbI, keepI)
-	}
-	for k, srcID := range eOnly {
-		addSide(&out.E, srcID, eIDs[common+k], cfg.InclusionProbE, keepE)
-	}
-	for k, srcID := range iOnly {
-		addSide(&out.I, srcID, iIDs[common+k], cfg.InclusionProbI, keepI)
-	}
-
-	out.E = out.E.FilterMinRecords(cfg.MinRecords)
-	out.I = out.I.FilterMinRecords(cfg.MinRecords)
-	for k := 0; k < common; k++ {
-		if keepE[eIDs[k]] && keepI[iIDs[k]] {
-			out.Truth[eIDs[k]] = iIDs[k]
+	for j, k := range commonIDs {
+		inE := addSide(&out.E, k, eIDs[j], cfg.InclusionProbE)
+		if inI := addSide(&out.I, k, iIDs[j], cfg.InclusionProbI); inE && inI {
+			out.Truth[eIDs[j]] = iIDs[j]
 		}
+	}
+	for j, k := range eOnly {
+		addSide(&out.E, k, eIDs[common+j], cfg.InclusionProbE)
+	}
+	for j, k := range iOnly {
+		addSide(&out.I, k, iIDs[common+j], cfg.InclusionProbI)
 	}
 	return out
 }

@@ -228,11 +228,11 @@ func ParseRequest(body []byte) (batches []storage.WireBatch, records int, err er
 
 // ValidateRecord rejects records an attacker could use to poison the
 // stores. Ingest bypasses Dataset.Validate (which only guards seed loads),
-// so this is where untrusted coordinates and timestamps (model.MaxUnix)
-// are stopped, on both routes.
+// so this is where untrusted ids (model.ValidateEntityID), coordinates,
+// radii and timestamps (model.MaxUnix) are stopped, on both routes.
 func ValidateRecord(r slim.Record) error {
-	if r.Entity == "" {
-		return errors.New("empty entity id")
+	if err := model.ValidateEntityID(r.Entity); err != nil {
+		return err
 	}
 	lat, lng := r.LatLng.Lat, r.LatLng.Lng
 	if math.IsNaN(lat) || math.IsInf(lat, 0) || lat < -90 || lat > 90 {
@@ -241,8 +241,8 @@ func ValidateRecord(r slim.Record) error {
 	if math.IsNaN(lng) || math.IsInf(lng, 0) || lng < -180 || lng > 180 {
 		return fmt.Errorf("longitude %g outside [-180, 180]", lng)
 	}
-	if math.IsNaN(r.RadiusKm) || math.IsInf(r.RadiusKm, 0) || r.RadiusKm < 0 {
-		return fmt.Errorf("radius_km %g must be a finite non-negative number", r.RadiusKm)
+	if err := model.ValidateRadius(r.RadiusKm); err != nil {
+		return err
 	}
 	return model.ValidateUnix(r.Unix)
 }

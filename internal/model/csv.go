@@ -4,54 +4,98 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"slim/internal/geo"
-)
-
-// csvHeader is the canonical column layout for dataset CSV files. The
-// radius_km column is optional: it is written only when the dataset holds
-// region records, and accepted but not required when reading.
-var (
-	csvHeader       = []string{"entity", "lat", "lng", "unix"}
-	csvHeaderRegion = []string{"entity", "lat", "lng", "unix", "radius_km"}
 )
 
 // WriteCSV writes the dataset in the canonical CSV layout
 // (entity,lat,lng,unix[,radius_km]) with a header row. The radius column
 // appears only when at least one record is a region record.
+//
+// The bytes are encoding/csv's: numbers are strconv's shortest 'f' form
+// and an id is quoted exactly when csv.Writer would quote it
+// (AppendCSVField). Rows are appended into one reused buffer, so a write
+// allocates the buffer and nothing per record.
 func WriteCSV(w io.Writer, d *Dataset) error {
-	regions := false
-	for _, r := range d.Records {
-		if r.RadiusKm > 0 {
-			regions = true
+	regions := slices.ContainsFunc(d.Records, func(r Record) bool { return r.RadiusKm > 0 })
+	buf := make([]byte, 0, csvWriteBuffer)
+	buf = append(buf, "entity,lat,lng,unix"...)
+	if regions {
+		buf = append(buf, ",radius_km"...)
+	}
+	buf = append(buf, '\n')
+	for i := range d.Records {
+		r := &d.Records[i]
+		buf = AppendCSVField(buf, string(r.Entity))
+		buf = append(buf, ',')
+		buf = strconv.AppendFloat(buf, r.LatLng.Lat, 'f', -1, 64)
+		buf = append(buf, ',')
+		buf = strconv.AppendFloat(buf, r.LatLng.Lng, 'f', -1, 64)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, r.Unix, 10)
+		if regions {
+			buf = append(buf, ',')
+			buf = strconv.AppendFloat(buf, r.RadiusKm, 'f', -1, 64)
+		}
+		buf = append(buf, '\n')
+		if len(buf) >= csvWriteBuffer-csvRowSlack {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("model: writing csv: %w", err)
+			}
+			buf = buf[:0]
+		}
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("model: writing csv: %w", err)
+	}
+	return nil
+}
+
+// csvWriteBuffer is the size of WriteCSV's row buffer, flushed once fewer
+// than csvRowSlack bytes are free: room for any row whose id is shorter
+// than about 3 KiB, so only a longer one makes the buffer grow.
+const (
+	csvWriteBuffer = 64 << 10
+	csvRowSlack    = 4 << 10
+)
+
+// AppendCSVField appends s to buf as one CSV field, quoted exactly when
+// encoding/csv's Writer quotes it (comma ','; UseCRLF off): when s is `\.`,
+// holds a comma, a quote, a carriage return or a line feed, or starts
+// with a Unicode space. A quoted field doubles its quotes and keeps every
+// other byte.
+func AppendCSVField(buf []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(buf, s...)
+	}
+	buf = append(buf, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
 			break
 		}
+		buf = append(buf, s[:i+1]...)
+		buf = append(buf, '"')
+		s = s[i+1:]
 	}
-	cw := csv.NewWriter(w)
-	header := csvHeader
-	if regions {
-		header = csvHeaderRegion
+	buf = append(buf, s...)
+	return append(buf, '"')
+}
+
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
 	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("model: writing csv header: %w", err)
+	if s == `\.` || strings.ContainsAny(s, ",\"\r\n") {
+		return true
 	}
-	row := make([]string, len(header))
-	for _, r := range d.Records {
-		row[0] = string(r.Entity)
-		row[1] = strconv.FormatFloat(r.LatLng.Lat, 'f', -1, 64)
-		row[2] = strconv.FormatFloat(r.LatLng.Lng, 'f', -1, 64)
-		row[3] = strconv.FormatInt(r.Unix, 10)
-		if regions {
-			row[4] = strconv.FormatFloat(r.RadiusKm, 'f', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("model: writing csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // ReadCSV parses a dataset from the canonical CSV layout. A header row is
@@ -87,7 +131,7 @@ func ReadCSV(r io.Reader, name string) (Dataset, error) {
 		if len(row) != 4 && len(row) != 5 {
 			return Dataset{}, fmt.Errorf("model: line %d: %d fields, want 4 or 5", line, len(row))
 		}
-		if line == 1 && row[0] == csvHeader[0] {
+		if line == 1 && row[0] == "entity" { // the header row
 			continue
 		}
 		lat, err := strconv.ParseFloat(row[1], 64)

@@ -5,9 +5,12 @@ package model
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"slim/internal/geo"
 )
@@ -94,33 +97,6 @@ func (d *Dataset) TimeRange() (minUnix, maxUnix int64, ok bool) {
 	return minUnix, maxUnix, true
 }
 
-// FilterMinRecords returns a copy of the dataset keeping only entities with
-// strictly more than minRecords records, mirroring the paper's "ignore an
-// entity if it does not have more than 5 records".
-func (d *Dataset) FilterMinRecords(minRecords int) Dataset {
-	counts := make(map[EntityID]int)
-	for _, r := range d.Records {
-		counts[r.Entity]++
-	}
-	kept := 0
-	for _, n := range counts {
-		if n > minRecords {
-			kept += n
-		}
-	}
-	out := Dataset{Name: d.Name}
-	if kept == 0 {
-		return out
-	}
-	out.Records = make([]Record, 0, kept)
-	for _, r := range d.Records {
-		if counts[r.Entity] > minRecords {
-			out.Records = append(out.Records, r)
-		}
-	}
-	return out
-}
-
 // Grouped is a dataset regrouped by entity: entity k (sorted-id order)
 // owns Records[Off[k]:Off[k+1]], sorted the way ByEntity sorts them.
 // len(Off) is len(Entities)+1.
@@ -187,19 +163,48 @@ func (d *Dataset) GroupByEntity(minRecords int) Grouped {
 	return g
 }
 
-// Validate checks every record for a valid position, entity id and
-// timestamp (ValidateUnix).
+// Validate checks every record for a valid entity id (ValidateEntityID),
+// position, radius (ValidateRadius) and timestamp (ValidateUnix). A
+// dataset it accepts survives the canonical CSV: ReadCSV(WriteCSV(d))
+// returns its records bit for bit.
 func (d *Dataset) Validate() error {
 	for i, r := range d.Records {
-		if r.Entity == "" {
-			return fmt.Errorf("model: record %d of %q has empty entity id", i, d.Name)
+		if err := ValidateEntityID(r.Entity); err != nil {
+			return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
 		}
 		if !r.LatLng.IsValid() {
 			return fmt.Errorf("model: record %d of %q has invalid position %+v", i, d.Name, r.LatLng)
 		}
+		if err := ValidateRadius(r.RadiusKm); err != nil {
+			return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
+		}
 		if err := ValidateUnix(r.Unix); err != nil {
 			return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
 		}
+	}
+	return nil
+}
+
+// ValidateEntityID rejects an empty id and one holding a carriage return
+// or a line feed: encoding/csv reads a quoted "\r\n" back as "\n", so such
+// an id would not survive the canonical CSV.
+func ValidateEntityID(id EntityID) error {
+	if id == "" {
+		return errors.New("empty entity id")
+	}
+	if strings.ContainsAny(string(id), "\r\n") {
+		return fmt.Errorf("entity id %q holds a line break", id)
+	}
+	return nil
+}
+
+// ValidateRadius rejects a region radius that is not +0 or a finite
+// positive number. A point record's radius is +0: the canonical CSV omits
+// the radius column when no record is a region, which reads back as +0,
+// so a -0 would not survive it.
+func ValidateRadius(km float64) error {
+	if !(km >= 0) || math.IsInf(km, 1) || math.Signbit(km) {
+		return fmt.Errorf("radius_km %g must be +0 or a finite positive number", km)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -74,25 +75,9 @@ func TestTimeRange(t *testing.T) {
 	}
 }
 
-func TestFilterMinRecords(t *testing.T) {
-	d := Dataset{Records: []Record{
-		rec("keep", 0, 0, 1), rec("keep", 0, 0, 2), rec("keep", 0, 0, 3),
-		rec("drop", 0, 0, 1), rec("drop", 0, 0, 2),
-	}}
-	out := d.FilterMinRecords(2)
-	if len(out.Records) != 3 {
-		t.Fatalf("kept %d records, want 3", len(out.Records))
-	}
-	for _, r := range out.Records {
-		if r.Entity != "keep" {
-			t.Errorf("unexpected entity %q survived filter", r.Entity)
-		}
-	}
-}
-
-// TestGroupByEntityMatchesFilterThenByEntity: the one-pass grouping is the
-// MinRecords filter followed by ByEntity — same entities, sorted, each with
-// the same records in the same order.
+// TestGroupByEntityMatchesFilterThenByEntity: the one-pass grouping is
+// ByEntity with every entity of at most minRecords records filtered out —
+// same entities, sorted, each with the same records in the same order.
 func TestGroupByEntityMatchesFilterThenByEntity(t *testing.T) {
 	var d Dataset
 	for k := 0; k < 400; k++ {
@@ -103,10 +88,7 @@ func TestGroupByEntityMatchesFilterThenByEntity(t *testing.T) {
 	for _, minRecords := range []int{-1, 0, 5, 17, 1000} {
 		g := d.GroupByEntity(minRecords)
 		want := d.ByEntity()
-		if minRecords >= 0 {
-			f := d.FilterMinRecords(minRecords)
-			want = f.ByEntity()
-		}
+		maps.DeleteFunc(want, func(_ EntityID, recs []Record) bool { return len(recs) <= minRecords })
 		if len(g.Entities) != len(want) || len(g.Off) != len(g.Entities)+1 {
 			t.Fatalf("min %d: %d entities (%d offsets), want %d", minRecords, len(g.Entities), len(g.Off), len(want))
 		}
@@ -115,7 +97,7 @@ func TestGroupByEntityMatchesFilterThenByEntity(t *testing.T) {
 		}
 		for k, e := range g.Entities {
 			if !slices.Equal(g.Of(k), want[e]) {
-				t.Fatalf("min %d: records of %s differ from FilterMinRecords + ByEntity", minRecords, e)
+				t.Fatalf("min %d: records of %s differ from ByEntity", minRecords, e)
 			}
 		}
 		if gd := g.Dataset(); len(gd.Records) != g.Off[len(g.Entities)] {
@@ -196,6 +178,21 @@ func TestValidate(t *testing.T) {
 	badPos := Dataset{Records: []Record{rec("a", 91, 0, 0)}}
 	if err := badPos.Validate(); err == nil {
 		t.Error("out-of-range latitude should fail validation")
+	}
+	for _, id := range []EntityID{"a\r\nb", "a\nb", "a\rb", "\n"} {
+		if err := (&Dataset{Records: []Record{{Entity: id}}}).Validate(); err == nil {
+			t.Errorf("id %q with a line break passed validation", id)
+		}
+	}
+	for _, km := range []float64{0, 0.25, math.MaxFloat64} {
+		if err := (&Dataset{Records: []Record{{Entity: "a", RadiusKm: km}}}).Validate(); err != nil {
+			t.Errorf("radius %g rejected: %v", km, err)
+		}
+	}
+	for _, km := range []float64{-1, math.Copysign(0, -1), math.Inf(1), math.NaN()} {
+		if err := (&Dataset{Records: []Record{{Entity: "a", RadiusKm: km}}}).Validate(); err == nil {
+			t.Errorf("radius %g passed validation", km)
+		}
 	}
 }
 

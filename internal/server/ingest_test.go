@@ -325,6 +325,9 @@ func TestBinaryIngestErrorSurface(t *testing.T) {
 		"garbage":    []byte("this is not a frame"),
 		"torn frame": good[:len(good)-2],
 		"bad tag":    storage.AppendFrame(nil, badTag),
+		// An id with a line break would not survive the canonical CSV.
+		"CRLF in entity": frameBatches(storage.TagE, mkBurst("e-a\r\nb", 3), 3),
+		"CR in entity":   frameBatches(storage.TagE, mkBurst("e-a\rb", 3), 3),
 	} {
 		if resp, respBody := postBinary(t, ts.URL, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s = %d %s, want 400", name, resp.StatusCode, respBody)

@@ -143,6 +143,22 @@ func descendingArrival(d slim.Dataset) [][]slim.Record {
 	return out
 }
 
+// keepAbove drops every entity holding at most minRecords records and
+// keeps the rest in their order: the records LinkDatasets' filter keeps.
+func keepAbove(d slim.Dataset, minRecords int) slim.Dataset {
+	counts := make(map[slim.EntityID]int)
+	for _, r := range d.Records {
+		counts[r.Entity]++
+	}
+	out := slim.Dataset{Name: d.Name}
+	for _, r := range d.Records {
+		if counts[r.Entity] > minRecords {
+			out.Records = append(out.Records, r)
+		}
+	}
+	return out
+}
+
 // runDescendingScenario streams a workload into an empty subject, both
 // sides' entities arriving in descending id order, and holds every run —
 // full rescores while entities arrive, then the delta path — to
@@ -153,8 +169,8 @@ func runDescendingScenario(t *testing.T, subject string, cfg slim.Config) {
 	w := slim.SampleWorkload(&ground, slim.SampleOptions{
 		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 12,
 	})
-	arriveE := descendingArrival(w.E.FilterMinRecords(cfg.MinRecords))
-	arriveI := descendingArrival(w.I.FilterMinRecords(cfg.MinRecords))
+	arriveE := descendingArrival(keepAbove(w.E, cfg.MinRecords))
+	arriveI := descendingArrival(keepAbove(w.I, cfg.MinRecords))
 
 	var inc relinker
 	if subject == "engine" {
@@ -212,8 +228,8 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 	// incremental side filters only its seed (streamed records bypass it),
 	// so the union stays comparable as long as LinkDatasets' own filter is
 	// a no-op — every burst below keeps each entity above the floor.
-	seedE := w.E.FilterMinRecords(cfg.MinRecords)
-	seedI := w.I.FilterMinRecords(cfg.MinRecords)
+	seedE := keepAbove(w.E, cfg.MinRecords)
+	seedI := keepAbove(w.I, cfg.MinRecords)
 	unionE := slices.Clone(seedE.Records)
 	unionI := slices.Clone(seedI.Records)
 	lo, hi, _ := seedE.TimeRange()
