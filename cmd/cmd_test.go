@@ -209,8 +209,9 @@ func TestCLIExperimentsTiny(t *testing.T) {
 }
 
 // startSlimd launches the service binary and waits for it to log its
-// bound address, returning the process and the base URL.
-func startSlimd(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
+// bound address, returning the process, the base URL, and the boot line
+// logged before it.
+func startSlimd(t *testing.T, bin string, args ...string) (*exec.Cmd, string, string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
@@ -225,11 +226,16 @@ func startSlimd(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	// The service logs its bound address once it is serving: a structured
 	// line with msg=listening and the addr attribute (the debug server's
 	// line has a different, quoted msg and never matches).
-	addrCh := make(chan string, 1)
+	type listening struct{ addr, boot string }
+	addrCh := make(chan listening, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
+		boot := ""
 		for sc.Scan() {
 			line := sc.Text()
+			if strings.Contains(line, "msg=boot ") {
+				boot = line
+			}
 			if !strings.Contains(line, "msg=listening ") {
 				continue
 			}
@@ -239,18 +245,18 @@ func startSlimd(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 					rest = rest[:j]
 				}
 				select {
-				case addrCh <- rest:
+				case addrCh <- listening{rest, boot}:
 				default:
 				}
 			}
 		}
 	}()
 	select {
-	case addr := <-addrCh:
-		return cmd, "http://" + addr
+	case l := <-addrCh:
+		return cmd, "http://" + l.addr, l.boot
 	case <-time.After(30 * time.Second):
 		t.Fatal("slimd never reported its listen address")
-		return nil, ""
+		return nil, "", ""
 	}
 }
 
@@ -281,9 +287,20 @@ func TestCLISlimd(t *testing.T) {
 	debugAddr := dl.Addr().String()
 	dl.Close()
 
-	cmd, base := startSlimd(t, slimdBin,
+	cmd, base, boot := startSlimd(t, slimdBin,
 		"-addr", "127.0.0.1:0", "-debounce", "100ms", "-debug-addr", debugAddr,
 		"-e", filepath.Join(dir, "E.csv"), "-i", filepath.Join(dir, "I.csv"))
+
+	// One boot line before the listening line breaks the boot down by step
+	// (engine_ms: no -data-dir), and leaves the address to that line.
+	for _, key := range []string{"seeds_ms=", "engine_ms=", "link_ms=", "ready_ms="} {
+		if !strings.Contains(boot, " "+key) {
+			t.Errorf("boot line lacks %s: %q", key, boot)
+		}
+	}
+	if strings.Contains(boot, "addr=") || strings.Contains(boot, "recover_ms=") {
+		t.Errorf("boot line %q names an address or a recovery", boot)
+	}
 
 	// The debug address serves pprof and nothing else.
 	for path, want := range map[string]int{"/debug/pprof/": 200, "/debug/vars": 404} {
@@ -425,7 +442,7 @@ func TestCLISlimdChaos(t *testing.T) {
 	chaosArgs := append(append([]string{}, baseArgs...),
 		"-fault", "fs.sync:error:after=3:count=1,engine.relink:panic=chaos:count=1")
 
-	cmd1, base1 := startSlimd(t, slimdBin, chaosArgs...)
+	cmd1, base1, _ := startSlimd(t, slimdBin, chaosArgs...)
 
 	getJSON := func(base, path string, v any) int {
 		t.Helper()
@@ -609,7 +626,7 @@ func TestCLISlimdChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd1.Wait()
-	cmd2, base2 := startSlimd(t, slimdBin, baseArgs...)
+	cmd2, base2, _ := startSlimd(t, slimdBin, baseArgs...)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(base2 + "/readyz")
@@ -718,7 +735,10 @@ func TestCLISlimdCrashRecovery(t *testing.T) {
 	args := []string{"-addr", "127.0.0.1:0", "-debounce", "1h",
 		"-threshold", "none", "-data-dir", dataDir, "-fsync-interval", "1ms"}
 
-	cmd1, base1 := startSlimd(t, slimdBin, args...)
+	cmd1, base1, boot1 := startSlimd(t, slimdBin, args...)
+	if !strings.Contains(boot1, " recover_ms=") || strings.Contains(boot1, "engine_ms=") {
+		t.Errorf("boot line with -data-dir times recovery, not an engine build: %q", boot1)
+	}
 
 	type linkJSON struct {
 		U     string  `json:"u"`
@@ -792,7 +812,7 @@ func TestCLISlimdCrashRecovery(t *testing.T) {
 
 	// Restart on the same directory: recovery must replay the WAL. The
 	// seedless restart proves the links come from the data dir alone.
-	cmd2, base2 := startSlimd(t, slimdBin, args...)
+	cmd2, base2, _ := startSlimd(t, slimdBin, args...)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(base2 + "/readyz")

@@ -57,6 +57,7 @@ func fatal(logger *slog.Logger, msg string, args ...any) {
 }
 
 func main() {
+	boot := time.Now()
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof (e.g. localhost:6060)")
@@ -106,6 +107,7 @@ func main() {
 	if err != nil {
 		fatal(logger, "loading seed", "error", err)
 	}
+	seedsDone := time.Now()
 
 	// Fault injection (-fault) arms the chaos sites across the storage
 	// and relink layers. A nil injector is a never-firing no-op, so the
@@ -170,6 +172,7 @@ func main() {
 			fatal(logger, "building engine", "error", err)
 		}
 	}
+	engineDone := time.Now()
 	eng.Start()
 	plane := ingest.NewPlane(eng, ingest.Config{
 		QueueDepth: *queueDepth,
@@ -209,6 +212,7 @@ func main() {
 			"threshold", res.Threshold,
 			"elapsed", res.Elapsed)
 	}
+	linkDone := time.Now()
 
 	srv := server.New(eng, logger,
 		server.WithIngestPlane(plane),
@@ -266,6 +270,17 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
+	// The boot breakdown, step by step; no addr attribute, which only the
+	// listening line carries.
+	engineKey := "engine_ms"
+	if store != nil {
+		engineKey = "recover_ms"
+	}
+	logger.Info("boot",
+		"seeds_ms", millis(seedsDone.Sub(boot)),
+		engineKey, millis(engineDone.Sub(seedsDone)),
+		"link_ms", millis(linkDone.Sub(engineDone)),
+		"ready_ms", millis(time.Since(boot)))
 	logger.Info("listening",
 		"addr", ln.Addr().String(),
 		"spatial_level", eng.SpatialLevel(),
@@ -285,6 +300,9 @@ func main() {
 		}
 	}
 }
+
+// millis renders a boot step's duration in milliseconds.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // readSeed loads an optional seed dataset; an empty path yields an empty
 // dataset of the given name.

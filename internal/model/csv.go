@@ -136,21 +136,21 @@ func ReadCSV(r io.Reader, name string) (Dataset, error) {
 		}
 		lat, err := strconv.ParseFloat(row[1], 64)
 		if err != nil {
-			return Dataset{}, fmt.Errorf("model: line %d: bad lat %q: %w", line, row[1], err)
+			return Dataset{}, badField(line, "lat", row[1], err)
 		}
 		lng, err := strconv.ParseFloat(row[2], 64)
 		if err != nil {
-			return Dataset{}, fmt.Errorf("model: line %d: bad lng %q: %w", line, row[2], err)
+			return Dataset{}, badField(line, "lng", row[2], err)
 		}
 		unix, err := strconv.ParseInt(row[3], 10, 64)
 		if err != nil {
-			return Dataset{}, fmt.Errorf("model: line %d: bad unix %q: %w", line, row[3], err)
+			return Dataset{}, badField(line, "unix", row[3], err)
 		}
 		var radius float64
 		if len(row) == 5 && row[4] != "" {
 			radius, err = strconv.ParseFloat(row[4], 64)
 			if err != nil {
-				return Dataset{}, fmt.Errorf("model: line %d: bad radius %q: %w", line, row[4], err)
+				return Dataset{}, badField(line, "radius", row[4], err)
 			}
 			if radius < 0 {
 				return Dataset{}, fmt.Errorf("model: line %d: negative radius %g", line, radius)
@@ -185,6 +185,22 @@ func ReadCSV(r io.Reader, name string) (Dataset, error) {
 	}
 	return d, nil
 }
+
+// badField reports a field that does not parse. It quotes at most the
+// first errFieldBytes bytes of the field, and wraps the parser's sentinel
+// (strconv.ErrSyntax or ErrRange) rather than its error, which quotes the
+// whole field again: a message stays short however long the field is.
+func badField(line int, column, field string, err error) error {
+	if ne, ok := err.(*strconv.NumError); ok {
+		err = ne.Err
+	}
+	if len(field) > errFieldBytes {
+		field = field[:errFieldBytes] + "..."
+	}
+	return fmt.Errorf("model: line %d: bad %s %q: %w", line, column, field, err)
+}
+
+const errFieldBytes = 64
 
 // csvChunkRecords is how many records ReadCSV accumulates per chunk
 // (192 KiB): large enough that the chunk list stays a few hundred entries

@@ -62,11 +62,21 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // shared by WAL segments, snapshot sections, and the binary ingest wire
 // (application/x-slim-frame request bodies are a sequence of these).
 func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return appendFramed(dst, func(b []byte) []byte { return append(b, payload...) })
+}
+
+// appendFramed appends one CRC-framed payload to dst without building the
+// payload apart: it reserves the header, lets payload append the payload
+// right after it, then writes the length and checksum into the header. It
+// is the one writer of the frame header; a dst with room for the whole
+// frame is never copied.
+func appendFramed(dst []byte, payload func([]byte) []byte) []byte {
+	start := len(dst)
+	dst = payload(append(dst, make([]byte, frameHeaderLen)...))
+	body := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
+	return dst
 }
 
 // ErrTornFrame reports an incomplete or corrupt frame — the expected
@@ -138,6 +148,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 //
 // Timestamps are delta-coded against the previous record in the batch:
 // ingest batches arrive roughly time-ordered, so deltas are small.
+// recordsBytes counts this layout by hand; change it with this function.
 func appendRecords(dst []byte, recs []slim.Record) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	prevUnix := int64(0)
@@ -151,6 +162,23 @@ func appendRecords(dst []byte, recs []slim.Record) []byte {
 		dst = binary.AppendUvarint(dst, math.Float64bits(r.RadiusKm))
 	}
 	return dst
+}
+
+// pointRecordBytes bounds what appendRecords writes for a point record
+// beside its id bytes: one byte of id length, five of time delta, five each
+// of latitude and longitude, one of radius. It holds for ids shorter than
+// 128 bytes and time deltas under 2^34 s; a record past it (a region
+// record, a longer id) only makes the buffer sized by recordsBytes grow.
+const pointRecordBytes = 1 + 5 + 5 + 5 + 1
+
+// recordsBytes is the room appendRecords needs for recs: their count,
+// their ids, and pointRecordBytes a record.
+func recordsBytes(recs []slim.Record) int {
+	n := binary.MaxVarintLen64
+	for i := range recs {
+		n += len(recs[i].Entity) + pointRecordBytes
+	}
+	return n
 }
 
 // errCorrupt reports a structurally invalid payload (a frame whose CRC
@@ -207,15 +235,19 @@ func (b *byteReader) readRecords() []slim.Record {
 		entity := string(b.bytes(b.uvarint()))
 		unix := prevUnix + unzigzag(b.uvarint())
 		prevUnix = unix
-		lat := float64(unzigzag(b.uvarint())) / latLngScale
-		lng := float64(unzigzag(b.uvarint())) / latLngScale
+		lat, lng := unzigzag(b.uvarint()), unzigzag(b.uvarint())
 		radius := math.Float64frombits(b.uvarint())
+		// No position off the globe was ever encoded, and one far enough off
+		// would not survive a decode and re-encode.
+		if lat < -90*latLngScale || lat > 90*latLngScale || lng < -180*latLngScale || lng > 180*latLngScale {
+			b.err = errCorrupt
+		}
 		if b.err != nil {
 			return nil
 		}
 		recs = append(recs, slim.Record{
 			Entity:   slim.EntityID(entity),
-			LatLng:   geo.LatLng{Lat: lat, Lng: lng},
+			LatLng:   geo.LatLng{Lat: float64(lat) / latLngScale, Lng: float64(lng) / latLngScale},
 			Unix:     unix,
 			RadiusKm: radius,
 		})

@@ -105,6 +105,8 @@ func TestDecodeBatchRejectsCorruption(t *testing.T) {
 			p[2] = 0xFF // explode the record count varint region
 			return p
 		}(),
+		"latitude off the globe":  batchPayload(Batch{Seq: 5, Tag: TagE, Recs: []slim.Record{{Entity: "a", LatLng: geo.LatLng{Lat: 90.0000001}}}}),
+		"longitude off the globe": batchPayload(Batch{Seq: 5, Tag: TagE, Recs: []slim.Record{{Entity: "a", LatLng: geo.LatLng{Lng: -1e12}}}}),
 	}
 	for name, p := range cases {
 		if _, err := decodeBatch(p); err == nil {

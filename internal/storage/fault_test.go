@@ -3,12 +3,16 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"slim"
+	"slim/internal/engine"
 	"slim/internal/fault"
 )
 
@@ -374,5 +378,125 @@ func TestFSFailureSweep(t *testing.T) {
 			// Fault-free recovery must succeed and link every acked batch.
 			verify(name, dir, acked)
 		}
+	}
+}
+
+// TestFSFailureSweepFreshBoot fails each filesystem call of a Recover on a
+// fresh directory once — the boot TestFSFailureSweep never makes, since it
+// boots a pre-seeded directory, so the base write is swept here. The calls
+// are counted on a fault-free boot, then each index fails in turn; boots
+// whose engine cannot be built, over an invalid configuration or invalid
+// seeds, are the last cases. After each, Recover has
+// either succeeded or returned the injected error, no temp file is left,
+// no goroutine outlives it, and a fault-free Recover with the same seeds
+// links Float64bits-equal to the boot nothing was injected into.
+func TestFSFailureSweepFreshBoot(t *testing.T) {
+	var seedE, seedI slim.Dataset
+	for k := 0; k < 6; k++ {
+		seedE.Records = append(seedE.Records, mkRecs(fmt.Sprintf("e-%d", k), float64(k)*0.3, 6, 1_000_000)...)
+		seedI.Records = append(seedI.Records, mkRecs(fmt.Sprintf("i-%d", k), float64(k)*0.3, 6, 1_000_030)...)
+	}
+	seedE.Name, seedI.Name = "E", "I"
+
+	// relink recovers dir fault-free with the same seeds and links once.
+	relink := func(name, dir string) []slim.Link {
+		t.Helper()
+		eng, st, _, err := Recover(dir, seedE, seedI, testEngineCfg(), Options{})
+		if err != nil {
+			t.Fatalf("%s: fault-free recovery failed: %v", name, err)
+		}
+		defer st.crashClose()
+		return eng.Run().Links
+	}
+	// settled waits for the goroutines of a closed Recover to exit.
+	settled := func(name string, before int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines outlive Recover (%d before)", name, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// boot runs one fresh Recover under fs and cfg and holds it to the
+	// first three checks; it returns Recover's error.
+	boot := func(name, dir string, fs FS, cfg engine.Config) error {
+		t.Helper()
+		before := runtime.NumGoroutine()
+		eng, st, _, err := Recover(dir, seedE, seedI, cfg, faultOpts(fs))
+		if err == nil {
+			st.crashClose()
+			eng.Close()
+		}
+		temps, globErr := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		if globErr != nil || len(temps) != 0 {
+			t.Errorf("%s: temp files left: %v (%v)", name, temps, globErr)
+		}
+		settled(name, before)
+		return err
+	}
+
+	baseline := fault.New()
+	baseDir := t.TempDir()
+	if err := boot("baseline", baseDir, NewFaultFS(OSFS, baseline), testEngineCfg()); err != nil {
+		t.Fatal(err)
+	}
+	want := relink("baseline", baseDir)
+	if len(want) != 6 {
+		t.Fatalf("baseline links %d of the 6 seeded pairs: %v", len(want), want)
+	}
+
+	swept := 0
+	for _, site := range FaultSites {
+		for idx := 0; idx < baseline.Hits(site); idx++ {
+			name := fmt.Sprintf("%s@%d", site, idx)
+			inj := fault.New()
+			inj.Arm(site, fault.Rule{After: idx, Count: 1})
+			dir := t.TempDir()
+			if err := boot(name, dir, NewFaultFS(OSFS, inj), testEngineCfg()); err != nil && !errors.Is(err, fault.ErrInjected) {
+				t.Errorf("%s: Recover returned %v, not the injected error", name, err)
+			}
+			if inj.Fired(site) != 1 {
+				t.Errorf("%s: the fault fired %d times inside Recover, want once", name, inj.Fired(site))
+			}
+			requireLinksBits(t, name, relink(name, dir), want)
+			swept++
+		}
+	}
+	if swept < 10 {
+		t.Fatalf("a fresh Recover made only %d filesystem calls; the base write is not in the sweep", swept)
+	}
+
+	// An engine that cannot be built fails the boot after the base is
+	// written; the directory then boots like any other.
+	bad := testEngineCfg()
+	bad.Link.WindowMinutes = -1
+	dir := t.TempDir()
+	if err := boot("engine.New", dir, OSFS, bad); err == nil {
+		t.Fatal("Recover built an engine over an invalid configuration")
+	}
+	requireLinksBits(t, "engine.New", relink("engine.New", dir), want)
+
+	// Seeds the engine refuses fail the boot before they are written, so a
+	// Recover with corrected seeds on the same directory boots as if the
+	// failed one had never run.
+	for name, spoil := range map[string]func(*slim.Record){
+		"empty id":    func(r *slim.Record) { r.Entity = "" },
+		"nan radius":  func(r *slim.Record) { r.RadiusKm = math.NaN() },
+		"latitude 95": func(r *slim.Record) { r.LatLng.Lat = 95 },
+	} {
+		spoiled := slim.Dataset{Name: seedI.Name, Records: slices.Clone(seedI.Records)}
+		spoil(&spoiled.Records[3])
+		dir := t.TempDir()
+		before := runtime.NumGoroutine()
+		if _, _, _, err := Recover(dir, seedE, spoiled, testEngineCfg(), Options{}); err == nil {
+			t.Fatalf("%s: Recover accepted an invalid seed record", name)
+		}
+		settled(name, before)
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Errorf("%s: a refused boot left %v in the directory (%v)", name, entries, err)
+		}
+		requireLinksBits(t, name, relink(name, dir), want)
 	}
 }

@@ -34,7 +34,11 @@ type RecoverInfo struct {
 // engine wired to its Store.
 //
 // On an empty directory the caller's seed datasets become the persistent
-// seeds: they are written once, as the base file, before Recover returns.
+// seeds: they are validated as the engine would validate them, then
+// written once, as the base file, before the engine is built over them.
+// Seeds that fail validation are never written. A boot that fails after
+// the write (an invalid configuration) leaves them in the directory, where
+// the next recovery finds them as if this one had succeeded.
 // On a directory with prior state the persisted seeds win (the caller's
 // are ignored — flags cannot silently fork a data directory): the base is
 // decoded, the engine is built over its seeds, and every batch past it is
@@ -68,16 +72,35 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 		return nil, nil, info, err
 	}
 	fresh := base == nil
+	var basePath string
+	var baseTook time.Duration
 	if !fresh {
 		info.Recovered = true
 		info.SnapshotSeq = base.lastSeq
 	} else {
 		// Fresh directory: the caller's seeds are quantized exactly like
-		// every other persisted record so that state is restart-stable.
+		// every other persisted record so that state is restart-stable, and
+		// become durable at once, as the base, before the engine is built
+		// over them. It is the one checkpoint that writes records, and the
+		// only time this file is written: every later recovery finds the
+		// seeds there, and the caller's seed flags are never needed again.
 		base = &snapshotData{
 			seedE: QuantizeDataset(seedE),
 			seedI: QuantizeDataset(seedI),
 		}
+		// Persisted seeds win on every later boot, so seeds the engine
+		// would refuse must fail this boot before they are written.
+		if err := base.seedE.Validate(); err != nil {
+			return nil, nil, info, fmt.Errorf("slim: dataset E: %w", err)
+		}
+		if err := base.seedI.Validate(); err != nil {
+			return nil, nil, info, fmt.Errorf("slim: dataset I: %w", err)
+		}
+		start := time.Now()
+		if basePath, err = writeSnapshot(fs, dir, base); err != nil {
+			return nil, nil, info, err
+		}
+		baseTook = time.Since(start)
 	}
 
 	eng, err := engine.New(base.seedE, base.seedI, cfg)
@@ -163,19 +186,8 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 	}
 	st.registerMetrics(reg)
 	eng.SetPersister(st)
-
-	// A fresh directory gets its base immediately, so the seed datasets are
-	// durable from boot: every later recovery finds them and the caller's
-	// seed flags are never needed again. It is the one checkpoint that
-	// writes records, and the only time this file is written.
 	if fresh {
-		start := time.Now()
-		path, err := writeSnapshot(fs, dir, base)
-		if err != nil {
-			_ = w.Close()
-			return nil, nil, info, err
-		}
-		st.noteCheckpoint(base.lastSeq, path, start)
+		st.noteCheckpoint(base.lastSeq, basePath, baseTook)
 	}
 	return eng, st, info, nil
 }

@@ -87,6 +87,7 @@ func (b *byteReader) readDataset() slim.Dataset {
 
 // appendResult appends the result section shared by both file kinds: a
 // presence byte, then links, threshold, method, spatial level, version.
+// resultBytes counts this layout; change it with this function.
 func appendResult(dst []byte, res *resultData) []byte {
 	if res == nil {
 		return append(dst, 0)
@@ -102,6 +103,18 @@ func appendResult(dst []byte, res *resultData) []byte {
 	dst = appendString(dst, res.method)
 	dst = binary.AppendUvarint(dst, uint64(res.spatialLevel))
 	return binary.AppendUvarint(dst, res.version)
+}
+
+// resultBytes bounds what appendResult writes for res.
+func resultBytes(res *resultData) int {
+	if res == nil {
+		return 1
+	}
+	n := 1 + 4*binary.MaxVarintLen64 + len(res.method)
+	for _, l := range res.links {
+		n += len(l.U) + len(l.V) + 3*binary.MaxVarintLen64
+	}
+	return n
 }
 
 // readResult decodes a section written by appendResult (nil when the
@@ -134,18 +147,22 @@ func (b *byteReader) readResult() *resultData {
 	return res
 }
 
-// encodeSnapshot serializes a base as framed sections.
+// encodeSnapshot serializes a base as framed sections, each appended in
+// place into one buffer sized from the records it holds.
 func encodeSnapshot(d *snapshotData) []byte {
-	hdr := appendString(nil, snapMagic)
-	hdr = binary.AppendUvarint(hdr, d.lastSeq)
-
-	out := AppendFrame(nil, hdr)
-	out = AppendFrame(out, appendDataset(nil, d.seedE))
-	out = AppendFrame(out, appendDataset(nil, d.seedI))
-	out = AppendFrame(out, appendRecords(nil, d.streamE))
-	out = AppendFrame(out, appendRecords(nil, d.streamI))
-	out = AppendFrame(out, appendResult(nil, d.result))
-	return AppendFrame(out, []byte(snapFooter))
+	size := 7*frameHeaderLen + 4*binary.MaxVarintLen64 + len(snapMagic) + len(snapFooter) +
+		len(d.seedE.Name) + len(d.seedI.Name) + recordsBytes(d.seedE.Records) + recordsBytes(d.seedI.Records) +
+		recordsBytes(d.streamE) + recordsBytes(d.streamI) + resultBytes(d.result)
+	out := appendFramed(make([]byte, 0, size), func(b []byte) []byte {
+		b = appendString(b, snapMagic)
+		return binary.AppendUvarint(b, d.lastSeq)
+	})
+	out = appendFramed(out, func(b []byte) []byte { return appendDataset(b, d.seedE) })
+	out = appendFramed(out, func(b []byte) []byte { return appendDataset(b, d.seedI) })
+	out = appendFramed(out, func(b []byte) []byte { return appendRecords(b, d.streamE) })
+	out = appendFramed(out, func(b []byte) []byte { return appendRecords(b, d.streamI) })
+	out = appendFramed(out, func(b []byte) []byte { return appendResult(b, d.result) })
+	return appendFramed(out, func(b []byte) []byte { return append(b, snapFooter...) })
 }
 
 // decodeSnapshot parses a base; any framing, checksum, or structural
@@ -194,11 +211,15 @@ func decodeSnapshot(buf []byte) (*snapshotData, error) {
 	return d, nil
 }
 
-// encodeResult serializes one result checkpoint.
+// encodeResult serializes one result checkpoint: one frame, appended in
+// place into a buffer sized from its links.
 func encodeResult(seq uint64, res *resultData) []byte {
-	payload := appendString(nil, resultMagic)
-	payload = binary.AppendUvarint(payload, seq)
-	return AppendFrame(nil, appendResult(payload, res))
+	size := frameHeaderLen + 2*binary.MaxVarintLen64 + len(resultMagic) + resultBytes(res)
+	return appendFramed(make([]byte, 0, size), func(b []byte) []byte {
+		b = appendString(b, resultMagic)
+		b = binary.AppendUvarint(b, seq)
+		return appendResult(b, res)
+	})
 }
 
 // decodeResult parses a result checkpoint. res is nil when the checkpoint

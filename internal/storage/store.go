@@ -537,17 +537,17 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	if err := removeResultsBefore(s.fs, s.dir, info.LastSeq); err != nil {
 		return CheckpointInfo{}, err
 	}
-	s.noteCheckpoint(info.LastSeq, path, start)
+	s.noteCheckpoint(info.LastSeq, path, time.Since(start))
 	return info, nil
 }
 
 // noteCheckpoint accounts one completed checkpoint — a result file, or
 // the base Recover writes when it initialises a directory.
-func (s *Store) noteCheckpoint(seq uint64, path string, start time.Time) {
+func (s *Store) noteCheckpoint(seq uint64, path string, took time.Duration) {
 	s.snapshots.Add(1)
 	s.lastSnapSeq.Store(seq)
 	s.lastSnapUnixMs.Store(time.Now().UnixMilli())
-	s.snapshotSeconds.ObserveSince(start)
+	s.snapshotSeconds.Observe(took.Seconds())
 	if fi, err := s.fs.Stat(path); err == nil {
 		s.snapshotBytes.Set(float64(fi.Size()))
 	}

@@ -19,3 +19,19 @@ func LiveHeap() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
+
+// LeastAllocated runs f three times and returns the fewest bytes one run
+// allocated. TotalAlloc also counts what other goroutines allocate
+// meanwhile (a fuzz worker's own traffic, a goroutine an earlier test left
+// behind), so a budget on a deterministic f is judged on its least run.
+func LeastAllocated(f func()) uint64 {
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
