@@ -192,6 +192,36 @@ func TestCLIGenGroundDataset(t *testing.T) {
 	}
 }
 
+// TestCLIGenSampleDeterministic: one seed writes the same E.csv, I.csv
+// and truth.csv every time. truth.csv was written in map order.
+func TestCLIGenSampleDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	dir := t.TempDir()
+	genBin := build(t, dir, "slim-gen")
+	var runs [2]string
+	for k := range runs {
+		runs[k] = filepath.Join(dir, fmt.Sprintf("run%d", k))
+		if err := os.Mkdir(runs[k], 0o755); err != nil {
+			t.Fatal(err)
+		}
+		runCmd(t, genBin, "-kind", "sm", "-users", "400", "-days", "3", "-sample", "-dir", runs[k], "-seed", "1")
+	}
+	for _, name := range []string{"E.csv", "I.csv", "truth.csv"} {
+		var files [2][]byte
+		for k, run := range runs {
+			var err error
+			if files[k], err = os.ReadFile(filepath.Join(run, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if string(files[0]) != string(files[1]) {
+			t.Errorf("%s differs between two runs on one seed", name)
+		}
+	}
+}
+
 func TestCLIExperimentsTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short")

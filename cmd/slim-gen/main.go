@@ -16,10 +16,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"slim"
+	"slim/internal/model"
 )
 
 func main() {
@@ -84,14 +87,8 @@ func main() {
 	if err := writeDataset(filepath.Join(*dir, "I.csv"), &w.I); err != nil {
 		fatal(err)
 	}
-	tf, err := os.Create(filepath.Join(*dir, "truth.csv"))
-	if err != nil {
+	if err := writeTruth(filepath.Join(*dir, "truth.csv"), w.Truth); err != nil {
 		fatal(err)
-	}
-	defer tf.Close()
-	fmt.Fprintln(tf, "e,i")
-	for e, i := range w.Truth {
-		fmt.Fprintf(tf, "%s,%s\n", e, i)
 	}
 	fmt.Fprintf(os.Stderr, "slim-gen: E=%d records/%d entities, I=%d records/%d entities, %d true pairs\n",
 		w.E.Len(), len(w.E.Entities()), w.I.Len(), len(w.I.Entities()), len(w.Truth))
@@ -105,8 +102,24 @@ func writeDataset(path string, d *slim.Dataset) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return slim.WriteDatasetCSV(f, d)
+	if err := slim.WriteDatasetCSV(f, d); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeTruth writes the true pairs sorted by E id, so that one seed
+// always writes the same file.
+func writeTruth(path string, truth map[slim.EntityID]slim.EntityID) error {
+	buf := []byte("e,i\n")
+	for _, e := range slices.Sorted(maps.Keys(truth)) {
+		buf = model.AppendCSVField(buf, string(e))
+		buf = append(buf, ',')
+		buf = model.AppendCSVField(buf, string(truth[e]))
+		buf = append(buf, '\n')
+	}
+	return os.WriteFile(path, buf, 0o666)
 }
 
 func fatal(err error) {

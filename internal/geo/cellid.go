@@ -59,14 +59,48 @@ func CellIDFromLatLngLevel(ll LatLng, level int) CellID {
 	return CellIDFromLatLng(ll).Parent(level)
 }
 
+// lookupBits is how many levels of the Hilbert curve one lookupPos entry
+// resolves: the table maps a key iiii jjjj oo (4 bits of i, 4 of j, the
+// orientation on entry) to pppppppp oo (the 8 position bits of those four
+// levels, the orientation on exit), the scheme of S2's lookupPos.
+const lookupBits = 4
+
+var lookupPos = buildLookupPos()
+
+// buildLookupPos fills the table by walking the Hilbert curve one level at
+// a time (ijToPos, posToOrientation) through every 4-level (i, j) block
+// from every orientation.
+func buildLookupPos() (t [1 << (2*lookupBits + 2)]uint16) {
+	for orientation := range 4 {
+		for ij := range 1 << (2 * lookupBits) {
+			i, j := ij>>lookupBits, ij&(1<<lookupBits-1)
+			o := orientation
+			var pos int
+			for k := lookupBits - 1; k >= 0; k-- {
+				p := ijToPos[o][(i>>k&1)<<1|j>>k&1]
+				pos = pos<<2 | p
+				o ^= posToOrientation[p]
+			}
+			t[ij<<2|orientation] = uint16(pos<<2 | o)
+		}
+	}
+	return t
+}
+
+// cellIDFromFaceIJ returns the leaf cell at (i, j) of the face, resolving
+// four levels per table lookup: eight steps for the 30 levels. The first
+// step's two top levels read bits 30 and 31 of i and j, which are zero on
+// every face; from the non-inverted orientation a face starts in, they add
+// no position bits and hand the third level that orientation back.
 func cellIDFromFaceIJ(face, i, j int) CellID {
-	orientation := face & swapMask
+	const mask, steps = 1<<lookupBits - 1, (MaxLevel + lookupBits - 1) / lookupBits
 	var pos uint64
-	for k := MaxLevel - 1; k >= 0; k-- {
-		ij := ((i>>uint(k))&1)<<1 | (j>>uint(k))&1
-		p := ijToPos[orientation][ij]
-		pos = pos<<2 | uint64(p)
-		orientation ^= posToOrientation[p]
+	bits := face & swapMask
+	for k := steps - 1; k >= 0; k-- {
+		bits |= (i>>(k*lookupBits)&mask)<<(lookupBits+2) | (j>>(k*lookupBits)&mask)<<2
+		bits = int(lookupPos[bits])
+		pos |= uint64(bits>>2) << (k * 2 * lookupBits)
+		bits &= swapMask | invMask
 	}
 	return CellID(uint64(face)<<posBits | pos<<1 | 1)
 }

@@ -3,10 +3,15 @@ package model
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"slim/internal/geo"
 	"slim/internal/testenv"
@@ -105,25 +110,74 @@ func requireSameRecords(t *testing.T, got, want []Record) {
 
 // readCSVFixedBytes and readCSVBytesPerInputByte bound what ReadCSV
 // allocates, garbage included, for an input of n bytes: the fixed part is
-// the first record chunk (192 KiB) and the csv.Reader's buffers. Rows of
-// one-byte fields and distinct ids cost the most per input byte — the
-// line string, a record in a chunk and again in the result, the id's clone
-// and its map entry — measured at 19–22 bytes per input byte from 1,000 to
-// 100,000 such rows, 5 for rows of 50-byte quoted ids.
+// a fast-path block buffer (128 KiB) and, past it, encoding/csv's buffers.
+// Rows of one-byte fields and distinct ids cost the most per input byte —
+// a record in a part and again in the result, the id's clone and its map
+// entry — and a part is sized by the block's line feeds but never beyond
+// one record per csvRowMinBytes.
 const (
 	readCSVFixedBytes        = 256 << 10
 	readCSVBytesPerInputByte = 32
 )
 
+// readCSVReference is ReadCSV without its fast path: the encoding/csv
+// loop (readRows) from byte 0.
+func readCSVReference(in []byte, name string) (Dataset, error) {
+	c := csvReader{ids: make(map[string]EntityID)}
+	if err := c.readRows(bytes.NewReader(in)); err != nil {
+		return Dataset{}, err
+	}
+	return c.dataset(name)
+}
+
+// requireReadAsReference fails the test unless ReadCSV reads in exactly as
+// readCSVReference does: the same records bit for bit, every record of an
+// id sharing one backing string, or errors with equal text.
+func requireReadAsReference(t *testing.T, in []byte) Dataset {
+	t.Helper()
+	got, err := ReadCSV(bytes.NewReader(in), "fuzz")
+	want, wantErr := readCSVReference(in, "fuzz")
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("ReadCSV returns error %v, encoding/csv %v", err, wantErr)
+	}
+	if err != nil {
+		return got
+	}
+	if (got.Records == nil) != (want.Records == nil) {
+		t.Fatalf("ReadCSV returns nil records %v, encoding/csv %v", got.Records == nil, want.Records == nil)
+	}
+	requireSameRecords(t, got.Records, want.Records)
+	backing := make(map[EntityID]*byte)
+	for k, r := range got.Records {
+		p := unsafe.StringData(string(r.Entity))
+		if q, ok := backing[r.Entity]; ok && q != p {
+			t.Fatalf("record %d's id %q has a second backing string", k, r.Entity)
+		}
+		backing[r.Entity] = p
+	}
+	return got
+}
+
 // FuzzReadCSV reads arbitrary bytes as a dataset CSV and holds ReadCSV to
-// three oracles: it does not panic; it returns an error or a dataset
-// Validate accepts, and WriteCSV then ReadCSV gives that dataset back bit
-// for bit; it allocates within readCSVBytesPerInputByte per input byte
-// beyond readCSVFixedBytes, on the least of three runs. The committed
-// corpus (testdata/fuzz) holds a quoted id with a line feed, rows of 3 and
-// 6 fields, 1e400, NaN, a BOM, CRLF line ends, a header-only file, a
-// region column and an empty file.
+// four oracles: it does not panic; it reads the input exactly as the
+// encoding/csv loop does from byte 0 (requireReadAsReference), also when
+// the input follows more than a block of valid rows, so that it reaches
+// the fast path's hand-off to that loop; a dataset it returns reads back
+// through WriteCSV bit for bit; it allocates within
+// readCSVBytesPerInputByte per input byte beyond readCSVFixedBytes, on the
+// least of three runs. The committed corpus (testdata/fuzz) holds a quoted
+// id with a line feed, rows of 3 and 6 fields, 1e400, NaN, a BOM, CRLF
+// line ends, a header-only file, a region column and an empty file, and
+// (the late-* files) a quote, a bare quote, a lone carriage return, blank
+// lines, a header-like row and a malformed row past the first MiB.
 func FuzzReadCSV(f *testing.F) {
+	// Ids of 8 KiB keep the prefix to 17 rows, so that reading it costs
+	// each input little.
+	var prefix bytes.Buffer
+	prefix.WriteString("entity,lat,lng,unix\n")
+	for k := 0; prefix.Len() <= csvBlockBytes; k++ {
+		fmt.Fprintf(&prefix, "%08192d,%d.25,-%d.5,%d\n", k/4, k%90, k%180, k)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var d Dataset
 		var err error
@@ -132,6 +186,8 @@ func FuzzReadCSV(f *testing.F) {
 		if !testenv.RaceEnabled && n > budget {
 			t.Fatalf("reading %d bytes allocated %d B, budget %d B", len(in), n, budget)
 		}
+		requireReadAsReference(t, in)
+		requireReadAsReference(t, append(slices.Clip(prefix.Bytes()), in...))
 		if err != nil {
 			return
 		}
@@ -148,4 +204,41 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		requireSameRecords(t, back.Records, d.Records)
 	})
+}
+
+// TestCSVCodecSameUnderGOMAXPROCS: under GOMAXPROCS 1, 2 and 8, ReadCSV
+// reads a multi-block input as the encoding/csv loop does — on the fast
+// path with its rows grouped by entity and shuffled, when a quoted row
+// late in the input hands it off, and when a row spelled like the header
+// starts the second block, where it is a record — and WriteCSV writes
+// encoding/csv's bytes.
+func TestCSVCodecSameUnderGOMAXPROCS(t *testing.T) {
+	plain := csvFixture(40_000).Bytes()
+	rows := bytes.SplitAfter(plain, []byte{'\n'})[1:] // the header stays first
+	rand.New(rand.NewSource(1)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	shuffled := append([]byte("entity,lat,lng,unix\n"), bytes.Join(rows, nil)...)
+	late := append(slices.Clip(plain), "\"q,\"\"x\",1,2,3\nuser-000001,4,5,6\n"...)
+	block := slices.Clip(csvFixture(10_000).Bytes()[:csvBlockBytes])
+	block = append(block[:bytes.LastIndexByte(block, '\n')+1], bytes.Repeat([]byte{'\n'}, csvBlockBytes)...)[:csvBlockBytes]
+	header := append(block, "entity,1,2,3\nuser-000001,4,5,6\n"...)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, in := range [][]byte{plain, shuffled, late, header} {
+			d := requireReadAsReference(t, in)
+			if len(d.Records) == 0 {
+				t.Fatalf("GOMAXPROCS %d: read no records", procs)
+			}
+			var got, want bytes.Buffer
+			if err := WriteCSV(&got, &d); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeCSVReference(&want, &d); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("GOMAXPROCS %d: WriteCSV's %d bytes differ from encoding/csv's %d", procs, got.Len(), want.Len())
+			}
+		}
+	}
 }

@@ -55,14 +55,14 @@ func (d *Dataset) ByEntity() map[EntityID][]Record {
 	return m
 }
 
-func sortRecords(recs []Record) {
-	slices.SortFunc(recs, func(a, b Record) int {
-		return cmp.Or(
-			cmp.Compare(a.Unix, b.Unix),
-			cmp.Compare(a.LatLng.Lat, b.LatLng.Lat),
-			cmp.Compare(a.LatLng.Lng, b.LatLng.Lng),
-		)
-	})
+func sortRecords(recs []Record) { slices.SortFunc(recs, compareRecords) }
+
+func compareRecords(a, b Record) int {
+	return cmp.Or(
+		cmp.Compare(a.Unix, b.Unix),
+		cmp.Compare(a.LatLng.Lat, b.LatLng.Lat),
+		cmp.Compare(a.LatLng.Lng, b.LatLng.Lng),
+	)
 }
 
 // Entities returns the sorted list of distinct entity ids.
@@ -116,24 +116,29 @@ func (g *Grouped) Dataset() Dataset { return Dataset{Name: g.Name, Records: g.Re
 // GroupByEntity groups the records of every entity holding strictly more
 // than minRecords of them (a negative minRecords keeps every entity) into
 // one exactly sized record slice: the MinRecords filter and the per-entity
-// grouping of a history build in one pass over the dataset. The counting
-// pass numbers the entities in first-seen order and notes each record's
-// number, so hashing an id is the only map operation a record costs; the
-// scatter pass reads the note.
+// grouping of a history build in one pass over the dataset. It works per
+// run, a maximal stretch of consecutive records of one entity (a CSV
+// written by WriteCSV from grouped records is one run per entity): the
+// counting pass numbers the entities in first-seen order and probes the id
+// map once per run, the scatter pass copies each run whole, and an
+// entity's records are sorted only when they are not already strictly
+// increasing, where a sort could not move one.
 func (d *Dataset) GroupByEntity(minRecords int) Grouped {
 	slotOf := make(map[EntityID]int32)
-	slots := make([]int32, len(d.Records)) // record i belongs to entity slots[i]
+	var runSlots []int32 // run k belongs to entity runSlots[k]
 	var ids []EntityID
 	var next []int // per entity: its record count, then its next write position
-	for i, r := range d.Records {
-		slot, ok := slotOf[r.Entity]
+	for lo, hi := 0, 0; lo < len(d.Records); lo = hi {
+		hi = runEnd(d.Records, lo)
+		e := d.Records[lo].Entity
+		slot, ok := slotOf[e]
 		if !ok {
 			slot = int32(len(ids))
-			slotOf[r.Entity] = slot
-			ids, next = append(ids, r.Entity), append(next, 0)
+			slotOf[e] = slot
+			ids, next = append(ids, e), append(next, 0)
 		}
-		slots[i] = slot
-		next[slot]++
+		runSlots = append(runSlots, slot)
+		next[slot] += hi - lo
 	}
 	kept := make([]int32, 0, len(ids))
 	for slot, n := range next {
@@ -151,26 +156,50 @@ func (d *Dataset) GroupByEntity(minRecords int) Grouped {
 		next[slot] = g.Off[k]
 	}
 	g.Records = make([]Record, g.Off[len(kept)])
-	for i, r := range d.Records {
-		if at := next[slots[i]]; at >= 0 {
-			g.Records[at] = r
-			next[slots[i]] = at + 1
+	for lo, hi, k := 0, 0, 0; lo < len(d.Records); lo, k = hi, k+1 {
+		hi = runEnd(d.Records, lo)
+		if at := next[runSlots[k]]; at >= 0 {
+			next[runSlots[k]] = at + copy(g.Records[at:], d.Records[lo:hi])
 		}
 	}
 	for k := range g.Entities {
-		sortRecords(g.Of(k))
+		if recs := g.Of(k); !strictlyIncreasing(recs) {
+			sortRecords(recs)
+		}
 	}
 	return g
 }
 
+// runEnd returns the end of the run of records[lo]'s entity starting at lo.
+func runEnd(records []Record, lo int) int {
+	hi := lo + 1
+	for hi < len(records) && records[hi].Entity == records[lo].Entity {
+		hi++
+	}
+	return hi
+}
+
+// strictlyIncreasing reports whether recs are in sortRecords' order with
+// no two equal under it.
+func strictlyIncreasing(recs []Record) bool {
+	for k := 1; k < len(recs); k++ {
+		if compareRecords(recs[k-1], recs[k]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate checks every record for a valid entity id (ValidateEntityID),
-// position, radius (ValidateRadius) and timestamp (ValidateUnix). A
-// dataset it accepts survives the canonical CSV: ReadCSV(WriteCSV(d))
-// returns its records bit for bit.
+// position, radius (ValidateRadius) and timestamp (ValidateUnix). An id is
+// checked once per run of its records. A dataset it accepts survives the
+// canonical CSV: ReadCSV(WriteCSV(d)) returns its records bit for bit.
 func (d *Dataset) Validate() error {
 	for i, r := range d.Records {
-		if err := ValidateEntityID(r.Entity); err != nil {
-			return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
+		if i == 0 || r.Entity != d.Records[i-1].Entity {
+			if err := ValidateEntityID(r.Entity); err != nil {
+				return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
+			}
 		}
 		if !r.LatLng.IsValid() {
 			return fmt.Errorf("model: record %d of %q has invalid position %+v", i, d.Name, r.LatLng)
