@@ -41,15 +41,12 @@ func BenchmarkFig4SpatioTemporalCab(b *testing.B) {
 	opt := experiments.SpatioTemporalOptions{Levels: []int{4, 12, 20}, WindowsMin: []float64{15, 180}}
 	var f1 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4SpatioTemporalCab(benchScale(), opt)
+		r, err := experiments.Fig4SpatioTemporal(benchScale(), "cab", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range r.Cells {
-			if c.Level == 12 && c.WindowMin == 15 {
-				f1 = c.F1
-			}
-		}
+		c, _ := r.At("15min", "12")
+		f1 = c.Metrics.F1
 	}
 	b.ReportMetric(f1, "F1@12/15min")
 }
@@ -59,15 +56,12 @@ func BenchmarkFig5SpatioTemporalSM(b *testing.B) {
 	opt := experiments.SpatioTemporalOptions{Levels: []int{4, 12, 20}, WindowsMin: []float64{15, 180}}
 	var f1 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5SpatioTemporalSM(benchScale(), opt)
+		r, err := experiments.Fig4SpatioTemporal(benchScale(), "sm", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range r.Cells {
-			if c.Level == 12 && c.WindowMin == 15 {
-				f1 = c.F1
-			}
-		}
+		c, _ := r.At("15min", "12")
+		f1 = c.Metrics.F1
 	}
 	b.ReportMetric(f1, "F1@12/15min")
 }
@@ -93,15 +87,12 @@ func BenchmarkFig7WorkloadCab(b *testing.B) {
 	opt := experiments.WorkloadOptions{InclusionProbs: []float64{0.3, 0.5, 0.9}, Ratios: []float64{0.5}}
 	var f1 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7WorkloadCab(benchScale(), opt)
+		r, err := experiments.Fig7Workload(benchScale(), "cab", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range r.Cells {
-			if c.InclusionProb == 0.5 {
-				f1 = c.F1
-			}
-		}
+		c, _ := r.At("0.5", "0.5")
+		f1 = c.Metrics.F1
 	}
 	b.ReportMetric(f1, "F1@.5/.5")
 }
@@ -111,15 +102,12 @@ func BenchmarkFig7WorkloadSM(b *testing.B) {
 	opt := experiments.WorkloadOptions{InclusionProbs: []float64{0.3, 0.9}, Ratios: []float64{0.5}}
 	var f1 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7WorkloadSM(benchScale(), opt)
+		r, err := experiments.Fig7Workload(benchScale(), "sm", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range r.Cells {
-			if c.InclusionProb == 0.9 {
-				f1 = c.F1
-			}
-		}
+		c, _ := r.At("0.5", "0.9")
+		f1 = c.Metrics.F1
 	}
 	b.ReportMetric(f1, "F1@.9")
 }
@@ -136,15 +124,12 @@ func BenchmarkFig8LSHLevelsCab(b *testing.B) {
 	}
 	var speedup, rel float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8LSHLevelsCab(benchScale(), opt)
+		r, err := experiments.Fig8LSHLevels(benchScale(), "cab", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range r.Cells {
-			if c.SigLevel == 12 {
-				speedup, rel = c.SpeedUp, c.RelativeF1
-			}
-		}
+		c, _ := r.At("48", "12")
+		speedup, rel = r.SpeedUp(c), r.RelativeF1(c)
 	}
 	b.ReportMetric(speedup, "speedup@12")
 	b.ReportMetric(rel, "relF1@12")
@@ -160,15 +145,12 @@ func BenchmarkFig8LSHLevelsSM(b *testing.B) {
 	}
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8LSHLevelsSM(benchScale(), opt)
+		r, err := experiments.Fig8LSHLevels(benchScale(), "sm", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range r.Cells {
-			if c.SigLevel == 12 {
-				speedup = c.SpeedUp
-			}
-		}
+		c, _ := r.At("16", "12")
+		speedup = r.SpeedUp(c)
 	}
 	b.ReportMetric(speedup, "speedup@12")
 }
@@ -184,15 +166,12 @@ func BenchmarkFig9LSHBucketsCab(b *testing.B) {
 	}
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9LSHBucketsCab(benchScale(), opt)
+		r, err := experiments.Fig9LSHBuckets(benchScale(), "cab", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range r.Cells {
-			if c.BucketExp == 18 {
-				speedup = c.SpeedUp
-			}
-		}
+		c, _ := r.At("0.2", "2^18")
+		speedup = r.SpeedUp(c)
 	}
 	b.ReportMetric(speedup, "speedup@2^18")
 }
@@ -207,15 +186,12 @@ func BenchmarkFig9LSHBucketsSM(b *testing.B) {
 	}
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9LSHBucketsSM(benchScale(), opt)
+		r, err := experiments.Fig9LSHBuckets(benchScale(), "sm", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range r.Cells {
-			if c.BucketExp == 18 {
-				speedup = c.SpeedUp
-			}
-		}
+		c, _ := r.At("0.6", "2^18")
+		speedup = r.SpeedUp(c)
 	}
 	b.ReportMetric(speedup, "speedup@2^18")
 }
@@ -227,13 +203,13 @@ func BenchmarkFig10Ablation(b *testing.B) {
 	opt := experiments.AblationOptions{WindowsMin: []float64{15, 360}}
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10AblationWindow(benchScale(), opt)
+		_, r, err := experiments.Fig10Ablation(benchScale(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		orig, _ := r.F1("original", 360)
-		all, _ := r.F1("all-pairs", 360)
-		gap = orig - all
+		orig, _ := r.At("original", "360")
+		all, _ := r.At("all-pairs", "360")
+		gap = orig.Metrics.F1 - all.Metrics.F1
 	}
 	b.ReportMetric(gap, "F1gap@360min")
 }
@@ -270,7 +246,7 @@ func BenchmarkFig11Comparison(b *testing.B) {
 func BenchmarkTuningElbow(b *testing.B) {
 	var level float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.TuningCab(benchScale())
+		r, err := experiments.Tuning(benchScale(), "cab")
 		if err != nil {
 			b.Fatal(err)
 		}

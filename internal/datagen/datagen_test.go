@@ -354,19 +354,6 @@ func TestSampleSizePerSideCap(t *testing.T) {
 	}
 }
 
-func TestSortByTime(t *testing.T) {
-	src := smallCab()
-	sorted := SortByTime(&src)
-	for i := 1; i < len(sorted.Records); i++ {
-		if sorted.Records[i].Unix < sorted.Records[i-1].Unix {
-			t.Fatal("not sorted by time")
-		}
-	}
-	if len(sorted.Records) != len(src.Records) {
-		t.Fatal("record count changed")
-	}
-}
-
 func TestAvgRecordsPerEntityEmpty(t *testing.T) {
 	d := model.Dataset{}
 	if AvgRecordsPerEntity(&d) != 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"slim/internal/model"
 )
@@ -172,12 +171,4 @@ func AvgRecordsPerEntity(d *model.Dataset) float64 {
 		return 0
 	}
 	return float64(len(d.Records)) / float64(len(ents))
-}
-
-// SortByTime returns a copy of the dataset with records in time order
-// (useful for streaming-style consumers and deterministic files).
-func SortByTime(d *model.Dataset) model.Dataset {
-	out := model.Dataset{Name: d.Name, Records: append([]model.Record(nil), d.Records...)}
-	sort.SliceStable(out.Records, func(i, j int) bool { return out.Records[i].Unix < out.Records[j].Unix })
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"slim/internal/baseline/gm"
 	"slim/internal/baseline/stlink"
 	"slim/internal/candidates"
+	"slim/internal/datagen"
 	"slim/internal/eval"
 	"slim/internal/model"
 )
@@ -127,8 +128,8 @@ func (r ComparisonResult) Tables() []eval.Table {
 
 // Fig11Comparison reproduces Fig. 11 on the Cab workload.
 func Fig11Comparison(sc Scale, opt ComparisonOptions) (ComparisonResult, error) {
-	ground := cabGround(sc)
-	srcAvg := avgRecords(&ground)
+	g := ground(sc, "cab")
+	srcAvg := datagen.AvgRecordsPerEntity(&g)
 	res := ComparisonResult{Dataset: "cab"}
 	seed := sc.Seed + 70
 	for _, ratio := range opt.Ratios {
@@ -138,7 +139,7 @@ func Fig11Comparison(sc Scale, opt ComparisonOptions) (ComparisonResult, error) 
 			if inclI > 1 {
 				inclI = 1
 			}
-			w := workload(&ground, ratio, opt.PivotInclusion, inclI, seed)
+			w := workload(&g, ratio, opt.PivotInclusion, inclI, seed)
 			cell, err := comparisonCell(w, sc, opt, ratio, target)
 			if err != nil {
 				return ComparisonResult{}, err
@@ -150,7 +151,7 @@ func Fig11Comparison(sc Scale, opt ComparisonOptions) (ComparisonResult, error) 
 }
 
 func comparisonCell(w slim.SampledWorkload, sc Scale, opt ComparisonOptions, ratio, target float64) (ComparisonCell, error) {
-	cell := ComparisonCell{Ratio: ratio, TargetAvg: target, ActualAvgI: avgRecords(&w.I)}
+	cell := ComparisonCell{Ratio: ratio, TargetAvg: target, ActualAvgI: datagen.AvgRecordsPerEntity(&w.I)}
 	truth := eval.Truth(w.Truth)
 
 	// SLIM with LSH.

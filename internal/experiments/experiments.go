@@ -1,9 +1,12 @@
 // Package experiments contains one runner per figure of the paper's
 // evaluation (Sec. 5), each regenerating the corresponding table/series on
 // the synthetic workloads. Runners return typed results (for tests and
-// benchmarks) that render to aligned-text tables; a sweep's tables are one
-// grid renderer's panels. Figures lists what the slim-experiments CLI
-// prints, and is the one place the figure names are written.
+// benchmarks) that render to aligned-text tables. Each grid of Figs. 4-10
+// is one Sweep: its Cells are the runs it made, each at the row and column
+// it prints at, and its tables are panels on that grid. The runner of a
+// figure shown on both datasets takes the dataset name, "cab" or "sm".
+// Figures lists what the slim-experiments CLI prints, and is the one place
+// the figure names are written.
 // EXPERIMENTS.md records a paper-vs-measured comparison produced from it.
 //
 // Scale controls workload sizes. Defaults are laptop-scale; the CLI can
@@ -11,10 +14,10 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"slim"
-	"slim/internal/datagen"
 	"slim/internal/eval"
 	"slim/internal/model"
 )
@@ -67,24 +70,38 @@ func TinyScale() Scale {
 	}
 }
 
-// cabGround generates the ground taxi trace for this scale.
-func cabGround(sc Scale) slim.Dataset {
-	return slim.GenerateCab(slim.CabOptions{
-		NumTaxis:              sc.CabTaxis,
-		Days:                  sc.CabDays,
-		MeanRecordIntervalSec: sc.CabIntervalSec,
-		Seed:                  sc.Seed,
-	})
+// ground generates the named dataset's ground trace at this scale: "cab"
+// (taxis, at sc.Seed) or "sm" (check-ins, at sc.Seed+1). Any other name is
+// a caller's bug, and panics.
+func ground(sc Scale, dataset string) slim.Dataset {
+	switch dataset {
+	case "cab":
+		return slim.GenerateCab(slim.CabOptions{
+			NumTaxis:              sc.CabTaxis,
+			Days:                  sc.CabDays,
+			MeanRecordIntervalSec: sc.CabIntervalSec,
+			Seed:                  sc.Seed,
+		})
+	case "sm":
+		return slim.GenerateSM(slim.SMOptions{
+			NumUsers:   sc.SMUsers,
+			Days:       sc.SMDays,
+			AvgRecords: sc.SMAvgRecords,
+			Seed:       sc.Seed + 1,
+		})
+	}
+	panic(fmt.Sprintf("experiments: no dataset %q (want cab or sm)", dataset))
 }
 
-// smGround generates the ground check-in stream for this scale.
-func smGround(sc Scale) slim.Dataset {
-	return slim.GenerateSM(slim.SMOptions{
-		NumUsers:   sc.SMUsers,
-		Days:       sc.SMDays,
-		AvgRecords: sc.SMAvgRecords,
-		Seed:       sc.Seed + 1,
-	})
+// defaultSample draws the paper's default linkage problem (intersection
+// ratio 0.5, inclusion 0.5 on both sides) from the named dataset's ground:
+// a figure's cab sample at sc.Seed+offset, its sm sample at +offset+1.
+func defaultSample(sc Scale, dataset string, offset int64) slim.SampledWorkload {
+	g := ground(sc, dataset)
+	if dataset == "sm" {
+		offset++
+	}
+	return workload(&g, 0.5, 0.5, 0.5, sc.Seed+offset)
 }
 
 // workload draws a linkage problem from a ground dataset with the paper's
@@ -128,9 +145,6 @@ func run(w slim.SampledWorkload, cfg slim.Config) (runResult, error) {
 		Elapsed: time.Since(start),
 	}, nil
 }
-
-// avgRecords reports a dataset's record density.
-func avgRecords(d *slim.Dataset) float64 { return datagen.AvgRecordsPerEntity(d) }
 
 // slimRankings scores every cross pair with a prepared linker and builds
 // per-entity descending candidate lists for hit-precision@k.

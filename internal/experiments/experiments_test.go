@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -34,39 +35,37 @@ func TestFig2GMMFit(t *testing.T) {
 func TestFig4ShapeCab(t *testing.T) {
 	sc := TinyScale()
 	opt := SpatioTemporalOptions{Levels: []int{4, 12, 16}, WindowsMin: []float64{15, 180}}
-	r, err := Fig4SpatioTemporalCab(sc, opt)
+	r, err := Fig4SpatioTemporal(sc, "cab", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Cells) != 6 {
 		t.Fatalf("cells = %d, want 6", len(r.Cells))
 	}
-	get := func(level int, win float64) STCell {
-		for _, c := range r.Cells {
-			if c.Level == level && c.WindowMin == win {
-				return c
-			}
+	get := func(level int, win float64) Cell {
+		c, ok := r.At(fmt.Sprintf("%gmin", win), fmt.Sprint(level))
+		if !ok {
+			t.Fatalf("missing cell (%d, %g)", level, win)
 		}
-		t.Fatalf("missing cell (%d, %g)", level, win)
-		return STCell{}
+		return c
 	}
 	// Paper shape 1: accuracy rises with spatial detail (level 4 is
 	// useless, ≥12 plateaus high) at the default window.
-	if f1Lo, f1Hi := get(4, 15).F1, get(12, 15).F1; f1Hi < f1Lo {
+	if f1Lo, f1Hi := get(4, 15).Metrics.F1, get(12, 15).Metrics.F1; f1Hi < f1Lo {
 		t.Errorf("F1 did not improve with spatial detail: level4=%.3f level12=%.3f", f1Lo, f1Hi)
 	}
-	if get(12, 15).F1 < 0.6 {
-		t.Errorf("level-12/15min F1 = %.3f, want decent", get(12, 15).F1)
+	if get(12, 15).Metrics.F1 < 0.6 {
+		t.Errorf("level-12/15min F1 = %.3f, want decent", get(12, 15).Metrics.F1)
 	}
 	// Paper shape 2: record comparisons grow with window width.
-	if get(12, 180).RecordComparisons <= get(12, 15).RecordComparisons {
+	if get(12, 180).Res.Stats.RecordComparisons <= get(12, 15).Res.Stats.RecordComparisons {
 		t.Errorf("comparisons did not grow with window width: %d vs %d",
-			get(12, 180).RecordComparisons, get(12, 15).RecordComparisons)
+			get(12, 180).Res.Stats.RecordComparisons, get(12, 15).Res.Stats.RecordComparisons)
 	}
 	// Paper shape 3 (Fig. 4d): pairing work grows with spatial detail.
-	if get(16, 15).BinComparisons < get(4, 15).BinComparisons {
+	if get(16, 15).Res.Stats.BinComparisons < get(4, 15).Res.Stats.BinComparisons {
 		t.Errorf("bin comparisons shrank with spatial detail: %d vs %d",
-			get(16, 15).BinComparisons, get(4, 15).BinComparisons)
+			get(16, 15).Res.Stats.BinComparisons, get(4, 15).Res.Stats.BinComparisons)
 	}
 	// Rendering sanity.
 	if tables := r.Tables(); len(tables) != 4 {
@@ -77,21 +76,14 @@ func TestFig4ShapeCab(t *testing.T) {
 func TestFig5ShapeSM(t *testing.T) {
 	sc := TinyScale()
 	opt := SpatioTemporalOptions{Levels: []int{4, 12}, WindowsMin: []float64{15}}
-	r, err := Fig5SpatioTemporalSM(sc, opt)
+	r, err := Fig4SpatioTemporal(sc, "sm", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lo, hi STCell
-	for _, c := range r.Cells {
-		if c.Level == 4 {
-			lo = c
-		}
-		if c.Level == 12 {
-			hi = c
-		}
-	}
-	if hi.F1 < lo.F1 {
-		t.Errorf("SM F1 did not improve with detail: level4=%.3f level12=%.3f", lo.F1, hi.F1)
+	lo, _ := r.At("15min", "4")
+	hi, _ := r.At("15min", "12")
+	if hi.Metrics.F1 < lo.Metrics.F1 {
+		t.Errorf("SM F1 did not improve with detail: level4=%.3f level12=%.3f", lo.Metrics.F1, hi.Metrics.F1)
 	}
 }
 
@@ -121,7 +113,7 @@ func TestFig6SeparationSharpensWithDetail(t *testing.T) {
 func TestFig7WorkloadCabShape(t *testing.T) {
 	sc := TinyScale()
 	opt := WorkloadOptions{InclusionProbs: []float64{0.3, 0.9}, Ratios: []float64{0.5}}
-	r, err := Fig7WorkloadCab(sc, opt)
+	r, err := Fig7Workload(sc, "cab", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +123,11 @@ func TestFig7WorkloadCabShape(t *testing.T) {
 	// Cab is dense: even at inclusion 0.3 the F1 should be solid, and at
 	// 0.9 near-perfect (paper: all close to 1).
 	for _, c := range r.Cells {
-		if c.InclusionProb == 0.9 && c.F1 < 0.7 {
-			t.Errorf("cab F1 at inclusion 0.9 = %.3f, want high", c.F1)
+		if c.Col == "0.9" && c.Metrics.F1 < 0.7 {
+			t.Errorf("cab F1 at inclusion 0.9 = %.3f, want high", c.Metrics.F1)
 		}
-		if c.Runtime <= 0 {
+		if c.Elapsed <= 0 {
 			t.Error("runtime not measured")
-		}
-		if c.AvgRecords <= 0 {
-			t.Error("avg records not measured")
 		}
 	}
 	if tables := r.Tables(); len(tables) != 2 {
@@ -150,22 +139,15 @@ func TestFig7WorkloadSMDensityEffect(t *testing.T) {
 	sc := TinyScale()
 	sc.SMAvgRecords = 30
 	opt := WorkloadOptions{InclusionProbs: []float64{0.2, 0.9}, Ratios: []float64{0.5}}
-	r, err := Fig7WorkloadSM(sc, opt)
+	r, err := Fig7Workload(sc, "sm", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lo, hi WorkloadCell
-	for _, c := range r.Cells {
-		if c.InclusionProb == 0.2 {
-			lo = c
-		}
-		if c.InclusionProb == 0.9 {
-			hi = c
-		}
-	}
+	lo, _ := r.At("0.5", "0.2")
+	hi, _ := r.At("0.5", "0.9")
 	// Paper shape: SM F1 degrades at low record counts.
-	if hi.F1 < lo.F1 {
-		t.Errorf("SM F1 should improve with density: %.3f (p=.2) vs %.3f (p=.9)", lo.F1, hi.F1)
+	if hi.Metrics.F1 < lo.Metrics.F1 {
+		t.Errorf("SM F1 should improve with density: %.3f (p=.2) vs %.3f (p=.9)", lo.Metrics.F1, hi.Metrics.F1)
 	}
 }
 
@@ -177,30 +159,23 @@ func TestFig8LSHShapeCab(t *testing.T) {
 		Threshold: cabThreshold,
 		Buckets:   1 << 14,
 	}
-	r, err := Fig8LSHLevelsCab(sc, opt)
+	r, err := Fig8LSHLevels(sc, "cab", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coarse, fine LSHCell
-	for _, c := range r.Cells {
-		if c.SigLevel == 4 {
-			coarse = c
-		}
-		if c.SigLevel == 12 {
-			fine = c
-		}
-	}
+	coarse, _ := r.At("48", "4")
+	fine, _ := r.At("48", "12")
 	// Paper shape: at coarse signature levels Cab is too dense — no
 	// speedup; finer levels filter.
-	if coarse.SpeedUp > fine.SpeedUp {
+	if r.SpeedUp(coarse) > r.SpeedUp(fine) {
 		t.Errorf("speed-up should grow with signature detail: level4=%.1fx level12=%.1fx",
-			coarse.SpeedUp, fine.SpeedUp)
+			r.SpeedUp(coarse), r.SpeedUp(fine))
 	}
-	if fine.SpeedUp <= 1 {
-		t.Errorf("level-12 speed-up = %.2fx, want > 1", fine.SpeedUp)
+	if r.SpeedUp(fine) <= 1 {
+		t.Errorf("level-12 speed-up = %.2fx, want > 1", r.SpeedUp(fine))
 	}
-	if fine.RelativeF1 < 0.5 {
-		t.Errorf("level-12 relative F1 = %.2f, want reasonable", fine.RelativeF1)
+	if r.RelativeF1(fine) < 0.5 {
+		t.Errorf("level-12 relative F1 = %.2f, want reasonable", r.RelativeF1(fine))
 	}
 	if tables := r.Tables(); len(tables) != 2 {
 		t.Errorf("expected 2 panels")
@@ -215,49 +190,42 @@ func TestFig9BucketsShape(t *testing.T) {
 		SigLevel:        12,
 		Step:            48,
 	}
-	r, err := Fig9LSHBucketsCab(sc, opt)
+	r, err := Fig9LSHBuckets(sc, "cab", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var small, large LSHBucketCell
-	for _, c := range r.Cells {
-		if c.BucketExp == 2 {
-			small = c
-		}
-		if c.BucketExp == 14 {
-			large = c
-		}
-	}
+	small, _ := r.At("0.2", "2^2")
+	large, _ := r.At("0.2", "2^14")
 	// Paper shape: more buckets → fewer hash collisions → fewer candidate
 	// pairs → at least as much speed-up.
-	if large.Candidates > small.Candidates {
+	if large.Res.Stats.CandidatePairs > small.Res.Stats.CandidatePairs {
 		t.Errorf("more buckets should not increase candidates: 2^2=%d 2^14=%d",
-			small.Candidates, large.Candidates)
+			small.Res.Stats.CandidatePairs, large.Res.Stats.CandidatePairs)
 	}
-	if large.SpeedUp < small.SpeedUp {
+	if r.SpeedUp(large) < r.SpeedUp(small) {
 		t.Errorf("more buckets should not reduce speed-up: %.2f vs %.2f",
-			small.SpeedUp, large.SpeedUp)
+			r.SpeedUp(small), r.SpeedUp(large))
 	}
 }
 
 func TestFig10AblationShapes(t *testing.T) {
 	sc := TinyScale()
 	opt := AblationOptions{WindowsMin: []float64{15, 360}}
-	r, err := Fig10AblationWindow(sc, opt)
+	_, r, err := Fig10Ablation(sc, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig360, ok1 := r.F1("original", 360)
-	all360, ok2 := r.F1("all-pairs", 360)
+	orig360, ok1 := r.At("original", "360")
+	all360, ok2 := r.At("all-pairs", "360")
 	if !ok1 || !ok2 {
 		t.Fatal("missing variants")
 	}
 	// Paper shape: all-pairs collapses at wide windows relative to MNN
 	// pairing (generous tolerance at tiny scale).
-	if all360 > orig360+0.1 {
-		t.Errorf("all-pairs should not beat original at wide windows: %.3f vs %.3f", all360, orig360)
+	if all360.Metrics.F1 > orig360.Metrics.F1+0.1 {
+		t.Errorf("all-pairs should not beat original at wide windows: %.3f vs %.3f", all360.Metrics.F1, orig360.Metrics.F1)
 	}
-	if r.Table().Render() == "" {
+	if r.Tables()[0].Render() == "" {
 		t.Error("table did not render")
 	}
 }
@@ -265,17 +233,17 @@ func TestFig10AblationShapes(t *testing.T) {
 func TestFig10AblationSpatialRuns(t *testing.T) {
 	sc := TinyScale()
 	opt := AblationOptions{Levels: []int{12, 20}}
-	r, err := Fig10AblationSpatial(sc, opt)
+	r, _, err := Fig10Ablation(sc, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Cells) != len(ablationVariants)*2 {
 		t.Fatalf("cells = %d, want %d", len(r.Cells), len(ablationVariants)*2)
 	}
-	orig, _ := r.F1("original", 20)
-	noNorm, _ := r.F1("no-normalization", 20)
-	if noNorm > orig+0.15 {
-		t.Errorf("no-normalization should not clearly beat original at high detail: %.3f vs %.3f", noNorm, orig)
+	orig, _ := r.At("original", "20")
+	noNorm, _ := r.At("no-normalization", "20")
+	if noNorm.Metrics.F1 > orig.Metrics.F1+0.15 {
+		t.Errorf("no-normalization should not clearly beat original at high detail: %.3f vs %.3f", noNorm.Metrics.F1, orig.Metrics.F1)
 	}
 }
 
@@ -343,7 +311,7 @@ func TestThresholdMethodsAgree(t *testing.T) {
 
 func TestTuningRunners(t *testing.T) {
 	sc := TinyScale()
-	rc, err := TuningCab(sc)
+	rc, err := Tuning(sc, "cab")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +321,7 @@ func TestTuningRunners(t *testing.T) {
 	if len(rc.Levels) == 0 || len(rc.RatiosE) != len(rc.Levels) {
 		t.Error("cab curves malformed")
 	}
-	rs, err := TuningSM(sc)
+	rs, err := Tuning(sc, "sm")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,12 @@ var Figures = []Figure{
 		return render(r.Table()) + fmt.Sprintf("threshold separation accuracy: %.3f\n", r.ThresholdAccuracy()), err
 	}},
 	{"fig4", func(sc Scale) (string, error) {
-		r, err := Fig4SpatioTemporalCab(sc, DefaultSpatioTemporalOptions())
-		return render(r.Tables()...), err
+		s, err := Fig4SpatioTemporal(sc, "cab", DefaultSpatioTemporalOptions())
+		return render(s.Tables()...), err
 	}},
 	{"fig5", func(sc Scale) (string, error) {
-		r, err := Fig5SpatioTemporalSM(sc, DefaultSpatioTemporalOptions())
-		return render(r.Tables()...), err
+		s, err := Fig4SpatioTemporal(sc, "sm", DefaultSpatioTemporalOptions())
+		return render(s.Tables()...), err
 	}},
 	{"fig6", func(sc Scale) (string, error) {
 		rs, err := Fig6ScoreHistograms(sc)
@@ -41,61 +41,61 @@ var Figures = []Figure{
 		}
 		return b.String(), err
 	}},
-	{"fig7", func(sc Scale) (string, error) {
-		cab, err := Fig7WorkloadCab(sc, DefaultWorkloadOptions())
-		if err != nil {
-			return "", err
-		}
-		sm, err := Fig7WorkloadSM(sc, DefaultWorkloadOptions())
-		return render(append(cab.Tables(), sm.Tables()...)...), err
-	}},
-	{"fig8", func(sc Scale) (string, error) {
-		// The synthetic cab trace needs a more permissive threshold than the
-		// paper's real trace (see EXPERIMENTS.md "LSH calibration").
+	{"fig7", cabThenSM(func(sc Scale, dataset string) (Sweep, error) {
+		return Fig7Workload(sc, dataset, DefaultWorkloadOptions())
+	})},
+	{"fig8", cabThenSM(func(sc Scale, dataset string) (Sweep, error) {
 		opt := DefaultLSHLevelOptions()
-		opt.Threshold = cabThreshold
-		cab, err := Fig8LSHLevelsCab(sc, opt)
-		if err != nil {
-			return "", err
+		if dataset == "cab" {
+			// The synthetic cab trace needs a more permissive threshold than
+			// the paper's real trace (see EXPERIMENTS.md "LSH calibration").
+			opt.Threshold = cabThreshold
 		}
-		sm, err := Fig8LSHLevelsSM(sc, DefaultLSHLevelOptions())
-		return render(append(cab.Tables(), sm.Tables()...)...), err
-	}},
-	{"fig9", func(sc Scale) (string, error) {
+		return Fig8LSHLevels(sc, dataset, opt)
+	})},
+	{"fig9", cabThenSM(func(sc Scale, dataset string) (Sweep, error) {
 		opt := DefaultLSHBucketOptions()
-		opt.SigLevel = 12
-		opt.Thresholds = []float64{cabThreshold, 0.2, 0.4}
-		cab, err := Fig9LSHBucketsCab(sc, opt)
-		if err != nil {
-			return "", err
+		if dataset == "cab" {
+			opt.SigLevel = 12
+			opt.Thresholds = []float64{cabThreshold, 0.2, 0.4}
 		}
-		sm, err := Fig9LSHBucketsSM(sc, DefaultLSHBucketOptions())
-		return render(cab.Table(), sm.Table()), err
-	}},
+		return Fig9LSHBuckets(sc, dataset, opt)
+	})},
 	{"fig10", func(sc Scale) (string, error) {
-		spatial, err := Fig10AblationSpatial(sc, DefaultAblationOptions())
-		if err != nil {
-			return "", err
-		}
-		window, err := Fig10AblationWindow(sc, DefaultAblationOptions())
-		return render(spatial.Table(), window.Table()), err
+		spatial, window, err := Fig10Ablation(sc, DefaultAblationOptions())
+		return render(append(spatial.Tables(), window.Tables()...)...), err
 	}},
 	{"fig11", func(sc Scale) (string, error) {
 		r, err := Fig11Comparison(sc, DefaultComparisonOptions())
 		return render(r.Tables()...), err
 	}},
 	{"tuning", func(sc Scale) (string, error) {
-		cab, err := TuningCab(sc)
+		cab, err := Tuning(sc, "cab")
 		if err != nil {
 			return "", err
 		}
-		sm, err := TuningSM(sc)
+		sm, err := Tuning(sc, "sm")
 		return render(cab.Table(), sm.Table()), err
 	}},
 	{"thresholds", func(sc Scale) (string, error) {
 		r, err := ThresholdMethods(sc)
 		return render(r.Table()) + fmt.Sprintf("F1 spread across methods: cab=%.3f sm=%.3f\n", r.F1Spread("cab"), r.F1Spread("sm")), err
 	}},
+}
+
+// cabThenSM prints a figure's cab sweep, then its sm sweep.
+func cabThenSM(fig func(sc Scale, dataset string) (Sweep, error)) func(Scale) (string, error) {
+	return func(sc Scale) (string, error) {
+		var tables []eval.Table
+		for _, dataset := range []string{"cab", "sm"} {
+			s, err := fig(sc, dataset)
+			if err != nil {
+				return "", err
+			}
+			tables = append(tables, s.Tables()...)
+		}
+		return render(tables...), nil
+	}
 }
 
 // render prints tables the way slim-experiments always has: each followed

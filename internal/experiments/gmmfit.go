@@ -78,17 +78,14 @@ func (r GMMFitResult) ThresholdAccuracy() float64 {
 // Fig2GMMFit reproduces Fig. 2: one GMM fit over the matched scores of the
 // default Cab workload.
 func Fig2GMMFit(sc Scale) (GMMFitResult, error) {
-	ground := cabGround(sc)
-	w := workload(&ground, 0.5, 0.5, 0.5, sc.Seed+20)
-	return gmmFit("cab", w, sc, 15, 12, 20)
+	return gmmFit("cab", defaultSample(sc, "cab", 20), sc, 15, 12, 20)
 }
 
 // Fig6ScoreHistograms reproduces Fig. 6: fits for spatial details 4, 8,
 // 12, 16 at a 90-minute window, showing how separation (and therefore the
 // stop threshold) sharpens with spatial detail.
 func Fig6ScoreHistograms(sc Scale) ([]GMMFitResult, error) {
-	ground := cabGround(sc)
-	w := workload(&ground, 0.5, 0.5, 0.5, sc.Seed+21)
+	w := defaultSample(sc, "cab", 21)
 	var out []GMMFitResult
 	for _, level := range []int{4, 8, 12, 16} {
 		r, err := gmmFit("cab", w, sc, 90, level, 20)

@@ -65,27 +65,19 @@ func ThresholdMethods(sc Scale) (ThresholdMethodsResult, error) {
 	var res ThresholdMethodsResult
 	methods := []slim.ThresholdMethod{slim.ThresholdGMM, slim.ThresholdOtsu, slim.ThresholdKMeans}
 
-	cabG := cabGround(sc)
-	smG := smGround(sc)
-	workloads := []struct {
-		name string
-		w    slim.SampledWorkload
-	}{
-		{"cab", workload(&cabG, 0.5, 0.5, 0.5, sc.Seed+90)},
-		{"sm", workload(&smG, 0.5, 0.5, 0.5, sc.Seed+91)},
-	}
-	for _, wl := range workloads {
-		rr, err := run(wl.w, baseConfig(15, 12, sc.Workers))
+	for _, dataset := range []string{"cab", "sm"} {
+		w := defaultSample(sc, dataset, 90)
+		rr, err := run(w, baseConfig(15, 12, sc.Workers))
 		if err != nil {
 			return ThresholdMethodsResult{}, err
 		}
 		scores := slim.LinkScores(rr.Res.Matched)
 		for _, m := range methods {
 			thr := slim.SelectStopThreshold(m, scores)
-			metrics := slim.Evaluate(slim.FilterLinks(rr.Res.Matched, thr.Threshold), wl.w.Truth)
+			metrics := slim.Evaluate(slim.FilterLinks(rr.Res.Matched, thr.Threshold), w.Truth)
 			res.Cells = append(res.Cells, ThresholdMethodCell{
 				Method:    string(m),
-				Dataset:   wl.name,
+				Dataset:   dataset,
 				F1:        metrics.F1,
 				Precision: metrics.Precision,
 				Recall:    metrics.Recall,

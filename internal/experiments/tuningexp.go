@@ -37,27 +37,15 @@ func (r TuningResult) Table() eval.Table {
 	return t
 }
 
-// TuningCab runs the auto-tuner on the default Cab workload.
-func TuningCab(sc Scale) (TuningResult, error) {
-	ground := cabGround(sc)
-	w := workload(&ground, 0.5, 0.5, 0.5, sc.Seed+80)
-	return tuningRun("cab", w)
-}
-
-// TuningSM runs the auto-tuner on the default SM workload.
-func TuningSM(sc Scale) (TuningResult, error) {
-	ground := smGround(sc)
-	w := workload(&ground, 0.5, 0.5, 0.5, sc.Seed+81)
-	return tuningRun("sm", w)
-}
-
-func tuningRun(name string, w slim.SampledWorkload) (TuningResult, error) {
+// Tuning runs the auto-tuner on the named dataset's default sample.
+func Tuning(sc Scale, dataset string) (TuningResult, error) {
+	w := defaultSample(sc, dataset, 80)
 	level, cE, cI, err := slim.AutoTuneSpatialLevel(w.E, w.I, slim.Defaults())
 	if err != nil {
 		return TuningResult{}, err
 	}
 	return TuningResult{
-		Dataset:     name,
+		Dataset:     dataset,
 		Levels:      cE.Levels,
 		RatiosE:     cE.Ratio,
 		RatiosI:     cI.Ratio,

@@ -25,7 +25,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,16 +90,6 @@ func (in *Injector) Arm(site string, rule Rule) {
 		in.sites = make(map[string]*armed)
 	}
 	in.sites[site] = &armed{rule: rule}
-}
-
-// Disarm removes site's rule; outstanding hit counts (Hits) survive.
-func (in *Injector) Disarm(site string) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.sites, site)
 }
 
 // DisarmAll removes every rule — the chaos suite's "heal" step.
@@ -187,22 +176,6 @@ func (in *Injector) Fired(site string) int {
 		return a.fired
 	}
 	return 0
-}
-
-// Sites returns the hit-counted site names in sorted order (debugging
-// and sweep enumeration).
-func (in *Injector) Sites() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.seen))
-	for s := range in.seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ArmSpec arms one textual fault spec — the slimd -fault flag's format:

@@ -14,9 +14,8 @@ func TestNilInjectorIsSilent(t *testing.T) {
 		t.Fatalf("nil injector fired: %v", err)
 	}
 	in.Arm("x", Rule{Err: ErrInjected}) // must not panic
-	in.Disarm("x")
 	in.DisarmAll()
-	if in.Hits("x") != 0 || in.Fired("x") != 0 || in.Sites() != nil {
+	if in.Hits("x") != 0 || in.Fired("x") != 0 {
 		t.Fatal("nil injector reported state")
 	}
 }
@@ -90,9 +89,6 @@ func TestHitCountsUnarmedSites(t *testing.T) {
 	if in.Hits("quiet") != 3 {
 		t.Fatalf("hits = %d, want 3", in.Hits("quiet"))
 	}
-	if got := in.Sites(); len(got) != 1 || got[0] != "quiet" {
-		t.Fatalf("sites = %v", got)
-	}
 }
 
 func TestDisarmAndRearmResetsTriggers(t *testing.T) {
@@ -106,7 +102,7 @@ func TestDisarmAndRearmResetsTriggers(t *testing.T) {
 	if err := in.Hit("s"); !errors.Is(err, ErrInjected) {
 		t.Fatal("rule should fire on second hit after re-arm")
 	}
-	in.Disarm("s")
+	in.DisarmAll()
 	if err := in.Hit("s"); err != nil {
 		t.Fatalf("disarmed site fired: %v", err)
 	}

@@ -68,3 +68,29 @@ func TestCellIDFromLatLngMatchesBitLoop(t *testing.T) {
 		}
 	}
 }
+
+// immediateParent returns the parent one level up; calling it on a face
+// cell returns the face cell itself.
+func (c CellID) immediateParent() CellID {
+	lvl := c.Level()
+	if lvl == 0 {
+		return c
+	}
+	return c.Parent(lvl - 1)
+}
+
+// Children returns the four child cells in Hilbert order. Calling Children
+// on a leaf returns four copies of the leaf.
+func (c CellID) Children() [4]CellID {
+	if c.IsLeaf() {
+		return [4]CellID{c, c, c, c}
+	}
+	lsb := c.lsb()
+	childLsb := lsb >> 2
+	first := uint64(c) - lsb + childLsb
+	var out [4]CellID
+	for k := 0; k < 4; k++ {
+		out[k] = CellID(first + uint64(k)*2*childLsb)
+	}
+	return out
+}

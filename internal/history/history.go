@@ -436,9 +436,6 @@ func (s *Store) History(e model.EntityID) History {
 	return s.HistoryAt(ord)
 }
 
-// AvgBins returns the average number of time-location bins per history.
-func (s *Store) AvgBins() float64 { return s.avgBins }
-
 // Epoch returns the store's IDF-input version: it moves whenever a
 // dataset-level score input changes — a new entity (|U| and the average
 // history size shift) or a new time-location bin (bin→entity frequencies
@@ -476,13 +473,4 @@ func (s *Store) NormFactorAt(ord uint32, b float64) float64 {
 		return 1
 	}
 	return (1 - b) + b*float64(sg.nBin)/s.avgBins
-}
-
-// NormFactor is NormFactorAt by entity id; 1 for an unknown entity.
-func (s *Store) NormFactor(e model.EntityID, b float64) float64 {
-	ord, ok := s.ords.Lookup(e)
-	if !ok {
-		return 1
-	}
-	return s.NormFactorAt(ord, b)
 }

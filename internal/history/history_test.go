@@ -209,6 +209,10 @@ func TestStoreStatistics(t *testing.T) {
 	}
 }
 
+// AvgBins returns the average number of time-location bins per history,
+// the avgBins that NormFactorAt divides by.
+func (s *Store) AvgBins() float64 { return s.avgBins }
+
 func TestNormFactor(t *testing.T) {
 	d := model.Dataset{Name: "s", Records: []model.Record{
 		rec("big", 37.1, -122.1, 0),
@@ -218,23 +222,25 @@ func TestNormFactor(t *testing.T) {
 		rec("small", 37.1, -122.1, 0),
 	}}
 	s := Build(&d, testWindowing, 12)
+	big, _ := s.Ordinals().Lookup("big")
+	small, _ := s.Ordinals().Lookup("small")
 	// avgBins = (4+1)/2 = 2.5
-	if got := s.NormFactor("big", 1); math.Abs(got-4/2.5) > 1e-12 {
+	if got := s.NormFactorAt(big, 1); math.Abs(got-4/2.5) > 1e-12 {
 		t.Errorf("L(big, b=1) = %g, want 1.6", got)
 	}
-	if got := s.NormFactor("small", 1); math.Abs(got-1/2.5) > 1e-12 {
+	if got := s.NormFactorAt(small, 1); math.Abs(got-1/2.5) > 1e-12 {
 		t.Errorf("L(small, b=1) = %g, want 0.4", got)
 	}
 	// b=0 ignores history length entirely.
-	if got := s.NormFactor("big", 0); got != 1 {
+	if got := s.NormFactorAt(big, 0); got != 1 {
 		t.Errorf("L(big, b=0) = %g, want 1", got)
 	}
 	// Halfway.
-	if got := s.NormFactor("big", 0.5); math.Abs(got-(0.5+0.5*1.6)) > 1e-12 {
+	if got := s.NormFactorAt(big, 0.5); math.Abs(got-(0.5+0.5*1.6)) > 1e-12 {
 		t.Errorf("L(big, b=0.5) = %g", got)
 	}
-	// Unknown entity.
-	if got := s.NormFactor("nope", 0.5); got != 1 {
+	// An ordinal without a history.
+	if got := s.NormFactorAt(uint32(s.Ordinals().Len()), 0.5); got != 1 {
 		t.Errorf("L(unknown) = %g, want 1", got)
 	}
 }

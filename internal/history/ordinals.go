@@ -27,10 +27,6 @@ func (t *Ordinals) Len() int { return len(t.ids) }
 // ID returns the entity id of an assigned ordinal.
 func (t *Ordinals) ID(ord uint32) model.EntityID { return t.ids[ord] }
 
-// IDs returns every assigned id, indexed by ordinal. The slice must not be
-// modified.
-func (t *Ordinals) IDs() []model.EntityID { return t.ids }
-
 // Lookup returns the ordinal of an entity id, if it has one.
 func (t *Ordinals) Lookup(id model.EntityID) (uint32, bool) {
 	ord, ok := t.index[id]

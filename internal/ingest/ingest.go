@@ -64,7 +64,7 @@ const DefaultQueueDepth = 1 << 18
 // debounce, which is a floor on healthy queue age.
 const DefaultShedAfter = 10 * time.Second
 
-// DefaultRetryAfter is the default client retry hint on a shed.
+// DefaultRetryAfter is the client retry hint on every shed.
 const DefaultRetryAfter = time.Second
 
 // Config parameterizes the plane. Zero values select the defaults; a
@@ -72,7 +72,6 @@ const DefaultRetryAfter = time.Second
 type Config struct {
 	QueueDepth int
 	ShedAfter  time.Duration
-	RetryAfter time.Duration
 	// Registry, when set, receives counter/gauge views over the same
 	// atomics Stats reports (admissions, sheds by cause, queue state). A
 	// nil Registry wires them to a private, unscraped registry.
@@ -91,13 +90,6 @@ func (c Config) shedAfter() time.Duration {
 		return DefaultShedAfter
 	}
 	return c.ShedAfter
-}
-
-func (c Config) retryAfter() time.Duration {
-	if c.RetryAfter <= 0 {
-		return DefaultRetryAfter
-	}
-	return c.RetryAfter
 }
 
 // BatchLogger durably appends one pre-encoded record batch, returning a
@@ -260,7 +252,7 @@ func (p *Plane) Admit(n int) (release func(), err error) {
 	if p.inflight+pending+n > p.cfg.queueDepth() {
 		p.mu.Unlock()
 		p.shed(&p.shedDepth, n)
-		return nil, &ShedError{Cause: "queue-depth", RetryAfter: p.cfg.retryAfter()}
+		return nil, &ShedError{Cause: "queue-depth", RetryAfter: DefaultRetryAfter}
 	}
 	if after := p.cfg.shedAfter(); after > 0 {
 		oldest := oldestPend
@@ -270,7 +262,7 @@ func (p *Plane) Admit(n int) (release func(), err error) {
 		if !oldest.IsZero() && now.Sub(oldest) > after {
 			p.mu.Unlock()
 			p.shed(&p.shedLatency, n)
-			return nil, &ShedError{Cause: "latency", RetryAfter: p.cfg.retryAfter()}
+			return nil, &ShedError{Cause: "latency", RetryAfter: DefaultRetryAfter}
 		}
 	}
 	tok := &admitToken{at: now, n: n, prev: p.tail}
@@ -413,7 +405,7 @@ func (p *Plane) Stats() Stats {
 	st := Stats{
 		QueueDepth:      p.cfg.queueDepth(),
 		ShedAfter:       p.cfg.shedAfter(),
-		RetryAfter:      p.cfg.retryAfter(),
+		RetryAfter:      DefaultRetryAfter,
 		PendingRecords:  p.eng.Pending(),
 		AcceptedBatches: p.acceptedBatches.Load(),
 		AcceptedRecords: p.acceptedRecords.Load(),

@@ -64,15 +64,6 @@ func FilterThreshold(edges []Edge, thr float64) []Edge {
 	return out
 }
 
-// TotalWeight sums the weights of a matching.
-func TotalWeight(edges []Edge) float64 {
-	var s float64
-	for _, e := range edges {
-		s += e.Score
-	}
-	return s
-}
-
 // validScratch pools the id scratch slices of Valid so parity gates can
 // call it in hot loops without per-call allocations.
 var validScratch = sync.Pool{New: func() any { return new([]model.EntityID) }}

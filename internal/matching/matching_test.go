@@ -133,15 +133,6 @@ func TestGreedyMatchingPropertyQuick(t *testing.T) {
 	}
 }
 
-func TestTotalWeight(t *testing.T) {
-	if TotalWeight(nil) != 0 {
-		t.Error("empty total should be 0")
-	}
-	if got := TotalWeight([]Edge{edge("a", "x", 1.5), edge("b", "y", 2.5)}); got != 4 {
-		t.Errorf("TotalWeight = %g", got)
-	}
-}
-
 func BenchmarkGreedy(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	var edges []Edge

@@ -284,19 +284,6 @@ func Mean(values []float64) float64 {
 	return s / float64(len(values))
 }
 
-// Variance returns the population variance of values around the given mean.
-func Variance(values []float64, mean float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range values {
-		d := v - mean
-		s += d * d
-	}
-	return s / float64(len(values))
-}
-
 // Clamp limits v to the interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

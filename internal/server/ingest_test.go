@@ -381,7 +381,7 @@ func TestIngestShedLosslessOrRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane := ingest.NewPlane(eng, ingest.Config{QueueDepth: 600, RetryAfter: 3 * time.Second})
+	plane := ingest.NewPlane(eng, ingest.Config{QueueDepth: 600})
 	srv := New(eng, nil, WithIngestPlane(plane))
 	srv.AttachStore(store)
 	ts := httptest.NewServer(srv.Handler())

@@ -146,8 +146,8 @@ func TestWritePathMatrix(t *testing.T) {
 		},
 		{
 			name: "shed by depth",
-			opts: nodeOpts{storage: faultedStorage(0), plane: ingest.Config{QueueDepth: n - 1, RetryAfter: 2500 * time.Millisecond}},
-			want: ackOutcome{Status: http.StatusTooManyRequests, RetryAfter: "3", Cause: "queue-depth",
+			opts: nodeOpts{storage: faultedStorage(0), plane: ingest.Config{QueueDepth: n - 1}},
+			want: ackOutcome{Status: http.StatusTooManyRequests, RetryAfter: "1", Cause: "queue-depth",
 				Moved: map[string]float64{`slim_ingest_shed_requests_total{cause="queue-depth"}`: 1, "slim_ingest_shed_records_total": n}},
 		},
 		{

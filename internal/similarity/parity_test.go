@@ -73,8 +73,9 @@ func refScore(e, i *history.Store, p Params, u, v model.EntityID, st *refStats) 
 	st.pairs++
 	lu, lv := 1.0, 1.0
 	if p.UseNorm {
-		lu = e.NormFactor(u, p.B)
-		lv = i.NormFactor(v, p.B)
+		ou, _ := e.Ordinals().Lookup(u)
+		ov, _ := i.Ordinals().Lookup(v)
+		lu, lv = e.NormFactorAt(ou, p.B), i.NormFactorAt(ov, p.B)
 	}
 	norm := lu * lv
 	if norm <= 0 {

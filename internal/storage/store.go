@@ -643,16 +643,3 @@ func (s *Store) Close() error {
 	}
 	return err
 }
-
-// crashClose abandons the store without a final checkpoint — test
-// helper simulating a crash (the WAL file is closed so tests on
-// platforms with mandatory locks can truncate it, but no result is
-// persisted).
-func (s *Store) crashClose() {
-	s.mu.Lock()
-	s.closed = true
-	w := s.wal
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopReopen) })
-	_ = w.Close()
-}
