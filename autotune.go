@@ -20,6 +20,7 @@ func AutoTuneSpatialLevel(dsE, dsI Dataset, cfg Config) (int, TuneCurve, TuneCur
 	opt.WindowSeconds = cfg.windowSeconds()
 	opt.MaxSpeedKmPerMin = cfg.MaxSpeedKmPerMin
 	opt.B = cfg.B
-	level, c1, c2 := tuning.AutoSpatialLevelPair(&dsE, &dsI, opt)
+	ge, gi := dsE.GroupByEntity(-1), dsI.GroupByEntity(-1)
+	level, c1, c2 := tuning.AutoSpatialLevelPair(&ge, &gi, opt)
 	return level, c1, c2, nil
 }

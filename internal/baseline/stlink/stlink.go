@@ -214,26 +214,6 @@ func elbowThreshold(cands []PairScore, metric func(PairScore) int) int {
 	return thr
 }
 
-// Scores returns the ranking scores of every candidate pair of one E
-// entity, sorted descending — used for hit-precision@k evaluation.
-func (r *Result) Scores(u model.EntityID) []PairScore {
-	var out []PairScore
-	for _, ps := range r.Candidates {
-		if ps.U == u {
-			out = append(out, ps)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		si := float64(out[i].Cooccurrences) + float64(out[i].DiverseLocations)/1000
-		sj := float64(out[j].Cooccurrences) + float64(out[j].DiverseLocations)/1000
-		if si != sj {
-			return si > sj
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
-
 // commonWindows calls fn with the positions in a and b of every window
 // both sorted lists hold.
 func commonWindows(a, b []int64, fn func(ka, kb int)) {

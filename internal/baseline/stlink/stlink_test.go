@@ -1,6 +1,7 @@
 package stlink
 
 import (
+	"sort"
 	"testing"
 
 	"slim/internal/datagen"
@@ -231,4 +232,24 @@ func TestEmptyDatasets(t *testing.T) {
 	if len(res.Links) != 0 || len(res.Candidates) != 0 {
 		t.Error("empty inputs should produce nothing")
 	}
+}
+
+// Scores returns the ranking scores of every candidate pair of one E
+// entity, sorted descending: the ranking hit-precision@k reads.
+func (r *Result) Scores(u model.EntityID) []PairScore {
+	var out []PairScore
+	for _, ps := range r.Candidates {
+		if ps.U == u {
+			out = append(out, ps)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		si := float64(out[i].Cooccurrences) + float64(out[i].DiverseLocations)/1000
+		sj := float64(out[j].Cooccurrences) + float64(out[j].DiverseLocations)/1000
+		if si != sj {
+			return si > sj
+		}
+		return out[i].V < out[j].V
+	})
+	return out
 }

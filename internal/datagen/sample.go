@@ -104,7 +104,7 @@ func Sample(src *model.Dataset, cfg SampleConfig) Sampled {
 	records := func(ks []int) int {
 		total := 0
 		for _, k := range ks {
-			total += g.Off[k+1] - g.Off[k]
+			total += g.Len[k]
 		}
 		return total
 	}

@@ -199,11 +199,14 @@ func (in *Injector) ArmSpec(spec string) error {
 	return nil
 }
 
-// ParseSpec parses one -fault spec (see ArmSpec).
+// ParseSpec parses one -fault spec (see ArmSpec). "panic=" with no message
+// panics with the default one, and a delay must be positive, so every
+// action it accepts is a non-zero field of the rule. An error quotes at
+// most errSpecBytes bytes of the spec and of the field it names.
 func ParseSpec(spec string) (site string, rule Rule, err error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) < 2 || parts[0] == "" {
-		return "", Rule{}, fmt.Errorf("fault: bad spec %q: want site:action[:trigger]...", spec)
+		return "", Rule{}, fmt.Errorf("fault: bad spec %q: want site:action[:trigger]...", clip(spec))
 	}
 	site = parts[0]
 	action := false
@@ -215,27 +218,27 @@ func ParseSpec(spec string) (site string, rule Rule, err error) {
 			action = true
 		case "panic":
 			rule.Panic = "armed by spec"
-			if hasVal {
+			if val != "" {
 				rule.Panic = val
 			}
 			action = true
 		case "delay":
 			if !hasVal {
-				return "", Rule{}, fmt.Errorf("fault: spec %q: delay needs a duration", spec)
+				return "", Rule{}, fmt.Errorf("fault: spec %q: delay needs a duration", clip(spec))
 			}
 			d, derr := time.ParseDuration(val)
-			if derr != nil || d < 0 {
-				return "", Rule{}, fmt.Errorf("fault: spec %q: bad delay %q", spec, val)
+			if derr != nil || d <= 0 {
+				return "", Rule{}, fmt.Errorf("fault: spec %q: bad delay %q", clip(spec), clip(val))
 			}
 			rule.Delay = d
 			action = true
 		case "after", "every", "count":
 			if !hasVal {
-				return "", Rule{}, fmt.Errorf("fault: spec %q: %s needs a number", spec, key)
+				return "", Rule{}, fmt.Errorf("fault: spec %q: %s needs a number", clip(spec), key)
 			}
 			n, nerr := strconv.Atoi(val)
 			if nerr != nil || n < 0 {
-				return "", Rule{}, fmt.Errorf("fault: spec %q: bad %s %q", spec, key, val)
+				return "", Rule{}, fmt.Errorf("fault: spec %q: bad %s %q", clip(spec), key, clip(val))
 			}
 			switch key {
 			case "after":
@@ -246,11 +249,23 @@ func ParseSpec(spec string) (site string, rule Rule, err error) {
 				rule.Count = n
 			}
 		default:
-			return "", Rule{}, fmt.Errorf("fault: spec %q: unknown field %q", spec, p)
+			return "", Rule{}, fmt.Errorf("fault: spec %q: unknown field %q", clip(spec), clip(p))
 		}
 	}
 	if !action {
-		return "", Rule{}, fmt.Errorf("fault: spec %q: no action (error, panic, or delay)", spec)
+		return "", Rule{}, fmt.Errorf("fault: spec %q: no action (error, panic, or delay)", clip(spec))
 	}
 	return site, rule, nil
+}
+
+// errSpecBytes bounds how much of a spec, or of one of its fields, an
+// error quotes, so a message stays short however long the spec is.
+const errSpecBytes = 64
+
+// clip cuts s to errSpecBytes bytes, marking a cut with "...".
+func clip(s string) string {
+	if len(s) > errSpecBytes {
+		return s[:errSpecBytes] + "..."
+	}
+	return s
 }

@@ -145,12 +145,17 @@ func TestParseSpec(t *testing.T) {
 	if err != nil || site != "engine.rescore" || r.Panic != "kaboom" || r.Count != 1 {
 		t.Fatalf("got %q %+v %v", site, r, err)
 	}
+	// An empty message panics with the default one: the rule never
+	// degrades to a plain error.
+	if _, r, err = ParseSpec("s:panic="); err != nil || r.Panic != "armed by spec" {
+		t.Fatalf("got %+v %v", r, err)
+	}
 	_, r, err = ParseSpec("fs.write:delay=50ms:every=10")
 	if err != nil || r.Delay != 50*time.Millisecond || r.Every != 10 {
 		t.Fatalf("got %+v %v", r, err)
 	}
 	for _, bad := range []string{
-		"", "siteonly", ":error", "s:after=1", "s:delay", "s:delay=-1s",
+		"", "siteonly", ":error", "s:after=1", "s:delay", "s:delay=-1s", "s:delay=0",
 		"s:bogus", "s:every=x", "s:error:after=-3",
 	} {
 		if _, _, err := ParseSpec(bad); err == nil {

@@ -141,9 +141,6 @@ func (c CellID) Level() int {
 // Face returns the cube face in [0, 5].
 func (c CellID) Face() int { return int(uint64(c) >> posBits) }
 
-// IsLeaf reports whether the cell is at the deepest level.
-func (c CellID) IsLeaf() bool { return uint64(c)&1 != 0 }
-
 // Parent returns the ancestor cell at the given level. Levels at or above
 // the cell's own level return the cell's ancestor; asking for a deeper
 // level returns the cell itself. Levels are clamped to [0, MaxLevel].

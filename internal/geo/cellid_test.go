@@ -69,6 +69,9 @@ func TestCellIDFromLatLngMatchesBitLoop(t *testing.T) {
 	}
 }
 
+// IsLeaf reports whether the cell is at the deepest level.
+func (c CellID) IsLeaf() bool { return uint64(c)&1 != 0 }
+
 // immediateParent returns the parent one level up; calling it on a face
 // cell returns the face cell itself.
 func (c CellID) immediateParent() CellID {

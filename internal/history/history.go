@@ -196,9 +196,9 @@ const notCompiled = ^uint64(0)
 // addressed by the ordinals of the side's entity table (see Ordinals);
 // the EntityID accessors resolve the id once and delegate.
 //
-// A store comes in two kinds. A scoring store (Build, BuildParallel,
-// BuildGrouped) additionally maintains the bin→entity frequency index
-// behind IDF and the compiled read path. A signature store
+// A store comes in two kinds. A scoring store (Build, BuildGrouped)
+// additionally maintains the bin→entity frequency index behind IDF and
+// the compiled read path. A signature store
 // (Store.SignatureStore) is the side's second store, at the LSH spatial
 // level and windowing: the candidate index reads only its columns and
 // history versions, so it keeps neither, and IDF, Compile and
@@ -255,19 +255,14 @@ type Store struct {
 // Build constructs the histories of every entity of the dataset at the
 // given spatial level, under the given shared windowing.
 func Build(d *model.Dataset, w model.Windowing, spatialLevel int) *Store {
-	return BuildParallel(d, w, spatialLevel, 1)
-}
-
-// BuildParallel is Build with the per-entity history construction fanned
-// out over the given number of workers. The dataset-level statistics are
-// folded in serially, in sorted-entity order, so the store is identical
-// for every worker count.
-func BuildParallel(d *model.Dataset, w model.Windowing, spatialLevel, workers int) *Store {
 	g := d.GroupByEntity(-1)
-	return BuildGrouped(&g, w, spatialLevel, workers)
+	return BuildGrouped(&g, w, spatialLevel, 1)
 }
 
-// BuildGrouped is BuildParallel over records already grouped by entity.
+// BuildGrouped is Build over records already grouped by entity, with the
+// per-entity history construction fanned out over the given number of
+// workers. The dataset-level statistics are folded in serially, in
+// sorted-entity order, so the store is identical for every worker count.
 // It starts the side's entity table: ordinal k is g.Entities[k].
 func BuildGrouped(g *model.Grouped, w model.Windowing, spatialLevel, workers int) *Store {
 	return build(g, newOrdinals(len(g.Entities)), w, spatialLevel, workers, true)

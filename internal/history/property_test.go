@@ -228,7 +228,8 @@ func TestColumnarHistoryMatchesMapModel(t *testing.T) {
 					m.add(r, false)
 				}
 			}
-			s := history.BuildParallel(&d, refWindowing, refLevel, 1+rng.Intn(4))
+			g := d.GroupByEntity(-1)
+			s := history.BuildGrouped(&g, refWindowing, refLevel, 1+rng.Intn(4))
 			m.check(t, "after Build", s, rng)
 
 			for k := 0; k < 240; k++ {

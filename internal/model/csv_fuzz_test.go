@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -98,12 +97,9 @@ func requireSameRecords(t *testing.T, got, want []Record) {
 	if len(got) != len(want) {
 		t.Fatalf("read back %d records, wrote %d", len(got), len(want))
 	}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for k, w := range want {
-		g := got[k]
-		if g.Entity != w.Entity || g.Unix != w.Unix || !same(g.LatLng.Lat, w.LatLng.Lat) ||
-			!same(g.LatLng.Lng, w.LatLng.Lng) || !same(g.RadiusKm, w.RadiusKm) {
-			t.Fatalf("record %d read back as %+v, wrote %+v", k, g, w)
+		if !sameRecord(got[k], w) {
+			t.Fatalf("record %d read back as %+v, wrote %+v", k, got[k], w)
 		}
 	}
 }

@@ -97,37 +97,47 @@ func (d *Dataset) TimeRange() (minUnix, maxUnix int64, ok bool) {
 	return minUnix, maxUnix, true
 }
 
-// Grouped is a dataset regrouped by entity: entity k (sorted-id order)
-// owns Records[Off[k]:Off[k+1]], sorted the way ByEntity sorts them.
-// len(Off) is len(Entities)+1.
+// Grouped is a dataset grouped by entity: entity k (sorted-id order) owns
+// the span Records[Start[k] : Start[k]+Len[k]], sorted the way ByEntity
+// sorts them. Records may be the caller's own slice (see GroupByEntity),
+// which also holds the records of entities the filter dropped: read an
+// entity's records through Of, and never write through them.
 type Grouped struct {
 	Name     string
 	Entities []EntityID
-	Off      []int
+	Start    []int
+	Len      []int
 	Records  []Record
 }
 
-// Of returns entity k's records.
-func (g *Grouped) Of(k int) []Record { return g.Records[g.Off[k]:g.Off[k+1]] }
-
-// Dataset views the grouped records as a dataset (sharing them).
-func (g *Grouped) Dataset() Dataset { return Dataset{Name: g.Name, Records: g.Records} }
+// Of returns entity k's records, capped so an append cannot write past
+// them.
+func (g *Grouped) Of(k int) []Record {
+	end := g.Start[k] + g.Len[k]
+	return g.Records[g.Start[k]:end:end]
+}
 
 // GroupByEntity groups the records of every entity holding strictly more
-// than minRecords of them (a negative minRecords keeps every entity) into
-// one exactly sized record slice: the MinRecords filter and the per-entity
-// grouping of a history build in one pass over the dataset. It works per
-// run, a maximal stretch of consecutive records of one entity (a CSV
-// written by WriteCSV from grouped records is one run per entity): the
-// counting pass numbers the entities in first-seen order and probes the id
-// map once per run, the scatter pass copies each run whole, and an
-// entity's records are sorted only when they are not already strictly
-// increasing, where a sort could not move one.
+// than minRecords of them (a negative minRecords keeps every entity): the
+// MinRecords filter and the per-entity grouping of a history build in one
+// pass over the dataset. It works per run, a maximal stretch of
+// consecutive records of one entity: the counting pass numbers the
+// entities in first-seen order, probes the id map once per run and checks
+// each run for strict increase in sortRecords' order. When every entity is
+// one strictly increasing run (a sampled workload, a CSV written by
+// WriteCSV from grouped records), the spans index d.Records itself and
+// nothing is copied; an entity the filter drops just gets no span.
+// Otherwise the scatter pass copies each kept run whole into one exactly
+// sized slice, and only the entities that had more than one run or a run
+// out of order are sorted.
 func (d *Dataset) GroupByEntity(minRecords int) Grouped {
 	slotOf := make(map[EntityID]int32)
 	var runSlots []int32 // run k belongs to entity runSlots[k]
 	var ids []EntityID
-	var next []int // per entity: its record count, then its next write position
+	var first []int     // per entity: where its first run starts
+	var next []int      // per entity: its record count, then its next write position
+	var unsorted []bool // per entity: more than one run, or a run out of order
+	alias := true
 	for lo, hi := 0, 0; lo < len(d.Records); lo = hi {
 		hi = runEnd(d.Records, lo)
 		e := d.Records[lo].Entity
@@ -135,7 +145,11 @@ func (d *Dataset) GroupByEntity(minRecords int) Grouped {
 		if !ok {
 			slot = int32(len(ids))
 			slotOf[e] = slot
-			ids, next = append(ids, e), append(next, 0)
+			ids, first, next, unsorted = append(ids, e), append(first, lo), append(next, 0), append(unsorted, false)
+		}
+		if ok || !strictlyIncreasing(d.Records[lo:hi]) {
+			unsorted[slot] = true
+			alias = false
 		}
 		runSlots = append(runSlots, slot)
 		next[slot] += hi - lo
@@ -149,22 +163,31 @@ func (d *Dataset) GroupByEntity(minRecords int) Grouped {
 		}
 	}
 	slices.SortFunc(kept, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
-	g := Grouped{Name: d.Name, Entities: make([]EntityID, len(kept)), Off: make([]int, len(kept)+1)}
+	g := Grouped{Name: d.Name, Entities: make([]EntityID, len(kept)), Start: make([]int, len(kept)), Len: make([]int, len(kept))}
+	total := 0
 	for k, slot := range kept {
-		g.Entities[k] = ids[slot]
-		g.Off[k+1] = g.Off[k] + next[slot]
-		next[slot] = g.Off[k]
+		g.Entities[k], g.Len[k] = ids[slot], next[slot]
+		if alias {
+			g.Start[k] = first[slot]
+		} else {
+			g.Start[k], next[slot] = total, total
+			total += g.Len[k]
+		}
 	}
-	g.Records = make([]Record, g.Off[len(kept)])
+	if alias {
+		g.Records = d.Records
+		return g
+	}
+	g.Records = make([]Record, total)
 	for lo, hi, k := 0, 0, 0; lo < len(d.Records); lo, k = hi, k+1 {
 		hi = runEnd(d.Records, lo)
 		if at := next[runSlots[k]]; at >= 0 {
 			next[runSlots[k]] = at + copy(g.Records[at:], d.Records[lo:hi])
 		}
 	}
-	for k := range g.Entities {
-		if recs := g.Of(k); !strictlyIncreasing(recs) {
-			sortRecords(recs)
+	for k, slot := range kept {
+		if unsorted[slot] {
+			sortRecords(g.Of(k))
 		}
 	}
 	return g

@@ -92,8 +92,8 @@ func TestGroupByEntityMatchesFilterThenByEntity(t *testing.T) {
 		g := d.GroupByEntity(minRecords)
 		want := d.ByEntity()
 		maps.DeleteFunc(want, func(_ EntityID, recs []Record) bool { return len(recs) <= minRecords })
-		if len(g.Entities) != len(want) || len(g.Off) != len(g.Entities)+1 {
-			t.Fatalf("min %d: %d entities (%d offsets), want %d", minRecords, len(g.Entities), len(g.Off), len(want))
+		if len(g.Entities) != len(want) || len(g.Start) != len(g.Entities) || len(g.Len) != len(g.Entities) {
+			t.Fatalf("min %d: %d entities (%d starts, %d lengths), want %d", minRecords, len(g.Entities), len(g.Start), len(g.Len), len(want))
 		}
 		if !slices.IsSorted(g.Entities) {
 			t.Fatalf("min %d: entities not sorted", minRecords)
@@ -103,15 +103,12 @@ func TestGroupByEntityMatchesFilterThenByEntity(t *testing.T) {
 				t.Fatalf("min %d: records of %s differ from ByEntity", minRecords, e)
 			}
 		}
-		if gd := g.Dataset(); len(gd.Records) != g.Off[len(g.Entities)] {
-			t.Fatalf("min %d: dataset view holds %d records, offsets end at %d", minRecords, len(gd.Records), g.Off[len(g.Entities)])
-		}
 	}
 }
 
 // groupByEntityCounting is the GroupByEntity that counted records in a map
 // and looked the entity up again to scatter each: three map operations per
-// record. It is the oracle of the one-lookup grouping.
+// record, and always a copy. It is the oracle of the one-lookup grouping.
 func groupByEntityCounting(d *Dataset, minRecords int) Grouped {
 	counts := make(map[EntityID]int)
 	for _, r := range d.Records {
@@ -126,12 +123,12 @@ func groupByEntityCounting(d *Dataset, minRecords int) Grouped {
 		}
 	}
 	slices.Sort(g.Entities)
-	g.Off = make([]int, len(g.Entities)+1)
-	for k, e := range g.Entities {
-		g.Off[k+1] = g.Off[k] + counts[e]
-		counts[e] = g.Off[k]
+	at := 0
+	for _, e := range g.Entities {
+		g.Start, g.Len = append(g.Start, at), append(g.Len, counts[e])
+		counts[e], at = at, at+counts[e]
 	}
-	g.Records = make([]Record, g.Off[len(g.Entities)])
+	g.Records = make([]Record, at)
 	for _, r := range d.Records {
 		if at := counts[r.Entity]; at >= 0 {
 			g.Records[at] = r
@@ -144,13 +141,35 @@ func groupByEntityCounting(d *Dataset, minRecords int) Grouped {
 	return g
 }
 
+// sameGrouping reports whether a and b hold the same entities with the
+// same records, bit for bit and in the same order, read through Of.
+func sameGrouping(a, b *Grouped) bool {
+	if a.Name != b.Name || !slices.Equal(a.Entities, b.Entities) || !slices.Equal(a.Len, b.Len) {
+		return false
+	}
+	for k := range a.Entities {
+		if !slices.EqualFunc(a.Of(k), b.Of(k), sameRecord) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRecord compares two records field by field, floats by their bits.
+func sameRecord(a, b Record) bool {
+	return a.Entity == b.Entity && a.Unix == b.Unix &&
+		math.Float64bits(a.LatLng.Lat) == math.Float64bits(b.LatLng.Lat) &&
+		math.Float64bits(a.LatLng.Lng) == math.Float64bits(b.LatLng.Lng) &&
+		math.Float64bits(a.RadiusKm) == math.Float64bits(b.RadiusKm)
+}
+
 // TestGroupByEntityMatchesCountingGrouping: on seeded shuffles of a dataset
 // whose entities hold 1 to 40 records, with duplicate timestamps and
 // positions, the run-wise grouping returns what the map-counting one did
-// for every MinRecords cut — the same entities, offsets and records in the
-// same order. The first two trials group the records by entity, one run
-// each: sorted by time with ties (which still sort) and then strictly
-// increasing (which skip the sort); the rest are shuffles of short runs.
+// for every MinRecords cut — the same entities and records in the same
+// order. The first two trials group the records by entity, one run each:
+// sorted by time with ties (which still sort) and then strictly increasing
+// (which index the caller's records); the rest are shuffles of short runs.
 func TestGroupByEntityMatchesCountingGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var d Dataset
@@ -173,9 +192,11 @@ func TestGroupByEntityMatchesCountingGrouping(t *testing.T) {
 		}
 		for _, minRecords := range []int{-1, 0, 5, 12, 39, 1000} {
 			got, want := d.GroupByEntity(minRecords), groupByEntityCounting(&d, minRecords)
-			if got.Name != want.Name || !slices.Equal(got.Entities, want.Entities) ||
-				!slices.Equal(got.Off, want.Off) || !slices.Equal(got.Records, want.Records) {
+			if !sameGrouping(&got, &want) {
 				t.Fatalf("trial %d, min %d: grouping differs from the counting grouping", trial, minRecords)
+			}
+			if aliased := unsafe.SliceData(got.Records) == unsafe.SliceData(d.Records); aliased != (trial == 1) {
+				t.Fatalf("trial %d, min %d: aliased %v", trial, minRecords, aliased)
 			}
 		}
 	}

@@ -58,6 +58,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -760,23 +761,29 @@ func (s *Server) handleReadyz(w http.ResponseWriter, req *http.Request) {
 	s.json(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// decodeJSON strictly decodes one JSON body into v, honoring the
-// configured ingest body limit (the caller maps *http.MaxBytesError to
-// 413 via requestError).
+// decodeJSON strictly decodes one JSON body into v: one value, with only
+// white space after it. A body past the configured ingest limit is
+// refused as such (the caller maps *http.MaxBytesError to 413 via
+// requestError) whatever its first bytes hold, so a rejected body is read
+// to the limit.
 func (s *Server) decodeJSON(w http.ResponseWriter, req *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, s.maxBody))
+	body := http.MaxBytesReader(w, req.Body, s.maxBody)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return tooLarge
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return fmt.Errorf("bad json: %w", err)
+		if err == nil {
+			err = errors.New("trailing data")
+		}
 	}
-	if dec.More() {
-		return errors.New("bad json: trailing data")
+	var tooLarge *http.MaxBytesError
+	if _, rest := io.Copy(io.Discard, body); errors.As(rest, &tooLarge) || errors.As(err, &tooLarge) {
+		return tooLarge
 	}
-	return nil
+	return fmt.Errorf("bad json: %w", err)
 }
 
 func intParam(v string, def int) (int, error) {

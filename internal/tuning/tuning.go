@@ -74,8 +74,9 @@ func (c Curve) Level() int {
 	return c.Levels[c.Elbow]
 }
 
-// AutoSpatialLevel probes one dataset and returns the measured curve.
-func AutoSpatialLevel(d *model.Dataset, opt Options) Curve {
+// AutoSpatialLevel probes one dataset, grouped by entity, and returns the
+// measured curve.
+func AutoSpatialLevel(g *model.Grouped, opt Options) Curve {
 	if len(opt.Levels) == 0 {
 		opt.Levels = DefaultOptions().Levels
 	}
@@ -86,7 +87,7 @@ func AutoSpatialLevel(d *model.Dataset, opt Options) Curve {
 	curve := Curve{Levels: append([]int(nil), opt.Levels...)}
 	curve.Ratio = make([]float64, len(curve.Levels))
 	for li, level := range curve.Levels {
-		store := history.Build(d, w, level)
+		store := history.BuildGrouped(g, w, level, 1)
 		curve.Ratio[li] = probeRatio(store, params, opt)
 	}
 	xs := make([]float64, len(curve.Levels))
@@ -153,9 +154,9 @@ func probeRatio(store *history.Store, params similarity.Params, opt Options) flo
 
 // AutoSpatialLevelPair probes both datasets of a linkage independently and
 // returns the higher elbow level, per Sec. 3.3, along with both curves.
-func AutoSpatialLevelPair(d1, d2 *model.Dataset, opt Options) (int, Curve, Curve) {
-	c1 := AutoSpatialLevel(d1, opt)
-	c2 := AutoSpatialLevel(d2, opt)
+func AutoSpatialLevelPair(g1, g2 *model.Grouped, opt Options) (int, Curve, Curve) {
+	c1 := AutoSpatialLevel(g1, opt)
+	c2 := AutoSpatialLevel(g2, opt)
 	l1, l2 := c1.Level(), c2.Level()
 	if l2 > l1 {
 		return l2, c1, c2

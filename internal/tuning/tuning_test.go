@@ -32,11 +32,17 @@ func metroDataset(n, recsEach int, seed int64) model.Dataset {
 	return d
 }
 
+// group groups every entity of d, as the linker's tuner input.
+func group(d model.Dataset) *model.Grouped {
+	g := d.GroupByEntity(-1)
+	return &g
+}
+
 func TestProbeRatioDecreasesWithDetail(t *testing.T) {
 	d := metroDataset(24, 40, 1)
 	opt := DefaultOptions()
 	opt.Levels = []int{4, 8, 12, 16, 20}
-	c := AutoSpatialLevel(&d, opt)
+	c := AutoSpatialLevel(group(d), opt)
 	if len(c.Ratio) != 5 {
 		t.Fatalf("curve length = %d", len(c.Ratio))
 	}
@@ -63,7 +69,7 @@ func TestAutoSpatialLevelPicksInteriorElbow(t *testing.T) {
 	d := metroDataset(24, 40, 2)
 	opt := DefaultOptions()
 	opt.Levels = []int{4, 6, 8, 10, 12, 14, 16, 18, 20}
-	c := AutoSpatialLevel(&d, opt)
+	c := AutoSpatialLevel(group(d), opt)
 	lvl := c.Level()
 	// With ~5km neighborhood separation the elbow should be at a moderate
 	// level: past the useless coarse levels, well before the max.
@@ -75,9 +81,9 @@ func TestAutoSpatialLevelPicksInteriorElbow(t *testing.T) {
 func TestAutoSpatialLevelDeterministic(t *testing.T) {
 	d := metroDataset(16, 25, 3)
 	opt := DefaultOptions()
-	first := AutoSpatialLevel(&d, opt)
+	first := AutoSpatialLevel(group(d), opt)
 	for i := 0; i < 3; i++ {
-		again := AutoSpatialLevel(&d, opt)
+		again := AutoSpatialLevel(group(d), opt)
 		if again.Level() != first.Level() {
 			t.Fatal("auto-tuning is not deterministic")
 		}
@@ -107,7 +113,7 @@ func TestAutoSpatialLevelPairTakesMax(t *testing.T) {
 		}
 	}
 	opt := DefaultOptions()
-	lvl, c1, c2 := AutoSpatialLevelPair(&d1, &d2, opt)
+	lvl, c1, c2 := AutoSpatialLevelPair(group(d1), group(d2), opt)
 	if lvl != c1.Level() && lvl != c2.Level() {
 		t.Error("pair level must come from one of the curves")
 	}
@@ -132,7 +138,7 @@ func TestAutoSpatialLevelTinyDataset(t *testing.T) {
 	d := model.Dataset{Name: "one", Records: []model.Record{
 		{Entity: "a", LatLng: geo.LatLng{Lat: 1, Lng: 1}, Unix: 0},
 	}}
-	c := AutoSpatialLevel(&d, DefaultOptions())
+	c := AutoSpatialLevel(group(d), DefaultOptions())
 	if c.Level() == 0 {
 		t.Error("tiny dataset should still yield a usable level")
 	}

@@ -143,11 +143,11 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	if err := dsI.Validate(); err != nil {
 		return nil, fmt.Errorf("slim: dataset I: %w", err)
 	}
-	// Filter and group each side once; both spatial levels are built from
-	// the grouped form.
+	// Filter and group each side once; the tuner and both spatial levels
+	// are built from the grouped form, which indexes the caller's records
+	// themselves when they are already grouped (model.GroupByEntity).
 	ge := dsE.GroupByEntity(cfg.MinRecords)
 	gi := dsI.GroupByEntity(cfg.MinRecords)
-	fe, fi := ge.Dataset(), gi.Dataset()
 
 	widthSec := cfg.windowSeconds()
 	wnd := model.Windowing{WidthSeconds: widthSec}
@@ -157,7 +157,7 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 		opt.WindowSeconds = widthSec
 		opt.MaxSpeedKmPerMin = cfg.MaxSpeedKmPerMin
 		opt.B = cfg.B
-		cfg.SpatialLevel, _, _ = tuning.AutoSpatialLevelPair(&fe, &fi, opt)
+		cfg.SpatialLevel, _, _ = tuning.AutoSpatialLevelPair(&ge, &gi, opt)
 		if cfg.SpatialLevel == 0 {
 			cfg.SpatialLevel = Defaults().SpatialLevel
 		}
