@@ -11,16 +11,16 @@ type TuneCurve = tuning.Curve
 
 // AutoTuneSpatialLevel runs the Sec. 3.3 probe on both datasets and
 // returns the level SLIM should use (the higher of the two elbows),
-// along with both curves for inspection.
+// along with both curves for inspection. It probes what NewLinker would:
+// the entities above cfg.MinRecords, on cfg's window grid, scored with
+// cfg's similarity parameters. So the level is the one NewLinker uses
+// with cfg.SpatialLevel 0, and the datasets NewLinker refuses it refuses
+// with the same error.
 func AutoTuneSpatialLevel(dsE, dsI Dataset, cfg Config) (int, TuneCurve, TuneCurve, error) {
-	if err := cfg.normalize(); err != nil {
+	in, err := prepare(dsE, dsI, cfg)
+	if err != nil {
 		return 0, TuneCurve{}, TuneCurve{}, err
 	}
-	opt := tuning.DefaultOptions()
-	opt.WindowSeconds = cfg.windowSeconds()
-	opt.MaxSpeedKmPerMin = cfg.MaxSpeedKmPerMin
-	opt.B = cfg.B
-	ge, gi := dsE.GroupByEntity(-1), dsI.GroupByEntity(-1)
-	level, c1, c2 := tuning.AutoSpatialLevelPair(&ge, &gi, opt)
-	return level, c1, c2, nil
+	level, ce, ci := tuning.SpatialLevel(&in.ge, &in.gi, in.wnd, in.params)
+	return level, ce, ci, nil
 }

@@ -6,6 +6,8 @@ import (
 	"runtime"
 
 	"slim/internal/candidates"
+	"slim/internal/model"
+	"slim/internal/similarity"
 	"slim/internal/threshold"
 )
 
@@ -99,8 +101,22 @@ func Defaults() Config {
 	}
 }
 
-// windowSeconds is the leaf window width |w| in whole seconds, at least 1.
-func (c *Config) windowSeconds() int64 { return max(int64(c.WindowMinutes*60), 1) }
+// scoring returns the absolute window grid of leaf width |w| (whole
+// seconds, at least 1) and the similarity parameters a linkage with this
+// normalized configuration scores with. The auto-tune probe scores with
+// the same ones.
+func (c *Config) scoring() (model.Windowing, similarity.Params) {
+	w := model.Windowing{WidthSeconds: max(int64(c.WindowMinutes*60), 1)}
+	p := similarity.DefaultParams(w.WidthMinutes(), c.MaxSpeedKmPerMin)
+	p.B = c.B
+	p.UseMFN = !c.Ablation.DisableMFN
+	p.UseIDF = !c.Ablation.DisableIDF
+	p.UseNorm = !c.Ablation.DisableNorm
+	if c.Ablation.AllPairs {
+		p.Pairing = similarity.PairingAllPairs
+	}
+	return w, p
+}
 
 // normalize fills unset fields with defaults and validates ranges.
 func (c *Config) normalize() error {

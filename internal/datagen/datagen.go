@@ -28,6 +28,7 @@ import (
 	"slices"
 
 	"slim/internal/geo"
+	"slim/internal/mathx"
 	"slim/internal/model"
 )
 
@@ -99,8 +100,8 @@ func Cab(cfg CabConfig) model.Dataset {
 			if r.Float64() < 0.75 {
 				a := anchors[r.Intn(len(anchors))]
 				// ~1.5 km scatter around the anchor.
-				return mathClamp(a.lat+r.NormFloat64()*0.013, latLo, latHi),
-					mathClamp(a.lng+r.NormFloat64()*0.017, lngLo, lngHi)
+				return mathx.Clamp(a.lat+r.NormFloat64()*0.013, latLo, latHi),
+					mathx.Clamp(a.lng+r.NormFloat64()*0.017, lngLo, lngHi)
 			}
 			return latLo + r.Float64()*(latHi-latLo), lngLo + r.Float64()*(lngHi-lngLo)
 		}
@@ -261,16 +262,6 @@ func SM(cfg SMConfig) model.Dataset {
 		}
 	}
 	return d
-}
-
-func mathClamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // reserve is a record capacity n independent counts of the given mean and

@@ -12,7 +12,8 @@
 // request body (ParseRequest), so the CRC is checked once at the edge and
 // no record is re-encoded between the wire and the log; the JSON route
 // encodes one from its decoded records (storage.EncodeWireBatch). Both
-// validate with ValidateRecord and hand the batches to Submit.
+// validate every record with model.ValidateRecord and hand the batches
+// to Submit.
 //
 // Acknowledgement. Submit is the one place a record is acknowledged: it
 // appends every batch to the WAL (storage.Store.LogEncoded), waits out
@@ -40,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,7 +208,7 @@ func ParseRequest(body []byte) (batches []storage.WireBatch, records int, err er
 			return nil, 0, fmt.Errorf("frame %d: no records in batch", len(batches))
 		}
 		for i, r := range b.Recs {
-			if err := ValidateRecord(r); err != nil {
+			if err := model.ValidateRecord(r); err != nil {
 				return nil, 0, fmt.Errorf("frame %d record %d: %w", len(batches), i, err)
 			}
 		}
@@ -216,27 +216,6 @@ func ParseRequest(body []byte) (batches []storage.WireBatch, records int, err er
 		records += len(b.Recs)
 	}
 	return batches, records, nil
-}
-
-// ValidateRecord rejects records an attacker could use to poison the
-// stores. Ingest bypasses Dataset.Validate (which only guards seed loads),
-// so this is where untrusted ids (model.ValidateEntityID), coordinates,
-// radii and timestamps (model.MaxUnix) are stopped, on both routes.
-func ValidateRecord(r slim.Record) error {
-	if err := model.ValidateEntityID(r.Entity); err != nil {
-		return err
-	}
-	lat, lng := r.LatLng.Lat, r.LatLng.Lng
-	if math.IsNaN(lat) || math.IsInf(lat, 0) || lat < -90 || lat > 90 {
-		return fmt.Errorf("latitude %g outside [-90, 90]", lat)
-	}
-	if math.IsNaN(lng) || math.IsInf(lng, 0) || lng < -180 || lng > 180 {
-		return fmt.Errorf("longitude %g outside [-180, 180]", lng)
-	}
-	if err := model.ValidateRadius(r.RadiusKm); err != nil {
-		return err
-	}
-	return model.ValidateUnix(r.Unix)
 }
 
 // Admit reserves pipeline capacity for n records, or returns a

@@ -213,72 +213,61 @@ func strictlyIncreasing(recs []Record) bool {
 	return true
 }
 
-// Validate checks every record for a valid entity id (ValidateEntityID),
-// position, radius (ValidateRadius) and timestamp (ValidateUnix). An id is
-// checked once per run of its records. A dataset it accepts survives the
-// canonical CSV: ReadCSV(WriteCSV(d)) returns its records bit for bit.
+// Validate runs ValidateRecord over every record, checking an id once per
+// run of its records. A dataset it accepts survives the canonical CSV:
+// ReadCSV(WriteCSV(d)) returns its records bit for bit.
 func (d *Dataset) Validate() error {
-	for i, r := range d.Records {
-		if i == 0 || r.Entity != d.Records[i-1].Entity {
-			if err := ValidateEntityID(r.Entity); err != nil {
-				return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
-			}
-		}
-		if !r.LatLng.IsValid() {
-			return fmt.Errorf("model: record %d of %q has invalid position %+v", i, d.Name, r.LatLng)
-		}
-		if err := ValidateRadius(r.RadiusKm); err != nil {
-			return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
-		}
-		if err := ValidateUnix(r.Unix); err != nil {
+	for i := range d.Records {
+		newRun := i == 0 || d.Records[i].Entity != d.Records[i-1].Entity
+		if err := validateRecord(&d.Records[i], newRun); err != nil {
 			return fmt.Errorf("model: record %d of %q: %w", i, d.Name, err)
 		}
 	}
 	return nil
 }
 
-// ValidateEntityID rejects an empty id and one holding a carriage return
-// or a line feed: encoding/csv reads a quoted "\r\n" back as "\n", so such
-// an id would not survive the canonical CSV.
-func ValidateEntityID(id EntityID) error {
-	if id == "" {
+// ValidateRecord is the check a record passes to enter a linkage.
+// Dataset.Validate runs it over a seed dataset, and both ingest routes run
+// it on every untrusted record they decode (a refused one answers 400), so
+// no id, position, radius or timestamp that could poison a store gets in.
+func ValidateRecord(r Record) error { return validateRecord(&r, true) }
+
+// validateRecord checks r's id (when id is set), position, radius and
+// timestamp.
+func validateRecord(r *Record, id bool) error {
+	if id && r.Entity == "" {
 		return errors.New("empty entity id")
 	}
-	if strings.ContainsAny(string(id), "\r\n") {
-		return fmt.Errorf("entity id %q holds a line break", id)
+	// encoding/csv reads a quoted "\r\n" back as "\n", so an id holding a
+	// line break would not survive the canonical CSV.
+	if id && strings.ContainsAny(string(r.Entity), "\r\n") {
+		return fmt.Errorf("entity id %q holds a line break", r.Entity)
 	}
-	return nil
-}
-
-// ValidateRadius rejects a region radius that is not +0 or a finite
-// positive number. A point record's radius is +0: the canonical CSV omits
-// the radius column when no record is a region, which reads back as +0,
-// so a -0 would not survive it.
-func ValidateRadius(km float64) error {
-	if !(km >= 0) || math.IsInf(km, 1) || math.Signbit(km) {
+	if !r.LatLng.IsValid() {
+		return fmt.Errorf("invalid position %+v", r.LatLng)
+	}
+	// A point record's radius is +0: the canonical CSV omits the radius
+	// column when no record is a region, which reads back as +0, so a -0
+	// would not survive it.
+	if km := r.RadiusKm; !(km >= 0) || math.IsInf(km, 1) || math.Signbit(km) {
 		return fmt.Errorf("radius_km %g must be +0 or a finite positive number", km)
+	}
+	if r.Unix < -MaxUnix || r.Unix > MaxUnix {
+		return fmt.Errorf("unix time %d outside [-%d, %d]", r.Unix, int64(MaxUnix), int64(MaxUnix))
 	}
 	return nil
 }
 
 // MaxUnix bounds the magnitude of a record's timestamp, about 7.3·10¹⁰
 // years either side of Unix 0. It is checked where records enter from
-// outside the program — Dataset.Validate and both ingest routes, which
-// answer 400 — and keeps what a linkage derives from a time inside int64:
-// the start k·|w| of its window for any width up to 2⁶¹ s, which is what
-// /v1/explain's window index times the width means. Windowing.Window needs
-// no bound; it is a floor division defined on every int64. Nothing in a
-// linkage is sized by the data's time range, so a far-off time inside the
-// bound costs no more than any other.
+// outside the program — ValidateRecord, which Dataset.Validate and both
+// ingest routes run (the routes answer 400) — and keeps what a linkage
+// derives from a time inside int64: the start k·|w| of its window for any
+// width up to 2⁶¹ s, which is what /v1/explain's window index times the
+// width means. Windowing.Window needs no bound; it is a floor division
+// defined on every int64. Nothing in a linkage is sized by the data's time
+// range, so a far-off time inside the bound costs no more than any other.
 const MaxUnix = 1 << 61
-
-// ValidateUnix rejects a timestamp outside [−MaxUnix, MaxUnix].
-func ValidateUnix(unix int64) error {
-	if unix < -MaxUnix || unix > MaxUnix {
-		return fmt.Errorf("unix time %d outside [-%d, %d]", unix, int64(MaxUnix), int64(MaxUnix))
-	}
-	return nil
-}
 
 // Windowing is the grid of fixed-width temporal windows both datasets of
 // a linkage share, so that "same temporal window" means the same thing

@@ -13,8 +13,6 @@ import (
 //
 // All methods are safe for concurrent use.
 type Health struct {
-	domain string
-
 	mu    sync.Mutex
 	state HealthState
 	cause string
@@ -43,7 +41,7 @@ func (s HealthState) String() string {
 // NewHealth builds a healthy tracker for domain and registers its
 // slim_health_state gauge on reg (nil reg = untracked, still usable).
 func NewHealth(reg *Registry, domain string) *Health {
-	h := &Health{domain: domain, state: Healthy}
+	h := &Health{state: Healthy}
 	if reg != nil {
 		reg.GaugeFunc("slim_health_state",
 			"Domain health: 1 healthy, 0 degraded (write path down, repair in progress).",
@@ -56,9 +54,6 @@ func NewHealth(reg *Registry, domain string) *Health {
 	}
 	return h
 }
-
-// Domain returns the tracked domain name.
-func (h *Health) Domain() string { return h.domain }
 
 // Degrade flips the domain to degraded. Only the first call of an
 // episode records cause and since; later calls are no-ops until

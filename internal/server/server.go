@@ -70,6 +70,7 @@ import (
 	"slim"
 	"slim/internal/engine"
 	"slim/internal/ingest"
+	"slim/internal/model"
 	"slim/internal/obs"
 	"slim/internal/storage"
 )
@@ -407,7 +408,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 			Unix:     r.Unix,
 			RadiusKm: r.RadiusKm,
 		}
-		if err := ingest.ValidateRecord(recs[i]); err != nil {
+		if err := model.ValidateRecord(recs[i]); err != nil {
 			s.error(w, req, http.StatusBadRequest, fmt.Sprintf("record %d: %v", i, err))
 			return
 		}

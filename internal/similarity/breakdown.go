@@ -132,7 +132,7 @@ func (r *recorder) close(sum float64) {
 func (r *recorder) term(i, j int, distKm, contribution float64, mfn bool) {
 	pv := r.pv
 	bu, bv := int(r.loU)+i, int(r.loV)+j
-	p := Proximity(distKm, r.par.RunawayKm, r.par.MinLogArg)
+	p := Proximity(distKm, r.par.RunawayKm)
 	weight := 1.0
 	if r.par.UseIDF {
 		weight = math.Min(pv.cu.IDF[bu], pv.cv.IDF[bv])

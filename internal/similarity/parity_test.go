@@ -139,7 +139,7 @@ func refScoreWindow(e, i *history.Store, p Params, hu, hv history.History, w int
 		}
 	}
 	binDelta := func(a, b int) float64 {
-		prox := Proximity(dist[a][b], p.RunawayKm, p.MinLogArg)
+		prox := Proximity(dist[a][b], p.RunawayKm)
 		if prox < 0 {
 			st.alibi++
 		}
@@ -276,7 +276,7 @@ func refProbeRatio(e, i *history.Store, p Params, u, v model.EntityID) (float64,
 				idfV := i.IDF(history.Bin{Window: w, Cell: cellsV[c.j]})
 				weight = math.Min(idfU, idfV)
 			}
-			num += Proximity(dist[c.i][c.j], p.RunawayKm, p.MinLogArg) * weight
+			num += Proximity(dist[c.i][c.j], p.RunawayKm) * weight
 			den += weight
 		}
 	})

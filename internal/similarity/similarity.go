@@ -56,10 +56,11 @@ const (
 	PairingAllPairs
 )
 
-// DefaultMinLogArg clamps the argument of the log2 in the proximity
-// function so that a single extreme alibi contributes a large but finite
-// penalty (P >= -20) instead of -Inf.
-const DefaultMinLogArg = 1.0 / (1 << 20)
+// logArgFloor clamps the argument of the log2 in the proximity function
+// so that a single extreme alibi contributes a large but finite penalty
+// (P >= -20) instead of -Inf. It is below 1, which is what lets isAlibi
+// stand for Proximity's sign.
+const logArgFloor = 1.0 / (1 << 20)
 
 // Params configures the similarity computation.
 type Params struct {
@@ -68,8 +69,6 @@ type Params struct {
 	RunawayKm float64
 	// B is the BM25-style length-normalization strength in [0, 1].
 	B float64
-	// MinLogArg clamps the proximity log argument (see DefaultMinLogArg).
-	MinLogArg float64
 	// Pairing selects MNN (default) or all-pairs bin pairing.
 	Pairing PairingMode
 	// UseMFN enables the optional mutually-furthest-neighbor alibi pass.
@@ -87,7 +86,6 @@ func DefaultParams(windowMinutes, maxSpeedKmPerMin float64) Params {
 	return Params{
 		RunawayKm: windowMinutes * maxSpeedKmPerMin,
 		B:         0.5,
-		MinLogArg: DefaultMinLogArg,
 		Pairing:   PairingMNN,
 		UseMFN:    true,
 		UseIDF:    true,
@@ -97,30 +95,30 @@ func DefaultParams(windowMinutes, maxSpeedKmPerMin float64) Params {
 
 // Proximity evaluates Eq. 1 for a pair of same-window bins at the given
 // cell distance: log2(2 − min(d/R, 2)), with the log argument clamped at
-// minLogArg. The result is 1 for identical cells, 0 at the runaway
-// distance, and negative (an alibi) beyond it: for minLogArg < 1 its sign
-// is isAlibi's answer, which must change with it.
-func Proximity(distKm, runawayKm, minLogArg float64) float64 {
+// logArgFloor. The result is 1 for identical cells, 0 at the runaway
+// distance, and negative (an alibi) beyond it: its sign is isAlibi's
+// answer.
+func Proximity(distKm, runawayKm float64) float64 {
 	if runawayKm <= 0 {
 		if distKm == 0 {
 			return 1
 		}
-		return math.Log2(minLogArg)
+		return math.Log2(logArgFloor)
 	}
 	ratio := distKm / runawayKm
 	if ratio > 2 {
 		ratio = 2
 	}
 	arg := 2 - ratio
-	if arg < minLogArg {
-		arg = minLogArg
+	if arg < logArgFloor {
+		arg = logArgFloor
 	}
 	return math.Log2(arg)
 }
 
-// isAlibi reports whether Proximity is negative at the given distance
-// (for minLogArg < 1; at or above 1 it never is), without the logarithm:
-// the ratio it tests is the expression Proximity clamps.
+// isAlibi reports whether Proximity is negative at the given distance,
+// without the logarithm: the ratio it tests is the expression Proximity
+// clamps, and the clamp (logArgFloor) is below 1.
 func isAlibi(distKm, runawayKm float64) bool {
 	if runawayKm <= 0 {
 		return distKm != 0
@@ -417,7 +415,7 @@ func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int
 	fillDistances(dist, cellsU, cellsV, pv.geomU, pv.geomV)
 
 	delta := func(i, j int) float64 {
-		p := Proximity(dist[i*nV+j], par.RunawayKm, par.MinLogArg)
+		p := Proximity(dist[i*nV+j], par.RunawayKm)
 		if p < 0 {
 			sc.alibi++
 		}

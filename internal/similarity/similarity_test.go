@@ -38,21 +38,21 @@ func fill(e string) model.Record {
 
 func TestProximityAnchorValues(t *testing.T) {
 	R := 30.0
-	if got := Proximity(0, R, DefaultMinLogArg); got != 1 {
+	if got := Proximity(0, R); got != 1 {
 		t.Errorf("P(0) = %g, want 1", got)
 	}
-	if got := Proximity(R, R, DefaultMinLogArg); got != 0 {
+	if got := Proximity(R, R); got != 0 {
 		t.Errorf("P(R) = %g, want 0", got)
 	}
-	if got := Proximity(1.5*R, R, DefaultMinLogArg); got >= 0 || got < -2 {
+	if got := Proximity(1.5*R, R); got >= 0 || got < -2 {
 		t.Errorf("P(1.5R) = %g, want in (-2, 0)", got)
 	}
 	// At and beyond 2R the clamp kicks in.
-	want := math.Log2(DefaultMinLogArg)
-	if got := Proximity(2*R, R, DefaultMinLogArg); got != want {
+	want := math.Log2(logArgFloor)
+	if got := Proximity(2*R, R); got != want {
 		t.Errorf("P(2R) = %g, want clamp %g", got, want)
 	}
-	if got := Proximity(100*R, R, DefaultMinLogArg); got != want {
+	if got := Proximity(100*R, R); got != want {
 		t.Errorf("P(100R) = %g, want clamp %g", got, want)
 	}
 }
@@ -61,7 +61,7 @@ func TestProximityMonotoneDecreasing(t *testing.T) {
 	R := 30.0
 	prev := math.Inf(1)
 	for d := 0.0; d <= 2.2*R; d += 0.5 {
-		p := Proximity(d, R, DefaultMinLogArg)
+		p := Proximity(d, R)
 		if p > prev {
 			t.Fatalf("proximity increased at d=%g", d)
 		}
@@ -73,8 +73,8 @@ func TestProximityQuickBounds(t *testing.T) {
 	f := func(dSeed, rSeed uint32) bool {
 		d := float64(dSeed%100000) / 10
 		r := float64(rSeed%10000)/10 + 0.1
-		p := Proximity(d, r, DefaultMinLogArg)
-		return p <= 1 && p >= math.Log2(DefaultMinLogArg) && !math.IsNaN(p)
+		p := Proximity(d, r)
+		return p <= 1 && p >= math.Log2(logArgFloor) && !math.IsNaN(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -82,19 +82,22 @@ func TestProximityQuickBounds(t *testing.T) {
 }
 
 func TestProximityZeroRunaway(t *testing.T) {
-	if got := Proximity(0, 0, DefaultMinLogArg); got != 1 {
+	if got := Proximity(0, 0); got != 1 {
 		t.Errorf("P(0, R=0) = %g, want 1", got)
 	}
-	if got := Proximity(5, 0, DefaultMinLogArg); got != math.Log2(DefaultMinLogArg) {
+	if got := Proximity(5, 0); got != math.Log2(logArgFloor) {
 		t.Errorf("P(5, R=0) = %g, want clamp", got)
 	}
 }
 
 // TestIsAlibiIsProximitySign pins the MFN sweep's shortcut to the function
 // it shortcuts: isAlibi answers Proximity < 0 at every distance, the
-// boundary ones (the neighbouring floats of R and 2R) included, and with a
-// clamp at or above 1 Proximity is never negative whatever isAlibi says.
+// boundary ones (the neighbouring floats of R and 2R) included. It holds
+// because Proximity's log clamp is a constant below 1.
 func TestIsAlibiIsProximitySign(t *testing.T) {
+	if logArgFloor >= 1 {
+		t.Fatalf("log clamp %g: Proximity would never be negative", logArgFloor)
+	}
 	for _, r := range []float64{-1, 0, 1e-9, 0.3, 1, 7.5, 30, 1e6} {
 		dists := []float64{0, math.SmallestNonzeroFloat64, 1e-12, 5, math.MaxFloat64, math.Inf(1)}
 		for _, m := range []float64{0.5, 1, 1.5, 2, 2.5} {
@@ -102,15 +105,8 @@ func TestIsAlibiIsProximitySign(t *testing.T) {
 			dists = append(dists, math.Nextafter(d, 0), d, math.Nextafter(d, math.Inf(1)))
 		}
 		for _, d := range dists {
-			for _, minArg := range []float64{DefaultMinLogArg, 1e-300, 0.999} {
-				if got, want := isAlibi(d, r), Proximity(d, r, minArg) < 0; got != want {
-					t.Errorf("isAlibi(%g, %g) = %v, Proximity(…, %g) < 0 is %v", d, r, got, minArg, want)
-				}
-			}
-			for _, minArg := range []float64{1, 2} {
-				if p := Proximity(d, r, minArg); p < 0 {
-					t.Errorf("Proximity(%g, %g, %g) = %g, want non-negative", d, r, minArg, p)
-				}
+			if got, want := isAlibi(d, r), Proximity(d, r) < 0; got != want {
+				t.Errorf("isAlibi(%g, %g) = %v, Proximity < 0 is %v", d, r, got, want)
 			}
 		}
 	}

@@ -9,6 +9,10 @@
 // (everyone looks like everyone); increasing detail drives it down until it
 // flattens. The kneedle elbow of this curve is the chosen level. For a
 // linkage of two datasets the paper takes the higher of the two elbows.
+//
+// The probe is a function of the linkage's own inputs alone: the grouped
+// entities it links, its window grid and the similarity parameters it
+// scores with. Its candidate levels and its sampling are fixed.
 package tuning
 
 import (
@@ -20,38 +24,18 @@ import (
 	"slim/internal/similarity"
 )
 
-// Options configures the auto-tuner.
-type Options struct {
-	// Levels are the candidate spatial levels in ascending order.
-	Levels []int
-	// SampleEntities bounds how many probe entities are drawn.
-	SampleEntities int
-	// PairsPerEntity bounds how many cross pairs each probe entity forms.
-	PairsPerEntity int
-	// Seed makes the sampling reproducible.
-	Seed int64
-	// WindowSeconds is the temporal window width the linkage will use;
-	// it must be positive.
-	WindowSeconds int64
-	// MaxSpeedKmPerMin bounds entity movement (runaway distance).
-	MaxSpeedKmPerMin float64
-	// B is the normalization strength (Eq. 2).
-	B float64
-}
-
-// DefaultOptions returns the probe configuration used by the experiments:
-// levels 4..20 in steps of 2, 15-minute windows, 2 km/min speed bound.
-func DefaultOptions() Options {
-	return Options{
-		Levels:           []int{4, 6, 8, 10, 12, 14, 16, 18, 20},
-		SampleEntities:   25,
-		PairsPerEntity:   8,
-		Seed:             1,
-		WindowSeconds:    900,
-		MaxSpeedKmPerMin: 2,
-		B:                0.5,
-	}
-}
+// The probe's candidate levels are minLevel … maxLevel in steps of
+// levelStep. Each level's ratio averages over up to probeEntities sampled
+// entities, each paired with up to probePairs others, drawn from a random
+// source seeded with probeSeed.
+const (
+	minLevel      = 4
+	maxLevel      = 20
+	levelStep     = 2
+	probeEntities = 25
+	probePairs    = 8
+	probeSeed     = 1
+)
 
 // Curve holds the probe measurements for one dataset.
 type Curve struct {
@@ -74,58 +58,44 @@ func (c Curve) Level() int {
 	return c.Levels[c.Elbow]
 }
 
-// AutoSpatialLevel probes one dataset, grouped by entity, and returns the
-// measured curve.
-func AutoSpatialLevel(g *model.Grouped, opt Options) Curve {
-	if len(opt.Levels) == 0 {
-		opt.Levels = DefaultOptions().Levels
-	}
-	w := model.Windowing{WidthSeconds: opt.WindowSeconds}
-	params := similarity.DefaultParams(w.WidthMinutes(), opt.MaxSpeedKmPerMin)
-	params.B = opt.B
+// SpatialLevel probes both sides of a linkage independently and returns
+// the higher elbow level, per Sec. 3.3, along with both curves. The level
+// is always one of the candidate levels.
+func SpatialLevel(ge, gi *model.Grouped, w model.Windowing, p similarity.Params) (int, Curve, Curve) {
+	ce, ci := Probe(ge, w, p), Probe(gi, w, p)
+	return max(ce.Level(), ci.Level()), ce, ci
+}
 
-	curve := Curve{Levels: append([]int(nil), opt.Levels...)}
-	curve.Ratio = make([]float64, len(curve.Levels))
-	for li, level := range curve.Levels {
+// Probe measures one side's curve over the candidate levels.
+func Probe(g *model.Grouped, w model.Windowing, p similarity.Params) Curve {
+	var curve Curve
+	var xs []float64
+	for level := minLevel; level <= maxLevel; level += levelStep {
 		store := history.BuildGrouped(g, w, level, 1)
-		curve.Ratio[li] = probeRatio(store, params, opt)
-	}
-	xs := make([]float64, len(curve.Levels))
-	for i, l := range curve.Levels {
-		xs[i] = float64(l)
+		curve.Levels = append(curve.Levels, level)
+		curve.Ratio = append(curve.Ratio, probeRatio(store, p))
+		xs = append(xs, float64(level))
 	}
 	curve.Elbow = mathx.Kneedle(xs, curve.Ratio, true)
 	return curve
 }
 
 // probeRatio samples entity pairs and averages pair/self similarity.
-func probeRatio(store *history.Store, params similarity.Params, opt Options) float64 {
+func probeRatio(store *history.Store, p similarity.Params) float64 {
 	entities := store.Entities()
 	n := len(entities)
 	if n < 2 {
 		return 0
 	}
-	r := rand.New(rand.NewSource(opt.Seed))
-	scorer := similarity.NewScorer(store, store, params)
-
-	sampleN := opt.SampleEntities
-	if sampleN <= 0 {
-		sampleN = 25
-	}
-	if sampleN > n {
-		sampleN = n
-	}
+	r := rand.New(rand.NewSource(probeSeed))
+	scorer := similarity.NewScorer(store, store, p)
 	perm := r.Perm(n)
-	pairsPer := opt.PairsPerEntity
-	if pairsPer <= 0 {
-		pairsPer = 8
-	}
 
 	var sum float64
 	var count int
-	for _, ui := range perm[:sampleN] {
+	for _, ui := range perm[:min(probeEntities, n)] {
 		u := entities[ui]
-		for k := 0; k < pairsPer; k++ {
+		for range probePairs {
 			vi := r.Intn(n)
 			if vi == ui {
 				continue
@@ -139,10 +109,7 @@ func probeRatio(store *history.Store, params similarity.Params, opt Options) flo
 			if !ok {
 				continue
 			}
-			if ratio < 0 {
-				ratio = 0
-			}
-			sum += ratio
+			sum += max(ratio, 0)
 			count++
 		}
 	}
@@ -150,16 +117,4 @@ func probeRatio(store *history.Store, params similarity.Params, opt Options) flo
 		return 1
 	}
 	return sum / float64(count)
-}
-
-// AutoSpatialLevelPair probes both datasets of a linkage independently and
-// returns the higher elbow level, per Sec. 3.3, along with both curves.
-func AutoSpatialLevelPair(g1, g2 *model.Grouped, opt Options) (int, Curve, Curve) {
-	c1 := AutoSpatialLevel(g1, opt)
-	c2 := AutoSpatialLevel(g2, opt)
-	l1, l2 := c1.Level(), c2.Level()
-	if l2 > l1 {
-		return l2, c1, c2
-	}
-	return l1, c1, c2
 }

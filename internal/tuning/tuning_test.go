@@ -2,10 +2,19 @@ package tuning
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"slim/internal/geo"
 	"slim/internal/model"
+	"slim/internal/similarity"
+)
+
+// The linkage's default window grid and similarity parameters: 15-minute
+// windows, a 2 km/min speed bound.
+var (
+	wnd    = model.Windowing{WidthSeconds: 900}
+	params = similarity.DefaultParams(15, 2)
 )
 
 // metroDataset builds entities with distinct home neighborhoods inside one
@@ -40,11 +49,9 @@ func group(d model.Dataset) *model.Grouped {
 
 func TestProbeRatioDecreasesWithDetail(t *testing.T) {
 	d := metroDataset(24, 40, 1)
-	opt := DefaultOptions()
-	opt.Levels = []int{4, 8, 12, 16, 20}
-	c := AutoSpatialLevel(group(d), opt)
-	if len(c.Ratio) != 5 {
-		t.Fatalf("curve length = %d", len(c.Ratio))
+	c := Probe(group(d), wnd, params)
+	if want := []int{4, 6, 8, 10, 12, 14, 16, 18, 20}; !slices.Equal(c.Levels, want) || len(c.Ratio) != len(want) {
+		t.Fatalf("curve levels %v with %d ratios, want levels %v", c.Levels, len(c.Ratio), want)
 	}
 	// Coarse levels: everyone shares cells → high ratio. Fine levels
 	// separate entities, but proximity stays generous inside the runaway
@@ -67,9 +74,7 @@ func TestProbeRatioDecreasesWithDetail(t *testing.T) {
 
 func TestAutoSpatialLevelPicksInteriorElbow(t *testing.T) {
 	d := metroDataset(24, 40, 2)
-	opt := DefaultOptions()
-	opt.Levels = []int{4, 6, 8, 10, 12, 14, 16, 18, 20}
-	c := AutoSpatialLevel(group(d), opt)
+	c := Probe(group(d), wnd, params)
 	lvl := c.Level()
 	// With ~5km neighborhood separation the elbow should be at a moderate
 	// level: past the useless coarse levels, well before the max.
@@ -80,10 +85,9 @@ func TestAutoSpatialLevelPicksInteriorElbow(t *testing.T) {
 
 func TestAutoSpatialLevelDeterministic(t *testing.T) {
 	d := metroDataset(16, 25, 3)
-	opt := DefaultOptions()
-	first := AutoSpatialLevel(group(d), opt)
+	first := Probe(group(d), wnd, params)
 	for i := 0; i < 3; i++ {
-		again := AutoSpatialLevel(group(d), opt)
+		again := Probe(group(d), wnd, params)
 		if again.Level() != first.Level() {
 			t.Fatal("auto-tuning is not deterministic")
 		}
@@ -112,8 +116,7 @@ func TestAutoSpatialLevelPairTakesMax(t *testing.T) {
 			})
 		}
 	}
-	opt := DefaultOptions()
-	lvl, c1, c2 := AutoSpatialLevelPair(group(d1), group(d2), opt)
+	lvl, c1, c2 := SpatialLevel(group(d1), group(d2), wnd, params)
 	if lvl != c1.Level() && lvl != c2.Level() {
 		t.Error("pair level must come from one of the curves")
 	}
@@ -138,7 +141,7 @@ func TestAutoSpatialLevelTinyDataset(t *testing.T) {
 	d := model.Dataset{Name: "one", Records: []model.Record{
 		{Entity: "a", LatLng: geo.LatLng{Lat: 1, Lng: 1}, Unix: 0},
 	}}
-	c := AutoSpatialLevel(group(d), DefaultOptions())
+	c := Probe(group(d), wnd, params)
 	if c.Level() == 0 {
 		t.Error("tiny dataset should still yield a usable level")
 	}

@@ -11,7 +11,7 @@
 //
 // Quick start:
 //
-//	res, err := slim.Link(datasetE, datasetI, slim.Defaults())
+//	res, err := slim.LinkDatasets(datasetE, datasetI, slim.Defaults())
 //	for _, l := range res.Links {
 //	    fmt.Println(l.U, "<->", l.V, l.Score)
 //	}
@@ -129,11 +129,53 @@ type Linker struct {
 
 // NewLinker validates the configuration and both datasets, drops entities
 // at or below cfg.MinRecords, resolves the spatial level (auto-tuning when
-// cfg.SpatialLevel is 0, with Defaults' level as the degenerate-input
-// fallback), builds both datasets' mobility histories on the absolute
-// window grid (model.Windowing) and, when LSH is enabled, the candidate
-// pair set.
+// cfg.SpatialLevel is 0), builds both datasets' mobility histories on the
+// absolute window grid (model.Windowing) and, when LSH is enabled, the
+// candidate pair set.
 func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
+	in, err := prepare(dsE, dsI, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = in.cfg
+	if cfg.SpatialLevel == 0 {
+		cfg.SpatialLevel, _, _ = tuning.SpatialLevel(&in.ge, &in.gi, in.wnd, in.params)
+	}
+
+	lk := &Linker{
+		cfg:    cfg,
+		wnd:    in.wnd,
+		dirtyE: make(map[uint32]struct{}),
+		dirtyI: make(map[uint32]struct{}),
+	}
+	lk.storeE = history.BuildGrouped(&in.ge, in.wnd, cfg.SpatialLevel, cfg.Workers)
+	lk.storeI = history.BuildGrouped(&in.gi, in.wnd, cfg.SpatialLevel, cfg.Workers)
+	lk.edges = newEdgeStore(lk.storeE.Ordinals(), lk.storeI.Ordinals())
+	lk.scorer = similarity.NewScorer(lk.storeE, lk.storeI, in.params)
+
+	if cfg.LSH != nil {
+		lk.buildLSHCandidates(&in.ge, &in.gi)
+	}
+	return lk, nil
+}
+
+// inputs is what a linkage is built from. NewLinker and
+// AutoTuneSpatialLevel both make it with prepare, so the auto-tuner probes
+// exactly the entities, window grid and similarity parameters the linker
+// builds and scores with.
+type inputs struct {
+	cfg    Config
+	ge, gi model.Grouped
+	wnd    model.Windowing
+	params similarity.Params
+}
+
+// prepare normalizes cfg, validates both datasets and groups each side
+// once, dropping entities at or below cfg.MinRecords. The tuner and both
+// spatial levels are built from the grouped form, which indexes the
+// caller's records themselves when they are already grouped
+// (model.GroupByEntity).
+func prepare(dsE, dsI Dataset, cfg Config) (*inputs, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -143,50 +185,9 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	if err := dsI.Validate(); err != nil {
 		return nil, fmt.Errorf("slim: dataset I: %w", err)
 	}
-	// Filter and group each side once; the tuner and both spatial levels
-	// are built from the grouped form, which indexes the caller's records
-	// themselves when they are already grouped (model.GroupByEntity).
-	ge := dsE.GroupByEntity(cfg.MinRecords)
-	gi := dsI.GroupByEntity(cfg.MinRecords)
-
-	widthSec := cfg.windowSeconds()
-	wnd := model.Windowing{WidthSeconds: widthSec}
-
-	if cfg.SpatialLevel == 0 {
-		opt := tuning.DefaultOptions()
-		opt.WindowSeconds = widthSec
-		opt.MaxSpeedKmPerMin = cfg.MaxSpeedKmPerMin
-		opt.B = cfg.B
-		cfg.SpatialLevel, _, _ = tuning.AutoSpatialLevelPair(&ge, &gi, opt)
-		if cfg.SpatialLevel == 0 {
-			cfg.SpatialLevel = Defaults().SpatialLevel
-		}
-	}
-
-	lk := &Linker{
-		cfg:    cfg,
-		wnd:    wnd,
-		dirtyE: make(map[uint32]struct{}),
-		dirtyI: make(map[uint32]struct{}),
-	}
-	lk.storeE = history.BuildGrouped(&ge, wnd, cfg.SpatialLevel, cfg.Workers)
-	lk.storeI = history.BuildGrouped(&gi, wnd, cfg.SpatialLevel, cfg.Workers)
-	lk.edges = newEdgeStore(lk.storeE.Ordinals(), lk.storeI.Ordinals())
-
-	params := similarity.DefaultParams(float64(widthSec)/60, cfg.MaxSpeedKmPerMin)
-	params.B = cfg.B
-	params.UseMFN = !cfg.Ablation.DisableMFN
-	params.UseIDF = !cfg.Ablation.DisableIDF
-	params.UseNorm = !cfg.Ablation.DisableNorm
-	if cfg.Ablation.AllPairs {
-		params.Pairing = similarity.PairingAllPairs
-	}
-	lk.scorer = similarity.NewScorer(lk.storeE, lk.storeI, params)
-
-	if cfg.LSH != nil {
-		lk.buildLSHCandidates(&ge, &gi)
-	}
-	return lk, nil
+	in := &inputs{cfg: cfg, ge: dsE.GroupByEntity(cfg.MinRecords), gi: dsI.GroupByEntity(cfg.MinRecords)}
+	in.wnd, in.params = cfg.scoring()
+	return in, nil
 }
 
 // buildLSHCandidates constructs the dominating-cell signature stores (at
