@@ -22,7 +22,8 @@ type Params struct {
 	// SpatialLevel is the grid level of the dominating cells (independent
 	// of the similarity score's spatial level, per Sec. 5.3.1).
 	SpatialLevel int
-	// NumBuckets is the number of hash buckets per band (Fig. 9 axis).
+	// NumBuckets is the number of hash buckets per band (Fig. 9 axis), at
+	// most 2^32: a posting packs the hash in 32 bits.
 	NumBuckets int
 }
 
@@ -56,8 +57,8 @@ func (p Params) Normalize() (Params, error) {
 		return p, fmt.Errorf("LSH step %d is negative", p.StepWindows)
 	case p.SpatialLevel < 0 || p.SpatialLevel > 30:
 		return p, fmt.Errorf("LSH spatial level %d outside [0, 30]", p.SpatialLevel)
-	case p.NumBuckets < 0:
-		return p, fmt.Errorf("LSH bucket count %d is negative", p.NumBuckets)
+	case p.NumBuckets < 0 || uint64(p.NumBuckets) > 1<<32:
+		return p, fmt.Errorf("LSH bucket count %d outside [1, 2^32]", p.NumBuckets)
 	}
 	return p, nil
 }

@@ -19,42 +19,44 @@
 // The index maintains the candidate pair set incrementally. Re-signing
 // every entity and re-enumerating every band-bucket collision on each
 // relink is an O(|E|+|I|) cost even when a single entity's history
-// changed. The index keeps the filter state alive between relinks:
-// per-entity band keys with history-version counters (mirroring the
-// stale-entity recompile discipline of internal/history's compiled views)
-// and one (band, hash)→bucket map. A dirty entity removes its old band
-// keys and inserts its new ones, touching only the buckets it left or
-// entered, so a relink after a small ingest burst costs O(dirty) instead
-// of O(everything). There is no other update path.
+// changed. The index keeps the filter state alive between relinks, as
+// columns: per-entity band keys with history-version counters (mirroring
+// the stale-entity recompile discipline of internal/history's compiled
+// views), and per side one postings column that lists every (entity, band
+// key) membership sorted by (band, hash, ordinal), so that a bucket is the
+// run of one key. An Update re-signs only the dirty entities, moves in
+// place only the memberships of the keys they left or entered, and
+// re-examines only the partners of those keys and of their new ones.
+// There is no other update path.
 //
 // Entities are named by the ordinals of their side's entity table
 // (history.Ordinals) and a pair by one packed uint64 (Key): per-entity
-// state is columns indexed by ordinal, bucket members are 4-byte ordinals,
-// and a pair appears only as a packed word in the lists handed out, so
-// nothing in this package hashes, compares or stores an entity id. The
-// candidate order is the numeric key order; it equals the canonical (U, V)
-// id order only while ordinals happen to be in id order, and nothing
-// downstream relies on it — scores are pure functions of the pair, and the
-// canonical order is imposed where edges are materialised (the root
-// package).
+// state is columns indexed by ordinal, a posting names its entity by a
+// 4-byte ordinal, and a pair appears only as a packed word in the lists
+// handed out, so nothing in this package hashes, compares or stores an
+// entity id. The candidate order is the numeric key order; it equals the
+// canonical (U, V) id order only while ordinals happen to be in id order,
+// and nothing downstream relies on it — scores are pure functions of the
+// pair, and the canonical order is imposed where edges are materialised
+// (the root package).
 //
 // The contract is exactness, not approximation: after any interleaving of
 // ingest, Pairs() names exactly the pairs of a from-scratch batch
 // enumeration keyed by entity id (the parity suite's oracle, which shares
 // only the banding primitives with the index). It holds by
 // definition rather than by bookkeeping: a pair is a candidate iff its two
-// entities' maintained band keys agree in some band (collides) — the
+// entities' maintained band keys agree in some band (sharesBand) — the
 // batch path's "share a bucket in at least one band" — and nothing is
 // stored per pair that could drift from that. The pair list is enumerated
-// from the buckets, which hold an entity under exactly its current band
-// keys; a delta update evaluates the definition under the old and the
-// new keys for the partners of the buckets a re-signed entity left or
-// entered.
+// from the postings, which hold an entity under exactly its current band
+// keys; a delta update reads the definition off the keys of both
+// endpoints for every pair it re-examines (see apply).
 package candidates
 
 import (
 	"slices"
 	"time"
+	"unsafe"
 
 	"slim/internal/history"
 	"slim/internal/par"
@@ -84,6 +86,9 @@ type Stats struct {
 	Occupancy   float64 `json:"occupancy"`
 	// Candidates is the number of distinct cross-dataset candidate pairs.
 	Candidates int64 `json:"candidates"`
+	// ResidentBytes is what the index's columns and its cached pair list
+	// hold, summed from their capacities.
+	ResidentBytes int64 `json:"resident_bytes"`
 	// LastDirty is how many entity signatures the last Update actually
 	// recomputed; LastUpdate is its wall-clock duration.
 	LastDirty  int           `json:"dirty_entities_last"`
@@ -111,7 +116,7 @@ type Delta struct {
 	Dirty   []uint64
 }
 
-// The two sides of a pair: a side indexes Index.sides and bucket.members.
+// The two sides of a pair: a side indexes Index.sides.
 const (
 	sideE = 0
 	sideI = 1
@@ -126,30 +131,206 @@ func pairKey(side int, ord, partner uint32) uint64 {
 	return Key(partner, ord)
 }
 
-// span locates one entity's band keys in its side's keys column.
+// span locates one entity's band keys in a keyset.
 type span struct{ at, n int32 }
+
+// postings lists one side's bucket memberships, one entry per (entity,
+// band key), sorted by (band, hash, ordinal). bands holds the distinct
+// bands ascending, and band bands[k]'s entries are
+// entries[starts[k]:starts[k+1]], each the bucket hash and the entity's
+// ordinal packed as hash<<32 | ordinal (a hash is below NumBuckets, at
+// most 2^32). A bucket is the run of one hash in its band's entries, and
+// its size is the run's length.
+type postings struct {
+	bands   []int64
+	starts  []int32
+	entries []uint64
+}
+
+// segment returns the entries of bands[k].
+func (p *postings) segment(k int) []uint64 { return p.entries[p.starts[k]:p.starts[k+1]] }
+
+// band returns the entries of one band (none if p holds none in it).
+func (p *postings) band(band int64) []uint64 {
+	if k, ok := slices.BinarySearch(p.bands, band); ok {
+		return p.segment(k)
+	}
+	return nil
+}
+
+// run returns the entries of one bucket, found by binary search.
+func (p *postings) run(key bandKey) []uint64 {
+	seg := p.band(key.band)
+	lo, _ := slices.BinarySearch(seg, key.hash<<32)
+	hi := lo
+	for hi < len(seg) && seg[hi]>>32 == key.hash {
+		hi++
+	}
+	return seg[lo:hi]
+}
+
+// buildPostings lays out the memberships of the entities of a keyset with
+// no dead ranges, the k-th under ordinal ord(k). The distinct bands are
+// found by sorting every key's band in the entries column before it holds
+// entries, so the build needs no room beyond the column and a table per
+// band; the per-band sorts fan out over workers, and the result is the
+// same for every value.
+func buildPostings(ks keyset, ord func(k int) uint32, workers int) postings {
+	p := postings{entries: make([]uint64, len(ks.keys))}
+	for i, key := range ks.keys {
+		p.entries[i] = uint64(key.band) ^ 1<<63 // sorts as the signed band
+	}
+	slices.Sort(p.entries)
+	for i, e := range p.entries {
+		if i == 0 || e != p.entries[i-1] {
+			p.bands = append(p.bands, int64(e^1<<63))
+		}
+	}
+	bandAt := func(band int64) int {
+		b, _ := slices.BinarySearch(p.bands, band)
+		return b
+	}
+	p.starts = make([]int32, len(p.bands)+1)
+	for _, key := range ks.keys {
+		p.starts[bandAt(key.band)+1]++
+	}
+	for b := range p.bands {
+		p.starts[b+1] += p.starts[b]
+	}
+	next := slices.Clone(p.starts[:len(p.bands)])
+	for k := range ks.spans {
+		for _, key := range ks.at(k) {
+			b := bandAt(key.band)
+			p.entries[next[b]] = key.hash<<32 | uint64(ord(k))
+			next[b]++
+		}
+	}
+	par.Chunks(workers, len(p.bands), func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			slices.Sort(p.segment(b))
+		}
+	})
+	return p
+}
+
+// zipBands calls fn once per band either postings holds, ascending, with
+// the two's entries in it.
+func zipBands(a, b *postings, fn func(band int64, ea, eb []uint64)) {
+	for i, j := 0, 0; i < len(a.bands) || j < len(b.bands); {
+		switch {
+		case j == len(b.bands) || i < len(a.bands) && a.bands[i] < b.bands[j]:
+			fn(a.bands[i], a.segment(i), nil)
+			i++
+		case i == len(a.bands) || b.bands[j] < a.bands[i]:
+			fn(b.bands[j], nil, b.segment(j))
+			j++
+		default:
+			fn(a.bands[i], a.segment(i), b.segment(j))
+			i, j = i+1, j+1
+		}
+	}
+}
+
+// update rewrites p in place: gone's entries, all of which p holds, leave
+// and fresh's arrive, and the stretches between them move whole. The
+// leaving entries are squeezed out front to back; then each band, back to
+// front, takes its arrivals, each placed by binary search.
+func (p *postings) update(gone, fresh *postings) {
+	w, bands, starts := 0, p.bands[:0], p.starts[:0]
+	for k, band := range p.bands {
+		seg, at := p.entries[p.starts[k]:p.starts[k+1]], w
+		for _, e := range gone.band(band) {
+			i, _ := slices.BinarySearch(seg, e)
+			w += copy(p.entries[w:], seg[:i])
+			seg = seg[i+1:]
+		}
+		w += copy(p.entries[w:], seg)
+		if w > at {
+			bands, starts = append(bands, band), append(starts, int32(at))
+		}
+	}
+	p.bands, p.starts, p.entries = bands, append(starts, int32(w)), p.entries[:w]
+
+	var newBands []int64
+	var newStarts []int32
+	n := 0
+	zipBands(p, fresh, func(band int64, ea, eb []uint64) {
+		newBands, newStarts = append(newBands, band), append(newStarts, int32(n))
+		n += len(ea) + len(eb)
+	})
+	newStarts = append(newStarts, int32(n))
+	p.entries = slices.Grow(p.entries, len(fresh.entries))[:n]
+	for k := len(newBands) - 1; k >= 0; k-- {
+		ea, eb, out := p.band(newBands[k]), fresh.band(newBands[k]), int(newStarts[k+1])
+		for ; len(eb) > 0; eb = eb[:len(eb)-1] {
+			i, _ := slices.BinarySearch(ea, eb[len(eb)-1])
+			out -= copy(p.entries[out-(len(ea)-i):], ea[i:]) + 1
+			p.entries[out] = eb[len(eb)-1]
+			ea = ea[:i]
+		}
+		copy(p.entries[out-len(ea):], ea)
+	}
+	p.bands, p.starts = newBands, newStarts
+}
+
+// eachKey calls fn once for every distinct (band, hash) key two postings
+// hold between them.
+func eachKey(a, b *postings, fn func(key bandKey)) {
+	zipBands(a, b, func(band int64, ea, eb []uint64) {
+		for i, j := 0, 0; i < len(ea) || j < len(eb); {
+			hash := ^uint64(0)
+			if i < len(ea) {
+				hash = ea[i] >> 32
+			}
+			if j < len(eb) {
+				hash = min(hash, eb[j]>>32)
+			}
+			fn(bandKey{band: band, hash: hash})
+			for i < len(ea) && ea[i]>>32 == hash {
+				i++
+			}
+			for j < len(eb) && eb[j]>>32 == hash {
+				j++
+			}
+		}
+	})
+}
+
+// keyset holds the band keys of several entities back to back, the k-th
+// entity's at spans[k].
+type keyset struct {
+	keys  []bandKey
+	spans []span
+}
+
+// at returns the k-th entity's keys.
+func (ks *keyset) at(k int) []bandKey {
+	sp := ks.spans[k]
+	return ks.keys[sp.at : sp.at+sp.n : sp.at+sp.n]
+}
+
+// seal ends the entity whose keys were appended from at on.
+func (ks *keyset) seal(at int) {
+	ks.spans = append(ks.spans, span{int32(at), int32(len(ks.keys) - at)})
+}
 
 // sideState is the maintained filter state of one side, indexed by entity
 // ordinal: whether the entity is signed, the history version its signature
-// was computed from, and where its band keys lie in the keys column — one
-// key per band it has a row in, ascending by band. The signatures
-// themselves are not kept: a band key is all a later delta compares
-// against.
+// was computed from, and its band keys — one key per band it has a row in,
+// ascending by band — plus the side's postings. The signatures themselves
+// are not kept: a band key is all a later delta compares against.
 type sideState struct {
 	store   *history.Store
 	signed  []bool
 	version []uint64
-	spans   []span
-	// keys holds every entity's band keys back to back. An entity whose
-	// keys outgrow their range moves to the end and leaves the range dead;
-	// live counts the keys in use, and a column more than half dead is
-	// rewritten compactly (setBands).
-	keys    []bandKey
+	// keyset holds every entity's band keys back to back, spans indexed by
+	// ordinal. An entity whose keys outgrow their range moves to the end
+	// and leaves the range dead; live counts the keys in use, and a column
+	// more than half dead is rewritten compactly (setBands).
+	keyset
 	live    int
 	numSigs int
-	// changed lists the ordinals whose signatures the current Update
-	// actually recomputed.
-	changed []uint32
+	post    postings
 }
 
 // bandsOf returns one ordinal's band keys (none for an unsigned or
@@ -158,8 +339,7 @@ func (s *sideState) bandsOf(ord uint32) []bandKey {
 	if int(ord) >= len(s.spans) {
 		return nil
 	}
-	sp := s.spans[ord]
-	return s.keys[sp.at : sp.at+sp.n : sp.at+sp.n]
+	return s.at(int(ord))
 }
 
 // cover extends the state to hold n ordinals.
@@ -202,9 +382,55 @@ func (s *sideState) compact() {
 	s.keys = keys
 }
 
-// bucket holds one band bucket's members from each side, as ordinals.
-type bucket struct {
-	members [2][]uint32
+// signing holds one side's entities re-signed by the current Update, their
+// ordinals ascending: each one's new band keys, the keys it left (its old
+// ones without its new ones) and those it entered (the other way round).
+// The side's own state keeps the old keys until commit.
+type signing struct {
+	ords                []uint32
+	next, left, entered keyset
+}
+
+// ord returns ords[k].
+func (g *signing) ord(k int) uint32 { return g.ords[k] }
+
+// repost moves a signing's entities out of the buckets they left and into
+// those they entered, and returns by how much that changed the number of
+// keys held on this side or the other. Their postings are few, so they are
+// built on one goroutine.
+func (s *sideState) repost(g *signing, other *postings) int {
+	if len(g.left.keys)+len(g.entered.keys) == 0 {
+		return 0
+	}
+	gone := buildPostings(g.left, g.ord, 1)
+	fresh := buildPostings(g.entered, g.ord, 1)
+	// Only a key an entity left or entered can have filled or emptied its
+	// bucket, and only one the other side does not hold counts.
+	alone := func() int {
+		n := 0
+		eachKey(&gone, &fresh, func(key bandKey) {
+			if len(s.post.run(key)) > 0 && len(other.run(key)) == 0 {
+				n++
+			}
+		})
+		return n
+	}
+	before := alone()
+	s.post.update(&gone, &fresh)
+	return alone() - before
+}
+
+// commit stores a signing's new band keys and history versions.
+func (s *sideState) commit(g *signing) {
+	for k, ord := range g.ords {
+		s.setBands(ord, g.next.at(k))
+		if !s.signed[ord] {
+			s.signed[ord] = true
+			s.numSigs++
+		}
+		h := s.store.HistoryAt(ord)
+		s.version[ord] = h.Version()
+	}
 }
 
 // Index is an incrementally maintained banded-LSH candidate index over two
@@ -213,9 +439,9 @@ type bucket struct {
 // not safe for concurrent use; callers serialize Update/Pairs/Stats like
 // any other linker mutation.
 type Index struct {
-	// Workers bounds the goroutines of the first Update's per-entity
-	// signature pass and of every pair enumeration (below 1 means 1). The
-	// index is identical for every value.
+	// Workers bounds the goroutines of the first Update's signature pass
+	// and postings sorts and of every pair enumeration (below 1 means 1).
+	// The index is identical for every value.
 	Workers int
 
 	rows       int64 // r, rows per band
@@ -223,44 +449,29 @@ type Index struct {
 	built      bool
 
 	sides [2]sideState
-
-	// buckets maps (band, hash) → members. memberships counts all
-	// (entity, band) entries for the occupancy stat.
-	buckets     map[bandKey]*bucket
-	memberships int
+	// buckets counts the keys held on either side.
+	buckets int
 
 	// The candidate set is not stored: it is the pairs that collide (see
-	// collides). numPairs is its size, kept exact by every delta; pairs
+	// sharesBand). numPairs is its size, kept exact by every delta; pairs
 	// caches its ascending enumeration, nil once the set has changed.
 	numPairs int64
 	pairs    []uint64
 
-	// Scratch buffers so delta updates allocate nothing per entity.
-	scratchSig      Signature
-	scratchKeys     []bandKey
-	scratchPartners []uint32
-
-	// Per-Update delta tracking (cleared at the start of every Update).
-	// touched records, for every pair that entered or left the candidate
-	// set at some step of this Update, whether it was a candidate before
-	// the Update; dirtySeen dedupes Dirty pairs reached through several
-	// bands or both endpoints.
-	touched   map[uint64]bool
-	dirtySeen map[uint64]struct{}
+	// scratchSig is reused by every signature an Update computes.
+	scratchSig Signature
 
 	lastDirty  int
 	lastUpdate time.Duration
 }
 
 // New creates an empty index over the two signature stores. Call Update
-// once to perform the initial build.
+// once to perform the initial build. p.NumBuckets must be in [1, 2^32]
+// (Params.Normalize).
 func New(storeE, storeI *history.Store, p Params) *Index {
 	x := &Index{
 		rows:       int64(RowsPerBand(p.Threshold)),
 		numBuckets: uint64(p.NumBuckets),
-		buckets:    make(map[bandKey]*bucket),
-		touched:    make(map[uint64]bool),
-		dirtySeen:  make(map[uint64]struct{}),
 	}
 	x.sides[sideE].store = storeE
 	x.sides[sideI].store = storeI
@@ -280,101 +491,160 @@ func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) Delta {
 	if !x.built {
 		x.built = true
 		x.lastDirty = x.fill(sideE) + x.fill(sideI)
+		eachKey(&x.sides[sideE].post, &x.sides[sideI].post, func(bandKey) { x.buckets++ })
 		x.pairs = x.enumerate()
 		x.numPairs = int64(len(x.pairs))
 		d.Added = x.pairs
 	} else {
-		clear(x.touched)
-		for side := range x.sides {
-			x.sides[side].changed = x.sides[side].changed[:0]
-		}
-		x.lastDirty = x.applySide(dirtyE, sideE) + x.applySide(dirtyI, sideI)
-		d = x.deltaFromTouches()
+		d = x.apply(dirtyE, dirtyI)
 	}
 	x.lastUpdate = time.Since(start)
 	return d
 }
 
-// deltaFromTouches classifies the pairs whose candidacy moved during this
-// Update (recorded by applySide in x.touched) into Added/Removed by what
-// they are now, then walks the recomputed entities' current band buckets
-// to collect the kept-but-dirty pairs. The walk costs O(current collisions
-// of the recomputed entities) — the same order of work the bucket updates
-// themselves just paid.
-func (x *Index) deltaFromTouches() Delta {
+// apply re-signs the dirty entities whose histories moved and returns the
+// Delta. A pair can only have entered, left or gone stale through a
+// re-signed endpoint. If it collides after the Update, it shares one of
+// that endpoint's new keys in the new postings: those partners are Dirty
+// if the pair collided under the old keys of both endpoints, else Added.
+// If it collided before and no longer does, one endpoint left the key
+// they shared, in the old postings: those partners not found the first
+// way are Removed. The lists are the exact set difference by
+// construction; a pair whose two endpoints both moved is judged on where
+// it started and where it ended, and one that keeps a band while another
+// changes is Dirty and leaves the cached pair list alone.
+func (x *Index) apply(dirtyE, dirtyI map[uint32]struct{}) Delta {
+	re := [2]signing{x.resign(sideE, dirtyE), x.resign(sideI, dirtyI)}
+	x.lastDirty = len(re[sideE].ords) + len(re[sideI].ords)
+	var left, after []uint64
+	for side := range x.sides {
+		left = x.appendPartners(left, side, &re[side], &re[side].left)
+	}
+	for side := range x.sides {
+		x.buckets += x.sides[side].repost(&re[side], &x.sides[1-side].post)
+	}
+	for side := range x.sides {
+		after = x.appendPartners(after, side, &re[side], &re[side].next)
+	}
+	slices.Sort(left)
+	slices.Sort(after)
+	left, after = slices.Compact(left), slices.Compact(after)
+
+	// Where no entity entered a key, a pair that collides now collided
+	// before.
+	entered := len(re[sideE].entered.keys)+len(re[sideI].entered.keys) > 0
 	var d Delta
-	for p, was := range x.touched {
-		switch is := x.collides(Ends(p)); {
-		case !was && is:
+	se, si := &x.sides[sideE], &x.sides[sideI]
+	for _, p := range after {
+		if u, v := Ends(p); !entered || sharesBand(se.bandsOf(u), si.bandsOf(v)) {
+			d.Dirty = append(d.Dirty, p)
+		} else {
 			d.Added = append(d.Added, p)
-		case was && !is:
+		}
+	}
+	for _, p := range left {
+		if _, collides := slices.BinarySearch(after, p); !collides {
 			d.Removed = append(d.Removed, p)
 		}
 	}
-	clear(x.dirtySeen)
-	for side := range x.sides {
-		for _, ord := range x.sides[side].changed {
-			x.visitPartners(side, ord, func(partner uint32) {
-				// A partner sharing a bucket is a candidate by definition.
-				// Kept pairs only: not newly added (a touched pair that was
-				// no candidate before the Update is Added).
-				p := pairKey(side, ord, partner)
-				if was, ok := x.touched[p]; ok && !was {
-					return
-				}
-				if _, ok := x.dirtySeen[p]; ok {
-					return
-				}
-				x.dirtySeen[p] = struct{}{}
-				d.Dirty = append(d.Dirty, p)
-			})
-		}
+	if len(d.Added)+len(d.Removed) > 0 {
+		x.numPairs += int64(len(d.Added) - len(d.Removed))
+		x.pairs = nil
 	}
-	slices.Sort(d.Added)
-	slices.Sort(d.Removed)
-	slices.Sort(d.Dirty)
+	se.commit(&re[sideE])
+	si.commit(&re[sideI])
 	return d
 }
 
-// collides reports whether E ordinal u and I ordinal v are currently a
-// candidate pair.
-func (x *Index) collides(u, v uint32) bool {
-	return sharesBand(x.sides[sideE].bandsOf(u), x.sides[sideI].bandsOf(v))
+// resign signs one side's dirty entities whose histories moved since their
+// signature was computed (never-signed ones included), ordinals
+// ascending.
+func (x *Index) resign(side int, dirty map[uint32]struct{}) signing {
+	s := &x.sides[side]
+	var g signing
+	for ord := range dirty {
+		h := s.store.HistoryAt(ord)
+		if h.NumBins() == 0 {
+			continue
+		}
+		if int(ord) < len(s.signed) && s.signed[ord] && s.version[ord] == h.Version() {
+			continue // marked dirty but unchanged since its last compute
+		}
+		g.ords = append(g.ords, ord)
+	}
+	if len(g.ords) == 0 {
+		return g
+	}
+	slices.Sort(g.ords)
+	s.cover(int(g.ords[len(g.ords)-1]) + 1)
+	for k, ord := range g.ords {
+		x.scratchSig = AppendSignature(x.scratchSig, s.store.HistoryAt(ord))
+		at, left, entered := len(g.next.keys), len(g.left.keys), len(g.entered.keys)
+		g.next.keys = appendBands(g.next.keys, x.scratchSig, x.rows, x.numBuckets)
+		g.next.seal(at)
+		// Both key lists ascend by band, one key a band: one merge walk
+		// splits off the keys that changed.
+		old, cur := s.bandsOf(ord), g.next.at(k)
+		for i, j := 0, 0; i < len(old) || j < len(cur); {
+			switch {
+			case j == len(cur) || i < len(old) && old[i].band < cur[j].band:
+				g.left.keys = append(g.left.keys, old[i])
+				i++
+			case i == len(old) || cur[j].band < old[i].band:
+				g.entered.keys = append(g.entered.keys, cur[j])
+				j++
+			default:
+				if old[i] != cur[j] {
+					g.left.keys = append(g.left.keys, old[i])
+					g.entered.keys = append(g.entered.keys, cur[j])
+				}
+				i, j = i+1, j+1
+			}
+		}
+		g.left.seal(left)
+		g.entered.seal(entered)
+	}
+	return g
 }
 
-// visitPartners calls fn for every opposite-side member currently sharing
-// a band bucket with the given entity (with repeats across bands; callers
-// dedupe).
-func (x *Index) visitPartners(side int, ord uint32, fn func(uint32)) {
-	for _, key := range x.sides[side].bandsOf(ord) {
-		if bkt := x.buckets[key]; bkt != nil {
-			for _, partner := range bkt.members[1-side] {
-				fn(partner)
+// appendPartners appends a pair for every entity a signing of the given
+// side re-signed and every member of the buckets of its keys in ks in the
+// opposite side's postings.
+func (x *Index) appendPartners(dst []uint64, side int, g *signing, ks *keyset) []uint64 {
+	other := &x.sides[1-side].post
+	for k, ord := range g.ords {
+		for _, key := range ks.at(k) {
+			for _, e := range other.run(key) {
+				dst = append(dst, pairKey(side, ord, uint32(e)))
 			}
 		}
 	}
+	return dst
 }
 
-// enumerate lists the candidate set in ascending order from the buckets:
-// per E ordinal, the distinct I members of its bands' buckets — the same
+// enumerate lists the candidate set in ascending order from the postings:
+// per E ordinal, the distinct I members of its keys' buckets — the same
 // O(Σ|bucket_E|·|bucket_I|) walk the batch path performs. Two passes over
 // contiguous ordinal ranges across x.Workers (count, prefix offsets, write)
 // fill one exactly sized slice; an ordinal's keys are sorted where they
 // land and the ranges ascend, so the slice does.
 func (x *Index) enumerate() []uint64 {
-	nE, nI := len(x.sides[sideE].spans), len(x.sides[sideI].spans)
+	se, postI := &x.sides[sideE], &x.sides[sideI].post
+	nE, nI := len(se.spans), len(x.sides[sideI].spans)
 	walk := func(visit func(u uint32, partners []uint32)) {
 		par.Chunks(x.Workers, nE, func(_, lo, hi int) {
 			// stamp[v] == u+1 marks v as already listed for u.
 			stamp, partners := make([]uint32, nI), []uint32(nil)
 			for u := uint32(lo); u < uint32(hi); u++ {
 				partners = partners[:0]
-				x.visitPartners(sideE, u, func(v uint32) {
-					if stamp[v] != u+1 {
-						stamp[v] = u + 1
-						partners = append(partners, v)
+				for _, key := range se.bandsOf(u) {
+					for _, e := range postI.run(key) {
+						if v := uint32(e); stamp[v] != u+1 {
+							stamp[v] = u + 1
+							partners = append(partners, v)
+						}
 					}
-				})
+				}
 				visit(u, partners)
 			}
 		})
@@ -395,11 +665,10 @@ func (x *Index) enumerate() []uint64 {
 	return pairs
 }
 
-// fill signs every entity of one side and inserts its band keys, returning
+// fill signs every entity of one side and lays out its postings, returning
 // how many it signed. Signatures and band keys are per-entity work over
 // read-only histories and fan out over x.Workers in two passes (count the
-// keys, then write them into one exactly sized column); bucket insertion
-// stays serial, in ordinal order.
+// keys, then write them into one exactly sized column).
 func (x *Index) fill(side int) int {
 	s := &x.sides[side]
 	n := s.store.Ordinals().Len()
@@ -428,141 +697,13 @@ func (x *Index) fill(side int) int {
 			appendBands(s.keys[sp.at:sp.at:sp.at+sp.n], sig, x.rows, x.numBuckets) // fills the range in place
 		}
 	})
-	for ord := uint32(0); ord < uint32(n); ord++ {
-		if !s.signed[ord] {
-			continue
-		}
-		s.numSigs++
-		for _, key := range s.bandsOf(ord) {
-			bkt := x.bucketAt(key)
-			bkt.members[side] = append(bkt.members[side], ord)
-			x.memberships++
+	s.post = buildPostings(s.keyset, func(k int) uint32 { return uint32(k) }, x.Workers)
+	for _, signed := range s.signed {
+		if signed {
+			s.numSigs++
 		}
 	}
 	return s.numSigs
-}
-
-// applySide delta-updates one side's dirty entities and returns how many
-// signatures were actually recomputed.
-func (x *Index) applySide(dirty map[uint32]struct{}, side int) int {
-	s := &x.sides[side]
-	n := 0
-	for ord := range dirty {
-		h := s.store.HistoryAt(ord)
-		if h.NumBins() == 0 {
-			continue
-		}
-		s.cover(int(ord) + 1)
-		fresh := !s.signed[ord]
-		if !fresh && s.version[ord] == h.Version() {
-			continue // marked dirty but unchanged since its last compute
-		}
-		s.changed = append(s.changed, ord)
-		x.scratchSig = AppendSignature(x.scratchSig, h)
-		x.scratchKeys = appendBands(x.scratchKeys[:0], x.scratchSig, x.rows, x.numBuckets)
-		// A never-signed ordinal has no bands: old is empty.
-		old, cur := s.bandsOf(ord), x.scratchKeys
-		partners := x.scratchPartners[:0]
-		// Both key lists ascend by band: one merge walk leaves the bands the
-		// entity left, enters the ones it entered and moves the ones whose
-		// bucket changed.
-		for i, j := 0, 0; i < len(old) || j < len(cur); {
-			switch {
-			case j == len(cur) || i < len(old) && old[i].band < cur[j].band:
-				partners = x.removeBand(old[i], ord, side, partners)
-				i++
-			case i == len(old) || cur[j].band < old[i].band:
-				partners = x.insertBand(cur[j], ord, side, partners)
-				j++
-			default:
-				if old[i].hash != cur[j].hash {
-					partners = x.removeBand(old[i], ord, side, partners)
-					partners = x.insertBand(cur[j], ord, side, partners)
-				}
-				i, j = i+1, j+1
-			}
-		}
-		// Only a member of a bucket the entity left or entered can have
-		// changed candidacy with it: towards anyone else, every band that
-		// collided still does and no other one has started to. Count-only
-		// churn — hopping between buckets while another band keeps the pair
-		// — is was == is, and must not drop the enumerated list.
-		slices.Sort(partners)
-		partners = slices.Compact(partners)
-		for _, partner := range partners {
-			keys := x.sides[1-side].bandsOf(partner)
-			was, is := sharesBand(old, keys), sharesBand(cur, keys)
-			if was == is {
-				continue
-			}
-			// The first move of a pair per Update records its pre-Update
-			// membership, the raw material of Delta.Added/Removed.
-			p := pairKey(side, ord, partner)
-			if _, seen := x.touched[p]; !seen {
-				x.touched[p] = was
-			}
-			if is {
-				x.numPairs++
-			} else {
-				x.numPairs--
-			}
-			x.pairs = nil
-		}
-		x.scratchPartners = partners
-		s.setBands(ord, cur)
-		if fresh {
-			s.signed[ord] = true
-			s.numSigs++
-		}
-		s.version[ord] = h.Version()
-		n++
-	}
-	return n
-}
-
-// bucketAt returns the bucket of a key, creating it when absent.
-func (x *Index) bucketAt(key bandKey) *bucket {
-	bkt := x.buckets[key]
-	if bkt == nil {
-		bkt = &bucket{}
-		x.buckets[key] = bkt
-	}
-	return bkt
-}
-
-// insertBand adds an entity to one bucket and appends the bucket's
-// opposite-side members to partners.
-func (x *Index) insertBand(key bandKey, ord uint32, side int, partners []uint32) []uint32 {
-	bkt := x.bucketAt(key)
-	bkt.members[side] = append(bkt.members[side], ord)
-	x.memberships++
-	return append(partners, bkt.members[1-side]...)
-}
-
-// removeBand removes an entity from one bucket and appends the bucket's
-// opposite-side members to partners.
-func (x *Index) removeBand(key bandKey, ord uint32, side int, partners []uint32) []uint32 {
-	bkt := x.buckets[key]
-	if bkt == nil {
-		return partners
-	}
-	bkt.members[side] = cut(bkt.members[side], ord)
-	x.memberships--
-	if len(bkt.members[sideE]) == 0 && len(bkt.members[sideI]) == 0 {
-		delete(x.buckets, key)
-	}
-	return append(partners, bkt.members[1-side]...)
-}
-
-// cut removes the first occurrence of ord (each entity appears at most
-// once per bucket) with an order-destroying swap-delete; bucket member
-// order is irrelevant to the pair set.
-func cut(s []uint32, ord uint32) []uint32 {
-	if k := slices.Index(s, ord); k >= 0 {
-		s[k] = s[len(s)-1]
-		return s[:len(s)-1]
-	}
-	return s
 }
 
 // Pairs returns the current candidate set as packed pairs (Key) in
@@ -582,18 +723,31 @@ func (x *Index) NumCandidates() int64 { return x.numPairs }
 // Stats returns an observability snapshot of the index.
 func (x *Index) Stats() Stats {
 	st := Stats{
-		Rows:        int(x.rows),
-		NumBuckets:  int(x.numBuckets),
-		SignaturesE: x.sides[sideE].numSigs,
-		SignaturesI: x.sides[sideI].numSigs,
-		Buckets:     len(x.buckets),
-		Memberships: x.memberships,
-		Candidates:  x.numPairs,
-		LastDirty:   x.lastDirty,
-		LastUpdate:  x.lastUpdate,
+		Rows:          int(x.rows),
+		NumBuckets:    int(x.numBuckets),
+		SignaturesE:   x.sides[sideE].numSigs,
+		SignaturesI:   x.sides[sideI].numSigs,
+		Buckets:       x.buckets,
+		Memberships:   len(x.sides[sideE].post.entries) + len(x.sides[sideI].post.entries),
+		Candidates:    x.numPairs,
+		ResidentBytes: x.residentBytes(),
+		LastDirty:     x.lastDirty,
+		LastUpdate:    x.lastUpdate,
 	}
 	if st.Buckets > 0 {
-		st.Occupancy = float64(x.memberships) / float64(st.Buckets)
+		st.Occupancy = float64(st.Memberships) / float64(st.Buckets)
 	}
 	return st
+}
+
+// residentBytes sums the capacities of everything the index retains.
+func (x *Index) residentBytes() int64 {
+	n := 8*cap(x.pairs) + int(unsafe.Sizeof(Row{}))*cap(x.scratchSig)
+	for side := range x.sides {
+		s := &x.sides[side]
+		n += cap(s.signed) + 8*cap(s.version) + int(unsafe.Sizeof(span{}))*cap(s.spans) +
+			int(unsafe.Sizeof(bandKey{}))*cap(s.keys) +
+			8*cap(s.post.bands) + 4*cap(s.post.starts) + 8*cap(s.post.entries)
+	}
+	return int64(n)
 }

@@ -30,6 +30,24 @@ func batchPairs(se, si *history.Store, p Params) []Pair {
 	return CandidatePairs(BuildSignatures(se), BuildSignatures(si), p)
 }
 
+// batchBuckets recounts the buckets from scratch: every non-empty
+// (band, hash) bucket of the two stores' signatures with its member count
+// per side.
+func batchBuckets(se, si *history.Store, p Params) map[bandKey][2]int {
+	r, numBuckets := int64(RowsPerBand(p.Threshold)), uint64(p.NumBuckets)
+	buckets := make(map[bandKey][2]int)
+	for side, s := range []*history.Store{se, si} {
+		for _, sig := range BuildSignatures(s) {
+			for _, key := range appendBands(nil, sig, r, numBuckets) {
+				n := buckets[key]
+				n[side]++
+				buckets[key] = n
+			}
+		}
+	}
+	return buckets
+}
+
 // named resolves packed pairs to entity ids through the two stores'
 // entity tables, in the canonical (U, V) id order of CandidatePairs.
 func named(se, si *history.Store, keys []uint64) []Pair {
@@ -306,7 +324,7 @@ func TestIndexPairsSliceStability(t *testing.T) {
 }
 
 // TestIndexStatsShape sanity-checks the occupancy bookkeeping against a
-// direct recount of the bucket map.
+// recount of the buckets from the batch oracle.
 func TestIndexStatsShape(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
@@ -326,15 +344,9 @@ func TestIndexStatsShape(t *testing.T) {
 	if st.SignaturesE != 8 || st.SignaturesI != 8 {
 		t.Fatalf("signature counts = %d/%d, want 8/8", st.SignaturesE, st.SignaturesI)
 	}
-	members := 0
-	for _, bkt := range x.buckets {
-		members += len(bkt.members[sideE]) + len(bkt.members[sideI])
-	}
-	if st.Buckets != len(x.buckets) || st.Memberships != members {
-		t.Fatalf("stats buckets/memberships = %d/%d, recount = %d/%d", st.Buckets, st.Memberships, len(x.buckets), members)
-	}
-	if st.Occupancy != float64(members)/float64(len(x.buckets)) {
-		t.Fatalf("occupancy = %g, want %g", st.Occupancy, float64(members)/float64(len(x.buckets)))
+	requireBucketCounts(t, x, se, si, p, "after a delta")
+	if st.Occupancy != float64(st.Memberships)/float64(st.Buckets) {
+		t.Fatalf("occupancy = %g, want %g", st.Occupancy, float64(st.Memberships)/float64(st.Buckets))
 	}
 	if st.LastUpdate <= 0 {
 		t.Fatal("LastUpdate duration not recorded")

@@ -33,8 +33,8 @@ type BandCollision struct {
 // filter: whether each endpoint has a maintained signature, whether the
 // pair is currently a candidate, which bands collide (with bucket sizes),
 // and the rows per band the answer is read under. It is a pure read over
-// the maintained band keys and buckets — Explain adds no state to the
-// index and costs O(bands of the two endpoints).
+// the maintained band keys and postings — Explain adds no state to the
+// index and costs O(bands of the two endpoints) binary searches.
 type PairExplain struct {
 	// HasU / HasV report whether the index maintains a signature for each
 	// endpoint (false for unknown or never-signed entities).
@@ -79,9 +79,7 @@ func (x *Index) Explain(u, v uint32) PairExplain {
 		default:
 			if a.hash == b.hash {
 				bc := BandCollision{Band: a.band, Hash: BucketHash(a.hash)}
-				if bkt := x.buckets[a]; bkt != nil {
-					bc.BucketE, bc.BucketI = len(bkt.members[sideE]), len(bkt.members[sideI])
-				}
+				bc.BucketE, bc.BucketI = len(su.post.run(a)), len(sv.post.run(a))
 				ex.Collisions = append(ex.Collisions, bc)
 			}
 			i, j = i+1, j+1

@@ -157,7 +157,8 @@ var (
 		candidate_index candidate_index.buckets candidate_index.candidates
 		candidate_index.dirty_entities_last candidate_index.last_update_ms
 		candidate_index.memberships candidate_index.num_buckets candidate_index.occupancy
-		candidate_index.rows candidate_index.signatures_e candidate_index.signatures_i`)
+		candidate_index.resident_bytes candidate_index.rows candidate_index.signatures_e
+		candidate_index.signatures_i`)
 	statsStoreKeys = strings.Fields(`
 		storage storage.batches_logged storage.dir storage.fsync_interval_ms
 		storage.last_snapshot_seq storage.last_snapshot_unix_ms storage.next_seq
@@ -360,9 +361,9 @@ var (
 		candidate_index.buckets=number candidate_index.candidates=number
 		candidate_index.dirty_entities_last=number candidate_index.last_update_ms=number
 		candidate_index.memberships=number candidate_index.num_buckets=number
-		candidate_index.occupancy=number candidate_index.rows=number
-		candidate_index.signatures_e=number candidate_index.signatures_i=number
-		candidate_index=object`)
+		candidate_index.occupancy=number candidate_index.resident_bytes=number
+		candidate_index.rows=number candidate_index.signatures_e=number
+		candidate_index.signatures_i=number candidate_index=object`)
 	statsStoreTypes = strings.Fields(`
 		storage.batches_logged=number storage.dir=string storage.fsync_interval_ms=number
 		storage.last_snapshot_seq=number storage.last_snapshot_unix_ms=number

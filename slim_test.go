@@ -146,6 +146,7 @@ func TestConfigValidation(t *testing.T) {
 		{Threshold: "magic"},
 		{LSH: &LSHConfig{Threshold: 1.5}},
 		{LSH: &LSHConfig{SpatialLevel: 31}},
+		{LSH: &LSHConfig{NumBuckets: 1<<32 + 1}},
 	}
 	for _, cfg := range bad {
 		if _, err := LinkDatasets(w.E, w.I, cfg); err == nil {
