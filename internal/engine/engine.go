@@ -175,12 +175,13 @@ type Engine struct {
 }
 
 // layers is one immutable snapshot of the linker-side state a published
-// run left behind: entity counts plus the candidate-index (nil without
-// LSH), edge-store and publish-tail (both nil before the first run)
-// snapshots. Runs that publish nothing carry the previous run's snapshot
-// forward.
+// run left behind: entity counts plus the history-store, candidate-index
+// (nil without LSH), edge-store and publish-tail (both nil before the first
+// run) snapshots. Runs that publish nothing carry the previous run's
+// snapshot forward.
 type layers struct {
 	entE, entI int
+	hist       *slim.HistoryStats
 	idx        *slim.CandidateIndexStats
 	edge       *slim.EdgeStoreStats
 	tail       *slim.PublishTailStats
@@ -376,6 +377,7 @@ func New(dsE, dsI slim.Dataset, cfg Config) (*Engine, error) {
 	e.last.layers = &layers{
 		entE: len(lk.EntitiesE()),
 		entI: len(lk.EntitiesI()),
+		hist: lk.HistoryStats(),
 		idx:  lk.CandidateIndexStats(),
 	}
 	reg := cfg.Registry
@@ -664,6 +666,7 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 		rec.layers = &layers{
 			entE: len(e.lk.EntitiesE()),
 			entI: len(e.lk.EntitiesI()),
+			hist: e.lk.HistoryStats(),
 			idx:  stats.LSH,
 			edge: stats.EdgeStore,
 		}
@@ -821,11 +824,13 @@ type Stats struct {
 	// waiting for a relink (zero when nothing is pending) — the relink-lag
 	// signal behind the ingest plane's latency-budget shedding.
 	PendingOldestAge time.Duration `json:"-"`
-	// CandidateIndex (nil when LSH is disabled), EdgeStore and PublishTail
-	// (both nil before the first published run) are the linker's layer
-	// snapshots. Their state fields (sizes, epochs, since-boot counts) are
-	// as of the latest published run; their last-run fields are the latest
-	// run's record, so they read zero after a short circuit.
+	// Histories, CandidateIndex (nil when LSH is disabled), EdgeStore and
+	// PublishTail (both nil before the first published run) are the
+	// linker's layer snapshots. Their state fields (sizes, epochs,
+	// since-boot counts) are as of the latest published run; their last-run
+	// fields are the latest run's record, so they read zero after a short
+	// circuit.
+	Histories      *slim.HistoryStats        `json:"histories,omitempty"`
 	CandidateIndex *slim.CandidateIndexStats `json:"candidate_index,omitempty"`
 	EdgeStore      *slim.EdgeStoreStats      `json:"edge_store,omitempty"`
 	PublishTail    *slim.PublishTailStats    `json:"publish_tail,omitempty"`
@@ -867,6 +872,7 @@ func (e *Engine) Stats() Stats {
 		st.Links = len(cur.Links)
 		st.Threshold = cur.Threshold
 	}
+	st.Histories = r.layers.hist
 	if r.layers.idx != nil {
 		idx := *r.layers.idx
 		idx.LastDirty, idx.LastUpdate = r.indexDirty, r.IndexDur

@@ -7,23 +7,25 @@ import (
 )
 
 // View is the compiled scoring view of one entity's history: five
-// subslices of its store's columns, which the similarity scorer runs on.
-// It has History's layout — window k's bins occupy
-// Cells/Counts/IDF[Off[k]:Off[k+1]], sorted by ascending cell id — and
-// Windows, Off and Counts are the history's own columns. On top it reads
-// the two columns a scoring store compiles for every bin: the store's IDF
-// weight, and the cell id interned into the store's dense index space (see
-// Store.CompiledViewAt): a bin's cell is a small integer into the store's
-// cell table, whose entries carry the geometry the cell distance reads.
+// subslices of its store's columns plus the store's two tables, which the
+// similarity scorer runs on. It has History's layout — window k's bins
+// occupy Cells/Counts/DF[Off[k]:Off[k+1]], sorted by ascending cell id —
+// and Windows, Off, Cells and Counts are the history's own columns: a
+// bin's cell is a small integer into the store's cell table (see
+// Store.CompiledViewAt), whose entries carry the geometry the cell
+// distance reads. On top it reads the one column a scoring store compiles
+// for every bin, its document frequency, and the store's table of IDF
+// weights by document frequency.
 //
 // A view is valid until the next Store.Add to its store, which may move
 // the columns it views, and until the next Compile or CompiledViewAt after
-// an Add that moved the store's epoch, which rewrites its IDF weights in
+// an Add that moved the store's epoch, which rewrites its df column in
 // place. Add is not safe concurrently with readers, so a reader never sees
 // either happen; a view must not be held across them: fetch it per use, as
 // every scorer entry point does. The store never hands out a stale one —
-// Add bumps the history's version or the store's epoch, so the segment
-// fails current() and is refreshed before CompiledViewAt fills a view.
+// an Add that moves any document frequency or the entity count moves the
+// store's epoch, so the segment fails current() and is refilled before
+// CompiledViewAt fills a view.
 type View struct {
 	// Windows are the sorted leaf window indices.
 	Windows []int64
@@ -35,9 +37,11 @@ type View struct {
 	Cells []int32
 	// Counts holds the record weight of each bin.
 	Counts []float64
-	// IDF holds the store's IDF weight (Eq. 3) of each bin, baked in at
-	// compile time.
-	IDF []float64
+	// DF holds how many of the store's entities hold each bin.
+	DF []int32
+	// IDFByDF is the store's IDF weight (Eq. 3) of a bin by its document
+	// frequency: bin j weighs IDFByDF[DF[j]].
+	IDFByDF []float64
 }
 
 // SumWeights returns the summed record weight of a run of bins, accumulated
@@ -51,28 +55,22 @@ func SumWeights(counts []float64) float64 {
 	return recs
 }
 
-// current reports whether the segment's compiled columns are up to date
-// for its history and the store's epoch. Callers hold compMu.
+// current reports whether the segment's df column is up to date for the
+// store's epoch. Callers hold compMu.
 func (s *Store) current(sg *segment) bool {
-	return sg.compVersion == sg.version && sg.compEpoch == s.epoch
+	return sg.filled == s.epoch+1
 }
 
-// Compile refreshes the compiled columns of every entity whose history
-// changed — or whose dataset-level IDF inputs changed — since its last
-// compilation, and returns how many entities were refreshed. Weight-only
-// updates (records landing in existing bins) dirty just the touched
-// entities; a new bin or a new entity moves the store's IDF epoch and
-// dirties everything, because the IDF weights baked into every segment may
-// have shifted. An epoch move leaves the interned cells of an unchanged
-// history standing, so such a segment only has its IDF weights rewritten,
-// in place; the segments of changed histories are re-interned too.
+// Compile refreshes the df column of every entity whose bins' document
+// frequencies may have changed since its last compilation, and returns how
+// many entities were refreshed. A record that lands in an existing bin
+// moves neither the bin set nor any df, so it dirties nothing: the view
+// reads the record weights from the history itself. A new bin or a new
+// entity moves the store's IDF epoch and dirties everything.
 //
-// The re-interned entities' cells are interned serially, in ordinal then
-// column order, so dense indices are assigned identically for every worker
-// count; the IDF weights of every stale segment (the bulk of the work:
-// lookups over read-only store state) are then written across the given
-// number of workers (below 1 means 1). An epoch-only Compile allocates
-// nothing.
+// The df column of every stale segment (lookups over read-only store
+// state) is written across the given number of workers (below 1 means 1).
+// An epoch-only Compile allocates nothing.
 //
 // Rescore calls Compile before fanning scoring across workers, so the
 // parallel phase only ever takes the cheap read-lock path of CompiledView.
@@ -83,36 +81,32 @@ func (s *Store) Compile(workers int) int {
 	s.allocCompiledLocked()
 	stale := s.stale[:0]
 	for ord := range s.segs {
-		sg := &s.segs[ord]
-		if sg.nWin == 0 || s.current(sg) {
-			continue
+		if sg := &s.segs[ord]; sg.nWin > 0 && !s.current(sg) {
+			stale = append(stale, uint32(ord))
 		}
-		stale = append(stale, uint32(ord))
-		s.internLocked(sg)
 	}
 	s.stale = stale
-	idfs := s.idfTableLocked()
+	s.idfTableLocked()
 	if workers <= 1 { // inline: the fan-out's closure is an allocation
 		for _, ord := range stale {
-			s.fill(&s.segs[ord], idfs)
+			s.fill(&s.segs[ord])
 		}
 		return len(stale)
 	}
 	par.Chunks(workers, len(stale), func(_, lo, hi int) {
 		for _, ord := range stale[lo:hi] {
-			s.fill(&s.segs[ord], idfs)
+			s.fill(&s.segs[ord])
 		}
 	})
 	return len(stale)
 }
 
-// allocCompiledLocked gives a store its two compiled columns on its first
-// compile; from then on they share the per-bin columns' length and
-// capacity and are rewritten with them. Callers hold compMu for writing.
+// allocCompiledLocked gives a store its df column on its first compile;
+// from then on it shares the per-bin columns' length and capacity and is
+// rewritten with them. Callers hold compMu for writing.
 func (s *Store) allocCompiledLocked() {
-	if s.dense == nil {
-		n, c := len(s.cells), cap(s.cells)
-		s.dense, s.idf = make([]int32, n, c), make([]float64, n, c)
+	if s.df == nil {
+		s.df = make([]int32, len(s.counts), cap(s.counts))
 	}
 }
 
@@ -120,7 +114,7 @@ func (s *Store) allocCompiledLocked() {
 // with the given ordinal and returns the store's cell table: entry i is
 // the id, centre and circumradius of the cell with dense index i. ok is
 // false, and v untouched, if the store holds no history for the ordinal.
-// A stale entity is compiled on the spot, so callers need no prior
+// A stale entity is refilled on the spot, so callers need no prior
 // Compile; the table is append-only, so indices held by any view remain
 // valid in every later table. Safe for concurrent use by scorers; like all
 // reads, not safe concurrently with Add.
@@ -141,8 +135,8 @@ func (s *Store) CompiledViewAt(ord uint32, v *View) (cells []geo.CellGeom, ok bo
 	s.compMu.Lock()
 	if !s.current(sg) {
 		s.allocCompiledLocked()
-		s.internLocked(sg)
-		s.fill(sg, s.idfTableLocked())
+		s.idfTableLocked()
+		s.fill(sg)
 	}
 	cells = s.viewLocked(sg, v)
 	s.compMu.Unlock()
@@ -159,70 +153,49 @@ func (s *Store) CompiledView(e model.EntityID, v *View) (cells []geo.CellGeom, o
 	return s.CompiledViewAt(ord, v)
 }
 
-// viewLocked fills v with the segment's columns and returns the cell
-// table. Callers hold compMu.
+// viewLocked fills v with the segment's columns and the IDF table, and
+// returns the cell table. Callers hold compMu.
 func (s *Store) viewLocked(sg *segment, v *View) []geo.CellGeom {
 	w, nw, b, nb := sg.win, sg.nWin, sg.bin, sg.nBin
 	v.Windows = s.windows[w : w+nw : w+nw]
 	v.Off = s.off[w : w+nw+1 : w+nw+1]
-	v.Cells = s.dense[b : b+nb : b+nb]
+	v.Cells = s.cells[b : b+nb : b+nb]
 	v.Counts = s.counts[b : b+nb : b+nb]
-	v.IDF = s.idf[b : b+nb : b+nb]
+	v.DF = s.df[b : b+nb : b+nb]
+	v.IDFByDF = s.idfs[:len(s.idfs):len(s.idfs)]
 	return s.geoms
 }
 
-// internLocked readies a stale segment for fill, which writes its IDF
-// weights, and stamps it current. If the history is unchanged since its
-// cells were interned — only the store's epoch moved — they still stand.
-// Otherwise its cells are interned into the dense column: each cell id is
-// assigned the next index — and its geometry derived, once for the life of
-// the store — on first sight. It is the only part of a compile that writes
-// store state beyond the segment's own range; callers hold compMu for
+// idfTableLocked brings the IDF table up to date: idf(n, df) for every df
+// from 0 to the store's largest, n its entity count. When n moved it
+// starts a new table rather than overwrite the one a view may hold; when
+// only the largest df grew it appends, past the end of every view's
+// table. Each entry is idf's own result, so a weight read from the table
+// is bit-identical to one computed per bin. Callers hold compMu for
 // writing.
-func (s *Store) internLocked(sg *segment) {
-	if sg.compVersion != sg.version {
-		for j, id := range s.cells[sg.bin : sg.bin+sg.nBin] {
-			i, ok := s.cellIndex[id]
-			if !ok {
-				i = int32(len(s.geoms))
-				s.cellIndex[id] = i
-				s.geoms = append(s.geoms, geo.GeomOf(id))
-			}
-			s.dense[int(sg.bin)+j] = i
-		}
-		sg.compVersion = sg.version
-	}
-	sg.compEpoch = s.epoch
-}
-
-// idfTableLocked returns idf(n, df) for every df from 0 to the store's
-// largest, n its entity count, extending or rebuilding the table the
-// last call left only when either moved. Each entry is idf's own result,
-// so a weight read from the table is bit-identical to one computed per
-// bin. Callers hold compMu for writing.
-func (s *Store) idfTableLocked() []float64 {
+func (s *Store) idfTableLocked() {
 	if n := len(s.entities); n != s.idfsN {
-		s.idfs, s.idfsN = s.idfs[:0], n
+		s.idfs, s.idfsN = nil, n
 	}
 	for df := int32(len(s.idfs)); df <= s.freq.maxDF; df++ {
 		s.idfs = append(s.idfs, idf(s.idfsN, df))
 	}
-	return s.idfs
 }
 
-// fill writes the IDF weight of every bin of a segment readied by
-// internLocked, reading idf(n, df) from idfs (see idfTableLocked). It
-// writes the segment's own range of the IDF column and only reads the rest
-// of the store, so distinct segments fill concurrently.
-func (s *Store) fill(sg *segment, idfs []float64) {
-	cells, weights := s.cells[sg.bin:sg.bin+sg.nBin], s.idf[sg.bin:sg.bin+sg.nBin]
+// fill writes the df column of a segment — how many entities hold each of
+// its bins — and stamps it current. It writes the segment's own range of
+// the column and only reads the rest of the store, so distinct segments
+// fill concurrently.
+func (s *Store) fill(sg *segment) {
+	cells, df := s.cells[sg.bin:sg.bin+sg.nBin], s.df[sg.bin:sg.bin+sg.nBin]
 	off := s.off[sg.win : sg.win+sg.nWin+1]
 	i := 0 // the windows ascend, so each search starts at the last hit
 	for k, win := range s.windows[sg.win : sg.win+sg.nWin] {
 		var fw freqWindow
 		fw, i = s.freq.window(i, win)
 		for j := off[k]; j < off[k+1]; j++ {
-			weights[j] = idfs[fw.count(cells[j])]
+			df[j] = fw.count(cells[j])
 		}
 	}
+	sg.filled = s.epoch + 1
 }

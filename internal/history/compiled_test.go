@@ -25,6 +25,16 @@ func compiledTestStore(t testing.TB) *Store {
 	return Build(&d, model.Windowing{WidthSeconds: 900}, 12)
 }
 
+// weights resolves the IDF weight of every bin of a view through the
+// store's table, as the scorer reads it.
+func weights(v View) []float64 {
+	out := make([]float64, len(v.DF))
+	for j, df := range v.DF {
+		out[j] = v.IDFByDF[df]
+	}
+	return out
+}
+
 // TestCompiledViewMatchesBins checks the compiled view against the map
 // walk: same windows, same cells in the same (sorted) order, same weights,
 // and IDF weights equal to the store's IDF.
@@ -40,6 +50,7 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 			t.Fatalf("no compiled view for %s", e)
 		}
 		h := s.History(e)
+		idfs := weights(c)
 		if !slices.Equal(c.Windows, h.Windows()) {
 			t.Fatalf("%s: compiled windows %v, want %v", e, c.Windows, h.Windows())
 		}
@@ -58,20 +69,22 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 			if c.Counts[k] != count {
 				t.Fatalf("%s: compiled count %v at %d, want %v", e, c.Counts[k], k, count)
 			}
-			if want := s.IDF(b); c.IDF[k] != want {
-				t.Fatalf("%s: compiled IDF %v at %d, want %v", e, c.IDF[k], k, want)
+			if want := s.IDF(b); idfs[k] != want {
+				t.Fatalf("%s: compiled IDF %v at %d, want %v", e, idfs[k], k, want)
 			}
 			k++
 		})
-		if k != h.NumBins() || len(c.Cells) != k || len(c.IDF) != k {
-			t.Fatalf("%s: compiled %d bins (%d cells, %d weights), history has %d", e, k, len(c.Cells), len(c.IDF), h.NumBins())
+		if k != h.NumBins() || len(c.Cells) != k || len(c.DF) != k {
+			t.Fatalf("%s: compiled %d bins (%d cells, %d weights), history has %d", e, k, len(c.Cells), len(c.DF), h.NumBins())
 		}
 	}
 }
 
 // TestCompileInvalidation pins the recompilation granularity: clean stores
-// recompile nothing, weight-only adds recompile one entity, and anything
-// that can shift baked IDF weights (new bin, new entity) recompiles all.
+// and weight-only adds recompile nothing — a record landing in an existing
+// bin moves no document frequency, and the view reads record weights from
+// the history itself — and anything that can shift a document frequency or
+// the IDF table (new bin, new entity) recompiles all.
 func TestCompileInvalidation(t *testing.T) {
 	s := compiledTestStore(t)
 	all := s.NumEntities()
@@ -81,13 +94,23 @@ func TestCompileInvalidation(t *testing.T) {
 	}
 
 	// Weight-only add: a duplicate of an existing record lands in an
-	// existing bin, so only entity "a" goes stale.
+	// existing bin, so nothing goes stale, and a's view reads the new
+	// weight.
+	var before View
+	s.CompiledView("a", &before)
+	w0 := before.Counts[0]
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 110})
-	if n := s.Compile(1); n != 1 {
-		t.Fatalf("weight-only add recompiled %d entities, want 1", n)
+	if n := s.Compile(1); n != 0 {
+		t.Fatalf("weight-only add recompiled %d entities, want 0", n)
+	}
+	var after View
+	s.CompiledView("a", &after)
+	if after.Counts[0] != w0+1 {
+		t.Fatalf("weight-only add: a's first bin weighs %v, want %v", after.Counts[0], w0+1)
 	}
 
-	// New bin: bin frequencies changed, every baked IDF may be stale.
+	// New bin: bin frequencies changed, every document frequency may be
+	// stale.
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 36.0, Lng: -121.0}, Unix: 50000})
 	if n := s.Compile(1); n != all {
 		t.Fatalf("new-bin add recompiled %d entities, want %d", n, all)
@@ -112,29 +135,30 @@ func TestCompiledViewLazyRecompile(t *testing.T) {
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 36.5, Lng: -121.5}, Unix: 90000})
 	var after View
 	ids, _ := s.CompiledView("a", &after)
-	if len(after.Cells) != binsBefore+1 || len(after.IDF) != binsBefore+1 {
+	if len(after.Cells) != binsBefore+1 || len(after.DF) != binsBefore+1 {
 		t.Fatalf("recompiled view has %d bins, want %d", len(after.Cells), binsBefore+1)
 	}
 	// Dense indices must stay within the id table and name the history's
 	// cells, and the weights must be the refreshed store's.
 	h := s.History("a")
+	idfs := weights(after)
 	k := 0
 	h.Bins(func(b Bin, _ float64) {
 		if ci := after.Cells[k]; int(ci) >= len(ids) || ids[ci].ID != b.Cell {
 			t.Fatalf("bin %d: dense index %d does not name cell %v", k, ci, b.Cell)
 		}
-		if after.IDF[k] != s.IDF(b) {
-			t.Fatalf("bin %d: stale IDF %v, want %v", k, after.IDF[k], s.IDF(b))
+		if idfs[k] != s.IDF(b) {
+			t.Fatalf("bin %d: stale IDF %v, want %v", k, idfs[k], s.IDF(b))
 		}
 		k++
 	})
 }
 
 // TestCompileParallelMatchesSerial requires the parallel build to equal
-// the serial one view for view — windows, offsets, weights, IDF and the
-// dense cell indices with their id table — across a cold
-// compile, a weight-only add (one stale entity) and an epoch move that
-// brings new cells (everything stale). Run under -race it is also the
+// the serial one view for view — windows, offsets, weights, df, IDF and
+// the dense cell indices with their id table — across a cold compile, a
+// weight-only add (nothing stale) and an epoch move that brings new cells
+// (everything stale). Run under -race it is also the
 // data-race gate of the fan-out.
 func TestCompileParallelMatchesSerial(t *testing.T) {
 	build := func() *Store {
@@ -166,7 +190,7 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 			s.Add(model.Record{Entity: "e10", LatLng: geo.LatLng{Lat: 40.2, Lng: -74.3}, Unix: 7000, RadiusKm: 2})
 		},
 	}
-	wantStale := []int{37, 1, 38}
+	wantStale := []int{37, 0, 38}
 	for step, mut := range mutate {
 		mut(serial)
 		mut(parallel)
@@ -187,7 +211,7 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 			parallel.CompiledViewAt(uint32(ord), &b)
 			if !slices.Equal(a.Windows, b.Windows) || !slices.Equal(a.Off, b.Off) ||
 				!slices.Equal(a.Cells, b.Cells) || !slices.Equal(a.Counts, b.Counts) ||
-				!slices.Equal(a.IDF, b.IDF) {
+				!slices.Equal(a.DF, b.DF) || !slices.Equal(weights(a), weights(b)) {
 				t.Fatalf("step %d: compiled views of %s differ", step, e)
 			}
 		}
@@ -197,18 +221,17 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 // TestCompileEpochOnlyRefreshesInPlace pins what an epoch move costs the
 // entities it leaves standing. On an SM side with region records mixed in,
 // one Add opens a new bin for one entity: every segment is stale, yet only
-// the touched entity's moves and is re-interned — every other keeps its
-// bin range and its interned cells — and every view's IDF weights are bit
-// for bit those of a fresh Build over the same records. A Compile after
-// nothing but an epoch move rewrites the IDF column in place and allocates
-// nothing.
+// the touched entity's cells change — every other keeps its bin range and
+// its interned cells — and every view's IDF weights are bit for bit those
+// of a fresh Build over the same records. A Compile after nothing but an
+// epoch move rewrites the df column in place and allocates nothing.
 func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	e := freqTestSide()
 	w := model.Windowing{WidthSeconds: 900}
 	s := Build(&e, w, 12)
 	s.Compile(1)
 	before := slices.Clone(s.segs)
-	dense := slices.Clone(s.dense)
+	cells := slices.Clone(s.cells)
 
 	touched := e.Records[0].Entity
 	ord, _ := s.Ordinals().Lookup(touched)
@@ -224,8 +247,8 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	}
 	for k, sg := range s.segs {
 		old := before[k]
-		kept := sg.bin == old.bin && sg.compVersion == old.compVersion &&
-			slices.Equal(s.dense[sg.bin:sg.bin+sg.nBin], dense[old.bin:old.bin+old.nBin])
+		kept := sg.bin == old.bin &&
+			slices.Equal(s.cells[sg.bin:sg.bin+sg.nBin], cells[old.bin:old.bin+old.nBin])
 		if kept == (uint32(k) == ord) {
 			t.Fatalf("ordinal %d (touched: %v): bin range and interned cells kept = %v", k, uint32(k) == ord, kept)
 		}
@@ -268,8 +291,8 @@ func TestCompiledViewAtRefreshesConcurrently(t *testing.T) {
 			var c View
 			for k := range n {
 				s.CompiledViewAt(uint32((k+g*n/4)%n), &c)
-				for _, x := range c.IDF {
-					sum += x
+				for _, df := range c.DF {
+					sum += c.IDFByDF[df]
 				}
 			}
 			done <- sum
@@ -307,7 +330,7 @@ func assertViewsMatchBuild(t *testing.T, s *Store, recs []model.Record) {
 		wantGeoms, _ := fresh.CompiledView(id, &want)
 		if !slices.Equal(got.Windows, want.Windows) || !slices.Equal(got.Off, want.Off) ||
 			!slices.Equal(ids(gotGeoms, got.Cells), ids(wantGeoms, want.Cells)) ||
-			!slices.Equal(bits(got.Counts), bits(want.Counts)) || !slices.Equal(bits(got.IDF), bits(want.IDF)) {
+			!slices.Equal(bits(got.Counts), bits(want.Counts)) || !slices.Equal(bits(weights(got)), bits(weights(want))) {
 			t.Fatalf("%s: the refreshed view differs from a fresh build's", id)
 		}
 	}

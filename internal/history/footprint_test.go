@@ -19,17 +19,19 @@ import (
 // paper's SM density (≈ 12 records per user, drawn the way the benchmark
 // draws its sides): the scoring store at the similarity level, the same
 // store once every entity is compiled, and the signature store at the LSH
-// level after every signature has been built. A store is columns: 16 B per
-// bin (cell, weight) and 12 B per window (index, offset) — at this density
-// a window holds one bin — plus, per entity, one spare offset slot and a
-// 48 B segment record. The scoring store adds the frequency index — 12 B
-// of sorted column per distinct bin plus two slice headers per window,
-// which weigh more here (≈ 10 bins a window) than at paper scale (≈ 140) —
-// which the signature store does not keep. Compiling adds 12 B per bin
-// (interned cell, IDF weight) and the store's cell table. Dominating-cell
-// queries must leave nothing behind. Cached per-history aggregation levels
-// once made this ≈ 1 KB per bin; per-entity history and view objects made
-// it 42.3, 64.4 and 103.2 B.
+// level after every signature has been built. A store is columns: per bin
+// a cell and an 8 B weight — the cell an 8 B id on a signature store, a
+// 4 B index into the store's cell table on a scoring store — and 12 B per
+// window (index, offset) — at this density a window holds one bin — plus,
+// per entity, one spare offset slot and a 40 B segment record. The
+// scoring store adds its cell table and the frequency index — 8 B of
+// sorted column per distinct bin plus two slice headers per window, which
+// weigh more here (≈ 10 bins a window) than at paper scale (≈ 140) —
+// which the signature store does not keep. Compiling adds 4 B per bin
+// (the bin's document frequency; its IDF weight is read from a table by
+// it). Dominating-cell queries must leave nothing behind. Cached
+// per-history aggregation levels once made this ≈ 1 KB per bin; per-entity
+// history and view objects made it 42.3, 64.4 and 103.2 B.
 func TestStoreBytesPerBin(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
@@ -51,9 +53,10 @@ func TestStoreBytesPerBin(t *testing.T) {
 			sim = history.BuildGrouped(&g, refWindowing, 12, 1)
 			return sim
 		}},
-		// Measured 78.9 B per bin, plus 15 %; 103.2 B with a view object per
-		// entity.
-		{"scoring store, compiled", 91, func() *history.Store {
+		// Measured 61.4 B per bin, plus 15 %; 78.2 B with the cell id kept
+		// next to the interned index and a float64 IDF weight per bin,
+		// 103.2 B with a view object per entity.
+		{"scoring store, compiled", 71, func() *history.Store {
 			s := history.BuildGrouped(&g, refWindowing, 12, 1)
 			s.Compile(1)
 			return s
@@ -191,12 +194,19 @@ func TestStreamedColumnsStayBounded(t *testing.T) {
 		}
 		return out
 	}
+	weights := func(v history.View) []uint64 {
+		out := make([]uint64, len(v.DF))
+		for j, df := range v.DF {
+			out[j] = math.Float64bits(v.IDFByDF[df])
+		}
+		return out
+	}
 	for _, id := range fresh.Entities() {
 		var got, want history.View
 		gotCells, _ := s.CompiledView(id, &got)
 		wantCells, _ := fresh.CompiledView(id, &want)
 		if !slices.Equal(got.Windows, want.Windows) || !slices.Equal(got.Off, want.Off) ||
-			!slices.Equal(bits(got.Counts), bits(want.Counts)) || !slices.Equal(bits(got.IDF), bits(want.IDF)) {
+			!slices.Equal(bits(got.Counts), bits(want.Counts)) || !slices.Equal(weights(got), weights(want)) {
 			t.Fatalf("%s: the streamed view differs from a fresh build's", id)
 		}
 		for j := range got.Cells {

@@ -3,18 +3,17 @@ package history
 import (
 	"maps"
 	"slices"
-
-	"slim/internal/geo"
 )
 
 // freqIndex is the bin→entity frequency index behind IDF (Eq. 3), laid
 // out like a history of the whole dataset: sorted windows and, per window,
-// the sorted cells some entity holds there with the number of entities
-// holding each (df). Every window owns a separately allocated pair of
-// columns, so Store.Add shifts one window's short column and nothing else.
-// A bin costs 12 B of column where an entry of a hash map keyed by the bin
-// costs ≈ 75 B, and a window's columns are where bin → entity postings
-// would hang (ROADMAP item 4).
+// the cells some entity holds there, as dense indices into the store's
+// cell table in ascending index order, with the number of entities holding
+// each (df). Every window owns a separately allocated pair of columns, so
+// Store.Add shifts one window's short column and nothing else. A bin costs
+// 8 B of column where an entry of a hash map keyed by the bin costs
+// ≈ 75 B, and a window's columns are where bin → entity postings would
+// hang (ROADMAP item 4).
 type freqIndex struct {
 	windows []int64
 	cols    []freqWindow // cols[k] belongs to windows[k]
@@ -23,7 +22,7 @@ type freqIndex struct {
 
 // freqWindow is one window's frequencies: df[j] entities hold cells[j].
 type freqWindow struct {
-	cells []geo.CellID
+	cells []int32
 	df    []int32
 }
 
@@ -52,7 +51,7 @@ func newFreqIndex(s *Store) *freqIndex {
 	for k := 1; k < len(next); k++ {
 		next[k] = next[k-1] + count[f.windows[k-1]]
 	}
-	buf := make([]geo.CellID, s.totalBins)
+	buf := make([]int32, s.totalBins)
 	for ord := range s.segs {
 		h := s.HistoryAt(uint32(ord))
 		i := 0 // a history's windows ascend, so each search starts at the last hit
@@ -73,7 +72,7 @@ func newFreqIndex(s *Store) *freqIndex {
 				nCells++
 			}
 		}
-		w := freqWindow{cells: make([]geo.CellID, 0, nCells), df: make([]int32, 0, nCells)}
+		w := freqWindow{cells: make([]int32, 0, nCells), df: make([]int32, 0, nCells)}
 		for j, c := range run {
 			if j > 0 && c == run[j-1] {
 				w.df[len(w.df)-1]++
@@ -100,8 +99,9 @@ func (f *freqIndex) window(i int, win int64) (freqWindow, int) {
 	return f.cols[i], i
 }
 
-// count returns how many entities hold the cell in this window.
-func (w freqWindow) count(cell geo.CellID) int32 {
+// count returns how many entities hold the cell (a dense index) in this
+// window.
+func (w freqWindow) count(cell int32) int32 {
 	j, ok := slices.BinarySearch(w.cells, cell)
 	if !ok {
 		return 0
@@ -109,22 +109,23 @@ func (w freqWindow) count(cell geo.CellID) int32 {
 	return w.df[j]
 }
 
-// add counts one more entity holding the bin, inserting its window and
-// cell in place when they are new.
-func (f *freqIndex) add(b Bin) {
-	k, ok := slices.BinarySearch(f.windows, b.Window)
+// add counts one more entity holding the bin of the cell (a dense index)
+// in the window, inserting the window and the cell in place when they are
+// new.
+func (f *freqIndex) add(win int64, cell int32) {
+	k, ok := slices.BinarySearch(f.windows, win)
 	if !ok {
-		f.windows = slices.Insert(f.windows, k, b.Window)
+		f.windows = slices.Insert(f.windows, k, win)
 		f.cols = slices.Insert(f.cols, k, freqWindow{})
 	}
 	w := &f.cols[k]
-	j, ok := slices.BinarySearch(w.cells, b.Cell)
+	j, ok := slices.BinarySearch(w.cells, cell)
 	if ok {
 		w.df[j]++
 		f.maxDF = max(f.maxDF, w.df[j])
 		return
 	}
-	w.cells = slices.Insert(w.cells, j, b.Cell)
+	w.cells = slices.Insert(w.cells, j, cell)
 	w.df = slices.Insert(w.df, j, 1)
 	f.maxDF = max(f.maxDF, 1)
 }

@@ -13,27 +13,32 @@ import (
 )
 
 // sortBuildFreqIndex is the build newFreqIndex replaced, kept as its
-// oracle: every bin gathered into one buffer, one two-key sort, one fold.
+// oracle: every bin gathered into one buffer, its cell as the store's
+// dense index, one two-key sort, one fold.
 func sortBuildFreqIndex(s *Store) *freqIndex {
-	var bins []Bin
+	type bin struct {
+		win  int64
+		cell int32
+	}
+	var bins []bin
 	for _, e := range s.Entities() {
 		h := s.History(e)
-		h.Bins(func(b Bin, _ float64) { bins = append(bins, b) })
+		h.Bins(func(b Bin, _ float64) { bins = append(bins, bin{b.Window, s.cellIndex[b.Cell]}) })
 	}
-	slices.SortFunc(bins, func(a, b Bin) int {
-		return cmp.Or(cmp.Compare(a.Window, b.Window), cmp.Compare(a.Cell, b.Cell))
+	slices.SortFunc(bins, func(a, b bin) int {
+		return cmp.Or(cmp.Compare(a.win, b.win), cmp.Compare(a.cell, b.cell))
 	})
 	f := &freqIndex{cols: []freqWindow{}}
 	for i, b := range bins {
-		if i == 0 || b.Window != bins[i-1].Window {
-			f.windows = append(f.windows, b.Window)
+		if i == 0 || b.win != bins[i-1].win {
+			f.windows = append(f.windows, b.win)
 			f.cols = append(f.cols, freqWindow{})
 		}
 		w := &f.cols[len(f.cols)-1]
-		if n := len(w.cells); n > 0 && w.cells[n-1] == b.Cell {
+		if n := len(w.cells); n > 0 && w.cells[n-1] == b.cell {
 			w.df[n-1]++
 		} else {
-			w.cells = append(w.cells, b.Cell)
+			w.cells = append(w.cells, b.cell)
 			w.df = append(w.df, 1)
 		}
 		f.maxDF = max(f.maxDF, w.df[len(w.df)-1])

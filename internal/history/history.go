@@ -14,13 +14,16 @@
 // BM25-style length normalization (Eq. 2).
 //
 // A store is columns, not objects. Its per-window columns (window index,
-// bin offset) and per-bin columns (cell id, record weight) hold every
-// history back to back; an entity is a fixed-size segment record locating
-// its ranges in them, indexed by ordinal. A History is a small value of
-// subslices of those columns, made on request. A scoring store adds two
-// per-bin columns of its own — the interned cell and the baked IDF weight
-// (compiled.go) — so the compiled scoring view of an entity is five
-// subslices of one store, and no per-entity object exists anywhere.
+// bin offset) and per-bin columns (cell, record weight) hold every history
+// back to back; an entity is a fixed-size segment record locating its
+// ranges in them, indexed by ordinal. A History is a small value of
+// subslices of those columns, made on request. A scoring store names a
+// bin's cell by its dense index into the store's cell table, interned when
+// the bin is created, and adds one compiled per-bin column, the bin's
+// document frequency (compiled.go): the compiled scoring view of an entity
+// is five subslices of one store plus its cell and IDF tables, and no
+// per-entity object exists anywhere. A signature store's cells are nearly
+// all distinct, so it keeps the cell ids themselves.
 //
 // Entities are numbered. Each linkage side has one append-only entity
 // table (Ordinals: EntityID ↔ uint32), shared by the side's scoring store
@@ -37,6 +40,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"slim/internal/geo"
 	"slim/internal/model"
@@ -51,21 +55,25 @@ type Bin struct {
 
 // History is the mobility history of a single entity: a view of its
 // store's columns, sorted by (window, cell). Window k = windows[k] owns the
-// bins cells/counts[off[k]:off[k+1]], cells ascending; len(off) is
-// len(windows)+1. A History is valid until the next Store.Add to its store,
-// which may move or shift the columns it views: fetch it per use. The zero
-// History holds no bins; it is what the accessors return for an entity the
-// store holds no history for.
+// bins [off[k], off[k+1]) of the per-bin columns, cells ascending; len(off)
+// is len(windows)+1. A bin's cell is ids[j] on a signature store and
+// table[cells[j]].ID on a scoring store (see cellAt). A History is valid
+// until the next Store.Add to its store, which may move or shift the
+// columns it views: fetch it per use. The zero History holds no bins; it
+// is what the accessors return for an entity the store holds no history
+// for.
 type History struct {
 	Entity model.EntityID
 
 	windows []int64
 	off     []int32
-	cells   []geo.CellID
+	ids     []geo.CellID
+	cells   []int32
+	table   []geo.CellGeom
 	counts  []float64
 
-	// version counts mutations of this history; the compiled read path
-	// (compiled.go) and the candidate index use it to detect stale entities.
+	// version counts mutations of this history; the candidate index uses
+	// it to detect stale entities.
 	version uint64
 }
 
@@ -120,33 +128,50 @@ func foldBins(dst, scratch []binWeight, recs []model.Record, w model.Windowing, 
 func (h *History) Windows() []int64 { return h.windows }
 
 // Version returns the history's mutation counter: 0 for a freshly built
-// history, bumped by every Store.Add that touches the entity. The compiled
-// scoring columns (compiled.go) and the incremental LSH candidate index
-// (internal/candidates) both key their stale-entity checks on it.
+// history, bumped by every Store.Add that touches the entity. The
+// incremental LSH candidate index (internal/candidates) keys its
+// stale-entity checks on it.
 func (h *History) Version() uint64 { return h.version }
 
+// cellAt returns the cell of the history's bin j, resolving a scoring
+// store's dense index through the store's cell table.
+func (h *History) cellAt(j int32) geo.CellID {
+	if h.table != nil {
+		return h.table[h.cells[j]].ID
+	}
+	return h.ids[j]
+}
+
 // WindowBins returns the cells (ascending) and record weights of the given
-// leaf window as views into the store's columns, empty if the entity has
-// no records there. The returned slices must not be modified and are
-// invalidated by the next Store.Add.
+// leaf window, empty if the entity has no records there. The weights are
+// a view into the store's columns and the cells too on a signature store;
+// a scoring store's are resolved into a new slice. Views must not be
+// modified and are invalidated by the next Store.Add.
 func (h *History) WindowBins(window int64) ([]geo.CellID, []float64) {
 	k, ok := slices.BinarySearch(h.windows, window)
 	if !ok {
 		return nil, nil
 	}
 	lo, hi := h.off[k], h.off[k+1]
-	return h.cells[lo:hi:hi], h.counts[lo:hi:hi]
+	if h.table == nil {
+		return h.ids[lo:hi:hi], h.counts[lo:hi:hi]
+	}
+	cells := make([]geo.CellID, 0, hi-lo)
+	for j := lo; j < hi; j++ {
+		cells = append(cells, h.cellAt(j))
+	}
+	return cells, h.counts[lo:hi:hi]
 }
 
 // NumBins returns |H_u|: the number of distinct time-location bins.
-func (h *History) NumBins() int { return len(h.cells) }
+func (h *History) NumBins() int { return len(h.counts) }
 
 // Bins calls fn for every time-location bin with its record weight, in
 // column order (windows ascending, cells ascending).
 func (h *History) Bins(fn func(Bin, float64)) {
 	for k, win := range h.windows {
 		for j := h.off[k]; j < h.off[k+1]; j++ {
-			fn(Bin{Window: win, Cell: h.cells[j]}, h.counts[j])
+			fn(Bin{Window: win, Cell: h.cellAt(j)}, h.counts[j])
 		}
 	}
 }
@@ -163,7 +188,7 @@ func (h *History) DominatingCellAt(k int) geo.CellID {
 	// the smaller-id tie-break.
 	for j := h.off[k]; j < h.off[k+1]; j++ {
 		if h.counts[j] > bestN {
-			cell, bestN = h.cells[j], h.counts[j]
+			cell, bestN = h.cellAt(j), h.counts[j]
 		}
 	}
 	return cell
@@ -180,16 +205,11 @@ type segment struct {
 	win, nWin, winRoom int32
 	bin, nBin, binRoom int32
 	version            uint64
-	// compVersion and compEpoch stamp the compiled columns of the bin
-	// range (compiled.go): the history version its cells were interned at
-	// (notCompiled before the first time) and the store epoch its IDF
-	// weights were written at.
-	compVersion, compEpoch uint64
+	// filled stamps the df column of the bin range (compiled.go): one past
+	// the store epoch it was written at, so a segment never filled (0)
+	// never reads as current.
+	filled uint64
 }
-
-// notCompiled is the compVersion of a segment whose cells were never
-// interned; no history version reaches it.
-const notCompiled = ^uint64(0)
 
 // Store holds the mobility histories of one location dataset plus the
 // dataset-level statistics used by the similarity score. Histories are
@@ -216,11 +236,24 @@ type Store struct {
 	entities []model.EntityID
 
 	// The per-window and the per-bin column families (see segment); how a
-	// growing segment moves is in incremental.go.
+	// growing segment moves is in incremental.go. A bin's cell is in one
+	// of two columns, by store kind, and the other is nil: a signature
+	// store keeps the cell id (ids), a scoring store its dense index into
+	// the cell table (cells). df is a scoring store's compiled column
+	// (compiled.go), nil until its first compile.
 	windows []int64
 	off     []int32
-	cells   []geo.CellID
+	ids     []geo.CellID
+	cells   []int32
 	counts  []float64
+	df      []int32
+
+	// A scoring store's cell table: geoms[i] is the id, centre and
+	// circumradius of the cell with dense index i, and cellIndex inverts
+	// it. A cell is interned when the first bin in it is created, so the
+	// table is append-only and an index stays valid for the store's life.
+	cellIndex map[geo.CellID]int32
+	geoms     []geo.CellGeom
 
 	// freq is the bin→entity frequency index; nil on a signature store.
 	freq      *freqIndex
@@ -229,27 +262,20 @@ type Store struct {
 
 	// epoch versions the dataset-level IDF inputs (entity count, bin
 	// frequencies). Any change invalidates every compiled segment, because
-	// the IDF weights baked into them may have shifted; see compiled.go.
+	// the document frequencies in them may have shifted; see compiled.go.
 	epoch uint64
 
 	// addScratch is Add's reused bin-contribution buffer.
 	addScratch []binWeight
 
-	// Compiled read path (compiled.go): two more per-bin columns, the dense
-	// cell index and the IDF weight of every bin (nil until the first
-	// compile), plus the dense cell interner shared by all of them (geoms[i]
-	// is the cell with index i). compMu lets concurrent scorers take the
-	// read path while lazy recompiles serialize on the write side; it also
-	// guards Compile's reused list of stale ordinals and the IDF table (see
-	// idfTableLocked).
-	compMu    sync.RWMutex
-	dense     []int32
-	idf       []float64
-	cellIndex map[geo.CellID]int32
-	geoms     []geo.CellGeom
-	stale     []uint32
-	idfs      []float64
-	idfsN     int
+	// Compiled read path (compiled.go). compMu lets concurrent scorers
+	// take the read path while lazy refills serialize on the write side;
+	// it also guards Compile's reused list of stale ordinals and the IDF
+	// table (see idfTableLocked).
+	compMu sync.RWMutex
+	stale  []uint32
+	idfs   []float64
+	idfsN  int
 }
 
 // Build constructs the histories of every entity of the dataset at the
@@ -302,7 +328,6 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 	par.Chunks(workers, len(s.segs), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			sg := &s.segs[k]
-			sg.compVersion = notCompiled
 			var last int64
 			for i, r := range g.Of(k) {
 				if win := w.Window(r.Unix); i == 0 || win != last {
@@ -324,8 +349,11 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 		sg.win, sg.bin = nWin, nBin
 		nWin, nBin = nWin+sg.winRoom, nBin+sg.binRoom
 	}
+	// The folded cells are staged as ids; a scoring store interns them
+	// into its own column below and drops the staging one.
 	s.windows, s.off = make([]int64, nWin), make([]int32, nWin)
-	s.cells, s.counts = make([]geo.CellID, nBin), make([]float64, nBin)
+	ids := make([]geo.CellID, nBin)
+	s.counts = make([]float64, nBin)
 	par.Chunks(workers, len(s.segs), func(_, lo, hi int) {
 		var bins, scratch []binWeight
 		for k := lo; k < hi; k++ {
@@ -337,7 +365,7 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 					s.windows[sg.win+sg.nWin], s.off[sg.win+sg.nWin] = b.Window, int32(j)
 					sg.nWin++
 				}
-				s.cells[sg.bin+int32(j)], s.counts[sg.bin+int32(j)] = b.Cell, b.weight
+				ids[sg.bin+int32(j)], s.counts[sg.bin+int32(j)] = b.Cell, b.weight
 			}
 			s.off[sg.win+sg.nWin] = sg.nBin
 		}
@@ -347,22 +375,48 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 		sg := &s.segs[k]
 		copy(s.windows[nWin:], s.windows[sg.win:sg.win+sg.nWin])
 		copy(s.off[nWin:], s.off[sg.win:sg.win+sg.nWin+1])
-		copy(s.cells[nBin:], s.cells[sg.bin:sg.bin+sg.nBin])
+		copy(ids[nBin:], ids[sg.bin:sg.bin+sg.nBin])
 		copy(s.counts[nBin:], s.counts[sg.bin:sg.bin+sg.nBin])
 		sg.win, sg.winRoom, sg.bin, sg.binRoom = nWin, sg.nWin+1, nBin, sg.nBin
 		nWin, nBin = nWin+sg.winRoom, nBin+sg.binRoom
 	}
 	s.windows, s.off = clipSpare(s.windows[:nWin]), clipSpare(s.off[:nWin])
-	s.cells, s.counts = clipSpare(s.cells[:nBin]), clipSpare(s.counts[:nBin])
+	s.counts = clipSpare(s.counts[:nBin])
 	s.totalBins = int(nBin)
 	if scoring {
+		s.internBuilt(ids[:nBin])
 		s.freq = newFreqIndex(s)
-		s.cellIndex = make(map[geo.CellID]int32)
+	} else {
+		s.ids = clipSpare(ids[:nBin])
 	}
 	if len(s.entities) > 0 {
 		s.avgBins = float64(s.totalBins) / float64(len(s.entities))
 	}
 	return s
+}
+
+// internBuilt gives a scoring store its cell column from the staged ids
+// of its bins, laid out like its counts: serially, in ordinal then column
+// order, each cell is assigned the next dense index on first sight, so the
+// indices are the same for every worker count.
+func (s *Store) internBuilt(ids []geo.CellID) {
+	s.cellIndex = make(map[geo.CellID]int32)
+	s.cells = make([]int32, len(ids), cap(s.counts))
+	for j, id := range ids {
+		s.cells[j] = s.intern(id)
+	}
+}
+
+// intern returns the dense index of a scoring store's cell, appending the
+// cell and its geometry to the table on first sight.
+func (s *Store) intern(id geo.CellID) int32 {
+	i, ok := s.cellIndex[id]
+	if !ok {
+		i = int32(len(s.geoms))
+		s.cellIndex[id] = i
+		s.geoms = append(s.geoms, geo.GeomOf(id))
+	}
+	return i
 }
 
 // clipSpare returns col, or a copy of exactly its length if its spare
@@ -416,10 +470,21 @@ func (s *Store) HistoryAt(ord uint32) History {
 		Entity:  s.ords.ID(ord),
 		windows: s.windows[w : w+nw : w+nw],
 		off:     s.off[w : w+nw+1 : w+nw+1],
-		cells:   s.cells[b : b+nb : b+nb],
+		ids:     binRange(s.ids, b, nb),
+		cells:   binRange(s.cells, b, nb),
+		table:   s.geoms,
 		counts:  s.counts[b : b+nb : b+nb],
 		version: sg.version,
 	}
+}
+
+// binRange returns the n elements of a per-bin column from position b on,
+// or nil for a column the store does not keep.
+func binRange[E any](col []E, b, n int32) []E {
+	if col == nil {
+		return nil
+	}
+	return col[b : b+n : b+n]
 }
 
 // History returns the history of the given entity, or the zero History.
@@ -450,14 +515,38 @@ func (s *Store) IDF(b Bin) float64 {
 	if n == 0 {
 		return 0
 	}
-	fw, _ := s.freq.window(0, b.Window)
-	return idf(n, fw.count(b.Cell))
+	var df int32
+	if i, ok := s.cellIndex[b.Cell]; ok {
+		fw, _ := s.freq.window(0, b.Window)
+		df = fw.count(i)
+	}
+	return idf(n, df)
 }
 
 // idf is Eq. 3 for a bin that df of n entities hold; a bin no entity
 // holds weighs like one a single entity does.
 func idf(n int, df int32) float64 {
 	return math.Log(float64(n) / float64(max(df, 1)))
+}
+
+// ResidentBytes sums the capacities of what the store retains: the window
+// and bin column families (the df column included), the segment table and
+// entity list, the cell table, the frequency index and the IDF table. The
+// side's entity table, which its two stores share, reports its own
+// (Ordinals.ResidentBytes); the id strings both list are the records'.
+func (s *Store) ResidentBytes() int64 {
+	n := 8*cap(s.windows) + 4*cap(s.off) + 8*cap(s.ids) + 4*cap(s.cells) +
+		8*cap(s.counts) + 4*cap(s.df) +
+		int(unsafe.Sizeof(segment{}))*cap(s.segs) + int(unsafe.Sizeof(model.EntityID("")))*cap(s.entities) +
+		int(unsafe.Sizeof(geo.CellGeom{}))*cap(s.geoms) + int(mapBytes(s.cellIndex)) +
+		int(unsafe.Sizeof(binWeight{}))*cap(s.addScratch) + 4*cap(s.stale) + 8*cap(s.idfs)
+	if f := s.freq; f != nil {
+		n += 8*cap(f.windows) + int(unsafe.Sizeof(freqWindow{}))*cap(f.cols)
+		for _, w := range f.cols {
+			n += 4*cap(w.cells) + 4*cap(w.df)
+		}
+	}
+	return int64(n)
 }
 
 // NormFactorAt returns the BM25-style length normalization L(u) of Eq. 2

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"cmp"
 	"slices"
 
 	"slim/internal/geo"
@@ -13,7 +14,8 @@ import (
 // ordinal. An entity the side's table has not seen gets the next ordinal;
 // one its other store already added keeps the ordinal it was given there. After any sequence of Add calls the store's
 // histories and statistics are indistinguishable from one built with Build
-// on the concatenated records (see TestIncrementalAddMatchesBuild).
+// on the concatenated records (see TestIncrementalAddMatchesBuild and
+// FuzzStoreAddMatchesBuild).
 //
 // Add supports the dynamic-feed setting the paper motivates (Sec. 1:
 // "the scale and dynamic nature of location datasets"). It is not safe for
@@ -21,26 +23,23 @@ import (
 func (s *Store) Add(rec model.Record) uint32 {
 	ord := s.ords.intern(rec.Entity)
 	for len(s.segs) <= int(ord) {
-		s.segs = append(s.segs, segment{compVersion: notCompiled})
+		s.segs = append(s.segs, segment{})
 	}
 	sg := &s.segs[ord]
 	if sg.nWin == 0 {
 		id := s.ords.ID(ord)
 		i, _ := slices.BinarySearch(s.entities, id)
 		s.entities = slices.Insert(s.entities, i, id)
-		s.epoch++ // |U| changed: every baked IDF weight is stale
+		s.epoch++ // |U| changed: every compiled segment is stale
 	}
-	sg.version++ // invalidate this entity's compiled columns
+	sg.version++ // the candidate index re-signs this entity
 
 	win := s.Windowing.Window(rec.Unix)
 	s.addScratch = appendBinWeights(s.addScratch[:0], rec, win, s.Level)
 	for _, bw := range s.addScratch {
 		if s.add(sg, bw.Bin, bw.weight) {
-			if s.freq != nil {
-				s.freq.add(bw.Bin)
-			}
 			s.totalBins++
-			s.epoch++ // bin frequency changed: baked IDF weights are stale
+			s.epoch++ // bin frequency changed: every compiled segment is stale
 		}
 	}
 	s.avgBins = float64(s.totalBins) / float64(len(s.entities))
@@ -56,16 +55,28 @@ func (s *Store) add(sg *segment, b Bin, weight float64) bool {
 	}
 	off := s.off[sg.win : sg.win+sg.nWin+1]
 	lo, hi := sg.bin+off[k], sg.bin+off[k+1]
-	j, ok := slices.BinarySearch(s.cells[lo:hi], b.Cell)
+	j, ok := s.findCell(lo, hi, b.Cell)
 	if ok {
 		s.counts[int(lo)+j] += weight
 		return false
 	}
-	s.insertBin(sg, int(off[k])+j, b.Cell, weight)
+	s.insertBin(sg, int(off[k])+j, b, weight)
 	for i := k + 1; i < len(off); i++ {
 		off[i]++
 	}
 	return true
+}
+
+// findCell returns the position of the cell among the ascending bins
+// [lo, hi) of the per-bin columns, and whether it is there. A scoring
+// store compares its dense indices by the cell ids its table gives them.
+func (s *Store) findCell(lo, hi int32, cell geo.CellID) (int, bool) {
+	if s.freq == nil {
+		return slices.BinarySearch(s.ids[lo:hi], cell)
+	}
+	return slices.BinarySearchFunc(s.cells[lo:hi], cell, func(i int32, c geo.CellID) int {
+		return cmp.Compare(s.geoms[i].ID, c)
+	})
 }
 
 // insertWindow inserts an empty window at position k of the segment.
@@ -81,18 +92,33 @@ func (s *Store) insertWindow(sg *segment, k int, win int64) {
 	sg.nWin++
 }
 
-// insertBin inserts a bin at position j of the segment's bin range; the
-// caller shifts the window offsets past it.
-func (s *Store) insertBin(sg *segment, j int, cell geo.CellID, weight float64) {
+// insertBin inserts a new bin at position j of the segment's bin range;
+// the caller shifts the window offsets past it. A scoring store interns
+// the cell, on first sight, and counts the bin in the frequency index. The
+// df column is not shifted: the new bin moves the epoch, so the segment is
+// refilled before it is read.
+func (s *Store) insertBin(sg *segment, j int, b Bin, weight float64) {
 	if need := sg.nBin + 1; need > sg.binRoom {
 		s.moveBins(sg, grown(sg.binRoom, need))
 	}
-	n := int(sg.nBin)
-	cells, counts := s.cells[sg.bin:sg.bin+sg.nBin+1], s.counts[sg.bin:sg.bin+sg.nBin+1]
-	copy(cells[j+1:], cells[j:n])
-	copy(counts[j+1:], counts[j:n])
-	cells[j], counts[j] = cell, weight
+	at, n := int(sg.bin), int(sg.nBin)
+	if s.freq == nil {
+		insertAt(s.ids, at, j, n, b.Cell)
+	} else {
+		cell := s.intern(b.Cell)
+		insertAt(s.cells, at, j, n, cell)
+		s.freq.add(b.Window, cell)
+	}
+	insertAt(s.counts, at, j, n, weight)
 	sg.nBin++
+}
+
+// insertAt shifts the n elements of a column range starting at position
+// at one slot right from its j-th on and writes v there.
+func insertAt[E any](col []E, at, j, n int, v E) {
+	r := col[at : at+n+1]
+	copy(r[j+1:], r[j:n])
+	r[j] = v
 }
 
 // grown is the room a full segment range moves to: a quarter more (plus
@@ -123,21 +149,29 @@ func (s *Store) moveWindows(sg *segment, room int32) {
 }
 
 // moveBins moves the segment's bin range to the end of the per-bin
-// columns with the given room; the old range becomes dead. The compiled
-// columns are not copied: the history changed, so the next compile
-// rebuilds them.
+// columns with the given room; the old range becomes dead.
 func (s *Store) moveBins(sg *segment, room int32) {
-	if len(s.cells)+int(room) > cap(s.cells) {
+	if len(s.counts)+int(room) > cap(s.counts) {
 		s.repackBins(room)
 	}
-	at := int32(len(s.cells))
-	s.cells, s.counts = s.cells[:at+room], s.counts[:at+room]
-	if s.dense != nil {
-		s.dense, s.idf = s.dense[:at+room], s.idf[:at+room]
-	}
-	copy(s.cells[at:], s.cells[sg.bin:sg.bin+sg.nBin])
-	copy(s.counts[at:], s.counts[sg.bin:sg.bin+sg.nBin])
+	from, n, at := sg.bin, sg.nBin, int32(len(s.counts))
+	s.ids = moveRange(s.ids, from, n, at, room)
+	s.cells = moveRange(s.cells, from, n, at, room)
+	s.counts = moveRange(s.counts, from, n, at, room)
+	s.df = moveRange(s.df, from, n, at, room)
 	sg.bin, sg.binRoom = at, room
+}
+
+// moveRange extends a per-bin column by room past its end, at, within its
+// capacity, and copies the n elements from position from there. A column
+// the store does not keep (nil) stays nil.
+func moveRange[E any](col []E, from, n, at, room int32) []E {
+	if col == nil {
+		return nil
+	}
+	col = col[:at+room]
+	copy(col[at:], col[from:from+n])
+	return col
 }
 
 // spareDiv sets the spare capacity of a rewritten column family: a
@@ -174,7 +208,7 @@ func (s *Store) repackWindows(extra int32) {
 }
 
 // repackBins rewrites the per-bin columns compactly with spare capacity
-// for at least extra more bins, the compiled ones included: a compiled
+// for at least extra more bins, the df column included: a compiled
 // segment stays compiled.
 func (s *Store) repackBins(extra int32) {
 	var live int32
@@ -182,23 +216,28 @@ func (s *Store) repackBins(extra int32) {
 		live += sg.binRoom
 	}
 	n := live + max(extra, live/spareDiv)
-	cells, counts := make([]geo.CellID, live, n), make([]float64, live, n)
-	var dense []int32
-	var idf []float64
-	if s.dense != nil {
-		dense, idf = make([]int32, live, n), make([]float64, live, n)
-	}
+	s.ids = repacked(s.ids, s.segs, live, n)
+	s.cells = repacked(s.cells, s.segs, live, n)
+	s.counts = repacked(s.counts, s.segs, live, n)
+	s.df = repacked(s.df, s.segs, live, n)
 	var at int32
 	for k := range s.segs {
-		sg := &s.segs[k]
-		from, to := sg.bin, sg.bin+sg.nBin
-		copy(cells[at:], s.cells[from:to])
-		copy(counts[at:], s.counts[from:to])
-		if dense != nil {
-			copy(dense[at:], s.dense[from:to])
-			copy(idf[at:], s.idf[from:to])
-		}
-		sg.bin, at = at, at+sg.binRoom
+		s.segs[k].bin, at = at, at+s.segs[k].binRoom
 	}
-	s.cells, s.counts, s.dense, s.idf = cells, counts, dense, idf
+}
+
+// repacked returns a per-bin column rewritten compactly, in ordinal order,
+// every segment keeping its room, with capacity n. A column the store does
+// not keep (nil) stays nil.
+func repacked[E any](col []E, segs []segment, live, n int32) []E {
+	if col == nil {
+		return nil
+	}
+	out := make([]E, live, n)
+	var at int32
+	for _, sg := range segs {
+		copy(out[at:], col[sg.bin:sg.bin+sg.nBin])
+		at += sg.binRoom
+	}
+	return out
 }

@@ -1,6 +1,10 @@
 package history
 
-import "slim/internal/model"
+import (
+	"unsafe"
+
+	"slim/internal/model"
+)
 
 // Ordinals is one linkage side's entity table: every entity id the side
 // has seen, numbered densely in first-seen order. A build assigns ordinals
@@ -42,4 +46,29 @@ func (t *Ordinals) intern(id model.EntityID) uint32 {
 		t.index[id] = ord
 	}
 	return ord
+}
+
+// ResidentBytes sums what the table retains: its id column and its index.
+// The id strings themselves are the records'.
+func (t *Ordinals) ResidentBytes() int64 {
+	return int64(unsafe.Sizeof(model.EntityID("")))*int64(cap(t.ids)) + mapBytes(t.index)
+}
+
+// mapBytes estimates what a map holds: Go's maps keep their entries in
+// groups of eight slots under an 8 B control word, at most 7/8 full, in
+// tables sized to a power of two. A map grown by inserts rather than sized
+// up front holds about the same.
+func mapBytes[K comparable, V any](m map[K]V) int64 {
+	if len(m) == 0 {
+		return 0
+	}
+	var slot struct {
+		k K
+		v V
+	}
+	slots := 8
+	for slots*7/8 < len(m) {
+		slots *= 2
+	}
+	return int64(slots/8) * int64(8+8*unsafe.Sizeof(slot))
 }

@@ -141,6 +141,8 @@ var (
 		edge_store.rescored_last edge_store.rescored_total edge_store.resident_bytes
 		edge_store.retained_last edge_store.retained_total
 		entities_e entities_i
+		histories histories.ordinals_e_bytes histories.ordinals_i_bytes histories.scoring_e_bytes
+		histories.scoring_i_bytes histories.signature_e_bytes histories.signature_i_bytes
 		ingest ingest.accepted_batches ingest.accepted_records ingest.inflight_records
 		ingest.oldest_wait_ms ingest.pending_records ingest.queue_depth ingest.retry_after_ms
 		ingest.shed_after_ms ingest.shed_latency ingest.shed_queue_depth ingest.shed_records
@@ -342,6 +344,9 @@ var (
 		edge_store.rescored_last=number edge_store.rescored_total=number
 		edge_store.resident_bytes=number edge_store.retained_last=number
 		edge_store.retained_total=number edge_store=object entities_e=number entities_i=number
+		histories.ordinals_e_bytes=number histories.ordinals_i_bytes=number
+		histories.scoring_e_bytes=number histories.scoring_i_bytes=number
+		histories.signature_e_bytes=number histories.signature_i_bytes=number histories=object
 		ingest.accepted_batches=number ingest.accepted_records=number ingest.inflight_records=number
 		ingest.oldest_wait_ms=number ingest.pending_records=number ingest.queue_depth=number
 		ingest.retry_after_ms=number ingest.shed_after_ms=number ingest.shed_latency=number

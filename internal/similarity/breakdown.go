@@ -135,7 +135,7 @@ func (r *recorder) term(i, j int, distKm, contribution float64, mfn bool) {
 	p := Proximity(distKm, r.par.RunawayKm)
 	weight := 1.0
 	if r.par.UseIDF {
-		weight = math.Min(pv.cu.IDF[bu], pv.cv.IDF[bv])
+		weight = math.Min(pv.cu.IDFByDF[pv.cu.DF[bu]], pv.cv.IDFByDF[pv.cv.DF[bv]])
 	}
 	wb := &r.windows[len(r.windows)-1]
 	wb.Pairs = append(wb.Pairs, PairContribution{

@@ -10,7 +10,8 @@
 // MFN pass, disabling IDF, and disabling normalization.
 //
 // Scoring runs on the compiled read path of internal/history: flat
-// per-window cell/weight/IDF arrays instead of the build-time maps, with
+// per-window cell/weight/df arrays instead of the build-time maps, a bin's
+// IDF weight read from its store's table by document frequency, with
 // all per-call state held in pooled per-goroutine scratch buffers. A cell
 // distance is arithmetic on two entries of the stores' cell tables, which
 // carry each cell's centre and circumradius; the kernel remembers nothing
@@ -400,7 +401,8 @@ func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int
 		return 0
 	}
 	cellsU, cellsV := cu.Cells[loU:hiU], cv.Cells[loV:hiV]
-	idfU, idfV := cu.IDF[loU:hiU], cv.IDF[loV:hiV]
+	dfU, dfV := cu.DF[loU:hiU], cv.DF[loV:hiV]
+	idfU, idfV := cu.IDFByDF, cv.IDFByDF
 	norm := pv.norm
 
 	// Work accounting: every cross bin pair gets a distance evaluation,
@@ -421,7 +423,7 @@ func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int
 		}
 		weight := 1.0
 		if par.UseIDF {
-			weight = math.Min(idfU[i], idfV[j])
+			weight = math.Min(idfU[dfU[i]], idfV[dfV[j]])
 		}
 		return p * weight / norm
 	}

@@ -221,6 +221,34 @@ func (lk *Linker) CandidateIndexStats() *CandidateIndexStats {
 	return &st
 }
 
+// HistoryStats reports what the linker's history stores retain, each
+// summed from its column capacities (history.Store.ResidentBytes): per
+// side, the scoring store, the signature store (zero without LSH) and the
+// entity table the two share.
+type HistoryStats struct {
+	ScoringE   int64 `json:"scoring_e_bytes"`
+	ScoringI   int64 `json:"scoring_i_bytes"`
+	SignatureE int64 `json:"signature_e_bytes"`
+	SignatureI int64 `json:"signature_i_bytes"`
+	OrdinalsE  int64 `json:"ordinals_e_bytes"`
+	OrdinalsI  int64 `json:"ordinals_i_bytes"`
+}
+
+// HistoryStats returns the history stores' footprint. Not safe
+// concurrently with Run or Add.
+func (lk *Linker) HistoryStats() *HistoryStats {
+	st := &HistoryStats{
+		ScoringE:  lk.storeE.ResidentBytes(),
+		ScoringI:  lk.storeI.ResidentBytes(),
+		OrdinalsE: lk.storeE.Ordinals().ResidentBytes(),
+		OrdinalsI: lk.storeI.Ordinals().ResidentBytes(),
+	}
+	if lk.sigStoreE != nil {
+		st.SignatureE, st.SignatureI = lk.sigStoreE.ResidentBytes(), lk.sigStoreI.ResidentBytes()
+	}
+	return st
+}
+
 // AddE ingests new records of the first dataset into the prepared linker,
 // updating histories, IDF statistics and (lazily) the LSH candidates and
 // edge store. The next Run reflects the additions. Incremental adds bypass
