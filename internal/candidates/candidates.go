@@ -20,14 +20,14 @@
 // every entity and re-enumerating every band-bucket collision on each
 // relink is an O(|E|+|I|) cost even when a single entity's history
 // changed. The index keeps the filter state alive between relinks, as
-// columns: per-entity band keys with history-version counters (mirroring
-// the stale-entity recompile discipline of internal/history's compiled
-// views), and per side one postings column that lists every (entity, band
-// key) membership sorted by (band, hash, ordinal), so that a bucket is the
-// run of one key. An Update re-signs only the dirty entities, moves in
-// place only the memberships of the keys they left or entered, and
-// re-examines only the partners of those keys and of their new ones.
-// There is no other update path.
+// columns: per-entity band keys, and per side one postings column that
+// lists every (entity, band key) membership sorted by (band, hash,
+// ordinal), so that a bucket is the run of one key. An Update re-signs
+// exactly the entities its caller reports, moves in place only the
+// memberships of the keys they left or entered, and re-examines only the
+// partners of those keys and of their new ones. The index keeps no record
+// of what changed: the caller's report is the only one. There is no other
+// update path.
 //
 // Entities are named by the ordinals of their side's entity table
 // (history.Ordinals) and a pair by one packed uint64 (Key): per-entity
@@ -89,8 +89,8 @@ type Stats struct {
 	// ResidentBytes is what the index's columns and its cached pair list
 	// hold, summed from their capacities.
 	ResidentBytes int64 `json:"resident_bytes"`
-	// LastDirty is how many entity signatures the last Update actually
-	// recomputed; LastUpdate is its wall-clock duration.
+	// LastDirty is how many entity signatures the last Update recomputed;
+	// LastUpdate is its wall-clock duration.
 	LastDirty  int           `json:"dirty_entities_last"`
 	LastUpdate time.Duration `json:"last_update_ms"`
 }
@@ -99,11 +99,11 @@ type Stats struct {
 // set-difference sense: Added/Removed are the pairs that entered/left the
 // set (Pairs() after == Pairs() before − Removed + Added; the first Update
 // starts from the empty set), and Dirty are the pairs that stayed
-// candidates but have at least one endpoint whose signature was actually
-// recomputed this Update — i.e. an endpoint whose history changed, so any
-// score derived from the pair is stale. The three slices hold packed pairs
-// (Key), are disjoint and sorted ascending; callers may retain them but
-// must not modify them.
+// candidates but have at least one endpoint re-signed this Update — i.e.
+// an endpoint the caller reported as changed, so any score derived from
+// the pair is stale. The three slices hold packed pairs (Key), are
+// disjoint and sorted ascending; callers may retain them but must not
+// modify them.
 //
 // Delta is what makes scored edges maintainable as state rather than
 // per-run output: a caller holding pair→score only has to rescore
@@ -315,20 +315,20 @@ func (ks *keyset) seal(at int) {
 }
 
 // sideState is the maintained filter state of one side, indexed by entity
-// ordinal: whether the entity is signed, the history version its signature
-// was computed from, and its band keys — one key per band it has a row in,
-// ascending by band — plus the side's postings. The signatures themselves
-// are not kept: a band key is all a later delta compares against.
+// ordinal: its band keys — one key per band it has a row in, ascending by
+// band, none while it is unsigned — plus the side's postings. The
+// signatures themselves are not kept: a band key is all a later delta
+// compares against.
 type sideState struct {
-	store   *history.Store
-	signed  []bool
-	version []uint64
+	store *history.Store
 	// keyset holds every entity's band keys back to back, spans indexed by
 	// ordinal. An entity whose keys outgrow their range moves to the end
 	// and leaves the range dead; live counts the keys in use, and a column
 	// more than half dead is rewritten compactly (setBands).
 	keyset
-	live    int
+	live int
+	// numSigs counts the ordinals with band keys: a signed entity has a
+	// history, so it has a row in at least one band.
 	numSigs int
 	post    postings
 }
@@ -344,9 +344,7 @@ func (s *sideState) bandsOf(ord uint32) []bandKey {
 
 // cover extends the state to hold n ordinals.
 func (s *sideState) cover(n int) {
-	if n > len(s.signed) {
-		s.signed = append(s.signed, make([]bool, n-len(s.signed))...)
-		s.version = append(s.version, make([]uint64, n-len(s.version))...)
+	if n > len(s.spans) {
 		s.spans = append(s.spans, make([]span, n-len(s.spans))...)
 	}
 }
@@ -420,16 +418,13 @@ func (s *sideState) repost(g *signing, other *postings) int {
 	return alone() - before
 }
 
-// commit stores a signing's new band keys and history versions.
+// commit stores a signing's new band keys.
 func (s *sideState) commit(g *signing) {
 	for k, ord := range g.ords {
-		s.setBands(ord, g.next.at(k))
-		if !s.signed[ord] {
-			s.signed[ord] = true
+		if s.spans[ord].n == 0 {
 			s.numSigs++
 		}
-		h := s.store.HistoryAt(ord)
-		s.version[ord] = h.Version()
+		s.setBands(ord, g.next.at(k))
 	}
 }
 
@@ -480,11 +475,12 @@ func New(storeE, storeI *history.Store, p Params) *Index {
 
 // Update brings the index up to date with its stores and returns the
 // exact Delta of the candidate set (see Delta). dirtyE and dirtyI name, by
-// ordinal, the entities whose histories may have changed since the
-// previous Update (entities whose history version is unchanged are
-// skipped, so over-reporting is harmless — under-reporting is not). The
-// first call signs every entity of both stores, fanned out over Workers,
-// and ignores them; its Delta adds the whole candidate set.
+// ordinal, the entities whose histories changed since the previous Update:
+// it re-signs every reported entity with a history; the caller reports
+// what it changed, as Linker.AddE/AddI do. An entity left unreported keeps
+// its old band keys. The first call signs every entity of both stores,
+// fanned out over Workers, and ignores them; its Delta adds the whole
+// candidate set.
 func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) Delta {
 	start := time.Now()
 	var d Delta
@@ -502,17 +498,17 @@ func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) Delta {
 	return d
 }
 
-// apply re-signs the dirty entities whose histories moved and returns the
-// Delta. A pair can only have entered, left or gone stale through a
-// re-signed endpoint. If it collides after the Update, it shares one of
-// that endpoint's new keys in the new postings: those partners are Dirty
-// if the pair collided under the old keys of both endpoints, else Added.
-// If it collided before and no longer does, one endpoint left the key
-// they shared, in the old postings: those partners not found the first
-// way are Removed. The lists are the exact set difference by
-// construction; a pair whose two endpoints both moved is judged on where
-// it started and where it ended, and one that keeps a band while another
-// changes is Dirty and leaves the cached pair list alone.
+// apply re-signs the reported entities and returns the Delta. A pair can
+// only have entered, left or gone stale through a re-signed endpoint. If
+// it collides after the Update, it shares one of that endpoint's new keys
+// in the new postings: those partners are Dirty if the pair collided
+// under the old keys of both endpoints, else Added. If it collided before
+// and no longer does, one endpoint left the key they shared, in the old
+// postings: those partners not found the first way are Removed. The lists
+// are the exact set difference by construction; a pair whose two
+// endpoints both moved is judged on where it started and where it ended,
+// and one that keeps a band while another changes is Dirty and leaves the
+// cached pair list alone.
 func (x *Index) apply(dirtyE, dirtyI map[uint32]struct{}) Delta {
 	re := [2]signing{x.resign(sideE, dirtyE), x.resign(sideI, dirtyI)}
 	x.lastDirty = len(re[sideE].ords) + len(re[sideI].ords)
@@ -556,21 +552,15 @@ func (x *Index) apply(dirtyE, dirtyI map[uint32]struct{}) Delta {
 	return d
 }
 
-// resign signs one side's dirty entities whose histories moved since their
-// signature was computed (never-signed ones included), ordinals
-// ascending.
+// resign signs one side's reported entities that have a history,
+// ordinals ascending.
 func (x *Index) resign(side int, dirty map[uint32]struct{}) signing {
 	s := &x.sides[side]
 	var g signing
 	for ord := range dirty {
-		h := s.store.HistoryAt(ord)
-		if h.NumBins() == 0 {
-			continue
+		if h := s.store.HistoryAt(ord); h.NumBins() > 0 {
+			g.ords = append(g.ords, ord)
 		}
-		if int(ord) < len(s.signed) && s.signed[ord] && s.version[ord] == h.Version() {
-			continue // marked dirty but unchanged since its last compute
-		}
-		g.ords = append(g.ords, ord)
 	}
 	if len(g.ords) == 0 {
 		return g
@@ -691,15 +681,14 @@ func (x *Index) fill(side int) int {
 			if h.NumBins() == 0 {
 				continue // no history in this store yet
 			}
-			s.signed[ord], s.version[ord] = true, h.Version()
 			sig = AppendSignature(sig, h)
 			sp := s.spans[ord]
 			appendBands(s.keys[sp.at:sp.at:sp.at+sp.n], sig, x.rows, x.numBuckets) // fills the range in place
 		}
 	})
 	s.post = buildPostings(s.keyset, func(k int) uint32 { return uint32(k) }, x.Workers)
-	for _, signed := range s.signed {
-		if signed {
+	for _, sp := range s.spans {
+		if sp.n > 0 {
 			s.numSigs++
 		}
 	}
@@ -745,7 +734,7 @@ func (x *Index) residentBytes() int64 {
 	n := 8*cap(x.pairs) + int(unsafe.Sizeof(Row{}))*cap(x.scratchSig)
 	for side := range x.sides {
 		s := &x.sides[side]
-		n += cap(s.signed) + 8*cap(s.version) + int(unsafe.Sizeof(span{}))*cap(s.spans) +
+		n += int(unsafe.Sizeof(span{}))*cap(s.spans) +
 			int(unsafe.Sizeof(bandKey{}))*cap(s.keys) +
 			8*cap(s.post.bands) + 4*cap(s.post.starts) + 8*cap(s.post.entries)
 	}

@@ -255,26 +255,50 @@ func TestRangeGrowthIsADelta(t *testing.T) {
 	requireParity(t, x, se, si, p, "range growth")
 }
 
-// TestIndexSkipsUnchangedDirtyEntities verifies the version-counter
-// discipline: an entity reported dirty whose history version is unchanged
-// is not recomputed.
-func TestIndexSkipsUnchangedDirtyEntities(t *testing.T) {
+// TestIndexResignsReportedUnchangedEntities pins Update's contract: every
+// reported entity with a history is re-signed, whether or not it changed.
+// An unchanged one gets the keys it had, so its kept pairs come back Dirty,
+// nothing enters or leaves the set and the cached pair list stays; an
+// ordinal no table assigned is passed over.
+func TestIndexResignsReportedUnchangedEntities(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
 	for k := 0; k < 20; k++ {
-		eRecs = append(eRecs, rec("e0", 37.6, -122.4, int64(900*k)))
-		iRecs = append(iRecs, rec("i0", 37.6, -122.4, int64(900*k)))
+		for _, e := range []string{"e0", "e1"} {
+			eRecs = append(eRecs, rec(e, 37.6, -122.4, int64(900*k)))
+		}
+		for _, i := range []string{"i0", "i1"} {
+			iRecs = append(iRecs, rec(i, 37.6, -122.4, int64(900*k)))
+		}
 	}
 	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
-
-	x.Update(ords(se, "e0"), ords(si, "i0", "ghost"))
-	st := x.Stats()
-	if st.LastDirty != 0 {
-		t.Fatalf("LastDirty = %d after a no-op dirty report, want 0 (version check must skip)", st.LastDirty)
+	pairs := x.Pairs()
+	if len(pairs) != 4 {
+		t.Fatalf("initial candidate set %v, want all 4 pairs", named(se, si, pairs))
 	}
-	requireParity(t, x, se, si, p, "noop")
+	e0, _ := se.Ordinals().Lookup("e0")
+	keys := slices.Clone(x.sides[sideE].bandsOf(e0))
+
+	d := x.Update(ords(se, "e0"), ords(si, "ghost"))
+	if st := x.Stats(); st.LastDirty != 1 || st.SignaturesE != 2 || st.SignaturesI != 2 {
+		t.Fatalf("LastDirty/SignaturesE/SignaturesI = %d/%d/%d, want 1/2/2", st.LastDirty, st.SignaturesE, st.SignaturesI)
+	}
+	if got := x.sides[sideE].bandsOf(e0); !slices.Equal(got, keys) {
+		t.Fatalf("re-signing unchanged e0 moved its keys: %v, want %v", got, keys)
+	}
+	if len(d.Added)+len(d.Removed) != 0 {
+		t.Fatalf("re-signing unchanged e0 added %v and removed %v", d.Added, d.Removed)
+	}
+	want := []Pair{{U: "e0", V: "i0"}, {U: "e0", V: "i1"}}
+	if got := named(se, si, d.Dirty); !slices.Equal(got, want) {
+		t.Fatalf("Dirty = %v, want e0's kept pairs %v", got, want)
+	}
+	if got := x.Pairs(); &got[0] != &pairs[0] {
+		t.Fatal("an Update that changed no pair dropped the cached pair list")
+	}
+	requireParity(t, x, se, si, p, "over-report")
 }
 
 // TestIndexOneSideEmpty mirrors the batch semantics: no candidates while

@@ -34,7 +34,7 @@ func diffPairs(a []Pair, b map[Pair]struct{}) []Pair {
 // requireDeltaExact checks one Update's Delta against the ground truth:
 // Added/Removed must equal the set difference of the before/after Pairs()
 // snapshots, and Dirty must equal exactly the kept pairs with an endpoint
-// among the entities whose histories changed this burst. All lists are
+// among the entities re-signed this burst (see reported). All lists are
 // compared by entity id, in canonical order.
 func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta, before, after []Pair,
 	burstE, burstI map[model.EntityID]struct{}) {
@@ -65,7 +65,7 @@ func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta
 	}
 	SortPairs(wantDirty)
 	if !slices.Equal(dirty, wantDirty) {
-		t.Fatalf("%s: Dirty = %v, want kept-pairs-of-changed-entities %v", step, dirty, wantDirty)
+		t.Fatalf("%s: Dirty = %v, want kept-pairs-of-reported-entities %v", step, dirty, wantDirty)
 	}
 }
 
@@ -76,7 +76,7 @@ func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta
 // arrive in descending id order (ordinals anti-sorted) — every Update's
 // Delta, the first included, must equal the set difference of the
 // before/after candidate sets, with Dirty naming exactly the kept pairs of
-// changed entities, and Pairs() the from-scratch CandidatePairs set.
+// reported entities, and Pairs() the from-scratch CandidatePairs set.
 func TestIndexDeltaExactSetDifference(t *testing.T) {
 	for _, tc := range suiteCases {
 		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
@@ -98,15 +98,16 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 					side, r := gen.next()
 					dirty[side][stores[side].Add(r)] = struct{}{}
 				}
-				// Over-report: an unchanged (or unknown) entity in the dirty
-				// set must not surface in the Delta.
+				// Over-report: an unchanged entity in the dirty set is
+				// re-signed to the keys it had, so its kept pairs are Dirty;
+				// an unknown one is passed over.
 				if rng.Intn(3) == 0 {
 					if n := se.Ordinals().Len(); n > 0 {
 						dirty[0][uint32(rng.Intn(n))] = struct{}{}
 					}
 					dirty[1][1<<30] = struct{}{}
 				}
-				burstE, burstI := changedOnly(x, sideE, dirty[0]), changedOnly(x, sideI, dirty[1])
+				burstE, burstI := reported(se, dirty[0]), reported(si, dirty[1])
 				d := x.Update(dirty[0], dirty[1])
 				after := named(se, si, x.Pairs())
 				requireDeltaExact(t, fmt.Sprintf("burst %d", burst), se, si, d, before, after, burstE, burstI)
@@ -116,19 +117,13 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 	}
 }
 
-// changedOnly filters a dirty set down to the ids of the entities whose
-// history version actually moved since their maintained signature — the
-// ground truth for Delta.Dirty membership (over-reported entities are
-// skipped by the index's version check).
-func changedOnly(x *Index, side int, dirty map[uint32]struct{}) map[model.EntityID]struct{} {
-	s := &x.sides[side]
+// reported maps a dirty set to the ids of its entities with a history in
+// the store — the ground truth for Delta.Dirty membership: the index
+// re-signs every one of them, changed or not, and passes over the rest.
+func reported(s *history.Store, dirty map[uint32]struct{}) map[model.EntityID]struct{} {
 	out := make(map[model.EntityID]struct{}, len(dirty))
 	for ord := range dirty {
-		h := s.store.HistoryAt(ord)
-		if h.NumBins() == 0 {
-			continue
-		}
-		if int(ord) >= len(s.signed) || !s.signed[ord] || s.version[ord] != h.Version() {
+		if h := s.HistoryAt(ord); h.NumBins() > 0 {
 			out[h.Entity] = struct{}{}
 		}
 	}

@@ -36,7 +36,7 @@ type BandCollision struct {
 // the maintained band keys and postings — Explain adds no state to the
 // index and costs O(bands of the two endpoints) binary searches.
 type PairExplain struct {
-	// HasU / HasV report whether the index maintains a signature for each
+	// HasU / HasV report whether the index maintains band keys for each
 	// endpoint (false for unknown or never-signed entities).
 	HasU bool `json:"has_u"`
 	HasV bool `json:"has_v"`
@@ -49,10 +49,6 @@ type PairExplain struct {
 	Collisions []BandCollision `json:"collisions,omitempty"`
 	// Rows is the index's rows per band (see Stats).
 	Rows int `json:"rows"`
-	// SigVersionU / SigVersionV are the history versions the endpoints'
-	// signatures were computed from (0 when the endpoint has none).
-	SigVersionU uint64 `json:"sig_version_u,omitempty"`
-	SigVersionV uint64 `json:"sig_version_v,omitempty"`
 }
 
 // Explain reports the candidate lineage of one pair, named by the two
@@ -63,13 +59,8 @@ type PairExplain struct {
 func (x *Index) Explain(u, v uint32) PairExplain {
 	ex := PairExplain{Rows: int(x.rows)}
 	su, sv := &x.sides[sideE], &x.sides[sideI]
-	if int(u) < len(su.signed) && su.signed[u] {
-		ex.HasU, ex.SigVersionU = true, su.version[u]
-	}
-	if int(v) < len(sv.signed) && sv.signed[v] {
-		ex.HasV, ex.SigVersionV = true, sv.version[v]
-	}
 	keysU, keysV := su.bandsOf(u), sv.bandsOf(v)
+	ex.HasU, ex.HasV = len(keysU) > 0, len(keysV) > 0
 	for i, j := 0, 0; i < len(keysU) && j < len(keysV); {
 		switch a, b := keysU[i], keysV[j]; {
 		case a.band < b.band:

@@ -65,10 +65,11 @@ func TestCandidateIndexBytesPerPair(t *testing.T) {
 // TestCandidateIndexBytesPerMembership budgets what the index retains per
 // (entity, band key) membership after its first Update, without the cached
 // pair list, at 256, 4,096 and 2^30 buckets per band: a 16 B band key, an
-// 8 B posting and the per-entity columns, whatever the bucket count. A
+// 8 B posting and the per-entity span, whatever the bucket count. A
 // bucket map with two member slices per bucket measured 32.3, 89.1 and
 // 105.8 B here, growing with the number of buckets the memberships spread
-// over.
+// over; per-entity signed and history-version columns beside the spans
+// 26.8–27.0 B.
 func TestCandidateIndexBytesPerMembership(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
@@ -85,8 +86,8 @@ func TestCandidateIndexBytesPerMembership(t *testing.T) {
 			st := x.Stats()
 			perMembership := float64(after-before-8*uint64(cap(x.pairs))) / float64(st.Memberships)
 			t.Logf("%d buckets, %d memberships, %.1f B retained per membership without the pair list", st.Buckets, st.Memberships, perMembership)
-			if perMembership > 28 {
-				t.Errorf("index retains %.1f B per membership, budget 28", perMembership)
+			if perMembership > 26.5 {
+				t.Errorf("index retains %.1f B per membership, budget 26.5", perMembership)
 			}
 			runtime.KeepAlive(x)
 		})

@@ -5,24 +5,34 @@ import (
 	"testing"
 
 	"slim/internal/history"
+	"slim/internal/model"
 )
 
 // The op encoding of FuzzIndexUpdate: a byte with the high bit set is an
-// Update; any other byte b0 adds one record, to side b0&1 and entity
-// (b0>>1)&15 of that side, and takes two more bytes: row int8(b1), and b2
-// whose low three bits pick one of eight cells and whose next two pick the
-// row's window.
-const fuzzUpdate = 0x80
+// Update. Any other byte b0 names entity (b0>>1)&15 of side b0&1. With bit
+// 6 set it reports that entity dirty without adding a record (an
+// over-report: the entity is unchanged, or the side has never seen it and
+// the report names an ordinal no table assigned). Otherwise it adds one
+// record to the entity and takes two more bytes: row int8(b1), and b2 whose
+// low three bits pick one of eight cells and whose next two pick the row's
+// window.
+const (
+	fuzzUpdate = 0x80
+	fuzzReport = 0x40
+)
 
 // fuzzAdd encodes one record op.
 func fuzzAdd(side, entity, row, window, cell int) []byte {
 	return []byte{byte(entity<<1 | side), byte(int8(row)), byte(window<<3 | cell)}
 }
 
+// fuzzMark encodes one report op.
+func fuzzMark(side, entity int) byte { return byte(fuzzReport | entity<<1 | side) }
+
 // fuzzSeeds are the shapes of the index's hand-written delta tests, as op
 // sequences.
 func fuzzSeeds() [][]byte {
-	var countOnly, rangeGrowth, silent, bothEnds []byte
+	var countOnly, rangeGrowth, silent, bothEnds, overReport []byte
 	// Count-only churn: e0 and i0 agree in every row; a heavier cell then
 	// moves e0's first band while the later band still collides.
 	for row := 0; row < 8; row++ {
@@ -70,15 +80,28 @@ func fuzzSeeds() [][]byte {
 		}
 		bothEnds = append(bothEnds, fuzzUpdate)
 	}
-	return [][]byte{countOnly, rangeGrowth, silent, bothEnds}
+	// Over-reporting: four entities a side, then Updates whose reports
+	// name unchanged entities and ones the side has never seen, alone and
+	// beside a real change.
+	for side := 0; side < 2; side++ {
+		for e := 0; e < 4; e++ {
+			overReport = append(overReport, fuzzAdd(side, e, e%2, 0, e%3)...)
+		}
+	}
+	overReport = append(overReport, fuzzUpdate, fuzzMark(0, 1), fuzzMark(1, 9), fuzzUpdate)
+	overReport = append(overReport, fuzzMark(1, 2), fuzzMark(0, 12))
+	overReport = append(overReport, fuzzAdd(0, 3, 1, 2, 4)...)
+	overReport = append(overReport, fuzzUpdate)
+	return [][]byte{countOnly, rangeGrowth, silent, bothEnds, overReport}
 }
 
 // FuzzIndexUpdate drives the index with a fuzzed sequence of record adds
 // and Updates over two small signature stores, sixteen entities a side
-// and few buckets, so pairs keep entering and leaving the set. After every
-// Update, Pairs() must equal the batch oracle's set, the Delta the exact
-// set difference, and the bucket counts of Stats and Explain a recount
-// from the batch oracle.
+// and few buckets, so pairs keep entering and leaving the set, with
+// over-reported entities in the dirty sets. After every Update, Pairs()
+// must equal the batch oracle's set, the Delta the exact set difference
+// (Dirty naming every kept pair of a reported entity), and the bucket
+// counts of Stats and Explain a recount from the batch oracle.
 func FuzzIndexUpdate(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -94,7 +117,7 @@ func FuzzIndexUpdate(f *testing.F) {
 		dirty := [2]map[uint32]struct{}{{}, {}}
 		update := func(step int) {
 			before := named(se, si, x.Pairs())
-			burstE, burstI := changedOnly(x, sideE, dirty[sideE]), changedOnly(x, sideI, dirty[sideI])
+			burstE, burstI := reported(se, dirty[sideE]), reported(si, dirty[sideI])
 			d := x.Update(dirty[sideE], dirty[sideI])
 			name := fmt.Sprintf("update %d", step)
 			requireDeltaExact(t, name, se, si, d, before, named(se, si, x.Pairs()), burstE, burstI)
@@ -104,15 +127,26 @@ func FuzzIndexUpdate(f *testing.F) {
 		}
 		step := 0
 		for len(ops) > 0 {
-			if ops[0]&fuzzUpdate != 0 || len(ops) < 3 {
+			op := ops[0]
+			if op&fuzzUpdate != 0 || op&fuzzReport == 0 && len(ops) < 3 {
 				update(step)
 				step++
 				ops = ops[1:]
 				continue
 			}
-			side, entity := int(ops[0]&1), int(ops[0]>>1&15)
+			side := int(op & 1)
+			id := model.EntityID(fmt.Sprintf("%c%d", "ei"[side], op>>1&15))
+			if op&fuzzReport != 0 {
+				ord, ok := stores[side].Ordinals().Lookup(id)
+				if !ok {
+					ord = 1 << 30
+				}
+				dirty[side][ord] = struct{}{}
+				ops = ops[1:]
+				continue
+			}
 			unix := (int64(int8(ops[1]))*int64(p.StepWindows) + int64(ops[2]>>3&3)) * wnd.WidthSeconds
-			r := rec(fmt.Sprintf("%c%d", "ei"[side], entity), 37.6+0.05*float64(ops[2]&7), -122.4, unix)
+			r := rec(string(id), 37.6+0.05*float64(ops[2]&7), -122.4, unix)
 			dirty[side][stores[side].Add(r)] = struct{}{}
 			ops = ops[3:]
 		}

@@ -71,10 +71,6 @@ type History struct {
 	cells   []int32
 	table   []geo.CellGeom
 	counts  []float64
-
-	// version counts mutations of this history; the candidate index uses
-	// it to detect stale entities.
-	version uint64
 }
 
 // binWeight is one (bin, weight) contribution of a record.
@@ -126,12 +122,6 @@ func foldBins(dst, scratch []binWeight, recs []model.Record, w model.Windowing, 
 // Windows returns the sorted leaf window indices with at least one record.
 // The returned slice must not be modified.
 func (h *History) Windows() []int64 { return h.windows }
-
-// Version returns the history's mutation counter: 0 for a freshly built
-// history, bumped by every Store.Add that touches the entity. The
-// incremental LSH candidate index (internal/candidates) keys its
-// stale-entity checks on it.
-func (h *History) Version() uint64 { return h.version }
 
 // cellAt returns the cell of the history's bin j, resolving a scoring
 // store's dense index through the store's cell table.
@@ -204,7 +194,6 @@ func (h *History) DominatingCellAt(k int) geo.CellID {
 type segment struct {
 	win, nWin, winRoom int32
 	bin, nBin, binRoom int32
-	version            uint64
 	// filled stamps the df column of the bin range (compiled.go): one past
 	// the store epoch it was written at, so a segment never filled (0)
 	// never reads as current.
@@ -217,12 +206,11 @@ type segment struct {
 // the EntityID accessors resolve the id once and delegate.
 //
 // A store comes in two kinds. A scoring store (Build, BuildGrouped)
-// additionally maintains the bin→entity frequency index behind IDF and
-// the compiled read path. A signature store
+// additionally maintains the bin→entity frequency index behind the IDF
+// weights (Eq. 3) and the compiled read path. A signature store
 // (Store.SignatureStore) is the side's second store, at the LSH spatial
-// level and windowing: the candidate index reads only its columns and
-// history versions, so it keeps neither, and IDF, Compile and
-// CompiledViewAt panic on it.
+// level and windowing: the candidate index reads only its columns, so it
+// keeps neither, and Compile and CompiledViewAt panic on it.
 type Store struct {
 	Name      string
 	Windowing model.Windowing
@@ -296,7 +284,7 @@ func BuildGrouped(g *model.Grouped, w model.Windowing, spatialLevel, workers int
 
 // SignatureStore builds the side's signature store, at another windowing
 // and spatial level, from the grouped records s itself was built from. It
-// shares s's entity table and holds columns and versions only.
+// shares s's entity table and holds columns only.
 func (s *Store) SignatureStore(g *model.Grouped, w model.Windowing, spatialLevel, workers int) *Store {
 	return build(g, s.ords, w, spatialLevel, workers, false)
 }
@@ -436,7 +424,7 @@ func clipSpare[E any](col []E) []E {
 // compiled view there would be a silently wrong score, not a missing one.
 func (s *Store) mustScore(op string) {
 	if s.freq == nil {
-		panic("history: " + op + " on a signature store (columns and versions only)")
+		panic("history: " + op + " on a signature store (columns only)")
 	}
 }
 
@@ -474,7 +462,6 @@ func (s *Store) HistoryAt(ord uint32) History {
 		cells:   binRange(s.cells, b, nb),
 		table:   s.geoms,
 		counts:  s.counts[b : b+nb : b+nb],
-		version: sg.version,
 	}
 }
 
@@ -505,23 +492,6 @@ func (s *Store) History(e model.EntityID) History {
 // columns (compiled.go) and the root package's incremental edge store both
 // key their invalidation on this counter.
 func (s *Store) Epoch() uint64 { return s.epoch }
-
-// IDF returns the inverse-document-frequency weight of a time-location bin
-// (Eq. 3): log(|U| / |{u : bin ∈ H_u}|). Bins absent from the dataset get
-// the maximum weight log(|U|), consistent with the limit of Eq. 3.
-func (s *Store) IDF(b Bin) float64 {
-	s.mustScore("IDF")
-	n := len(s.entities)
-	if n == 0 {
-		return 0
-	}
-	var df int32
-	if i, ok := s.cellIndex[b.Cell]; ok {
-		fw, _ := s.freq.window(0, b.Window)
-		df = fw.count(i)
-	}
-	return idf(n, df)
-}
 
 // idf is Eq. 3 for a bin that df of n entities hold; a bin no entity
 // holds weighs like one a single entity does.

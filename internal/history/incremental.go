@@ -32,7 +32,6 @@ func (s *Store) Add(rec model.Record) uint32 {
 		s.entities = slices.Insert(s.entities, i, id)
 		s.epoch++ // |U| changed: every compiled segment is stale
 	}
-	sg.version++ // the candidate index re-signs this entity
 
 	win := s.Windowing.Window(rec.Unix)
 	s.addScratch = appendBinWeights(s.addScratch[:0], rec, win, s.Level)

@@ -24,21 +24,17 @@ var refWindowing = model.Windowing{WidthSeconds: 900}
 
 // refStore is the reference model: entity → window → cell → weight.
 type refStore struct {
-	leaves  map[model.EntityID]map[int64]map[geo.CellID]float64
-	version map[model.EntityID]uint64
-	epoch   uint64
+	leaves map[model.EntityID]map[int64]map[geo.CellID]float64
+	epoch  uint64
 }
 
 func newRefStore() *refStore {
-	return &refStore{
-		leaves:  map[model.EntityID]map[int64]map[geo.CellID]float64{},
-		version: map[model.EntityID]uint64{},
-	}
+	return &refStore{leaves: map[model.EntityID]map[int64]map[geo.CellID]float64{}}
 }
 
 // add mirrors one record into the model. counted says whether the record
-// arrives through Store.Add (which moves Version and Epoch) or Build
-// (which starts both at zero).
+// arrives through Store.Add (which moves Epoch) or Build (which starts it
+// at zero).
 func (m *refStore) add(r model.Record, counted bool) {
 	wins := m.leaves[r.Entity]
 	if wins == nil {
@@ -47,9 +43,6 @@ func (m *refStore) add(r model.Record, counted bool) {
 		if counted {
 			m.epoch++
 		}
-	}
-	if counted {
-		m.version[r.Entity]++
 	}
 	win := refWindowing.Window(r.Unix)
 	cells := wins[win]
@@ -149,9 +142,6 @@ func (m *refStore) check(t *testing.T, step string, s *history.Store, rng *rand.
 		wins := sortedKeys(ref)
 		if !slices.Equal(h.Windows(), wins) {
 			t.Fatalf("%s: %s Windows = %v, want %v", step, e, h.Windows(), wins)
-		}
-		if h.Version() != m.version[e] {
-			t.Fatalf("%s: %s Version = %d, want %d", step, e, h.Version(), m.version[e])
 		}
 		var wantBins []history.Bin
 		var wantWeights []float64

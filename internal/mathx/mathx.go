@@ -272,18 +272,6 @@ func MinMax(values []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Mean returns the arithmetic mean of values (0 for an empty slice).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
-}
-
 // Clamp limits v to the interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

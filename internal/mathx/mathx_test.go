@@ -197,12 +197,6 @@ func TestMinMaxMean(t *testing.T) {
 	if lo, hi := MinMax(nil); lo != 0 || hi != 0 {
 		t.Error("MinMax(nil) should be (0,0)")
 	}
-	if m := Mean(vals); math.Abs(m-2.8) > 1e-12 {
-		t.Errorf("Mean = %g", m)
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
 }
 
 func TestClamp(t *testing.T) {

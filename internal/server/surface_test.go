@@ -500,8 +500,7 @@ var (
 		candidates.collisions.band=number candidates.collisions.bucket_e=number
 		candidates.collisions.bucket_i=number candidates.collisions.hash=string
 		candidates.collisions=array candidates.has_u=bool candidates.has_v=bool
-		candidates.rows=number candidates.sig_version_u=number
-		candidates.sig_version_v=number candidates=object`)
+		candidates.rows=number candidates=object`)
 	explainFlagTypes    = strings.Fields(`score.windows.pairs.alibi=bool score.windows.pairs.mfn=bool`)
 	explainUnknownTypes = strings.Fields(`
 		e=string edge.linked=bool edge.store_epoch=number edge=object i=string score.known=bool
@@ -522,8 +521,7 @@ var (
 		e i version score known norm_u norm_v norm total windows window bins_u bins_v sum pairs
 		cell_u cell_v distance_km proximity idf_weight contribution`)
 	explainLSHKeyOrder = strings.Fields(`
-		candidates has_u has_v candidate band_count collisions band hash bucket_e bucket_i rows
-		sig_version_u sig_version_v`)
+		candidates has_u has_v candidate band_count collisions band hash bucket_e bucket_i rows`)
 	explainEdgeKeyOrder = strings.Fields(`
 		edge linked rescored_seq retained_since_seq last_full_seq score_at_last_full store_epoch`)
 )

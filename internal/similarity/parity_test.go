@@ -64,8 +64,31 @@ func forEachCommonWindow(a, b []int64, fn func(int64)) {
 	}
 }
 
+// refSide is a store with the oracle's own IDF weights (Eq. 3), counted
+// from the histories when it is made, so the reference shares no weight
+// code with the store. An Add to the store outdates it: make one per sweep.
+type refSide struct {
+	*history.Store
+	df map[history.Bin]int
+}
+
+func newRefSide(s *history.Store) *refSide {
+	r := &refSide{Store: s, df: map[history.Bin]int{}}
+	for _, e := range s.Entities() {
+		h := s.History(e)
+		h.Bins(func(b history.Bin, _ float64) { r.df[b]++ })
+	}
+	return r
+}
+
+// IDF is log(|U| / |{u : bin ∈ H_u}|); a bin no entity holds weighs like
+// one a single entity does.
+func (r *refSide) IDF(b history.Bin) float64 {
+	return math.Log(float64(r.NumEntities()) / float64(max(r.df[b], 1)))
+}
+
 // refScore is the pre-compiled-path scorer, kept as the parity oracle.
-func refScore(e, i *history.Store, p Params, u, v model.EntityID, st *refStats) float64 {
+func refScore(e, i *refSide, p Params, u, v model.EntityID, st *refStats) float64 {
 	hu, hv := e.History(u), i.History(v)
 	if hu.NumBins() == 0 || hv.NumBins() == 0 {
 		return 0
@@ -115,7 +138,7 @@ func refSortedCells(cells map[geo.CellID]float64) []geo.CellID {
 	return out
 }
 
-func refScoreWindow(e, i *history.Store, p Params, hu, hv history.History, w int64, norm float64, st *refStats) float64 {
+func refScoreWindow(e, i *refSide, p Params, hu, hv history.History, w int64, norm float64, st *refStats) float64 {
 	cellsU := refSortedCells(cellsAt(hu, w))
 	cellsV := refSortedCells(cellsAt(hv, w))
 	if len(cellsU) == 0 || len(cellsV) == 0 {
@@ -225,7 +248,7 @@ func refScoreWindow(e, i *history.Store, p Params, hu, hv history.History, w int
 }
 
 // refProbeRatio ports the map-based ProbeRatio.
-func refProbeRatio(e, i *history.Store, p Params, u, v model.EntityID) (float64, bool) {
+func refProbeRatio(e, i *refSide, p Params, u, v model.EntityID) (float64, bool) {
 	hu, hv := e.History(u), i.History(v)
 	if hu.NumBins() == 0 || hv.NumBins() == 0 {
 		return 0, false
@@ -333,10 +356,11 @@ func assertParity(t *testing.T, variant string, e, i *history.Store, p Params) {
 	t.Helper()
 	s := NewScorer(e, i, p)
 	var ref refStats
+	re, ri := newRefSide(e), newRefSide(i)
 	for _, u := range e.Entities() {
 		for _, v := range i.Entities() {
 			got := s.Score(u, v)
-			want := refScore(e, i, p, u, v, &ref)
+			want := refScore(re, ri, p, u, v, &ref)
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("%s: Score(%s,%s) = %v, reference %v", variant, u, v, got, want)
 			}
@@ -360,7 +384,7 @@ func TestCompiledScoreParityDatagen(t *testing.T) {
 
 // TestCompiledScoreParityIncremental interleaves incremental Store.Add
 // batches — records into existing bins, new bins, brand-new entities, and
-// region records — with full parity sweeps, exercising the epoch/version
+// region records — with full parity sweeps, exercising the epoch
 // invalidation of the compiled read path.
 func TestCompiledScoreParityIncremental(t *testing.T) {
 	dsE, dsI := parityWorkload(t)
@@ -404,10 +428,11 @@ func TestCompiledProbeRatioParity(t *testing.T) {
 		e := history.Build(&dsE, wnd, level)
 		i := history.Build(&dsI, wnd, level)
 		s := NewScorer(e, i, DefaultParams(15, 2))
+		re, ri := newRefSide(e), newRefSide(i)
 		for _, u := range e.Entities() {
 			for _, v := range i.Entities() {
 				got, gotOK := s.ProbeRatio(u, v)
-				want, wantOK := refProbeRatio(e, i, s.Par, u, v)
+				want, wantOK := refProbeRatio(re, ri, s.Par, u, v)
 				if gotOK != wantOK || got != want {
 					t.Fatalf("level %d: ProbeRatio(%s,%s) = %v,%v; reference %v,%v",
 						level, u, v, got, gotOK, want, wantOK)
