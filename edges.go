@@ -1,10 +1,14 @@
 package slim
 
 import (
+	"cmp"
+	"slices"
 	"time"
+	"unsafe"
 
 	"slim/internal/candidates"
 	"slim/internal/history"
+	"slim/internal/matching"
 )
 
 // EdgeStoreStats reports the state of a Linker's incremental edge store
@@ -35,7 +39,8 @@ type EdgeStoreStats struct {
 	// store maintenance; excludes matching).
 	LastUpdate time.Duration `json:"last_update_ms"`
 	// ResidentBytes estimates the store's resident memory: a fixed map cost
-	// per retained pair (see edgePairBytes).
+	// per retained pair (see edgePairBytes) plus the order column's
+	// capacity.
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
@@ -78,11 +83,11 @@ type edge struct {
 	fullScore   float64
 }
 
-// edgePairBytes is the estimated resident cost of one retained edge: one
-// 49-byte map slot (8-byte packed pair, the 40-byte edge, control byte). Go
-// sizes a map to a power of two, so a live entry costs between 8/7 and 16/7
-// of its slot — 56 to 112 B; the constant is the middle. The store keeps
-// no link list: materialize builds one for its caller and keeps nothing.
+// edgePairBytes is the estimated resident cost of one retained edge's map
+// entry: one 49-byte map slot (8-byte packed pair, the 40-byte edge,
+// control byte). Go sizes a map to a power of two, so a live entry costs
+// between 8/7 and 16/7 of its slot — 56 to 112 B; the constant is the
+// middle. The order column adds its own capacity (statsSnapshot).
 const edgePairBytes = 84
 
 // scoredPair is one candidate pair (candidates.Key) with its score.
@@ -123,6 +128,12 @@ type edgeStore struct {
 
 	// pairs holds every candidate pair with a positive score.
 	pairs map[uint64]edge
+	// order holds the same edges as (pair, score) in greedy order (see
+	// cmp), the order greedy walks them in. resetFull sorts the scored
+	// slice it is handed and keeps it; apply splices its changes in, so
+	// order and pairs change in the same call and greedy reads no state
+	// older than the last update.
+	order []scoredPair
 	// seq is the run sequence of the last update (see Linker.Rescore for
 	// how it is assigned).
 	seq uint64
@@ -134,18 +145,6 @@ type edgeStore struct {
 	lastRetained, lastRescored, lastDropped int64
 	lastFull                                bool
 	lastUpdate                              time.Duration
-
-	// deltaChanged / deltaRemoved record the exact edge-level delta of the
-	// last update for the incremental publish tail: edges that entered the
-	// store or changed score (with their fresh scores) and edges that left
-	// it (with the scores they held). A score change records both. The
-	// buffers are reused across updates — consumers must not retain them,
-	// and may reorder them: every update truncates before it appends — and
-	// updates counts every resetFull/apply so a consumer can detect a missed
-	// delta and fall back to a full rebuild.
-	deltaChanged []Link
-	deltaRemoved []Link
-	updates      uint64
 }
 
 func newEdgeStore(idsE, idsI *history.Ordinals) edgeStore {
@@ -159,11 +158,22 @@ func (es *edgeStore) link(p uint64, score float64) Link {
 	return Link{U: es.idsE.ID(u), V: es.idsI.ID(v), Score: score}
 }
 
+// cmp is matching.Compare over stored edges: descending score, ties by U
+// id, then V id. Only a tie resolves ids, since ordinals are assigned in
+// arrival order, not id order.
+func (es *edgeStore) cmp(a, b scoredPair) int {
+	if a.score != b.score {
+		return cmp.Compare(b.score, a.score)
+	}
+	return matching.Compare(es.link(a.key, a.score), es.link(b.key, b.score))
+}
+
 // resetFull replaces the whole store with a freshly scored edge set (the
 // full-rescore path), stamped with the given run seq. Pairs that were
 // already retained keep their RetainedSinceSeq tenure; everything is (by
 // definition) rescored, so every pair's rescored-seq, last-full-seq and
-// score-at-last-full move to this run.
+// score-at-last-full move to this run. The store adopts edges as its
+// order, sorting it in place.
 func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
 	old := es.pairs
 	es.pairs = make(map[uint64]edge, len(edges))
@@ -174,13 +184,12 @@ func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
 		}
 		es.pairs[sp.key] = e
 	}
+	slices.SortFunc(edges, es.cmp)
+	es.order = edges
 	es.forceFull = false
 	es.fullRescores++
 	es.lastFull = true
 	es.seq = seq
-	es.deltaChanged = es.deltaChanged[:0]
-	es.deltaRemoved = es.deltaRemoved[:0]
-	es.updates++
 }
 
 // apply performs one delta update stamped with the given run seq: drop
@@ -189,11 +198,13 @@ func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
 // scored positive, in rescored's order — so a rescored pair missing from it
 // is dropped if the store held it. It returns how many edges were dropped.
 func (es *edgeStore) apply(rescored []uint64, positive []scoredPair, removed []uint64, seq uint64) (dropped int64) {
-	es.deltaChanged = es.deltaChanged[:0]
-	es.deltaRemoved = es.deltaRemoved[:0]
+	// gone and fresh are the order's delta: edges leaving it (with the
+	// scores they held) and edges entering it. A score change is one of
+	// each; a rescore to the same score is neither.
+	var gone, fresh []scoredPair
 	drop := func(p uint64, old float64) {
 		delete(es.pairs, p)
-		es.deltaRemoved = append(es.deltaRemoved, es.link(p, old))
+		gone = append(gone, scoredPair{p, old})
 		dropped++
 	}
 	for _, p := range removed {
@@ -213,9 +224,9 @@ func (es *edgeStore) apply(rescored []uint64, positive []scoredPair, removed []u
 		positive = positive[1:]
 		if !had || e.score != s {
 			if had {
-				es.deltaRemoved = append(es.deltaRemoved, es.link(p, e.score))
+				gone = append(gone, scoredPair{p, e.score})
 			}
-			es.deltaChanged = append(es.deltaChanged, es.link(p, s))
+			fresh = append(fresh, scoredPair{p, s})
 		}
 		if !had {
 			e.sinceSeq = seq
@@ -223,10 +234,54 @@ func (es *edgeStore) apply(rescored []uint64, positive []scoredPair, removed []u
 		e.score, e.rescoredSeq = s, seq
 		es.pairs[p] = e
 	}
+	es.splice(gone, fresh)
 	es.lastFull = false
 	es.seq = seq
-	es.updates++
 	return dropped
+}
+
+// splice folds one delta into order in one linear pass each way, in place:
+// a forward pass closes the gaps gone leaves, then a back-to-front merge
+// opens room for fresh, as postings.update does. Both lists are sorted
+// here; every gone edge is in order, and no fresh pair is left in it.
+func (es *edgeStore) splice(gone, fresh []scoredPair) {
+	slices.SortFunc(gone, es.cmp)
+	slices.SortFunc(fresh, es.cmp)
+	rest, w := es.order, 0
+	for _, g := range gone {
+		i, _ := slices.BinarySearchFunc(rest, g, es.cmp)
+		w += copy(es.order[w:], rest[:i])
+		rest = rest[i+1:]
+	}
+	w += copy(es.order[w:], rest)
+
+	es.order = slices.Grow(es.order[:w], len(fresh))[:w+len(fresh)]
+	kept, out := es.order[:w], len(es.order)
+	for k := len(fresh) - 1; k >= 0; k-- {
+		i, _ := slices.BinarySearchFunc(kept, fresh[k], es.cmp)
+		out -= copy(es.order[out-(len(kept)-i):], kept[i:]) + 1
+		es.order[out] = fresh[k]
+		kept = kept[:i]
+	}
+}
+
+// greedy is the paper's greedy maximum-sum matching over the retained
+// edges: one walk down order, linking an edge when both its ends are
+// still free, with used-sets indexed by ordinal. It is matching.Greedy
+// over materialize(), bit for bit, and materialises the matched edges
+// alone, in a fresh slice (never nil) the caller owns; capHint sizes it.
+func (es *edgeStore) greedy(capHint int) []Link {
+	usedE, usedI := make([]bool, es.idsE.Len()), make([]bool, es.idsI.Len())
+	matched := make([]Link, 0, capHint)
+	for _, sp := range es.order {
+		u, v := candidates.Ends(sp.key)
+		if usedE[u] || usedI[v] {
+			continue
+		}
+		usedE[u], usedI[v] = true, true
+		matched = append(matched, es.link(sp.key, sp.score))
+	}
+	return slices.Clip(matched)
 }
 
 // lineage returns the provenance of one pair (zero-valued, Linked=false,
@@ -248,28 +303,14 @@ func (es *edgeStore) lineage(p uint64) EdgeLineage {
 }
 
 // materialize returns the retained edges in a freshly allocated slice
-// (never nil) the caller owns, in the map's hash order. Its readers are a
-// publish tail rebuilding in full, which sorts it into greedy order
-// itself, and RunEdges, which sorts it by id; a delta relink reads
-// delta() instead.
+// (never nil) the caller owns, in the map's hash order. Its readers are
+// RunEdges, which sorts it by id, and the tests' from-scratch reference.
 func (es *edgeStore) materialize() []Link {
 	links := make([]Link, 0, len(es.pairs))
 	for p, e := range es.pairs {
 		links = append(links, es.link(p, e.score))
 	}
 	return links
-}
-
-// delta returns the edge-level delta of the last update, for the
-// incremental publish tail. The slices alias the store's reused buffers:
-// consumers must fold them in before the next update, and may reorder them.
-func (es *edgeStore) delta() EdgeDelta {
-	return EdgeDelta{
-		Full:    es.lastFull,
-		Seq:     es.updates,
-		Changed: es.deltaChanged,
-		Removed: es.deltaRemoved,
-	}
 }
 
 // statsSnapshot returns a fresh stats copy (safe for callers to retain
@@ -283,6 +324,6 @@ func (es *edgeStore) statsSnapshot() *EdgeStoreStats {
 		Dropped:       es.lastDropped,
 		FullRescore:   es.lastFull,
 		LastUpdate:    es.lastUpdate,
-		ResidentBytes: int64(len(es.pairs)) * edgePairBytes,
+		ResidentBytes: int64(len(es.pairs))*edgePairBytes + int64(cap(es.order))*int64(unsafe.Sizeof(scoredPair{})),
 	}
 }

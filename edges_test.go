@@ -3,15 +3,19 @@ package slim
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"slim/internal/candidates"
 	"slim/internal/history"
+	"slim/internal/matching"
 	"slim/internal/model"
 	"slim/internal/testenv"
+	"slim/internal/threshold"
 )
 
 // sideTable returns the entity table of a side with n entities.
@@ -24,11 +28,11 @@ func sideTable(prefix string, n int) *history.Ordinals {
 }
 
 // TestEdgeStoreResidentBytesEstimate holds EdgeStoreStats.ResidentBytes —
-// slim_edge_store_resident_bytes on /metrics — to the pair map alone
-// (Pairs × edgePairBytes) after a full rescore and after a delta update
-// that touches a tenth of the edges, and to within 2× of what the 20k-edge
-// store actually retains. Materialising the edge set, as RunEdges and a
-// full tail rebuild do, leaves the store's footprint unchanged.
+// slim_edge_store_resident_bytes on /metrics — to the pair map
+// (Pairs × edgePairBytes) plus the greedy order's capacity after a full
+// rescore and after a delta update that moves a tenth of the edges, and
+// to within 2× of what the 20k-edge store actually retains. Materialising
+// the edge set, as RunEdges does, leaves the store's footprint unchanged.
 func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
@@ -43,15 +47,17 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 			full = append(full, scoredPair{key: candidates.Key(u, v), score: 1 + float64(u*nI+v)})
 		}
 	}
-	mapOnly := func(state string) {
+	mapAndOrder := func(state string) {
 		t.Helper()
-		if st := es.statsSnapshot(); st.Pairs != nE*nI || st.ResidentBytes != st.Pairs*edgePairBytes {
-			t.Fatalf("%s: %d B for %d pairs, want the map alone (%d B a pair)",
-				state, st.ResidentBytes, st.Pairs, edgePairBytes)
+		st := es.statsSnapshot()
+		want := st.Pairs*edgePairBytes + int64(cap(es.order))*int64(unsafe.Sizeof(scoredPair{}))
+		if st.Pairs != nE*nI || len(es.order) != nE*nI || st.ResidentBytes != want {
+			t.Fatalf("%s: %d B for %d pairs, want the map (%d B a pair) and the order's %d slots: %d B",
+				state, st.ResidentBytes, st.Pairs, edgePairBytes, cap(es.order), want)
 		}
 	}
 	es.resetFull(full, 1)
-	mapOnly("after a full update")
+	mapAndOrder("after a full update")
 	var pairs []uint64
 	var scored []scoredPair
 	for k := 0; k < len(full); k += 10 {
@@ -59,7 +65,7 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 		scored = append(scored, scoredPair{key: full[k].key, score: full[k].score + 0.5})
 	}
 	es.apply(pairs, scored, nil, 2)
-	mapOnly("after a delta update")
+	mapAndOrder("after a delta update")
 	full, pairs, scored = nil, nil, nil
 
 	check := func(state string) {
@@ -75,19 +81,21 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 	if links := es.materialize(); len(links) != nE*nI {
 		t.Fatalf("store holds %d edges, want %d", len(links), nE*nI)
 	}
-	mapOnly("after materialize")
+	mapAndOrder("after materialize")
 	check("after materialize")
 	runtime.KeepAlive(es)
 }
 
-// TestDeltaRelinkBuildsNoLinkList: a relink on the delta path reads the
-// edge store through its delta alone. Re-observations that shift
+// TestDeltaRelinkBuildsNoLinkList: a relink on the delta path keeps the
+// edge store's greedy order by splice, and Publish walks that (pair,
+// score) column rather than a list of links. Re-observations that shift
 // dominating cells move pairs in and out of the LSH candidate set without
-// touching an IDF epoch, so edges change on the delta path; after such a
-// Rescore + Publish the tail must not have rebuilt from a materialised
-// list, the published result must equal Run's on a twin linker bit for
-// bit, and a later RunEdges must still hand out the whole edge set in
-// canonical (U, V) order — in a fresh slice per call.
+// touching an IDF epoch, so edges change on the delta path; after each
+// such Rescore the order must still be the map's pairs in greedy order,
+// the published result must equal Run's on a twin linker and the
+// from-scratch reference bit for bit, and a later RunEdges must still
+// hand out the whole edge set in canonical (U, V) order — in a fresh
+// slice per call.
 func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
@@ -111,21 +119,21 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 				twin.AddE(w.E.Records[k])
 			}
 		}
+		before := slices.Clone(lk.edges.order)
 		stats := lk.Rescore(uint64(burst) + 2)
+		requireGreedyOrder(t, fmt.Sprintf("burst %d", burst), &lk.edges)
+		if !slices.Equal(before, lk.edges.order) {
+			changed++
+		}
+		wantM, wantL, wantT := referencePublish(&lk.edges, cfg.Threshold)
 		matched, links, thr := lk.Publish()
+		requirePublish(t, fmt.Sprintf("burst %d", burst), matched, links, thr, wantM, wantL, wantT)
 		es := stats.EdgeStore
 		if es.FullRescore {
 			t.Fatalf("burst %d: re-observations forced a full rescore", burst)
 		}
 		if stats.PositiveEdges != int64(len(lk.edges.pairs)) || es.Pairs != stats.PositiveEdges {
 			t.Fatalf("burst %d: PositiveEdges %d, Pairs %d, store holds %d", burst, stats.PositiveEdges, es.Pairs, len(lk.edges.pairs))
-		}
-		if d := lk.edges.delta(); len(d.Changed)+len(d.Removed) > 0 {
-			changed++
-			if ts := lk.PublishTailStats(); ts.LastFull {
-				t.Fatalf("burst %d: a delta relink that changed %d edges rebuilt the tail from the whole list",
-					burst, len(d.Changed)+len(d.Removed))
-			}
 		}
 		want := twin.Run()
 		if !sameLinksBits(matched, want.Matched) || !sameLinksBits(links, want.Links) ||
@@ -223,13 +231,13 @@ func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
 	}
 }
 
-// TestResidentBytesExcludeListHandedToTail: a Publish whose tail missed a
-// delta rebuilds it from the whole edge set, and the tail adopts that
-// list; the store keeps none, so its reported size stays the pair map
-// alone. A first Rescore goes unpublished; re-observations then change an
-// edge on the delta path; the Publish that follows finds a sequence gap
-// and rebuilds the tail in full.
-func TestResidentBytesExcludeListHandedToTail(t *testing.T) {
+// TestPublishAfterUnpublishedRescores: Rescores that nobody publishes
+// leave nothing for Publish to catch up on, since the greedy order changes
+// in the same call as the pairs. A first Rescore goes unpublished;
+// re-observations then change edges on the delta path, eight Rescores in
+// a row; the Publish that follows equals the from-scratch reference bit
+// for bit and leaves the store's reported size as it was.
+func TestPublishAfterUnpublishedRescores(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
 	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
@@ -238,32 +246,181 @@ func TestResidentBytesExcludeListHandedToTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	lk.Rescore(1)
-	for burst := 0; ; burst++ {
-		if burst == 8 {
-			t.Fatal("no burst changed an edge on the delta path; the test is vacuous")
-		}
+	changed := 0
+	for burst := 0; burst < 8; burst++ {
 		// Pile weight onto one known bin of every fourth record's entity.
 		for k := burst; k < len(w.E.Records); k += 4 {
 			lk.AddE(w.E.Records[k], w.E.Records[k], w.E.Records[k])
 		}
+		before := slices.Clone(lk.edges.order)
 		if lk.Rescore(uint64(burst) + 2).EdgeStore.FullRescore {
 			t.Fatalf("burst %d: re-observations forced a full rescore", burst)
 		}
-		if d := lk.edges.delta(); len(d.Changed)+len(d.Removed) > 0 {
-			break
+		if !slices.Equal(before, lk.edges.order) {
+			changed++
 		}
 	}
+	if changed == 0 {
+		t.Fatal("no burst changed an edge on the delta path; the test is vacuous")
+	}
+	requireGreedyOrder(t, "after eight unpublished rescores", &lk.edges)
 	before := lk.edges.statsSnapshot()
-	if before.Pairs == 0 || before.ResidentBytes != before.Pairs*edgePairBytes {
-		t.Fatalf("after the delta rescore: %d B for %d pairs, want the map alone (%d B a pair)",
-			before.ResidentBytes, before.Pairs, edgePairBytes)
-	}
-	lk.Publish()
-	if ts := lk.PublishTailStats(); !ts.LastFull || ts.Edges != int(before.Pairs) {
-		t.Fatalf("a tail that missed a delta must rebuild in full from all %d edges: %+v", before.Pairs, ts)
-	}
+	wantM, wantL, wantT := referencePublish(&lk.edges, cfg.Threshold)
+	matched, links, thr := lk.Publish()
+	requirePublish(t, "publish after eight unpublished rescores", matched, links, thr, wantM, wantL, wantT)
 	if after := lk.edges.statsSnapshot(); after.ResidentBytes != before.ResidentBytes {
-		t.Fatalf("after Publish handed the list to the tail: %d B, want the map alone (%d B)",
-			after.ResidentBytes, before.ResidentBytes)
+		t.Fatalf("Publish moved the store's size from %d B to %d B", before.ResidentBytes, after.ResidentBytes)
 	}
+}
+
+// referencePublish is the from-scratch pipeline Publish is held to:
+// MatchLinks → SelectStopThreshold → FilterLinks over every retained edge.
+func referencePublish(es *edgeStore, method ThresholdMethod) (matched, links []Link, thr StopThreshold) {
+	matched = MatchLinks(MatcherGreedy, es.materialize())
+	thr = SelectStopThreshold(method, LinkScores(matched))
+	return matched, FilterLinks(matched, thr.Threshold), thr
+}
+
+// requirePublish fails unless a Publish's matching, links and threshold
+// are bit-identical (math.Float64bits) to the reference's.
+func requirePublish(t testing.TB, step string, matched, links []Link, thr StopThreshold, wantM, wantL []Link, wantT StopThreshold) {
+	t.Helper()
+	if !sameLinksBits(matched, wantM) {
+		t.Fatalf("%s: matched diverged (%d vs %d)", step, len(matched), len(wantM))
+	}
+	if math.Float64bits(thr.Threshold) != math.Float64bits(wantT.Threshold) || thr.Method != wantT.Method {
+		t.Fatalf("%s: threshold %v, want %v", step, thr, wantT)
+	}
+	if !sameLinksBits(links, wantL) {
+		t.Fatalf("%s: links diverged (%d vs %d)", step, len(links), len(wantL))
+	}
+}
+
+// requireGreedyOrder fails unless the store's order column holds exactly
+// its map's pairs, each with the map's score, sorted by matching.Compare.
+func requireGreedyOrder(t testing.TB, step string, es *edgeStore) {
+	t.Helper()
+	want := es.materialize()
+	slices.SortFunc(want, matching.Compare)
+	got := make([]Link, len(es.order))
+	for k, sp := range es.order {
+		got[k] = es.link(sp.key, sp.score)
+	}
+	if !sameLinksBits(got, want) {
+		t.Fatalf("%s: the order column (%d edges) is not the map's %d pairs in greedy order", step, len(got), len(want))
+	}
+}
+
+// permutedTable returns a side's entity table of n entities whose ids sort
+// in a different order than their ordinals: ordinal k is prefix plus
+// (5k mod n), zero-padded, so n must not be a multiple of 5.
+func permutedTable(prefix string, n int) *history.Ordinals {
+	st := history.Build(&model.Dataset{Name: prefix}, model.Windowing{WidthSeconds: 900}, 12)
+	for k := 0; k < n; k++ {
+		st.Add(NewRecord(EntityID(fmt.Sprintf("%s%02d", prefix, 5*k%n)), 37.5, -122.3, 1_200_000_000))
+	}
+	return st.Ordinals()
+}
+
+// edgeOrderSides is the size of each side in runEdgeOrder: 16 × 16 pairs
+// over a four-score palette, so most scores are tied.
+const edgeOrderSides = 16
+
+// edgeOrderRun counts what one runEdgeOrder program exercised.
+type edgeOrderRun struct {
+	fulls, splices, ties int
+}
+
+// runEdgeOrder drives an edge store through the update program data
+// spells — full rescores and delta updates with adds, drops, removals and
+// score changes over a four-score palette — beside a plain pair → score
+// reference map. After every update it checks that the store's pairs are
+// the reference's, that its order column is those pairs in greedy order, and that
+// Publish (one publishTail, so the threshold fit cache is live across
+// updates) equals the from-scratch reference bit for bit.
+func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
+	const n = edgeOrderSides
+	es := newEdgeStore(permutedTable("u", n), permutedTable("v", n))
+	tail := publishTail{thr: threshold.Cache{Method: ThresholdGMM}}
+	ref := map[uint64]float64{}
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	// score is 0 (not positive) or one of four tied values.
+	score := func() float64 { return float64(next()%5) / 4 }
+	var run edgeOrderRun
+	for seq := uint64(1); len(data) > 0; seq++ {
+		op, touched := next(), 1+next()%8
+		if op%8 == 0 || !es.built {
+			for k := 0; k < touched; k++ {
+				p := candidates.Key(uint32(next()%n), uint32(next()%n))
+				if s := score(); s > 0 {
+					ref[p] = s
+				} else {
+					delete(ref, p)
+				}
+			}
+			// The scoring fan-out hands over the positive pairs in pair order.
+			all := make([]scoredPair, 0, len(ref))
+			for _, p := range slices.Sorted(maps.Keys(ref)) {
+				all = append(all, scoredPair{p, ref[p]})
+			}
+			es.resetFull(all, seq)
+			es.built = true
+			run.fulls++
+		} else {
+			var rescored, removed []uint64
+			var positive []scoredPair
+			seen := map[uint64]bool{}
+			for k := 0; k < touched; k++ {
+				p := candidates.Key(uint32(next()%n), uint32(next()%n))
+				if seen[p] {
+					continue
+				}
+				seen[p] = true
+				if next()%4 == 0 {
+					removed = append(removed, p) // left the candidate set
+					delete(ref, p)
+					continue
+				}
+				rescored = append(rescored, p)
+				if s := score(); s > 0 {
+					positive = append(positive, scoredPair{p, s})
+					ref[p] = s
+				} else {
+					delete(ref, p)
+				}
+			}
+			before := slices.Clone(es.order)
+			es.apply(rescored, positive, removed, seq)
+			if !slices.Equal(before, es.order) {
+				run.splices++
+			}
+		}
+		step := fmt.Sprintf("update %d", seq)
+		if len(es.pairs) != len(ref) {
+			t.Fatalf("%s: store holds %d pairs, the reference %d", step, len(es.pairs), len(ref))
+		}
+		for p, s := range ref {
+			if e, ok := es.pairs[p]; !ok || math.Float64bits(e.score) != math.Float64bits(s) {
+				t.Fatalf("%s: pair %x scored %v in the store, %v in the reference", step, p, e.score, s)
+			}
+		}
+		requireGreedyOrder(t, step, &es)
+		for k := 1; k < len(es.order); k++ {
+			if es.order[k].score == es.order[k-1].score {
+				run.ties++
+				break
+			}
+		}
+		wantM, wantL, wantT := referencePublish(&es, ThresholdGMM)
+		matched, links, thr := tail.publish(&es)
+		requirePublish(t, step, matched, links, thr, wantM, wantL, wantT)
+	}
+	return run
 }

@@ -47,3 +47,20 @@ func FuzzLinkerTimestamps(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEdgeOrder drives an edge store through a fuzzed program of full
+// rescores and delta updates — adds, drops, candidate removals and score
+// changes over 16 × 16 pairs and a four-score palette, so many pairs tie,
+// with ids that sort against their ordinals (see runEdgeOrder). After
+// every update the store's order column must be its pairs in greedy
+// order, and Publish's matching, links and threshold must be
+// Float64bits-equal to MatchLinks → SelectStopThreshold → FilterLinks over
+// materialize().
+func FuzzEdgeOrder(f *testing.F) {
+	f.Add([]byte{0, 7, 1, 2, 4, 3, 4, 4, 5, 6, 4, 7, 8, 4, 1, 7, 1, 2, 1, 0, 3, 4, 2, 1})
+	f.Add([]byte{0, 3, 0, 0, 4, 0, 1, 4, 1, 0, 4, 1, 2, 0, 0, 0, 1, 3, 1, 0, 3, 0, 1, 2})
+	f.Add([]byte("the edge store keeps its edges in greedy order"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runEdgeOrder(t, data)
+	})
+}

@@ -16,9 +16,9 @@
 // What keeps a relink cheap is the Linker's own incremental state, not
 // partitioning: a record batch dirties only the pairs its entities take
 // part in (the edge store rescores those and retains the rest), the
-// candidate index re-signs only dirty entities, the publish tail re-walks
-// only below the first changed edge, and the per-entity and per-pair
-// passes fan out over slim.Config.Workers.
+// candidate index re-signs only dirty entities, the edge store splices
+// only the changed edges into its greedy order, and the per-entity and
+// per-pair passes fan out over slim.Config.Workers.
 //
 // Locking. pendMu guards only the pending ingest buffers, so ingest never
 // waits behind a relink; runMu serializes everything that touches the
@@ -66,7 +66,7 @@ const (
 	FaultApply = "engine.apply"
 	// FaultRescore fires before a run rescores (after the drain applied).
 	FaultRescore = "engine.rescore"
-	// FaultRelink fires between rescoring and the publish tail.
+	// FaultRelink fires between rescoring and Publish.
 	FaultRelink = "engine.relink"
 	// FaultLoop fires in the background scheduler itself, outside Run's
 	// containment — the handle for exercising the supervisor restart.
@@ -176,7 +176,7 @@ type Engine struct {
 
 // layers is one immutable snapshot of the linker-side state a published
 // run left behind: entity counts plus the history-store, candidate-index
-// (nil without LSH), edge-store and publish-tail (both nil before the first
+// (nil without LSH), edge-store and publish (both nil before the first
 // run) snapshots. Runs that publish nothing carry the previous run's
 // snapshot forward.
 type layers struct {
@@ -327,23 +327,8 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 		"Retained scored edges in the edge store.",
 		func() float64 { return float64(orZero(e.Stats().EdgeStore).Pairs) })
 	reg.GaugeFunc("slim_edge_store_resident_bytes",
-		"Estimated resident bytes of the edge store (scores, lineage and link caches).",
+		"Estimated resident bytes of the edge store (pair map and greedy order).",
 		func() float64 { return float64(orZero(e.Stats().EdgeStore).ResidentBytes) })
-	reg.GaugeFunc("slim_publish_tail_edges",
-		"Edges in the publish tail's maintained sorted order.",
-		func() float64 { return float64(orZero(e.Stats().PublishTail).Edges) })
-	reg.GaugeFunc("slim_publish_tail_reused_prefix_len",
-		"Matched links the latest publish reused verbatim from the previous run.",
-		func() float64 { return float64(orZero(e.Stats().PublishTail).ReusedPrefix) })
-	reg.GaugeFunc("slim_publish_tail_suffix_walked",
-		"Sorted-order entries the latest publish re-walked below the first changed position.",
-		func() float64 { return float64(orZero(e.Stats().PublishTail).SuffixWalked) })
-	reg.CounterFunc("slim_publish_tail_full_rebuilds_total",
-		"Publish-tail full merge+match rebuilds (first build, epoch invalidations, failed runs).",
-		func() uint64 { return orZero(e.Stats().PublishTail).Rebuilds })
-	reg.CounterFunc("slim_publish_tail_applies_total",
-		"Publish-tail incremental delta applies.",
-		func() uint64 { return orZero(e.Stats().PublishTail).Applies })
 	reg.CounterFunc("slim_threshold_fit_total",
 		"Stop-threshold selections, by whether the detector ran or the cached fit was reused bit-identically.",
 		func() uint64 { return orZero(e.Stats().PublishTail).Fits }, obs.L("result", "fit"))
@@ -502,7 +487,7 @@ func (e *Engine) run(trigger string) (slim.Result, RunRecord) {
 		rec.Panicked, rec.PanicMsg = true, err.Error()
 		// Whatever the failed run left half-applied in the edge store can no
 		// longer be trusted: the next run rescores every candidate pair (and
-		// the full delta that produces rebuilds the publish tail). Pending
+		// re-sorts the store's greedy order with them). Pending
 		// buffers are intact if the run never got to drain.
 		e.lk.ForceFullRescore()
 		e.health.Degrade(err.Error())
@@ -677,9 +662,9 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 		rec.CandidatePairs = stats.CandidatePairs
 	})
 
-	// Publish tail: match and threshold. The stage takes the whole publish
-	// (all a panicked run's record has); the tail times its own two stages,
-	// which replace that figure below.
+	// Publish: match and threshold. The stage takes the whole publish (all
+	// a panicked run's record has); Publish times its own two stages, which
+	// replace that figure below.
 	var res slim.Result
 	e.stage("publish", FaultRelink, &rec.MatchDur, func(context.Context) {
 		matched, links, thr := e.lk.Publish()
@@ -697,8 +682,7 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 	tail := e.lk.PublishTailStats()
 	rec.layers.tail = tail
 	rec.MatchDur, rec.ThresholdDur, rec.tailDur = tail.LastMatch, tail.LastThreshold, tail.LastUpdate
-	rec.TailReusedPrefix, rec.tailSuffix = tail.ReusedPrefix, tail.SuffixWalked
-	rec.TailFullRebuild = tail.LastFull
+	rec.TailFullRebuild = rec.FullRescore
 	return &res
 }
 
@@ -886,7 +870,6 @@ func (e *Engine) Stats() Stats {
 	}
 	if r.layers.tail != nil {
 		tail := *r.layers.tail
-		tail.ReusedPrefix, tail.SuffixWalked, tail.LastFull = r.TailReusedPrefix, r.tailSuffix, r.TailFullRebuild
 		tail.LastUpdate, tail.LastMatch, tail.LastThreshold = r.tailDur, r.MatchDur, r.ThresholdDur
 		st.PublishTail = &tail
 	}

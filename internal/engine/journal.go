@@ -45,11 +45,13 @@ type RunRecord struct {
 	Dropped        int64 `json:"dropped"`
 	CandidatePairs int64 `json:"candidate_pairs"`
 	Links          int64 `json:"links"`
-	// TailReusedPrefix is how many matched links the publish tail reused
-	// verbatim from the previous run; TailFullRebuild reports whether the
-	// tail fell back to a full sort+match rebuild.
-	TailReusedPrefix int  `json:"tail_reused_prefix"`
-	TailFullRebuild  bool `json:"tail_full_rebuild"`
+	// TailFullRebuild and TailReusedPrefix stay only because the
+	// read-only cmd/slim-bench reads them (ROADMAP item 8): Publish walks
+	// every edge from scratch, so TailFullRebuild is FullRescore, the one
+	// update that sorts the edge store's whole order, and TailReusedPrefix
+	// is 0. Neither is on the wire.
+	TailFullRebuild  bool `json:"-"`
+	TailReusedPrefix int  `json:"-"`
 	// Per-stage wall-clock durations, one per slim_relink_stage_seconds
 	// label; IndexDur is a subset of RescoreDur.
 	ApplyDur     time.Duration `json:"stages.apply_ms"`
@@ -61,10 +63,8 @@ type RunRecord struct {
 
 	// The rest of the run's work — last-run facts /v1/stats reports and
 	// /v1/runs does not: entity signatures the candidate index recomputed,
-	// tail entries re-walked, and the edge store's and publish tail's own
-	// wall times.
+	// and the edge store's and Publish's own wall times.
 	indexDirty       int
-	tailSuffix       int
 	edgeDur, tailDur time.Duration
 	// mark is the freshness watermark taken before the run drained: the
 	// ack sequence the run makes link-visible if it does not fail.

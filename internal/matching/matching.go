@@ -1,6 +1,7 @@
 // Package matching implements the maximum-sum bipartite matching step of
-// SLIM's final linkage (Sec. 3.2): the paper's greedy heuristic, from
-// scratch (Greedy) and maintained across edge deltas (Incremental).
+// SLIM's final linkage (Sec. 3.2): the paper's greedy heuristic. Greedy is
+// the from-scratch reference: slim's edge store keeps its edges in the
+// same order (Compare) and walks them the same way on every publish.
 package matching
 
 import (
@@ -12,8 +13,8 @@ import (
 
 // Edge is a scored pair of entity ids, one from dataset E and one from
 // dataset I. It is the one declaration of a link: slim.Link is this type,
-// the edge store, the matcher and the publish tail hand the same values
-// on, and the json tags are its keys on /v1/links.
+// the edge store and the matcher hand the same values on, and the json
+// tags are its keys on /v1/links.
 type Edge struct {
 	U     model.EntityID `json:"u"`     // entity from the first dataset
 	V     model.EntityID `json:"v"`     // entity from the second dataset
@@ -31,7 +32,7 @@ var greedyScratch = sync.Pool{New: func() any { return new(struct{ u, v denseSet
 // and sorted by descending weight.
 func Greedy(edges []Edge) []Edge {
 	sorted := slices.Clone(edges)
-	slices.SortFunc(sorted, cmpGreedy)
+	slices.SortFunc(sorted, Compare)
 	s := greedyScratch.Get().(*struct{ u, v denseSet })
 	s.u.clear()
 	s.v.clear()
@@ -99,4 +100,78 @@ func Valid(edges []Edge) bool {
 	*p = ids
 	validScratch.Put(p)
 	return ok
+}
+
+// Compare is the total greedy scan order: descending weight, ties
+// broken by ascending (U, V). Two distinct edges never compare equal —
+// an edge set holds each (U, V) pair at most once — so the order is
+// unique regardless of sort stability, which is what makes the greedy
+// outcome a pure function of the edge SET.
+func Compare(a, b Edge) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	if a.U != b.U {
+		if a.U < b.U {
+			return -1
+		}
+		return 1
+	}
+	if a.V < b.V {
+		return -1
+	}
+	if a.V > b.V {
+		return 1
+	}
+	return 0
+}
+
+// denseSet is an interned entity-id bitset: ids are assigned dense int
+// indices on first sight (append-only across runs, in the style of the
+// compiled-history cell interner) and membership is one bit, so clearing
+// a used-set between greedy walks is a word-wise memclr instead of a
+// fresh map[EntityID]bool allocation.
+type denseSet struct {
+	idx  map[model.EntityID]int32
+	bits []uint64
+}
+
+// intern returns the dense index of id, assigning the next free one on
+// first sight.
+func (s *denseSet) intern(id model.EntityID) int {
+	i, ok := s.idx[id]
+	if !ok {
+		if s.idx == nil {
+			s.idx = make(map[model.EntityID]int32)
+		}
+		i = int32(len(s.idx))
+		s.idx[id] = i
+	}
+	return int(i)
+}
+
+// clear resets membership without forgetting interned ids.
+func (s *denseSet) clear() {
+	clear(s.bits)
+}
+
+// has reports membership of dense index i.
+func (s *denseSet) has(i int) bool {
+	w := i >> 6
+	if w >= len(s.bits) {
+		return false
+	}
+	return s.bits[w]&(1<<(uint(i)&63)) != 0
+}
+
+// set marks dense index i, growing the bit array as the interner grows.
+func (s *denseSet) set(i int) {
+	w := i >> 6
+	for w >= len(s.bits) {
+		s.bits = append(s.bits, 0)
+	}
+	s.bits[w] |= 1 << (uint(i) & 63)
 }

@@ -2,7 +2,9 @@ package matching
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +132,64 @@ func TestGreedyMatchingPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapGreedy is the plain reference for Greedy: the edges sorted by Compare
+// and walked with map used-sets.
+func mapGreedy(edges []Edge) []Edge {
+	sorted := slices.SortedFunc(slices.Values(edges), Compare)
+	usedU, usedV := map[model.EntityID]bool{}, map[model.EntityID]bool{}
+	var out []Edge
+	for _, e := range sorted {
+		if !usedU[e.U] && !usedV[e.V] {
+			usedU[e.U], usedV[e.V] = true, true
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestGreedyPooledScratchIsStateless: Greedy runs on pooled used-sets, so
+// a call must not see what an earlier call on another edge set interned or
+// marked. Alternating two edge sets over a quantized weight palette (ties
+// everywhere) must reproduce each set's matching bit for bit, equal to the
+// map-based reference, and leave the input untouched.
+func TestGreedyPooledScratchIsStateless(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gen := func(prefix string) []Edge {
+		seen := map[[2]int]bool{}
+		edges := make([]Edge, 0, 64)
+		for len(edges) < 64 {
+			u, v := rng.Intn(12), rng.Intn(12)
+			if seen[[2]int{u, v}] {
+				continue // an edge set holds each pair once
+			}
+			seen[[2]int{u, v}] = true
+			edges = append(edges, edge(fmt.Sprintf("%su%03d", prefix, u), fmt.Sprintf("%sv%03d", prefix, v),
+				float64(1+rng.Intn(8))/8))
+		}
+		return edges
+	}
+	a, b := gen("a"), gen("b")
+	orig := slices.Clone(a)
+	want := mapGreedy(a)
+	first := Greedy(a)
+	Greedy(b)
+	again := Greedy(a)
+	if !slices.Equal(a, orig) {
+		t.Fatal("Greedy modified its input")
+	}
+	for _, got := range [][]Edge{first, again} {
+		if len(got) != len(want) {
+			t.Fatalf("matching size %d, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].U != want[i].U || got[i].V != want[i].V ||
+				math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("matching diverges at %d: got %+v want %+v", i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -142,12 +142,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			Dropped  uint64 `json:"dropped_total"`
 		} `json:"edge_store"`
 		PublishTail struct {
-			FullRebuilds uint64 `json:"full_rebuilds_total"`
-			Applies      uint64 `json:"applies_total"`
+			Fits   uint64 `json:"threshold_fits_total"`
+			Reuses uint64 `json:"threshold_reuses_total"`
 		} `json:"publish_tail"`
 	}
 	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if stats.ShortCircuits != 1 || stats.EdgeStore.Retained == 0 || stats.PublishTail.Applies == 0 {
+	if stats.ShortCircuits != 1 || stats.EdgeStore.Retained == 0 || stats.PublishTail.Fits == 0 {
 		t.Fatalf("workload too thin to compare surfaces: %+v", stats)
 	}
 	for _, c := range []struct {
@@ -164,8 +164,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"slim_relink_pairs_rescored_total", stats.EdgeStore.Rescored},
 		{"slim_relink_pairs_retained_total", stats.EdgeStore.Retained},
 		{"slim_relink_pairs_dropped_total", stats.EdgeStore.Dropped},
-		{"slim_publish_tail_full_rebuilds_total", stats.PublishTail.FullRebuilds},
-		{"slim_publish_tail_applies_total", stats.PublishTail.Applies},
+		{`slim_threshold_fit_total{result="fit"}`, stats.PublishTail.Fits},
+		{`slim_threshold_fit_total{result="reused"}`, stats.PublishTail.Reuses},
 	} {
 		if v, ok := metricValue(body, c.sample); !ok || uint64(v) != c.want {
 			t.Errorf("%s: metrics=%v (present=%v) stats=%d", c.sample, v, ok, c.want)

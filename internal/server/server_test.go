@@ -110,8 +110,8 @@ func TestServerIngestLinkQuery(t *testing.T) {
 		PendingRecords int `json:"pending_records"`
 		IngestedE      int `json:"ingested_e"`
 		PublishTail    *struct {
-			Matched      int64  `json:"matched"`
-			FullRebuilds uint64 `json:"full_rebuilds_total"`
+			Matched int64  `json:"matched"`
+			Fits    uint64 `json:"threshold_fits_total"`
 		} `json:"publish_tail"`
 	}
 	getJSON(t, ts.URL+"/v1/stats", &stats)
@@ -196,7 +196,7 @@ func TestServerIngestLinkQuery(t *testing.T) {
 	if stats.PendingRecords != 0 {
 		t.Errorf("stats after run not clean: %+v", stats)
 	}
-	if stats.PublishTail == nil || stats.PublishTail.FullRebuilds == 0 ||
+	if stats.PublishTail == nil || stats.PublishTail.Fits == 0 ||
 		stats.PublishTail.Matched != int64(run.Matched) {
 		t.Errorf("publish_tail block missing or inconsistent: %+v (matched %d)",
 			stats.PublishTail, run.Matched)

@@ -148,10 +148,9 @@ var (
 		ingest.shed_after_ms ingest.shed_latency ingest.shed_queue_depth ingest.shed_records
 		ingest.shed_requests
 		ingested_e ingested_i last_run_unix_ms links loop_restarts pending_records
-		publish_tail publish_tail.applies_total publish_tail.edges publish_tail.full_rebuilds_total
-		publish_tail.last_full_rebuild publish_tail.last_match_ms publish_tail.last_threshold_ms
-		publish_tail.last_update_ms publish_tail.matched publish_tail.reused_prefix_len
-		publish_tail.suffix_walked publish_tail.threshold_fits_total publish_tail.threshold_reuses_total
+		publish_tail publish_tail.last_match_ms publish_tail.last_threshold_ms
+		publish_tail.last_update_ms publish_tail.matched
+		publish_tail.threshold_fits_total publish_tail.threshold_reuses_total
 		relink_panics
 		run_journal run_journal.capacity run_journal.records run_journal.total_runs
 		runs runs_short_circuited spatial_level threshold version`)
@@ -171,7 +170,7 @@ var (
 		runs.links runs.panicked runs.rescored runs.retained runs.seq runs.short_circuit
 		runs.stages runs.stages.apply_ms runs.stages.candidate_index_ms runs.stages.match_ms
 		runs.stages.merge_ms runs.stages.rescore_ms runs.stages.threshold_ms
-		runs.start_unix_ms runs.tail_full_rebuild runs.tail_reused_prefix runs.trigger
+		runs.start_unix_ms runs.trigger
 		runs.version total_runs`)
 	// Every family the engine, server and ingest plane register; a store
 	// adds its own on top.
@@ -185,8 +184,6 @@ var (
 		slim_ingest_to_visible_seconds slim_ingested_records_total
 		slim_link_staleness_seconds slim_link_version slim_link_visible_seq slim_links
 		slim_pending_oldest_seconds slim_pending_records
-		slim_publish_tail_applies_total slim_publish_tail_edges slim_publish_tail_full_rebuilds_total
-		slim_publish_tail_reused_prefix_len slim_publish_tail_suffix_walked
 		slim_relink_pairs_dropped_total slim_relink_pairs_rescored_total
 		slim_relink_pairs_retained_total slim_relink_panics_total slim_relink_runs_total
 		slim_relink_seconds slim_relink_short_circuits_total slim_relink_stage_seconds
@@ -352,12 +349,9 @@ var (
 		ingest.retry_after_ms=number ingest.shed_after_ms=number ingest.shed_latency=number
 		ingest.shed_queue_depth=number ingest.shed_records=number ingest.shed_requests=number
 		ingest=object ingested_e=number ingested_i=number last_run_unix_ms=number links=number
-		loop_restarts=number pending_records=number publish_tail.applies_total=number
-		publish_tail.edges=number publish_tail.full_rebuilds_total=number
-		publish_tail.last_full_rebuild=bool publish_tail.last_match_ms=number
+		loop_restarts=number pending_records=number publish_tail.last_match_ms=number
 		publish_tail.last_threshold_ms=number publish_tail.last_update_ms=number
-		publish_tail.matched=number publish_tail.reused_prefix_len=number
-		publish_tail.suffix_walked=number publish_tail.threshold_fits_total=number
+		publish_tail.matched=number publish_tail.threshold_fits_total=number
 		publish_tail.threshold_reuses_total=number publish_tail=object relink_panics=number
 		run_journal.capacity=number run_journal.records=number run_journal.total_runs=number
 		run_journal=object runs=number runs_short_circuited=number spatial_level=number
@@ -382,11 +376,11 @@ var (
 		runs.stages.apply_ms=number runs.stages.candidate_index_ms=number
 		runs.stages.match_ms=number runs.stages.merge_ms=number runs.stages.rescore_ms=number
 		runs.stages.threshold_ms=number runs.stages=object runs.start_unix_ms=number
-		runs.tail_full_rebuild=bool runs.tail_reused_prefix=number runs.trigger=string
+		runs.trigger=string
 		runs.version=number runs=array total_runs=number`)
 	baseShapes = strings.Split(strings.TrimSpace(`
 slim_edge_store_pairs gauge - Retained scored edges in the edge store.
-slim_edge_store_resident_bytes gauge - Estimated resident bytes of the edge store (scores, lineage and link caches).
+slim_edge_store_resident_bytes gauge - Estimated resident bytes of the edge store (pair map and greedy order).
 slim_entities gauge dataset Entities with applied histories, by dataset.
 slim_health_state gauge domain Domain health: 1 healthy, 0 degraded (write path down, repair in progress).
 slim_http_inflight_requests gauge - Requests currently being served.
@@ -410,11 +404,6 @@ slim_link_visible_seq gauge - Newest ingest batch sequence whose records are lin
 slim_links gauge - Links in the current published result.
 slim_pending_oldest_seconds gauge - Age of the oldest buffered record awaiting a relink.
 slim_pending_records gauge - Buffered records awaiting the next relink.
-slim_publish_tail_applies_total counter - Publish-tail incremental delta applies.
-slim_publish_tail_edges gauge - Edges in the publish tail's maintained sorted order.
-slim_publish_tail_full_rebuilds_total counter - Publish-tail full merge+match rebuilds (first build, epoch invalidations, failed runs).
-slim_publish_tail_reused_prefix_len gauge - Matched links the latest publish reused verbatim from the previous run.
-slim_publish_tail_suffix_walked gauge - Sorted-order entries the latest publish re-walked below the first changed position.
 slim_relink_pairs_dropped_total counter - Edge-store pairs dropped since boot.
 slim_relink_pairs_rescored_total counter - Candidate pairs rescored since boot.
 slim_relink_pairs_retained_total counter - Edge-store pairs retained without rescoring since boot (scoring work avoided).
@@ -486,7 +475,7 @@ var (
 		run.short_circuit=bool run.stages.apply_ms=number run.stages.candidate_index_ms=number
 		run.stages.match_ms=number run.stages.merge_ms=number run.stages.rescore_ms=number
 		run.stages.threshold_ms=number run.stages=object run.start_unix_ms=number
-		run.tail_full_rebuild=bool run.tail_reused_prefix=number run.trigger=string
+		run.trigger=string
 		run.version=number run=object
 		score.known=bool score.norm=number score.norm_u=number score.norm_v=number
 		score.total=number score.windows.bins_u=number score.windows.bins_v=number

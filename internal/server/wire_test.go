@@ -49,7 +49,7 @@ func TestWireEncoder(t *testing.T) {
 			`{"candidate_pairs":0,"dropped":0,"duration_ms":1.234,"full_rescore":false,"links":0,"panicked":false,` +
 				`"rescored":0,"retained":0,"seq":2,"short_circuit":false,"stages":{"apply_ms":0,"candidate_index_ms":0,` +
 				`"match_ms":0,"merge_ms":0.001,"rescore_ms":0,"threshold_ms":0},"start_unix_ms":1700000000123,` +
-				`"tail_full_rebuild":false,"tail_reused_prefix":0,"trigger":"manual","version":0}`},
+				`"trigger":"manual","version":0}`},
 		{"engine stats before the first run: no last_run_unix_ms, no layer blocks, totals at the top level",
 			engine.Stats{SpatialLevel: 12, PendingOldestAge: time.Second, Totals: engine.Totals{Runs: 1, EdgeRescoredTotal: 9}},
 			`{"entities_e":0,"entities_i":0,"ingested_e":0,"ingested_i":0,"links":0,"loop_restarts":0,"pending_records":0,` +

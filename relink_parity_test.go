@@ -22,7 +22,7 @@ func sameLinksBits(a, b []slim.Link) bool {
 }
 
 // requireSameResult asserts two results are bit-identical in everything
-// the edge store and publish tail are responsible for: the
+// the edge store and Publish are responsible for: the
 // retained/rescored edge set (via Matched, which is the full
 // positive-edge matching), the published links, and the thresholding
 // derived from them — scores and threshold compared via Float64bits, so
@@ -95,10 +95,9 @@ func engineSubject(t *testing.T, e, i slim.Dataset, cfg slim.Config) (relinker, 
 // churn (the pair-level delta path), new-bin and new-entity bursts
 // (IDF-epoch full rescores), window-range growth in both directions
 // (LinkDatasets then windows the union from a different epoch, which must
-// not matter), point and region records, with
-// LSH on and off. It also asserts that the delta path, the full-rescore
-// path and the publish tail's prefix reuse all actually ran, so parity
-// cannot pass by redoing everything every time.
+// not matter), point and region records, with LSH on and off. It also
+// asserts that the delta path and the full-rescore path both ran, so
+// parity cannot pass by redoing everything every time.
 func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -258,8 +257,8 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 	// right/left, 4 = brand-new entity pair. (Score changes without an
 	// epoch move cannot be provoked from ingest — scores are pure
 	// functions of bin sets, and any bin-set change moves an IDF epoch —
-	// so the publish tail's partial-reuse path is covered by the
-	// synthetic-delta parity suite in tail_test.go instead.)
+	// so score changes in the edge store's order are covered by
+	// FuzzEdgeOrder and its fixed-seed run in tail_test.go instead.)
 	mutate := func(kind int) {
 		switch kind {
 		case 0:
@@ -307,7 +306,7 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 
 	requireSameResult(t, "seed", inc.run(), fromScratch())
 
-	sawDelta, sawFull, sawTailReuse := false, false, false
+	sawDelta, sawFull := false, false
 	kinds := []int{0, 0, 2, 0, 1, 3, 4, 0}
 	// A randomised tail after the fixed prefix that guarantees coverage.
 	for k := 0; k < 6; k++ {
@@ -334,22 +333,15 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 					burst, es.Rescored, es.Retained, got.Stats.CandidatePairs)
 			}
 		}
-		if ts := inc.tail(); ts != nil && !ts.LastFull && ts.ReusedPrefix > 0 {
-			sawTailReuse = true
-		}
 		requireSameResult(t, fmt.Sprintf("burst %d (kind %d)", burst, kind), got, fromScratch())
 	}
 	if !sawDelta || !sawFull {
 		t.Fatalf("workload must exercise both paths: delta=%v full=%v", sawDelta, sawFull)
 	}
-	if !sawTailReuse {
-		t.Fatal("no delta burst reused the tail's matched prefix")
-	}
 
 	// A run with no ingest at all redoes nothing and publishes the same
-	// result: the linker retains every pair and reuses the whole matched
-	// prefix and the cached threshold fit; the engine does not even get
-	// that far — it short-circuits.
+	// result: the linker retains every pair and reuses the cached threshold
+	// fit; the engine does not even get that far — it short-circuits.
 	want := fromScratch()
 	clean := inc.run()
 	requireSameResult(t, "clean rerun", clean, want)
@@ -365,15 +357,8 @@ func runParityScenario(t *testing.T, subject string, cfg slim.Config, seed int64
 		t.Fatalf("clean run rescored work: %+v", es)
 	}
 	ts := inc.tail()
-	if ts == nil {
-		t.Fatal("greedy runs must maintain a publish tail")
-	}
-	if ts.Applies == 0 || ts.Rebuilds == 0 {
-		t.Fatalf("workload must exercise both tail paths: %+v", ts)
-	}
-	if ts.ReusedPrefix != len(clean.Matched) || ts.SuffixWalked != 0 {
-		t.Fatalf("clean rerun must reuse the whole matched prefix: %+v (matched %d)",
-			ts, len(clean.Matched))
+	if ts == nil || ts.Matched != len(clean.Matched) {
+		t.Fatalf("publish stats %+v, want a matching of %d", ts, len(clean.Matched))
 	}
 	if ts.Reuses == 0 {
 		t.Fatalf("clean rerun must reuse the cached threshold fit: %+v", ts)

@@ -38,8 +38,8 @@ import (
 )
 
 // Link is one linked entity pair with its similarity score: the matcher's
-// edge itself, so a link is the same value from the edge store through the
-// publish tail to the /v1/links wire (its json tags are the keys there).
+// edge itself, so a link is the same value from the edge store through
+// Publish to the /v1/links wire (its json tags are the keys there).
 type Link = matching.Edge
 
 // Stats aggregates the work counters of one linkage run.
@@ -112,16 +112,13 @@ type Linker struct {
 	candIndex *candidates.Index
 	dirtyE    map[uint32]struct{}
 	dirtyI    map[uint32]struct{}
-	// edges is the maintained pair→score state Rescore updates by delta;
-	// see edges.go for the epoch-invalidation discipline.
+	// edges is the maintained pair→score state Rescore updates by delta,
+	// kept in greedy order; see edges.go for the epoch-invalidation
+	// discipline.
 	edges edgeStore
-	// tail is the incremental publish tail behind Publish (built by the
-	// first one). tailSynced is the edge-store update counter it last consumed,
-	// so a Rescore whose delta the tail never saw degrades the next
-	// Publish to a full tail rebuild instead of silently publishing from a
-	// stale maintained order.
-	tail       *PublishTail
-	tailSynced uint64
+	// tail is the threshold fit cache and stats behind Publish (made by
+	// the first one).
+	tail *publishTail
 	// prevStats snapshots the scorer counters so repeated Run calls report
 	// per-run work.
 	prevStats similarity.Stats
@@ -251,8 +248,8 @@ func (lk *Linker) HistoryStats() *HistoryStats {
 
 // AddE ingests new records of the first dataset into the prepared linker,
 // updating histories, IDF statistics and (lazily) the LSH candidates and
-// edge store. The next Run reflects the additions. Incremental adds bypass
-// the MinRecords filter applied at construction time; callers streaming
+// edge store. The next Run reflects the additions. Records added after
+// construction bypass the MinRecords filter applied at construction time; callers streaming
 // sparse entities should batch until entities have enough records to be
 // linkable. Not safe concurrently with Run or Score.
 func (lk *Linker) AddE(recs ...Record) { lk.add(lk.storeE, lk.sigStoreE, lk.dirtyE, recs) }
@@ -353,8 +350,8 @@ func (lk *Linker) Precompile() {
 // instead of trusting the edge store's retained scores. It is the recovery
 // hook for a caller whose previous run died part-way (internal/engine
 // after a contained panic): whatever that run left half-applied in the edge
-// store is replaced wholesale, and the full delta it produces rebuilds the
-// publish tail too. The candidate index has one update path and is not
+// store, its greedy order included, is replaced wholesale and re-sorted.
+// The candidate index has one update path and is not
 // redone: the dirty sets outlive a run that died, so the next Update
 // re-signs every entity the dead one did not reach.
 func (lk *Linker) ForceFullRescore() { lk.edges.forceFull = true }
@@ -508,37 +505,30 @@ func (lk *Linker) Run() Result {
 // is the second half of Run, split out so a caller can time and
 // instrument the halves separately (internal/engine does).
 //
-// Matching and thresholding go through the incremental publish tail, fed
-// by the edge store's exact per-run delta: the maintained sorted order,
-// greedy matching and threshold fit are updated in O(delta log n) and are
-// bit-identical to the from-scratch MatchLinks/SelectStopThreshold/
-// FilterLinks reference (see tail.go). A Rescore whose delta the tail
-// never consumed — Publish skipped, or died part-way — is detected by
-// sequence and degrades the next Publish to a full tail rebuild, the only
-// path that materialises the whole edge set (the tail adopts that list;
-// the store keeps none). The returned slices are the
-// tail's (see PublishTail.Publish): never written again, not to be
-// modified.
+// The matching is one from-scratch greedy walk down the edge store's
+// order, which Rescore keeps sorted in the same call that changes the
+// edges, so a Publish cannot miss a Rescore (one that dies part-way is
+// followed by ForceFullRescore, which re-sorts). Only matched edges are materialised; the threshold fit is
+// reused when the matched score list is bit-unchanged (threshold.Cache).
+// The output is bit-identical to the from-scratch MatchLinks →
+// SelectStopThreshold → FilterLinks reference over the same edges.
+// matched is freshly allocated and links a prefix of it: neither is
+// written again once returned, so callers may retain and read them while
+// later Publish calls proceed, and must not modify them.
 func (lk *Linker) Publish() (matched, links []Link, thr StopThreshold) {
 	if lk.tail == nil {
-		lk.tail = NewPublishTail(lk.cfg.Threshold)
+		lk.tail = &publishTail{thr: threshold.Cache{Method: lk.cfg.Threshold}}
 	}
-	d := lk.edges.delta()
-	if d.Seq != lk.tailSynced+1 {
-		d.Full = true // the tail missed an update; its order is stale
-	}
-	matched, links, thr = lk.tail.Publish(d, lk.edges.materialize)
-	lk.tailSynced = d.Seq
-	return matched, links, thr
+	return lk.tail.publish(&lk.edges)
 }
 
-// PublishTailStats returns the incremental publish tail snapshot, or nil
-// before the first Publish. Not safe concurrently with Run or Add.
+// PublishTailStats returns the last Publish's stats, or nil before the
+// first Publish. Not safe concurrently with Run or Add.
 func (lk *Linker) PublishTailStats() *PublishTailStats {
 	if lk.tail == nil {
 		return nil
 	}
-	st := lk.tail.Stats()
+	st := lk.tail.stats
 	return &st
 }
 
@@ -549,7 +539,7 @@ type StopThreshold = threshold.Result
 
 // MatchLinks runs the greedy maximum-sum matcher over positive scored edges
 // from scratch and returns the matching, sorted by descending score; edges
-// is not modified. It is the reference Publish's tail is compared against.
+// is not modified. It is the reference Publish is compared against.
 // The first parameter is ignored: greedy is the only matcher, and the
 // parameter stays only because the read-only cmd/slim-bench passes one
 // (ROADMAP item 8).
@@ -559,7 +549,7 @@ func MatchLinks(_ MatcherKind, edges []Link) []Link {
 
 // SelectStopThreshold applies the given stop-threshold detector to the
 // matched scores (Sec. 3.2 of the paper): threshold.Select, the selector
-// the publish tail's fit cache runs too.
+// Publish's fit cache runs too.
 func SelectStopThreshold(method ThresholdMethod, scores []float64) StopThreshold {
 	return threshold.Select(method, scores)
 }
