@@ -323,7 +323,7 @@ func TestCLISlimd(t *testing.T) {
 
 	// One boot line before the listening line breaks the boot down by step
 	// (engine_ms: no -data-dir), and leaves the address to that line.
-	for _, key := range []string{"seeds_ms=", "engine_ms=", "link_ms=", "ready_ms="} {
+	for _, key := range []string{"seeds_ms=", "engine_ms=", "link_ms=", "gc_ms=", "ready_ms="} {
 		if !strings.Contains(boot, " "+key) {
 			t.Errorf("boot line lacks %s: %q", key, boot)
 		}
@@ -442,6 +442,86 @@ func TestCLISlimd(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("slimd did not shut down on SIGTERM")
+	}
+}
+
+// TestCLISlimdBootHeapGoal: slimd collects once after its boot link, so
+// the serving heap's goal is paced by what the linker holds, not by a
+// boot cycle that marked seed records and a half-built linker. Booted
+// with -lsh and a data directory on a seed shaped like serve_revisit's,
+// the heap goal is at most 2.3x the resident bytes /v1/stats reports
+// (twice the live set plus runtime roots reads ≈ 2.15x; without the
+// collection the goal read 2.16-2.85x over ten boots, above 2.3x in eight).
+func TestCLISlimdBootHeapGoal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	dir := t.TempDir()
+	genBin := build(t, dir, "slim-gen")
+	slimdBin := build(t, dir, "slimd")
+	runCmd(t, genBin, "-kind", "sm", "-users", "8000", "-days", "26", "-sample",
+		"-seed", "1", "-dir", dir)
+	_, base, boot := startSlimd(t, slimdBin,
+		"-addr", "127.0.0.1:0", "-lsh", "-debounce", "1h",
+		"-data-dir", filepath.Join(dir, "data"),
+		"-e", filepath.Join(dir, "E.csv"), "-i", filepath.Join(dir, "I.csv"))
+	for _, key := range []string{"recover_ms=", "gc_ms=", "heap_live_mb="} {
+		if !strings.Contains(boot, " "+key) {
+			t.Errorf("boot line lacks %s: %q", key, boot)
+		}
+	}
+
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Histories      map[string]int64 `json:"histories"`
+		CandidateIndex struct {
+			ResidentBytes int64 `json:"resident_bytes"`
+		} `json:"candidate_index"`
+		EdgeStore struct {
+			ResidentBytes int64 `json:"resident_bytes"`
+		} `json:"edge_store"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := stats.CandidateIndex.ResidentBytes + stats.EdgeStore.ResidentBytes
+	for _, b := range stats.Histories {
+		resident += b
+	}
+	if len(stats.Histories) == 0 || stats.CandidateIndex.ResidentBytes == 0 {
+		t.Fatalf("/v1/stats lacks the resident-bytes ladder: %+v", stats)
+	}
+
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := -1.0
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "slim_go_heap_goal_bytes "); ok {
+			if goal, err = strconv.ParseFloat(rest, 64); err != nil {
+				t.Fatalf("slim_go_heap_goal_bytes %q: %v", rest, err)
+			}
+		}
+	}
+	if goal < 0 {
+		t.Fatal("slim_go_heap_goal_bytes absent from /metrics")
+	}
+	ratio := goal / float64(resident)
+	t.Logf("heap goal %.2f MB, resident %.2f MB (%.2fx); %s", goal/1e6, float64(resident)/1e6, ratio, boot)
+	if ratio > 2.3 {
+		t.Errorf("heap goal %.2f MB is %.2fx the linker's %.2f MB resident, want <= 2.3x: the serving heap is paced by a boot-time live set",
+			goal/1e6, ratio, float64(resident)/1e6)
 	}
 }
 

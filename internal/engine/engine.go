@@ -360,11 +360,10 @@ func New(dsE, dsI slim.Dataset, cfg Config) (*Engine, error) {
 		done:    make(chan struct{}),
 	}
 	e.last.layers = &layers{
-		entE: len(lk.EntitiesE()),
-		entI: len(lk.EntitiesI()),
 		hist: lk.HistoryStats(),
 		idx:  lk.CandidateIndexStats(),
 	}
+	e.last.layers.entE, e.last.layers.entI = lk.NumEntities()
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -649,12 +648,11 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 	// rescore time.
 	e.stage("merge", "", &rec.MergeDur, func(context.Context) {
 		rec.layers = &layers{
-			entE: len(e.lk.EntitiesE()),
-			entI: len(e.lk.EntitiesI()),
 			hist: e.lk.HistoryStats(),
 			idx:  stats.LSH,
 			edge: stats.EdgeStore,
 		}
+		rec.layers.entE, rec.layers.entI = e.lk.NumEntities()
 		idx, es := orZero(stats.LSH), stats.EdgeStore
 		rec.IndexDur, rec.indexDirty = idx.LastUpdate, idx.LastDirty
 		rec.Rescored, rec.Retained, rec.Dropped = es.Rescored, es.Retained, es.Dropped

@@ -149,10 +149,11 @@ func run(w slim.SampledWorkload, cfg slim.Config) (runResult, error) {
 // slimRankings scores every cross pair with a prepared linker and builds
 // per-entity descending candidate lists for hit-precision@k.
 func slimRankings(lk *slim.Linker) map[model.EntityID][]eval.RankedCandidate {
-	out := make(map[model.EntityID][]eval.RankedCandidate, len(lk.EntitiesE()))
-	for _, u := range lk.EntitiesE() {
-		cands := make([]eval.RankedCandidate, 0, len(lk.EntitiesI()))
-		for _, v := range lk.EntitiesI() {
+	idsE, idsI := lk.EntitiesE(), lk.EntitiesI()
+	out := make(map[model.EntityID][]eval.RankedCandidate, len(idsE))
+	for _, u := range idsE {
+		cands := make([]eval.RankedCandidate, 0, len(idsI))
+		for _, v := range idsI {
 			cands = append(cands, eval.RankedCandidate{V: v, Score: lk.Score(u, v)})
 		}
 		out[u] = cands

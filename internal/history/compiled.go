@@ -174,7 +174,7 @@ func (s *Store) viewLocked(sg *segment, v *View) []geo.CellGeom {
 // is bit-identical to one computed per bin. Callers hold compMu for
 // writing.
 func (s *Store) idfTableLocked() {
-	if n := len(s.entities); n != s.idfsN {
+	if n := s.nEntities; n != s.idfsN {
 		s.idfs, s.idfsN = nil, n
 	}
 	for df := int32(len(s.idfs)); df <= s.freq.maxDF; df++ {

@@ -8,7 +8,7 @@ package history
 // this lookup.
 func (s *Store) IDF(b Bin) float64 {
 	s.mustScore("IDF")
-	n := len(s.entities)
+	n := s.nEntities
 	if n == 0 {
 		return 0
 	}

@@ -23,7 +23,7 @@ import (
 // a cell and an 8 B weight — the cell an 8 B id on a signature store, a
 // 4 B index into the store's cell table on a scoring store — and 12 B per
 // window (index, offset) — at this density a window holds one bin — plus,
-// per entity, one spare offset slot and a 40 B segment record. The
+// per entity, one spare offset slot and a 32 B segment record. The
 // scoring store adds its cell table and the frequency index — 8 B of
 // sorted column per distinct bin plus two slice headers per window, which
 // weigh more here (≈ 10 bins a window) than at paper scale (≈ 140) —
@@ -47,23 +47,25 @@ func TestStoreBytesPerBin(t *testing.T) {
 		budget float64 // bytes per bin
 		build  func() *history.Store
 	}{
-		// Measured 57.9 B per bin, plus 15 %; 64.4 B with a header object
-		// per history.
-		{"scoring store, level 12", 67, func() *history.Store {
+		// Measured 50.9 B per bin, plus 15 %; 56.1 B with a map from id to
+		// ordinal and a sorted id copy in the store, 64.4 B with a header
+		// object per history.
+		{"scoring store, level 12", 59, func() *history.Store {
 			sim = history.BuildGrouped(&g, refWindowing, 12, 1)
 			return sim
 		}},
-		// Measured 61.4 B per bin, plus 15 %; 78.2 B with the cell id kept
-		// next to the interned index and a float64 IDF weight per bin,
-		// 103.2 B with a view object per entity.
-		{"scoring store, compiled", 71, func() *history.Store {
+		// Measured 55.8 B per bin, plus 15 %; 60.7 B with the id map and
+		// copy, 78.2 B with the cell id kept next to the interned index and
+		// a float64 IDF weight per bin, 103.2 B with a view object per
+		// entity.
+		{"scoring store, compiled", 64, func() *history.Store {
 			s := history.BuildGrouped(&g, refWindowing, 12, 1)
 			s.Compile(1)
 			return s
 		}},
-		// Measured 35.7 B per bin, plus 15 %; 42.3 B with a header object per
-		// history.
-		{"signature store, level 16", 41, func() *history.Store {
+		// Measured 31.3 B per bin, plus 15 %; 32.6 B with a sorted id copy
+		// in the store, 42.3 B with a header object per history.
+		{"signature store, level 16", 36, func() *history.Store {
 			s := sim.SignatureStore(&g, candidates.DefaultParams().RowWindowing(refWindowing), 16, 1)
 			for _, id := range s.Entities() {
 				h := s.History(id)

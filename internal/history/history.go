@@ -218,10 +218,10 @@ type Store struct {
 
 	// ords is the side's entity table; segs is indexed by its ordinals and
 	// may be shorter while only the side's other store has been told about
-	// an entity. entities lists the ids with a history, sorted.
-	ords     *Ordinals
-	segs     []segment
-	entities []model.EntityID
+	// an entity. nEntities counts the ordinals with a history here.
+	ords      *Ordinals
+	segs      []segment
+	nEntities int
 
 	// The per-window and the per-bin column families (see segment); how a
 	// growing segment moves is in incremental.go. A bin's cell is in one
@@ -306,7 +306,7 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 		Level:     spatialLevel,
 		ords:      ords,
 		segs:      make([]segment, len(g.Entities)),
-		entities:  slices.Clone(g.Entities),
+		nEntities: len(g.Entities),
 	}
 	for k, e := range g.Entities {
 		if ord := ords.intern(e); int(ord) != k {
@@ -377,8 +377,8 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 	} else {
 		s.ids = clipSpare(ids[:nBin])
 	}
-	if len(s.entities) > 0 {
-		s.avgBins = float64(s.totalBins) / float64(len(s.entities))
+	if s.nEntities > 0 {
+		s.avgBins = float64(s.totalBins) / float64(s.nEntities)
 	}
 	return s
 }
@@ -429,10 +429,20 @@ func (s *Store) mustScore(op string) {
 }
 
 // NumEntities returns the number of entities with a history.
-func (s *Store) NumEntities() int { return len(s.entities) }
+func (s *Store) NumEntities() int { return s.nEntities }
 
-// Entities returns the sorted entity ids. The slice must not be modified.
-func (s *Store) Entities() []model.EntityID { return s.entities }
+// Entities returns the ids of the entities with a history, sorted, in a
+// new slice.
+func (s *Store) Entities() []model.EntityID {
+	ids := make([]model.EntityID, 0, s.nEntities)
+	for ord := range s.segs {
+		if s.segs[ord].nWin > 0 {
+			ids = append(ids, s.ords.ID(uint32(ord)))
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 // Ordinals returns the side's entity table.
 func (s *Store) Ordinals() *Ordinals { return s.ords }
@@ -507,7 +517,7 @@ func idf(n int, df int32) float64 {
 func (s *Store) ResidentBytes() int64 {
 	n := 8*cap(s.windows) + 4*cap(s.off) + 8*cap(s.ids) + 4*cap(s.cells) +
 		8*cap(s.counts) + 4*cap(s.df) +
-		int(unsafe.Sizeof(segment{}))*cap(s.segs) + int(unsafe.Sizeof(model.EntityID("")))*cap(s.entities) +
+		int(unsafe.Sizeof(segment{}))*cap(s.segs) +
 		int(unsafe.Sizeof(geo.CellGeom{}))*cap(s.geoms) + int(mapBytes(s.cellIndex)) +
 		int(unsafe.Sizeof(binWeight{}))*cap(s.addScratch) + 4*cap(s.stale) + 8*cap(s.idfs)
 	if f := s.freq; f != nil {

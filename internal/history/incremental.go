@@ -27,9 +27,7 @@ func (s *Store) Add(rec model.Record) uint32 {
 	}
 	sg := &s.segs[ord]
 	if sg.nWin == 0 {
-		id := s.ords.ID(ord)
-		i, _ := slices.BinarySearch(s.entities, id)
-		s.entities = slices.Insert(s.entities, i, id)
+		s.nEntities++
 		s.epoch++ // |U| changed: every compiled segment is stale
 	}
 
@@ -41,7 +39,7 @@ func (s *Store) Add(rec model.Record) uint32 {
 			s.epoch++ // bin frequency changed: every compiled segment is stale
 		}
 	}
-	s.avgBins = float64(s.totalBins) / float64(len(s.entities))
+	s.avgBins = float64(s.totalBins) / float64(s.nEntities)
 	return ord
 }
 

@@ -165,6 +165,22 @@ func runServerChaos(t *testing.T, fsyncInterval time.Duration) {
 		}
 	}()
 
+	ingestDone := make(chan struct{})
+	go func() { wg.Wait(); close(ingestDone) }()
+
+	// One storage fault lands by construction: a WAL write failure stays
+	// armed until it fires while the ingest workers still run. The
+	// wall-clock schedule below can fall wholly outside the ingest window
+	// on a loaded host; this fault cannot.
+	inj.Arm(storage.SiteFSWrite, fault.Rule{Count: 1})
+	for inj.Fired(storage.SiteFSWrite) == 0 {
+		select {
+		case <-ingestDone:
+			t.Fatal("ingest finished before the armed WAL write fault fired")
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+
 	// The chaos schedule: random storage faults, write delays, and engine
 	// panics, armed and cleared on a fixed-seed timeline.
 	engineSites := []string{
@@ -188,7 +204,7 @@ func runServerChaos(t *testing.T, fsyncInterval time.Duration) {
 	}
 	inj.DisarmAll()
 
-	wg.Wait()
+	<-ingestDone
 	close(monitorStop)
 	monitorWG.Wait()
 

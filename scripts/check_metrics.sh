@@ -97,6 +97,8 @@ slim_build_info
 slim_go_goroutines
 slim_go_heap_alloc_bytes
 slim_go_gc_pause_total_seconds
+slim_go_heap_live_bytes
+slim_go_heap_goal_bytes
 '
 missing=0
 for name in $required; do

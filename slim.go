@@ -277,11 +277,18 @@ func (lk *Linker) Windowing() model.Windowing { return lk.wnd }
 // SpatialLevel reports the history grid level in use.
 func (lk *Linker) SpatialLevel() int { return lk.cfg.SpatialLevel }
 
-// EntitiesE returns the (post-filter) entity ids of the first dataset.
+// EntitiesE returns the (post-filter) entity ids of the first dataset,
+// sorted, in a new slice.
 func (lk *Linker) EntitiesE() []EntityID { return lk.storeE.Entities() }
 
-// EntitiesI returns the (post-filter) entity ids of the second dataset.
+// EntitiesI returns the (post-filter) entity ids of the second dataset,
+// sorted, in a new slice.
 func (lk *Linker) EntitiesI() []EntityID { return lk.storeI.Entities() }
+
+// NumEntities returns how many entities of each dataset have a history.
+func (lk *Linker) NumEntities() (e, i int) {
+	return lk.storeE.NumEntities(), lk.storeI.NumEntities()
+}
 
 // Score computes the SLIM similarity S(u, v) for one pair on demand.
 func (lk *Linker) Score(u, v EntityID) float64 { return lk.scorer.Score(u, v) }
