@@ -23,7 +23,7 @@ type EdgeStoreStats struct {
 	// positive score) — the store's state size.
 	Pairs int64 `json:"pairs"`
 	// Epoch counts full rescores: 1 after the first run, bumped every time
-	// an IDF-epoch or grid change invalidated every cached score.
+	// an IDF-epoch move or a forced rescore invalidated every cached score.
 	Epoch uint64 `json:"epoch"`
 	// Retained / Rescored / Dropped describe the last update: candidate
 	// pairs kept with their cached score, pairs (re)scored, and edges
@@ -38,9 +38,8 @@ type EdgeStoreStats struct {
 	// LastUpdate is the wall-clock duration of the last update (scoring and
 	// store maintenance; excludes matching).
 	LastUpdate time.Duration `json:"last_update_ms"`
-	// ResidentBytes estimates the store's resident memory: a fixed map cost
-	// per retained pair (see edgePairBytes) plus the order column's
-	// capacity.
+	// ResidentBytes is the store's resident memory: the order column's
+	// capacity, one edge record a slot.
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
@@ -72,25 +71,21 @@ type EdgeLineage struct {
 	StoreEpoch uint64 `json:"store_epoch"`
 }
 
-// edge is the one record the store keeps per retained pair: its score and
-// the provenance behind EdgeLineage, stamped by resetFull/apply as the
-// score is installed.
+// edge is the one record the store keeps per retained pair, in greedy
+// order: the pair, its score and the provenance behind EdgeLineage,
+// stamped by resetFull/apply as the score is installed. A pair's last
+// full rescore is the store's (fullSeq) when fullScore is set and none
+// when it is zero, so only the score that rescore gave is per edge.
 type edge struct {
+	key         uint64
 	score       float64
 	rescoredSeq uint64
 	sinceSeq    uint64
-	fullSeq     uint64
 	fullScore   float64
 }
 
-// edgePairBytes is the estimated resident cost of one retained edge's map
-// entry: one 49-byte map slot (8-byte packed pair, the 40-byte edge,
-// control byte). Go sizes a map to a power of two, so a live entry costs
-// between 8/7 and 16/7 of its slot — 56 to 112 B; the constant is the
-// middle. The order column adds its own capacity (statsSnapshot).
-const edgePairBytes = 84
-
-// scoredPair is one candidate pair (candidates.Key) with its score.
+// scoredPair is one candidate pair (candidates.Key) with its score: the
+// scoring fan-out's output, and apply's delta.
 type scoredPair struct {
 	key   uint64
 	score float64
@@ -121,22 +116,19 @@ type edgeStore struct {
 	// were computed under; any movement invalidates them all.
 	epochE, epochI uint64
 
-	// idsE / idsI are the two sides' entity tables: every map below is
-	// keyed by the packed ordinal pair (candidates.Key), and names are
-	// resolved only where an edge becomes a Link.
+	// idsE / idsI are the two sides' entity tables: an edge's pair is the
+	// packed ordinal pair (candidates.Key), and names are resolved only
+	// where an edge becomes a Link.
 	idsE, idsI *history.Ordinals
 
-	// pairs holds every candidate pair with a positive score.
-	pairs map[uint64]edge
-	// order holds the same edges as (pair, score) in greedy order (see
-	// cmp), the order greedy walks them in. resetFull sorts the scored
-	// slice it is handed and keeps it; apply splices its changes in, so
-	// order and pairs change in the same call and greedy reads no state
-	// older than the last update.
-	order []scoredPair
+	// order holds every candidate pair with a positive score, once, in
+	// greedy order (see cmp): the order greedy walks them in. resetFull
+	// sorts a fresh column; apply merges its changes in, so greedy reads
+	// no state older than the last update.
+	order []edge
 	// seq is the run sequence of the last update (see Linker.Rescore for
-	// how it is assigned).
-	seq uint64
+	// how it is assigned); fullSeq that of the last full one.
+	seq, fullSeq uint64
 
 	// forceFull makes the next update a full one (Linker.ForceFullRescore).
 	forceFull bool
@@ -145,10 +137,6 @@ type edgeStore struct {
 	lastRetained, lastRescored, lastDropped int64
 	lastFull                                bool
 	lastUpdate                              time.Duration
-}
-
-func newEdgeStore(idsE, idsI *history.Ordinals) edgeStore {
-	return edgeStore{idsE: idsE, idsI: idsI, pairs: make(map[uint64]edge)}
 }
 
 // link materialises one edge: the only place a packed pair is resolved
@@ -161,7 +149,7 @@ func (es *edgeStore) link(p uint64, score float64) Link {
 // cmp is matching.Compare over stored edges: descending score, ties by U
 // id, then V id. Only a tie resolves ids, since ordinals are assigned in
 // arrival order, not id order.
-func (es *edgeStore) cmp(a, b scoredPair) int {
+func (es *edgeStore) cmp(a, b edge) int {
 	if a.score != b.score {
 		return cmp.Compare(b.score, a.score)
 	}
@@ -169,92 +157,95 @@ func (es *edgeStore) cmp(a, b scoredPair) int {
 }
 
 // resetFull replaces the whole store with a freshly scored edge set (the
-// full-rescore path), stamped with the given run seq. Pairs that were
-// already retained keep their RetainedSinceSeq tenure; everything is (by
-// definition) rescored, so every pair's rescored-seq, last-full-seq and
-// score-at-last-full move to this run. The store adopts edges as its
-// order, sorting it in place.
+// full-rescore path), stamped with the given run seq; edges is in
+// ascending pair order, as the scoring fan-out returns it. Pairs that were
+// already retained keep their RetainedSinceSeq tenure, found by one merge
+// against the old column sorted by pair in place (it is discarded);
+// everything is (by definition) rescored, so every pair's rescored-seq,
+// last-full-seq and score-at-last-full move to this run.
 func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
-	old := es.pairs
-	es.pairs = make(map[uint64]edge, len(edges))
-	for _, sp := range edges {
-		e := edge{score: sp.score, rescoredSeq: seq, sinceSeq: seq, fullSeq: seq, fullScore: sp.score}
-		if prev, ok := old[sp.key]; ok {
-			e.sinceSeq = prev.sinceSeq
+	old := es.order
+	slices.SortFunc(old, func(a, b edge) int { return cmp.Compare(a.key, b.key) })
+	es.order = make([]edge, len(edges))
+	for k, sp := range edges {
+		for len(old) > 0 && old[0].key < sp.key {
+			old = old[1:]
 		}
-		es.pairs[sp.key] = e
+		e := edge{key: sp.key, score: sp.score, rescoredSeq: seq, sinceSeq: seq, fullScore: sp.score}
+		if len(old) > 0 && old[0].key == sp.key {
+			e.sinceSeq = old[0].sinceSeq
+		}
+		es.order[k] = e
 	}
-	slices.SortFunc(edges, es.cmp)
-	es.order = edges
+	slices.SortFunc(es.order, es.cmp)
 	es.forceFull = false
 	es.fullRescores++
 	es.lastFull = true
-	es.seq = seq
+	es.seq, es.fullSeq = seq, seq
 }
 
-// apply performs one delta update stamped with the given run seq: drop
-// the removed pairs, then install the fresh scores of the rescored pairs.
+// apply performs one delta update stamped with the given run seq.
 // positive is the scoring fan-out's output over rescored — its pairs that
 // scored positive, in rescored's order — so a rescored pair missing from it
-// is dropped if the store held it. It returns how many edges were dropped.
+// is dropped if the store held it, as is every removed pair; the two lists
+// are disjoint. It returns how many edges were dropped.
+//
+// One walk down order looks each edge up in the delta, sorted by pair: an
+// edge it does not name stays, one rescored to the same score is restamped
+// in place, and the rest leave. Those rescored to a new positive score keep
+// their tenure; they and the delta's new pairs are merged back in from the
+// back, as postings.update does.
 func (es *edgeStore) apply(rescored []uint64, positive []scoredPair, removed []uint64, seq uint64) (dropped int64) {
-	// gone and fresh are the order's delta: edges leaving it (with the
-	// scores they held) and edges entering it. A score change is one of
-	// each; a rescore to the same score is neither.
-	var gone, fresh []scoredPair
-	drop := func(p uint64, old float64) {
-		delete(es.pairs, p)
-		gone = append(gone, scoredPair{p, old})
-		dropped++
+	delta := make([]scoredPair, 0, len(rescored)+len(removed))
+	for _, p := range rescored {
+		sp := scoredPair{key: p}
+		if len(positive) > 0 && positive[0].key == p {
+			sp.score, positive = positive[0].score, positive[1:]
+		}
+		delta = append(delta, sp)
 	}
 	for _, p := range removed {
-		if old, ok := es.pairs[p]; ok {
-			drop(p, old.score)
-		}
+		delta = append(delta, scoredPair{key: p})
 	}
-	for _, p := range rescored {
-		e, had := es.pairs[p]
-		if len(positive) == 0 || positive[0].key != p {
-			if had {
-				drop(p, e.score)
-			}
-			continue
-		}
-		s := positive[0].score
-		positive = positive[1:]
-		if !had || e.score != s {
-			if had {
-				gone = append(gone, scoredPair{p, e.score})
-			}
-			fresh = append(fresh, scoredPair{p, s})
-		}
-		if !had {
-			e.sinceSeq = seq
-		}
-		e.score, e.rescoredSeq = s, seq
-		es.pairs[p] = e
+	byKey := func(sp scoredPair, p uint64) int { return cmp.Compare(sp.key, p) }
+	// Stable (a merge sort): the lists arrive as a few sorted runs.
+	slices.SortStableFunc(delta, func(a, b scoredPair) int { return byKey(a, b.key) })
+	// inE / inI mark the ordinals the delta names: an edge without both
+	// ends marked is not in it and skips the search, the walk's dearest step.
+	inE, inI := make([]bool, es.idsE.Len()), make([]bool, es.idsI.Len())
+	for _, sp := range delta {
+		u, v := candidates.Ends(sp.key)
+		inE[u], inI[v] = true, true
 	}
-	es.splice(gone, fresh)
-	es.lastFull = false
-	es.seq = seq
-	return dropped
-}
 
-// splice folds one delta into order in one linear pass each way, in place:
-// a forward pass closes the gaps gone leaves, then a back-to-front merge
-// opens room for fresh, as postings.update does. Both lists are sorted
-// here; every gone edge is in order, and no fresh pair is left in it.
-func (es *edgeStore) splice(gone, fresh []scoredPair) {
-	slices.SortFunc(gone, es.cmp)
+	var fresh []edge
+	w := 0
+	for _, e := range es.order {
+		if u, v := candidates.Ends(e.key); inE[u] && inI[v] {
+			if k, named := slices.BinarySearchFunc(delta, e.key, byKey); named {
+				s := delta[k].score
+				delta[k].score = 0 // held: not a new pair
+				switch s {
+				case e.score:
+					e.rescoredSeq = seq
+				case 0:
+					dropped++
+					continue
+				default:
+					fresh = append(fresh, edge{key: e.key, score: s, rescoredSeq: seq, sinceSeq: e.sinceSeq, fullScore: e.fullScore})
+					continue
+				}
+			}
+		}
+		es.order[w] = e
+		w++
+	}
+	for _, sp := range delta {
+		if sp.score > 0 {
+			fresh = append(fresh, edge{key: sp.key, score: sp.score, rescoredSeq: seq, sinceSeq: seq})
+		}
+	}
 	slices.SortFunc(fresh, es.cmp)
-	rest, w := es.order, 0
-	for _, g := range gone {
-		i, _ := slices.BinarySearchFunc(rest, g, es.cmp)
-		w += copy(es.order[w:], rest[:i])
-		rest = rest[i+1:]
-	}
-	w += copy(es.order[w:], rest)
-
 	es.order = slices.Grow(es.order[:w], len(fresh))[:w+len(fresh)]
 	kept, out := es.order[:w], len(es.order)
 	for k := len(fresh) - 1; k >= 0; k-- {
@@ -263,6 +254,9 @@ func (es *edgeStore) splice(gone, fresh []scoredPair) {
 		es.order[out] = fresh[k]
 		kept = kept[:i]
 	}
+	es.lastFull = false
+	es.seq = seq
+	return dropped
 }
 
 // greedy is the paper's greedy maximum-sum matching over the retained
@@ -273,42 +267,47 @@ func (es *edgeStore) splice(gone, fresh []scoredPair) {
 func (es *edgeStore) greedy(capHint int) []Link {
 	usedE, usedI := make([]bool, es.idsE.Len()), make([]bool, es.idsI.Len())
 	matched := make([]Link, 0, capHint)
-	for _, sp := range es.order {
-		u, v := candidates.Ends(sp.key)
+	for _, e := range es.order {
+		u, v := candidates.Ends(e.key)
 		if usedE[u] || usedI[v] {
 			continue
 		}
 		usedE[u], usedI[v] = true, true
-		matched = append(matched, es.link(sp.key, sp.score))
+		matched = append(matched, es.link(e.key, e.score))
 	}
 	return slices.Clip(matched)
 }
 
 // lineage returns the provenance of one pair (zero-valued, Linked=false,
-// when the pair is not a retained edge).
+// when the pair is not a retained edge). It scans the column: its one
+// caller is /v1/explain.
 func (es *edgeStore) lineage(p uint64) EdgeLineage {
-	e, ok := es.pairs[p]
-	if !ok {
+	k := slices.IndexFunc(es.order, func(e edge) bool { return e.key == p })
+	if k < 0 {
 		return EdgeLineage{StoreEpoch: es.fullRescores}
 	}
-	return EdgeLineage{
+	e := es.order[k]
+	l := EdgeLineage{
 		Linked:           true,
 		Score:            e.score,
 		RescoredSeq:      e.rescoredSeq,
 		RetainedSinceSeq: e.sinceSeq,
-		LastFullSeq:      e.fullSeq,
 		ScoreAtLastFull:  e.fullScore,
 		StoreEpoch:       es.fullRescores,
 	}
+	if e.fullScore != 0 {
+		l.LastFullSeq = es.fullSeq
+	}
+	return l
 }
 
 // materialize returns the retained edges in a freshly allocated slice
-// (never nil) the caller owns, in the map's hash order. Its readers are
-// RunEdges, which sorts it by id, and the tests' from-scratch reference.
+// (never nil) the caller owns, in greedy order. Its readers are RunEdges,
+// which sorts it by id, and the tests' from-scratch reference.
 func (es *edgeStore) materialize() []Link {
-	links := make([]Link, 0, len(es.pairs))
-	for p, e := range es.pairs {
-		links = append(links, es.link(p, e.score))
+	links := make([]Link, len(es.order))
+	for k, e := range es.order {
+		links[k] = es.link(e.key, e.score)
 	}
 	return links
 }
@@ -317,13 +316,13 @@ func (es *edgeStore) materialize() []Link {
 // across later runs).
 func (es *edgeStore) statsSnapshot() *EdgeStoreStats {
 	return &EdgeStoreStats{
-		Pairs:         int64(len(es.pairs)),
+		Pairs:         int64(len(es.order)),
 		Epoch:         es.fullRescores,
 		Retained:      es.lastRetained,
 		Rescored:      es.lastRescored,
 		Dropped:       es.lastDropped,
 		FullRescore:   es.lastFull,
 		LastUpdate:    es.lastUpdate,
-		ResidentBytes: int64(len(es.pairs))*edgePairBytes + int64(cap(es.order))*int64(unsafe.Sizeof(scoredPair{})),
+		ResidentBytes: int64(cap(es.order)) * int64(unsafe.Sizeof(edge{})),
 	}
 }

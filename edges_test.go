@@ -14,6 +14,7 @@ import (
 	"slim/internal/history"
 	"slim/internal/matching"
 	"slim/internal/model"
+	"slim/internal/similarity"
 	"slim/internal/testenv"
 	"slim/internal/threshold"
 )
@@ -27,37 +28,38 @@ func sideTable(prefix string, n int) *history.Ordinals {
 	return history.Build(&d, model.Windowing{WidthSeconds: 900}, 12).Ordinals()
 }
 
-// TestEdgeStoreResidentBytesEstimate holds EdgeStoreStats.ResidentBytes —
-// slim_edge_store_resident_bytes on /metrics — to the pair map
-// (Pairs × edgePairBytes) plus the greedy order's capacity after a full
-// rescore and after a delta update that moves a tenth of the edges, and
-// to within 2× of what the 20k-edge store actually retains. Materialising
-// the edge set, as RunEdges does, leaves the store's footprint unchanged.
-func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
+// TestEdgeStoreResidentBytesExact holds EdgeStoreStats.ResidentBytes —
+// slim_edge_store_resident_bytes on /metrics — to the order column's
+// capacity in edge records after a full rescore and after a delta update
+// that moves a tenth of the edges, and to within 10 % of what the
+// 20k-edge store actually retains, at no more than 50 B an edge.
+// Materialising the edge set, as RunEdges does, leaves the store's
+// footprint unchanged.
+func TestEdgeStoreResidentBytesExact(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
 	}
 	const nE, nI = 200, 100
 	idsE, idsI := sideTable("e", nE), sideTable("i", nI)
 	before := testenv.LiveHeap()
-	es := newEdgeStore(idsE, idsI)
+	es := edgeStore{idsE: idsE, idsI: idsI}
 	full := make([]scoredPair, 0, nE*nI)
 	for u := uint32(0); u < nE; u++ {
 		for v := uint32(0); v < nI; v++ {
 			full = append(full, scoredPair{key: candidates.Key(u, v), score: 1 + float64(u*nI+v)})
 		}
 	}
-	mapAndOrder := func(state string) {
+	column := func(state string) {
 		t.Helper()
 		st := es.statsSnapshot()
-		want := st.Pairs*edgePairBytes + int64(cap(es.order))*int64(unsafe.Sizeof(scoredPair{}))
+		want := int64(cap(es.order)) * int64(unsafe.Sizeof(edge{}))
 		if st.Pairs != nE*nI || len(es.order) != nE*nI || st.ResidentBytes != want {
-			t.Fatalf("%s: %d B for %d pairs, want the map (%d B a pair) and the order's %d slots: %d B",
-				state, st.ResidentBytes, st.Pairs, edgePairBytes, cap(es.order), want)
+			t.Fatalf("%s: %d B for %d pairs, want the order's %d slots of %d B: %d B",
+				state, st.ResidentBytes, st.Pairs, cap(es.order), unsafe.Sizeof(edge{}), want)
 		}
 	}
 	es.resetFull(full, 1)
-	mapAndOrder("after a full update")
+	column("after a full update")
 	var pairs []uint64
 	var scored []scoredPair
 	for k := 0; k < len(full); k += 10 {
@@ -65,33 +67,79 @@ func TestEdgeStoreResidentBytesEstimate(t *testing.T) {
 		scored = append(scored, scoredPair{key: full[k].key, score: full[k].score + 0.5})
 	}
 	es.apply(pairs, scored, nil, 2)
-	mapAndOrder("after a delta update")
+	column("after a delta update")
 	full, pairs, scored = nil, nil, nil
 
 	check := func(state string) {
 		t.Helper()
-		measured, estimate := int64(testenv.LiveHeap()-before), es.statsSnapshot().ResidentBytes
-		t.Logf("%d edges, %s: measured %d B (%.1f per edge), estimated %d B (%.1f per edge)",
-			nE*nI, state, measured, float64(measured)/(nE*nI), estimate, float64(estimate)/(nE*nI))
-		if estimate > 2*measured || 2*estimate < measured {
-			t.Errorf("%s: ResidentBytes estimate %d is not within 2x of the measured %d", state, estimate, measured)
+		measured, counted := int64(testenv.LiveHeap()-before), es.statsSnapshot().ResidentBytes
+		t.Logf("%d edges, %s: measured %d B (%.1f per edge), counted %d B (%.1f per edge)",
+			nE*nI, state, measured, float64(measured)/(nE*nI), counted, float64(counted)/(nE*nI))
+		if 10*counted > 11*measured || 10*counted < 9*measured {
+			t.Errorf("%s: ResidentBytes %d is not within 10 %% of the measured %d", state, counted, measured)
+		}
+		if measured > 50*nE*nI {
+			t.Errorf("%s: the store retains %d B, more than 50 B for each of its %d edges", state, measured, nE*nI)
 		}
 	}
 	check("after a delta update")
 	if links := es.materialize(); len(links) != nE*nI {
 		t.Fatalf("store holds %d edges, want %d", len(links), nE*nI)
 	}
-	mapAndOrder("after materialize")
+	column("after materialize")
 	check("after materialize")
 	runtime.KeepAlive(es)
 }
 
+// TestEdgeLineageFollowsTenure walks one store through each lineage rule
+// by hand. A rescore to the same score moves only RescoredSeq; a new
+// score keeps the tenure and the last-full fields; a pair that enters on
+// a delta starts its tenure with no last-full fields, and so does one
+// dropped and added again; a full rescore keeps every tenure and moves the
+// rest of the lineage to its run.
+func TestEdgeLineageFollowsTenure(t *testing.T) {
+	es := edgeStore{idsE: sideTable("e", 3), idsI: sideTable("i", 3)}
+	a, b, c := candidates.Key(0, 0), candidates.Key(1, 1), candidates.Key(2, 2)
+	check := func(step string, p uint64, want EdgeLineage) {
+		t.Helper()
+		if got := es.lineage(p); !sameLineage(got, want) {
+			t.Fatalf("%s: pair %x has lineage %+v, want %+v", step, p, got, want)
+		}
+	}
+	es.resetFull([]scoredPair{{a, 0.5}, {b, 0.25}}, 1)
+	check("full rescore", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 1, RetainedSinceSeq: 1, LastFullSeq: 1, ScoreAtLastFull: 0.5, StoreEpoch: 1})
+	check("full rescore", c, EdgeLineage{StoreEpoch: 1})
+
+	es.apply([]uint64{a, b, c}, []scoredPair{{a, 0.5}, {b, 0.75}, {c, 0.125}}, nil, 2)
+	check("same score", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 2, RetainedSinceSeq: 1, LastFullSeq: 1, ScoreAtLastFull: 0.5, StoreEpoch: 1})
+	check("new score", b, EdgeLineage{Linked: true, Score: 0.75, RescoredSeq: 2, RetainedSinceSeq: 1, LastFullSeq: 1, ScoreAtLastFull: 0.25, StoreEpoch: 1})
+	check("added", c, EdgeLineage{Linked: true, Score: 0.125, RescoredSeq: 2, RetainedSinceSeq: 2, StoreEpoch: 1})
+
+	if dropped := es.apply(nil, nil, []uint64{b}, 3); dropped != 1 {
+		t.Fatalf("removing a pair dropped %d edges", dropped)
+	}
+	check("removed", b, EdgeLineage{StoreEpoch: 1})
+	es.apply([]uint64{b}, []scoredPair{{b, 0.25}}, nil, 4)
+	check("added again", b, EdgeLineage{Linked: true, Score: 0.25, RescoredSeq: 4, RetainedSinceSeq: 4, StoreEpoch: 1})
+	if dropped := es.apply([]uint64{c}, nil, nil, 5); dropped != 1 {
+		t.Fatalf("rescoring a pair to zero dropped %d edges", dropped)
+	}
+	check("scored zero", c, EdgeLineage{StoreEpoch: 1})
+
+	es.resetFull([]scoredPair{{a, 0.5}, {b, 0.5}, {c, 0.25}}, 6)
+	check("second full rescore", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 6, RetainedSinceSeq: 1, LastFullSeq: 6, ScoreAtLastFull: 0.5, StoreEpoch: 2})
+	check("second full rescore", b, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 6, RetainedSinceSeq: 4, LastFullSeq: 6, ScoreAtLastFull: 0.5, StoreEpoch: 2})
+	check("second full rescore", c, EdgeLineage{Linked: true, Score: 0.25, RescoredSeq: 6, RetainedSinceSeq: 6, LastFullSeq: 6, ScoreAtLastFull: 0.25, StoreEpoch: 2})
+	requireGreedyOrder(t, "second full rescore", &es, map[uint64]float64{a: 0.5, b: 0.5, c: 0.25})
+}
+
 // TestDeltaRelinkBuildsNoLinkList: a relink on the delta path keeps the
-// edge store's greedy order by splice, and Publish walks that (pair,
-// score) column rather than a list of links. Re-observations that shift
-// dominating cells move pairs in and out of the LSH candidate set without
-// touching an IDF epoch, so edges change on the delta path; after each
-// such Rescore the order must still be the map's pairs in greedy order,
+// edge store's greedy order by a merge, and Publish walks that column
+// rather than a list of links. Re-observations that shift dominating
+// cells move pairs in and out of the LSH candidate set without touching
+// an IDF epoch, so edges change on the delta path; after each such
+// Rescore the order must still be the candidate pairs' from-scratch
+// positive scores in greedy order,
 // the published result must equal Run's on a twin linker and the
 // from-scratch reference bit for bit, and a later RunEdges must still
 // hand out the whole edge set in canonical (U, V) order — in a fresh
@@ -119,10 +167,10 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 				twin.AddE(w.E.Records[k])
 			}
 		}
-		before := slices.Clone(lk.edges.order)
+		before := scoredOrder(&lk.edges)
 		stats := lk.Rescore(uint64(burst) + 2)
-		requireGreedyOrder(t, fmt.Sprintf("burst %d", burst), &lk.edges)
-		if !slices.Equal(before, lk.edges.order) {
+		requireGreedyOrder(t, fmt.Sprintf("burst %d", burst), &lk.edges, scoredFromScratch(lk))
+		if !slices.Equal(before, scoredOrder(&lk.edges)) {
 			changed++
 		}
 		wantM, wantL, wantT := referencePublish(&lk.edges, cfg.Threshold)
@@ -132,8 +180,8 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 		if es.FullRescore {
 			t.Fatalf("burst %d: re-observations forced a full rescore", burst)
 		}
-		if stats.PositiveEdges != int64(len(lk.edges.pairs)) || es.Pairs != stats.PositiveEdges {
-			t.Fatalf("burst %d: PositiveEdges %d, Pairs %d, store holds %d", burst, stats.PositiveEdges, es.Pairs, len(lk.edges.pairs))
+		if stats.PositiveEdges != int64(len(lk.edges.order)) || es.Pairs != stats.PositiveEdges {
+			t.Fatalf("burst %d: PositiveEdges %d, Pairs %d, store holds %d", burst, stats.PositiveEdges, es.Pairs, len(lk.edges.order))
 		}
 		want := twin.Run()
 		if !sameLinksBits(matched, want.Matched) || !sameLinksBits(links, want.Links) ||
@@ -252,18 +300,18 @@ func TestPublishAfterUnpublishedRescores(t *testing.T) {
 		for k := burst; k < len(w.E.Records); k += 4 {
 			lk.AddE(w.E.Records[k], w.E.Records[k], w.E.Records[k])
 		}
-		before := slices.Clone(lk.edges.order)
+		before := scoredOrder(&lk.edges)
 		if lk.Rescore(uint64(burst) + 2).EdgeStore.FullRescore {
 			t.Fatalf("burst %d: re-observations forced a full rescore", burst)
 		}
-		if !slices.Equal(before, lk.edges.order) {
+		if !slices.Equal(before, scoredOrder(&lk.edges)) {
 			changed++
 		}
 	}
 	if changed == 0 {
 		t.Fatal("no burst changed an edge on the delta path; the test is vacuous")
 	}
-	requireGreedyOrder(t, "after eight unpublished rescores", &lk.edges)
+	requireGreedyOrder(t, "after eight unpublished rescores", &lk.edges, scoredFromScratch(lk))
 	before := lk.edges.statsSnapshot()
 	wantM, wantL, wantT := referencePublish(&lk.edges, cfg.Threshold)
 	matched, links, thr := lk.Publish()
@@ -297,18 +345,37 @@ func requirePublish(t testing.TB, step string, matched, links []Link, thr StopTh
 }
 
 // requireGreedyOrder fails unless the store's order column holds exactly
-// its map's pairs, each with the map's score, sorted by matching.Compare.
-func requireGreedyOrder(t testing.TB, step string, es *edgeStore) {
+// the pairs of want, an independent model of the edge set, each with its
+// score bit for bit, sorted by matching.Compare.
+func requireGreedyOrder(t testing.TB, step string, es *edgeStore, want map[uint64]float64) {
 	t.Helper()
-	want := es.materialize()
-	slices.SortFunc(want, matching.Compare)
+	wantLinks := make([]Link, 0, len(want))
+	for p, s := range want {
+		wantLinks = append(wantLinks, es.link(p, s))
+	}
+	slices.SortFunc(wantLinks, matching.Compare)
 	got := make([]Link, len(es.order))
-	for k, sp := range es.order {
-		got[k] = es.link(sp.key, sp.score)
+	for k, e := range es.order {
+		got[k] = es.link(e.key, e.score)
 	}
-	if !sameLinksBits(got, want) {
-		t.Fatalf("%s: the order column (%d edges) is not the map's %d pairs in greedy order", step, len(got), len(want))
+	if !sameLinksBits(got, wantLinks) {
+		t.Fatalf("%s: the order column (%d edges) is not the model's %d pairs in greedy order", step, len(got), len(wantLinks))
 	}
+}
+
+// scoredFromScratch is the edge set a linker's store must hold, scored
+// anew: every candidate pair through a fresh scorer over the linker's
+// stores (so the linker's own work counters do not move), positive ones
+// kept.
+func scoredFromScratch(lk *Linker) map[uint64]float64 {
+	sc := similarity.NewScorer(lk.storeE, lk.storeI, lk.scorer.Par)
+	want := map[uint64]float64{}
+	for _, p := range lk.candIndex.Pairs() {
+		if s := sc.ScoreOrd(candidates.Ends(p)); s > 0 {
+			want[p] = s
+		}
+	}
+	return want
 }
 
 // permutedTable returns a side's entity table of n entities whose ids sort
@@ -328,21 +395,25 @@ const edgeOrderSides = 16
 
 // edgeOrderRun counts what one runEdgeOrder program exercised.
 type edgeOrderRun struct {
-	fulls, splices, ties int
+	fulls, deltas, ties int
 }
 
 // runEdgeOrder drives an edge store through the update program data
 // spells — full rescores and delta updates with adds, drops, removals and
-// score changes over a four-score palette — beside a plain pair → score
-// reference map. After every update it checks that the store's pairs are
-// the reference's, that its order column is those pairs in greedy order, and that
-// Publish (one publishTail, so the threshold fit cache is live across
-// updates) equals the from-scratch reference bit for bit.
+// score changes over a four-score palette — beside a reference model of
+// every pair's EdgeLineage. After every update it checks each pair's
+// lineage field by field against the model, that the store's order column
+// is the model's pairs in greedy order, and that Publish (one publishTail,
+// so the threshold fit cache is live across updates) equals the
+// from-scratch reference bit for bit. The model's rules: a full rescore
+// keeps each pair's tenure and moves the rest of its lineage to the run; a
+// delta drop ends a tenure, so a re-add starts a new one with no last-full
+// fields; a rescore moves only the score and RescoredSeq.
 func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
 	const n = edgeOrderSides
-	es := newEdgeStore(permutedTable("u", n), permutedTable("v", n))
+	es := edgeStore{idsE: permutedTable("u", n), idsI: permutedTable("v", n)}
 	tail := publishTail{thr: threshold.Cache{Method: ThresholdGMM}}
-	ref := map[uint64]float64{}
+	ref := map[uint64]EdgeLineage{}
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -354,24 +425,38 @@ func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
 	// score is 0 (not positive) or one of four tied values.
 	score := func() float64 { return float64(next()%5) / 4 }
 	var run edgeOrderRun
+	epoch := uint64(0)
 	for seq := uint64(1); len(data) > 0; seq++ {
 		op, touched := next(), 1+next()%8
 		if op%8 == 0 || !es.built {
+			scores := map[uint64]float64{}
+			for p, l := range ref {
+				scores[p] = l.Score
+			}
 			for k := 0; k < touched; k++ {
 				p := candidates.Key(uint32(next()%n), uint32(next()%n))
 				if s := score(); s > 0 {
-					ref[p] = s
+					scores[p] = s
 				} else {
-					delete(ref, p)
+					delete(scores, p)
 				}
 			}
 			// The scoring fan-out hands over the positive pairs in pair order.
-			all := make([]scoredPair, 0, len(ref))
-			for _, p := range slices.Sorted(maps.Keys(ref)) {
-				all = append(all, scoredPair{p, ref[p]})
+			all := make([]scoredPair, 0, len(scores))
+			full := map[uint64]EdgeLineage{}
+			for _, p := range slices.Sorted(maps.Keys(scores)) {
+				s := scores[p]
+				all = append(all, scoredPair{p, s})
+				since := seq
+				if old, ok := ref[p]; ok {
+					since = old.RetainedSinceSeq
+				}
+				full[p] = EdgeLineage{Linked: true, Score: s, RescoredSeq: seq, RetainedSinceSeq: since, LastFullSeq: seq, ScoreAtLastFull: s}
 			}
+			ref = full
 			es.resetFull(all, seq)
 			es.built = true
+			epoch++
 			run.fulls++
 		} else {
 			var rescored, removed []uint64
@@ -391,27 +476,41 @@ func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
 				rescored = append(rescored, p)
 				if s := score(); s > 0 {
 					positive = append(positive, scoredPair{p, s})
-					ref[p] = s
+					l, had := ref[p]
+					if !had {
+						l = EdgeLineage{Linked: true, RetainedSinceSeq: seq}
+					}
+					l.Score, l.RescoredSeq = s, seq
+					ref[p] = l
 				} else {
 					delete(ref, p)
 				}
 			}
-			before := slices.Clone(es.order)
+			before := scoredOrder(&es)
 			es.apply(rescored, positive, removed, seq)
-			if !slices.Equal(before, es.order) {
-				run.splices++
+			if !slices.Equal(before, scoredOrder(&es)) {
+				run.deltas++
 			}
 		}
 		step := fmt.Sprintf("update %d", seq)
-		if len(es.pairs) != len(ref) {
-			t.Fatalf("%s: store holds %d pairs, the reference %d", step, len(es.pairs), len(ref))
+		if got := es.statsSnapshot().Pairs; got != int64(len(ref)) {
+			t.Fatalf("%s: store holds %d pairs, the reference %d", step, got, len(ref))
 		}
-		for p, s := range ref {
-			if e, ok := es.pairs[p]; !ok || math.Float64bits(e.score) != math.Float64bits(s) {
-				t.Fatalf("%s: pair %x scored %v in the store, %v in the reference", step, p, e.score, s)
+		scores := make(map[uint64]float64, len(ref))
+		for u := uint32(0); u < n; u++ {
+			for v := uint32(0); v < n; v++ {
+				p := candidates.Key(u, v)
+				want := ref[p]
+				want.StoreEpoch = epoch
+				if got := es.lineage(p); !sameLineage(got, want) {
+					t.Fatalf("%s: pair %x has lineage %+v in the store, %+v in the reference", step, p, got, want)
+				}
+				if want.Linked {
+					scores[p] = want.Score
+				}
 			}
 		}
-		requireGreedyOrder(t, step, &es)
+		requireGreedyOrder(t, step, &es, scores)
 		for k := 1; k < len(es.order); k++ {
 			if es.order[k].score == es.order[k-1].score {
 				run.ties++
@@ -423,4 +522,24 @@ func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
 		requirePublish(t, step, matched, links, thr, wantM, wantL, wantT)
 	}
 	return run
+}
+
+// sameLineage reports whether two lineages are equal, scores bit for bit.
+func sameLineage(a, b EdgeLineage) bool {
+	if math.Float64bits(a.Score) != math.Float64bits(b.Score) ||
+		math.Float64bits(a.ScoreAtLastFull) != math.Float64bits(b.ScoreAtLastFull) {
+		return false
+	}
+	a.Score, a.ScoreAtLastFull, b.Score, b.ScoreAtLastFull = 0, 0, 0, 0
+	return a == b
+}
+
+// scoredOrder returns the store's order column as (pair, score): what
+// Publish reads of it, without the lineage a same-score rescore restamps.
+func scoredOrder(es *edgeStore) []scoredPair {
+	out := make([]scoredPair, len(es.order))
+	for k, e := range es.order {
+		out[k] = scoredPair{e.key, e.score}
+	}
+	return out
 }

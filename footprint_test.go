@@ -15,9 +15,9 @@ import (
 // filter at its defaults. Two states are measured. After NewLinker and a
 // compile, the history stores and the candidate index are what the linker
 // holds; beyond them the measurement sees the scorer and the empty edge
-// store. After the first Run the edge store — its pair map and greedy
-// order — joins them; beyond the three the measurement sees the scorer
-// and Publish's threshold fit cache.
+// store. After the first Run the edge store — its one column of edges in
+// greedy order — joins them; beyond the three the measurement sees the
+// scorer and Publish's threshold fit cache.
 func TestLinkerResidentBytesMatchesLiveHeap(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")

@@ -52,8 +52,9 @@ func FuzzLinkerTimestamps(f *testing.F) {
 // rescores and delta updates — adds, drops, candidate removals and score
 // changes over 16 × 16 pairs and a four-score palette, so many pairs tie,
 // with ids that sort against their ordinals (see runEdgeOrder). After
-// every update the store's order column must be its pairs in greedy
-// order, and Publish's matching, links and threshold must be
+// every update each pair's EdgeLineage must equal a reference model's,
+// the store's order column must be the model's pairs in greedy order,
+// and Publish's matching, links and threshold must be
 // Float64bits-equal to MatchLinks → SelectStopThreshold → FilterLinks over
 // materialize().
 func FuzzEdgeOrder(f *testing.F) {

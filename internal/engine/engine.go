@@ -320,14 +320,14 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 	reg.GaugeFunc("slim_link_version",
 		"Version of the current published result.",
 		func() float64 { return float64(e.Stats().Version) })
-	// Edge-store memory visibility: the pair map is where scored edges live
-	// between runs, so its size must be observable before any
+	// Edge-store memory visibility: the order column is where scored edges
+	// live between runs, so its size must be observable before any
 	// tiering/retention lands.
 	reg.GaugeFunc("slim_edge_store_pairs",
 		"Retained scored edges in the edge store.",
 		func() float64 { return float64(orZero(e.Stats().EdgeStore).Pairs) })
 	reg.GaugeFunc("slim_edge_store_resident_bytes",
-		"Estimated resident bytes of the edge store (pair map and greedy order).",
+		"Resident bytes of the edge store (its greedy-order edge column).",
 		func() float64 { return float64(orZero(e.Stats().EdgeStore).ResidentBytes) })
 	reg.CounterFunc("slim_threshold_fit_total",
 		"Stop-threshold selections, by whether the detector ran or the cached fit was reused bit-identically.",

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -148,15 +149,22 @@ func TestRunJournalBoundedUnderHammer(t *testing.T) {
 // TestRunJournalGrowsToItsBound checks that a journal holds what it has
 // recorded, not its bound — a 16,384-run ring retains almost nothing
 // before its first run — and still wraps at exactly its size, newest
-// first. The heap reading skips itself under -race.
+// first. The heap reading skips itself under -race. It is the least of
+// three: one reading also counts whatever another goroutine of the test
+// binary allocated between its two collections, while a journal that
+// reserved its bound would show in all three.
 func TestRunJournalGrowsToItsBound(t *testing.T) {
 	if !testenv.RaceEnabled {
-		before := testenv.LiveHeap()
-		j := newJournal(16384)
-		if retained := int64(testenv.LiveHeap()) - int64(before); retained >= 4<<10 {
+		retained := int64(math.MaxInt64)
+		for range 3 {
+			before := testenv.LiveHeap()
+			j := newJournal(16384)
+			retained = min(retained, int64(testenv.LiveHeap())-int64(before))
+			runtime.KeepAlive(&j)
+		}
+		if retained >= 4<<10 {
 			t.Fatalf("an empty 16384-run journal retains %d B, budget 4 KB", retained)
 		}
-		runtime.KeepAlive(&j)
 	}
 	j := newJournal(3)
 	for seq := uint64(1); seq <= 5; seq++ {

@@ -380,7 +380,7 @@ var (
 		runs.version=number runs=array total_runs=number`)
 	baseShapes = strings.Split(strings.TrimSpace(`
 slim_edge_store_pairs gauge - Retained scored edges in the edge store.
-slim_edge_store_resident_bytes gauge - Estimated resident bytes of the edge store (pair map and greedy order).
+slim_edge_store_resident_bytes gauge - Resident bytes of the edge store (its greedy-order edge column).
 slim_entities gauge dataset Entities with applied histories, by dataset.
 slim_health_state gauge domain Domain health: 1 healthy, 0 degraded (write path down, repair in progress).
 slim_http_inflight_requests gauge - Requests currently being served.

@@ -147,7 +147,7 @@ func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	}
 	lk.storeE = history.BuildGrouped(&in.ge, in.wnd, cfg.SpatialLevel, cfg.Workers)
 	lk.storeI = history.BuildGrouped(&in.gi, in.wnd, cfg.SpatialLevel, cfg.Workers)
-	lk.edges = newEdgeStore(lk.storeE.Ordinals(), lk.storeI.Ordinals())
+	lk.edges = edgeStore{idsE: lk.storeE.Ordinals(), idsI: lk.storeI.Ordinals()}
 	lk.scorer = similarity.NewScorer(lk.storeE, lk.storeI, in.params)
 
 	if cfg.LSH != nil {
@@ -438,7 +438,7 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 	st := lk.scorer.Stats()
 	stats := Stats{
 		CandidatePairs:    nPairs,
-		PositiveEdges:     int64(len(lk.edges.pairs)),
+		PositiveEdges:     int64(len(lk.edges.order)),
 		BinComparisons:    st.BinComparisons - lk.prevStats.BinComparisons,
 		RecordComparisons: st.RecordComparisons - lk.prevStats.RecordComparisons,
 		AlibiBinPairs:     st.AlibiBinPairs - lk.prevStats.AlibiBinPairs,

@@ -33,14 +33,14 @@ func sameLinksBits(a, b []Link) bool {
 // programs drawn from fixed seeds. Every update checks the store's greedy
 // order and checks Publish bit for bit against MatchLinks +
 // SelectStopThreshold + FilterLinks; each program must take the full and
-// the splice path and publish tied scores.
+// the delta path and publish tied scores.
 func TestPublishTailParityRandomized(t *testing.T) {
 	for _, seed := range []int64{2, 11, 29} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			data := make([]byte, 4096)
 			rand.New(rand.NewSource(seed)).Read(data)
 			run := runEdgeOrder(t, data)
-			if run.fulls == 0 || run.splices == 0 || run.ties == 0 {
+			if run.fulls == 0 || run.deltas == 0 || run.ties == 0 {
 				t.Fatalf("a path was never taken: %+v", run)
 			}
 		})
@@ -52,7 +52,7 @@ func TestPublishTailParityRandomized(t *testing.T) {
 // end, so the matching changes from its first edge, loses one link, and
 // the threshold is refit on the shorter score list.
 func TestPublishTailRemovalOfTopLink(t *testing.T) {
-	es := newEdgeStore(sideTable("e", 4), sideTable("i", 4))
+	es := edgeStore{idsE: sideTable("e", 4), idsI: sideTable("i", 4)}
 	key := func(u, v uint32) uint64 { return candidates.Key(u, v) }
 	es.resetFull([]scoredPair{
 		{key(0, 0), 0.95}, {key(1, 1), 0.9}, {key(0, 1), 0.85}, {key(2, 2), 0.2}, {key(3, 3), 0.15},
@@ -66,7 +66,7 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 	if dropped := es.apply(nil, nil, []uint64{key(0, 0)}, 2); dropped != 1 {
 		t.Fatalf("removing the top pair dropped %d edges", dropped)
 	}
-	requireGreedyOrder(t, "after the removal", &es)
+	requireGreedyOrder(t, "after the removal", &es, map[uint64]float64{key(1, 1): 0.9, key(0, 1): 0.85, key(2, 2): 0.2, key(3, 3): 0.15})
 	wantM, wantL, wantT := referencePublish(&es, ThresholdGMM)
 	m2, l2, thr := tail.publish(&es)
 	requirePublish(t, "after the removal", m2, l2, thr, wantM, wantL, wantT)
