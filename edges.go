@@ -157,25 +157,33 @@ func (es *edgeStore) cmp(a, b edge) int {
 }
 
 // resetFull replaces the whole store with a freshly scored edge set (the
-// full-rescore path), stamped with the given run seq; edges is in
-// ascending pair order, as the scoring fan-out returns it. Pairs that were
-// already retained keep their RetainedSinceSeq tenure, found by one merge
-// against the old column sorted by pair in place (it is discarded);
-// everything is (by definition) rescored, so every pair's rescored-seq,
-// last-full-seq and score-at-last-full move to this run.
-func (es *edgeStore) resetFull(edges []scoredPair, seq uint64) {
+// full-rescore path), stamped with the given run seq; parts read in turn
+// are in ascending pair order, as the scoring fan-out's workers return
+// them, and are copied straight into the new column, never concatenated
+// first. Pairs that were already retained keep their RetainedSinceSeq
+// tenure, found by one merge against the old column sorted by pair in
+// place (it is discarded); everything is (by definition) rescored, so
+// every pair's rescored-seq, last-full-seq and score-at-last-full move to
+// this run.
+func (es *edgeStore) resetFull(parts [][]scoredPair, seq uint64) {
 	old := es.order
 	slices.SortFunc(old, func(a, b edge) int { return cmp.Compare(a.key, b.key) })
-	es.order = make([]edge, len(edges))
-	for k, sp := range edges {
-		for len(old) > 0 && old[0].key < sp.key {
-			old = old[1:]
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	es.order = make([]edge, 0, n)
+	for _, part := range parts {
+		for _, sp := range part {
+			for len(old) > 0 && old[0].key < sp.key {
+				old = old[1:]
+			}
+			e := edge{key: sp.key, score: sp.score, rescoredSeq: seq, sinceSeq: seq, fullScore: sp.score}
+			if len(old) > 0 && old[0].key == sp.key {
+				e.sinceSeq = old[0].sinceSeq
+			}
+			es.order = append(es.order, e)
 		}
-		e := edge{key: sp.key, score: sp.score, rescoredSeq: seq, sinceSeq: seq, fullScore: sp.score}
-		if len(old) > 0 && old[0].key == sp.key {
-			e.sinceSeq = old[0].sinceSeq
-		}
-		es.order[k] = e
 	}
 	slices.SortFunc(es.order, es.cmp)
 	es.forceFull = false

@@ -58,7 +58,7 @@ func TestEdgeStoreResidentBytesExact(t *testing.T) {
 				state, st.ResidentBytes, st.Pairs, cap(es.order), unsafe.Sizeof(edge{}), want)
 		}
 	}
-	es.resetFull(full, 1)
+	es.resetFull([][]scoredPair{full}, 1)
 	column("after a full update")
 	var pairs []uint64
 	var scored []scoredPair
@@ -106,7 +106,7 @@ func TestEdgeLineageFollowsTenure(t *testing.T) {
 			t.Fatalf("%s: pair %x has lineage %+v, want %+v", step, p, got, want)
 		}
 	}
-	es.resetFull([]scoredPair{{a, 0.5}, {b, 0.25}}, 1)
+	es.resetFull([][]scoredPair{{{a, 0.5}, {b, 0.25}}}, 1)
 	check("full rescore", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 1, RetainedSinceSeq: 1, LastFullSeq: 1, ScoreAtLastFull: 0.5, StoreEpoch: 1})
 	check("full rescore", c, EdgeLineage{StoreEpoch: 1})
 
@@ -126,7 +126,7 @@ func TestEdgeLineageFollowsTenure(t *testing.T) {
 	}
 	check("scored zero", c, EdgeLineage{StoreEpoch: 1})
 
-	es.resetFull([]scoredPair{{a, 0.5}, {b, 0.5}, {c, 0.25}}, 6)
+	es.resetFull([][]scoredPair{{{a, 0.5}, {b, 0.5}, {c, 0.25}}}, 6)
 	check("second full rescore", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 6, RetainedSinceSeq: 1, LastFullSeq: 6, ScoreAtLastFull: 0.5, StoreEpoch: 2})
 	check("second full rescore", b, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 6, RetainedSinceSeq: 4, LastFullSeq: 6, ScoreAtLastFull: 0.5, StoreEpoch: 2})
 	check("second full rescore", c, EdgeLineage{Linked: true, Score: 0.25, RescoredSeq: 6, RetainedSinceSeq: 6, LastFullSeq: 6, ScoreAtLastFull: 0.25, StoreEpoch: 2})
@@ -454,7 +454,7 @@ func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
 				full[p] = EdgeLineage{Linked: true, Score: s, RescoredSeq: seq, RetainedSinceSeq: since, LastFullSeq: seq, ScoreAtLastFull: s}
 			}
 			ref = full
-			es.resetFull(all, seq)
+			es.resetFull([][]scoredPair{all}, seq)
 			es.built = true
 			epoch++
 			run.fulls++

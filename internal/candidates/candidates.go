@@ -323,8 +323,9 @@ type sideState struct {
 	store *history.Store
 	// keyset holds every entity's band keys back to back, spans indexed by
 	// ordinal. An entity whose keys outgrow their range moves to the end
-	// and leaves the range dead; live counts the keys in use, and a column
-	// more than half dead is rewritten compactly (setBands).
+	// and leaves the range dead; live counts the keys in use, and the move
+	// that would outgrow the column's capacity rewrites it compactly
+	// instead (setBands).
 	keyset
 	live int
 	// numSigs counts the ordinals with band keys: a signed entity has a
@@ -356,7 +357,7 @@ func (s *sideState) setBands(ord uint32, keys []bandKey) {
 	s.live += len(keys) - int(sp.n)
 	if len(keys) > int(sp.n) {
 		sp.n = 0
-		if len(s.keys) > 2*s.live {
+		if len(s.keys)+len(keys) > cap(s.keys) {
 			s.compact()
 		}
 		sp.at = int32(len(s.keys))
@@ -367,10 +368,20 @@ func (s *sideState) setBands(ord uint32, keys []bandKey) {
 	sp.n = int32(len(keys))
 }
 
+// keysSpareDiv sets the spare capacity of a rewritten keys column: an
+// eighth of its live keys, as a history store's column family keeps. A moved entity takes its new range from the
+// spare capacity; the move that finds too little left rewrites the column
+// instead of letting append grow it, so dead and spare keys together stay
+// within about a quarter of the live ones, and a column is rewritten once
+// per eighth of its size moved, not once per Update. A built column has no
+// spare capacity, so its first move rewrites.
+const keysSpareDiv = 8
+
 // compact rewrites the keys column without its dead ranges, in ordinal
-// order, with a quarter of spare room.
+// order, with room for every live key — the moving entity's new ones
+// included, which live already counts — plus the spare capacity.
 func (s *sideState) compact() {
-	keys := make([]bandKey, 0, s.live+s.live/4)
+	keys := make([]bandKey, 0, s.live+s.live/keysSpareDiv)
 	for k := range s.spans {
 		sp := &s.spans[k]
 		at := len(keys)

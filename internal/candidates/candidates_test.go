@@ -416,14 +416,15 @@ func TestIndexCountOnlyChurnKeepsPairCache(t *testing.T) {
 
 // TestBandKeysColumnStaysBounded streams bursts that keep growing every
 // entity's band list, so entities move to the end of their side's keys
-// column again and again: the column stays within twice the keys in use
-// plus one entity's keys, and the index stays exact.
+// column again and again: the column stays within the keys in use plus a
+// quarter, plus one entity's keys, and the index stays exact.
 func TestBandKeysColumnStaysBounded(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 1, SpatialLevel: level, NumBuckets: 256}
 	r := int64(RowsPerBand(p.Threshold))
 	se, si := sigStore("E", nil, p), sigStore("I", nil, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
+	worst := 0.0
 	for burst := int64(0); burst < 40; burst++ {
 		dirtyE, dirtyI := map[uint32]struct{}{}, map[uint32]struct{}{}
 		for e := 0; e < 10; e++ {
@@ -434,11 +435,12 @@ func TestBandKeysColumnStaysBounded(t *testing.T) {
 		x.Update(dirtyE, dirtyI)
 		for side := range x.sides {
 			s := &x.sides[side]
-			if len(s.keys) > 2*s.live+int(burst)+1 { // one entity's keys may land past the bound
-
+			if len(s.keys) > s.live+s.live/4+int(burst)+1 { // one entity's keys may land past the bound
 				t.Fatalf("burst %d: side %d's keys column holds %d slots for %d live keys", burst, side, len(s.keys), s.live)
 			}
+			worst = max(worst, float64(len(s.keys))/float64(s.live))
 		}
 		requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
 	}
+	t.Logf("a keys column held at most %.2fx its live keys", worst)
 }

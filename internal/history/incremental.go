@@ -171,17 +171,21 @@ func moveRange[E any](col []E, from, n, at, room int32) []E {
 	return col
 }
 
-// spareDiv sets the spare capacity of a rewritten column family: a
-// quarter of its live room. The columns of a family share one length and
+// spareDiv sets the spare capacity of a rewritten column family: an
+// eighth of its live room. The columns of a family share one length and
 // one capacity. A segment that moves takes its new range from the spare
 // capacity and leaves its old one dead; the move that finds no capacity
 // left rewrites the family instead of growing it — compactly, in ordinal
 // order, every segment keeping its room — so dead ranges never exceed a
-// fifth of a family, and the rewrite copies less than the reallocation
-// append would have made. A built store has no spare capacity, so its
-// first move rewrites. This runs in Add, not in Compile, because a
+// ninth of a family, and the rewrite copies less than the reallocation
+// append would have made. Dead, spare and per-segment room together stay
+// within about a quarter of a family, and a family is rewritten once per
+// eighth of it moved, not once per relink. (Trimming every segment's room
+// to its live size at a rewrite was measured too: it halved the bytes of
+// room but doubled the rewrites, and serve_fresh's peak did not fall.) A
+// built store has no spare capacity, so its first move rewrites. This runs in Add, not in Compile, because a
 // signature store is never compiled and must stay bounded too.
-const spareDiv = 4
+const spareDiv = 8
 
 // repackWindows rewrites the per-window columns compactly with spare
 // capacity for at least extra more slots.

@@ -424,7 +424,7 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 		} else {
 			pairs = lk.bruteDeltaPairs()
 		}
-		positive := lk.scorePositive(len(pairs), func(k int) uint64 { return pairs[k] })
+		positive := slices.Concat(lk.scorePositive(len(pairs), func(k int) uint64 { return pairs[k] })...)
 		dropped = lk.edges.apply(pairs, positive, cand.Removed, seq)
 		rescored = int64(len(pairs))
 	}
@@ -578,12 +578,12 @@ func FilterLinks(links []Link, thr float64) []Link {
 
 // scorePositive is the one scoring fan-out: it scores the pairs
 // pairAt(0..total-1) across workers and keeps the positive ones, in
-// pairAt's order. Each worker owns a contiguous index range and its own
-// result slot; slots are concatenated in worker order after the barrier,
-// so the merge is deterministic and lock-free. A full rescore hands the
-// result to the edge store whole; a delta one walks it beside the pairs it
+// pairAt's order when its parts are read in turn. Each worker owns a
+// contiguous index range and its own part, so the result is deterministic
+// and lock-free. A full rescore copies the parts into the edge store's new
+// column; a delta one concatenates them and walks that beside the pairs it
 // rescored, so a pair missing from it scored non-positive.
-func (lk *Linker) scorePositive(total int, pairAt func(int) uint64) []scoredPair {
+func (lk *Linker) scorePositive(total int, pairAt func(int) uint64) [][]scoredPair {
 	parts := make([][]scoredPair, lk.cfg.Workers) // Workers is normalized to >= 1
 	par.Chunks(lk.cfg.Workers, total, func(w, lo, hi int) {
 		// Reserving a quarter of the range costs less at the peak than
@@ -598,7 +598,7 @@ func (lk *Linker) scorePositive(total int, pairAt func(int) uint64) []scoredPair
 		}
 		parts[w] = local
 	})
-	return slices.Concat(parts...)
+	return parts
 }
 
 // LinkDatasets runs the full pipeline with one call.

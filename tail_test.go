@@ -54,9 +54,9 @@ func TestPublishTailParityRandomized(t *testing.T) {
 func TestPublishTailRemovalOfTopLink(t *testing.T) {
 	es := edgeStore{idsE: sideTable("e", 4), idsI: sideTable("i", 4)}
 	key := func(u, v uint32) uint64 { return candidates.Key(u, v) }
-	es.resetFull([]scoredPair{
+	es.resetFull([][]scoredPair{{
 		{key(0, 0), 0.95}, {key(1, 1), 0.9}, {key(0, 1), 0.85}, {key(2, 2), 0.2}, {key(3, 3), 0.15},
-	}, 1)
+	}}, 1)
 	tail := publishTail{thr: threshold.Cache{Method: ThresholdGMM}}
 	m, _, _ := tail.publish(&es)
 	if len(m) == 0 || m[0].Score != 0.95 {
