@@ -127,8 +127,7 @@ func Link(dsE, dsI *model.Dataset, p Params) Result {
 		geomV, _ := si.CompiledView(pk.v, &cv)
 		ps := PairScore{U: pk.u, V: pk.v}
 		diverse := make(map[geo.CellID]bool)
-		commonWindows(cu.Windows, cv.Windows, func(ku, kv int) {
-			loU, hiU, loV, hiV := cu.Off[ku], cu.Off[ku+1], cv.Off[kv], cv.Off[kv+1]
+		history.CommonWindows(&cu, &cv, func(_ int64, loU, hiU, loV, hiV int) {
 			res.RecordComparisons += int64(history.SumWeights(cu.Counts[loU:hiU])*history.SumWeights(cv.Counts[loV:hiV]) + 0.5)
 			for _, ci := range cu.Cells[loU:hiU] {
 				a := &geomU[ci]
@@ -212,22 +211,4 @@ func elbowThreshold(cands []PairScore, metric func(PairScore) int) int {
 		thr = 1
 	}
 	return thr
-}
-
-// commonWindows calls fn with the positions in a and b of every window
-// both sorted lists hold.
-func commonWindows(a, b []int64, fn func(ka, kb int)) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			fn(i, j)
-			i++
-			j++
-		}
-	}
 }

@@ -200,9 +200,9 @@ func TestEvidenceMatchesDirectDistance(t *testing.T) {
 		for _, c := range res.Candidates {
 			hu, hv := se.History(c.U), si.History(c.V)
 			co, alibi := 0, 0
-			commonWindows(hu.Windows(), hv.Windows(), func(ku, kv int) {
-				cu, _ := hu.WindowBins(hu.Windows()[ku])
-				cv, _ := hv.WindowBins(hv.Windows()[kv])
+			for _, w := range hu.Windows() {
+				cu, _ := hu.WindowBins(w)
+				cv, _ := hv.WindowBins(w)
 				for _, a := range cu {
 					for _, b := range cv {
 						switch {
@@ -213,7 +213,7 @@ func TestEvidenceMatchesDirectDistance(t *testing.T) {
 						}
 					}
 				}
-			})
+			}
 			if c.Cooccurrences != co || c.AlibiPairs != alibi {
 				t.Errorf("%s: %s-%s has %d co-occurrences and %d alibi pairs, direct count %d and %d",
 					fx.name, c.U, c.V, c.Cooccurrences, c.AlibiPairs, co, alibi)

@@ -125,9 +125,9 @@ type Signature []Row
 // buffer.
 func AppendSignature(dst Signature, h history.History) Signature {
 	dst = dst[:0]
-	for k, row := range h.Windows() {
-		dst = append(dst, Row{Row: row, Cell: h.DominatingCellAt(k)})
-	}
+	h.EachWindow(func(row int64, lo, hi int) {
+		dst = append(dst, Row{Row: row, Cell: h.DominatingCell(lo, hi)})
+	})
 	return dst
 }
 
@@ -181,11 +181,11 @@ func appendBands(dst []bandKey, sig Signature, r int64, numBuckets uint64) []ban
 	return dst
 }
 
-// countBands returns how many keys appendBands makes of a history's rows.
-func countBands(rows []int64, r int64) int {
+// countBands returns how many keys appendBands makes of a signature.
+func countBands(sig Signature, r int64) int {
 	n := 0
-	for i, row := range rows {
-		if i == 0 || bandOf(row, r) != bandOf(rows[i-1], r) {
+	for i, row := range sig {
+		if i == 0 || bandOf(row.Row, r) != bandOf(sig[i-1].Row, r) {
 			n++
 		}
 	}

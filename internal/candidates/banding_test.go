@@ -137,19 +137,10 @@ func TestBandHashMatchesFNVReference(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("r=%d: appendBands=%v fnv reference=%v", r, got, want)
 		}
-		if n := countBands(rowsOf(sig), r); n != len(want) {
+		if n := countBands(sig, r); n != len(want) {
 			t.Fatalf("r=%d: countBands=%d, appendBands made %d keys", r, n, len(want))
 		}
 	}
-}
-
-// rowsOf lists a signature's rows.
-func rowsOf(sig Signature) []int64 {
-	rows := make([]int64, len(sig))
-	for k, row := range sig {
-		rows[k] = row.Row
-	}
-	return rows
 }
 
 // TestAppendSignatureZeroAllocs is the allocation gate of the signature

@@ -675,9 +675,10 @@ func (x *Index) fill(side int) int {
 	n := s.store.Ordinals().Len()
 	s.cover(n)
 	par.Chunks(x.Workers, n, func(_, lo, hi int) {
+		var sig Signature
 		for ord := lo; ord < hi; ord++ {
-			h := s.store.HistoryAt(uint32(ord))
-			s.spans[ord].n = int32(countBands(h.Windows(), x.rows))
+			sig = AppendSignature(sig, s.store.HistoryAt(uint32(ord)))
+			s.spans[ord].n = int32(countBands(sig, x.rows))
 		}
 	})
 	for ord := range s.spans {

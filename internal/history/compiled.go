@@ -6,16 +6,16 @@ import (
 	"slim/internal/par"
 )
 
-// View is the compiled scoring view of one entity's history: five
-// subslices of its store's columns plus the store's two tables, which the
-// similarity scorer runs on. It has History's layout — window k's bins
-// occupy Cells/Counts/DF[Off[k]:Off[k+1]], sorted by ascending cell id —
-// and Windows, Off, Cells and Counts are the history's own columns: a
-// bin's cell is a small integer into the store's cell table (see
-// Store.CompiledViewAt), whose entries carry the geometry the cell
-// distance reads. On top it reads the one column a scoring store compiles
-// for every bin, its document frequency, and the store's table of IDF
-// weights by document frequency.
+// View is the compiled scoring view of one entity's history: four
+// subslices of its store's columns plus the store's window, cell and IDF
+// tables, which the similarity scorer runs on. It has History's layout —
+// the bins sorted by (window, cell), a window's bins one run of the
+// columns, which CommonWindows walks — and its window column, Cells and
+// Counts are the history's own columns: a bin's cell is a small integer
+// into the store's cell table (see Store.CompiledViewAt), whose entries
+// carry the geometry the cell distance reads. On top it reads the one
+// column a scoring store compiles for every bin, its document frequency,
+// and the store's table of IDF weights by document frequency.
 //
 // A view is valid until the next Store.Add to its store, which may move
 // the columns it views, and until the next Compile or CompiledViewAt after
@@ -27,11 +27,7 @@ import (
 // store's epoch, so the segment fails current() and is refilled before
 // CompiledViewAt fills a view.
 type View struct {
-	// Windows are the sorted leaf window indices.
-	Windows []int64
-	// Off bounds each window's bin range: window k owns indices
-	// [Off[k], Off[k+1]) of the parallel columns below.
-	Off []int32
+	windowCol
 	// Cells holds store-dense cell indices, ascending cell-id order within
 	// each window.
 	Cells []int32
@@ -42,6 +38,26 @@ type View struct {
 	// IDFByDF is the store's IDF weight (Eq. 3) of a bin by its document
 	// frequency: bin j weighs IDFByDF[DF[j]].
 	IDFByDF []float64
+}
+
+// CommonWindows is the walk over a pair's common temporal windows: it
+// calls fn for every window both views hold, ascending, with the window's
+// bins [loA, hiA) in a and [loB, hiB) in b, positions into the views'
+// parallel columns.
+func CommonWindows(a, b *View, fn func(window int64, loA, hiA, loB, hiB int)) {
+	winA, winB, tabA, tabB := a.win, b.win, a.windows, b.windows
+	for i, j := 0, 0; i < len(winA) && j < len(winB); {
+		switch wa, wb := tabA[winA[i]], tabB[winB[j]]; {
+		case wa < wb:
+			i = runEnd(winA, i)
+		case wa > wb:
+			j = runEnd(winB, j)
+		default:
+			hiA, hiB := runEnd(winA, i), runEnd(winB, j)
+			fn(wa, i, hiA, j, hiB)
+			i, j = hiA, hiB
+		}
+	}
 }
 
 // SumWeights returns the summed record weight of a run of bins, accumulated
@@ -81,7 +97,7 @@ func (s *Store) Compile(workers int) int {
 	s.allocCompiledLocked()
 	stale := s.stale[:0]
 	for ord := range s.segs {
-		if sg := &s.segs[ord]; sg.nWin > 0 && !s.current(sg) {
+		if sg := &s.segs[ord]; sg.nBin > 0 && !s.current(sg) {
 			stale = append(stale, uint32(ord))
 		}
 	}
@@ -102,7 +118,7 @@ func (s *Store) Compile(workers int) int {
 }
 
 // allocCompiledLocked gives a store its df column on its first compile;
-// from then on it shares the per-bin columns' length and capacity and is
+// from then on it shares the column family's length and capacity and is
 // rewritten with them. Callers hold compMu for writing.
 func (s *Store) allocCompiledLocked() {
 	if s.df == nil {
@@ -153,12 +169,11 @@ func (s *Store) CompiledView(e model.EntityID, v *View) (cells []geo.CellGeom, o
 	return s.CompiledViewAt(ord, v)
 }
 
-// viewLocked fills v with the segment's columns and the IDF table, and
-// returns the cell table. Callers hold compMu.
+// viewLocked fills v with the segment's columns and the window and IDF
+// tables, and returns the cell table. Callers hold compMu.
 func (s *Store) viewLocked(sg *segment, v *View) []geo.CellGeom {
-	w, nw, b, nb := sg.win, sg.nWin, sg.bin, sg.nBin
-	v.Windows = s.windows[w : w+nw : w+nw]
-	v.Off = s.off[w : w+nw+1 : w+nw+1]
+	b, nb := sg.bin, sg.nBin
+	v.windowCol = windowCol{win: s.win[b : b+nb : b+nb], windows: s.windows}
 	v.Cells = s.cells[b : b+nb : b+nb]
 	v.Counts = s.counts[b : b+nb : b+nb]
 	v.DF = s.df[b : b+nb : b+nb]
@@ -183,19 +198,15 @@ func (s *Store) idfTableLocked() {
 }
 
 // fill writes the df column of a segment — how many entities hold each of
-// its bins — and stamps it current. It writes the segment's own range of
-// the column and only reads the rest of the store, so distinct segments
-// fill concurrently.
+// its bins, read from its window's frequencies by the bin's window index —
+// and stamps it current. It writes the segment's own range of the column
+// and only reads the rest of the store, so distinct segments fill
+// concurrently.
 func (s *Store) fill(sg *segment) {
-	cells, df := s.cells[sg.bin:sg.bin+sg.nBin], s.df[sg.bin:sg.bin+sg.nBin]
-	off := s.off[sg.win : sg.win+sg.nWin+1]
-	i := 0 // the windows ascend, so each search starts at the last hit
-	for k, win := range s.windows[sg.win : sg.win+sg.nWin] {
-		var fw freqWindow
-		fw, i = s.freq.window(i, win)
-		for j := off[k]; j < off[k+1]; j++ {
-			df[j] = fw.count(cells[j])
-		}
+	lo, hi := sg.bin, sg.bin+sg.nBin
+	win, df := s.win[lo:hi], s.df[lo:hi]
+	for j, c := range s.cells[lo:hi] {
+		df[j] = s.freq.cols[win[j]].count(c)
 	}
 	sg.filled = s.epoch + 1
 }

@@ -51,17 +51,11 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 		}
 		h := s.History(e)
 		idfs := weights(c)
-		if !slices.Equal(c.Windows, h.Windows()) {
-			t.Fatalf("%s: compiled windows %v, want %v", e, c.Windows, h.Windows())
-		}
+		wins := c.BinWindows()
 		k := 0
-		wi := -1
 		h.Bins(func(b Bin, count float64) {
-			for wi < 0 || c.Windows[wi] != b.Window {
-				wi++
-			}
-			if k >= int(c.Off[wi+1]) || k < int(c.Off[wi]) {
-				t.Fatalf("%s: bin %d outside window %d range [%d,%d)", e, k, wi, c.Off[wi], c.Off[wi+1])
+			if wins[k] != b.Window {
+				t.Fatalf("%s: compiled bin %d in window %d, want %d", e, k, wins[k], b.Window)
 			}
 			if got := cells[c.Cells[k]]; got != geo.GeomOf(b.Cell) {
 				t.Fatalf("%s: compiled cell %v at %d, want %v", e, got, k, b.Cell)
@@ -209,7 +203,7 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 			var a, b View
 			serial.CompiledViewAt(uint32(ord), &a)
 			parallel.CompiledViewAt(uint32(ord), &b)
-			if !slices.Equal(a.Windows, b.Windows) || !slices.Equal(a.Off, b.Off) ||
+			if !slices.Equal(a.BinWindows(), b.BinWindows()) ||
 				!slices.Equal(a.Cells, b.Cells) || !slices.Equal(a.Counts, b.Counts) ||
 				!slices.Equal(a.DF, b.DF) || !slices.Equal(weights(a), weights(b)) {
 				t.Fatalf("step %d: compiled views of %s differ", step, e)
@@ -236,7 +230,7 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	touched := e.Records[0].Entity
 	ord, _ := s.Ordinals().Lookup(touched)
 	added := e.Records[0]
-	added.Unix = (s.freq.windows[len(s.freq.windows)-1] + 1) * w.WidthSeconds
+	added.Unix = (slices.Max(s.windows) + 1) * w.WidthSeconds
 	epoch := s.Epoch()
 	s.Add(added)
 	if s.Epoch() == epoch {
@@ -280,7 +274,7 @@ func TestCompiledViewAtRefreshesConcurrently(t *testing.T) {
 	s := Build(&e, w, 12)
 	s.Compile(1)
 	added := e.Records[0]
-	added.Unix = (s.freq.windows[len(s.freq.windows)-1] + 1) * w.WidthSeconds
+	added.Unix = (slices.Max(s.windows) + 1) * w.WidthSeconds
 	s.Add(added)
 
 	n := len(s.segs)
@@ -328,7 +322,7 @@ func assertViewsMatchBuild(t *testing.T, s *Store, recs []model.Record) {
 		var got, want View
 		gotGeoms, _ := s.CompiledView(id, &got)
 		wantGeoms, _ := fresh.CompiledView(id, &want)
-		if !slices.Equal(got.Windows, want.Windows) || !slices.Equal(got.Off, want.Off) ||
+		if !slices.Equal(got.BinWindows(), want.BinWindows()) ||
 			!slices.Equal(ids(gotGeoms, got.Cells), ids(wantGeoms, want.Cells)) ||
 			!slices.Equal(bits(got.Counts), bits(want.Counts)) || !slices.Equal(bits(weights(got)), bits(weights(want))) {
 			t.Fatalf("%s: the refreshed view differs from a fresh build's", id)

@@ -13,9 +13,19 @@ func (s *Store) IDF(b Bin) float64 {
 		return 0
 	}
 	var df int32
-	if i, ok := s.cellIndex[b.Cell]; ok {
-		fw, _ := s.freq.window(0, b.Window)
-		df = fw.count(i)
+	w, okW := s.windowIndex[b.Window]
+	if i, ok := s.cellIndex[b.Cell]; ok && okW {
+		df = s.freq.cols[w].count(i)
 	}
 	return idf(n, df)
+}
+
+// BinWindows resolves the window of every bin of the view, so tests can
+// compare views of stores that interned their windows in another order.
+func (v *View) BinWindows() []int64 {
+	out := make([]int64, len(v.win))
+	for j, w := range v.win {
+		out[j] = v.windows[w]
+	}
+	return out
 }

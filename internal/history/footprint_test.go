@@ -15,88 +15,115 @@ import (
 	"slim/internal/testenv"
 )
 
-// TestStoreBytesPerBin budgets the retained heap of a 2k-user side at the
-// paper's SM density (≈ 12 records per user, drawn the way the benchmark
-// draws its sides): the scoring store at the similarity level, the same
-// store once every entity is compiled, and the signature store at the LSH
-// level after every signature has been built. A store is columns: per bin
-// a cell and an 8 B weight — the cell an 8 B id on a signature store, a
-// 4 B index into the store's cell table on a scoring store — and 12 B per
-// window (index, offset) — at this density a window holds one bin — plus,
-// per entity, one spare offset slot and a 32 B segment record. The
-// scoring store adds its cell table and the frequency index — 8 B of
-// sorted column per distinct bin plus two slice headers per window, which
-// weigh more here (≈ 10 bins a window) than at paper scale (≈ 140) —
-// which the signature store does not keep. Compiling adds 4 B per bin
-// (the bin's document frequency; its IDF weight is read from a table by
-// it). Dominating-cell queries must leave nothing behind. Cached
-// per-history aggregation levels once made this ≈ 1 KB per bin; per-entity
-// history and view objects made it 42.3, 64.4 and 103.2 B.
+// TestStoreBytesPerBin budgets the retained heap of a side of each
+// generator, drawn the way the benchmark draws its sides: a 2k-user SM
+// side at the paper's density (≈ 12 records per user) and a 100-taxi cab
+// side. Per side it measures the scoring store at the similarity level,
+// the same store once every entity is compiled, and the signature store at
+// the LSH level after every signature has been built. A store is one
+// column family: per bin a 4 B window index into the store's window
+// table, a cell and an 8 B weight — the cell an 8 B id on a signature
+// store, a 4 B index into the store's cell table on a scoring store — plus
+// a 24 B segment record per entity and the window table (an entry per
+// distinct window, few on either side). The scoring store adds its cell
+// table and the frequency index — 8 B of sorted column per distinct bin
+// plus two slice headers per window, which weigh more on the SM side
+// (≈ 10 bins a window) than at paper scale (≈ 140) — which the signature
+// store does not keep. Compiling adds 4 B per bin (the bin's document
+// frequency; its IDF weight is read from a table by it). Dominating-cell
+// queries must leave nothing behind. A cab signature row holds ≈ 94 bins,
+// so the per-bin window index costs it more than the per-window columns
+// it replaced, which cost ≈ 12 B a row, not a bin. Cached per-history
+// aggregation levels once made this ≈ 1 KB per bin; per-entity history
+// and view objects made it 42.3, 64.4 and 103.2 B on the SM side.
 func TestStoreBytesPerBin(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
 	}
-	ground := datagen.SM(datagen.SMConfig{NumUsers: 3070, Seed: 7})
-	e := datagen.Sample(&ground, datagen.SampleConfig{
-		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 8,
-	}).E
-	g := e.GroupByEntity(-1)
-	var sim *history.Store
+	sample := func(ground model.Dataset) model.Grouped {
+		e := datagen.Sample(&ground, datagen.SampleConfig{
+			IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 8,
+		}).E
+		return e.GroupByEntity(-1)
+	}
+	sm := sample(datagen.SM(datagen.SMConfig{NumUsers: 3070, Seed: 7}))
+	cab := sample(datagen.Cab(datagen.CabConfig{NumTaxis: 100, Days: 2, MeanRecordIntervalSec: 180, Seed: 7}))
+	rows := candidates.DefaultParams().RowWindowing(refWindowing)
+	var simSM, simCab *history.Store
+	signed := func(s *history.Store) *history.Store {
+		for _, id := range s.Entities() {
+			h := s.History(id)
+			if sig := candidates.AppendSignature(nil, h); len(sig) != len(h.Windows()) {
+				t.Fatalf("%s: signature of %d rows, want %d", id, len(sig), len(h.Windows()))
+			}
+		}
+		return s // the signatures are garbage by now; the store is not
+	}
 	for _, tc := range []struct {
 		name   string
 		budget float64 // bytes per bin
 		build  func() *history.Store
 	}{
-		// Measured 50.9 B per bin, plus 15 %; 56.1 B with a map from id to
-		// ordinal and a sorted id copy in the store, 64.4 B with a header
-		// object per history.
-		{"scoring store, level 12", 59, func() *history.Store {
-			sim = history.BuildGrouped(&g, refWindowing, 12, 1)
-			return sim
+		// Measured 43.1 B per bin, plus 15 %; 50.9 B with a per-window
+		// family (window, bin offset), 56.1 B with a map from id to ordinal
+		// and a sorted id copy in the store, 64.4 B with a header object
+		// per history.
+		{"SM scoring store, level 12", 50, func() *history.Store {
+			simSM = history.BuildGrouped(&sm, refWindowing, 12, 1)
+			return simSM
 		}},
-		// Measured 55.8 B per bin, plus 15 %; 60.7 B with the id map and
-		// copy, 78.2 B with the cell id kept next to the interned index and
-		// a float64 IDF weight per bin, 103.2 B with a view object per
-		// entity.
-		{"scoring store, compiled", 64, func() *history.Store {
-			s := history.BuildGrouped(&g, refWindowing, 12, 1)
+		// Measured 47.8 B per bin, plus 15 %; 55.8 B with the per-window
+		// family, 60.7 B with the id map and copy, 78.2 B with the cell id
+		// kept next to the interned index and a float64 IDF weight per bin,
+		// 103.2 B with a view object per entity.
+		{"SM scoring store, compiled", 55, func() *history.Store {
+			s := history.BuildGrouped(&sm, refWindowing, 12, 1)
 			s.Compile(1)
 			return s
 		}},
-		// Measured 31.3 B per bin, plus 15 %; 32.6 B with a sorted id copy
-		// in the store, 42.3 B with a header object per history.
-		{"signature store, level 16", 36, func() *history.Store {
-			s := sim.SignatureStore(&g, candidates.DefaultParams().RowWindowing(refWindowing), 16, 1)
-			for _, id := range s.Entities() {
-				h := s.History(id)
-				if sig := candidates.AppendSignature(nil, h); len(sig) != len(h.Windows()) {
-					t.Fatalf("%s: signature of %d rows, want %d", id, len(sig), len(h.Windows()))
-				}
-			}
-			return s // the signatures are garbage by now; the store is not
+		// Measured 23.3 B per bin, plus 15 %; 31.3 B with the per-window
+		// family, 32.6 B with a sorted id copy in the store, 42.3 B with a
+		// header object per history.
+		{"SM signature store, level 16", 27, func() *history.Store {
+			return signed(simSM.SignatureStore(&sm, rows, 16, 1))
+		}},
+		// Measured 28.0 B per bin, plus 15 %; 29.9 B with the per-window
+		// family.
+		{"cab scoring store, level 12", 32, func() *history.Store {
+			simCab = history.BuildGrouped(&cab, refWindowing, 12, 1)
+			return simCab
+		}},
+		// Measured 21.2 B per bin, plus 15 %; 17.2 B with the per-window
+		// family, whose 12 B a row this store's ≈ 94 bins a row shared.
+		{"cab signature store, level 16", 24, func() *history.Store {
+			return signed(simCab.SignatureStore(&cab, rows, 16, 1))
 		}},
 	} {
 		before := testenv.LiveHeap()
 		s := tc.build()
 		after := testenv.LiveHeap()
-		perBin := float64(after-before) / float64(storeBins(s))
-		t.Logf("%s: %d entities, %d bins, %.1f B retained per bin", tc.name, s.NumEntities(), storeBins(s), perBin)
+		bins, windows := storeBins(s)
+		perBin := float64(after-before) / float64(bins)
+		t.Logf("%s: %d entities, %d bins, %.2f a window, %.1f B retained per bin",
+			tc.name, s.NumEntities(), bins, float64(bins)/float64(windows), perBin)
 		if perBin > tc.budget {
 			t.Errorf("%s: retains %.1f B per bin, budget %.0f", tc.name, perBin, tc.budget)
 		}
 		runtime.KeepAlive(s)
 	}
-	runtime.KeepAlive(g)
+	runtime.KeepAlive(sm)
+	runtime.KeepAlive(cab)
 }
 
-// storeBins counts the bins of every history of s.
-func storeBins(s *history.Store) int {
-	bins := 0
+// storeBins counts the bins and the (entity, window) pairs of every
+// history of s.
+func storeBins(s *history.Store) (bins, windows int) {
 	for _, id := range s.Entities() {
 		h := s.History(id)
 		bins += h.NumBins()
+		windows += len(h.Windows())
 	}
-	return bins
+	return bins, windows
 }
 
 // gridSide draws n entities over the same 24 windows, twelve records each,
@@ -138,10 +165,9 @@ func TestBuildAllocatesPerColumnNotPerEntity(t *testing.T) {
 // TestStreamedColumnsStayBounded streams batches that give every entity new
 // windows — so every segment outgrows its room again and again and moves —
 // with a Compile between batches, as a relink does. Dead ranges are
-// reclaimed, a rewrite trims every segment's room and leaves an eighth
-// spare, so the streamed store retains at most 1.25 times what a fresh
-// build over the same records does, and every view is Float64bits-equal
-// to the fresh build's.
+// reclaimed and a rewrite leaves an eighth spare, so the streamed store
+// retains at most 1.25 times what a fresh build over the same records
+// does, and every view is Float64bits-equal to the fresh build's.
 func TestStreamedColumnsStayBounded(t *testing.T) {
 	const entities, batches = 300, 24
 	rec := func(e, k int) model.Record {
@@ -208,7 +234,7 @@ func TestStreamedColumnsStayBounded(t *testing.T) {
 		var got, want history.View
 		gotCells, _ := s.CompiledView(id, &got)
 		wantCells, _ := fresh.CompiledView(id, &want)
-		if !slices.Equal(got.Windows, want.Windows) || !slices.Equal(got.Off, want.Off) ||
+		if !slices.Equal(got.BinWindows(), want.BinWindows()) ||
 			!slices.Equal(bits(got.Counts), bits(want.Counts)) || !slices.Equal(weights(got), weights(want)) {
 			t.Fatalf("%s: the streamed view differs from a fresh build's", id)
 		}

@@ -1,23 +1,19 @@
 package history
 
-import (
-	"maps"
-	"slices"
-)
+import "slices"
 
 // freqIndex is the bin→entity frequency index behind IDF (Eq. 3), laid
-// out like a history of the whole dataset: sorted windows and, per window,
-// the cells some entity holds there, as dense indices into the store's
-// cell table in ascending index order, with the number of entities holding
-// each (df). Every window owns a separately allocated pair of columns, so
-// Store.Add shifts one window's short column and nothing else. A bin costs
-// 8 B of column where an entry of a hash map keyed by the bin costs
-// ≈ 75 B, and a window's columns are where bin → entity postings would
-// hang (ROADMAP item 4).
+// out like a history of the whole dataset: per window of the store's
+// window table, by its dense index, the cells some entity holds there, as
+// dense indices into the store's cell table in ascending index order,
+// with the number of entities holding each (df). Every window owns a
+// separately allocated pair of columns, so Store.Add shifts one window's
+// short column and nothing else. A bin costs 8 B of column where an entry
+// of a hash map keyed by the bin costs ≈ 75 B, and a window's columns are
+// where bin → entity postings would hang (ROADMAP item 4).
 type freqIndex struct {
-	windows []int64
-	cols    []freqWindow // cols[k] belongs to windows[k]
-	maxDF   int32        // the largest df of any bin
+	cols  []freqWindow // cols[w] belongs to the store's window w
+	maxDF int32        // the largest df of any bin
 }
 
 // freqWindow is one window's frequencies: df[j] entities hold cells[j].
@@ -28,41 +24,38 @@ type freqWindow struct {
 
 // newFreqIndex counts, for every bin of the store's histories, the
 // histories holding it, one window at a time: the windows' bin counts size
-// one run each of a shared cell buffer (totalBins long), every history
-// copies its cells into its windows' runs, and each run is sorted and
-// folded into exactly sized columns. A history lists a bin once, so a
-// cell's multiplicity in a run is the bin's entity count. Everything is
-// indexed by the distinct windows seen, never by the range they span:
-// timestamps are untrusted, and two records a century apart occupy two
-// windows.
+// one run each of a shared cell buffer (totalBins long), every bin's cell
+// is copied into its window's run, and each run is sorted and folded into
+// exactly sized columns. A history lists a bin once, so a cell's
+// multiplicity in a run is the bin's entity count. Everything is indexed
+// by the window table, which holds the distinct windows seen, never by the
+// range they span: timestamps are untrusted, and two records a century
+// apart occupy two windows.
 func newFreqIndex(s *Store) *freqIndex {
-	count := make(map[int64]int32) // window → its bins over all histories
-	for ord := range s.segs {
-		h := s.HistoryAt(uint32(ord))
-		for k, win := range h.windows {
-			count[win] += h.off[k+1] - h.off[k]
+	// next[w] is where window w's next cell goes in buf: its bin count,
+	// then the start of its run until the bins are copied in, then the end
+	// of it.
+	next := make([]int32, len(s.windows))
+	for _, sg := range s.segs {
+		for _, w := range s.win[sg.bin : sg.bin+sg.nBin] {
+			next[w]++
 		}
 	}
-	f := &freqIndex{windows: slices.Sorted(maps.Keys(count))}
-	f.cols = make([]freqWindow, len(f.windows))
-	// next[k] is where window k's next cell goes in buf: the start of its
-	// run until the histories are copied in, the end of it afterwards.
-	next := make([]int32, len(f.windows))
-	for k := 1; k < len(next); k++ {
-		next[k] = next[k-1] + count[f.windows[k-1]]
+	var at int32
+	for w, n := range next {
+		next[w], at = at, at+n
 	}
 	buf := make([]int32, s.totalBins)
-	for ord := range s.segs {
-		h := s.HistoryAt(uint32(ord))
-		i := 0 // a history's windows ascend, so each search starts at the last hit
-		for k, win := range h.windows {
-			j, _ := slices.BinarySearch(f.windows[i:], win)
-			i += j
-			next[i] += int32(copy(buf[next[i]:], h.cells[h.off[k]:h.off[k+1]]))
+	for _, sg := range s.segs {
+		for j := sg.bin; j < sg.bin+sg.nBin; j++ {
+			w := s.win[j]
+			buf[next[w]] = s.cells[j]
+			next[w]++
 		}
 	}
+	f := &freqIndex{cols: make([]freqWindow, len(s.windows))}
 	var lo int32
-	for k := range f.windows {
+	for k := range f.cols {
 		run := buf[lo:next[k]]
 		lo = next[k]
 		slices.Sort(run)
@@ -87,18 +80,6 @@ func newFreqIndex(s *Store) *freqIndex {
 	return f
 }
 
-// window returns the frequencies of one window (empty when no entity has
-// a bin there) and its position, searching from position i on: a caller
-// walking ascending windows passes the position the last one returned.
-func (f *freqIndex) window(i int, win int64) (freqWindow, int) {
-	j, ok := slices.BinarySearch(f.windows[i:], win)
-	i += j
-	if !ok {
-		return freqWindow{}, i
-	}
-	return f.cols[i], i
-}
-
 // count returns how many entities hold the cell (a dense index) in this
 // window.
 func (w freqWindow) count(cell int32) int32 {
@@ -110,15 +91,13 @@ func (w freqWindow) count(cell int32) int32 {
 }
 
 // add counts one more entity holding the bin of the cell (a dense index)
-// in the window, inserting the window and the cell in place when they are
-// new.
-func (f *freqIndex) add(win int64, cell int32) {
-	k, ok := slices.BinarySearch(f.windows, win)
-	if !ok {
-		f.windows = slices.Insert(f.windows, k, win)
-		f.cols = slices.Insert(f.cols, k, freqWindow{})
+// in the window (a dense index too), inserting the cell in place when it
+// is new there.
+func (f *freqIndex) add(win, cell int32) {
+	for int(win) >= len(f.cols) {
+		f.cols = append(f.cols, freqWindow{})
 	}
-	w := &f.cols[k]
+	w := &f.cols[win]
 	j, ok := slices.BinarySearch(w.cells, cell)
 	if ok {
 		w.df[j]++

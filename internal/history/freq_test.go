@@ -12,10 +12,27 @@ import (
 	"slim/internal/model"
 )
 
+// freqByWindow is a frequency index keyed by window value rather than by
+// a store's window index, so indexes over stores that interned their
+// windows in different orders compare.
+type freqByWindow struct {
+	cols  map[int64]freqWindow
+	maxDF int32
+}
+
+// byWindow keys the store's frequency index by window value.
+func byWindow(s *Store, f *freqIndex) freqByWindow {
+	out := freqByWindow{cols: map[int64]freqWindow{}, maxDF: f.maxDF}
+	for w, col := range f.cols {
+		out.cols[s.windows[w]] = col
+	}
+	return out
+}
+
 // sortBuildFreqIndex is the build newFreqIndex replaced, kept as its
 // oracle: every bin gathered into one buffer, its cell as the store's
 // dense index, one two-key sort, one fold.
-func sortBuildFreqIndex(s *Store) *freqIndex {
+func sortBuildFreqIndex(s *Store) freqByWindow {
 	type bin struct {
 		win  int64
 		cell int32
@@ -28,19 +45,16 @@ func sortBuildFreqIndex(s *Store) *freqIndex {
 	slices.SortFunc(bins, func(a, b bin) int {
 		return cmp.Or(cmp.Compare(a.win, b.win), cmp.Compare(a.cell, b.cell))
 	})
-	f := &freqIndex{cols: []freqWindow{}}
-	for i, b := range bins {
-		if i == 0 || b.win != bins[i-1].win {
-			f.windows = append(f.windows, b.win)
-			f.cols = append(f.cols, freqWindow{})
-		}
-		w := &f.cols[len(f.cols)-1]
+	f := freqByWindow{cols: map[int64]freqWindow{}}
+	for _, b := range bins {
+		w := f.cols[b.win]
 		if n := len(w.cells); n > 0 && w.cells[n-1] == b.cell {
 			w.df[n-1]++
 		} else {
 			w.cells = append(w.cells, b.cell)
 			w.df = append(w.df, 1)
 		}
+		f.cols[b.win] = w
 		f.maxDF = max(f.maxDF, w.df[len(w.df)-1])
 	}
 	return f
@@ -70,15 +84,15 @@ func TestFreqIndexWindowBuildEqualsSortBuild(t *testing.T) {
 	e := freqTestSide()
 	w := model.Windowing{WidthSeconds: 900}
 	s := Build(&e, w, 12)
-	if len(s.freq.windows) < 100 || s.totalBins < 3000 {
-		t.Fatalf("fixture too small to mean anything: %d windows, %d bins", len(s.freq.windows), s.totalBins)
+	if len(s.windows) < 100 || s.totalBins < 3000 {
+		t.Fatalf("fixture too small to mean anything: %d windows, %d bins", len(s.windows), s.totalBins)
 	}
-	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(s.freq, want) {
+	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(byWindow(s, s.freq), want) {
 		t.Fatal("per-window build differs from the sort build")
 	}
 
 	rng := rand.New(rand.NewSource(13))
-	lo, hi := s.freq.windows[0], s.freq.windows[len(s.freq.windows)-1]
+	lo, hi := slices.Min(s.windows), slices.Max(s.windows)
 	for k := 0; k < 400; k++ {
 		r := e.Records[rng.Intn(len(e.Records))]
 		switch rng.Intn(4) {
@@ -92,7 +106,7 @@ func TestFreqIndexWindowBuildEqualsSortBuild(t *testing.T) {
 		}
 		s.Add(r)
 	}
-	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(s.freq, want) {
+	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(byWindow(s, s.freq), want) {
 		t.Fatal("index after Store.Add differs from a rebuild")
 	}
 	if got := newFreqIndex(s); !reflect.DeepEqual(got, s.freq) {
@@ -108,10 +122,10 @@ func TestFreqIndexSparseWindows(t *testing.T) {
 		{Entity: "b", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 4102444800}, // 2100-01-01
 	}}
 	s := Build(&d, model.Windowing{WidthSeconds: 900}, 12)
-	if got := len(s.freq.windows); got != 2 {
-		t.Fatalf("%d windows indexed, want 2", got)
+	if len(s.windows) != 2 || len(s.freq.cols) != 2 {
+		t.Fatalf("%d windows in the table, %d indexed, want 2", len(s.windows), len(s.freq.cols))
 	}
-	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(s.freq, want) {
+	if want := sortBuildFreqIndex(s); !reflect.DeepEqual(byWindow(s, s.freq), want) {
 		t.Fatal("per-window build differs from the sort build")
 	}
 }

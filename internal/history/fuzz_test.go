@@ -74,7 +74,9 @@ func encodeFuzzRecords(recs []model.Record, prefix func(i int) bool) []byte {
 // BuildGrouped over all of them: the entities, and per window the resolved
 // cells in order and the record weights bit for bit; the average history
 // size, every bin's df and IDF weight, the IDF table and the compiled
-// views.
+// views. Add and a build intern windows in different orders, so views are
+// compared by the windows their bins resolve to; both window tables must
+// hold exactly the distinct windows seen, however far apart.
 //
 // A bin's weight is a sum, and a build sums a bin's records in time
 // order, so the records are split and ordered the way that keeps the sums
@@ -94,6 +96,13 @@ func FuzzStoreAddMatchesBuild(f *testing.F) {
 		rec("b", 37.7, -122.4, math.MaxInt64),
 		rec("a", 37.5, -122.2, 0),
 	}, func(i int) bool { return i == 1 }))
+	const century = 100 * 365.25 * 24 * 3600
+	f.Add(encodeFuzzRecords([]model.Record{
+		rec("a", 37.7, -122.4, 1e9),
+		rec("b", 37.6, -122.3, 1e9+century),
+		rec("a", 37.7, -122.4, 1e9-century),
+		rec("c", 37.5, -122.2, 1e9+century),
+	}, func(i int) bool { return i%2 == 0 }))
 	f.Fuzz(checkAddMatchesBuild)
 }
 
@@ -145,6 +154,31 @@ func checkAddMatchesBuild(t *testing.T, data []byte) {
 	g := (&model.Dataset{Name: "D", Records: all}).GroupByEntity(-1)
 	want := BuildGrouped(&g, testWindowing, 13, 1)
 	assertStoresBitEqual(t, got, want)
+	var seen []int64
+	for _, r := range all {
+		seen = append(seen, testWindowing.Window(r.Unix))
+	}
+	slices.Sort(seen)
+	seen = slices.Compact(seen)
+	assertWindowTable(t, "added", got, seen)
+	assertWindowTable(t, "built", want, seen)
+}
+
+// assertWindowTable requires the store's window table to hold each of the
+// distinct windows seen exactly once, and its index to invert it.
+func assertWindowTable(t *testing.T, name string, s *Store, seen []int64) {
+	t.Helper()
+	if got := slices.Sorted(slices.Values(s.windows)); !slices.Equal(got, seen) {
+		t.Fatalf("%s store's window table holds %v, want the distinct windows %v", name, got, seen)
+	}
+	if len(s.windowIndex) != len(s.windows) {
+		t.Fatalf("%s store indexes %d windows, its table holds %d", name, len(s.windowIndex), len(s.windows))
+	}
+	for i, w := range s.windows {
+		if s.windowIndex[w] != int32(i) {
+			t.Fatalf("%s store's window %d is at %d of its table, indexed at %d", name, w, i, s.windowIndex[w])
+		}
+	}
 }
 
 // assertStoresBitEqual holds every scoring observable of got to want's, bit
@@ -195,7 +229,7 @@ func assertStoresBitEqual(t *testing.T, got, want *Store) {
 			}
 			return out
 		}
-		if !slices.Equal(vg.Windows, vw.Windows) || !slices.Equal(vg.Off, vw.Off) ||
+		if !slices.Equal(vg.BinWindows(), vw.BinWindows()) ||
 			!slices.Equal(ids(tg, vg.Cells), ids(tw, vw.Cells)) || !slices.Equal(bits(vg.Counts), bits(vw.Counts)) ||
 			!slices.Equal(vg.DF, vw.DF) || !slices.Equal(bits(weights(vg)), bits(weights(vw))) {
 			t.Fatalf("%s: compiled view differs from a build's", e)

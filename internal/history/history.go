@@ -10,20 +10,25 @@
 // A Store holds the histories of one location dataset together with the
 // dataset-level statistics the similarity score needs: the bin→entity
 // frequency index behind the IDF component (Eq. 3) — itself sorted columns,
-// one pair per window (freq.go) — and the average history size behind the
-// BM25-style length normalization (Eq. 2).
+// one pair per window of the window table (freq.go) — and the average
+// history size behind the BM25-style length normalization (Eq. 2).
 //
-// A store is columns, not objects. Its per-window columns (window index,
-// bin offset) and per-bin columns (cell, record weight) hold every history
-// back to back; an entity is a fixed-size segment record locating its
-// ranges in them, indexed by ordinal. A History is a small value of
-// subslices of those columns, made on request. A scoring store names a
-// bin's cell by its dense index into the store's cell table, interned when
-// the bin is created, and adds one compiled per-bin column, the bin's
-// document frequency (compiled.go): the compiled scoring view of an entity
-// is five subslices of one store plus its cell and IDF tables, and no
-// per-entity object exists anywhere. A signature store's cells are nearly
-// all distinct, so it keeps the cell ids themselves.
+// A store is columns, not objects: one column family, one entry per bin
+// — the bin's window, its cell and its record weight — holds every
+// history back to back, sorted by (window, cell) within each, and an
+// entity is a 24 B segment record locating its range, indexed by ordinal.
+// A bin names its window by a 4-byte dense index into the store's window
+// table, interned when the first bin in the window is created, so the
+// bins of one window are one run of the columns; outside this package,
+// the walks over a history's windows and over a pair's common windows
+// (EachWindow, CommonWindows) are all that reads that layout. A History is a
+// small value of subslices of the columns, made on request. A scoring
+// store names a bin's cell by its dense index into the store's cell
+// table, interned the same way, and adds one compiled column, the bin's
+// document frequency (compiled.go): the compiled scoring view of an
+// entity is four subslices of one store plus its window, cell and IDF
+// tables, and no per-entity object exists anywhere. A signature store's
+// cells are nearly all distinct, so it keeps the cell ids themselves.
 //
 // Entities are numbered. Each linkage side has one append-only entity
 // table (Ordinals: EntityID ↔ uint32), shared by the side's scoring store
@@ -39,6 +44,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"unsafe"
 
@@ -54,23 +60,40 @@ type Bin struct {
 }
 
 // History is the mobility history of a single entity: a view of its
-// store's columns, sorted by (window, cell). Window k = windows[k] owns the
-// bins [off[k], off[k+1]) of the per-bin columns, cells ascending; len(off)
-// is len(windows)+1. A bin's cell is ids[j] on a signature store and
-// table[cells[j]].ID on a scoring store (see cellAt). A History is valid
-// until the next Store.Add to its store, which may move or shift the
-// columns it views: fetch it per use. The zero History holds no bins; it
-// is what the accessors return for an entity the store holds no history
-// for.
+// store's columns, sorted by (window, cell). Bin j is in window
+// windows[win[j]] (see windowCol) and its cell is ids[j] on a signature
+// store and table[cells[j]].ID on a scoring store (see cellAt). A History
+// is valid until the next Store.Add to its store, which may move or shift
+// the columns it views: fetch it per use. The zero History holds no bins;
+// it is what the accessors return for an entity the store holds no
+// history for.
 type History struct {
 	Entity model.EntityID
 
+	windowCol
+	ids    []geo.CellID
+	cells  []int32
+	table  []geo.CellGeom
+	counts []float64
+}
+
+// windowCol names the window of every bin of a history or view: bin j is
+// in window windows[win[j]], win[j] being the bin's index into its store's
+// window table. The bins ascend by (window, cell), so the bins of one
+// window are one run of equal indices.
+type windowCol struct {
+	win     []int32
 	windows []int64
-	off     []int32
-	ids     []geo.CellID
-	cells   []int32
-	table   []geo.CellGeom
-	counts  []float64
+}
+
+// runEnd returns the end of the run of equal window indices starting at
+// position lo of a window column.
+func runEnd(win []int32, lo int) int {
+	hi := lo + 1
+	for hi < len(win) && win[hi] == win[lo] {
+		hi++
+	}
+	return hi
 }
 
 // binWeight is one (bin, weight) contribution of a record.
@@ -119,13 +142,29 @@ func foldBins(dst, scratch []binWeight, recs []model.Record, w model.Windowing, 
 	return dst, bws
 }
 
-// Windows returns the sorted leaf window indices with at least one record.
-// The returned slice must not be modified.
-func (h *History) Windows() []int64 { return h.windows }
+// EachWindow calls fn for every window of the history, ascending, with
+// the range [lo, hi) of its bins, the positions DominatingCell takes. On a
+// signature store a window is a signature row, so this is the walk over a
+// history's rows.
+func (h *History) EachWindow(fn func(window int64, lo, hi int)) {
+	for lo := 0; lo < len(h.win); {
+		hi := runEnd(h.win, lo)
+		fn(h.windows[h.win[lo]], lo, hi)
+		lo = hi
+	}
+}
+
+// Windows returns the sorted leaf window indices with at least one record,
+// in a new slice.
+func (h *History) Windows() []int64 {
+	var out []int64
+	h.EachWindow(func(w int64, _, _ int) { out = append(out, w) })
+	return out
+}
 
 // cellAt returns the cell of the history's bin j, resolving a scoring
 // store's dense index through the store's cell table.
-func (h *History) cellAt(j int32) geo.CellID {
+func (h *History) cellAt(j int) geo.CellID {
 	if h.table != nil {
 		return h.table[h.cells[j]].ID
 	}
@@ -138,11 +177,11 @@ func (h *History) cellAt(j int32) geo.CellID {
 // a scoring store's are resolved into a new slice. Views must not be
 // modified and are invalidated by the next Store.Add.
 func (h *History) WindowBins(window int64) ([]geo.CellID, []float64) {
-	k, ok := slices.BinarySearch(h.windows, window)
-	if !ok {
+	lo := sort.Search(len(h.win), func(j int) bool { return h.windows[h.win[j]] >= window })
+	if lo == len(h.win) || h.windows[h.win[lo]] != window {
 		return nil, nil
 	}
-	lo, hi := h.off[k], h.off[k+1]
+	hi := runEnd(h.win, lo)
 	if h.table == nil {
 		return h.ids[lo:hi:hi], h.counts[lo:hi:hi]
 	}
@@ -159,24 +198,22 @@ func (h *History) NumBins() int { return len(h.counts) }
 // Bins calls fn for every time-location bin with its record weight, in
 // column order (windows ascending, cells ascending).
 func (h *History) Bins(fn func(Bin, float64)) {
-	for k, win := range h.windows {
-		for j := h.off[k]; j < h.off[k+1]; j++ {
-			fn(Bin{Window: win, Cell: h.cellAt(j)}, h.counts[j])
-		}
+	for j, w := range h.win {
+		fn(Bin{Window: h.windows[w], Cell: h.cellAt(j)}, h.counts[j])
 	}
 }
 
-// DominatingCellAt returns the cell with the highest record weight in the
-// window at position k of Windows(), 0 <= k < len(Windows()). Ties break
+// DominatingCell returns the cell with the highest record weight among
+// the bins [lo, hi) of one window, as EachWindow gives them. Ties break
 // toward the smaller cell id so signatures are deterministic. On a
 // signature store a window is a signature row, so this is the row's
 // dominating cell (Sec. 4).
-func (h *History) DominatingCellAt(k int) geo.CellID {
+func (h *History) DominatingCell(lo, hi int) geo.CellID {
 	var cell geo.CellID
 	bestN := -1.0
 	// Cells ascend within a window, so keeping the first strict maximum is
 	// the smaller-id tie-break.
-	for j := h.off[k]; j < h.off[k+1]; j++ {
+	for j := lo; j < hi; j++ {
 		if h.counts[j] > bestN {
 			cell, bestN = h.cellAt(j), h.counts[j]
 		}
@@ -184,15 +221,12 @@ func (h *History) DominatingCellAt(k int) geo.CellID {
 	return cell
 }
 
-// segment locates one entity's history in its store's columns. The
-// window range [win, win+winRoom) of the per-window columns holds the
-// nWin windows and the nWin+1 bin offsets, relative to the bin range; the
-// bin range [bin, bin+binRoom) of the per-bin columns holds the nBin bins.
-// The rest of each range is room to grow in place. An ordinal the store
-// holds no history for has nWin == 0. Positions are int32: a store holds
-// fewer than 2³¹ windows and bins.
+// segment locates one entity's history in its store's columns: the bin
+// range [bin, bin+binRoom) of the column family holds its nBin bins, and
+// the rest of the range is room to grow in place. An ordinal the store
+// holds no history for has nBin == 0. Positions are int32: a store holds
+// fewer than 2³¹ bins.
 type segment struct {
-	win, nWin, winRoom int32
 	bin, nBin, binRoom int32
 	// filled stamps the df column of the bin range (compiled.go): one past
 	// the store epoch it was written at, so a segment never filled (0)
@@ -223,18 +257,27 @@ type Store struct {
 	segs      []segment
 	nEntities int
 
-	// The per-window and the per-bin column families (see segment); how a
-	// growing segment moves is in incremental.go. A bin's cell is in one
-	// of two columns, by store kind, and the other is nil: a signature
-	// store keeps the cell id (ids), a scoring store its dense index into
-	// the cell table (cells). df is a scoring store's compiled column
-	// (compiled.go), nil until its first compile.
-	windows []int64
-	off     []int32
-	ids     []geo.CellID
-	cells   []int32
-	counts  []float64
-	df      []int32
+	// The column family, one entry per bin (see segment); how a growing
+	// segment moves is in incremental.go. win is the bin's index into the
+	// window table. A bin's cell is in one of two columns, by store kind,
+	// and the other is nil: a signature store keeps the cell id (ids), a
+	// scoring store its dense index into the cell table (cells). df is a
+	// scoring store's compiled column (compiled.go), nil until its first
+	// compile.
+	win    []int32
+	ids    []geo.CellID
+	cells  []int32
+	counts []float64
+	df     []int32
+
+	// The window table: windows[i] is the leaf window (on a signature
+	// store, the signature row) with dense index i, and windowIndex
+	// inverts it. A window is interned when the first bin in it is
+	// created, so the table is append-only, holds each distinct window the
+	// store has seen once however far apart they lie, and an index stays
+	// valid for the store's life.
+	windowIndex map[int64]int32
+	windows     []int64
 
 	// A scoring store's cell table: geoms[i] is the id, centre and
 	// circumradius of the cell with dense index i, and cellIndex inverts
@@ -291,22 +334,26 @@ func (s *Store) SignatureStore(g *model.Grouped, w model.Windowing, spatialLevel
 
 // build lays every entity out back to back, in ordinal order, in columns
 // it allocates once, so it allocates a fixed number of columns, not a set
-// per entity. A first pass bounds each entity's windows and bins from its
-// records alone — a record opens at most one window, a point record at most
-// one bin, a region record one per covering cell — and a second, fanned out
-// over the workers like the first, folds each entity's bins into its
-// bounded ranges. A serial slide then closes the gaps the folding left, in
-// place. Points rarely fold (SM: 365,445 bins of 365,738 records); where
-// they do, so much that the columns' spare capacity passes what a rewrite
-// leaves (see spareDiv), the columns are cloned to size.
+// per entity. A first pass bounds each entity's bins from its records
+// alone — a point record opens at most one bin, a region record one per
+// covering cell — and a second, fanned out over the workers like the
+// first, folds each entity's bins into its bounded range, numbering their
+// windows (and a scoring store's cells) in the order its worker meets
+// them. A serial slide then interns each worker's numbers into the
+// store's tables, in worker order (see firstSight), and closes the gaps
+// the folding left, in place. Points rarely fold (SM: 365,445 bins of
+// 365,738 records); where they do, so much that the columns' spare
+// capacity passes what a rewrite leaves (see spareDiv), the columns are
+// cloned to size.
 func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, workers int, scoring bool) *Store {
 	s := &Store{
-		Name:      g.Name,
-		Windowing: w,
-		Level:     spatialLevel,
-		ords:      ords,
-		segs:      make([]segment, len(g.Entities)),
-		nEntities: len(g.Entities),
+		Name:        g.Name,
+		Windowing:   w,
+		Level:       spatialLevel,
+		ords:        ords,
+		segs:        make([]segment, len(g.Entities)),
+		nEntities:   len(g.Entities),
+		windowIndex: make(map[int64]int32),
 	}
 	for k, e := range g.Entities {
 		if ord := ords.intern(e); int(ord) != k {
@@ -316,66 +363,86 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 	par.Chunks(workers, len(s.segs), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			sg := &s.segs[k]
-			var last int64
-			for i, r := range g.Of(k) {
-				if win := w.Window(r.Unix); i == 0 || win != last {
-					sg.winRoom++ // exact: an entity's records are in time order
-					last = win
-				}
+			for _, r := range g.Of(k) {
 				if r.RadiusKm <= 0 {
 					sg.binRoom++
 				} else {
 					sg.binRoom += int32(len(geo.CoverCapCells(r.LatLng, r.RadiusKm, spatialLevel)))
 				}
 			}
-			sg.winRoom++ // the offset slot past the last window
 		}
 	})
-	var nWin, nBin int32
+	var nBin int32
 	for k := range s.segs {
-		sg := &s.segs[k]
-		sg.win, sg.bin = nWin, nBin
-		nWin, nBin = nWin+sg.winRoom, nBin+sg.binRoom
+		s.segs[k].bin = nBin
+		nBin += s.segs[k].binRoom
 	}
-	// The folded cells are staged as ids; a scoring store interns them
-	// into its own column below and drops the staging one.
-	s.windows, s.off = make([]int64, nWin), make([]int32, nWin)
-	ids := make([]geo.CellID, nBin)
-	s.counts = make([]float64, nBin)
-	par.Chunks(workers, len(s.segs), func(_, lo, hi int) {
+	s.win, s.counts = make([]int32, nBin), make([]float64, nBin)
+	if scoring {
+		s.cellIndex, s.cells = make(map[geo.CellID]int32), make([]int32, nBin)
+	} else {
+		s.ids = make([]geo.CellID, nBin)
+	}
+	type chunk struct {
+		lo, hi  int
+		windows firstSight[int64]
+		cells   firstSight[geo.CellID]
+	}
+	chunks := make([]chunk, max(1, workers))
+	par.Chunks(workers, len(s.segs), func(c, lo, hi int) {
+		ch := &chunks[c]
+		ch.lo, ch.hi = lo, hi
 		var bins, scratch []binWeight
 		for k := lo; k < hi; k++ {
 			bins, scratch = foldBins(bins[:0], scratch, g.Of(k), w, spatialLevel)
 			sg := &s.segs[k]
 			sg.nBin = int32(len(bins))
+			var win int32
 			for j, b := range bins {
 				if j == 0 || b.Window != bins[j-1].Window {
-					s.windows[sg.win+sg.nWin], s.off[sg.win+sg.nWin] = b.Window, int32(j)
-					sg.nWin++
+					win = ch.windows.id(b.Window)
 				}
-				ids[sg.bin+int32(j)], s.counts[sg.bin+int32(j)] = b.Cell, b.weight
+				at := sg.bin + int32(j)
+				s.win[at], s.counts[at] = win, b.weight
+				if scoring {
+					s.cells[at] = ch.cells.id(b.Cell)
+				} else {
+					s.ids[at] = b.Cell
+				}
 			}
-			s.off[sg.win+sg.nWin] = sg.nBin
 		}
 	})
-	nWin, nBin = 0, 0
-	for k := range s.segs {
-		sg := &s.segs[k]
-		copy(s.windows[nWin:], s.windows[sg.win:sg.win+sg.nWin])
-		copy(s.off[nWin:], s.off[sg.win:sg.win+sg.nWin+1])
-		copy(ids[nBin:], ids[sg.bin:sg.bin+sg.nBin])
-		copy(s.counts[nBin:], s.counts[sg.bin:sg.bin+sg.nBin])
-		sg.win, sg.winRoom, sg.bin, sg.binRoom = nWin, sg.nWin+1, nBin, sg.nBin
-		nWin, nBin = nWin+sg.winRoom, nBin+sg.binRoom
+	nBin = 0
+	for c := range chunks {
+		ch := &chunks[c]
+		wins, cells := ch.windows.merge(s.internWindow), ch.cells.merge(s.intern)
+		for k := ch.lo; k < ch.hi; k++ {
+			sg := &s.segs[k]
+			from, to := sg.bin, sg.bin+sg.nBin
+			for j := from; j < to; j++ {
+				s.win[j] = wins[s.win[j]]
+			}
+			copy(s.win[nBin:], s.win[from:to])
+			copy(s.counts[nBin:], s.counts[from:to])
+			if scoring {
+				for j := from; j < to; j++ {
+					s.cells[j] = cells[s.cells[j]]
+				}
+				copy(s.cells[nBin:], s.cells[from:to])
+			} else {
+				copy(s.ids[nBin:], s.ids[from:to])
+			}
+			sg.bin, sg.binRoom = nBin, sg.nBin
+			nBin += sg.nBin
+		}
 	}
-	s.windows, s.off = clipSpare(s.windows[:nWin]), clipSpare(s.off[:nWin])
-	s.counts = clipSpare(s.counts[:nBin])
+	s.win, s.counts = clipSpare(s.win[:nBin]), clipSpare(s.counts[:nBin])
 	s.totalBins = int(nBin)
 	if scoring {
-		s.internBuilt(ids[:nBin])
+		s.cells = clipSpare(s.cells[:nBin])
 		s.freq = newFreqIndex(s)
 	} else {
-		s.ids = clipSpare(ids[:nBin])
+		s.ids = clipSpare(s.ids[:nBin])
 	}
 	if s.nEntities > 0 {
 		s.avgBins = float64(s.totalBins) / float64(s.nEntities)
@@ -383,16 +450,50 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 	return s
 }
 
-// internBuilt gives a scoring store its cell column from the staged ids
-// of its bins, laid out like its counts: serially, in ordinal then column
-// order, each cell is assigned the next dense index on first sight, so the
-// indices are the same for every worker count.
-func (s *Store) internBuilt(ids []geo.CellID) {
-	s.cellIndex = make(map[geo.CellID]int32)
-	s.cells = make([]int32, len(ids), cap(s.counts))
-	for j, id := range ids {
-		s.cells[j] = s.intern(id)
+// firstSight numbers the distinct keys one build worker meets, in the
+// order it meets them. A worker folds a contiguous run of ordinals, so
+// merging the workers' tables in worker order (merge) assigns the store's
+// indices in exactly the order one serial pass over the columns would:
+// the indices are the same for every worker count.
+type firstSight[K comparable] struct {
+	index map[K]int32
+	keys  []K
+}
+
+// id returns the key's number, giving it the next one on first sight.
+func (t *firstSight[K]) id(k K) int32 {
+	if t.index == nil {
+		t.index = make(map[K]int32)
 	}
+	i, ok := t.index[k]
+	if !ok {
+		i = int32(len(t.keys))
+		t.index[k] = i
+		t.keys = append(t.keys, k)
+	}
+	return i
+}
+
+// merge interns the worker's keys into a store table, in the order the
+// worker met them, and returns the store index of each of its numbers.
+func (t *firstSight[K]) merge(intern func(K) int32) []int32 {
+	out := make([]int32, len(t.keys))
+	for i, k := range t.keys {
+		out[i] = intern(k)
+	}
+	return out
+}
+
+// internWindow returns the dense index of a window, appending it to the
+// window table on first sight.
+func (s *Store) internWindow(w int64) int32 {
+	i, ok := s.windowIndex[w]
+	if !ok {
+		i = int32(len(s.windows))
+		s.windowIndex[w] = i
+		s.windows = append(s.windows, w)
+	}
+	return i
 }
 
 // intern returns the dense index of a scoring store's cell, appending the
@@ -436,7 +537,7 @@ func (s *Store) NumEntities() int { return s.nEntities }
 func (s *Store) Entities() []model.EntityID {
 	ids := make([]model.EntityID, 0, s.nEntities)
 	for ord := range s.segs {
-		if s.segs[ord].nWin > 0 {
+		if s.segs[ord].nBin > 0 {
 			ids = append(ids, s.ords.ID(uint32(ord)))
 		}
 	}
@@ -450,7 +551,7 @@ func (s *Store) Ordinals() *Ordinals { return s.ords }
 // segAt returns the segment of an ordinal, or nil if the store holds no
 // history for it.
 func (s *Store) segAt(ord uint32) *segment {
-	if int(ord) >= len(s.segs) || s.segs[ord].nWin == 0 {
+	if int(ord) >= len(s.segs) || s.segs[ord].nBin == 0 {
 		return nil
 	}
 	return &s.segs[ord]
@@ -463,19 +564,18 @@ func (s *Store) HistoryAt(ord uint32) History {
 	if sg == nil {
 		return History{}
 	}
-	w, nw, b, nb := sg.win, sg.nWin, sg.bin, sg.nBin
+	b, nb := sg.bin, sg.nBin
 	return History{
-		Entity:  s.ords.ID(ord),
-		windows: s.windows[w : w+nw : w+nw],
-		off:     s.off[w : w+nw+1 : w+nw+1],
-		ids:     binRange(s.ids, b, nb),
-		cells:   binRange(s.cells, b, nb),
-		table:   s.geoms,
-		counts:  s.counts[b : b+nb : b+nb],
+		Entity:    s.ords.ID(ord),
+		windowCol: windowCol{win: s.win[b : b+nb : b+nb], windows: s.windows},
+		ids:       binRange(s.ids, b, nb),
+		cells:     binRange(s.cells, b, nb),
+		table:     s.geoms,
+		counts:    s.counts[b : b+nb : b+nb],
 	}
 }
 
-// binRange returns the n elements of a per-bin column from position b on,
+// binRange returns the n elements of a column from position b on,
 // or nil for a column the store does not keep.
 func binRange[E any](col []E, b, n int32) []E {
 	if col == nil {
@@ -509,19 +609,19 @@ func idf(n int, df int32) float64 {
 	return math.Log(float64(n) / float64(max(df, 1)))
 }
 
-// ResidentBytes sums the capacities of what the store retains: the window
-// and bin column families (the df column included), the segment table and
-// entity list, the cell table, the frequency index and the IDF table. The
-// side's entity table, which its two stores share, reports its own
-// (Ordinals.ResidentBytes); the id strings both list are the records'.
+// ResidentBytes sums the capacities of what the store retains: the bin
+// column family (the df column included), the segment table and entity
+// list, the window and cell tables, the frequency index and the IDF
+// table. The side's entity table, which its two stores share, reports its
+// own (Ordinals.ResidentBytes); the id strings both list are the records'.
 func (s *Store) ResidentBytes() int64 {
-	n := 8*cap(s.windows) + 4*cap(s.off) + 8*cap(s.ids) + 4*cap(s.cells) +
-		8*cap(s.counts) + 4*cap(s.df) +
+	n := 4*cap(s.win) + 8*cap(s.ids) + 4*cap(s.cells) + 8*cap(s.counts) + 4*cap(s.df) +
 		int(unsafe.Sizeof(segment{}))*cap(s.segs) +
+		8*cap(s.windows) + int(mapBytes(s.windowIndex)) +
 		int(unsafe.Sizeof(geo.CellGeom{}))*cap(s.geoms) + int(mapBytes(s.cellIndex)) +
 		int(unsafe.Sizeof(binWeight{}))*cap(s.addScratch) + 4*cap(s.stale) + 8*cap(s.idfs)
 	if f := s.freq; f != nil {
-		n += 8*cap(f.windows) + int(unsafe.Sizeof(freqWindow{}))*cap(f.cols)
+		n += int(unsafe.Sizeof(freqWindow{})) * cap(f.cols)
 		for _, w := range f.cols {
 			n += 4*cap(w.cells) + 4*cap(w.df)
 		}

@@ -121,8 +121,8 @@ func TestDominatingCellSimple(t *testing.T) {
 	s := Build(&model.Dataset{Name: "t", Records: recs}, model.Windowing{WidthSeconds: 3600}, 12)
 	h := s.History("a")
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12)
-	if got := h.DominatingCellAt(0); len(h.Windows()) != 1 || got != want {
-		t.Errorf("DominatingCellAt(0) = %v over %d windows, want %v over one", got, len(h.Windows()), want)
+	if got := h.dominatingCellAt(0); len(h.Windows()) != 1 || got != want {
+		t.Errorf("dominating cell of window 0 = %v over %d windows, want %v over one", got, len(h.Windows()), want)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestDominatingCellMatchesNaive(t *testing.T) {
 	h := randomHistory(t, rand.New(rand.NewSource(42)), 3000, 64, 13)
 	for k, win := range h.Windows() {
 		want, _ := h.dominatingCellNaive(win)
-		if got := h.DominatingCellAt(k); got != want {
-			t.Fatalf("window %d: DominatingCellAt=%v naive=%v", win, got, want)
+		if got := h.dominatingCellAt(k); got != want {
+			t.Fatalf("window %d: dominating cell %v, naive=%v", win, got, want)
 		}
 	}
 }
@@ -150,7 +150,7 @@ func TestDominatingCellQuickProperty(t *testing.T) {
 	f := func(s uint16) bool {
 		k := int(s) % len(h.Windows())
 		want, ok := h.dominatingCellNaive(h.Windows()[k])
-		return ok && h.DominatingCellAt(k) == want
+		return ok && h.dominatingCellAt(k) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -168,7 +168,7 @@ func TestDominatingCellTieBreak(t *testing.T) {
 	c2 := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.9, Lng: -122.1}, 12)
 	want := min(c1, c2)
 	for i := 0; i < 10; i++ {
-		if got := h.DominatingCellAt(windowOf(t, h, 0)); got != want {
+		if got := h.dominatingCellAt(windowOf(t, h, 0)); got != want {
 			t.Fatalf("tie-break not deterministic: got %v want %v", got, want)
 		}
 	}
@@ -271,7 +271,7 @@ func TestConcurrentDominatingCellQueries(t *testing.T) {
 			okAll := true
 			for i := 0; i < 50; i++ {
 				for k := range want {
-					okAll = okAll && h.DominatingCellAt(k) == want[k]
+					okAll = okAll && h.dominatingCellAt(k) == want[k]
 				}
 			}
 			done <- okAll

@@ -2,9 +2,8 @@ package history
 
 import (
 	"cmp"
-	"slices"
+	"sort"
 
-	"slim/internal/geo"
 	"slim/internal/model"
 )
 
@@ -26,7 +25,7 @@ func (s *Store) Add(rec model.Record) uint32 {
 		s.segs = append(s.segs, segment{})
 	}
 	sg := &s.segs[ord]
-	if sg.nWin == 0 {
+	if sg.nBin == 0 {
 		s.nEntities++
 		s.epoch++ // |U| changed: every compiled segment is stale
 	}
@@ -43,68 +42,51 @@ func (s *Store) Add(rec model.Record) uint32 {
 	return ord
 }
 
-// add folds weight into the segment's bin, inserting its window and cell
-// in place when they are new, and reports whether the bin is new.
+// add folds weight into the segment's bin, inserting it in place when it
+// is new, and reports whether the bin is new.
 func (s *Store) add(sg *segment, b Bin, weight float64) bool {
-	k, ok := slices.BinarySearch(s.windows[sg.win:sg.win+sg.nWin], b.Window)
-	if !ok {
-		s.insertWindow(sg, k, b.Window)
-	}
-	off := s.off[sg.win : sg.win+sg.nWin+1]
-	lo, hi := sg.bin+off[k], sg.bin+off[k+1]
-	j, ok := s.findCell(lo, hi, b.Cell)
-	if ok {
-		s.counts[int(lo)+j] += weight
+	n := int(sg.nBin)
+	j := sort.Search(n, func(j int) bool { return s.compareBin(sg.bin+int32(j), b) >= 0 })
+	if j < n && s.compareBin(sg.bin+int32(j), b) == 0 {
+		s.counts[sg.bin+int32(j)] += weight
 		return false
 	}
-	s.insertBin(sg, int(off[k])+j, b, weight)
-	for i := k + 1; i < len(off); i++ {
-		off[i]++
-	}
+	s.insertBin(sg, j, b, weight)
 	return true
 }
 
-// findCell returns the position of the cell among the ascending bins
-// [lo, hi) of the per-bin columns, and whether it is there. A scoring
-// store compares its dense indices by the cell ids its table gives them.
-func (s *Store) findCell(lo, hi int32, cell geo.CellID) (int, bool) {
+// compareBin orders the store's bin j against b by (window, cell), the
+// order of a segment's bins: the window by the value the window table
+// gives its index, and a scoring store's cell by the id its cell table
+// gives its index.
+func (s *Store) compareBin(j int32, b Bin) int {
+	if c := cmp.Compare(s.windows[s.win[j]], b.Window); c != 0 {
+		return c
+	}
 	if s.freq == nil {
-		return slices.BinarySearch(s.ids[lo:hi], cell)
+		return cmp.Compare(s.ids[j], b.Cell)
 	}
-	return slices.BinarySearchFunc(s.cells[lo:hi], cell, func(i int32, c geo.CellID) int {
-		return cmp.Compare(s.geoms[i].ID, c)
-	})
+	return cmp.Compare(s.geoms[s.cells[j]].ID, b.Cell)
 }
 
-// insertWindow inserts an empty window at position k of the segment.
-func (s *Store) insertWindow(sg *segment, k int, win int64) {
-	if need := sg.nWin + 2; need > sg.winRoom {
-		s.moveWindows(sg, grown(sg.winRoom, need))
-	}
-	n := int(sg.nWin)
-	wins, off := s.windows[sg.win:sg.win+sg.nWin+1], s.off[sg.win:sg.win+sg.nWin+2]
-	copy(wins[k+1:], wins[k:n])
-	wins[k] = win
-	copy(off[k+1:], off[k:n+1]) // off[k] stays: window k starts, and ends, there
-	sg.nWin++
-}
-
-// insertBin inserts a new bin at position j of the segment's bin range;
-// the caller shifts the window offsets past it. A scoring store interns
-// the cell, on first sight, and counts the bin in the frequency index. The
-// df column is not shifted: the new bin moves the epoch, so the segment is
+// insertBin inserts a new bin at position j of the segment's bin range,
+// interning its window on first sight. A scoring store interns the cell,
+// on first sight too, and counts the bin in the frequency index. The df
+// column is not shifted: the new bin moves the epoch, so the segment is
 // refilled before it is read.
 func (s *Store) insertBin(sg *segment, j int, b Bin, weight float64) {
 	if need := sg.nBin + 1; need > sg.binRoom {
 		s.moveBins(sg, grown(sg.binRoom, need))
 	}
 	at, n := int(sg.bin), int(sg.nBin)
+	win := s.internWindow(b.Window)
+	insertAt(s.win, at, j, n, win)
 	if s.freq == nil {
 		insertAt(s.ids, at, j, n, b.Cell)
 	} else {
 		cell := s.intern(b.Cell)
 		insertAt(s.cells, at, j, n, cell)
-		s.freq.add(b.Window, cell)
+		s.freq.add(win, cell)
 	}
 	insertAt(s.counts, at, j, n, weight)
 	sg.nBin++
@@ -128,30 +110,14 @@ func grown(room, need int32) int32 {
 	return room
 }
 
-// moveWindows moves the segment's window range to the end of the
-// per-window columns with the given room; the old range becomes dead.
-func (s *Store) moveWindows(sg *segment, room int32) {
-	if len(s.windows)+int(room) > cap(s.windows) {
-		s.repackWindows(room)
-	}
-	at := int32(len(s.windows))
-	s.windows, s.off = s.windows[:at+room], s.off[:at+room]
-	copy(s.windows[at:], s.windows[sg.win:sg.win+sg.nWin])
-	if sg.nWin == 0 {
-		s.off[at] = 0 // a new history: no window yet, its bins start at 0
-	} else {
-		copy(s.off[at:], s.off[sg.win:sg.win+sg.nWin+1])
-	}
-	sg.win, sg.winRoom = at, room
-}
-
-// moveBins moves the segment's bin range to the end of the per-bin
-// columns with the given room; the old range becomes dead.
+// moveBins moves the segment's bin range to the end of the columns with
+// the given room; the old range becomes dead.
 func (s *Store) moveBins(sg *segment, room int32) {
 	if len(s.counts)+int(room) > cap(s.counts) {
 		s.repackBins(room)
 	}
 	from, n, at := sg.bin, sg.nBin, int32(len(s.counts))
+	s.win = moveRange(s.win, from, n, at, room)
 	s.ids = moveRange(s.ids, from, n, at, room)
 	s.cells = moveRange(s.cells, from, n, at, room)
 	s.counts = moveRange(s.counts, from, n, at, room)
@@ -159,7 +125,7 @@ func (s *Store) moveBins(sg *segment, room int32) {
 	sg.bin, sg.binRoom = at, room
 }
 
-// moveRange extends a per-bin column by room past its end, at, within its
+// moveRange extends a column by room past its end, at, within its
 // capacity, and copies the n elements from position from there. A column
 // the store does not keep (nil) stays nil.
 func moveRange[E any](col []E, from, n, at, room int32) []E {
@@ -172,51 +138,32 @@ func moveRange[E any](col []E, from, n, at, room int32) []E {
 }
 
 // spareDiv sets the spare capacity of a rewritten column family: an
-// eighth of its live room. The columns of a family share one length and
+// eighth of its live room. The columns of the family share one length and
 // one capacity. A segment that moves takes its new range from the spare
 // capacity and leaves its old one dead; the move that finds no capacity
 // left rewrites the family instead of growing it — compactly, in ordinal
 // order, every segment keeping its room — so dead ranges never exceed a
-// ninth of a family, and the rewrite copies less than the reallocation
+// ninth of the family, and the rewrite copies less than the reallocation
 // append would have made. Dead, spare and per-segment room together stay
-// within about a quarter of a family, and a family is rewritten once per
+// within about a quarter of the family, and it is rewritten once per
 // eighth of it moved, not once per relink. (Trimming every segment's room
 // to its live size at a rewrite was measured too: it halved the bytes of
 // room but doubled the rewrites, and serve_fresh's peak did not fall.) A
-// built store has no spare capacity, so its first move rewrites. This runs in Add, not in Compile, because a
-// signature store is never compiled and must stay bounded too.
+// built store has no spare capacity, so its first move rewrites. This
+// runs in Add, not in Compile, because a signature store is never
+// compiled and must stay bounded too.
 const spareDiv = 8
 
-// repackWindows rewrites the per-window columns compactly with spare
-// capacity for at least extra more slots.
-func (s *Store) repackWindows(extra int32) {
-	var live int32
-	for _, sg := range s.segs {
-		live += sg.winRoom
-	}
-	n := live + max(extra, live/spareDiv)
-	windows, off := make([]int64, live, n), make([]int32, live, n)
-	var at int32
-	for k := range s.segs {
-		sg := &s.segs[k]
-		copy(windows[at:], s.windows[sg.win:sg.win+sg.nWin])
-		if sg.winRoom > 0 {
-			copy(off[at:], s.off[sg.win:sg.win+sg.nWin+1])
-		}
-		sg.win, at = at, at+sg.winRoom
-	}
-	s.windows, s.off = windows, off
-}
-
-// repackBins rewrites the per-bin columns compactly with spare capacity
-// for at least extra more bins, the df column included: a compiled
-// segment stays compiled.
+// repackBins rewrites the column family compactly with spare capacity for
+// at least extra more bins, the df column included: a compiled segment
+// stays compiled.
 func (s *Store) repackBins(extra int32) {
 	var live int32
 	for _, sg := range s.segs {
 		live += sg.binRoom
 	}
 	n := live + max(extra, live/spareDiv)
+	s.win = repacked(s.win, s.segs, live, n)
 	s.ids = repacked(s.ids, s.segs, live, n)
 	s.cells = repacked(s.cells, s.segs, live, n)
 	s.counts = repacked(s.counts, s.segs, live, n)
@@ -227,7 +174,7 @@ func (s *Store) repackBins(extra int32) {
 	}
 }
 
-// repacked returns a per-bin column rewritten compactly, in ordinal order,
+// repacked returns a column rewritten compactly, in ordinal order,
 // every segment keeping its room, with capacity n. A column the store does
 // not keep (nil) stays nil.
 func repacked[E any](col []E, segs []segment, live, n int32) []E {

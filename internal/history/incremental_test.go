@@ -95,23 +95,21 @@ func TestIncrementalAddMatchesBuild(t *testing.T) {
 
 // TestIncrementalAddGrowsColumnsByAQuarter streams records into a built
 // store and holds every entity's segment to at most a quarter (plus one)
-// of room beyond what it uses, in both column families, after each Add: a
-// full segment moves with a quarter more room, where append would double a
-// short one. A built segment has no room at all.
+// of room beyond what it uses after each Add: a full segment moves with a
+// quarter more room, where append would double a short one. A built
+// segment has no room at all.
 func TestIncrementalAddGrowsColumnsByAQuarter(t *testing.T) {
 	recs := randomRecords(2000, 3)
 	s := Build(&model.Dataset{Name: "s", Records: recs[:200]}, testWindowing, 13)
 	for ord, sg := range s.segs {
-		if sg.winRoom != sg.nWin+1 || sg.binRoom != sg.nBin {
-			t.Fatalf("built ordinal %d: window room %d for %d windows, bin room %d for %d bins", ord, sg.winRoom, sg.nWin, sg.binRoom, sg.nBin)
+		if sg.binRoom != sg.nBin {
+			t.Fatalf("built ordinal %d: room %d for %d bins", ord, sg.binRoom, sg.nBin)
 		}
 	}
-	bounded := func(n, room int32) bool { return n <= room && room <= n+n/4+1 }
 	for i, r := range recs[200:] {
 		sg := s.segs[s.Add(r)]
-		if !bounded(sg.nWin+1, sg.winRoom) || !bounded(sg.nBin, sg.binRoom) {
-			t.Fatalf("add %d: %s's segment (used/room) windows %d/%d, bins %d/%d",
-				i, r.Entity, sg.nWin+1, sg.winRoom, sg.nBin, sg.binRoom)
+		if sg.nBin > sg.binRoom || sg.binRoom > sg.nBin+sg.nBin/4+1 {
+			t.Fatalf("add %d: %s's segment uses %d bins of %d", i, r.Entity, sg.nBin, sg.binRoom)
 		}
 	}
 }
@@ -136,7 +134,7 @@ func TestIncrementalAddInvalidatesDominatingCells(t *testing.T) {
 	}
 	s := Build(&model.Dataset{Name: "d", Records: base}, wnd, 12)
 	h := s.History("a")
-	if before := h.DominatingCellAt(0); before != geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12) {
+	if before := h.dominatingCellAt(0); before != geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 12) {
 		t.Fatalf("unexpected initial dominating cell %v", before)
 	}
 	// Three records in a different cell now dominate.
@@ -144,14 +142,14 @@ func TestIncrementalAddInvalidatesDominatingCells(t *testing.T) {
 		s.Add(rec("a", 37.5, -122.1, int64(1900+k*100)))
 	}
 	h = s.History("a") // a History is valid until the next Add
-	after := h.DominatingCellAt(0)
+	after := h.dominatingCellAt(0)
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.5, Lng: -122.1}, 12)
 	if len(h.Windows()) != 1 || after != want {
 		t.Fatalf("dominating cell after Add = %v, want %v (stale cache?)", after, want)
 	}
 	// And the naive scan agrees.
 	if naive, _ := h.dominatingCellNaive(0); naive != after {
-		t.Fatalf("naive %v != DominatingCellAt %v", naive, after)
+		t.Fatalf("naive %v != dominating cell %v", naive, after)
 	}
 }
 

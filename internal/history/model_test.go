@@ -4,7 +4,7 @@ import "slim/internal/geo"
 
 // dominatingCellNaive recomputes the dominating cell of one window from
 // the public bin iteration with a plain map; the tests validate
-// DominatingCellAt against it.
+// DominatingCell against it.
 func (h *History) dominatingCellNaive(window int64) (geo.CellID, bool) {
 	counts := make(map[geo.CellID]float64)
 	h.Bins(func(b Bin, n float64) {
@@ -23,4 +23,17 @@ func (h *History) dominatingCellNaive(window int64) (geo.CellID, bool) {
 		}
 	}
 	return best, true
+}
+
+// dominatingCellAt is DominatingCell over the window at position k of
+// Windows(), found with the walk the signature pass uses.
+func (h *History) dominatingCellAt(k int) geo.CellID {
+	var cell geo.CellID
+	h.EachWindow(func(_ int64, lo, hi int) {
+		if k == 0 {
+			cell = h.DominatingCell(lo, hi)
+		}
+		k--
+	})
+	return cell
 }

@@ -176,12 +176,12 @@ func (m *refStore) check(t *testing.T, step string, s *history.Store, rng *rand.
 		}
 
 		// Dominating-cell queries: every window against the naive scan.
-		for k, win := range h.Windows() {
+		h.EachWindow(func(win int64, lo, hi int) {
 			want, _ := m.dominating(e, win, win+1)
-			if got := h.DominatingCellAt(k); got != want {
-				t.Fatalf("%s: %s DominatingCellAt(%d) = %v, naive %v", step, e, k, got, want)
+			if got := h.DominatingCell(lo, hi); got != want {
+				t.Fatalf("%s: %s dominating cell of window %d = %v, naive %v", step, e, win, got, want)
 			}
-		}
+		})
 	}
 }
 

@@ -60,7 +60,7 @@ func TestRegionRecordDominatingCell(t *testing.T) {
 	d := model.Dataset{Name: "r", Records: recs}
 	s := Build(&d, model.Windowing{WidthSeconds: 3600}, 13)
 	h := s.History("a")
-	got := h.DominatingCellAt(0)
+	got := h.dominatingCellAt(0)
 	want := geo.CellIDFromLatLngLevel(geo.LatLng{Lat: 37.7749, Lng: -122.4194}, 13)
 	if len(h.Windows()) != 1 || got != want {
 		t.Errorf("dominating cell = %v, want the 3-point cell %v", got, want)

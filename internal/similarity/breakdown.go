@@ -105,19 +105,14 @@ type recorder struct {
 	par *Params
 	pv  *pairViews
 	// loU / loV are the open window's first bin in each view.
-	loU, loV int32
+	loU, loV int
 	windows  []WindowBreakdown
 }
 
 //go:noinline
-func (r *recorder) open(ku, kv int) {
-	cu, cv := &r.pv.cu, &r.pv.cv
-	r.loU, r.loV = cu.Off[ku], cv.Off[kv]
-	r.windows = append(r.windows, WindowBreakdown{
-		Window: cu.Windows[ku],
-		BinsU:  int(cu.Off[ku+1] - r.loU),
-		BinsV:  int(cv.Off[kv+1] - r.loV),
-	})
+func (r *recorder) open(window int64, loU, hiU, loV, hiV int) {
+	r.loU, r.loV = loU, loV
+	r.windows = append(r.windows, WindowBreakdown{Window: window, BinsU: hiU - loU, BinsV: hiV - loV})
 }
 
 //go:noinline
@@ -131,7 +126,7 @@ func (r *recorder) close(sum float64) {
 // functions of the same inputs.
 func (r *recorder) term(i, j int, distKm, contribution float64, mfn bool) {
 	pv := r.pv
-	bu, bv := int(r.loU)+i, int(r.loV)+j
+	bu, bv := r.loU+i, r.loV+j
 	p := Proximity(distKm, r.par.RunawayKm)
 	weight := 1.0
 	if r.par.UseIDF {

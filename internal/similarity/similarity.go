@@ -10,7 +10,7 @@
 // MFN pass, disabling IDF, and disabling normalization.
 //
 // Scoring runs on the compiled read path of internal/history: flat
-// per-window cell/weight/df arrays instead of the build-time maps, a bin's
+// per-bin cell/weight/df columns instead of the build-time maps, a bin's
 // IDF weight read from its store's table by document frequency, with
 // all per-call state held in pooled per-goroutine scratch buffers. A cell
 // distance is arithmetic on two entries of the stores' cell tables, which
@@ -28,9 +28,9 @@
 //
 // There is one implementation of the window pairing, scoreWindow, reached
 // through one fetch of a pair's views (fetch) and one walk over its common
-// windows (run). ScoreOrd runs it bare; ScoreBreakdown and ProbeRatio run
-// the same code with a recorder attached and read what it added, so the
-// three cannot drift. The map-walking port in parity_test.go is the
+// windows (run, over history.CommonWindows). ScoreOrd runs it bare;
+// ScoreBreakdown and ProbeRatio run the same code with a recorder attached
+// and read what it added, so the three cannot drift. The map-walking port in parity_test.go is the
 // independent oracle.
 package similarity
 
@@ -303,36 +303,26 @@ func (s *Scorer) ScoreOrd(u, v uint32) float64 {
 	return s.run(&s.Par, &pv, nil)
 }
 
-// run is the package's one walk over a pair's common temporal windows: it
-// adds scoreWindow's contribution of each, in window order, under par.
-// Scoring passes a nil rec and the pair's work counters are flushed; a run
+// run adds scoreWindow's contribution of each of a pair's common temporal
+// windows, in window order (history.CommonWindows), under par. Scoring
+// passes a nil rec and the pair's work counters are flushed; a run
 // observed through a recorder is not scoring work, so what it counted in
 // the pooled scratch is dropped and Stats() never moves.
 func (s *Scorer) run(par *Params, pv *pairViews, rec *recorder) float64 {
 	sc := s.pool.Get().(*scratch)
 	var total float64
-	wu, wv := pv.cu.Windows, pv.cv.Windows
-	for i, j := 0, 0; i < len(wu) && j < len(wv); {
-		switch {
-		case wu[i] < wv[j]:
-			i++
-		case wu[i] > wv[j]:
-			j++
-		default:
-			if rec != nil {
-				rec.open(i, j)
-			}
-			// Even an empty window's zero is added, so a recorded run
-			// recomposes term for term.
-			sum := s.scoreWindow(sc, par, pv, i, j, rec)
-			total += sum
-			if rec != nil {
-				rec.close(sum)
-			}
-			i++
-			j++
+	history.CommonWindows(&pv.cu, &pv.cv, func(window int64, loU, hiU, loV, hiV int) {
+		if rec != nil {
+			rec.open(window, loU, hiU, loV, hiV)
 		}
-	}
+		// Even an empty window's zero is added, so a recorded run
+		// recomposes term for term.
+		sum := s.scoreWindow(sc, par, pv, loU, hiU, loV, hiV, rec)
+		total += sum
+		if rec != nil {
+			rec.close(sum)
+		}
+	})
 	if rec == nil {
 		s.flush(sc)
 	} else {
@@ -388,15 +378,14 @@ func sortPairOrder(order []int32, dist []float64) {
 
 // scoreWindow is the package's one implementation of Sec. 3.1.2's window
 // pairing — distance fill, argsort, MNN sweep, MFN sweep, and the all-pairs
-// ablation: it returns the contribution of the common temporal window at
-// index ku of pv.cu and kv of pv.cv under par. A non-nil rec is told every
-// term the moment it is added to the sum (ScoreBreakdown and ProbeRatio
-// read the kernel this way); scoring passes nil and pays the nil checks.
-func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, ku, kv int, rec *recorder) float64 {
+// ablation: it returns the contribution of the common temporal window
+// whose bins are [loU, hiU) of pv.cu and [loV, hiV) of pv.cv under par. A
+// non-nil rec is told every term the moment it is added to the sum
+// (ScoreBreakdown and ProbeRatio read the kernel this way); scoring passes
+// nil and pays the nil checks.
+func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, loU, hiU, loV, hiV int, rec *recorder) float64 {
 	cu, cv := &pv.cu, &pv.cv
-	loU, hiU := cu.Off[ku], cu.Off[ku+1]
-	loV, hiV := cv.Off[kv], cv.Off[kv+1]
-	nU, nV := int(hiU-loU), int(hiV-loV)
+	nU, nV := hiU-loU, hiV-loV
 	if nU == 0 || nV == 0 {
 		return 0
 	}
