@@ -72,7 +72,7 @@ func TestEdgeStoreResidentBytesExact(t *testing.T) {
 
 	check := func(state string) {
 		t.Helper()
-		measured, counted := int64(testenv.LiveHeap()-before), es.statsSnapshot().ResidentBytes
+		measured, counted := testenv.Retained(before), es.statsSnapshot().ResidentBytes
 		t.Logf("%d edges, %s: measured %d B (%.1f per edge), counted %d B (%.1f per edge)",
 			nE*nI, state, measured, float64(measured)/(nE*nI), counted, float64(counted)/(nE*nI))
 		if 10*counted > 11*measured || 10*counted < 9*measured {

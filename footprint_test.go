@@ -88,7 +88,7 @@ func TestLinkerResidentBytesMatchesLiveHeap(t *testing.T) {
 	}
 	check := func(state string, budget float64) {
 		t.Helper()
-		measured := float64(testenv.LiveHeap() - before)
+		measured := float64(testenv.Retained(before))
 		resident := float64(residentBytes(t, state, lk))
 		t.Logf("%s: live heap %.0f B", state, measured)
 		if resident < 0.9*measured || resident > 1.1*measured {
@@ -100,19 +100,23 @@ func TestLinkerResidentBytesMatchesLiveHeap(t *testing.T) {
 		}
 	}
 	lk.Precompile()
-	// Measured 8.57 MB; 10.48 MB when a history store kept a per-window
-	// family (window, bin offset) beside its per-bin one.
-	check("after NewLinker and a compile", 8.7e6)
+	// Measured 8.27 MB; 8.57 MB when a segment carried its own fill
+	// stamp (24 B, not 12) and a compile listed the stale ordinals, 10.48
+	// MB when a history store kept a per-window family (window, bin
+	// offset) beside its per-bin one.
+	check("after NewLinker and a compile", 8.4e6)
 	lk.Run() // the published result is the caller's, not the linker's: dropped here
-	// Measured 8.66 MB, 10.58 with the per-window family.
-	check("after Run", 8.8e6)
+	// Measured 8.37 MB, 8.66 with the per-segment stamp, 10.58 with the
+	// per-window family.
+	check("after Run", 8.5e6)
 	for _, f := range stream {
 		lk.AddE(f[0]...)
 		lk.AddI(f[1]...)
 		lk.Run()
 	}
-	// Measured 11.26 MB, 13.94 with the per-window family.
-	check("after the stream", 11.5e6)
+	// Measured 10.97 MB, 11.26 with the per-segment stamp, 13.94 with the
+	// per-window family.
+	check("after the stream", 11.2e6)
 	runtime.KeepAlive(lk)
 	runtime.KeepAlive(w)
 	runtime.KeepAlive(seedE)

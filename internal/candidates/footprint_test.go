@@ -49,12 +49,12 @@ func TestCandidateIndexBytesPerPair(t *testing.T) {
 	x := New(se, si, p)
 	x.Update(nil, nil)
 	pairs := x.Pairs()
-	after := testenv.LiveHeap()
+	retained := testenv.Retained(before)
 
 	if len(pairs) < 50_000 {
 		t.Fatalf("%d candidate pairs; the per-pair figure would measure per-entity state", len(pairs))
 	}
-	perPair := float64(after-before) / float64(len(pairs))
+	perPair := float64(retained) / float64(len(pairs))
 	t.Logf("%d + %d entities, %d candidate pairs, %.1f B retained per pair", se.NumEntities(), si.NumEntities(), len(pairs), perPair)
 	if perPair > 20 {
 		t.Errorf("index retains %.1f B per candidate pair, budget 20", perPair)
@@ -82,9 +82,9 @@ func TestCandidateIndexBytesPerMembership(t *testing.T) {
 			before := testenv.LiveHeap()
 			x := New(se, si, p)
 			x.Update(nil, nil)
-			after := testenv.LiveHeap()
+			retained := testenv.Retained(before)
 			st := x.Stats()
-			perMembership := float64(after-before-8*uint64(cap(x.pairs))) / float64(st.Memberships)
+			perMembership := float64(retained-8*int64(cap(x.pairs))) / float64(st.Memberships)
 			t.Logf("%d buckets, %d memberships, %.1f B retained per membership without the pair list", st.Buckets, st.Memberships, perMembership)
 			if perMembership > 26.5 {
 				t.Errorf("index retains %.1f B per membership, budget 26.5", perMembership)
@@ -106,7 +106,7 @@ func TestResidentBytesMatchesLiveHeap(t *testing.T) {
 	before := testenv.LiveHeap()
 	x := New(se, si, p)
 	x.Update(nil, nil)
-	measured := float64(testenv.LiveHeap() - before)
+	measured := float64(testenv.Retained(before))
 	resident := float64(x.Stats().ResidentBytes)
 	t.Logf("ResidentBytes %.0f, live heap %.0f", resident, measured)
 	if resident < 0.9*measured || resident > 1.1*measured {

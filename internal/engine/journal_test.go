@@ -159,7 +159,7 @@ func TestRunJournalGrowsToItsBound(t *testing.T) {
 		for range 3 {
 			before := testenv.LiveHeap()
 			j := newJournal(16384)
-			retained = min(retained, int64(testenv.LiveHeap())-int64(before))
+			retained = min(retained, testenv.Retained(before))
 			runtime.KeepAlive(&j)
 		}
 		if retained >= 4<<10 {

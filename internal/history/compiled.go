@@ -19,13 +19,13 @@ import (
 //
 // A view is valid until the next Store.Add to its store, which may move
 // the columns it views, and until the next Compile or CompiledViewAt after
-// an Add that moved the store's epoch, which rewrites its df column in
-// place. Add is not safe concurrently with readers, so a reader never sees
-// either happen; a view must not be held across them: fetch it per use, as
-// every scorer entry point does. The store never hands out a stale one —
-// an Add that moves any document frequency or the entity count moves the
-// store's epoch, so the segment fails current() and is refilled before
-// CompiledViewAt fills a view.
+// an Add that moved the store's epoch, which rewrites its df column and
+// the IDF table in place. Add is not safe concurrently with readers, so a
+// reader never sees either happen; a view must not be held across them:
+// fetch it per use, as every scorer entry point does. The store never
+// hands out a stale one — an Add that moves any document frequency or the
+// entity count moves the store's epoch past its compiled stamp, so
+// CompiledViewAt compiles the store before it fills a view.
 type View struct {
 	windowCol
 	// Cells holds store-dense cell indices, ascending cell-id order within
@@ -71,92 +71,75 @@ func SumWeights(counts []float64) float64 {
 	return recs
 }
 
-// current reports whether the segment's df column is up to date for the
-// store's epoch. Callers hold compMu.
-func (s *Store) current(sg *segment) bool {
-	return sg.filled == s.epoch+1
-}
-
-// Compile refreshes the df column of every entity whose bins' document
-// frequencies may have changed since its last compilation, and returns how
-// many entities were refreshed. A record that lands in an existing bin
-// moves neither the bin set nor any df, so it dirties nothing: the view
-// reads the record weights from the history itself. A new bin or a new
-// entity moves the store's IDF epoch and dirties everything.
+// Compile brings the store's df column up to date with its epoch and
+// returns how many entities it refreshed. Document frequencies and the
+// entity count are dataset-level facts, so the column is current or stale
+// as a whole, and the store keeps one stamp for it: one past the epoch it
+// was last compiled at. A record that lands in an existing bin moves
+// neither the bin set nor any df, so it stales nothing and Compile returns
+// 0: the view reads the record weights from the history itself. A new bin
+// or a new entity moves the epoch, and the next Compile refreshes every
+// entity.
 //
-// The df column of every stale segment (lookups over read-only store
-// state) is written across the given number of workers (below 1 means 1).
-// An epoch-only Compile allocates nothing.
+// The df column (lookups over read-only store state) is written across
+// the given number of workers (below 1 means 1), and the IDF table is
+// rebuilt in place: idf(n, df) for every df from 0 to the store's largest,
+// n its entity count, each entry idf's own result, so a weight read from
+// the table is bit-identical to one computed per bin. A Compile that finds
+// the store current, and one after an epoch move alone, allocate nothing.
 //
 // Rescore calls Compile before fanning scoring across workers, so the
-// parallel phase only ever takes the cheap read-lock path of CompiledView.
+// parallel phase finds the store current and never waits.
 func (s *Store) Compile(workers int) int {
 	s.mustScore("Compile")
 	s.compMu.Lock()
 	defer s.compMu.Unlock()
-	s.allocCompiledLocked()
-	stale := s.stale[:0]
-	for ord := range s.segs {
-		if sg := &s.segs[ord]; sg.nBin > 0 && !s.current(sg) {
-			stale = append(stale, uint32(ord))
-		}
+	if s.compiled.Load() == s.epoch+1 {
+		return 0
 	}
-	s.stale = stale
-	s.idfTableLocked()
-	if workers <= 1 { // inline: the fan-out's closure is an allocation
-		for _, ord := range stale {
-			s.fill(&s.segs[ord])
-		}
-		return len(stale)
-	}
-	par.Chunks(workers, len(stale), func(_, lo, hi int) {
-		for _, ord := range stale[lo:hi] {
-			s.fill(&s.segs[ord])
-		}
-	})
-	return len(stale)
-}
-
-// allocCompiledLocked gives a store its df column on its first compile;
-// from then on it shares the column family's length and capacity and is
-// rewritten with them. Callers hold compMu for writing.
-func (s *Store) allocCompiledLocked() {
 	if s.df == nil {
+		// From its first compile on, the df column shares the column
+		// family's length and capacity and is rewritten with it.
 		s.df = make([]int32, len(s.counts), cap(s.counts))
 	}
+	s.idfs = s.idfs[:0]
+	for df := int32(0); df <= s.freq.maxDF; df++ {
+		s.idfs = append(s.idfs, idf(s.nEntities, df))
+	}
+	if workers <= 1 { // inline: the fan-out's closure is an allocation
+		s.fill(s.segs)
+	} else {
+		par.Chunks(workers, len(s.segs), func(_, lo, hi int) { s.fill(s.segs[lo:hi]) })
+	}
+	s.compiled.Store(s.epoch + 1)
+	return s.nEntities
 }
 
 // CompiledViewAt fills v with the up-to-date compiled view of the entity
 // with the given ordinal and returns the store's cell table: entry i is
 // the id, centre and circumradius of the cell with dense index i. ok is
 // false, and v untouched, if the store holds no history for the ordinal.
-// A stale entity is refilled on the spot, so callers need no prior
-// Compile; the table is append-only, so indices held by any view remain
-// valid in every later table. Safe for concurrent use by scorers; like all
-// reads, not safe concurrently with Add.
+// A store behind its epoch is compiled on the spot, once, so callers need
+// no prior Compile: concurrent first readers wait on the compile and find
+// the store current. The cell table is append-only, so indices held by any
+// view remain valid in every later table. Safe for concurrent use by
+// scorers; like all reads, not safe concurrently with Add.
 func (s *Store) CompiledViewAt(ord uint32, v *View) (cells []geo.CellGeom, ok bool) {
 	s.mustScore("CompiledViewAt")
 	sg := s.segAt(ord)
 	if sg == nil {
 		return nil, false
 	}
-	s.compMu.RLock()
-	if s.current(sg) {
-		cells = s.viewLocked(sg, v)
-		s.compMu.RUnlock()
-		return cells, true
+	if s.compiled.Load() != s.epoch+1 {
+		s.Compile(1)
 	}
-	s.compMu.RUnlock()
-
-	s.compMu.Lock()
-	if !s.current(sg) {
-		s.allocCompiledLocked()
-		s.idfTableLocked()
-		s.fill(sg)
-	}
-	cells = s.viewLocked(sg, v)
-	s.compMu.Unlock()
-	return cells, true
+	b, nb := sg.bin, sg.nBin
+	v.windowCol = windowCol{win: s.win[b : b+nb : b+nb], windows: s.windows}
+	v.Cells = s.cells[b : b+nb : b+nb]
+	v.Counts = s.counts[b : b+nb : b+nb]
+	v.DF = s.df[b : b+nb : b+nb]
+	v.IDFByDF = s.idfs[:len(s.idfs):len(s.idfs)]
+	return s.geoms, true
 }
 
 // CompiledView is CompiledViewAt by entity id (ok is false if e is
@@ -169,44 +152,16 @@ func (s *Store) CompiledView(e model.EntityID, v *View) (cells []geo.CellGeom, o
 	return s.CompiledViewAt(ord, v)
 }
 
-// viewLocked fills v with the segment's columns and the window and IDF
-// tables, and returns the cell table. Callers hold compMu.
-func (s *Store) viewLocked(sg *segment, v *View) []geo.CellGeom {
-	b, nb := sg.bin, sg.nBin
-	v.windowCol = windowCol{win: s.win[b : b+nb : b+nb], windows: s.windows}
-	v.Cells = s.cells[b : b+nb : b+nb]
-	v.Counts = s.counts[b : b+nb : b+nb]
-	v.DF = s.df[b : b+nb : b+nb]
-	v.IDFByDF = s.idfs[:len(s.idfs):len(s.idfs)]
-	return s.geoms
-}
-
-// idfTableLocked brings the IDF table up to date: idf(n, df) for every df
-// from 0 to the store's largest, n its entity count. When n moved it
-// starts a new table rather than overwrite the one a view may hold; when
-// only the largest df grew it appends, past the end of every view's
-// table. Each entry is idf's own result, so a weight read from the table
-// is bit-identical to one computed per bin. Callers hold compMu for
-// writing.
-func (s *Store) idfTableLocked() {
-	if n := s.nEntities; n != s.idfsN {
-		s.idfs, s.idfsN = nil, n
+// fill writes the df column of a run of segments — how many entities hold
+// each of their bins, read from the bin's window's frequencies by its
+// window index. It writes the segments' own ranges of the column and only
+// reads the rest of the store, so distinct runs fill concurrently.
+func (s *Store) fill(segs []segment) {
+	for _, sg := range segs {
+		lo, hi := sg.bin, sg.bin+sg.nBin
+		win, df := s.win[lo:hi], s.df[lo:hi]
+		for j, c := range s.cells[lo:hi] {
+			df[j] = s.freq.cols[win[j]].count(c)
+		}
 	}
-	for df := int32(len(s.idfs)); df <= s.freq.maxDF; df++ {
-		s.idfs = append(s.idfs, idf(s.idfsN, df))
-	}
-}
-
-// fill writes the df column of a segment — how many entities hold each of
-// its bins, read from its window's frequencies by the bin's window index —
-// and stamps it current. It writes the segment's own range of the column
-// and only reads the rest of the store, so distinct segments fill
-// concurrently.
-func (s *Store) fill(sg *segment) {
-	lo, hi := sg.bin, sg.bin+sg.nBin
-	win, df := s.win[lo:hi], s.df[lo:hi]
-	for j, c := range s.cells[lo:hi] {
-		df[j] = s.freq.cols[win[j]].count(c)
-	}
-	sg.filled = s.epoch + 1
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"slim/internal/geo"
 	"slim/internal/model"
@@ -195,11 +196,11 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 		if !slices.Equal(serial.geoms, parallel.geoms) {
 			t.Fatalf("step %d: dense cell-id tables differ", step)
 		}
+		if serial.compiled.Load() != serial.epoch+1 || parallel.compiled.Load() != parallel.epoch+1 {
+			t.Fatalf("step %d: a compiled store is stamped behind its epoch", step)
+		}
 		for ord := range serial.segs {
 			e := serial.ords.ID(uint32(ord))
-			if !serial.current(&serial.segs[ord]) || !parallel.current(&parallel.segs[ord]) {
-				t.Fatalf("step %d: %s has no current compiled view", step, e)
-			}
 			var a, b View
 			serial.CompiledViewAt(uint32(ord), &a)
 			parallel.CompiledViewAt(uint32(ord), &b)
@@ -218,7 +219,8 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 // the touched entity's cells change — every other keeps its bin range and
 // its interned cells — and every view's IDF weights are bit for bit those
 // of a fresh Build over the same records. A Compile after nothing but an
-// epoch move rewrites the df column in place and allocates nothing.
+// epoch move rewrites the df column in place and allocates nothing, and
+// so does one that finds the store current.
 func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	e := freqTestSide()
 	w := model.Windowing{WidthSeconds: 900}
@@ -257,17 +259,52 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 		if n := s.Compile(1); n != s.NumEntities() {
 			t.Fatalf("an epoch-only Compile refreshed %d views, want all %d", n, s.NumEntities())
 		}
+		if n := s.Compile(1); n != 0 {
+			t.Fatalf("a Compile of a current store refreshed %d views, want 0", n)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("an epoch-only Compile over %d entities allocates %.1f times, want 0", s.NumEntities(), allocs)
 	}
 }
 
+// TestCompiledViewAtCompilesTheWholeStore pins that freshness is a fact
+// of the store, not of an entity: after an epoch move, one CompiledViewAt
+// compiles every entity, so a following Compile finds nothing to do, and
+// every view then matches a fresh Build's bit for bit. A segment is its
+// bin range and room alone.
+func TestCompiledViewAtCompilesTheWholeStore(t *testing.T) {
+	if n := unsafe.Sizeof(segment{}); n != 12 {
+		t.Fatalf("a segment is %d B, want 12: it locates a bin range and its room, nothing more", n)
+	}
+	e := freqTestSide()
+	w := model.Windowing{WidthSeconds: 900}
+	s := Build(&e, w, 12)
+	s.Compile(1)
+	added := e.Records[0]
+	added.Unix = (slices.Max(s.windows) + 1) * w.WidthSeconds
+	epoch := s.Epoch()
+	s.Add(added)
+	if s.Epoch() == epoch {
+		t.Fatal("the added record opened no bin")
+	}
+	var v View
+	last := uint32(len(s.segs) - 1)
+	if _, ok := s.CompiledViewAt(last, &v); !ok {
+		t.Fatalf("no view for ordinal %d", last)
+	}
+	if n := s.Compile(1); n != 0 {
+		t.Fatalf("Compile after one CompiledViewAt refreshed %d entities, want 0", n)
+	}
+	assertViewsMatchBuild(t, s, append(slices.Clone(e.Records), added))
+}
+
 // TestCompiledViewAtRefreshesConcurrently lets scorers race the lazy
-// refresh: after an epoch move and no Compile, goroutines fetch every view
+// compile: after an epoch move and no Compile, goroutines fetch every view
 // from different starting points, reading each as they go, and every view
-// must then match a fresh Build's. Run under -race it is the
-// data-race gate of refreshing views in place.
+// must then match a fresh Build's. The first fetch compiles the store and
+// the others wait on it; run under -race this is the data-race gate of
+// compiling the store in place under concurrent readers.
 func TestCompiledViewAtRefreshesConcurrently(t *testing.T) {
 	e := freqTestSide()
 	w := model.Windowing{WidthSeconds: 900}

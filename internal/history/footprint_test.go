@@ -24,7 +24,7 @@ import (
 // column family: per bin a 4 B window index into the store's window
 // table, a cell and an 8 B weight — the cell an 8 B id on a signature
 // store, a 4 B index into the store's cell table on a scoring store — plus
-// a 24 B segment record per entity and the window table (an entry per
+// a 12 B segment record per entity and the window table (an entry per
 // distinct window, few on either side). The scoring store adds its cell
 // table and the frequency index — 8 B of sorted column per distinct bin
 // plus two slice headers per window, which weigh more on the SM side
@@ -64,46 +64,49 @@ func TestStoreBytesPerBin(t *testing.T) {
 		budget float64 // bytes per bin
 		build  func() *history.Store
 	}{
-		// Measured 43.1 B per bin, plus 15 %; 50.9 B with a per-window
-		// family (window, bin offset), 56.1 B with a map from id to ordinal
-		// and a sorted id copy in the store, 64.4 B with a header object
-		// per history.
-		{"SM scoring store, level 12", 50, func() *history.Store {
+		// Measured 42.1 B per bin, plus 15 %; 43.1 B with a 24 B segment
+		// (a per-entity fill stamp), 50.9 B with a per-window family
+		// (window, bin offset), 56.1 B with a map from id to ordinal and a
+		// sorted id copy in the store, 64.4 B with a header object per
+		// history.
+		{"SM scoring store, level 12", 48, func() *history.Store {
 			simSM = history.BuildGrouped(&sm, refWindowing, 12, 1)
 			return simSM
 		}},
-		// Measured 47.8 B per bin, plus 15 %; 55.8 B with the per-window
+		// Measured 46.4 B per bin, plus 15 %; 47.8 B with the 24 B
+		// segment and a list of stale ordinals, 55.8 B with the per-window
 		// family, 60.7 B with the id map and copy, 78.2 B with the cell id
 		// kept next to the interned index and a float64 IDF weight per bin,
 		// 103.2 B with a view object per entity.
-		{"SM scoring store, compiled", 55, func() *history.Store {
+		{"SM scoring store, compiled", 53, func() *history.Store {
 			s := history.BuildGrouped(&sm, refWindowing, 12, 1)
 			s.Compile(1)
 			return s
 		}},
-		// Measured 23.3 B per bin, plus 15 %; 31.3 B with the per-window
-		// family, 32.6 B with a sorted id copy in the store, 42.3 B with a
-		// header object per history.
-		{"SM signature store, level 16", 27, func() *history.Store {
+		// Measured 22.3 B per bin, plus 15 %; 23.3 B with the 24 B
+		// segment, 31.3 B with the per-window family, 32.6 B with a sorted
+		// id copy in the store, 42.3 B with a header object per history.
+		{"SM signature store, level 16", 26, func() *history.Store {
 			return signed(simSM.SignatureStore(&sm, rows, 16, 1))
 		}},
-		// Measured 28.0 B per bin, plus 15 %; 29.9 B with the per-window
-		// family.
+		// Measured 27.9 B per bin, plus 15 %; 28.0 B with the 24 B
+		// segment, 29.9 B with the per-window family.
 		{"cab scoring store, level 12", 32, func() *history.Store {
 			simCab = history.BuildGrouped(&cab, refWindowing, 12, 1)
 			return simCab
 		}},
-		// Measured 21.2 B per bin, plus 15 %; 17.2 B with the per-window
-		// family, whose 12 B a row this store's ≈ 94 bins a row shared.
+		// Measured 21.2 B per bin (21.4 in some runs), plus 15 %; 17.2 B
+		// with the per-window family, whose 12 B a row this store's ≈ 94
+		// bins a row shared.
 		{"cab signature store, level 16", 24, func() *history.Store {
 			return signed(simCab.SignatureStore(&cab, rows, 16, 1))
 		}},
 	} {
 		before := testenv.LiveHeap()
 		s := tc.build()
-		after := testenv.LiveHeap()
+		retained := testenv.Retained(before)
 		bins, windows := storeBins(s)
-		perBin := float64(after-before) / float64(bins)
+		perBin := float64(retained) / float64(bins)
 		t.Logf("%s: %d entities, %d bins, %.2f a window, %.1f B retained per bin",
 			tc.name, s.NumEntities(), bins, float64(bins)/float64(windows), perBin)
 		if perBin > tc.budget {
@@ -205,11 +208,11 @@ func TestStreamedColumnsStayBounded(t *testing.T) {
 		}
 		s.Compile(1)
 	}
-	streamed := testenv.LiveHeap() - before
+	streamed := testenv.Retained(before)
 	before = testenv.LiveHeap()
 	fresh := history.BuildGrouped(&gAll, refWindowing, 12, 1)
 	fresh.Compile(1)
-	built := testenv.LiveHeap() - before
+	built := testenv.Retained(before)
 	ratio := float64(streamed) / float64(built)
 	t.Logf("streamed store retains %d B, a fresh build %d B (%.2fx)", streamed, built, ratio)
 	if !testenv.RaceEnabled && ratio > 1.25 {

@@ -16,7 +16,7 @@
 // A store is columns, not objects: one column family, one entry per bin
 // — the bin's window, its cell and its record weight — holds every
 // history back to back, sorted by (window, cell) within each, and an
-// entity is a 24 B segment record locating its range, indexed by ordinal.
+// entity is a 12 B segment record locating its range, indexed by ordinal.
 // A bin names its window by a 4-byte dense index into the store's window
 // table, interned when the first bin in the window is created, so the
 // bins of one window are one run of the columns; outside this package,
@@ -27,8 +27,12 @@
 // table, interned the same way, and adds one compiled column, the bin's
 // document frequency (compiled.go): the compiled scoring view of an
 // entity is four subslices of one store plus its window, cell and IDF
-// tables, and no per-entity object exists anywhere. A signature store's
-// cells are nearly all distinct, so it keeps the cell ids themselves.
+// tables, and no per-entity object exists anywhere. Document frequencies
+// are dataset-level, so the column is compiled for the whole store at
+// once, and the store keeps one stamp of the epoch it was compiled at; a
+// view fetch reads it with one atomic load and takes no lock. A signature
+// store's cells are nearly all distinct, so it keeps the cell ids
+// themselves.
 //
 // Entities are numbered. Each linkage side has one append-only entity
 // table (Ordinals: EntityID ↔ uint32), shared by the side's scoring store
@@ -46,6 +50,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"slim/internal/geo"
@@ -228,10 +233,6 @@ func (h *History) DominatingCell(lo, hi int) geo.CellID {
 // fewer than 2³¹ bins.
 type segment struct {
 	bin, nBin, binRoom int32
-	// filled stamps the df column of the bin range (compiled.go): one past
-	// the store epoch it was written at, so a segment never filled (0)
-	// never reads as current.
-	filled uint64
 }
 
 // Store holds the mobility histories of one location dataset plus the
@@ -292,21 +293,20 @@ type Store struct {
 	totalBins int
 
 	// epoch versions the dataset-level IDF inputs (entity count, bin
-	// frequencies). Any change invalidates every compiled segment, because
-	// the document frequencies in them may have shifted; see compiled.go.
+	// frequencies). Any change stales the whole df column, because any
+	// document frequency in it may have shifted; see compiled.go.
 	epoch uint64
 
 	// addScratch is Add's reused bin-contribution buffer.
 	addScratch []binWeight
 
-	// Compiled read path (compiled.go). compMu lets concurrent scorers
-	// take the read path while lazy refills serialize on the write side;
-	// it also guards Compile's reused list of stale ordinals and the IDF
-	// table (see idfTableLocked).
-	compMu sync.RWMutex
-	stale  []uint32
-	idfs   []float64
-	idfsN  int
+	// Compiled read path (compiled.go). compiled is one past the epoch the
+	// df column and the IDF table idfs were last compiled at (0: never),
+	// read by every view fetch; compMu serializes the compiles that write
+	// them.
+	compiled atomic.Uint64
+	compMu   sync.Mutex
+	idfs     []float64
 }
 
 // Build constructs the histories of every entity of the dataset at the
@@ -619,7 +619,7 @@ func (s *Store) ResidentBytes() int64 {
 		int(unsafe.Sizeof(segment{}))*cap(s.segs) +
 		8*cap(s.windows) + int(mapBytes(s.windowIndex)) +
 		int(unsafe.Sizeof(geo.CellGeom{}))*cap(s.geoms) + int(mapBytes(s.cellIndex)) +
-		int(unsafe.Sizeof(binWeight{}))*cap(s.addScratch) + 4*cap(s.stale) + 8*cap(s.idfs)
+		int(unsafe.Sizeof(binWeight{}))*cap(s.addScratch) + 8*cap(s.idfs)
 	if f := s.freq; f != nil {
 		n += int(unsafe.Sizeof(freqWindow{})) * cap(f.cols)
 		for _, w := range f.cols {

@@ -27,7 +27,7 @@ func (s *Store) Add(rec model.Record) uint32 {
 	sg := &s.segs[ord]
 	if sg.nBin == 0 {
 		s.nEntities++
-		s.epoch++ // |U| changed: every compiled segment is stale
+		s.epoch++ // |U| changed: the compiled df column is stale
 	}
 
 	win := s.Windowing.Window(rec.Unix)
@@ -35,7 +35,7 @@ func (s *Store) Add(rec model.Record) uint32 {
 	for _, bw := range s.addScratch {
 		if s.add(sg, bw.Bin, bw.weight) {
 			s.totalBins++
-			s.epoch++ // bin frequency changed: every compiled segment is stale
+			s.epoch++ // bin frequency changed: the compiled df column is stale
 		}
 	}
 	s.avgBins = float64(s.totalBins) / float64(s.nEntities)
@@ -72,8 +72,8 @@ func (s *Store) compareBin(j int32, b Bin) int {
 // insertBin inserts a new bin at position j of the segment's bin range,
 // interning its window on first sight. A scoring store interns the cell,
 // on first sight too, and counts the bin in the frequency index. The df
-// column is not shifted: the new bin moves the epoch, so the segment is
-// refilled before it is read.
+// column is not shifted: the new bin moves the epoch, so the store is
+// compiled before the column is read.
 func (s *Store) insertBin(sg *segment, j int, b Bin, weight float64) {
 	if need := sg.nBin + 1; need > sg.binRoom {
 		s.moveBins(sg, grown(sg.binRoom, need))
@@ -155,7 +155,7 @@ func moveRange[E any](col []E, from, n, at, room int32) []E {
 const spareDiv = 8
 
 // repackBins rewrites the column family compactly with spare capacity for
-// at least extra more bins, the df column included: a compiled segment
+// at least extra more bins, the df column included: a compiled store
 // stays compiled.
 func (s *Store) repackBins(extra int32) {
 	var live int32

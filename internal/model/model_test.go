@@ -351,7 +351,7 @@ func TestReadCSVInternsEntityIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := testenv.LiveHeap()
+	retained := testenv.Retained(before)
 	runtime.KeepAlive(buf) // live across both readings, so it cancels out
 	if len(d.Records) != records {
 		t.Fatalf("read %d records, want %d", len(d.Records), records)
@@ -362,7 +362,7 @@ func TestReadCSVInternsEntityIDs(t *testing.T) {
 			t.Fatalf("records %d and %d of %s do not share their id's bytes", k-1, k, a)
 		}
 	}
-	perRecord := float64(after-before) / records
+	perRecord := float64(retained) / records
 	t.Logf("%.1f B retained per record (a Record is %d B)", perRecord, unsafe.Sizeof(Record{}))
 	if perRecord >= 60 {
 		t.Errorf("load retains %.1f B per record, want < 60", perRecord)

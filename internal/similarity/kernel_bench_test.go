@@ -118,7 +118,7 @@ func TestScorerRetainsNothingPerCellPair(t *testing.T) {
 		_ = scoreManyCellsPair(s, p)
 	}
 	sc := s.pool.Get().(*scratch)
-	after := testenv.LiveHeap()
+	retained := testenv.Retained(before)
 	if cap(sc.dist) == 0 {
 		t.Fatal("the pool handed out a fresh scratch: the one scoring used was not measured")
 	}
@@ -128,7 +128,7 @@ func TestScorerRetainsNothingPerCellPair(t *testing.T) {
 		t.Fatalf("fixture lost its shape: %+v", st)
 	}
 	const budget = 64 << 10
-	if retained := int64(after) - int64(before); retained > budget {
+	if retained > budget {
 		t.Fatalf("scorer and scratch retain %d B after %d entity pairs, budget %d B", retained, pairs, budget)
 	}
 }

@@ -23,8 +23,10 @@
 //
 // The pair-scale entry point is ScoreOrd, over the two sides' entity
 // ordinals (history.Ordinals): it reaches both compiled views and both
-// normalization factors by slice index. Score, ProbeRatio and
-// ScoreBreakdown take entity ids and resolve them once.
+// normalization factors by slice index. A store is compiled as a whole
+// (one stamp per store against its IDF epoch), so a view fetch is one
+// atomic load and takes no lock once the store is current. Score,
+// ProbeRatio and ScoreBreakdown take entity ids and resolve them once.
 //
 // There is one implementation of the window pairing, scoreWindow, reached
 // through one fetch of a pair's views (fetch) and one walk over its common

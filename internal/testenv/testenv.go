@@ -11,13 +11,22 @@ package testenv
 import "runtime"
 
 // LiveHeap returns the bytes of heap still reachable after a full
-// collection: the before/after reading of the footprint tests.
+// collection: the before reading of the footprint tests, whose after
+// reading is Retained.
 func LiveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// Retained returns the bytes of live heap gained since the LiveHeap
+// reading before, signed: a heap that shrank in between reads negative,
+// where the difference of the two unsigned readings would wrap to about
+// 1.8e19 and pass any ratio or fail any budget for the wrong reason.
+func Retained(before uint64) int64 {
+	return int64(LiveHeap()) - int64(before)
 }
 
 // LeastAllocated runs f three times and returns the fewest bytes one run
