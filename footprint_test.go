@@ -100,23 +100,25 @@ func TestLinkerResidentBytesMatchesLiveHeap(t *testing.T) {
 		}
 	}
 	lk.Precompile()
-	// Measured 8.27 MB; 8.57 MB when a segment carried its own fill
-	// stamp (24 B, not 12) and a compile listed the stale ordinals, 10.48
-	// MB when a history store kept a per-window family (window, bin
-	// offset) beside its per-bin one.
-	check("after NewLinker and a compile", 8.4e6)
+	// Measured 7.78 MB; 8.27 MB when a scoring store kept a frequency
+	// index (per window, the cells held and their df) beside its columns,
+	// 8.57 MB when a segment carried its own fill stamp (24 B, not 12) and
+	// a compile listed the stale ordinals, 10.48 MB when a history store
+	// kept a per-window family (window, bin offset) beside its per-bin
+	// one.
+	check("after NewLinker and a compile", 7.9e6)
 	lk.Run() // the published result is the caller's, not the linker's: dropped here
-	// Measured 8.37 MB, 8.66 with the per-segment stamp, 10.58 with the
-	// per-window family.
-	check("after Run", 8.5e6)
+	// Measured 7.88 MB, 8.37 with the frequency index, 8.66 with the
+	// per-segment stamp, 10.58 with the per-window family.
+	check("after Run", 8.0e6)
 	for _, f := range stream {
 		lk.AddE(f[0]...)
 		lk.AddI(f[1]...)
 		lk.Run()
 	}
-	// Measured 10.97 MB, 11.26 with the per-segment stamp, 13.94 with the
-	// per-window family.
-	check("after the stream", 11.2e6)
+	// Measured 10.31 MB, 10.97 with the frequency index, 11.26 with the
+	// per-segment stamp, 13.94 with the per-window family.
+	check("after the stream", 10.5e6)
 	runtime.KeepAlive(lk)
 	runtime.KeepAlive(w)
 	runtime.KeepAlive(seedE)

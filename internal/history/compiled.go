@@ -1,9 +1,10 @@
 package history
 
 import (
+	"slices"
+
 	"slim/internal/geo"
 	"slim/internal/model"
-	"slim/internal/par"
 )
 
 // View is the compiled scoring view of one entity's history: four
@@ -81,16 +82,15 @@ func SumWeights(counts []float64) float64 {
 // or a new entity moves the epoch, and the next Compile refreshes every
 // entity.
 //
-// The df column (lookups over read-only store state) is written across
-// the given number of workers (below 1 means 1), and the IDF table is
-// rebuilt in place: idf(n, df) for every df from 0 to the store's largest,
-// n its entity count, each entry idf's own result, so a weight read from
-// the table is bit-identical to one computed per bin. A Compile that finds
-// the store current, and one after an epoch move alone, allocate nothing.
+// Every df is counted afresh from the store's own columns (countDF), and
+// the IDF table is rebuilt in place: idf(n, df) for every df from 0 to the
+// largest counted, n the entity count, so a weight read from the table is
+// bit-identical to one computed per bin. A Compile that finds the store
+// current, and one after an epoch move alone, allocate nothing.
 //
 // Rescore calls Compile before fanning scoring across workers, so the
 // parallel phase finds the store current and never waits.
-func (s *Store) Compile(workers int) int {
+func (s *Store) Compile() int {
 	s.mustScore("Compile")
 	s.compMu.Lock()
 	defer s.compMu.Unlock()
@@ -102,17 +102,69 @@ func (s *Store) Compile(workers int) int {
 		// family's length and capacity and is rewritten with it.
 		s.df = make([]int32, len(s.counts), cap(s.counts))
 	}
+	topDF := s.countDF()
 	s.idfs = s.idfs[:0]
-	for df := int32(0); df <= s.freq.maxDF; df++ {
+	for df := int32(0); df <= topDF; df++ {
 		s.idfs = append(s.idfs, idf(s.nEntities, df))
-	}
-	if workers <= 1 { // inline: the fan-out's closure is an allocation
-		s.fill(s.segs)
-	} else {
-		par.Chunks(workers, len(s.segs), func(_, lo, hi int) { s.fill(s.segs[lo:hi]) })
 	}
 	s.compiled.Store(s.epoch + 1)
 	return s.nEntities
+}
+
+// countDF writes every bin's document frequency into the df column and
+// returns the largest. A history lists a bin once, so a bin's df is the
+// number of live positions holding its (window, cell). A counting sort
+// groups the positions by window index (byWin, window w's run ending at
+// winEnd[w]); each run counts its cells in tally, indexed by the cell
+// table, writes every position's count and clears what it counted. The
+// scratch is sized by the windows and cells the tables hold, never by the
+// time they span (two records a century apart occupy two windows), and
+// kept, so a compile after an epoch move alone allocates nothing.
+func (s *Store) countDF() (topDF int32) {
+	s.winEnd = resized(s.winEnd, len(s.windows))
+	s.byWin = resized(s.byWin, s.totalBins)
+	s.tally = resized(s.tally, len(s.geoms))
+	end := s.winEnd
+	clear(end)
+	for _, sg := range s.segs {
+		for _, w := range s.win[sg.bin : sg.bin+sg.nBin] {
+			end[w]++
+		}
+	}
+	var at int32
+	for w, n := range end { // end[w] becomes the start of window w's run
+		end[w], at = at, at+n
+	}
+	for _, sg := range s.segs {
+		for p := sg.bin; p < sg.bin+sg.nBin; p++ {
+			w := s.win[p]
+			s.byWin[end[w]] = p
+			end[w]++ // and, once every position is placed, its end
+		}
+	}
+	var lo int32
+	for _, hi := range end {
+		run := s.byWin[lo:hi]
+		lo = hi
+		for _, p := range run {
+			s.tally[s.cells[p]]++
+		}
+		for _, p := range run {
+			n := s.tally[s.cells[p]]
+			s.df[p] = n
+			topDF = max(topDF, n)
+		}
+		for _, p := range run {
+			s.tally[s.cells[p]] = 0
+		}
+	}
+	return topDF
+}
+
+// resized returns col at length n, growing its array as append would; a
+// grown tail is zero.
+func resized(col []int32, n int) []int32 {
+	return slices.Grow(col[:0], n)[:n]
 }
 
 // CompiledViewAt fills v with the up-to-date compiled view of the entity
@@ -131,7 +183,7 @@ func (s *Store) CompiledViewAt(ord uint32, v *View) (cells []geo.CellGeom, ok bo
 		return nil, false
 	}
 	if s.compiled.Load() != s.epoch+1 {
-		s.Compile(1)
+		s.Compile()
 	}
 	b, nb := sg.bin, sg.nBin
 	v.windowCol = windowCol{win: s.win[b : b+nb : b+nb], windows: s.windows}
@@ -150,18 +202,4 @@ func (s *Store) CompiledView(e model.EntityID, v *View) (cells []geo.CellGeom, o
 		return nil, false
 	}
 	return s.CompiledViewAt(ord, v)
-}
-
-// fill writes the df column of a run of segments — how many entities hold
-// each of their bins, read from the bin's window's frequencies by its
-// window index. It writes the segments' own ranges of the column and only
-// reads the rest of the store, so distinct runs fill concurrently.
-func (s *Store) fill(segs []segment) {
-	for _, sg := range segs {
-		lo, hi := sg.bin, sg.bin+sg.nBin
-		win, df := s.win[lo:hi], s.df[lo:hi]
-		for j, c := range s.cells[lo:hi] {
-			df[j] = s.freq.cols[win[j]].count(c)
-		}
-	}
 }

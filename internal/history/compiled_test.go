@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"slim/internal/datagen"
 	"slim/internal/geo"
 	"slim/internal/model"
 	"slim/internal/testenv"
@@ -41,7 +42,7 @@ func weights(v View) []float64 {
 // and IDF weights equal to the store's IDF.
 func TestCompiledViewMatchesBins(t *testing.T) {
 	s := compiledTestStore(t)
-	if n := s.Compile(1); n != s.NumEntities() {
+	if n := s.Compile(); n != s.NumEntities() {
 		t.Fatalf("first Compile recompiled %d entities, want %d", n, s.NumEntities())
 	}
 	for _, e := range s.Entities() {
@@ -83,8 +84,8 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 func TestCompileInvalidation(t *testing.T) {
 	s := compiledTestStore(t)
 	all := s.NumEntities()
-	s.Compile(1)
-	if n := s.Compile(1); n != 0 {
+	s.Compile()
+	if n := s.Compile(); n != 0 {
 		t.Fatalf("clean Compile recompiled %d entities, want 0", n)
 	}
 
@@ -95,7 +96,7 @@ func TestCompileInvalidation(t *testing.T) {
 	s.CompiledView("a", &before)
 	w0 := before.Counts[0]
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 110})
-	if n := s.Compile(1); n != 0 {
+	if n := s.Compile(); n != 0 {
 		t.Fatalf("weight-only add recompiled %d entities, want 0", n)
 	}
 	var after View
@@ -107,14 +108,92 @@ func TestCompileInvalidation(t *testing.T) {
 	// New bin: bin frequencies changed, every document frequency may be
 	// stale.
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 36.0, Lng: -121.0}, Unix: 50000})
-	if n := s.Compile(1); n != all {
+	if n := s.Compile(); n != all {
 		t.Fatalf("new-bin add recompiled %d entities, want %d", n, all)
 	}
 
 	// New entity: |U| changed.
 	s.Add(model.Record{Entity: "z", LatLng: geo.LatLng{Lat: 37.0, Lng: -122.0}, Unix: 42})
-	if n := s.Compile(1); n != all+1 {
+	if n := s.Compile(); n != all+1 {
 		t.Fatalf("new-entity add recompiled %d entities, want %d", n, all+1)
+	}
+}
+
+// TestCompileStepsMatchBuild compiles a store of 37 entities with region
+// records mixed in across a cold compile, a weight-only add (nothing
+// stale) and an epoch move that brings a new entity and new cells
+// (everything stale): each step refreshes 37, 0 and 38 entities, leaves
+// the store stamped at its epoch, and every view then matches a fresh
+// Build's over the same records bit for bit.
+func TestCompileStepsMatchBuild(t *testing.T) {
+	var recs []model.Record
+	for e := 0; e < 37; e++ {
+		for k := 0; k < 40+e; k++ {
+			r := model.Record{
+				Entity: model.EntityID(fmt.Sprintf("e%02d", e)),
+				LatLng: geo.LatLng{Lat: 37.5 + float64((k*7+e)%23)*0.01, Lng: -122.5 + float64((e+k)%17)*0.01},
+				Unix:   int64(450 * k),
+			}
+			if k%11 == 0 {
+				r.RadiusKm = 1.2 // region record: fractional weights over several cells
+			}
+			recs = append(recs, r)
+		}
+	}
+	s := Build(&model.Dataset{Name: "D", Records: recs}, model.Windowing{WidthSeconds: 900}, 12)
+	steps := []struct {
+		add   []model.Record
+		stale int
+	}{
+		{nil, 37},
+		{[]model.Record{ // weight-only: an existing bin of e03
+			{Entity: "e03", LatLng: geo.LatLng{Lat: 37.5 + 0.03, Lng: -122.5 + 0.03}, Unix: 0},
+		}, 0},
+		{[]model.Record{ // new entity in new cells: epoch moves, new dense indices
+			{Entity: "zz", LatLng: geo.LatLng{Lat: 40.1, Lng: -74.2}, Unix: 5000},
+			{Entity: "e10", LatLng: geo.LatLng{Lat: 40.2, Lng: -74.3}, Unix: 7000, RadiusKm: 2},
+		}, 38},
+	}
+	for step, st := range steps {
+		for _, r := range st.add {
+			s.Add(r)
+		}
+		recs = append(recs, st.add...)
+		if n := s.Compile(); n != st.stale {
+			t.Fatalf("step %d: Compile refreshed %d entities, want %d", step, n, st.stale)
+		}
+		if s.compiled.Load() != s.epoch+1 {
+			t.Fatalf("step %d: a compiled store is stamped behind its epoch", step)
+		}
+		assertViewsMatchBuild(t, s, recs)
+	}
+}
+
+// TestCompileSparseWindows compiles a store whose two windows lie 130
+// years apart, one bin held by one entity and one by two: each bin's df
+// is counted right, and the compile's scratch is sized by the windows and
+// cells the store holds, not by the range of time they span.
+func TestCompileSparseWindows(t *testing.T) {
+	d := model.Dataset{Name: "D", Records: []model.Record{
+		{Entity: "a", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 1},
+		{Entity: "b", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 4102444800}, // 2100-01-01
+		{Entity: "c", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 4102444801},
+	}}
+	s := Build(&d, model.Windowing{WidthSeconds: 900}, 12)
+	s.Compile()
+	if len(s.windows) != 2 || len(s.winEnd) != 2 || len(s.tally) != 1 || len(s.byWin) != 3 {
+		t.Fatalf("%d windows in the table; scratch of %d window ends, %d cell counts, %d positions, want 2, 1, 3",
+			len(s.windows), len(s.winEnd), len(s.tally), len(s.byWin))
+	}
+	if cap(s.winEnd)+cap(s.tally)+cap(s.byWin) > 16 {
+		t.Fatalf("scratch capacities %d, %d, %d: sized by the range spanned", cap(s.winEnd), cap(s.tally), cap(s.byWin))
+	}
+	for e, want := range map[model.EntityID]int32{"a": 1, "b": 2, "c": 2} {
+		var v View
+		s.CompiledView(e, &v)
+		if !slices.Equal(v.DF, []int32{want}) {
+			t.Fatalf("%s: df %v, want [%d]", e, v.DF, want)
+		}
 	}
 }
 
@@ -149,70 +228,6 @@ func TestCompiledViewLazyRecompile(t *testing.T) {
 	})
 }
 
-// TestCompileParallelMatchesSerial requires the parallel build to equal
-// the serial one view for view — windows, offsets, weights, df, IDF and
-// the dense cell indices with their id table — across a cold compile, a
-// weight-only add (nothing stale) and an epoch move that brings new cells
-// (everything stale). Run under -race it is also the
-// data-race gate of the fan-out.
-func TestCompileParallelMatchesSerial(t *testing.T) {
-	build := func() *Store {
-		var recs []model.Record
-		for e := 0; e < 37; e++ {
-			for k := 0; k < 40+e; k++ {
-				r := model.Record{
-					Entity: model.EntityID(fmt.Sprintf("e%02d", e)),
-					LatLng: geo.LatLng{Lat: 37.5 + float64((k*7+e)%23)*0.01, Lng: -122.5 + float64((e+k)%17)*0.01},
-					Unix:   int64(450 * k),
-				}
-				if k%11 == 0 {
-					r.RadiusKm = 1.2 // region record: fractional weights over several cells
-				}
-				recs = append(recs, r)
-			}
-		}
-		d := model.Dataset{Name: "D", Records: recs}
-		return Build(&d, model.Windowing{WidthSeconds: 900}, 12)
-	}
-	serial, parallel := build(), build()
-	mutate := []func(s *Store){
-		func(*Store) {},
-		func(s *Store) { // weight-only: an existing bin of e03
-			s.Add(model.Record{Entity: "e03", LatLng: geo.LatLng{Lat: 37.5 + 0.03, Lng: -122.5 + 0.03}, Unix: 0})
-		},
-		func(s *Store) { // new entity in new cells: epoch moves, new dense indices
-			s.Add(model.Record{Entity: "zz", LatLng: geo.LatLng{Lat: 40.1, Lng: -74.2}, Unix: 5000})
-			s.Add(model.Record{Entity: "e10", LatLng: geo.LatLng{Lat: 40.2, Lng: -74.3}, Unix: 7000, RadiusKm: 2})
-		},
-	}
-	wantStale := []int{37, 0, 38}
-	for step, mut := range mutate {
-		mut(serial)
-		mut(parallel)
-		ns, np := serial.Compile(1), parallel.Compile(4)
-		if ns != wantStale[step] || np != wantStale[step] {
-			t.Fatalf("step %d: serial recompiled %d entities, parallel %d, want %d", step, ns, np, wantStale[step])
-		}
-		if !slices.Equal(serial.geoms, parallel.geoms) {
-			t.Fatalf("step %d: dense cell-id tables differ", step)
-		}
-		if serial.compiled.Load() != serial.epoch+1 || parallel.compiled.Load() != parallel.epoch+1 {
-			t.Fatalf("step %d: a compiled store is stamped behind its epoch", step)
-		}
-		for ord := range serial.segs {
-			e := serial.ords.ID(uint32(ord))
-			var a, b View
-			serial.CompiledViewAt(uint32(ord), &a)
-			parallel.CompiledViewAt(uint32(ord), &b)
-			if !slices.Equal(a.BinWindows(), b.BinWindows()) ||
-				!slices.Equal(a.Cells, b.Cells) || !slices.Equal(a.Counts, b.Counts) ||
-				!slices.Equal(a.DF, b.DF) || !slices.Equal(weights(a), weights(b)) {
-				t.Fatalf("step %d: compiled views of %s differ", step, e)
-			}
-		}
-	}
-}
-
 // TestCompileEpochOnlyRefreshesInPlace pins what an epoch move costs the
 // entities it leaves standing. On an SM side with region records mixed in,
 // one Add opens a new bin for one entity: every segment is stale, yet only
@@ -225,7 +240,7 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	e := freqTestSide()
 	w := model.Windowing{WidthSeconds: 900}
 	s := Build(&e, w, 12)
-	s.Compile(1)
+	s.Compile()
 	before := slices.Clone(s.segs)
 	cells := slices.Clone(s.cells)
 
@@ -238,7 +253,7 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	if s.Epoch() == epoch {
 		t.Fatal("the added record opened no bin")
 	}
-	if n := s.Compile(1); n != s.NumEntities() {
+	if n := s.Compile(); n != s.NumEntities() {
 		t.Fatalf("Compile after an epoch move refreshed %d views, want all %d", n, s.NumEntities())
 	}
 	for k, sg := range s.segs {
@@ -256,10 +271,10 @@ func TestCompileEpochOnlyRefreshesInPlace(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		s.epoch++
-		if n := s.Compile(1); n != s.NumEntities() {
+		if n := s.Compile(); n != s.NumEntities() {
 			t.Fatalf("an epoch-only Compile refreshed %d views, want all %d", n, s.NumEntities())
 		}
-		if n := s.Compile(1); n != 0 {
+		if n := s.Compile(); n != 0 {
 			t.Fatalf("a Compile of a current store refreshed %d views, want 0", n)
 		}
 	})
@@ -280,7 +295,7 @@ func TestCompiledViewAtCompilesTheWholeStore(t *testing.T) {
 	e := freqTestSide()
 	w := model.Windowing{WidthSeconds: 900}
 	s := Build(&e, w, 12)
-	s.Compile(1)
+	s.Compile()
 	added := e.Records[0]
 	added.Unix = (slices.Max(s.windows) + 1) * w.WidthSeconds
 	epoch := s.Epoch()
@@ -293,7 +308,7 @@ func TestCompiledViewAtCompilesTheWholeStore(t *testing.T) {
 	if _, ok := s.CompiledViewAt(last, &v); !ok {
 		t.Fatalf("no view for ordinal %d", last)
 	}
-	if n := s.Compile(1); n != 0 {
+	if n := s.Compile(); n != 0 {
 		t.Fatalf("Compile after one CompiledViewAt refreshed %d entities, want 0", n)
 	}
 	assertViewsMatchBuild(t, s, append(slices.Clone(e.Records), added))
@@ -309,7 +324,7 @@ func TestCompiledViewAtRefreshesConcurrently(t *testing.T) {
 	e := freqTestSide()
 	w := model.Windowing{WidthSeconds: 900}
 	s := Build(&e, w, 12)
-	s.Compile(1)
+	s.Compile()
 	added := e.Records[0]
 	added.Unix = (slices.Max(s.windows) + 1) * w.WidthSeconds
 	s.Add(added)
@@ -369,25 +384,34 @@ func assertViewsMatchBuild(t *testing.T, s *Store, recs []model.Record) {
 
 // BenchmarkCompile measures a full store compilation after an
 // IDF-epoch-invalidating change — the worst-case recompile a relink pays
-// after ingest creates new bins.
+// after ingest creates new bins — on an SM side at serve size: 8,000
+// users, sampled as slim-gen -sample samples them.
 func BenchmarkCompile(b *testing.B) {
-	var recs []model.Record
-	for e := 0; e < 64; e++ {
-		for k := 0; k < 200; k++ {
-			recs = append(recs, model.Record{
-				Entity: model.EntityID(rune('A' + e)),
-				LatLng: geo.LatLng{Lat: 37.5 + float64(k%20)*0.01, Lng: -122.5 + float64((e+k)%17)*0.01},
-				Unix:   int64(900 * k),
-			})
-		}
-	}
-	d := model.Dataset{Name: "bench", Records: recs}
-	s := Build(&d, model.Windowing{WidthSeconds: 900}, 12)
-	s.Compile(1)
+	ground := datagen.SM(datagen.SMConfig{NumUsers: 8000, Days: 26, AvgRecords: 24, Seed: 1})
+	e := datagen.Sample(&ground, datagen.SampleConfig{
+		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 2,
+	}).E
+	s := Build(&e, model.Windowing{WidthSeconds: 900}, 12)
+	s.Compile()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		s.epoch++ // invalidate every compiled view
-		s.Compile(1)
+		s.Compile()
 	}
+}
+
+// freqTestSide draws an SM side the way the benchmark does and turns every
+// seventh record into a region record, so windows hold multi-cell covers.
+func freqTestSide() model.Dataset {
+	ground := datagen.SM(datagen.SMConfig{NumUsers: 600, Seed: 11})
+	e := datagen.Sample(&ground, datagen.SampleConfig{
+		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 12,
+	}).E
+	for i := range e.Records {
+		if i%7 == 0 {
+			e.Records[i].RadiusKm = 0.5 + float64(i%5)
+		}
+	}
+	return e
 }

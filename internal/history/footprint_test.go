@@ -26,12 +26,11 @@ import (
 // store, a 4 B index into the store's cell table on a scoring store — plus
 // a 12 B segment record per entity and the window table (an entry per
 // distinct window, few on either side). The scoring store adds its cell
-// table and the frequency index — 8 B of sorted column per distinct bin
-// plus two slice headers per window, which weigh more on the SM side
-// (≈ 10 bins a window) than at paper scale (≈ 140) — which the signature
-// store does not keep. Compiling adds 4 B per bin (the bin's document
-// frequency; its IDF weight is read from a table by it). Dominating-cell
-// queries must leave nothing behind. A cab signature row holds ≈ 94 bins,
+// table, which the signature store does not keep. Compiling adds 4 B per
+// bin (the bin's document frequency; its IDF weight is read from a table
+// by it) and the df count's scratch: 4 B per bin, per window and per
+// cell. Dominating-cell queries must leave nothing behind. A cab
+// signature row holds ≈ 94 bins,
 // so the per-bin window index costs it more than the per-window columns
 // it replaced, which cost ≈ 12 B a row, not a bin. Cached per-history
 // aggregation levels once made this ≈ 1 KB per bin; per-entity history
@@ -64,23 +63,25 @@ func TestStoreBytesPerBin(t *testing.T) {
 		budget float64 // bytes per bin
 		build  func() *history.Store
 	}{
-		// Measured 42.1 B per bin, plus 15 %; 43.1 B with a 24 B segment
-		// (a per-entity fill stamp), 50.9 B with a per-window family
-		// (window, bin offset), 56.1 B with a map from id to ordinal and a
-		// sorted id copy in the store, 64.4 B with a header object per
-		// history.
-		{"SM scoring store, level 12", 48, func() *history.Store {
+		// Measured 30.1 B per bin, plus 15 %; 42.1 B with a frequency
+		// index (per window, the cells held and their df), 43.1 B with a
+		// 24 B segment (a per-entity fill stamp), 50.9 B with a per-window
+		// family (window, bin offset), 56.1 B with a map from id to
+		// ordinal and a sorted id copy in the store, 64.4 B with a header
+		// object per history.
+		{"SM scoring store, level 12", 34, func() *history.Store {
 			simSM = history.BuildGrouped(&sm, refWindowing, 12, 1)
 			return simSM
 		}},
-		// Measured 46.4 B per bin, plus 15 %; 47.8 B with the 24 B
-		// segment and a list of stale ordinals, 55.8 B with the per-window
-		// family, 60.7 B with the id map and copy, 78.2 B with the cell id
-		// kept next to the interned index and a float64 IDF weight per bin,
-		// 103.2 B with a view object per entity.
-		{"SM scoring store, compiled", 53, func() *history.Store {
+		// Measured 39.4 B per bin, plus 15 %; 46.4 B with the frequency
+		// index, 47.8 B with the 24 B segment and a list of stale
+		// ordinals, 55.8 B with the per-window family, 60.7 B with the id
+		// map and copy, 78.2 B with the cell id kept next to the interned
+		// index and a float64 IDF weight per bin, 103.2 B with a view
+		// object per entity.
+		{"SM scoring store, compiled", 45, func() *history.Store {
 			s := history.BuildGrouped(&sm, refWindowing, 12, 1)
-			s.Compile(1)
+			s.Compile()
 			return s
 		}},
 		// Measured 22.3 B per bin, plus 15 %; 23.3 B with the 24 B
@@ -89,9 +90,10 @@ func TestStoreBytesPerBin(t *testing.T) {
 		{"SM signature store, level 16", 26, func() *history.Store {
 			return signed(simSM.SignatureStore(&sm, rows, 16, 1))
 		}},
-		// Measured 27.9 B per bin, plus 15 %; 28.0 B with the 24 B
-		// segment, 29.9 B with the per-window family.
-		{"cab scoring store, level 12", 32, func() *history.Store {
+		// Measured 20.0 B per bin, plus 15 %; 27.9 B with the frequency
+		// index, 28.0 B with the 24 B segment, 29.9 B with the per-window
+		// family.
+		{"cab scoring store, level 12", 23, func() *history.Store {
 			simCab = history.BuildGrouped(&cab, refWindowing, 12, 1)
 			return simCab
 		}},
@@ -130,7 +132,7 @@ func storeBins(s *history.Store) (bins, windows int) {
 }
 
 // gridSide draws n entities over the same 24 windows, twelve records each,
-// so the frequency index has one run per window whatever n is.
+// so the store's window table holds 24 windows whatever n is.
 func gridSide(n int) model.Grouped {
 	var d model.Dataset
 	for e := 0; e < n; e++ {
@@ -201,17 +203,17 @@ func TestStreamedColumnsStayBounded(t *testing.T) {
 
 	before := testenv.LiveHeap()
 	s := history.BuildGrouped(&g0, refWindowing, 12, 1)
-	s.Compile(1)
+	s.Compile()
 	for _, batch := range stream {
 		for _, r := range batch {
 			s.Add(r)
 		}
-		s.Compile(1)
+		s.Compile()
 	}
 	streamed := testenv.Retained(before)
 	before = testenv.LiveHeap()
 	fresh := history.BuildGrouped(&gAll, refWindowing, 12, 1)
-	fresh.Compile(1)
+	fresh.Compile()
 	built := testenv.Retained(before)
 	ratio := float64(streamed) / float64(built)
 	t.Logf("streamed store retains %d B, a fresh build %d B (%.2fx)", streamed, built, ratio)

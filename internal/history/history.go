@@ -8,10 +8,11 @@
 // (DESIGN.md §5).
 //
 // A Store holds the histories of one location dataset together with the
-// dataset-level statistics the similarity score needs: the bin→entity
-// frequency index behind the IDF component (Eq. 3) — itself sorted columns,
-// one pair per window of the window table (freq.go) — and the average
-// history size behind the BM25-style length normalization (Eq. 2).
+// dataset-level statistics the similarity score needs: the entity count
+// and the average history size behind the BM25-style length normalization
+// (Eq. 2). The document frequency behind the IDF component (Eq. 3) — how
+// many entities hold a bin — is no separate structure: the bin columns
+// already say it, and a scoring store counts it when it compiles.
 //
 // A store is columns, not objects: one column family, one entry per bin
 // — the bin's window, its cell and its record weight — holds every
@@ -28,11 +29,11 @@
 // document frequency (compiled.go): the compiled scoring view of an
 // entity is four subslices of one store plus its window, cell and IDF
 // tables, and no per-entity object exists anywhere. Document frequencies
-// are dataset-level, so the column is compiled for the whole store at
-// once, and the store keeps one stamp of the epoch it was compiled at; a
-// view fetch reads it with one atomic load and takes no lock. A signature
-// store's cells are nearly all distinct, so it keeps the cell ids
-// themselves.
+// are dataset-level, so the column is counted for the whole store at once,
+// in one pass over the column family, and the store keeps one stamp of the
+// epoch it was compiled at; a view fetch reads it with one atomic load and
+// takes no lock. A signature store's cells are nearly all distinct, so it
+// keeps the cell ids themselves and no cell table.
 //
 // Entities are numbered. Each linkage side has one append-only entity
 // table (Ordinals: EntityID ↔ uint32), shared by the side's scoring store
@@ -240,12 +241,13 @@ type segment struct {
 // addressed by the ordinals of the side's entity table (see Ordinals);
 // the EntityID accessors resolve the id once and delegate.
 //
-// A store comes in two kinds. A scoring store (Build, BuildGrouped)
-// additionally maintains the bin→entity frequency index behind the IDF
-// weights (Eq. 3) and the compiled read path. A signature store
-// (Store.SignatureStore) is the side's second store, at the LSH spatial
-// level and windowing: the candidate index reads only its columns, so it
-// keeps neither, and Compile and CompiledViewAt panic on it.
+// A store comes in two kinds, told apart by the cell table. A scoring
+// store (Build, BuildGrouped) interns its cells into one and has the
+// compiled read path, which counts every bin's document frequency behind
+// the IDF weights (Eq. 3). A signature store (Store.SignatureStore) is the
+// side's second store, at the LSH spatial level and windowing: the
+// candidate index reads only its columns, so it keeps neither, and Compile
+// and CompiledViewAt panic on it.
 type Store struct {
 	Name      string
 	Windowing model.Windowing
@@ -287,14 +289,12 @@ type Store struct {
 	cellIndex map[geo.CellID]int32
 	geoms     []geo.CellGeom
 
-	// freq is the bin→entity frequency index; nil on a signature store.
-	freq      *freqIndex
 	avgBins   float64
 	totalBins int
 
-	// epoch versions the dataset-level IDF inputs (entity count, bin
-	// frequencies). Any change stales the whole df column, because any
-	// document frequency in it may have shifted; see compiled.go.
+	// epoch versions the dataset-level IDF inputs (entity count, bin set).
+	// Any change stales the whole df column, because any document
+	// frequency in it may have shifted; see compiled.go.
 	epoch uint64
 
 	// addScratch is Add's reused bin-contribution buffer.
@@ -303,10 +303,15 @@ type Store struct {
 	// Compiled read path (compiled.go). compiled is one past the epoch the
 	// df column and the IDF table idfs were last compiled at (0: never),
 	// read by every view fetch; compMu serializes the compiles that write
-	// them.
+	// them. winEnd, byWin and tally are the df count's scratch (see
+	// countDF), kept so that a compile after an epoch move alone allocates
+	// nothing.
 	compiled atomic.Uint64
 	compMu   sync.Mutex
 	idfs     []float64
+	winEnd   []int32
+	byWin    []int32
+	tally    []int32
 }
 
 // Build constructs the histories of every entity of the dataset at the
@@ -440,7 +445,6 @@ func build(g *model.Grouped, ords *Ordinals, w model.Windowing, spatialLevel, wo
 	s.totalBins = int(nBin)
 	if scoring {
 		s.cells = clipSpare(s.cells[:nBin])
-		s.freq = newFreqIndex(s)
 	} else {
 		s.ids = clipSpare(s.ids[:nBin])
 	}
@@ -521,10 +525,14 @@ func clipSpare[E any](col []E) []E {
 	return out
 }
 
+// scoring reports whether the store is a scoring store: whether it keeps
+// a cell table.
+func (s *Store) scoring() bool { return s.cellIndex != nil }
+
 // mustScore panics on a signature store: a zero IDF weight or an empty
 // compiled view there would be a silently wrong score, not a missing one.
 func (s *Store) mustScore(op string) {
-	if s.freq == nil {
+	if !s.scoring() {
 		panic("history: " + op + " on a signature store (columns only)")
 	}
 }
@@ -595,7 +603,7 @@ func (s *Store) History(e model.EntityID) History {
 
 // Epoch returns the store's IDF-input version: it moves whenever a
 // dataset-level score input changes — a new entity (|U| and the average
-// history size shift) or a new time-location bin (bin→entity frequencies
+// history size shift) or a new time-location bin (document frequencies
 // and the average history size shift). While the epoch stands still, the
 // score of any pair of unchanged histories is unchanged too: weight-only
 // adds touch exactly the histories they land in. The compiled scoring
@@ -610,23 +618,17 @@ func idf(n int, df int32) float64 {
 }
 
 // ResidentBytes sums the capacities of what the store retains: the bin
-// column family (the df column included), the segment table and entity
-// list, the window and cell tables, the frequency index and the IDF
-// table. The side's entity table, which its two stores share, reports its
+// column family (the df column included), the segment table, the window
+// and cell tables, the IDF table and the scratch of Add and of the df
+// count. The side's entity table, which its two stores share, reports its
 // own (Ordinals.ResidentBytes); the id strings both list are the records'.
 func (s *Store) ResidentBytes() int64 {
-	n := 4*cap(s.win) + 8*cap(s.ids) + 4*cap(s.cells) + 8*cap(s.counts) + 4*cap(s.df) +
+	return int64(4*cap(s.win) + 8*cap(s.ids) + 4*cap(s.cells) + 8*cap(s.counts) + 4*cap(s.df) +
 		int(unsafe.Sizeof(segment{}))*cap(s.segs) +
 		8*cap(s.windows) + int(mapBytes(s.windowIndex)) +
 		int(unsafe.Sizeof(geo.CellGeom{}))*cap(s.geoms) + int(mapBytes(s.cellIndex)) +
-		int(unsafe.Sizeof(binWeight{}))*cap(s.addScratch) + 8*cap(s.idfs)
-	if f := s.freq; f != nil {
-		n += int(unsafe.Sizeof(freqWindow{})) * cap(f.cols)
-		for _, w := range f.cols {
-			n += 4*cap(w.cells) + 4*cap(w.df)
-		}
-	}
-	return int64(n)
+		int(unsafe.Sizeof(binWeight{}))*cap(s.addScratch) + 8*cap(s.idfs) +
+		4*(cap(s.winEnd)+cap(s.byWin)+cap(s.tally)))
 }
 
 // NormFactorAt returns the BM25-style length normalization L(u) of Eq. 2

@@ -8,13 +8,13 @@ import (
 )
 
 // Add ingests one record into the store incrementally, inserting its bins
-// into the entity's segment in place and updating the bin→entity IDF
-// index and the average-history-size statistic, and returns the entity's
+// into the entity's segment in place and updating the entity count, the
+// average-history-size statistic and the epoch, and returns the entity's
 // ordinal. An entity the side's table has not seen gets the next ordinal;
-// one its other store already added keeps the ordinal it was given there. After any sequence of Add calls the store's
-// histories and statistics are indistinguishable from one built with Build
-// on the concatenated records (see TestIncrementalAddMatchesBuild and
-// FuzzStoreAddMatchesBuild).
+// one its other store already added keeps the ordinal it was given there.
+// After any sequence of Add calls the store's histories and statistics are
+// indistinguishable from one built with Build on the concatenated records
+// (see TestIncrementalAddMatchesBuild and FuzzStoreAddMatchesBuild).
 //
 // Add supports the dynamic-feed setting the paper motivates (Sec. 1:
 // "the scale and dynamic nature of location datasets"). It is not safe for
@@ -35,7 +35,7 @@ func (s *Store) Add(rec model.Record) uint32 {
 	for _, bw := range s.addScratch {
 		if s.add(sg, bw.Bin, bw.weight) {
 			s.totalBins++
-			s.epoch++ // bin frequency changed: the compiled df column is stale
+			s.epoch++ // the bin set changed: the compiled df column is stale
 		}
 	}
 	s.avgBins = float64(s.totalBins) / float64(s.nEntities)
@@ -63,7 +63,7 @@ func (s *Store) compareBin(j int32, b Bin) int {
 	if c := cmp.Compare(s.windows[s.win[j]], b.Window); c != 0 {
 		return c
 	}
-	if s.freq == nil {
+	if !s.scoring() {
 		return cmp.Compare(s.ids[j], b.Cell)
 	}
 	return cmp.Compare(s.geoms[s.cells[j]].ID, b.Cell)
@@ -71,22 +71,18 @@ func (s *Store) compareBin(j int32, b Bin) int {
 
 // insertBin inserts a new bin at position j of the segment's bin range,
 // interning its window on first sight. A scoring store interns the cell,
-// on first sight too, and counts the bin in the frequency index. The df
-// column is not shifted: the new bin moves the epoch, so the store is
-// compiled before the column is read.
+// on first sight too. The df column is not shifted: the new bin moves the
+// epoch, so the store is compiled before the column is read.
 func (s *Store) insertBin(sg *segment, j int, b Bin, weight float64) {
 	if need := sg.nBin + 1; need > sg.binRoom {
 		s.moveBins(sg, grown(sg.binRoom, need))
 	}
 	at, n := int(sg.bin), int(sg.nBin)
-	win := s.internWindow(b.Window)
-	insertAt(s.win, at, j, n, win)
-	if s.freq == nil {
-		insertAt(s.ids, at, j, n, b.Cell)
+	insertAt(s.win, at, j, n, s.internWindow(b.Window))
+	if s.scoring() {
+		insertAt(s.cells, at, j, n, s.intern(b.Cell))
 	} else {
-		cell := s.intern(b.Cell)
-		insertAt(s.cells, at, j, n, cell)
-		s.freq.add(win, cell)
+		insertAt(s.ids, at, j, n, b.Cell)
 	}
 	insertAt(s.counts, at, j, n, weight)
 	sg.nBin++

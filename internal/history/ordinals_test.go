@@ -170,7 +170,7 @@ func TestSignatureStoreIsColumnsOnly(t *testing.T) {
 
 	for op, call := range map[string]func(){
 		"IDF":            func() { sig.IDF(history.Bin{}) },
-		"Compile":        func() { sig.Compile(1) },
+		"Compile":        func() { sig.Compile() },
 		"CompiledViewAt": func() { sig.CompiledViewAt(0, new(history.View)) },
 		"CompiledView":   func() { sig.CompiledView("u1", new(history.View)) },
 	} {

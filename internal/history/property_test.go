@@ -63,7 +63,7 @@ func (m *refStore) add(r model.Record, counted bool) {
 }
 
 // binEntities counts, per bin, the entities holding it: the oracle of the
-// store's frequency index.
+// document frequencies a store's compile counts.
 func (m *refStore) binEntities() map[history.Bin]int {
 	out := map[history.Bin]int{}
 	for _, wins := range m.leaves {
@@ -234,14 +234,15 @@ func TestColumnarHistoryMatchesMapModel(t *testing.T) {
 	}
 }
 
-// TestFrequencyIndexMatchesMapOracle holds the sorted-column frequency
-// index to a map[Bin]int: under seeded streams of point and region records
-// whose windows keep opening before the first and after the last one held,
-// with the store now and then rebuilt by BuildGrouped from everything seen
-// so far and the stream continuing on the rebuilt store, Store.IDF must
-// equal log(|U|/df) for every bin some entity holds and log(|U|) for bins
-// none does — in a window the index has, in a gap between its windows, and
-// on either side of its range.
+// TestFrequencyIndexMatchesMapOracle holds the document frequencies a
+// compile counts from the store's columns to a map[Bin]int: under seeded
+// streams of point and region records whose windows keep opening before
+// the first and after the last one held, with the store now and then
+// rebuilt by BuildGrouped from everything seen so far and the stream
+// continuing on the rebuilt store, Store.IDF must equal log(|U|/df) for
+// every bin some entity holds and log(|U|) for bins none does — in a
+// window the store holds, in a gap between its windows, and on either side
+// of its range.
 func TestFrequencyIndexMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

@@ -73,8 +73,8 @@ func manyCellsScorer(tb testing.TB) *Scorer {
 		return recs
 	}
 	e, i := stores(12, side("u"), side("v"))
-	e.Compile(1)
-	i.Compile(1)
+	e.Compile()
+	i.Compile()
 	return NewScorer(e, i, defParams())
 }
 

@@ -344,13 +344,14 @@ func ordOf(t *history.Ordinals, id EntityID) uint32 {
 	return math.MaxUint32
 }
 
-// Precompile eagerly builds the compiled read path of both history stores
-// (see history.Store.Compile), fanning the per-entity view builds out over
-// the configured workers. Rescore calls it before scoring, so callers
-// only need it to move the cost (e.g. to time it separately).
+// Precompile brings the compiled read path of both history stores up to
+// date (see history.Store.Compile): each counts its bins' document
+// frequencies in one serial pass over its columns. Rescore calls it before
+// scoring, so callers only need it to move the cost (e.g. to time it
+// separately).
 func (lk *Linker) Precompile() {
-	lk.storeE.Compile(lk.cfg.Workers)
-	lk.storeI.Compile(lk.cfg.Workers)
+	lk.storeE.Compile()
+	lk.storeI.Compile()
 }
 
 // ForceFullRescore makes the next Rescore rescore the whole candidate set
