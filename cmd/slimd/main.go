@@ -70,7 +70,7 @@ func main() {
 		iPath      = flag.String("i", "", "optional seed CSV for the second dataset")
 
 		queueDepth = flag.Int("ingest-queue-depth", ingest.DefaultQueueDepth, "shed ingest once this many records are queued (inflight + pending relink)")
-		shedAfter  = flag.Duration("ingest-shed-after", ingest.DefaultShedAfter, "shed ingest once the oldest queued record has waited this long (<0 = never)")
+		shedAfter  = flag.Duration("ingest-shed-after", ingest.DefaultShedAfter, "shed ingest once the oldest admitted or unpublished record has waited this long (<0 = never)")
 		maxBody    = flag.Int64("max-ingest-body", server.MaxIngestBody, "maximum ingest request body in bytes (JSON and binary); larger bodies get 413")
 
 		faultSpecs = flag.String("fault", "", "comma-separated fault-injection specs, site:action[:trigger]... (e.g. fs.sync:error:after=20, engine.rescore:panic:count=1) — chaos testing only; the process must survive every armed fault")

@@ -7,10 +7,11 @@ import (
 	"slim"
 )
 
-// TestBufferAndOldestPending: AddE/AddI enqueue into the pending buffers
-// (each record counted once, the oldest enqueue time kept), the next run
-// drains and applies them, and each published run reaches AfterRun once.
-func TestBufferAndOldestPending(t *testing.T) {
+// TestBufferAndOldestUnpublished: AddE/AddI enqueue into the pending
+// buffers (each record counted once, the oldest acknowledgement time
+// kept), the next run drains, applies and publishes them, and each
+// published run reaches AfterRun once.
+func TestBufferAndOldestUnpublished(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
@@ -22,8 +23,8 @@ func TestBufferAndOldestPending(t *testing.T) {
 	p := &recordingPersister{}
 	eng.SetPersister(p)
 
-	if _, ok := eng.OldestPending(); ok {
-		t.Fatal("OldestPending reported a queue age on an idle engine")
+	if _, ok := eng.OldestUnpublished(); ok {
+		t.Fatal("OldestUnpublished reported a queue age on an idle engine")
 	}
 
 	mk := func(e string, off float64, n int) []slim.Record {
@@ -45,12 +46,9 @@ func TestBufferAndOldestPending(t *testing.T) {
 	if eng.Pending() != 120 {
 		t.Fatalf("Pending = %d, want 120", eng.Pending())
 	}
-	oldest, ok := eng.OldestPending()
+	oldest, ok := eng.OldestUnpublished()
 	if !ok || oldest.Before(before) || oldest.After(time.Now()) {
-		t.Fatalf("OldestPending = %v, %v; want a stamp from this test", oldest, ok)
-	}
-	if st := eng.Stats(); st.PendingOldestAge <= 0 {
-		t.Fatalf("Stats().PendingOldestAge = %v, want > 0", st.PendingOldestAge)
+		t.Fatalf("OldestUnpublished = %v, %v; want a stamp from this test", oldest, ok)
 	}
 
 	res := eng.Run()
@@ -63,11 +61,8 @@ func TestBufferAndOldestPending(t *testing.T) {
 	if eng.Pending() != 0 {
 		t.Fatalf("Pending = %d after run, want 0", eng.Pending())
 	}
-	if _, ok := eng.OldestPending(); ok {
-		t.Fatal("OldestPending still set after the run drained the queues")
-	}
-	if st := eng.Stats(); st.PendingOldestAge != 0 {
-		t.Fatalf("PendingOldestAge = %v after run, want 0", st.PendingOldestAge)
+	if _, ok := eng.OldestUnpublished(); ok {
+		t.Fatal("OldestUnpublished still set after the run published the queues")
 	}
 	if st := eng.Stats(); st.IngestedE != 60 || st.IngestedI != 60 {
 		t.Fatalf("ingested counters = %d/%d, want 60/60", st.IngestedE, st.IngestedI)

@@ -117,13 +117,11 @@ type Engine struct {
 	level int
 
 	// pendMu guards the ingest side: the pending buffers (records
-	// acknowledged but not yet applied to the linker), pendSince — when they
-	// last went empty→non-empty, i.e. the enqueue time of the oldest queued
-	// record, the ingest plane's relink-lag signal — and the since-boot
-	// accepted-record counts.
+	// acknowledged but not yet applied to the linker) and the since-boot
+	// accepted-record counts. How long acknowledged work has waited is the
+	// freshness tracker's to say (OldestUnpublished), not the buffers'.
 	pendMu               sync.Mutex
 	pendE, pendI         []slim.Record
-	pendSince            time.Time
 	ingestedE, ingestedI uint64
 
 	// runMu serializes everything that touches the linker: whole relink
@@ -281,9 +279,6 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 	reg.GaugeFunc("slim_pending_records",
 		"Buffered records awaiting the next relink.",
 		func() float64 { return float64(e.Stats().PendingRecords) })
-	reg.GaugeFunc("slim_pending_oldest_seconds",
-		"Age of the oldest buffered record awaiting a relink.",
-		func() float64 { return e.Stats().PendingOldestAge.Seconds() })
 	reg.CounterFunc("slim_ingested_records_total",
 		"Records accepted since construction, by dataset.",
 		func() uint64 { return e.Stats().IngestedE }, obs.L("dataset", "e"))
@@ -407,9 +402,6 @@ func (e *Engine) buffer(pend *[]slim.Record, ingested *uint64, recs []slim.Recor
 		return
 	}
 	e.pendMu.Lock()
-	if len(e.pendE)+len(e.pendI) == 0 {
-		e.pendSince = time.Now()
-	}
 	*pend = append(*pend, recs...)
 	*ingested += uint64(len(recs))
 	e.pendMu.Unlock()
@@ -421,26 +413,20 @@ func (e *Engine) buffer(pend *[]slim.Record, ingested *uint64, recs []slim.Recor
 }
 
 // Pending counts buffered records not yet applied by a relink, each record
-// once. Together with OldestPending it is the engine's queue/backpressure
-// state: the ingest plane sheds load when the depth or the age exceeds its
-// budget. Both only touch the ingest buffers, so they never wait behind a
-// running linkage.
+// once. Together with OldestUnpublished it is the engine's
+// queue/backpressure state: the ingest plane sheds load when the depth or
+// the age exceeds its budget. Neither waits behind a running linkage.
 func (e *Engine) Pending() int {
 	e.pendMu.Lock()
 	defer e.pendMu.Unlock()
 	return len(e.pendE) + len(e.pendI)
 }
 
-// OldestPending returns the enqueue time of the oldest record still
-// buffered for a future relink; ok is false when nothing is pending.
-func (e *Engine) OldestPending() (oldest time.Time, ok bool) {
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	if len(e.pendE)+len(e.pendI) == 0 {
-		return time.Time{}, false
-	}
-	return e.pendSince, true
-}
+// OldestUnpublished returns the acknowledgement time of the oldest batch
+// no published run covers yet: buffered, drained by the run in flight, or
+// drained by a run that failed. ok is false when every acknowledged batch
+// is link-visible.
+func (e *Engine) OldestUnpublished() (time.Time, bool) { return e.metrics.fresh.Oldest() }
 
 // Run drains pending ingest into the linker, rescores what the drained
 // records dirtied (every other pair keeps its retained score), and
@@ -450,9 +436,9 @@ func (e *Engine) OldestPending() (oldest time.Time, ok bool) {
 // A panic anywhere in the run is contained: the run is marked failed, the
 // previous published result is returned unchanged (version not bumped,
 // persister not notified, freshness watermark not advanced), the next run
-// is forced to rescore the whole candidate set, slim_relink_panics_total
-// increments, and the relink health domain degrades until the next
-// successful run.
+// is forced to rescore the whole candidate set and is scheduled at the
+// debounce, slim_relink_panics_total increments, and the relink health
+// domain degrades until the next successful run.
 func (e *Engine) Run() slim.Result {
 	res, _ := e.run("manual")
 	return res
@@ -487,8 +473,11 @@ func (e *Engine) run(trigger string) (slim.Result, RunRecord) {
 		// Whatever the failed run left half-applied in the edge store can no
 		// longer be trusted: the next run rescores every candidate pair (and
 		// re-sorts the store's greedy order with them). Pending
-		// buffers are intact if the run never got to drain.
+		// buffers are intact if the run never got to drain; what it did
+		// drain is still unpublished, so the retry must not wait for more
+		// ingest to kick it.
 		e.lk.ForceFullRescore()
+		e.scheduleRelink()
 		e.health.Degrade(err.Error())
 		if e.cfg.Logger != nil {
 			e.cfg.Logger.Error("relink run panicked; previous result republished",
@@ -802,10 +791,6 @@ type Stats struct {
 	IngestedI uint64 `json:"ingested_i"`
 	// PendingRecords counts buffered records not yet applied by a relink.
 	PendingRecords int `json:"pending_records"`
-	// PendingOldestAge is how long the oldest buffered record has been
-	// waiting for a relink (zero when nothing is pending) — the relink-lag
-	// signal behind the ingest plane's latency-budget shedding.
-	PendingOldestAge time.Duration `json:"-"`
 	// Histories, CandidateIndex (nil when LSH is disabled), EdgeStore and
 	// PublishTail (both nil before the first published run) are the
 	// linker's layer snapshots. Their state fields (sizes, epochs,
@@ -874,9 +859,6 @@ func (e *Engine) Stats() Stats {
 	e.pendMu.Lock()
 	st.IngestedE, st.IngestedI = e.ingestedE, e.ingestedI
 	st.PendingRecords = len(e.pendE) + len(e.pendI)
-	if st.PendingRecords > 0 {
-		st.PendingOldestAge = time.Since(e.pendSince)
-	}
 	e.pendMu.Unlock()
 	return st
 }
@@ -928,6 +910,9 @@ func (e *Engine) supervise() {
 			return
 		case <-time.After(backoff):
 		}
+		// The dead loop may have taken the only kick of work no run has
+		// published: the restarted loop debounces it again.
+		e.scheduleRelink()
 		if backoff *= 2; backoff > maxBackoff {
 			backoff = maxBackoff
 		}

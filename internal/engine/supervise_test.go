@@ -188,6 +188,60 @@ func TestEngineSupervisorRestartsLoop(t *testing.T) {
 	}
 }
 
+// TestFailedRunRetriesWithoutIngest: a background run that panics after
+// draining leaves acknowledged records that no run has published. The
+// failed run re-arms the scheduler, so they become link-visible at the
+// next debounce with no further ingest to kick it.
+func TestFailedRunRetriesWithoutIngest(t *testing.T) {
+	eng, inj, _ := faultedEngine(t)
+	eng.Run()
+	_, v1, _ := eng.Result()
+	eng.Start()
+	defer eng.Close()
+
+	inj.Arm(FaultRescore, fault.Rule{Panic: "post-drain", Count: 1})
+	eng.AddE(extraRecs(4, 500)...)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, v, _ := eng.Result()
+		_, unpublished := eng.OldestUnpublished()
+		if inj.Fired(FaultRescore) == 1 && v > v1 && !unpublished {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("5s after a failed run: version %d (was %d), staleness %.2fs, panics fired %d",
+				v, v1, eng.metrics.fresh.Staleness(), inj.Fired(FaultRescore))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := eng.Stats(); st.RelinkPanics != 1 || st.PendingRecords != 0 {
+		t.Fatalf("after the retry: %d panics, %d records pending; want 1, 0", st.RelinkPanics, st.PendingRecords)
+	}
+}
+
+// TestPermanentFailureRetriesAtTheDebounce: a run that always fails is
+// retried once per debounce — neither abandoned after the first failure
+// nor retried in a hot loop.
+func TestPermanentFailureRetriesAtTheDebounce(t *testing.T) {
+	w := standardWorkload(12)
+	inj := fault.New()
+	eng, err := New(w.E, w.I, Config{Link: slim.Defaults(), Debounce: 20 * time.Millisecond, Fault: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	inj.Arm(FaultRescore, fault.Rule{Panic: "always"})
+	eng.AddE(extraRecs(4, 500)...)
+	time.Sleep(500 * time.Millisecond)
+	eng.Close()
+	if runs := inj.Fired(FaultRescore); runs < 2 || runs > 27 {
+		t.Fatalf("a permanently failing run ran %d times in 500ms at a 20ms debounce, want 2–27", runs)
+	}
+	if _, unpublished := eng.OldestUnpublished(); !unpublished {
+		t.Fatal("records drained by failed runs read as published")
+	}
+}
+
 // TestEngineStuckSeconds pins the watchdog math: 0 when idle, 0 while a
 // run is within RunDeadline, and the overage once past it.
 func TestEngineStuckSeconds(t *testing.T) {

@@ -27,9 +27,10 @@
 //     batches still waiting on WAL durability plus records buffered in
 //     the engine's pending buffers awaiting a relink, every record
 //     counted exactly once whichever dataset it belongs to.
-//   - latency: the age of the oldest record still queued anywhere in the
-//     pipeline — when WAL fsync or relink lags this far behind, new work
-//     is shed.
+//   - latency: the age of the oldest work not yet link-visible — an
+//     in-flight admission, or an acknowledged batch no published run
+//     covers, drained or not. When WAL fsync or relink lags this far
+//     behind, new work is shed.
 //
 // A request that would exceed either budget is rejected whole with a
 // *ShedError before anything is logged or buffered: every record is
@@ -58,10 +59,10 @@ const ContentType = "application/x-slim-frame"
 // DefaultQueueDepth is the default admission budget in resident records.
 const DefaultQueueDepth = 1 << 18
 
-// DefaultShedAfter is the default latency budget: when the oldest queued
-// record has waited this long (WAL fsync or relink lagging), new
-// requests are shed. Must comfortably exceed the engine's relink
-// debounce, which is a floor on healthy queue age.
+// DefaultShedAfter is the default latency budget: when the oldest
+// unpublished work has waited this long (WAL fsync or relink lagging),
+// new requests are shed. Must comfortably exceed the engine's relink
+// debounce plus one relink, the floor on healthy queue age.
 const DefaultShedAfter = 10 * time.Second
 
 // DefaultRetryAfter is the client retry hint on every shed.
@@ -171,7 +172,7 @@ func NewPlane(eng *engine.Engine, cfg Config) *Plane {
 			return float64(p.inflight)
 		})
 	reg.GaugeFunc("slim_ingest_oldest_wait_seconds",
-		"Age of the oldest record queued anywhere in the pipeline (the latency-budget input).",
+		"Age of the oldest work admitted or acknowledged but not yet link-visible (the latency-budget input).",
 		func() float64 { return p.Stats().OldestWait.Seconds() })
 	reg.GaugeFunc("slim_ingest_queue_depth_limit",
 		"Configured admission budget in resident records.",
@@ -225,7 +226,6 @@ func ParseRequest(body []byte) (batches []storage.WireBatch, records int, err er
 func (p *Plane) Admit(n int) (release func(), err error) {
 	now := time.Now()
 	pending := p.eng.Pending()
-	oldestPend, havePend := p.eng.OldestPending()
 
 	p.mu.Lock()
 	if p.inflight+pending+n > p.cfg.queueDepth() {
@@ -234,11 +234,7 @@ func (p *Plane) Admit(n int) (release func(), err error) {
 		return nil, &ShedError{Cause: "queue-depth", RetryAfter: DefaultRetryAfter}
 	}
 	if after := p.cfg.shedAfter(); after > 0 {
-		oldest := oldestPend
-		if p.head != nil && (!havePend || p.head.at.Before(oldest)) {
-			oldest = p.head.at
-		}
-		if !oldest.IsZero() && now.Sub(oldest) > after {
+		if oldest, ok := p.oldestQueued(); ok && now.Sub(oldest) > after {
 			p.mu.Unlock()
 			p.shed(&p.shedLatency, n)
 			return nil, &ShedError{Cause: "latency", RetryAfter: DefaultRetryAfter}
@@ -270,6 +266,17 @@ func (p *Plane) Admit(n int) (release func(), err error) {
 		p.inflight -= tok.n
 		p.mu.Unlock()
 	}, nil
+}
+
+// oldestQueued is the latency budget's input: the older of the oldest
+// in-flight admission and the engine's oldest unpublished
+// acknowledgement; ok is false when both are empty. Callers hold p.mu.
+func (p *Plane) oldestQueued() (oldest time.Time, ok bool) {
+	oldest, ok = p.eng.OldestUnpublished()
+	if p.head != nil && (!ok || p.head.at.Before(oldest)) {
+		oldest, ok = p.head.at, true
+	}
+	return oldest, ok
 }
 
 func (p *Plane) shed(cause *atomic.Uint64, n int) {
@@ -365,8 +372,8 @@ type Stats struct {
 	// engine awaiting a relink (each once).
 	InflightRecords int `json:"inflight_records"`
 	PendingRecords  int `json:"pending_records"`
-	// OldestWait is the age of the oldest record queued anywhere in the
-	// pipeline (zero when idle) — the latency-budget input.
+	// OldestWait is the age of the oldest work admitted or acknowledged
+	// but not yet link-visible (zero when idle) — the latency-budget input.
 	OldestWait time.Duration `json:"oldest_wait_ms"`
 	// AcceptedBatches/AcceptedRecords count what Submit applied, whichever
 	// route it came in on; the Shed* counters count rejections, split by
@@ -393,14 +400,11 @@ func (p *Plane) Stats() Stats {
 		ShedQueueDepth:  p.shedDepth.Load(),
 		ShedLatency:     p.shedLatency.Load(),
 	}
-	oldest, have := p.eng.OldestPending()
 	p.mu.Lock()
 	st.InflightRecords = p.inflight
-	if p.head != nil && (!have || p.head.at.Before(oldest)) {
-		oldest, have = p.head.at, true
-	}
+	oldest, ok := p.oldestQueued()
 	p.mu.Unlock()
-	if have {
+	if ok {
 		st.OldestWait = time.Since(oldest)
 	}
 	return st

@@ -9,6 +9,7 @@ import (
 
 	"slim"
 	"slim/internal/engine"
+	"slim/internal/fault"
 	"slim/internal/geo"
 	"slim/internal/storage"
 )
@@ -194,6 +195,46 @@ func TestAdmitLatency(t *testing.T) {
 		t.Fatalf("latency-disabled plane shed: %v", err)
 	} else {
 		rel4()
+	}
+}
+
+// TestAdmitCountsDrainedUnpublished: a record leaves the latency budget
+// when a run publishes it, not when the run drains it. A relink held
+// after its drain keeps the drained records' age on the budget, so new
+// work sheds once that age passes ShedAfter.
+func TestAdmitCountsDrainedUnpublished(t *testing.T) {
+	cfg := slim.Defaults()
+	cfg.Threshold = slim.ThresholdNone
+	inj := fault.New()
+	eng, err := engine.New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
+		engine.Config{Link: cfg, Debounce: time.Hour, Fault: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	p := NewPlane(eng, Config{QueueDepth: 1 << 20, ShedAfter: 20 * time.Millisecond})
+
+	inj.Arm(engine.FaultRelink, fault.Rule{Delay: 400 * time.Millisecond, Count: 1})
+	start := time.Now()
+	eng.AddE(mkRecs("e", 12)...)
+	ran := make(chan struct{})
+	go func() { eng.Run(); close(ran) }()
+	for eng.Pending() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(time.Until(start.Add(150 * time.Millisecond)))
+	var se *ShedError
+	if _, err := p.Admit(1); !errors.As(err, &se) || se.Cause != "latency" {
+		t.Fatalf("admit while 12 drained records wait on a held relink = %v, want latency ShedError", err)
+	}
+	if st := p.Stats(); st.OldestWait < 100*time.Millisecond {
+		t.Fatalf("OldestWait = %v with drained records unpublished for 150ms", st.OldestWait)
+	}
+	<-ran
+	if rel, err := p.Admit(1); err != nil {
+		t.Fatalf("admit after the held relink published: %v", err)
+	} else {
+		rel()
 	}
 }
 

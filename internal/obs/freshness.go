@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// freshnessCap bounds the tracked not-yet-visible batches. Entries past
-// the cap lose their individual latency observation (counted in
-// Dropped) but never distort the staleness gauge: the oldest entries
-// are always the ones kept.
+// freshnessCap bounds the tracked not-yet-visible batches. Past the cap
+// a new batch folds into the newest entry, which keeps its time and
+// takes the new sequence: the oldest unpublished batch is always
+// tracked, a folded batch reads at least its own age, and the folded
+// batches share the entry's one latency observation.
 const freshnessCap = 1 << 13
 
 type freshEntry struct {
@@ -25,9 +26,9 @@ type freshEntry struct {
 // observation to the histogram. Between the two events the tracker
 // answers the operational questions directly:
 //
-//   - Staleness(): age of the oldest acknowledged batch that is not yet
-//     link-visible (0 when the pipeline is drained) — the
-//     slim_link_staleness_seconds gauge.
+//   - Oldest(): arrival time of the oldest acknowledged batch that is
+//     not yet link-visible, the ingest latency budget's input; Staleness()
+//     is its age (0 when drained), the slim_link_staleness_seconds gauge.
 //   - AckedSeq()/VisibleSeq(): the acked vs. visible watermarks, whose
 //     gap is the pipeline's batch backlog.
 //
@@ -44,7 +45,6 @@ type Freshness struct {
 
 	acked   atomic.Uint64
 	visible atomic.Uint64
-	dropped atomic.Uint64
 }
 
 // NewFreshness builds a tracker feeding the given ingest-to-visible
@@ -66,7 +66,7 @@ func (f *Freshness) Acked(now time.Time) uint64 {
 		f.ring[(f.head+f.n)%len(f.ring)] = freshEntry{seq: seq, at: now}
 		f.n++
 	} else {
-		f.dropped.Add(1)
+		f.ring[(f.head+f.n-1)%len(f.ring)].seq = seq
 	}
 	f.mu.Unlock()
 	f.acked.Store(seq)
@@ -101,15 +101,25 @@ func (f *Freshness) Visible(upTo uint64, now time.Time) {
 	}
 }
 
-// Staleness returns the age in seconds of the oldest acknowledged batch
-// that is not yet link-visible, or 0 when the pipeline is drained.
-func (f *Freshness) Staleness() float64 {
+// Oldest returns the arrival time of the oldest acknowledged batch that
+// is not yet link-visible; ok is false when the pipeline is drained.
+func (f *Freshness) Oldest() (at time.Time, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.n == 0 {
+		return time.Time{}, false
+	}
+	return f.ring[f.head].at, true
+}
+
+// Staleness returns the age in seconds of Oldest, or 0 when the pipeline
+// is drained.
+func (f *Freshness) Staleness() float64 {
+	at, ok := f.Oldest()
+	if !ok {
 		return 0
 	}
-	return time.Since(f.ring[f.head].at).Seconds()
+	return time.Since(at).Seconds()
 }
 
 // AckedSeq returns the latest acknowledged batch sequence.
@@ -117,7 +127,3 @@ func (f *Freshness) AckedSeq() uint64 { return f.acked.Load() }
 
 // VisibleSeq returns the newest link-visible batch sequence.
 func (f *Freshness) VisibleSeq() uint64 { return f.visible.Load() }
-
-// Dropped counts batches past the tracking cap whose individual latency
-// observation was lost (watermarks stayed exact).
-func (f *Freshness) Dropped() uint64 { return f.dropped.Load() }

@@ -261,12 +261,19 @@ func TestFreshness(t *testing.T) {
 	if f.VisibleSeq() != s2 {
 		t.Fatalf("visible = %d, want %d", f.VisibleSeq(), s2)
 	}
-	// Overflow: the cap drops the newest observations, never the oldest.
-	for i := 0; i < freshnessCap+10; i++ {
+	// Overflow: past the cap a batch folds into the newest entry, so once
+	// every tracked batch is visible the folded ones still read an age
+	// (the newest tracked batch's), never 0.
+	for i := 0; i < freshnessCap-1; i++ {
 		f.Acked(t0)
 	}
-	if f.Dropped() != 10 {
-		t.Fatalf("dropped = %d, want 10", f.Dropped())
+	lastTracked := f.Acked(t0.Add(time.Second))
+	for i := 0; i < 10; i++ {
+		f.Acked(time.Now())
+	}
+	f.Visible(lastTracked, time.Now())
+	if st := f.Staleness(); st < 1.9 || st > 2.5 {
+		t.Fatalf("staleness with 10 folded batches unpublished = %v, want ~2s", st)
 	}
 	f.Visible(f.Mark(), time.Now())
 	if f.Staleness() != 0 {

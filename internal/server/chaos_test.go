@@ -23,8 +23,10 @@ import (
 //   - the process never crashes and /healthz answers 200 throughout;
 //   - every request resolves to an explicit verdict (202 acked, or
 //     429/503/500 rejected) — never a hang or a connection error;
-//   - after the faults clear the node heals on its own, and the WAL
-//     holds exactly the acked batches: every acked record is durable
+//   - after the faults clear the node heals on its own: within 10s, with
+//     no manual relink, every acknowledged batch is link-visible and no
+//     record is pending;
+//   - the WAL holds exactly the acked batches: every acked record is durable
 //     exactly once, and every rejected batch is wholly absent — under the
 //     inline-fsync schedule, where a nacked append never survives
 //     quarantine. Under the group-commit schedule a batch nacked by a
@@ -216,8 +218,22 @@ func runServerChaos(t *testing.T, fsyncInterval time.Duration) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Force a clean relink so everything buffered is applied and the
-	// relink domain recovers too.
+	// Converge unkicked: the background scheduler alone publishes every
+	// acknowledged batch, including those a panicked run had drained.
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		_, unpublished := eng.OldestUnpublished()
+		pending := eng.Pending()
+		if !unpublished && pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("10s after the store healed with no manual relink: unpublished acknowledgements %v, %d records pending",
+				unpublished, pending)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Force a clean relink so the relink domain recovers too.
 	for _, path := range []string{"/v1/link", "/v1/link"} {
 		r, err := http.Post(ts.URL+path, "", nil)
 		if err != nil {

@@ -183,7 +183,7 @@ var (
 		slim_ingest_shed_records_total slim_ingest_shed_requests_total
 		slim_ingest_to_visible_seconds slim_ingested_records_total
 		slim_link_staleness_seconds slim_link_version slim_link_visible_seq slim_links
-		slim_pending_oldest_seconds slim_pending_records
+		slim_pending_records
 		slim_relink_pairs_dropped_total slim_relink_pairs_rescored_total
 		slim_relink_pairs_retained_total slim_relink_panics_total slim_relink_runs_total
 		slim_relink_seconds slim_relink_short_circuits_total slim_relink_stage_seconds
@@ -392,7 +392,7 @@ slim_ingest_accepted_batches_total counter - Ingest batches durably applied, acr
 slim_ingest_accepted_records_total counter - Ingest records durably applied, across the binary and JSON routes.
 slim_ingest_acked_seq gauge - Latest acknowledged-and-buffered ingest batch sequence.
 slim_ingest_inflight_records gauge - Admitted records not yet released (waiting on WAL durability).
-slim_ingest_oldest_wait_seconds gauge - Age of the oldest record queued anywhere in the pipeline (the latency-budget input).
+slim_ingest_oldest_wait_seconds gauge - Age of the oldest work admitted or acknowledged but not yet link-visible (the latency-budget input).
 slim_ingest_queue_depth_limit gauge - Configured admission budget in resident records.
 slim_ingest_shed_records_total counter - Records inside shed requests (nothing was logged or buffered).
 slim_ingest_shed_requests_total counter cause Requests refused whole by admission control, by exceeded budget.
@@ -402,7 +402,6 @@ slim_link_staleness_seconds gauge - Age of the oldest acknowledged batch not yet
 slim_link_version gauge - Version of the current published result.
 slim_link_visible_seq gauge - Newest ingest batch sequence whose records are link-visible.
 slim_links gauge - Links in the current published result.
-slim_pending_oldest_seconds gauge - Age of the oldest buffered record awaiting a relink.
 slim_pending_records gauge - Buffered records awaiting the next relink.
 slim_relink_pairs_dropped_total counter - Edge-store pairs dropped since boot.
 slim_relink_pairs_rescored_total counter - Candidate pairs rescored since boot.

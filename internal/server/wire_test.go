@@ -51,7 +51,7 @@ func TestWireEncoder(t *testing.T) {
 				`"match_ms":0,"merge_ms":0.001,"rescore_ms":0,"threshold_ms":0},"start_unix_ms":1700000000123,` +
 				`"trigger":"manual","version":0}`},
 		{"engine stats before the first run: no last_run_unix_ms, no layer blocks, totals at the top level",
-			engine.Stats{SpatialLevel: 12, PendingOldestAge: time.Second, Totals: engine.Totals{Runs: 1, EdgeRescoredTotal: 9}},
+			engine.Stats{SpatialLevel: 12, Totals: engine.Totals{Runs: 1, EdgeRescoredTotal: 9}},
 			`{"entities_e":0,"entities_i":0,"ingested_e":0,"ingested_i":0,"links":0,"loop_restarts":0,"pending_records":0,` +
 				`"relink_panics":0,"runs":1,"runs_short_circuited":0,"spatial_level":12,"threshold":0,"version":0}`},
 		{"a layer block renders through its own tags",

@@ -8,7 +8,8 @@
 #     runtime) are declared with # TYPE — the rest are pinned in Go by
 #     internal/server's TestWireSurfacesPinned,
 #   * the freshness pipeline moved (ingest_to_visible count > 0) and
-#     drained (staleness ~0).
+#     drained (staleness ~0), and the latency budget's input, which reads
+#     the same tracker, drained with it (oldest wait ~0).
 #
 # Usage: scripts/check_metrics.sh  (from the repo root; CI runs it there)
 set -euo pipefail
@@ -127,9 +128,12 @@ code="$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/explain?e=m1")"
 echo "== checking the freshness pipeline moved and drained"
 count="$(sed -n 's/^slim_ingest_to_visible_seconds_count \(.*\)$/\1/p' "$metrics")"
 stale="$(sed -n 's/^slim_link_staleness_seconds \(.*\)$/\1/p' "$metrics")"
+wait_s="$(sed -n 's/^slim_ingest_oldest_wait_seconds \(.*\)$/\1/p' "$metrics")"
 awk -v c="$count" 'BEGIN { exit !(c+0 >= 1) }' \
   || { echo "slim_ingest_to_visible_seconds_count=$count, want >= 1"; exit 1; }
 awk -v s="$stale" 'BEGIN { exit !(s+0 < 1) }' \
   || { echo "slim_link_staleness_seconds=$stale, want ~0 after quiesce"; exit 1; }
+awk -v w="$wait_s" 'BEGIN { exit !(w != "" && w+0 < 1) }' \
+  || { echo "slim_ingest_oldest_wait_seconds=$wait_s, want ~0 after quiesce"; exit 1; }
 
-echo "OK: /metrics serves $(grep -c '^# TYPE ' "$metrics") families; ingest_to_visible_count=$count staleness=$stale"
+echo "OK: /metrics serves $(grep -c '^# TYPE ' "$metrics") families; ingest_to_visible_count=$count staleness=$stale oldest_wait=$wait_s"
