@@ -323,7 +323,7 @@ func TestCLISlimd(t *testing.T) {
 
 	// One boot line before the listening line breaks the boot down by step
 	// (engine_ms: no -data-dir), and leaves the address to that line.
-	for _, key := range []string{"seeds_ms=", "engine_ms=", "link_ms=", "gc_ms=", "ready_ms="} {
+	for _, key := range []string{"seeds_ms=", "engine_ms=", "gc_ms=", "link_ms=", "memory_limit_mb=", "ready_ms="} {
 		if !strings.Contains(boot, " "+key) {
 			t.Errorf("boot line lacks %s: %q", key, boot)
 		}
@@ -445,13 +445,15 @@ func TestCLISlimd(t *testing.T) {
 	}
 }
 
-// TestCLISlimdBootHeapGoal: slimd collects once after its boot link, so
-// the serving heap's goal is paced by what the linker holds, not by a
-// boot cycle that marked seed records and a half-built linker. Booted
-// with -lsh and a data directory on a seed shaped like serve_revisit's,
-// the heap goal is at most 2.3x the resident bytes /v1/stats reports
-// (twice the live set plus runtime roots reads ≈ 2.15x; without the
-// collection the goal read 2.16-2.85x over ten boots, above 2.3x in eight).
+// TestCLISlimdBootHeapGoal: slimd paces its heap by what the engine holds.
+// It collects once when the engine exists and derives a memory limit of
+// the runtime's non-heap bytes + (1 + h) x the engine's held bytes + A,
+// again after every published run. Booted with -lsh and a data directory
+// on a seed shaped like serve_revisit's, the heap goal is then at most
+// (1 + h) x the resident bytes /v1/stats reports + A: what the limit
+// leaves the heap once the runtime's own bytes are counted. Under the
+// default pacing alone the goal is about twice the live set (2.15x the
+// resident bytes here).
 func TestCLISlimdBootHeapGoal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short")
@@ -465,7 +467,7 @@ func TestCLISlimdBootHeapGoal(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-lsh", "-debounce", "1h",
 		"-data-dir", filepath.Join(dir, "data"),
 		"-e", filepath.Join(dir, "E.csv"), "-i", filepath.Join(dir, "I.csv"))
-	for _, key := range []string{"recover_ms=", "gc_ms=", "heap_live_mb="} {
+	for _, key := range []string{"recover_ms=", "gc_ms=", "heap_live_mb=", "memory_limit_mb="} {
 		if !strings.Contains(boot, " "+key) {
 			t.Errorf("boot line lacks %s: %q", key, boot)
 		}
@@ -506,22 +508,28 @@ func TestCLISlimdBootHeapGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goal := -1.0
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, "slim_go_heap_goal_bytes "); ok {
-			if goal, err = strconv.ParseFloat(rest, 64); err != nil {
-				t.Fatalf("slim_go_heap_goal_bytes %q: %v", rest, err)
+	gauge := func(name string) float64 {
+		for _, line := range strings.Split(string(body), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				v, err := strconv.ParseFloat(rest, 64)
+				if err != nil {
+					t.Fatalf("%s %q: %v", name, rest, err)
+				}
+				return v
 			}
 		}
+		t.Fatalf("%s absent from /metrics", name)
+		return 0
 	}
-	if goal < 0 {
-		t.Fatal("slim_go_heap_goal_bytes absent from /metrics")
-	}
-	ratio := goal / float64(resident)
-	t.Logf("heap goal %.2f MB, resident %.2f MB (%.2fx); %s", goal/1e6, float64(resident)/1e6, ratio, boot)
-	if ratio > 2.3 {
-		t.Errorf("heap goal %.2f MB is %.2fx the linker's %.2f MB resident, want <= 2.3x: the serving heap is paced by a boot-time live set",
-			goal/1e6, ratio, float64(resident)/1e6)
+	goal, limit := gauge("slim_go_heap_goal_bytes"), gauge("slim_go_memory_limit_bytes")
+	// h and A as cmd/slimd/memlimit.go states them.
+	const h, a = 0.25, 4 << 20
+	bound := (1+h)*float64(resident) + a
+	t.Logf("heap goal %.2f MB (%.2fx resident), limit %.2f MB, resident %.2f MB, bound %.2f MB; %s",
+		goal/1e6, goal/float64(resident), limit/1e6, float64(resident)/1e6, bound/1e6, boot)
+	if goal > bound {
+		t.Errorf("heap goal %.2f MB is above (1 + h) x the engine's %.2f MB resident + A = %.2f MB: the heap is not paced by what the engine holds",
+			goal/1e6, float64(resident)/1e6, bound/1e6)
 	}
 }
 

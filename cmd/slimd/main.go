@@ -37,6 +37,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -93,6 +94,9 @@ func main() {
 		os.Exit(2)
 	}
 	logger := slog.New(handler)
+	// An operator's GOMEMLIMIT, read before slimd sets its own limit, stays
+	// a ceiling on every limit slimd derives.
+	ceiling := debug.SetMemoryLimit(-1)
 
 	// One registry for the whole process: engine, storage, ingest plane,
 	// and HTTP server all record into it, and GET /metrics exposes it.
@@ -135,6 +139,9 @@ func main() {
 		RunJournal: *runJournal,
 		Fault:      inj,
 		Logger:     logger,
+		// Every published run re-derives the memory limit from what the
+		// engine then holds, so the limit follows the linker as it grows.
+		AfterPublish: func(st engine.Stats) { paceHeap(st, ceiling) },
 	}
 	var eng *engine.Engine
 	var store *storage.Store
@@ -175,6 +182,18 @@ func main() {
 		}
 	}
 	engineDone := time.Now()
+	// One collection as soon as the engine exists, on the path every boot
+	// route takes: the seed records and the build's garbage are dead, so it
+	// marks what the engine holds (a recovery's replayed log included, in
+	// its pending buffers), and the memory limit derived from that paces
+	// the boot link and what follows. The boot's last natural cycle lands
+	// wherever its allocations put it, often mid-build with a half-built
+	// linker live. Only this process owns its heap, so no library package
+	// calls the collector or sets the limit.
+	runtime.GC()
+	heapLive := obs.HeapLiveBytes()
+	paceHeap(eng.Stats(), ceiling)
+	gcDone := time.Now()
 	eng.Start()
 	plane := ingest.NewPlane(eng, ingest.Config{
 		QueueDepth: *queueDepth,
@@ -215,15 +234,6 @@ func main() {
 			"elapsed", res.Elapsed)
 	}
 	linkDone := time.Now()
-	// One collection before /readyz, on the path every boot route takes.
-	// The boot's last natural cycle lands wherever its allocations put it,
-	// often mid-build with seed records and a half-built linker live, and
-	// the run's first cycle is paced from that. Marking now paces the
-	// serving heap from what the linker holds. Only this process owns its
-	// boot, so no library package calls the collector.
-	runtime.GC()
-	heapLive := obs.HeapLiveBytes()
-	gcDone := time.Now()
 
 	srv := server.New(eng, logger,
 		server.WithIngestPlane(plane),
@@ -290,9 +300,10 @@ func main() {
 	logger.Info("boot",
 		"seeds_ms", millis(seedsDone.Sub(boot)),
 		engineKey, millis(engineDone.Sub(seedsDone)),
-		"link_ms", millis(linkDone.Sub(engineDone)),
-		"gc_ms", millis(gcDone.Sub(linkDone)),
-		"heap_live_mb", math.Round(float64(heapLive)/(1<<20)*100)/100,
+		"gc_ms", millis(gcDone.Sub(engineDone)),
+		"heap_live_mb", mebibytes(int64(heapLive)),
+		"link_ms", millis(linkDone.Sub(gcDone)),
+		"memory_limit_mb", mebibytes(debug.SetMemoryLimit(-1)),
 		"ready_ms", millis(time.Since(boot)))
 	logger.Info("listening",
 		"addr", ln.Addr().String(),
@@ -316,6 +327,9 @@ func main() {
 
 // millis renders a boot step's duration in milliseconds.
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+
+// mebibytes renders a byte count in MiB to two decimals.
+func mebibytes(b int64) float64 { return math.Round(float64(b)/(1<<20)*100) / 100 }
 
 // readSeed loads an optional seed dataset; an empty path yields an empty
 // dataset of the given name.

@@ -10,12 +10,15 @@ import (
 // TestBufferAndOldestUnpublished: AddE/AddI enqueue into the pending
 // buffers (each record counted once, the oldest acknowledgement time
 // kept), the next run drains, applies and publishes them, and each
-// published run reaches AfterRun once.
+// published run reaches AfterRun and AfterPublish once, the hook with the
+// stats that run left; a short circuit reaches neither.
 func TestBufferAndOldestUnpublished(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
+	var published []Stats
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Link: cfg, Debounce: time.Hour})
+		Config{Link: cfg, Debounce: time.Hour,
+			AfterPublish: func(st Stats) { published = append(published, st) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +60,15 @@ func TestBufferAndOldestUnpublished(t *testing.T) {
 	}
 	if p.runs != 1 {
 		t.Fatalf("AfterRun called %d times, want 1", p.runs)
+	}
+	if len(published) != 1 {
+		t.Fatalf("AfterPublish called %d times, want 1", len(published))
+	}
+	if st := published[0]; st.Version != 1 || st.PendingRecords != 0 || st.EntitiesE != 3 || st.EdgeStore == nil {
+		t.Fatalf("AfterPublish saw %+v, want the published run's stats", st)
+	}
+	if eng.Run(); p.runs != 1 || len(published) != 1 {
+		t.Fatalf("a short circuit reached AfterRun %d, AfterPublish %d times; want 1, 1", p.runs, len(published))
 	}
 	if eng.Pending() != 0 {
 		t.Fatalf("Pending = %d after run, want 0", eng.Pending())

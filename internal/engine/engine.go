@@ -99,6 +99,11 @@ type Config struct {
 	// Logger, when set, receives recovered relink panics and supervisor
 	// restarts (failures with no caller to report to).
 	Logger *slog.Logger
+	// AfterPublish, when set, is handed the engine's Stats after every run
+	// that publishes a result, once the persister has seen it. It runs under
+	// the run lock, so the calls come in run order and each sees its own
+	// run's layer snapshots; slimd sizes the process's heap from them.
+	AfterPublish func(Stats)
 }
 
 // Persister is the engine's checkpoint hook, implemented by
@@ -486,9 +491,15 @@ func (e *Engine) run(trigger string) (slim.Result, RunRecord) {
 	}
 	res := e.finish(&rec, pub)
 	// Give the persister the published result (still under runMu, so
-	// checkpoints are serialized against the next relink).
-	if p := e.persister(); p != nil && pub != nil {
-		p.AfterRun(res, rec.Version)
+	// checkpoints are serialized against the next relink), then the
+	// AfterPublish hook the stats that result left.
+	if pub != nil {
+		if p := e.persister(); p != nil {
+			p.AfterRun(res, rec.Version)
+		}
+		if e.cfg.AfterPublish != nil {
+			e.cfg.AfterPublish(e.Stats())
+		}
 	}
 	return res, rec
 }

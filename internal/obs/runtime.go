@@ -65,12 +65,42 @@ func RegisterRuntime(reg *Registry) {
 	reg.GaugeFunc("slim_go_heap_goal_bytes",
 		"Heap size at which the next GC cycle is due to finish.",
 		func() float64 { return float64(runtimeUint64("/gc/heap/goal:bytes")) })
+	reg.GaugeFunc("slim_go_memory_limit_bytes",
+		"Soft memory limit the collector paces the heap against (math.MaxInt64 when none is set).",
+		func() float64 { return float64(runtimeUint64("/gc/gomemlimit:bytes")) })
+	reg.GaugeFunc("slim_go_gc_cpu_seconds_total",
+		"Cumulative CPU time the runtime estimates it spent on garbage collection.",
+		func() float64 {
+			s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}}
+			metrics.Read(s)
+			return s[0].Value.Float64()
+		})
 }
 
 // HeapLiveBytes returns the heap bytes the last GC cycle marked live
 // (runtime/metrics /gc/heap/live:bytes): the live set that paces the
 // next cycle's goal.
 func HeapLiveBytes() uint64 { return runtimeUint64("/gc/heap/live:bytes") }
+
+// NonHeapBytes returns what the runtime has mapped for anything but the
+// heap's own pages (runtime/metrics /memory/classes/total less its heap
+// objects, unused, free and released classes): goroutine stacks, runtime
+// metadata and the rest a memory limit counts beside the heap.
+func NonHeapBytes() uint64 {
+	s := []metrics.Sample{
+		{Name: "/memory/classes/total:bytes"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/memory/classes/heap/free:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+	}
+	metrics.Read(s)
+	n := s[0].Value.Uint64()
+	for _, heap := range s[1:] {
+		n -= heap.Value.Uint64()
+	}
+	return n
+}
 
 // runtimeUint64 reads one uint64 runtime metric. runtime/metrics does
 // not stop the world, so these gauges skip the ReadMemStats cache.

@@ -25,7 +25,8 @@ import (
 //     429/503/500 rejected) — never a hang or a connection error;
 //   - after the faults clear the node heals on its own: within 10s, with
 //     no manual relink, every acknowledged batch is link-visible and no
-//     record is pending;
+//     record is pending — also when the one run a last batch kicks panics
+//     after draining it;
 //   - the WAL holds exactly the acked batches: every acked record is durable
 //     exactly once, and every rejected batch is wholly absent — under the
 //     inline-fsync schedule, where a nacked append never survives
@@ -220,19 +221,44 @@ func runServerChaos(t *testing.T, fsyncInterval time.Duration) {
 	}
 	// Converge unkicked: the background scheduler alone publishes every
 	// acknowledged batch, including those a panicked run had drained.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		_, unpublished := eng.OldestUnpublished()
-		pending := eng.Pending()
-		if !unpublished && pending == 0 {
-			break
+	converge := func(after string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			_, unpublished := eng.OldestUnpublished()
+			pending := eng.Pending()
+			if !unpublished && pending == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("10s after %s with no manual relink: unpublished acknowledgements %v, %d records pending",
+					after, unpublished, pending)
+			}
+			time.Sleep(time.Millisecond)
 		}
+	}
+	converge("the store healed")
+	// The last run before a quiesce fails after its drain: one more
+	// acknowledged batch is the only kick, the run it starts panics
+	// between rescoring and publishing, and no ingest follows. Only the
+	// failed run's own retry can publish that batch.
+	inj.Arm(engine.FaultRelink, fault.Rule{Panic: "chaos: last run", Count: 1})
+	resp, _ := postJSON(t, ts.URL+"/v1/datasets/e/records", map[string]any{"records": []map[string]any{
+		{"entity": "c-last", "lat": 40.0, "lng": -74.0, "unix": 1_000_000},
+		{"entity": "c-last", "lat": 40.01, "lng": -74.0, "unix": 1_000_600},
+	}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("post-quiesce batch: status %d, want 202", resp.StatusCode)
+	}
+	verdict("c-last", 2, resp.StatusCode)
+	deadline = time.Now().Add(10 * time.Second)
+	for inj.Fired(engine.FaultRelink) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("10s after the store healed with no manual relink: unpublished acknowledgements %v, %d records pending",
-				unpublished, pending)
+			t.Fatal("the armed relink panic never fired on the post-quiesce batch's run")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	converge("a failed run drained the last batch")
 	// Force a clean relink so the relink domain recovers too.
 	for _, path := range []string{"/v1/link", "/v1/link"} {
 		r, err := http.Post(ts.URL+path, "", nil)

@@ -100,6 +100,8 @@ slim_go_heap_alloc_bytes
 slim_go_gc_pause_total_seconds
 slim_go_heap_live_bytes
 slim_go_heap_goal_bytes
+slim_go_memory_limit_bytes
+slim_go_gc_cpu_seconds_total
 '
 missing=0
 for name in $required; do
