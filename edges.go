@@ -27,8 +27,8 @@ type EdgeStoreStats struct {
 	Epoch uint64 `json:"epoch"`
 	// Retained / Rescored / Dropped describe the last update: candidate
 	// pairs kept with their cached score, pairs (re)scored, and edges
-	// removed from the store (candidate-set removals plus pairs whose
-	// fresh score was no longer positive).
+	// removed from the store (on a delta update, the edges of dirty
+	// entities that left the candidate set or rescored to zero).
 	Retained int64 `json:"retained_last"`
 	Rescored int64 `json:"rescored_last"`
 	Dropped  int64 `json:"dropped_last"`
@@ -85,7 +85,7 @@ type edge struct {
 }
 
 // scoredPair is one candidate pair (candidates.Key) with its score: the
-// scoring fan-out's output, and apply's delta.
+// scoring fan-out's output.
 type scoredPair struct {
 	key   uint64
 	score float64
@@ -94,9 +94,9 @@ type scoredPair struct {
 // edgeStore is the maintained pair→score state behind Linker.Rescore.
 // Where scoring used to be per-run output (every candidate rescanned on
 // every run), the store keeps the scored edges alive between runs and
-// updates them by the delta each Rescore computes: rescore the added/dirty
-// pairs, drop the removed ones, keep the rest untouched. It carries no
-// pair-level work from one Rescore to the next.
+// updates them by one rule each Rescore: rescore the current candidate
+// pairs of the dirty entities, drop their other edges, keep the rest
+// untouched. It carries no pair-level work from one Rescore to the next.
 //
 // Soundness mirrors the epoch discipline of the compiled scoring views
 // (history/compiled.go) and the candidate index (internal/candidates):
@@ -193,63 +193,42 @@ func (es *edgeStore) resetFull(parts [][]scoredPair, seq uint64) {
 }
 
 // apply performs one delta update stamped with the given run seq.
-// positive is the scoring fan-out's output over rescored — its pairs that
-// scored positive, in rescored's order — so a rescored pair missing from it
-// is dropped if the store held it, as is every removed pair; the two lists
-// are disjoint. It returns how many edges were dropped.
+// positive holds the pairs of P — the current candidate pairs with an
+// endpoint in dirtyE or dirtyI — that scored positive, sorted by pair. An
+// edge with no dirty endpoint stays as it is; one with a dirty endpoint
+// takes its score in positive, or leaves the store when positive does not
+// name it (it scored zero or is no longer a candidate). It returns how
+// many edges were dropped.
 //
-// One walk down order looks each edge up in the delta, sorted by pair: an
-// edge it does not name stays, one rescored to the same score is restamped
-// in place, and the rest leave. Those rescored to a new positive score keep
-// their tenure; they and the delta's new pairs are merged back in from the
+// One walk down order looks each edge with a dirty endpoint up in
+// positive: one rescored to the same score is restamped in place, the rest
+// leave. Those rescored to a new score keep their tenure; they and the
+// pairs of positive the store did not hold are merged back in from the
 // back, as postings.update does.
-func (es *edgeStore) apply(rescored []uint64, positive []scoredPair, removed []uint64, seq uint64) (dropped int64) {
-	delta := make([]scoredPair, 0, len(rescored)+len(removed))
-	for _, p := range rescored {
-		sp := scoredPair{key: p}
-		if len(positive) > 0 && positive[0].key == p {
-			sp.score, positive = positive[0].score, positive[1:]
-		}
-		delta = append(delta, sp)
-	}
-	for _, p := range removed {
-		delta = append(delta, scoredPair{key: p})
-	}
-	byKey := func(sp scoredPair, p uint64) int { return cmp.Compare(sp.key, p) }
-	// Stable (a merge sort): the lists arrive as a few sorted runs.
-	slices.SortStableFunc(delta, func(a, b scoredPair) int { return byKey(a, b.key) })
-	// inE / inI mark the ordinals the delta names: an edge without both
-	// ends marked is not in it and skips the search, the walk's dearest step.
-	inE, inI := make([]bool, es.idsE.Len()), make([]bool, es.idsI.Len())
-	for _, sp := range delta {
-		u, v := candidates.Ends(sp.key)
-		inE[u], inI[v] = true, true
-	}
-
+func (es *edgeStore) apply(positive []scoredPair, dirtyE, dirtyI map[uint32]struct{}, seq uint64) (dropped int64) {
+	inE, inI := marks(es.idsE.Len(), dirtyE), marks(es.idsI.Len(), dirtyI)
+	held := make([]bool, len(positive))
 	var fresh []edge
 	w := 0
 	for _, e := range es.order {
-		if u, v := candidates.Ends(e.key); inE[u] && inI[v] {
-			if k, named := slices.BinarySearchFunc(delta, e.key, byKey); named {
-				s := delta[k].score
-				delta[k].score = 0 // held: not a new pair
-				switch s {
-				case e.score:
-					e.rescoredSeq = seq
-				case 0:
-					dropped++
-					continue
-				default:
-					fresh = append(fresh, edge{key: e.key, score: s, rescoredSeq: seq, sinceSeq: e.sinceSeq, fullScore: e.fullScore})
-					continue
-				}
+		if u, v := candidates.Ends(e.key); inE[u] || inI[v] {
+			k, found := slices.BinarySearchFunc(positive, e.key, func(sp scoredPair, p uint64) int { return cmp.Compare(sp.key, p) })
+			if !found {
+				dropped++
+				continue
 			}
+			held[k] = true
+			if s := positive[k].score; s != e.score {
+				fresh = append(fresh, edge{key: e.key, score: s, rescoredSeq: seq, sinceSeq: e.sinceSeq, fullScore: e.fullScore})
+				continue
+			}
+			e.rescoredSeq = seq
 		}
 		es.order[w] = e
 		w++
 	}
-	for _, sp := range delta {
-		if sp.score > 0 {
+	for k, sp := range positive {
+		if !held[k] {
 			fresh = append(fresh, edge{key: sp.key, score: sp.score, rescoredSeq: seq, sinceSeq: seq})
 		}
 	}
@@ -265,6 +244,15 @@ func (es *edgeStore) apply(rescored []uint64, positive []scoredPair, removed []u
 	es.lastFull = false
 	es.seq = seq
 	return dropped
+}
+
+// marks returns a side's n ordinals as a column, true for those in set.
+func marks(n int, set map[uint32]struct{}) []bool {
+	in := make([]bool, n)
+	for ord := range set {
+		in[ord] = true
+	}
+	return in
 }
 
 // greedy is the paper's greedy maximum-sum matching over the retained

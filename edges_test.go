@@ -31,7 +31,7 @@ func sideTable(prefix string, n int) *history.Ordinals {
 // TestEdgeStoreResidentBytesExact holds EdgeStoreStats.ResidentBytes —
 // slim_edge_store_resident_bytes on /metrics — to the order column's
 // capacity in edge records after a full rescore and after a delta update
-// that moves a tenth of the edges, and to within 10 % of what the
+// that rescores a tenth of the edges (those of every tenth E entity), and to within 10 % of what the
 // 20k-edge store actually retains, at no more than 50 B an edge.
 // Materialising the edge set, as RunEdges does, leaves the store's
 // footprint unchanged.
@@ -60,15 +60,18 @@ func TestEdgeStoreResidentBytesExact(t *testing.T) {
 	}
 	es.resetFull([][]scoredPair{full}, 1)
 	column("after a full update")
-	var pairs []uint64
+	// Every tenth E entity is dirty and each of its pairs takes a new score.
+	dirtyE := map[uint32]struct{}{}
 	var scored []scoredPair
-	for k := 0; k < len(full); k += 10 {
-		pairs = append(pairs, full[k].key)
-		scored = append(scored, scoredPair{key: full[k].key, score: full[k].score + 0.5})
+	for _, sp := range full {
+		if u, _ := candidates.Ends(sp.key); u%10 == 0 {
+			dirtyE[u] = struct{}{}
+			scored = append(scored, scoredPair{key: sp.key, score: sp.score + 0.5})
+		}
 	}
-	es.apply(pairs, scored, nil, 2)
+	es.apply(scored, dirtyE, nil, 2)
 	column("after a delta update")
-	full, pairs, scored = nil, nil, nil
+	full, scored = nil, nil
 
 	check := func(state string) {
 		t.Helper()
@@ -96,10 +99,19 @@ func TestEdgeStoreResidentBytesExact(t *testing.T) {
 // score keeps the tenure and the last-full fields; a pair that enters on
 // a delta starts its tenure with no last-full fields, and so does one
 // dropped and added again; a full rescore keeps every tenure and moves the
-// rest of the lineage to its run.
+// rest of the lineage to its run. Each delta names its dirty entities and
+// the positive scores of their current candidate pairs, so an edge leaves
+// when its dirty endpoint's pairs no longer name it, through either side.
 func TestEdgeLineageFollowsTenure(t *testing.T) {
 	es := edgeStore{idsE: sideTable("e", 3), idsI: sideTable("i", 3)}
 	a, b, c := candidates.Key(0, 0), candidates.Key(1, 1), candidates.Key(2, 2)
+	dirty := func(ords ...uint32) map[uint32]struct{} {
+		set := map[uint32]struct{}{}
+		for _, ord := range ords {
+			set[ord] = struct{}{}
+		}
+		return set
+	}
 	check := func(step string, p uint64, want EdgeLineage) {
 		t.Helper()
 		if got := es.lineage(p); !sameLineage(got, want) {
@@ -110,21 +122,22 @@ func TestEdgeLineageFollowsTenure(t *testing.T) {
 	check("full rescore", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 1, RetainedSinceSeq: 1, LastFullSeq: 1, ScoreAtLastFull: 0.5, StoreEpoch: 1})
 	check("full rescore", c, EdgeLineage{StoreEpoch: 1})
 
-	es.apply([]uint64{a, b, c}, []scoredPair{{a, 0.5}, {b, 0.75}, {c, 0.125}}, nil, 2)
+	es.apply([]scoredPair{{a, 0.5}, {b, 0.75}, {c, 0.125}}, dirty(0, 1, 2), nil, 2)
 	check("same score", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 2, RetainedSinceSeq: 1, LastFullSeq: 1, ScoreAtLastFull: 0.5, StoreEpoch: 1})
 	check("new score", b, EdgeLineage{Linked: true, Score: 0.75, RescoredSeq: 2, RetainedSinceSeq: 1, LastFullSeq: 1, ScoreAtLastFull: 0.25, StoreEpoch: 1})
 	check("added", c, EdgeLineage{Linked: true, Score: 0.125, RescoredSeq: 2, RetainedSinceSeq: 2, StoreEpoch: 1})
 
-	if dropped := es.apply(nil, nil, []uint64{b}, 3); dropped != 1 {
-		t.Fatalf("removing a pair dropped %d edges", dropped)
+	if dropped := es.apply(nil, dirty(1), nil, 3); dropped != 1 {
+		t.Fatalf("a pair of a dirty E entity that left the candidate set dropped %d edges", dropped)
 	}
-	check("removed", b, EdgeLineage{StoreEpoch: 1})
-	es.apply([]uint64{b}, []scoredPair{{b, 0.25}}, nil, 4)
+	check("left the candidate set", b, EdgeLineage{StoreEpoch: 1})
+	check("not dirty", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 2, RetainedSinceSeq: 1, LastFullSeq: 1, ScoreAtLastFull: 0.5, StoreEpoch: 1})
+	es.apply([]scoredPair{{b, 0.25}}, dirty(1), nil, 4)
 	check("added again", b, EdgeLineage{Linked: true, Score: 0.25, RescoredSeq: 4, RetainedSinceSeq: 4, StoreEpoch: 1})
-	if dropped := es.apply([]uint64{c}, nil, nil, 5); dropped != 1 {
-		t.Fatalf("rescoring a pair to zero dropped %d edges", dropped)
+	if dropped := es.apply(nil, nil, dirty(2), 5); dropped != 1 {
+		t.Fatalf("a pair of a dirty I entity with no positive score dropped %d edges", dropped)
 	}
-	check("scored zero", c, EdgeLineage{StoreEpoch: 1})
+	check("no positive score", c, EdgeLineage{StoreEpoch: 1})
 
 	es.resetFull([][]scoredPair{{{a, 0.5}, {b, 0.5}, {c, 0.25}}}, 6)
 	check("second full rescore", a, EdgeLineage{Linked: true, Score: 0.5, RescoredSeq: 6, RetainedSinceSeq: 1, LastFullSeq: 6, ScoreAtLastFull: 0.5, StoreEpoch: 2})
@@ -230,9 +243,8 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 // re-adds every record of some entities doubles their bin weights, which
 // leaves their dominating cells, the candidate set, every bin set and so
 // every score as they were. The run's one candidate-index update therefore
-// reports the candidate pairs with a burst endpoint as Dirty and nothing
-// else, and Rescore scores exactly those pairs, retains every other one and
-// drops none.
+// returns exactly the candidate pairs with a burst endpoint, and Rescore
+// scores exactly those pairs, retains every other one and drops none.
 func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
@@ -399,16 +411,18 @@ type edgeOrderRun struct {
 }
 
 // runEdgeOrder drives an edge store through the update program data
-// spells — full rescores and delta updates with adds, drops, removals and
-// score changes over a four-score palette — beside a reference model of
-// every pair's EdgeLineage. After every update it checks each pair's
-// lineage field by field against the model, that the store's order column
-// is the model's pairs in greedy order, and that Publish (one publishTail,
-// so the threshold fit cache is live across updates) equals the
-// from-scratch reference bit for bit. The model's rules: a full rescore
-// keeps each pair's tenure and moves the rest of its lineage to the run; a
-// delta drop ends a tenure, so a re-add starts a new one with no last-full
-// fields; a rescore moves only the score and RescoredSeq.
+// spells — full rescores and delta updates over a four-score palette —
+// beside a reference model of every pair's EdgeLineage. A delta draws
+// dirty entities on both sides; each pair with a dirty endpoint is then
+// either rescored to a palette score, zero included, or is no longer a
+// candidate. After every update it checks each pair's lineage field by
+// field against the model, that the store's order column is the model's
+// pairs in greedy order, and that Publish (one publishTail, so the
+// threshold fit cache is live across updates) equals the from-scratch
+// reference bit for bit. The model's rules: a full rescore keeps each
+// pair's tenure and moves the rest of its lineage to the run; a delta drop
+// ends a tenure, so a re-add starts a new one with no last-full fields; a
+// rescore moves only the score and RescoredSeq.
 func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
 	const n = edgeOrderSides
 	es := edgeStore{idsE: permutedTable("u", n), idsI: permutedTable("v", n)}
@@ -427,13 +441,13 @@ func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
 	var run edgeOrderRun
 	epoch := uint64(0)
 	for seq := uint64(1); len(data) > 0; seq++ {
-		op, touched := next(), 1+next()%8
+		op := next()
 		if op%8 == 0 || !es.built {
 			scores := map[uint64]float64{}
 			for p, l := range ref {
 				scores[p] = l.Score
 			}
-			for k := 0; k < touched; k++ {
+			for k, touched := 0, 1+next()%8; k < touched; k++ {
 				p := candidates.Key(uint32(next()%n), uint32(next()%n))
 				if s := score(); s > 0 {
 					scores[p] = s
@@ -459,35 +473,48 @@ func runEdgeOrder(t testing.TB, data []byte) edgeOrderRun {
 			epoch++
 			run.fulls++
 		} else {
-			var rescored, removed []uint64
+			// Up to two dirty entities a side, at least one in all.
+			dirtyE, dirtyI := map[uint32]struct{}{}, map[uint32]struct{}{}
+			nE, nI := next()%3, next()%3
+			if nE+nI == 0 {
+				nE = 1
+			}
+			for k := 0; k < nE; k++ {
+				dirtyE[uint32(next()%n)] = struct{}{}
+			}
+			for k := 0; k < nI; k++ {
+				dirtyI[uint32(next()%n)] = struct{}{}
+			}
+			// P's pairs come in pair order: one byte each says whether the
+			// pair is still a candidate and, if so, its score.
 			var positive []scoredPair
-			seen := map[uint64]bool{}
-			for k := 0; k < touched; k++ {
-				p := candidates.Key(uint32(next()%n), uint32(next()%n))
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-				if next()%4 == 0 {
-					removed = append(removed, p) // left the candidate set
-					delete(ref, p)
-					continue
-				}
-				rescored = append(rescored, p)
-				if s := score(); s > 0 {
-					positive = append(positive, scoredPair{p, s})
-					l, had := ref[p]
-					if !had {
-						l = EdgeLineage{Linked: true, RetainedSinceSeq: seq}
+			for u := uint32(0); u < n; u++ {
+				for v := uint32(0); v < n; v++ {
+					_, du := dirtyE[u]
+					_, dv := dirtyI[v]
+					if !du && !dv {
+						continue
 					}
-					l.Score, l.RescoredSeq = s, seq
-					ref[p] = l
-				} else {
-					delete(ref, p)
+					p, b := candidates.Key(u, v), next()
+					if b%4 == 0 { // no longer a candidate
+						delete(ref, p)
+						continue
+					}
+					if s := float64(b/4%5) / 4; s > 0 {
+						positive = append(positive, scoredPair{p, s})
+						l, had := ref[p]
+						if !had {
+							l = EdgeLineage{Linked: true, RetainedSinceSeq: seq}
+						}
+						l.Score, l.RescoredSeq = s, seq
+						ref[p] = l
+					} else {
+						delete(ref, p)
+					}
 				}
 			}
 			before := scoredOrder(&es)
-			es.apply(rescored, positive, removed, seq)
+			es.apply(positive, dirtyE, dirtyI, seq)
 			if !slices.Equal(before, scoredOrder(&es)) {
 				run.deltas++
 			}

@@ -49,9 +49,11 @@ func FuzzLinkerTimestamps(f *testing.F) {
 }
 
 // FuzzEdgeOrder drives an edge store through a fuzzed program of full
-// rescores and delta updates — adds, drops, candidate removals and score
-// changes over 16 × 16 pairs and a four-score palette, so many pairs tie,
-// with ids that sort against their ordinals (see runEdgeOrder). After
+// rescores and delta updates — each delta draws dirty entities and
+// rescores every pair with a dirty endpoint to one of a four-score palette,
+// zero included, or takes it out of the candidate set — over 16 × 16 pairs,
+// so many pairs tie, with ids that sort against their ordinals (see
+// runEdgeOrder). After
 // every update each pair's EdgeLineage must equal a reference model's,
 // the store's order column must be the model's pairs in greedy order,
 // and Publish's matching, links and threshold must be

@@ -191,22 +191,3 @@ func countBands(sig Signature, r int64) int {
 	}
 	return n
 }
-
-// sharesBand reports whether two entities' band keys (each ascending by
-// band) agree in some band both of them have: the definition of a
-// candidate pair.
-func sharesBand(a, b []bandKey) bool {
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i].band < b[j].band:
-			i++
-		case a[i].band > b[j].band:
-			j++
-		case a[i].hash == b[j].hash:
-			return true
-		default:
-			i, j = i+1, j+1
-		}
-	}
-	return false
-}

@@ -45,12 +45,12 @@
 // enumeration keyed by entity id (the parity suite's oracle, which shares
 // only the banding primitives with the index). It holds by
 // definition rather than by bookkeeping: a pair is a candidate iff its two
-// entities' maintained band keys agree in some band (sharesBand) — the
-// batch path's "share a bucket in at least one band" — and nothing is
-// stored per pair that could drift from that. The pair list is enumerated
-// from the postings, which hold an entity under exactly its current band
-// keys; a delta update reads the definition off the keys of both
-// endpoints for every pair it re-examines (see apply).
+// entities' maintained band keys agree in some band — the batch path's
+// "share a bucket in at least one band" — and nothing is stored per pair
+// that could drift from that. The pair list is enumerated from the
+// postings, which hold an entity under exactly its current band keys, and
+// an Update returns the candidate pairs of the entities it re-signed,
+// found the same way (see apply).
 package candidates
 
 import (
@@ -93,27 +93,6 @@ type Stats struct {
 	// LastUpdate is its wall-clock duration.
 	LastDirty  int           `json:"dirty_entities_last"`
 	LastUpdate time.Duration `json:"last_update_ms"`
-}
-
-// Delta reports how one Update changed the candidate set, in the exact
-// set-difference sense: Added/Removed are the pairs that entered/left the
-// set (Pairs() after == Pairs() before − Removed + Added; the first Update
-// starts from the empty set), and Dirty are the pairs that stayed
-// candidates but have at least one endpoint re-signed this Update — i.e.
-// an endpoint the caller reported as changed, so any score derived from
-// the pair is stale. The three slices hold packed pairs (Key), are
-// disjoint and sorted ascending; callers may retain them but must not
-// modify them.
-//
-// Delta is what makes scored edges maintainable as state rather than
-// per-run output: a caller holding pair→score only has to rescore
-// Added ∪ Dirty and drop Removed; every other pair's endpoints are
-// untouched histories, so its score is unchanged by construction (see the
-// root package's edge store).
-type Delta struct {
-	Added   []uint64
-	Removed []uint64
-	Dirty   []uint64
 }
 
 // The two sides of a pair: a side indexes Index.sides.
@@ -403,6 +382,17 @@ type signing struct {
 // ord returns ords[k].
 func (g *signing) ord(k int) uint32 { return g.ords[k] }
 
+// moved reports whether the k-th entity's keys moved: it left or entered
+// one.
+func (g *signing) moved(k int) bool { return g.left.spans[k].n+g.entered.spans[k].n > 0 }
+
+// movedOrd is moved for an ordinal: false for one the signing did not
+// re-sign.
+func (g *signing) movedOrd(ord uint32) bool {
+	k, ok := slices.BinarySearch(g.ords, ord)
+	return ok && g.moved(k)
+}
+
 // repost moves a signing's entities out of the buckets they left and into
 // those they entered, and returns by how much that changed the number of
 // keys held on this side or the other. Their postings are few, so they are
@@ -458,9 +448,10 @@ type Index struct {
 	// buckets counts the keys held on either side.
 	buckets int
 
-	// The candidate set is not stored: it is the pairs that collide (see
-	// sharesBand). numPairs is its size, kept exact by every delta; pairs
-	// caches its ascending enumeration, nil once the set has changed.
+	// The candidate set is not stored: it is the pairs whose band keys
+	// agree in some band. numPairs is its size, kept exact by every
+	// Update; pairs caches its ascending enumeration, nil once the set has
+	// changed.
 	numPairs int64
 	pairs    []uint64
 
@@ -484,83 +475,75 @@ func New(storeE, storeI *history.Store, p Params) *Index {
 	return x
 }
 
-// Update brings the index up to date with its stores and returns the
-// exact Delta of the candidate set (see Delta). dirtyE and dirtyI name, by
-// ordinal, the entities whose histories changed since the previous Update:
-// it re-signs every reported entity with a history; the caller reports
-// what it changed, as Linker.AddE/AddI do. An entity left unreported keeps
-// its old band keys. The first call signs every entity of both stores,
-// fanned out over Workers, and ignores them; its Delta adds the whole
-// candidate set.
-func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) Delta {
+// Update brings the index up to date with its stores and returns P, the
+// candidate pairs that have an endpoint it re-signed, as packed pairs
+// (Key) in ascending order; callers may retain P but must not modify it.
+// dirtyE and dirtyI name, by ordinal, the entities whose histories changed
+// since the previous Update: it re-signs every reported entity with a
+// history; the caller reports what it changed, as Linker.AddE/AddI do. An
+// entity left unreported keeps its old band keys, so a pair with no
+// re-signed endpoint is a candidate exactly when it was before. The first
+// call signs every entity of both stores, fanned out over Workers, and
+// ignores them; it returns the whole candidate set.
+func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) []uint64 {
 	start := time.Now()
-	var d Delta
+	var pairs []uint64
 	if !x.built {
 		x.built = true
 		x.lastDirty = x.fill(sideE) + x.fill(sideI)
 		eachKey(&x.sides[sideE].post, &x.sides[sideI].post, func(bandKey) { x.buckets++ })
 		x.pairs = x.enumerate()
 		x.numPairs = int64(len(x.pairs))
-		d.Added = x.pairs
+		pairs = x.pairs
 	} else {
-		d = x.apply(dirtyE, dirtyI)
+		pairs = x.apply(dirtyE, dirtyI)
 	}
 	x.lastUpdate = time.Since(start)
-	return d
+	return pairs
 }
 
-// apply re-signs the reported entities and returns the Delta. A pair can
-// only have entered, left or gone stale through a re-signed endpoint. If
-// it collides after the Update, it shares one of that endpoint's new keys
-// in the new postings: those partners are Dirty if the pair collided
-// under the old keys of both endpoints, else Added. If it collided before
-// and no longer does, one endpoint left the key they shared, in the old
-// postings: those partners not found the first way are Removed. The lists
-// are the exact set difference by construction; a pair whose two
-// endpoints both moved is judged on where it started and where it ended,
-// and one that keeps a band while another changes is Dirty and leaves the
-// cached pair list alone.
-func (x *Index) apply(dirtyE, dirtyI map[uint32]struct{}) Delta {
+// apply re-signs the reported entities and returns P: the partners found
+// in the buckets of their new keys once they are reposted. Only a pair
+// with an endpoint whose keys moved (it left or entered one) can have
+// entered or left the set, so the count moves by how many pairs of P have
+// such an endpoint less how many the same walk over those entities' old
+// keys finds in the old postings, and the cached pair list is dropped
+// exactly when the two lists differ.
+func (x *Index) apply(dirtyE, dirtyI map[uint32]struct{}) []uint64 {
 	re := [2]signing{x.resign(sideE, dirtyE), x.resign(sideI, dirtyI)}
 	x.lastDirty = len(re[sideE].ords) + len(re[sideI].ords)
-	var left, after []uint64
+	var before, pairs []uint64
 	for side := range x.sides {
-		left = x.appendPartners(left, side, &re[side], &re[side].left)
+		s, g := &x.sides[side], &re[side]
+		before = x.appendPartners(before, side, g.ords, func(k int) []bandKey {
+			if !g.moved(k) {
+				return nil
+			}
+			return s.bandsOf(g.ords[k])
+		})
 	}
 	for side := range x.sides {
 		x.buckets += x.sides[side].repost(&re[side], &x.sides[1-side].post)
 	}
 	for side := range x.sides {
-		after = x.appendPartners(after, side, &re[side], &re[side].next)
+		pairs = x.appendPartners(pairs, side, re[side].ords, re[side].next.at)
 	}
-	slices.Sort(left)
-	slices.Sort(after)
-	left, after = slices.Compact(left), slices.Compact(after)
-
-	// Where no entity entered a key, a pair that collides now collided
-	// before.
-	entered := len(re[sideE].entered.keys)+len(re[sideI].entered.keys) > 0
-	var d Delta
-	se, si := &x.sides[sideE], &x.sides[sideI]
-	for _, p := range after {
-		if u, v := Ends(p); !entered || sharesBand(se.bandsOf(u), si.bandsOf(v)) {
-			d.Dirty = append(d.Dirty, p)
-		} else {
-			d.Added = append(d.Added, p)
+	slices.Sort(before)
+	slices.Sort(pairs)
+	before, pairs = slices.Compact(before), slices.Compact(pairs)
+	var after []uint64
+	for _, p := range pairs {
+		if u, v := Ends(p); re[sideE].movedOrd(u) || re[sideI].movedOrd(v) {
+			after = append(after, p)
 		}
 	}
-	for _, p := range left {
-		if _, collides := slices.BinarySearch(after, p); !collides {
-			d.Removed = append(d.Removed, p)
-		}
-	}
-	if len(d.Added)+len(d.Removed) > 0 {
-		x.numPairs += int64(len(d.Added) - len(d.Removed))
+	if !slices.Equal(before, after) {
+		x.numPairs += int64(len(after) - len(before))
 		x.pairs = nil
 	}
-	se.commit(&re[sideE])
-	si.commit(&re[sideI])
-	return d
+	x.sides[sideE].commit(&re[sideE])
+	x.sides[sideI].commit(&re[sideI])
+	return pairs
 }
 
 // resign signs one side's reported entities that have a history,
@@ -608,13 +591,13 @@ func (x *Index) resign(side int, dirty map[uint32]struct{}) signing {
 	return g
 }
 
-// appendPartners appends a pair for every entity a signing of the given
-// side re-signed and every member of the buckets of its keys in ks in the
-// opposite side's postings.
-func (x *Index) appendPartners(dst []uint64, side int, g *signing, ks *keyset) []uint64 {
+// appendPartners appends a pair for every entity ords[k] of the given side
+// and every member of the buckets of its keys keysOf(k) in the opposite
+// side's postings.
+func (x *Index) appendPartners(dst []uint64, side int, ords []uint32, keysOf func(k int) []bandKey) []uint64 {
 	other := &x.sides[1-side].post
-	for k, ord := range g.ords {
-		for _, key := range ks.at(k) {
+	for k, ord := range ords {
+		for _, key := range keysOf(k) {
 			for _, e := range other.run(key) {
 				dst = append(dst, pairKey(side, ord, uint32(e)))
 			}

@@ -220,8 +220,9 @@ func TestIndexDeltaPathIsExercised(t *testing.T) {
 
 // TestRangeGrowthIsADelta streams records that move the data's first row
 // one earlier and its last row past a band boundary, on both sides. The
-// next Update re-signs only the dirty entities and matches the batch
-// oracle: no record anywhere in time makes the index start over.
+// next Update re-signs only the dirty entities, returns exactly their
+// candidate pairs and matches the batch oracle: no record anywhere in time
+// makes the index start over.
 func TestRangeGrowthIsADelta(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	rowSec := p.RowWindowing(wnd).WidthSeconds
@@ -241,6 +242,7 @@ func TestRangeGrowthIsADelta(t *testing.T) {
 
 	// Rows 10r … 13r−1 hold data: one row earlier, and one past the band
 	// boundary at 13r.
+	before := named(se, si, x.Pairs())
 	first, last := (10*r-1)*rowSec, (13*r+1)*rowSec
 	dirtyE, dirtyI := map[uint32]struct{}{}, map[uint32]struct{}{}
 	dirtyE[se.Add(rec("e2", 37.6, -122.4, first))] = struct{}{}
@@ -248,18 +250,19 @@ func TestRangeGrowthIsADelta(t *testing.T) {
 	dirtyI[si.Add(rec("i5", 37.62, -122.4, last+60))] = struct{}{}
 	dirtyI[si.Add(rec("i7", 37.64, -122.4, first+60))] = struct{}{}
 	dirtyI[si.Add(rec("i-new", 37.6, -122.4, first+120))] = struct{}{}
-	x.Update(dirtyE, dirtyI)
+	got := x.Update(dirtyE, dirtyI)
 	if st := x.Stats(); st.LastDirty != len(dirtyE)+len(dirtyI) {
 		t.Fatalf("range growth re-signed %d entities, want the %d dirty ones", st.LastDirty, len(dirtyE)+len(dirtyI))
 	}
+	requireUpdateExact(t, "range growth", se, si, p, got, before, reported(se, dirtyE), reported(si, dirtyI))
 	requireParity(t, x, se, si, p, "range growth")
 }
 
 // TestIndexResignsReportedUnchangedEntities pins Update's contract: every
 // reported entity with a history is re-signed, whether or not it changed.
-// An unchanged one gets the keys it had, so its kept pairs come back Dirty,
-// nothing enters or leaves the set and the cached pair list stays; an
-// ordinal no table assigned is passed over.
+// An unchanged one gets the keys it had, so its pairs are returned, nothing
+// enters or leaves the set and the cached pair list stays; an ordinal no
+// table assigned is passed over.
 func TestIndexResignsReportedUnchangedEntities(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
@@ -281,19 +284,16 @@ func TestIndexResignsReportedUnchangedEntities(t *testing.T) {
 	e0, _ := se.Ordinals().Lookup("e0")
 	keys := slices.Clone(x.sides[sideE].bandsOf(e0))
 
-	d := x.Update(ords(se, "e0"), ords(si, "ghost"))
+	got := x.Update(ords(se, "e0"), ords(si, "ghost"))
 	if st := x.Stats(); st.LastDirty != 1 || st.SignaturesE != 2 || st.SignaturesI != 2 {
 		t.Fatalf("LastDirty/SignaturesE/SignaturesI = %d/%d/%d, want 1/2/2", st.LastDirty, st.SignaturesE, st.SignaturesI)
 	}
 	if got := x.sides[sideE].bandsOf(e0); !slices.Equal(got, keys) {
 		t.Fatalf("re-signing unchanged e0 moved its keys: %v, want %v", got, keys)
 	}
-	if len(d.Added)+len(d.Removed) != 0 {
-		t.Fatalf("re-signing unchanged e0 added %v and removed %v", d.Added, d.Removed)
-	}
 	want := []Pair{{U: "e0", V: "i0"}, {U: "e0", V: "i1"}}
-	if got := named(se, si, d.Dirty); !slices.Equal(got, want) {
-		t.Fatalf("Dirty = %v, want e0's kept pairs %v", got, want)
+	if named := named(se, si, got); !slices.Equal(named, want) {
+		t.Fatalf("Update returned %v, want e0's pairs %v", named, want)
 	}
 	if got := x.Pairs(); &got[0] != &pairs[0] {
 		t.Fatal("an Update that changed no pair dropped the cached pair list")

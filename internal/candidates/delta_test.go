@@ -10,116 +10,44 @@ import (
 	"slim/internal/model"
 )
 
-// pairSet builds a membership set from a pair slice.
-func pairSet(ps []Pair) map[Pair]struct{} {
-	s := make(map[Pair]struct{}, len(ps))
-	for _, p := range ps {
-		s[p] = struct{}{}
-	}
-	return s
-}
-
-// diffPairs returns the sorted members of a that are absent from b.
-func diffPairs(a []Pair, b map[Pair]struct{}) []Pair {
-	var out []Pair
-	for _, p := range a {
-		if _, ok := b[p]; !ok {
-			out = append(out, p)
-		}
-	}
-	SortPairs(out)
-	return out
-}
-
-// requireDeltaExact checks one Update's Delta against the ground truth:
-// Added/Removed must equal the set difference of the before/after Pairs()
-// snapshots, and Dirty must equal exactly the kept pairs with an endpoint
-// among the entities re-signed this burst (see reported). All lists are
-// compared by entity id, in canonical order.
-func requireDeltaExact(t *testing.T, step string, se, si *history.Store, d Delta, before, after []Pair,
-	burstE, burstI map[model.EntityID]struct{}) {
+// requireUpdateExact checks one Update's return against the from-scratch
+// oracle: it must be, in ascending packed-pair order, exactly the
+// CandidatePairs with an endpoint among reportedE/reportedI (the entities
+// the Update re-signed, see reported). Every other pair must have kept its
+// candidacy, so the set after the Update is the set before less every pair
+// of a reported entity, plus the return: the difference the index's count
+// follows.
+func requireUpdateExact(t *testing.T, step string, se, si *history.Store, p Params, got []uint64, before []Pair,
+	reportedE, reportedI map[model.EntityID]struct{}) {
 	t.Helper()
-	for _, keys := range [][]uint64{d.Added, d.Removed, d.Dirty} {
-		if !slices.IsSorted(keys) {
-			t.Fatalf("%s: a Delta list is not in ascending packed-pair order: %v", step, keys)
+	if !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
+		t.Fatalf("%s: Update's return is not strictly ascending in packed-pair order: %v", step, got)
+	}
+	ofReported := func(pr Pair) bool {
+		_, e := reportedE[pr.U]
+		_, i := reportedI[pr.V]
+		return e || i
+	}
+	after := batchPairs(se, si, p)
+	want := []Pair{}
+	for _, pr := range after {
+		if ofReported(pr) {
+			want = append(want, pr)
 		}
 	}
-	added, removed, dirty := named(se, si, d.Added), named(se, si, d.Removed), named(se, si, d.Dirty)
-	beforeSet, afterSet := pairSet(before), pairSet(after)
-	if wantAdded := diffPairs(after, beforeSet); !slices.Equal(added, wantAdded) {
-		t.Fatalf("%s: Added = %v, want set-difference %v", step, added, wantAdded)
+	if named := named(se, si, got); !slices.Equal(named, want) {
+		t.Fatalf("%s: Update returned %v, want the candidate pairs of reported entities %v", step, named, want)
 	}
-	if wantRemoved := diffPairs(before, afterSet); !slices.Equal(removed, wantRemoved) {
-		t.Fatalf("%s: Removed = %v, want set-difference %v", step, removed, wantRemoved)
-	}
-	wantDirty := []Pair{}
-	for _, p := range after {
-		if _, kept := beforeSet[p]; !kept {
-			continue
-		}
-		_, eChanged := burstE[p.U]
-		_, iChanged := burstI[p.V]
-		if eChanged || iChanged {
-			wantDirty = append(wantDirty, p)
-		}
-	}
-	SortPairs(wantDirty)
-	if !slices.Equal(dirty, wantDirty) {
-		t.Fatalf("%s: Dirty = %v, want kept-pairs-of-reported-entities %v", step, dirty, wantDirty)
-	}
-}
-
-// TestIndexDeltaExactSetDifference is the Delta API's exactness suite:
-// under randomized interleaved E/I bursts of point and region records —
-// including churn inside the data's time range, range growth in both
-// directions, over-reported dirty entities, and schedules whose entities
-// arrive in descending id order (ordinals anti-sorted) — every Update's
-// Delta, the first included, must equal the set difference of the
-// before/after candidate sets, with Dirty naming exactly the kept pairs of
-// reported entities, and Pairs() the from-scratch CandidatePairs set.
-func TestIndexDeltaExactSetDifference(t *testing.T) {
-	for _, tc := range suiteCases {
-		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
-			gen := newBurstGen(tc.seed, tc.descending)
-			rng := gen.rng
-			p := suiteParams
-
-			se, si := sigStore("E", nil, p), sigStore("I", nil, p)
-			stores := [2]*history.Store{se, si}
-			x := New(se, si, p)
-			if d := x.Update(nil, nil); !noWork(d) {
-				t.Fatalf("empty-store update produced a delta: %+v", d)
-			}
-
-			for burst := 0; burst < 30; burst++ {
-				before := named(se, si, x.Pairs())
-				dirty := [2]map[uint32]struct{}{{}, {}}
-				for k, nRecs := 0, 1+rng.Intn(8); k < nRecs; k++ {
-					side, r := gen.next()
-					dirty[side][stores[side].Add(r)] = struct{}{}
-				}
-				// Over-report: an unchanged entity in the dirty set is
-				// re-signed to the keys it had, so its kept pairs are Dirty;
-				// an unknown one is passed over.
-				if rng.Intn(3) == 0 {
-					if n := se.Ordinals().Len(); n > 0 {
-						dirty[0][uint32(rng.Intn(n))] = struct{}{}
-					}
-					dirty[1][1<<30] = struct{}{}
-				}
-				burstE, burstI := reported(se, dirty[0]), reported(si, dirty[1])
-				d := x.Update(dirty[0], dirty[1])
-				after := named(se, si, x.Pairs())
-				requireDeltaExact(t, fmt.Sprintf("burst %d", burst), se, si, d, before, after, burstE, burstI)
-				requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
-			}
-		})
+	next := append(slices.DeleteFunc(slices.Clone(before), ofReported), want...)
+	if SortPairs(next); !slices.Equal(next, after) {
+		t.Fatalf("%s: a pair with no reported endpoint changed its candidacy: before less reported plus returned %v, after %v",
+			step, next, after)
 	}
 }
 
 // reported maps a dirty set to the ids of its entities with a history in
-// the store — the ground truth for Delta.Dirty membership: the index
-// re-signs every one of them, changed or not, and passes over the rest.
+// the store: the index re-signs every one of them, changed or not, and
+// passes over the rest.
 func reported(s *history.Store, dirty map[uint32]struct{}) map[model.EntityID]struct{} {
 	out := make(map[model.EntityID]struct{}, len(dirty))
 	for ord := range dirty {
@@ -130,14 +58,57 @@ func reported(s *history.Store, dirty map[uint32]struct{}) map[model.EntityID]st
 	return out
 }
 
-// noWork reports whether a Delta asks its consumer for no work at all.
-func noWork(d Delta) bool {
-	return len(d.Added)+len(d.Removed)+len(d.Dirty) == 0
+// TestIndexDeltaExactSetDifference is the Update oracle suite: under
+// randomized interleaved E/I bursts of point and region records — including
+// range growth in both directions, over-reported and unknown dirty
+// ordinals, and schedules whose entities arrive in descending id order
+// (ordinals anti-sorted) — every Update must return exactly the
+// from-scratch candidate pairs that have a reported endpoint with a
+// history, the set must move by exactly that difference, and Pairs() and
+// NumCandidates() must be the from-scratch set and its size.
+func TestIndexDeltaExactSetDifference(t *testing.T) {
+	for _, tc := range suiteCases {
+		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
+			gen := newBurstGen(tc.seed, tc.descending)
+			rng := gen.rng
+			p := suiteParams
+
+			se, si := sigStore("E", nil, p), sigStore("I", nil, p)
+			stores := [2]*history.Store{se, si}
+			x := New(se, si, p)
+			if got := x.Update(nil, nil); len(got) != 0 {
+				t.Fatalf("empty-store update returned %v", got)
+			}
+
+			for burst := 0; burst < 30; burst++ {
+				before := named(se, si, x.Pairs())
+				dirty := [2]map[uint32]struct{}{{}, {}}
+				for k, nRecs := 0, 1+rng.Intn(8); k < nRecs; k++ {
+					side, r := gen.next()
+					dirty[side][stores[side].Add(r)] = struct{}{}
+				}
+				// Over-report: an unchanged entity in the dirty set is
+				// re-signed to the keys it had, so its pairs are returned;
+				// an unknown one is passed over.
+				if rng.Intn(3) == 0 {
+					if n := se.Ordinals().Len(); n > 0 {
+						dirty[0][uint32(rng.Intn(n))] = struct{}{}
+					}
+					dirty[1][1<<30] = struct{}{}
+				}
+				reportedE, reportedI := reported(se, dirty[0]), reported(si, dirty[1])
+				got := x.Update(dirty[0], dirty[1])
+				step := fmt.Sprintf("burst %d", burst)
+				requireUpdateExact(t, step, se, si, p, got, before, reportedE, reportedI)
+				requireParity(t, x, se, si, p, step)
+			}
+		})
+	}
 }
 
-// TestIndexDeltaAcrossOneSideEmpty pins the empty-store transitions: no
-// delta while one side is empty, and the first pair to appear arrives as
-// an exact Added delta, like any other.
+// TestIndexDeltaAcrossOneSideEmpty pins the empty-store transitions:
+// nothing returned while one side is empty, and the first pair to appear
+// is returned like any other.
 func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	se, si := sigStore("E", nil, p), sigStore("I", nil, p)
@@ -147,23 +118,22 @@ func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		se.Add(rec("e0", 37.6, -122.4, int64(900*k)))
 	}
-	if d := x.Update(ords(se, "e0"), nil); !noWork(d) {
-		t.Fatalf("one-side-empty update produced a delta: %+v", d)
+	if got := x.Update(ords(se, "e0"), nil); len(got) != 0 {
+		t.Fatalf("one-side-empty update returned %v", got)
 	}
 	for k := 0; k < 8; k++ {
 		si.Add(rec("i0", 37.6, -122.4, int64(900*k+30)))
 	}
-	d := x.Update(nil, ords(si, "i0"))
-	requireDeltaExact(t, "both sides", se, si, d, nil, named(se, si, x.Pairs()), nil, map[model.EntityID]struct{}{"i0": {}})
+	got := x.Update(nil, ords(si, "i0"))
+	requireUpdateExact(t, "both sides", se, si, p, got, nil, nil, map[model.EntityID]struct{}{"i0": {}})
 	requireParity(t, x, se, si, p, "both sides")
-	if len(d.Added) != 1 {
-		t.Fatalf("co-located e0/i0 must arrive as the one Added pair: %+v", d)
+	if len(got) != 1 {
+		t.Fatalf("co-located e0/i0 must be the one pair returned: %v", got)
 	}
 }
 
 // TestFirstUpdateAddsTheCandidateSet: the first Update over filled stores
-// is a delta from the empty set like every later one — it adds exactly
-// Pairs() and names nothing removed or dirty.
+// signs every entity, so it returns the whole candidate set, Pairs().
 func TestFirstUpdateAddsTheCandidateSet(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
@@ -175,22 +145,40 @@ func TestFirstUpdateAddsTheCandidateSet(t *testing.T) {
 	}
 	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
-	d := x.Update(nil, nil)
-	if len(d.Added) == 0 || !slices.Equal(d.Added, x.Pairs()) || len(d.Removed)+len(d.Dirty) != 0 {
-		t.Fatalf("first Update's delta %+v, want Added = Pairs() = %v", d, x.Pairs())
+	if got := x.Update(nil, nil); len(got) == 0 || !slices.Equal(got, x.Pairs()) {
+		t.Fatalf("first Update returned %v, want Pairs() = %v", got, x.Pairs())
 	}
 	requireParity(t, x, se, si, p, "first build")
 }
 
-// TestIndexDeltaThroughBothEndpoints pins the two transitions a per-pair
-// collision count used to absorb and the definition now has to get right
-// on its own: inside one Update a pair stops colliding when its E endpoint
-// is re-signed and collides again once its I endpoint is (kept all along:
-// Dirty, never Removed then Added), and the mirror — it starts colliding
-// through E and stops through I (never a candidate at either end of the
-// Update: in no list). A fixed-seed stream of bursts that each re-sign
-// entities of both sides, over a handful of cells so band hashes agree
-// often, must produce both; the test fails if it does not.
+// collide reports whether two entities' band keys (each ascending by band)
+// agree in some band both of them have: the definition of a candidate
+// pair.
+func collide(a, b []bandKey) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].band < b[j].band:
+			i++
+		case a[i].band > b[j].band:
+			j++
+		case a[i].hash == b[j].hash:
+			return true
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return false
+}
+
+// TestIndexDeltaThroughBothEndpoints pins the two transitions that happen
+// inside one Update when both endpoints of a pair are re-signed: a pair
+// stops colliding when its E endpoint is re-signed and collides again once
+// its I endpoint is (a candidate before and after: returned, and the count
+// does not move), and the mirror — it starts colliding through E and stops
+// through I (a candidate at neither end: not returned). A fixed-seed
+// stream of bursts that each re-sign entities of both sides, over a
+// handful of cells so band hashes agree often, must produce both; the test
+// fails if it does not.
 func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	const entities, windows = 6, 32
@@ -225,6 +213,7 @@ func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 			old[side].spans = slices.Clone(x.sides[side].spans)
 			old[side].keys = slices.Clone(x.sides[side].keys)
 		}
+		before := named(se, si, x.Pairs())
 		dirty := [2]map[uint32]struct{}{{}, {}}
 		for k := 0; k < 4; k++ {
 			// Heavier and heavier records, so a burst keeps overturning
@@ -234,35 +223,30 @@ func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 				dirty[side][stores[side].Add(r)] = struct{}{}
 			}
 		}
-		d := x.Update(dirty[sideE], dirty[sideI])
+		reportedE, reportedI := reported(se, dirty[sideE]), reported(si, dirty[sideI])
+		got := x.Update(dirty[sideE], dirty[sideI])
+		step := fmt.Sprintf("burst %d", burst)
 		for u := uint32(0); u < entities; u++ {
 			for v := uint32(0); v < entities; v++ {
 				oldU, oldV := old[sideE].bandsOf(u), old[sideI].bandsOf(v)
 				newU, newV := x.sides[sideE].bandsOf(u), x.sides[sideI].bandsOf(v)
-				before := sharesBand(oldU, oldV)
-				between := sharesBand(newU, oldV) // E is re-signed first
-				after := sharesBand(newU, newV)
-				key := Key(u, v)
-				_, added := slices.BinarySearch(d.Added, key)
-				_, removed := slices.BinarySearch(d.Removed, key)
-				_, kept := slices.BinarySearch(d.Dirty, key)
-				switch {
-				case before && !between && after:
+				_, returned := slices.BinarySearch(got, Key(u, v))
+				switch between := collide(newU, oldV); { // E is re-signed first
+				case collide(oldU, oldV) && !between && collide(newU, newV):
 					lostAndRegained++
-					if added || removed || !kept {
-						t.Fatalf("burst %d: pair (%d,%d) lost its last band through E and regained one through I: added=%v removed=%v dirty=%v, want Dirty only",
-							burst, u, v, added, removed, kept)
+					if !returned {
+						t.Fatalf("%s: pair (%d,%d) lost its last band through E and regained one through I, and was not returned", step, u, v)
 					}
-				case !before && between && !after:
+				case !collide(oldU, oldV) && between && !collide(newU, newV):
 					gainedAndLost++
-					if added || removed || kept {
-						t.Fatalf("burst %d: pair (%d,%d) collided only between the two endpoints' updates: added=%v removed=%v dirty=%v, want no list",
-							burst, u, v, added, removed, kept)
+					if returned {
+						t.Fatalf("%s: pair (%d,%d) collided only between the two endpoints' updates, and was returned", step, u, v)
 					}
 				}
 			}
 		}
-		requireParity(t, x, se, si, p, fmt.Sprintf("burst %d", burst))
+		requireUpdateExact(t, step, se, si, p, got, before, reportedE, reportedI)
+		requireParity(t, x, se, si, p, step)
 	}
 	t.Logf("%d pairs lost and regained, %d gained and lost within one Update", lostAndRegained, gainedAndLost)
 	if lostAndRegained == 0 || gainedAndLost == 0 {

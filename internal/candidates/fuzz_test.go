@@ -98,10 +98,10 @@ func fuzzSeeds() [][]byte {
 // FuzzIndexUpdate drives the index with a fuzzed sequence of record adds
 // and Updates over two small signature stores, sixteen entities a side
 // and few buckets, so pairs keep entering and leaving the set, with
-// over-reported entities in the dirty sets. After every Update, Pairs()
-// must equal the batch oracle's set, the Delta the exact set difference
-// (Dirty naming every kept pair of a reported entity), and the bucket
-// counts of Stats and Explain a recount from the batch oracle.
+// over-reported entities in the dirty sets. After every Update, its return
+// must be exactly the batch oracle's pairs that have a reported endpoint,
+// Pairs() and NumCandidates() the oracle's set and its size, and the
+// bucket counts of Stats and Explain a recount from the batch oracle.
 func FuzzIndexUpdate(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -117,10 +117,14 @@ func FuzzIndexUpdate(f *testing.F) {
 		dirty := [2]map[uint32]struct{}{{}, {}}
 		update := func(step int) {
 			before := named(se, si, x.Pairs())
-			burstE, burstI := reported(se, dirty[sideE]), reported(si, dirty[sideI])
-			d := x.Update(dirty[sideE], dirty[sideI])
+			reportedE, reportedI := reported(se, dirty[sideE]), reported(si, dirty[sideI])
+			got := x.Update(dirty[sideE], dirty[sideI])
 			name := fmt.Sprintf("update %d", step)
-			requireDeltaExact(t, name, se, si, d, before, named(se, si, x.Pairs()), burstE, burstI)
+			if step == 0 {
+				// The first Update signs every entity.
+				reportedE, reportedI = reported(se, allOrds(se)), reported(si, allOrds(si))
+			}
+			requireUpdateExact(t, name, se, si, p, got, before, reportedE, reportedI)
 			requireParity(t, x, se, si, p, name)
 			requireBucketCounts(t, x, se, si, p, name)
 			dirty = [2]map[uint32]struct{}{{}, {}}
@@ -177,4 +181,13 @@ func requireBucketCounts(t *testing.T, x *Index, se, si *history.Store, p Params
 			}
 		}
 	}
+}
+
+// allOrds returns every ordinal of a store's entity table as a dirty set.
+func allOrds(s *history.Store) map[uint32]struct{} {
+	set := map[uint32]struct{}{}
+	for ord := range s.Ordinals().Len() {
+		set[uint32(ord)] = struct{}{}
+	}
+	return set
 }

@@ -235,10 +235,11 @@ func (t *Totals) fold(r *RunRecord) {
 // stageNames are the slim_relink_stage_seconds labels, in RunRecord.stages
 // order: draining pending ingest into the linker (apply), the incremental
 // candidate-index update (candidate_index, carved out of rescore),
+// compiling the scoring stores (compile, carved out of rescore likewise),
 // compiling and rescoring (rescore), folding the rescore's outcome into
 // the record (merge — microseconds), matching (match), and threshold
 // selection (threshold).
-var stageNames = [...]string{"apply", "candidate_index", "rescore", "merge", "match", "threshold"}
+var stageNames = [...]string{"apply", "candidate_index", "compile", "rescore", "merge", "match", "threshold"}
 
 // engMetrics are the engine's native instruments: run and stage latency
 // histograms, observed by finish from each record, plus the freshness
@@ -259,7 +260,7 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 	}
 	for i, stage := range stageNames {
 		m.stages[i] = reg.Histogram("slim_relink_stage_seconds",
-			"Wall time of one relink stage (labelled); candidate_index is the incremental index update time inside rescore.",
+			"Wall time of one relink stage (labelled); candidate_index and compile are the incremental index update and the scoring stores' compile inside rescore.",
 			nil, obs.L("stage", stage))
 	}
 	reg.GaugeFunc("slim_link_staleness_seconds",
@@ -638,6 +639,9 @@ func (e *Engine) relink(rec *RunRecord) *slim.Result {
 		e.mu.Lock()
 		lineageSeq := e.version + 1
 		e.mu.Unlock()
+		// Rescore compiles the stores first; compiling them here times the
+		// compile on its own and leaves Rescore's a no-op.
+		e.stage("compile", "", &rec.CompileDur, func(context.Context) { e.lk.Precompile() })
 		stats = e.lk.Rescore(lineageSeq)
 	})
 

@@ -10,7 +10,7 @@ import "time"
 // so the journal replays the engine's recent decision history exactly.
 // The json tags are the keys of a /v1/runs entry (internal/server's wire
 // encoder: a Duration prints as milliseconds, Start as Unix milliseconds,
-// and the "stages." prefix nests the six stage times in one object).
+// and the "stages." prefix nests the seven stage times in one object).
 type RunRecord struct {
 	// Seq is the run's sequence number (monotonic per engine). Version is
 	// the result version the run left published: one above the previous
@@ -30,8 +30,9 @@ type RunRecord struct {
 	ShortCircuit bool `json:"short_circuit"`
 	// FullRescore reports whether the run rescored the whole candidate
 	// set (first run, IDF-epoch move, or the run after a contained panic)
-	// instead of the dirty pairs only. The candidate index never forces
-	// one: it hands every run an exact delta.
+	// instead of the current candidate pairs of the dirty entities only.
+	// The candidate index never forces one: it hands every run exactly
+	// those pairs.
 	FullRescore bool `json:"full_rescore"`
 	// Panicked / PanicMsg record a contained panic (the engine degrades
 	// rather than crashing; see Engine.Run).
@@ -53,9 +54,10 @@ type RunRecord struct {
 	TailFullRebuild  bool `json:"-"`
 	TailReusedPrefix int  `json:"-"`
 	// Per-stage wall-clock durations, one per slim_relink_stage_seconds
-	// label; IndexDur is a subset of RescoreDur.
+	// label; IndexDur and CompileDur are subsets of RescoreDur.
 	ApplyDur     time.Duration `json:"stages.apply_ms"`
 	IndexDur     time.Duration `json:"stages.candidate_index_ms"`
+	CompileDur   time.Duration `json:"stages.compile_ms"`
 	RescoreDur   time.Duration `json:"stages.rescore_ms"`
 	MergeDur     time.Duration `json:"stages.merge_ms"`
 	MatchDur     time.Duration `json:"stages.match_ms"`
@@ -75,7 +77,7 @@ type RunRecord struct {
 
 // stages returns the per-stage durations in stageNames order.
 func (r *RunRecord) stages() [len(stageNames)]time.Duration {
-	return [...]time.Duration{r.ApplyDur, r.IndexDur, r.RescoreDur, r.MergeDur, r.MatchDur, r.ThresholdDur}
+	return [...]time.Duration{r.ApplyDur, r.IndexDur, r.CompileDur, r.RescoreDur, r.MergeDur, r.MatchDur, r.ThresholdDur}
 }
 
 // journal is a bounded ring of the engine's most recent RunRecords — the

@@ -16,8 +16,9 @@ import (
 // TestRunJournalRecordsEveryRun drives manual and clean runs through a
 // small engine and checks the flight recorder: every run attempt lands
 // in the ring (including zero-work short circuits), records come back
-// newest first, triggers and decisions are recorded, and successful
-// lineage-relevant fields line up with the published version.
+// newest first, triggers and decisions are recorded, successful
+// lineage-relevant fields line up with the published version, and the
+// compile stage is timed inside the rescore stage.
 func TestRunJournalRecordsEveryRun(t *testing.T) {
 	ground := slim.GenerateCab(slim.CabOptions{NumTaxis: 10, Days: 2, MeanRecordIntervalSec: 360, Seed: 99})
 	w := slim.SampleWorkload(&ground, slim.SampleOptions{
@@ -51,6 +52,11 @@ func TestRunJournalRecordsEveryRun(t *testing.T) {
 	}
 	if first.Version != 1 || first.Rescored == 0 || first.Rescored != first.CandidatePairs {
 		t.Fatalf("first run record %+v, want version 1 with every candidate rescored", first)
+	}
+	// The first run compiles both scoring stores from nothing, inside its
+	// rescore stage.
+	if first.CompileDur <= 0 || first.CompileDur > first.RescoreDur {
+		t.Fatalf("first run compiled in %v of a %v rescore, want a positive part of it", first.CompileDur, first.RescoreDur)
 	}
 	if !second.ShortCircuit || second.Version != 1 || second.Rescored != 0 {
 		t.Fatalf("second run record %+v, want short circuit at version 1", second)

@@ -168,7 +168,8 @@ var (
 	runsKeys = strings.Fields(`
 		capacity count runs runs.candidate_pairs runs.dropped runs.duration_ms runs.full_rescore
 		runs.links runs.panicked runs.rescored runs.retained runs.seq runs.short_circuit
-		runs.stages runs.stages.apply_ms runs.stages.candidate_index_ms runs.stages.match_ms
+		runs.stages runs.stages.apply_ms runs.stages.candidate_index_ms runs.stages.compile_ms
+		runs.stages.match_ms
 		runs.stages.merge_ms runs.stages.rescore_ms runs.stages.threshold_ms
 		runs.start_unix_ms runs.trigger
 		runs.version total_runs`)
@@ -373,7 +374,7 @@ var (
 		capacity=number count=number runs.candidate_pairs=number runs.dropped=number
 		runs.duration_ms=number runs.full_rescore=bool runs.links=number runs.panicked=bool
 		runs.rescored=number runs.retained=number runs.seq=number runs.short_circuit=bool
-		runs.stages.apply_ms=number runs.stages.candidate_index_ms=number
+		runs.stages.apply_ms=number runs.stages.candidate_index_ms=number runs.stages.compile_ms=number
 		runs.stages.match_ms=number runs.stages.merge_ms=number runs.stages.rescore_ms=number
 		runs.stages.threshold_ms=number runs.stages=object runs.start_unix_ms=number
 		runs.trigger=string
@@ -410,7 +411,7 @@ slim_relink_panics_total counter - Panics recovered in the relink path (failed r
 slim_relink_runs_total counter - Completed relink runs (including short-circuited ones).
 slim_relink_seconds histogram le Wall time of one complete relink run (drain, rescore, merge, match, threshold, publish).
 slim_relink_short_circuits_total counter - Fully-clean relink runs that republished the cached result.
-slim_relink_stage_seconds histogram le,stage Wall time of one relink stage (labelled); candidate_index is the incremental index update time inside rescore.
+slim_relink_stage_seconds histogram le,stage Wall time of one relink stage (labelled); candidate_index and compile are the incremental index update and the scoring stores' compile inside rescore.
 slim_relink_stuck_seconds gauge - How far the relink in flight is past its watchdog deadline (0 when idle or on time).
 slim_run_journal_records gauge - Relink runs currently retained in the flight-recorder ring.
 slim_threshold_fit_total counter result Stop-threshold selections, by whether the detector ran or the cached fit was reused bit-identically.`), "\n")
@@ -472,6 +473,7 @@ var (
 		run.candidate_pairs=number run.dropped=number run.duration_ms=number run.full_rescore=bool
 		run.links=number run.panicked=bool run.rescored=number run.retained=number run.seq=number
 		run.short_circuit=bool run.stages.apply_ms=number run.stages.candidate_index_ms=number
+		run.stages.compile_ms=number
 		run.stages.match_ms=number run.stages.merge_ms=number run.stages.rescore_ms=number
 		run.stages.threshold_ms=number run.stages=object run.start_unix_ms=number
 		run.trigger=string

@@ -48,7 +48,7 @@ func TestWireEncoder(t *testing.T) {
 			engine.RunRecord{Seq: 2, Trigger: "manual", Start: at, Duration: 1_234_567, MergeDur: 1500},
 			`{"candidate_pairs":0,"dropped":0,"duration_ms":1.234,"full_rescore":false,"links":0,"panicked":false,` +
 				`"rescored":0,"retained":0,"seq":2,"short_circuit":false,"stages":{"apply_ms":0,"candidate_index_ms":0,` +
-				`"match_ms":0,"merge_ms":0.001,"rescore_ms":0,"threshold_ms":0},"start_unix_ms":1700000000123,` +
+				`"compile_ms":0,"match_ms":0,"merge_ms":0.001,"rescore_ms":0,"threshold_ms":0},"start_unix_ms":1700000000123,` +
 				`"trigger":"manual","version":0}`},
 		{"engine stats before the first run: no last_run_unix_ms, no layer blocks, totals at the top level",
 			engine.Stats{SpatialLevel: 12, Totals: engine.Totals{Runs: 1, EdgeRescoredTotal: 9}},

@@ -23,6 +23,7 @@ package slim
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -371,16 +372,17 @@ func (lk *Linker) ForceFullRescore() { lk.edges.forceFull = true }
 // the last, internal/engine the result version the run will publish, so
 // lineage joins against /v1/stats versions and the run journal.
 //
-// Each call is a single pass over what changed since the previous one.
-// With LSH it gives the entities AddE/AddI touched to the candidate index's
-// one Update of the run and applies the Delta it returns: Added and Dirty
-// pairs are rescored, Removed pairs dropped. Brute force rescores every
-// pair with a touched endpoint. Every other edge keeps its cached score,
-// which is bit-identical to what a rescore would produce (scores are pure
-// functions of the two histories and the epoch-versioned dataset
-// statistics — see edges.go). The first call, ForceFullRescore and any
-// IDF-epoch movement (new bin, new entity) rescore the whole candidate set
-// instead.
+// Each call is a single pass over what changed since the previous one,
+// under one rule: it rescores P, the current candidate pairs with an
+// endpoint AddE/AddI touched (a dirty entity), and drops every edge with a
+// dirty endpoint that has no positive score in P. With LSH, P is what the
+// candidate index's one Update of the run returns; under brute force it is
+// every pair with a dirty endpoint. Every other edge keeps its cached
+// score: its candidacy is a function of its two entities' band keys and
+// its score of their histories and the epoch-versioned dataset statistics
+// (see edges.go), none of which moved. The first call, ForceFullRescore
+// and any IDF-epoch movement (new bin, new entity) rescore the whole
+// candidate set instead.
 //
 // The returned Stats carry private candidate-index and edge-store
 // snapshots, so a later call never mutates results a caller still holds.
@@ -389,11 +391,11 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 	// runs on immutable views: entities untouched since the last run keep
 	// their compiled state.
 	lk.Precompile()
-	var cand candidates.Delta
+	var pairs []uint64 // P
 	nPairs := int64(lk.storeE.NumEntities()) * int64(lk.storeI.NumEntities())
 	if lk.candIndex != nil {
 		if len(lk.dirtyE) > 0 || len(lk.dirtyI) > 0 {
-			cand = lk.candIndex.Update(lk.dirtyE, lk.dirtyI)
+			pairs = lk.candIndex.Update(lk.dirtyE, lk.dirtyI)
 		}
 		nPairs = lk.candIndex.NumCandidates()
 	}
@@ -417,16 +419,11 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 		}
 		lk.edges.resetFull(lk.scorePositive(int(nPairs), pairAt), seq)
 	} else {
-		var pairs []uint64
-		if lk.candIndex != nil {
-			// Added and Dirty are disjoint: the concatenation names each
-			// pair once.
-			pairs = slices.Concat(cand.Added, cand.Dirty)
-		} else {
+		if lk.candIndex == nil {
 			pairs = lk.bruteDeltaPairs()
 		}
 		positive := slices.Concat(lk.scorePositive(len(pairs), func(k int) uint64 { return pairs[k] })...)
-		dropped = lk.edges.apply(pairs, positive, cand.Removed, seq)
+		dropped = lk.edges.apply(positive, lk.dirtyE, lk.dirtyI, seq)
 		rescored = int64(len(pairs))
 	}
 	lk.edges.lastRescored, lk.edges.lastRetained, lk.edges.lastDropped = rescored, nPairs-rescored, dropped
@@ -465,24 +462,22 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 	return links, stats
 }
 
-// bruteDeltaPairs enumerates the pairs a brute-force (LSH-disabled) delta
-// rescore must touch: dirtyE×I ∪ E×dirtyI. New entities cannot appear
-// here — a new entity bumps its store's IDF epoch, which forces a full
-// rescore before this path is taken — so the enumeration only ever names
-// pairs whose counterpart lists are unchanged since the last run.
+// bruteDeltaPairs is P without LSH: every pair with a dirty endpoint,
+// dirtyE×I ∪ E×dirtyI, in ascending pair order. New entities cannot
+// appear here — a new entity bumps its store's IDF epoch, which forces a
+// full rescore before this path is taken.
 func (lk *Linker) bruteDeltaPairs() []uint64 {
 	nE, nI := uint32(lk.storeE.NumEntities()), uint32(lk.storeI.NumEntities())
-	pairs := make([]uint64, 0, len(lk.dirtyE)*int(nI)+len(lk.dirtyI)*int(nE))
-	for u := range lk.dirtyE {
-		for v := uint32(0); v < nI; v++ {
-			pairs = append(pairs, candidates.Key(u, v))
-		}
-	}
-	for v := range lk.dirtyI {
-		for u := uint32(0); u < nE; u++ {
-			if _, dup := lk.dirtyE[u]; dup {
-				continue // already enumerated against the full I side
+	dirtyI := slices.Sorted(maps.Keys(lk.dirtyI))
+	pairs := make([]uint64, 0, len(lk.dirtyE)*int(nI)+len(dirtyI)*int(nE))
+	for u := uint32(0); u < nE; u++ {
+		if _, dirty := lk.dirtyE[u]; dirty {
+			for v := uint32(0); v < nI; v++ {
+				pairs = append(pairs, candidates.Key(u, v))
 			}
+			continue
+		}
+		for _, v := range dirtyI {
 			pairs = append(pairs, candidates.Key(u, v))
 		}
 	}

@@ -63,7 +63,9 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 		t.Fatalf("unexpected initial matching: %v", m)
 	}
 
-	if dropped := es.apply(nil, nil, []uint64{key(0, 0)}, 2); dropped != 1 {
+	// E entity 0 is dirty: of its pairs only (0, 1) is still a candidate,
+	// at the score it had.
+	if dropped := es.apply([]scoredPair{{key(0, 1), 0.85}}, map[uint32]struct{}{0: {}}, nil, 2); dropped != 1 {
 		t.Fatalf("removing the top pair dropped %d edges", dropped)
 	}
 	requireGreedyOrder(t, "after the removal", &es, map[uint64]float64{key(1, 1): 0.9, key(0, 1): 0.85, key(2, 2): 0.2, key(3, 3): 0.15})
