@@ -176,7 +176,14 @@ func main() {
 			logger.Info("initialized data directory", "dir", *dataDir)
 		}
 	} else {
-		eng, err = engine.New(storage.QuantizeDataset(dsE), storage.QuantizeDataset(dsI), engCfg)
+		// The seeds are slimd's own: on the E7 grid and grouped in place, as
+		// Recover stores them, they link as from a data directory and are
+		// built over without a copy.
+		for _, ds := range []*slim.Dataset{&dsE, &dsI} {
+			storage.QuantizeDataset(*ds)
+			ds.GroupInPlace()
+		}
+		eng, err = engine.New(dsE, dsI, engCfg)
 		if err != nil {
 			fatal(logger, "building engine", "error", err)
 		}

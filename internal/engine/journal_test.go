@@ -262,3 +262,39 @@ func TestExplainNeverJoinsShortCircuit(t *testing.T) {
 		t.Fatalf("explain joined %+v after the producing run aged out, want nil", ex.Run)
 	}
 }
+
+// TestIndexTimeIsTheRunsOwn: a run's candidate_index_ms and index dirty
+// count are its own Rescore's index update. The boot link of an -lsh
+// engine updates nothing (NewLinker built the index), so it reads 0 in
+// its record and in Stats; a later delta run re-signs its one dirty
+// entity in a positive time inside its rescore stage.
+func TestIndexTimeIsTheRunsOwn(t *testing.T) {
+	w := standardWorkload(16)
+	cfg := slim.Defaults()
+	cfg.LSH = &slim.LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}
+	eng, err := New(w.E, w.I, Config{Link: cfg, Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	newest := func() RunRecord {
+		recs, _ := eng.Runs(1, 0)
+		return recs[0]
+	}
+
+	eng.Run()
+	if boot := newest(); boot.IndexDur != 0 || boot.indexDirty != 0 {
+		t.Fatalf("boot link reports index work %v over %d entities, want none", boot.IndexDur, boot.indexDirty)
+	}
+	if ci := eng.Stats().CandidateIndex; ci == nil || ci.LastDirty != 0 || ci.LastUpdate != 0 {
+		t.Fatalf("stats after the boot link report index work: %+v", ci)
+	}
+
+	eng.AddE(w.E.Records[0]) // a re-observation: one dirty entity, no epoch move
+	eng.Run()
+	delta := newest()
+	if delta.FullRescore || delta.indexDirty != 1 || delta.IndexDur <= 0 || delta.IndexDur > delta.RescoreDur {
+		t.Fatalf("delta run: full %v, index %v over %d entities in a %v rescore; want a delta re-signing one entity inside it",
+			delta.FullRescore, delta.IndexDur, delta.indexDirty, delta.RescoreDur)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -13,6 +14,7 @@ import (
 	"slim/internal/datagen"
 	"slim/internal/geo"
 	"slim/internal/model"
+	"slim/internal/testenv"
 )
 
 // fuzzIDs are the few entity ids a fuzzed record can carry.
@@ -114,6 +116,12 @@ func byTime(recs []model.Record) []model.Record {
 	return recs
 }
 
+// compareRecords is sortRecords' order: time, then latitude, then
+// longitude.
+func compareRecords(p, r model.Record) int {
+	return cmp.Or(cmp.Compare(p.Unix, r.Unix), cmp.Compare(p.LatLng.Lat, r.LatLng.Lat), cmp.Compare(p.LatLng.Lng, r.LatLng.Lng))
+}
+
 // oneIncreasingRunEach reports whether every entity's records are one run,
 // strictly increasing in (time, latitude, longitude): the layout
 // GroupByEntity groups without a copy.
@@ -121,8 +129,7 @@ func oneIncreasingRunEach(recs []model.Record) bool {
 	seen := make(map[model.EntityID]bool)
 	for k, r := range recs {
 		if k > 0 && r.Entity == recs[k-1].Entity {
-			p := recs[k-1]
-			if cmp.Or(cmp.Compare(p.Unix, r.Unix), cmp.Compare(p.LatLng.Lat, r.LatLng.Lat), cmp.Compare(p.LatLng.Lng, r.LatLng.Lng)) >= 0 {
+			if compareRecords(recs[k-1], r) >= 0 {
 				return false
 			}
 			continue
@@ -178,10 +185,59 @@ func requireReferenceGrouping(t *testing.T, recs []model.Record, minRecords int)
 	if aliased, want := unsafe.SliceData(g.Records) == unsafe.SliceData(recs), oneIncreasingRunEach(recs); aliased != want {
 		t.Fatalf("min %d: records aliased %v, want %v", minRecords, aliased, want)
 	}
+	requireGroupInPlace(t, d, want, g, minRecords)
+}
+
+// requireGroupInPlace checks GroupInPlace on a clone of d's records: each
+// entity ends up one run holding ByEntity's records (want) bit for bit, so
+// the result is a permutation of the input; records already one strictly
+// increasing run each do not move; GroupByEntity over the result equals
+// GroupByEntity over the input (g) bit for bit; and it indexes the result
+// without a copy exactly when no entity holds two records equal under
+// sortRecords' order.
+func requireGroupInPlace(t *testing.T, d model.Dataset, want map[model.EntityID][]model.Record, g model.Grouped, minRecords int) {
+	t.Helper()
+	in := model.Dataset{Name: d.Name, Records: slices.Clone(d.Records)}
+	in.GroupInPlace()
+	if oneIncreasingRunEach(d.Records) && !sameRecords(in.Records, d.Records) {
+		t.Fatal("GroupInPlace moved records that were already grouped")
+	}
+	ties := false
+	for lo, hi := 0, 0; lo < len(in.Records); lo = hi {
+		e := in.Records[lo].Entity
+		rs, ok := want[e]
+		if !ok {
+			t.Fatalf("GroupInPlace left %s a second run at %d", e, lo)
+		}
+		delete(want, e)
+		hi = lo + len(rs)
+		if hi > len(in.Records) || !sameRecords(in.Records[lo:hi], rs) {
+			t.Fatalf("GroupInPlace laid %s out as %v from %d, want %v", e, in.Records[lo:min(hi, len(in.Records))], lo, rs)
+		}
+		for k := lo + 1; k < hi; k++ {
+			ties = ties || compareRecords(in.Records[k-1], in.Records[k]) == 0
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("GroupInPlace lost entities %v", want)
+	}
+	got := in.GroupByEntity(minRecords)
+	if !slices.Equal(got.Entities, g.Entities) {
+		t.Fatalf("min %d: grouped in place, entities %v, want %v", minRecords, got.Entities, g.Entities)
+	}
+	for k, e := range g.Entities {
+		if !sameRecords(got.Of(k), g.Of(k)) {
+			t.Fatalf("min %d: grouped in place, %s grouped as %v, want %v", minRecords, e, got.Of(k), g.Of(k))
+		}
+	}
+	if aliased := unsafe.SliceData(got.Records) == unsafe.SliceData(in.Records); aliased == ties {
+		t.Fatalf("min %d: records grouped in place aliased %v with ties %v", minRecords, aliased, ties)
+	}
 }
 
 // FuzzGroupByEntity holds the grouping to its reference on records with
-// few ids and colliding times and positions, at a fuzzed MinRecords.
+// few ids and colliding times and positions, at a fuzzed MinRecords, and
+// GroupInPlace to the same reference and to GroupByEntity over the input.
 // Seeds: a sampled workload as WriteCSV writes it (one strictly increasing
 // run per entity), the same records in time order, one record
 // duplicated, an entity split into two runs, and an entity holding
@@ -234,6 +290,47 @@ func TestGroupByEntityAliasMatchesCopy(t *testing.T) {
 				if !sameRecords(alias.Of(k), copied.Of(k)) {
 					t.Fatalf("%s, min %d: %s differs between the alias and the copy", side.Name, minRecords, e)
 				}
+			}
+		}
+	}
+}
+
+// TestGroupInPlaceAllocatesOneColumn: grouping a sampled side in place,
+// time-ordered (serve_fresh's seed layout, one run a record) or already
+// grouped, allocates the 4-byte destination column and the counting
+// pass's per-entity state, never a second copy of the records (48 B a
+// record). Both end up indexed without a copy, each entity's records as
+// GroupByEntity's copy of the time-ordered side lays them out.
+func TestGroupInPlaceAllocatesOneColumn(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	const perEntity = 256 // the id map, ids, first run, count and sorted flag, grown by doubling
+	ground := datagen.SM(datagen.SMConfig{NumUsers: 2000, Days: 26, AvgRecords: 60, Seed: 1})
+	s := datagen.Sample(&ground, datagen.SampleConfig{Seed: 2})
+	timed := model.Dataset{Name: "E", Records: byTime(s.E.Records)}
+	want := timed.GroupByEntity(-1)
+	for name, d := range map[string]model.Dataset{"time-ordered": timed, "grouped": s.E} {
+		d.Records = slices.Clone(d.Records)
+		entities := len(want.Entities)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d.GroupInPlace()
+		runtime.ReadMemStats(&after)
+		allocated := after.TotalAlloc - before.TotalAlloc
+		budget := uint64(4*len(d.Records) + perEntity*entities)
+		t.Logf("%s: %d records of %d entities, allocated %d B (%.2f B a record), budget %d B",
+			name, len(d.Records), entities, allocated, float64(allocated)/float64(len(d.Records)), budget)
+		if allocated > budget {
+			t.Errorf("%s: grouping in place allocated %d B, budget %d B", name, allocated, budget)
+		}
+		g := d.GroupByEntity(-1)
+		if unsafe.SliceData(g.Records) != unsafe.SliceData(d.Records) || !slices.Equal(g.Entities, want.Entities) {
+			t.Fatalf("%s: records grouped in place are not indexed without a copy", name)
+		}
+		for k, e := range want.Entities {
+			if !sameRecords(g.Of(k), want.Of(k)) {
+				t.Fatalf("%s: %s grouped in place as %v, want %v", name, e, g.Of(k), want.Of(k))
 			}
 		}
 	}

@@ -57,9 +57,14 @@ func (d *Dataset) ByEntity() map[EntityID][]Record {
 
 func sortRecords(recs []Record) { slices.SortFunc(recs, compareRecords) }
 
+// compareRecords is sortRecords' order: time, then latitude, then
+// longitude. The time decides nearly every comparison, so it is tested
+// first on its own: cmp.Or evaluates all of its arguments.
 func compareRecords(a, b Record) int {
+	if a.Unix != b.Unix {
+		return cmp.Compare(a.Unix, b.Unix)
+	}
 	return cmp.Or(
-		cmp.Compare(a.Unix, b.Unix),
 		cmp.Compare(a.LatLng.Lat, b.LatLng.Lat),
 		cmp.Compare(a.LatLng.Lng, b.LatLng.Lng),
 	)
@@ -120,41 +125,19 @@ func (g *Grouped) Of(k int) []Record {
 // GroupByEntity groups the records of every entity holding strictly more
 // than minRecords of them (a negative minRecords keeps every entity): the
 // MinRecords filter and the per-entity grouping of a history build in one
-// pass over the dataset. It works per run, a maximal stretch of
-// consecutive records of one entity: the counting pass numbers the
-// entities in first-seen order, probes the id map once per run and checks
-// each run for strict increase in sortRecords' order. When every entity is
-// one strictly increasing run (a sampled workload, a CSV written by
-// WriteCSV from grouped records), the spans index d.Records itself and
-// nothing is copied; an entity the filter drops just gets no span.
-// Otherwise the scatter pass copies each kept run whole into one exactly
-// sized slice, and only the entities that had more than one run or a run
-// out of order are sorted.
+// pass over the dataset, the counting pass (takeCensus). When every entity
+// is one strictly increasing run (a sampled workload, a CSV written by
+// WriteCSV from grouped records, a dataset GroupInPlace grouped), the
+// spans index d.Records itself and nothing is copied; an entity the
+// filter drops just gets no span. Otherwise the scatter pass copies each
+// kept run whole into one exactly sized slice, and only the entities that
+// had more than one run or a run out of order are sorted. It never writes
+// d.Records: a caller that owns its records groups them with GroupInPlace
+// first.
 func (d *Dataset) GroupByEntity(minRecords int) Grouped {
-	slotOf := make(map[EntityID]int32)
-	var runSlots []int32 // run k belongs to entity runSlots[k]
-	var ids []EntityID
-	var first []int     // per entity: where its first run starts
-	var next []int      // per entity: its record count, then its next write position
-	var unsorted []bool // per entity: more than one run, or a run out of order
-	alias := true
-	for lo, hi := 0, 0; lo < len(d.Records); lo = hi {
-		hi = runEnd(d.Records, lo)
-		e := d.Records[lo].Entity
-		slot, ok := slotOf[e]
-		if !ok {
-			slot = int32(len(ids))
-			slotOf[e] = slot
-			ids, first, next, unsorted = append(ids, e), append(first, lo), append(next, 0), append(unsorted, false)
-		}
-		if ok || !strictlyIncreasing(d.Records[lo:hi]) {
-			unsorted[slot] = true
-			alias = false
-		}
-		runSlots = append(runSlots, slot)
-		next[slot] += hi - lo
-	}
-	kept := make([]int32, 0, len(ids))
+	c := takeCensus(d.Records, nil)
+	next := c.count // per entity: its record count, then its next write position
+	kept := make([]int32, 0, len(c.ids))
 	for slot, n := range next {
 		if n > minRecords {
 			kept = append(kept, int32(slot))
@@ -162,35 +145,121 @@ func (d *Dataset) GroupByEntity(minRecords int) Grouped {
 			next[slot] = -1
 		}
 	}
-	slices.SortFunc(kept, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	slices.SortFunc(kept, func(a, b int32) int { return cmp.Compare(c.ids[a], c.ids[b]) })
 	g := Grouped{Name: d.Name, Entities: make([]EntityID, len(kept)), Start: make([]int, len(kept)), Len: make([]int, len(kept))}
 	total := 0
 	for k, slot := range kept {
-		g.Entities[k], g.Len[k] = ids[slot], next[slot]
-		if alias {
-			g.Start[k] = first[slot]
+		g.Entities[k], g.Len[k] = c.ids[slot], next[slot]
+		if c.grouped {
+			g.Start[k] = c.first[slot]
 		} else {
 			g.Start[k], next[slot] = total, total
 			total += g.Len[k]
 		}
 	}
-	if alias {
+	if c.grouped {
 		g.Records = d.Records
 		return g
 	}
 	g.Records = make([]Record, total)
 	for lo, hi, k := 0, 0, 0; lo < len(d.Records); lo, k = hi, k+1 {
 		hi = runEnd(d.Records, lo)
-		if at := next[runSlots[k]]; at >= 0 {
-			next[runSlots[k]] = at + copy(g.Records[at:], d.Records[lo:hi])
+		if at := next[c.runSlots[k]]; at >= 0 {
+			next[c.runSlots[k]] = at + copy(g.Records[at:], d.Records[lo:hi])
 		}
 	}
 	for k, slot := range kept {
-		if unsorted[slot] {
+		if c.unsorted[slot] {
 			sortRecords(g.Of(k))
 		}
 	}
 	return g
+}
+
+// GroupInPlace reorders d.Records into the layout GroupByEntity indexes
+// without a copy: each entity's records one run, sorted the way ByEntity
+// sorts them, the entities in first-seen order. Records already in that
+// layout are not touched. Otherwise the runs' entity slots from the
+// counting pass become each record's destination in place, the records
+// move there by a cycle permutation (each swap puts one record in its
+// place for good), and only the entities that had more than one run or a
+// run out of order are sorted: an entity's records end up exactly as
+// GroupByEntity's copy path lays them out. Beside the counting pass's
+// per-entity state it allocates one 4-byte column a record, so d must
+// hold fewer than 2³¹ records. Only the records' owner may call it
+// (slimd's seeds are its own); GroupByEntity never writes a caller's
+// records.
+func (d *Dataset) GroupInPlace() {
+	recs := d.Records
+	c := takeCensus(recs, make([]int32, 0, len(recs)))
+	if c.grouped {
+		return
+	}
+	at := make([]int, len(c.count)) // per entity: where its span ends, then where it starts
+	for slot, end := 0, 0; slot < len(at); slot++ {
+		end += c.count[slot]
+		at[slot] = end
+	}
+	// Walked from the last run, run k's records get their destinations at
+	// indexes at or past its start, itself at or past k, so each slot is
+	// read before a destination overwrites it.
+	dest := c.runSlots[:len(recs)]
+	for hi, k := len(recs), len(c.runSlots)-1; k >= 0; k-- {
+		lo, slot := runStart(recs, hi), dest[k]
+		for i := hi - 1; i >= lo; i-- {
+			at[slot]--
+			dest[i] = int32(at[slot])
+		}
+		hi = lo
+	}
+	for i := range recs {
+		for j := int(dest[i]); j != i; j = int(dest[i]) {
+			recs[i], recs[j] = recs[j], recs[i]
+			dest[i], dest[j] = dest[j], int32(j)
+		}
+	}
+	for slot, lo := range at {
+		if c.unsorted[slot] {
+			sortRecords(recs[lo : lo+c.count[slot]])
+		}
+	}
+}
+
+// census is what the counting pass finds, per run: a maximal stretch of
+// consecutive records of one entity.
+type census struct {
+	ids      []EntityID // per entity, numbered in first-seen order
+	first    []int      // per entity: where its first run starts
+	count    []int      // per entity: its record count
+	unsorted []bool     // per entity: more than one run, or a run out of order
+	runSlots []int32    // run k belongs to entity runSlots[k]
+	grouped  bool       // every entity is one strictly increasing run
+}
+
+// takeCensus is the counting pass both groupings share: it numbers the
+// entities in first-seen order, probes the id map once per run and
+// checks each run for strict increase in sortRecords' order. The run
+// slots are appended to runSlots.
+func takeCensus(records []Record, runSlots []int32) census {
+	c := census{runSlots: runSlots, grouped: true}
+	slotOf := make(map[EntityID]int32)
+	for lo, hi := 0, 0; lo < len(records); lo = hi {
+		hi = runEnd(records, lo)
+		e := records[lo].Entity
+		slot, ok := slotOf[e]
+		if !ok {
+			slot = int32(len(c.ids))
+			slotOf[e] = slot
+			c.ids, c.first, c.count, c.unsorted = append(c.ids, e), append(c.first, lo), append(c.count, 0), append(c.unsorted, false)
+		}
+		if ok || !strictlyIncreasing(records[lo:hi]) {
+			c.unsorted[slot] = true
+			c.grouped = false
+		}
+		c.runSlots = append(c.runSlots, slot)
+		c.count[slot] += hi - lo
+	}
+	return c
 }
 
 // runEnd returns the end of the run of records[lo]'s entity starting at lo.
@@ -200,6 +269,16 @@ func runEnd(records []Record, lo int) int {
 		hi++
 	}
 	return hi
+}
+
+// runStart returns the start of the run of records[hi-1]'s entity ending
+// at hi.
+func runStart(records []Record, hi int) int {
+	lo := hi - 1
+	for lo > 0 && records[lo-1].Entity == records[hi-1].Entity {
+		lo--
+	}
+	return lo
 }
 
 // strictlyIncreasing reports whether recs are in sortRecords' order with

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -57,10 +59,17 @@ func bootNode(t *testing.T, o nodeOpts) *node {
 		link = *o.link
 	}
 	engCfg := engine.Config{Link: link, Debounce: time.Hour, Registry: reg}
-	seedE, seedI := slim.Dataset{Name: "E", Records: o.seedE}, slim.Dataset{Name: "I", Records: o.seedI}
+	// The node owns its seeds, as slimd owns the ones it read: both boot
+	// paths rewrite them in place.
+	seedE := slim.Dataset{Name: "E", Records: slices.Clone(o.seedE)}
+	seedI := slim.Dataset{Name: "I", Records: slices.Clone(o.seedI)}
 	var err error
 	if o.memoryOnly {
-		n.eng, err = engine.New(storage.QuantizeDataset(seedE), storage.QuantizeDataset(seedI), engCfg)
+		for _, ds := range []*slim.Dataset{&seedE, &seedI} {
+			storage.QuantizeDataset(*ds)
+			ds.GroupInPlace()
+		}
+		n.eng, err = engine.New(seedE, seedI, engCfg)
 	} else {
 		n.dir = t.TempDir()
 		o.storage.FS = storage.NewFaultFS(storage.OSFS, n.inj)
@@ -252,10 +261,14 @@ func requireSameLinks(t *testing.T, name string, got []slim.Link, wantName strin
 
 // TestSeedsLinkTheSameWithAndWithoutDataDir: slimd builds its engine over
 // the -e/-i seeds in memory, or through a fresh data directory that stores
-// them on the E7 grid, and the two must publish Float64bits-identical
-// links. Every third E record sits within 1e-12 degrees of a history-grid
-// cell edge, on the side E7 rounding pulls it off (onCellEdge), so an
-// engine built over the raw seeds bins those records into other cells.
+// them on the E7 grid, and both, and a restart from that directory's base,
+// must publish links Float64bits-identical to LinkDatasets over the seeds
+// on the E7 grid in their original order. Every third E record sits within
+// 1e-12 degrees of a history-grid cell edge, on the side E7 rounding pulls
+// it off (onCellEdge), so an engine built over the raw seeds bins those
+// records into other cells. The seeds come grouped, as a sample is, and
+// time-ordered, as serve_fresh's are, which both boot paths group in
+// place.
 func TestSeedsLinkTheSameWithAndWithoutDataDir(t *testing.T) {
 	ground := slim.GenerateCab(slim.CabOptions{
 		NumTaxis: 20, Days: 2, MeanRecordIntervalSec: 420, Seed: 21,
@@ -266,13 +279,55 @@ func TestSeedsLinkTheSameWithAndWithoutDataDir(t *testing.T) {
 	for i := 0; i < len(w.E.Records); i += 3 {
 		w.E.Records[i].LatLng = onCellEdge(t, w.E.Records[i].LatLng, slim.Defaults().SpatialLevel)
 	}
-	durable := bootNode(t, nodeOpts{seedE: w.E.Records, seedI: w.I.Records})
-	memory := bootNode(t, nodeOpts{memoryOnly: true, seedE: w.E.Records, seedI: w.I.Records})
-	want := durable.eng.Run().Links
-	if len(want) == 0 {
-		t.Fatal("workload produced no links; the comparison is vacuous")
+	// timeOrdered sorts records by time, then id, as serve_fresh's seed is.
+	timeOrdered := func(recs []slim.Record) []slim.Record {
+		recs = slices.Clone(recs)
+		slices.SortStableFunc(recs, func(a, b slim.Record) int {
+			return cmp.Or(cmp.Compare(a.Unix, b.Unix), cmp.Compare(a.Entity, b.Entity))
+		})
+		return recs
 	}
-	requireSameLinks(t, "memory only", memory.eng.Run().Links, "data directory", want)
+	for _, c := range []struct {
+		name         string
+		seedE, seedI []slim.Record
+	}{
+		{"grouped", w.E.Records, w.I.Records},
+		{"time-ordered", timeOrdered(w.E.Records), timeOrdered(w.I.Records)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			onGrid := func(name string, recs []slim.Record) slim.Dataset {
+				d := slim.Dataset{Name: name, Records: slices.Clone(recs)}
+				storage.QuantizeDataset(d)
+				return d
+			}
+			oracle, err := slim.LinkDatasets(onGrid("E", c.seedE), onGrid("I", c.seedI), slim.Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracle.Links
+			if len(want) == 0 {
+				t.Fatal("workload produced no links; the comparison is vacuous")
+			}
+			durable := bootNode(t, nodeOpts{seedE: c.seedE, seedI: c.seedI})
+			memory := bootNode(t, nodeOpts{memoryOnly: true, seedE: c.seedE, seedI: c.seedI})
+			requireSameLinks(t, "data directory", durable.eng.Run().Links, "LinkDatasets", want)
+			requireSameLinks(t, "memory only", memory.eng.Run().Links, "LinkDatasets", want)
+
+			// A restart from the base (the first store still open, as a
+			// kill -9 leaves the directory).
+			eng, store, info, err := storage.Recover(durable.dir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
+				engine.Config{Link: slim.Defaults(), Debounce: time.Hour}, storage.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			defer eng.Close()
+			if info.SeedRecords != len(c.seedE)+len(c.seedI) {
+				t.Fatalf("restart found %d seed records, want %d", info.SeedRecords, len(c.seedE)+len(c.seedI))
+			}
+			requireSameLinks(t, "restart", eng.Run().Links, "LinkDatasets", want)
+		})
+	}
 }
 
 // onCellEdge moves ll north to the next cell edge of the given grid level

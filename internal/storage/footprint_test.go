@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"slim"
+	"slim/internal/datagen"
 	"slim/internal/testenv"
 )
 
@@ -160,5 +162,49 @@ func TestStoreTypeHoldsNoRecords(t *testing.T) {
 	walk("Store", store)
 	if !seen[reflect.TypeOf((*wal)(nil)).Elem()] || !seen[reflect.TypeOf(resultData{})] {
 		t.Fatal("the walk did not reach the store's own WAL and result: it proves nothing")
+	}
+}
+
+// TestRecoverAllocatesNoSeedCopy: a fresh Recover owns its seeds, so
+// its seeds are quantized where they lie (the caller's records end up on
+// the E7 grid), and time-ordered seeds (serve_fresh's layout, one run a
+// record) are grouped where they lie: the boot allocates within 2 B a
+// record of the same seeds already grouped, where grouping by copying
+// costs 48 B a record more.
+func TestRecoverAllocatesNoSeedCopy(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	const margin = 2 // B a record
+	ground := datagen.SM(datagen.SMConfig{NumUsers: 2000, Days: 26, AvgRecords: 60, Seed: 1})
+	s := datagen.Sample(&ground, datagen.SampleConfig{Seed: 2})
+	records := len(s.E.Records) + len(s.I.Records)
+	boot := func(e, i []slim.Record) uint64 {
+		t.Helper()
+		seedE := slim.Dataset{Name: "E", Records: slices.Clone(e)}
+		seedI := slim.Dataset{Name: "I", Records: slices.Clone(i)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng, st, _, err := Recover(t.TempDir(), seedE, seedI, testEngineCfg(), Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.crashClose()
+		eng.Close()
+		for _, r := range append(seedE.Records, seedI.Records...) {
+			if QuantizeRecord(r) != r {
+				t.Fatalf("seed record %+v is off the E7 grid: Recover quantized a copy", r)
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	grouped := boot(s.E.Records, s.I.Records)
+	timed := boot(timeOrdered(s.E.Records), timeOrdered(s.I.Records))
+	t.Logf("%d seed records: a fresh Recover allocated %.1f MB grouped, %.1f MB time-ordered (%+.2f B a record)",
+		records, float64(grouped)/1e6, float64(timed)/1e6, (float64(timed)-float64(grouped))/float64(records))
+	if timed > grouped+margin*uint64(records) {
+		t.Errorf("time-ordered seeds allocated %d B, the same seeds grouped %d B: more than %d B a record apart",
+			timed, grouped, margin)
 	}
 }

@@ -34,11 +34,14 @@ type RecoverInfo struct {
 // engine wired to its Store.
 //
 // On an empty directory the caller's seed datasets become the persistent
-// seeds: they are validated as the engine would validate them, then
-// written once, as the base file, before the engine is built over them.
-// Seeds that fail validation are never written. A boot that fails after
-// the write (an invalid configuration) leaves them in the directory, where
-// the next recovery finds them as if this one had succeeded.
+// seeds. Recover owns their records: it quantizes them in place
+// (QuantizeDataset), validates them as the engine would validate them,
+// groups them in place (model.Dataset.GroupInPlace) and writes them once,
+// as the base file, before the engine is built over them without a copy,
+// so the boot holds each seed record once. Seeds that fail validation are
+// never written. A boot that fails after the write (an invalid
+// configuration) leaves them in the directory, where the next recovery
+// finds them as if this one had succeeded.
 // On a directory with prior state the persisted seeds win (the caller's
 // are ignored — flags cannot silently fork a data directory): the base is
 // decoded, the engine is built over its seeds, and every batch past it is
@@ -78,24 +81,29 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 		info.Recovered = true
 		info.SnapshotSeq = base.lastSeq
 	} else {
-		// Fresh directory: the caller's seeds are quantized exactly like
-		// every other persisted record so that state is restart-stable, and
-		// become durable at once, as the base, before the engine is built
-		// over them. It is the one checkpoint that writes records, and the
-		// only time this file is written: every later recovery finds the
-		// seeds there, and the caller's seed flags are never needed again.
-		base = &snapshotData{
-			seedE: QuantizeDataset(seedE),
-			seedI: QuantizeDataset(seedI),
-		}
+		// Fresh directory: the caller's seeds are quantized in place exactly
+		// like every other persisted record so that state is
+		// restart-stable, and become durable at once, as the base, before
+		// the engine is built over them. It is the one checkpoint that
+		// writes records, and the only time this file is written: every
+		// later recovery finds the seeds there, and the caller's seed flags
+		// are never needed again.
+		QuantizeDataset(seedE)
+		QuantizeDataset(seedI)
 		// Persisted seeds win on every later boot, so seeds the engine
 		// would refuse must fail this boot before they are written.
-		if err := base.seedE.Validate(); err != nil {
+		if err := seedE.Validate(); err != nil {
 			return nil, nil, info, fmt.Errorf("slim: dataset E: %w", err)
 		}
-		if err := base.seedI.Validate(); err != nil {
+		if err := seedI.Validate(); err != nil {
 			return nil, nil, info, fmt.Errorf("slim: dataset I: %w", err)
 		}
+		// Grouped in place, each entity's records one sorted run, the
+		// seeds are built over without a copy, here and on every restart
+		// from the base.
+		seedE.GroupInPlace()
+		seedI.GroupInPlace()
+		base = &snapshotData{seedE: seedE, seedI: seedI}
 		start := time.Now()
 		if basePath, err = writeSnapshot(fs, dir, base); err != nil {
 			return nil, nil, info, err
@@ -192,15 +200,14 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 	return eng, st, info, nil
 }
 
-// QuantizeDataset returns a copy of a seed dataset on the codec's E7 grid
-// (QuantizeRecord): the records a data directory stores and every recovery
-// rebuilds. Both of slimd's boot paths build the engine over seeds passed
-// through it, so the same seeds link the same with and without a data
-// directory, as records ingested over either route do.
-func QuantizeDataset(d slim.Dataset) slim.Dataset {
-	out := slim.Dataset{Name: d.Name, Records: make([]slim.Record, len(d.Records))}
-	for i, r := range d.Records {
-		out.Records[i] = QuantizeRecord(r)
+// QuantizeDataset puts a seed dataset's records on the codec's E7 grid
+// (QuantizeRecord) in place: the records a data directory stores and every
+// recovery rebuilds. Both of slimd's boot paths build the engine over
+// seeds passed through it, so the same seeds link the same with and
+// without a data directory, as records ingested over either route do. The
+// caller must own the records: they are rewritten, not copied.
+func QuantizeDataset(d slim.Dataset) {
+	for i := range d.Records {
+		d.Records[i] = QuantizeRecord(d.Records[i])
 	}
-	return out
 }

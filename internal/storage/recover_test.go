@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"slim"
 	"slim/internal/engine"
@@ -206,6 +208,63 @@ func TestRecoverSeedsPersisted(t *testing.T) {
 	if len(res.Links) != 2 {
 		t.Fatalf("seed pairs not recovered: %v", res.Links)
 	}
+}
+
+// timeOrdered returns the records sorted by time, then id: serve_fresh's
+// seed layout, one run a record.
+func timeOrdered(recs []slim.Record) []slim.Record {
+	recs = slices.Clone(recs)
+	slices.SortStableFunc(recs, func(a, b slim.Record) int {
+		return cmp.Or(cmp.Compare(a.Unix, b.Unix), cmp.Compare(a.Entity, b.Entity))
+	})
+	return recs
+}
+
+// TestRecoverTimeOrderedSeeds: seeds in time order, every entity split
+// into one run a record, are grouped in place before the base is
+// written, so the base holds one sorted run per entity (a restart's build
+// indexes the decoded seeds without a copy). The fresh boot and a restart
+// from that base both link Float64bits-equal to LinkDatasets over the
+// seeds in their original order.
+func TestRecoverTimeOrderedSeeds(t *testing.T) {
+	var e, i []slim.Record
+	for k := 0; k < 6; k++ {
+		e = append(e, mkRecs(fmt.Sprintf("e-%d", k), float64(k)*0.3, 12, 1_000_000+int64(k))...)
+		i = append(i, mkRecs(fmt.Sprintf("i-%d", k), float64(k)*0.3, 12, 1_000_030+int64(k))...)
+	}
+	e, i = timeOrdered(e), timeOrdered(i)
+	want := oracleLinks(t, e, i)
+	if len(want) != 6 {
+		t.Fatalf("oracle links %d of the 6 seeded pairs: %v", len(want), want)
+	}
+	dir := t.TempDir()
+	eng, st, _, err := Recover(dir, slim.Dataset{Name: "E", Records: slices.Clone(e)},
+		slim.Dataset{Name: "I", Records: slices.Clone(i)}, testEngineCfg(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLinksBits(t, "fresh boot", eng.Run().Links, want)
+	st.crashClose()
+	eng.Close()
+
+	base, err := loadNewestSnapshot(OSFS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []slim.Dataset{base.seedE, base.seedI} {
+		if g := seed.GroupByEntity(-1); len(g.Entities) != 6 || unsafe.SliceData(g.Records) != unsafe.SliceData(seed.Records) {
+			t.Fatalf("base seeds %s are not one sorted run per entity: %v", seed.Name, seed.Records)
+		}
+	}
+	eng2, st2, info, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.crashClose()
+	if !info.Recovered || info.SeedRecords != len(e)+len(i) {
+		t.Fatalf("info = %+v, want recovered with %d seed records", info, len(e)+len(i))
+	}
+	requireLinksBits(t, "restart", eng2.Run().Links, want)
 }
 
 // TestRecoverAfterCheckpoint: a checkpoint writes the result and nothing

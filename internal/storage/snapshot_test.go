@@ -194,7 +194,9 @@ func TestRemoveResultsBefore(t *testing.T) {
 func pinnedSeeds() (e, i slim.Dataset) {
 	ground := datagen.SM(datagen.SMConfig{NumUsers: 2000, Days: 26, Seed: 1})
 	s := datagen.Sample(&ground, datagen.SampleConfig{Seed: 2})
-	return QuantizeDataset(s.E), QuantizeDataset(s.I)
+	QuantizeDataset(s.E)
+	QuantizeDataset(s.I)
+	return s.E, s.I
 }
 
 // TestBaseBytesPinned pins every byte both file kinds are written with,

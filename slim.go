@@ -55,6 +55,9 @@ type Stats struct {
 	RecordComparisons int64
 	AlibiBinPairs     int64
 	// LSH is the candidate index's snapshot when the filter was enabled.
+	// Its LastDirty and LastUpdate are this run's: zero when the run's
+	// Rescore updated nothing (no dirty entity; a linker's first run, whose
+	// index NewLinker built).
 	LSH *CandidateIndexStats
 	// EdgeStore reports the incremental edge store behind this run: how
 	// many scored pairs were retained from the previous run versus
@@ -393,9 +396,10 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 	lk.Precompile()
 	var pairs []uint64 // P
 	nPairs := int64(lk.storeE.NumEntities()) * int64(lk.storeI.NumEntities())
+	updated := false
 	if lk.candIndex != nil {
 		if len(lk.dirtyE) > 0 || len(lk.dirtyI) > 0 {
-			pairs = lk.candIndex.Update(lk.dirtyE, lk.dirtyI)
+			pairs, updated = lk.candIndex.Update(lk.dirtyE, lk.dirtyI), true
 		}
 		nPairs = lk.candIndex.NumCandidates()
 	}
@@ -442,6 +446,9 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 		AlibiBinPairs:     st.AlibiBinPairs - lk.prevStats.AlibiBinPairs,
 		LSH:               lk.CandidateIndexStats(),
 		EdgeStore:         lk.edges.statsSnapshot(),
+	}
+	if stats.LSH != nil && !updated {
+		stats.LSH.LastDirty, stats.LSH.LastUpdate = 0, 0
 	}
 	lk.prevStats = st
 	return stats
