@@ -6,6 +6,7 @@ package cmd_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -929,8 +930,18 @@ func TestCLISlimdCrashRecovery(t *testing.T) {
 	cmd1.Wait()
 
 	// Restart on the same directory: recovery must replay the WAL. The
-	// seedless restart proves the links come from the data dir alone.
-	cmd2, base2, _ := startSlimd(t, slimdBin, args...)
+	// restart's -e names a file that does not exist: slimd reads the seed
+	// flags only for a directory with no base, so it boots from the base,
+	// and the links come from the data dir alone. The same flag fails a
+	// boot on a fresh directory, the one that would read it.
+	missing := filepath.Join(dir, "missing.csv")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	out, err := exec.CommandContext(ctx, slimdBin, "-addr", "127.0.0.1:0", "-data-dir", filepath.Join(dir, "fresh"), "-e", missing).CombinedOutput()
+	cancel()
+	if err == nil || !strings.Contains(string(out), "missing.csv") || strings.Contains(string(out), "msg=listening") {
+		t.Fatalf("slimd on a fresh directory with a missing -e seed: %v\n%s", err, out)
+	}
+	cmd2, base2, _ := startSlimd(t, slimdBin, append(slices.Clip(args), "-e", missing)...)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(base2 + "/readyz")

@@ -105,15 +105,18 @@ func main() {
 
 	cfg := linkage()
 
-	dsE, err := readSeed(*ePath, "E")
-	if err != nil {
-		fatal(logger, "loading seed", "error", err)
+	// The seeds are read only by a boot that uses them: without a data
+	// directory, or by Recover for one that holds no base yet.
+	var seedsTook time.Duration
+	loadSeeds := func() (dsE, dsI slim.Dataset, err error) {
+		start := time.Now()
+		defer func() { seedsTook = time.Since(start) }()
+		if dsE, err = readSeed(*ePath, "E"); err == nil {
+			dsI, err = readSeed(*iPath, "I")
+		}
+		return dsE, dsI, err
 	}
-	dsI, err := readSeed(*iPath, "I")
-	if err != nil {
-		fatal(logger, "loading seed", "error", err)
-	}
-	seedsDone := time.Now()
+	engineStart := time.Now()
 
 	// Fault injection (-fault) arms the chaos sites across the storage
 	// and relink layers. A nil injector is a never-firing no-op, so the
@@ -151,12 +154,14 @@ func main() {
 			fs = storage.NewFaultFS(storage.OSFS, inj)
 		}
 		var info storage.RecoverInfo
-		eng, store, info, err = storage.Recover(*dataDir, dsE, dsI, engCfg, storage.Options{
+		var err error
+		eng, store, info, err = storage.Recover(*dataDir, slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"}, engCfg, storage.Options{
 			FsyncInterval:     *fsyncInterval,
 			SnapshotEveryRuns: *snapshotEvery,
 			Logger:            logger,
 			Registry:          registry,
 			FS:                fs,
+			Seeds:             loadSeeds,
 		})
 		if err != nil {
 			fatal(logger, "recovering data directory", "dir", *dataDir, "error", err)
@@ -179,6 +184,10 @@ func main() {
 		// The seeds are slimd's own: on the E7 grid and grouped in place, as
 		// Recover stores them, they link as from a data directory and are
 		// built over without a copy.
+		dsE, dsI, err := loadSeeds()
+		if err != nil {
+			fatal(logger, "loading seed", "error", err)
+		}
 		for _, ds := range []*slim.Dataset{&dsE, &dsI} {
 			storage.QuantizeDataset(*ds)
 			ds.GroupInPlace()
@@ -305,8 +314,8 @@ func main() {
 		engineKey = "recover_ms"
 	}
 	logger.Info("boot",
-		"seeds_ms", millis(seedsDone.Sub(boot)),
-		engineKey, millis(engineDone.Sub(seedsDone)),
+		"seeds_ms", millis(engineStart.Sub(boot)+seedsTook),
+		engineKey, millis(engineDone.Sub(engineStart)-seedsTook),
 		"gc_ms", millis(gcDone.Sub(engineDone)),
 		"heap_live_mb", mebibytes(int64(heapLive)),
 		"link_ms", millis(linkDone.Sub(gcDone)),

@@ -142,24 +142,29 @@ func csvNeedsQuotes(s string) bool {
 // detected and skipped if present; the radius_km column is optional.
 //
 // The reference parser is encoding/csv (readRows). Most inputs never
-// reach it: ReadCSV reads line-aligned blocks of up to csvBlockBytes into
-// a ring of reused buffers and parses them on GOMAXPROCS workers, splitting
-// each row at its commas with no string per line, into records written
-// once into a part sized by the block's line count. A block that holds a
+// reach it. ReadCSV counts the line feeds and bytes from the reader's
+// offset to its end, through the first buffer of its block ring, seeks
+// back, and allocates the result once, with room for every record that
+// count allows (an input that cannot seek is read into memory first). It
+// then reads line-aligned blocks of up to csvBlockBytes into the ring and
+// parses them on GOMAXPROCS workers, splitting each row at its commas with
+// no string per line, each block's records straight into its own slots of
+// the result. Blocks are taken in input order, each sliding its records
+// down over the holes a header or blank lines left. A block that holds a
 // quote or a carriage return, or a row that is not four or five fields
 // that parse, is one the fast path does not claim to read as encoding/csv
-// does: from the first such block on, the blocks in flight after it and
-// the rest of the input go to readRows, which resumes the row count (and
-// with it the header rule and error lines) where the fast path stopped. A
-// dataset or an error is therefore exactly readRows' over the whole input.
+// does: from the first such block on, once the workers have stopped, the
+// blocks in flight after it and the rest of the input go to readRows,
+// which appends to the result and resumes the row count (and with it the
+// header rule and error lines) where the fast path stopped. A dataset or
+// an error is therefore exactly readRows' over the whole input.
 //
 // Entity ids are interned across blocks: every record of one entity shares
-// a single backing string. The parts are concatenated once into an exactly
-// sized slice.
+// a single backing string.
 func ReadCSV(r io.Reader, name string) (Dataset, error) {
 	c := csvReader{ids: make(map[string]EntityID)}
-	rest := c.readBlocks(r)
-	if rest != nil {
+	first := make([]byte, csvBlockBytes)
+	if rest := c.readBlocks(c.reserve(r, first), first); rest != nil {
 		if err := c.readRows(rest); err != nil {
 			return Dataset{}, err
 		}
@@ -171,9 +176,9 @@ func ReadCSV(r io.Reader, name string) (Dataset, error) {
 // readRows: the records parsed so far, the rows and lines they came from,
 // and the id table.
 type csvReader struct {
-	parts [][]Record
-	rows  int // non-blank rows read, the header included: the line numbers errors report
-	lines int // line feeds read: where readRows' csv.ParseError lines start
+	recs  []Record // the result: records in input order, capacity the input's bound
+	rows  int      // non-blank rows read, the header included: the line numbers errors report
+	lines int      // line feeds read: where readRows' csv.ParseError lines start
 
 	mu  sync.Mutex // guards ids against the workers
 	ids map[string]EntityID
@@ -181,33 +186,78 @@ type csvReader struct {
 
 // csvBlock is one slot of the fast path's ring.
 type csvBlock struct {
-	buf   []byte // the slot's buffer, reused
-	data  []byte // the block: whole lines of buf, the last one unterminated only at the end of the input
-	first bool   // the block starts the input, so its first row may be the header
+	buf   []byte   // the slot's buffer, reused
+	data  []byte   // the block: whole lines of buf, the last one unterminated only at the end of the input
+	first bool     // the block starts the input, so its first row may be the header
+	lines int      // line feeds in data
+	recs  []Record // the block's slots of the result; the worker appends its records here
 	done  chan struct{}
 
-	ok    bool // the block holds no quote and no carriage return, and every row parsed
-	recs  []Record
-	rows  int
-	lines int
+	ok   bool // the block holds no quote and no carriage return, and every row parsed
+	rows int
 }
 
 const (
 	// csvBlockBytes is the size of a fast-path block buffer.
 	csvBlockBytes = 128 << 10
-	// csvRowMinBytes is the shortest row that can parse, `,0,0,0` and its
-	// line feed: a part never needs room for more rows than its bytes
-	// hold, whatever its line count says.
+	// csvRowMinBytes is the shortest row that can be a record, `,0,0,0`
+	// and its line feed: an input of n bytes holds at most
+	// n/csvRowMinBytes+1 records, whatever its line count says.
 	csvRowMinBytes = 7
 )
 
-// readBlocks parses r on the fast path until the input ends, when it
-// returns nil, or until a block the fast path does not read, when it
-// returns a reader over that block, the blocks in flight after it and the
-// rest of r. At most GOMAXPROCS+2 blocks are held at once.
-func (c *csvReader) readBlocks(r io.Reader) io.Reader {
+// csvRecordBound is the most records an input of lines line feeds and n
+// bytes holds: a record is one row, every row but the last ends at a line
+// feed, and a record's row and line feed take csvRowMinBytes.
+func csvRecordBound(lines, n int) int { return min(lines+1, n/csvRowMinBytes+1) }
+
+// reserve allocates c.recs with room for every record r holds and returns
+// the reader to parse: r moved back to where it stood, or, when r cannot
+// seek, a reader over its bytes read into memory. It counts through buf.
+func (c *csvReader) reserve(r io.Reader, buf []byte) io.Reader {
+	s, ok := r.(io.Seeker)
+	var start int64
+	if ok {
+		var err error
+		start, err = s.Seek(0, io.SeekCurrent)
+		ok = err == nil
+	}
+	if !ok {
+		var in bytes.Buffer // grows by doubling, where io.ReadAll's append grows by a quarter
+		_, err := in.ReadFrom(r)
+		data := in.Bytes()
+		c.recs = make([]Record, 0, csvRecordBound(bytes.Count(data, []byte{'\n'}), len(data)))
+		if err != nil { // readRows reports it after the bytes that came before it
+			return io.MultiReader(bytes.NewReader(data), errReader{err})
+		}
+		return bytes.NewReader(data)
+	}
+	lines, n := 0, 0
+	for {
+		m, err := r.Read(buf)
+		lines += bytes.Count(buf[:m], []byte{'\n'})
+		n += m
+		if err != nil { // a failed read fails again where the parse meets it
+			break
+		}
+	}
+	c.recs = make([]Record, 0, csvRecordBound(lines, n))
+	if _, err := s.Seek(start, io.SeekStart); err != nil {
+		return errReader{err}
+	}
+	return r
+}
+
+// readBlocks parses r on the fast path, with first as its ring's first
+// buffer, until the input ends, when it returns nil, or until a block the fast
+// path does not read, when it returns a reader over that block, the blocks
+// in flight after it and the rest of r. At most GOMAXPROCS+2 blocks are
+// held at once. It returns once every worker has stopped, so the caller
+// may write c.recs anywhere past its length.
+func (c *csvReader) readBlocks(r io.Reader, first []byte) io.Reader {
 	workers := runtime.GOMAXPROCS(0)
 	ring := make([]csvBlock, workers+2)
+	ring[0].buf = first
 	var carry []byte // the unterminated line after the last full block
 	work := make(chan *csvBlock)
 	var wg sync.WaitGroup
@@ -226,6 +276,7 @@ func (c *csvReader) readBlocks(r io.Reader) io.Reader {
 		wg.Wait()
 	}()
 	head, inFlight, started, eof := 0, 0, false, false
+	lines, n := 0, 0 // line feeds and bytes in the blocks handed out so far
 	for {
 		if inFlight == len(ring) || (eof && inFlight > 0) {
 			b := &ring[head]
@@ -237,10 +288,9 @@ func (c *csvReader) readBlocks(r io.Reader) io.Reader {
 				}
 				return io.MultiReader(append(rest, bytes.NewReader(carry), r)...)
 			}
-			c.parts = append(c.parts, b.recs)
+			c.recs = append(c.recs, b.recs...) // within capacity: a move down, over the holes before the block
 			c.rows += b.rows
 			c.lines += b.lines
-			b.recs = nil
 			head, inFlight = (head+1)%len(ring), inFlight-1
 			continue
 		}
@@ -248,13 +298,16 @@ func (c *csvReader) readBlocks(r io.Reader) io.Reader {
 			return nil
 		}
 		b := &ring[(head+inFlight)%len(ring)]
-		if b.buf == nil {
-			b.buf, b.done = make([]byte, csvBlockBytes), make(chan struct{}, 1)
+		if b.done == nil {
+			b.done = make(chan struct{}, 1)
 		}
-		n := copy(b.buf, carry)
-		m, err := io.ReadFull(r, b.buf[n:])
-		n += m
-		b.data, b.first, b.ok = b.buf[:n], !started, false
+		if b.buf == nil {
+			b.buf = make([]byte, csvBlockBytes)
+		}
+		k := copy(b.buf, carry)
+		m, err := io.ReadFull(r, b.buf[k:])
+		k += m
+		b.data, b.first, b.ok = b.buf[:k], !started, false
 		started = true
 		carry = carry[:0]
 		inFlight++
@@ -273,6 +326,17 @@ func (c *csvReader) readBlocks(r io.Reader) io.Reader {
 			}
 			b.data, carry = b.data[:end], append(carry, b.data[end:]...)
 		}
+		// The block's slots: no block before it holds more records than
+		// its line feeds or its bytes allow, so none writes past their
+		// start, and the input's bound leaves room for the block's own.
+		// Only an input that grew since it was counted runs out of room:
+		// the block's records then go to a slice of their own, and the
+		// result grows when it is taken.
+		b.lines = bytes.Count(b.data, []byte{'\n'})
+		lo := min(lines, n/csvRowMinBytes, cap(c.recs))
+		hi := min(lo+csvRecordBound(b.lines, len(b.data)), cap(c.recs))
+		b.recs = c.recs[lo:lo:hi]
+		lines, n = lines+b.lines, n+len(b.data)
 		work <- b
 	}
 }
@@ -284,16 +348,15 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // parseBlock parses b.data on the fast path: rows split at commas, blank
 // lines skipped as encoding/csv skips them, the header skipped when it is
-// the input's first row. It sets b.ok only when every row parsed and the
-// block holds nothing encoding/csv would read differently.
+// the input's first row, records appended to b.recs. It sets b.ok only
+// when every row parsed and the block holds nothing encoding/csv would
+// read differently.
 func (c *csvReader) parseBlock(b *csvBlock, seen map[string]EntityID) {
 	defer func() { b.done <- struct{}{} }()
 	data := b.data
 	if bytes.IndexByte(data, '"') >= 0 || bytes.IndexByte(data, '\r') >= 0 {
 		return
 	}
-	b.lines = bytes.Count(data, []byte{'\n'})
-	b.recs = make([]Record, 0, min(b.lines+1, len(data)/csvRowMinBytes+1))
 	b.rows = 0
 	var id EntityID
 	var f [5][]byte
@@ -365,14 +428,11 @@ func (c *csvReader) intern(b []byte, seen map[string]EntityID) EntityID {
 }
 
 // readRows parses r with encoding/csv, continuing the rows and lines the
-// fast path read, into parts that double from 64 records up to
-// csvChunkRecords: a short input allocates little, a long one a part list
-// of a few hundred entries at the paper's dataset size.
+// fast path read, and appends its records to c.recs.
 func (c *csvReader) readRows(r io.Reader) error {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
-	chunk := make([]Record, 0, 64)
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -397,14 +457,9 @@ func (c *csvReader) readRows(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if len(chunk) == cap(chunk) {
-			c.parts = append(c.parts, chunk)
-			chunk = make([]Record, 0, min(2*cap(chunk), csvChunkRecords))
-		}
 		r.Entity = c.intern([]byte(row[0]), nil)
-		chunk = append(chunk, r)
+		c.recs = append(c.recs, r)
 	}
-	c.parts = append(c.parts, chunk)
 	return nil
 }
 
@@ -437,20 +492,11 @@ func parseRow[S ~string | ~[]byte](line int, row []S) (Record, error) {
 	return Record{LatLng: geo.LatLngFromDegrees(lat, lng), Unix: unix, RadiusKm: radius}, nil
 }
 
-// dataset concatenates the parts into one exactly sized record slice and
-// validates it.
+// dataset validates the records read as a dataset.
 func (c *csvReader) dataset(name string) (Dataset, error) {
 	d := Dataset{Name: name}
-	n := 0
-	for _, p := range c.parts {
-		n += len(p)
-	}
-	if n > 0 { // no rows leave Records nil
-		d.Records = make([]Record, 0, n)
-	}
-	for k, p := range c.parts {
-		d.Records = append(d.Records, p...)
-		c.parts[k] = nil // collectable before the next one is copied
+	if len(c.recs) > 0 { // no rows leave Records nil
+		d.Records = c.recs
 	}
 	if err := d.Validate(); err != nil {
 		return Dataset{}, err
@@ -473,6 +519,3 @@ func badField(line int, column, field string, err error) error {
 }
 
 const errFieldBytes = 64
-
-// csvChunkRecords is the largest part readRows accumulates (192 KiB).
-const csvChunkRecords = 4096

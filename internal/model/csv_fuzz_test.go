@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -108,9 +110,9 @@ func requireSameRecords(t *testing.T, got, want []Record) {
 // allocates, garbage included, for an input of n bytes: the fixed part is
 // a fast-path block buffer (128 KiB) and, past it, encoding/csv's buffers.
 // Rows of one-byte fields and distinct ids cost the most per input byte —
-// a record in a part and again in the result, the id's clone and its map
-// entry — and a part is sized by the block's line feeds but never beyond
-// one record per csvRowMinBytes.
+// a record in the result, the id's clone and its map entry — and the
+// result is sized by the input's line feeds but never beyond one record
+// per csvRowMinBytes.
 const (
 	readCSVFixedBytes        = 256 << 10
 	readCSVBytesPerInputByte = 32
@@ -126,42 +128,81 @@ func readCSVReference(in []byte, name string) (Dataset, error) {
 	return c.dataset(name)
 }
 
+// csvSkippedPrefix stands before the input on the positioned route: a
+// header, a quote, a carriage return and line feeds that ReadCSV must
+// neither count nor parse.
+const csvSkippedPrefix = "entity,lat,lng,unix\n\"\r\n\n"
+
+// csvRoute is a reader ReadCSV is handed an input through.
+type csvRoute struct {
+	name string
+	r    io.Reader
+}
+
+// csvRoutes are the routes into ReadCSV: a seekable reader at offset 0,
+// one that cannot seek (read into memory first), and a seekable one
+// positioned past csvSkippedPrefix.
+func csvRoutes(in []byte) []csvRoute {
+	positioned := bytes.NewReader(append([]byte(csvSkippedPrefix), in...))
+	positioned.Seek(int64(len(csvSkippedPrefix)), io.SeekStart)
+	return []csvRoute{
+		{"seekable", bytes.NewReader(in)},
+		{"unseekable", struct{ io.Reader }{bytes.NewReader(in)}},
+		{"positioned", positioned},
+	}
+}
+
 // requireReadAsReference fails the test unless ReadCSV reads in exactly as
-// readCSVReference does: the same records bit for bit, every record of an
-// id sharing one backing string, or errors with equal text.
+// readCSVReference does, on each of csvRoutes: the same records bit for
+// bit, every record of an id sharing one backing string, or errors with
+// equal text. It returns the seekable route's dataset.
 func requireReadAsReference(t *testing.T, in []byte) Dataset {
 	t.Helper()
-	got, err := ReadCSV(bytes.NewReader(in), "fuzz")
 	want, wantErr := readCSVReference(in, "fuzz")
+	var first Dataset
+	for k, route := range csvRoutes(in) {
+		got, err := ReadCSV(route.r, "fuzz")
+		requireSameRead(t, route.name, got, err, want, wantErr)
+		if k == 0 {
+			first = got
+		}
+	}
+	return first
+}
+
+// requireSameRead fails the test unless a read by the named route returned
+// what readCSVReference did.
+func requireSameRead(t *testing.T, route string, got Dataset, err error, want Dataset, wantErr error) {
+	t.Helper()
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("ReadCSV returns error %v, encoding/csv %v", err, wantErr)
+		t.Fatalf("%s: ReadCSV returns error %v, encoding/csv %v", route, err, wantErr)
 	}
 	if err != nil {
-		return got
+		return
 	}
 	if (got.Records == nil) != (want.Records == nil) {
-		t.Fatalf("ReadCSV returns nil records %v, encoding/csv %v", got.Records == nil, want.Records == nil)
+		t.Fatalf("%s: ReadCSV returns nil records %v, encoding/csv %v", route, got.Records == nil, want.Records == nil)
 	}
 	requireSameRecords(t, got.Records, want.Records)
 	backing := make(map[EntityID]*byte)
 	for k, r := range got.Records {
 		p := unsafe.StringData(string(r.Entity))
 		if q, ok := backing[r.Entity]; ok && q != p {
-			t.Fatalf("record %d's id %q has a second backing string", k, r.Entity)
+			t.Fatalf("%s: record %d's id %q has a second backing string", route, k, r.Entity)
 		}
 		backing[r.Entity] = p
 	}
-	return got
 }
 
 // FuzzReadCSV reads arbitrary bytes as a dataset CSV and holds ReadCSV to
 // four oracles: it does not panic; it reads the input exactly as the
-// encoding/csv loop does from byte 0 (requireReadAsReference), also when
-// the input follows more than a block of valid rows, so that it reaches
-// the fast path's hand-off to that loop; a dataset it returns reads back
-// through WriteCSV bit for bit; it allocates within
-// readCSVBytesPerInputByte per input byte beyond readCSVFixedBytes, on the
-// least of three runs. The committed corpus (testdata/fuzz) holds a quoted
+// encoding/csv loop does from byte 0 (requireReadAsReference), through a
+// seekable reader, one that cannot seek and one positioned past a prefix,
+// also when the input follows more than a block of valid rows, so that it
+// reaches the fast path's hand-off to that loop; a dataset it returns
+// reads back through WriteCSV bit for bit; through the seekable reader it
+// allocates within readCSVBytesPerInputByte per input byte beyond
+// readCSVFixedBytes, on the least of three runs. The committed corpus (testdata/fuzz) holds a quoted
 // id with a line feed, rows of 3 and 6 fields, 1e400, NaN, a BOM, CRLF
 // line ends, a header-only file, a region column and an empty file, and
 // (the late-* files) a quote, a bare quote, a lone carriage return, blank
@@ -237,4 +278,72 @@ func TestCSVCodecSameUnderGOMAXPROCS(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReadCSVFromPipeAndOffsetFile reads a multi-block CSV through the
+// readers slim-link and slimd can be handed: a pipe, where Seek fails and
+// the input is read into memory first, and a file opened at a non-zero
+// offset, whose bytes before it are neither counted nor parsed.
+func TestReadCSVFromPipeAndOffsetFile(t *testing.T) {
+	in := csvFixture(40_000).Bytes()
+	want, wantErr := readCSVReference(in, "fuzz")
+	if wantErr != nil || len(want.Records) != 40_000 {
+		t.Fatalf("the reference read %d records, err %v", len(want.Records), wantErr)
+	}
+
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	if _, err := pr.Seek(0, io.SeekCurrent); err == nil {
+		t.Fatal("a pipe seeks")
+	}
+	go func() {
+		pw.Write(in)
+		pw.Close()
+	}()
+	got, err := ReadCSV(pr, "fuzz")
+	requireSameRead(t, "pipe", got, err, want, wantErr)
+
+	path := filepath.Join(t.TempDir(), "offset.csv")
+	if err := os.WriteFile(path, append([]byte(csvSkippedPrefix), in...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(int64(len(csvSkippedPrefix)), io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadCSV(f, "fuzz")
+	requireSameRead(t, "file at an offset", got, err, want, wantErr)
+}
+
+// growingInput is a seekable input that grows once ReadCSV has counted it:
+// it reads short until the first seek to its start, and whole after.
+type growingInput struct {
+	*bytes.Reader
+	whole []byte
+}
+
+func (g *growingInput) Seek(off int64, whence int) (int64, error) {
+	if whence == io.SeekStart {
+		g.Reader = bytes.NewReader(g.whole)
+	}
+	return g.Reader.Seek(off, whence)
+}
+
+// TestReadCSVInputGrownSinceCounted: a file appended to between ReadCSV's
+// count and its parse holds more records than the result has room for.
+// The blocks past the room parse into slices of their own and the result
+// grows as they are taken, so every record is still read.
+func TestReadCSVInputGrownSinceCounted(t *testing.T) {
+	whole := csvFixture(40_000).Bytes()
+	want, wantErr := readCSVReference(whole, "fuzz")
+	short := bytes.LastIndexByte(whole[:len(whole)/3], '\n') + 1
+	got, err := ReadCSV(&growingInput{Reader: bytes.NewReader(whole[:short]), whole: whole}, "fuzz")
+	requireSameRead(t, "grown", got, err, want, wantErr)
 }

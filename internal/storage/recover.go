@@ -33,20 +33,20 @@ type RecoverInfo struct {
 // Recover opens (or initializes) a data directory and returns a ready
 // engine wired to its Store.
 //
-// On an empty directory the caller's seed datasets become the persistent
-// seeds. Recover owns their records: it quantizes them in place
-// (QuantizeDataset), validates them as the engine would validate them,
-// groups them in place (model.Dataset.GroupInPlace) and writes them once,
-// as the base file, before the engine is built over them without a copy,
-// so the boot holds each seed record once. Seeds that fail validation are
+// On an empty directory the caller's seed datasets (opts.Seeds' when it is
+// set) become the persistent seeds. Recover owns their records: it
+// quantizes them in place (QuantizeDataset), validates them as the engine
+// would validate them, groups them in place (model.Dataset.GroupInPlace)
+// and writes them once, as the base file, before the engine is built over
+// them without a copy, so the boot holds each seed record once. Seeds that fail validation are
 // never written. A boot that fails after the write (an invalid
 // configuration) leaves them in the directory, where the next recovery
 // finds them as if this one had succeeded.
 // On a directory with prior state the persisted seeds win (the caller's
-// are ignored — flags cannot silently fork a data directory): the base is
-// decoded, the engine is built over its seeds, and every batch past it is
-// replayed from the WAL straight into the engine, batch by batch
-// (tolerating a torn final entry in a segment, the expected artifact of a
+// are ignored and opts.Seeds is not called — flags cannot silently fork a
+// data directory): the base is decoded, the engine is built over its
+// seeds, and every batch past it is replayed from the WAL straight into
+// the engine, batch by batch (tolerating a torn final entry in a segment, the expected artifact of a
 // crash mid-append, and failing stop on a hole in the sequence). A
 // persisted result is installed only when it was checkpointed at exactly
 // the last replayed sequence; otherwise the caller relinks before serving.
@@ -88,6 +88,11 @@ func Recover(dir string, seedE, seedI slim.Dataset, cfg engine.Config, opts Opti
 		// writes records, and the only time this file is written: every
 		// later recovery finds the seeds there, and the caller's seed flags
 		// are never needed again.
+		if opts.Seeds != nil {
+			if seedE, seedI, err = opts.Seeds(); err != nil {
+				return nil, nil, info, err
+			}
+		}
 		QuantizeDataset(seedE)
 		QuantizeDataset(seedI)
 		// Persisted seeds win on every later boot, so seeds the engine

@@ -210,6 +210,50 @@ func TestRecoverSeedsPersisted(t *testing.T) {
 	}
 }
 
+// TestRecoverLoadsSeedsOnlyForAFreshDirectory: Options.Seeds is called
+// once, by the boot that initialises the directory, and its seeds become
+// the base. A restart never calls it, so a loader that would fail (a seed
+// file gone since) does not stop the boot from the base; the same loader
+// fails a boot that would have to use it.
+func TestRecoverLoadsSeedsOnlyForAFreshDirectory(t *testing.T) {
+	dir := t.TempDir()
+	calls := 0
+	seeds := func() (slim.Dataset, slim.Dataset, error) {
+		calls++
+		return slim.Dataset{Name: "E", Records: append(mkRecs("e-seed", 0, 20, 1_000_000), mkRecs("e-seed2", 0.8, 20, 1_000_000)...)},
+			slim.Dataset{Name: "I", Records: append(mkRecs("i-seed", 0, 20, 1_000_030), mkRecs("i-seed2", 0.8, 20, 1_000_030)...)}, nil
+	}
+	_, st, info, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{Seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.crashClose()
+	if calls != 1 || info.Recovered || info.SeedRecords != 80 {
+		t.Fatalf("fresh boot: %d loader calls, info %+v; want 1 call and 80 seed records", calls, info)
+	}
+
+	errUnreadable := errors.New("seed file unreadable")
+	unreadable := func() (slim.Dataset, slim.Dataset, error) {
+		calls++
+		return slim.Dataset{}, slim.Dataset{}, errUnreadable
+	}
+	eng2, st2, info, err := Recover(dir, emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{Seeds: unreadable})
+	if err != nil {
+		t.Fatalf("restart with an unreadable seed: %v", err)
+	}
+	defer st2.crashClose()
+	if calls != 1 || !info.Recovered || info.SeedRecords != 80 {
+		t.Fatalf("restart: %d loader calls, info %+v; want no further call and 80 seed records", calls, info)
+	}
+	if res := eng2.Run(); len(res.Links) != 2 {
+		t.Fatalf("seed pairs not recovered from the base: %v", res.Links)
+	}
+
+	if _, _, _, err := Recover(t.TempDir(), emptyDS("E"), emptyDS("I"), testEngineCfg(), Options{Seeds: unreadable}); !errors.Is(err, errUnreadable) {
+		t.Fatalf("fresh boot with an unreadable seed returned %v, want %v", err, errUnreadable)
+	}
+}
+
 // timeOrdered returns the records sorted by time, then id: serve_fresh's
 // seed layout, one run a record.
 func timeOrdered(recs []slim.Record) []slim.Record {

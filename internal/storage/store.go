@@ -59,6 +59,11 @@ type Options struct {
 	// ReopenMaxBackoff (0 = DefaultReopenMaxBackoff).
 	ReopenBackoff    time.Duration
 	ReopenMaxBackoff time.Duration
+	// Seeds, when set, loads the seed datasets in place of Recover's seedE
+	// and seedI arguments. Recover calls it only for a directory with no
+	// base, the one boot that uses them, so a restart neither reads nor
+	// holds the caller's seed files; its error fails that boot.
+	Seeds func() (seedE, seedI slim.Dataset, err error)
 }
 
 func (o Options) snapshotEveryRuns() int {
