@@ -242,9 +242,10 @@ func TestDeltaRelinkBuildsNoLinkList(t *testing.T) {
 // TestDeltaRescoreScoresExactlyTheCandidateDelta: a weight-only burst that
 // re-adds every record of some entities doubles their bin weights, which
 // leaves their dominating cells, the candidate set, every bin set and so
-// every score as they were. The run's one candidate-index update therefore
-// returns exactly the candidate pairs with a burst endpoint, and Rescore
-// scores exactly those pairs, retains every other one and drops none.
+// every score as they were. P, the burst entities' pairs after the run's
+// one candidate-index update, is therefore exactly the candidate pairs with
+// a burst endpoint, and Rescore scores exactly those pairs, retains every
+// other one and drops none.
 func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
 	w := cabWorkload(t, 30, 1)
 	cfg := Defaults()
@@ -270,7 +271,7 @@ func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
 	burstI := burst(w.I, 4, lk.storeI, lk.AddI)
 	res := lk.Run()
 
-	pairs := lk.candIndex.Pairs()
+	pairs := candidatePairs(lk)
 	withBurst := int64(0)
 	for _, p := range pairs {
 		if u, v := candidates.Ends(p); burstE[u] || burstI[v] {
@@ -279,7 +280,7 @@ func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
 	}
 	es := res.Stats.EdgeStore
 	if es.FullRescore || res.Stats.CandidatePairs != int64(len(pairs)) {
-		t.Fatalf("weight-only burst: full rescore %v, %d candidates, Pairs() holds %d",
+		t.Fatalf("weight-only burst: full rescore %v, %d candidates, the walk finds %d",
 			es.FullRescore, res.Stats.CandidatePairs, len(pairs))
 	}
 	if withBurst == 0 || withBurst == int64(len(pairs)) {
@@ -288,6 +289,65 @@ func TestDeltaRescoreScoresExactlyTheCandidateDelta(t *testing.T) {
 	if es.Rescored != withBurst || es.Retained != int64(len(pairs))-withBurst || es.Dropped != 0 {
 		t.Fatalf("rescored %d, retained %d, dropped %d; want %d, %d, 0",
 			es.Rescored, es.Retained, es.Dropped, withBurst, int64(len(pairs))-withBurst)
+	}
+}
+
+// TestFullRescoreKeepsTenure: a full rescore walks every E ordinal's pairs,
+// and resetFull finds each pair's tenure by one merge against the old
+// column, which holds only while the walk's pairs ascend. Under both
+// filters and at one and three workers, a delta run and then a record that
+// opens a new bin (a full rescore) must leave every previously retained
+// pair linked with the RetainedSinceSeq it had, rescored in the new run.
+func TestFullRescoreKeepsTenure(t *testing.T) {
+	w := cabWorkload(t, 20, 3)
+	for _, lsh := range []bool{false, true} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("lsh=%v/workers=%d", lsh, workers), func(t *testing.T) {
+				cfg := Defaults()
+				cfg.Workers = workers
+				if lsh {
+					cfg.LSH = &LSHConfig{Threshold: 0.3, StepWindows: 8, SpatialLevel: 10, NumBuckets: 64} // 41 of 169 pairs
+				}
+				lk, err := NewLinker(w.E, w.I, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lk.Run()
+				byEntity := w.E.ByEntity()
+				for k, id := range lk.EntitiesE() {
+					if k%3 == 0 {
+						lk.AddE(byEntity[id]...) // weight only: no new bin
+					}
+				}
+				if res := lk.Run(); res.Stats.EdgeStore.FullRescore {
+					t.Fatal("the weight-only burst forced a full rescore; the test needs a delta run")
+				}
+				since := map[[2]EntityID]uint64{}
+				for _, l := range lk.edges.materialize() {
+					since[[2]EntityID{l.U, l.V}] = lk.Explain(l.U, l.V).Edge.RetainedSinceSeq
+				}
+				if len(since) == 0 {
+					t.Fatal("no retained pair; the test compares nothing")
+				}
+
+				// A month before the data: a new window, where no I record
+				// can give the entity an alibi.
+				first := byEntity[lk.EntitiesE()[0]][0]
+				lk.AddE(NewRecord(first.Entity, first.LatLng.Lat, first.LatLng.Lng, first.Unix-30*86400))
+				res := lk.Run()
+				if !res.Stats.EdgeStore.FullRescore {
+					t.Fatal("a record in a new bin did not force a full rescore")
+				}
+				seq := lk.edges.seq
+				for pair, was := range since {
+					e := lk.Explain(pair[0], pair[1]).Edge
+					if !e.Linked || e.RetainedSinceSeq != was || e.LastFullSeq != seq || e.RescoredSeq != seq {
+						t.Fatalf("pair %v across the full rescore (run %d): linked %v, retained since %d (was %d), last full %d, rescored %d",
+							pair, seq, e.Linked, e.RetainedSinceSeq, was, e.LastFullSeq, e.RescoredSeq)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -375,6 +435,16 @@ func requireGreedyOrder(t testing.TB, step string, es *edgeStore, want map[uint6
 	}
 }
 
+// candidatePairs is the linker's candidate set as a full rescore walks it:
+// every E ordinal's pairs, in turn.
+func candidatePairs(lk *Linker) []uint64 {
+	var pairs []uint64
+	for u := range uint32(lk.storeE.NumEntities()) {
+		pairs = lk.pairsOf(pairs, candidates.SideE, u)
+	}
+	return pairs
+}
+
 // scoredFromScratch is the edge set a linker's store must hold, scored
 // anew: every candidate pair through a fresh scorer over the linker's
 // stores (so the linker's own work counters do not move), positive ones
@@ -382,7 +452,7 @@ func requireGreedyOrder(t testing.TB, step string, es *edgeStore, want map[uint6
 func scoredFromScratch(lk *Linker) map[uint64]float64 {
 	sc := similarity.NewScorer(lk.storeE, lk.storeI, lk.scorer.Par)
 	want := map[uint64]float64{}
-	for _, p := range lk.candIndex.Pairs() {
+	for _, p := range candidatePairs(lk) {
 		if s := sc.ScoreOrd(candidates.Ends(p)); s > 0 {
 			want[p] = s
 		}

@@ -166,7 +166,7 @@ func TestAppendSignatureZeroAllocs(t *testing.T) {
 func indexPairs(se, si *history.Store, p Params) ([]Pair, Stats) {
 	x := New(se, si, p)
 	x.Update(nil, nil)
-	return named(se, si, x.Pairs()), x.Stats()
+	return named(se, si, allPairs(x)), x.Stats()
 }
 
 func TestCandidatePairsIdenticalSignatures(t *testing.T) {
@@ -238,7 +238,7 @@ func TestCandidatePairsDeterministic(t *testing.T) {
 		x := New(sigStore("E", eRecs, p), sigStore("I", iRecs, p), p)
 		x.Workers = workers
 		x.Update(nil, nil)
-		return x.Pairs()
+		return allPairs(x)
 	}
 	first := build(1)
 	if len(first) == 0 {

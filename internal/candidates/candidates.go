@@ -41,16 +41,16 @@
 // (the root package).
 //
 // The contract is exactness, not approximation: after any interleaving of
-// ingest, Pairs() names exactly the pairs of a from-scratch batch
-// enumeration keyed by entity id (the parity suite's oracle, which shares
-// only the banding primitives with the index). It holds by
-// definition rather than by bookkeeping: a pair is a candidate iff its two
-// entities' maintained band keys agree in some band — the batch path's
-// "share a bucket in at least one band" — and nothing is stored per pair
-// that could drift from that. The pair list is enumerated from the
+// ingest, the pairs AppendPairs names for every entity are exactly those of
+// a from-scratch batch enumeration keyed by entity id (the parity suite's
+// oracle, which shares only the banding primitives with the index). It
+// holds by definition rather than by bookkeeping: a pair is a candidate iff
+// its two entities' maintained band keys agree in some band — the batch
+// path's "share a bucket in at least one band" — and nothing is stored per
+// pair that could drift from that. The candidate set is held once, as the
+// postings: an entity's pairs are its bucket mates in the opposite side's
 // postings, which hold an entity under exactly its current band keys, and
-// an Update returns the candidate pairs of the entities it re-signed,
-// found the same way (see apply).
+// no list of them is kept.
 package candidates
 
 import (
@@ -86,8 +86,8 @@ type Stats struct {
 	Occupancy   float64 `json:"occupancy"`
 	// Candidates is the number of distinct cross-dataset candidate pairs.
 	Candidates int64 `json:"candidates"`
-	// ResidentBytes is what the index's columns and its cached pair list
-	// hold, summed from their capacities.
+	// ResidentBytes is what the index's columns hold, summed from their
+	// capacities.
 	ResidentBytes int64 `json:"resident_bytes"`
 	// LastDirty is how many entity signatures the last Update recomputed;
 	// LastUpdate is its wall-clock duration.
@@ -95,16 +95,17 @@ type Stats struct {
 	LastUpdate time.Duration `json:"last_update_ms"`
 }
 
-// The two sides of a pair: a side indexes Index.sides.
+// The two sides of a pair: a side indexes Index.sides and names the side
+// of the entity AppendPairs is asked about.
 const (
-	sideE = 0
-	sideI = 1
+	SideE = 0
+	SideI = 1
 )
 
 // pairKey is Key for an entity of the given side and a partner of the
 // opposite side.
 func pairKey(side int, ord, partner uint32) uint64 {
-	if side == sideE {
+	if side == SideE {
 		return Key(ord, partner)
 	}
 	return Key(partner, ord)
@@ -432,12 +433,13 @@ func (s *sideState) commit(g *signing) {
 // Index is an incrementally maintained banded-LSH candidate index over two
 // signature stores (history stores built at the signature spatial level
 // over Params.RowWindowing, so a store window is a signature row). It is
-// not safe for concurrent use; callers serialize Update/Pairs/Stats like
-// any other linker mutation.
+// not safe for concurrent use, except that AppendPairs only reads: callers
+// serialize Update/Stats like any other linker mutation, and may fan
+// AppendPairs out between Updates.
 type Index struct {
-	// Workers bounds the goroutines of the first Update's signature pass
-	// and postings sorts and of every pair enumeration (below 1 means 1).
-	// The index is identical for every value.
+	// Workers bounds the goroutines of the first Update's signature pass,
+	// postings sorts and pair count (below 1 means 1). The index is
+	// identical for every value.
 	Workers int
 
 	rows       int64 // r, rows per band
@@ -450,10 +452,8 @@ type Index struct {
 
 	// The candidate set is not stored: it is the pairs whose band keys
 	// agree in some band. numPairs is its size, kept exact by every
-	// Update; pairs caches its ascending enumeration, nil once the set has
-	// changed.
+	// Update.
 	numPairs int64
-	pairs    []uint64
 
 	// scratchSig is reused by every signature an Update computes.
 	scratchSig Signature
@@ -470,80 +470,90 @@ func New(storeE, storeI *history.Store, p Params) *Index {
 		rows:       int64(RowsPerBand(p.Threshold)),
 		numBuckets: uint64(p.NumBuckets),
 	}
-	x.sides[sideE].store = storeE
-	x.sides[sideI].store = storeI
+	x.sides[SideE].store = storeE
+	x.sides[SideI].store = storeI
 	return x
 }
 
-// Update brings the index up to date with its stores and returns P, the
-// candidate pairs that have an endpoint it re-signed, as packed pairs
-// (Key) in ascending order; callers may retain P but must not modify it.
-// dirtyE and dirtyI name, by ordinal, the entities whose histories changed
-// since the previous Update: it re-signs every reported entity with a
-// history; the caller reports what it changed, as Linker.AddE/AddI do. An
-// entity left unreported keeps its old band keys, so a pair with no
-// re-signed endpoint is a candidate exactly when it was before. The first
-// call signs every entity of both stores, fanned out over Workers, and
-// ignores them; it returns the whole candidate set.
-func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) []uint64 {
+// Update brings the index up to date with its stores. dirtyE and dirtyI
+// name, by ordinal, the entities whose histories changed since the
+// previous Update: it re-signs every reported entity with a history; the
+// caller reports what it changed, as Linker.AddE/AddI do. An entity left
+// unreported keeps its old band keys, so a pair with no re-signed endpoint
+// is a candidate exactly when it was before, and the candidate pairs of
+// the re-signed entities (AppendPairs) are the only ones that can have
+// changed. The first call signs every entity of both stores, fanned out
+// over Workers, and ignores them.
+func (x *Index) Update(dirtyE, dirtyI map[uint32]struct{}) {
 	start := time.Now()
-	var pairs []uint64
 	if !x.built {
 		x.built = true
-		x.lastDirty = x.fill(sideE) + x.fill(sideI)
-		eachKey(&x.sides[sideE].post, &x.sides[sideI].post, func(bandKey) { x.buckets++ })
-		x.pairs = x.enumerate()
-		x.numPairs = int64(len(x.pairs))
-		pairs = x.pairs
+		x.lastDirty = x.fill(SideE) + x.fill(SideI)
+		eachKey(&x.sides[SideE].post, &x.sides[SideI].post, func(bandKey) { x.buckets++ })
+		x.numPairs = x.countAll()
 	} else {
-		pairs = x.apply(dirtyE, dirtyI)
+		x.apply(dirtyE, dirtyI)
 	}
 	x.lastUpdate = time.Since(start)
-	return pairs
 }
 
-// apply re-signs the reported entities and returns P: the partners found
-// in the buckets of their new keys once they are reposted. Only a pair
-// with an endpoint whose keys moved (it left or entered one) can have
-// entered or left the set, so the count moves by how many pairs of P have
-// such an endpoint less how many the same walk over those entities' old
-// keys finds in the old postings, and the cached pair list is dropped
-// exactly when the two lists differ.
-func (x *Index) apply(dirtyE, dirtyI map[uint32]struct{}) []uint64 {
-	re := [2]signing{x.resign(sideE, dirtyE), x.resign(sideI, dirtyI)}
-	x.lastDirty = len(re[sideE].ords) + len(re[sideI].ords)
-	var before, pairs []uint64
-	for side := range x.sides {
-		s, g := &x.sides[side], &re[side]
-		before = x.appendPartners(before, side, g.ords, func(k int) []bandKey {
-			if !g.moved(k) {
-				return nil
-			}
-			return s.bandsOf(g.ords[k])
-		})
-	}
+// apply re-signs the reported entities and reposts them. Only a pair with
+// an endpoint whose keys moved (it left or entered one) can have entered
+// or left the set, so the count moves by how many pairs those entities
+// have under their new keys in the new postings less how many they had
+// under their old keys in the old postings: the same walk, before the
+// reposts and after the commits.
+func (x *Index) apply(dirtyE, dirtyI map[uint32]struct{}) {
+	re := [2]signing{x.resign(SideE, dirtyE), x.resign(SideI, dirtyI)}
+	x.lastDirty = len(re[SideE].ords) + len(re[SideI].ords)
+	before := x.countMoved(&re)
 	for side := range x.sides {
 		x.buckets += x.sides[side].repost(&re[side], &x.sides[1-side].post)
 	}
+	x.sides[SideE].commit(&re[SideE])
+	x.sides[SideI].commit(&re[SideI])
+	x.numPairs += x.countMoved(&re) - before
+}
+
+// countMoved counts the candidate pairs with an endpoint among the moved
+// entities of re, under the keys and postings the sides hold now. A pair
+// with a moved endpoint on both sides counts on the E side alone.
+func (x *Index) countMoved(re *[2]signing) int64 {
+	var n int64
+	var pairs []uint64
 	for side := range x.sides {
-		pairs = x.appendPartners(pairs, side, re[side].ords, re[side].next.at)
-	}
-	slices.Sort(before)
-	slices.Sort(pairs)
-	before, pairs = slices.Compact(before), slices.Compact(pairs)
-	var after []uint64
-	for _, p := range pairs {
-		if u, v := Ends(p); re[sideE].movedOrd(u) || re[sideI].movedOrd(v) {
-			after = append(after, p)
+		g := &re[side]
+		for k, ord := range g.ords {
+			if !g.moved(k) {
+				continue
+			}
+			pairs = x.AppendPairs(pairs[:0], side, ord)
+			for _, p := range pairs {
+				if u, _ := Ends(p); side == SideE || !re[SideE].movedOrd(u) {
+					n++
+				}
+			}
 		}
 	}
-	if !slices.Equal(before, after) {
-		x.numPairs += int64(len(after) - len(before))
-		x.pairs = nil
+	return n
+}
+
+// countAll counts the candidate set: every E ordinal's pairs, the walk
+// fanned out over contiguous ordinal ranges across x.Workers.
+func (x *Index) countAll() int64 {
+	counts := make([]int64, max(1, x.Workers))
+	par.Chunks(x.Workers, len(x.sides[SideE].spans), func(w, lo, hi int) {
+		var pairs []uint64
+		for u := lo; u < hi; u++ {
+			pairs = x.AppendPairs(pairs[:0], SideE, uint32(u))
+			counts[w] += int64(len(pairs))
+		}
+	})
+	var n int64
+	for _, c := range counts {
+		n += c
 	}
-	x.sides[sideE].commit(&re[sideE])
-	x.sides[sideI].commit(&re[sideI])
-	return pairs
+	return n
 }
 
 // resign signs one side's reported entities that have a history,
@@ -591,62 +601,22 @@ func (x *Index) resign(side int, dirty map[uint32]struct{}) signing {
 	return g
 }
 
-// appendPartners appends a pair for every entity ords[k] of the given side
-// and every member of the buckets of its keys keysOf(k) in the opposite
-// side's postings.
-func (x *Index) appendPartners(dst []uint64, side int, ords []uint32, keysOf func(k int) []bandKey) []uint64 {
+// AppendPairs appends to dst the candidate pairs of one entity of the
+// given side (SideE or SideI) under its current band keys, as packed pairs
+// (Key), ascending and each once: its bucket mates in the opposite side's
+// postings. An unsigned or unassigned ordinal has none. It is the one
+// question the index answers about the candidate set; summed over every E
+// ordinal it is the O(Σ|bucket_E|·|bucket_I|) walk of the batch path.
+func (x *Index) AppendPairs(dst []uint64, side int, ord uint32) []uint64 {
+	at := len(dst)
 	other := &x.sides[1-side].post
-	for k, ord := range ords {
-		for _, key := range keysOf(k) {
-			for _, e := range other.run(key) {
-				dst = append(dst, pairKey(side, ord, uint32(e)))
-			}
+	for _, key := range x.sides[side].bandsOf(ord) {
+		for _, e := range other.run(key) {
+			dst = append(dst, pairKey(side, ord, uint32(e)))
 		}
 	}
-	return dst
-}
-
-// enumerate lists the candidate set in ascending order from the postings:
-// per E ordinal, the distinct I members of its keys' buckets — the same
-// O(Σ|bucket_E|·|bucket_I|) walk the batch path performs. Two passes over
-// contiguous ordinal ranges across x.Workers (count, prefix offsets, write)
-// fill one exactly sized slice; an ordinal's keys are sorted where they
-// land and the ranges ascend, so the slice does.
-func (x *Index) enumerate() []uint64 {
-	se, postI := &x.sides[sideE], &x.sides[sideI].post
-	nE, nI := len(se.spans), len(x.sides[sideI].spans)
-	walk := func(visit func(u uint32, partners []uint32)) {
-		par.Chunks(x.Workers, nE, func(_, lo, hi int) {
-			// stamp[v] == u+1 marks v as already listed for u.
-			stamp, partners := make([]uint32, nI), []uint32(nil)
-			for u := uint32(lo); u < uint32(hi); u++ {
-				partners = partners[:0]
-				for _, key := range se.bandsOf(u) {
-					for _, e := range postI.run(key) {
-						if v := uint32(e); stamp[v] != u+1 {
-							stamp[v] = u + 1
-							partners = append(partners, v)
-						}
-					}
-				}
-				visit(u, partners)
-			}
-		})
-	}
-	off := make([]int, nE+1)
-	walk(func(u uint32, partners []uint32) { off[u+1] = len(partners) })
-	for u := 0; u < nE; u++ {
-		off[u+1] += off[u]
-	}
-	pairs := make([]uint64, off[nE])
-	walk(func(u uint32, partners []uint32) {
-		keys := pairs[off[u]:off[u+1]]
-		for k, v := range partners {
-			keys[k] = Key(u, v)
-		}
-		slices.Sort(keys)
-	})
-	return pairs
+	slices.Sort(dst[at:])
+	return dst[:at+len(slices.Compact(dst[at:]))]
 }
 
 // fill signs every entity of one side and lays out its postings, returning
@@ -690,18 +660,7 @@ func (x *Index) fill(side int) int {
 	return s.numSigs
 }
 
-// Pairs returns the current candidate set as packed pairs (Key) in
-// ascending order. The slice is freshly allocated whenever the set
-// changed, so callers may hold a previous return value across later
-// Updates; they must not modify it.
-func (x *Index) Pairs() []uint64 {
-	if x.pairs == nil {
-		x.pairs = x.enumerate() // never nil, so an empty set is cached too
-	}
-	return x.pairs
-}
-
-// NumCandidates returns the candidate count without materializing Pairs.
+// NumCandidates returns the size of the candidate set.
 func (x *Index) NumCandidates() int64 { return x.numPairs }
 
 // Stats returns an observability snapshot of the index.
@@ -709,10 +668,10 @@ func (x *Index) Stats() Stats {
 	st := Stats{
 		Rows:          int(x.rows),
 		NumBuckets:    int(x.numBuckets),
-		SignaturesE:   x.sides[sideE].numSigs,
-		SignaturesI:   x.sides[sideI].numSigs,
+		SignaturesE:   x.sides[SideE].numSigs,
+		SignaturesI:   x.sides[SideI].numSigs,
 		Buckets:       x.buckets,
-		Memberships:   len(x.sides[sideE].post.entries) + len(x.sides[sideI].post.entries),
+		Memberships:   len(x.sides[SideE].post.entries) + len(x.sides[SideI].post.entries),
 		Candidates:    x.numPairs,
 		ResidentBytes: x.residentBytes(),
 		LastDirty:     x.lastDirty,
@@ -726,7 +685,7 @@ func (x *Index) Stats() Stats {
 
 // residentBytes sums the capacities of everything the index retains.
 func (x *Index) residentBytes() int64 {
-	n := 8*cap(x.pairs) + int(unsafe.Sizeof(Row{}))*cap(x.scratchSig)
+	n := int(unsafe.Sizeof(Row{})) * cap(x.scratchSig)
 	for side := range x.sides {
 		s := &x.sides[side]
 		n += int(unsafe.Sizeof(span{}))*cap(s.spans) +

@@ -74,16 +74,65 @@ func ords(s *history.Store, ids ...model.EntityID) map[uint32]struct{} {
 	return set
 }
 
+// allPairs is the candidate set as a full rescore walks it: every E
+// ordinal's AppendPairs, in turn.
+func allPairs(x *Index) []uint64 {
+	var pairs []uint64
+	for u := range x.sides[SideE].spans {
+		pairs = x.AppendPairs(pairs, SideE, uint32(u))
+	}
+	return pairs
+}
+
+// dirtyPairs is P as a delta relink collects it: the pairs of every dirty
+// entity of both sides, sorted and each once.
+func dirtyPairs(x *Index, dirtyE, dirtyI map[uint32]struct{}) []uint64 {
+	var pairs []uint64
+	for ord := range dirtyE {
+		pairs = x.AppendPairs(pairs, SideE, ord)
+	}
+	for ord := range dirtyI {
+		pairs = x.AppendPairs(pairs, SideI, ord)
+	}
+	slices.Sort(pairs)
+	return slices.Compact(pairs)
+}
+
+// strictlyAscending reports whether keys ascend with no repeat.
+func strictlyAscending(keys []uint64) bool {
+	for k := 1; k < len(keys); k++ {
+		if keys[k] <= keys[k-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// requireParity holds the index to the batch oracle: the E side's walk
+// (allPairs) is strictly ascending and names exactly the oracle's pairs,
+// every I ordinal's pairs ascend each once and together are the same set,
+// and NumCandidates is its size.
 func requireParity(t *testing.T, x *Index, se, si *history.Store, p Params, step string) {
 	t.Helper()
 	want := batchPairs(se, si, p)
-	if !slices.IsSorted(x.Pairs()) {
-		t.Fatalf("%s: Pairs() is not in ascending packed-pair order", step)
+	pairs := allPairs(x)
+	if !strictlyAscending(pairs) {
+		t.Fatalf("%s: the E ordinals' pairs, in turn, are not strictly ascending in packed-pair order", step)
 	}
-	got := named(se, si, x.Pairs())
+	got := named(se, si, pairs)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: incremental candidate set diverged from batch rebuild:\n  incremental %d pairs: %v\n  batch %d pairs: %v",
 			step, len(got), got, len(want), want)
+	}
+	var byI []uint64
+	for v := range si.Ordinals().Len() + 1 {
+		at := len(byI)
+		if byI = x.AppendPairs(byI, SideI, uint32(v)); !strictlyAscending(byI[at:]) {
+			t.Fatalf("%s: I ordinal %d's pairs are not strictly ascending: %v", step, v, byI[at:])
+		}
+	}
+	if slices.Sort(byI); !slices.Equal(byI, pairs) {
+		t.Fatalf("%s: the I ordinals' pairs %v are not the E ordinals' %v", step, named(se, si, byI), got)
 	}
 	if x.NumCandidates() != int64(len(want)) {
 		t.Fatalf("%s: NumCandidates = %d, want %d", step, x.NumCandidates(), len(want))
@@ -160,7 +209,7 @@ func TestIndexRandomizedParity(t *testing.T) {
 			se, si := sigStore("E", nil, p), sigStore("I", nil, p)
 			stores := [2]*history.Store{se, si}
 			x := New(se, si, p)
-			x.Workers = 1 + int(tc.seed)%3 // the first fill and enumerations fan out; the set must not depend on it
+			x.Workers = 1 + int(tc.seed)%3 // the first fill and count fan out; the set must not depend on it
 			x.Update(nil, nil)
 			requireParity(t, x, se, si, p, "empty")
 
@@ -220,8 +269,8 @@ func TestIndexDeltaPathIsExercised(t *testing.T) {
 
 // TestRangeGrowthIsADelta streams records that move the data's first row
 // one earlier and its last row past a band boundary, on both sides. The
-// next Update re-signs only the dirty entities, returns exactly their
-// candidate pairs and matches the batch oracle: no record anywhere in time
+// next Update re-signs only the dirty entities, leaves their pairs exactly
+// the oracle's pairs with a dirty endpoint and matches the batch oracle: no record anywhere in time
 // makes the index start over.
 func TestRangeGrowthIsADelta(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
@@ -242,7 +291,7 @@ func TestRangeGrowthIsADelta(t *testing.T) {
 
 	// Rows 10r … 13r−1 hold data: one row earlier, and one past the band
 	// boundary at 13r.
-	before := named(se, si, x.Pairs())
+	before := named(se, si, allPairs(x))
 	first, last := (10*r-1)*rowSec, (13*r+1)*rowSec
 	dirtyE, dirtyI := map[uint32]struct{}{}, map[uint32]struct{}{}
 	dirtyE[se.Add(rec("e2", 37.6, -122.4, first))] = struct{}{}
@@ -250,7 +299,8 @@ func TestRangeGrowthIsADelta(t *testing.T) {
 	dirtyI[si.Add(rec("i5", 37.62, -122.4, last+60))] = struct{}{}
 	dirtyI[si.Add(rec("i7", 37.64, -122.4, first+60))] = struct{}{}
 	dirtyI[si.Add(rec("i-new", 37.6, -122.4, first+120))] = struct{}{}
-	got := x.Update(dirtyE, dirtyI)
+	x.Update(dirtyE, dirtyI)
+	got := dirtyPairs(x, dirtyE, dirtyI)
 	if st := x.Stats(); st.LastDirty != len(dirtyE)+len(dirtyI) {
 		t.Fatalf("range growth re-signed %d entities, want the %d dirty ones", st.LastDirty, len(dirtyE)+len(dirtyI))
 	}
@@ -260,9 +310,9 @@ func TestRangeGrowthIsADelta(t *testing.T) {
 
 // TestIndexResignsReportedUnchangedEntities pins Update's contract: every
 // reported entity with a history is re-signed, whether or not it changed.
-// An unchanged one gets the keys it had, so its pairs are returned, nothing
-// enters or leaves the set and the cached pair list stays; an ordinal no
-// table assigned is passed over.
+// An unchanged one gets the keys it had, so its pairs stay, nothing enters
+// or leaves the set and the count stands; an ordinal no table assigned is
+// passed over.
 func TestIndexResignsReportedUnchangedEntities(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
@@ -277,26 +327,26 @@ func TestIndexResignsReportedUnchangedEntities(t *testing.T) {
 	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
-	pairs := x.Pairs()
-	if len(pairs) != 4 {
-		t.Fatalf("initial candidate set %v, want all 4 pairs", named(se, si, pairs))
+	if pairs := allPairs(x); len(pairs) != 4 || x.NumCandidates() != 4 {
+		t.Fatalf("initial candidate set %v (count %d), want all 4 pairs", named(se, si, pairs), x.NumCandidates())
 	}
 	e0, _ := se.Ordinals().Lookup("e0")
-	keys := slices.Clone(x.sides[sideE].bandsOf(e0))
+	keys := slices.Clone(x.sides[SideE].bandsOf(e0))
 
-	got := x.Update(ords(se, "e0"), ords(si, "ghost"))
+	dirtyE, dirtyI := ords(se, "e0"), ords(si, "ghost")
+	x.Update(dirtyE, dirtyI)
 	if st := x.Stats(); st.LastDirty != 1 || st.SignaturesE != 2 || st.SignaturesI != 2 {
 		t.Fatalf("LastDirty/SignaturesE/SignaturesI = %d/%d/%d, want 1/2/2", st.LastDirty, st.SignaturesE, st.SignaturesI)
 	}
-	if got := x.sides[sideE].bandsOf(e0); !slices.Equal(got, keys) {
+	if got := x.sides[SideE].bandsOf(e0); !slices.Equal(got, keys) {
 		t.Fatalf("re-signing unchanged e0 moved its keys: %v, want %v", got, keys)
 	}
 	want := []Pair{{U: "e0", V: "i0"}, {U: "e0", V: "i1"}}
-	if named := named(se, si, got); !slices.Equal(named, want) {
-		t.Fatalf("Update returned %v, want e0's pairs %v", named, want)
+	if named := named(se, si, dirtyPairs(x, dirtyE, dirtyI)); !slices.Equal(named, want) {
+		t.Fatalf("the reported entities' pairs are %v, want e0's pairs %v", named, want)
 	}
-	if got := x.Pairs(); &got[0] != &pairs[0] {
-		t.Fatal("an Update that changed no pair dropped the cached pair list")
+	if x.NumCandidates() != 4 {
+		t.Fatalf("an Update that changed no pair moved the count to %d", x.NumCandidates())
 	}
 	requireParity(t, x, se, si, p, "over-report")
 }
@@ -311,39 +361,14 @@ func TestIndexOneSideEmpty(t *testing.T) {
 
 	se.Add(rec("e0", 37.6, -122.4, 900))
 	x.Update(ords(se, "e0"), nil)
-	if len(x.Pairs()) != 0 || x.Stats().SignaturesE != 1 {
-		t.Fatalf("one-side-empty index: %d pairs, stats %+v", len(x.Pairs()), x.Stats())
+	if len(allPairs(x)) != 0 || x.Stats().SignaturesE != 1 {
+		t.Fatalf("one-side-empty index: %d pairs, stats %+v", len(allPairs(x)), x.Stats())
 	}
 	si.Add(rec("i0", 37.6, -122.4, 930))
 	x.Update(nil, ords(si, "i0"))
 	requireParity(t, x, se, si, p, "both sides")
-	if len(x.Pairs()) != 1 {
-		t.Fatalf("co-located e0/i0 must be candidates: %d pairs", len(x.Pairs()))
-	}
-}
-
-// TestIndexPairsSliceStability: a Pairs() slice held across later updates
-// must not be mutated (fresh materialization per change).
-func TestIndexPairsSliceStability(t *testing.T) {
-	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
-	var eRecs, iRecs []model.Record
-	for e := 0; e < 6; e++ {
-		for k := 0; k < 10; k++ {
-			eRecs = append(eRecs, rec(fmt.Sprintf("e%d", e), 37.6+float64(e)*0.02, -122.4, int64(900*k)))
-			iRecs = append(iRecs, rec(fmt.Sprintf("i%d", e), 37.6+float64(e)*0.02, -122.4, int64(900*k+60)))
-		}
-	}
-	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
-	x := New(se, si, p)
-	x.Update(nil, nil)
-	held := x.Pairs()
-	snapshot := slices.Clone(held)
-
-	se.Add(rec("e1", 38.2, -121.9, 900*5))
-	x.Update(ords(se, "e1"), nil)
-	x.Pairs()
-	if !slices.Equal(held, snapshot) {
-		t.Fatal("a held Pairs() slice was mutated by a later Update")
+	if len(allPairs(x)) != 1 {
+		t.Fatalf("co-located e0/i0 must be candidates: %d pairs", len(allPairs(x)))
 	}
 }
 
@@ -377,11 +402,12 @@ func TestIndexStatsShape(t *testing.T) {
 	}
 }
 
-// TestIndexCountOnlyChurnKeepsPairCache: when an entity's band hash
+// TestIndexCountOnlyChurnKeepsTheCount: when an entity's band hash
 // changes but the pair it forms survives via other bands (a count-only
-// transition, no membership change), Pairs() must return the cached
-// slice instead of re-sorting the world.
-func TestIndexCountOnlyChurnKeepsPairCache(t *testing.T) {
+// transition, no membership change), the walk over the moved entity's old
+// keys and the walk over its new ones both find the pair, so the count
+// stands.
+func TestIndexCountOnlyChurnKeepsTheCount(t *testing.T) {
 	p := Params{Threshold: 0.2, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	// e0 and i0 share every dominating cell over 16 windows: four rows, two
 	// bands of two.
@@ -393,12 +419,12 @@ func TestIndexCountOnlyChurnKeepsPairCache(t *testing.T) {
 	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
 	x.Update(nil, nil)
-	if b := len(x.sides[sideE].bandsOf(0)); b < 2 {
-		t.Fatalf("fixture yielded %d band(s); need >= 2 for count-only churn", b)
+	keys := slices.Clone(x.sides[SideE].bandsOf(0))
+	if len(keys) < 2 {
+		t.Fatalf("fixture yielded %d band(s); need >= 2 for count-only churn", len(keys))
 	}
-	before := x.Pairs()
-	if len(before) != 1 {
-		t.Fatalf("fixture should collide in every band: %d pairs", len(before))
+	if len(allPairs(x)) != 1 || x.NumCandidates() != 1 {
+		t.Fatalf("fixture should collide in every band: %d pairs, count %d", len(allPairs(x)), x.NumCandidates())
 	}
 
 	// Overwhelm row 0's dominating cell: the first band's hash moves while
@@ -407,9 +433,11 @@ func TestIndexCountOnlyChurnKeepsPairCache(t *testing.T) {
 		se.Add(rec("e0", 37.9, -121.9, int64(n)))
 	}
 	x.Update(ords(se, "e0"), nil)
-	after := x.Pairs()
-	if &after[0] != &before[0] {
-		t.Fatal("count-only churn re-materialized the pair cache")
+	if slices.Equal(x.sides[SideE].bandsOf(0), keys) {
+		t.Fatal("the heavier cell did not move e0's band keys: the churn is not count-only")
+	}
+	if x.NumCandidates() != 1 {
+		t.Fatalf("count-only churn moved the count to %d", x.NumCandidates())
 	}
 	requireParity(t, x, se, si, p, "count-only churn")
 }

@@ -10,19 +10,16 @@ import (
 	"slim/internal/model"
 )
 
-// requireUpdateExact checks one Update's return against the from-scratch
-// oracle: it must be, in ascending packed-pair order, exactly the
-// CandidatePairs with an endpoint among reportedE/reportedI (the entities
-// the Update re-signed, see reported). Every other pair must have kept its
-// candidacy, so the set after the Update is the set before less every pair
-// of a reported entity, plus the return: the difference the index's count
-// follows.
+// requireUpdateExact checks one Update against the from-scratch oracle:
+// got, the dirty entities' pairs after it (dirtyPairs, what a delta
+// relink rescores), must be exactly the CandidatePairs with an endpoint
+// among reportedE/reportedI (the entities the Update re-signed, see
+// reported). Every other pair must have kept its candidacy, so the set
+// after the Update is the set before less every pair of a reported entity,
+// plus got: the difference the index's count follows.
 func requireUpdateExact(t *testing.T, step string, se, si *history.Store, p Params, got []uint64, before []Pair,
 	reportedE, reportedI map[model.EntityID]struct{}) {
 	t.Helper()
-	if !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
-		t.Fatalf("%s: Update's return is not strictly ascending in packed-pair order: %v", step, got)
-	}
 	ofReported := func(pr Pair) bool {
 		_, e := reportedE[pr.U]
 		_, i := reportedI[pr.V]
@@ -36,11 +33,11 @@ func requireUpdateExact(t *testing.T, step string, se, si *history.Store, p Para
 		}
 	}
 	if named := named(se, si, got); !slices.Equal(named, want) {
-		t.Fatalf("%s: Update returned %v, want the candidate pairs of reported entities %v", step, named, want)
+		t.Fatalf("%s: the dirty entities' pairs are %v, want the candidate pairs of reported entities %v", step, named, want)
 	}
 	next := append(slices.DeleteFunc(slices.Clone(before), ofReported), want...)
 	if SortPairs(next); !slices.Equal(next, after) {
-		t.Fatalf("%s: a pair with no reported endpoint changed its candidacy: before less reported plus returned %v, after %v",
+		t.Fatalf("%s: a pair with no reported endpoint changed its candidacy: before less reported plus theirs %v, after %v",
 			step, next, after)
 	}
 }
@@ -62,10 +59,11 @@ func reported(s *history.Store, dirty map[uint32]struct{}) map[model.EntityID]st
 // randomized interleaved E/I bursts of point and region records — including
 // range growth in both directions, over-reported and unknown dirty
 // ordinals, and schedules whose entities arrive in descending id order
-// (ordinals anti-sorted) — every Update must return exactly the
-// from-scratch candidate pairs that have a reported endpoint with a
-// history, the set must move by exactly that difference, and Pairs() and
-// NumCandidates() must be the from-scratch set and its size.
+// (ordinals anti-sorted) — the dirty entities' pairs after every Update
+// must be exactly the from-scratch candidate pairs that have a reported
+// endpoint with a history, the set must move by exactly that difference,
+// and the walk over every ordinal and NumCandidates() must be the
+// from-scratch set and its size.
 func TestIndexDeltaExactSetDifference(t *testing.T) {
 	for _, tc := range suiteCases {
 		t.Run(fmt.Sprintf("seed%d/descending=%v", tc.seed, tc.descending), func(t *testing.T) {
@@ -76,20 +74,20 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 			se, si := sigStore("E", nil, p), sigStore("I", nil, p)
 			stores := [2]*history.Store{se, si}
 			x := New(se, si, p)
-			if got := x.Update(nil, nil); len(got) != 0 {
-				t.Fatalf("empty-store update returned %v", got)
+			if x.Update(nil, nil); x.NumCandidates() != 0 {
+				t.Fatalf("empty-store update counted %d pairs", x.NumCandidates())
 			}
 
 			for burst := 0; burst < 30; burst++ {
-				before := named(se, si, x.Pairs())
+				before := named(se, si, allPairs(x))
 				dirty := [2]map[uint32]struct{}{{}, {}}
 				for k, nRecs := 0, 1+rng.Intn(8); k < nRecs; k++ {
 					side, r := gen.next()
 					dirty[side][stores[side].Add(r)] = struct{}{}
 				}
 				// Over-report: an unchanged entity in the dirty set is
-				// re-signed to the keys it had, so its pairs are returned;
-				// an unknown one is passed over.
+				// re-signed to the keys it had, so its pairs are among the
+				// dirty ones; an unknown one is passed over.
 				if rng.Intn(3) == 0 {
 					if n := se.Ordinals().Len(); n > 0 {
 						dirty[0][uint32(rng.Intn(n))] = struct{}{}
@@ -97,7 +95,8 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 					dirty[1][1<<30] = struct{}{}
 				}
 				reportedE, reportedI := reported(se, dirty[0]), reported(si, dirty[1])
-				got := x.Update(dirty[0], dirty[1])
+				x.Update(dirty[0], dirty[1])
+				got := dirtyPairs(x, dirty[0], dirty[1])
 				step := fmt.Sprintf("burst %d", burst)
 				requireUpdateExact(t, step, se, si, p, got, before, reportedE, reportedI)
 				requireParity(t, x, se, si, p, step)
@@ -106,9 +105,9 @@ func TestIndexDeltaExactSetDifference(t *testing.T) {
 	}
 }
 
-// TestIndexDeltaAcrossOneSideEmpty pins the empty-store transitions:
-// nothing returned while one side is empty, and the first pair to appear
-// is returned like any other.
+// TestIndexDeltaAcrossOneSideEmpty pins the empty-store transitions: a
+// dirty entity has no pairs while one side is empty, and the first pair to
+// appear is one of the dirty entity's like any other.
 func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	se, si := sigStore("E", nil, p), sigStore("I", nil, p)
@@ -118,22 +117,25 @@ func TestIndexDeltaAcrossOneSideEmpty(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		se.Add(rec("e0", 37.6, -122.4, int64(900*k)))
 	}
-	if got := x.Update(ords(se, "e0"), nil); len(got) != 0 {
-		t.Fatalf("one-side-empty update returned %v", got)
+	x.Update(ords(se, "e0"), nil)
+	if got := dirtyPairs(x, ords(se, "e0"), nil); len(got) != 0 || x.NumCandidates() != 0 {
+		t.Fatalf("one-side-empty update: e0's pairs %v, count %d", got, x.NumCandidates())
 	}
 	for k := 0; k < 8; k++ {
 		si.Add(rec("i0", 37.6, -122.4, int64(900*k+30)))
 	}
-	got := x.Update(nil, ords(si, "i0"))
+	x.Update(nil, ords(si, "i0"))
+	got := dirtyPairs(x, nil, ords(si, "i0"))
 	requireUpdateExact(t, "both sides", se, si, p, got, nil, nil, map[model.EntityID]struct{}{"i0": {}})
 	requireParity(t, x, se, si, p, "both sides")
 	if len(got) != 1 {
-		t.Fatalf("co-located e0/i0 must be the one pair returned: %v", got)
+		t.Fatalf("co-located e0/i0 must be i0's one pair: %v", got)
 	}
 }
 
 // TestFirstUpdateAddsTheCandidateSet: the first Update over filled stores
-// signs every entity, so it returns the whole candidate set, Pairs().
+// signs every entity, so every entity's pairs together are the whole
+// candidate set, and its count is the walk's.
 func TestFirstUpdateAddsTheCandidateSet(t *testing.T) {
 	p := Params{Threshold: 0.3, StepWindows: 4, SpatialLevel: level, NumBuckets: 256}
 	var eRecs, iRecs []model.Record
@@ -145,8 +147,13 @@ func TestFirstUpdateAddsTheCandidateSet(t *testing.T) {
 	}
 	se, si := sigStore("E", eRecs, p), sigStore("I", iRecs, p)
 	x := New(se, si, p)
-	if got := x.Update(nil, nil); len(got) == 0 || !slices.Equal(got, x.Pairs()) {
-		t.Fatalf("first Update returned %v, want Pairs() = %v", got, x.Pairs())
+	x.Update(nil, nil)
+	pairs := allPairs(x)
+	if got := dirtyPairs(x, allOrds(se), allOrds(si)); len(got) == 0 || !slices.Equal(got, pairs) {
+		t.Fatalf("every entity's pairs are %v, want the E walk's %v", got, pairs)
+	}
+	if x.NumCandidates() != int64(len(pairs)) {
+		t.Fatalf("first Update counted %d pairs, the walk finds %d", x.NumCandidates(), len(pairs))
 	}
 	requireParity(t, x, se, si, p, "first build")
 }
@@ -173,9 +180,10 @@ func collide(a, b []bandKey) bool {
 // TestIndexDeltaThroughBothEndpoints pins the two transitions that happen
 // inside one Update when both endpoints of a pair are re-signed: a pair
 // stops colliding when its E endpoint is re-signed and collides again once
-// its I endpoint is (a candidate before and after: returned, and the count
-// does not move), and the mirror — it starts colliding through E and stops
-// through I (a candidate at neither end: not returned). A fixed-seed
+// its I endpoint is (a candidate before and after: among the dirty pairs,
+// and the count does not move), and the mirror — it starts colliding
+// through E and stops through I (a candidate at neither end: not among
+// them). A fixed-seed
 // stream of bursts that each re-sign entities of both sides, over a
 // handful of cells so band hashes agree often, must produce both; the test
 // fails if it does not.
@@ -201,7 +209,7 @@ func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 			seed[side] = append(seed[side], rec(id, 37.6, -122.4, 0), rec(id, 37.6, -122.4, 900*(windows-1)))
 		}
 	}
-	se, si := sigStore("E", seed[sideE], p), sigStore("I", seed[sideI], p)
+	se, si := sigStore("E", seed[SideE], p), sigStore("I", seed[SideI], p)
 	stores := [2]*history.Store{se, si}
 	x := New(se, si, p)
 	x.Update(nil, nil)
@@ -213,7 +221,7 @@ func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 			old[side].spans = slices.Clone(x.sides[side].spans)
 			old[side].keys = slices.Clone(x.sides[side].keys)
 		}
-		before := named(se, si, x.Pairs())
+		before := named(se, si, allPairs(x))
 		dirty := [2]map[uint32]struct{}{{}, {}}
 		for k := 0; k < 4; k++ {
 			// Heavier and heavier records, so a burst keeps overturning
@@ -223,24 +231,25 @@ func TestIndexDeltaThroughBothEndpoints(t *testing.T) {
 				dirty[side][stores[side].Add(r)] = struct{}{}
 			}
 		}
-		reportedE, reportedI := reported(se, dirty[sideE]), reported(si, dirty[sideI])
-		got := x.Update(dirty[sideE], dirty[sideI])
+		reportedE, reportedI := reported(se, dirty[SideE]), reported(si, dirty[SideI])
+		x.Update(dirty[SideE], dirty[SideI])
+		got := dirtyPairs(x, dirty[SideE], dirty[SideI])
 		step := fmt.Sprintf("burst %d", burst)
 		for u := uint32(0); u < entities; u++ {
 			for v := uint32(0); v < entities; v++ {
-				oldU, oldV := old[sideE].bandsOf(u), old[sideI].bandsOf(v)
-				newU, newV := x.sides[sideE].bandsOf(u), x.sides[sideI].bandsOf(v)
-				_, returned := slices.BinarySearch(got, Key(u, v))
+				oldU, oldV := old[SideE].bandsOf(u), old[SideI].bandsOf(v)
+				newU, newV := x.sides[SideE].bandsOf(u), x.sides[SideI].bandsOf(v)
+				_, inGot := slices.BinarySearch(got, Key(u, v))
 				switch between := collide(newU, oldV); { // E is re-signed first
 				case collide(oldU, oldV) && !between && collide(newU, newV):
 					lostAndRegained++
-					if !returned {
-						t.Fatalf("%s: pair (%d,%d) lost its last band through E and regained one through I, and was not returned", step, u, v)
+					if !inGot {
+						t.Fatalf("%s: pair (%d,%d) lost its last band through E and regained one through I, and is not a dirty pair", step, u, v)
 					}
 				case !collide(oldU, oldV) && between && !collide(newU, newV):
 					gainedAndLost++
-					if returned {
-						t.Fatalf("%s: pair (%d,%d) collided only between the two endpoints' updates, and was returned", step, u, v)
+					if inGot {
+						t.Fatalf("%s: pair (%d,%d) collided only between the two endpoints' updates, and is a dirty pair", step, u, v)
 					}
 				}
 			}

@@ -47,7 +47,7 @@ func TestRegionSignaturesAreReproducible(t *testing.T) {
 				sigs = append(sigs, AppendSignature(nil, s.History(id)))
 			}
 		}
-		return sigs, x.Pairs()
+		return sigs, allPairs(x)
 	}
 	wantSigs, wantPairs := build()
 	if len(wantPairs) == 0 {

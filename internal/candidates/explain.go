@@ -58,7 +58,7 @@ type PairExplain struct {
 // it with linker mutations.
 func (x *Index) Explain(u, v uint32) PairExplain {
 	ex := PairExplain{Rows: int(x.rows)}
-	su, sv := &x.sides[sideE], &x.sides[sideI]
+	su, sv := &x.sides[SideE], &x.sides[SideI]
 	keysU, keysV := su.bandsOf(u), sv.bandsOf(v)
 	ex.HasU, ex.HasV = len(keysU) > 0, len(keysV) > 0
 	for i, j := 0, 0; i < len(keysU) && j < len(keysV); {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestExplainAgreesWithCandidateSet: the candidate set is defined by the
-// band keys Explain reads, so after every random burst Explain must call a pair a candidate exactly
-// when Pairs() lists it, with Candidate == (BandCount > 0) ==
+// band keys Explain reads, so after every random burst Explain must call a
+// pair a candidate exactly when the walk over every E ordinal lists it, with Candidate == (BandCount > 0) ==
 // (len(Collisions) > 0), for every pair of assigned ordinals and for
 // ordinals no table has assigned.
 func TestExplainAgreesWithCandidateSet(t *testing.T) {
@@ -29,15 +29,15 @@ func TestExplainAgreesWithCandidateSet(t *testing.T) {
 					side, r := gen.next()
 					dirty[side][stores[side].Add(r)] = struct{}{}
 				}
-				x.Update(dirty[sideE], dirty[sideI])
-				pairs := x.Pairs()
+				x.Update(dirty[SideE], dirty[SideI])
+				pairs := allPairs(x)
 				// One ordinal past each table: never signed, never a candidate.
 				for u := uint32(0); u <= uint32(se.Ordinals().Len()); u++ {
 					for v := uint32(0); v <= uint32(si.Ordinals().Len()); v++ {
 						ex := x.Explain(u, v)
 						_, listed := slices.BinarySearch(pairs, Key(u, v))
 						if ex.Candidate != listed || ex.Candidate != (ex.BandCount > 0) || int(ex.BandCount) != len(ex.Collisions) {
-							t.Fatalf("burst %d: Explain(%d,%d): Candidate=%v BandCount=%d len(Collisions)=%d, listed in Pairs()=%v",
+							t.Fatalf("burst %d: Explain(%d,%d): Candidate=%v BandCount=%d len(Collisions)=%d, listed by the walk=%v",
 								burst, u, v, ex.Candidate, ex.BandCount, len(ex.Collisions), listed)
 						}
 						if listed {

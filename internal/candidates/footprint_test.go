@@ -24,21 +24,21 @@ func footprintStores(p Params) (se, si *history.Store) {
 }
 
 // TestCandidateIndexBytesPerPair budgets what the index retains per
-// candidate pair after its first Update plus one materialisation of the
-// sorted list, on two 2k-user SM sides at the paper's LSH settings. The
+// candidate pair after its first Update, on two 2k-user SM sides at the paper's LSH settings. The
 // bucket count is scaled down with the entity count (256 for 2k entities
 // a side where the paper-scale run has 4,096 for 30k), so buckets are as
 // crowded as at paper scale and chance collisions, not per-entity state,
 // make up the candidate set there as here.
 //
-// A pair costs its 8 B in the enumerated list and nothing else: the
-// candidate set is a function of the band hashes, so no structure is keyed
-// by pair. Band keys and postings add ≈ 200 B per entity, ≈ 10 B per pair
-// at this density. Measured 18.2 B; with a bucket map in place of the
-// postings 20.2 B, with dense band columns over a grid relative to the
-// data's first window 19.0 B; a map[uint64]int32 of band-collision counts
-// next to the same state made it 49.6 B, and keyed by two entity-id
-// strings, with signatures retained, 164 B.
+// A pair costs nothing of its own: the candidate set is a function of the
+// band hashes, held once as the postings, so no structure is keyed by pair
+// and no list of pairs is kept. Band keys and postings add ≈ 200 B per
+// entity, ≈ 10 B per pair at this density. Measured 9.7 B. With the
+// enumerated pair list cached beside them (8 B a pair) it was 18.2 B, and
+// on top of that list a bucket map in place of the postings made it
+// 20.2 B, dense band columns over a grid relative to the data's first
+// window 19.0 B, a map[uint64]int32 of band-collision counts 49.6 B, and
+// keying by two entity-id strings, with signatures retained, 164 B.
 func TestCandidateIndexBytesPerPair(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap budgets are meaningless under the race detector")
@@ -48,23 +48,22 @@ func TestCandidateIndexBytesPerPair(t *testing.T) {
 	before := testenv.LiveHeap()
 	x := New(se, si, p)
 	x.Update(nil, nil)
-	pairs := x.Pairs()
 	retained := testenv.Retained(before)
 
-	if len(pairs) < 50_000 {
-		t.Fatalf("%d candidate pairs; the per-pair figure would measure per-entity state", len(pairs))
+	pairs := x.NumCandidates()
+	if pairs < 50_000 {
+		t.Fatalf("%d candidate pairs; the per-pair figure would measure per-entity state", pairs)
 	}
-	perPair := float64(retained) / float64(len(pairs))
-	t.Logf("%d + %d entities, %d candidate pairs, %.1f B retained per pair", se.NumEntities(), si.NumEntities(), len(pairs), perPair)
-	if perPair > 20 {
-		t.Errorf("index retains %.1f B per candidate pair, budget 20", perPair)
+	perPair := float64(retained) / float64(pairs)
+	t.Logf("%d + %d entities, %d candidate pairs, %.1f B retained per pair", se.NumEntities(), si.NumEntities(), pairs, perPair)
+	if perPair > 10.7 {
+		t.Errorf("index retains %.1f B per candidate pair, budget 10.7", perPair)
 	}
 	runtime.KeepAlive(x)
 }
 
 // TestCandidateIndexBytesPerMembership budgets what the index retains per
-// (entity, band key) membership after its first Update, without the cached
-// pair list, at 256, 4,096 and 2^30 buckets per band: a 16 B band key, an
+// (entity, band key) membership after its first Update, at 256, 4,096 and 2^30 buckets per band: a 16 B band key, an
 // 8 B posting and the per-entity span, whatever the bucket count. A
 // bucket map with two member slices per bucket measured 32.3, 89.1 and
 // 105.8 B here, growing with the number of buckets the memberships spread
@@ -84,8 +83,8 @@ func TestCandidateIndexBytesPerMembership(t *testing.T) {
 			x.Update(nil, nil)
 			retained := testenv.Retained(before)
 			st := x.Stats()
-			perMembership := float64(retained-8*int64(cap(x.pairs))) / float64(st.Memberships)
-			t.Logf("%d buckets, %d memberships, %.1f B retained per membership without the pair list", st.Buckets, st.Memberships, perMembership)
+			perMembership := float64(retained) / float64(st.Memberships)
+			t.Logf("%d buckets, %d memberships, %.1f B retained per membership", st.Buckets, st.Memberships, perMembership)
 			if perMembership > 26.5 {
 				t.Errorf("index retains %.1f B per membership, budget 26.5", perMembership)
 			}

@@ -98,10 +98,11 @@ func fuzzSeeds() [][]byte {
 // FuzzIndexUpdate drives the index with a fuzzed sequence of record adds
 // and Updates over two small signature stores, sixteen entities a side
 // and few buckets, so pairs keep entering and leaving the set, with
-// over-reported entities in the dirty sets. After every Update, its return
-// must be exactly the batch oracle's pairs that have a reported endpoint,
-// Pairs() and NumCandidates() the oracle's set and its size, and the
-// bucket counts of Stats and Explain a recount from the batch oracle.
+// over-reported entities in the dirty sets. After every Update, the dirty
+// entities' pairs must be exactly the batch oracle's pairs that have a
+// reported endpoint, the walk over every ordinal and NumCandidates() the
+// oracle's set and its size, and the bucket counts of Stats and Explain a
+// recount from the batch oracle.
 func FuzzIndexUpdate(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -116,14 +117,16 @@ func FuzzIndexUpdate(f *testing.F) {
 		x := New(se, si, p)
 		dirty := [2]map[uint32]struct{}{{}, {}}
 		update := func(step int) {
-			before := named(se, si, x.Pairs())
-			reportedE, reportedI := reported(se, dirty[sideE]), reported(si, dirty[sideI])
-			got := x.Update(dirty[sideE], dirty[sideI])
-			name := fmt.Sprintf("update %d", step)
+			before := named(se, si, allPairs(x))
+			reportedE, reportedI := reported(se, dirty[SideE]), reported(si, dirty[SideI])
+			x.Update(dirty[SideE], dirty[SideI])
 			if step == 0 {
 				// The first Update signs every entity.
-				reportedE, reportedI = reported(se, allOrds(se)), reported(si, allOrds(si))
+				dirty = [2]map[uint32]struct{}{allOrds(se), allOrds(si)}
+				reportedE, reportedI = reported(se, dirty[SideE]), reported(si, dirty[SideI])
 			}
+			got := dirtyPairs(x, dirty[SideE], dirty[SideI])
+			name := fmt.Sprintf("update %d", step)
 			requireUpdateExact(t, name, se, si, p, got, before, reportedE, reportedI)
 			requireParity(t, x, se, si, p, name)
 			requireBucketCounts(t, x, se, si, p, name)
@@ -166,7 +169,7 @@ func requireBucketCounts(t *testing.T, x *Index, se, si *history.Store, p Params
 	buckets := batchBuckets(se, si, p)
 	members := 0
 	for _, n := range buckets {
-		members += n[sideE] + n[sideI]
+		members += n[SideE] + n[SideI]
 	}
 	if st := x.Stats(); st.Buckets != len(buckets) || st.Memberships != members {
 		t.Fatalf("%s: Stats buckets/memberships = %d/%d, batch recount %d/%d", step, st.Buckets, st.Memberships, len(buckets), members)
@@ -174,9 +177,9 @@ func requireBucketCounts(t *testing.T, x *Index, se, si *history.Store, p Params
 	for u := uint32(0); u <= uint32(se.Ordinals().Len()); u++ {
 		for v := uint32(0); v <= uint32(si.Ordinals().Len()); v++ {
 			for _, bc := range x.Explain(u, v).Collisions {
-				if n := buckets[bandKey{band: bc.Band, hash: uint64(bc.Hash)}]; bc.BucketE != n[sideE] || bc.BucketI != n[sideI] {
+				if n := buckets[bandKey{band: bc.Band, hash: uint64(bc.Hash)}]; bc.BucketE != n[SideE] || bc.BucketI != n[SideI] {
 					t.Fatalf("%s: Explain(%d,%d) band %d: bucket_e/bucket_i = %d/%d, batch recount %d/%d",
-						step, u, v, bc.Band, bc.BucketE, bc.BucketI, n[sideE], n[sideI])
+						step, u, v, bc.Band, bc.BucketE, bc.BucketI, n[SideE], n[SideI])
 				}
 			}
 		}

@@ -618,7 +618,7 @@ func (s *Server) handleLinks(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	if v := q.Get("min_score"); v != "" {
 		minScore, err := strconv.ParseFloat(v, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(minScore) { // no score is above NaN
 			s.error(w, req, http.StatusBadRequest, "bad min_score")
 			return
 		}

@@ -602,6 +602,11 @@ func TestLinkWiresPinned(t *testing.T) {
 			check("/v1/links/{entity}", known, linksForTypes)
 			wantEmpty("/v1/links/nobody")
 			wantEmpty("/v1/links?min_score=1e300")
+			for _, bad := range []string{"x", "NaN", "nan"} {
+				if resp := getJSON(t, ts.URL+"/v1/links?min_score="+bad, nil); resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("GET /v1/links?min_score=%s: %d, want 400 bad min_score", bad, resp.StatusCode)
+				}
+			}
 
 			ex, exBody := get("/v1/explain?e=" + url.QueryEscape(u) + "&i=" + url.QueryEscape(v))
 			var order []string

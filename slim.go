@@ -23,7 +23,6 @@ package slim
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"time"
@@ -100,9 +99,10 @@ type Linker struct {
 	// level, one window per signature row (nil without LSH).
 	sigStoreE *history.Store
 	sigStoreI *history.Store
-	// candIndex incrementally maintains the LSH candidate set (non-nil
-	// exactly when cfg.LSH is set; nil means brute force, where the cross
-	// product is streamed by index, never materialized); dirtyE/dirtyI
+	// candIndex incrementally maintains the LSH candidate set and answers
+	// for an entity's pairs (non-nil exactly when cfg.LSH is set; nil means
+	// brute force, where an entity's pairs are every ordinal of the other
+	// side; see pairsOf); neither keeps a list of pairs. dirtyE/dirtyI
 	// collect, by ordinal, the entities touched by AddE/AddI since the
 	// last Rescore in every mode. Rescore hands them to the index's one
 	// Update of the run, so a relink re-signs O(dirty) index entries and —
@@ -378,14 +378,14 @@ func (lk *Linker) ForceFullRescore() { lk.edges.forceFull = true }
 // Each call is a single pass over what changed since the previous one,
 // under one rule: it rescores P, the current candidate pairs with an
 // endpoint AddE/AddI touched (a dirty entity), and drops every edge with a
-// dirty endpoint that has no positive score in P. With LSH, P is what the
-// candidate index's one Update of the run returns; under brute force it is
-// every pair with a dirty endpoint. Every other edge keeps its cached
-// score: its candidacy is a function of its two entities' band keys and
-// its score of their histories and the epoch-versioned dataset statistics
-// (see edges.go), none of which moved. The first call, ForceFullRescore
+// dirty endpoint that has no positive score in P. Both filters collect P
+// the same way, as the dirty entities' pairs (pairsOf), after the
+// candidate index's one Update of the run under LSH. Every other edge
+// keeps its cached score: its candidacy is a function of its two
+// entities' band keys and its score of their histories and the
+// epoch-versioned dataset statistics (see edges.go), none of which moved. The first call, ForceFullRescore
 // and any IDF-epoch movement (new bin, new entity) rescore the whole
-// candidate set instead.
+// candidate set instead: every E ordinal's pairs, in turn.
 //
 // The returned Stats carry private candidate-index and edge-store
 // snapshots, so a later call never mutates results a caller still holds.
@@ -394,12 +394,13 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 	// runs on immutable views: entities untouched since the last run keep
 	// their compiled state.
 	lk.Precompile()
-	var pairs []uint64 // P
-	nPairs := int64(lk.storeE.NumEntities()) * int64(lk.storeI.NumEntities())
+	nE := lk.storeE.NumEntities()
+	nPairs := int64(nE) * int64(lk.storeI.NumEntities())
 	updated := false
 	if lk.candIndex != nil {
 		if len(lk.dirtyE) > 0 || len(lk.dirtyI) > 0 {
-			pairs, updated = lk.candIndex.Update(lk.dirtyE, lk.dirtyI), true
+			lk.candIndex.Update(lk.dirtyE, lk.dirtyI)
+			updated = true
 		}
 		nPairs = lk.candIndex.NumCandidates()
 	}
@@ -410,23 +411,14 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 		epochE != lk.edges.epochE || epochI != lk.edges.epochI
 	rescored, dropped := nPairs, int64(0)
 	if full {
-		var pairAt func(int) uint64
-		if lk.candIndex != nil {
-			pairs := lk.candIndex.Pairs()
-			pairAt = func(k int) uint64 { return pairs[k] }
-		} else {
-			// Brute force: enumerate the |E|×|I| cross product by index
-			// instead of materializing multi-GiB pair slices. The similarity
-			// stores hold a history for every ordinal of their tables.
-			nI := lk.storeI.NumEntities()
-			pairAt = func(k int) uint64 { return candidates.Key(uint32(k/nI), uint32(k%nI)) }
-		}
-		lk.edges.resetFull(lk.scorePositive(int(nPairs), pairAt), seq)
+		lk.edges.resetFull(lk.scorePositive(nE, nPairs, func(dst []uint64, u int) []uint64 {
+			return lk.pairsOf(dst, candidates.SideE, uint32(u))
+		}), seq)
 	} else {
-		if lk.candIndex == nil {
-			pairs = lk.bruteDeltaPairs()
-		}
-		positive := slices.Concat(lk.scorePositive(len(pairs), func(k int) uint64 { return pairs[k] })...)
+		pairs := lk.dirtyPairs()
+		positive := slices.Concat(lk.scorePositive(len(pairs), int64(len(pairs)), func(dst []uint64, k int) []uint64 {
+			return append(dst, pairs[k])
+		})...)
 		dropped = lk.edges.apply(positive, lk.dirtyE, lk.dirtyI, seq)
 		rescored = int64(len(pairs))
 	}
@@ -469,26 +461,41 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 	return links, stats
 }
 
-// bruteDeltaPairs is P without LSH: every pair with a dirty endpoint,
-// dirtyE×I ∪ E×dirtyI, in ascending pair order. New entities cannot
-// appear here — a new entity bumps its store's IDF epoch, which forces a
-// full rescore before this path is taken.
-func (lk *Linker) bruteDeltaPairs() []uint64 {
-	nE, nI := uint32(lk.storeE.NumEntities()), uint32(lk.storeI.NumEntities())
-	dirtyI := slices.Sorted(maps.Keys(lk.dirtyI))
-	pairs := make([]uint64, 0, len(lk.dirtyE)*int(nI)+len(dirtyI)*int(nE))
-	for u := uint32(0); u < nE; u++ {
-		if _, dirty := lk.dirtyE[u]; dirty {
-			for v := uint32(0); v < nI; v++ {
-				pairs = append(pairs, candidates.Key(u, v))
-			}
-			continue
+// pairsOf appends the candidate pairs of one entity of the given side
+// (candidates.SideE or SideI), ascending and each once: with LSH its
+// bucket mates (candidates.Index.AppendPairs), under brute force every
+// ordinal of the other side. The similarity stores hold a history for
+// every ordinal of their tables.
+func (lk *Linker) pairsOf(dst []uint64, side int, ord uint32) []uint64 {
+	switch {
+	case lk.candIndex != nil:
+		return lk.candIndex.AppendPairs(dst, side, ord)
+	case side == candidates.SideE:
+		for v := range uint32(lk.storeI.NumEntities()) {
+			dst = append(dst, candidates.Key(ord, v))
 		}
-		for _, v := range dirtyI {
-			pairs = append(pairs, candidates.Key(u, v))
+	default:
+		for u := range uint32(lk.storeE.NumEntities()) {
+			dst = append(dst, candidates.Key(u, ord))
 		}
 	}
-	return pairs
+	return dst
+}
+
+// dirtyPairs is P: the current candidate pairs of the dirty entities,
+// sorted and each once. New entities cannot appear here — a new entity
+// bumps its store's IDF epoch, which forces a full rescore before a delta
+// collects P.
+func (lk *Linker) dirtyPairs() []uint64 {
+	var pairs []uint64
+	for ord := range lk.dirtyE {
+		pairs = lk.pairsOf(pairs, candidates.SideE, ord)
+	}
+	for ord := range lk.dirtyI {
+		pairs = lk.pairsOf(pairs, candidates.SideI, ord)
+	}
+	slices.Sort(pairs)
+	return slices.Compact(pairs)
 }
 
 // Run executes scoring, matching and thresholding and returns the result.
@@ -579,24 +586,29 @@ func FilterLinks(links []Link, thr float64) []Link {
 	return matching.FilterThreshold(links, thr)
 }
 
-// scorePositive is the one scoring fan-out: it scores the pairs
-// pairAt(0..total-1) across workers and keeps the positive ones, in
-// pairAt's order when its parts are read in turn. Each worker owns a
-// contiguous index range and its own part, so the result is deterministic
-// and lock-free. A full rescore copies the parts into the edge store's new
-// column; a delta one concatenates them and walks that beside the pairs it
-// rescored, so a pair missing from it scored non-positive.
-func (lk *Linker) scorePositive(total int, pairAt func(int) uint64) [][]scoredPair {
+// scorePositive is the one scoring fan-out: it scores the pairs that
+// pairsOf(dst, k) appends for k = 0..n-1, about want of them, across
+// workers and keeps the positive ones, in that order when its parts are
+// read in turn. Each worker owns a contiguous range of k and its own part,
+// so the result is deterministic and lock-free. A full rescore walks the
+// E ordinals, whose pairs ascend, and copies the parts into the edge
+// store's new column; a delta one walks P, concatenates the parts and
+// walks that beside the pairs it rescored, so a pair missing from it
+// scored non-positive.
+func (lk *Linker) scorePositive(n int, want int64, pairsOf func(dst []uint64, k int) []uint64) [][]scoredPair {
 	parts := make([][]scoredPair, lk.cfg.Workers) // Workers is normalized to >= 1
-	par.Chunks(lk.cfg.Workers, total, func(w, lo, hi int) {
-		// Reserving a quarter of the range costs less at the peak than
-		// growing from empty: append's intermediate arrays, all garbage,
-		// sum to several times the final one.
-		local := make([]scoredPair, 0, (hi-lo)/4)
+	par.Chunks(lk.cfg.Workers, n, func(w, lo, hi int) {
+		// Reserving a quarter of the range's expected pairs costs less at
+		// the peak than growing from empty: append's intermediate arrays,
+		// all garbage, sum to several times the final one.
+		local := make([]scoredPair, 0, want*int64(hi-lo)/int64(n)/4)
+		var pairs []uint64
 		for k := lo; k < hi; k++ {
-			p := pairAt(k)
-			if s := lk.scorer.ScoreOrd(candidates.Ends(p)); s > 0 {
-				local = append(local, scoredPair{key: p, score: s})
+			pairs = pairsOf(pairs[:0], k)
+			for _, p := range pairs {
+				if s := lk.scorer.ScoreOrd(candidates.Ends(p)); s > 0 {
+					local = append(local, scoredPair{key: p, score: s})
+				}
 			}
 		}
 		parts[w] = local
