@@ -12,10 +12,10 @@ import (
 )
 
 // EdgeStoreStats reports the state of a Linker's incremental edge store
-// and the work profile of its most recent update. The headline ratio is
-// Retained vs Rescored: retained pairs kept their cached score without
-// touching the scorer, which is exactly the work an incremental relink
-// saves over the full rescan it replaced. The json tags are its keys in
+// and the work profile of the update made by the Rescore call that
+// returned it. The headline ratio is Retained vs Rescored: retained pairs
+// kept their cached score without touching the scorer, which is exactly
+// the work an incremental relink saves over the full rescan it replaced. The json tags are its keys in
 // /v1/stats' edge_store block (internal/server's wire encoder prints a
 // Duration as milliseconds, hence "_ms").
 type EdgeStoreStats struct {
@@ -25,17 +25,17 @@ type EdgeStoreStats struct {
 	// Epoch counts full rescores: 1 after the first run, bumped every time
 	// an IDF-epoch move or a forced rescore invalidated every cached score.
 	Epoch uint64 `json:"epoch"`
-	// Retained / Rescored / Dropped describe the last update: candidate
+	// Retained / Rescored / Dropped describe this update: candidate
 	// pairs kept with their cached score, pairs (re)scored, and edges
 	// removed from the store (on a delta update, the edges of dirty
 	// entities that left the candidate set or rescored to zero).
 	Retained int64 `json:"retained_last"`
 	Rescored int64 `json:"rescored_last"`
 	Dropped  int64 `json:"dropped_last"`
-	// FullRescore reports whether the last update rescored every pair (the
+	// FullRescore reports whether this update rescored every pair (the
 	// first run, an IDF-epoch move or a forced rescore).
 	FullRescore bool `json:"full_rescore_last"`
-	// LastUpdate is the wall-clock duration of the last update (scoring and
+	// LastUpdate is the wall-clock duration of this update (scoring and
 	// store maintenance; excludes matching).
 	LastUpdate time.Duration `json:"last_update_ms"`
 	// ResidentBytes is the store's resident memory: the order column's
@@ -133,10 +133,7 @@ type edgeStore struct {
 	// forceFull makes the next update a full one (Linker.ForceFullRescore).
 	forceFull bool
 
-	fullRescores                            uint64
-	lastRetained, lastRescored, lastDropped int64
-	lastFull                                bool
-	lastUpdate                              time.Duration
+	fullRescores uint64
 }
 
 // link materialises one edge: the only place a packed pair is resolved
@@ -188,7 +185,6 @@ func (es *edgeStore) resetFull(parts [][]scoredPair, seq uint64) {
 	slices.SortFunc(es.order, es.cmp)
 	es.forceFull = false
 	es.fullRescores++
-	es.lastFull = true
 	es.seq, es.fullSeq = seq, seq
 }
 
@@ -241,7 +237,6 @@ func (es *edgeStore) apply(positive []scoredPair, dirtyE, dirtyI map[uint32]stru
 		es.order[out] = fresh[k]
 		kept = kept[:i]
 	}
-	es.lastFull = false
 	es.seq = seq
 	return dropped
 }
@@ -308,17 +303,13 @@ func (es *edgeStore) materialize() []Link {
 	return links
 }
 
-// statsSnapshot returns a fresh stats copy (safe for callers to retain
-// across later runs).
+// statsSnapshot returns a fresh copy of the store's state (safe for
+// callers to retain across later runs): its pairs, epoch and resident
+// bytes. The update fields are the updating call's to fill (Rescore).
 func (es *edgeStore) statsSnapshot() *EdgeStoreStats {
 	return &EdgeStoreStats{
 		Pairs:         int64(len(es.order)),
 		Epoch:         es.fullRescores,
-		Retained:      es.lastRetained,
-		Rescored:      es.lastRescored,
-		Dropped:       es.lastDropped,
-		FullRescore:   es.lastFull,
-		LastUpdate:    es.lastUpdate,
 		ResidentBytes: int64(cap(es.order)) * int64(unsafe.Sizeof(edge{})),
 	}
 }

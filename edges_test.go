@@ -14,7 +14,6 @@ import (
 	"slim/internal/history"
 	"slim/internal/matching"
 	"slim/internal/model"
-	"slim/internal/similarity"
 	"slim/internal/testenv"
 	"slim/internal/threshold"
 )
@@ -446,14 +445,13 @@ func candidatePairs(lk *Linker) []uint64 {
 }
 
 // scoredFromScratch is the edge set a linker's store must hold, scored
-// anew: every candidate pair through a fresh scorer over the linker's
-// stores (so the linker's own work counters do not move), positive ones
-// kept.
+// anew: every candidate pair through the linker's scorer, counted nowhere,
+// positive ones kept.
 func scoredFromScratch(lk *Linker) map[uint64]float64 {
-	sc := similarity.NewScorer(lk.storeE, lk.storeI, lk.scorer.Par)
 	want := map[uint64]float64{}
 	for _, p := range candidatePairs(lk) {
-		if s := sc.ScoreOrd(candidates.Ends(p)); s > 0 {
+		u, v := candidates.Ends(p)
+		if s := lk.scorer.ScoreOrd(u, v, nil); s > 0 {
 			want[p] = s
 		}
 	}

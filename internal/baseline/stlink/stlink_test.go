@@ -200,7 +200,7 @@ func TestEvidenceMatchesDirectDistance(t *testing.T) {
 		for _, c := range res.Candidates {
 			hu, hv := se.History(c.U), si.History(c.V)
 			co, alibi := 0, 0
-			for _, w := range hu.Windows() {
+			hu.EachWindow(func(w int64, _, _ int) {
 				cu, _ := hu.WindowBins(w)
 				cv, _ := hv.WindowBins(w)
 				for _, a := range cu {
@@ -213,7 +213,7 @@ func TestEvidenceMatchesDirectDistance(t *testing.T) {
 						}
 					}
 				}
-			}
+			})
 			if c.Cooccurrences != co || c.AlibiPairs != alibi {
 				t.Errorf("%s: %s-%s has %d co-occurrences and %d alibi pairs, direct count %d and %d",
 					fx.name, c.U, c.V, c.Cooccurrences, c.AlibiPairs, co, alibi)

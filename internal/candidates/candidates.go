@@ -539,15 +539,18 @@ func (x *Index) countMoved(re *[2]signing) int64 {
 }
 
 // countAll counts the candidate set: every E ordinal's pairs, the walk
-// fanned out over contiguous ordinal ranges across x.Workers.
+// fanned out over contiguous ordinal ranges across x.Workers, each worker
+// counting its range locally and writing its count once.
 func (x *Index) countAll() int64 {
 	counts := make([]int64, max(1, x.Workers))
 	par.Chunks(x.Workers, len(x.sides[SideE].spans), func(w, lo, hi int) {
+		var n int64
 		var pairs []uint64
 		for u := lo; u < hi; u++ {
 			pairs = x.AppendPairs(pairs[:0], SideE, uint32(u))
-			counts[w] += int64(len(pairs))
+			n += int64(len(pairs))
 		}
+		counts[w] = n
 	})
 	var n int64
 	for _, c := range counts {

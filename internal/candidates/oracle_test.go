@@ -226,7 +226,7 @@ func TestAppendSignatureMatchesBuildSignatures(t *testing.T) {
 			t.Fatalf("entity %s: AppendSignature %v != BuildSignatures %v", e, buf, batch[e])
 		}
 		var naive Signature
-		for _, row := range h.Windows() {
+		h.EachWindow(func(row int64, _, _ int) {
 			cells, weights := h.WindowBins(row)
 			best := 0
 			for j := range cells {
@@ -235,7 +235,7 @@ func TestAppendSignatureMatchesBuildSignatures(t *testing.T) {
 				}
 			}
 			naive = append(naive, Row{Row: row, Cell: cells[best]})
-		}
+		})
 		if !slices.Equal(buf, naive) {
 			t.Fatalf("entity %s: AppendSignature %v, naive per-row scan %v", e, buf, naive)
 		}

@@ -32,6 +32,14 @@ func (s *Store) binAt(sg *segment, b Bin) (int32, bool) {
 	return j, j < sg.bin+sg.nBin && s.compareBin(j, b) == 0
 }
 
+// Windows returns the sorted leaf window indices with at least one record,
+// in a new slice.
+func (h *History) Windows() []int64 {
+	var out []int64
+	h.EachWindow(func(w int64, _, _ int) { out = append(out, w) })
+	return out
+}
+
 // BinWindows resolves the window of every bin of the view, so tests can
 // compare views of stores that interned their windows in another order.
 func (v *View) BinWindows() []int64 {

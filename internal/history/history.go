@@ -160,14 +160,6 @@ func (h *History) EachWindow(fn func(window int64, lo, hi int)) {
 	}
 }
 
-// Windows returns the sorted leaf window indices with at least one record,
-// in a new slice.
-func (h *History) Windows() []int64 {
-	var out []int64
-	h.EachWindow(func(w int64, _, _ int) { out = append(out, w) })
-	return out
-}
-
 // cellAt returns the cell of the history's bin j, resolving a scoring
 // store's dense index through the store's cell table.
 func (h *History) cellAt(j int) geo.CellID {

@@ -3,8 +3,10 @@ package model
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -139,7 +141,10 @@ func csvNeedsQuotes(s string) bool {
 }
 
 // ReadCSV parses a dataset from the canonical CSV layout. A header row is
-// detected and skipped if present; the radius_km column is optional.
+// detected and skipped if present; the radius_km column is optional. A
+// latitude or longitude that is NaN or infinite is a line error; a finite
+// one out of range is clamped (latitude) or wrapped (longitude) onto the
+// globe (geo.LatLngFromDegrees).
 //
 // The reference parser is encoding/csv (readRows). Most inputs never
 // reach it. ReadCSV counts the line feeds and bytes from the reader's
@@ -468,11 +473,11 @@ func (c *csvReader) readRows(r io.Reader) error {
 // fast path and readRows parse a row here, so a row they both read gives
 // the same record.
 func parseRow[S ~string | ~[]byte](line int, row []S) (Record, error) {
-	lat, err := strconv.ParseFloat(string(row[1]), 64)
+	lat, err := parseDegrees(string(row[1]))
 	if err != nil {
 		return Record{}, badField(line, "lat", string(row[1]), err)
 	}
-	lng, err := strconv.ParseFloat(string(row[2]), 64)
+	lng, err := parseDegrees(string(row[2]))
 	if err != nil {
 		return Record{}, badField(line, "lng", string(row[2]), err)
 	}
@@ -502,6 +507,19 @@ func (c *csvReader) dataset(name string) (Dataset, error) {
 		return Dataset{}, err
 	}
 	return d, nil
+}
+
+// errNotFinite is the cause of a NaN or infinite coordinate's line error.
+var errNotFinite = errors.New("not a finite number")
+
+// parseDegrees parses a latitude or longitude, refusing NaN and ±Inf:
+// strconv accepts their spellings, and no position has them.
+func parseDegrees(field string) (float64, error) {
+	x, err := strconv.ParseFloat(field, 64)
+	if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+		err = errNotFinite
+	}
+	return x, err
 }
 
 // badField reports a field that does not parse. It quotes at most the

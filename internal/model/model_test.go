@@ -459,6 +459,18 @@ func TestReadCSVErrors(t *testing.T) {
 			t.Errorf("expected error for %q", c)
 		}
 	}
+	// A non-finite coordinate is a line error on the fast path and, behind
+	// a quoted id, in the encoding/csv loop alike.
+	for in, want := range map[string]string{
+		"entity,lat,lng,unix\na,NaN,0,0\n":     `line 2: bad lat "NaN"`,
+		"a,0,0,0\nb,0,-Inf,1\n":                `line 2: bad lng "-Inf"`,
+		"\"a\",+Inf,0,0\n":                     `line 1: bad lat "+Inf"`,
+		"entity,lat,lng,unix\n\"b\",0,nan,1\n": `line 2: bad lng "nan"`,
+	} {
+		if _, err := ReadCSV(strings.NewReader(in), "x"); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadCSV(%q) = %v, want an error holding %s", in, err, want)
+		}
+	}
 	// No header is fine.
 	d, err := ReadCSV(strings.NewReader("a,1,2,3\n"), "x")
 	if err != nil || len(d.Records) != 1 {

@@ -79,9 +79,8 @@ type Breakdown struct {
 // scratch, same distances, same sweeps) with a recorder attached, so
 // Total and every window Sum are the values that run returned and each
 // pair is a term it added — bit-identical to Score(u, v) by construction.
-// Unlike Score it allocates (the recorded windows and pairs), and it
-// leaves the scorer's work counters untouched: calling it never perturbs
-// Stats().
+// Unlike Score it allocates (the recorded windows and pairs); like Score
+// it counts nothing.
 func (s *Scorer) ScoreBreakdown(u, v model.EntityID) *Breakdown {
 	bd := &Breakdown{U: u, V: v, NormU: 1, NormV: 1, Norm: 1}
 	var pv pairViews
@@ -91,7 +90,7 @@ func (s *Scorer) ScoreBreakdown(u, v model.EntityID) *Breakdown {
 	bd.Known = true
 	bd.NormU, bd.NormV, bd.Norm = pv.lu, pv.lv, pv.norm
 	rec := recorder{par: &s.Par, pv: &pv}
-	bd.Total = s.run(&s.Par, &pv, &rec)
+	bd.Total = s.run(&s.Par, &pv, &rec, nil)
 	bd.Windows = rec.windows
 	return bd
 }

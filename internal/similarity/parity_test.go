@@ -21,9 +21,9 @@ import (
 	"slim/internal/testenv"
 )
 
-// refStats mirrors the scorer's batched work counters.
+// refStats mirrors the scorer's work tally (Stats).
 type refStats struct {
-	binCmp, recCmp, alibi, pairs int64
+	binCmp, recCmp, alibi int64
 }
 
 // refDistCache memoizes cell distances for the reference scorer (tests are
@@ -44,6 +44,13 @@ func refCellDistance(a, b geo.CellID) float64 {
 	d := geo.CellDistanceKm(key[0], key[1])
 	refDistCache[key] = d
 	return d
+}
+
+// windowsOf lists a history's windows, ascending.
+func windowsOf(h history.History) []int64 {
+	var out []int64
+	h.EachWindow(func(w int64, _, _ int) { out = append(out, w) })
+	return out
 }
 
 // forEachCommonWindow walks two sorted window slices and invokes fn for
@@ -93,7 +100,6 @@ func refScore(e, i *refSide, p Params, u, v model.EntityID, st *refStats) float6
 	if hu.NumBins() == 0 || hv.NumBins() == 0 {
 		return 0
 	}
-	st.pairs++
 	lu, lv := 1.0, 1.0
 	if p.UseNorm {
 		ou, _ := e.Ordinals().Lookup(u)
@@ -105,7 +111,7 @@ func refScore(e, i *refSide, p Params, u, v model.EntityID, st *refStats) float6
 		norm = 1
 	}
 	var total float64
-	forEachCommonWindow(hu.Windows(), hv.Windows(), func(w int64) {
+	forEachCommonWindow(windowsOf(hu), windowsOf(hv), func(w int64) {
 		total += refScoreWindow(e, i, p, hu, hv, w, norm, st)
 	})
 	return total
@@ -254,7 +260,7 @@ func refProbeRatio(e, i *refSide, p Params, u, v model.EntityID) (float64, bool)
 		return 0, false
 	}
 	var num, den float64
-	forEachCommonWindow(hu.Windows(), hv.Windows(), func(w int64) {
+	forEachCommonWindow(windowsOf(hu), windowsOf(hv), func(w int64) {
 		cellsU := refSortedCells(cellsAt(hu, w))
 		cellsV := refSortedCells(cellsAt(hv, w))
 		if len(cellsU) == 0 || len(cellsV) == 0 {
@@ -351,24 +357,28 @@ func paramVariants() map[string]Params {
 }
 
 // assertParity scores every cross pair with both implementations and
-// requires exact (==) agreement of scores and work counters.
+// requires exact (==) agreement of scores and work counters, the scorer's
+// summed in one tally through ScoreOrd.
 func assertParity(t *testing.T, variant string, e, i *history.Store, p Params) {
 	t.Helper()
 	s := NewScorer(e, i, p)
+	var st Stats
 	var ref refStats
 	re, ri := newRefSide(e), newRefSide(i)
 	for _, u := range e.Entities() {
 		for _, v := range i.Entities() {
-			got := s.Score(u, v)
+			got := scoreCounted(s, u, v, &st)
+			if byID := s.Score(u, v); math.Float64bits(byID) != math.Float64bits(got) {
+				t.Fatalf("%s: Score(%s,%s) = %v, ScoreOrd %v", variant, u, v, byID, got)
+			}
 			want := refScore(re, ri, p, u, v, &ref)
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("%s: Score(%s,%s) = %v, reference %v", variant, u, v, got, want)
 			}
 		}
 	}
-	st := s.Stats()
 	if st.BinComparisons != ref.binCmp || st.RecordComparisons != ref.recCmp ||
-		st.AlibiBinPairs != ref.alibi || st.PairsScored != ref.pairs {
+		st.AlibiBinPairs != ref.alibi {
 		t.Fatalf("%s: stats %+v, reference %+v", variant, st, ref)
 	}
 }
@@ -443,7 +453,8 @@ func TestCompiledProbeRatioParity(t *testing.T) {
 }
 
 // TestScoreWarmZeroAllocs is the allocation-regression gate of the scoring
-// kernel: once warm, Score must not touch the heap at all.
+// kernel: once warm, neither Score nor a counted ScoreOrd may touch the
+// heap at all.
 func TestScoreWarmZeroAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; gate runs in non-race CI")
@@ -452,5 +463,9 @@ func TestScoreWarmZeroAllocs(t *testing.T) {
 	_ = s.Score(u, v) // warm compiled views and scratch buffers
 	if avg := testing.AllocsPerRun(200, func() { _ = s.Score(u, v) }); avg != 0 {
 		t.Fatalf("warm Score allocates %v times per call, want 0", avg)
+	}
+	var tally Stats
+	if avg := testing.AllocsPerRun(200, func() { _ = s.ScoreOrd(0, 0, &tally) }); avg != 0 {
+		t.Fatalf("warm ScoreOrd with a tally allocates %v times per call, want 0", avg)
 	}
 }

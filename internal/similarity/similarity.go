@@ -23,10 +23,13 @@
 //
 // The pair-scale entry point is ScoreOrd, over the two sides' entity
 // ordinals (history.Ordinals): it reaches both compiled views and both
-// normalization factors by slice index. A store is compiled as a whole
-// (one stamp per store against its IDF epoch), so a view fetch is one
-// atomic load and takes no lock once the store is current. Score,
-// ProbeRatio and ScoreBreakdown take entity ids and resolve them once.
+// normalization factors by slice index, and adds the pair's work counts
+// to a tally its caller owns (Stats), so concurrent callers share no
+// counter and the scorer keeps no running total. A store is compiled as a
+// whole (one stamp per store against its IDF epoch), so a view fetch is
+// one atomic load and takes no lock once the store is current. Score,
+// ProbeRatio and ScoreBreakdown take entity ids, resolve them once and
+// count nothing.
 //
 // There is one implementation of the window pairing, scoreWindow, reached
 // through one fetch of a pair's views (fetch) and one walk over its common
@@ -40,7 +43,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"slim/internal/geo"
 	"slim/internal/history"
@@ -129,9 +131,10 @@ func isAlibi(distKm, runawayKm float64) bool {
 	return distKm/runawayKm > 1
 }
 
-// Stats accumulates the work counters the paper's evaluation reports.
-// Counters are updated atomically, so one Scorer can be shared by many
-// goroutines; each Score call batches its counters into a single flush.
+// Stats is a tally of the scoring work the paper's evaluation reports
+// (Sec. 5). ScoreOrd adds each pair's counts to the tally its caller
+// passes; a caller scoring on several goroutines gives each its own and
+// sums them when they are done.
 type Stats struct {
 	// BinComparisons counts time-location bin pair distance evaluations.
 	BinComparisons int64
@@ -141,15 +144,12 @@ type Stats struct {
 	RecordComparisons int64
 	// AlibiBinPairs counts bin pairs whose proximity was negative.
 	AlibiBinPairs int64
-	// PairsScored counts entity pairs scored.
-	PairsScored int64
 }
 
 // Scorer computes similarity scores between entities of two history stores.
 type Scorer struct {
-	E, I  *history.Store
-	Par   Params
-	stats Stats
+	E, I *history.Store
+	Par  Params
 
 	// pool holds per-goroutine scratch state (distance matrix, argsort
 	// order, pairing masks) so warm Score calls allocate nothing and share
@@ -168,9 +168,6 @@ type scratch struct {
 	usedV  []bool
 	sel    []bool // all-false between windows; reset via selIDs
 	selIDs []int32
-
-	// Batched stat counters, flushed once per scored pair.
-	binCmp, recCmp, alibi int64
 }
 
 func (sc *scratch) floats(n int) []float64 {
@@ -215,43 +212,15 @@ func NewScorer(e, i *history.Store, p Params) *Scorer {
 	return s
 }
 
-// Stats returns a snapshot of the accumulated work counters.
-func (s *Scorer) Stats() Stats {
-	return Stats{
-		BinComparisons:    atomic.LoadInt64(&s.stats.BinComparisons),
-		RecordComparisons: atomic.LoadInt64(&s.stats.RecordComparisons),
-		AlibiBinPairs:     atomic.LoadInt64(&s.stats.AlibiBinPairs),
-		PairsScored:       atomic.LoadInt64(&s.stats.PairsScored),
-	}
-}
-
-// flush publishes a scored pair's batched counters with one atomic add per
-// touched counter instead of one per bin pair.
-func (s *Scorer) flush(sc *scratch) {
-	atomic.AddInt64(&s.stats.PairsScored, 1)
-	if sc.binCmp != 0 {
-		atomic.AddInt64(&s.stats.BinComparisons, sc.binCmp)
-		sc.binCmp = 0
-	}
-	if sc.recCmp != 0 {
-		atomic.AddInt64(&s.stats.RecordComparisons, sc.recCmp)
-		sc.recCmp = 0
-	}
-	if sc.alibi != 0 {
-		atomic.AddInt64(&s.stats.AlibiBinPairs, sc.alibi)
-		sc.alibi = 0
-	}
-}
-
 // Score computes S(u, v) per Eq. 2 / Alg. 1 for u in store E and v in
-// store I. Unknown entities score 0. It is ScoreOrd by entity id: the two
-// ids are resolved once.
+// store I. Unknown entities score 0. It is ScoreOrd by entity id, counting
+// nothing: the two ids are resolved once.
 func (s *Scorer) Score(u, v model.EntityID) float64 {
 	var pv pairViews
 	if !s.fetchByID(&pv, u, v) {
 		return 0
 	}
-	return s.run(&s.Par, &pv, nil)
+	return s.run(&s.Par, &pv, nil, nil)
 }
 
 // pairViews is everything the kernel reads of one pair: both compiled
@@ -296,21 +265,21 @@ func (s *Scorer) fetchByID(pv *pairViews, u, v model.EntityID) bool {
 
 // ScoreOrd is Score over the two sides' entity ordinals (see
 // history.Ordinals): the entry point of every pair-scale caller, which
-// hashes no entity id. Ordinals without a history score 0.
-func (s *Scorer) ScoreOrd(u, v uint32) float64 {
+// hashes no entity id. Ordinals without a history score 0. The pair's work
+// is added to tally, which the caller owns; a nil tally counts nothing.
+func (s *Scorer) ScoreOrd(u, v uint32, tally *Stats) float64 {
 	var pv pairViews
 	if !s.fetch(&pv, u, v) {
 		return 0
 	}
-	return s.run(&s.Par, &pv, nil)
+	return s.run(&s.Par, &pv, nil, tally)
 }
 
 // run adds scoreWindow's contribution of each of a pair's common temporal
-// windows, in window order (history.CommonWindows), under par. Scoring
-// passes a nil rec and the pair's work counters are flushed; a run
-// observed through a recorder is not scoring work, so what it counted in
-// the pooled scratch is dropped and Stats() never moves.
-func (s *Scorer) run(par *Params, pv *pairViews, rec *recorder) float64 {
+// windows, in window order (history.CommonWindows), under par, and adds
+// the kernel's work counts to tally when it is not nil. A run observed
+// through a recorder is not scoring work: its callers pass no tally.
+func (s *Scorer) run(par *Params, pv *pairViews, rec *recorder, tally *Stats) float64 {
 	sc := s.pool.Get().(*scratch)
 	var total float64
 	history.CommonWindows(&pv.cu, &pv.cv, func(window int64, loU, hiU, loV, hiV int) {
@@ -319,17 +288,12 @@ func (s *Scorer) run(par *Params, pv *pairViews, rec *recorder) float64 {
 		}
 		// Even an empty window's zero is added, so a recorded run
 		// recomposes term for term.
-		sum := s.scoreWindow(sc, par, pv, loU, hiU, loV, hiV, rec)
+		sum := s.scoreWindow(sc, par, pv, loU, hiU, loV, hiV, rec, tally)
 		total += sum
 		if rec != nil {
 			rec.close(sum)
 		}
 	})
-	if rec == nil {
-		s.flush(sc)
-	} else {
-		sc.binCmp, sc.recCmp, sc.alibi = 0, 0, 0
-	}
 	s.pool.Put(sc)
 	return total
 }
@@ -384,8 +348,8 @@ func sortPairOrder(order []int32, dist []float64) {
 // whose bins are [loU, hiU) of pv.cu and [loV, hiV) of pv.cv under par. A
 // non-nil rec is told every term the moment it is added to the sum
 // (ScoreBreakdown and ProbeRatio read the kernel this way); scoring passes
-// nil and pays the nil checks.
-func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, loU, hiU, loV, hiV int, rec *recorder) float64 {
+// nil and pays the nil checks. A non-nil tally is given the window's work.
+func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, loU, hiU, loV, hiV int, rec *recorder, tally *Stats) float64 {
 	cu, cv := &pv.cu, &pv.cv
 	nU, nV := hiU-loU, hiV-loV
 	if nU == 0 || nV == 0 {
@@ -400,8 +364,10 @@ func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, loU, hiU, 
 	// and each corresponds to countU×countV record comparisons. The
 	// per-window record sums are accumulated in the same (sorted-cell)
 	// order the map scorer used, so the rounded product is bit-identical.
-	sc.binCmp += int64(nU * nV)
-	sc.recCmp += int64(history.SumWeights(cu.Counts[loU:hiU])*history.SumWeights(cv.Counts[loV:hiV]) + 0.5)
+	if tally != nil {
+		tally.BinComparisons += int64(nU * nV)
+		tally.RecordComparisons += int64(history.SumWeights(cu.Counts[loU:hiU])*history.SumWeights(cv.Counts[loV:hiV]) + 0.5)
+	}
 
 	n := nU * nV
 	dist := sc.floats(n)
@@ -409,8 +375,8 @@ func (s *Scorer) scoreWindow(sc *scratch, par *Params, pv *pairViews, loU, hiU, 
 
 	delta := func(i, j int) float64 {
 		p := Proximity(dist[i*nV+j], par.RunawayKm)
-		if p < 0 {
-			sc.alibi++
+		if p < 0 && tally != nil {
+			tally.AlibiBinPairs++
 		}
 		weight := 1.0
 		if par.UseIDF {
@@ -533,7 +499,7 @@ func (s *Scorer) ProbeRatio(u, v model.EntityID) (ratio float64, ok bool) {
 	par := s.Par
 	par.Pairing, par.UseMFN = PairingMNN, false
 	rec := recorder{par: &par, pv: &pv}
-	s.run(&par, &pv, &rec)
+	s.run(&par, &pv, &rec, nil)
 	var num, den float64
 	for _, wb := range rec.windows {
 		for _, pc := range wb.Pairs {

@@ -48,8 +48,9 @@ type Stats struct {
 	CandidatePairs int64
 	// PositiveEdges is how many scored pairs produced a positive score.
 	PositiveEdges int64
-	// BinComparisons / RecordComparisons / AlibiBinPairs mirror the
-	// similarity scorer's counters (Fig. 4c/4d instrumentation).
+	// BinComparisons / RecordComparisons / AlibiBinPairs are this call's
+	// scoring work, summed over the pairs it scored (similarity.Stats;
+	// Fig. 4c/4d instrumentation).
 	BinComparisons    int64
 	RecordComparisons int64
 	AlibiBinPairs     int64
@@ -123,9 +124,6 @@ type Linker struct {
 	// tail is the threshold fit cache and stats behind Publish (made by
 	// the first one).
 	tail *publishTail
-	// prevStats snapshots the scorer counters so repeated Run calls report
-	// per-run work.
-	prevStats similarity.Stats
 }
 
 // NewLinker validates the configuration and both datasets, drops entities
@@ -294,7 +292,8 @@ func (lk *Linker) NumEntities() (e, i int) {
 	return lk.storeE.NumEntities(), lk.storeI.NumEntities()
 }
 
-// Score computes the SLIM similarity S(u, v) for one pair on demand.
+// Score computes the SLIM similarity S(u, v) for one pair on demand. It
+// counts nothing: a run's work counters are that run's scoring alone.
 func (lk *Linker) Score(u, v EntityID) float64 { return lk.scorer.Score(u, v) }
 
 // ScoreBreakdown computes the full per-window decomposition of
@@ -302,8 +301,7 @@ func (lk *Linker) Score(u, v EntityID) float64 { return lk.scorer.Score(u, v) }
 // pairing selected, their distances, proximities and IDF weights, and
 // per-window sums that recompose to Score(u, v) bit-identically. It is
 // the explainability slow path — one recorded run of the scoring kernel
-// that allocates what it records and never perturbs the scorer's work
-// counters.
+// that allocates what it records and, like Score, counts nothing.
 func (lk *Linker) ScoreBreakdown(u, v EntityID) *similarity.Breakdown {
 	return lk.scorer.ScoreBreakdown(u, v)
 }
@@ -387,8 +385,10 @@ func (lk *Linker) ForceFullRescore() { lk.edges.forceFull = true }
 // and any IDF-epoch movement (new bin, new entity) rescore the whole
 // candidate set instead: every E ordinal's pairs, in turn.
 //
-// The returned Stats carry private candidate-index and edge-store
-// snapshots, so a later call never mutates results a caller still holds.
+// The returned Stats report what this call did: its scoring work, summed
+// over the fan-out's workers, and the pairs it rescored, retained and
+// dropped, beside private candidate-index and edge-store snapshots, so a
+// later call never mutates results a caller still holds.
 func (lk *Linker) Rescore(seq uint64) Stats {
 	// Refresh the compiled read path first, so the scoring fan-out below
 	// runs on immutable views: entities untouched since the last run keep
@@ -409,40 +409,42 @@ func (lk *Linker) Rescore(seq uint64) Stats {
 	epochE, epochI := lk.storeE.Epoch(), lk.storeI.Epoch()
 	full := !lk.edges.built || lk.edges.forceFull ||
 		epochE != lk.edges.epochE || epochI != lk.edges.epochI
+	var parts [][]scoredPair
+	var work similarity.Stats
 	rescored, dropped := nPairs, int64(0)
 	if full {
-		lk.edges.resetFull(lk.scorePositive(nE, nPairs, func(dst []uint64, u int) []uint64 {
+		parts, work = lk.scorePositive(nE, nPairs, func(dst []uint64, u int) []uint64 {
 			return lk.pairsOf(dst, candidates.SideE, uint32(u))
-		}), seq)
+		})
+		lk.edges.resetFull(parts, seq)
 	} else {
 		pairs := lk.dirtyPairs()
-		positive := slices.Concat(lk.scorePositive(len(pairs), int64(len(pairs)), func(dst []uint64, k int) []uint64 {
+		parts, work = lk.scorePositive(len(pairs), int64(len(pairs)), func(dst []uint64, k int) []uint64 {
 			return append(dst, pairs[k])
-		})...)
-		dropped = lk.edges.apply(positive, lk.dirtyE, lk.dirtyI, seq)
+		})
+		dropped = lk.edges.apply(slices.Concat(parts...), lk.dirtyE, lk.dirtyI, seq)
 		rescored = int64(len(pairs))
 	}
-	lk.edges.lastRescored, lk.edges.lastRetained, lk.edges.lastDropped = rescored, nPairs-rescored, dropped
 	lk.edges.built = true
 	lk.edges.epochE, lk.edges.epochI = epochE, epochI
 	clear(lk.dirtyE)
 	clear(lk.dirtyI)
-	lk.edges.lastUpdate = time.Since(start)
+	es := lk.edges.statsSnapshot()
+	es.Rescored, es.Retained, es.Dropped = rescored, nPairs-rescored, dropped
+	es.FullRescore, es.LastUpdate = full, time.Since(start)
 
-	st := lk.scorer.Stats()
 	stats := Stats{
 		CandidatePairs:    nPairs,
-		PositiveEdges:     int64(len(lk.edges.order)),
-		BinComparisons:    st.BinComparisons - lk.prevStats.BinComparisons,
-		RecordComparisons: st.RecordComparisons - lk.prevStats.RecordComparisons,
-		AlibiBinPairs:     st.AlibiBinPairs - lk.prevStats.AlibiBinPairs,
+		PositiveEdges:     es.Pairs,
+		BinComparisons:    work.BinComparisons,
+		RecordComparisons: work.RecordComparisons,
+		AlibiBinPairs:     work.AlibiBinPairs,
 		LSH:               lk.CandidateIndexStats(),
-		EdgeStore:         lk.edges.statsSnapshot(),
+		EdgeStore:         es,
 	}
 	if stats.LSH != nil && !updated {
 		stats.LSH.LastDirty, stats.LSH.LastUpdate = 0, 0
 	}
-	lk.prevStats = st
 	return stats
 }
 
@@ -589,31 +591,41 @@ func FilterLinks(links []Link, thr float64) []Link {
 // scorePositive is the one scoring fan-out: it scores the pairs that
 // pairsOf(dst, k) appends for k = 0..n-1, about want of them, across
 // workers and keeps the positive ones, in that order when its parts are
-// read in turn. Each worker owns a contiguous range of k and its own part,
-// so the result is deterministic and lock-free. A full rescore walks the
-// E ordinals, whose pairs ascend, and copies the parts into the edge
-// store's new column; a delta one walks P, concatenates the parts and
-// walks that beside the pairs it rescored, so a pair missing from it
-// scored non-positive.
-func (lk *Linker) scorePositive(n int, want int64, pairsOf func(dst []uint64, k int) []uint64) [][]scoredPair {
+// read in turn, and returns the scoring work summed over the workers. Each
+// worker owns a contiguous range of k, its own part and its own tally,
+// written once when its range is done, so the result is deterministic and
+// lock-free. A full rescore walks the E ordinals, whose pairs ascend, and
+// copies the parts into the edge store's new column; a delta one walks P,
+// concatenates the parts and walks that beside the pairs it rescored, so a
+// pair missing from it scored non-positive.
+func (lk *Linker) scorePositive(n int, want int64, pairsOf func(dst []uint64, k int) []uint64) ([][]scoredPair, similarity.Stats) {
 	parts := make([][]scoredPair, lk.cfg.Workers) // Workers is normalized to >= 1
+	tallies := make([]similarity.Stats, lk.cfg.Workers)
 	par.Chunks(lk.cfg.Workers, n, func(w, lo, hi int) {
 		// Reserving a quarter of the range's expected pairs costs less at
 		// the peak than growing from empty: append's intermediate arrays,
 		// all garbage, sum to several times the final one.
 		local := make([]scoredPair, 0, want*int64(hi-lo)/int64(n)/4)
+		var tally similarity.Stats
 		var pairs []uint64
 		for k := lo; k < hi; k++ {
 			pairs = pairsOf(pairs[:0], k)
 			for _, p := range pairs {
-				if s := lk.scorer.ScoreOrd(candidates.Ends(p)); s > 0 {
+				u, v := candidates.Ends(p)
+				if s := lk.scorer.ScoreOrd(u, v, &tally); s > 0 {
 					local = append(local, scoredPair{key: p, score: s})
 				}
 			}
 		}
-		parts[w] = local
+		parts[w], tallies[w] = local, tally
 	})
-	return parts
+	var sum similarity.Stats
+	for _, t := range tallies {
+		sum.BinComparisons += t.BinComparisons
+		sum.RecordComparisons += t.RecordComparisons
+		sum.AlibiBinPairs += t.AlibiBinPairs
+	}
+	return parts, sum
 }
 
 // LinkDatasets runs the full pipeline with one call.

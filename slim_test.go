@@ -184,6 +184,55 @@ func TestLinkerScoreAPI(t *testing.T) {
 	}
 }
 
+// TestRunCountsItsOwnWork: a run's work counters are its own scoring,
+// summed over its workers. A full rescore counts the same work at one and
+// at three workers as LinkDatasets over the same records, and a
+// Linker.Score call between two delta runs is charged to neither: of two
+// linkers over the same records, only one asked for scores in between, the
+// second runs report equal counters.
+func TestRunCountsItsOwnWork(t *testing.T) {
+	w := cabWorkload(t, 30, 1)
+	cfg := Defaults()
+	cfg.LSH = &LSHConfig{Threshold: 0.01, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	work := func(st Stats) [3]int64 { return [3]int64{st.BinComparisons, st.RecordComparisons, st.AlibiBinPairs} }
+	ref, err := LinkDatasets(w.E, w.I, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := work(ref.Stats); want[0] == 0 || want[1] == 0 || want[2] == 0 || len(ref.Links) == 0 {
+		t.Fatalf("fixture must move every counter and link, got %v and %d links", want, len(ref.Links))
+	}
+	for _, workers := range []int{1, 3} {
+		c := cfg
+		c.Workers = workers
+		var quiet, asked *Linker
+		for _, lk := range []**Linker{&quiet, &asked} {
+			if *lk, err = NewLinker(w.E, w.I, c); err != nil {
+				t.Fatal(err)
+			}
+			if got := (*lk).Run().Stats; work(got) != work(ref.Stats) {
+				t.Fatalf("workers %d: full rescore counted %v, LinkDatasets %v", workers, work(got), work(ref.Stats))
+			}
+		}
+		for k := 0; k < len(w.E.Records); k += 4 {
+			quiet.AddE(w.E.Records[k])
+			asked.AddE(w.E.Records[k])
+		}
+		for _, l := range ref.Links {
+			if s := asked.Score(l.U, l.V); s <= 0 {
+				t.Fatalf("linked pair (%s, %s) scores %g", l.U, l.V, s)
+			}
+		}
+		q, a := quiet.Rescore(2), asked.Rescore(2)
+		if q.EdgeStore.FullRescore || q.RecordComparisons == 0 {
+			t.Fatalf("workers %d: the second run must be a delta that scores something: %+v", workers, *q.EdgeStore)
+		}
+		if work(a) != work(q) {
+			t.Fatalf("workers %d: a run after Linker.Score calls counted %v, without them %v", workers, work(a), work(q))
+		}
+	}
+}
+
 func TestAutoTuneSpatialLevelAPI(t *testing.T) {
 	w := cabWorkload(t, 16, 9)
 	cfg := Defaults()
